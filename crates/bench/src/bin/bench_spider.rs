@@ -79,7 +79,7 @@ use ind_datagen::{
 use ind_testkit::TempDir;
 use ind_valueset::{
     extract_with_sorter, ExportOptions, ExportedDatabase, ExternalSorter, IoOptions, SortOptions,
-    SortStats, ValueCursor, ValueFileReader, DEFAULT_BLOCK_SIZE,
+    SortStats, StagedBatch, ValueCursor, ValueFileReader, DEFAULT_BLOCK_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -948,20 +948,27 @@ fn bench_export(
     };
 
     // One full export pass through the arena sorter: one sorter reused for
-    // every attribute (the export manager's shape).
-    let arena_pass = |budget: usize,
-                      out: &std::path::Path,
-                      paths: &Paths|
-     -> Result<Vec<SortStats>, String> {
-        let mut sorter =
-            ExternalSorter::new(&out.join("spill"), SortOptions::with_memory_budget(budget))
-                .map_err(|e| e.to_string())?;
-        let mut stats = Vec::with_capacity(columns.len());
-        for (column, path) in columns.iter().zip(paths) {
-            stats.push(extract_with_sorter(column, path, &mut sorter).map_err(|e| e.to_string())?);
-        }
-        Ok(stats)
-    };
+    // every attribute and one group commit per batch of staged files (the
+    // export manager's shape, minus the manifest).
+    let arena_pass =
+        |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Vec<SortStats>, String> {
+            let mut sorter =
+                ExternalSorter::new(&out.join("spill"), SortOptions::with_memory_budget(budget))
+                    .map_err(|e| e.to_string())?;
+            let mut stats = Vec::with_capacity(columns.len());
+            let mut batch = StagedBatch::new();
+            for (column, path) in columns.iter().zip(paths) {
+                let (stat, staged) =
+                    extract_with_sorter(column, path, &mut sorter).map_err(|e| e.to_string())?;
+                stats.push(stat);
+                batch.push(staged, ());
+                if batch.is_full() {
+                    batch.publish_all(out, None).map_err(|e| e.to_string())?;
+                }
+            }
+            batch.publish_all(out, None).map_err(|e| e.to_string())?;
+            Ok(stats)
+        };
     // One full export pass through the frozen legacy shape: a fresh sorter
     // and a scratch render buffer per attribute, one heap vector per value.
     let legacy_pass =

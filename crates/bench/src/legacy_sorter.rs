@@ -152,6 +152,7 @@ impl LegacySorter {
             memcmp_compares: 0,
             min,
             max,
+            source_hash: 0,
         })
     }
 }

@@ -12,6 +12,7 @@ use crate::error::{Result, StorageError};
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
@@ -29,7 +30,12 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-fn unescape(s: &str, context: &str) -> Result<String> {
+/// Undoes [`escape`]. Most fields carry no escape at all and come back
+/// borrowed — one byte scan, no per-character rebuild and no copy.
+fn unescape<'a>(s: &'a str, context: &str) -> Result<Cow<'a, str>> {
+    if !s.contains('\\') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -51,7 +57,7 @@ fn unescape(s: &str, context: &str) -> Result<String> {
             }
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 /// Saves `db` under `dir` (created if missing).
@@ -348,6 +354,34 @@ mod tests {
             assert!(!esc.contains('\t'));
             assert!(!esc.contains('\n'));
             assert_eq!(unescape(&esc, "test").unwrap(), s, "input {s:?}");
+        }
+    }
+
+    #[test]
+    fn unescape_borrows_plain_fields_and_rebuilds_only_escaped_ones() {
+        // No escape: the fast path hands the field back as is.
+        for plain in ["", "plain", "4711", "tab-free, newline-free é∑"] {
+            assert!(matches!(unescape(plain, "test"), Ok(Cow::Borrowed(s)) if s == plain));
+        }
+        // One escape, only escapes, and a literal `\N` inside a longer
+        // field (the whole-field `\N` is NULL and never reaches unescape).
+        for (escaped, plain) in [
+            ("a\\tb", "a\tb"),
+            ("\\\\", "\\"),
+            ("\\t\\n\\r\\\\", "\t\n\r\\"),
+            ("x\\Ny", "x\\Ny"),
+        ] {
+            assert_eq!(unescape(escaped, "test").unwrap(), plain, "{escaped:?}");
+        }
+        // A bad escape still errs, naming its context.
+        for bad in ["a\\qb", "trailing\\"] {
+            match unescape(bad, "items.tsv") {
+                Err(StorageError::Parse { context, detail }) => {
+                    assert_eq!(context, "items.tsv");
+                    assert!(detail.contains("bad escape sequence"), "{detail}");
+                }
+                other => panic!("{bad:?}: expected a parse error, got {other:?}"),
+            }
         }
     }
 

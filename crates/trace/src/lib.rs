@@ -34,5 +34,5 @@ pub use ring::dropped_events;
 pub use span::{
     current_parent, disable, enable, enabled, reset, start, start_arg, start_under, ParentToken,
     SpanGuard, SpanId, BLOCK_PASS, DISCOVER, EXPORT, GENERATE, LEVEL, PARTITION, PREFETCH_WAIT,
-    PRESCAN, PROFILE, RESUME_SCAN, SAMPLING, SORT, SPAN_NAMES, SPIDER_MERGE, SPILL_MERGE,
+    PRESCAN, PROFILE, PUBLISH, RESUME_SCAN, SAMPLING, SORT, SPAN_NAMES, SPIDER_MERGE, SPILL_MERGE,
 };

@@ -31,7 +31,7 @@ pub(crate) enum ArgStyle {
 }
 
 /// The span-name registry: `(name, arg rendering)` per [`SpanId`].
-pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
+pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 15] = [
     ("discover", ArgStyle::None),
     ("export", ArgStyle::None),
     ("profile", ArgStyle::None),
@@ -46,10 +46,11 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
     ("level", ArgStyle::Index),
     ("prefetch_wait", ArgStyle::None),
     ("resume_scan", ArgStyle::None),
+    ("publish", ArgStyle::None),
 ];
 
 /// Span names in [`SpanId`] order (the report vocabulary).
-pub const SPAN_NAMES: [&str; 14] = [
+pub const SPAN_NAMES: [&str; 15] = [
     "discover",
     "export",
     "profile",
@@ -64,6 +65,7 @@ pub const SPAN_NAMES: [&str; 14] = [
     "level",
     "prefetch_wait",
     "resume_scan",
+    "publish",
 ];
 
 /// Whole run: the root span every other phase nests under.
@@ -94,6 +96,9 @@ pub const LEVEL: SpanId = SpanId(11);
 pub const PREFETCH_WAIT: SpanId = SpanId(12);
 /// The resume sweep: orphan cleanup plus manifest-vs-footer validation.
 pub const RESUME_SCAN: SpanId = SpanId(13);
+/// One group commit of the export: fsync each staged value file, rename
+/// each, one directory fsync, one manifest publish; `arg` = files.
+pub const PUBLISH: SpanId = SpanId(14);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Span-instance tokens and event ordering share one sequence so report

@@ -106,6 +106,11 @@ pub struct SortStats {
     pub min: Option<Vec<u8>>,
     /// Largest output value, if any.
     pub max: Option<Vec<u8>>,
+    /// Content hash of the whole source column, NULLs included (the
+    /// manifest's staleness check). The sorter never sees NULLs, so it
+    /// reports 0; [`crate::extract_with_sorter`] fills it in from the pass
+    /// that renders the cells.
+    pub source_hash: u64,
 }
 
 /// One value in the arena: `arena[offset..offset + len]`.
@@ -439,6 +444,7 @@ impl ExternalSorter {
             memcmp_compares: compares.memcmp.get(),
             min,
             max,
+            source_hash: 0,
         };
         self.reset_buffers();
         self.pushed = 0;

@@ -8,7 +8,8 @@
 
 use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
-use crate::format::ValueFileWriter;
+use crate::format::{tmp_path, StagedBatch, StagedFile, ValueFileWriter};
+use crate::manifest::ColumnHasher;
 use crate::memory::MemoryValueSet;
 use crate::tuple::encode_tuple_into;
 use ind_storage::Value;
@@ -167,10 +168,23 @@ pub fn extract_composite_memory_set(columns: &[&[Value]]) -> MemoryValueSet {
     MemoryValueSet::from_unsorted(out)
 }
 
+/// Publishes one staged file on its own — a batch of one, for the
+/// standalone extraction entry points.
+fn publish_alone(staged: StagedFile, options: &SortOptions) -> Result<()> {
+    let dir = match staged.path().parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent.to_path_buf(),
+        _ => ".".into(),
+    };
+    let mut batch = StagedBatch::new();
+    batch.push(staged, ());
+    batch.publish_all(&dir, options.io.fault.as_ref())?;
+    Ok(())
+}
+
 /// Extracts a column group into a composite value file at `path` via the
 /// external sorter — the on-disk counterpart of
 /// [`extract_composite_memory_set`], producing a stream byte-identical to
-/// it.
+/// it — and publishes it atomically.
 pub fn extract_composite_to_file(
     columns: &[&[Value]],
     path: &Path,
@@ -178,11 +192,15 @@ pub fn extract_composite_to_file(
     options: SortOptions,
 ) -> Result<SortStats> {
     let mut sorter = ExternalSorter::new(spill_dir, options)?;
-    extract_composite_with_sorter(columns, path, &mut sorter)
+    let (stats, staged) = extract_composite_with_sorter(columns, path, &mut sorter)?;
+    publish_alone(staged, sorter.options())?;
+    Ok(stats)
 }
 
 /// [`extract_composite_to_file`] through a caller-owned sorter, so one warm
-/// arena serves a whole level of composite streams. Tuples are encoded
+/// arena serves a whole level of composite streams, **staged, not
+/// published**: the file is complete under `<path>.tmp` and the caller
+/// publishes the returned [`StagedFile`] with its batch. Tuples are encoded
 /// **directly into the arena** ([`ExternalSorter::push_with`]): components
 /// are rendered once into a reused scratch buffer and escaped straight into
 /// their final resting place — no per-row tuple vector.
@@ -190,7 +208,7 @@ pub fn extract_composite_with_sorter(
     columns: &[&[Value]],
     path: &Path,
     sorter: &mut ExternalSorter,
-) -> Result<SortStats> {
+) -> Result<(SortStats, StagedFile)> {
     assert!(!columns.is_empty() && columns.len() <= MAX_COMPOSITE_ARITY);
     let rows = columns[0].len();
     debug_assert!(
@@ -207,14 +225,14 @@ pub fn extract_composite_with_sorter(
         let components = component_slices(&rendered, &offsets, columns.len());
         sorter.push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))?;
     }
-    let mut writer = ValueFileWriter::create_atomic_with_options(path, &io)?;
+    let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
     let stats = sorter.finish_into(&mut writer)?;
-    writer.finish()?;
-    Ok(stats)
+    Ok((stats, writer.finish_staged(path)?))
 }
 
 /// Extracts a column into a value file at `path` via the external sorter,
-/// spilling into `spill_dir` when the memory budget is exceeded.
+/// spilling into `spill_dir` when the memory budget is exceeded, and
+/// publishes it atomically.
 pub fn extract_to_file(
     values: &[Value],
     path: &Path,
@@ -222,32 +240,44 @@ pub fn extract_to_file(
     options: SortOptions,
 ) -> Result<SortStats> {
     let mut sorter = ExternalSorter::new(spill_dir, options)?;
-    extract_with_sorter(values, path, &mut sorter)
+    let (stats, staged) = extract_with_sorter(values, path, &mut sorter)?;
+    publish_alone(staged, sorter.options())?;
+    Ok(stats)
 }
 
 /// [`extract_to_file`] through a caller-owned sorter, so one warm arena
-/// serves a whole export: canonical renderings go **directly into the
-/// arena** ([`ExternalSorter::push_with`]) with no intermediate scratch
-/// vector, and after the first attribute the steady-state cost of another
-/// column is zero sorter allocations.
+/// serves a whole export, **staged, not published**: the file is complete
+/// under `<path>.tmp` — an interrupted extraction leaves a `.tmp` orphan,
+/// never a half-written file under the final name — and the caller
+/// publishes the returned [`StagedFile`] with its batch. Canonical
+/// renderings go **directly into the arena**
+/// ([`ExternalSorter::push_with`]) with no intermediate scratch vector,
+/// and the same pass feeds them to the column's content hash
+/// ([`SortStats::source_hash`]), so no cell is rendered twice. After the
+/// first attribute the steady-state cost of another column is zero sorter
+/// allocations.
 pub fn extract_with_sorter(
     values: &[Value],
     path: &Path,
     sorter: &mut ExternalSorter,
-) -> Result<SortStats> {
+) -> Result<(SortStats, StagedFile)> {
     let io = sorter.options().io.clone();
+    let mut hash = ColumnHasher::new();
     for v in values {
         if v.is_null() {
+            hash.null();
             continue;
         }
-        sorter.push_with(|arena| v.render_canonical(arena))?;
+        sorter.push_with(|arena| {
+            let start = arena.len();
+            v.render_canonical(arena);
+            hash.value(&arena[start..]);
+        })?;
     }
-    // Final files publish atomically: an interrupted extraction leaves a
-    // `.tmp` orphan, never a half-written file under the final name.
-    let mut writer = ValueFileWriter::create_atomic_with_options(path, &io)?;
-    let stats = sorter.finish_into(&mut writer)?;
-    writer.finish()?;
-    Ok(stats)
+    let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
+    let mut stats = sorter.finish_into(&mut writer)?;
+    stats.source_hash = hash.finish();
+    Ok((stats, writer.finish_staged(path)?))
 }
 
 #[cfg(test)]
@@ -295,6 +325,40 @@ mod tests {
         assert_eq!(stats.pushed, 4, "non-null occurrences");
         assert_eq!(stats.min.as_deref(), Some(b"10".as_slice()));
         assert_eq!(stats.max.as_deref(), Some(b"apple".as_slice()));
+    }
+
+    #[test]
+    fn the_extraction_pass_hashes_the_column_like_the_standalone_hash() {
+        use crate::manifest::hash_column;
+        let dir = TempDir::new("extract-hash");
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(64)).unwrap();
+        let columns: Vec<Vec<Value>> = vec![
+            column(),
+            vec![],
+            vec![Value::Null],
+            vec![Value::Null, Value::Null],
+            vec![Value::from(""), Value::Null, Value::from("")],
+            // Concatenation ambiguity: same bytes, different cell borders.
+            vec![Value::from("ab"), Value::from("c")],
+            vec![Value::from("a"), Value::from("bc")],
+            vec![Value::from("abc")],
+            // Enough long values to spill at the 64-byte budget: the hash
+            // must not depend on where the arena was flushed.
+            (0..40i64)
+                .map(|i| Value::Text(format!("value-{i:04}")))
+                .collect(),
+        ];
+        let mut hashes = Vec::new();
+        for (i, col) in columns.iter().enumerate() {
+            let path = dir.join(&format!("c{i}.indv"));
+            let (stats, _staged) = extract_with_sorter(col, &path, &mut sorter).unwrap();
+            assert_eq!(stats.source_hash, hash_column(col), "column {i}");
+            hashes.push(stats.source_hash);
+        }
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), columns.len(), "all nine columns differ");
     }
 
     #[test]

@@ -26,13 +26,17 @@
 //! ```
 //!
 //! * `op` — `read`, `write`, `open`, or `fsync`.
-//! * `match` — a substring of the file path; `*` matches every file.
+//! * `match` — a substring of the file path; `*` matches every file, and a
+//!   trailing `$` anchors the substring at the end of the path (`workdir$`
+//!   matches the directory's own fsync but none of the files inside it).
 //! * `kind` — `eintr` (read/write), `short` (read), `truncate=N` (read:
 //!   the file appears to end at byte `N`), `flip=N` (read: one bit of
 //!   byte `N` is flipped, chosen by the plan's seed), `enospc` (write),
 //!   `fail` (open/fsync), `crash=N` (write: the Nth matching write tears
-//!   mid-buffer and every later matching write or fsync fails — the
-//!   process-visible shape of dying mid-export).
+//!   mid-buffer and every later matching write, fsync or rename fails —
+//!   the process-visible shape of dying mid-export; a publishing rename
+//!   counts as one matching write, so sweeping N also dies *between* two
+//!   renames of one group commit).
 //! * an optional `@count` fires the rule that many times (default once;
 //!   `truncate` is persistent).
 
@@ -94,7 +98,11 @@ impl FaultRule {
     }
 
     fn matches_path(&self, path: &Path) -> bool {
-        self.matcher == "*" || path.to_string_lossy().contains(&self.matcher)
+        let path = path.to_string_lossy();
+        match self.matcher.strip_suffix('$') {
+            Some(tail) => path.ends_with(tail),
+            None => self.matcher == "*" || path.contains(&self.matcher),
+        }
     }
 
     /// Consumes one firing; `false` once the budget is spent.
@@ -115,6 +123,20 @@ impl FaultRule {
                 return true;
             }
         }
+    }
+
+    /// One more matching write-side op against a `crash=N` rule: `None`
+    /// while the process is alive, `Some(true)` for the Nth op (the crash
+    /// itself, which latches), `Some(false)` for every op after it.
+    fn crash_step(&self) -> Option<bool> {
+        if self.crashed.load(Ordering::Relaxed) {
+            return Some(false);
+        }
+        if self.take_last() {
+            self.crashed.store(true, Ordering::Relaxed);
+            return Some(true);
+        }
+        None
     }
 
     /// Decrements the budget; `true` only for the call that consumed the
@@ -283,17 +305,15 @@ impl FaultPlan {
                     self.note(format!("write:eintr:{}", path.display()));
                     return WriteCheck::Interrupted;
                 }
-                FaultKind::Crash => {
-                    if rule.crashed.load(Ordering::Relaxed) {
-                        return WriteCheck::Fail(crash_error());
-                    }
-                    if rule.take_last() {
-                        rule.crashed.store(true, Ordering::Relaxed);
+                FaultKind::Crash => match rule.crash_step() {
+                    Some(true) => {
                         // lint: allow(hot_alloc) — cold fault path
                         self.note(format!("write:crash:{}", path.display()));
                         return WriteCheck::Crash { torn: len / 2 };
                     }
-                }
+                    Some(false) => return WriteCheck::Fail(crash_error()),
+                    None => {}
+                },
                 _ => {}
             }
         }
@@ -317,6 +337,26 @@ impl FaultPlan {
                     return Some(crash_error());
                 }
                 _ => {}
+            }
+        }
+        None
+    }
+
+    /// Consulted before a rename that publishes `from`. Only `crash=N`
+    /// write rules apply: the rename counts as one more matching write (so
+    /// a sweep over N also dies between two renames of one commit), and a
+    /// latched crash fails it — a dead process renames nothing.
+    pub(crate) fn before_rename(&self, from: &Path) -> Option<io::Error> {
+        for rule in &self.rules {
+            if rule.kind != FaultKind::Crash || !rule.matches(FaultOp::Write, from) {
+                continue;
+            }
+            if let Some(first) = rule.crash_step() {
+                if first {
+                    // lint: allow(hot_alloc) — cold fault path
+                    self.note(format!("rename:crash:{}", from.display()));
+                }
+                return Some(crash_error());
             }
         }
         None
@@ -560,6 +600,18 @@ pub(crate) fn sync_dir(dir: &Path, plan: Option<&Arc<FaultPlan>>) -> io::Result<
     }
     let handle = std::fs::File::open(dir).map_err(|e| annotate(dir, e))?;
     handle.sync_all().map_err(|e| annotate(dir, e))
+}
+
+/// A fault-checked `rename`: the publishing half of atomic publication.
+/// A `crash=N` write rule may kill it (see [`FaultPlan::before_rename`]);
+/// otherwise the real rename runs and its error comes back annotated.
+pub(crate) fn rename(from: &Path, to: &Path, plan: Option<&Arc<FaultPlan>>) -> io::Result<()> {
+    if let Some(plan) = plan {
+        if let Some(e) = plan.before_rename(from) {
+            return Err(annotate(from, e));
+        }
+    }
+    std::fs::rename(from, to).map_err(|e| annotate(from, e))
 }
 
 /// The retrying read wrapper every [`crate::BlockReader`] byte flows
@@ -825,10 +877,30 @@ mod tests {
             b"aaaabbbbcc",
             "no more bytes land"
         );
+        let e = rename(&path, &dir.join("out.bin"), Some(&p)).unwrap_err();
+        assert!(e.to_string().contains("injected crash"));
+        assert!(path.exists(), "a dead process renames nothing");
         // Unrelated paths are untouched.
         let other = dir.join("other.bin");
         let mut other_file = std::fs::File::create(&other).unwrap();
         write_all(&mut other_file, b"ok", &other, Some(&p), None).unwrap();
+    }
+
+    #[test]
+    fn a_rename_counts_as_one_write_of_a_crash_rule() {
+        let dir = ind_testkit::TempDir::new("fault-rename");
+        let (a, b) = (dir.join("a.tmp"), dir.join("b.tmp"));
+        let mut file = std::fs::File::create(&a).unwrap();
+        std::fs::write(&b, b"b").unwrap();
+        let p = plan("write:*:crash=3");
+        write_all(&mut file, b"a", &a, Some(&p), None).unwrap();
+        rename(&a, &dir.join("a"), Some(&p)).unwrap();
+        // The third matching op is b's rename: the crash lands between
+        // the two renames.
+        let e = rename(&b, &dir.join("b"), Some(&p)).unwrap_err();
+        assert!(e.to_string().contains("injected crash"), "{e}");
+        assert!(dir.join("a").exists() && b.exists() && !dir.join("b").exists());
+        assert_eq!(p.fired(), vec![format!("rename:crash:{}", b.display())]);
     }
 
     #[test]
@@ -845,6 +917,15 @@ mod tests {
         let p = plan("fsync:fault-fsync:fail");
         assert!(sync_dir(dir.path(), Some(&p)).is_err());
         sync_dir(dir.path(), Some(&p)).unwrap();
+        // A `$`-anchored matcher picks the directory out from under the
+        // files inside it.
+        let sub = dir.join("wd");
+        std::fs::create_dir(&sub).unwrap();
+        let inside = sub.join("in.bin");
+        let file = std::fs::File::create(&inside).unwrap();
+        let p = plan("fsync:wd$:fail");
+        sync_all(&file, &inside, Some(&p)).unwrap();
+        assert!(sync_dir(&sub, Some(&p)).is_err());
     }
 
     #[test]

@@ -87,10 +87,6 @@ pub struct ValueFileWriter {
     fault: Option<Arc<crate::fault::FaultPlan>>,
     stats: Option<ReadStats>,
     cancel: Option<crate::cancel::CancelToken>,
-    /// Atomic publication: when set, `path` is the `.tmp` staging file
-    /// and `finish` fsyncs it, renames it to this final name, and fsyncs
-    /// the parent directory.
-    publish_to: Option<PathBuf>,
 }
 
 /// The staging name of an atomically-published value file: `<path>.tmp`.
@@ -102,6 +98,137 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// A [`StagedBatch`] commits once it holds this many staged file bytes, so
+/// a column larger than this always commits alone and a long export keeps
+/// per-file progress …
+pub const BATCH_MAX_BYTES: u64 = 8 << 20;
+/// … or this many files, so an export never holds more than
+/// `BATCH_MAX_FILES × threads` descriptors on staged files.
+pub const BATCH_MAX_FILES: usize = 64;
+
+/// A finished value file still under its `.tmp` name
+/// ([`ValueFileWriter::finish_staged`]): every byte written and the header
+/// patched, but not yet fsynced or renamed. It holds the open descriptor,
+/// never the contents. Readers and the manifest cannot see it until its
+/// [`StagedBatch`] is published; dropped instead, it leaves a `.tmp`
+/// orphan — garbage by construction, deleted by the resume sweep.
+#[must_use = "a staged file is invisible until its batch is published"]
+#[derive(Debug)]
+pub struct StagedFile {
+    file: std::fs::File,
+    tmp: PathBuf,
+    path: PathBuf,
+    file_bytes: u64,
+}
+
+impl StagedFile {
+    /// The final name the file is published under.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+/// Staged value files of one directory, each with a caller payload (its
+/// metadata), published together by **one durability barrier**:
+/// [`StagedBatch::publish`].
+#[derive(Debug)]
+pub struct StagedBatch<T> {
+    staged: Vec<(StagedFile, T)>,
+    bytes: u64,
+}
+
+impl<T> Default for StagedBatch<T> {
+    fn default() -> Self {
+        StagedBatch {
+            staged: Vec::new(),
+            bytes: 0,
+        }
+    }
+}
+
+impl<T> StagedBatch<T> {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds one staged file and its payload.
+    pub fn push(&mut self, file: StagedFile, payload: T) {
+        self.bytes += file.file_bytes;
+        self.staged.push((file, payload));
+    }
+
+    /// Staged files not yet published.
+    pub fn len(&self) -> usize {
+        self.staged.len()
+    }
+
+    /// True when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.staged.is_empty()
+    }
+
+    /// True once the batch has reached [`BATCH_MAX_BYTES`] or
+    /// [`BATCH_MAX_FILES`] and must be published before staging more.
+    pub fn is_full(&self) -> bool {
+        self.bytes >= BATCH_MAX_BYTES || self.staged.len() >= BATCH_MAX_FILES
+    }
+
+    /// The group commit, emptying the batch: fsync every staged file,
+    /// rename each one whose fsync succeeded to its final name, then fsync
+    /// `dir` **once**. The per-file invariants are those of one-at-a-time
+    /// publication — a file under its final name was fsynced before its
+    /// rename, and once this returns `Ok` every rename is durable — only
+    /// the barrier is shared. Everything goes through [`crate::fault`].
+    ///
+    /// Returns the payloads of the published files, in staging order, and
+    /// those of files whose own fsync or rename failed (each with its
+    /// error; the file stays a `.tmp` orphan and costs its siblings
+    /// nothing). `Err` means the directory fsync failed: no rename of this
+    /// batch is known durable, so none may be recorded in a manifest.
+    #[allow(clippy::type_complexity)]
+    pub fn publish(
+        &mut self,
+        dir: &Path,
+        fault: Option<&Arc<crate::fault::FaultPlan>>,
+    ) -> Result<(Vec<T>, Vec<(T, ValueSetError)>)> {
+        self.bytes = 0;
+        let mut synced = Vec::with_capacity(self.staged.len());
+        let mut failed = Vec::new();
+        for (file, payload) in self.staged.drain(..) {
+            match crate::fault::sync_all(&file.file, &file.tmp, fault) {
+                Ok(()) => synced.push((file, payload)),
+                Err(e) => failed.push((payload, e.into())),
+            }
+        }
+        let mut published = Vec::with_capacity(synced.len());
+        for (file, payload) in synced {
+            match crate::fault::rename(&file.tmp, &file.path, fault) {
+                Ok(()) => published.push(payload),
+                Err(e) => failed.push((payload, e.into())),
+            }
+        }
+        if !published.is_empty() {
+            crate::fault::sync_dir(dir, fault)?;
+        }
+        Ok((published, failed))
+    }
+
+    /// [`StagedBatch::publish`] for callers with no use for a partial
+    /// batch: the first per-file failure is the error.
+    pub fn publish_all(
+        &mut self,
+        dir: &Path,
+        fault: Option<&Arc<crate::fault::FaultPlan>>,
+    ) -> Result<Vec<T>> {
+        let (published, failed) = self.publish(dir, fault)?;
+        match failed.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(published),
+        }
+    }
+}
+
 impl ValueFileWriter {
     /// Creates (truncates) `path` with the default block size.
     pub fn create(path: &Path) -> Result<Self> {
@@ -111,21 +238,6 @@ impl ValueFileWriter {
     /// Creates (truncates) `path`, staging writes into blocks of
     /// `options.block_size`; the zero-count v2 header is staged first.
     pub fn create_with_options(path: &Path, options: &IoOptions) -> Result<Self> {
-        Self::create_inner(path, options, None)
-    }
-
-    /// Creates an **atomically published** value file: all writes go to
-    /// `<path>.tmp`, and [`ValueFileWriter::finish`] fsyncs the staging
-    /// file, renames it to `path`, and fsyncs the parent directory — so a
-    /// file under its final name is always complete and checksum-valid.
-    /// An interrupted export leaves only a `.tmp` orphan for the resume
-    /// sweep to delete. The byte stream is identical to a plain create:
-    /// the rename changes the name, never the bytes.
-    pub fn create_atomic_with_options(path: &Path, options: &IoOptions) -> Result<Self> {
-        Self::create_inner(&tmp_path(path), options, Some(path.to_path_buf()))
-    }
-
-    fn create_inner(path: &Path, options: &IoOptions, publish_to: Option<PathBuf>) -> Result<Self> {
         crate::fault::check_open(path, options.fault.as_ref())?;
         let file = crate::fault::create_file(path)?;
         let block_size = options.effective_block_size();
@@ -149,7 +261,6 @@ impl ValueFileWriter {
             fault: options.fault.clone(),
             stats: options.stats.clone(),
             cancel: options.cancel.clone(),
-            publish_to,
         })
     }
 
@@ -255,9 +366,9 @@ impl ValueFileWriter {
         self.write_calls
     }
 
-    /// Seals the final frame, writes the footer, patches the header's
-    /// count and CRC, and returns the final count.
-    pub fn finish(mut self) -> Result<u64> {
+    /// Seals the final frame, writes the footer, and patches the header's
+    /// count and CRC: after this every byte of the file has been written.
+    fn seal(&mut self) -> Result<()> {
         self.seal_frame()?;
         self.block.extend_from_slice(&FOOTER_SENTINEL.to_le_bytes());
         self.block.extend_from_slice(&self.count.to_le_bytes());
@@ -284,25 +395,36 @@ impl ValueFileWriter {
             self.fault.as_ref(),
             self.stats.as_ref(),
         )?;
-        match &self.publish_to {
-            Some(final_path) => {
-                // Atomic publication: the fsync is load-bearing (the
-                // rename must never expose a file whose bytes could still
-                // be lost), and both it and the directory fsync go through
-                // the fault layer so crash/fsync faults exercise them.
-                crate::fault::sync_all(&self.file, &self.path, self.fault.as_ref())?;
-                std::fs::rename(&self.path, final_path)
-                    .map_err(|e| ValueSetError::Io(crate::fault::annotate(&self.path, e)))?;
-                if let Some(parent) = final_path.parent() {
-                    crate::fault::sync_dir(parent, self.fault.as_ref())?;
-                }
-            }
-            None => {
-                // lint: allow(swallowed_result) — durability hint only; the counted write above already returned any real error
-                self.file.sync_data().ok(); // best-effort durability; not load-bearing
-            }
-        }
+        Ok(())
+    }
+
+    /// Finishes a plain (scratch) file in place and returns the final
+    /// count. No durability is promised: spill runs and probe files are
+    /// re-creatable, and a file meant to survive a crash goes through
+    /// [`ValueFileWriter::finish_staged`] instead.
+    pub fn finish(mut self) -> Result<u64> {
+        self.seal()?;
+        // lint: allow(swallowed_result) — durability hint only; the counted write above already returned any real error
+        self.file.sync_data().ok(); // best-effort durability; not load-bearing
         Ok(self.count)
+    }
+
+    /// Finishes a file written under its staging name ([`tmp_path`] of
+    /// `final_path`) for **atomic publication**: stops at "bytes written,
+    /// header patched" and hands the open descriptor back as a
+    /// [`StagedFile`]. The fsync, the rename to `final_path` and the
+    /// directory fsync belong to the [`StagedBatch`] it is pushed into, so
+    /// a whole batch shares one durability barrier. The byte stream is
+    /// identical to a plain [`ValueFileWriter::finish`]: publication
+    /// changes the name, never the bytes.
+    pub fn finish_staged(mut self, final_path: &Path) -> Result<StagedFile> {
+        self.seal()?;
+        Ok(StagedFile {
+            file_bytes: self.bytes_written(),
+            file: self.file,
+            tmp: self.path,
+            path: final_path.to_path_buf(),
+        })
     }
 }
 
@@ -1579,6 +1701,108 @@ mod tests {
             Err(other) => panic!("expected Io, got {other:?}"),
             Ok(_) => panic!("expected Io, got a reader"),
         }
+    }
+
+    /// Stages `values` for `path` the way the extraction layer does.
+    fn stage(path: &Path, values: &[Vec<u8>], options: &IoOptions) -> StagedFile {
+        let mut w = ValueFileWriter::create_with_options(&tmp_path(path), options).unwrap();
+        for v in values {
+            w.append(v).unwrap();
+        }
+        w.finish_staged(path).unwrap()
+    }
+
+    #[test]
+    fn a_batch_fills_by_file_count_or_by_bytes() {
+        let dir = TempDir::new("vf-batch-full");
+        let io = IoOptions::default();
+        let mut batch = StagedBatch::new();
+        for i in 0..BATCH_MAX_FILES {
+            assert!(!batch.is_full(), "{i} tiny files fit");
+            let path = dir.join(&format!("small-{i:03}.indv"));
+            batch.push(stage(&path, &bytes(&["x"]), &io), i);
+        }
+        assert!(batch.is_full(), "the file cap");
+        let published = batch.publish_all(dir.path(), None).unwrap();
+        assert_eq!(published, (0..BATCH_MAX_FILES).collect::<Vec<_>>());
+        assert!(
+            batch.is_empty() && !batch.is_full(),
+            "publishing empties it"
+        );
+
+        // One column past the byte cap is a batch of one.
+        let big = vec![vec![b'v'; BATCH_MAX_BYTES as usize]];
+        batch.push(stage(&dir.join("big.indv"), &big, &io), 0);
+        assert!(batch.is_full(), "the byte cap");
+        batch.publish_all(dir.path(), None).unwrap();
+        assert_eq!(
+            collect_cursor(ValueFileReader::open(&dir.join("big.indv")).unwrap()).unwrap(),
+            big
+        );
+    }
+
+    #[test]
+    fn staged_files_are_invisible_until_published_and_bytes_never_change() {
+        let dir = TempDir::new("vf-staged");
+        let values = bytes(&["alpha", "beta", "gamma"]);
+        let plain = dir.join("plain.indv");
+        write_value_file(&plain, &values).unwrap();
+
+        let path = dir.join("a.indv");
+        let mut batch = StagedBatch::new();
+        batch.push(stage(&path, &values, &IoOptions::default()), ());
+        assert!(!path.exists() && tmp_path(&path).exists(), "staged only");
+        batch.publish_all(dir.path(), None).unwrap();
+        assert!(path.exists() && !tmp_path(&path).exists(), "renamed");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&plain).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_failed_file_fsync_costs_only_that_file_of_the_batch() {
+        let dir = TempDir::new("vf-batch-fsync");
+        let plan = Arc::new(FaultPlan::parse("fsync:b.indv:fail").unwrap());
+        let io = IoOptions::default().with_fault(plan.clone());
+        let mut batch = StagedBatch::new();
+        for name in ["a", "b", "c"] {
+            let path = dir.join(&format!("{name}.indv"));
+            batch.push(stage(&path, &bytes(&[name]), &io), name);
+        }
+        let (published, failed) = batch.publish(dir.path(), Some(&plan)).unwrap();
+        assert_eq!(published, ["a", "c"]);
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].0, "b");
+        assert!(failed[0].1.to_string().contains("injected fsync"));
+        assert!(dir.join("a.indv").exists() && dir.join("c.indv").exists());
+        assert!(
+            !dir.join("b.indv").exists() && dir.join("b.indv.tmp").exists(),
+            "never renamed: a file under its final name was fsynced first"
+        );
+    }
+
+    #[test]
+    fn a_crash_between_two_renames_leaves_a_prefix_nobody_may_vouch_for() {
+        // Two writes per staged file, then the renames: ordinal 8 is the
+        // second rename of the commit.
+        let dir = TempDir::new("vf-batch-crash");
+        let plan = Arc::new(FaultPlan::parse("write:*:crash=8").unwrap());
+        let io = IoOptions::default().with_fault(plan.clone());
+        let mut batch = StagedBatch::new();
+        for name in ["a", "b", "c"] {
+            let path = dir.join(&format!("{name}.indv"));
+            batch.push(stage(&path, &bytes(&[name]), &io), name);
+        }
+        // The directory fsync dies with the process, so the commit as a
+        // whole fails: `a` sits under its final name but was never
+        // reported published, and a dead process renames nothing more.
+        let err = batch.publish(dir.path(), Some(&plan)).unwrap_err();
+        assert!(err.to_string().contains("injected crash"), "{err}");
+        assert!(batch.is_empty(), "no staged handle outlives the commit");
+        assert!(dir.join("a.indv").exists());
+        assert!(dir.join("b.indv.tmp").exists() && dir.join("c.indv.tmp").exists());
+        assert!(!dir.join("b.indv").exists() && !dir.join("c.indv").exists());
     }
 
     #[test]

@@ -43,7 +43,10 @@ pub use extract::{
     extract_with_sorter, MAX_COMPOSITE_ARITY,
 };
 pub use fault::FaultPlan;
-pub use format::{write_value_file, ValueFileReader, ValueFileWriter};
+pub use format::{
+    write_value_file, StagedBatch, StagedFile, ValueFileReader, ValueFileWriter, BATCH_MAX_BYTES,
+    BATCH_MAX_FILES,
+};
 pub use heap::{key_prefix64, LazyMinHeap};
 pub use manager::{
     CompositeExport, ExportOptions, ExportedAttribute, ExportedComposite, ExportedDatabase,

@@ -8,7 +8,7 @@ use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions};
 use crate::extract::{extract_composite_with_sorter, extract_with_sorter};
-use crate::format::ValueFileReader;
+use crate::format::{StagedBatch, StagedFile, ValueFileReader};
 use crate::manifest::{hash_column, Manifest, ManifestEntry};
 use ind_storage::{DataType, Database, QualifiedName};
 use std::path::{Path, PathBuf};
@@ -237,12 +237,49 @@ fn deep_verify(path: &Path, entry: &ManifestEntry, io: &IoOptions) -> Result<()>
     }
 }
 
+/// A value file's name inside its workdir — the manifest key.
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+/// The durable record of a freshly exported attribute.
+fn manifest_entry(attr: &ExportedAttribute, source_hash: u64) -> ManifestEntry {
+    ManifestEntry {
+        file: file_name(&attr.path),
+        id: attr.id,
+        table: attr.name.table.clone(),
+        column: attr.name.column.clone(),
+        data_type: attr.data_type,
+        rows: attr.rows,
+        non_null: attr.non_null,
+        distinct: attr.distinct,
+        min: attr.min.clone(),
+        max: attr.max.clone(),
+        file_bytes: attr.file_bytes,
+        records: attr.distinct,
+        format_version: crate::frame::V2_VERSION,
+        source_hash,
+    }
+}
+
 impl ExportedDatabase {
     /// Exports every column of `db` into `dir` (created if missing).
     /// Attribute ids follow [`Database::attributes`] order, so they are
     /// deterministic across runs — including under
     /// [`ExportOptions::threads`] parallelism, which only reorders the
     /// *work*, not the ids or file names.
+    ///
+    /// Publication is a **group commit**: each worker stages finished
+    /// files under `.tmp` names and, once its batch holds
+    /// [`crate::BATCH_MAX_BYTES`] or [`crate::BATCH_MAX_FILES`] — and on
+    /// every way out, error and cancellation included — fsyncs each staged
+    /// file, renames each, fsyncs `dir` once, and publishes the manifest
+    /// once. A file under its final name was fsynced before its rename,
+    /// the manifest never names a file whose rename is not yet durable,
+    /// and anything ending in `.tmp` is garbage; an interruption loses at
+    /// most the in-flight batch.
     pub fn export(db: &Database, dir: &Path, options: &ExportOptions) -> Result<Self> {
         let _span = ind_trace::start(ind_trace::EXPORT);
         let export_parent = ind_trace::current_parent();
@@ -264,7 +301,24 @@ impl ExportedDatabase {
             column: &'db [ind_storage::Value],
             path: PathBuf,
         }
-        #[allow(unused_mut)]
+        impl Job<'_> {
+            /// The attribute's slot with zeroed metadata: what extraction
+            /// fills in and what a quarantined attribute keeps.
+            fn attribute(&self) -> ExportedAttribute {
+                ExportedAttribute {
+                    id: self.id,
+                    name: self.name.clone(),
+                    data_type: self.data_type,
+                    rows: self.rows,
+                    non_null: 0,
+                    distinct: 0,
+                    min: None,
+                    max: None,
+                    path: self.path.clone(),
+                    file_bytes: 0,
+                }
+            }
+        }
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(db.attribute_count());
         let mut id = 0u32;
         for table in db.tables() {
@@ -335,28 +389,24 @@ impl ExportedDatabase {
             }
             // lint: allow(swallowed_result) — spill runs from a dead run are garbage; absence is success
             let _ = std::fs::remove_dir_all(&spill_dir);
-            manifest = Manifest::load(dir).unwrap_or_default();
+            // The new manifest starts from the entries that still vouch
+            // for a live attribute; stale ones (attribute gone from the
+            // schema, file torn, source changed) are simply not carried
+            // over, so no manifest publish of this run can name them.
+            let previous = Manifest::load(dir).unwrap_or_default();
             let mut pending = Vec::with_capacity(jobs.len());
             for job in jobs {
-                let file = job
-                    .path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                match manifest.get(&file) {
+                match previous.get(&file_name(&job.path)) {
                     Some(entry) if reusable(&job, entry) => {
                         attributes.push(ExportedAttribute {
-                            id: job.id,
-                            name: job.name.clone(),
-                            data_type: job.data_type,
-                            rows: job.rows,
                             non_null: entry.non_null,
                             distinct: entry.distinct,
                             min: entry.min.clone(),
                             max: entry.max.clone(),
-                            path: job.path.clone(),
                             file_bytes: entry.file_bytes,
+                            ..job.attribute()
                         });
+                        manifest.upsert(entry.clone());
                         exports_reused += 1;
                     }
                     _ => {
@@ -365,192 +415,164 @@ impl ExportedDatabase {
                     }
                 }
             }
-            // Entries for attributes no longer in the schema are pruned so
-            // the stored manifest always mirrors the live export set.
-            let live: Vec<String> = pending
-                .iter()
-                .map(|j| {
-                    j.path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default()
-                })
-                .chain(attributes.iter().map(|a| {
-                    a.path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default()
-                }))
-                .collect();
-            let stale: Vec<String> = manifest
-                .entries()
-                .iter()
-                .filter(|e| !live.contains(&e.file))
-                .map(|e| e.file.clone())
-                .collect();
-            for file in stale {
-                manifest.remove(&file);
-            }
             jobs = pending;
         }
         let manifest = Mutex::new(manifest);
 
-        // Each worker owns ONE sorter for its whole share of the export:
-        // after the first attribute the arena and index are warm, so every
-        // further column sorts with zero sorter allocations.
         // Comparator-split totals, summed across workers as jobs finish.
         let key_compares = std::sync::atomic::AtomicU64::new(0);
         let memcmp_compares = std::sync::atomic::AtomicU64::new(0);
-        let run_job = |job: &Job<'_>, sorter: &mut ExternalSorter| -> Result<ExportedAttribute> {
+        let fault = sort.io.fault.as_ref();
+        // Extract → sort → write one attribute, up to "bytes written,
+        // header patched": the file is complete under its `.tmp` name and
+        // waits in the worker's batch for the group commit.
+        type Staged = (ExportedAttribute, u64);
+        let stage = |job: &Job<'_>, sorter: &mut ExternalSorter| -> Result<(StagedFile, Staged)> {
             // Parent the per-attribute span under the export span even from
             // worker threads (thread-local parenting stops at the spawn).
             let _span = ind_trace::start_under(ind_trace::SORT, u64::from(job.id), export_parent);
             if let Some(cancel) = &sort.io.cancel {
                 cancel.check("export")?;
             }
-            let stats = extract_with_sorter(job.column, &job.path, sorter)?;
+            let (stats, file) = extract_with_sorter(job.column, &job.path, sorter)?;
             key_compares.fetch_add(stats.key_compares, std::sync::atomic::Ordering::Relaxed);
             memcmp_compares.fetch_add(stats.memcmp_compares, std::sync::atomic::Ordering::Relaxed);
             ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
             let attr = ExportedAttribute {
-                id: job.id,
-                name: job.name.clone(),
-                data_type: job.data_type,
-                rows: job.rows,
                 non_null: stats.pushed,
                 distinct: stats.distinct,
                 min: stats.min,
                 max: stats.max,
-                path: job.path.clone(),
                 file_bytes: stats.file_bytes,
+                ..job.attribute()
             };
-            // Publish the manifest entry IMMEDIATELY after the attribute's
-            // rename lands: a crash between two attributes then loses at
-            // most the in-flight one, and `--resume` reuses the rest.
-            {
-                let mut manifest = lock(&manifest);
-                manifest.upsert(ManifestEntry {
-                    file: job
-                        .path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default(),
-                    id: job.id,
-                    table: job.name.table.clone(),
-                    column: job.name.column.clone(),
-                    data_type: job.data_type,
-                    rows: job.rows,
-                    non_null: attr.non_null,
-                    distinct: attr.distinct,
-                    min: attr.min.clone(),
-                    max: attr.max.clone(),
-                    file_bytes: attr.file_bytes,
-                    records: attr.distinct,
-                    format_version: crate::frame::V2_VERSION,
-                    source_hash: hash_column(job.column),
-                });
-                manifest.store(dir, sort.io.fault.as_ref())?;
-            }
-            Ok(attr)
+            Ok((file, (attr, stats.source_hash)))
         };
 
-        // Quarantine path for keep-going exports: reset the sorter (a
-        // mid-extraction failure leaves buffered values and spill runs),
-        // drop the partial value file, and keep the attribute's id slot
+        // Quarantine path for keep-going exports: drop whatever the
+        // attribute left on disk and in the manifest, and keep its id slot
         // with zeroed metadata so dense indexing survives.
-        let quarantine = |job: &Job<'_>,
-                          sorter: &mut ExternalSorter,
-                          e: crate::error::ValueSetError|
-         -> (ExportedAttribute, FailedAttribute) {
-            sorter.reset();
+        type WorkerYield = (Vec<ExportedAttribute>, Vec<FailedAttribute>);
+        let quarantine = |attr: ExportedAttribute,
+                          e: crate::error::ValueSetError,
+                          (done, lost): &mut WorkerYield| {
             // lint: allow(swallowed_result) — the attribute is already quarantined; its partial file is best-effort garbage
-            let _ = std::fs::remove_file(&job.path);
+            let _ = std::fs::remove_file(&attr.path);
             // lint: allow(swallowed_result) — atomic creation stages at `<path>.tmp`; sweep it with the same shrug
-            let _ = std::fs::remove_file(crate::format::tmp_path(&job.path));
-            if let Some(file) = job.path.file_name() {
-                lock(&manifest).remove(&file.to_string_lossy());
-            }
-            (
-                ExportedAttribute {
-                    id: job.id,
-                    name: job.name.clone(),
-                    data_type: job.data_type,
-                    rows: job.rows,
-                    non_null: 0,
-                    distinct: 0,
-                    min: None,
-                    max: None,
-                    path: job.path.clone(),
-                    file_bytes: 0,
-                },
-                FailedAttribute {
-                    id: job.id,
-                    name: job.name.clone(),
-                    error: e.to_string(),
-                },
-            )
+            let _ = std::fs::remove_file(crate::format::tmp_path(&attr.path));
+            lock(&manifest).remove(&file_name(&attr.path));
+            lost.push(FailedAttribute {
+                id: attr.id,
+                name: attr.name.clone(),
+                error: e.to_string(),
+            });
+            done.push(ExportedAttribute {
+                non_null: 0,
+                distinct: 0,
+                min: None,
+                max: None,
+                file_bytes: 0,
+                ..attr
+            });
         };
 
-        let threads = options.threads.max(1).min(jobs.len().max(1));
-        let mut failed: Vec<FailedAttribute> = Vec::new();
-        if threads <= 1 {
-            let mut sorter = ExternalSorter::new(&spill_dir, sort.clone())?;
-            for job in &jobs {
-                match run_job(job, &mut sorter) {
-                    Ok(attr) => attributes.push(attr),
+        // The ONE publication path. fsync each staged file → rename each →
+        // one directory fsync ([`StagedBatch::publish`]), and only then one
+        // manifest publish naming the batch — so `MANIFEST.json` never
+        // names a file whose rename is not yet durable. A file whose own
+        // fsync or rename failed costs only itself (quarantined under
+        // keep-going, the error otherwise); a failed directory fsync or
+        // manifest publish fails the export, since no attribute of the
+        // batch can be vouched for.
+        let commit = |batch: &mut StagedBatch<Staged>, out: &mut WorkerYield| -> Result<()> {
+            if batch.is_empty() {
+                return Ok(());
+            }
+            let _span =
+                ind_trace::start_under(ind_trace::PUBLISH, batch.len() as u64, export_parent);
+            let (published, failed) = batch.publish(dir, fault)?;
+            if !published.is_empty() {
+                let mut manifest = lock(&manifest);
+                for (attr, source_hash) in &published {
+                    manifest.upsert(manifest_entry(attr, *source_hash));
+                }
+                manifest.store(dir, fault)?;
+            }
+            out.0.extend(published.into_iter().map(|(attr, _)| attr));
+            for ((attr, _), e) in failed {
+                if !options.keep_going {
+                    return Err(e);
+                }
+                quarantine(attr, e, out);
+            }
+            Ok(())
+        };
+
+        // Workers claim jobs one at a time off a shared atomic index —
+        // fixed chunks would let a few huge columns idle the other
+        // workers. Each worker owns ONE sorter for its whole share of the
+        // export (after the first attribute the arena and index are warm,
+        // so every further column sorts with zero sorter allocations) and
+        // ONE batch of staged files, which never outlives the call.
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let worker = |spill: &Path| -> Result<WorkerYield> {
+            let mut sorter = ExternalSorter::new(spill, sort.clone())?;
+            let mut batch = StagedBatch::new();
+            let mut out: WorkerYield = (Vec::new(), Vec::new());
+            let outcome = loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else {
+                    break Ok(());
+                };
+                match stage(job, &mut sorter) {
+                    Ok((file, staged)) => {
+                        batch.push(file, staged);
+                        if batch.is_full() {
+                            if let Err(e) = commit(&mut batch, &mut out) {
+                                break Err(e);
+                            }
+                        }
+                    }
                     // Cancellation is a STOP, not a data fault: quarantining
                     // it would record healthy attributes as failed.
                     Err(e)
                         if options.keep_going
                             && !matches!(e, crate::error::ValueSetError::Cancelled { .. }) =>
                     {
-                        let (attr, failure) = quarantine(job, &mut sorter, e);
-                        attributes.push(attr);
-                        failed.push(failure);
+                        // A mid-extraction failure leaves buffered values
+                        // and spill runs behind.
+                        sorter.reset();
+                        quarantine(job.attribute(), e, &mut out);
                     }
-                    Err(e) => return Err(e),
+                    Err(e) => break Err(e),
                 }
-            }
+            };
+            // Every way out of the loop — work list drained, strict-mode
+            // error, cancellation — commits the staged siblings first, so
+            // an interrupted run loses nothing it finished. The original
+            // error wins over a commit failure it caused (after an
+            // injected crash every fsync fails too).
+            let committed = commit(&mut batch, &mut out);
+            outcome.and(committed)?;
+            Ok(out)
+        };
+
+        let threads = options.threads.max(1).min(jobs.len().max(1));
+        let mut failed: Vec<FailedAttribute> = Vec::new();
+        if threads <= 1 {
+            let (done, lost) = worker(&spill_dir)?;
+            attributes.extend(done);
+            failed = lost;
         } else {
-            // Workers claim jobs one at a time off a shared atomic index —
-            // fixed chunks would let a few huge columns idle the other
-            // workers. One spill subdirectory per worker: sorter spill runs
-            // are named by ordinal and would collide across concurrent
+            // One spill subdirectory per worker: sorter spill runs are
+            // named by ordinal and would collide across concurrent
             // extractions.
-            type WorkerYield = (Vec<ExportedAttribute>, Vec<FailedAttribute>);
-            let next = std::sync::atomic::AtomicUsize::new(0);
             let results: Vec<Result<WorkerYield>> = crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let spill = spill_dir.join(format!("worker-{worker:02}"));
-                        let (next, jobs, run_job, quarantine, sort) =
-                            (&next, &jobs, &run_job, &quarantine, &sort);
-                        scope.spawn(move |_| -> Result<WorkerYield> {
-                            let mut sorter = ExternalSorter::new(&spill, sort.clone())?;
-                            let mut done = Vec::new();
-                            let mut lost = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(job) = jobs.get(i) else {
-                                    return Ok((done, lost));
-                                };
-                                match run_job(job, &mut sorter) {
-                                    Ok(attr) => done.push(attr),
-                                    Err(e)
-                                        if options.keep_going
-                                            && !matches!(
-                                                e,
-                                                crate::error::ValueSetError::Cancelled { .. }
-                                            ) =>
-                                    {
-                                        let (attr, failure) = quarantine(job, &mut sorter, e);
-                                        done.push(attr);
-                                        lost.push(failure);
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                        })
+                    .map(|w| {
+                        let spill = spill_dir.join(format!("worker-{w:02}"));
+                        let worker = &worker;
+                        scope.spawn(move |_| worker(&spill))
                     })
                     .collect();
                 handles
@@ -814,27 +836,50 @@ impl CompositeExport {
         let mut composites = Vec::with_capacity(groups.len());
         // One sorter for the whole level: warm arena across groups.
         let mut sorter = ExternalSorter::new(&spill_dir, sort.clone())?;
-        for (id, group) in groups.iter().enumerate() {
-            let mut columns = Vec::with_capacity(group.len());
-            for qn in group {
-                columns.push(db.column(qn)?);
+        // The level commits through the same group commit as the unary
+        // export: one directory fsync per batch instead of one per group.
+        let mut batch: StagedBatch<ExportedComposite> = StagedBatch::new();
+        let mut commit = |batch: &mut StagedBatch<ExportedComposite>| -> Result<()> {
+            if !batch.is_empty() {
+                let _span = ind_trace::start_arg(ind_trace::PUBLISH, batch.len() as u64);
+                composites.extend(batch.publish_all(dir, sort.io.fault.as_ref())?);
             }
-            let path = dir.join(format!("comp-{id:05}.indv"));
-            let _sort_span = ind_trace::start_arg(ind_trace::SORT, id as u64);
-            if let Some(cancel) = &sort.io.cancel {
-                cancel.check("export")?;
+            Ok(())
+        };
+        let mut stage_all = || -> Result<()> {
+            for (id, group) in groups.iter().enumerate() {
+                let mut columns = Vec::with_capacity(group.len());
+                for qn in group {
+                    columns.push(db.column(qn)?);
+                }
+                let path = dir.join(format!("comp-{id:05}.indv"));
+                let _sort_span = ind_trace::start_arg(ind_trace::SORT, id as u64);
+                if let Some(cancel) = &sort.io.cancel {
+                    cancel.check("export")?;
+                }
+                let (stats, file) = extract_composite_with_sorter(&columns, &path, &mut sorter)?;
+                ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
+                batch.push(
+                    file,
+                    ExportedComposite {
+                        id: id as u32,
+                        columns: group.clone(),
+                        non_null_rows: stats.pushed,
+                        distinct: stats.distinct,
+                        path,
+                        file_bytes: stats.file_bytes,
+                    },
+                );
+                if batch.is_full() {
+                    commit(&mut batch)?;
+                }
             }
-            let stats = extract_composite_with_sorter(&columns, &path, &mut sorter)?;
-            ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
-            composites.push(ExportedComposite {
-                id: id as u32,
-                columns: group.clone(),
-                non_null_rows: stats.pushed,
-                distinct: stats.distinct,
-                path,
-                file_bytes: stats.file_bytes,
-            });
-        }
+            Ok(())
+        };
+        // Error or not, what is staged gets committed before returning.
+        let outcome = stage_all();
+        let committed = commit(&mut batch);
+        outcome.and(committed)?;
         // lint: allow(swallowed_result) — best-effort cleanup of an empty spill dir; the export already succeeded
         let _ = std::fs::remove_dir_all(&spill_dir); // empty after successful export
         Ok(CompositeExport {
@@ -1141,6 +1186,172 @@ mod tests {
                 !dir.join("spill").exists(),
                 "spill dirs are cleaned up after a degraded export"
             );
+            assert_eq!(
+                vouched_files(dir.path()),
+                ["attr-00000.indv", "attr-00002.indv", "attr-00003.indv"],
+                "threads={threads}: only the failing attribute's stage is dropped"
+            );
+            assert!(!dir.join("attr-00001.indv.tmp").exists());
+        }
+    }
+
+    /// The files the ON-DISK manifest of `dir` vouches for, each checked
+    /// against its seal first: the manifest may never name a file that is
+    /// missing, torn, or not the one it recorded.
+    fn vouched_files(dir: &Path) -> Vec<String> {
+        let manifest = Manifest::load(dir).unwrap_or_default();
+        for entry in manifest.entries() {
+            crate::format::verify_file_quick(
+                &dir.join(&entry.file),
+                entry.file_bytes,
+                entry.records,
+                None,
+            )
+            .unwrap_or_else(|e| panic!("manifest vouches for a bad {}: {e}", entry.file));
+        }
+        manifest.entries().iter().map(|e| e.file.clone()).collect()
+    }
+
+    fn faulted(spec: &str, threads: usize) -> ExportOptions {
+        let mut options = ExportOptions::with_threads(threads);
+        options.sort.io = IoOptions::default().with_fault(std::sync::Arc::new(
+            crate::fault::FaultPlan::parse(spec).unwrap(),
+        ));
+        options
+    }
+
+    #[test]
+    fn batch_commit_writes_the_bytes_per_file_publication_wrote() {
+        // Publication changes names, never bytes: every value file equals
+        // what the plain writer produces from the column's sorted distinct
+        // values, and MANIFEST.json equals one built entry by entry with
+        // the standalone column hash.
+        let db = sample_db();
+        let dir = TempDir::new("export-identity");
+        let exp = ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
+        let plain = dir.join("plain.indv");
+        let mut expected = Manifest::new();
+        let columns = db
+            .tables()
+            .iter()
+            .flat_map(|t| t.iter_columns().map(|(_, _, column)| column));
+        for (attr, column) in exp.attributes().iter().zip(columns) {
+            crate::format::write_value_file(&plain, &crate::extract_sorted_distinct(column))
+                .unwrap();
+            assert_eq!(
+                std::fs::read(&attr.path).unwrap(),
+                std::fs::read(&plain).unwrap(),
+                "{}",
+                attr.name
+            );
+            expected.upsert(manifest_entry(attr, hash_column(column)));
+        }
+        let manifest = std::fs::read(dir.join(crate::MANIFEST_NAME)).unwrap();
+        assert_eq!(manifest, expected.to_json().as_bytes());
+
+        // Pinned from the per-attribute publisher this replaced (commit
+        // f992d7f): CRC-32C of each artifact of this very export.
+        let pins: [(&str, u32); 5] = [
+            ("attr-00000.indv", 0xa953_9fcb),
+            ("attr-00001.indv", 0x4fc6_9237),
+            ("attr-00002.indv", 0x340e_eacd),
+            ("attr-00003.indv", 0x52bb_f17e),
+            (crate::MANIFEST_NAME, 0xd05e_5955),
+        ];
+        for (file, crc) in pins {
+            let bytes = std::fs::read(dir.join(file)).unwrap();
+            assert_eq!(crate::crc32c(&bytes), crc, "{file}");
+        }
+    }
+
+    #[test]
+    fn a_strict_error_commits_the_staged_siblings_first() {
+        for threads in [1usize, 3] {
+            let dir = TempDir::new("export-strict-commit");
+            let err = ExportedDatabase::export(
+                &sample_db(),
+                dir.path(),
+                &faulted("write:attr-00002:enospc", threads),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("attr-00002"), "{err}");
+            // Everything finished before (or beside) the failure is
+            // published and vouched for; the failing attribute is not.
+            let vouched = vouched_files(dir.path());
+            assert!(!vouched.contains(&"attr-00002.indv".to_string()));
+            if threads == 1 {
+                assert_eq!(vouched, ["attr-00000.indv", "attr-00001.indv"]);
+            }
+            for file in &vouched {
+                assert!(!dir.join(&format!("{file}.tmp")).exists(), "no stage leaks");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_fsync_at_commit_quarantines_that_one_file() {
+        let clean_dir = TempDir::new("export-fsync-ref");
+        let clean =
+            ExportedDatabase::export(&sample_db(), clean_dir.path(), &ExportOptions::default())
+                .unwrap();
+        for threads in [1usize, 3] {
+            let dir = TempDir::new("export-fsync-quarantine");
+            let options = faulted("fsync:attr-00001:fail", threads).keep_going(true);
+            let exp = ExportedDatabase::export(&sample_db(), dir.path(), &options).unwrap();
+            let lost: Vec<u32> = exp.failed_attributes().iter().map(|f| f.id).collect();
+            assert_eq!(lost, [1], "threads={threads}");
+            assert!(exp.failed_attributes()[0].error.contains("fsync"));
+            for id in [0u32, 2, 3] {
+                assert_eq!(
+                    collect_cursor(exp.open(id).unwrap()).unwrap(),
+                    collect_cursor(clean.open(id).unwrap()).unwrap(),
+                    "threads={threads}: the rest of the batch is untouched"
+                );
+            }
+            assert_eq!(
+                vouched_files(dir.path()),
+                ["attr-00000.indv", "attr-00002.indv", "attr-00003.indv"]
+            );
+            assert!(!dir.join("attr-00001.indv").exists());
+            assert!(!dir.join("attr-00001.indv.tmp").exists());
+        }
+    }
+
+    #[test]
+    fn a_failed_directory_fsync_fails_the_export_and_records_nothing() {
+        // No rename of the batch is known durable, so no attribute of it
+        // can be vouched for — keep-going or not.
+        for keep_going in [false, true] {
+            let dir = TempDir::new("export-dirsync");
+            let workdir = dir.join("wd");
+            let options = faulted("fsync:wd$:fail", 1).keep_going(keep_going);
+            let err = ExportedDatabase::export(&sample_db(), &workdir, &options).unwrap_err();
+            assert!(err.to_string().contains("injected fsync"), "{err}");
+            assert!(
+                Manifest::load(&workdir).is_none(),
+                "keep_going={keep_going}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_composite_level_commits_through_the_group_commit() {
+        // The n-ary path stages and publishes like the unary one: its
+        // barrier is fault-reachable, and a clean level leaves no stage.
+        let groups: Vec<Vec<QualifiedName>> = ["id", "label", "blob"]
+            .iter()
+            .map(|c| vec![QualifiedName::new("t", *c)])
+            .collect();
+        let dir = TempDir::new("export-composite-batch");
+        let workdir = dir.join("wd");
+        let options = faulted("fsync:wd$:fail", 1);
+        assert!(CompositeExport::export(&sample_db(), &groups, &workdir, &options).is_err());
+        let exp =
+            CompositeExport::export(&sample_db(), &groups, &workdir, &ExportOptions::default())
+                .unwrap();
+        assert_eq!(exp.attribute_count(), 3);
+        for entry in std::fs::read_dir(&workdir).unwrap().flatten() {
+            assert!(!entry.file_name().to_string_lossy().ends_with(".tmp"));
         }
     }
 
@@ -1268,6 +1479,9 @@ mod tests {
             matches!(err, crate::error::ValueSetError::Cancelled { .. }),
             "{err}"
         );
+        // The stop committed what was already staged: nothing finished is
+        // lost, and the manifest vouches only for complete files.
+        assert!(!vouched_files(dir.path()).is_empty());
 
         // keep-going treats cancellation as a stop, not a data fault: no
         // quarantine, the error still surfaces.

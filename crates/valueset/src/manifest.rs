@@ -3,9 +3,9 @@
 //! the value file's byte size, its record count, and the on-disk format
 //! version.
 //!
-//! Together with atomic value-file publication (tmp + rename + directory
-//! fsync, [`crate::ValueFileWriter::create_atomic_with_options`]) the
-//! manifest makes an interrupted export *resumable*: on `--resume` the
+//! Together with atomic value-file publication (tmp + fsync + rename +
+//! directory fsync, one barrier per [`crate::StagedBatch`]) the manifest
+//! makes an interrupted export *resumable*: on `--resume` the
 //! export sweeps orphaned `.tmp` files, verifies each manifest entry
 //! against its file's self-verifying footer, and re-exports only what is
 //! missing or invalid. The manifest itself is published with the same
@@ -16,7 +16,7 @@
 //! entry already carries a source-content hash, so exports keyed by hash
 //! instead of attribute id are a rename away.
 
-use crate::error::{Result, ValueSetError};
+use crate::error::Result;
 use ind_storage::{DataType, Value};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -70,13 +70,20 @@ pub struct Manifest {
     entries: Vec<ManifestEntry>,
 }
 
-/// 64-bit FNV-1a, the workspace's no-dependency content hash.
+/// Content hash of one source column (64-bit FNV-1a, the workspace's
+/// no-dependency hash): every cell in row order, nulls as a marker byte,
+/// non-nulls as their length-prefixed canonical rendering (the exact bytes
+/// the export writes; the length prefix keeps concatenation ambiguity
+/// out). Deterministic across runs and thread counts by construction. The
+/// export feeds it from the pass that already renders each cell into the
+/// sorter; [`hash_column`] is the same hash computed standalone, for the
+/// resume-side staleness check.
 #[derive(Debug, Clone)]
-struct Fnv1a(u64);
+pub(crate) struct ColumnHasher(u64);
 
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+impl ColumnHasher {
+    pub(crate) fn new() -> Self {
+        ColumnHasher(0xcbf2_9ce4_8422_2325)
     }
 
     fn update(&mut self, bytes: &[u8]) {
@@ -86,26 +93,33 @@ impl Fnv1a {
         }
     }
 
-    fn finish(&self) -> u64 {
+    /// One NULL cell.
+    pub(crate) fn null(&mut self) {
+        self.update(&[0xFF]);
+    }
+
+    /// One non-NULL cell, given its canonical rendering.
+    pub(crate) fn value(&mut self, rendered: &[u8]) {
+        self.update(&(rendered.len() as u64).to_le_bytes());
+        self.update(rendered);
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }
 
-/// Content hash of one source column: every cell in row order, nulls as
-/// a marker byte, non-nulls as their length-prefixed canonical rendering
-/// (the exact bytes the export writes). Deterministic across runs and
-/// thread counts by construction.
+/// [`ColumnHasher`] over a whole column, rendering every cell itself.
 pub(crate) fn hash_column(column: &[Value]) -> u64 {
-    let mut hash = Fnv1a::new();
+    let mut hash = ColumnHasher::new();
     let mut buf = Vec::new();
     for value in column {
         if value.is_null() {
-            hash.update(&[0xFF]);
+            hash.null();
         } else {
             buf.clear();
             value.render_canonical(&mut buf);
-            hash.update(&(buf.len() as u64).to_le_bytes());
-            hash.update(&buf);
+            hash.value(&buf);
         }
     }
     hash.finish()
@@ -329,8 +343,7 @@ impl Manifest {
         let mut file = crate::fault::create_file(&tmp)?;
         crate::fault::write_all(&mut file, self.to_json().as_bytes(), &tmp, fault, None)?;
         crate::fault::sync_all(&file, &tmp, fault)?;
-        std::fs::rename(&tmp, &final_path)
-            .map_err(|e| ValueSetError::Io(crate::fault::annotate(&tmp, e)))?;
+        crate::fault::rename(&tmp, &final_path, fault)?;
         crate::fault::sync_dir(dir, fault)?;
         Ok(())
     }

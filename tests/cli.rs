@@ -485,6 +485,12 @@ fn report_and_folded_trace_come_out_well_formed() {
             .any(|l| l.starts_with("discover;export;sort")),
         "per-attribute sort frames present:\n{folded}"
     );
+    assert!(
+        folded
+            .lines()
+            .any(|l| l.starts_with("discover;export;publish ")),
+        "publication is its own line under export:\n{folded}"
+    );
 }
 
 #[test]
@@ -494,7 +500,9 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
     let dir = TempDir::new("cli-crash-resume");
     let db_dir = dir.join("db");
     let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
+    // 551 attributes: the export commits in batches of BATCH_MAX_FILES, so
+    // the crash below lands well after the first group commit.
+    assert!(spider_ind(&["generate", "pdb", db_path, "--scale", "5"])
         .status
         .success());
 
@@ -508,7 +516,9 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
     let clean = spider_ind(&["discover", db_path, "--algorithm", "spider"]);
     assert!(clean.status.success());
 
-    // First run dies mid-export on an injected torn write: dirty exit.
+    // First run dies mid-export on an injected torn write: dirty exit. A
+    // batch costs two writes and a rename per file plus the manifest's
+    // write and rename, so ordinal 400 falls after the second commit.
     let workdir = dir.join("work");
     let work_path = workdir.to_str().expect("utf8");
     let crashed = spider_ind(&[
@@ -520,12 +530,12 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
         "--workdir",
         work_path,
         "--fault-plan",
-        "write:*:crash=5",
+        "write:*:crash=400",
     ]);
     assert!(!crashed.status.success(), "the crash must surface");
 
-    // Second run resumes: completes, reuses at least one published
-    // export, and leaves no staged `.tmp` behind.
+    // Second run resumes: completes, reuses the batch committed before
+    // the crash, and leaves no staged `.tmp` behind.
     let report_path = dir.join("resume-report.json");
     let resumed = spider_ind(&[
         "discover",
