@@ -1,8 +1,8 @@
 //! Attribute profiles: the per-attribute metadata that candidate
 //! generation and the pretests consume.
 
-use ind_storage::{table_stats, DataType, Database, QualifiedName};
-use ind_valueset::{ExportedDatabase, MemoryProvider};
+use ind_storage::{table_stats, DataType, Database, QualifiedName, Value};
+use ind_valueset::{ExportedDatabase, MemoryProvider, Result};
 
 /// Profile of one attribute (column), identified by a dense id that doubles
 /// as the index into the value-set provider.
@@ -84,35 +84,80 @@ pub fn profiles_from_export(exp: &ExportedDatabase) -> Vec<AttributeProfile> {
 }
 
 /// Extracts `db` entirely into memory: profiles plus a [`MemoryProvider`]
-/// whose attribute ids match the profile ids. The workhorse for tests and
-/// small interactive runs.
+/// whose attribute ids match the profile ids. What
+/// [`IndFinder::discover_in_memory`](crate::IndFinder::discover_in_memory)
+/// — the CLI's default path — runs on.
 pub fn memory_export(db: &Database) -> (Vec<AttributeProfile>, MemoryProvider) {
     memory_export_with_threads(db, 1)
 }
 
 /// [`memory_export`] with the per-column extract/sort/dedup work spread
 /// over `threads` workers
-/// ([`extract_memory_sets_parallel`](ind_valueset::extract_memory_sets_parallel)).
+/// ([`extract_memory_columns`](ind_valueset::extract_memory_columns)).
 /// Results are identical at any thread count.
+///
+/// This form cannot be interrupted: the ambient cancel token is masked for
+/// the call (the pipeline's own entry points use the cancellable
+/// `try_memory_export`).
+///
+/// # Panics
+/// When one attribute renders to more than `u32::MAX` bytes — the
+/// in-memory set's addressing; such a database belongs to the on-disk
+/// pipeline.
 pub fn memory_export_with_threads(
     db: &Database,
     threads: usize,
 ) -> (Vec<AttributeProfile>, MemoryProvider) {
-    let profiles = profile_database(db);
-    let mut columns = Vec::with_capacity(profiles.len());
-    for table in db.tables() {
-        for (_, _, col) in table.iter_columns() {
-            columns.push(col);
-        }
+    let _uninterruptible = ind_valueset::cancel::set_ambient(None);
+    try_memory_export(db, threads)
+        // lint: allow(no_unwrap) — documented panic of the infallible form; with no cancel token installed only the 4 GiB-per-attribute bound can fail
+        .expect("in-memory export failed")
+}
+
+/// The in-memory export proper: **one pass per column** renders, sorts and
+/// deduplicates it into its flat set, and the profile is read off that same
+/// pass — `non_null` is what the pass pushed, `distinct` the set's length,
+/// `min`/`max` its first and last value — so no cell is rendered twice and
+/// the result equals [`profile_database`]'s field for field. Polls the
+/// ambient cancel token once per column (phase `export`).
+pub(crate) fn try_memory_export(
+    db: &Database,
+    threads: usize,
+) -> Result<(Vec<AttributeProfile>, MemoryProvider)> {
+    let attributes: Vec<_> = db
+        .tables()
+        .iter()
+        .flat_map(|table| {
+            table
+                .iter_columns()
+                .map(move |(_, cs, col)| (table.name(), cs, col))
+        })
+        .collect();
+    let columns: Vec<&[Value]> = attributes.iter().map(|&(_, _, col)| col).collect();
+    let extracted = ind_valueset::extract_memory_columns(&columns, threads)?;
+    let mut profiles = Vec::with_capacity(attributes.len());
+    let mut sets = Vec::with_capacity(attributes.len());
+    for (id, ((table, cs, col), column)) in attributes.into_iter().zip(extracted).enumerate() {
+        let values = column.set.as_slice();
+        profiles.push(AttributeProfile {
+            id: id as u32,
+            name: QualifiedName::new(table, cs.name.clone()),
+            data_type: cs.data_type,
+            rows: col.len() as u64,
+            non_null: column.non_null,
+            distinct: values.len() as u64,
+            min: values.first().map(<[u8]>::to_vec),
+            max: values.last().map(<[u8]>::to_vec),
+        });
+        sets.push(column.set);
     }
-    let sets = ind_valueset::extract_memory_sets_parallel(&columns, threads);
-    (profiles, MemoryProvider::new(sets))
+    Ok((profiles, MemoryProvider::new(sets)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_storage::{ColumnSchema, Table, TableSchema, Value};
+    use ind_storage::{ColumnSchema, Table, TableSchema};
     use ind_valueset::ValueSetProvider;
 
     fn db() -> Database {
@@ -167,14 +212,8 @@ mod tests {
             let set = provider.set(p.id).unwrap();
             assert_eq!(set.len(), p.distinct, "attribute {}", p.name);
             if p.distinct > 0 {
-                assert_eq!(
-                    set.as_slice().first().map(|v| v.as_slice()),
-                    p.min.as_deref()
-                );
-                assert_eq!(
-                    set.as_slice().last().map(|v| v.as_slice()),
-                    p.max.as_deref()
-                );
+                assert_eq!(set.as_slice().first(), p.min.as_deref());
+                assert_eq!(set.as_slice().last(), p.max.as_deref());
             }
         }
     }

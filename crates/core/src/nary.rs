@@ -42,7 +42,7 @@
 //! a unary projection fails — such exotic INDs are outside the levelwise
 //! search space, the standard trade-off of the MIND family.
 
-use crate::attr::{memory_export, profiles_from_export, AttributeProfile};
+use crate::attr::{profiles_from_export, try_memory_export, AttributeProfile};
 use crate::candidates::{Candidate, PretestConfig};
 use crate::metrics::RunMetrics;
 use crate::runner::{drain_attribute, DegradedReport};
@@ -201,7 +201,7 @@ impl NaryFinder {
 
     /// Runs the levelwise search entirely in memory.
     pub fn discover_in_memory(&self, db: &Database) -> Result<NaryDiscovery> {
-        let (profiles, provider) = memory_export(db);
+        let (profiles, provider) = try_memory_export(db, 1)?;
         // Column slices in profile-id order, for composite extraction.
         let mut columns: Vec<&[Value]> = Vec::with_capacity(profiles.len());
         for table in db.tables() {

@@ -1,7 +1,7 @@
 //! High-level discovery facade: profile → generate candidates → prune →
 //! run the chosen algorithm → collect a [`Discovery`].
 
-use crate::attr::{memory_export_with_threads, profiles_from_export, AttributeProfile};
+use crate::attr::{profiles_from_export, try_memory_export, AttributeProfile};
 use crate::blockwise::{run_blockwise, BlockwiseConfig};
 use crate::brute_force::{run_brute_force, run_brute_force_parallel};
 use crate::candidates::{generate_candidates, Candidate, PretestConfig};
@@ -273,16 +273,18 @@ impl IndFinder {
         })
     }
 
-    /// Extracts `db` into memory and discovers INDs — the convenient path
-    /// for tests and small databases. Parallel algorithms also extract in
+    /// Extracts `db` into memory and discovers INDs — the CLI's default
+    /// path, for databases whose distinct values fit in RAM. Parallel algorithms also extract in
     /// parallel (see [`Algorithm::extraction_threads`]).
     pub fn discover_in_memory(&self, db: &Database) -> Result<Discovery> {
         let start = Instant::now();
         let _root = ind_trace::start(ind_trace::DISCOVER);
-        let profile_span = ind_trace::start(ind_trace::PROFILE);
+        // The same phase names as the on-disk path: `export` with one
+        // `sort` child per attribute.
+        let export_span = ind_trace::start(ind_trace::EXPORT);
         let (profiles, provider) =
-            memory_export_with_threads(db, self.config.algorithm.extraction_threads());
-        profile_span.finish();
+            try_memory_export(db, self.config.algorithm.extraction_threads())?;
+        export_span.finish();
         let mut discovery = self.discover(&profiles, &provider)?;
         // Cover extraction too, so the span tree's phases account for
         // (nearly) all of `elapsed`.
@@ -736,6 +738,49 @@ mod tests {
         assert_eq!(report.quarantined[0].id, 1);
         assert!(report.quarantined[0].error.contains("attr-00001"));
         assert!(expected_ind(&d));
+    }
+
+    #[test]
+    fn cancellation_interrupts_in_memory_extraction_before_the_merge() {
+        use ind_valueset::{cancel, CancelToken};
+        let db = sample_db(); // four attributes
+        for algorithm in [Algorithm::Spider, Algorithm::SpiderParallel { threads: 3 }] {
+            let finder = IndFinder::with_algorithm(algorithm.clone());
+            // Fires on the first poll: that poll is the export's, so the
+            // run stops before a provider exists — no cursor was opened.
+            let token = CancelToken::cancel_after(1);
+            let err = {
+                let _ambient = cancel::set_ambient(Some(token.clone()));
+                finder.discover_in_memory(&db).unwrap_err()
+            };
+            assert!(
+                matches!(err, ValueSetError::Cancelled { phase: "export" }),
+                "{algorithm:?}: {err:?}"
+            );
+            assert_eq!(token.phase(), Some("export"), "{algorithm:?}");
+
+            // One poll per column: the fourth still lands in the export,
+            // the fifth is the merge's.
+            for (polls, in_export) in [(4, true), (5, false)] {
+                let token = CancelToken::cancel_after(polls);
+                let _ambient = cancel::set_ambient(Some(token.clone()));
+                let err = finder.discover_in_memory(&db).unwrap_err();
+                assert!(matches!(err, ValueSetError::Cancelled { .. }), "{err:?}");
+                assert_eq!(
+                    token.phase() == Some("export"),
+                    in_export,
+                    "{algorithm:?}, {polls} polls: {:?}",
+                    token.phase()
+                );
+            }
+
+            // The infallible export masks the token instead of panicking.
+            let _ambient = cancel::set_ambient(Some(CancelToken::cancel_after(0)));
+            let (profiles, _) =
+                crate::memory_export_with_threads(&db, algorithm.extraction_threads());
+            assert_eq!(profiles.len(), 4);
+            assert!(cancel::check_ambient("test").is_err(), "mask is scoped");
+        }
     }
 
     #[test]

@@ -34,34 +34,36 @@ impl ColumnStats {
     /// column's non-null values — the same ordering every discovery
     /// algorithm uses, so `min`/`max` here agree byte-for-byte with the
     /// first/last entries of the extracted value sets.
+    ///
+    /// The renderings share one buffer addressed by `(start, end)` pairs;
+    /// only the pairs are sorted, and distinct values are counted by
+    /// comparing neighbours — no vector per cell.
     pub fn compute(values: &[Value]) -> Self {
-        let rows = values.len();
-        let mut rendered: Vec<Vec<u8>> = Vec::new();
-        let mut min_len = usize::MAX;
-        let mut max_len = 0usize;
+        let mut rendered: Vec<u8> = Vec::new();
+        let mut spans: Vec<(usize, usize)> = Vec::new();
         for v in values {
             if v.is_null() {
                 continue;
             }
-            let bytes = v.canonical_bytes();
-            min_len = min_len.min(bytes.len());
-            max_len = max_len.max(bytes.len());
-            rendered.push(bytes);
+            let start = rendered.len();
+            v.render_canonical(&mut rendered);
+            spans.push((start, rendered.len()));
         }
-        let non_null = rendered.len();
-        rendered.sort_unstable();
-        let min = rendered.first().cloned();
-        let max = rendered.last().cloned();
-        rendered.dedup();
-        let distinct = rendered.len();
+        let value = |&(start, end): &(usize, usize)| &rendered[start..end];
+        spans.sort_unstable_by(|a, b| value(a).cmp(value(b)));
+        let lengths = spans.iter().map(|&(start, end)| end - start);
         ColumnStats {
-            rows,
-            non_null,
-            distinct,
-            min,
-            max,
-            min_len: if non_null == 0 { 0 } else { min_len },
-            max_len,
+            rows: values.len(),
+            non_null: spans.len(),
+            distinct: spans.len().min(1)
+                + spans
+                    .windows(2)
+                    .filter(|w| value(&w[0]) != value(&w[1]))
+                    .count(),
+            min: spans.first().map(|s| value(s).to_vec()),
+            max: spans.last().map(|s| value(s).to_vec()),
+            min_len: lengths.clone().min().unwrap_or(0),
+            max_len: lengths.max().unwrap_or(0),
         }
     }
 
@@ -127,6 +129,26 @@ mod tests {
         let s = stats_of(vec![9.into(), 10.into(), 2.into()]);
         assert_eq!(s.min.as_deref(), Some(b"10".as_slice()));
         assert_eq!(s.max.as_deref(), Some(b"9".as_slice()));
+    }
+
+    #[test]
+    fn distinct_counts_survive_duplicates_prefixes_and_the_empty_string() {
+        let s = stats_of(vec![
+            "ab".into(),
+            "".into(),
+            "a".into(),
+            "ab".into(),
+            Value::Null,
+            "".into(),
+            "abc".into(),
+        ]);
+        assert_eq!((s.rows, s.non_null, s.distinct), (7, 6, 4));
+        assert_eq!(s.min.as_deref(), Some(b"".as_slice()));
+        assert_eq!(s.max.as_deref(), Some(b"abc".as_slice()));
+        assert_eq!((s.min_len, s.max_len), (0, 3));
+        let s = stats_of(vec![7.into(), 7.into(), 7.into()]);
+        assert_eq!((s.non_null, s.distinct), (3, 1));
+        assert_eq!(stats_of(vec![]).distinct, 0);
     }
 
     #[test]

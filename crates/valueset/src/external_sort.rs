@@ -12,8 +12,9 @@
 //! Pushed bytes land in one growable bump **arena** (`Vec<u8>`) addressed by
 //! a flat `(offset, len)` index — not one heap `Vec<u8>` per value. Sorting
 //! is `sort_unstable_by` over the index comparing arena slices in place;
-//! duplicate elimination rewrites the index without touching the bytes. The
-//! memory budget charges what the allocator actually handed out (arena
+//! duplicate elimination rewrites the index without touching the bytes
+//! (`crate::arena`, shared with the in-memory set builder). The sorter adds
+//! the budget and the spill: the memory budget charges what the allocator actually handed out (arena
 //! capacity plus index capacity), and both vectors grow through
 //! budget-clamped `reserve_exact` steps so the footprint is honoured within
 //! one growth granule; the rare unclamped growth (a single value larger
@@ -33,6 +34,7 @@
 //! so one sorter can serve a whole export: after the first attribute the
 //! steady-state cost of sorting another column is zero heap allocations.
 
+use crate::arena::{ValueArena, ENTRY_BYTES};
 use crate::block::IoOptions;
 use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
@@ -113,22 +115,6 @@ pub struct SortStats {
     pub source_hash: u64,
 }
 
-/// One value in the arena: `arena[offset..offset + len]`.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    offset: u32,
-    len: u32,
-}
-
-impl Entry {
-    #[inline]
-    fn slice<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
-        &arena[self.offset as usize..self.offset as usize + self.len as usize]
-    }
-}
-
-/// Bytes one index entry charges against the memory budget.
-const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
 /// Smallest arena growth step, so tiny budgets don't degenerate into
 /// byte-at-a-time reallocation.
 const MIN_GROW: usize = 64;
@@ -137,8 +123,7 @@ const MIN_GROW: usize = 64;
 /// value-file writer. The sorter resets after `finish_into` and keeps its
 /// arena, so it can be reused for the next attribute without reallocating.
 pub struct ExternalSorter {
-    arena: Vec<u8>,
-    index: Vec<Entry>,
+    buf: ValueArena,
     options: SortOptions,
     spill_dir: PathBuf,
     spill_dir_created: bool,
@@ -157,10 +142,8 @@ impl ExternalSorter {
     /// first spill, so fully in-memory sorts never touch the directory).
     pub fn new(spill_dir: &Path, options: SortOptions) -> Result<Self> {
         Ok(ExternalSorter {
-            // lint: allow(hot_alloc) — constructor: empty vecs allocate nothing; growth is budget-accounted
-            arena: Vec::new(),
-            // lint: allow(hot_alloc) — constructor: empty, growth is budget-accounted
-            index: Vec::new(),
+            // Empty vecs allocate nothing; growth is budget-accounted.
+            buf: ValueArena::default(),
             options,
             spill_dir: spill_dir.to_path_buf(),
             spill_dir_created: false,
@@ -185,10 +168,9 @@ impl ExternalSorter {
             self.spill()?;
         }
         self.reserve_arena(value.len());
-        let offset = self.arena.len();
-        self.arena.extend_from_slice(value);
-        self.push_entry(offset)?;
-        Ok(())
+        let offset = self.buf.bytes.len();
+        self.buf.bytes.extend_from_slice(value);
+        self.push_entry(offset)
     }
 
     /// Adds one value by rendering it **directly into the arena**: `render`
@@ -211,19 +193,18 @@ impl ExternalSorter {
         let room = self
             .options
             .memory_budget_bytes
-            .saturating_sub(self.index.capacity() * ENTRY_BYTES)
-            .saturating_sub(self.arena.len());
+            .saturating_sub(self.buf.index.capacity() * ENTRY_BYTES)
+            .saturating_sub(self.buf.bytes.len());
         self.reserve_arena(self.max_value_len.min(room));
-        let capacity_before = self.arena.capacity();
-        let offset = self.arena.len();
-        render(&mut self.arena);
-        debug_assert!(self.arena.len() >= offset, "render must only append");
-        if self.arena.capacity() != capacity_before {
+        let capacity_before = self.buf.bytes.capacity();
+        let offset = self.buf.bytes.len();
+        render(&mut self.buf.bytes);
+        debug_assert!(self.buf.bytes.len() >= offset, "render must only append");
+        if self.buf.bytes.capacity() != capacity_before {
             self.grows += 1;
             self.note_footprint();
         }
-        self.push_entry(offset)?;
-        Ok(())
+        self.push_entry(offset)
     }
 
     /// True when admitting `incoming` more bytes (plus one index entry)
@@ -231,11 +212,12 @@ impl ExternalSorter {
     /// separately clamped to the budget, so charged capacity tracks this
     /// projection within one growth granule.
     fn should_spill(&self, incoming: usize) -> bool {
-        if self.index.is_empty() {
+        if self.buf.index.is_empty() {
             return false; // always admit at least one value
         }
-        let used = self.arena.len() + incoming + (self.index.len() + 1) * ENTRY_BYTES;
-        used > self.options.memory_budget_bytes || self.arena.len() + incoming > u32::MAX as usize
+        let used = self.buf.bytes.len() + incoming + (self.buf.index.len() + 1) * ENTRY_BYTES;
+        used > self.options.memory_budget_bytes
+            || self.buf.bytes.len() + incoming > u32::MAX as usize
     }
 
     /// Geometric growth target under the budget clamp: double (from at
@@ -256,16 +238,16 @@ impl ExternalSorter {
 
     /// Grows the arena for `extra` more bytes through [`Self::grow_target`].
     fn reserve_arena(&mut self, extra: usize) {
-        let needed = self.arena.len() + extra;
-        if needed <= self.arena.capacity() {
+        let needed = self.buf.bytes.len() + extra;
+        if needed <= self.buf.bytes.capacity() {
             return;
         }
         let share = self
             .options
             .memory_budget_bytes
-            .saturating_sub(self.index.capacity() * ENTRY_BYTES);
-        let target = Self::grow_target(self.arena.capacity(), needed, share, MIN_GROW);
-        self.arena.reserve_exact(target - self.arena.len());
+            .saturating_sub(self.buf.index.capacity() * ENTRY_BYTES);
+        let target = Self::grow_target(self.buf.bytes.capacity(), needed, share, MIN_GROW);
+        self.buf.bytes.reserve_exact(target - self.buf.bytes.len());
         self.grows += 1;
         self.note_footprint();
     }
@@ -273,29 +255,24 @@ impl ExternalSorter {
     /// Records the value at `arena[offset..]` in the index, growing the
     /// index under the same budget clamp as the arena.
     fn push_entry(&mut self, offset: usize) -> Result<()> {
-        let len = self.arena.len() - offset;
-        self.max_value_len = self.max_value_len.max(len);
-        let (offset, len) = (
-            u32::try_from(offset).map_err(|_| self.too_large())?,
-            u32::try_from(len).map_err(|_| self.too_large())?,
-        );
-        if self.index.len() == self.index.capacity() {
+        if self.buf.index.len() == self.buf.index.capacity() {
             let share = self
                 .options
                 .memory_budget_bytes
-                .saturating_sub(self.arena.capacity())
+                .saturating_sub(self.buf.bytes.capacity())
                 / ENTRY_BYTES;
             let target = Self::grow_target(
-                self.index.capacity(),
-                self.index.len() + 1,
+                self.buf.index.capacity(),
+                self.buf.index.len() + 1,
                 share,
                 MIN_GROW / ENTRY_BYTES,
             );
-            self.index.reserve_exact(target - self.index.len());
+            self.buf.index.reserve_exact(target - self.buf.index.len());
             self.grows += 1;
             self.note_footprint();
         }
-        self.index.push(Entry { offset, len });
+        let len = self.buf.record(offset).ok_or_else(|| self.too_large())?;
+        self.max_value_len = self.max_value_len.max(len);
         self.pushed += 1;
         Ok(())
     }
@@ -305,12 +282,11 @@ impl ExternalSorter {
     /// reservation — are transient by construction: the overshoot lasts at
     /// most until the data that forced it is spilled or flushed).
     fn reset_buffers(&mut self) {
-        self.arena.clear();
-        self.index.clear();
+        self.buf.clear();
         let budget = self.options.memory_budget_bytes;
-        if self.arena.capacity() + self.index.capacity() * ENTRY_BYTES > budget {
-            let index_bytes = self.index.capacity() * ENTRY_BYTES;
-            self.arena.shrink_to(budget.saturating_sub(index_bytes));
+        if self.buf.bytes.capacity() + self.buf.index.capacity() * ENTRY_BYTES > budget {
+            let index_bytes = self.buf.index.capacity() * ENTRY_BYTES;
+            self.buf.bytes.shrink_to(budget.saturating_sub(index_bytes));
         }
     }
 
@@ -340,21 +316,12 @@ impl ExternalSorter {
 
     #[inline]
     fn note_footprint(&mut self) {
-        let footprint = self.arena.capacity() + self.index.capacity() * ENTRY_BYTES;
+        let footprint = self.buf.bytes.capacity() + self.buf.index.capacity() * ENTRY_BYTES;
         self.peak_footprint = self.peak_footprint.max(footprint);
     }
 
-    /// Sorts the index by arena slice and removes duplicate values in
-    /// place; the arena bytes are never moved.
-    fn sort_dedup_index(&mut self) {
-        let arena = &self.arena;
-        self.index
-            .sort_unstable_by(|a, b| a.slice(arena).cmp(b.slice(arena)));
-        self.index.dedup_by(|a, b| a.slice(arena) == b.slice(arena));
-    }
-
     fn spill(&mut self) -> Result<()> {
-        self.sort_dedup_index();
+        self.buf.sort_dedup();
         if !self.spill_dir_created {
             std::fs::create_dir_all(&self.spill_dir)?;
             self.spill_dir_created = true;
@@ -364,8 +331,8 @@ impl ExternalSorter {
             // lint: allow(hot_alloc) — once per spilled run, not per record
             .join(format!("run-{:04}.indv", self.runs.len()));
         let mut w = ValueFileWriter::create_with_options(&path, &self.options.io)?;
-        for e in &self.index {
-            w.append(e.slice(&self.arena))?;
+        for value in self.buf.values() {
+            w.append(value)?;
         }
         w.finish()?;
         self.runs.push(path);
@@ -380,7 +347,7 @@ impl ExternalSorter {
     /// finishes the writer. The sorter resets afterwards, keeping its arena
     /// capacity, so it can be reused for the next attribute.
     pub fn finish_into(&mut self, writer: &mut ValueFileWriter) -> Result<SortStats> {
-        self.sort_dedup_index();
+        self.buf.sort_dedup();
 
         let mut min = None;
         let mut max: Option<Vec<u8>> = None;
@@ -405,21 +372,16 @@ impl ExternalSorter {
         let compares = CompareCounters::default();
         let merged = if self.runs.is_empty() {
             (|| {
-                for e in &self.index {
-                    emit(e.slice(&self.arena), writer)?;
+                for value in self.buf.values() {
+                    emit(value, writer)?;
                 }
                 Ok(())
             })()
         } else {
             let _span = ind_trace::start(ind_trace::SPILL_MERGE);
-            merge_runs(
-                &self.runs,
-                &self.index,
-                &self.arena,
-                &self.options.io,
-                &compares,
-                |v| emit(v, writer),
-            )
+            merge_runs(&self.runs, &self.buf, &self.options.io, &compares, |v| {
+                emit(v, writer)
+            })
         };
         // Remove the spill runs whatever the merge outcome; a merge error
         // wins, but a cleanup failure on a clean merge is surfaced too —
@@ -467,16 +429,14 @@ impl ExternalSorter {
 /// record through one reusable buffer.
 fn merge_runs(
     runs: &[PathBuf],
-    index: &[Entry],
-    arena: &[u8],
+    buf: &ValueArena,
     io: &IoOptions,
     compares: &CompareCounters,
     mut emit: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
     let mut sources = MergeSources {
         readers: Vec::with_capacity(runs.len()),
-        index,
-        arena,
+        buf,
         index_pos: 0,
     };
     for path in runs {
@@ -492,7 +452,7 @@ fn merge_runs(
             heap.push(src, |a, b| source_less(&sources, compares, a, b));
         }
     }
-    if !index.is_empty() {
+    if !buf.index.is_empty() {
         heap.push(mem_src, |a, b| source_less(&sources, compares, a, b));
     }
 
@@ -551,8 +511,7 @@ fn source_less(sources: &MergeSources<'_>, compares: &CompareCounters, a: u32, b
 /// in-memory index as one extra source.
 struct MergeSources<'a> {
     readers: Vec<ValueFileReader>,
-    index: &'a [Entry],
-    arena: &'a [u8],
+    buf: &'a ValueArena,
     index_pos: usize,
 }
 
@@ -563,7 +522,7 @@ impl MergeSources<'_> {
     fn current(&self, src: u32) -> &[u8] {
         match self.readers.get(src as usize) {
             Some(reader) => reader.current(),
-            None => self.index[self.index_pos].slice(self.arena),
+            None => self.buf.value(self.index_pos),
         }
     }
 
@@ -573,7 +532,7 @@ impl MergeSources<'_> {
             Some(reader) => reader.advance(),
             None => {
                 self.index_pos += 1;
-                Ok(self.index_pos < self.index.len())
+                Ok(self.index_pos < self.buf.index.len())
             }
         }
     }

@@ -10,75 +10,119 @@ use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
 use crate::format::{tmp_path, StagedBatch, StagedFile, ValueFileWriter};
 use crate::manifest::ColumnHasher;
-use crate::memory::MemoryValueSet;
+use crate::memory::{MemorySetBuilder, MemoryValueSet};
 use crate::tuple::encode_tuple_into;
 use ind_storage::Value;
 use std::path::Path;
 
-/// Extracts the sorted distinct canonical values of a column into memory.
+/// Extracts the sorted distinct canonical values of a column into memory,
+/// one vector per value (tests and tooling; the pipeline keeps the flat
+/// [`MemoryValueSet`]).
 pub fn extract_sorted_distinct(values: &[Value]) -> Vec<Vec<u8>> {
-    let mut out: Vec<Vec<u8>> = values
-        .iter()
-        .filter(|v| !v.is_null())
-        .map(Value::canonical_bytes)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    extract_memory_set(values).as_slice().to_vec()
+}
+
+/// One column extracted into memory: its sorted distinct value set and what
+/// the same pass counted on the way.
+#[derive(Debug, Clone)]
+pub struct MemoryColumn {
+    /// The column's sorted distinct canonical values.
+    pub set: MemoryValueSet,
+    /// Non-null occurrences rendered, duplicates included (`|v(a)|`).
+    pub non_null: u64,
+}
+
+/// One pass over a column: every non-null cell is rendered straight into
+/// the builder's arena, the arena is sorted, deduplicated and compacted
+/// into the flat set. The builder comes back empty and warm.
+fn extract_column(builder: &mut MemorySetBuilder, values: &[Value]) -> Result<MemoryColumn> {
+    for v in values {
+        if !v.is_null() {
+            builder.push_with(|arena| v.render_canonical(arena))?;
+        }
+    }
+    let non_null = builder.pushed();
+    Ok(MemoryColumn {
+        set: builder.finish(),
+        non_null,
+    })
 }
 
 /// Extracts a column into a [`MemoryValueSet`].
+///
+/// # Panics
+/// When the column renders to more than `u32::MAX` bytes (the flat set's
+/// addressing; such a column belongs to the on-disk pipeline).
 pub fn extract_memory_set(values: &[Value]) -> MemoryValueSet {
-    // `from_unsorted` re-sorts; feed it the raw rendering stream directly.
-    MemoryValueSet::from_unsorted(
-        values
-            .iter()
-            .filter(|v| !v.is_null())
-            .map(Value::canonical_bytes),
-    )
+    extract_column(&mut MemorySetBuilder::default(), values)
+        // lint: allow(no_unwrap) — documented panic of the infallible convenience form; the pipeline uses `extract_memory_columns`
+        .expect("column exceeds u32::MAX rendered bytes")
+        .set
 }
 
-/// Extracts many columns into [`MemoryValueSet`]s on `threads` worker
-/// threads (column extractions are mutually independent: render, sort,
-/// dedup). Output order matches input order. `threads <= 1` degrades to the
-/// sequential path.
+/// Extracts many columns into memory on `threads` worker threads (column
+/// extractions are mutually independent: render, sort, dedup). Output order
+/// matches input order; `threads <= 1` runs on the calling thread. Column
+/// `i` is attribute `i`: its extraction runs under an [`ind_trace::SORT`]
+/// span with that argument, parented to the caller's current span.
 ///
 /// Workers claim columns one at a time off a shared atomic index instead of
 /// fixed chunks, so a few huge columns at one end of a skewed schema cannot
-/// idle the other workers.
-pub fn extract_memory_sets_parallel(columns: &[&[Value]], threads: usize) -> Vec<MemoryValueSet> {
+/// idle the other workers. Each worker owns one builder for all its
+/// columns.
+///
+/// The ambient cancel token ([`crate::cancel::check_ambient`]) is polled
+/// once per column, under phase `export`; workers re-install the token the
+/// caller had.
+pub fn extract_memory_columns(columns: &[&[Value]], threads: usize) -> Result<Vec<MemoryColumn>> {
+    let span_parent = ind_trace::current_parent();
+    let extract = |builder: &mut MemorySetBuilder, i: usize| -> Result<MemoryColumn> {
+        crate::cancel::check_ambient("export")?;
+        let _span = ind_trace::start_under(ind_trace::SORT, i as u64, span_parent);
+        extract_column(builder, columns[i])
+    };
     let threads = threads.max(1).min(columns.len());
-    if threads <= 1 || columns.len() < 2 {
-        return columns.iter().map(|c| extract_memory_set(c)).collect();
+    if threads <= 1 {
+        let mut builder = MemorySetBuilder::default();
+        return (0..columns.len())
+            .map(|i| extract(&mut builder, i))
+            .collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
+    // Thread-local ambient tokens stop at a spawn: capture the caller's and
+    // re-install it inside each worker.
+    let cancel = crate::cancel::ambient();
     crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
-                scope.spawn(move |_| {
-                    let mut done: Vec<(usize, MemoryValueSet)> = Vec::new();
+                let (next, extract) = (&next, &extract);
+                let cancel = cancel.clone();
+                scope.spawn(move |_| -> Result<Vec<(usize, MemoryColumn)>> {
+                    let _ambient = crate::cancel::set_ambient(cancel);
+                    let mut builder = MemorySetBuilder::default();
+                    let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(column) = columns.get(i) else {
-                            return done;
-                        };
-                        done.push((i, extract_memory_set(column)));
+                        if i >= columns.len() {
+                            return Ok(done);
+                        }
+                        done.push((i, extract(&mut builder, i)?));
                     }
                 })
             })
             .collect();
-        let mut out: Vec<Option<MemoryValueSet>> = columns.iter().map(|_| None).collect();
+        let mut out: Vec<Option<MemoryColumn>> = vec![None; columns.len()];
         for handle in handles {
             // lint: allow(no_unwrap) — re-raising a worker panic on the coordinating thread is the correct escalation
-            for (i, set) in handle.join().expect("extraction worker panicked") {
-                out[i] = Some(set);
+            for (i, column) in handle.join().expect("extraction worker panicked")? {
+                out[i] = Some(column);
             }
         }
-        out.into_iter()
-            // lint: allow(no_unwrap) — the chunked split hands each column index to exactly one worker
+        Ok(out
+            .into_iter()
+            // lint: allow(no_unwrap) — the shared atomic index hands each column to exactly one worker, and no worker failed
             .map(|s| s.expect("every column claimed exactly once"))
-            .collect()
+            .collect())
     })
     // lint: allow(no_unwrap) — crossbeam scope errs only when a child panicked; propagate the panic
     .expect("extraction scope panicked")
@@ -123,24 +167,6 @@ fn component_slices<'a>(
     components
 }
 
-/// Renders row `row` of `columns` as an encoded composite tuple into `buf`,
-/// or returns `false` when any component is NULL.
-fn render_composite_row(
-    columns: &[&[Value]],
-    row: usize,
-    rendered: &mut Vec<u8>,
-    buf: &mut Vec<u8>,
-) -> bool {
-    let mut offsets = [0usize; MAX_COMPOSITE_ARITY];
-    if !render_components(columns, row, rendered, &mut offsets) {
-        return false;
-    }
-    buf.clear();
-    let components = component_slices(rendered, &offsets, columns.len());
-    encode_tuple_into(&components[..columns.len()], buf);
-    true
-}
-
 /// Hard cap on composite arity, comfortably above anything the levelwise
 /// search reaches in practice (the candidate space dies out long before).
 pub const MAX_COMPOSITE_ARITY: usize = 16;
@@ -149,7 +175,12 @@ pub const MAX_COMPOSITE_ARITY: usize = 16;
 /// entry per row whose components are all non-NULL, encoded with the
 /// order-preserving tuple encoding ([`crate::encode_tuple`]) so the sorted
 /// distinct stream compares exactly like the tuple sequence. All columns
-/// must come from the same table (equal lengths).
+/// must come from the same table (equal lengths). Like
+/// [`extract_composite_with_sorter`], tuples are encoded directly into the
+/// arena — no per-row tuple vector.
+///
+/// # Panics
+/// When the encoded tuples total more than `u32::MAX` bytes.
 pub fn extract_composite_memory_set(columns: &[&[Value]]) -> MemoryValueSet {
     assert!(!columns.is_empty() && columns.len() <= MAX_COMPOSITE_ARITY);
     let rows = columns[0].len();
@@ -157,15 +188,20 @@ pub fn extract_composite_memory_set(columns: &[&[Value]]) -> MemoryValueSet {
         columns.iter().all(|c| c.len() == rows),
         "ragged column group"
     );
-    let mut out: Vec<Vec<u8>> = Vec::with_capacity(rows);
+    let mut builder = MemorySetBuilder::default();
     let mut rendered = Vec::new();
-    let mut buf = Vec::new();
+    let mut offsets = [0usize; MAX_COMPOSITE_ARITY];
     for row in 0..rows {
-        if render_composite_row(columns, row, &mut rendered, &mut buf) {
-            out.push(buf.clone());
+        if !render_components(columns, row, &mut rendered, &mut offsets) {
+            continue;
         }
+        let components = component_slices(&rendered, &offsets, columns.len());
+        builder
+            .push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))
+            // lint: allow(no_unwrap) — documented panic, as in `extract_memory_set`
+            .expect("column group exceeds u32::MAX encoded bytes");
     }
-    MemoryValueSet::from_unsorted(out)
+    builder.finish()
 }
 
 /// Publishes one staged file on its own — a batch of one, for the
@@ -376,10 +412,10 @@ mod tests {
         let refs: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
         let sequential: Vec<_> = refs.iter().map(|c| extract_memory_set(c)).collect();
         for threads in [0usize, 1, 2, 4, 16] {
-            let parallel = extract_memory_sets_parallel(&refs, threads);
+            let parallel = extract_memory_columns(&refs, threads).unwrap();
             assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
             for (p, s) in parallel.iter().zip(&sequential) {
-                assert_eq!(p.as_slice(), s.as_slice(), "threads={threads}");
+                assert_eq!(p.set.as_slice(), s.as_slice(), "threads={threads}");
             }
         }
     }
@@ -404,10 +440,16 @@ mod tests {
         let refs: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
         let sequential: Vec<_> = refs.iter().map(|c| extract_memory_set(c)).collect();
         for threads in 1usize..=8 {
-            let parallel = extract_memory_sets_parallel(&refs, threads);
+            let parallel = extract_memory_columns(&refs, threads).unwrap();
             assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
             for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-                assert_eq!(p.as_slice(), s.as_slice(), "threads={threads}, column {i}");
+                assert_eq!(
+                    p.set.as_slice(),
+                    s.as_slice(),
+                    "threads={threads}, column {i}"
+                );
+                let non_null = columns[i].iter().filter(|v| !v.is_null()).count();
+                assert_eq!(p.non_null, non_null as u64, "threads={threads}, column {i}");
             }
         }
     }
@@ -509,6 +551,14 @@ mod tests {
         let dir = TempDir::new("extract-null");
         let col = vec![Value::Null, Value::Null];
         assert!(extract_sorted_distinct(&col).is_empty());
+        for (column, non_null) in [(col.as_slice(), 0), (&[], 0), (&[Value::from("")], 1)] {
+            let extracted = extract_memory_columns(&[column], 1).unwrap().remove(0);
+            assert_eq!(extracted.non_null, non_null);
+            assert_eq!(extracted.set.len(), non_null, "the empty string is a value");
+            let mut cursor = extracted.set.cursor();
+            assert_eq!(cursor.advance().unwrap(), non_null == 1);
+            assert!(!cursor.advance().unwrap());
+        }
         let stats = extract_to_file(
             &col,
             &dir.join("n.indv"),

@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 mod block;
 mod budget;
 pub mod cancel;
@@ -39,8 +40,8 @@ pub use error::{Result, ValueSetError};
 pub use external_sort::{ExternalSorter, SortOptions, SortStats};
 pub use extract::{
     extract_composite_memory_set, extract_composite_to_file, extract_composite_with_sorter,
-    extract_memory_set, extract_memory_sets_parallel, extract_sorted_distinct, extract_to_file,
-    extract_with_sorter, MAX_COMPOSITE_ARITY,
+    extract_memory_columns, extract_memory_set, extract_sorted_distinct, extract_to_file,
+    extract_with_sorter, MemoryColumn, MAX_COMPOSITE_ARITY,
 };
 pub use fault::FaultPlan;
 pub use format::{
@@ -53,7 +54,7 @@ pub use manager::{
     FailedAttribute, ResumeMode,
 };
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
-pub use memory::{MemoryCursor, MemoryProvider, MemoryValueSet};
+pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
 pub use prefetch::{PartitionCursor, SharedShard, SharedStreamProvider};
 pub use range::{RangeCursor, RangeProvider};
 pub use tuple::{decode_tuple, encode_tuple, encode_tuple_into, tuple_arity};

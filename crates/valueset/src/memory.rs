@@ -1,29 +1,117 @@
-//! In-memory value sets, used by tests, property checks, and small runs.
+//! In-memory value sets — what `IndFinder::discover_in_memory`, the CLI's
+//! default path, runs the merge over, and what tests and the discovery
+//! heuristics build small sets with.
+//!
+//! # Flat layout
+//!
+//! A [`MemoryValueSet`] is two allocations behind one `Arc`: every value's
+//! bytes back to back in one buffer, and an offsets vector with one entry
+//! per value plus a final one, so value `i` is
+//! `bytes[offsets[i]..offsets[i + 1]]`. There is no `Vec` per value: a set
+//! of a million values drops in O(1), and a merge that walks it touches
+//! consecutive cache lines.
+//!
+//! # The cursor caches its range
+//!
+//! [`MemoryCursor`] resolves the current value's `[start, end)` once, in
+//! `advance`/`seek`, so `current()` is a single slice of the byte buffer.
+//! The SPIDER merge calls `current()` from its heap comparator — about
+//! eighteen times per value read on a UniProt-shaped schema — while it
+//! advances once per value; looking the offsets up inside `current()`
+//! made that merge measurably slower than the per-value-`Vec` layout it
+//! replaced, caching them makes it faster.
+//!
+//! # One pass
+//!
+//! Sets are built by the crate-private `MemorySetBuilder`: values are rendered
+//! straight into the shared arena (`crate::arena`, the same buffer the
+//! external sorter fills), the index is sorted and deduplicated in place,
+//! and the survivors are compacted into the flat set. A builder is reused
+//! across columns, so extracting a column costs the set's two buffers and
+//! nothing per cell.
 
+use crate::arena::ValueArena;
 use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::{Result, ValueSetError};
+use std::fmt;
 use std::sync::Arc;
+
+/// The storage behind a set and its cursors. Invariants: `offsets` is
+/// non-decreasing, starts at 0, ends at `bytes.len()`, and consecutive
+/// values are strictly increasing.
+#[derive(Debug)]
+struct FlatSet {
+    bytes: Vec<u8>,
+    offsets: Vec<u32>,
+}
+
+impl FlatSet {
+    #[inline]
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn range(&self, i: usize) -> (usize, usize) {
+        (self.offsets[i] as usize, self.offsets[i + 1] as usize)
+    }
+
+    #[inline]
+    fn value(&self, i: usize) -> &[u8] {
+        let (start, end) = self.range(i);
+        &self.bytes[start..end]
+    }
+
+    /// Lays `values` (`total` bytes in all) out back to back. The caller
+    /// vouches for the invariants: strictly increasing, `total` at most
+    /// `u32::MAX`.
+    fn flatten<'a>(total: usize, values: impl ExactSizeIterator<Item = &'a [u8]>) -> Self {
+        debug_assert!(u32::try_from(total).is_ok(), "caller bounds the total");
+        let mut bytes = Vec::with_capacity(total);
+        let mut offsets = Vec::with_capacity(values.len() + 1);
+        offsets.push(0);
+        for value in values {
+            bytes.extend_from_slice(value);
+            offsets.push(bytes.len() as u32);
+        }
+        FlatSet { bytes, offsets }
+    }
+}
+
+/// The flat set's 32-bit offsets bound one set's value bytes.
+fn too_large() -> ValueSetError {
+    ValueSetError::Corrupt {
+        context: "in-memory value set".into(),
+        detail: "more than u32::MAX value bytes in one attribute; use the on-disk pipeline".into(),
+    }
+}
 
 /// A sorted, duplicate-free value set held in memory. Cheap to clone.
 #[derive(Debug, Clone)]
 pub struct MemoryValueSet {
-    values: Arc<Vec<Vec<u8>>>,
+    flat: Arc<FlatSet>,
 }
 
 impl MemoryValueSet {
     /// Builds a set from arbitrary (unsorted, possibly duplicated) values —
     /// the in-memory analogue of `SELECT DISTINCT … ORDER BY …`.
+    ///
+    /// # Panics
+    /// When the values total more than `u32::MAX` bytes.
     pub fn from_unsorted<I, V>(values: I) -> Self
     where
         I: IntoIterator<Item = V>,
         V: Into<Vec<u8>>,
     {
-        let mut v: Vec<Vec<u8>> = values.into_iter().map(Into::into).collect();
-        v.sort_unstable();
-        v.dedup();
-        MemoryValueSet {
-            values: Arc::new(v),
+        let mut builder = MemorySetBuilder::default();
+        for value in values {
+            let value: Vec<u8> = value.into();
+            builder
+                .push_with(|bytes| bytes.extend_from_slice(&value))
+                // lint: allow(no_unwrap) — documented panic: an infallible convenience constructor for sets far below 4 GiB
+                .expect("value set exceeds u32::MAX bytes");
         }
+        builder.finish()
     }
 
     /// Wraps values that are already sorted and distinct; validated.
@@ -35,75 +123,257 @@ impl MemoryValueSet {
                 });
             }
         }
+        let total: usize = values.iter().map(Vec::len).sum();
+        u32::try_from(total).map_err(|_| too_large())?;
         Ok(MemoryValueSet {
-            values: Arc::new(values),
+            flat: Arc::new(FlatSet::flatten(total, values.iter().map(Vec::as_slice))),
         })
     }
 
     /// Number of values.
     pub fn len(&self) -> u64 {
-        self.values.len() as u64
+        self.flat.len() as u64
     }
 
     /// True when the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.flat.len() == 0
     }
 
     /// A fresh cursor positioned before the first value.
     pub fn cursor(&self) -> MemoryCursor {
         MemoryCursor {
-            values: Arc::clone(&self.values),
+            flat: Arc::clone(&self.flat),
             pos: 0,
+            start: 0,
+            end: 0,
         }
     }
 
-    /// Slice view of the values.
-    pub fn as_slice(&self) -> &[Vec<u8>] {
-        &self.values
+    /// Borrowed view of the values, in order.
+    pub fn as_slice(&self) -> FlatValues<'_> {
+        FlatValues { flat: &self.flat }
+    }
+}
+
+/// A borrowed, slice-like view of a [`MemoryValueSet`]'s values in sorted
+/// order: iterable (`&[u8]` items), indexable through [`get`](Self::get),
+/// and comparable with a `Vec<Vec<u8>>` of the same values.
+#[derive(Clone, Copy)]
+pub struct FlatValues<'a> {
+    flat: &'a FlatSet,
+}
+
+impl<'a> FlatValues<'a> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.flat.len()
+    }
+
+    /// True when there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.flat.len() == 0
+    }
+
+    /// The `i`-th smallest value.
+    pub fn get(&self, i: usize) -> Option<&'a [u8]> {
+        (i < self.len()).then(|| self.flat.value(i))
+    }
+
+    /// The smallest value.
+    pub fn first(&self) -> Option<&'a [u8]> {
+        self.get(0)
+    }
+
+    /// The largest value.
+    pub fn last(&self) -> Option<&'a [u8]> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
+    }
+
+    /// The values in increasing order.
+    pub fn iter(&self) -> FlatValuesIter<'a> {
+        FlatValuesIter {
+            bytes: &self.flat.bytes,
+            ranges: self.flat.offsets.windows(2),
+        }
+    }
+
+    /// The values copied out, one vector each (tests and tooling; nothing
+    /// on the extraction or merge path calls this).
+    pub fn to_vec(&self) -> Vec<Vec<u8>> {
+        // lint: allow(hot_alloc) — the explicit copy-out for callers that want owned vectors; never on the pipeline's path
+        self.iter().map(<[u8]>::to_vec).collect()
+    }
+}
+
+impl<'a> IntoIterator for FlatValues<'a> {
+    type Item = &'a [u8];
+    type IntoIter = FlatValuesIter<'a>;
+
+    fn into_iter(self) -> FlatValuesIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`FlatValues`] view.
+#[derive(Debug, Clone)]
+pub struct FlatValuesIter<'a> {
+    bytes: &'a [u8],
+    ranges: std::slice::Windows<'a, u32>,
+}
+
+impl<'a> Iterator for FlatValuesIter<'a> {
+    type Item = &'a [u8];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let range = self.ranges.next()?;
+        Some(&self.bytes[range[0] as usize..range[1] as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ranges.size_hint()
+    }
+}
+
+impl ExactSizeIterator for FlatValuesIter<'_> {}
+
+impl fmt::Debug for FlatValues<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for FlatValues<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        // Flattening is canonical: equal value sequences have equal
+        // buffers and equal offsets.
+        self.flat.offsets == other.flat.offsets && self.flat.bytes == other.flat.bytes
+    }
+}
+
+impl PartialEq<[Vec<u8>]> for FlatValues<'_> {
+    fn eq(&self, other: &[Vec<u8>]) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a == b.as_slice())
+    }
+}
+
+impl PartialEq<FlatValues<'_>> for Vec<Vec<u8>> {
+    fn eq(&self, other: &FlatValues<'_>) -> bool {
+        other == self.as_slice()
+    }
+}
+
+/// Builds [`MemoryValueSet`]s from unsorted values: push, then
+/// [`finish`](Self::finish). The builder keeps its arena across sets, so
+/// one builder per worker makes the steady-state cost of another column
+/// the finished set's own two buffers.
+#[derive(Debug, Default)]
+pub(crate) struct MemorySetBuilder {
+    arena: ValueArena,
+}
+
+impl MemorySetBuilder {
+    /// Adds one value by rendering it directly into the arena; `render`
+    /// must only append (the same contract as
+    /// [`ExternalSorter::push_with`](crate::ExternalSorter::push_with)).
+    #[inline]
+    pub(crate) fn push_with(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let offset = self.arena.bytes.len();
+        render(&mut self.arena.bytes);
+        debug_assert!(self.arena.bytes.len() >= offset, "render must only append");
+        // The flat set stores u32 *ends*: bound where this value stops,
+        // not just where it starts.
+        if u32::try_from(self.arena.bytes.len()).is_err() {
+            return Err(too_large());
+        }
+        self.arena.record(offset).map(drop).ok_or_else(too_large)
+    }
+
+    /// Values pushed since the last [`finish`](Self::finish), duplicates
+    /// included.
+    pub(crate) fn pushed(&self) -> u64 {
+        self.arena.index.len() as u64
+    }
+
+    /// Sorts and deduplicates what was pushed, compacts the survivors into
+    /// a flat set, and resets the builder (keeping its capacity).
+    pub(crate) fn finish(&mut self) -> MemoryValueSet {
+        self.arena.sort_dedup();
+        // Survivors are disjoint pieces of an arena `push_with` kept
+        // within u32 addressing, so their total fits a u32.
+        let total = self.arena.values().map(<[u8]>::len).sum();
+        let flat = FlatSet::flatten(total, self.arena.values());
+        self.arena.clear();
+        MemoryValueSet {
+            flat: Arc::new(flat),
+        }
     }
 }
 
 /// Cursor over a [`MemoryValueSet`].
 #[derive(Debug, Clone)]
 pub struct MemoryCursor {
-    values: Arc<Vec<Vec<u8>>>,
+    flat: Arc<FlatSet>,
     /// Number of values already produced; `0` means before the first.
     pos: usize,
+    /// Byte range of the current value, resolved by `advance`/`seek` so
+    /// `current()` does no offset lookup (see the module docs).
+    start: usize,
+    end: usize,
+}
+
+impl MemoryCursor {
+    /// Positions the cursor on value `idx` (which exists).
+    #[inline]
+    fn land_on(&mut self, idx: usize) {
+        (self.start, self.end) = self.flat.range(idx);
+        self.pos = idx + 1;
+    }
 }
 
 impl ValueCursor for MemoryCursor {
+    #[inline]
     fn advance(&mut self) -> Result<bool> {
-        if self.pos >= self.values.len() {
+        if self.pos >= self.flat.len() {
             return Ok(false);
         }
-        self.pos += 1;
+        self.land_on(self.pos);
         Ok(true)
     }
 
     fn seek(&mut self, lower: &[u8]) -> Result<bool> {
-        // Binary search instead of the trait's linear scan; `partition_point`
-        // over the not-yet-produced suffix keeps seek forward-only.
-        let idx = self.pos + self.values[self.pos..].partition_point(|v| v.as_slice() < lower);
-        if idx >= self.values.len() {
-            self.pos = self.values.len();
+        // Binary search instead of the trait's linear scan, over the
+        // not-yet-produced suffix only, which keeps seek forward-only.
+        let (mut lo, mut hi) = (self.pos, self.flat.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.flat.value(mid) < lower {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo >= self.flat.len() {
+            self.pos = self.flat.len();
             return Ok(false);
         }
-        self.pos = idx + 1;
+        self.land_on(lo);
         Ok(true)
     }
 
+    #[inline]
     fn current(&self) -> &[u8] {
         debug_assert!(self.pos > 0, "current() before first advance()");
-        &self.values[self.pos - 1]
+        &self.flat.bytes[self.start..self.end]
     }
 
     fn remaining(&self) -> u64 {
-        (self.values.len() - self.pos) as u64
+        (self.flat.len() - self.pos) as u64
     }
 
     fn len(&self) -> u64 {
-        self.values.len() as u64
+        self.flat.len() as u64
     }
 }
 
@@ -192,5 +462,57 @@ mod tests {
         assert_eq!(c1.current(), b"b");
         assert_eq!(c2.current(), b"a", "cursors must not share position");
         assert!(matches!(p.open(9), Err(ValueSetError::UnknownAttribute(9))));
+    }
+
+    #[test]
+    fn the_view_behaves_like_the_slice_it_replaced() {
+        let s = MemoryValueSet::from_unsorted([b"b".to_vec(), b"".to_vec(), b"ab".to_vec()]);
+        let view = s.as_slice();
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.first(), Some(b"".as_slice()));
+        assert_eq!(view.last(), Some(b"b".as_slice()));
+        assert_eq!(view.get(1), Some(b"ab".as_slice()));
+        assert_eq!(view.get(3), None);
+        assert_eq!(view.iter().len(), 3);
+        assert_eq!(view.into_iter().map(<[u8]>::len).sum::<usize>(), 3);
+        let model = vec![b"".to_vec(), b"ab".to_vec(), b"b".to_vec()];
+        assert_eq!(view.to_vec(), model);
+        assert_eq!(model, view);
+        assert_eq!(
+            view,
+            MemoryValueSet::from_sorted_distinct(model)
+                .unwrap()
+                .as_slice()
+        );
+        assert_ne!(
+            view,
+            MemoryValueSet::from_unsorted([b"bab".to_vec()]).as_slice()
+        );
+
+        let empty = MemoryValueSet::from_unsorted(Vec::<Vec<u8>>::new());
+        assert!(empty.is_empty() && empty.as_slice().is_empty());
+        assert_eq!(empty.as_slice().first(), None);
+        assert_eq!(empty.as_slice().last(), None);
+    }
+
+    #[test]
+    fn a_reused_builder_starts_every_set_clean() {
+        let mut builder = MemorySetBuilder::default();
+        for v in [b"q".as_slice(), b"p", b"q"] {
+            builder
+                .push_with(|bytes| bytes.extend_from_slice(v))
+                .unwrap();
+        }
+        assert_eq!(builder.pushed(), 3);
+        assert_eq!(
+            builder.finish().as_slice().to_vec(),
+            [b"p".to_vec(), b"q".to_vec()]
+        );
+        assert_eq!(builder.pushed(), 0);
+        assert!(builder.finish().is_empty(), "nothing pushed, nothing kept");
+        builder
+            .push_with(|bytes| bytes.extend_from_slice(b"z"))
+            .unwrap();
+        assert_eq!(builder.finish().as_slice().to_vec(), [b"z".to_vec()]);
     }
 }

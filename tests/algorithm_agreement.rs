@@ -4,12 +4,17 @@
 //! memory and from disk.
 
 use ind_testkit::TempDir;
-use spider_ind::core::{Algorithm, Candidate, IndFinder};
+use spider_ind::core::{
+    memory_export_with_threads, profile_database, profiles_from_export, Algorithm, Candidate,
+    IndFinder,
+};
 use spider_ind::datagen::{
-    generate_pdb, generate_scop, generate_uniprot, BiosqlConfig, OpenMmsConfig, ScopConfig,
+    generate_pdb, generate_scop, generate_uniprot, generate_wide, BiosqlConfig, OpenMmsConfig,
+    ScopConfig, WideConfig,
 };
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::Database;
+use spider_ind::valueset::{collect_cursor, ExportOptions, ExportedDatabase, ValueSetProvider};
 
 fn external_algorithms() -> Vec<(&'static str, Algorithm)> {
     vec![
@@ -243,6 +248,41 @@ fn on_disk_discovery_matches_in_memory() {
             disk.metrics.candidates(),
             "{algorithm:?}: profiles must agree"
         );
+    }
+}
+
+#[test]
+fn memory_export_profiles_and_sets_equal_the_scan_and_the_disk_export() {
+    // The in-memory export reads its profiles off the extraction pass; they
+    // must equal the standalone column scan and the on-disk export's field
+    // for field, at any extraction thread count, and every flat set must
+    // hold exactly the bytes of the attribute's value file.
+    for db in [
+        generate_uniprot(&BiosqlConfig::tiny()),
+        generate_pdb(&OpenMmsConfig::tiny()),
+        generate_wide(&WideConfig::tiny()),
+    ] {
+        let dir = TempDir::new("agreement-profiles");
+        let export =
+            ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).expect("export");
+        let scanned = profile_database(&db);
+        assert_eq!(scanned, profiles_from_export(&export), "{}", db.name());
+        for threads in [1, 2, 4] {
+            let (profiles, provider) = memory_export_with_threads(&db, threads);
+            assert_eq!(profiles, scanned, "{}, threads={threads}", db.name());
+            assert_eq!(provider.attribute_count(), scanned.len());
+            for p in &profiles {
+                let memory = collect_cursor(provider.open(p.id).expect("memory cursor"));
+                let file = collect_cursor(export.open(p.id).expect("file cursor"));
+                assert_eq!(
+                    memory.expect("memory drain"),
+                    file.expect("file drain"),
+                    "{}, threads={threads}, {}",
+                    db.name(),
+                    p.name
+                );
+            }
+        }
     }
 }
 

@@ -494,6 +494,52 @@ fn report_and_folded_trace_come_out_well_formed() {
 }
 
 #[test]
+fn in_memory_trace_names_its_phases_like_the_on_disk_one() {
+    let dir = TempDir::new("cli-memory-trace");
+    let db_dir = dir.join("db");
+    let db_path = db_dir.to_str().expect("utf8 path");
+    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "10"])
+        .status
+        .success());
+    let attributes = stdout(&spider_ind(&["profile", db_path]))
+        .lines()
+        .filter(|l| l.contains('.'))
+        .count();
+
+    for threads in ["1", "3"] {
+        let folded_path = dir.join(&format!("trace-{threads}.folded"));
+        let out = spider_ind(&[
+            "discover",
+            db_path,
+            "--algorithm",
+            "spiderpar",
+            "--threads",
+            threads,
+            "--trace-folded",
+            folded_path.to_str().expect("utf8"),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let folded = std::fs::read_to_string(&folded_path).expect("folded written");
+        // Extraction is `export` with one `sort` frame per attribute — the
+        // default path no longer books it under `profile`.
+        let sorts = folded
+            .lines()
+            .filter(|l| l.starts_with("discover;export;sort/attr="))
+            .count();
+        assert!(sorts > 0, "threads={threads}:\n{folded}");
+        assert!(sorts <= attributes, "threads={threads}:\n{folded}");
+        assert!(
+            !folded.lines().any(|l| l.starts_with("discover;profile")),
+            "threads={threads}:\n{folded}"
+        );
+    }
+}
+
+#[test]
 fn crash_then_resume_recovers_byte_identically_via_cli() {
     use spider_ind::trace::json::{parse, Json};
 

@@ -170,8 +170,8 @@ fn profiles_for_sets(sets: &[MemoryValueSet]) -> Vec<AttributeProfile> {
                 rows: values.len() as u64,
                 non_null: values.len() as u64,
                 distinct: values.len() as u64,
-                min: values.first().cloned(),
-                max: values.last().cloned(),
+                min: values.first().map(<[u8]>::to_vec),
+                max: values.last().map(<[u8]>::to_vec),
             }
         })
         .collect()

@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use spider_ind::storage::tsv::{load_database, save_database};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
 use spider_ind::valueset::{
-    collect_cursor, extract_composite_memory_set, extract_composite_to_file,
-    extract_sorted_distinct, extract_to_file, ExternalSorter, IoOptions, SortOptions, ValueCursor,
-    ValueFileReader, ValueFileWriter,
+    collect_cursor, extract_composite_memory_set, extract_composite_to_file, extract_memory_set,
+    extract_sorted_distinct, extract_to_file, ExternalSorter, IoOptions, MemoryValueSet,
+    SortOptions, ValueCursor, ValueFileReader, ValueFileWriter,
 };
 
 fn arb_text_value() -> impl Strategy<Value = Option<String>> {
@@ -34,6 +34,26 @@ fn arb_column_value() -> impl Strategy<Value = Value> {
             7 | 8 => Value::Text(format!("prefix{s}")),
             _ => Value::Text(s),
         })
+}
+
+/// Byte strings that stress the flat set's layout: the empty value, values
+/// that are prefixes of each other, embedded `0x00`/`0xFF`, and a small
+/// alphabet so multisets repeat themselves.
+fn arb_flat_value() -> impl Strategy<Value = Vec<u8>> {
+    (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..5)).prop_map(|(kind, tail)| {
+        match kind % 8 {
+            0 => Vec::new(),
+            1 => b"ab".to_vec(),
+            2 => b"abc".to_vec(),
+            3 => [b"ab\x00".as_slice(), &tail].concat(),
+            4 => [b"ab\xff".as_slice(), &tail].concat(),
+            5 => tail
+                .iter()
+                .map(|b| if b % 2 == 0 { 0x00 } else { 0xff })
+                .collect(),
+            _ => tail,
+        }
+    })
 }
 
 /// Memory budgets from "spill on nearly every value" to "never spill".
@@ -108,6 +128,88 @@ proptest! {
         prop_assert_eq!(stats.pushed as usize, values.len());
         prop_assert_eq!(stats.min.as_deref(), expected.first().map(Vec::as_slice));
         prop_assert_eq!(stats.max.as_deref(), expected.last().map(Vec::as_slice));
+    }
+
+    #[test]
+    fn flat_memory_set_agrees_with_a_sorted_dedup_model(
+        raw in proptest::collection::vec(arb_flat_value(), 0..40),
+        steps in proptest::collection::vec((any::<u8>(), arb_flat_value()), 0..24),
+    ) {
+        // Model: a plain sorted, deduplicated `Vec<Vec<u8>>` and a count of
+        // values produced — what the set was before it went flat.
+        let mut model = raw.clone();
+        model.sort_unstable();
+        model.dedup();
+        let set = MemoryValueSet::from_unsorted(raw.iter().cloned());
+        prop_assert_eq!(set.len() as usize, model.len());
+        prop_assert_eq!(set.is_empty(), model.is_empty());
+        prop_assert_eq!(set.as_slice().to_vec(), model.clone());
+        prop_assert_eq!(set.as_slice().first(), model.first().map(Vec::as_slice));
+        prop_assert_eq!(set.as_slice().last(), model.last().map(Vec::as_slice));
+        prop_assert_eq!(collect_cursor(set.cursor()).expect("drain"), model.clone());
+
+        // The validating constructor accepts exactly the strictly
+        // increasing sequences, and builds the same set from them.
+        let strictly_increasing = raw.windows(2).all(|w| w[0] < w[1]);
+        prop_assert_eq!(
+            MemoryValueSet::from_sorted_distinct(raw.clone()).is_ok(),
+            strictly_increasing
+        );
+        let validated = MemoryValueSet::from_sorted_distinct(model.clone()).expect("sorted");
+        prop_assert_eq!(validated.as_slice(), set.as_slice());
+
+        // Any interleaving of advance / seek: below the first value, above
+        // the last, to present and absent values, after partial advances.
+        let mut cursor = set.cursor();
+        let mut produced = 0usize;
+        for (kind, lower) in &steps {
+            let positioned = if kind % 3 == 0 {
+                let ok = cursor.advance().expect("advance");
+                prop_assert_eq!(ok, produced < model.len());
+                produced += usize::from(ok);
+                ok
+            } else {
+                // `seek` is forward-only: it searches what is not yet produced.
+                let hit = model[produced..].iter().position(|v| v >= lower);
+                let ok = cursor.seek(lower).expect("seek");
+                prop_assert_eq!(ok, hit.is_some(), "seek {:?} after {}", lower, produced);
+                produced = hit.map_or(model.len(), |i| produced + i + 1);
+                ok
+            };
+            if positioned {
+                prop_assert_eq!(cursor.current(), model[produced - 1].as_slice());
+            }
+            prop_assert_eq!(cursor.remaining() as usize, model.len() - produced);
+            prop_assert_eq!(cursor.has_next(), produced < model.len());
+            prop_assert_eq!(cursor.len() as usize, model.len());
+        }
+        // The rest of the stream continues exactly from there, and the end
+        // is sticky.
+        let mut rest = Vec::new();
+        while cursor.advance().expect("advance") {
+            rest.push(cursor.current().to_vec());
+        }
+        prop_assert_eq!(&rest[..], &model[produced..]);
+        prop_assert!(!cursor.advance().expect("advance at the end"));
+        prop_assert!(!cursor.seek(b"").expect("seek at the end"));
+        prop_assert_eq!(cursor.remaining(), 0);
+    }
+
+    #[test]
+    fn memory_extraction_matches_a_per_cell_model(
+        values in proptest::collection::vec(arb_column_value(), 0..80),
+    ) {
+        // Columns with NULLs (possibly nothing else, possibly no rows at
+        // all): the one-pass arena extraction against one vector per cell.
+        let mut model: Vec<Vec<u8>> = values
+            .iter()
+            .filter(|v| !v.is_null())
+            .map(Value::canonical_bytes)
+            .collect();
+        model.sort_unstable();
+        model.dedup();
+        prop_assert_eq!(extract_memory_set(&values).as_slice().to_vec(), model.clone());
+        prop_assert_eq!(extract_sorted_distinct(&values), model);
     }
 
     #[test]
