@@ -62,7 +62,10 @@
 //! zero-allocation property (the current engine's allocation count must be
 //! a small constant, not proportional to `items_read`), and asserts the
 //! block reader issues several times fewer read calls than the per-record
-//! legacy shape with sweep counts non-increasing in block size.
+//! legacy shape with sweep counts non-increasing in block size. At
+//! `--scale >= 100` it also holds the pdb merge to >= 2.5x the frozen
+//! legacy engine timed in the same run — the wall-clock gate on the merge
+//! loop's constant factor.
 
 use ind_bench::legacy_reader::LegacyDiskProvider;
 use ind_bench::legacy_sorter::legacy_extract_to_file;
@@ -185,6 +188,11 @@ const ENGINE_RUNS: usize = 7;
 /// best-of-9 keeps the committed baseline stable on a busy container.
 const DISK_ENGINE_RUNS: usize = 9;
 const SPIDERPAR_THREADS: usize = 4;
+/// `--check` holds the pdb merge to this multiple of the frozen legacy
+/// engine's wall-clock once `--scale` reaches [`MERGE_GATE_MIN_SCALE`]
+/// (below it the merge is too short to time).
+const MERGE_GATE_MIN_SPEEDUP: f64 = 2.5;
+const MERGE_GATE_MIN_SCALE: usize = 100;
 /// The disk-section sweep: small (the old `BufReader` buffer size), medium,
 /// and the default block.
 const SWEEP_BLOCK_SIZES: [usize; 3] = [8 * 1024, 64 * 1024, 256 * 1024];
@@ -1813,14 +1821,34 @@ fn run() -> Result<(), String> {
                     d.name, traced.wall_ms, spider.wall_ms
                 ));
             }
-            // Comparator-split sanity: the prefix64 fast path must be doing
-            // real work in the merge heap.
+            // Comparator-split sanity: the keyed heap must be doing (and
+            // counting) real work in the merge.
             if spider.metrics.key_compares + spider.metrics.memcmp_compares == 0 {
                 return Err(format!(
                     "[{}] spider reported no key/memcmp compares — the comparator \
                      split is not being counted",
                     d.name
                 ));
+            }
+            // Merge wall-clock gate: the one timing assertion that is not
+            // traced-vs-untraced of the same engine. The frozen legacy
+            // engine runs in the same process on the same data, so the
+            // ratio calibrates the machine away; it was 3.30 at PR 2, fell
+            // to 1.82 when the comparator started re-deriving both keys on
+            // every call, and no ratio between two rows of the current
+            // engine could see that. Enforced once the merge is long
+            // enough to time (several milliseconds on pdb from scale 100 up).
+            if d.name == "pdb" && scale >= MERGE_GATE_MIN_SCALE {
+                let speedup = d
+                    .speedup_spider_vs_legacy()
+                    .ok_or("missing legacy/spider rows")?;
+                if speedup < MERGE_GATE_MIN_SPEEDUP {
+                    return Err(format!(
+                        "[pdb] spider is only {speedup:.2}x the frozen legacy engine \
+                         (required {MERGE_GATE_MIN_SPEEDUP}x at scale {scale}) — the merge \
+                         loop's per-comparison cost regressed"
+                    ));
+                }
             }
             let legacy = d
                 .engines

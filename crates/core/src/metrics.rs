@@ -43,15 +43,16 @@ pub struct RunMetrics {
     pub value_bytes_read: u64,
     /// Byte-string comparisons performed.
     pub comparisons: u64,
-    /// Heap-comparator invocations resolved by the 8-byte key prefix
-    /// alone (the `LazyMinHeap` users: the SPIDER merge and the spill
-    /// merge). Prep metric for the ROADMAP's u64-prefix-key
-    /// optimisation: `key_compares / (key_compares + memcmp_compares)`
-    /// is the fraction a packed-prefix heap would resolve without
-    /// touching value bytes.
+    /// Merge-heap comparisons settled by the two normalized keys (first
+    /// eight bytes and length) stored in the heap array
+    /// (`ind_valueset::KeyedMinHeap`: the SPIDER merge, plus the sorter's
+    /// spill merge on disk-backed runs) — integer compares that touch no
+    /// value bytes. `key_compares / (key_compares + memcmp_compares)` is
+    /// the share of the heap's work the keys absorb.
     pub key_compares: u64,
-    /// Heap-comparator invocations that fell through to a full `memcmp`
-    /// because the 8-byte prefixes tied.
+    /// Merge-heap comparisons between two values that share their first
+    /// eight bytes and both run past them: a full `memcmp` of the values
+    /// (then the slot id).
     pub memcmp_compares: u64,
     /// `read(2)` calls issued against value files (block fills of the
     /// disk-backed cursors). Zero for in-memory providers; populated by the

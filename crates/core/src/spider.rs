@@ -28,16 +28,21 @@
 //! * attribute ids are remapped to a dense `0..n` range
 //!   ([`crate::compact::CompactIds`]), so all per-attribute state lives in
 //!   flat vectors indexed by dense id;
-//! * the merge runs over a lazily-keyed index min-heap of cursor slots
-//!   ([`ind_valueset::LazyMinHeap`], shared with the external sorter's
-//!   spill merge) that compares `cursor.current()` byte slices **in
-//!   place** — cursors own their buffers ([`ind_valueset::MemoryCursor`]
-//!   borrows from the Arc'd set, [`ind_valueset::ValueFileReader`] serves
-//!   slices straight out of its read block) —
-//!   instead of a `BinaryHeap<Reverse<(Vec<u8>, u32)>>` that clones every
-//!   value on push. Only one small owned copy of the current *group* value
-//!   is kept (the group's defining cursor advances while later members are
-//!   still being gathered);
+//! * the merge runs over a normalized-key min-heap of cursor slots
+//!   ([`ind_valueset::KeyedMinHeap`], shared with the external sorter's
+//!   spill merge): each entry is `(key, slot)`, the key being the first
+//!   eight bytes of `cursor.current()` as a big-endian integer
+//!   ([`ind_valueset::key_prefix64`]) plus the value's length, derived
+//!   **once per `advance`** and stored in the heap array. A sift compares
+//!   the integers it finds in the array it is moving; only two values that
+//!   share their first eight bytes and both run past them are read through
+//!   the cursors' byte slices, **in place** — cursors own their buffers
+//!   ([`ind_valueset::MemoryCursor`] borrows from the Arc'd set,
+//!   [`ind_valueset::ValueFileReader`] serves slices straight out of its
+//!   read block) — instead of a `BinaryHeap<Reverse<(Vec<u8>, u32)>>` that
+//!   clones every value on push. Only one small owned copy of the current
+//!   *group* value is kept (the group's defining cursor advances while
+//!   later members are still being gathered);
 //! * candidate bookkeeping is a dense bitmatrix: one `u64` bitset row of
 //!   surviving referenced attributes per dependent, so the per-group
 //!   intersection is word-wise `AND`s, refutations are `popcount`-style bit
@@ -52,7 +57,7 @@
 use crate::candidates::Candidate;
 use crate::compact::CompactIds;
 use crate::metrics::RunMetrics;
-use ind_valueset::{LazyMinHeap, Result, ValueCursor, ValueSetProvider};
+use ind_valueset::{KeyedMinHeap, Result, ValueCursor, ValueSetProvider};
 use std::borrow::Cow;
 
 /// Runs SPIDER over `candidates` (pairs with `dep != ref`; duplicates are
@@ -116,12 +121,6 @@ where
     // Cached once per pass: the merge loop publishes progress only when
     // tracing was on at entry, so a traced-off run pays one relaxed load.
     let traced = ind_trace::enabled();
-    // Comparator-split tallies, folded into `metrics` at the end of the
-    // pass. `Cell`s, because the heap comparator closures capture them
-    // immutably alongside the cursor slice.
-    let key_compares = std::cell::Cell::new(0u64);
-    let memcmp_compares = std::cell::Cell::new(0u64);
-
     // Dense remap: every vector below is indexed by compact attribute id.
     let ids = CompactIds::from_candidates(candidates);
     let n = ids.len();
@@ -153,7 +152,7 @@ where
     // keeps pushes allocation-free.
     let mut satisfied: Vec<Candidate> = Vec::with_capacity(candidates.len());
     let mut cursors: Vec<Option<C>> = Vec::with_capacity(n);
-    let mut heap = LazyMinHeap::with_capacity(n);
+    let mut heap = KeyedMinHeap::with_capacity(n);
 
     for d in 0..n {
         let mut cursor = open(ids.id(d))?;
@@ -179,8 +178,8 @@ where
     }
     for d in 0..n {
         if cursors[d].is_some() {
-            heap.push(d as u32, |a, b| {
-                slot_less(&cursors, &key_compares, &memcmp_compares, a, b)
+            heap.push(d as u32, cursor_value(&cursors, d as u32), |a, b| {
+                compare_values(&cursors, a, b)
             });
         }
     }
@@ -200,18 +199,18 @@ where
     // lint: allow(hot_alloc) — setup phase, counted per-run allocation
     let mut group_mask: Vec<u64> = vec![0; words];
 
-    while let Some(first) = heap.peek() {
+    while let Some((group_key, first)) = heap.peek() {
         // Cooperative cancellation at heap-group granularity: one TLS read
         // and a relaxed load per group against a full k-way merge step.
         ind_valueset::cancel::check_ambient("merge")?;
         group.clear();
         group_value.clear();
         group_value.extend_from_slice(cursor_value(&cursors, first));
-        heap.pop(|a, b| slot_less(&cursors, &key_compares, &memcmp_compares, a, b));
+        heap.pop(|a, b| compare_values(&cursors, a, b));
         group.push(first);
-        while let Some(top) = heap.peek() {
-            if cursor_value(&cursors, top) == group_value.as_slice() {
-                heap.pop(|a, b| slot_less(&cursors, &key_compares, &memcmp_compares, a, b));
+        while let Some((key, top)) = heap.peek() {
+            if key == group_key && cursor_value(&cursors, top) == group_value.as_slice() {
+                heap.pop(|a, b| compare_values(&cursors, a, b));
                 group.push(top);
             } else {
                 break;
@@ -263,8 +262,8 @@ where
             if cursor.advance()? {
                 metrics.items_read += 1;
                 metrics.value_bytes_read += cursor.current().len() as u64;
-                heap.push(a as u32, |x, y| {
-                    slot_less(&cursors, &key_compares, &memcmp_compares, x, y)
+                heap.push(a as u32, cursor_value(&cursors, a as u32), |x, y| {
+                    compare_values(&cursors, x, y)
                 });
             } else {
                 // Dependent exhausted: its surviving candidates held for
@@ -303,8 +302,8 @@ where
         }
     }
 
-    metrics.key_compares += key_compares.get();
-    metrics.memcmp_compares += memcmp_compares.get();
+    metrics.key_compares += heap.key_compares();
+    metrics.memcmp_compares += heap.memcmp_compares();
     debug_assert!(
         live.iter().all(|&l| l == 0),
         "heap ran dry with unresolved candidates"
@@ -343,35 +342,12 @@ fn satisfy_survivors(
     }
 }
 
-/// Heap ordering over cursor *slots* (dense attribute ids): keys are
-/// `(cursors[slot].current(), slot)` compared lazily at sift time by the
-/// shared [`LazyMinHeap`], so the heap stores nothing but `u32`s and never
-/// copies a value. The slot tie-break makes the order total and
-/// deterministic. An integer comparison of the 8-byte key prefixes
-/// ([`ind_valueset::key_prefix64`]) settles most pairs without touching
-/// the slice tails; the two tallies split the traffic for the run report.
-fn slot_less<C: ValueCursor>(
-    cursors: &[Option<C>],
-    key_compares: &std::cell::Cell<u64>,
-    memcmp_compares: &std::cell::Cell<u64>,
-    a: u32,
-    b: u32,
-) -> bool {
-    let (va, vb) = (cursor_value(cursors, a), cursor_value(cursors, b));
-    let (pa, pb) = (
-        ind_valueset::key_prefix64(va),
-        ind_valueset::key_prefix64(vb),
-    );
-    if pa != pb {
-        key_compares.set(key_compares.get() + 1);
-        return pa < pb;
-    }
-    memcmp_compares.set(memcmp_compares.get() + 1);
-    match va.cmp(vb) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a < b,
-    }
+/// The heap's tie callback: the current values of slots `a` and `b`
+/// compared in full. [`KeyedMinHeap`] consults it only when the two
+/// normalized keys stored in its array cannot tell the values apart, and
+/// breaks a remaining tie by slot id itself.
+fn compare_values<C: ValueCursor>(cursors: &[Option<C>], a: u32, b: u32) -> std::cmp::Ordering {
+    cursor_value(cursors, a).cmp(cursor_value(cursors, b))
 }
 
 #[cfg(test)]
@@ -568,6 +544,55 @@ mod tests {
             "both candidates refute within the first two groups, read {}",
             m.items_read
         );
+    }
+
+    /// Fixture for the pinned comparison counts: short values their keys
+    /// settle, `accession-NNNN` values that share the whole key window, a
+    /// zero-padding tie (`"7"` vs `"7\0"`), a duplicate set and an empty one.
+    fn pinned_fixture() -> MemoryProvider {
+        let ids = |r: std::ops::Range<u32>, step: usize| -> MemoryValueSet {
+            MemoryValueSet::from_unsorted(r.step_by(step).map(|i| format!("{i:03}").into_bytes()))
+        };
+        let accessions = |r: std::ops::Range<u32>, step: usize| -> MemoryValueSet {
+            MemoryValueSet::from_unsorted(
+                r.step_by(step)
+                    .map(|i| format!("accession-{i:04}").into_bytes()),
+            )
+        };
+        MemoryProvider::new(vec![
+            ids(0..120, 1),
+            ids(0..120, 3),
+            ids(30..90, 6),
+            accessions(0..200, 1),
+            accessions(0..200, 4),
+            accessions(40..160, 8),
+            accessions(0..200, 1),
+            MemoryValueSet::from_unsorted([b"7".to_vec(), b"7\0".to_vec(), b"accession-".to_vec()]),
+            set(&[]),
+        ])
+    }
+
+    #[test]
+    fn comparison_work_is_pinned() {
+        // The merge's work on a fixed input, to the comparison: the counts
+        // of a binary heap that pops and re-pushes every group member. A
+        // change of heap shape or comparison sequence moves them and has
+        // to update them on purpose (and say so in CHANGES.md).
+        let provider = pinned_fixture();
+        let mut m = RunMetrics::new();
+        let found = run_spider(&provider, &all_pairs(9), &mut m).unwrap();
+        let mut m_bf = RunMetrics::new();
+        let mut bf = run_brute_force(&provider, &all_pairs(9), &mut m_bf).unwrap();
+        bf.sort();
+        assert_eq!(found, bf);
+        assert_eq!(
+            (m.items_read, m.value_bytes_read, m.comparisons),
+            (638, 7033, 662)
+        );
+        // 2,095 heap comparisons, as when the comparator re-derived both
+        // keys on every call (then 856 + 1,239: the prefix alone settled
+        // fewer of them than prefix + length does).
+        assert_eq!((m.key_compares, m.memcmp_compares), (926, 1169));
     }
 
     #[test]

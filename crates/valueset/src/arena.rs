@@ -1,20 +1,29 @@
 //! The unsorted-value buffer under both sorters.
 //!
 //! Values land back to back in one bump buffer (`bytes`) addressed by a
-//! flat `(offset, len)` index — not one heap `Vec<u8>` per value. Sorting
-//! permutes the index comparing buffer slices in place; duplicate
-//! elimination rewrites the index without touching the bytes. This is the
-//! crate's one in-memory sort/dedup: [`crate::ExternalSorter`] wraps it in
-//! a memory budget and spills it to disk, the in-memory set builder
-//! (`crate::memory`) compacts it into a [`crate::MemoryValueSet`].
+//! flat `(prefix, offset, len)` index — not one heap `Vec<u8>` per value.
+//! `(prefix, len)` is the value's normalized key
+//! ([`crate::key_prefix64`], [`crate::compare_keys`]), derived once when
+//! the value is recorded, so sorting permutes the index comparing integers
+//! that sit in the entries it is moving and dereferences into the buffer
+//! only when the keys cannot tell two values apart;
+//! duplicate elimination rewrites the index without touching the bytes.
+//! This is the crate's one in-memory sort/dedup: [`crate::ExternalSorter`]
+//! wraps it in a memory budget and spills it to disk, the in-memory set
+//! builder (`crate::memory`) compacts it into a [`crate::MemoryValueSet`].
 //!
 //! Growth policy is the owner's business (the sorter clamps it to its
 //! budget, the memory builder lets `Vec` double), so both vectors are open
 //! to the crate; what lives here is the addressing and the order.
 
-/// One value in the arena: `bytes[offset..offset + len]`.
+use crate::heap::{compare_keys, key_prefix64};
+use std::cmp::Ordering;
+
+/// One value in the arena: `bytes[offset..offset + len]`, with its
+/// normalized key cached beside the address.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
+    prefix: u64,
     offset: u32,
     len: u32,
 }
@@ -23,6 +32,14 @@ impl Entry {
     #[inline]
     fn slice<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
         &bytes[self.offset as usize..self.offset as usize + self.len as usize]
+    }
+
+    /// Orders two entries like their values: by the keys cached in the
+    /// entries, reading `bytes` only when the keys cannot tell.
+    #[inline]
+    fn cmp(&self, other: &Entry, bytes: &[u8]) -> Ordering {
+        compare_keys((self.prefix, self.len), (other.prefix, other.len))
+            .unwrap_or_else(|| self.slice(bytes).cmp(other.slice(bytes)))
     }
 }
 
@@ -46,8 +63,10 @@ impl ValueArena {
     /// value does not fit the index's 32-bit addressing.
     #[inline]
     pub(crate) fn record(&mut self, offset: usize) -> Option<usize> {
-        let len = self.bytes.len() - offset;
+        let value = &self.bytes[offset..];
+        let len = value.len();
         self.index.push(Entry {
+            prefix: key_prefix64(value),
             offset: u32::try_from(offset).ok()?,
             len: u32::try_from(len).ok()?,
         });
@@ -55,12 +74,13 @@ impl ValueArena {
     }
 
     /// Sorts the index by value bytes and removes duplicate values in
-    /// place; the bytes are never moved.
+    /// place; the bytes are never moved, and only read for pairs of values
+    /// that share their first eight bytes and both run past them.
     pub(crate) fn sort_dedup(&mut self) {
         let bytes = &self.bytes;
+        self.index.sort_unstable_by(|a, b| a.cmp(b, bytes));
         self.index
-            .sort_unstable_by(|a, b| a.slice(bytes).cmp(b.slice(bytes)));
-        self.index.dedup_by(|a, b| a.slice(bytes) == b.slice(bytes));
+            .dedup_by(|a, b| a.cmp(b, bytes) == Ordering::Equal);
     }
 
     /// The `i`-th value in index order.

@@ -10,8 +10,9 @@
 //! # Arena-backed, allocation-free in the steady state
 //!
 //! Pushed bytes land in one growable bump **arena** (`Vec<u8>`) addressed by
-//! a flat `(offset, len)` index — not one heap `Vec<u8>` per value. Sorting
-//! is `sort_unstable_by` over the index comparing arena slices in place;
+//! a flat `(prefix, offset, len)` index — not one heap `Vec<u8>` per value.
+//! Sorting is `sort_unstable_by` over the index comparing the cached keys
+//! and, where they cannot tell, arena slices in place;
 //! duplicate elimination rewrites the index without touching the bytes
 //! (`crate::arena`, shared with the in-memory set builder). The sorter adds
 //! the budget and the spill: the memory budget charges what the allocator actually handed out (arena
@@ -25,8 +26,10 @@
 //! copy.
 //!
 //! The spill-phase k-way merge mirrors the zero-allocation SPIDER engine:
-//! a hand-rolled index min-heap whose entries are run indices compared by
-//! their cursors' zero-copy `current()` slices, with duplicate elimination
+//! the same keyed min-heap (`crate::heap`), whose entries are run indices
+//! beside the normalized key of each run's current value — compared as
+//! integers, by the cursors' zero-copy `current()` slices only where the
+//! keys cannot tell — with duplicate elimination
 //! against the last *written* record through a single reusable buffer — no
 //! per-record `to_vec`, no per-distinct `clone`.
 //!
@@ -39,6 +42,7 @@ use crate::block::IoOptions;
 use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
 use crate::format::{ValueFileReader, ValueFileWriter};
+use crate::heap::KeyedMinHeap;
 use std::path::{Path, PathBuf};
 
 /// Tuning for the external sorter.
@@ -369,7 +373,7 @@ impl ExternalSorter {
             writer.append(value)
         };
 
-        let compares = CompareCounters::default();
+        let (mut key_compares, mut memcmp_compares) = (0, 0);
         let merged = if self.runs.is_empty() {
             (|| {
                 for value in self.buf.values() {
@@ -379,9 +383,8 @@ impl ExternalSorter {
             })()
         } else {
             let _span = ind_trace::start(ind_trace::SPILL_MERGE);
-            merge_runs(&self.runs, &self.buf, &self.options.io, &compares, |v| {
-                emit(v, writer)
-            })
+            merge_runs(&self.runs, &self.buf, &self.options.io, |v| emit(v, writer))
+                .map(|compares| (key_compares, memcmp_compares) = compares)
         };
         // Remove the spill runs whatever the merge outcome; a merge error
         // wins, but a cleanup failure on a clean merge is surfaced too —
@@ -402,8 +405,8 @@ impl ExternalSorter {
             file_bytes: writer.bytes_written(),
             arena_bytes: self.peak_footprint as u64,
             arena_grows: self.grows,
-            key_compares: compares.key.get(),
-            memcmp_compares: compares.memcmp.get(),
+            key_compares,
+            memcmp_compares,
             min,
             max,
             source_hash: 0,
@@ -419,21 +422,23 @@ impl ExternalSorter {
 }
 
 /// K-way merge of the spill runs plus the sorted in-memory index, feeding
-/// each distinct value to `emit` in strictly increasing order.
+/// each distinct value to `emit` in strictly increasing order. Returns the
+/// heap's `(key_compares, memcmp_compares)`.
 ///
-/// The heap is the same [`crate::LazyMinHeap`] the SPIDER merge engine
-/// runs on: entries are *source indices* (`0..runs.len()` the run readers,
-/// `runs.len()` the in-memory index) compared lazily by their current
-/// zero-copy slices, so the heap stores nothing but `u32`s and never
-/// copies a value. Duplicate elimination compares against the last written
-/// record through one reusable buffer.
+/// The heap is the same [`KeyedMinHeap`] the SPIDER merge engine runs on:
+/// entries are *source indices* (`0..runs.len()` the run readers,
+/// `runs.len()` the in-memory index) stored beside the normalized key of
+/// the source's current value, so a sift compares integers in the heap
+/// array and reads the sources' zero-copy slices only where the keys
+/// cannot tell (ties between equal values are broken by source index —
+/// total and deterministic). Duplicate elimination compares against the last
+/// written record through one reusable buffer.
 fn merge_runs(
     runs: &[PathBuf],
     buf: &ValueArena,
     io: &IoOptions,
-    compares: &CompareCounters,
     mut emit: impl FnMut(&[u8]) -> Result<()>,
-) -> Result<()> {
+) -> Result<(u64, u64)> {
     let mut sources = MergeSources {
         readers: Vec::with_capacity(runs.len()),
         buf,
@@ -446,20 +451,22 @@ fn merge_runs(
     }
     let mem_src = runs.len() as u32;
 
-    let mut heap = crate::heap::LazyMinHeap::with_capacity(runs.len() + 1);
+    let mut heap = KeyedMinHeap::with_capacity(runs.len() + 1);
     for src in 0..mem_src {
         if sources.readers[src as usize].advance()? {
-            heap.push(src, |a, b| source_less(&sources, compares, a, b));
+            heap.push(src, sources.current(src), |a, b| sources.compare(a, b));
         }
     }
     if !buf.index.is_empty() {
-        heap.push(mem_src, |a, b| source_less(&sources, compares, a, b));
+        heap.push(mem_src, sources.current(mem_src), |a, b| {
+            sources.compare(a, b)
+        });
     }
 
     // lint: allow(hot_alloc) — reusable dedup buffer: grows to the longest value once, then reused
     let mut last: Vec<u8> = Vec::new();
     let mut wrote_any = false;
-    while let Some(top) = heap.peek() {
+    while let Some((_, top)) = heap.peek() {
         {
             let value = sources.current(top);
             if !wrote_any || last.as_slice() != value {
@@ -470,41 +477,12 @@ fn merge_runs(
             }
         }
         if sources.advance(top)? {
-            heap.sift_root(|a, b| source_less(&sources, compares, a, b));
+            heap.replace_top(sources.current(top), |a, b| sources.compare(a, b));
         } else {
-            heap.pop(|a, b| source_less(&sources, compares, a, b));
+            heap.pop(|a, b| sources.compare(a, b));
         }
     }
-    Ok(())
-}
-
-/// Comparator-split tallies for a [`crate::LazyMinHeap`] merge: `key`
-/// counts comparisons the 8-byte prefix resolved alone, `memcmp` those
-/// that tied on the prefix and needed the full slices. `Cell`s, because
-/// the heap comparator is an immutably captured closure.
-#[derive(Debug, Default)]
-pub(crate) struct CompareCounters {
-    pub(crate) key: std::cell::Cell<u64>,
-    pub(crate) memcmp: std::cell::Cell<u64>,
-}
-
-/// Merge ordering: current zero-copy slices, ties broken by source index —
-/// total and deterministic. An integer comparison of the 8-byte key
-/// prefixes ([`crate::key_prefix64`]) settles most pairs without touching
-/// the slice tails.
-fn source_less(sources: &MergeSources<'_>, compares: &CompareCounters, a: u32, b: u32) -> bool {
-    let (va, vb) = (sources.current(a), sources.current(b));
-    let (pa, pb) = (crate::key_prefix64(va), crate::key_prefix64(vb));
-    if pa != pb {
-        compares.key.set(compares.key.get() + 1);
-        return pa < pb;
-    }
-    compares.memcmp.set(compares.memcmp.get() + 1);
-    match va.cmp(vb) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a < b,
-    }
+    Ok((heap.key_compares(), heap.memcmp_compares()))
 }
 
 /// The merge's value sources: spill-run readers by index, then the sorted
@@ -524,6 +502,12 @@ impl MergeSources<'_> {
             Some(reader) => reader.current(),
             None => self.buf.value(self.index_pos),
         }
+    }
+
+    /// The heap's tie callback: the current values of `a` and `b` in full.
+    #[inline]
+    fn compare(&self, a: u32, b: u32) -> std::cmp::Ordering {
+        self.current(a).cmp(self.current(b))
     }
 
     /// Advances source `src`; false when it is exhausted.
@@ -878,31 +862,6 @@ mod tests {
             stats.memcmp_compares > 0,
             "shared prefixes must fall through"
         );
-    }
-
-    #[test]
-    fn prefix64_orders_like_lexicographic_compare() {
-        // The fast-path invariant: differing prefixes order exactly like
-        // the slices; ties (including a proper prefix ending inside the
-        // window) keep the prefixes equal.
-        let cases: [&[u8]; 8] = [
-            b"",
-            b"\x00",
-            b"\x01",
-            b"\x01\x00",
-            b"\x01\x01",
-            b"abcdefgh",
-            b"abcdefghi",
-            b"abcdefgz",
-        ];
-        for a in cases {
-            for b in cases {
-                let (pa, pb) = (crate::key_prefix64(a), crate::key_prefix64(b));
-                if pa != pb {
-                    assert_eq!(pa.cmp(&pb), a.cmp(b), "{a:?} vs {b:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use format::{
     write_value_file, StagedBatch, StagedFile, ValueFileReader, ValueFileWriter, BATCH_MAX_BYTES,
     BATCH_MAX_FILES,
 };
-pub use heap::{key_prefix64, LazyMinHeap};
+pub use heap::{compare_keys, key_prefix64, KeyedMinHeap};
 pub use manager::{
     CompositeExport, ExportOptions, ExportedAttribute, ExportedComposite, ExportedDatabase,
     FailedAttribute, ResumeMode,

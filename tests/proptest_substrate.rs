@@ -9,10 +9,12 @@ use proptest::prelude::*;
 use spider_ind::storage::tsv::{load_database, save_database};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
 use spider_ind::valueset::{
-    collect_cursor, extract_composite_memory_set, extract_composite_to_file, extract_memory_set,
-    extract_sorted_distinct, extract_to_file, ExternalSorter, IoOptions, MemoryValueSet,
-    SortOptions, ValueCursor, ValueFileReader, ValueFileWriter,
+    collect_cursor, compare_keys, extract_composite_memory_set, extract_composite_to_file,
+    extract_memory_set, extract_sorted_distinct, extract_to_file, key_prefix64, ExternalSorter,
+    IoOptions, KeyedMinHeap, MemoryValueSet, SortOptions, SortStats, ValueCursor, ValueFileReader,
+    ValueFileWriter,
 };
+use std::collections::BTreeSet;
 
 fn arb_text_value() -> impl Strategy<Value = Option<String>> {
     proptest::option::of(proptest::string::string_regex("[ -~\\t\\n\\\\]{0,12}").unwrap())
@@ -54,6 +56,47 @@ fn arb_flat_value() -> impl Strategy<Value = Vec<u8>> {
             _ => tail,
         }
     })
+}
+
+/// Byte strings around the normalized key's 8-byte window: the empty
+/// value, values shorter than the window, values that differ only by
+/// trailing or embedded NULs (`"a"` vs `"a\0"` share a zero-padded key),
+/// and values that agree on the whole window and differ after it.
+fn arb_keyed_value() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<u8>(),
+        proptest::collection::vec(0u8..3, 0..12),
+        0usize..4,
+    )
+        .prop_map(|(kind, tail, nuls)| match kind % 6 {
+            0 => Vec::new(),
+            // Short, over a three-letter alphabet that includes NUL.
+            1 => tail.iter().take(7).copied().collect(),
+            // "a", "a\0", "a\0\0", ...: equal keys, different values.
+            2 => [b"a".as_slice(), &vec![0u8; nuls]].concat(),
+            // Exactly the window, and the window plus a tail.
+            3 => b"sameprefix"[..8].to_vec(),
+            4 => [b"sameprefix".as_slice(), &tail].concat(),
+            _ => tail,
+        })
+}
+
+/// Feeds `values` to an [`ExternalSorter`] under `budget`, drains it into a
+/// file and reads the file back.
+fn external_sort(values: &[Vec<u8>], budget: usize) -> (Vec<Vec<u8>>, SortStats) {
+    let dir = TempDir::new("prop-extsort");
+    let mut sorter =
+        ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(budget))
+            .expect("sorter");
+    for v in values {
+        sorter.push(v).expect("push");
+    }
+    let path = dir.join("out.indv");
+    let mut writer = ValueFileWriter::create(&path).expect("writer");
+    let stats = sorter.finish_into(&mut writer).expect("merge");
+    writer.finish().expect("finish");
+    let got = collect_cursor(ValueFileReader::open(&path).expect("open")).expect("read");
+    (got, stats)
 }
 
 /// Memory budgets from "spill on nearly every value" to "never spill".
@@ -105,29 +148,103 @@ proptest! {
             proptest::collection::vec(any::<u8>(), 0..10), 0..60),
         budget in 1usize..2048,
     ) {
-        let dir = TempDir::new("prop-extsort");
-        let mut sorter = ExternalSorter::new(
-            &dir.join("spill"),
-            SortOptions::with_memory_budget(budget),
-        )
-        .expect("sorter");
-        for v in &values {
-            sorter.push(v).expect("push");
-        }
-        let out_path = dir.join("out.indv");
-        let mut writer = ValueFileWriter::create(&out_path).expect("writer");
-        let stats = sorter.finish_into(&mut writer).expect("merge");
-        writer.finish().expect("finish");
-
+        let (got, stats) = external_sort(&values, budget);
         let mut expected = values.clone();
         expected.sort_unstable();
         expected.dedup();
-        let got = collect_cursor(ValueFileReader::open(&out_path).expect("open")).expect("read");
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(stats.distinct as usize, expected.len());
         prop_assert_eq!(stats.pushed as usize, values.len());
         prop_assert_eq!(stats.min.as_deref(), expected.first().map(Vec::as_slice));
         prop_assert_eq!(stats.max.as_deref(), expected.last().map(Vec::as_slice));
+    }
+
+    #[test]
+    fn keyed_order_is_slice_order(a in arb_keyed_value(), b in arb_keyed_value()) {
+        // What every keyed comparator in the crate computes: the keys, and
+        // the slices only when the keys cannot tell.
+        let key = |v: &[u8]| (key_prefix64(v), v.len() as u32);
+        match compare_keys(key(&a), key(&b)) {
+            Some(order) => prop_assert_eq!(order, a.cmp(&b), "{:?} vs {:?}", a, b),
+            None => prop_assert!(
+                a.len() > 8 && b.len() > 8 && a[..8] == b[..8],
+                "keys gave up on {:?} vs {:?}", a, b
+            ),
+        }
+        // The prefix alone can never order two values against their
+        // slices, only fail to separate them.
+        prop_assert!(key_prefix64(&a) <= key_prefix64(&b) || a > b);
+    }
+
+    #[test]
+    fn both_sorters_equal_a_btreeset_on_key_boundary_values(
+        values in proptest::collection::vec(arb_keyed_value(), 0..80),
+    ) {
+        // The arena's keyed sort + dedup (under the in-memory builder and
+        // under the external sorter) and the keyed spill merge, on inputs
+        // dense in key ties.
+        let model: Vec<Vec<u8>> = values.iter().cloned().collect::<BTreeSet<_>>().into_iter().collect();
+        let set = MemoryValueSet::from_unsorted(values.iter().cloned());
+        prop_assert_eq!(set.as_slice().to_vec(), model.clone());
+        prop_assert_eq!(external_sort(&values, 1 << 20).0, model.clone(), "in memory");
+        let (spilled, stats) = external_sort(&values, 96);
+        prop_assert_eq!(spilled, model, "spilling");
+        // Seven 16-byte index entries alone exceed the budget.
+        prop_assert!(stats.runs > 0 || values.len() < 7, "a 96-byte budget spills");
+    }
+
+    #[test]
+    fn keyed_heap_drains_in_value_then_slot_order(
+        initial in proptest::collection::vec(arb_keyed_value(), 1..12),
+        steps in proptest::collection::vec((any::<u8>(), arb_keyed_value()), 0..48),
+    ) {
+        // `values[slot]` is the slot's current value — the state the heap's
+        // tie callback reads in place; `live` is the model.
+        let mut values: Vec<Vec<u8>> = Vec::new();
+        let mut live: BTreeSet<(Vec<u8>, u32)> = BTreeSet::new();
+        let mut heap = KeyedMinHeap::with_capacity(initial.len() + steps.len());
+        let push = |heap: &mut KeyedMinHeap, values: &mut Vec<Vec<u8>>, v: &[u8]| -> u32 {
+            let slot = values.len() as u32;
+            values.push(v.to_vec());
+            heap.push(slot, v, |a, b| values[a as usize].cmp(&values[b as usize]));
+            slot
+        };
+        for v in &initial {
+            let slot = push(&mut heap, &mut values, v);
+            live.insert((v.clone(), slot));
+        }
+        for (kind, v) in &steps {
+            let min = live.first().cloned();
+            prop_assert_eq!(
+                heap.peek(),
+                min.as_ref().map(|(value, slot)| (key_prefix64(value), *slot))
+            );
+            match (kind % 3, min) {
+                (0, _) | (_, None) => {
+                    let slot = push(&mut heap, &mut values, v);
+                    live.insert((v.clone(), slot));
+                }
+                (1, Some(min)) => {
+                    let popped = heap.pop(|a, b| values[a as usize].cmp(&values[b as usize]));
+                    prop_assert_eq!(popped, Some(min.1));
+                    live.remove(&min);
+                }
+                (_, Some(min)) => {
+                    // The root's cursor moved on to `v` (any value: the
+                    // heap does not need sources to be increasing).
+                    values[min.1 as usize] = v.clone();
+                    heap.replace_top(v, |a, b| values[a as usize].cmp(&values[b as usize]));
+                    live.remove(&min);
+                    live.insert((v.clone(), min.1));
+                }
+            }
+        }
+        let mut drained = Vec::new();
+        while let Some(slot) = heap.pop(|a, b| values[a as usize].cmp(&values[b as usize])) {
+            drained.push(slot);
+        }
+        let expected: Vec<u32> = live.iter().map(|(_, slot)| *slot).collect();
+        prop_assert_eq!(drained, expected);
     }
 
     #[test]

@@ -1,0 +1,100 @@
+//! README's Performance paragraph and export table quote the committed
+//! `BENCH_spider.json`; this test renders the quoted fragments from the JSON
+//! and fails when the README says anything else. Regenerating the baseline
+//! (`cargo run --release -p ind-bench --bin bench_spider`) therefore means
+//! updating the paragraph in the same change.
+
+use spider_ind::trace::json::{parse, Json};
+use std::path::Path;
+
+/// The element of `parent[list]` whose `key` field is `name`.
+fn named<'a>(parent: &'a Json, list: &str, key: &str, name: &str) -> &'a Json {
+    parent
+        .get(list)
+        .and_then(Json::as_arr)
+        .and_then(|all| {
+            all.iter()
+                .find(|row| row.get(key).and_then(Json::as_str) == Some(name))
+        })
+        .unwrap_or_else(|| panic!("BENCH_spider.json: no {key} {name:?} under {list:?}"))
+}
+
+fn dataset<'a>(bench: &'a Json, name: &str) -> &'a Json {
+    named(bench, "datasets", "name", name)
+}
+
+fn number(row: &Json, key: &str) -> f64 {
+    row.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("missing numeric field {key:?}"))
+}
+
+/// `1234567` as `1,234,567`, the way the README's tables print counts.
+fn thousands(n: f64) -> String {
+    let digits = format!("{n:.0}");
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// The export table's row for `name`, cells separated by single spaces.
+fn export_row(bench: &Json, name: &str) -> String {
+    let export = dataset(bench, name).get("export").expect("export section");
+    let allocs = |sorter: &str| number(named(export, "sorters", "sorter", sorter), "allocs");
+    format!(
+        "| {name} | {} | {} | {} | {:.1}× | {:.2}× |",
+        thousands(number(export, "pushed")),
+        thousands(allocs("legacy")),
+        thousands(allocs("arena")),
+        number(export, "alloc_reduction"),
+        number(export, "speedup_arena_vs_legacy"),
+    )
+}
+
+#[test]
+fn readme_performance_figures_match_the_committed_baseline() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let bench = parse(&std::fs::read_to_string(root.join("BENCH_spider.json")).expect("baseline"))
+        .expect("BENCH_spider.json parses");
+    assert_eq!(
+        bench.get("check_mode"),
+        Some(&Json::Bool(false)),
+        "the committed baseline must be a full run, not a --check smoke"
+    );
+
+    let (pdb, biosql) = (dataset(&bench, "pdb"), dataset(&bench, "biosql"));
+    let engine = |name: &str| named(pdb, "engines", "engine", name);
+    let (legacy, spider) = (engine("legacy"), engine("spider"));
+    let quoted = [
+        export_row(&bench, "pdb"),
+        export_row(&bench, "biosql"),
+        format!("**{:.2}×** on PDB", number(pdb, "speedup_spider_vs_legacy")),
+        format!(
+            "({:.1} ms vs {:.1} ms; {} vs {} allocations)",
+            number(spider, "wall_ms"),
+            number(legacy, "wall_ms"),
+            thousands(number(spider, "allocs")),
+            thousands(number(legacy, "allocs")),
+        ),
+        format!(
+            "**{:.2}×** on biosql",
+            number(biosql, "speedup_spider_vs_legacy")
+        ),
+    ];
+    // Paragraphs are hard-wrapped and table cells padded: compare with
+    // whitespace runs folded.
+    let flat = readme.split_whitespace().collect::<Vec<_>>().join(" ");
+    for fragment in &quoted {
+        assert!(
+            flat.contains(fragment.as_str()),
+            "README.md does not quote {fragment:?} — it has drifted from BENCH_spider.json; \
+             expected fragments: {quoted:#?}"
+        );
+    }
+}
