@@ -86,13 +86,14 @@ pub fn profiles_from_export(exp: &ExportedDatabase) -> Vec<AttributeProfile> {
 /// Extracts `db` entirely into memory: profiles plus a [`MemoryProvider`]
 /// whose attribute ids match the profile ids. What
 /// [`IndFinder::discover_in_memory`](crate::IndFinder::discover_in_memory)
-/// — the CLI's default path — runs on.
+/// — the CLI's default path — runs on, extracted on every core
+/// ([`ind_storage::default_workers`]).
 pub fn memory_export(db: &Database) -> (Vec<AttributeProfile>, MemoryProvider) {
-    memory_export_with_threads(db, 1)
+    memory_export_with_threads(db, ind_storage::default_workers())
 }
 
 /// [`memory_export`] with the per-column extract/sort/dedup work spread
-/// over `threads` workers
+/// over exactly `threads` workers
 /// ([`extract_memory_columns`](ind_valueset::extract_memory_columns)).
 /// Results are identical at any thread count.
 ///

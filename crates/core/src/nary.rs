@@ -201,7 +201,7 @@ impl NaryFinder {
 
     /// Runs the levelwise search entirely in memory.
     pub fn discover_in_memory(&self, db: &Database) -> Result<NaryDiscovery> {
-        let (profiles, provider) = try_memory_export(db, 1)?;
+        let (profiles, provider) = try_memory_export(db, ind_storage::default_workers())?;
         // Column slices in profile-id order, for composite extraction.
         let mut columns: Vec<&[Value]> = Vec::with_capacity(profiles.len());
         for table in db.tables() {

@@ -81,20 +81,6 @@ impl FinderConfig {
     }
 }
 
-impl Algorithm {
-    /// Worker threads the extraction phase should use: the parallel
-    /// algorithms extract value sets with the same fan-out they test with;
-    /// the sequential ones extract sequentially.
-    pub fn extraction_threads(&self) -> usize {
-        match self {
-            Algorithm::BruteForceParallel { threads } | Algorithm::SpiderParallel { threads } => {
-                (*threads).max(1)
-            }
-            _ => 1,
-        }
-    }
-}
-
 /// Machine-readable summary of a keep-going (degraded) discovery run:
 /// which attributes were quarantined and what the fault counters saw.
 /// Present on [`Discovery::degraded`] whenever keep-going mode was on —
@@ -274,16 +260,24 @@ impl IndFinder {
     }
 
     /// Extracts `db` into memory and discovers INDs — the CLI's default
-    /// path, for databases whose distinct values fit in RAM. Parallel algorithms also extract in
-    /// parallel (see [`Algorithm::extraction_threads`]).
+    /// path, for databases whose distinct values fit in RAM. Extraction runs
+    /// on every core ([`ind_storage::default_workers`]) whatever the
+    /// algorithm; [`Algorithm::SpiderParallel`]'s and
+    /// [`Algorithm::BruteForceParallel`]'s `threads` govern the merge only.
     pub fn discover_in_memory(&self, db: &Database) -> Result<Discovery> {
+        self.discover_in_memory_with(db, ind_storage::default_workers())
+    }
+
+    /// [`IndFinder::discover_in_memory`] with exactly `threads` extraction
+    /// workers. The result — IND set, profiles, merge counters — is the same
+    /// at any count.
+    pub fn discover_in_memory_with(&self, db: &Database, threads: usize) -> Result<Discovery> {
         let start = Instant::now();
         let _root = ind_trace::start(ind_trace::DISCOVER);
         // The same phase names as the on-disk path: `export` with one
         // `sort` child per attribute.
         let export_span = ind_trace::start(ind_trace::EXPORT);
-        let (profiles, provider) =
-            try_memory_export(db, self.config.algorithm.extraction_threads())?;
+        let (profiles, provider) = try_memory_export(db, threads)?;
         export_span.finish();
         let mut discovery = self.discover(&profiles, &provider)?;
         // Cover extraction too, so the span tree's phases account for
@@ -293,11 +287,11 @@ impl IndFinder {
     }
 
     /// Exports `db` to sorted value files under `workdir` and discovers
-    /// INDs from disk — the paper's actual pipeline. Parallel algorithms
-    /// also export in parallel.
+    /// INDs from disk — the paper's actual pipeline, under
+    /// [`ExportOptions::default`]: the export runs on every core whatever
+    /// the algorithm.
     pub fn discover_on_disk(&self, db: &Database, workdir: &Path) -> Result<Discovery> {
-        let options = ExportOptions::with_threads(self.config.algorithm.extraction_threads());
-        self.discover_on_disk_with(db, workdir, &options)
+        self.discover_on_disk_with(db, workdir, &ExportOptions::default())
     }
 
     /// [`IndFinder::discover_on_disk`] with explicit export options — in
@@ -776,8 +770,7 @@ mod tests {
 
             // The infallible export masks the token instead of panicking.
             let _ambient = cancel::set_ambient(Some(CancelToken::cancel_after(0)));
-            let (profiles, _) =
-                crate::memory_export_with_threads(&db, algorithm.extraction_threads());
+            let (profiles, _) = crate::memory_export(&db);
             assert_eq!(profiles.len(), 4);
             assert!(cancel::check_ambient("test").is_err(), "mask is scoped");
         }

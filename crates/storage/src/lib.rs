@@ -20,6 +20,7 @@ mod stats;
 mod table;
 pub mod tsv;
 mod value;
+mod workers;
 
 pub use database::Database;
 pub use error::{Result, StorageError};
@@ -27,3 +28,4 @@ pub use schema::{ColumnSchema, CompositeForeignKeyDef, ForeignKeyDef, QualifiedN
 pub use stats::{table_stats, ColumnStats};
 pub use table::Table;
 pub use value::{DataType, Value};
+pub use workers::{default_workers, run_workers};

@@ -15,6 +15,7 @@ use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const NULL_TOKEN: &str = "\\N";
 
@@ -123,21 +124,37 @@ pub fn save_database(db: &Database, dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Loads a database previously written by [`save_database`].
+/// One `table` block of `schema.txt`, as parsed: enough to build the
+/// table's schema and find its data file.
+struct TableSpec {
+    name: String,
+    columns: Vec<ColumnSchema>,
+    /// (column, referenced table, referenced column).
+    foreign_keys: Vec<(String, String, String)>,
+    /// (columns, referenced table, referenced columns).
+    composite_foreign_keys: Vec<(Vec<String>, String, Vec<String>)>,
+}
+
+/// Loads a database previously written by [`save_database`], reading the
+/// tables' `.tsv` files on every core ([`crate::default_workers`]).
 pub fn load_database(dir: &Path) -> Result<Database> {
+    load_database_with(dir, crate::default_workers())
+}
+
+/// [`load_database`] on `workers` threads (`0` and `1` both mean the
+/// calling thread alone). The schema is parsed first; the tables are then
+/// independent jobs claimed one at a time off a shared index and
+/// re-assembled in schema order, so the database — and, when several
+/// tables are bad, the error, which is that of the table earliest in
+/// `schema.txt` — is the same at any worker count.
+pub fn load_database_with(dir: &Path, workers: usize) -> Result<Database> {
     let schema_path = dir.join("schema.txt");
     let ctx = schema_path.display().to_string();
     let file = std::fs::File::open(&schema_path)?;
     let reader = BufReader::new(file);
 
-    /// Parsed foreign key line: (column, referenced table, referenced column).
-    type FkLine = (String, String, String);
-    /// Parsed composite foreign key line: (columns, referenced table,
-    /// referenced columns).
-    type CfkLine = (Vec<String>, String, Vec<String>);
     let mut db_name: Option<String> = None;
-    #[allow(clippy::type_complexity)]
-    let mut tables: Vec<(String, Vec<ColumnSchema>, Vec<FkLine>, Vec<CfkLine>)> = Vec::new();
+    let mut tables: Vec<TableSpec> = Vec::new();
 
     for line in reader.lines() {
         let line = line?;
@@ -147,11 +164,14 @@ pub fn load_database(dir: &Path) -> Result<Database> {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields[0] {
             "database" if fields.len() == 2 => db_name = Some(fields[1].to_string()),
-            "table" if fields.len() == 2 => {
-                tables.push((fields[1].to_string(), Vec::new(), Vec::new(), Vec::new()))
-            }
+            "table" if fields.len() == 2 => tables.push(TableSpec {
+                name: fields[1].to_string(),
+                columns: Vec::new(),
+                foreign_keys: Vec::new(),
+                composite_foreign_keys: Vec::new(),
+            }),
             "column" if fields.len() == 5 => {
-                let (_, cols, _, _) = tables.last_mut().ok_or_else(|| StorageError::Parse {
+                let table = tables.last_mut().ok_or_else(|| StorageError::Parse {
                     context: ctx.clone(),
                     detail: "column line before any table line".into(),
                 })?;
@@ -162,21 +182,21 @@ pub fn load_database(dir: &Path) -> Result<Database> {
                 let mut c = ColumnSchema::new(fields[1], dt);
                 c.nullable = fields[3] == "null";
                 c.unique = fields[4] == "unique";
-                cols.push(c);
+                table.columns.push(c);
             }
             "fk" if fields.len() == 4 => {
-                let (_, _, fks, _) = tables.last_mut().ok_or_else(|| StorageError::Parse {
+                let table = tables.last_mut().ok_or_else(|| StorageError::Parse {
                     context: ctx.clone(),
                     detail: "fk line before any table line".into(),
                 })?;
-                fks.push((
+                table.foreign_keys.push((
                     fields[1].to_string(),
                     fields[2].to_string(),
                     fields[3].to_string(),
                 ));
             }
             "cfk" if fields.len() >= 3 => {
-                let (_, _, _, cfks) = tables.last_mut().ok_or_else(|| StorageError::Parse {
+                let table = tables.last_mut().ok_or_else(|| StorageError::Parse {
                     context: ctx.clone(),
                     detail: "cfk line before any table line".into(),
                 })?;
@@ -203,7 +223,7 @@ pub fn load_database(dir: &Path) -> Result<Database> {
                         ),
                     });
                 }
-                cfks.push((
+                table.composite_foreign_keys.push((
                     fields[3..3 + arity].iter().map(|s| s.to_string()).collect(),
                     fields[1].to_string(),
                     fields[3 + arity..].iter().map(|s| s.to_string()).collect(),
@@ -223,56 +243,84 @@ pub fn load_database(dir: &Path) -> Result<Database> {
         detail: "missing database line".into(),
     })?);
 
-    for (name, cols, fks, cfks) in tables {
-        let mut schema = TableSchema::new(&name, cols)?;
-        for (col, rt, rc) in fks {
-            schema.add_foreign_key(col, rt, rc)?;
-        }
-        for (cols, rt, rcs) in cfks {
-            schema.add_composite_foreign_key(cols, rt, rcs)?;
-        }
-        let mut table = Table::new(schema);
-
-        let data_path = dir.join(format!("{name}.tsv"));
-        let data_ctx = data_path.display().to_string();
-        let file = std::fs::File::open(&data_path)?;
-        let mut reader = BufReader::new(file);
-        let mut line = String::new();
-        let mut line_no = 0usize;
+    // Indices are handed out in schema order, so the claimed tables are
+    // always a prefix of the schema. A failure stops further claims; every
+    // earlier table is already with a worker and runs to its own verdict,
+    // which is what makes "the earliest bad table's error" independent of
+    // the worker count.
+    let next = AtomicUsize::new(0);
+    let shares = crate::run_workers(workers.min(tables.len()), |_| {
+        let mut loaded = Vec::new();
         loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = tables.get(index) else {
+                return loaded;
+            };
+            let table = load_table(dir, spec);
+            if table.is_err() {
+                next.store(tables.len(), Ordering::Relaxed);
             }
-            line_no += 1;
-            let trimmed = line.strip_suffix('\n').unwrap_or(&line);
-            let arity = table.schema().arity();
-            let mut row = Vec::with_capacity(arity);
-            for (j, field) in trimmed.split('\t').enumerate() {
-                if j >= arity {
-                    return Err(StorageError::Parse {
-                        context: data_ctx.clone(),
-                        detail: format!("line {line_no}: too many fields"),
-                    });
-                }
-                if field == NULL_TOKEN {
-                    row.push(Value::Null);
-                } else {
-                    let dt = table.schema().columns[j].data_type;
-                    let unescaped = unescape(field, &data_ctx)?;
-                    let v = Value::parse(dt, &unescaped).ok_or_else(|| StorageError::Parse {
-                        context: data_ctx.clone(),
-                        detail: format!("line {line_no}: cannot parse `{unescaped}` as {dt}"),
-                    })?;
-                    row.push(v);
-                }
-            }
-            table.insert(row)?;
+            loaded.push((index, table));
         }
-        db.add_table(table)?;
+    });
+    let mut loaded: Vec<(usize, Result<Table>)> = shares.into_iter().flatten().collect();
+    loaded.sort_unstable_by_key(|(index, _)| *index);
+    for (_, table) in loaded {
+        db.add_table(table?)?;
     }
     db.validate_foreign_keys()?;
     Ok(db)
+}
+
+/// Builds one table's schema from its `schema.txt` block and fills it from
+/// `<dir>/<name>.tsv`.
+fn load_table(dir: &Path, spec: &TableSpec) -> Result<Table> {
+    let mut schema = TableSchema::new(&spec.name, spec.columns.clone())?;
+    for (col, rt, rc) in &spec.foreign_keys {
+        schema.add_foreign_key(col, rt, rc)?;
+    }
+    for (cols, rt, rcs) in &spec.composite_foreign_keys {
+        schema.add_composite_foreign_key(cols, rt, rcs)?;
+    }
+    let mut table = Table::new(schema);
+
+    let data_path = dir.join(format!("{}.tsv", spec.name));
+    let data_ctx = data_path.display().to_string();
+    let file = std::fs::File::open(&data_path)?;
+    let mut reader = BufReader::new(file);
+    let mut line = String::new();
+    let mut line_no = 0usize;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        line_no += 1;
+        let trimmed = line.strip_suffix('\n').unwrap_or(&line);
+        let arity = table.schema().arity();
+        let mut row = Vec::with_capacity(arity);
+        for (j, field) in trimmed.split('\t').enumerate() {
+            if j >= arity {
+                return Err(StorageError::Parse {
+                    context: data_ctx.clone(),
+                    detail: format!("line {line_no}: too many fields"),
+                });
+            }
+            if field == NULL_TOKEN {
+                row.push(Value::Null);
+            } else {
+                let dt = table.schema().columns[j].data_type;
+                let unescaped = unescape(field, &data_ctx)?;
+                let v = Value::parse(dt, &unescaped).ok_or_else(|| StorageError::Parse {
+                    context: data_ctx.clone(),
+                    detail: format!("line {line_no}: cannot parse `{unescaped}` as {dt}"),
+                })?;
+                row.push(v);
+            }
+        }
+        table.insert(row)?;
+    }
+    Ok(table)
 }
 
 #[cfg(test)]

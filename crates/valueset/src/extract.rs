@@ -60,7 +60,7 @@ pub fn extract_memory_set(values: &[Value]) -> MemoryValueSet {
         .set
 }
 
-/// Extracts many columns into memory on `threads` worker threads (column
+/// Extracts many columns into memory on `threads` workers (column
 /// extractions are mutually independent: render, sort, dedup). Output order
 /// matches input order; `threads <= 1` runs on the calling thread. Column
 /// `i` is attribute `i`: its extraction runs under an [`ind_trace::SORT`]
@@ -69,63 +69,37 @@ pub fn extract_memory_set(values: &[Value]) -> MemoryValueSet {
 /// Workers claim columns one at a time off a shared atomic index instead of
 /// fixed chunks, so a few huge columns at one end of a skewed schema cannot
 /// idle the other workers. Each worker owns one builder for all its
-/// columns.
+/// columns, dropped the moment the index runs dry.
 ///
 /// The ambient cancel token ([`crate::cancel::check_ambient`]) is polled
 /// once per column, under phase `export`; workers re-install the token the
-/// caller had.
+/// caller had (thread-local ambient tokens stop at a spawn).
 pub fn extract_memory_columns(columns: &[&[Value]], threads: usize) -> Result<Vec<MemoryColumn>> {
     let span_parent = ind_trace::current_parent();
-    let extract = |builder: &mut MemorySetBuilder, i: usize| -> Result<MemoryColumn> {
-        crate::cancel::check_ambient("export")?;
-        let _span = ind_trace::start_under(ind_trace::SORT, i as u64, span_parent);
-        extract_column(builder, columns[i])
-    };
-    let threads = threads.max(1).min(columns.len());
-    if threads <= 1 {
-        let mut builder = MemorySetBuilder::default();
-        return (0..columns.len())
-            .map(|i| extract(&mut builder, i))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Thread-local ambient tokens stop at a spawn: capture the caller's and
-    // re-install it inside each worker.
     let cancel = crate::cancel::ambient();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, extract) = (&next, &extract);
-                let cancel = cancel.clone();
-                scope.spawn(move |_| -> Result<Vec<(usize, MemoryColumn)>> {
-                    let _ambient = crate::cancel::set_ambient(cancel);
-                    let mut builder = MemorySetBuilder::default();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= columns.len() {
-                            return Ok(done);
-                        }
-                        done.push((i, extract(&mut builder, i)?));
-                    }
-                })
-            })
-            .collect();
-        let mut out: Vec<Option<MemoryColumn>> = vec![None; columns.len()];
-        for handle in handles {
-            // lint: allow(no_unwrap) — re-raising a worker panic on the coordinating thread is the correct escalation
-            for (i, column) in handle.join().expect("extraction worker panicked")? {
-                out[i] = Some(column);
-            }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let workers = threads.min(columns.len());
+    let shares = ind_storage::run_workers(workers, |_| -> Result<Vec<(usize, MemoryColumn)>> {
+        let _ambient = crate::cancel::set_ambient(cancel.clone());
+        let mut builder = MemorySetBuilder::default();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(column) = columns.get(i) else {
+                return Ok(done);
+            };
+            crate::cancel::check_ambient("export")?;
+            let _span = ind_trace::start_under(ind_trace::SORT, i as u64, span_parent);
+            done.push((i, extract_column(&mut builder, column)?));
         }
-        Ok(out
-            .into_iter()
-            // lint: allow(no_unwrap) — the shared atomic index hands each column to exactly one worker, and no worker failed
-            .map(|s| s.expect("every column claimed exactly once"))
-            .collect())
-    })
-    // lint: allow(no_unwrap) — crossbeam scope errs only when a child panicked; propagate the panic
-    .expect("extraction scope panicked")
+    });
+    let mut extracted = Vec::with_capacity(columns.len());
+    for share in shares {
+        extracted.extend(share?);
+    }
+    // The shared index hands every column to exactly one worker.
+    extracted.sort_unstable_by_key(|(i, _)| *i);
+    Ok(extracted.into_iter().map(|(_, column)| column).collect())
 }
 
 /// Renders row `row`'s components into `rendered` (cleared first),

@@ -102,8 +102,10 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
 /// a column larger than this always commits alone and a long export keeps
 /// per-file progress …
 pub const BATCH_MAX_BYTES: u64 = 8 << 20;
-/// … or this many files, so an export never holds more than
-/// `BATCH_MAX_FILES × threads` descriptors on staged files.
+/// … or this many files. Concurrent export workers split this cap between
+/// them ([`StagedBatch::for_worker`]), so an export holds at most
+/// `BATCH_MAX_FILES` descriptors on staged files at any worker count up to
+/// this one (one per worker beyond it).
 pub const BATCH_MAX_FILES: usize = 64;
 
 /// A finished value file still under its `.tmp` name
@@ -135,14 +137,12 @@ impl StagedFile {
 pub struct StagedBatch<T> {
     staged: Vec<(StagedFile, T)>,
     bytes: u64,
+    max_files: usize,
 }
 
 impl<T> Default for StagedBatch<T> {
     fn default() -> Self {
-        StagedBatch {
-            staged: Vec::new(),
-            bytes: 0,
-        }
+        Self::for_worker(1)
     }
 }
 
@@ -150,6 +150,18 @@ impl<T> StagedBatch<T> {
     /// An empty batch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty batch for one of `workers` concurrent stagers of the same
+    /// export: its file cap is this worker's share of [`BATCH_MAX_FILES`],
+    /// so the staged files of all workers together — and with them the
+    /// commit cadence per exported file — stay what one worker's are.
+    pub fn for_worker(workers: usize) -> Self {
+        StagedBatch {
+            staged: Vec::new(),
+            bytes: 0,
+            max_files: (BATCH_MAX_FILES / workers.max(1)).max(1),
+        }
     }
 
     /// Adds one staged file and its payload.
@@ -168,10 +180,10 @@ impl<T> StagedBatch<T> {
         self.staged.is_empty()
     }
 
-    /// True once the batch has reached [`BATCH_MAX_BYTES`] or
+    /// True once the batch has reached [`BATCH_MAX_BYTES`] or its share of
     /// [`BATCH_MAX_FILES`] and must be published before staging more.
     pub fn is_full(&self) -> bool {
-        self.bytes >= BATCH_MAX_BYTES || self.staged.len() >= BATCH_MAX_FILES
+        self.bytes >= BATCH_MAX_BYTES || self.staged.len() >= self.max_files
     }
 
     /// The group commit, emptying the batch: fsync every staged file,
@@ -1729,6 +1741,14 @@ mod tests {
             batch.is_empty() && !batch.is_full(),
             "publishing empties it"
         );
+
+        // Concurrent workers split the file cap, so together they stage
+        // what one worker would (one file each once there are more
+        // workers than files in a batch).
+        for workers in 1..=2 * BATCH_MAX_FILES {
+            let cap = StagedBatch::<()>::for_worker(workers).max_files;
+            assert!(cap >= 1 && workers * cap <= BATCH_MAX_FILES.max(workers));
+        }
 
         // One column past the byte cap is a batch of one.
         let big = vec![vec![b'v'; BATCH_MAX_BYTES as usize]];

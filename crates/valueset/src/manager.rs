@@ -48,9 +48,14 @@ pub struct ExportOptions {
     /// file this export writes (spill runs included) and every cursor the
     /// resulting [`ExportedDatabase`] opens over them.
     pub sort: SortOptions,
-    /// Worker threads for the per-attribute extract/sort/write pipeline
-    /// (attribute extractions are independent). `0` and `1` both mean
-    /// sequential.
+    /// Workers for the per-attribute extract/sort/write pipeline (attribute
+    /// extractions are independent), whatever algorithm merges the files
+    /// afterwards. Defaults to every core
+    /// ([`ind_storage::default_workers`]); `0` and `1` both mean the calling
+    /// thread alone. Value files, manifest and metadata are byte-identical
+    /// at any count. A fault plan that counts operations
+    /// (`write:*:crash=400`) means a fixed point of the export only at one
+    /// worker.
     pub threads: usize,
     /// Quarantine-and-continue: when an attribute's extraction fails
     /// (unreadable column, `ENOSPC` on its value file, …), record the
@@ -67,7 +72,7 @@ impl Default for ExportOptions {
     fn default() -> Self {
         ExportOptions {
             sort: SortOptions::default(),
-            threads: 1,
+            threads: ind_storage::default_workers(),
             keep_going: false,
             resume: ResumeMode::Off,
         }
@@ -75,7 +80,7 @@ impl Default for ExportOptions {
 }
 
 impl ExportOptions {
-    /// Default options with `threads` extraction workers.
+    /// Default options with exactly `threads` extraction workers.
     pub fn with_threads(threads: usize) -> Self {
         ExportOptions {
             threads,
@@ -514,10 +519,17 @@ impl ExportedDatabase {
         // export (after the first attribute the arena and index are warm,
         // so every further column sorts with zero sorter allocations) and
         // ONE batch of staged files, which never outlives the call.
+        let workers = options.threads.clamp(1, jobs.len().max(1));
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let worker = |spill: &Path| -> Result<WorkerYield> {
-            let mut sorter = ExternalSorter::new(spill, sort.clone())?;
-            let mut batch = StagedBatch::new();
+        let worker = |w: usize| -> Result<WorkerYield> {
+            // One spill subdirectory per concurrent worker: sorter spill
+            // runs are named by ordinal and would collide.
+            let spill = match workers {
+                1 => spill_dir.clone(),
+                _ => spill_dir.join(format!("worker-{w:02}")),
+            };
+            let mut sorter = ExternalSorter::new(&spill, sort.clone())?;
+            let mut batch = StagedBatch::for_worker(workers);
             let mut out: WorkerYield = (Vec::new(), Vec::new());
             let outcome = loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -547,6 +559,9 @@ impl ExportedDatabase {
                     Err(e) => break Err(e),
                 }
             };
+            // The arena has sorted its last column; the commit below only
+            // waits on fsyncs, while another worker's arena may still grow.
+            drop(sorter);
             // Every way out of the loop — work list drained, strict-mode
             // error, cancellation — commits the staged siblings first, so
             // an interrupted run loses nothing it finished. The original
@@ -557,39 +572,13 @@ impl ExportedDatabase {
             Ok(out)
         };
 
-        let threads = options.threads.max(1).min(jobs.len().max(1));
         let mut failed: Vec<FailedAttribute> = Vec::new();
-        if threads <= 1 {
-            let (done, lost) = worker(&spill_dir)?;
+        for share in ind_storage::run_workers(workers, worker) {
+            let (done, lost) = share?;
             attributes.extend(done);
-            failed = lost;
-        } else {
-            // One spill subdirectory per worker: sorter spill runs are
-            // named by ordinal and would collide across concurrent
-            // extractions.
-            let results: Vec<Result<WorkerYield>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let spill = spill_dir.join(format!("worker-{w:02}"));
-                        let worker = &worker;
-                        scope.spawn(move |_| worker(&spill))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(no_unwrap) — re-raising a worker panic on the coordinating thread is the correct escalation
-                    .map(|h| h.join().expect("export worker panicked"))
-                    .collect()
-            })
-            // lint: allow(no_unwrap) — crossbeam scope errs only when a child panicked; propagate the panic
-            .expect("export scope panicked");
-            for r in results {
-                let (done, lost) = r?;
-                attributes.extend(done);
-                failed.extend(lost);
-            }
-            failed.sort_by_key(|f| f.id);
+            failed.extend(lost);
         }
+        failed.sort_by_key(|f| f.id);
         // Reused and freshly exported attributes interleave in arbitrary
         // order; dense-by-id is the contract either way.
         attributes.sort_by_key(|a| a.id);
@@ -1001,7 +990,8 @@ mod tests {
     fn parallel_export_matches_sequential_byte_for_byte() {
         let db = sample_db();
         let seq_dir = TempDir::new("export-seq");
-        let seq = ExportedDatabase::export(&db, seq_dir.path(), &ExportOptions::default()).unwrap();
+        let seq =
+            ExportedDatabase::export(&db, seq_dir.path(), &ExportOptions::with_threads(1)).unwrap();
         for threads in [2usize, 3, 8] {
             let par_dir = TempDir::new("export-par");
             let par = ExportedDatabase::export(
@@ -1221,6 +1211,36 @@ mod tests {
     }
 
     #[test]
+    fn staged_descriptors_are_bounded_by_the_batch_not_by_the_worker_count() {
+        // 600 attributes over 32 workers, every staged file's fsync failing:
+        // each worker's first commit fails the (strict) export for it and
+        // leaves exactly the files it was holding as `.tmp` orphans, so the
+        // orphans count the descriptors all workers hold at their fullest.
+        let mut db = Database::new("many-attributes");
+        for t in 0..20 {
+            let columns = (0..30)
+                .map(|c| ColumnSchema::new(format!("c{c}"), DataType::Integer))
+                .collect();
+            let mut table = Table::new(TableSchema::new(format!("t{t}"), columns).unwrap());
+            table.insert((0..30i64).map(Value::from).collect()).unwrap();
+            db.add_table(table).unwrap();
+        }
+        let dir = TempDir::new("export-descriptors");
+        let err = ExportedDatabase::export(&db, dir.path(), &faulted("fsync:attr-:fail@600", 32))
+            .unwrap_err();
+        assert!(err.to_string().contains("injected fsync"), "{err}");
+        let orphans = std::fs::read_dir(dir.path())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".indv.tmp"))
+            .count();
+        assert!(
+            (1..=crate::BATCH_MAX_FILES).contains(&orphans),
+            "{orphans} staged files held at once"
+        );
+    }
+
+    #[test]
     fn batch_commit_writes_the_bytes_per_file_publication_wrote() {
         // Publication changes names, never bytes: every value file equals
         // what the plain writer produces from the column's sorted distinct
@@ -1249,14 +1269,16 @@ mod tests {
         let manifest = std::fs::read(dir.join(crate::MANIFEST_NAME)).unwrap();
         assert_eq!(manifest, expected.to_json().as_bytes());
 
-        // Pinned from the per-attribute publisher this replaced (commit
-        // f992d7f): CRC-32C of each artifact of this very export.
+        // CRC-32C of each artifact of this very export. The value files
+        // are pinned from the per-attribute publisher the group commit
+        // replaced (commit f992d7f); the manifest was re-pinned when
+        // manifest version 2 changed the `source_hash` function.
         let pins: [(&str, u32); 5] = [
             ("attr-00000.indv", 0xa953_9fcb),
             ("attr-00001.indv", 0x4fc6_9237),
             ("attr-00002.indv", 0x340e_eacd),
             ("attr-00003.indv", 0x52bb_f17e),
-            (crate::MANIFEST_NAME, 0xd05e_5955),
+            (crate::MANIFEST_NAME, 0xb08c_4bc2),
         ];
         for (file, crc) in pins {
             let bytes = std::fs::read(dir.join(file)).unwrap();
@@ -1472,8 +1494,10 @@ mod tests {
     fn cancelled_export_is_resumable_and_never_quarantined() {
         let dir = TempDir::new("cancel-resume");
         let db = sample_db();
+        // A poll budget is an ordinal: it names a fixed point of the export
+        // only at one worker.
         let options =
-            ExportOptions::default().with_cancel(crate::cancel::CancelToken::cancel_after(5));
+            ExportOptions::with_threads(1).with_cancel(crate::cancel::CancelToken::cancel_after(5));
         let err = ExportedDatabase::export(&db, dir.path(), &options).unwrap_err();
         assert!(
             matches!(err, crate::error::ValueSetError::Cancelled { .. }),
@@ -1485,7 +1509,7 @@ mod tests {
 
         // keep-going treats cancellation as a stop, not a data fault: no
         // quarantine, the error still surfaces.
-        let options = ExportOptions::default()
+        let options = ExportOptions::with_threads(1)
             .keep_going(true)
             .with_cancel(crate::cancel::CancelToken::cancel_after(5));
         let err = ExportedDatabase::export(&db, dir.path(), &options).unwrap_err();

@@ -26,8 +26,10 @@ use std::sync::Arc;
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
 /// Manifest schema version (bump on incompatible layout changes; readers
-/// reject other versions, which simply disables reuse).
-const MANIFEST_VERSION: u64 = 1;
+/// reject other versions, which simply disables reuse). Version 2 changed
+/// what `source_hash` is computed with ([`ColumnHasher`]): a version 1
+/// manifest would mismatch entry by entry, so it is refused whole.
+const MANIFEST_VERSION: u64 = 2;
 
 /// One exported attribute's durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,9 +60,9 @@ pub struct ManifestEntry {
     pub records: u64,
     /// On-disk format version of the value file.
     pub format_version: u32,
-    /// FNV-1a hash of the source column's canonical bytes (nulls
-    /// included as markers), so stale files are detected when the input
-    /// data changes between runs.
+    /// Content hash of the source column's canonical bytes, nulls
+    /// included as markers ([`hash_column`]), so stale files are detected
+    /// when the input data changes between runs.
     pub source_hash: u64,
 }
 
@@ -70,38 +72,50 @@ pub struct Manifest {
     entries: Vec<ManifestEntry>,
 }
 
-/// Content hash of one source column (64-bit FNV-1a, the workspace's
-/// no-dependency hash): every cell in row order, nulls as a marker byte,
-/// non-nulls as their length-prefixed canonical rendering (the exact bytes
-/// the export writes; the length prefix keeps concatenation ambiguity
-/// out). Deterministic across runs and thread counts by construction. The
-/// export feeds it from the pass that already renders each cell into the
-/// sorter; [`hash_column`] is the same hash computed standalone, for the
-/// resume-side staleness check.
+/// Content hash of one source column, 64 bits, eight input bytes per
+/// multiply: every cell in row order as a stream of little-endian words —
+/// a NULL is the one word no length can equal, a non-NULL its byte length
+/// followed by its canonical rendering (the exact bytes the export writes)
+/// in 8-byte chunks, the last zero-padded. The length word says how many
+/// body words follow, which keeps concatenation and padding ambiguity out.
+/// Each word is folded in by a 64×64→128-bit multiply whose halves are
+/// xored together, so every input bit reaches both ends of the state (a
+/// plain wrapping multiply only ever carries upward). Deterministic across
+/// runs and thread counts by construction. The export feeds it from the
+/// pass that already renders each cell into the sorter; [`hash_column`] is
+/// the same hash computed standalone, for the resume-side staleness check.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnHasher(u64);
 
 impl ColumnHasher {
+    const NULL_WORD: u64 = u64::MAX;
+
     pub(crate) fn new() -> Self {
         ColumnHasher(0xcbf2_9ce4_8422_2325)
     }
 
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    fn word(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 
     /// One NULL cell.
     pub(crate) fn null(&mut self) {
-        self.update(&[0xFF]);
+        self.word(Self::NULL_WORD);
     }
 
     /// One non-NULL cell, given its canonical rendering.
     pub(crate) fn value(&mut self, rendered: &[u8]) {
-        self.update(&(rendered.len() as u64).to_le_bytes());
-        self.update(rendered);
+        self.word(rendered.len() as u64);
+        let (words, tail) = rendered.as_chunks::<8>();
+        for word in words {
+            self.word(u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
     }
 
     pub(crate) fn finish(&self) -> u64 {
@@ -407,9 +421,13 @@ mod tests {
         assert!(Manifest::from_json("{}").is_none());
         assert!(Manifest::from_json("{\"manifest_version\": 999, \"entries\": []}").is_none());
         assert!(
-            Manifest::from_json("{\"manifest_version\": 1, \"entries\": [{\"file\": 3}]}")
+            Manifest::from_json("{\"manifest_version\": 2, \"entries\": [{\"file\": 3}]}")
                 .is_none()
         );
+        // A version 1 manifest recorded FNV-1a source hashes: refused whole
+        // instead of mismatching entry by entry.
+        assert!(Manifest::from_json("{\"manifest_version\": 1, \"entries\": []}").is_none());
+        assert!(Manifest::from_json("{\"manifest_version\": 2, \"entries\": []}").is_some());
         assert!(Manifest::load(Path::new("/nonexistent")).is_none());
     }
 
@@ -461,6 +479,44 @@ mod tests {
             hash_column(&[Value::Null]),
             hash_column(&[] as &[Value]),
             "nulls are part of the content"
+        );
+    }
+
+    #[test]
+    fn column_hasher_word_stream_is_unambiguous() {
+        let hash = |cells: &[Option<&[u8]>]| {
+            let mut h = ColumnHasher::new();
+            for cell in cells {
+                match cell {
+                    Some(bytes) => h.value(bytes),
+                    None => h.null(),
+                }
+            }
+            h.finish()
+        };
+        // Zero padding of the tail never aliases real zero bytes, on either
+        // side of a word boundary.
+        assert_ne!(hash(&[Some(b"ab")]), hash(&[Some(b"ab\0")]));
+        assert_ne!(hash(&[Some(b"12345678")]), hash(&[Some(b"12345678\0")]));
+        assert_ne!(hash(&[Some(b"")]), hash(&[Some(b"\0")]));
+        // A NULL is not a value of all-ones bytes, nor an empty value.
+        assert_ne!(hash(&[None]), hash(&[Some(&[0xFF; 8])]));
+        assert_ne!(hash(&[None]), hash(&[Some(b"")]));
+        // Cell borders inside and across 8-byte words.
+        assert_ne!(
+            hash(&[Some(b"12345678"), Some(b"9")]),
+            hash(&[Some(b"123456789")])
+        );
+        // The top bit of a word — all a wrapping multiply would keep of
+        // it — must not cancel against the same bit one word later.
+        let mut flipped = *b"aaaaaaaabbbbbbbb";
+        flipped[7] ^= 0x80;
+        flipped[15] ^= 0x80;
+        assert_ne!(hash(&[Some(b"aaaaaaaabbbbbbbb")]), hash(&[Some(&flipped)]));
+        // Order matters.
+        assert_ne!(
+            hash(&[Some(b"x"), Some(b"y")]),
+            hash(&[Some(b"y"), Some(b"x")])
         );
     }
 }

@@ -115,8 +115,10 @@ fn print_usage() {
          \x20                     [--prefetch] [--direct-io]\n\
          \x20                     [--workdir DIR] [--max-arity N]\n\
          \x20                     [--resume [verify]] [--deadline DUR]\n\
-         \x20     Discover all satisfied INDs. `--threads` sets the worker\n\
-         \x20     count of the parallel algorithms (bfpar, spiderpar).\n\
+         \x20     Discover all satisfied INDs. `--threads` sets the workers\n\
+         \x20     that load the tables and extract the value sets, on every\n\
+         \x20     algorithm (default: all cores); for bfpar and spiderpar it\n\
+         \x20     is also the number of merge partitions.\n\
          \x20     `--on-disk` runs the paper's actual pipeline over sorted\n\
          \x20     value files (exported under `--workdir`, default a fresh\n\
          \x20     temp dir) read through `--block-size`-byte I/O blocks;\n\
@@ -295,15 +297,22 @@ fn flag_str_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>,
     }
 }
 
+/// `--threads N`: the workers that load tables and extract value sets on
+/// every algorithm, and the merge partitions of `bfpar`/`spiderpar`. Every
+/// core when absent.
+fn workers_from_args(args: &[String]) -> Result<usize, String> {
+    Ok(flag_value(args, "--threads")?
+        .map_or_else(spider_ind::storage::default_workers, |n| n.max(1) as usize))
+}
+
 /// Builds the disk-pipeline [`ExportOptions`] from the shared flags:
-/// `--block-size` / `--memory-budget` (human-readable sizes), the
-/// overlapped-I/O toggles `--prefetch` / `--direct-io`, the robustness
+/// `--threads`, `--block-size` / `--memory-budget` (human-readable sizes),
+/// the overlapped-I/O toggles `--prefetch` / `--direct-io`, the robustness
 /// mode `--keep-going`, and the test-only `--fault-plan` injector.
 fn export_options_from_args(
     args: &[String],
-    threads: usize,
 ) -> Result<spider_ind::valueset::ExportOptions, String> {
-    let mut options = spider_ind::valueset::ExportOptions::with_threads(threads);
+    let mut options = spider_ind::valueset::ExportOptions::with_threads(workers_from_args(args)?);
     if let Some(block_size) = flag_size_value(args, "--block-size")? {
         options.sort.io = spider_ind::valueset::IoOptions::with_block_size(block_size as usize);
     }
@@ -574,7 +583,11 @@ fn run_report_json(
 }
 
 fn load(dir: &str) -> Result<Database, String> {
-    tsv::load_database(Path::new(dir)).map_err(|e| format!("loading {dir}: {e}"))
+    load_with(dir, spider_ind::storage::default_workers())
+}
+
+fn load_with(dir: &str, workers: usize) -> Result<Database, String> {
+    tsv::load_database_with(Path::new(dir), workers).map_err(|e| format!("loading {dir}: {e}"))
 }
 
 fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
@@ -667,7 +680,7 @@ fn parse_algorithm(args: &[String]) -> Result<Algorithm, String> {
         .and_then(|i| args.get(i + 1))
         .map_or("spider", String::as_str);
     let max_files = flag_value(args, "--max-files")?.unwrap_or(512) as usize;
-    let threads = flag_value(args, "--threads")?.unwrap_or(4).max(1) as usize;
+    let threads = workers_from_args(args)?;
     match name {
         "bf" => Ok(Algorithm::BruteForce),
         "bfpar" => Ok(Algorithm::BruteForceParallel { threads }),
@@ -702,7 +715,8 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
     }
     let cancel = cancel_token_from_args(args)?;
     let _ambient = spider_ind::valueset::cancel::set_ambient(Some(cancel.clone()));
-    let db = load(dir)?;
+    let workers = workers_from_args(args)?;
+    let db = load_with(dir, workers)?;
     if let Some(max_arity) = flag_value(args, "--max-arity")? {
         if max_arity >= 2 {
             return cmd_discover_nary(&db, args, max_arity as usize, &cancel, resume);
@@ -719,7 +733,7 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
         discover_on_disk(&finder, &db, args, &cancel, resume)
     } else {
         finder
-            .discover_in_memory(&db)
+            .discover_in_memory_with(&db, workers)
             .map_err(|e| format!("discovery failed: {e}"))
     };
     let trace = session.finish();
@@ -788,7 +802,7 @@ fn cmd_discover_nary(
     let tracing = TraceArgs::from_args(args)?;
     let session = tracing.begin();
     let result = if args.iter().any(|a| a == "--on-disk") {
-        let options = export_options_from_args(args, 1)?
+        let options = export_options_from_args(args)?
             .with_cancel(cancel.clone())
             .resume(resume);
         let (workdir, temp) = resolve_workdir(args)?;
@@ -955,7 +969,7 @@ fn discover_on_disk(
     cancel: &spider_ind::valueset::CancelToken,
     resume: spider_ind::valueset::ResumeMode,
 ) -> Result<spider_ind::core::Discovery, String> {
-    let options = export_options_from_args(args, finder.config.algorithm.extraction_threads())?
+    let options = export_options_from_args(args)?
         .with_cancel(cancel.clone())
         .resume(resume);
     let (workdir, temp) = resolve_workdir(args)?;
@@ -1094,17 +1108,17 @@ mod tests {
             "--fault-plan",
             "read:attr-00001:flip=40,write:*:eintr@3",
         ]);
-        let options = export_options_from_args(&a, 1).unwrap();
+        let options = export_options_from_args(&a).unwrap();
         assert!(options.keep_going);
         assert!(options.sort.io.fault.is_some());
-        let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"]), 1).unwrap();
+        let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"])).unwrap();
         assert!(!plain.keep_going);
         assert!(plain.sort.io.fault.is_none());
         let bad = args(&["discover", "x", "--on-disk", "--fault-plan", "nonsense"]);
-        let err = export_options_from_args(&bad, 1).unwrap_err();
+        let err = export_options_from_args(&bad).unwrap_err();
         assert!(err.contains("--fault-plan"), "{err}");
         let dangling = args(&["discover", "x", "--on-disk", "--fault-plan", "--prefetch"]);
-        let err = export_options_from_args(&dangling, 1).unwrap_err();
+        let err = export_options_from_args(&dangling).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
 
@@ -1205,14 +1219,21 @@ mod tests {
             "64K",
             "--memory-budget",
             "1MiB",
+            "--threads",
+            "3",
         ]);
-        let options = export_options_from_args(&a, 3).unwrap();
+        let options = export_options_from_args(&a).unwrap();
         assert_eq!(options.threads, 3);
         assert_eq!(options.sort.io.effective_block_size(), 64 * 1024);
         assert_eq!(options.sort.memory_budget_bytes, 1024 * 1024);
         assert!(options.sort.io.prefetch);
         assert!(options.sort.io.direct_io);
-        let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"]), 1).unwrap();
+        let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"])).unwrap();
+        assert_eq!(
+            plain.threads,
+            spider_ind::storage::default_workers(),
+            "no --threads: every core, on every algorithm"
+        );
         assert!(!plain.sort.io.prefetch);
         assert!(!plain.sort.io.direct_io);
     }

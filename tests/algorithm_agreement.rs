@@ -287,6 +287,111 @@ fn memory_export_profiles_and_sets_equal_the_scan_and_the_disk_export() {
 }
 
 #[test]
+fn the_default_path_is_invariant_under_the_worker_count() {
+    // Extraction fans out over every core by default, whatever the merge
+    // algorithm. Nothing a run reports or leaves on disk may depend on how
+    // many workers that is: the one-worker run is the reference for the
+    // defaults (whatever this host's core count) and for a count well past
+    // any column-per-worker balance.
+    use spider_ind::core::Discovery;
+    let merge_facts = |d: &Discovery| {
+        (
+            d.metrics.items_read,
+            d.metrics.comparisons,
+            d.metrics.key_compares,
+            d.metrics.memcmp_compares,
+        )
+    };
+    // Every file of a workdir by name: the value files, MANIFEST.json, and
+    // nothing else (no spill directory, no staged leftover).
+    let workdir_files = |dir: &std::path::Path| -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .expect("workdir")
+            .map(|entry| {
+                let path = entry.expect("entry").path();
+                let name = path
+                    .file_name()
+                    .expect("name")
+                    .to_string_lossy()
+                    .into_owned();
+                (name, std::fs::read(&path).expect("a regular file"))
+            })
+            .collect()
+    };
+    let finder = IndFinder::with_algorithm(Algorithm::Spider);
+    for db in [
+        generate_pdb(&OpenMmsConfig::tiny()),
+        generate_uniprot(&BiosqlConfig::tiny()),
+    ] {
+        let name = db.name();
+        let reference = finder.discover_in_memory_with(&db, 1).expect("one worker");
+        assert!(reference.ind_count() > 0, "{name}");
+        for (label, run) in [
+            ("default", finder.discover_in_memory(&db)),
+            ("7 workers", finder.discover_in_memory_with(&db, 7)),
+        ] {
+            let run = run.expect("memory run");
+            assert_eq!(
+                run.satisfied, reference.satisfied,
+                "{name}, memory, {label}"
+            );
+            assert_eq!(run.profiles, reference.profiles, "{name}, memory, {label}");
+            assert_eq!(
+                merge_facts(&run),
+                merge_facts(&reference),
+                "{name}, memory, {label}"
+            );
+        }
+
+        let reference_dir = TempDir::new("agreement-workers-ref");
+        let disk_reference = finder
+            .discover_on_disk_with(&db, reference_dir.path(), &ExportOptions::with_threads(1))
+            .expect("one worker on disk");
+        assert_eq!(disk_reference.satisfied, reference.satisfied, "{name}");
+        assert_eq!(disk_reference.profiles, reference.profiles, "{name}");
+        let reference_files = workdir_files(reference_dir.path());
+        assert_eq!(
+            reference_files.len(),
+            reference.profiles.len() + 1,
+            "{name}: one value file per attribute plus the manifest"
+        );
+        type DiskRun<'a> = &'a dyn Fn(&std::path::Path) -> spider_ind::valueset::Result<Discovery>;
+        let runs: [(&str, DiskRun<'_>); 3] = [
+            ("discover_on_disk", &|dir| finder.discover_on_disk(&db, dir)),
+            ("default options", &|dir| {
+                finder.discover_on_disk_with(&db, dir, &ExportOptions::default())
+            }),
+            ("7 workers", &|dir| {
+                finder.discover_on_disk_with(&db, dir, &ExportOptions::with_threads(7))
+            }),
+        ];
+        for (label, run) in runs {
+            let dir = TempDir::new("agreement-workers");
+            let disk = run(dir.path()).expect("disk run");
+            assert_eq!(disk.satisfied, disk_reference.satisfied, "{name}, {label}");
+            assert_eq!(disk.profiles, disk_reference.profiles, "{name}, {label}");
+            assert_eq!(
+                merge_facts(&disk),
+                merge_facts(&disk_reference),
+                "{name}, {label}"
+            );
+            let files = workdir_files(dir.path());
+            assert_eq!(
+                files.keys().collect::<Vec<_>>(),
+                reference_files.keys().collect::<Vec<_>>(),
+                "{name}, {label}"
+            );
+            for (file, bytes) in &files {
+                assert!(
+                    bytes == &reference_files[file],
+                    "{name}, {label}: {file} differs from the one-worker export"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn satisfied_inds_are_sorted_and_unique() {
     let db = generate_scop(&ScopConfig::tiny());
     let d = IndFinder::with_algorithm(Algorithm::SinglePass)

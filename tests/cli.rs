@@ -564,7 +564,8 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
 
     // First run dies mid-export on an injected torn write: dirty exit. A
     // batch costs two writes and a rename per file plus the manifest's
-    // write and rename, so ordinal 400 falls after the second commit.
+    // write and rename, so ordinal 400 falls after the second commit — at
+    // one worker; an ordinal names no fixed point of a concurrent export.
     let workdir = dir.join("work");
     let work_path = workdir.to_str().expect("utf8");
     let crashed = spider_ind(&[
@@ -575,6 +576,8 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
         "--on-disk",
         "--workdir",
         work_path,
+        "--threads",
+        "1",
         "--fault-plan",
         "write:*:crash=400",
     ]);

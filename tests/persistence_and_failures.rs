@@ -7,8 +7,11 @@ use spider_ind::core::{
     generate_candidates, profiles_from_export, run_blockwise, run_brute_force, run_single_pass,
     Algorithm, BlockwiseConfig, IndFinder, PretestConfig, RunMetrics,
 };
-use spider_ind::datagen::{generate_scop, generate_uniprot, BiosqlConfig, ScopConfig};
-use spider_ind::storage::tsv::{load_database, save_database};
+use spider_ind::datagen::{
+    generate_pdb, generate_scop, generate_uniprot, BiosqlConfig, OpenMmsConfig, ScopConfig,
+};
+use spider_ind::storage::tsv::{load_database, load_database_with, save_database};
+use spider_ind::storage::StorageError;
 use spider_ind::valueset::{ExportOptions, ExportedDatabase, FileBudget, ValueSetError};
 
 #[test]
@@ -32,6 +35,95 @@ fn generated_databases_survive_tsv_round_trips() {
                 assert_eq!(lt.row(i), t.row(i), "{} row {i}", t.name());
             }
         }
+    }
+}
+
+#[test]
+fn parallel_load_returns_the_saved_database_at_any_worker_count() {
+    let dir = TempDir::new("tsv-parallel");
+    for db in [
+        generate_pdb(&OpenMmsConfig::tiny()),
+        generate_uniprot(&BiosqlConfig::tiny()),
+    ] {
+        let path = dir.join(db.name());
+        save_database(&db, &path).expect("save");
+        let loads = [1usize, 2, 3, 64]
+            .map(|workers| load_database_with(&path, workers).expect("load"))
+            .into_iter()
+            .chain([load_database(&path).expect("default load")]);
+        for loaded in loads {
+            assert_eq!(loaded.name(), db.name());
+            assert_eq!(loaded.table_count(), db.table_count());
+            for (lt, t) in loaded.tables().iter().zip(db.tables()) {
+                assert_eq!(lt.schema(), t.schema(), "table order and schema");
+                for ((_, _, loaded_col), (_, cs, col)) in lt.iter_columns().zip(t.iter_columns()) {
+                    assert_eq!(loaded_col, col, "{}.{}", t.name(), cs.name);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn parallel_load_reports_the_earliest_bad_table_with_its_own_error() {
+    let dir = TempDir::new("tsv-parallel-errors");
+    let db = generate_uniprot(&BiosqlConfig::tiny());
+    let tables: Vec<&str> = db.tables().iter().map(|t| t.name()).collect();
+    assert!(tables.len() >= 6, "fixture needs a handful of tables");
+    let bad_line = "\u{1}\tnot\ta\trow\tof\tthis\ttable\tat\tall\t-\t-\t-\t-\t-\t-\t-\t-\n";
+    let file = |i: usize| dir.join(&format!("{}.tsv", tables[i]));
+    let reload = |workers: usize| load_database_with(dir.path(), workers);
+
+    for workers in [1usize, 2, 8] {
+        // Two corrupt files: whichever worker trips first, the error is the
+        // one of the table earlier in schema.txt.
+        save_database(&db, dir.path()).expect("save");
+        let (early, late) = (1, tables.len() - 2);
+        for i in [late, early] {
+            std::fs::write(file(i), bad_line).expect("corrupt");
+        }
+        match reload(workers) {
+            Err(StorageError::Parse { context, detail }) => {
+                assert!(
+                    context.ends_with(&format!("{}.tsv", tables[early])),
+                    "workers={workers}: {context}"
+                );
+                assert!(detail.contains("line 1"), "{detail}");
+            }
+            other => panic!("workers={workers}: expected a parse error, got {other:?}"),
+        }
+
+        // A missing file behind a bad value: still the earlier table's I/O
+        // error, not the later table's parse error.
+        save_database(&db, dir.path()).expect("save");
+        std::fs::remove_file(file(early)).expect("remove");
+        std::fs::write(file(late), bad_line).expect("corrupt");
+        assert!(
+            matches!(reload(workers), Err(StorageError::Io(_))),
+            "workers={workers}"
+        );
+    }
+
+    // NULL in a NOT NULL column keeps its own variant through the pool.
+    save_database(&db, dir.path()).expect("save");
+    let (victim, arity) = db
+        .tables()
+        .iter()
+        .find_map(|t| {
+            let strict = !t.schema().columns[0].nullable && !t.is_empty();
+            strict.then(|| (t.name(), t.schema().arity()))
+        })
+        .expect("a populated table whose first column is NOT NULL");
+    let nulls = vec!["\\N"; arity].join("\t") + "\n";
+    std::fs::write(dir.join(&format!("{victim}.tsv")), nulls).expect("write");
+    for workers in [1usize, 4] {
+        assert!(
+            matches!(
+                reload(workers),
+                Err(StorageError::NullViolation { ref table, .. }) if table == victim
+            ),
+            "workers={workers}"
+        );
     }
 }
 
