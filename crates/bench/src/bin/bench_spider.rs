@@ -1010,12 +1010,16 @@ fn bench_export(
     memory_budget: usize,
 ) -> Result<ExportResult, String> {
     let dir = TempDir::new(&format!("bench-spider-export-{name}"));
-    let mut columns: Vec<&[ind_storage::Value]> = Vec::new();
-    for table in db.tables() {
-        for (_, _, col_data) in table.iter_columns() {
-            columns.push(col_data);
-        }
-    }
+    // The arena pass reads the stored cells like the export manager; the
+    // frozen legacy shape renders typed values, so it gets the `Value` view.
+    let tables = db.tables().iter();
+    let cells: Vec<&ind_storage::Column> = tables
+        .clone()
+        .flat_map(|t| t.iter_cells().map(|(_, _, column)| column))
+        .collect();
+    let columns: Vec<&[ind_storage::Value]> = tables
+        .flat_map(|t| t.iter_columns().map(|(_, _, column)| column))
+        .collect();
 
     // Output paths are preformatted outside the measured region, exactly
     // like the export manager's job list.
@@ -1036,7 +1040,7 @@ fn bench_export(
                     .map_err(|e| e.to_string())?;
             let mut stats = Vec::with_capacity(columns.len());
             let mut batch = StagedBatch::new();
-            for (column, path) in columns.iter().zip(paths) {
+            for (column, path) in cells.iter().zip(paths) {
                 let (stat, staged) =
                     extract_with_sorter(column, path, &mut sorter).map_err(|e| e.to_string())?;
                 stats.push(stat);

@@ -209,7 +209,7 @@ mod tests {
             )
             .unwrap();
             let arena = extract_to_file(
-                &values,
+                &ind_storage::Column::from_values(&values),
                 &arena_path,
                 &dir.join("arena-spill"),
                 SortOptions::with_memory_budget(budget),

@@ -1,7 +1,7 @@
 //! Attribute profiles: the per-attribute metadata that candidate
 //! generation and the pretests consume.
 
-use ind_storage::{table_stats, DataType, Database, QualifiedName, Value};
+use ind_storage::{table_stats, Column, DataType, Database, QualifiedName};
 use ind_valueset::{ExportedDatabase, MemoryProvider, Result};
 
 /// Profile of one attribute (column), identified by a dense id that doubles
@@ -99,26 +99,23 @@ pub fn memory_export(db: &Database) -> (Vec<AttributeProfile>, MemoryProvider) {
 ///
 /// This form cannot be interrupted: the ambient cancel token is masked for
 /// the call (the pipeline's own entry points use the cancellable
-/// `try_memory_export`).
-///
-/// # Panics
-/// When one attribute renders to more than `u32::MAX` bytes — the
-/// in-memory set's addressing; such a database belongs to the on-disk
-/// pipeline.
+/// `try_memory_export`), which leaves it nothing to fail on — a stored
+/// column holds at most `u32::MAX` rendered bytes, the in-memory set's own
+/// bound.
 pub fn memory_export_with_threads(
     db: &Database,
     threads: usize,
 ) -> (Vec<AttributeProfile>, MemoryProvider) {
     let _uninterruptible = ind_valueset::cancel::set_ambient(None);
     try_memory_export(db, threads)
-        // lint: allow(no_unwrap) — documented panic of the infallible form; with no cancel token installed only the 4 GiB-per-attribute bound can fail
-        .expect("in-memory export failed")
+        // lint: allow(no_unwrap) — no cancel token is installed, and a stored column fits a flat set by construction
+        .expect("an uninterruptible in-memory export cannot fail")
 }
 
-/// The in-memory export proper: **one pass per column** renders, sorts and
-/// deduplicates it into its flat set, and the profile is read off that same
-/// pass — `non_null` is what the pass pushed, `distinct` the set's length,
-/// `min`/`max` its first and last value — so no cell is rendered twice and
+/// The in-memory export proper: **one pass per column** copies its stored
+/// cells out, sorts and deduplicates them into its flat set, and the
+/// profile is read off that same pass — `non_null` is what the pass pushed,
+/// `distinct` the set's length, `min`/`max` its first and last value — so
 /// the result equals [`profile_database`]'s field for field. Polls the
 /// ambient cancel token once per column (phase `export`).
 pub(crate) fn try_memory_export(
@@ -130,11 +127,11 @@ pub(crate) fn try_memory_export(
         .iter()
         .flat_map(|table| {
             table
-                .iter_columns()
+                .iter_cells()
                 .map(move |(_, cs, col)| (table.name(), cs, col))
         })
         .collect();
-    let columns: Vec<&[Value]> = attributes.iter().map(|&(_, _, col)| col).collect();
+    let columns: Vec<&Column> = attributes.iter().map(|&(_, _, col)| col).collect();
     let extracted = ind_valueset::extract_memory_columns(&columns, threads)?;
     let mut profiles = Vec::with_capacity(attributes.len());
     let mut sets = Vec::with_capacity(attributes.len());
@@ -158,7 +155,7 @@ pub(crate) fn try_memory_export(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_storage::{ColumnSchema, Table, TableSchema};
+    use ind_storage::{ColumnSchema, Table, TableSchema, Value};
     use ind_valueset::ValueSetProvider;
 
     fn db() -> Database {

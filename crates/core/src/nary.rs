@@ -47,7 +47,7 @@ use crate::candidates::{Candidate, PretestConfig};
 use crate::metrics::RunMetrics;
 use crate::runner::{drain_attribute, DegradedReport};
 use crate::spider::run_spider;
-use ind_storage::{Database, QualifiedName, Value};
+use ind_storage::{Column, Database, QualifiedName};
 use ind_valueset::{
     extract_composite_memory_set, CompositeExport, ExportOptions, ExportedDatabase,
     FailedAttribute, MemoryProvider, Result, ValueSetError, ValueSetProvider, MAX_COMPOSITE_ARITY,
@@ -202,18 +202,17 @@ impl NaryFinder {
     /// Runs the levelwise search entirely in memory.
     pub fn discover_in_memory(&self, db: &Database) -> Result<NaryDiscovery> {
         let (profiles, provider) = try_memory_export(db, ind_storage::default_workers())?;
-        // Column slices in profile-id order, for composite extraction.
-        let mut columns: Vec<&[Value]> = Vec::with_capacity(profiles.len());
-        for table in db.tables() {
-            for (_, _, col) in table.iter_columns() {
-                columns.push(col);
-            }
-        }
+        // Stored columns in profile-id order, for composite extraction.
+        let columns: Vec<&Column> = db
+            .tables()
+            .iter()
+            .flat_map(|table| table.iter_cells().map(|(_, _, col)| col))
+            .collect();
         self.drive(&profiles, &provider, &[], |groups, _metrics| {
             let sets = groups
                 .iter()
                 .map(|group| {
-                    let cols: Vec<&[Value]> = group.iter().map(|&a| columns[a as usize]).collect();
+                    let cols: Vec<&Column> = group.iter().map(|&a| columns[a as usize]).collect();
                     extract_composite_memory_set(&cols)
                 })
                 .collect();
@@ -655,7 +654,7 @@ fn enumerable_at(profiles: &[AttributeProfile], table_of: &[usize], k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_storage::{ColumnSchema, DataType, Table, TableSchema};
+    use ind_storage::{ColumnSchema, DataType, Table, TableSchema, Value};
     use ind_testkit::TempDir;
 
     /// parent(a, b) with distinct pairs; child(x, y) whose pairs are drawn

@@ -247,11 +247,9 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
                 if profile.data_type != DataType::Text || profile.non_null == 0 {
                     continue;
                 }
-                let source_col = source.column(&profile.name)?;
-                let source_set = extract_memory_set(source_col);
+                let source_set = extract_memory_set(source.cells(&profile.name)?);
                 for target_attr in &targets {
-                    let target_col = target.column(target_attr)?;
-                    let target_set = extract_memory_set(target_col);
+                    let target_set = extract_memory_set(target.cells(target_attr)?);
                     let mut m = RunMetrics::new();
                     let count = inclusion_count(
                         &mut source_set.cursor(),
@@ -270,8 +268,8 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
                             transform: None,
                         });
                     } else if let Some(hit) = crate::concat::find_concat_match(
-                        source_col,
-                        target_col,
+                        source.column(&profile.name)?,
+                        target.column(target_attr)?,
                         config.link_threshold,
                         &mut m,
                     ) {

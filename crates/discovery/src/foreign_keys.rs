@@ -109,11 +109,11 @@ fn tuple_is_unique(db: &Database, columns: &[QualifiedName]) -> bool {
     let cols: Vec<_> = columns
         .iter()
         // lint: allow(no_unwrap) — every name came from this database's own schema walk a few frames up
-        .map(|qn| db.column(qn).expect("discovery names resolve"))
+        .map(|qn| db.cells(qn).expect("discovery names resolve"))
         .collect();
     let rows = cols.first().map_or(0, |c| c.len());
     let non_null_rows = (0..rows)
-        .filter(|&row| cols.iter().all(|c| !c[row].is_null()))
+        .filter(|&row| cols.iter().all(|c| c.cell(row).is_some()))
         .count() as u64;
     ind_valueset::extract_composite_memory_set(&cols).len() == non_null_rows
 }

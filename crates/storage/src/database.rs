@@ -88,9 +88,15 @@ impl Database {
         out
     }
 
-    /// Column data addressed by qualified name.
+    /// Column data addressed by qualified name, as typed values (the
+    /// table's cached view, see [`Table::column`]).
     pub fn column(&self, qn: &QualifiedName) -> Result<&[crate::value::Value]> {
         self.table(&qn.table)?.column_by_name(&qn.column)
+    }
+
+    /// A column's stored cells addressed by qualified name.
+    pub fn cells(&self, qn: &QualifiedName) -> Result<&crate::column::Column> {
+        self.table(&qn.table)?.cells_by_name(&qn.column)
     }
 
     /// All gold-standard foreign keys as `(dependent, referenced)` qualified

@@ -41,6 +41,15 @@ pub enum StorageError {
         /// Offending column.
         column: String,
     },
+    /// A column's canonical renderings passed the store's 32-bit
+    /// addressing: one column holds at most `u32::MAX` (4 GiB) of rendered
+    /// bytes.
+    ColumnTooLarge {
+        /// Table being loaded or inserted into.
+        table: String,
+        /// The column that is full.
+        column: String,
+    },
     /// Two tables with the same name were added to a database.
     DuplicateTable(String),
     /// Two columns with the same name were declared in one table.
@@ -83,6 +92,10 @@ impl fmt::Display for StorageError {
             StorageError::NullViolation { table, column } => {
                 write!(f, "NULL not allowed in `{table}`.`{column}`")
             }
+            StorageError::ColumnTooLarge { table, column } => write!(
+                f,
+                "column `{table}`.`{column}` exceeds 4 GiB of rendered values"
+            ),
             StorageError::DuplicateTable(t) => write!(f, "duplicate table `{t}`"),
             StorageError::DuplicateColumn { table, column } => {
                 write!(f, "duplicate column `{column}` in table `{table}`")

@@ -7,8 +7,8 @@
 //! uniqueness of the data), and the minimum/maximum canonical value
 //! (max-value pretest, Sec. 4.1).
 
+use crate::column::Column;
 use crate::table::Table;
-use crate::value::Value;
 
 /// Statistics for one column, computed from the data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,38 +30,24 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Computes statistics by sorting the canonical renderings of the
-    /// column's non-null values — the same ordering every discovery
-    /// algorithm uses, so `min`/`max` here agree byte-for-byte with the
-    /// first/last entries of the extracted value sets.
+    /// Computes statistics by sorting the column's non-null cells — the
+    /// canonical renderings, in the ordering every discovery algorithm
+    /// uses, so `min`/`max` here agree byte-for-byte with the first/last
+    /// entries of the extracted value sets.
     ///
-    /// The renderings share one buffer addressed by `(start, end)` pairs;
-    /// only the pairs are sorted, and distinct values are counted by
-    /// comparing neighbours — no vector per cell.
-    pub fn compute(values: &[Value]) -> Self {
-        let mut rendered: Vec<u8> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for v in values {
-            if v.is_null() {
-                continue;
-            }
-            let start = rendered.len();
-            v.render_canonical(&mut rendered);
-            spans.push((start, rendered.len()));
-        }
-        let value = |&(start, end): &(usize, usize)| &rendered[start..end];
-        spans.sort_unstable_by(|a, b| value(a).cmp(value(b)));
-        let lengths = spans.iter().map(|&(start, end)| end - start);
+    /// The cells are sorted by reference into the column's own store, and
+    /// distinct values are counted by comparing neighbours — nothing is
+    /// rendered or copied.
+    pub fn compute(column: &Column) -> Self {
+        let mut cells: Vec<&[u8]> = column.cells().flatten().collect();
+        cells.sort_unstable();
+        let lengths = cells.iter().map(|cell| cell.len());
         ColumnStats {
-            rows: values.len(),
-            non_null: spans.len(),
-            distinct: spans.len().min(1)
-                + spans
-                    .windows(2)
-                    .filter(|w| value(&w[0]) != value(&w[1]))
-                    .count(),
-            min: spans.first().map(|s| value(s).to_vec()),
-            max: spans.last().map(|s| value(s).to_vec()),
+            rows: column.len(),
+            non_null: cells.len(),
+            distinct: cells.len().min(1) + cells.windows(2).filter(|w| w[0] != w[1]).count(),
+            min: cells.first().map(|cell| cell.to_vec()),
+            max: cells.last().map(|cell| cell.to_vec()),
             min_len: lengths.clone().min().unwrap_or(0),
             max_len: lengths.max().unwrap_or(0),
         }
@@ -84,16 +70,17 @@ impl ColumnStats {
 /// Statistics for every column of a table, in schema order.
 pub fn table_stats(table: &Table) -> Vec<ColumnStats> {
     (0..table.schema().arity())
-        .map(|i| ColumnStats::compute(table.column(i)))
+        .map(|i| ColumnStats::compute(table.cells(i)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn stats_of(values: Vec<Value>) -> ColumnStats {
-        ColumnStats::compute(&values)
+        ColumnStats::compute(&Column::from_values(&values))
     }
 
     #[test]

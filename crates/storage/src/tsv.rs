@@ -7,58 +7,24 @@
 //! datasets can be inspected, diffed, and reloaded by the experiment
 //! harness without regeneration.
 
+mod rows;
+
 use crate::database::Database;
 use crate::error::{Result, StorageError};
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::table::Table;
-use crate::value::{DataType, Value};
-use std::borrow::Cow;
+use crate::value::DataType;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const NULL_TOKEN: &str = "\\N";
-
-fn escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+/// A parse error at line `line` of the data file `context`. The row parser
+/// builds its errors here: it is under the `hot_alloc` lint, this is not.
+fn parse_error(context: &str, line: usize, detail: std::fmt::Arguments<'_>) -> StorageError {
+    StorageError::Parse {
+        context: context.to_string(),
+        detail: format!("line {line}: {detail}"),
     }
-}
-
-/// Undoes [`escape`]. Most fields carry no escape at all and come back
-/// borrowed — one byte scan, no per-character rebuild and no copy.
-fn unescape<'a>(s: &'a str, context: &str) -> Result<Cow<'a, str>> {
-    if !s.contains('\\') {
-        return Ok(Cow::Borrowed(s));
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('N') => out.push_str("\\N"), // literal "\N" inside longer field
-            other => {
-                return Err(StorageError::Parse {
-                    context: context.to_string(),
-                    detail: format!("bad escape sequence `\\{}`", other.unwrap_or(' ')),
-                })
-            }
-        }
-    }
-    Ok(Cow::Owned(out))
 }
 
 /// Saves `db` under `dir` (created if missing).
@@ -97,28 +63,11 @@ pub fn save_database(db: &Database, dir: &Path) -> Result<()> {
     }
     schema_out.flush()?;
 
-    let mut line = String::new();
     for table in db.tables() {
         let mut out = BufWriter::new(std::fs::File::create(
             dir.join(format!("{}.tsv", table.name())),
         )?);
-        for i in 0..table.row_count() {
-            line.clear();
-            for (j, _, col) in table.iter_columns() {
-                if j > 0 {
-                    line.push('\t');
-                }
-                match &col[i] {
-                    Value::Null => line.push_str(NULL_TOKEN),
-                    v => {
-                        let rendered = v.to_string();
-                        escape(&rendered, &mut line);
-                    }
-                }
-            }
-            line.push('\n');
-            out.write_all(line.as_bytes())?;
-        }
+        rows::write_table(table, &mut out)?;
         out.flush()?;
     }
     Ok(())
@@ -282,51 +231,20 @@ fn load_table(dir: &Path, spec: &TableSpec) -> Result<Table> {
     for (cols, rt, rcs) in &spec.composite_foreign_keys {
         schema.add_composite_foreign_key(cols, rt, rcs)?;
     }
-    let mut table = Table::new(schema);
-
     let data_path = dir.join(format!("{}.tsv", spec.name));
-    let data_ctx = data_path.display().to_string();
     let file = std::fs::File::open(&data_path)?;
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    let mut line_no = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        line_no += 1;
-        let trimmed = line.strip_suffix('\n').unwrap_or(&line);
-        let arity = table.schema().arity();
-        let mut row = Vec::with_capacity(arity);
-        for (j, field) in trimmed.split('\t').enumerate() {
-            if j >= arity {
-                return Err(StorageError::Parse {
-                    context: data_ctx.clone(),
-                    detail: format!("line {line_no}: too many fields"),
-                });
-            }
-            if field == NULL_TOKEN {
-                row.push(Value::Null);
-            } else {
-                let dt = table.schema().columns[j].data_type;
-                let unescaped = unescape(field, &data_ctx)?;
-                let v = Value::parse(dt, &unescaped).ok_or_else(|| StorageError::Parse {
-                    context: data_ctx.clone(),
-                    detail: format!("line {line_no}: cannot parse `{unescaped}` as {dt}"),
-                })?;
-                row.push(v);
-            }
-        }
-        table.insert(row)?;
-    }
-    Ok(table)
+    rows::read_table(
+        BufReader::with_capacity(rows::READ_BUFFER_BYTES, file),
+        schema,
+        &data_path.display().to_string(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{ColumnSchema, TableSchema};
+    use crate::value::Value;
     use ind_testkit::TempDir;
 
     fn sample_db() -> Database {
@@ -387,53 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn escape_unescape_round_trip() {
-        for s in [
-            "plain",
-            "a\tb",
-            "a\nb",
-            "back\\slash",
-            "\\N",
-            "",
-            "mix\t\n\\",
-        ] {
-            let mut esc = String::new();
-            escape(s, &mut esc);
-            assert!(!esc.contains('\t'));
-            assert!(!esc.contains('\n'));
-            assert_eq!(unescape(&esc, "test").unwrap(), s, "input {s:?}");
-        }
-    }
-
-    #[test]
-    fn unescape_borrows_plain_fields_and_rebuilds_only_escaped_ones() {
-        // No escape: the fast path hands the field back as is.
-        for plain in ["", "plain", "4711", "tab-free, newline-free é∑"] {
-            assert!(matches!(unescape(plain, "test"), Ok(Cow::Borrowed(s)) if s == plain));
-        }
-        // One escape, only escapes, and a literal `\N` inside a longer
-        // field (the whole-field `\N` is NULL and never reaches unescape).
-        for (escaped, plain) in [
-            ("a\\tb", "a\tb"),
-            ("\\\\", "\\"),
-            ("\\t\\n\\r\\\\", "\t\n\r\\"),
-            ("x\\Ny", "x\\Ny"),
-        ] {
-            assert_eq!(unescape(escaped, "test").unwrap(), plain, "{escaped:?}");
-        }
-        // A bad escape still errs, naming its context.
-        for bad in ["a\\qb", "trailing\\"] {
-            match unescape(bad, "items.tsv") {
-                Err(StorageError::Parse { context, detail }) => {
-                    assert_eq!(context, "items.tsv");
-                    assert!(detail.contains("bad escape sequence"), "{detail}");
-                }
-                other => panic!("{bad:?}: expected a parse error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn corrupt_schema_is_an_error() {
         let dir = TempDir::new("tsv-corrupt");
         std::fs::write(dir.join("schema.txt"), "garbage\tline\n").unwrap();
@@ -488,6 +359,141 @@ mod tests {
         match load_database(dir.path()) {
             Err(StorageError::Parse { detail, .. }) => assert!(detail.contains("line 1")),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    /// `schema.txt` for one table `t` plus its data file.
+    fn write_table(dir: &TempDir, columns: &str, data: &[u8]) {
+        std::fs::write(
+            dir.join("schema.txt"),
+            format!("database\tx\ntable\tt\n{columns}"),
+        )
+        .unwrap();
+        std::fs::write(dir.join("t.tsv"), data).unwrap();
+    }
+
+    #[test]
+    fn crlf_line_ends_load_like_lf() {
+        // A text last column used to keep the `\r` in every value and an
+        // integer last column failed to parse.
+        let dir = TempDir::new("tsv-crlf");
+        let db = sample_db();
+        save_database(&db, dir.path()).unwrap();
+        let lf = std::fs::read(dir.join("items.tsv")).unwrap();
+        let crlf: Vec<u8> = lf
+            .iter()
+            .flat_map(|&b| {
+                if b == b'\n' {
+                    vec![b'\r', b'\n']
+                } else {
+                    vec![b]
+                }
+            })
+            .collect();
+        assert_ne!(lf, crlf);
+        let from_lf = load_database(dir.path()).unwrap();
+        std::fs::write(dir.join("items.tsv"), &crlf).unwrap();
+        let from_crlf = load_database(dir.path()).unwrap();
+        for (a, b) in from_lf.tables().iter().zip(from_crlf.tables()) {
+            assert_eq!(a.schema(), b.schema());
+            for ((_, cs, x), (_, _, y)) in a.iter_cells().zip(b.iter_cells()) {
+                assert!(x.cells().eq(y.cells()), "{}.{}", a.name(), cs.name);
+            }
+        }
+
+        for (columns, data, last) in [
+            ("column\ta\ttext\tnull\tdup\n", "x\r\ny\r\n", "y"),
+            ("column\ta\tinteger\tnull\tdup\n", "1\r\n+2\r\n", "2"),
+            // An escaped carriage return is data; only the bare one is not.
+            ("column\ta\ttext\tnull\tdup\n", "x\r\nz\\r\r\n", "z\r"),
+            // Without the line feed it is not a line end.
+            ("column\ta\ttext\tnull\tdup\n", "x\r\nw\r", "w\r"),
+        ] {
+            write_table(&dir, columns, data.as_bytes());
+            let db = load_database(dir.path()).unwrap();
+            let t = db.table("t").unwrap();
+            assert_eq!(t.row_count(), 2, "{data:?}");
+            assert_eq!(t.cells(0).cell(1), Some(last.as_bytes()), "{data:?}");
+        }
+    }
+
+    #[test]
+    fn short_and_long_rows_are_parse_errors_naming_file_and_line() {
+        let dir = TempDir::new("tsv-arity");
+        let columns = "column\ta\tinteger\tnull\tdup\ncolumn\tb\ttext\tnull\tdup\n";
+        for (data, what) in [
+            ("1\tx\n2\n", "expected 2 fields, got 1"),
+            // Fields are checked left to right: the empty line's one field
+            // is a bad integer before it is a short row.
+            ("1\tx\n\n", "cannot parse `` as integer"),
+            ("1\tx\n2\ty\tz\n", "too many fields"),
+        ] {
+            write_table(&dir, columns, data.as_bytes());
+            match load_database(dir.path()) {
+                Err(StorageError::Parse { context, detail }) => {
+                    assert!(context.ends_with("t.tsv"), "{context}");
+                    assert_eq!(detail, format!("line 2: {what}"));
+                }
+                other => panic!("{data:?}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_numbers_are_stored_canonical() {
+        let dir = TempDir::new("tsv-canonical");
+        let columns = "column\ti\tinteger\tnull\tdup\ncolumn\tf\tfloat\tnull\tdup\n";
+        write_table(
+            &dir,
+            columns,
+            b"+5\t1.50\n007\t1e3\n-0\t-0\n42\tinf\n\\N\tNaN\n-9223372036854775808\t.5",
+        );
+        let db = load_database(dir.path()).unwrap();
+        let t = db.table("t").unwrap();
+        let cells = |j: usize| -> Vec<Option<&[u8]>> { t.cells(j).cells().collect() };
+        let ints: [Option<&[u8]>; 6] = [
+            Some(b"5"),
+            Some(b"7"),
+            Some(b"0"),
+            Some(b"42"),
+            None,
+            Some(b"-9223372036854775808"),
+        ];
+        let floats: [Option<&[u8]>; 6] = [
+            Some(b"1.5"),
+            Some(b"1000"),
+            Some(b"-0"),
+            Some(b"inf"),
+            Some(b"NaN"),
+            Some(b"0.5"),
+        ];
+        assert_eq!(cells(0), ints);
+        assert_eq!(cells(1), floats);
+        assert_eq!(t.column(0)[1], Value::Integer(7));
+        assert_eq!(t.column(1)[1], Value::Float(1000.0));
+        assert_eq!(t.value_views_built(), 2);
+    }
+
+    #[test]
+    fn invalid_utf8_and_bad_escapes_name_their_line() {
+        let dir = TempDir::new("tsv-bytes");
+        let columns = "column\ta\ttext\tnull\tdup\n";
+        for (data, what) in [
+            (b"ok\n\xff\n".as_slice(), "line 2: invalid UTF-8"),
+            (
+                b"ok\nfine\na\\qb\n".as_slice(),
+                "line 3: bad escape sequence `\\q`",
+            ),
+            (
+                b"trailing\\".as_slice(),
+                "line 1: bad escape sequence `\\ `",
+            ),
+        ] {
+            write_table(&dir, columns, data);
+            match load_database(dir.path()) {
+                Err(StorageError::Parse { detail, .. }) => assert_eq!(detail, what),
+                other => panic!("{data:?}: expected a parse error, got {other:?}"),
+            }
         }
     }
 }

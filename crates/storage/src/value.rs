@@ -7,6 +7,13 @@
 //! irrelevant as long as it is consistent over all sets." The single source
 //! of truth for that conversion is [`Value::render_canonical`]; every
 //! algorithm in the workspace compares the resulting byte strings.
+//!
+//! Those byte strings are also what a table *stores* ([`crate::Column`]):
+//! a value is rendered once, when it is inserted or loaded, and the
+//! discovery pipeline reads the stored bytes. `Value` itself is the typed
+//! face of a cell — what callers insert, and what [`crate::Table::column`]
+//! rebuilds on request for the consumers that compute on numbers or
+//! strings (the SQL baseline, the discovery heuristics, tests, oracles).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -57,7 +64,12 @@ impl fmt::Display for DataType {
     }
 }
 
-/// A single cell value.
+/// A single cell value, typed: the form rows are inserted in and the form
+/// the `Value` views of a [`crate::Table`] hand back. Tables do not keep
+/// `Value`s — they keep each cell's [`Value::render_canonical`] bytes — so
+/// a value that went through a table comes back as what its rendering
+/// parses to (`Value::parse`): the same integer, the same float (`-0.0` and
+/// NaN included), the same text.
 ///
 /// `Lob` columns store their payload as `Text` values; the exclusion from
 /// IND discovery happens at the schema level, not the value level.
@@ -127,8 +139,12 @@ impl Value {
         }
     }
 
-    /// Parses a canonical rendering back into a typed value. Used by the
-    /// TSV loader. An empty string parses as empty text for text columns.
+    /// Parses a rendering back into a typed value: the inverse of
+    /// [`Value::render_canonical`], which also accepts every other spelling
+    /// `i64`/`f64` parsing does (`+5`, `007`, `1e3`). The TSV loader takes
+    /// it for numbers not already in canonical form, and the `Value` views
+    /// rebuild cells with it. An empty string parses as empty text for text
+    /// columns.
     pub fn parse(dt: DataType, s: &str) -> Option<Value> {
         match dt {
             DataType::Integer => s.parse::<i64>().ok().map(Value::Integer),

@@ -2,9 +2,10 @@
 //!
 //! This is step one of both external algorithms: "We first extract from the
 //! database the sorted sets of distinct values of each attribute using SQL"
-//! (Sec. 3). Here the "SQL" is a scan over the columnar table plus the
-//! canonical rendering from `ind-storage`; sorting and duplicate
-//! elimination happen either in memory or via the external sorter.
+//! (Sec. 3). Here the "SQL" is a scan over a stored [`Column`], whose cells
+//! already are the canonical renderings (`ind-storage` parsed them once, at
+//! load or insert); sorting and duplicate elimination happen either in
+//! memory or via the external sorter.
 
 use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
@@ -12,14 +13,14 @@ use crate::format::{tmp_path, StagedBatch, StagedFile, ValueFileWriter};
 use crate::manifest::ColumnHasher;
 use crate::memory::{MemorySetBuilder, MemoryValueSet};
 use crate::tuple::encode_tuple_into;
-use ind_storage::Value;
+use ind_storage::Column;
 use std::path::Path;
 
 /// Extracts the sorted distinct canonical values of a column into memory,
 /// one vector per value (tests and tooling; the pipeline keeps the flat
 /// [`MemoryValueSet`]).
-pub fn extract_sorted_distinct(values: &[Value]) -> Vec<Vec<u8>> {
-    extract_memory_set(values).as_slice().to_vec()
+pub fn extract_sorted_distinct(column: &Column) -> Vec<Vec<u8>> {
+    extract_memory_set(column).as_slice().to_vec()
 }
 
 /// One column extracted into memory: its sorted distinct value set and what
@@ -28,18 +29,16 @@ pub fn extract_sorted_distinct(values: &[Value]) -> Vec<Vec<u8>> {
 pub struct MemoryColumn {
     /// The column's sorted distinct canonical values.
     pub set: MemoryValueSet,
-    /// Non-null occurrences rendered, duplicates included (`|v(a)|`).
+    /// Non-null occurrences, duplicates included (`|v(a)|`).
     pub non_null: u64,
 }
 
-/// One pass over a column: every non-null cell is rendered straight into
-/// the builder's arena, the arena is sorted, deduplicated and compacted
-/// into the flat set. The builder comes back empty and warm.
-fn extract_column(builder: &mut MemorySetBuilder, values: &[Value]) -> Result<MemoryColumn> {
-    for v in values {
-        if !v.is_null() {
-            builder.push_with(|arena| v.render_canonical(arena))?;
-        }
+/// One pass over a column: every non-null cell is copied into the
+/// builder's arena, the arena is sorted, deduplicated and compacted into
+/// the flat set. The builder comes back empty and warm.
+fn extract_column(builder: &mut MemorySetBuilder, column: &Column) -> Result<MemoryColumn> {
+    for cell in column.cells().flatten() {
+        builder.push_with(|arena| arena.extend_from_slice(cell))?;
     }
     let non_null = builder.pushed();
     Ok(MemoryColumn {
@@ -48,20 +47,18 @@ fn extract_column(builder: &mut MemorySetBuilder, values: &[Value]) -> Result<Me
     })
 }
 
-/// Extracts a column into a [`MemoryValueSet`].
-///
-/// # Panics
-/// When the column renders to more than `u32::MAX` bytes (the flat set's
-/// addressing; such a column belongs to the on-disk pipeline).
-pub fn extract_memory_set(values: &[Value]) -> MemoryValueSet {
-    extract_column(&mut MemorySetBuilder::default(), values)
-        // lint: allow(no_unwrap) — documented panic of the infallible convenience form; the pipeline uses `extract_memory_columns`
-        .expect("column exceeds u32::MAX rendered bytes")
+/// Extracts a column into a [`MemoryValueSet`]. A [`Column`] holds at most
+/// `u32::MAX` rendered bytes, which is the flat set's own bound, so this
+/// form has nothing to report.
+pub fn extract_memory_set(column: &Column) -> MemoryValueSet {
+    extract_column(&mut MemorySetBuilder::default(), column)
+        // lint: allow(no_unwrap) — a column's bytes fit the flat set's addressing by construction
+        .expect("a stored column fits a flat set")
         .set
 }
 
 /// Extracts many columns into memory on `threads` workers (column
-/// extractions are mutually independent: render, sort, dedup). Output order
+/// extractions are mutually independent: copy, sort, dedup). Output order
 /// matches input order; `threads <= 1` runs on the calling thread. Column
 /// `i` is attribute `i`: its extraction runs under an [`ind_trace::SORT`]
 /// span with that argument, parented to the caller's current span.
@@ -74,7 +71,7 @@ pub fn extract_memory_set(values: &[Value]) -> MemoryValueSet {
 /// The ambient cancel token ([`crate::cancel::check_ambient`]) is polled
 /// once per column, under phase `export`; workers re-install the token the
 /// caller had (thread-local ambient tokens stop at a spawn).
-pub fn extract_memory_columns(columns: &[&[Value]], threads: usize) -> Result<Vec<MemoryColumn>> {
+pub fn extract_memory_columns(columns: &[&Column], threads: usize) -> Result<Vec<MemoryColumn>> {
     let span_parent = ind_trace::current_parent();
     let cancel = crate::cancel::ambient();
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -102,43 +99,16 @@ pub fn extract_memory_columns(columns: &[&[Value]], threads: usize) -> Result<Ve
     Ok(extracted.into_iter().map(|(_, column)| column).collect())
 }
 
-/// Renders row `row`'s components into `rendered` (cleared first),
-/// recording each component's end offset in `offsets`; returns `false`
-/// when any component is NULL (tuples with NULL components carry no
-/// inclusion evidence, mirroring how unary extraction drops NULL
-/// occurrences). All components share one scratch buffer — no per-row
-/// vectors.
-fn render_components(
-    columns: &[&[Value]],
-    row: usize,
-    rendered: &mut Vec<u8>,
-    offsets: &mut [usize; MAX_COMPOSITE_ARITY],
-) -> bool {
-    if columns.iter().any(|c| c[row].is_null()) {
-        return false;
-    }
-    rendered.clear();
-    for (i, c) in columns.iter().enumerate() {
-        c[row].render_canonical(rendered);
-        offsets[i] = rendered.len();
-    }
-    true
-}
-
-/// The component sub-slices of `rendered` recorded by
-/// [`render_components`], in position order.
-fn component_slices<'a>(
-    rendered: &'a [u8],
-    offsets: &[usize; MAX_COMPOSITE_ARITY],
-    arity: usize,
-) -> [&'a [u8]; MAX_COMPOSITE_ARITY] {
+/// Row `row`'s components — the cells of `columns` at that row, in
+/// position order — or `None` when any of them is NULL (tuples with NULL
+/// components carry no inclusion evidence, mirroring how unary extraction
+/// drops NULL occurrences). The slices point into the columns' stores.
+fn components<'a>(columns: &[&'a Column], row: usize) -> Option<[&'a [u8]; MAX_COMPOSITE_ARITY]> {
     let mut components: [&[u8]; MAX_COMPOSITE_ARITY] = [&[]; MAX_COMPOSITE_ARITY];
-    let mut start = 0usize;
-    for i in 0..arity {
-        components[i] = &rendered[start..offsets[i]];
-        start = offsets[i];
+    for (slot, column) in components.iter_mut().zip(columns) {
+        *slot = column.cell(row)?;
     }
-    components
+    Some(components)
 }
 
 /// Hard cap on composite arity, comfortably above anything the levelwise
@@ -155,7 +125,7 @@ pub const MAX_COMPOSITE_ARITY: usize = 16;
 ///
 /// # Panics
 /// When the encoded tuples total more than `u32::MAX` bytes.
-pub fn extract_composite_memory_set(columns: &[&[Value]]) -> MemoryValueSet {
+pub fn extract_composite_memory_set(columns: &[&Column]) -> MemoryValueSet {
     assert!(!columns.is_empty() && columns.len() <= MAX_COMPOSITE_ARITY);
     let rows = columns[0].len();
     debug_assert!(
@@ -163,13 +133,10 @@ pub fn extract_composite_memory_set(columns: &[&[Value]]) -> MemoryValueSet {
         "ragged column group"
     );
     let mut builder = MemorySetBuilder::default();
-    let mut rendered = Vec::new();
-    let mut offsets = [0usize; MAX_COMPOSITE_ARITY];
     for row in 0..rows {
-        if !render_components(columns, row, &mut rendered, &mut offsets) {
+        let Some(components) = components(columns, row) else {
             continue;
-        }
-        let components = component_slices(&rendered, &offsets, columns.len());
+        };
         builder
             .push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))
             // lint: allow(no_unwrap) — documented panic, as in `extract_memory_set`
@@ -196,7 +163,7 @@ fn publish_alone(staged: StagedFile, options: &SortOptions) -> Result<()> {
 /// [`extract_composite_memory_set`], producing a stream byte-identical to
 /// it — and publishes it atomically.
 pub fn extract_composite_to_file(
-    columns: &[&[Value]],
+    columns: &[&Column],
     path: &Path,
     spill_dir: &Path,
     options: SortOptions,
@@ -212,10 +179,10 @@ pub fn extract_composite_to_file(
 /// published**: the file is complete under `<path>.tmp` and the caller
 /// publishes the returned [`StagedFile`] with its batch. Tuples are encoded
 /// **directly into the arena** ([`ExternalSorter::push_with`]): components
-/// are rendered once into a reused scratch buffer and escaped straight into
-/// their final resting place — no per-row tuple vector.
+/// are read where the columns store them and escaped straight into their
+/// final resting place — no scratch buffer, no per-row tuple vector.
 pub fn extract_composite_with_sorter(
-    columns: &[&[Value]],
+    columns: &[&Column],
     path: &Path,
     sorter: &mut ExternalSorter,
 ) -> Result<(SortStats, StagedFile)> {
@@ -226,13 +193,10 @@ pub fn extract_composite_with_sorter(
         "ragged column group"
     );
     let io = sorter.options().io.clone();
-    let mut rendered = Vec::new();
-    let mut offsets = [0usize; MAX_COMPOSITE_ARITY];
     for row in 0..rows {
-        if !render_components(columns, row, &mut rendered, &mut offsets) {
+        let Some(components) = components(columns, row) else {
             continue;
-        }
-        let components = component_slices(&rendered, &offsets, columns.len());
+        };
         sorter.push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))?;
     }
     let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
@@ -244,13 +208,13 @@ pub fn extract_composite_with_sorter(
 /// spilling into `spill_dir` when the memory budget is exceeded, and
 /// publishes it atomically.
 pub fn extract_to_file(
-    values: &[Value],
+    column: &Column,
     path: &Path,
     spill_dir: &Path,
     options: SortOptions,
 ) -> Result<SortStats> {
     let mut sorter = ExternalSorter::new(spill_dir, options)?;
-    let (stats, staged) = extract_with_sorter(values, path, &mut sorter)?;
+    let (stats, staged) = extract_with_sorter(column, path, &mut sorter)?;
     publish_alone(staged, sorter.options())?;
     Ok(stats)
 }
@@ -259,30 +223,23 @@ pub fn extract_to_file(
 /// serves a whole export, **staged, not published**: the file is complete
 /// under `<path>.tmp` — an interrupted extraction leaves a `.tmp` orphan,
 /// never a half-written file under the final name — and the caller
-/// publishes the returned [`StagedFile`] with its batch. Canonical
-/// renderings go **directly into the arena**
-/// ([`ExternalSorter::push_with`]) with no intermediate scratch vector,
-/// and the same pass feeds them to the column's content hash
-/// ([`SortStats::source_hash`]), so no cell is rendered twice. After the
-/// first attribute the steady-state cost of another column is zero sorter
-/// allocations.
+/// publishes the returned [`StagedFile`] with its batch. Each cell is
+/// copied from the column's store into the arena and the same bytes feed
+/// the column's content hash ([`SortStats::source_hash`]); nothing is
+/// rendered. After the first attribute the steady-state cost of another
+/// column is zero sorter allocations.
 pub fn extract_with_sorter(
-    values: &[Value],
+    column: &Column,
     path: &Path,
     sorter: &mut ExternalSorter,
 ) -> Result<(SortStats, StagedFile)> {
     let io = sorter.options().io.clone();
     let mut hash = ColumnHasher::new();
-    for v in values {
-        if v.is_null() {
-            hash.null();
-            continue;
+    for cell in column.cells() {
+        hash.cell(cell);
+        if let Some(cell) = cell {
+            sorter.push(cell)?;
         }
-        sorter.push_with(|arena| {
-            let start = arena.len();
-            v.render_canonical(arena);
-            hash.value(&arena[start..]);
-        })?;
     }
     let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
     let mut stats = sorter.finish_into(&mut writer)?;
@@ -298,15 +255,19 @@ mod tests {
     use ind_storage::Value;
     use ind_testkit::TempDir;
 
-    fn column() -> Vec<Value> {
-        vec![
+    fn stored(values: &[Value]) -> Column {
+        Column::from_values(values)
+    }
+
+    fn column() -> Column {
+        stored(&[
             Value::Integer(10),
             Value::Null,
             Value::Text("apple".into()),
             Value::Integer(9),
             Value::Integer(10),
             Value::Null,
-        ]
+        ])
     }
 
     #[test]
@@ -343,21 +304,23 @@ mod tests {
         let dir = TempDir::new("extract-hash");
         let mut sorter =
             ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(64)).unwrap();
-        let columns: Vec<Vec<Value>> = vec![
+        let columns: Vec<Column> = vec![
             column(),
-            vec![],
-            vec![Value::Null],
-            vec![Value::Null, Value::Null],
-            vec![Value::from(""), Value::Null, Value::from("")],
+            stored(&[]),
+            stored(&[Value::Null]),
+            stored(&[Value::Null, Value::Null]),
+            stored(&[Value::from(""), Value::Null, Value::from("")]),
             // Concatenation ambiguity: same bytes, different cell borders.
-            vec![Value::from("ab"), Value::from("c")],
-            vec![Value::from("a"), Value::from("bc")],
-            vec![Value::from("abc")],
+            stored(&[Value::from("ab"), Value::from("c")]),
+            stored(&[Value::from("a"), Value::from("bc")]),
+            stored(&[Value::from("abc")]),
             // Enough long values to spill at the 64-byte budget: the hash
             // must not depend on where the arena was flushed.
-            (0..40i64)
-                .map(|i| Value::Text(format!("value-{i:04}")))
-                .collect(),
+            stored(
+                &(0..40i64)
+                    .map(|i| Value::Text(format!("value-{i:04}")))
+                    .collect::<Vec<_>>(),
+            ),
         ];
         let mut hashes = Vec::new();
         for (i, col) in columns.iter().enumerate() {
@@ -373,17 +336,18 @@ mod tests {
 
     #[test]
     fn parallel_memory_extraction_matches_sequential() {
-        let columns: Vec<Vec<Value>> = (0..9)
+        let columns: Vec<Column> = (0..9)
             .map(|i| {
-                (0..40)
+                let values: Vec<Value> = (0..40)
                     .map(|j| match (i + j) % 5 {
                         0 => Value::Null,
                         n => Value::Integer(i64::from(n * j % 11)),
                     })
-                    .collect()
+                    .collect();
+                stored(&values)
             })
             .collect();
-        let refs: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
+        let refs: Vec<&Column> = columns.iter().collect();
         let sequential: Vec<_> = refs.iter().map(|c| extract_memory_set(c)).collect();
         for threads in [0usize, 1, 2, 4, 16] {
             let parallel = extract_memory_columns(&refs, threads).unwrap();
@@ -400,18 +364,19 @@ mod tests {
         // with fixed chunking one worker owned all the giants; the
         // work-stealing index must still produce the sequential answer in
         // order, at every thread count from 1 to 8.
-        let columns: Vec<Vec<Value>> = (0..17)
+        let columns: Vec<Column> = (0..17)
             .map(|i| {
                 let rows = if i < 2 { 4000 } else { 5 };
-                (0..rows)
+                let values: Vec<Value> = (0..rows)
                     .map(|j| match (i + j) % 7 {
                         0 => Value::Null,
                         n => Value::Integer(i64::from((n * j) % 257)),
                     })
-                    .collect()
+                    .collect();
+                stored(&values)
             })
             .collect();
-        let refs: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
+        let refs: Vec<&Column> = columns.iter().collect();
         let sequential: Vec<_> = refs.iter().map(|c| extract_memory_set(c)).collect();
         for threads in 1usize..=8 {
             let parallel = extract_memory_columns(&refs, threads).unwrap();
@@ -422,7 +387,7 @@ mod tests {
                     s.as_slice(),
                     "threads={threads}, column {i}"
                 );
-                let non_null = columns[i].iter().filter(|v| !v.is_null()).count();
+                let non_null = columns[i].cells().flatten().count();
                 assert_eq!(p.non_null, non_null as u64, "threads={threads}, column {i}");
             }
         }
@@ -431,20 +396,20 @@ mod tests {
     #[test]
     fn composite_extraction_skips_null_rows_and_dedups() {
         use crate::tuple::decode_tuple;
-        let a = vec![
+        let a = stored(&[
             Value::Integer(1),
             Value::Integer(1),
             Value::Integer(2),
             Value::Null,
             Value::Integer(3),
-        ];
-        let b = vec![
+        ]);
+        let b = stored(&[
             Value::Text("x".into()),
             Value::Text("x".into()), // duplicate pair (1, x)
             Value::Text("x".into()),
             Value::Text("y".into()), // dropped: NULL in `a`
             Value::Null,             // dropped: NULL in `b`
-        ];
+        ]);
         let set = extract_composite_memory_set(&[&a, &b]);
         let decoded: Vec<Vec<Vec<u8>>> = set
             .as_slice()
@@ -473,6 +438,7 @@ mod tests {
                 }
             })
             .collect();
+        let (a, b) = (stored(&a), stored(&b));
         let mem = extract_composite_memory_set(&[&a, &b]);
         let stats = extract_composite_to_file(
             &[&a, &b],
@@ -494,16 +460,8 @@ mod tests {
         // Values whose canonical renderings share prefixes: the encoded
         // stream must sort by (first component, then second), not by the
         // raw concatenation.
-        let a = vec![
-            Value::Text("ab".into()),
-            Value::Text("b".into()),
-            Value::Text("a".into()),
-        ];
-        let b = vec![
-            Value::Text("z".into()),
-            Value::Text("a".into()),
-            Value::Text("bz".into()),
-        ];
+        let a = stored(&["ab".into(), "b".into(), "a".into()]);
+        let b = stored(&["z".into(), "a".into(), "bz".into()]);
         let set = extract_composite_memory_set(&[&a, &b]);
         let decoded: Vec<Vec<Vec<u8>>> = set
             .as_slice()
@@ -523,10 +481,14 @@ mod tests {
     #[test]
     fn all_null_column_yields_empty_set() {
         let dir = TempDir::new("extract-null");
-        let col = vec![Value::Null, Value::Null];
+        let col = stored(&[Value::Null, Value::Null]);
         assert!(extract_sorted_distinct(&col).is_empty());
-        for (column, non_null) in [(col.as_slice(), 0), (&[], 0), (&[Value::from("")], 1)] {
-            let extracted = extract_memory_columns(&[column], 1).unwrap().remove(0);
+        for (column, non_null) in [
+            (col.clone(), 0),
+            (stored(&[]), 0),
+            (stored(&[Value::from("")]), 1),
+        ] {
+            let extracted = extract_memory_columns(&[&column], 1).unwrap().remove(0);
             assert_eq!(extracted.non_null, non_null);
             assert_eq!(extracted.set.len(), non_null, "the empty string is a value");
             let mut cursor = extracted.set.cursor();

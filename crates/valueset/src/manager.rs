@@ -303,7 +303,7 @@ impl ExportedDatabase {
             name: QualifiedName,
             data_type: ind_storage::DataType,
             rows: u64,
-            column: &'db [ind_storage::Value],
+            column: &'db ind_storage::Column,
             path: PathBuf,
         }
         impl Job<'_> {
@@ -327,7 +327,7 @@ impl ExportedDatabase {
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(db.attribute_count());
         let mut id = 0u32;
         for table in db.tables() {
-            for (_, col_schema, col_data) in table.iter_columns() {
+            for (_, col_schema, col_data) in table.iter_cells() {
                 jobs.push(Job {
                     id,
                     name: QualifiedName::new(table.name(), col_schema.name.clone()),
@@ -839,7 +839,7 @@ impl CompositeExport {
             for (id, group) in groups.iter().enumerate() {
                 let mut columns = Vec::with_capacity(group.len());
                 for qn in group {
-                    columns.push(db.column(qn)?);
+                    columns.push(db.cells(qn)?);
                 }
                 let path = dir.join(format!("comp-{id:05}.indv"));
                 let _sort_span = ind_trace::start_arg(ind_trace::SORT, id as u64);
@@ -1100,7 +1100,7 @@ mod tests {
             CompositeExport::export(&db, &groups, dir.path(), &ExportOptions::default()).unwrap();
         assert_eq!(exp.attribute_count(), 2);
         for (id, group) in groups.iter().enumerate() {
-            let columns: Vec<&[Value]> = group.iter().map(|qn| db.column(qn).unwrap()).collect();
+            let columns: Vec<_> = group.iter().map(|qn| db.cells(qn).unwrap()).collect();
             let mem = extract_composite_memory_set(&columns);
             let disk = collect_cursor(exp.open(id as u32).unwrap()).unwrap();
             assert_eq!(disk, mem.as_slice(), "group {group:?}");
@@ -1254,7 +1254,7 @@ mod tests {
         let columns = db
             .tables()
             .iter()
-            .flat_map(|t| t.iter_columns().map(|(_, _, column)| column));
+            .flat_map(|t| t.iter_cells().map(|(_, _, column)| column));
         for (attr, column) in exp.attributes().iter().zip(columns) {
             crate::format::write_value_file(&plain, &crate::extract_sorted_distinct(column))
                 .unwrap();

@@ -17,7 +17,7 @@
 //! instead of attribute id are a rename away.
 
 use crate::error::Result;
-use ind_storage::{DataType, Value};
+use ind_storage::{Column, DataType};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -82,8 +82,8 @@ pub struct Manifest {
 /// xored together, so every input bit reaches both ends of the state (a
 /// plain wrapping multiply only ever carries upward). Deterministic across
 /// runs and thread counts by construction. The export feeds it from the
-/// pass that already renders each cell into the sorter; [`hash_column`] is
-/// the same hash computed standalone, for the resume-side staleness check.
+/// pass that copies each cell into the sorter; [`hash_column`] is the same
+/// hash computed standalone, for the resume-side staleness check.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnHasher(u64);
 
@@ -99,13 +99,12 @@ impl ColumnHasher {
         self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 
-    /// One NULL cell.
-    pub(crate) fn null(&mut self) {
-        self.word(Self::NULL_WORD);
-    }
-
-    /// One non-NULL cell, given its canonical rendering.
-    pub(crate) fn value(&mut self, rendered: &[u8]) {
+    /// One cell as a column stores it: `None` for NULL, else its canonical
+    /// rendering.
+    pub(crate) fn cell(&mut self, cell: Option<&[u8]>) {
+        let Some(rendered) = cell else {
+            return self.word(Self::NULL_WORD);
+        };
         self.word(rendered.len() as u64);
         let (words, tail) = rendered.as_chunks::<8>();
         for word in words {
@@ -123,19 +122,10 @@ impl ColumnHasher {
     }
 }
 
-/// [`ColumnHasher`] over a whole column, rendering every cell itself.
-pub(crate) fn hash_column(column: &[Value]) -> u64 {
+/// [`ColumnHasher`] over a whole stored column.
+pub(crate) fn hash_column(column: &Column) -> u64 {
     let mut hash = ColumnHasher::new();
-    let mut buf = Vec::new();
-    for value in column {
-        if value.is_null() {
-            hash.null();
-        } else {
-            buf.clear();
-            value.render_canonical(&mut buf);
-            hash.value(&buf);
-        }
-    }
+    column.cells().for_each(|cell| hash.cell(cell));
     hash.finish()
 }
 
@@ -466,18 +456,20 @@ mod tests {
     #[test]
     fn column_hash_tracks_content_not_layout() {
         use ind_storage::Value;
-        let a = vec![Value::Integer(1), Value::Null, Value::from("xy")];
-        let b = vec![Value::Integer(1), Value::Null, Value::from("xy")];
-        assert_eq!(hash_column(&a), hash_column(&b));
-        let c = vec![Value::Integer(1), Value::Null, Value::from("xz")];
-        assert_ne!(hash_column(&a), hash_column(&c));
+        let hash = |values: &[Value]| hash_column(&Column::from_values(values));
+        let a = [Value::Integer(1), Value::Null, Value::from("xy")];
+        assert_eq!(hash(&a), hash(&a.clone()));
+        let c = [Value::Integer(1), Value::Null, Value::from("xz")];
+        assert_ne!(hash(&a), hash(&c));
+        // The hash is of the canonical bytes, whatever type declared them.
+        assert_eq!(hash(&[Value::Integer(1)]), hash(&[Value::from("1")]));
         // Length prefixes keep concatenation ambiguity out of the hash.
-        let d = vec![Value::from("ab"), Value::from("c")];
-        let e = vec![Value::from("a"), Value::from("bc")];
-        assert_ne!(hash_column(&d), hash_column(&e));
+        let d = [Value::from("ab"), Value::from("c")];
+        let e = [Value::from("a"), Value::from("bc")];
+        assert_ne!(hash(&d), hash(&e));
         assert_ne!(
-            hash_column(&[Value::Null]),
-            hash_column(&[] as &[Value]),
+            hash(&[Value::Null]),
+            hash(&[]),
             "nulls are part of the content"
         );
     }
@@ -486,12 +478,7 @@ mod tests {
     fn column_hasher_word_stream_is_unambiguous() {
         let hash = |cells: &[Option<&[u8]>]| {
             let mut h = ColumnHasher::new();
-            for cell in cells {
-                match cell {
-                    Some(bytes) => h.value(bytes),
-                    None => h.null(),
-                }
-            }
+            cells.iter().for_each(|cell| h.cell(*cell));
             h.finish()
         };
         // Zero padding of the tail never aliases real zero bytes, on either

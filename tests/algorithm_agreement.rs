@@ -286,6 +286,23 @@ fn memory_export_profiles_and_sets_equal_the_scan_and_the_disk_export() {
     }
 }
 
+/// Every file of a workdir by name: the value files, MANIFEST.json, and
+/// nothing else (no spill directory, no staged leftover).
+fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("workdir")
+        .map(|entry| {
+            let path = entry.expect("entry").path();
+            let name = path
+                .file_name()
+                .expect("name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("a regular file"))
+        })
+        .collect()
+}
+
 #[test]
 fn the_default_path_is_invariant_under_the_worker_count() {
     // Extraction fans out over every core by default, whatever the merge
@@ -301,22 +318,6 @@ fn the_default_path_is_invariant_under_the_worker_count() {
             d.metrics.key_compares,
             d.metrics.memcmp_compares,
         )
-    };
-    // Every file of a workdir by name: the value files, MANIFEST.json, and
-    // nothing else (no spill directory, no staged leftover).
-    let workdir_files = |dir: &std::path::Path| -> std::collections::BTreeMap<String, Vec<u8>> {
-        std::fs::read_dir(dir)
-            .expect("workdir")
-            .map(|entry| {
-                let path = entry.expect("entry").path();
-                let name = path
-                    .file_name()
-                    .expect("name")
-                    .to_string_lossy()
-                    .into_owned();
-                (name, std::fs::read(&path).expect("a regular file"))
-            })
-            .collect()
     };
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
     for db in [
@@ -387,6 +388,84 @@ fn the_default_path_is_invariant_under_the_worker_count() {
                     "{name}, {label}: {file} differs from the one-worker export"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_bytes() {
+    // The database is the column store: load, both discoveries, a resumed
+    // export and the n-ary search read stored cells only, so no table ever
+    // builds its typed `Value` view — and the cells a load parsed are the
+    // bytes the generator's inserts rendered, so the two workdirs are
+    // file-for-file identical, manifest (column hashes) included.
+    use spider_ind::core::NaryFinder;
+    use spider_ind::datagen::{generate_chains, ChainsConfig};
+    use spider_ind::storage::tsv::{load_database, save_database};
+    use spider_ind::valueset::ResumeMode;
+    let views =
+        |db: &Database| -> usize { db.tables().iter().map(|t| t.value_views_built()).sum() };
+    let finder = IndFinder::with_algorithm(Algorithm::Spider);
+    let nary = NaryFinder::with_max_arity(2);
+    for built in [
+        generate_pdb(&OpenMmsConfig::tiny()),
+        generate_uniprot(&BiosqlConfig::tiny()),
+        generate_chains(&ChainsConfig::tiny()),
+    ] {
+        let name = built.name();
+        let dir = TempDir::new("agreement-spine");
+        save_database(&built, &dir.join("tsv")).expect("save");
+        let loaded = load_database(&dir.join("tsv")).expect("load");
+        assert_eq!(views(&loaded), 0, "{name}: load");
+
+        let options = ExportOptions::default();
+        let on_disk = finder
+            .discover_on_disk_with(&loaded, &dir.join("loaded"), &options)
+            .expect("on disk");
+        assert_eq!(views(&loaded), 0, "{name}: discover_on_disk_with");
+        let in_memory = finder.discover_in_memory(&loaded).expect("in memory");
+        assert_eq!(views(&loaded), 0, "{name}: discover_in_memory");
+        assert_eq!(on_disk.satisfied, in_memory.satisfied, "{name}");
+        let resumed = ExportedDatabase::export(
+            &loaded,
+            &dir.join("loaded"),
+            &options.clone().resume(ResumeMode::Reuse),
+        )
+        .expect("resume");
+        assert_eq!(
+            resumed.exports_redone(),
+            0,
+            "{name}: every column hash held"
+        );
+        assert_eq!(views(&loaded), 0, "{name}: resumed export");
+        let pairs = nary.discover_in_memory(&loaded).expect("n-ary in memory");
+        let pairs_on_disk = nary
+            .discover_on_disk(&loaded, &dir.join("nary"), &options)
+            .expect("n-ary on disk");
+        assert_eq!(pairs.satisfied, pairs_on_disk.satisfied, "{name}");
+        assert_eq!(views(&loaded), 0, "{name}: n-ary");
+
+        let from_built = finder
+            .discover_on_disk_with(&built, &dir.join("built"), &options)
+            .expect("generator-built on disk");
+        assert_eq!(views(&built), 0, "{name}: generator-built");
+        assert_eq!(from_built.satisfied, on_disk.satisfied, "{name}");
+        assert_eq!(from_built.profiles, on_disk.profiles, "{name}");
+        let (loaded_files, built_files) = (
+            workdir_files(&dir.join("loaded")),
+            workdir_files(&dir.join("built")),
+        );
+        assert_eq!(loaded_files.len(), on_disk.profiles.len() + 1, "{name}");
+        assert_eq!(
+            loaded_files.keys().collect::<Vec<_>>(),
+            built_files.keys().collect::<Vec<_>>(),
+            "{name}"
+        );
+        for (file, bytes) in &loaded_files {
+            assert!(
+                bytes == &built_files[file],
+                "{name}: {file} of the reloaded database differs from the generator-built one's"
+            );
         }
     }
 }

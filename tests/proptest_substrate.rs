@@ -7,7 +7,7 @@
 use ind_testkit::TempDir;
 use proptest::prelude::*;
 use spider_ind::storage::tsv::{load_database, save_database};
-use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
+use spider_ind::storage::{Column, ColumnSchema, DataType, Database, Table, TableSchema, Value};
 use spider_ind::valueset::{
     collect_cursor, compare_keys, extract_composite_memory_set, extract_composite_to_file,
     extract_memory_set, extract_sorted_distinct, extract_to_file, key_prefix64, ExternalSorter,
@@ -105,6 +105,183 @@ fn arb_budget() -> impl Strategy<Value = usize> {
         .prop_map(|(kind, small)| if kind % 4 == 0 { 1usize << 20 } else { small })
 }
 
+/// The loader's read buffer (`READ_BUFFER_BYTES` in `tsv/rows.rs`): the
+/// generated files are padded against it so that lines span it and files
+/// end exactly on it.
+const LOADER_BUFFER: usize = 64 * 1024;
+
+/// The generated table's column types, the last one text so that an empty
+/// last field leaves a line ending in a tab.
+const LOADER_TYPES: [DataType; 4] = [
+    DataType::Integer,
+    DataType::Float,
+    DataType::Lob,
+    DataType::Text,
+];
+
+/// One TSV field for a column of type `dt`, as it is written in the file,
+/// picked by `(kind, n)`: NULL, the canonical spelling, and every
+/// non-canonical spelling the parser must re-render — signs, leading and
+/// trailing zeros, exponents, `inf`/`NaN`, digits past what an `f64`
+/// holds — and for text every escape, the literal `\N` inside a longer
+/// field, multi-byte characters and the empty string.
+fn loader_field(dt: DataType, kind: u8, n: u64) -> String {
+    if kind.is_multiple_of(9) {
+        return "\\N".to_string();
+    }
+    let pick = |table: &[&str]| table[(n % table.len() as u64) as usize].to_string();
+    match dt {
+        DataType::Integer => match kind % 4 {
+            0 => (n as i64).to_string(),
+            1 => ((n % 2001) as i64 - 1000).to_string(),
+            2 => format!(
+                "{}{:0w$}",
+                ["", "+", "-"][(n % 3) as usize],
+                n % 977,
+                w = (n % 5) as usize
+            ),
+            _ => pick(&[
+                "0",
+                "-0",
+                "+0",
+                "00",
+                "+5",
+                "007",
+                "-007",
+                "123456789012345678",
+                "-123456789012345678",
+                "1234567890123456789",
+                "9223372036854775807",
+                "-9223372036854775808",
+                "0000000000000000000000042",
+            ]),
+        },
+        DataType::Float => match kind % 5 {
+            // Whatever an f64 can be, spelled canonically: hundreds of
+            // digits, subnormals, infinities, NaN payloads.
+            0 => f64::from_bits(n).to_string(),
+            // `digits` decimal digits with the point anywhere, around the
+            // 15-digit bound of the no-parse path.
+            1 | 2 => {
+                let digits = 1 + (n % 18) as usize;
+                let point = (n / 18 % (digits as u64 + 1)) as usize;
+                let body: String = (0..digits)
+                    .map(|i| char::from(b'0' + ((n >> (i % 48)) % 10) as u8))
+                    .collect();
+                let sign = if n & (1 << 60) == 0 { "" } else { "-" };
+                match (point, digits - point) {
+                    (0, _) => format!("{sign}0.{body}"),
+                    (_, 0) => format!("{sign}{body}"),
+                    _ => format!("{sign}{}.{}", &body[..point], &body[point..]),
+                }
+            }
+            3 => format!(
+                "{}e{}",
+                (n % 1000) as f64 / 8.0,
+                (n / 1000 % 40) as i64 - 20
+            ),
+            _ => pick(&[
+                "0",
+                "-0",
+                "0.0",
+                "-0.0",
+                "1.50",
+                "1e3",
+                "1E3",
+                "1e-7",
+                "+2.5",
+                ".5",
+                "5.",
+                "inf",
+                "-inf",
+                "+inf",
+                "infinity",
+                "NaN",
+                "nan",
+                "0.1",
+                "0.30000000000000004",
+                "123456789012345.6",
+                "1234567890.1234567",
+                "00.5",
+                "1e400",
+                "4.9e-324",
+            ]),
+        },
+        DataType::Text | DataType::Lob => {
+            // A bare carriage return is data anywhere but at the end of a
+            // line, so only the LOB column (never last) gets one.
+            let tokens = [
+                "a", "b", "1", " ", "é", "∑", "𝄞", "N", "\\\\", "\\t", "\\n", "\\r", "\\N", "\r",
+            ];
+            let tokens = &tokens[..tokens.len() - usize::from(dt == DataType::Text)];
+            let field: String = (0..n % 7)
+                .map(|i| tokens[((n >> (8 * i + 3)) % tokens.len() as u64) as usize])
+                .collect();
+            // A whole-field `\N` is NULL; keep this branch to text.
+            if field == "\\N" {
+                "x\\N".to_string()
+            } else {
+                field
+            }
+        }
+    }
+}
+
+/// Independent model of the field grammar: what text an escaped field
+/// spells. Only ever sees well-formed fields.
+fn model_unescape(field: &str) -> String {
+    let mut out = String::new();
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next().expect("generated escapes are complete") {
+            '\\' => out.push('\\'),
+            't' => out.push('\t'),
+            'n' => out.push('\n'),
+            'r' => out.push('\r'),
+            'N' => out.push_str("\\N"),
+            other => panic!("generated a bad escape \\{other}"),
+        }
+    }
+    out
+}
+
+/// The per-cell model of the loader — and what the row-of-`Value`s loader
+/// this one replaced built: NULL for the whole-field `\N`, else the
+/// unescaped text parsed as the column's type.
+fn model_cell(dt: DataType, field: &str) -> Value {
+    if field == "\\N" {
+        return Value::Null;
+    }
+    Value::parse(dt, &model_unescape(field)).expect("generated fields are well-formed")
+}
+
+/// `Value` equality that lets NaN equal itself and tells `-0.0` from `0.0`.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A token of the TSV grammar rather than a uniform byte, so arbitrary
+/// input reaches past the UTF-8 check: delimiters, line ends, escapes (good
+/// and bad), number syntax, multi-byte characters — and, one time in
+/// sixteen, one raw byte.
+fn grammar_token(kind: u8, raw: u8) -> Vec<u8> {
+    const TOKENS: [&str; 28] = [
+        "\t", "\t", "\t", "\n", "\n", "\n", "\r\n", "\r", "\\N", "\\N", "\\t", "\\\\", "\\", "\\q",
+        "0", "7", "12", "-", "+", ".", "e", "inf", "NaN", "x", "y z", "é", "∑", "",
+    ];
+    match kind % 16 {
+        0 => vec![raw],
+        _ => TOKENS[raw as usize % TOKENS.len()].as_bytes().to_vec(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -139,6 +316,90 @@ proptest! {
         prop_assert_eq!(back.row_count(), orig.row_count());
         for i in 0..orig.row_count() {
             prop_assert_eq!(back.row(i), orig.row(i), "row {}", i);
+        }
+    }
+
+    #[test]
+    fn loaded_cells_equal_the_per_cell_model_and_the_view_the_row_loaders_values(
+        rows in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), any::<u64>()), 4..5), 0..12),
+        ending in 0u8..6,
+        long_row in proptest::option::of(0usize..12),
+    ) {
+        // Whatever spelling a field arrives in, the stored cell is the
+        // canonical rendering of the value the old loader would have
+        // parsed, and the typed view is that value.
+        let mut fields: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(LOADER_TYPES)
+                    .map(|(&(kind, n), dt)| loader_field(dt, kind, n))
+                    .collect()
+            })
+            .collect();
+        // A line longer than the read buffer, anywhere in the file.
+        if let Some(row) = long_row.filter(|&row| row < fields.len()) {
+            fields[row][3] = format!("{}{}", "wide\\t".repeat(LOADER_BUFFER / 5), fields[row][3]);
+        }
+        // Endings: LF / CRLF; 2 and 3 without the final line end; 4 and 5
+        // padded (in the last row's text field) so that the file stops
+        // exactly on a read-buffer boundary — under CRLF one byte past it,
+        // the buffer's edge falling between the `\r` and the `\n`.
+        let newline = if ending % 2 == 1 { "\r\n" } else { "\n" };
+        let file_len = |fields: &[Vec<String>]| -> usize {
+            fields
+                .iter()
+                .map(|row| row.iter().map(String::len).sum::<usize>() + 3 + newline.len())
+                .sum()
+        };
+        if ending >= 4 && !fields.is_empty() {
+            let target = file_len(&fields) - usize::from(ending == 5);
+            let pad = "p".repeat(LOADER_BUFFER - target % LOADER_BUFFER);
+            fields.last_mut().expect("non-empty")[3].push_str(&pad);
+        }
+        let mut data = String::new();
+        for row in &fields {
+            data.push_str(&row.join("\t"));
+            data.push_str(newline);
+        }
+        prop_assert_eq!(data.len(), file_len(&fields));
+        if matches!(ending, 2 | 3) {
+            data.truncate(data.len().saturating_sub(newline.len()));
+        }
+        if ending >= 4 && !fields.is_empty() {
+            prop_assert_eq!(data.len() % LOADER_BUFFER, usize::from(ending == 5));
+        }
+
+        let dir = TempDir::new("prop-loader");
+        let schema: String = LOADER_TYPES
+            .iter()
+            .enumerate()
+            .map(|(j, dt)| format!("column\tc{j}\t{dt}\tnull\tdup\n"))
+            .collect();
+        std::fs::write(dir.join("schema.txt"), format!("database\tprop\ntable\tt\n{schema}"))
+            .expect("schema");
+        std::fs::write(dir.join("t.tsv"), data.as_bytes()).expect("data");
+        let db = load_database(dir.path()).expect("every generated field is well-formed");
+        let table = db.table("t").expect("t");
+        prop_assert_eq!(table.row_count(), fields.len());
+        for (j, dt) in LOADER_TYPES.into_iter().enumerate() {
+            let model: Vec<Value> = fields.iter().map(|row| model_cell(dt, &row[j])).collect();
+            let model_cells: Vec<Option<Vec<u8>>> = model
+                .iter()
+                .map(|v| (!v.is_null()).then(|| v.canonical_bytes()))
+                .collect();
+            let stored = table.cells(j);
+            prop_assert_eq!(stored.data_type(), dt);
+            let cells: Vec<Option<Vec<u8>>> =
+                stored.cells().map(|cell| cell.map(<[u8]>::to_vec)).collect();
+            prop_assert_eq!(&cells, &model_cells, "column {}", j);
+            let view = table.column(j);
+            prop_assert_eq!(view.len(), model.len());
+            for (row, (got, want)) in view.iter().zip(&model).enumerate() {
+                prop_assert!(same_value(got, want), "column {} row {}: {:?} vs {:?}", j, row, got, want);
+                prop_assert!(same_value(&stored.value(row), want));
+            }
         }
     }
 
@@ -325,8 +586,9 @@ proptest! {
             .collect();
         model.sort_unstable();
         model.dedup();
-        prop_assert_eq!(extract_memory_set(&values).as_slice().to_vec(), model.clone());
-        prop_assert_eq!(extract_sorted_distinct(&values), model);
+        let column = Column::from_values(&values);
+        prop_assert_eq!(extract_memory_set(&column).as_slice().to_vec(), model.clone());
+        prop_assert_eq!(extract_sorted_distinct(&column), model);
     }
 
     #[test]
@@ -341,8 +603,9 @@ proptest! {
         // byte, whatever the budget and I/O block size.
         let dir = TempDir::new("prop-arena-extract");
         let path = dir.join("col.indv");
+        let column = Column::from_values(&values);
         let stats = extract_to_file(
-            &values,
+            &column,
             &path,
             &dir.join("spill"),
             SortOptions {
@@ -351,7 +614,7 @@ proptest! {
             },
         )
         .expect("extract");
-        let expected = extract_sorted_distinct(&values);
+        let expected = extract_sorted_distinct(&column);
         let got = collect_cursor(
             ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(block))
                 .expect("open"),
@@ -379,6 +642,7 @@ proptest! {
         // when spill boundaries land inside escaped tuple encodings.
         let a: Vec<Value> = rows.iter().map(|(x, _)| x.clone()).collect();
         let b: Vec<Value> = rows.iter().map(|(_, y)| y.clone()).collect();
+        let (a, b) = (Column::from_values(&a), Column::from_values(&b));
         let dir = TempDir::new("prop-arena-composite");
         let path = dir.join("pair.indv");
         let stats = extract_composite_to_file(
@@ -494,6 +758,7 @@ proptest! {
         let dir = TempDir::new("prop-prefetch");
         let plain_io = IoOptions::with_block_size(block);
         let prefetch_io = IoOptions::with_block_size(block).prefetched(true);
+        let values = Column::from_values(&values);
         let plain_path = dir.join("plain.indv");
         extract_to_file(
             &values,
@@ -561,5 +826,91 @@ proptest! {
             ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(read_block))
                 .and_then(collect_cursor);
         prop_assert!(drained.is_err(), "cut at {} of {} read clean", cut, data.len());
+    }
+}
+
+// Byte-level fuzz of the TSV loader: cheap cases, so many of them.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_as_a_data_file_never_panic_the_loader(
+        bytes in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..48),
+        shape in 0u8..6,
+    ) {
+        let data: Vec<u8> = bytes
+            .iter()
+            .flat_map(|&(kind, raw)| grammar_token(kind, raw))
+            .collect();
+        let columns = match shape {
+            0 => "column\ta\ttext\tnull\tdup\n",
+            1 => "column\ta\tinteger\tnull\tdup\n",
+            2 => "column\ta\tfloat\tnotnull\tdup\n",
+            3 => "column\ta\ttext\tnotnull\tdup\ncolumn\tb\tinteger\tnull\tdup\n",
+            4 => "column\ta\tlob\tnull\tdup\ncolumn\tb\tfloat\tnull\tdup\ncolumn\tc\ttext\tnull\tdup\n",
+            _ => "",
+        };
+        let dir = TempDir::new("prop-loader-fuzz");
+        std::fs::write(dir.join("schema.txt"), format!("database\tfuzz\ntable\tt\n{columns}"))
+            .expect("schema");
+        std::fs::write(dir.join("t.tsv"), &data).expect("data");
+        match load_database(dir.path()) {
+            // Whatever was accepted is a sound table: equal-length columns
+            // whose every cell rebuilds into a typed value.
+            Ok(db) => {
+                prop_assert!(std::str::from_utf8(&data).is_ok(), "invalid UTF-8 was accepted");
+                let table = db.table("t").expect("t");
+                for (j, _, column) in table.iter_cells() {
+                    prop_assert_eq!(column.len(), table.row_count());
+                    prop_assert_eq!(table.column(j).len(), table.row_count());
+                }
+                prop_assert!(table.row_count() == 0 || !columns.is_empty());
+            }
+            Err(error) => prop_assert!(!error.to_string().is_empty()),
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_as_a_schema_never_panic_the_loader(
+        tokens in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
+    ) {
+        // Whole well-formed lines most of the time, so the parser gets past
+        // its first line; loose words, grammar tokens and raw bytes between.
+        const LINES: [&str; 12] = [
+            "database\tfuzz\n",
+            "table\tt\n",
+            "table\tu\n",
+            "column\ta\tinteger\tnull\tdup\n",
+            "column\tb\ttext\tnull\tunique\n",
+            "column\ta\tfloat\tnotnull\tdup\n",
+            "column\tc\tlob\tnull\tdup\r\n",
+            "fk\ta\tt\ta\n",
+            "fk\tb\tghost\tid\n",
+            "cfk\tt\t2\ta\tb\ta\tb\n",
+            "cfk\tu\t18446744073709551615\ta\n",
+            "\n",
+        ];
+        const WORDS: [&str; 12] = [
+            "database", "table", "column", "fk", "cfk", "t", "a", "text", "null", "2", "\t", "\n",
+        ];
+        let mut schema: Vec<u8> = b"database\tfuzz\n".to_vec();
+        for &(kind, raw) in &tokens {
+            match kind % 8 {
+                0 => schema.extend(grammar_token(raw, kind)),
+                1 => schema.extend_from_slice(WORDS[raw as usize % WORDS.len()].as_bytes()),
+                _ => schema.extend_from_slice(LINES[raw as usize % LINES.len()].as_bytes()),
+            }
+        }
+        let dir = TempDir::new("prop-schema-fuzz");
+        std::fs::write(dir.join("schema.txt"), &schema).expect("schema");
+        for table in ["t", "u"] {
+            std::fs::write(dir.join(&format!("{table}.tsv")), b"1\tx\n\\N\t2\n").expect("data");
+        }
+        if let Ok(db) = load_database(dir.path()) {
+            prop_assert!(std::str::from_utf8(&schema).is_ok(), "invalid UTF-8 was accepted");
+            for table in db.tables() {
+                prop_assert!(table.iter_cells().all(|(_, _, c)| c.len() == table.row_count()));
+            }
+        }
     }
 }
