@@ -112,9 +112,10 @@ pub fn memory_export_with_threads(
         .expect("an uninterruptible in-memory export cannot fail")
 }
 
-/// The in-memory export proper: **one pass per column** copies its stored
-/// cells out, sorts and deduplicates them into its flat set, and the
-/// profile is read off that same pass — `non_null` is what the pass pushed,
+/// The in-memory export proper: **one pass per column** indexes its stored
+/// cells where they lie, sorts and deduplicates that index and compacts the
+/// survivors into the column's flat set, and the profile is read off that
+/// same pass — `non_null` is what the pass indexed,
 /// `distinct` the set's length, `min`/`max` its first and last value — so
 /// the result equals [`profile_database`]'s field for field. Polls the
 /// ambient cancel token once per column (phase `export`).

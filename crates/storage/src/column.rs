@@ -137,6 +137,13 @@ impl Column {
         }
     }
 
+    /// The buffer every cell is a slice of: the non-NULL cells' canonical
+    /// bytes back to back in row order. With [`Cells::offset`] it lets a
+    /// reader address cells where they lie instead of copying them.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
     /// Adds a NULL cell.
     #[inline]
     pub(crate) fn push_null(&mut self) {
@@ -249,6 +256,15 @@ pub struct Cells<'a> {
     start: usize,
 }
 
+impl Cells<'_> {
+    /// Where the next cell starts in [`Column::bytes`] (a NULL is an empty
+    /// range there); at most `u32::MAX`, like every offset of a column.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.start
+    }
+}
+
 impl<'a> Iterator for Cells<'a> {
     type Item = Option<&'a [u8]>;
 
@@ -298,6 +314,18 @@ mod tests {
             assert_eq!(column.cell(row), *cell, "row {row}");
         }
         assert_eq!(column.cells().len(), 5);
+        // Every cell is the slice of `bytes()` that starts at its offset.
+        assert_eq!(column.bytes(), b"abc");
+        let mut cells = column.cells();
+        let mut offsets = Vec::new();
+        while cells.len() > 0 {
+            let offset = cells.offset();
+            let cell = cells.next().unwrap().unwrap_or(b"");
+            assert_eq!(&column.bytes()[offset..offset + cell.len()], cell);
+            offsets.push(offset);
+        }
+        assert_eq!(offsets, [0, 2, 2, 2, 3]);
+        assert_eq!(cells.offset(), 3);
         assert_eq!(column.values(), sample());
         assert_eq!(column.value(2), Value::Text(String::new()));
     }

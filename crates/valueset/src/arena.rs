@@ -1,7 +1,7 @@
-//! The unsorted-value buffer under both sorters.
+//! The value index under both sorters.
 //!
-//! Values land back to back in one bump buffer (`bytes`) addressed by a
-//! flat `(prefix, offset, len)` index — not one heap `Vec<u8>` per value.
+//! A value is a slice of one byte buffer, addressed by a flat
+//! `(prefix, offset, len)` index — not one heap `Vec<u8>` per value.
 //! `(prefix, len)` is the value's normalized key
 //! ([`crate::key_prefix64`], [`crate::compare_keys`]), derived once when
 //! the value is recorded, so sorting permutes the index comparing integers
@@ -12,6 +12,14 @@
 //! wraps it in a memory budget and spills it to disk, the in-memory set
 //! builder (`crate::memory`) compacts it into a [`crate::MemoryValueSet`].
 //!
+//! The index does not own the bytes it addresses: [`sort_dedup`] and
+//! [`values`] take them as a parameter. For a stored column they are the
+//! column's own buffer ([`ind_storage::Column::bytes`]) — its cells already
+//! lie back to back, so extraction indexes them where they lie and copies
+//! nothing. Values that exist nowhere yet (composite tuples, `push`ed
+//! values, `MemoryValueSet::from_unsorted`) are first appended to a
+//! [`ValueArena`], the owned buffer beside an index.
+//!
 //! Growth policy is the owner's business (the sorter clamps it to its
 //! budget, the memory builder lets `Vec` double), so both vectors are open
 //! to the crate; what lives here is the addressing and the order.
@@ -19,8 +27,8 @@
 use crate::heap::{compare_keys, key_prefix64};
 use std::cmp::Ordering;
 
-/// One value in the arena: `bytes[offset..offset + len]`, with its
-/// normalized key cached beside the address.
+/// One value: `bytes[offset..offset + len]` of the buffer the index is
+/// over, with its normalized key cached beside the address.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     prefix: u64,
@@ -29,8 +37,33 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
+    /// The entry of `value`, which lies at `offset` of the indexed buffer;
+    /// `None` when it does not fit the index's 32-bit addressing.
     #[inline]
-    fn slice<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+    pub(crate) fn new(offset: usize, value: &[u8]) -> Option<Entry> {
+        Some(Entry {
+            prefix: key_prefix64(value),
+            offset: u32::try_from(offset).ok()?,
+            len: u32::try_from(value.len()).ok()?,
+        })
+    }
+
+    /// [`Entry::new`] for a value that is already stored: `cell` is the
+    /// slice of `bytes` — the buffer the index is over — starting at
+    /// `offset`, so the entry addresses it in place.
+    #[inline]
+    pub(crate) fn resident(offset: usize, cell: &[u8], bytes: &[u8]) -> Option<Entry> {
+        let entry = Entry::new(offset, cell)?;
+        debug_assert!(
+            std::ptr::eq(entry.slice(bytes), cell),
+            "the cell lies at `offset` of the indexed buffer"
+        );
+        Some(entry)
+    }
+
+    /// The value this entry addresses in `bytes`.
+    #[inline]
+    pub(crate) fn slice<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
         &bytes[self.offset as usize..self.offset as usize + self.len as usize]
     }
 
@@ -46,12 +79,29 @@ impl Entry {
 /// Bytes one index entry occupies (what the sorter's budget charges).
 pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
 
-/// Unsorted (after [`ValueArena::sort_dedup`]: sorted, distinct) values in
-/// one buffer plus an index.
+/// Sorts `index` by the values it addresses in `bytes` and removes
+/// duplicate values in place; the bytes are never moved, and only read for
+/// pairs of values that share their first eight bytes and both run past
+/// them.
+pub(crate) fn sort_dedup(index: &mut Vec<Entry>, bytes: &[u8]) {
+    index.sort_unstable_by(|a, b| a.cmp(b, bytes));
+    index.dedup_by(|a, b| a.cmp(b, bytes) == Ordering::Equal);
+}
+
+/// Every value `index` addresses in `bytes`, in index order.
+pub(crate) fn values<'a>(
+    index: &'a [Entry],
+    bytes: &'a [u8],
+) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
+    index.iter().map(move |e| e.slice(bytes))
+}
+
+/// An index beside a buffer of its own, for values that are not stored
+/// anywhere yet: the caller appends a value to `bytes` and
+/// [`record`](Self::record)s it.
 #[derive(Debug, Default)]
 pub(crate) struct ValueArena {
-    /// The value bytes, back to back in push order; callers append a value
-    /// here and then [`record`](Self::record) it.
+    /// The value bytes, back to back in push order.
     pub(crate) bytes: Vec<u8>,
     /// One entry per recorded value; the order of the set.
     pub(crate) index: Vec<Entry>,
@@ -64,34 +114,8 @@ impl ValueArena {
     #[inline]
     pub(crate) fn record(&mut self, offset: usize) -> Option<usize> {
         let value = &self.bytes[offset..];
-        let len = value.len();
-        self.index.push(Entry {
-            prefix: key_prefix64(value),
-            offset: u32::try_from(offset).ok()?,
-            len: u32::try_from(len).ok()?,
-        });
-        Some(len)
-    }
-
-    /// Sorts the index by value bytes and removes duplicate values in
-    /// place; the bytes are never moved, and only read for pairs of values
-    /// that share their first eight bytes and both run past them.
-    pub(crate) fn sort_dedup(&mut self) {
-        let bytes = &self.bytes;
-        self.index.sort_unstable_by(|a, b| a.cmp(b, bytes));
-        self.index
-            .dedup_by(|a, b| a.cmp(b, bytes) == Ordering::Equal);
-    }
-
-    /// The `i`-th value in index order.
-    #[inline]
-    pub(crate) fn value(&self, i: usize) -> &[u8] {
-        self.index[i].slice(&self.bytes)
-    }
-
-    /// Every value in index order.
-    pub(crate) fn values(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        self.index.iter().map(|e| e.slice(&self.bytes))
+        self.index.push(Entry::new(offset, value)?);
+        Some(value.len())
     }
 
     /// Forgets every value, keeping both capacities warm.
@@ -105,25 +129,44 @@ impl ValueArena {
 mod tests {
     use super::*;
 
-    fn arena_of(values: &[&[u8]]) -> ValueArena {
+    #[test]
+    fn sort_dedup_orders_bytewise_and_keeps_the_empty_value() {
         let mut arena = ValueArena::default();
-        for v in values {
+        for v in [&b"b"[..], b"", b"ab", b"a", b"b", b"", b"a\x00", b"\xff"] {
             let offset = arena.bytes.len();
             arena.bytes.extend_from_slice(v);
             assert_eq!(arena.record(offset), Some(v.len()));
         }
-        arena
+        sort_dedup(&mut arena.index, &arena.bytes);
+        let got: Vec<&[u8]> = values(&arena.index, &arena.bytes).collect();
+        let want: [&[u8]; 6] = [b"", b"a", b"a\x00", b"ab", b"b", b"\xff"];
+        assert_eq!(got, want);
+        assert_eq!(arena.index[2].slice(&arena.bytes), b"a\x00");
+        arena.clear();
+        assert_eq!(values(&arena.index, &arena.bytes).len(), 0);
     }
 
     #[test]
-    fn sort_dedup_orders_bytewise_and_keeps_the_empty_value() {
-        let mut arena = arena_of(&[b"b", b"", b"ab", b"a", b"b", b"", b"a\x00", b"\xff"]);
-        arena.sort_dedup();
-        let got: Vec<&[u8]> = arena.values().collect();
-        let want: [&[u8]; 6] = [b"", b"a", b"a\x00", b"ab", b"b", b"\xff"];
+    fn an_index_over_borrowed_bytes_never_moves_them() {
+        // The resident form: entries point into a buffer the index does
+        // not own (a stored column's), gaps and all.
+        let bytes = b"pear--apple-pear-fig";
+        let mut index: Vec<Entry> = [(0, 4), (6, 5), (12, 4), (17, 3)]
+            .iter()
+            .map(|&(offset, len)| Entry::new(offset, &bytes[offset..offset + len]).unwrap())
+            .collect();
+        sort_dedup(&mut index, bytes);
+        let got: Vec<&[u8]> = values(&index, bytes).collect();
+        let want: [&[u8]; 3] = [b"apple", b"fig", b"pear"];
         assert_eq!(got, want);
-        assert_eq!(arena.value(2), b"a\x00");
-        arena.clear();
-        assert_eq!(arena.values().len(), 0);
+        assert!(got
+            .iter()
+            .all(|v| bytes.as_ptr_range().contains(&v.as_ptr())));
+    }
+
+    #[test]
+    fn an_entry_past_32_bit_addressing_is_refused() {
+        assert!(Entry::new(u32::MAX as usize, b"x").is_some());
+        assert!(Entry::new(u32::MAX as usize + 1, b"x").is_none());
     }
 }

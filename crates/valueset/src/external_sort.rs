@@ -7,23 +7,36 @@
 //! disk when the buffer fills, and k-way merges the runs (plus the final
 //! buffer) into a strictly increasing output stream.
 //!
-//! # Arena-backed, allocation-free in the steady state
+//! # Index-backed, allocation-free in the steady state
 //!
-//! Pushed bytes land in one growable bump **arena** (`Vec<u8>`) addressed by
-//! a flat `(prefix, offset, len)` index — not one heap `Vec<u8>` per value.
-//! Sorting is `sort_unstable_by` over the index comparing the cached keys
-//! and, where they cannot tell, arena slices in place;
-//! duplicate elimination rewrites the index without touching the bytes
-//! (`crate::arena`, shared with the in-memory set builder). The sorter adds
-//! the budget and the spill: the memory budget charges what the allocator actually handed out (arena
-//! capacity plus index capacity), and both vectors grow through
-//! budget-clamped `reserve_exact` steps so the footprint is honoured within
-//! one growth granule; the rare unclamped growth (a single value larger
-//! than the budget, or a rendering that outgrows its size hint) is
-//! transient — capacity shrinks back inside the clamp at the next spill or
-//! reset. [`ExternalSorter::push_with`] lets callers render canonical
-//! bytes *directly into the arena* — no intermediate scratch vector, no
-//! copy.
+//! What is sorted is a flat `(prefix, offset, len)` index over one byte
+//! buffer — not one heap `Vec<u8>` per value. Sorting is `sort_unstable_by`
+//! over the index comparing the cached keys and, where they cannot tell,
+//! slices of the buffer in place; duplicate elimination rewrites the index
+//! without touching the bytes (`crate::arena`, shared with the in-memory
+//! set builder). The sorter adds the budget and the spill, for two kinds of
+//! input:
+//!
+//! * **Resident values** — the cells of a stored column, which already lie
+//!   back to back in the column's buffer. The resident entry point (what
+//!   [`crate::extract_with_sorter`] drives) indexes them where they lie: no
+//!   cell is copied, and the budget charges what the sorter allocates —
+//!   16 index bytes per value, sized once from the column's row count and
+//!   clamped to the budget. Only a column whose *index* outgrows the budget
+//!   spills (more than budget / 16 non-NULL rows); its runs are written
+//!   from the borrowed bytes.
+//! * **Pushed values** ([`ExternalSorter::push`],
+//!   [`ExternalSorter::push_with`]) — values that exist nowhere yet, such
+//!   as composite tuples. They land in the sorter's own growable **arena**
+//!   (`Vec<u8>`), which [`ExternalSorter::push_with`] lets callers render
+//!   into directly — no intermediate scratch vector, no copy. The budget
+//!   charges what the allocator actually handed out (arena capacity plus
+//!   index capacity), and both vectors grow through budget-clamped
+//!   `reserve_exact` steps so the footprint is honoured within one growth
+//!   granule; the one unclamped growth (a single value larger than the
+//!   budget, or a rendering longer than every rendering before it) is
+//!   transient — capacity shrinks back inside the clamp at the next spill
+//!   or reset.
 //!
 //! The spill-phase k-way merge mirrors the zero-allocation SPIDER engine:
 //! the same keyed min-heap (`crate::heap`), whose entries are run indices
@@ -33,11 +46,11 @@
 //! against the last *written* record through a single reusable buffer — no
 //! per-record `to_vec`, no per-distinct `clone`.
 //!
-//! [`ExternalSorter::finish_into`] resets the sorter (keeping its arena),
-//! so one sorter can serve a whole export: after the first attribute the
+//! [`ExternalSorter::finish_into`] resets the sorter (keeping its index and
+//! arena), so one sorter can serve a whole export: after the first attribute the
 //! steady-state cost of sorting another column is zero heap allocations.
 
-use crate::arena::{ValueArena, ENTRY_BYTES};
+use crate::arena::{self, Entry, ValueArena, ENTRY_BYTES};
 use crate::block::IoOptions;
 use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
@@ -48,9 +61,13 @@ use std::path::{Path, PathBuf};
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
 pub struct SortOptions {
-    /// Approximate in-memory buffer limit in bytes before a spill (arena
-    /// bytes plus index bytes, charged by actual capacity); the buffer
-    /// always admits at least one value.
+    /// In-memory limit in bytes before a spill, charged by the capacity the
+    /// sorter actually allocated and honoured within one growth granule:
+    /// 16 index bytes per non-NULL row for a stored column (its cells are
+    /// sorted where they lie, so a column spills only past budget / 16
+    /// rows), arena bytes plus index bytes for pushed values (composite
+    /// tuples). The buffer always admits at least one value. One sorter's
+    /// budget: an export with several workers runs one sorter per worker.
     pub memory_budget_bytes: usize,
     /// Block size for spill-run writers and the merge-phase readers.
     pub io: IoOptions,
@@ -66,9 +83,8 @@ impl Default for SortOptions {
 }
 
 impl SortOptions {
-    /// Default memory budget: large enough that test- and bench-scale
-    /// attributes sort fully in memory; small enough to spill on the
-    /// biggest PDB-like runs.
+    /// Default memory budget: a stored column sorts fully in memory up to
+    /// 4.19 M non-NULL rows (64 MiB / 16 B), whatever its values' size.
     pub const DEFAULT_MEMORY_BUDGET: usize = 64 << 20;
 
     /// Budget override with default I/O options.
@@ -93,9 +109,10 @@ pub struct SortStats {
     /// recorded so readers can size their block buffers without `fstat`.
     pub file_bytes: u64,
     /// High-water mark of the budget-charged footprint (arena capacity +
-    /// index capacity) over the sorter's lifetime — the number the memory
-    /// budget bounds. Persists across [`ExternalSorter::finish_into`]
-    /// reuse, so a shared sorter reports its lifetime peak.
+    /// index capacity; index capacity alone for resident columns) over the
+    /// sorter's lifetime — the number the memory budget bounds. Persists
+    /// across [`ExternalSorter::finish_into`] reuse, so a shared sorter
+    /// reports its lifetime peak.
     pub arena_bytes: u64,
     /// Arena/index capacity-growth events over the sorter's lifetime — the
     /// sorter's entire allocation traffic. A reused sorter stops growing
@@ -115,7 +132,7 @@ pub struct SortStats {
     /// Content hash of the whole source column, NULLs included (the
     /// manifest's staleness check). The sorter never sees NULLs, so it
     /// reports 0; [`crate::extract_with_sorter`] fills it in from the pass
-    /// that renders the cells.
+    /// that indexes the cells.
     pub source_hash: u64,
 }
 
@@ -169,7 +186,7 @@ impl ExternalSorter {
     /// Adds one value (unsorted, duplicates welcome).
     pub fn push(&mut self, value: &[u8]) -> Result<()> {
         if self.should_spill(value.len()) {
-            self.spill()?;
+            self.spill(None)?;
         }
         self.reserve_arena(value.len());
         let offset = self.buf.bytes.len();
@@ -178,28 +195,36 @@ impl ExternalSorter {
     }
 
     /// Adds one value by rendering it **directly into the arena**: `render`
-    /// receives the arena and must only append. This is the zero-copy entry
-    /// point for extraction — canonical renderings and tuple encodings land
-    /// in their final resting place with no intermediate scratch vector.
+    /// receives the arena and must only append. This is the entry point for
+    /// values that are stored nowhere yet — tuple encodings and canonical
+    /// renderings land in their final resting place with no intermediate
+    /// scratch vector. (A stored column's cells are not pushed at all:
+    /// [`crate::extract_with_sorter`] sorts them where they lie.)
     pub fn push_with(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
-        // The rendered length is unknown up front: spill on the index
-        // projection alone (the budget always admits one more value), then
-        // pre-grow through the clamped path for a value the size of the
-        // largest rendering seen so far, so the render itself almost never
-        // grows the arena through `Vec`'s unclamped doubling. The hint is
-        // capped to the budget room left — a lifetime-max giant may only
-        // overshoot through its own render (counted below, clamped back at
-        // the next spill or reset), never pin every later reservation past
-        // the budget.
-        if self.should_spill(0) {
-            self.spill()?;
+        // The rendered length is unknown up front, so the largest rendering
+        // seen so far stands in for it: when values are already buffered and
+        // one more of that size no longer fits the budget, spill first, then
+        // pre-grow through the clamped path for it, so the render itself
+        // does not grow the arena through `Vec`'s unclamped doubling.
+        //
+        // A hint no empty buffer could hold (a giant seen earlier) predicts
+        // nothing and would spill every value on its own: then the index
+        // projection alone decides (the budget always admits one more
+        // value), and the reservation stops at the budget room left — a
+        // lifetime-max giant may only overshoot through its own render
+        // (counted below, clamped back at the next spill or reset), never
+        // pin every later reservation past the budget.
+        let budget = self.options.memory_budget_bytes;
+        let hint = Some(self.max_value_len).filter(|len| len.saturating_add(ENTRY_BYTES) <= budget);
+        if self.should_spill(hint.unwrap_or(0)) {
+            self.spill(None)?;
         }
-        let room = self
-            .options
-            .memory_budget_bytes
-            .saturating_sub(self.buf.index.capacity() * ENTRY_BYTES)
-            .saturating_sub(self.buf.bytes.len());
-        self.reserve_arena(self.max_value_len.min(room));
+        let reserve = hint.unwrap_or_else(|| {
+            budget
+                .saturating_sub(self.buf.index.capacity() * ENTRY_BYTES)
+                .saturating_sub(self.buf.bytes.len())
+        });
+        self.reserve_arena(reserve);
         let capacity_before = self.buf.bytes.capacity();
         let offset = self.buf.bytes.len();
         render(&mut self.buf.bytes);
@@ -324,8 +349,12 @@ impl ExternalSorter {
         self.peak_footprint = self.peak_footprint.max(footprint);
     }
 
-    fn spill(&mut self) -> Result<()> {
-        self.buf.sort_dedup();
+    /// Sorts what the index holds and writes it out as one run. The values
+    /// are read from `resident` — the buffer a resident sort indexes — or,
+    /// when `None`, from the sorter's own arena.
+    fn spill(&mut self, resident: Option<&[u8]>) -> Result<()> {
+        let bytes = resident.unwrap_or(&self.buf.bytes);
+        arena::sort_dedup(&mut self.buf.index, bytes);
         if !self.spill_dir_created {
             std::fs::create_dir_all(&self.spill_dir)?;
             self.spill_dir_created = true;
@@ -335,7 +364,7 @@ impl ExternalSorter {
             // lint: allow(hot_alloc) — once per spilled run, not per record
             .join(format!("run-{:04}.indv", self.runs.len()));
         let mut w = ValueFileWriter::create_with_options(&path, &self.options.io)?;
-        for value in self.buf.values() {
+        for value in arena::values(&self.buf.index, bytes) {
             w.append(value)?;
         }
         w.finish()?;
@@ -345,13 +374,54 @@ impl ExternalSorter {
         Ok(())
     }
 
+    /// The resident entry point: a sort of up to `rows` values that already
+    /// lie in `bytes` (a stored column's buffer, which outlives the sort).
+    /// Nothing is copied — each value is [`record`](ResidentSort::record)ed
+    /// as one index entry pointing into `bytes` — so index entries are all
+    /// the sorter allocates and all the budget charges: the index is sized
+    /// here, once, for `rows` entries clamped to the budget (at least one),
+    /// and never grows. When it fills, what it holds is sorted and spilled
+    /// as a run read from `bytes`; a column of at most budget / 16 values
+    /// never spills, whatever their size.
+    pub(crate) fn resident<'a>(&'a mut self, bytes: &'a [u8], rows: usize) -> ResidentSort<'a> {
+        debug_assert!(
+            self.buf.index.is_empty() && self.runs.is_empty(),
+            "a sorter runs one sort at a time"
+        );
+        let room = self
+            .options
+            .memory_budget_bytes
+            .saturating_sub(self.buf.bytes.capacity());
+        let entries = rows.min((room / ENTRY_BYTES).max(1));
+        if self.buf.index.capacity() < entries {
+            self.buf.index.reserve_exact(entries);
+            self.grows += 1;
+            self.note_footprint();
+        }
+        ResidentSort {
+            sorter: self,
+            bytes,
+        }
+    }
+
     /// Merges everything into `writer` (strictly increasing, deduplicated)
     /// and removes the spill runs — a cleanup failure surfaces as an error
     /// (best-effort only when the merge itself already failed). The caller
     /// finishes the writer. The sorter resets afterwards, keeping its arena
     /// capacity, so it can be reused for the next attribute.
     pub fn finish_into(&mut self, writer: &mut ValueFileWriter) -> Result<SortStats> {
-        self.buf.sort_dedup();
+        self.finish_over(None, writer)
+    }
+
+    /// [`Self::finish_into`] over the buffer the index addresses:
+    /// `resident`, or the sorter's own arena when `None`.
+    fn finish_over(
+        &mut self,
+        resident: Option<&[u8]>,
+        writer: &mut ValueFileWriter,
+    ) -> Result<SortStats> {
+        let bytes = resident.unwrap_or(&self.buf.bytes);
+        arena::sort_dedup(&mut self.buf.index, bytes);
 
         let mut min = None;
         let mut max: Option<Vec<u8>> = None;
@@ -376,14 +446,18 @@ impl ExternalSorter {
         let (mut key_compares, mut memcmp_compares) = (0, 0);
         let merged = if self.runs.is_empty() {
             (|| {
-                for value in self.buf.values() {
+                for value in arena::values(&self.buf.index, bytes) {
                     emit(value, writer)?;
                 }
                 Ok(())
             })()
         } else {
             let _span = ind_trace::start(ind_trace::SPILL_MERGE);
-            merge_runs(&self.runs, &self.buf, &self.options.io, |v| emit(v, writer))
+            let memory = MemorySource {
+                index: &self.buf.index,
+                bytes,
+            };
+            merge_runs(&self.runs, memory, &self.options.io, |v| emit(v, writer))
                 .map(|compares| (key_compares, memcmp_compares) = compares)
         };
         // Remove the spill runs whatever the merge outcome; a merge error
@@ -421,6 +495,46 @@ impl ExternalSorter {
     }
 }
 
+/// A resident sort in progress ([`ExternalSorter::resident`]): the sorter
+/// plus the buffer every recorded value lies in. Holding the sorter
+/// mutably, it keeps pushed and resident values out of one index.
+pub(crate) struct ResidentSort<'a> {
+    sorter: &'a mut ExternalSorter,
+    bytes: &'a [u8],
+}
+
+impl ResidentSort<'_> {
+    /// Adds `cell`, which lies at `offset` of the sort's buffer (unsorted,
+    /// duplicates welcome), spilling a run first when the index is full.
+    #[inline]
+    pub(crate) fn record(&mut self, offset: usize, cell: &[u8]) -> Result<()> {
+        let sorter = &mut *self.sorter;
+        // `resident` sized the index inside the budget: it is never grown.
+        if sorter.buf.index.len() == sorter.buf.index.capacity() {
+            sorter.spill(Some(self.bytes))?;
+        }
+        let entry = Entry::resident(offset, cell, self.bytes).ok_or_else(|| sorter.too_large())?;
+        sorter.buf.index.push(entry);
+        sorter.pushed += 1;
+        Ok(())
+    }
+
+    /// [`ExternalSorter::finish_into`] for the recorded values: the index —
+    /// the last merge source beside any runs — is drained straight from the
+    /// borrowed bytes into `writer`, and the sorter comes back reset.
+    pub(crate) fn finish_into(self, writer: &mut ValueFileWriter) -> Result<SortStats> {
+        self.sorter.finish_over(Some(self.bytes), writer)
+    }
+}
+
+/// The sorted in-memory index and the bytes it addresses: the last source
+/// of the spill merge.
+#[derive(Clone, Copy)]
+struct MemorySource<'a> {
+    index: &'a [Entry],
+    bytes: &'a [u8],
+}
+
 /// K-way merge of the spill runs plus the sorted in-memory index, feeding
 /// each distinct value to `emit` in strictly increasing order. Returns the
 /// heap's `(key_compares, memcmp_compares)`.
@@ -435,13 +549,13 @@ impl ExternalSorter {
 /// written record through one reusable buffer.
 fn merge_runs(
     runs: &[PathBuf],
-    buf: &ValueArena,
+    memory: MemorySource<'_>,
     io: &IoOptions,
     mut emit: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<(u64, u64)> {
     let mut sources = MergeSources {
         readers: Vec::with_capacity(runs.len()),
-        buf,
+        memory,
         index_pos: 0,
     };
     for path in runs {
@@ -457,7 +571,7 @@ fn merge_runs(
             heap.push(src, sources.current(src), |a, b| sources.compare(a, b));
         }
     }
-    if !buf.index.is_empty() {
+    if !memory.index.is_empty() {
         heap.push(mem_src, sources.current(mem_src), |a, b| {
             sources.compare(a, b)
         });
@@ -489,18 +603,18 @@ fn merge_runs(
 /// in-memory index as one extra source.
 struct MergeSources<'a> {
     readers: Vec<ValueFileReader>,
-    buf: &'a ValueArena,
+    memory: MemorySource<'a>,
     index_pos: usize,
 }
 
 impl MergeSources<'_> {
     /// Current value of source `src` — a zero-copy slice into the reader's
-    /// block or into the arena.
+    /// block or into the indexed bytes.
     #[inline]
     fn current(&self, src: u32) -> &[u8] {
         match self.readers.get(src as usize) {
             Some(reader) => reader.current(),
-            None => self.buf.value(self.index_pos),
+            None => self.memory.index[self.index_pos].slice(self.memory.bytes),
         }
     }
 
@@ -516,7 +630,7 @@ impl MergeSources<'_> {
             Some(reader) => reader.advance(),
             None => {
                 self.index_pos += 1;
-                Ok(self.index_pos < self.buf.index.len())
+                Ok(self.index_pos < self.memory.index.len())
             }
         }
     }
@@ -692,6 +806,73 @@ mod tests {
             stats.arena_bytes
         );
         assert!(stats.arena_grows > 0, "growth events are counted");
+    }
+
+    #[test]
+    fn push_with_spills_before_a_render_would_outgrow_the_budget() {
+        // `push_with` does not know a rendering's length up front. It used
+        // to spill on the index projection alone, cap its reservation to
+        // the room left and let the render double the arena past the clamp
+        // — ~2x the budget on every cycle. The largest rendering so far now
+        // stands in for the next one.
+        let budget = 1 << 20;
+        let value_len = 4096;
+        let raw: Vec<Vec<u8>> = (0..1000u32)
+            .map(|i| {
+                let mut v = vec![b'a' + (i % 7) as u8; value_len];
+                v[..4].copy_from_slice(&(i % 400).to_be_bytes());
+                v
+            })
+            .collect();
+        let values: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
+        let dir = TempDir::new("extsort-pushwith-budget");
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(budget))
+                .unwrap();
+        for v in &values {
+            sorter
+                .push_with(|arena| arena.extend_from_slice(v))
+                .unwrap();
+        }
+        let out_path = dir.join("out.indv");
+        let mut w = ValueFileWriter::create(&out_path).unwrap();
+        let stats = sorter.finish_into(&mut w).unwrap();
+        w.finish().unwrap();
+        assert!(stats.runs >= 3, "~4 MB through 1 MiB must spill");
+        let granule = budget / 8 + MIN_GROW;
+        assert!(
+            stats.arena_bytes as usize <= budget + value_len + granule,
+            "footprint {} exceeds budget {budget} by more than one value and one granule",
+            stats.arena_bytes
+        );
+        let (pushed, push_stats) = sort_values(&values, budget);
+        let out = collect_cursor(ValueFileReader::open(&out_path).unwrap()).unwrap();
+        assert_eq!(out, pushed);
+        assert_eq!(out, expected(&values));
+        assert_eq!(
+            (stats.pushed, stats.distinct),
+            (push_stats.pushed, push_stats.distinct)
+        );
+
+        // A giant no budget could hold must not turn the hint into "spill
+        // every value": after it, small values batch up again.
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill2"), SortOptions::with_memory_budget(4096))
+                .unwrap();
+        let giant = vec![b'z'; 3 * 4096];
+        sorter
+            .push_with(|arena| arena.extend_from_slice(&giant))
+            .unwrap();
+        for i in 0..64u32 {
+            sorter
+                .push_with(|arena| arena.extend_from_slice(&i.to_be_bytes()))
+                .unwrap();
+        }
+        let mut w = ValueFileWriter::create(&dir.join("giant.indv")).unwrap();
+        let stats = sorter.finish_into(&mut w).unwrap();
+        w.finish().unwrap();
+        assert_eq!(stats.distinct, 65);
+        assert!(stats.runs <= 2, "{} runs for 64 small values", stats.runs);
     }
 
     #[test]
@@ -898,5 +1079,27 @@ mod tests {
         let a = collect_cursor(ValueFileReader::open(&dir.join("a.indv")).unwrap()).unwrap();
         let b = collect_cursor(ValueFileReader::open(&dir.join("b.indv")).unwrap()).unwrap();
         assert_eq!(a, b);
+
+        // The resident path: the index is sized once from the first
+        // column's row count, and a second column of as many rows finds it
+        // warm — zero sorter allocations, not one per doubling.
+        let column = ind_storage::Column::from_values(
+            &raw.iter()
+                .map(|s| ind_storage::Value::from(s.as_str()))
+                .collect::<Vec<_>>(),
+        );
+        let mut sorter = ExternalSorter::new(&dir.join("spill"), SortOptions::default()).unwrap();
+        let mut extract = |name: &str| {
+            crate::extract_with_sorter(&column, &dir.join(name), &mut sorter)
+                .unwrap()
+                .0
+        };
+        let first = extract("d.indv");
+        let second = extract("e.indv");
+        assert_eq!(first.arena_grows, 1, "one exact reservation, no doubling");
+        assert_eq!(first.arena_bytes, (values.len() * ENTRY_BYTES) as u64);
+        assert_eq!(second.arena_grows, 1, "a warm index is not reallocated");
+        assert_eq!(second.arena_bytes, first.arena_bytes);
+        assert_eq!((second.pushed, second.distinct), (200, 200));
     }
 }

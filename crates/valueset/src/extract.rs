@@ -4,8 +4,13 @@
 //! database the sorted sets of distinct values of each attribute using SQL"
 //! (Sec. 3). Here the "SQL" is a scan over a stored [`Column`], whose cells
 //! already are the canonical renderings (`ind-storage` parsed them once, at
-//! load or insert); sorting and duplicate elimination happen either in
-//! memory or via the external sorter.
+//! load or insert) and already lie back to back in the column's buffer. So
+//! unary extraction is index-only: one pass (`index_cells`, the crate's only
+//! loop over a column's cells for it) records where each non-NULL cell lies,
+//! the index is sorted and deduplicated over the column's own bytes, and the
+//! sorted distinct slices are drained straight into their sink — a value
+//! file ([`extract_with_sorter`]) or a flat in-memory set
+//! ([`extract_memory_columns`]). No cell is copied before its sink.
 
 use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
@@ -20,6 +25,7 @@ use std::path::Path;
 /// one vector per value (tests and tooling; the pipeline keeps the flat
 /// [`MemoryValueSet`]).
 pub fn extract_sorted_distinct(column: &Column) -> Vec<Vec<u8>> {
+    // lint: allow(hot_alloc) — the explicit copy-out for tests and tooling; never on the pipeline's path
     extract_memory_set(column).as_slice().to_vec()
 }
 
@@ -33,16 +39,39 @@ pub struct MemoryColumn {
     pub non_null: u64,
 }
 
-/// One pass over a column: every non-null cell is copied into the
-/// builder's arena, the arena is sorted, deduplicated and compacted into
-/// the flat set. The builder comes back empty and warm.
-fn extract_column(builder: &mut MemorySetBuilder, column: &Column) -> Result<MemoryColumn> {
-    for cell in column.cells().flatten() {
-        builder.push_with(|arena| arena.extend_from_slice(cell))?;
+/// The one pass of unary extraction: shows every cell of `column` to `seen`
+/// in row order, NULLs included (the export's content hash), and every
+/// non-NULL cell to `record` together with the offset in
+/// [`Column::bytes`] at which it lies (the sink's index entry).
+#[inline]
+fn index_cells(
+    column: &Column,
+    mut seen: impl FnMut(Option<&[u8]>),
+    mut record: impl FnMut(usize, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut cells = column.cells();
+    loop {
+        let offset = cells.offset();
+        let Some(cell) = cells.next() else {
+            return Ok(());
+        };
+        seen(cell);
+        if let Some(cell) = cell {
+            record(offset, cell)?;
+        }
     }
-    let non_null = builder.pushed();
+}
+
+/// One column into the memory sink: its non-null cells are indexed where
+/// they lie, the index is sorted and deduplicated over the column's bytes,
+/// and the survivors are compacted into the flat set. The builder comes
+/// back empty and warm.
+fn extract_column(builder: &mut MemorySetBuilder, column: &Column) -> Result<MemoryColumn> {
+    let mut set = builder.resident(column.bytes(), column.len());
+    index_cells(column, |_| (), |offset, cell| set.record(offset, cell))?;
+    let non_null = set.recorded();
     Ok(MemoryColumn {
-        set: builder.finish(),
+        set: set.finish(),
         non_null,
     })
 }
@@ -58,7 +87,7 @@ pub fn extract_memory_set(column: &Column) -> MemoryValueSet {
 }
 
 /// Extracts many columns into memory on `threads` workers (column
-/// extractions are mutually independent: copy, sort, dedup). Output order
+/// extractions are mutually independent: index, sort, dedup, compact). Output order
 /// matches input order; `threads <= 1` runs on the calling thread. Column
 /// `i` is attribute `i`: its extraction runs under an [`ind_trace::SORT`]
 /// span with that argument, parented to the caller's current span.
@@ -77,8 +106,10 @@ pub fn extract_memory_columns(columns: &[&Column], threads: usize) -> Result<Vec
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = threads.min(columns.len());
     let shares = ind_storage::run_workers(workers, |_| -> Result<Vec<(usize, MemoryColumn)>> {
+        // lint: allow(hot_alloc) — once per worker: the token is an `Arc`
         let _ambient = crate::cancel::set_ambient(cancel.clone());
         let mut builder = MemorySetBuilder::default();
+        // lint: allow(hot_alloc) — once per worker; one entry per column, not per cell
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -96,6 +127,7 @@ pub fn extract_memory_columns(columns: &[&Column], threads: usize) -> Result<Vec
     }
     // The shared index hands every column to exactly one worker.
     extracted.sort_unstable_by_key(|(i, _)| *i);
+    // lint: allow(hot_alloc) — the result vector: one entry per column
     Ok(extracted.into_iter().map(|(_, column)| column).collect())
 }
 
@@ -192,6 +224,7 @@ pub fn extract_composite_with_sorter(
         columns.iter().all(|c| c.len() == rows),
         "ragged column group"
     );
+    // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
     let io = sorter.options().io.clone();
     for row in 0..rows {
         let Some(components) = components(columns, row) else {
@@ -219,30 +252,36 @@ pub fn extract_to_file(
     Ok(stats)
 }
 
-/// [`extract_to_file`] through a caller-owned sorter, so one warm arena
+/// [`extract_to_file`] through a caller-owned sorter, so one warm index
 /// serves a whole export, **staged, not published**: the file is complete
 /// under `<path>.tmp` — an interrupted extraction leaves a `.tmp` orphan,
 /// never a half-written file under the final name — and the caller
-/// publishes the returned [`StagedFile`] with its batch. Each cell is
-/// copied from the column's store into the arena and the same bytes feed
-/// the column's content hash ([`SortStats::source_hash`]); nothing is
-/// rendered. After the first attribute the steady-state cost of another
-/// column is zero sorter allocations.
+/// publishes the returned [`StagedFile`] with its batch. No cell is copied
+/// or rendered: the pass that feeds the column's content hash
+/// ([`SortStats::source_hash`]) records one index entry per non-NULL cell
+/// pointing into the column's own buffer, the sorter permutes that index
+/// and the sorted distinct slices go straight to the writer. The sorter's
+/// budget therefore charges 16 bytes per non-NULL row, and a column spills
+/// only when that index alone outgrows it
+/// ([`SortOptions::memory_budget_bytes`]). After the first attribute the
+/// steady-state cost of another column (of at most as many rows) is zero
+/// sorter allocations.
 pub fn extract_with_sorter(
     column: &Column,
     path: &Path,
     sorter: &mut ExternalSorter,
 ) -> Result<(SortStats, StagedFile)> {
+    // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
     let io = sorter.options().io.clone();
     let mut hash = ColumnHasher::new();
-    for cell in column.cells() {
-        hash.cell(cell);
-        if let Some(cell) = cell {
-            sorter.push(cell)?;
-        }
-    }
+    let mut sort = sorter.resident(column.bytes(), column.len());
+    index_cells(
+        column,
+        |cell| hash.cell(cell),
+        |offset, cell| sort.record(offset, cell),
+    )?;
     let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
-    let mut stats = sorter.finish_into(&mut writer)?;
+    let mut stats = sort.finish_into(&mut writer)?;
     stats.source_hash = hash.finish();
     Ok((stats, writer.finish_staged(path)?))
 }
@@ -314,11 +353,15 @@ mod tests {
             stored(&[Value::from("ab"), Value::from("c")]),
             stored(&[Value::from("a"), Value::from("bc")]),
             stored(&[Value::from("abc")]),
-            // Enough long values to spill at the 64-byte budget: the hash
-            // must not depend on where the arena was flushed.
+            // Ten times the four entries a 64-byte budget holds, NULLs in
+            // between: the hash must not depend on where the index
+            // overflowed and was flushed.
             stored(
-                &(0..40i64)
-                    .map(|i| Value::Text(format!("value-{i:04}")))
+                &(0..60i64)
+                    .map(|i| match i % 3 {
+                        0 => Value::Null,
+                        _ => Value::Text(format!("value-{i:04}")),
+                    })
                     .collect::<Vec<_>>(),
             ),
         ];
@@ -327,11 +370,53 @@ mod tests {
             let path = dir.join(&format!("c{i}.indv"));
             let (stats, _staged) = extract_with_sorter(col, &path, &mut sorter).unwrap();
             assert_eq!(stats.source_hash, hash_column(col), "column {i}");
+            // A run per four entries the index had to make room for.
+            assert_eq!(stats.runs, (stats.pushed as usize).saturating_sub(1) / 4);
             hashes.push(stats.source_hash);
         }
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), columns.len(), "all nine columns differ");
+    }
+
+    #[test]
+    fn the_budget_charges_index_entries_not_cell_bytes() {
+        // A stored column's cells are sorted where they lie, so what the
+        // sorter allocates — and the budget bounds — is 16 bytes per
+        // non-NULL row: 4 MB of cells sort in memory under 64 KiB, while a
+        // short-valued column of more rows than the budget has entries for
+        // spills, and both agree with the memory sink.
+        let dir = TempDir::new("extract-budget");
+        let budget = 64 << 10;
+        let wide: Vec<Value> = (0..1000u32)
+            .map(|i| Value::Text(format!("{:04}", i % 900).repeat(1024)))
+            .collect();
+        let long: Vec<Value> = (0..20_000i64)
+            .map(|i| Value::Integer(i * 7919 % 15_000))
+            .collect();
+        for (name, values, spills) in [("wide", wide, false), ("long", long, true)] {
+            let column = stored(&values);
+            let path = dir.join(&format!("{name}.indv"));
+            let stats = extract_to_file(
+                &column,
+                &path,
+                &dir.join("spill"),
+                SortOptions::with_memory_budget(budget),
+            )
+            .unwrap();
+            assert!(stats.arena_bytes <= budget as u64, "{name}: {stats:?}");
+            if spills {
+                assert!(stats.runs >= 4, "{name}: {} runs", stats.runs);
+                assert!(stats.key_compares > 0, "{name}: the spill merge ran");
+            } else {
+                assert_eq!(stats.runs, 0, "{name}: 16 KB of index fits 64 KiB");
+                assert_eq!(stats.arena_bytes, 16 * 1000, "{name}");
+            }
+            let memory = extract_memory_set(&column);
+            assert_eq!(stats.distinct, memory.len(), "{name}");
+            let file = collect_cursor(ValueFileReader::open(&path).unwrap()).unwrap();
+            assert_eq!(file, memory.as_slice(), "{name}");
+        }
     }
 
     #[test]

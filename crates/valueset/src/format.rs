@@ -416,8 +416,6 @@ impl ValueFileWriter {
     /// [`ValueFileWriter::finish_staged`] instead.
     pub fn finish(mut self) -> Result<u64> {
         self.seal()?;
-        // lint: allow(swallowed_result) — durability hint only; the counted write above already returned any real error
-        self.file.sync_data().ok(); // best-effort durability; not load-bearing
         Ok(self.count)
     }
 

@@ -43,9 +43,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Options controlling a database export.
 #[derive(Debug, Clone)]
 pub struct ExportOptions {
-    /// Sorter tuning: memory budget before spilling, plus the I/O block
-    /// size ([`SortOptions::io`]) — the single knob governing every value
-    /// file this export writes (spill runs included) and every cursor the
+    /// Sorter tuning: the memory budget before spilling — **per worker**
+    /// (each of the [`threads`](Self::threads) workers owns one sorter), and
+    /// charging 16 index bytes per non-NULL row, not the cells, which are
+    /// sorted where the database stores them
+    /// ([`SortOptions::memory_budget_bytes`]) — plus the I/O block size
+    /// ([`SortOptions::io`]), the single knob governing every value file
+    /// this export writes (spill runs included) and every cursor the
     /// resulting [`ExportedDatabase`] opens over them.
     pub sort: SortOptions,
     /// Workers for the per-attribute extract/sort/write pipeline (attribute
@@ -516,7 +520,7 @@ impl ExportedDatabase {
         // Workers claim jobs one at a time off a shared atomic index —
         // fixed chunks would let a few huge columns idle the other
         // workers. Each worker owns ONE sorter for its whole share of the
-        // export (after the first attribute the arena and index are warm,
+        // export (after the first attribute its index is warm,
         // so every further column sorts with zero sorter allocations) and
         // ONE batch of staged files, which never outlives the call.
         let workers = options.threads.clamp(1, jobs.len().max(1));
@@ -559,8 +563,8 @@ impl ExportedDatabase {
                     Err(e) => break Err(e),
                 }
             };
-            // The arena has sorted its last column; the commit below only
-            // waits on fsyncs, while another worker's arena may still grow.
+            // The index has sorted its last column; the commit below only
+            // waits on fsyncs, while another worker's index may still grow.
             drop(sorter);
             // Every way out of the loop — work list drained, strict-mode
             // error, cancellation — commits the staged siblings first, so

@@ -82,7 +82,7 @@ pub struct Manifest {
 /// xored together, so every input bit reaches both ends of the state (a
 /// plain wrapping multiply only ever carries upward). Deterministic across
 /// runs and thread counts by construction. The export feeds it from the
-/// pass that copies each cell into the sorter; [`hash_column`] is the same
+/// pass that indexes each cell for the sorter; [`hash_column`] is the same
 /// hash computed standalone, for the resume-side staleness check.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnHasher(u64);

@@ -21,16 +21,19 @@
 //! made that merge measurably slower than the per-value-`Vec` layout it
 //! replaced, caching them makes it faster.
 //!
-//! # One pass
+//! # One pass, one copy
 //!
-//! Sets are built by the crate-private `MemorySetBuilder`: values are rendered
-//! straight into the shared arena (`crate::arena`, the same buffer the
-//! external sorter fills), the index is sorted and deduplicated in place,
-//! and the survivors are compacted into the flat set. A builder is reused
-//! across columns, so extracting a column costs the set's two buffers and
-//! nothing per cell.
+//! Sets are built by the crate-private `MemorySetBuilder` over the shared
+//! value index (`crate::arena`, the same index the external sorter sorts):
+//! the index is sorted and deduplicated in place and the survivors are
+//! compacted into the flat set. A stored column's cells are indexed where
+//! they lie in the column's own buffer, so the copy into the finished set
+//! is the only one a value ever takes; values that are stored nowhere yet
+//! (composite tuples, [`MemoryValueSet::from_unsorted`]) are rendered into
+//! the builder's arena first. A builder is reused across columns, so
+//! extracting a column costs the set's two buffers and nothing per cell.
 
-use crate::arena::ValueArena;
+use crate::arena::{self, Entry, ValueArena};
 use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::{Result, ValueSetError};
 use std::fmt;
@@ -265,9 +268,10 @@ impl PartialEq<FlatValues<'_>> for Vec<Vec<u8>> {
 }
 
 /// Builds [`MemoryValueSet`]s from unsorted values: push, then
-/// [`finish`](Self::finish). The builder keeps its arena across sets, so
-/// one builder per worker makes the steady-state cost of another column
-/// the finished set's own two buffers.
+/// [`finish`](Self::finish) — or, for values that already lie in a buffer,
+/// [`resident`](Self::resident). The builder keeps its index (and arena)
+/// across sets, so one builder per worker makes the steady-state cost of
+/// another column the finished set's own two buffers.
 #[derive(Debug, Default)]
 pub(crate) struct MemorySetBuilder {
     arena: ValueArena,
@@ -290,24 +294,68 @@ impl MemorySetBuilder {
         self.arena.record(offset).map(drop).ok_or_else(too_large)
     }
 
-    /// Values pushed since the last [`finish`](Self::finish), duplicates
-    /// included.
-    pub(crate) fn pushed(&self) -> u64 {
-        self.arena.index.len() as u64
-    }
-
     /// Sorts and deduplicates what was pushed, compacts the survivors into
     /// a flat set, and resets the builder (keeping its capacity).
     pub(crate) fn finish(&mut self) -> MemoryValueSet {
-        self.arena.sort_dedup();
-        // Survivors are disjoint pieces of an arena `push_with` kept
-        // within u32 addressing, so their total fits a u32.
-        let total = self.arena.values().map(<[u8]>::len).sum();
-        let flat = FlatSet::flatten(total, self.arena.values());
+        let set = compact(&mut self.arena.index, &self.arena.bytes);
         self.arena.clear();
-        MemoryValueSet {
-            flat: Arc::new(flat),
+        set
+    }
+
+    /// Starts a set of up to `rows` values that already lie in `bytes` (a
+    /// stored column's buffer): each is [`record`](ResidentSet::record)ed as
+    /// an index entry pointing into `bytes`, and nothing is copied before
+    /// the finished set. The index is sized here, once.
+    pub(crate) fn resident<'a>(&'a mut self, bytes: &'a [u8], rows: usize) -> ResidentSet<'a> {
+        debug_assert!(self.arena.index.is_empty(), "one set at a time");
+        self.arena.index.reserve(rows);
+        ResidentSet {
+            index: &mut self.arena.index,
+            bytes,
         }
+    }
+}
+
+/// A set under construction over borrowed bytes
+/// ([`MemorySetBuilder::resident`]).
+pub(crate) struct ResidentSet<'a> {
+    index: &'a mut Vec<Entry>,
+    bytes: &'a [u8],
+}
+
+impl ResidentSet<'_> {
+    /// Adds `cell`, which lies at `offset` of the set's buffer (unsorted,
+    /// duplicates welcome).
+    #[inline]
+    pub(crate) fn record(&mut self, offset: usize, cell: &[u8]) -> Result<()> {
+        self.index
+            .push(Entry::resident(offset, cell, self.bytes).ok_or_else(too_large)?);
+        Ok(())
+    }
+
+    /// Values recorded so far, duplicates included.
+    pub(crate) fn recorded(&self) -> u64 {
+        self.index.len() as u64
+    }
+
+    /// Sorts and deduplicates what was recorded, compacts the survivors
+    /// into a flat set, and leaves the builder empty and warm.
+    pub(crate) fn finish(self) -> MemoryValueSet {
+        let set = compact(self.index, self.bytes);
+        self.index.clear();
+        set
+    }
+}
+
+/// Sorts and deduplicates `index` over `bytes` and lays the surviving
+/// values out as a flat set — the one copy a value takes.
+fn compact(index: &mut Vec<Entry>, bytes: &[u8]) -> MemoryValueSet {
+    arena::sort_dedup(index, bytes);
+    // Survivors are disjoint pieces of a buffer within u32 addressing, so
+    // their total fits a u32.
+    let total = arena::values(index, bytes).map(<[u8]>::len).sum();
+    MemoryValueSet {
+        flat: Arc::new(FlatSet::flatten(total, arena::values(index, bytes))),
     }
 }
 
@@ -503,13 +551,26 @@ mod tests {
                 .push_with(|bytes| bytes.extend_from_slice(v))
                 .unwrap();
         }
-        assert_eq!(builder.pushed(), 3);
         assert_eq!(
             builder.finish().as_slice().to_vec(),
             [b"p".to_vec(), b"q".to_vec()]
         );
-        assert_eq!(builder.pushed(), 0);
         assert!(builder.finish().is_empty(), "nothing pushed, nothing kept");
+
+        // A resident set in between: values indexed where they lie in a
+        // borrowed buffer, gaps skipped, nothing left behind in the builder.
+        let bytes = b"q-p-q";
+        let mut set = builder.resident(bytes, 3);
+        for offset in [0, 2, 4] {
+            set.record(offset, &bytes[offset..offset + 1]).unwrap();
+        }
+        assert_eq!(set.recorded(), 3);
+        assert_eq!(
+            set.finish().as_slice().to_vec(),
+            [b"p".to_vec(), b"q".to_vec()]
+        );
+        assert!(builder.resident(b"", 0).finish().is_empty());
+
         builder
             .push_with(|bytes| bytes.extend_from_slice(b"z"))
             .unwrap();

@@ -105,8 +105,8 @@ fn print_usage() {
          \x20                     [--value-bytes SIZE]\n\
          \x20     Generate a synthetic database and save it as TSV\n\
          \x20     (`chains` carries a composite two-column foreign key;\n\
-         \x20     `wide` has few columns with `--value-bytes`-byte values,\n\
-         \x20     sized to exceed a sort budget and force spills).\n\
+         \x20     `wide` has few columns with `--value-bytes`-byte values:\n\
+         \x20     value files far larger than the readers' blocks).\n\
          \x20 spider-ind profile <dir>\n\
          \x20     Per-attribute statistics (rows, distinct, nulls, uniqueness).\n\
          \x20 spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|spiderpar|blockwise]\n\
@@ -122,9 +122,12 @@ fn print_usage() {
          \x20     `--on-disk` runs the paper's actual pipeline over sorted\n\
          \x20     value files (exported under `--workdir`, default a fresh\n\
          \x20     temp dir) read through `--block-size`-byte I/O blocks;\n\
-         \x20     `--memory-budget` caps the export sorter's in-memory\n\
-         \x20     bytes before it spills sorted runs to disk. SIZE flags\n\
-         \x20     accept bare bytes or binary units (8KiB, 64M, 1gb).\n\
+         \x20     `--memory-budget` caps what each export worker's sorter\n\
+         \x20     allocates before it spills sorted runs to disk: 16 bytes\n\
+         \x20     per non-NULL row of a column (cells are sorted where the\n\
+         \x20     loaded table stores them, not copied), plus the encoded\n\
+         \x20     tuples for `--max-arity`. SIZE flags accept bare bytes or\n\
+         \x20     binary units (8KiB, 64M, 1gb).\n\
          \x20     `--prefetch` overlaps reads with merging (a worker thread\n\
          \x20     fills block N+1 while the engine consumes block N);\n\
          \x20     `--direct-io` opens value files with O_DIRECT, falling\n\

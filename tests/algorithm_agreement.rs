@@ -304,12 +304,15 @@ fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Ve
 }
 
 #[test]
-fn the_default_path_is_invariant_under_the_worker_count() {
+fn the_default_path_is_invariant_under_worker_count_and_budget() {
     // Extraction fans out over every core by default, whatever the merge
-    // algorithm. Nothing a run reports or leaves on disk may depend on how
-    // many workers that is: the one-worker run is the reference for the
-    // defaults (whatever this host's core count) and for a count well past
-    // any column-per-worker balance.
+    // algorithm, and sorts under a memory budget. Nothing a run reports or
+    // leaves on disk may depend on how many workers that is or on how often
+    // a column's index overflowed the budget and spilled: the one-worker,
+    // default-budget run is the reference for the defaults (whatever this
+    // host's core count), for a count well past any column-per-worker
+    // balance, and for budgets from 16 index entries (every column of more
+    // rows spills) upwards.
     use spider_ind::core::Discovery;
     let merge_facts = |d: &Discovery| {
         (
@@ -323,6 +326,7 @@ fn the_default_path_is_invariant_under_the_worker_count() {
     for db in [
         generate_pdb(&OpenMmsConfig::tiny()),
         generate_uniprot(&BiosqlConfig::tiny()),
+        generate_wide(&WideConfig::tiny()),
     ] {
         let name = db.name();
         let reference = finder.discover_in_memory_with(&db, 1).expect("one worker");
@@ -356,26 +360,49 @@ fn the_default_path_is_invariant_under_the_worker_count() {
             reference.profiles.len() + 1,
             "{name}: one value file per attribute plus the manifest"
         );
-        type DiskRun<'a> = &'a dyn Fn(&std::path::Path) -> spider_ind::valueset::Result<Discovery>;
-        let runs: [(&str, DiskRun<'_>); 3] = [
-            ("discover_on_disk", &|dir| finder.discover_on_disk(&db, dir)),
-            ("default options", &|dir| {
-                finder.discover_on_disk_with(&db, dir, &ExportOptions::default())
-            }),
-            ("7 workers", &|dir| {
-                finder.discover_on_disk_with(&db, dir, &ExportOptions::with_threads(7))
-            }),
+        // `None` is `discover_on_disk`, which takes no options. A run whose
+        // sorter may spill reports the spill merge's comparisons on top of
+        // SPIDER's, so a budgeted run is held to what SPIDER read, not to
+        // the folded comparator counts.
+        let mut runs: Vec<(String, Option<ExportOptions>, bool)> = vec![
+            ("discover_on_disk".into(), None, false),
+            (
+                "default options".into(),
+                Some(ExportOptions::default()),
+                false,
+            ),
+            (
+                "7 workers".into(),
+                Some(ExportOptions::with_threads(7)),
+                false,
+            ),
         ];
-        for (label, run) in runs {
+        for budget in [256, 64 << 10] {
+            for threads in [1, 2] {
+                let mut options = ExportOptions::with_memory_budget(budget);
+                options.threads = threads;
+                let label = format!("budget {budget}, {threads} workers");
+                runs.push((label, Some(options), true));
+            }
+        }
+        for (label, options, may_spill) in runs {
             let dir = TempDir::new("agreement-workers");
-            let disk = run(dir.path()).expect("disk run");
+            let disk = match options {
+                Some(options) => finder.discover_on_disk_with(&db, dir.path(), &options),
+                None => finder.discover_on_disk(&db, dir.path()),
+            }
+            .expect("disk run");
             assert_eq!(disk.satisfied, disk_reference.satisfied, "{name}, {label}");
             assert_eq!(disk.profiles, disk_reference.profiles, "{name}, {label}");
+            let (facts, reference_facts) = (merge_facts(&disk), merge_facts(&disk_reference));
             assert_eq!(
-                merge_facts(&disk),
-                merge_facts(&disk_reference),
+                (facts.0, facts.1),
+                (reference_facts.0, reference_facts.1),
                 "{name}, {label}"
             );
+            if !may_spill {
+                assert_eq!(facts, reference_facts, "{name}, {label}");
+            }
             let files = workdir_files(dir.path());
             assert_eq!(
                 files.keys().collect::<Vec<_>>(),

@@ -163,10 +163,10 @@ fn on_disk_discovery_matches_in_memory_via_cli() {
 
 #[test]
 fn tiny_memory_budget_spills_and_matches_in_memory_via_cli() {
-    // `--memory-budget` caps the export sorter; 256 bytes is far below any
-    // column's value volume at scale 10, so every attribute export goes
-    // through multi-run spills and the merge heap — and discovery must be
-    // byte-identical to the in-memory run.
+    // `--memory-budget` caps the export sorter; 256 bytes is 16 index
+    // entries, far fewer than a column's rows at scale 10, so every
+    // attribute export goes through multi-run spills and the merge heap —
+    // and discovery must be byte-identical to the in-memory run.
     let dir = TempDir::new("cli-budget");
     let db_dir = dir.join("db");
     let db_path = db_dir.to_str().expect("utf8 path");

@@ -42,6 +42,7 @@ fn hot_path_modules_stay_under_hot_alloc() {
         "crates/valueset/src/tuple.rs",
         "crates/valueset/src/arena.rs",
         "crates/valueset/src/memory.rs",
+        "crates/valueset/src/extract.rs",
         "crates/storage/src/column.rs",
         "crates/storage/src/tsv/rows.rs",
     ] {

@@ -10,9 +10,9 @@ use spider_ind::storage::tsv::{load_database, save_database};
 use spider_ind::storage::{Column, ColumnSchema, DataType, Database, Table, TableSchema, Value};
 use spider_ind::valueset::{
     collect_cursor, compare_keys, extract_composite_memory_set, extract_composite_to_file,
-    extract_memory_set, extract_sorted_distinct, extract_to_file, key_prefix64, ExternalSorter,
-    IoOptions, KeyedMinHeap, MemoryValueSet, SortOptions, SortStats, ValueCursor, ValueFileReader,
-    ValueFileWriter,
+    extract_memory_columns, extract_memory_set, extract_sorted_distinct, extract_to_file,
+    key_prefix64, ExternalSorter, IoOptions, KeyedMinHeap, MemoryValueSet, SortOptions, SortStats,
+    ValueCursor, ValueFileReader, ValueFileWriter,
 };
 use std::collections::BTreeSet;
 
@@ -81,20 +81,55 @@ fn arb_keyed_value() -> impl Strategy<Value = Vec<u8>> {
         })
 }
 
-/// Feeds `values` to an [`ExternalSorter`] under `budget`, drains it into a
-/// file and reads the file back.
-fn external_sort(values: &[Vec<u8>], budget: usize) -> (Vec<Vec<u8>>, SortStats) {
-    let dir = TempDir::new("prop-extsort");
+/// A stored column for the resident-vs-pushed agreement: NULLs, the empty
+/// string, duplicates over a small alphabet, values that share their first
+/// eight bytes (and more), `"a"` against `"a\0"`, and 4 KiB cells — far
+/// larger than the small budgets, which must not matter to a sort that
+/// never copies them. One column in eight is all NULL and one has no rows.
+fn arb_resident_column() -> impl Strategy<Value = Vec<Option<String>>> {
+    let tail = proptest::string::string_regex("[a-c]{0,3}").unwrap();
+    let cell = (any::<u8>(), 0usize..4, tail).prop_map(|(kind, n, tail)| match kind % 8 {
+        0 => None,
+        1 => Some(String::new()),
+        2 | 3 => Some(tail),
+        4 => Some(format!("sameprefix{tail}")),
+        5 => Some(format!("a{}", "\0".repeat(n))),
+        6 => Some(format!("{}{tail}", "x".repeat(4096))),
+        _ => Some(format!("{n}")),
+    });
+    (any::<u8>(), proptest::collection::vec(cell, 0..60)).prop_map(|(shape, cells)| {
+        match shape % 8 {
+            0 => vec![None; cells.len()],
+            1 => Vec::new(),
+            _ => cells,
+        }
+    })
+}
+
+/// Feeds `values` to an [`ExternalSorter`] under `budget` (`push`, one copy
+/// per value) and drains it into `<dir>/pushed.indv`.
+fn external_sort_into(
+    values: &[impl AsRef<[u8]>],
+    budget: usize,
+    dir: &TempDir,
+) -> (std::path::PathBuf, SortStats) {
     let mut sorter =
         ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(budget))
             .expect("sorter");
     for v in values {
-        sorter.push(v).expect("push");
+        sorter.push(v.as_ref()).expect("push");
     }
-    let path = dir.join("out.indv");
+    let path = dir.join("pushed.indv");
     let mut writer = ValueFileWriter::create(&path).expect("writer");
     let stats = sorter.finish_into(&mut writer).expect("merge");
     writer.finish().expect("finish");
+    (path, stats)
+}
+
+/// [`external_sort_into`] a directory of its own, and the file read back.
+fn external_sort(values: &[Vec<u8>], budget: usize) -> (Vec<Vec<u8>>, SortStats) {
+    let dir = TempDir::new("prop-extsort");
+    let (path, stats) = external_sort_into(values, budget, &dir);
     let got = collect_cursor(ValueFileReader::open(&path).expect("open")).expect("read");
     (got, stats)
 }
@@ -628,6 +663,66 @@ proptest! {
         );
         prop_assert_eq!(stats.min.as_deref(), expected.first().map(Vec::as_slice));
         prop_assert_eq!(stats.max.as_deref(), expected.last().map(Vec::as_slice));
+    }
+
+    #[test]
+    fn resident_extraction_equals_pushed_values_at_every_budget(
+        cells in arb_resident_column(),
+    ) {
+        // Extraction indexes a stored column's cells where they lie; the
+        // reference copies each cell into a sorter (`push`). Same bytes on
+        // disk, same statistics, same content hash — whether the index held
+        // the whole column, overflowed every few entries, or (1 B: one
+        // entry) spilled every value as a run of its own.
+        let dir = TempDir::new("prop-resident");
+        let values: Vec<Value> = cells
+            .iter()
+            .map(|c| c.as_deref().map_or(Value::Null, Value::from))
+            .collect();
+        let column = Column::from_values(&values);
+        let non_null: Vec<&[u8]> = cells.iter().flatten().map(String::as_bytes).collect();
+
+        let (pushed_path, pushed) =
+            external_sort_into(&non_null, SortOptions::DEFAULT_MEMORY_BUDGET, &dir);
+        let pushed_file = std::fs::read(&pushed_path).expect("pushed bytes");
+
+        let facts = |s: &SortStats| {
+            (s.pushed, s.distinct, s.min.clone(), s.max.clone(), s.file_bytes)
+        };
+        let mut hashes = Vec::new();
+        for budget in [1, 64, 4096, SortOptions::DEFAULT_MEMORY_BUDGET] {
+            let path = dir.join("resident.indv");
+            let resident = extract_to_file(
+                &column,
+                &path,
+                &dir.join("spill-resident"),
+                SortOptions::with_memory_budget(budget),
+            )
+            .expect("extract");
+            prop_assert!(
+                std::fs::read(&path).expect("resident bytes") == pushed_file,
+                "budget {}: the value files differ", budget
+            );
+            prop_assert_eq!(facts(&resident), facts(&pushed), "budget {}", budget);
+            // One run per index-full the budget's entries (at least one)
+            // could not hold; 4 KiB cells cost what one byte costs.
+            let entries = (budget / 16).max(1);
+            prop_assert_eq!(
+                resident.runs,
+                non_null.len().saturating_sub(1) / entries,
+                "budget {}", budget
+            );
+            hashes.push(resident.source_hash);
+        }
+        hashes.dedup();
+        prop_assert_eq!(hashes.len(), 1, "the content hash depends on the budget");
+
+        // The memory sink over the same index.
+        let memory = extract_memory_columns(&[&column], 1).expect("memory").remove(0);
+        prop_assert_eq!(memory.non_null, non_null.len() as u64);
+        let copied = MemoryValueSet::from_unsorted(non_null.iter().map(|c| c.to_vec()));
+        prop_assert_eq!(memory.set.as_slice(), copied.as_slice());
+        prop_assert_eq!(memory.set.len(), pushed.distinct);
     }
 
     #[test]
