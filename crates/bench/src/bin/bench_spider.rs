@@ -28,13 +28,9 @@
 //!   counts the read requests each reader issues to its I/O layer — per
 //!   record (2× `read_exact`) for the legacy shape, per block fill for the
 //!   block reader — and `os_read_calls` the actual `read(2)` syscalls.
-//!   Three overlapped-I/O rows ride along: `spider_prefetch` (a bounded
-//!   worker fills block N+1 while the merge consumes block N, with
-//!   hit/stall handover counts), `spider_direct` (`O_DIRECT` where the
-//!   filesystem allows, counted graceful fallback where it doesn't), and
-//!   `spider_shared` (the partition-parallel engine fed by one physical
-//!   read stream per value file — `file_opens` shows the descriptor
-//!   economy versus k-cursors-per-file). Since format v2 the `spider_block`
+//!   The synchronous block reader is the library's only read mode; schema
+//!   v9 dropped the overlapped-I/O rows together with those modes. Since
+//!   format v2 the `spider_block`
 //!   row (and the sweep) reads with checksum verification *off* — the raw
 //!   framed-read baseline, trajectory-comparable with earlier schemas — and
 //!   a `spider_checksum` row re-runs the same merge with per-frame CRC
@@ -79,9 +75,8 @@ use ind_bench::legacy_reader::LegacyDiskProvider;
 use ind_bench::legacy_sorter::legacy_extract_to_file;
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
-    generate_candidates, memory_export, run_spider, run_spider_parallel,
-    run_spider_parallel_shared, AttributeProfile, Candidate, NaryDiscovery, NaryFinder,
-    PretestConfig, RunMetrics,
+    generate_candidates, memory_export, run_spider, run_spider_parallel, Candidate, NaryDiscovery,
+    NaryFinder, PretestConfig, RunMetrics,
 };
 use ind_datagen::{
     generate_chains, generate_pdb, generate_uniprot, generate_wide, BiosqlConfig, ChainsConfig,
@@ -228,16 +223,6 @@ struct IoCounters {
     /// Read requests issued to the reader's I/O layer: per record for the
     /// legacy shape, per block fill for the block reader.
     read_calls: u64,
-    /// Prefetch-worker block handovers served without waiting (non-zero
-    /// only when prefetch is on).
-    prefetch_hits: u64,
-    /// Prefetch-worker block handovers the consumer had to block for.
-    prefetch_stalls: u64,
-    /// Value files successfully opened with `O_DIRECT` (non-zero only for
-    /// the `spider_direct` row, and only on supporting filesystems).
-    direct_opens: u64,
-    /// `O_DIRECT` opens that fell back to buffered I/O (tmpfs, CI).
-    direct_fallbacks: u64,
     /// Physical descriptors opened on value files during the run.
     file_opens: u64,
     /// Transient read errors absorbed by the retrying wrapper (zero on a
@@ -251,10 +236,6 @@ impl IoCounters {
     fn zero() -> Self {
         IoCounters {
             read_calls: 0,
-            prefetch_hits: 0,
-            prefetch_stalls: 0,
-            direct_opens: 0,
-            direct_fallbacks: 0,
             file_opens: 0,
             io_retries: 0,
             checksum_failures: 0,
@@ -264,10 +245,6 @@ impl IoCounters {
     fn snapshot(export: &ExportedDatabase) -> Self {
         IoCounters {
             read_calls: export.read_calls(),
-            prefetch_hits: export.prefetch_hits(),
-            prefetch_stalls: export.prefetch_stalls(),
-            direct_opens: export.direct_opens(),
-            direct_fallbacks: export.direct_fallbacks(),
             file_opens: export.file_opens(),
             io_retries: export.io_retries(),
             checksum_failures: export.checksum_failures(),
@@ -279,15 +256,12 @@ struct DiskEngineResult {
     engine: &'static str,
     wall_ms: f64,
     metrics: RunMetrics,
-    /// Shared-counter snapshot of the run (read calls, prefetch handovers,
-    /// direct opens/fallbacks, descriptor opens).
+    /// Shared-counter snapshot of the run (read calls, descriptor opens,
+    /// healed retries, checksum failures).
     io: IoCounters,
     /// Actual `read(2)` syscalls (equals `io.read_calls` for the block
     /// reader, which has no intermediate buffering layer).
     os_read_calls: u64,
-    /// `posix_fadvise(SEQUENTIAL)` hints delivered (non-zero only for the
-    /// `spider_block_fadvise` row, and only on Linux).
-    fadvise_calls: u64,
     satisfied: usize,
 }
 
@@ -652,7 +626,6 @@ fn best_of_runs<T>(mut run: impl FnMut() -> Result<T, String>) -> Result<(f64, T
 fn bench_disk(
     name: &'static str,
     db: &ind_storage::Database,
-    profiles: &[AttributeProfile],
     candidates: &[Candidate],
     expected: &[Candidate],
     expected_metrics: &RunMetrics,
@@ -724,7 +697,6 @@ fn bench_disk(
             metrics,
             io,
             os_read_calls,
-            fadvise_calls: 0,
         });
     }
 
@@ -765,7 +737,6 @@ fn bench_disk(
                 metrics,
                 io,
                 os_read_calls: io.read_calls,
-                fadvise_calls: 0,
             });
         }
         if SWEEP_BLOCK_SIZES.contains(&sweep_block) {
@@ -809,151 +780,9 @@ fn bench_disk(
             metrics,
             io,
             os_read_calls: io.read_calls,
-            fadvise_calls: 0,
         });
     }
 
-    // (c) The block reader with the sequential-access hint
-    // (`posix_fadvise(POSIX_FADV_SEQUENTIAL)` per cursor open): results and
-    // read calls must be identical — the hint only talks to the page cache —
-    // and the delivered-hint count shows the knob actually engages.
-    {
-        export.set_io_options(IoOptions::with_block_size(block_size).sequential(true));
-        let (wall_ms, (satisfied, metrics, io, fadvise_calls)) = best_of_runs(|| {
-            export.reset_read_calls();
-            let mut m = RunMetrics::new();
-            let out = run_spider(&export, candidates, &mut m).map_err(|e| e.to_string())?;
-            m.read_calls = export.read_calls();
-            Ok((
-                out,
-                m,
-                IoCounters::snapshot(&export),
-                export.fadvise_calls(),
-            ))
-        })?;
-        assert_agrees("spider_block_fadvise", &satisfied, &metrics)?;
-        println!(
-            "[{name}]  disk spider_block_fadvise: {wall_ms:8.2} ms  read_calls={} \
-             fadvise_calls={fadvise_calls}",
-            io.read_calls
-        );
-        engines.push(DiskEngineResult {
-            engine: "spider_block_fadvise",
-            wall_ms,
-            satisfied: satisfied.len(),
-            metrics,
-            io,
-            os_read_calls: io.read_calls,
-            fadvise_calls,
-        });
-    }
-
-    // (d) The overlapped-prefetch reader: a bounded worker thread fills
-    // block N+1 while the merge consumes block N. Results *and* engine
-    // metrics must be byte-identical to the synchronous block reader — the
-    // worker changes when blocks are read, never what they contain.
-    {
-        export.set_io_options(IoOptions::with_block_size(block_size).prefetched(true));
-        let (wall_ms, (satisfied, metrics, io)) = best_of_runs(|| {
-            export.reset_read_calls();
-            let mut m = RunMetrics::new();
-            let out = run_spider(&export, candidates, &mut m).map_err(|e| e.to_string())?;
-            m.read_calls = export.read_calls();
-            m.prefetch_hits = export.prefetch_hits();
-            m.prefetch_stalls = export.prefetch_stalls();
-            Ok((out, m, IoCounters::snapshot(&export)))
-        })?;
-        assert_agrees("spider_prefetch", &satisfied, &metrics)?;
-        println!(
-            "[{name}]  disk spider_prefetch: {wall_ms:8.2} ms  read_calls={} \
-             prefetch_hits={} prefetch_stalls={}",
-            io.read_calls, io.prefetch_hits, io.prefetch_stalls
-        );
-        engines.push(DiskEngineResult {
-            engine: "spider_prefetch",
-            wall_ms,
-            satisfied: satisfied.len(),
-            metrics,
-            io,
-            os_read_calls: io.read_calls,
-            fadvise_calls: 0,
-        });
-    }
-
-    // (e) The block reader under `O_DIRECT`: page-cache-free reads where
-    // the filesystem supports it, with the mandatory graceful fallback to
-    // buffered I/O (tmpfs, CI) — either way the run must succeed and the
-    // results stay identical.
-    {
-        export.set_io_options(IoOptions::with_block_size(block_size).direct(true));
-        let (wall_ms, (satisfied, metrics, io)) = best_of_runs(|| {
-            export.reset_read_calls();
-            let mut m = RunMetrics::new();
-            let out = run_spider(&export, candidates, &mut m).map_err(|e| e.to_string())?;
-            m.read_calls = export.read_calls();
-            m.direct_opens = export.direct_opens();
-            m.direct_fallbacks = export.direct_fallbacks();
-            Ok((out, m, IoCounters::snapshot(&export)))
-        })?;
-        assert_agrees("spider_direct", &satisfied, &metrics)?;
-        println!(
-            "[{name}]  disk spider_direct: {wall_ms:8.2} ms  read_calls={} \
-             direct_opens={} direct_fallbacks={}",
-            io.read_calls, io.direct_opens, io.direct_fallbacks
-        );
-        engines.push(DiskEngineResult {
-            engine: "spider_direct",
-            wall_ms,
-            satisfied: satisfied.len(),
-            metrics,
-            io,
-            os_read_calls: io.read_calls,
-            fadvise_calls: 0,
-        });
-    }
-
-    // (f) The shared-stream parallel engine: one physical descriptor and one
-    // sequential read stream per value file, fanned out to all partitions —
-    // instead of `spiderpar`'s k descriptors per file. Per-partition
-    // duplication makes the engine's logical counters legitimately differ
-    // from the sequential run, so only the result set is gated here; the
-    // descriptor economy shows up in `file_opens`.
-    {
-        export.set_io_options(IoOptions::with_block_size(block_size));
-        let (wall_ms, (satisfied, metrics, io)) = best_of_runs(|| {
-            export.reset_read_calls();
-            let mut m = RunMetrics::new();
-            let out = run_spider_parallel_shared(
-                &export,
-                profiles,
-                candidates,
-                SPIDERPAR_THREADS,
-                &mut m,
-            )
-            .map_err(|e| e.to_string())?;
-            m.read_calls = export.read_calls();
-            Ok((out, m, IoCounters::snapshot(&export)))
-        })?;
-        if satisfied != expected {
-            return Err(format!(
-                "[{name}] spider_shared disagrees with in-memory spider"
-            ));
-        }
-        println!(
-            "[{name}]  disk spider_shared threads={SPIDERPAR_THREADS}: {wall_ms:8.2} ms  \
-             file_opens={}",
-            io.file_opens
-        );
-        engines.push(DiskEngineResult {
-            engine: "spider_shared",
-            wall_ms,
-            satisfied: satisfied.len(),
-            metrics,
-            io,
-            os_read_calls: io.read_calls,
-            fadvise_calls: 0,
-        });
-    }
     export.set_io_options(IoOptions::with_block_size(block_size));
 
     Ok(DiskResult {
@@ -1429,7 +1258,6 @@ fn bench_dataset(
     let disk = bench_disk(
         name,
         db,
-        &profiles,
         &candidates,
         &expected,
         &expected_metrics,
@@ -1463,7 +1291,7 @@ fn render_json(
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": 8,");
+    let _ = writeln!(out, "  \"schema_version\": 9,");
     let _ = writeln!(out, "  \"harness\": \"bench_spider\",");
     let _ = writeln!(out, "  \"scale\": {scale},");
     let _ = writeln!(out, "  \"block_size\": {block_size},");
@@ -1561,23 +1389,6 @@ fn render_json(
             );
             let _ = writeln!(out, "            \"read_calls\": {},", e.io.read_calls);
             let _ = writeln!(out, "            \"os_read_calls\": {},", e.os_read_calls);
-            let _ = writeln!(out, "            \"fadvise_calls\": {},", e.fadvise_calls);
-            let _ = writeln!(
-                out,
-                "            \"prefetch_hits\": {},",
-                e.io.prefetch_hits
-            );
-            let _ = writeln!(
-                out,
-                "            \"prefetch_stalls\": {},",
-                e.io.prefetch_stalls
-            );
-            let _ = writeln!(out, "            \"direct_opens\": {},", e.io.direct_opens);
-            let _ = writeln!(
-                out,
-                "            \"direct_fallbacks\": {},",
-                e.io.direct_fallbacks
-            );
             let _ = writeln!(out, "            \"file_opens\": {},", e.io.file_opens);
             let _ = writeln!(out, "            \"io_retries\": {},", e.io.io_retries);
             let _ = writeln!(
@@ -1783,11 +1594,6 @@ fn validate_json(text: &str) -> Result<(), String> {
         "\"disk\"",
         "\"read_calls\"",
         "\"os_read_calls\"",
-        "\"fadvise_calls\"",
-        "\"prefetch_hits\"",
-        "\"prefetch_stalls\"",
-        "\"direct_opens\"",
-        "\"direct_fallbacks\"",
         "\"file_opens\"",
         "\"io_retries\"",
         "\"checksum_failures\"",
@@ -2055,34 +1861,12 @@ fn run() -> Result<(), String> {
                         .collect::<Vec<_>>()
                 ));
             }
-            // fadvise gate: the hinted run must not change read behaviour,
-            // and on Linux the hint must actually be delivered per cursor.
-            let hinted = d
-                .disk
-                .engines
-                .iter()
-                .find(|e| e.engine == "spider_block_fadvise")
-                .ok_or("missing spider_block_fadvise row")?;
             let block = d
                 .disk
                 .engines
                 .iter()
                 .find(|e| e.engine == "spider_block")
                 .ok_or("missing spider_block row")?;
-            if hinted.io.read_calls != block.io.read_calls {
-                return Err(format!(
-                    "[{}] sequential hint changed read_calls: {} vs {}",
-                    d.name, hinted.io.read_calls, block.io.read_calls
-                ));
-            }
-            if cfg!(all(target_os = "linux", target_pointer_width = "64"))
-                && hinted.fadvise_calls == 0
-            {
-                return Err(format!(
-                    "[{}] sequential hint was requested but never delivered",
-                    d.name
-                ));
-            }
             // Checksum gate (schema v5): the verified row must read exactly
             // what the raw row reads, detect nothing on healthy files, and
             // cost at most 50% over the raw framed read even at noisy check
@@ -2110,57 +1894,6 @@ fn run() -> Result<(), String> {
                     "[{}] per-frame verification costs {:.2} ms vs {:.2} ms raw — \
                      checksums are no longer close to free",
                     d.name, verified.wall_ms, block.wall_ms
-                ));
-            }
-            // Prefetch gate: the overlapped row must exist, its worker must
-            // actually hand blocks over (fills = hits + stalls > 0), and the
-            // consumer must not have blocked on every handover — some fills
-            // must land ahead of the merge, or the overlap buys nothing.
-            let prefetch = d
-                .disk
-                .engine("spider_prefetch")
-                .ok_or("missing spider_prefetch row")?;
-            let fills = prefetch.io.prefetch_hits + prefetch.io.prefetch_stalls;
-            if fills == 0 {
-                return Err(format!(
-                    "[{}] prefetch was requested but the worker delivered no blocks",
-                    d.name
-                ));
-            }
-            if prefetch.io.prefetch_stalls >= fills {
-                return Err(format!(
-                    "[{}] prefetch stalled on every handover ({} of {} fills) — the \
-                     worker is never ahead of the merge",
-                    d.name, prefetch.io.prefetch_stalls, fills
-                ));
-            }
-            // (No read-call identity here: the worker reads one block ahead,
-            // so an early-closed cursor can leave a speculative fill behind.)
-            // O_DIRECT gate: every open must resolve — either a genuine
-            // direct descriptor or a counted buffered fallback (tmpfs, CI).
-            // An all-zero row means the flag silently did nothing.
-            let direct = d
-                .disk
-                .engine("spider_direct")
-                .ok_or("missing spider_direct row")?;
-            if direct.io.direct_opens + direct.io.direct_fallbacks == 0 {
-                return Err(format!(
-                    "[{}] O_DIRECT was requested but neither opened nor fell back",
-                    d.name
-                ));
-            }
-            // Shared-stream gate: one physical descriptor per value file,
-            // regardless of partition count — exactly as many opens as the
-            // sequential single-cursor run.
-            let shared = d
-                .disk
-                .engine("spider_shared")
-                .ok_or("missing spider_shared row")?;
-            if shared.io.file_opens != block.io.file_opens {
-                return Err(format!(
-                    "[{}] spider_shared opened {} descriptors vs the sequential run's {} \
-                     — the shared stream is no longer one descriptor per file",
-                    d.name, shared.io.file_opens, block.io.file_opens
                 ));
             }
             // Export-phase gates: the arena sorter's in-memory path must

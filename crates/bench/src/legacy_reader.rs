@@ -17,7 +17,7 @@
 //! Two counters instrument the shape's cost:
 //!
 //! * **read requests** — `read_exact` calls issued *into* the buffered I/O
-//!   layer: 3 per header (4 for a v2 header, which carries a CRC word) +
+//!   layer: 4 per header (magic, version, count, the v2 header CRC word) +
 //!   2 per record, the per-record funneling the block layer eliminates. Comparable to the block reader's `read_calls`
 //!   (requests it issues to the OS — one per block) because both count how
 //!   often control crosses the reader's I/O interface.
@@ -32,8 +32,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"INDV";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+/// The one format version the library writes (and this shape reads).
+const VERSION: u32 = 2;
 /// v2 frame geometry, mirrored from `ind_valueset::frame`: payload bytes
 /// per frame and the end-of-frames sentinel in the length-prefix position.
 const FRAME_PAYLOAD: usize = 4096;
@@ -89,17 +89,12 @@ struct FrameStrip {
     frame_left: usize,
     /// The current frame's payload is consumed; its CRC word is unread.
     crc_pending: bool,
-    /// False for v1 files, which are raw payload after the header.
-    framed: bool,
     /// The footer sentinel was reached; every further read is EOF.
     done: bool,
 }
 
 impl Read for FrameStrip {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if !self.framed {
-            return self.inner.read(buf);
-        }
         loop {
             if self.done {
                 return Ok(0);
@@ -180,8 +175,7 @@ impl LegacyValueFileReader {
         input
             .read_exact(&mut v)
             .map_err(|e| corrupt(context(), format!("short header: {e}")))?;
-        let version = u32::from_le_bytes(v);
-        if version != VERSION_V1 && version != VERSION_V2 {
+        if u32::from_le_bytes(v) != VERSION {
             return Err(corrupt(context(), "unsupported version".into()));
         }
         let mut c = [0u8; 8];
@@ -189,21 +183,18 @@ impl LegacyValueFileReader {
         input
             .read_exact(&mut c)
             .map_err(|e| corrupt(context(), format!("short header: {e}")))?;
-        if version == VERSION_V2 {
-            // The v2 header carries its own CRC word; skipped unverified,
-            // like every other checksum in this frozen shape.
-            let mut header_crc = [0u8; 4];
-            requests.fetch_add(1, Ordering::Relaxed);
-            input
-                .read_exact(&mut header_crc)
-                .map_err(|e| corrupt(context(), format!("short header: {e}")))?;
-        }
+        // The v2 header carries its own CRC word; skipped unverified, like
+        // every other checksum in this frozen shape.
+        let mut header_crc = [0u8; 4];
+        requests.fetch_add(1, Ordering::Relaxed);
+        input
+            .read_exact(&mut header_crc)
+            .map_err(|e| corrupt(context(), format!("short header: {e}")))?;
         Ok(LegacyValueFileReader {
             input: FrameStrip {
                 inner: input,
                 frame_left: 0,
                 crc_pending: false,
-                framed: version == VERSION_V2,
                 done: false,
             },
             path: path.to_path_buf(),

@@ -59,4 +59,4 @@ pub use pruning::{
 pub use runner::{Algorithm, DegradedReport, Discovery, FinderConfig, IndFinder};
 pub use single_pass::run_single_pass;
 pub use spider::run_spider;
-pub use spider_parallel::{partition_boundaries, run_spider_parallel, run_spider_parallel_shared};
+pub use spider_parallel::{partition_boundaries, run_spider_parallel};

@@ -61,18 +61,6 @@ pub struct RunMetrics {
     /// `value_bytes_read`: bytes measure payload, read calls measure how
     /// often the OS was asked for it.
     pub read_calls: u64,
-    /// Block handovers served instantly from the prefetch worker's filled
-    /// buffer (overlapped I/O paid off). Zero when prefetch is off or the
-    /// provider is in-memory.
-    pub prefetch_hits: u64,
-    /// Block handovers where the consumer had to block waiting for the
-    /// prefetch worker (the disk could not keep ahead of the merge).
-    pub prefetch_stalls: u64,
-    /// Value files successfully opened with `O_DIRECT`.
-    pub direct_opens: u64,
-    /// `O_DIRECT` opens that fell back to buffered I/O (filesystem or
-    /// platform without support — tmpfs, CI, non-Linux).
-    pub direct_fallbacks: u64,
     /// Cursors opened (2 per brute-force test; one per role in single-pass).
     pub cursor_opens: u64,
     /// Transient I/O faults (`EINTR`, short reads) healed invisibly by the
@@ -130,7 +118,7 @@ impl RunMetrics {
     /// values exact `u64` integers, so the report round-trips through
     /// any JSON parser losslessly.
     pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 28] = [
+        let fields: [(&str, u64); 24] = [
             ("pairs_considered", self.pairs_considered),
             ("pruned_cardinality", self.pruned_cardinality),
             ("pruned_max_value", self.pruned_max_value),
@@ -148,10 +136,6 @@ impl RunMetrics {
             ("key_compares", self.key_compares),
             ("memcmp_compares", self.memcmp_compares),
             ("read_calls", self.read_calls),
-            ("prefetch_hits", self.prefetch_hits),
-            ("prefetch_stalls", self.prefetch_stalls),
-            ("direct_opens", self.direct_opens),
-            ("direct_fallbacks", self.direct_fallbacks),
             ("cursor_opens", self.cursor_opens),
             ("io_retries", self.io_retries),
             ("checksum_failures", self.checksum_failures),
@@ -191,10 +175,6 @@ impl RunMetrics {
         self.key_compares += other.key_compares;
         self.memcmp_compares += other.memcmp_compares;
         self.read_calls += other.read_calls;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_stalls += other.prefetch_stalls;
-        self.direct_opens += other.direct_opens;
-        self.direct_fallbacks += other.direct_fallbacks;
         self.cursor_opens += other.cursor_opens;
         self.io_retries += other.io_retries;
         self.checksum_failures += other.checksum_failures;
@@ -213,9 +193,7 @@ impl fmt::Display for RunMetrics {
             "candidates={} (considered={}, pruned: card={}, max={}, min={}, proj={}, \
              sampling={}, inferred: sat={}, ref={}), tested={}, satisfied={}, items_read={}, \
              value_bytes_read={}, comparisons={} (key={}, memcmp={}), read_calls={}, \
-             prefetch: hits={}, stalls={}, \
-             direct: opens={}, fallbacks={}, cursor_opens={}, io_retries={}, \
-             checksum_failures={}, quarantined={}, \
+             cursor_opens={}, io_retries={}, checksum_failures={}, quarantined={}, \
              resume: reused={}, redone={}, orphans={}, elapsed={:?}",
             self.candidates(),
             self.pairs_considered,
@@ -234,10 +212,6 @@ impl fmt::Display for RunMetrics {
             self.key_compares,
             self.memcmp_compares,
             self.read_calls,
-            self.prefetch_hits,
-            self.prefetch_stalls,
-            self.direct_opens,
-            self.direct_fallbacks,
             self.cursor_opens,
             self.io_retries,
             self.checksum_failures,
@@ -273,10 +247,6 @@ mod tests {
             items_read: 50,
             value_bytes_read: 300,
             read_calls: 9,
-            prefetch_hits: 4,
-            prefetch_stalls: 2,
-            direct_opens: 3,
-            direct_fallbacks: 1,
             io_retries: 6,
             checksum_failures: 2,
             quarantined_attributes: 1,
@@ -293,10 +263,6 @@ mod tests {
         assert_eq!(a.items_read, 150);
         assert_eq!(a.value_bytes_read, 1000);
         assert_eq!(a.read_calls, 9);
-        assert_eq!(a.prefetch_hits, 4);
-        assert_eq!(a.prefetch_stalls, 2);
-        assert_eq!(a.direct_opens, 3);
-        assert_eq!(a.direct_fallbacks, 1);
         assert_eq!(a.io_retries, 6);
         assert_eq!(a.checksum_failures, 2);
         assert_eq!(a.quarantined_attributes, 1);
@@ -394,8 +360,7 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("satisfied=2"));
         assert!(s.contains("considered=3"));
-        assert!(s.contains("prefetch: hits=0, stalls=0"));
-        assert!(s.contains("direct: opens=0, fallbacks=0"));
+        assert!(s.contains("read_calls=0, cursor_opens=0"));
         assert!(s.contains("io_retries=0"));
         assert!(s.contains("checksum_failures=0"));
         assert!(s.contains("quarantined=0"));

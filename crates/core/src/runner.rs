@@ -9,7 +9,7 @@ use crate::metrics::RunMetrics;
 use crate::pruning::{run_brute_force_with_transitivity, sampling_pretest, SamplingConfig};
 use crate::single_pass::run_single_pass;
 use crate::spider::run_spider;
-use crate::spider_parallel::{run_spider_parallel, run_spider_parallel_shared};
+use crate::spider_parallel::run_spider_parallel;
 use ind_storage::{Database, QualifiedName};
 use ind_valueset::{
     ExportOptions, ExportedDatabase, FailedAttribute, Result, ValueCursor, ValueSetError,
@@ -298,15 +298,10 @@ impl IndFinder {
     /// particular the I/O block size ([`ExportOptions::with_block_size`])
     /// every value-file cursor will use. The discovery-phase `read(2)`
     /// count of the export's cursors is recorded in
-    /// [`RunMetrics::read_calls`] (export-phase reads are excluded), along
-    /// with the prefetch and direct-I/O counters when those modes are on
-    /// ([`ExportOptions::prefetched`] / [`ExportOptions::direct`]).
+    /// [`RunMetrics::read_calls`] (export-phase reads are excluded). Every
+    /// algorithm then runs through the same flow as
+    /// [`IndFinder::discover`], over the export's value-file cursors.
     ///
-    /// [`Algorithm::SpiderParallel`] runs over the **shared per-file read
-    /// stream** ([`run_spider_parallel_shared`]) here: on disk, k partition
-    /// workers opening k descriptors per file would multiply both the
-    /// open-file footprint and the physical scan count, so one streamer per
-    /// file feeds all partitions instead.
     /// When [`ExportOptions::keep_going`] is set, the run degrades instead
     /// of dying: export failures are quarantined by the export itself,
     /// then every surviving value file is pre-scanned through the checksum
@@ -361,17 +356,8 @@ impl IndFinder {
         let checksum_failures = export.checksum_failures();
 
         export.reset_read_calls();
-        let mut discovery = match &self.config.algorithm {
-            Algorithm::SpiderParallel { threads } => {
-                self.discover_shared(&profiles, &export, *threads, &quarantined_ids)?
-            }
-            _ => self.discover_filtered(&profiles, &export, &quarantined_ids)?,
-        };
+        let mut discovery = self.discover_filtered(&profiles, &export, &quarantined_ids)?;
         discovery.metrics.read_calls = export.read_calls();
-        discovery.metrics.prefetch_hits = export.prefetch_hits();
-        discovery.metrics.prefetch_stalls = export.prefetch_stalls();
-        discovery.metrics.direct_opens = export.direct_opens();
-        discovery.metrics.direct_fallbacks = export.direct_fallbacks();
         discovery.metrics.io_retries = io_retries + export.io_retries();
         discovery.metrics.checksum_failures = checksum_failures + export.checksum_failures();
         discovery.metrics.key_compares += export.sort_key_compares();
@@ -390,42 +376,6 @@ impl IndFinder {
             });
         }
         Ok(discovery)
-    }
-
-    /// The [`IndFinder::discover`] flow with the testing phase routed
-    /// through [`run_spider_parallel_shared`] — only reachable for the
-    /// on-disk `SpiderParallel` path, which needs the concrete
-    /// [`ExportedDatabase`] rather than a generic provider.
-    fn discover_shared(
-        &self,
-        profiles: &[AttributeProfile],
-        export: &ExportedDatabase,
-        threads: usize,
-        quarantined: &[u32],
-    ) -> Result<Discovery> {
-        let start = Instant::now();
-        let mut metrics = RunMetrics::new();
-        let generate_span = ind_trace::start(ind_trace::GENERATE);
-        let mut candidates = generate_candidates(profiles, &self.config.pretests, &mut metrics);
-        if !quarantined.is_empty() {
-            candidates.retain(|c| !quarantined.contains(&c.dep) && !quarantined.contains(&c.refd));
-            metrics.quarantined_attributes = quarantined.len() as u64;
-        }
-        generate_span.finish();
-        if let Some(sampling) = &self.config.sampling {
-            let _span = ind_trace::start(ind_trace::SAMPLING);
-            candidates = sampling_pretest(export, &candidates, sampling, &mut metrics)?;
-        }
-        let mut satisfied =
-            run_spider_parallel_shared(export, profiles, &candidates, threads, &mut metrics)?;
-        satisfied.sort();
-        metrics.elapsed = start.elapsed();
-        Ok(Discovery {
-            profiles: profiles.to_vec(),
-            satisfied,
-            metrics,
-            degraded: None,
-        })
     }
 }
 
@@ -567,34 +517,17 @@ mod tests {
     }
 
     #[test]
-    fn on_disk_spider_parallel_routes_through_the_shared_stream() {
+    fn on_disk_spider_parallel_equals_in_memory() {
         let db = sample_db();
-        let finder = IndFinder::with_algorithm(Algorithm::SpiderParallel { threads: 4 });
-        let mem = finder.discover_in_memory(&db).unwrap();
-        for (prefetch, direct) in [(false, false), (true, false), (true, true)] {
-            let dir = TempDir::new("runner-shared");
-            let options = ExportOptions::with_threads(4)
-                .prefetched(prefetch)
-                .direct(direct);
+        for threads in [1, 2, 4] {
+            let finder = IndFinder::with_algorithm(Algorithm::SpiderParallel { threads });
+            let mem = finder.discover_in_memory(&db).unwrap();
+            let dir = TempDir::new("runner-spiderpar-disk");
             let disk = finder
-                .discover_on_disk_with(&db, dir.path(), &options)
+                .discover_on_disk_with(&db, dir.path(), &ExportOptions::with_threads(threads))
                 .unwrap();
-            assert_eq!(
-                disk.satisfied, mem.satisfied,
-                "prefetch={prefetch} direct={direct}"
-            );
-            if prefetch {
-                assert!(
-                    disk.metrics.prefetch_hits + disk.metrics.prefetch_stalls > 0,
-                    "prefetch handovers must be counted"
-                );
-            }
-            if direct {
-                assert!(
-                    disk.metrics.direct_opens + disk.metrics.direct_fallbacks > 0,
-                    "direct opens must be accounted one way or the other"
-                );
-            }
+            assert_eq!(disk.satisfied, mem.satisfied, "threads={threads}");
+            assert!(disk.metrics.read_calls > 0, "threads={threads}");
         }
     }
 

@@ -30,7 +30,7 @@ use crate::attr::AttributeProfile;
 use crate::candidates::Candidate;
 use crate::metrics::RunMetrics;
 use crate::spider::{dedup_candidates, spider_pass};
-use ind_valueset::{ExportedDatabase, RangeCursor, Result, SharedStreamProvider, ValueSetProvider};
+use ind_valueset::{RangeCursor, Result, ValueSetProvider};
 use std::collections::BTreeSet;
 
 /// Picks at most `partitions - 1` boundary values for a `partitions`-way
@@ -225,111 +225,6 @@ where
     Ok(satisfied) // `unique` is sorted, so the result is too
 }
 
-/// [`run_spider_parallel`] over a **shared per-file read stream**: instead
-/// of every partition opening its own descriptor on every value file (k
-/// descriptors and k redundant physical scans per file), one streamer
-/// thread per file reads it exactly once and fans the records out to the
-/// partitions by boundary ([`SharedStreamProvider`]).
-///
-/// Two deliberate departures from the descriptor-per-partition runner keep
-/// the fan-out deadlock-free:
-///
-/// * **every partition tests every candidate** — no `dep_in_range`
-///   pre-filter. The streamer produces partitions in ascending order
-///   through bounded channels, so partition `p` can only be waiting on
-///   partitions `< p` to drain; that induction (partition 0 never waits)
-///   requires each partition to open and drain *all* attribute streams,
-///   which `spider_pass` does when every partition sees the full candidate
-///   set. A partition whose clamped dependent stream is empty reports the
-///   candidate trivially satisfied, which the intersection absorbs;
-/// * a candidate is satisfied iff it survives **all** partitions (the
-///   `required` count is uniformly the partition count).
-///
-/// Results are byte-identical to [`run_spider_parallel`] and sequential
-/// SPIDER. Cursor-level metrics differ (partitions skip nothing), but
-/// `tested`/`satisfied` agree.
-pub fn run_spider_parallel_shared(
-    export: &ExportedDatabase,
-    profiles: &[AttributeProfile],
-    candidates: &[Candidate],
-    threads: usize,
-    metrics: &mut RunMetrics,
-) -> Result<Vec<Candidate>> {
-    let unique = dedup_candidates(candidates);
-    metrics.tested += unique.len() as u64;
-    if unique.is_empty() {
-        return Ok(Vec::new());
-    }
-
-    let attrs: BTreeSet<u32> = unique.iter().flat_map(|c| [c.dep, c.refd]).collect();
-    let boundaries = partition_boundaries(profiles, &attrs, threads.max(1));
-
-    if boundaries.is_empty() {
-        // Single partition: the plain heap-merge on this thread, straight
-        // off the export's own cursors (no fan-out thread to pay for).
-        let mut satisfied = spider_pass(|a| export.open(a), &unique, metrics)?;
-        metrics.satisfied += satisfied.len() as u64;
-        satisfied.sort_unstable();
-        return Ok(satisfied);
-    }
-
-    let provider = SharedStreamProvider::new(export, boundaries);
-    let partitions = provider.partitions();
-    let shard_candidates: &[Candidate] = &unique;
-
-    let span_parent = ind_trace::current_parent();
-    // Same ambient-token hand-off as the descriptor-per-partition runner.
-    // A cancelled partition returns early and drops its shard receivers;
-    // the streamer threads observe the closed channels and exit instead of
-    // blocking on a consumer that will never drain (the no-hang contract).
-    let cancel = ind_valueset::cancel::ambient();
-    let results: Vec<Result<(Vec<Candidate>, RunMetrics)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..partitions)
-            .map(|p| {
-                let shard = provider.shard(p);
-                let cancel = cancel.clone();
-                scope.spawn(move |_| {
-                    let _span = ind_trace::start_under(ind_trace::PARTITION, p as u64, span_parent);
-                    let _ambient = ind_valueset::cancel::set_ambient(cancel);
-                    let mut local = RunMetrics::new();
-                    let found = spider_pass(|a| shard.open(a), shard_candidates, &mut local)?;
-                    Ok((found, local))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(no_unwrap) — re-raising a worker panic on the coordinating thread is the correct escalation
-            .map(|h| h.join().expect("shared-stream worker panicked"))
-            .collect()
-    })
-    // lint: allow(no_unwrap) — crossbeam scope errs only when a child panicked; propagate the panic
-    .expect("shared-stream scope panicked");
-
-    let index_of = |c: &Candidate| -> usize {
-        unique
-            .binary_search(c)
-            // lint: allow(no_unwrap) — every partition tests exactly `unique`; a miss is an engine bug
-            .expect("shared-stream candidates come from `unique`")
-    };
-    let mut survivals: Vec<usize> = vec![0; unique.len()];
-    for result in results {
-        let (found, local) = result?;
-        metrics.merge(&local);
-        for c in found {
-            survivals[index_of(&c)] += 1;
-        }
-    }
-    let satisfied: Vec<Candidate> = unique
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| survivals[i] == partitions)
-        .map(|(_, &c)| c)
-        .collect();
-    metrics.satisfied += satisfied.len() as u64;
-    Ok(satisfied) // `unique` is sorted, so the result is too
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,9 +365,9 @@ mod tests {
     fn export_fixture(
         dir: &std::path::Path,
         options: &ind_valueset::ExportOptions,
-    ) -> ExportedDatabase {
+    ) -> ind_valueset::ExportedDatabase {
         use ind_storage::{ColumnSchema, Database, Table, TableSchema};
-        let mut db = Database::new("spider-shared");
+        let mut db = Database::new("spider-par");
         let mut parent = Table::new(
             TableSchema::new(
                 "parent",
@@ -502,31 +397,12 @@ mod tests {
         }
         db.add_table(parent).unwrap();
         db.add_table(child).unwrap();
-        ExportedDatabase::export(&db, dir, options).unwrap()
+        ind_valueset::ExportedDatabase::export(&db, dir, options).unwrap()
     }
 
     #[test]
-    fn shared_stream_agrees_with_sequential_spider_on_disk() {
-        let dir = ind_testkit::TempDir::new("spider-shared-agree");
-        let export = export_fixture(dir.path(), &ind_valueset::ExportOptions::default());
-        let profiles = crate::profiles_from_export(&export);
-        let candidates = all_pairs(profiles.len() as u32);
-        let mut m_seq = RunMetrics::new();
-        let seq = run_spider(&export, &candidates, &mut m_seq).unwrap();
-        for threads in [1, 2, 3, 4, 8] {
-            let mut m = RunMetrics::new();
-            let shared =
-                run_spider_parallel_shared(&export, &profiles, &candidates, threads, &mut m)
-                    .unwrap();
-            assert_eq!(shared, seq, "threads={threads}");
-            assert_eq!(m.tested, m_seq.tested, "threads={threads}");
-            assert_eq!(m.satisfied, m_seq.satisfied, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shared_stream_opens_one_descriptor_per_file() {
-        let dir = ind_testkit::TempDir::new("spider-shared-fd");
+    fn agrees_with_sequential_spider_on_disk() {
+        let dir = ind_testkit::TempDir::new("spider-par-disk");
         let export = export_fixture(dir.path(), &ind_valueset::ExportOptions::default());
         let profiles = crate::profiles_from_export(&export);
         let candidates = all_pairs(profiles.len() as u32);
@@ -535,56 +411,28 @@ mod tests {
             !partition_boundaries(&profiles, &attrs, 4).is_empty(),
             "fixture must actually partition"
         );
-        export.reset_read_calls();
-        let mut m = RunMetrics::new();
-        run_spider_parallel_shared(&export, &profiles, &candidates, 4, &mut m).unwrap();
-        assert_eq!(
-            export.file_opens(),
-            attrs.len() as u64,
-            "shared stream must open each value file exactly once"
-        );
+        let mut m_seq = RunMetrics::new();
+        let seq = run_spider(&export, &candidates, &mut m_seq).unwrap();
+        for threads in [1, 2, 4, 8] {
+            let mut m = RunMetrics::new();
+            let par =
+                run_spider_parallel(&export, &profiles, &candidates, threads, &mut m).unwrap();
+            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(m.tested, m_seq.tested, "threads={threads}");
+            assert_eq!(m.satisfied, m_seq.satisfied, "threads={threads}");
+        }
     }
 
     #[test]
-    fn shared_stream_composes_with_prefetch_and_direct_io() {
-        let dir = ind_testkit::TempDir::new("spider-shared-io");
-        let plain_dir = dir.path().join("plain");
-        std::fs::create_dir_all(&plain_dir).unwrap();
-        let plain = export_fixture(&plain_dir, &ind_valueset::ExportOptions::default());
-        let profiles = crate::profiles_from_export(&plain);
-        let candidates = all_pairs(profiles.len() as u32);
-        let mut m_base = RunMetrics::new();
-        let baseline =
-            run_spider_parallel_shared(&plain, &profiles, &candidates, 4, &mut m_base).unwrap();
-        let overlapped_dir = dir.path().join("overlapped");
-        std::fs::create_dir_all(&overlapped_dir).unwrap();
-        let overlapped = export_fixture(
-            &overlapped_dir,
-            &ind_valueset::ExportOptions::default()
-                .prefetched(true)
-                .direct(true),
-        );
-        let mut m = RunMetrics::new();
-        let found =
-            run_spider_parallel_shared(&overlapped, &profiles, &candidates, 4, &mut m).unwrap();
-        assert_eq!(found, baseline);
-        assert!(
-            overlapped.direct_opens() + overlapped.direct_fallbacks() > 0,
-            "direct-I/O opens must be accounted one way or the other"
-        );
-    }
-
-    #[test]
-    fn shared_stream_surfaces_mid_stream_faults_consumer_side() {
-        // A bit flip in the middle of one value file while the shared
-        // streamer is fanning records out: the partition workers must get a
-        // consumer-side `Corrupt` naming the file — never a hang, never a
-        // silently wrong IND set.
+    fn surfaces_mid_stream_faults_on_disk() {
+        // A bit flip in the middle of one value file while the partitions
+        // are merging: the run must return a `Corrupt` naming the file —
+        // never a hang, never a silently wrong IND set.
         for threads in [1, 4] {
             // Fresh export and fresh plan per round: a flip rule fires
             // exactly once, so a shared plan would spend it on the first
             // round and leave later rounds fault-free.
-            let dir = ind_testkit::TempDir::new("spider-shared-fault");
+            let dir = ind_testkit::TempDir::new("spider-par-fault");
             let plan = std::sync::Arc::new(
                 ind_valueset::FaultPlan::parse("read:attr-00000:flip=200").unwrap(),
             );
@@ -594,11 +442,12 @@ mod tests {
             let profiles = crate::profiles_from_export(&export);
             let candidates = all_pairs(profiles.len() as u32);
             let mut m = RunMetrics::new();
-            match run_spider_parallel_shared(&export, &profiles, &candidates, threads, &mut m) {
-                Err(e) => {
+            match run_spider_parallel(&export, &profiles, &candidates, threads, &mut m) {
+                Err(e @ ind_valueset::ValueSetError::Corrupt { .. }) => {
                     let msg = e.to_string();
                     assert!(msg.contains("attr-00000"), "threads={threads}: {msg}");
                 }
+                Err(other) => panic!("threads={threads}: expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("threads={threads}: corruption must surface, not vanish"),
             }
         }

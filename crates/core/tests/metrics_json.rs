@@ -8,7 +8,7 @@ use ind_trace::json::{self, Json};
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn arbitrary_metrics(values: &[u64; 29]) -> RunMetrics {
+fn arbitrary_metrics(values: &[u64; 25]) -> RunMetrics {
     RunMetrics {
         pairs_considered: values[0],
         pruned_cardinality: values[1],
@@ -26,18 +26,14 @@ fn arbitrary_metrics(values: &[u64; 29]) -> RunMetrics {
         key_compares: values[13],
         memcmp_compares: values[14],
         read_calls: values[15],
-        prefetch_hits: values[16],
-        prefetch_stalls: values[17],
-        direct_opens: values[18],
-        direct_fallbacks: values[19],
-        cursor_opens: values[20],
-        io_retries: values[21],
-        checksum_failures: values[22],
-        quarantined_attributes: values[23],
-        exports_reused: values[24],
-        exports_redone: values[25],
-        orphans_swept: values[26],
-        elapsed: Duration::from_secs(values[27]) + Duration::from_nanos(values[28]),
+        cursor_opens: values[16],
+        io_retries: values[17],
+        checksum_failures: values[18],
+        quarantined_attributes: values[19],
+        exports_reused: values[20],
+        exports_redone: values[21],
+        orphans_swept: values[22],
+        elapsed: Duration::from_secs(values[23]) + Duration::from_nanos(values[24]),
     }
 }
 
@@ -53,14 +49,14 @@ proptest! {
 
     #[test]
     fn to_json_round_trips_through_parsing(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 27),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 23),
         secs in 0u64..4_000_000_000,
         nanos in 0u64..1_000_000_000,
     ) {
-        let mut values = [0u64; 29];
-        values[..27].copy_from_slice(&counters);
-        values[27] = secs;
-        values[28] = nanos;
+        let mut values = [0u64; 25];
+        values[..23].copy_from_slice(&counters);
+        values[23] = secs;
+        values[24] = nanos;
         let metrics = arbitrary_metrics(&values);
 
         let text = metrics.to_json();
@@ -86,10 +82,6 @@ proptest! {
         prop_assert_eq!(field(&parsed, "key_compares"), metrics.key_compares);
         prop_assert_eq!(field(&parsed, "memcmp_compares"), metrics.memcmp_compares);
         prop_assert_eq!(field(&parsed, "read_calls"), metrics.read_calls);
-        prop_assert_eq!(field(&parsed, "prefetch_hits"), metrics.prefetch_hits);
-        prop_assert_eq!(field(&parsed, "prefetch_stalls"), metrics.prefetch_stalls);
-        prop_assert_eq!(field(&parsed, "direct_opens"), metrics.direct_opens);
-        prop_assert_eq!(field(&parsed, "direct_fallbacks"), metrics.direct_fallbacks);
         prop_assert_eq!(field(&parsed, "cursor_opens"), metrics.cursor_opens);
         prop_assert_eq!(field(&parsed, "io_retries"), metrics.io_retries);
         prop_assert_eq!(field(&parsed, "checksum_failures"), metrics.checksum_failures);

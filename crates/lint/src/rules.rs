@@ -674,7 +674,7 @@ exclude = []
             rules_of("crates/valueset/src/block.rs", in_test),
             Vec::<String>::new()
         );
-        // The escape hatch works for the one gated direct-I/O site.
+        // The escape hatch works for an open gated by the fault layer.
         let allowed = "// lint: allow(fs_open) — gated by fault::check_open in the caller\n\
                        fn f() { std::fs::OpenOptions::new().read(true); }\n";
         assert_eq!(

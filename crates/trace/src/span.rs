@@ -31,7 +31,7 @@ pub(crate) enum ArgStyle {
 }
 
 /// The span-name registry: `(name, arg rendering)` per [`SpanId`].
-pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 15] = [
+pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
     ("discover", ArgStyle::None),
     ("export", ArgStyle::None),
     ("profile", ArgStyle::None),
@@ -44,13 +44,12 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 15] = [
     ("partition", ArgStyle::Index),
     ("block_pass", ArgStyle::Index),
     ("level", ArgStyle::Index),
-    ("prefetch_wait", ArgStyle::None),
     ("resume_scan", ArgStyle::None),
     ("publish", ArgStyle::None),
 ];
 
 /// Span names in [`SpanId`] order (the report vocabulary).
-pub const SPAN_NAMES: [&str; 15] = [
+pub const SPAN_NAMES: [&str; 14] = [
     "discover",
     "export",
     "profile",
@@ -63,7 +62,6 @@ pub const SPAN_NAMES: [&str; 15] = [
     "partition",
     "block_pass",
     "level",
-    "prefetch_wait",
     "resume_scan",
     "publish",
 ];
@@ -92,13 +90,11 @@ pub const PARTITION: SpanId = SpanId(9);
 pub const BLOCK_PASS: SpanId = SpanId(10);
 /// One level of the n-ary pipeline; `arg` = arity.
 pub const LEVEL: SpanId = SpanId(11);
-/// Consumer blocked waiting on the prefetch worker's next block.
-pub const PREFETCH_WAIT: SpanId = SpanId(12);
 /// The resume sweep: orphan cleanup plus manifest-vs-footer validation.
-pub const RESUME_SCAN: SpanId = SpanId(13);
+pub const RESUME_SCAN: SpanId = SpanId(12);
 /// One group commit of the export: fsync each staged value file, rename
 /// each, one directory fsync, one manifest publish; `arg` = files.
-pub const PUBLISH: SpanId = SpanId(14);
+pub const PUBLISH: SpanId = SpanId(13);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Span-instance tokens and event ordering share one sequence so report
@@ -149,16 +145,6 @@ pub(crate) fn now_ns() -> u64 {
 /// another thread (worker spans under the spawning phase).
 #[derive(Debug, Clone, Copy)]
 pub struct ParentToken(u64);
-
-impl ParentToken {
-    /// True when no span is open — work started under this token would
-    /// become a root. Leaf instrumentation on detached helper threads
-    /// (which would each pay for a whole event ring just to hold a few
-    /// orphan spans) uses this to skip recording.
-    pub fn is_root(&self) -> bool {
-        self.0 == 0
-    }
-}
 
 /// The innermost open span on this thread, as a cross-thread parent
 /// handle. Returns a root token when no span is open (or tracing is off).

@@ -24,6 +24,13 @@
 //!   [`ReadStats`], so harnesses can report syscall trajectories
 //!   (`BENCH_spider.json`'s `read_calls`).
 //!
+//! Reads are synchronous, issued on the consuming thread: every byte flows
+//! file → fault-injection wrapper ([`crate::fault`]) → v2 frame decoder
+//! ([`crate::frame`], CRC-verified) → block, and this is the only way a
+//! value file is read. SPIDER reads each file forward once and refutes
+//! most cursors within their first values, so there is nothing for an
+//! overlapped reader to hide.
+//!
 //! [`crate::ValueFileReader`] builds its zero-copy `current()` and its
 //! syscall-free `seek` skips on top of this reader; the writer side uses
 //! the same `block_size` knob to stage records into block-sized
@@ -31,6 +38,7 @@
 
 use std::fs::File;
 use std::io::Read;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,8 +60,8 @@ pub const INITIAL_READAHEAD: usize = 8 * 1024;
 
 /// Tuning for the value-file I/O layer, shared by readers and writers.
 ///
-/// Equality compares only the tuning knobs (block size, hints, prefetch,
-/// direct I/O, checksum verification) — the runtime attachments
+/// Equality compares only the two tuning knobs ([`IoOptions::block_size`],
+/// [`IoOptions::verify_checksums`]) — the runtime attachments
 /// ([`IoOptions::fault`], [`IoOptions::stats`], [`IoOptions::cancel`]) are
 /// deliberately excluded, so two configurations that read files the same
 /// way compare equal even when only one of them is instrumented.
@@ -62,38 +70,11 @@ pub struct IoOptions {
     /// Bytes per I/O block: the unit of reader fills and writer flushes.
     /// Values below [`MIN_BLOCK_SIZE`] are clamped up at use time.
     pub block_size: usize,
-    /// Advise the kernel that each opened value file will be read
-    /// sequentially (`posix_fadvise(POSIX_FADV_SEQUENTIAL)`), letting it
-    /// double readahead and drop pages behind the cursor — the first
-    /// concrete step of the `O_DIRECT` / async-streaming frontier. Off by
-    /// default; purely an I/O hint, never a correctness knob. Each issued
-    /// hint is counted in [`ReadStats::fadvise_calls`] so harnesses can see
-    /// it. A no-op on non-Unix targets.
-    pub sequential_hint: bool,
-    /// Overlap fills with consumption: each reader opened by path gets a
-    /// background worker that reads block `N+1` while the consumer parses
-    /// block `N`, handing whole blocks over through a bounded channel (see
-    /// [`crate::prefetch`]). Fills served from an already-delivered block
-    /// count as [`ReadStats::prefetch_hits`]; fills that had to wait for
-    /// the worker count as [`ReadStats::prefetch_stalls`]. Results are
-    /// byte-identical to synchronous reads on every input. Off by default.
-    pub prefetch: bool,
-    /// Open value files with `O_DIRECT`, bypassing the page cache — the
-    /// right mode for bigger-than-RAM scans that would otherwise evict
-    /// every other page while double-buffering data read exactly once.
-    /// Alignment is taken from the filesystem (`fstatfs`). **Always falls
-    /// back** to a buffered open when the filesystem refuses direct I/O
-    /// (tmpfs, many CI filesystems) or the target lacks support; successes
-    /// count into [`ReadStats::direct_opens`], fallbacks into
-    /// [`ReadStats::direct_fallbacks`], and the knob never fails an open.
-    /// Off by default.
-    pub direct_io: bool,
     /// Verify format-v2 frame checksums on every fill (and header/footer
     /// checksums at open/end of stream). On by default: the cost is one
-    /// CRC32C pass per byte, paid on the prefetch worker thread when
-    /// overlapped reads are on. Turning it off still strips the v2
-    /// framing and still detects structural damage (truncation, bad
-    /// geometry); it only skips the checksum comparisons.
+    /// CRC32C pass per byte. Turning it off still strips the v2 framing
+    /// and still detects structural damage (truncation, bad geometry); it
+    /// only skips the checksum comparisons.
     pub verify_checksums: bool,
     /// A fault plan injected beneath every reader, writer, and open this
     /// configuration touches (see [`crate::fault`]). `None` (the default)
@@ -114,9 +95,6 @@ impl Default for IoOptions {
     fn default() -> Self {
         IoOptions {
             block_size: DEFAULT_BLOCK_SIZE,
-            sequential_hint: false,
-            prefetch: false,
-            direct_io: false,
             verify_checksums: true,
             fault: None,
             stats: None,
@@ -127,11 +105,7 @@ impl Default for IoOptions {
 
 impl PartialEq for IoOptions {
     fn eq(&self, other: &Self) -> bool {
-        self.block_size == other.block_size
-            && self.sequential_hint == other.sequential_hint
-            && self.prefetch == other.prefetch
-            && self.direct_io == other.direct_io
-            && self.verify_checksums == other.verify_checksums
+        self.block_size == other.block_size && self.verify_checksums == other.verify_checksums
     }
 }
 
@@ -145,24 +119,6 @@ impl IoOptions {
             block_size,
             ..Default::default()
         }
-    }
-
-    /// Builder toggle for the sequential-access hint.
-    pub fn sequential(mut self, hint: bool) -> Self {
-        self.sequential_hint = hint;
-        self
-    }
-
-    /// Builder toggle for overlapped prefetch ([`IoOptions::prefetch`]).
-    pub fn prefetched(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Builder toggle for `O_DIRECT` opens ([`IoOptions::direct_io`]).
-    pub fn direct(mut self, direct_io: bool) -> Self {
-        self.direct_io = direct_io;
-        self
     }
 
     /// Builder toggle for checksum verification
@@ -196,311 +152,14 @@ impl IoOptions {
     }
 }
 
-/// Issues `posix_fadvise(fd, 0, 0, POSIX_FADV_SEQUENTIAL)` for the whole
-/// file. Returns whether a hint was actually delivered to the OS (always
-/// `false` off 64-bit Linux: the libc call is not portably available
-/// elsewhere, and on 32-bit targets the symbol takes a 32-bit `off_t`,
-/// so this hand-declared 64-bit signature would corrupt the argument
-/// registers).
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-fn advise_sequential(file: &File) -> bool {
-    use std::os::unix::io::AsRawFd;
-    // Declared directly against libc so the workspace stays free of new
-    // crate dependencies; constant value per `linux/fadvise.h`.
-    const POSIX_FADV_SEQUENTIAL: std::os::raw::c_int = 2;
-    extern "C" {
-        fn posix_fadvise(
-            fd: std::os::raw::c_int,
-            offset: i64,
-            len: i64,
-            advice: std::os::raw::c_int,
-        ) -> std::os::raw::c_int;
-    }
-    // Failure is harmless (the hint is advisory); report it so the counter
-    // only ever counts delivered hints.
-    // SAFETY: the fd is valid for the lifetime of `file` (borrowed, not
-    // owned), the signature matches the 64-bit Linux ABI the cfg above
-    // restricts us to, and posix_fadvise touches no memory — it only
-    // advises the kernel about the fd's future access pattern.
-    unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_SEQUENTIAL) == 0 }
-}
-
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-fn advise_sequential(_file: &File) -> bool {
-    false
-}
-
-/// `O_DIRECT` reads, supported on 64-bit Linux for the two architectures
-/// whose flag value is pinned below. Everywhere else [`DirectFile::open`]
-/// always errs, which the caller turns into a counted buffered fallback —
-/// the direct-I/O knob is best-effort by contract.
-#[cfg(all(
-    target_os = "linux",
-    target_pointer_width = "64",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod direct {
-    use std::fs::File;
-    use std::io::Read;
-    use std::os::unix::fs::OpenOptionsExt;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-    use std::ptr::NonNull;
-
-    /// `O_DIRECT` per `asm-generic/fcntl.h` overrides: the flag is one of
-    /// the few whose value differs per architecture.
-    #[cfg(target_arch = "x86_64")]
-    const O_DIRECT: i32 = 0o40000;
-    #[cfg(target_arch = "aarch64")]
-    const O_DIRECT: i32 = 0o200000;
-
-    /// Alignment bounds for the staging buffer: `fstatfs` results are
-    /// clamped into `[512, 64 KiB]` (a non-power-of-two or failed query
-    /// falls back to 4096, the ubiquitous page/sector size).
-    const MIN_ALIGN: usize = 512;
-    const MAX_ALIGN: usize = 64 * 1024;
-    const DEFAULT_ALIGN: usize = 4096;
-
-    /// The filesystem's preferred I/O block size for `file`, used as the
-    /// `O_DIRECT` alignment for offsets, lengths, and buffer addresses.
-    fn direct_alignment(file: &File) -> usize {
-        // The glibc 64-bit `statfs` layout: `f_type` then `f_bsize`, both
-        // word-sized, followed by the block/inode counts and padding. Only
-        // `f_bsize` is read; the trailing array generously over-covers the
-        // kernel's 120-byte write.
-        #[repr(C)]
-        struct RawStatFs {
-            f_type: i64,
-            f_bsize: i64,
-            _rest: [u64; 16],
-        }
-        extern "C" {
-            fn fstatfs(fd: std::os::raw::c_int, buf: *mut RawStatFs) -> std::os::raw::c_int;
-        }
-        let mut raw = RawStatFs {
-            f_type: 0,
-            f_bsize: 0,
-            _rest: [0; 16],
-        };
-        // SAFETY: the fd is valid for the lifetime of the borrowed `file`;
-        // `raw` is a live, writable, properly aligned struct larger than
-        // the 120 bytes the 64-bit Linux ABI writes into it.
-        let ok = unsafe { fstatfs(file.as_raw_fd(), &mut raw) } == 0;
-        match u64::try_from(raw.f_bsize) {
-            Ok(bsize) if ok && bsize.is_power_of_two() => {
-                (bsize as usize).clamp(MIN_ALIGN, MAX_ALIGN)
-            }
-            _ => DEFAULT_ALIGN,
-        }
-    }
-
-    /// A heap allocation with an explicit alignment, as `O_DIRECT` demands
-    /// of the destination buffer address.
-    struct AlignedBuf {
-        ptr: NonNull<u8>,
-        layout: std::alloc::Layout,
-    }
-
-    // SAFETY: the buffer is a plain owned allocation; nothing about it is
-    // thread-affine, so moving it to the prefetch worker thread is sound.
-    unsafe impl Send for AlignedBuf {}
-
-    impl AlignedBuf {
-        fn new(size: usize, align: usize) -> std::io::Result<AlignedBuf> {
-            let layout = std::alloc::Layout::from_size_align(size, align)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            // SAFETY: `layout` has non-zero size (`size >= align >= 512` by
-            // construction in `DirectFile::open`).
-            let ptr = unsafe { std::alloc::alloc(layout) };
-            match NonNull::new(ptr) {
-                Some(ptr) => Ok(AlignedBuf { ptr, layout }),
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::OutOfMemory,
-                    "aligned staging buffer allocation failed",
-                )),
-            }
-        }
-    }
-
-    impl Drop for AlignedBuf {
-        fn drop(&mut self) {
-            // SAFETY: `ptr` was returned by `alloc` with exactly this
-            // layout and is deallocated once (Drop runs once).
-            unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) }
-        }
-    }
-
-    impl std::fmt::Debug for AlignedBuf {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("AlignedBuf")
-                .field("size", &self.layout.size())
-                .field("align", &self.layout.align())
-                .finish()
-        }
-    }
-
-    /// A read-only `O_DIRECT` file. Reads land in an aligned staging
-    /// buffer (kernel requirement) and are copied out through the plain
-    /// [`Read`] impl, so the rest of the reader stack is oblivious to the
-    /// alignment rules. Sequential use keeps every file offset a multiple
-    /// of the alignment: reads always request the full staging capacity
-    /// (an alignment multiple) and the kernel returns either all of it or
-    /// the final unaligned tail at end of file.
-    #[derive(Debug)]
-    pub(crate) struct DirectFile {
-        file: File,
-        stage: AlignedBuf,
-        /// Valid bytes currently staged.
-        len: usize,
-        /// Copy-out cursor into the stage.
-        pos: usize,
-        eof: bool,
-    }
-
-    impl DirectFile {
-        /// Opens `path` with `O_DIRECT`, or errs (filesystem refused —
-        /// tmpfs and many overlay filesystems do) so the caller can fall
-        /// back to a buffered open.
-        pub(crate) fn open(path: &Path, block_size: usize) -> std::io::Result<DirectFile> {
-            // lint: allow(fs_open) — O_DIRECT needs custom flags; the sole caller (open_path) gates it with fault::check_open
-            let file = std::fs::OpenOptions::new()
-                .read(true)
-                .custom_flags(O_DIRECT)
-                .open(path)?;
-            let align = direct_alignment(&file);
-            // Stage capacity: the block size rounded up to the alignment,
-            // so one staged read feeds one block fill.
-            let size = block_size.div_ceil(align).max(1) * align;
-            Ok(DirectFile {
-                file,
-                stage: AlignedBuf::new(size, align)?,
-                len: 0,
-                pos: 0,
-                eof: false,
-            })
-        }
-    }
-
-    impl Read for DirectFile {
-        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos == self.len {
-                if self.eof {
-                    return Ok(0);
-                }
-                // SAFETY: `stage.ptr` is valid for `layout.size()` writable
-                // bytes for as long as `stage` lives, and the slice is
-                // dropped before any other access to the stage.
-                let dst = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        self.stage.ptr.as_ptr(),
-                        self.stage.layout.size(),
-                    )
-                };
-                let n = self.file.read(dst)?;
-                // A short read under sequential O_DIRECT is the unaligned
-                // file tail: the next offset would break the alignment
-                // contract, so treat it as end of stream. Value files
-                // carry their record count in the header, so a genuinely
-                // truncated stream still surfaces as a corruption error,
-                // never as silent short data.
-                if n < dst.len() {
-                    self.eof = true;
-                }
-                if n == 0 {
-                    return Ok(0);
-                }
-                self.len = n;
-                self.pos = 0;
-            }
-            let n = out.len().min(self.len - self.pos);
-            // SAFETY: `pos + n <= len <= layout.size()`, and the staged
-            // bytes were initialised by the kernel read above.
-            let src = unsafe { std::slice::from_raw_parts(self.stage.ptr.as_ptr(), self.len) };
-            out[..n].copy_from_slice(&src[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-}
-
-/// Permanent-fallback stub for targets without `O_DIRECT` support: `open`
-/// always errs, so every direct-I/O request becomes a counted buffered
-/// fallback.
-#[cfg(not(all(
-    target_os = "linux",
-    target_pointer_width = "64",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod direct {
-    use std::path::Path;
-
-    #[derive(Debug)]
-    pub(crate) struct DirectFile {}
-
-    impl DirectFile {
-        pub(crate) fn open(_path: &Path, _block_size: usize) -> std::io::Result<DirectFile> {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "O_DIRECT is not supported on this target",
-            ))
-        }
-    }
-
-    impl std::io::Read for DirectFile {
-        fn read(&mut self, _out: &mut [u8]) -> std::io::Result<usize> {
-            Ok(0) // unreachable: the stub is never constructed
-        }
-    }
-}
-
-pub(crate) use direct::DirectFile;
-
-/// A synchronously-read physical file: buffered (the default) or
-/// `O_DIRECT`. This is what the prefetch worker takes ownership of when
-/// overlapped reads are on — prefetch composes with either open mode.
-#[derive(Debug)]
-pub(crate) enum PhysicalFile {
-    /// A plain page-cached file.
-    Buffered(File),
-    /// An `O_DIRECT` file staging through an aligned buffer.
-    Direct(DirectFile),
-}
-
-impl Read for PhysicalFile {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            PhysicalFile::Buffered(f) => f.read(out),
-            PhysicalFile::Direct(f) => f.read(out),
-        }
-    }
-}
-
-/// Where a [`BlockReader`]'s bytes come from: a file read synchronously on
-/// the consuming thread, or a prefetch worker delivering blocks over a
-/// bounded channel. Either way the bytes flow through the same stack —
-/// physical file, fault-injection wrapper, v2 frame decoder — so checksum
-/// verification and transient-error retry happen beneath the block buffer
-/// on whichever thread issues the reads.
-// One `Source` exists per reader and is never stored in bulk, so the size
-// spread between the variants costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Source {
-    Sync(crate::frame::FrameStream),
-    Prefetch(crate::prefetch::PrefetchReader),
-}
-
-/// Shared syscall counter: every `read(2)` a [`BlockReader`] issues is
-/// added here. Cloning shares the counter, so one `ReadStats` can aggregate
-/// across all cursors a provider hands out (including worker threads).
+/// Shared I/O counters: every `read(2)` a [`BlockReader`] issues, every
+/// value file it opens, every transient fault healed beneath it and every
+/// checksum mismatch it detects. Cloning shares the counters, so one
+/// `ReadStats` can aggregate across all cursors a provider hands out
+/// (including worker threads).
 #[derive(Debug, Clone, Default)]
 pub struct ReadStats {
     calls: Arc<AtomicU64>,
-    fadvise: Arc<AtomicU64>,
-    prefetch_hits: Arc<AtomicU64>,
-    prefetch_stalls: Arc<AtomicU64>,
-    direct_opens: Arc<AtomicU64>,
-    direct_fallbacks: Arc<AtomicU64>,
     file_opens: Arc<AtomicU64>,
     io_retries: Arc<AtomicU64>,
     checksum_failures: Arc<AtomicU64>,
@@ -517,42 +176,8 @@ impl ReadStats {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// `posix_fadvise` sequential hints delivered so far (one per opened
-    /// reader when [`IoOptions::sequential_hint`] is set; zero on targets
-    /// without the syscall).
-    pub fn fadvise_calls(&self) -> u64 {
-        self.fadvise.load(Ordering::Relaxed)
-    }
-
-    /// Prefetch fills that found their block already delivered by the
-    /// worker — the fill cost the consumer a channel pop, not a wait.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.load(Ordering::Relaxed)
-    }
-
-    /// Prefetch fills that had to block for the worker: the consumer
-    /// outran the disk. `hits + stalls` is the number of prefetched
-    /// block handovers; a healthy overlap keeps `stalls` well below it.
-    pub fn prefetch_stalls(&self) -> u64 {
-        self.prefetch_stalls.load(Ordering::Relaxed)
-    }
-
-    /// Files successfully opened with `O_DIRECT`.
-    pub fn direct_opens(&self) -> u64 {
-        self.direct_opens.load(Ordering::Relaxed)
-    }
-
-    /// `O_DIRECT` opens refused by the filesystem (or unsupported on this
-    /// target) that fell back to a buffered open. Fallback is graceful by
-    /// contract: the open never fails because of the direct-I/O knob.
-    pub fn direct_fallbacks(&self) -> u64 {
-        self.direct_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Physical file descriptors opened for value data. One per
-    /// [`BlockReader::open_path`] call — the shared-stream provider keeps
-    /// this at exactly one per file regardless of how many partitions fan
-    /// out of it.
+    /// Physical file descriptors opened for value data: one per
+    /// [`BlockReader`] constructed.
     pub fn file_opens(&self) -> u64 {
         self.file_opens.load(Ordering::Relaxed)
     }
@@ -576,38 +201,13 @@ impl ReadStats {
     /// Resets the counters to zero (between measured phases).
     pub fn reset(&self) {
         self.calls.store(0, Ordering::Relaxed);
-        self.fadvise.store(0, Ordering::Relaxed);
-        self.prefetch_hits.store(0, Ordering::Relaxed);
-        self.prefetch_stalls.store(0, Ordering::Relaxed);
-        self.direct_opens.store(0, Ordering::Relaxed);
-        self.direct_fallbacks.store(0, Ordering::Relaxed);
         self.file_opens.store(0, Ordering::Relaxed);
         self.io_retries.store(0, Ordering::Relaxed);
         self.checksum_failures.store(0, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump(&self) {
+    fn bump(&self) {
         self.calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn bump_fadvise(&self) {
-        self.fadvise.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_prefetch_stall(&self) {
-        self.prefetch_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn bump_direct_open(&self) {
-        self.direct_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn bump_direct_fallback(&self) {
-        self.direct_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     fn bump_file_open(&self) {
@@ -642,7 +242,7 @@ impl ReadStats {
 /// never zero-initialised.
 #[derive(Debug)]
 pub struct BlockReader {
-    source: Source,
+    stream: crate::frame::FrameStream,
     /// Filled bytes; `buf[start..]` is valid, unconsumed data.
     buf: Vec<u8>,
     /// Consume cursor.
@@ -660,11 +260,6 @@ impl BlockReader {
     /// Wraps `file` with a block buffer of `options.block_size` (clamped to
     /// [`MIN_BLOCK_SIZE`], capped at the file's length via one `fstat`).
     /// Syscalls are counted locally and, when given, into `stats`.
-    ///
-    /// Taking a `File` directly, this constructor is always synchronous
-    /// and buffered; the `prefetch` / `direct_io` knobs only take effect
-    /// through [`BlockReader::open_path`], which controls how the
-    /// descriptor is opened.
     pub fn new(file: File, options: &IoOptions, stats: Option<ReadStats>) -> Self {
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(u64::MAX);
         Self::with_size_hint(file, options, stats, file_len)
@@ -682,137 +277,56 @@ impl BlockReader {
         stats: Option<ReadStats>,
         file_len: u64,
     ) -> Self {
-        Self::from_physical(PhysicalFile::Buffered(file), options, stats, file_len)
+        // Anonymous descriptors carry no path: fault rules only reach them
+        // via a `*` matcher, and error annotation degrades gracefully.
+        Self::from_file(file, Path::new(""), options, stats, file_len)
     }
 
-    /// Opens `path` honouring every [`IoOptions`] knob: `direct_io`
-    /// attempts an `O_DIRECT` open first (falling back, counted, to a
-    /// buffered one when refused), and `prefetch` hands the descriptor to
-    /// a background worker that keeps the next block in flight. One
-    /// physical descriptor is opened per call, counted into
-    /// [`ReadStats::file_opens`].
+    /// Opens `path` through the fault layer (so an `open:` rule of
+    /// [`IoOptions::fault`] can refuse it) and wraps it like
+    /// [`BlockReader::with_size_hint`], taking the size from `file_len` or
+    /// one `stat` of the path.
     pub fn open_path(
-        path: &std::path::Path,
+        path: &Path,
         options: &IoOptions,
         stats: Option<ReadStats>,
         file_len: Option<u64>,
     ) -> std::io::Result<Self> {
-        // lint: allow(hot_alloc) — once per open: attached stats fall back to the options' handle
-        let stats = stats.or_else(|| options.stats.clone());
         crate::fault::check_open(path, options.fault.as_ref())?;
-        let physical = if options.direct_io {
-            match DirectFile::open(path, options.effective_block_size()) {
-                Ok(direct) => {
-                    if let Some(stats) = &stats {
-                        stats.bump_direct_open();
-                    }
-                    PhysicalFile::Direct(direct)
-                }
-                Err(_) => {
-                    // Graceful fallback by contract: tmpfs and friends
-                    // refuse O_DIRECT with EINVAL. Count it and open
-                    // buffered instead.
-                    if let Some(stats) = &stats {
-                        stats.bump_direct_fallback();
-                    }
-                    PhysicalFile::Buffered(crate::fault::open_file(path)?)
-                }
-            }
-        } else {
-            PhysicalFile::Buffered(crate::fault::open_file(path)?)
-        };
+        let file = crate::fault::open_file(path)?;
         let file_len = match file_len {
             Some(len) => len,
             None => std::fs::metadata(path).map(|m| m.len()).unwrap_or(u64::MAX),
         };
-        if options.sequential_hint {
-            // Page-cache advice only makes sense for buffered descriptors.
-            if let PhysicalFile::Buffered(file) = &physical {
-                if advise_sequential(file) {
-                    if let Some(stats) = &stats {
-                        stats.bump_fadvise();
-                    }
-                }
-            }
-        }
-        if let Some(stats) = &stats {
-            stats.bump_file_open();
-        }
-        let capacity = usize::try_from(file_len)
-            .unwrap_or(usize::MAX)
-            .clamp(MIN_BLOCK_SIZE, options.effective_block_size());
-        let stream = crate::frame::FrameStream::new(
-            // lint: allow(hot_alloc) — once per open: the wrapper clones the shared counter handles
-            crate::fault::FaultFile::new(physical, path, options.fault.clone(), stats.clone()),
-            options.verify_checksums,
-            // lint: allow(hot_alloc) — once per open
-            stats.clone(),
-        );
-        let source = if options.prefetch {
-            // Move the verified stream to a worker: checksum verification
-            // happens on the worker thread, overlapped with consumption;
-            // the consumer side only ever touches the channel from here on.
-            Source::Prefetch(crate::prefetch::PrefetchReader::spawn(
-                stream,
-                capacity,
-                // lint: allow(hot_alloc) — once per open: the worker needs its own handle on the shared counters
-                stats.clone(),
-            ))
-        } else {
-            Source::Sync(stream)
-        };
-        Ok(BlockReader {
-            source,
-            buf: Vec::with_capacity(capacity),
-            start: 0,
-            block_size: capacity,
-            readahead: INITIAL_READAHEAD.min(capacity),
-            read_calls: 0,
-            stats,
-        })
+        Ok(Self::from_file(file, path, options, stats, file_len))
     }
 
-    fn from_physical(
-        physical: PhysicalFile,
+    /// The one constructor body: counts the open, sizes the block, and
+    /// stacks the fault wrapper and the v2 frame decoder on `file`.
+    fn from_file(
+        file: File,
+        path: &Path,
         options: &IoOptions,
         stats: Option<ReadStats>,
         file_len: u64,
     ) -> Self {
         // lint: allow(hot_alloc) — once per open: attached stats fall back to the options' handle
         let stats = stats.or_else(|| options.stats.clone());
-        if options.sequential_hint {
-            // Page-cache advice only makes sense for buffered descriptors.
-            if let PhysicalFile::Buffered(file) = &physical {
-                if advise_sequential(file) {
-                    if let Some(stats) = &stats {
-                        stats.bump_fadvise();
-                    }
-                }
-            }
-        }
         if let Some(stats) = &stats {
             stats.bump_file_open();
         }
         let capacity = usize::try_from(file_len)
             .unwrap_or(usize::MAX)
             .clamp(MIN_BLOCK_SIZE, options.effective_block_size());
-        // Anonymous descriptors carry no path: fault rules only reach them
-        // via a `*` matcher, and error annotation degrades gracefully.
         let stream = crate::frame::FrameStream::new(
-            crate::fault::FaultFile::new(
-                physical,
-                std::path::Path::new(""),
-                // lint: allow(hot_alloc) — once per open: the wrapper owns its plan handle
-                options.fault.clone(),
-                // lint: allow(hot_alloc) — once per open: the wrapper owns its counter handle
-                stats.clone(),
-            ),
+            // lint: allow(hot_alloc) — once per open: the wrapper clones the shared plan and counter handles
+            crate::fault::FaultFile::new(file, path, options.fault.clone(), stats.clone()),
             options.verify_checksums,
             // lint: allow(hot_alloc) — once per open: the decoder owns its counter handle
             stats.clone(),
         );
         BlockReader {
-            source: Source::Sync(stream),
+            stream,
             buf: Vec::with_capacity(capacity),
             start: 0,
             block_size: capacity,
@@ -829,7 +343,7 @@ impl BlockReader {
     }
 
     /// Read-request calls issued by this reader so far (one per block
-    /// fill, plus the direct reads of the spill path).
+    /// fill, plus the reads that grow the block for an oversized record).
     pub fn read_calls(&self) -> u64 {
         self.read_calls
     }
@@ -879,21 +393,6 @@ impl BlockReader {
         self.fill_slow(need)
     }
 
-    /// Swaps the block buffer for `replacement`, returning the previous
-    /// buffer for recycling. Only legal when every buffered byte has been
-    /// consumed — the replacement's content becomes the buffered bytes and
-    /// the consume cursor rewinds to its start. This is the whole-block
-    /// handover the prefetch path is built on: adopting the worker's
-    /// filled block costs a pointer swap, not a copy.
-    pub fn swap_buffer(&mut self, replacement: Vec<u8>) -> Vec<u8> {
-        debug_assert!(
-            self.start == self.buf.len(),
-            "swap_buffer with unconsumed bytes"
-        );
-        self.start = 0;
-        std::mem::replace(&mut self.buf, replacement)
-    }
-
     #[cold]
     fn fill_slow(&mut self, need: usize) -> std::io::Result<usize> {
         debug_assert!(need <= self.block_size, "fill_to beyond block capacity");
@@ -917,21 +416,8 @@ impl BlockReader {
                 .readahead
                 .max(need - self.buf.len())
                 .min(self.block_size - self.buf.len());
-            let n = match &mut self.source {
-                Source::Sync(file) => {
-                    let n = (&mut *file).take(want as u64).read_to_end(&mut self.buf)?;
-                    self.read_calls += 1;
-                    if let Some(stats) = &self.stats {
-                        stats.bump();
-                    }
-                    self.readahead = (self.readahead * 2).min(self.block_size);
-                    n
-                }
-                // The worker paces its own readahead and counts its own
-                // syscalls into the shared stats; an empty buffer adopts
-                // the worker's whole block via swap.
-                Source::Prefetch(p) => p.fill(&mut self.buf, want)?,
-            };
+            let n = self.read_into_buf(want)?;
+            self.readahead = (self.readahead * 2).min(self.block_size);
             if n == 0 {
                 break; // EOF: caller decides whether short is fatal
             }
@@ -961,22 +447,24 @@ impl BlockReader {
         self.buf.reserve(need - self.buf.len());
         while self.buf.len() < need {
             let want = need - self.buf.len();
-            let n = match &mut self.source {
-                Source::Sync(file) => {
-                    let n = (&mut *file).take(want as u64).read_to_end(&mut self.buf)?;
-                    self.read_calls += 1;
-                    if let Some(stats) = &self.stats {
-                        stats.bump();
-                    }
-                    n
-                }
-                Source::Prefetch(p) => p.fill(&mut self.buf, want)?,
-            };
+            let n = self.read_into_buf(want)?;
             if n == 0 {
                 break; // EOF: caller decides whether short is fatal
             }
         }
         Ok(self.buf.len() - self.start)
+    }
+
+    /// One counted read request appending up to `want` bytes to the block.
+    fn read_into_buf(&mut self, want: usize) -> std::io::Result<usize> {
+        let n = (&mut self.stream)
+            .take(want as u64)
+            .read_to_end(&mut self.buf)?;
+        self.read_calls += 1;
+        if let Some(stats) = &self.stats {
+            stats.bump();
+        }
+        Ok(n)
     }
 }
 
@@ -1082,53 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_hint_is_counted_and_changes_nothing_else() {
-        let data: Vec<u8> = (0..200u8).collect();
-        let stats = ReadStats::new();
-        let dir = TempDir::new("blockreader-fadvise");
-        let path = dir.join("data.bin");
-        std::fs::write(&path, &data).unwrap();
-        let open = |hint: bool, stats: ReadStats| {
-            BlockReader::new(
-                std::fs::File::open(&path).unwrap(),
-                &IoOptions::with_block_size(64).sequential(hint),
-                Some(stats),
-            )
-        };
-
-        // Hint off: counter stays zero.
-        let mut r = open(false, stats.clone());
-        let mut plain = Vec::new();
-        while r.fill_to(1).unwrap() > 0 {
-            plain.extend_from_slice(r.buffered());
-            let n = r.buffered().len();
-            r.consume(n);
-        }
-        assert_eq!(stats.fadvise_calls(), 0);
-
-        // Hint on: exactly one hint per open on Linux, none elsewhere, and
-        // the bytes read are identical either way.
-        let mut r = open(true, stats.clone());
-        let mut hinted = Vec::new();
-        while r.fill_to(1).unwrap() > 0 {
-            hinted.extend_from_slice(r.buffered());
-            let n = r.buffered().len();
-            r.consume(n);
-        }
-        assert_eq!(hinted, plain);
-        assert_eq!(hinted, data);
-        if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
-            assert_eq!(stats.fadvise_calls(), 1);
-            let before = stats.read_calls();
-            stats.reset();
-            assert_eq!(stats.fadvise_calls(), 0, "reset clears the hint counter");
-            assert!(before > 0);
-        } else {
-            assert_eq!(stats.fadvise_calls(), 0);
-        }
-    }
-
-    #[test]
     fn growing_fill_crosses_the_block_and_reports_eof_short() {
         let data: Vec<u8> = (0..100u8).collect();
         let mut r = reader(&data, 16, None);
@@ -1142,46 +583,6 @@ mod tests {
         // Asking for more than the file holds comes back short, not OK.
         assert_eq!(r.fill_exact_growing(20).unwrap(), 8);
         assert_eq!(r.buffered(), &data[92..]);
-    }
-
-    #[test]
-    fn direct_io_reads_identically_or_falls_back() {
-        let dir = TempDir::new("blockreader-direct");
-        let path = dir.join("data.bin");
-        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        std::fs::write(&path, &data).unwrap();
-        let stats = ReadStats::new();
-        let mut r = BlockReader::open_path(
-            &path,
-            &IoOptions::with_block_size(4096).direct(true),
-            Some(stats.clone()),
-            None,
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        while r.fill_to(1).unwrap() > 0 {
-            out.extend_from_slice(r.buffered());
-            let n = r.buffered().len();
-            r.consume(n);
-        }
-        assert_eq!(out, data, "direct and buffered bytes are identical");
-        assert_eq!(
-            stats.direct_opens() + stats.direct_fallbacks(),
-            1,
-            "the open lands in exactly one of the two counters"
-        );
-        assert_eq!(stats.file_opens(), 1);
-    }
-
-    #[test]
-    fn swap_buffer_adopts_a_prefilled_block() {
-        let mut r = reader(b"abcd", 16, None);
-        r.fill_to(4).unwrap();
-        r.consume(4);
-        let spent = r.swap_buffer(vec![9, 9, 9]);
-        assert!(spent.capacity() >= 4, "the old block comes back for reuse");
-        assert_eq!(r.buffered(), &[9, 9, 9]);
-        r.consume(3);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! consulted by the one place all physical I/O flows through: the
 //! [`FaultFile`] read wrapper beneath [`crate::BlockReader`], the
 //! `write_all`/open helpers used by [`crate::ValueFileWriter`] and the
-//! spill writer, and the open path of every reader. Because the prefetch
-//! worker and the shared-stream streamer read through the same wrapper,
-//! a plan injected at the bottom exercises the error arms of the whole
-//! stack — block reader, format decoder, external-sort merge, prefetch
-//! channel, partition fan-out — on the consumer side.
+//! spill writer, and the open path of every reader. Because every value
+//! file is read through the same wrapper, a plan injected at the bottom
+//! exercises the error arms of the whole stack — block reader, frame and
+//! format decoders, external-sort merge, partitioned merge — on the
+//! consuming thread.
 //!
 //! The wrapper is also where *transient* faults are healed: an
 //! `ErrorKind::Interrupted` (injected or real) is retried in place and an
@@ -45,7 +45,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::block::{PhysicalFile, ReadStats};
+use crate::block::ReadStats;
 
 /// Operations a rule can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -620,7 +620,7 @@ pub(crate) fn rename(from: &Path, to: &Path, plan: Option<&Arc<FaultPlan>>) -> i
 /// errors with the path.
 #[derive(Debug)]
 pub(crate) struct FaultFile {
-    inner: PhysicalFile,
+    inner: std::fs::File,
     path: std::path::PathBuf,
     pos: u64,
     plan: Option<Arc<FaultPlan>>,
@@ -629,7 +629,7 @@ pub(crate) struct FaultFile {
 
 impl FaultFile {
     pub(crate) fn new(
-        inner: PhysicalFile,
+        inner: std::fs::File,
         path: &Path,
         plan: Option<Arc<FaultPlan>>,
         stats: Option<ReadStats>,
@@ -716,12 +716,7 @@ mod tests {
         let dir = ind_testkit::TempDir::new("fault-file");
         let path = dir.join("data.bin");
         std::fs::write(&path, data).unwrap();
-        FaultFile::new(
-            PhysicalFile::Buffered(std::fs::File::open(&path).unwrap()),
-            &path,
-            plan,
-            stats,
-        )
+        FaultFile::new(std::fs::File::open(&path).unwrap(), &path, plan, stats)
     }
 
     #[test]

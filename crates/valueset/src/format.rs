@@ -1,15 +1,16 @@
 //! On-disk format for sorted distinct value sets.
 //!
-//! One file per attribute. The *logical* stream is unchanged since v1:
+//! One file per attribute. The *logical* stream:
 //!
 //! ```text
 //! magic   4 bytes  b"INDV"
-//! version u32 LE   2 (v1 files still open)
+//! version u32 LE   2 (any other version is rejected as Corrupt)
 //! count   u64 LE   number of values (patched at finish time)
 //! entry*  u32 LE length + raw bytes, in strictly increasing byte order
 //! ```
 //!
-//! Version 2 makes the file **self-verifying**: the header gains a CRC32C
+//! Version 2 — the only version written or read — makes the file
+//! **self-verifying**: the header gains a CRC32C
 //! over its first 16 bytes, the entry stream is carried inside
 //! checksummed 4 KiB frames, and a footer seals the file with the record
 //! count, payload byte count, and a whole-file checksum (see
@@ -47,10 +48,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 pub(crate) const MAGIC: &[u8; 4] = b"INDV";
-/// The legacy, un-checksummed format version; still readable.
-const VERSION_V1: u32 = 1;
-/// v1 header bytes: magic + version + count (the logical header of v2,
-/// whose physical header appends a CRC — [`V2_HEADER_LEN`]).
+/// Logical header bytes: magic + version + count (the physical v2 header
+/// appends a CRC — [`V2_HEADER_LEN`]).
 pub(crate) const HEADER_LEN: usize = 16;
 /// Length-prefix bytes per record.
 const LEN_PREFIX: usize = 4;
@@ -636,45 +635,36 @@ impl ValueFileReader {
         }
         // lint: allow(no_unwrap) — fixed-width slice of a length-checked header; try_into cannot fail
         let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let header_len = match version {
-            // v1: un-checksummed legacy files still open; verification is
-            // *counted as absent*, never assumed — there simply is no CRC.
-            VERSION_V1 => HEADER_LEN,
-            V2_VERSION => {
-                let avail = input
-                    .fill_to(V2_HEADER_LEN)
-                    .map_err(|e| corrupt(context(), e.to_string()))?;
-                if avail < V2_HEADER_LEN {
-                    return Err(corrupt(
-                        context(),
-                        format!("short header: {avail} of {V2_HEADER_LEN} bytes"),
-                    ));
-                }
-                if verify {
-                    let header = input.buffered();
-                    let stored = u32::from_le_bytes([
-                        header[HEADER_LEN],
-                        header[HEADER_LEN + 1],
-                        header[HEADER_LEN + 2],
-                        header[HEADER_LEN + 3],
-                    ]);
-                    if crc32c(&header[..HEADER_LEN]) != stored {
-                        if let Some(stats) = stats {
-                            stats.bump_checksum_failure();
-                        }
-                        return Err(corrupt(context(), "header checksum mismatch".into()));
-                    }
-                }
-                V2_HEADER_LEN
-            }
-            other => {
-                return Err(corrupt(context(), format!("unsupported version {other}")));
-            }
-        };
+        if version != V2_VERSION {
+            return Err(corrupt(context(), format!("unsupported version {version}")));
+        }
+        let avail = input
+            .fill_to(V2_HEADER_LEN)
+            .map_err(|e| corrupt(context(), e.to_string()))?;
+        if avail < V2_HEADER_LEN {
+            return Err(corrupt(
+                context(),
+                format!("short header: {avail} of {V2_HEADER_LEN} bytes"),
+            ));
+        }
         let header = input.buffered();
+        if verify {
+            let stored = u32::from_le_bytes([
+                header[HEADER_LEN],
+                header[HEADER_LEN + 1],
+                header[HEADER_LEN + 2],
+                header[HEADER_LEN + 3],
+            ]);
+            if crc32c(&header[..HEADER_LEN]) != stored {
+                if let Some(stats) = stats {
+                    stats.bump_checksum_failure();
+                }
+                return Err(corrupt(context(), "header checksum mismatch".into()));
+            }
+        }
         // lint: allow(no_unwrap) — fixed-width slice of a length-checked header; try_into cannot fail
         let total = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        input.consume(header_len);
+        input.consume(V2_HEADER_LEN);
         Ok(ValueFileReader {
             input,
             path: path.to_path_buf(),
@@ -700,8 +690,8 @@ impl ValueFileReader {
 
     /// One-shot end-of-stream check, run when the cursor first reports
     /// exhaustion: one more fill drives the frame decoder through the
-    /// footer (verifying the whole-file checksum and the footer's counts
-    /// for v2 files) and flags any logical bytes past the final record.
+    /// footer (verifying the whole-file checksum and the footer's counts)
+    /// and flags any logical bytes past the final record.
     /// Clean files cost one extra read call, exactly once.
     fn verify_stream_end(&mut self) -> Result<()> {
         if self.end_checked {
@@ -1077,19 +1067,16 @@ mod tests {
         write_value_file(&full, &values).unwrap();
         let data = std::fs::read(&full).unwrap();
         for block_size in [1usize, 5, 16, 64, 8192] {
-            for prefetch in [false, true] {
-                let options = IoOptions::with_block_size(block_size).prefetched(prefetch);
-                for cut in HEADER_LEN..data.len() {
-                    let path = dir.join("cut.indv");
-                    std::fs::write(&path, &data[..cut]).unwrap();
-                    let drained = ValueFileReader::open_with_options(&path, &options)
-                        .and_then(collect_cursor);
-                    assert!(
-                        matches!(drained, Err(ValueSetError::Corrupt { .. })),
-                        "cut at {cut} (block {block_size}, prefetch {prefetch}) \
-                         must be Corrupt, got {drained:?}"
-                    );
-                }
+            let options = IoOptions::with_block_size(block_size);
+            for cut in HEADER_LEN..data.len() {
+                let path = dir.join("cut.indv");
+                std::fs::write(&path, &data[..cut]).unwrap();
+                let drained =
+                    ValueFileReader::open_with_options(&path, &options).and_then(collect_cursor);
+                assert!(
+                    matches!(drained, Err(ValueSetError::Corrupt { .. })),
+                    "cut at {cut} (block {block_size}) must be Corrupt, got {drained:?}"
+                );
             }
         }
     }
@@ -1497,37 +1484,28 @@ mod tests {
         }
     }
 
-    /// Hand-writes a legacy v1 file (un-checksummed raw stream).
-    fn write_v1_file(path: &Path, values: &[Vec<u8>]) {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-        for v in values {
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        std::fs::write(path, out).unwrap();
-    }
-
     #[test]
-    fn v1_files_still_open_without_checksums() {
-        let dir = TempDir::new("vf-v1-compat");
+    fn a_v1_header_is_rejected_as_corrupt_naming_the_file() {
+        // A hand-written un-checksummed v1 file: magic, version 1, count,
+        // then raw length-prefixed records. Its bytes never reach a cursor.
+        let dir = TempDir::new("vf-v1-rejected");
         let path = dir.join("legacy.indv");
-        let values = bytes(&["alpha", "beta", "gamma", "delta"]);
-        write_v1_file(&path, &values);
+        let mut raw = Vec::new();
+        raw.extend_from_slice(MAGIC);
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&1u64.to_le_bytes());
+        raw.extend_from_slice(&5u32.to_le_bytes());
+        raw.extend_from_slice(b"alpha");
+        std::fs::write(&path, raw).unwrap();
         for block_size in [1usize, 64, 8192] {
-            for prefetch in [false, true] {
-                let stats = ReadStats::new();
-                let options = IoOptions::with_block_size(block_size).prefetched(prefetch);
-                let r =
-                    ValueFileReader::open_with(&path, &options, None, Some(stats.clone())).unwrap();
-                assert_eq!(collect_cursor(r).unwrap(), values);
-                assert_eq!(
-                    stats.checksum_failures(),
-                    0,
-                    "v1 files carry no checksums: verification is absent, not failed"
-                );
+            let options = IoOptions::with_block_size(block_size);
+            match ValueFileReader::open_with_options(&path, &options) {
+                Err(ValueSetError::Corrupt { context, detail }) => {
+                    assert!(context.contains("legacy.indv"), "{context}");
+                    assert_eq!(detail, "unsupported version 1");
+                }
+                Err(other) => panic!("block {block_size}: expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("block {block_size}: a v1 file must not open"),
             }
         }
     }
@@ -1661,22 +1639,17 @@ mod tests {
         write_value_file(&path, &values).unwrap();
 
         // EINTR + short reads: healed at the wrapper, counted, invisible.
-        for prefetch in [false, true] {
-            let stats = ReadStats::new();
-            let plan =
-                Arc::new(FaultPlan::parse("read:r.indv:eintr@7, read:r.indv:short@5").unwrap());
-            let options = IoOptions::with_block_size(128)
-                .prefetched(prefetch)
-                .with_fault(plan.clone());
-            let r = ValueFileReader::open_with(&path, &options, None, Some(stats.clone())).unwrap();
-            assert_eq!(collect_cursor(r).unwrap(), values, "prefetch={prefetch}");
-            assert!(
-                stats.io_retries() >= 7,
-                "transient faults are counted: {} (prefetch={prefetch})",
-                stats.io_retries()
-            );
-            assert!(plan.fired_count() >= 7);
-        }
+        let stats = ReadStats::new();
+        let plan = Arc::new(FaultPlan::parse("read:r.indv:eintr@7, read:r.indv:short@5").unwrap());
+        let options = IoOptions::with_block_size(128).with_fault(plan.clone());
+        let r = ValueFileReader::open_with(&path, &options, None, Some(stats.clone())).unwrap();
+        assert_eq!(collect_cursor(r).unwrap(), values);
+        assert!(
+            stats.io_retries() >= 7,
+            "transient faults are counted: {}",
+            stats.io_retries()
+        );
+        assert!(plan.fired_count() >= 7);
 
         // Truncation mid-file: Corrupt, with the path in the context.
         let plan = Arc::new(FaultPlan::parse("read:r.indv:truncate=1000").unwrap());

@@ -1,9 +1,10 @@
 //! The value-file format v2 frame layer: CRC-verified 4 KiB frames.
 //!
-//! Format v1 is a raw stream — any flipped bit or torn write that keeps
-//! the length prefixes self-consistent is served as *data*. Version 2
-//! wraps the identical logical stream in checksummed frames so corruption
-//! is detected before a single byte reaches a consumer:
+//! A raw stream of length-prefixed records (format v1, no longer read)
+//! serves any flipped bit or torn write that keeps the length prefixes
+//! self-consistent as *data*. Version 2 wraps the identical logical stream
+//! in checksummed frames so corruption is detected before a single byte
+//! reaches a consumer:
 //!
 //! ```text
 //! header  "INDV" | version=2 u32 LE | count u64 LE | header CRC32C u32 LE   20 B
@@ -14,8 +15,8 @@
 //!
 //! Every frame except the last carries exactly [`FRAME_PAYLOAD`] payload
 //! bytes, so the logical stream (and therefore the bytes a
-//! [`crate::ValueFileReader`] sees) is independent of the I/O block size —
-//! v1's byte-identity guarantees survive. The footer's sentinel length
+//! [`crate::ValueFileReader`] sees) is independent of the I/O block size.
+//! The footer's sentinel length
 //! `0xFFFF` is unreachable by a real frame, so truncation at a frame
 //! boundary is "file ends before the footer", not silence; its whole-file
 //! checksum is a CRC *of the frame CRCs*, giving end-to-end coverage for
@@ -23,12 +24,13 @@
 //!
 //! [`FrameStream`] is the decoder: a [`Read`] adapter between the
 //! fault-injectable [`FaultFile`] and [`crate::BlockReader`] that sniffs
-//! the header (v1 and foreign files pass through untouched), buffers one
-//! frame at a time, verifies its CRC, and only then serves the payload.
-//! Verification therefore happens *below* the block buffer: the prefetch
-//! worker reads through a `FrameStream`, so checksum work overlaps with
-//! consumer-side compute for free, and a corrupt frame surfaces on the
-//! consumer side as an error — never as wrong bytes, never as a hang.
+//! the header, buffers one frame at a time, verifies its CRC, and only
+//! then serves the payload. Verification therefore happens *below* the
+//! block buffer, and a corrupt frame surfaces to the cursor as an error —
+//! never as wrong bytes. A file without a v2 header passes through
+//! untouched so the format layer can reject its header with the file's
+//! context (bad magic, short header, `unsupported version 1`): every byte
+//! a [`crate::ValueFileReader`] serves has passed a CRC.
 
 use std::io::{self, Read};
 
@@ -36,7 +38,7 @@ use crate::block::ReadStats;
 use crate::crc32c::{crc32c, Crc32c};
 use crate::fault::FaultFile;
 
-/// Format v2 header length: v1's 16-byte header plus a header CRC.
+/// Format v2 header length: the 16-byte logical header plus a header CRC.
 pub(crate) const V2_HEADER_LEN: usize = 20;
 
 /// The version number that selects the frame layer.
@@ -63,7 +65,7 @@ pub(crate) const FOOTER_BODY_LEN: usize = 8 + 8 + 4 + 4;
 /// Closing magic sealing a complete v2 file.
 pub(crate) const FOOTER_MAGIC: &[u8; 4] = b"INDF";
 
-/// Physical bytes a v2 file spends on framing beyond the v1 layout
+/// Physical bytes a v2 file spends on framing beyond the logical stream
 /// (16-byte header + payload): the physical size of a v2 file holding
 /// `payload` logical bytes is `HEADER_LEN + payload + v2_overhead(payload)`.
 pub(crate) fn v2_overhead(payload: u64) -> u64 {
@@ -78,7 +80,8 @@ pub(crate) fn v2_overhead(payload: u64) -> u64 {
 enum Mode {
     /// Header not yet inspected.
     Sniff,
-    /// Not a v2 file: bytes flow through untouched (v1, foreign data).
+    /// Not a v2 file: bytes flow through untouched, for the format layer
+    /// to reject.
     Passthrough,
     /// Decoding v2 frames.
     Frames,
@@ -300,7 +303,6 @@ fn read_full(file: &mut FaultFile, buf: &mut [u8]) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::PhysicalFile;
     use ind_testkit::TempDir;
 
     /// Hand-assembles a v2 file around `payload` (decoder-independent of
@@ -333,7 +335,7 @@ mod tests {
         let path = dir.join("data.indv");
         std::fs::write(&path, bytes).unwrap();
         let file = FaultFile::new(
-            PhysicalFile::Buffered(std::fs::File::open(&path).unwrap()),
+            std::fs::File::open(&path).unwrap(),
             &path,
             None,
             stats.clone(),
@@ -369,7 +371,7 @@ mod tests {
             assert_eq!(
                 raw.len() as u64,
                 (crate::format::HEADER_LEN + n) as u64 + v2_overhead(n as u64),
-                "v2_overhead predicts the physical size over the v1 layout"
+                "v2_overhead predicts the physical size over the logical stream"
             );
         }
     }

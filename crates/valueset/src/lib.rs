@@ -27,7 +27,6 @@ mod heap;
 mod manager;
 mod manifest;
 mod memory;
-mod prefetch;
 mod range;
 mod tuple;
 
@@ -55,6 +54,5 @@ pub use manager::{
 };
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
 pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
-pub use prefetch::{PartitionCursor, SharedShard, SharedStreamProvider};
 pub use range::{RangeCursor, RangeProvider};
 pub use tuple::{decode_tuple, encode_tuple, encode_tuple_into, tuple_arity};

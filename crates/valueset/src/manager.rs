@@ -108,20 +108,6 @@ impl ExportOptions {
         }
     }
 
-    /// Builder toggle for overlapped prefetch on every cursor the export
-    /// (and the resulting database) opens. See [`IoOptions::prefetch`].
-    pub fn prefetched(mut self, prefetch: bool) -> Self {
-        self.sort.io.prefetch = prefetch;
-        self
-    }
-
-    /// Builder toggle for `O_DIRECT` opens (graceful fallback included).
-    /// See [`IoOptions::direct_io`].
-    pub fn direct(mut self, direct_io: bool) -> Self {
-        self.sort.io.direct_io = direct_io;
-        self
-    }
-
     /// Builder toggle for quarantine-and-continue (see
     /// [`ExportOptions::keep_going`]).
     pub fn keep_going(mut self, keep_going: bool) -> Self {
@@ -664,34 +650,6 @@ impl ExportedDatabase {
         self.read_stats.reset();
     }
 
-    /// Sequential-access hints delivered by opened cursors (see
-    /// [`IoOptions::sequential_hint`]).
-    pub fn fadvise_calls(&self) -> u64 {
-        self.read_stats.fadvise_calls()
-    }
-
-    /// Prefetch fills served from an already-delivered block (see
-    /// [`ReadStats::prefetch_hits`]).
-    pub fn prefetch_hits(&self) -> u64 {
-        self.read_stats.prefetch_hits()
-    }
-
-    /// Prefetch fills that had to wait for the worker (see
-    /// [`ReadStats::prefetch_stalls`]).
-    pub fn prefetch_stalls(&self) -> u64 {
-        self.read_stats.prefetch_stalls()
-    }
-
-    /// Cursors successfully opened with `O_DIRECT`.
-    pub fn direct_opens(&self) -> u64 {
-        self.read_stats.direct_opens()
-    }
-
-    /// `O_DIRECT` opens that gracefully fell back to buffered I/O.
-    pub fn direct_fallbacks(&self) -> u64 {
-        self.read_stats.direct_fallbacks()
-    }
-
     /// Physical descriptors opened for value data since the last reset.
     pub fn file_opens(&self) -> u64 {
         self.read_stats.file_opens()
@@ -738,12 +696,6 @@ impl ExportedDatabase {
     /// Orphaned `.tmp` staging files swept by the resume scan.
     pub fn orphans_swept(&self) -> u64 {
         self.orphans_swept
-    }
-
-    /// A handle on the shared counters themselves (for the shared-stream
-    /// provider's worker threads).
-    pub(crate) fn read_stats(&self) -> ReadStats {
-        self.read_stats.clone()
     }
 }
 
@@ -896,12 +848,6 @@ impl CompositeExport {
     /// Total `read(2)` calls issued by every cursor this export has opened.
     pub fn read_calls(&self) -> u64 {
         self.read_stats.read_calls()
-    }
-
-    /// Sequential-access hints delivered by opened cursors (see
-    /// [`IoOptions::sequential_hint`]).
-    pub fn fadvise_calls(&self) -> u64 {
-        self.read_stats.fadvise_calls()
     }
 }
 
@@ -1391,7 +1337,7 @@ mod tests {
         let dir = TempDir::new("export-retries");
         let exp = ExportedDatabase::export(&sample_db(), dir.path(), &options).unwrap();
         assert!(exp.failed_attributes().is_empty());
-        assert_eq!(exp.read_stats().io_retries(), 3, "retries are counted");
+        assert_eq!(exp.io_retries(), 3, "retries are counted");
         let values = collect_cursor(exp.open(0).unwrap()).unwrap();
         assert_eq!(values.len(), 3, "the export is unharmed");
     }

@@ -7,7 +7,6 @@
 //! spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|spiderpar|blockwise]
 //!                           [--threads N] [--max-files N] [--max-pretest] [--names]
 //!                           [--on-disk] [--block-size SIZE] [--memory-budget SIZE]
-//!                           [--prefetch] [--direct-io]
 //!                           [--workdir DIR] [--max-arity N]
 //!                           [--keep-going] [--fault-plan SPEC]
 //!                           [--resume [verify]] [--deadline DUR]
@@ -16,7 +15,8 @@
 //! ```
 //!
 //! `SIZE` arguments accept bare byte counts or human-readable binary units
-//! (`8KiB`, `64M`, `1gb`).
+//! (`8KiB`, `64M`, `1gb`). `discover` rejects any `--flag` it does not
+//! know, so a typo fails instead of being ignored.
 //!
 //! `--keep-going` (on-disk only) quarantines unreadable or corrupt
 //! attributes instead of aborting, prints a machine-readable
@@ -112,7 +112,6 @@ fn print_usage() {
          \x20 spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|spiderpar|blockwise]\n\
          \x20                     [--threads N] [--max-files N] [--max-pretest] [--names]\n\
          \x20                     [--on-disk] [--block-size SIZE] [--memory-budget SIZE]\n\
-         \x20                     [--prefetch] [--direct-io]\n\
          \x20                     [--workdir DIR] [--max-arity N]\n\
          \x20                     [--resume [verify]] [--deadline DUR]\n\
          \x20     Discover all satisfied INDs. `--threads` sets the workers\n\
@@ -128,12 +127,9 @@ fn print_usage() {
          \x20     loaded table stores them, not copied), plus the encoded\n\
          \x20     tuples for `--max-arity`. SIZE flags accept bare bytes or\n\
          \x20     binary units (8KiB, 64M, 1gb).\n\
-         \x20     `--prefetch` overlaps reads with merging (a worker thread\n\
-         \x20     fills block N+1 while the engine consumes block N);\n\
-         \x20     `--direct-io` opens value files with O_DIRECT, falling\n\
-         \x20     back to buffered reads where unsupported. On disk,\n\
-         \x20     `spiderpar` shares one physical read stream per file\n\
-         \x20     across all partitions.\n\
+         \x20     Value files are read synchronously, one block reader per\n\
+         \x20     cursor; every byte is checked against its frame CRC.\n\
+         \x20     An unknown flag is an error.\n\
          \x20     `--max-arity N` (N >= 2) switches to the levelwise n-ary\n\
          \x20     pipeline: composite INDs up to arity N, validated by the\n\
          \x20     SPIDER engine over tuple-encoded value streams.\n\
@@ -310,8 +306,8 @@ fn workers_from_args(args: &[String]) -> Result<usize, String> {
 
 /// Builds the disk-pipeline [`ExportOptions`] from the shared flags:
 /// `--threads`, `--block-size` / `--memory-budget` (human-readable sizes),
-/// the overlapped-I/O toggles `--prefetch` / `--direct-io`, the robustness
-/// mode `--keep-going`, and the test-only `--fault-plan` injector.
+/// the robustness mode `--keep-going`, and the test-only `--fault-plan`
+/// injector.
 fn export_options_from_args(
     args: &[String],
 ) -> Result<spider_ind::valueset::ExportOptions, String> {
@@ -331,11 +327,7 @@ fn export_options_from_args(
             .clone()
             .with_fault(std::sync::Arc::new(plan));
     }
-    options = options
-        .prefetched(args.iter().any(|a| a == "--prefetch"))
-        .direct(args.iter().any(|a| a == "--direct-io"))
-        .keep_going(args.iter().any(|a| a == "--keep-going"));
-    Ok(options)
+    Ok(options.keep_going(args.iter().any(|a| a == "--keep-going")))
 }
 
 /// Escapes `text` for embedding in a JSON string literal.
@@ -379,9 +371,10 @@ fn degraded_json(report: &spider_ind::core::DegradedReport) -> String {
 }
 
 /// Version stamp of the `--report` JSON shape. Bump on any breaking
-/// change to the report's keys. The `cancelled` section is additive —
-/// present only on cancelled runs — so it does not bump the version.
-const REPORT_VERSION: u64 = 1;
+/// change to the report's keys (2: the overlapped-I/O counters left
+/// `metrics`). The `cancelled` section is additive — present only on
+/// cancelled runs — so it does not bump the version.
+const REPORT_VERSION: u64 = 2;
 
 /// How far a cancelled run got before it drained to a stop: recorded in
 /// the report's `cancelled` section so scripts can tell a run that died
@@ -697,7 +690,50 @@ fn parse_algorithm(args: &[String]) -> Result<Algorithm, String> {
     }
 }
 
+/// Every flag `discover` accepts, with whether it takes a value
+/// (`--resume`'s `verify` is optional; see [`parse_resume`]). Checked once
+/// against argv by [`check_discover_flags`] before the run is dispatched.
+const DISCOVER_FLAGS: &[(&str, bool)] = &[
+    ("--algorithm", true),
+    ("--threads", true),
+    ("--max-files", true),
+    ("--max-pretest", false),
+    ("--names", false),
+    ("--on-disk", false),
+    ("--block-size", true),
+    ("--memory-budget", true),
+    ("--workdir", true),
+    ("--max-arity", true),
+    ("--keep-going", false),
+    ("--fault-plan", true),
+    ("--resume", true),
+    ("--deadline", true),
+    ("--report", true),
+    ("--trace-folded", true),
+    ("--progress", false),
+];
+
+/// Rejects the first `--flag` in `args` that [`DISCOVER_FLAGS`] does not
+/// list. A value-taking flag skips its operand, unless that operand is
+/// itself flag-shaped (the flag's own parser reports the missing value).
+fn check_discover_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some(&(_, takes_value)) = DISCOVER_FLAGS.iter().find(|(name, _)| name == arg) else {
+            return Err(format!("discover: unknown flag `{arg}`"));
+        };
+        if takes_value {
+            rest.next_if(|value| !value.starts_with("--"));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
+    check_discover_flags(args)?;
     let dir = args.first().ok_or("discover: missing database directory")?;
     let on_disk = args.iter().any(|a| a == "--on-disk");
     if !on_disk
@@ -1120,7 +1156,7 @@ mod tests {
         let bad = args(&["discover", "x", "--on-disk", "--fault-plan", "nonsense"]);
         let err = export_options_from_args(&bad).unwrap_err();
         assert!(err.contains("--fault-plan"), "{err}");
-        let dangling = args(&["discover", "x", "--on-disk", "--fault-plan", "--prefetch"]);
+        let dangling = args(&["discover", "x", "--on-disk", "--fault-plan", "--names"]);
         let err = export_options_from_args(&dangling).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
@@ -1211,13 +1247,11 @@ mod tests {
     }
 
     #[test]
-    fn export_options_pick_up_overlap_flags() {
+    fn export_options_pick_up_size_and_thread_flags() {
         let a = args(&[
             "discover",
             "x",
             "--on-disk",
-            "--prefetch",
-            "--direct-io",
             "--block-size",
             "64K",
             "--memory-budget",
@@ -1229,15 +1263,42 @@ mod tests {
         assert_eq!(options.threads, 3);
         assert_eq!(options.sort.io.effective_block_size(), 64 * 1024);
         assert_eq!(options.sort.memory_budget_bytes, 1024 * 1024);
-        assert!(options.sort.io.prefetch);
-        assert!(options.sort.io.direct_io);
         let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"])).unwrap();
         assert_eq!(
             plain.threads,
             spider_ind::storage::default_workers(),
             "no --threads: every core, on every algorithm"
         );
-        assert!(!plain.sort.io.prefetch);
-        assert!(!plain.sort.io.direct_io);
+        assert_eq!(plain.sort.io, spider_ind::valueset::IoOptions::default());
+    }
+
+    #[test]
+    fn discover_flag_check_accepts_every_listed_flag_and_skips_values() {
+        // (tests/cli.rs checks the rejections end to end.)
+        let mut all = vec!["db"];
+        for &(name, value) in DISCOVER_FLAGS {
+            all.push(name);
+            if value {
+                all.push("1");
+            }
+        }
+        assert_eq!(check_discover_flags(&args(&all)), Ok(()));
+        // Bare `--resume` and `--resume verify` both pass, and a
+        // flag-shaped operand is still checked as a flag.
+        let ok = args(&[
+            "db",
+            "--resume",
+            "--workdir",
+            "w",
+            "--fault-plan",
+            "read:*:eintr",
+        ]);
+        assert_eq!(check_discover_flags(&ok), Ok(()));
+        let ok = args(&["db", "--resume", "verify", "--names"]);
+        assert_eq!(check_discover_flags(&ok), Ok(()));
+        let hidden = args(&["db", "--workdir", "--on-dsik"]);
+        assert!(check_discover_flags(&hidden)
+            .unwrap_err()
+            .contains("--on-dsik"));
     }
 }

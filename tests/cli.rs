@@ -413,7 +413,7 @@ fn report_and_folded_trace_come_out_well_formed() {
     let report = parse(&text).expect("report is valid JSON");
     assert_eq!(
         report.get("report_version").and_then(Json::as_u64),
-        Some(1),
+        Some(2),
         "{text}"
     );
     let metrics = report.get("metrics").expect("metrics object");
@@ -664,7 +664,7 @@ fn deadline_expiry_exits_cancelled_with_flushed_report() {
     );
     // The report was still flushed, with the cancellation snapshot.
     let report = parse(&std::fs::read_to_string(&report_path).expect("report")).expect("json");
-    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(1));
+    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(2));
     let cancelled = report.get("cancelled").expect("cancelled section");
     assert!(
         cancelled.get("phase").and_then(Json::as_str).is_some(),
@@ -796,6 +796,28 @@ fn discover_rejects_unknown_algorithm() {
     let out = spider_ind(&["discover", db_path, "--algorithm", "quantum"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+}
+
+#[test]
+fn discover_rejects_unknown_flags_by_name() {
+    // Removed read modes and typos alike fail before anything runs,
+    // instead of silently running the default pipeline.
+    let dir = TempDir::new("cli-badflag");
+    let db_dir = dir.join("db");
+    let db_path = db_dir.to_str().expect("utf8 path");
+    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
+        .status
+        .success());
+    for flag in ["--prefetch", "--direct-io", "--on-dsik"] {
+        let out = spider_ind(&["discover", db_path, "--on-disk", flag]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag}: {stderr}"
+        );
+        assert!(stdout(&out).is_empty(), "{flag}: nothing ran");
+    }
 }
 
 #[test]

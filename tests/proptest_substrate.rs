@@ -635,7 +635,8 @@ proptest! {
         // The whole arena pipeline (render directly into the arena → index
         // sort → spill at the budget → merge-heap dedup → block-staged
         // write) must reproduce the trivial in-memory answer byte for
-        // byte, whatever the budget and I/O block size.
+        // byte, whatever the budget and I/O block size — and write the very
+        // file a default-options (resident, default-block) export writes.
         let dir = TempDir::new("prop-arena-extract");
         let path = dir.join("col.indv");
         let column = Column::from_values(&values);
@@ -649,6 +650,13 @@ proptest! {
             },
         )
         .expect("extract");
+        let reference = dir.join("reference.indv");
+        extract_to_file(&column, &reference, &dir.join("spill-reference"), SortOptions::default())
+            .expect("extract reference");
+        prop_assert!(
+            std::fs::read(&path).expect("bytes") == std::fs::read(&reference).expect("reference"),
+            "budget {} block {}: the spill merge wrote different bytes", budget, block
+        );
         let expected = extract_sorted_distinct(&column);
         let got = collect_cursor(
             ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(block))
@@ -838,58 +846,6 @@ proptest! {
             rest.extend(collect_cursor(seeker).expect("drain"));
             prop_assert_eq!(&rest[..], &values[idx..]);
         }
-    }
-
-    #[test]
-    fn prefetched_reads_are_byte_identical_at_any_block_and_budget(
-        values in proptest::collection::vec(arb_column_value(), 0..80),
-        budget in arb_budget(),
-        block in 1usize..96,
-    ) {
-        // Overlapped prefetch must be invisible in the data: the same
-        // export read with and without the prefetch worker (and exported
-        // with prefetched spill-merge readers) yields identical streams,
-        // whatever the block size and spill budget.
-        let dir = TempDir::new("prop-prefetch");
-        let plain_io = IoOptions::with_block_size(block);
-        let prefetch_io = IoOptions::with_block_size(block).prefetched(true);
-        let values = Column::from_values(&values);
-        let plain_path = dir.join("plain.indv");
-        extract_to_file(
-            &values,
-            &plain_path,
-            &dir.join("spill-plain"),
-            SortOptions {
-                memory_budget_bytes: budget,
-                io: plain_io.clone(),
-            },
-        )
-        .expect("extract plain");
-        let prefetch_path = dir.join("prefetch.indv");
-        extract_to_file(
-            &values,
-            &prefetch_path,
-            &dir.join("spill-prefetch"),
-            SortOptions {
-                memory_budget_bytes: budget,
-                io: prefetch_io.clone(),
-            },
-        )
-        .expect("extract prefetched");
-        prop_assert_eq!(
-            std::fs::read(&plain_path).expect("plain bytes"),
-            std::fs::read(&prefetch_path).expect("prefetch bytes"),
-            "prefetched spill merge must write identical files"
-        );
-        let baseline = collect_cursor(
-            ValueFileReader::open_with_options(&plain_path, &plain_io).expect("open plain"),
-        )
-        .expect("read plain");
-        let overlapped = collect_cursor(
-            ValueFileReader::open_with_options(&plain_path, &prefetch_io).expect("open prefetch"),
-        )
-        .expect("read prefetched");
-        prop_assert_eq!(&overlapped, &baseline);
     }
 
     #[test]
