@@ -4,6 +4,7 @@
 //! items read"); candidate counters back Tables 1/2 and the Sec. 4.1
 //! pruning experiment.
 
+use ind_trace::json::Json;
 use std::fmt;
 use std::time::Duration;
 
@@ -109,16 +110,15 @@ impl RunMetrics {
             .saturating_sub(self.pruned_projection)
     }
 
-    /// Renders every counter as one flat JSON object — the
-    /// machine-readable escape from the `Display` wall, embedded
-    /// verbatim in `--report` run files.
+    /// Every counter as one flat JSON object — the machine-readable
+    /// escape from the `Display` wall, embedded in `--report` run files.
     ///
     /// Stable vocabulary: one key per public field (plus the derived
     /// `candidates` and `elapsed` as exact integer nanoseconds), all
     /// values exact `u64` integers, so the report round-trips through
     /// any JSON parser losslessly.
-    pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 24] = [
+    pub fn to_json(&self) -> Json {
+        let fields: [(&str, u64); 25] = [
             ("pairs_considered", self.pairs_considered),
             ("pruned_cardinality", self.pruned_cardinality),
             ("pruned_max_value", self.pruned_max_value),
@@ -143,17 +143,9 @@ impl RunMetrics {
             ("exports_reused", self.exports_reused),
             ("exports_redone", self.exports_redone),
             ("orphans_swept", self.orphans_swept),
+            ("elapsed_ns", self.elapsed.as_nanos() as u64),
         ];
-        let mut out = String::with_capacity(640);
-        out.push('{');
-        for (key, value) in fields {
-            out.push_str(&format!("\"{key}\": {value}, "));
-        }
-        out.push_str(&format!(
-            "\"elapsed_ns\": {}}}",
-            self.elapsed.as_nanos() as u64
-        ));
-        out
+        Json::obj(fields.map(|(key, value)| (key, value.into())))
     }
 
     /// Merges `other` into `self` (summing counters and durations), used by
@@ -328,26 +320,20 @@ mod tests {
             ..Default::default()
         };
         let json = m.to_json();
-        for key in [
-            "\"pairs_considered\": 12",
-            "\"candidates\": 10",
-            "\"key_compares\": 44",
-            "\"memcmp_compares\": 11",
-            "\"elapsed_ns\": 1234567",
+        for (key, value) in [
+            ("pairs_considered", 12),
+            ("candidates", 10),
+            ("key_compares", 44),
+            ("memcmp_compares", 11),
+            ("elapsed_ns", 1_234_567),
         ] {
-            assert!(json.contains(key), "{key} missing from {json}");
+            assert_eq!(json.get(key).and_then(Json::as_u64), Some(value), "{key}");
         }
-        for key in [
-            "pruned_sampling",
-            "quarantined_attributes",
-            "checksum_failures",
-            "exports_reused",
-            "exports_redone",
-            "orphans_swept",
-        ] {
-            assert_eq!(json.matches(key).count(), 1, "{key} in {json}");
+        let fields = json.as_obj().expect("an object");
+        assert_eq!(fields.len(), 25, "23 fields, candidates and elapsed_ns");
+        for (i, (key, _)) in fields.iter().enumerate() {
+            assert!(fields[..i].iter().all(|(k, _)| k != key), "{key} twice");
         }
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Report-stability property: `RunMetrics::to_json` must round-trip
-//! through a JSON parser with every counter exact — the `--report` file
-//! is only useful if downstream tooling reads back precisely what the
-//! run recorded.
+//! Report-stability property: `RunMetrics::to_json`, rendered as the
+//! `--report` file renders it, must round-trip through a JSON parser with
+//! every counter exact — the report is only useful if downstream tooling
+//! reads back precisely what the run recorded.
 
 use ind_core::RunMetrics;
 use ind_trace::json::{self, Json};
@@ -59,11 +59,12 @@ proptest! {
         values[24] = nanos;
         let metrics = arbitrary_metrics(&values);
 
-        let text = metrics.to_json();
+        let text = metrics.to_json().pretty();
         let parsed = match json::parse(&text) {
             Ok(parsed) => parsed,
             Err(e) => return Err(format!("to_json output unparseable ({e}): {text}")),
         };
+        prop_assert_eq!(text.lines().count(), 1, "the report greps one line");
 
         prop_assert_eq!(field(&parsed, "pairs_considered"), metrics.pairs_considered);
         prop_assert_eq!(field(&parsed, "pruned_cardinality"), metrics.pruned_cardinality);

@@ -1,5 +1,7 @@
 //! Diagnostics: rustc-style text rendering and `--json` output.
 
+use ind_trace::json::Json;
+
 /// One finding, anchored to a file position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -47,51 +49,22 @@ impl Diagnostic {
         out
     }
 
-    /// Renders one finding as a JSON object (one line, no trailing newline).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"snippet\":\"{}\"}}",
-            json_escape(self.rule),
-            json_escape(&self.file),
-            self.line,
-            self.col,
-            json_escape(&self.message),
-            json_escape(self.snippet.trim())
-        )
+    /// The finding as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("rule", self.rule.into()),
+            ("file", self.file.as_str().into()),
+            ("line", self.line.into()),
+            ("col", self.col.into()),
+            ("message", self.message.as_str().into()),
+            ("snippet", self.snippet.trim().into()),
+        ])
     }
 }
 
-/// Renders the whole report as a JSON array.
-pub fn render_json_report(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        out.push_str(&d.render_json());
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The whole report as a JSON array (`--json`).
+pub fn report_json(diags: &[Diagnostic]) -> Json {
+    Json::Arr(diags.iter().map(Diagnostic::to_json).collect())
 }
 
 #[cfg(test)]
@@ -121,18 +94,21 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes_and_newlines() {
-        let mut d = diag();
-        d.message = "say \"hi\"\n".into();
-        let json = d.render_json();
-        assert!(json.contains("say \\\"hi\\\"\\n"), "{json}");
-    }
-
-    #[test]
-    fn json_report_is_an_array() {
-        assert_eq!(render_json_report(&[]), "[]");
-        let r = render_json_report(&[diag(), diag()]);
-        assert!(r.starts_with('[') && r.ends_with(']'), "{r}");
-        assert_eq!(r.matches("\"rule\"").count(), 2);
+    fn json_report_is_an_array_of_findings() {
+        assert_eq!(report_json(&[]).compact(), "[]");
+        let mut quoted = diag();
+        quoted.message = "say \"hi\"\n".into();
+        let report = report_json(&[diag(), quoted]).compact();
+        let parsed = ind_trace::json::parse(&report).unwrap();
+        let findings = parsed.as_arr().unwrap();
+        assert_eq!(findings.len(), 2, "{report}");
+        assert_eq!(
+            findings[1].get("message").and_then(Json::as_str),
+            Some("say \"hi\"\n")
+        );
+        assert_eq!(
+            findings[0].get("snippet").and_then(Json::as_str),
+            Some("let x = foo().unwrap();")
+        );
     }
 }

@@ -29,7 +29,7 @@ pub mod lexer;
 pub mod rules;
 
 pub use config::{Config, ConfigError};
-pub use diag::{render_json_report, Diagnostic};
+pub use diag::{report_json, Diagnostic};
 
 use std::fs;
 use std::io;

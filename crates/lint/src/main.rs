@@ -7,7 +7,7 @@
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage/configuration/I/O error.
 
-use ind_lint::{check_workspace, render_json_report, Config, LintError};
+use ind_lint::{check_workspace, report_json, Config, LintError};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -95,7 +95,7 @@ fn run(args: &[String]) -> Result<usize, String> {
                 LintError::Config(e) => e.to_string(),
             })?;
             if json {
-                println!("{}", render_json_report(&diags));
+                println!("{}", report_json(&diags).compact());
             } else {
                 for d in &diags {
                     print!("{}", d.render_text());

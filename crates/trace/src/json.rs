@@ -1,12 +1,16 @@
-//! A minimal JSON parser for report validation and round-trip tests.
+//! The workspace's one JSON reader and writer.
 //!
-//! The workspace vendors no JSON crate; every producer hand-rolls its
-//! output, so this is the matching consumer: strict enough to reject
-//! malformed reports, small enough to audit. Integers that fit `u64`
-//! are kept exact (counters round-trip losslessly); everything else
-//! numeric becomes `f64`.
+//! The workspace vendors no JSON crate. Every document it writes — the
+//! export's `MANIFEST.json`, the `--report` run report, the `degraded:`
+//! line, `BENCH_spider.json`, `ind-lint --json` — is built as a [`Json`]
+//! value and rendered by [`Json::compact`] or [`Json::pretty`], and every
+//! document it reads back goes through [`parse`]: strict enough to reject
+//! malformed input, small enough to audit. Integers that fit `u64` are
+//! kept exact (counters round-trip losslessly); everything else numeric
+//! becomes `f64`. Objects keep insertion order, so rendered files diff
+//! cleanly.
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -15,7 +19,8 @@ pub enum Json {
     Bool(bool),
     /// A non-negative integer that fits `u64`, kept exact.
     UInt(u64),
-    /// Any other number.
+    /// Any other number. Rendered so that it parses back as `Num`; a
+    /// non-finite value renders as `null`.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -26,6 +31,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// Builds an object from `(key, value)` pairs, keeping their order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -82,13 +92,149 @@ impl Json {
             _ => None,
         }
     }
+
+    /// One line with no spaces: `{"k":[1,2],"s":"x"}`.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Indented for files people read and diff. A container that is empty
+    /// or holds only scalars stays on one line (`{"k": 1, "s": "x"}`,
+    /// `[1, 2]`); any other puts one member per line, two spaces deeper per
+    /// level. Ends with a newline.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Renders `self`; `depth` is the indent level in the pretty layout and
+    /// `None` in the compact one.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::UInt(n) => out.push_str(&n.to_string()),
+            // `{:?}` is the shortest text that reads back as the same f64,
+            // and always has a `.` or an exponent, so it parses as `Num`.
+            Json::Num(n) if n.is_finite() => out.push_str(&format!("{n:?}")),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
+                write_members(out, depth, ['[', ']'], items.iter().map(|v| (None, v)))
+            }
+            Json::Obj(fields) => write_members(
+                out,
+                depth,
+                ['{', '}'],
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
 }
+
+/// Writes a container's members between `brackets`, each with its key when
+/// the container is an object.
+fn write_members<'a, I>(out: &mut String, depth: Option<usize>, brackets: [char; 2], members: I)
+where
+    I: Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+{
+    // The pretty layout breaks a container over lines only when it holds
+    // another container.
+    let broken = depth.filter(|_| {
+        members
+            .clone()
+            .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
+    });
+    let (separator, colon) = match (depth, broken) {
+        (None, _) => (",", ":"),
+        (Some(_), None) => (", ", ": "),
+        (Some(_), Some(_)) => (",", ": "),
+    };
+    out.push(brackets[0]);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push_str(separator);
+        }
+        if let Some(level) = broken {
+            newline(out, level + 1);
+        }
+        if let Some(key) = key {
+            write_string(out, key);
+            out.push_str(colon);
+        }
+        value.write(out, depth.map(|level| level + 1));
+    }
+    if let Some(level) = broken {
+        newline(out, level);
+    }
+    out.push(brackets[1]);
+}
+
+fn newline(out: &mut String, level: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', 2 * level));
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::UInt(n)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::UInt(n.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::UInt(n as u64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// Deepest nesting [`parse`] accepts. The deepest document the workspace
+/// writes, a report's span tree, is a handful of levels; the cap keeps a
+/// hostile file from overflowing the stack.
+const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -111,12 +257,17 @@ fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which `depth` containers enclose.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -139,7 +290,7 @@ fn parse_literal(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -152,7 +303,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -166,7 +317,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -175,7 +326,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -192,13 +343,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or control byte in
+        // one piece. All are ASCII, so the run ends on a character boundary.
+        let start = *pos;
+        while bytes
+            .get(*pos)
+            .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+        {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(&b) if b < 0x20 => return Err(format!("unescaped control byte at {}", *pos)),
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -222,20 +384,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = text_tail(bytes, *pos)?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
         }
     }
-}
-
-fn text_tail(bytes: &[u8], pos: usize) -> Result<&str, String> {
-    std::str::from_utf8(&bytes[pos..]).map_err(|e| e.to_string())
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {

@@ -2,6 +2,7 @@
 //!
 //! Everything here runs after the measured work and may allocate freely.
 
+use crate::json::Json;
 use crate::progress::{COUNTER_COUNT, COUNTER_NAMES};
 use crate::ring::{self, EventKind};
 use crate::span::{ArgStyle, SPAN_TABLE};
@@ -144,57 +145,31 @@ pub fn collect() -> Trace {
     }
 }
 
-fn write_span(out: &mut String, node: &SpanNode, indent: usize) {
-    let pad = " ".repeat(indent);
-    out.push_str(&format!("{pad}{{\n"));
-    out.push_str(&format!("{pad}  \"name\": \"{}\",\n", node.name));
-    out.push_str(&format!("{pad}  \"arg\": {},\n", node.arg));
-    out.push_str(&format!("{pad}  \"start_ns\": {},\n", node.start_ns));
-    out.push_str(&format!("{pad}  \"duration_ns\": {},\n", node.duration_ns));
-    out.push_str(&format!("{pad}  \"counters\": {{"));
-    for (i, name) in COUNTER_NAMES.iter().enumerate() {
-        out.push_str(&format!(
-            "\"{name}\": {}{}",
-            node.counters[i],
-            if i + 1 < COUNTER_COUNT { ", " } else { "" }
-        ));
-    }
-    out.push_str("},\n");
-    if node.children.is_empty() {
-        out.push_str(&format!("{pad}  \"children\": []\n"));
-    } else {
-        out.push_str(&format!("{pad}  \"children\": [\n"));
-        for (i, child) in node.children.iter().enumerate() {
-            write_span(out, child, indent + 4);
-            if i + 1 < node.children.len() {
-                out.push_str(",\n");
-            } else {
-                out.push('\n');
-            }
-        }
-        out.push_str(&format!("{pad}  ]\n"));
-    }
-    out.push_str(&format!("{pad}}}"));
+fn span_json(node: &SpanNode) -> Json {
+    Json::obj([
+        ("name", node.name.into()),
+        ("arg", node.arg.into()),
+        ("start_ns", node.start_ns.into()),
+        ("duration_ns", node.duration_ns.into()),
+        (
+            "counters",
+            Json::obj(
+                COUNTER_NAMES
+                    .iter()
+                    .zip(node.counters)
+                    .map(|(&name, n)| (name, n.into())),
+            ),
+        ),
+        (
+            "children",
+            Json::Arr(node.children.iter().map(span_json).collect()),
+        ),
+    ])
 }
 
-/// Renders the span tree as a JSON array (the report's `"spans"` value).
-pub fn spans_json(trace: &Trace, indent: usize) -> String {
-    let mut out = String::new();
-    if trace.roots.is_empty() {
-        out.push_str("[]");
-        return out;
-    }
-    out.push_str("[\n");
-    for (i, root) in trace.roots.iter().enumerate() {
-        write_span(&mut out, root, indent + 2);
-        if i + 1 < trace.roots.len() {
-            out.push_str(",\n");
-        } else {
-            out.push('\n');
-        }
-    }
-    out.push_str(&format!("{}]", " ".repeat(indent)));
-    out
+/// The span tree as a JSON array (the report's `"spans"` value).
+pub fn spans_json(trace: &Trace) -> Json {
+    Json::Arr(trace.roots.iter().map(span_json).collect())
 }
 
 fn fold_into(out: &mut String, node: &SpanNode, stack: &mut String) {

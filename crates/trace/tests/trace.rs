@@ -1,10 +1,12 @@
 //! Behavioural tests for the span recorder, progress counters,
-//! histograms, and the JSON consumer.
+//! histograms, and the JSON reader and writer.
 //!
 //! Tracing state is process-global, so every test touching it serialises
 //! on one lock and resets the rings/counters it uses.
 
 use ind_trace::json::{self, Json};
+use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -131,8 +133,7 @@ fn spans_json_is_parseable_and_well_formed() {
     }
     let trace = ind_trace::collect();
     ind_trace::disable();
-    let text = ind_trace::spans_json(&trace, 0);
-    let parsed = json::parse(&text).expect("valid JSON");
+    let parsed = json::parse(&ind_trace::spans_json(&trace).pretty()).expect("valid JSON");
     let spans = parsed.as_arr().expect("array");
     assert_eq!(spans.len(), 1);
     let root = &spans[0];
@@ -219,5 +220,103 @@ fn json_parser_handles_the_report_vocabulary() {
 
     for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
         assert!(json::parse(bad).is_err(), "{bad:?} must not parse");
+    }
+}
+
+#[test]
+fn json_writer_nulls_non_finite_numbers_and_parser_caps_nesting() {
+    for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(Json::Num(n).compact(), "null");
+        assert_eq!(Json::Arr(vec![Json::Num(n)]).pretty(), "[null]\n");
+    }
+    // A hostile document is an error, not a stack overflow; the cap sits
+    // far above any document the workspace writes.
+    let err = json::parse(&"[".repeat(100_000)).unwrap_err();
+    assert!(err.contains("at byte 128"), "{err}");
+    let deepest = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert!(json::parse(&deepest).is_ok());
+    assert!(json::parse(&format!("[{deepest}]")).is_err());
+}
+
+/// Arbitrary JSON values: strings mixing control characters, quotes,
+/// backslashes and non-ASCII; edge-case integers; integral, huge, tiny and
+/// negative floats; nested and empty containers.
+struct AnyJson(u32);
+
+impl Strategy for AnyJson {
+    type Value = Json;
+
+    fn new_value(&self, runner: &mut TestRunner) -> Json {
+        let members = |runner: &mut TestRunner| 0..runner.usize_in(0, 4);
+        match runner.next_u64() % if self.0 == 0 { 5 } else { 7 } {
+            0 => Json::Null,
+            1 => Json::Bool(runner.next_u64() & 1 == 1),
+            2 => Json::UInt([u64::MAX, 0, runner.next_u64()][runner.usize_in(0, 3)]),
+            3 => {
+                let bits = f64::from_bits(runner.next_u64());
+                let integral = (runner.next_u64() % 2001) as f64 - 1000.0;
+                Json::Num(if bits.is_finite() && runner.next_u64() & 1 == 1 {
+                    bits
+                } else {
+                    integral
+                })
+            }
+            4 => Json::Str(any_string(runner)),
+            5 => Json::Arr(
+                members(runner)
+                    .map(|_| AnyJson(self.0 - 1).new_value(runner))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                members(runner)
+                    .map(|_| (any_string(runner), AnyJson(self.0 - 1).new_value(runner)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+fn any_string(runner: &mut TestRunner) -> String {
+    const PICKS: &[char] = &[
+        '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '€',
+    ];
+    (0..runner.usize_in(0, 8))
+        .map(|_| match runner.next_u64() % 3 {
+            0 => PICKS[runner.usize_in(0, PICKS.len())],
+            1 => char::from(b' ' + (runner.next_u64() % 95) as u8),
+            _ => char::from_u32((runner.next_u64() % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn json_writer_output_parses_back_to_the_value(value in AnyJson(4)) {
+        let compact = value.compact();
+        prop_assert!(!compact.contains('\n'), "{}", compact);
+        prop_assert_eq!(json::parse(&compact), Ok(value.clone()));
+        let pretty = value.pretty();
+        prop_assert!(pretty.ends_with('\n'), "{}", pretty);
+        prop_assert_eq!(json::parse(&pretty), Ok(value));
+    }
+
+    #[test]
+    fn json_parser_never_panics_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u16>(), 0..300),
+    ) {
+        // Half the bytes come from JSON's own punctuation, so the input
+        // reaches deep into the grammar instead of failing at byte 0.
+        const GRAMMAR: &[u8] = b"[]{}\",:-+.eE0123456789truefalsn\\u ";
+        let bytes: Vec<u8> = raw
+            .iter()
+            .map(|&r| match r >> 8 {
+                0..=127 => GRAMMAR[usize::from(r as u8) % GRAMMAR.len()],
+                _ => r as u8,
+            })
+            .collect();
+        // Only termination and the absence of a panic are asserted.
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::error::Result;
 use ind_storage::{Column, DataType};
+use ind_trace::json::Json;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -152,70 +153,35 @@ fn hex_decode(text: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// JSON string escaping for the hand-rolled renderer.
-fn escape_json(text: &str, out: &mut String) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                // lint: allow(no_unwrap) — fmt writes into a String are infallible
-                write!(out, "\\u{:04x}", c as u32).expect("write to String cannot fail");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl ManifestEntry {
-    fn render(&self, out: &mut String) {
-        out.push_str("    {\"file\": ");
-        escape_json(&self.file, out);
-        // lint: allow(no_unwrap) — fmt writes into a String are infallible
-        write!(out, ", \"id\": {}, \"table\": ", self.id).expect("write to String cannot fail");
-        escape_json(&self.table, out);
-        out.push_str(", \"column\": ");
-        escape_json(&self.column, out);
-        out.push_str(", \"data_type\": ");
-        escape_json(self.data_type.name(), out);
-        write!(
-            out,
-            ", \"rows\": {}, \"non_null\": {}, \"distinct\": {}",
-            self.rows, self.non_null, self.distinct
-        )
-        // lint: allow(no_unwrap) — fmt writes into a String are infallible
-        .expect("write to String cannot fail");
-        for (key, bound) in [("min", &self.min), ("max", &self.max)] {
-            match bound {
-                Some(bytes) => {
-                    write!(out, ", \"{key}\": \"{}\"", hex_encode(bytes))
-                        // lint: allow(no_unwrap) — fmt writes into a String are infallible
-                        .expect("write to String cannot fail");
-                }
-                None => {
-                    // lint: allow(no_unwrap) — fmt writes into a String are infallible
-                    write!(out, ", \"{key}\": null").expect("write to String cannot fail");
-                }
-            }
-        }
-        write!(
-            out,
-            ", \"file_bytes\": {}, \"records\": {}, \"format_version\": {}, \"source_hash\": {}}}",
-            self.file_bytes, self.records, self.format_version, self.source_hash
-        )
-        // lint: allow(no_unwrap) — fmt writes into a String are infallible
-        .expect("write to String cannot fail");
+    fn to_json(&self) -> Json {
+        let bound = |bytes: &Option<Vec<u8>>| {
+            bytes
+                .as_deref()
+                .map_or(Json::Null, |b| Json::Str(hex_encode(b)))
+        };
+        Json::obj([
+            ("file", self.file.as_str().into()),
+            ("id", self.id.into()),
+            ("table", self.table.as_str().into()),
+            ("column", self.column.as_str().into()),
+            ("data_type", self.data_type.name().into()),
+            ("rows", self.rows.into()),
+            ("non_null", self.non_null.into()),
+            ("distinct", self.distinct.into()),
+            ("min", bound(&self.min)),
+            ("max", bound(&self.max)),
+            ("file_bytes", self.file_bytes.into()),
+            ("records", self.records.into()),
+            ("format_version", self.format_version.into()),
+            ("source_hash", self.source_hash.into()),
+        ])
     }
 
-    fn from_json(json: &ind_trace::json::Json) -> Option<ManifestEntry> {
+    fn from_json(json: &Json) -> Option<ManifestEntry> {
         let bound = |key: &str| -> Option<Option<Vec<u8>>> {
             match json.get(key)? {
-                ind_trace::json::Json::Null => Some(None),
+                Json::Null => Some(None),
                 other => Some(Some(hex_decode(other.as_str()?)?)),
             }
         };
@@ -290,19 +256,14 @@ impl Manifest {
     /// Renders the manifest as JSON (one entry per line, keys in a fixed
     /// order, entries sorted by file name — byte-deterministic).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        write!(
-            out,
-            "{{\n  \"manifest_version\": {MANIFEST_VERSION},\n  \"entries\": ["
-        )
-        // lint: allow(no_unwrap) — fmt writes into a String are infallible
-        .expect("write to String cannot fail");
-        for (i, entry) in self.entries.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            entry.render(&mut out);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        Json::obj([
+            ("manifest_version", MANIFEST_VERSION.into()),
+            (
+                "entries",
+                Json::Arr(self.entries.iter().map(ManifestEntry::to_json).collect()),
+            ),
+        ])
+        .pretty()
     }
 
     /// Parses a manifest document; `None` for anything malformed or of
@@ -388,6 +349,18 @@ mod tests {
         odd.table = "we\"ird\\tab\nle".to_string();
         odd.data_type = DataType::Text;
         m.upsert(odd);
+        // The bytes a later run reads back: pinned, so a change to the
+        // shared JSON writer cannot silently change the manifest.
+        let golden = r#"{
+  "manifest_version": 2,
+  "entries": [
+    {"file": "attr-00000.indv", "id": 0, "table": "t", "column": "c0", "data_type": "integer", "rows": 10, "non_null": 9, "distinct": 7, "min": "31", "max": "3939", "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693},
+    {"file": "attr-00001.indv", "id": 1, "table": "t", "column": "c1", "data_type": "integer", "rows": 10, "non_null": 9, "distinct": 7, "min": "31", "max": "3939", "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693},
+    {"file": "attr-00002.indv", "id": 2, "table": "we\"ird\\tab\nle", "column": "c2", "data_type": "text", "rows": 10, "non_null": 9, "distinct": 7, "min": null, "max": null, "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693}
+  ]
+}
+"#;
+        assert_eq!(m.to_json(), golden);
         let parsed = Manifest::from_json(&m.to_json()).expect("round trip");
         assert_eq!(parsed.entries(), m.entries());
         assert_eq!(parsed.get("attr-00001.indv").unwrap().id, 1);
@@ -419,6 +392,9 @@ mod tests {
         assert!(Manifest::from_json("{\"manifest_version\": 1, \"entries\": []}").is_none());
         assert!(Manifest::from_json("{\"manifest_version\": 2, \"entries\": []}").is_some());
         assert!(Manifest::load(Path::new("/nonexistent")).is_none());
+        // Nesting past the parser's depth cap is refused, not a stack
+        // overflow that takes the resuming process down.
+        assert!(Manifest::from_json(&"[".repeat(100_000)).is_none());
     }
 
     #[test]

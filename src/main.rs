@@ -15,7 +15,7 @@
 //! ```
 //!
 //! `SIZE` arguments accept bare byte counts or human-readable binary units
-//! (`8KiB`, `64M`, `1gb`). `discover` rejects any `--flag` it does not
+//! (`8KiB`, `64M`, `1gb`). Every command rejects any `--flag` it does not
 //! know, so a typo fails instead of being ignored.
 //!
 //! `--keep-going` (on-disk only) quarantines unreadable or corrupt
@@ -43,6 +43,7 @@ use spider_ind::discovery::{
     fk_guesses_filtered, identify_primary_relation, AccessionRules,
 };
 use spider_ind::storage::{table_stats, tsv, Database};
+use spider_ind::trace::json::Json;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -78,15 +79,16 @@ const EXIT_CANCELLED: u8 = 3;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("discover") => cmd_discover(&args[1..]),
-        Some("fks") => cmd_fks(&args[1..]),
         Some("help") | None => {
             print_usage();
             Ok(ExitCode::SUCCESS)
         }
-        Some(other) => Err(format!("unknown command `{other}` (try `spider-ind help`)")),
+        Some(name) => match COMMANDS.iter().find(|(command, ..)| *command == name) {
+            Some((command, flags, run)) => {
+                check_flags(command, flags, &args[1..]).and_then(|()| run(&args[1..]))
+            }
+            None => Err(format!("unknown command `{name}` (try `spider-ind help`)")),
+        },
     };
     match result {
         Ok(code) => code,
@@ -330,44 +332,22 @@ fn export_options_from_args(
     Ok(options.keep_going(args.iter().any(|a| a == "--keep-going")))
 }
 
-/// Escapes `text` for embedding in a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the keep-going degradation summary as one JSON object — the
-/// machine-readable contract scripted consumers parse (no serde in-tree,
-/// so the shape is hand-rolled and pinned by a unit test).
-fn degraded_json(report: &spider_ind::core::DegradedReport) -> String {
-    let mut out = String::from("{\"quarantined\":[");
-    for (i, f) in report.quarantined.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":{},\"name\":\"{}\",\"error\":\"{}\"}}",
-            f.id,
-            json_escape(&f.name.to_string()),
-            json_escape(&f.error)
-        ));
-    }
-    out.push_str(&format!(
-        "],\"io_retries\":{},\"checksum_failures\":{}}}",
-        report.io_retries, report.checksum_failures
-    ));
-    out
+/// The keep-going degradation summary — the machine-readable contract
+/// scripted consumers parse from the `degraded:` line (compact) and the
+/// report; its shape is pinned by a unit test.
+fn degraded_json(report: &spider_ind::core::DegradedReport) -> Json {
+    let quarantined = report.quarantined.iter().map(|f| {
+        Json::obj([
+            ("id", f.id.into()),
+            ("name", Json::Str(f.name.to_string())),
+            ("error", f.error.as_str().into()),
+        ])
+    });
+    Json::obj([
+        ("quarantined", Json::Arr(quarantined.collect())),
+        ("io_retries", report.io_retries.into()),
+        ("checksum_failures", report.checksum_failures.into()),
+    ])
 }
 
 /// Version stamp of the `--report` JSON shape. Bump on any breaking
@@ -473,7 +453,7 @@ impl TraceArgs {
     ) -> Result<(), String> {
         if let Some(path) = &self.report {
             let report = run_report_json(trace, metrics, degraded, cancelled, dir, args);
-            std::fs::write(path, report)
+            std::fs::write(path, report.pretty())
                 .map_err(|e| format!("writing report {}: {e}", path.display()))?;
         }
         if let Some(path) = &self.folded {
@@ -524,58 +504,37 @@ fn run_report_json(
     cancelled: Option<&CancelledInfo>,
     dir: &str,
     args: &[String],
-) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"report_version\": {REPORT_VERSION},\n"));
-    out.push_str(&format!("  \"database\": \"{}\",\n", json_escape(dir)));
-    out.push_str("  \"argv\": [");
-    for (i, arg) in args.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", json_escape(arg)));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("  \"metrics\": {},\n", metrics.to_json()));
-    out.push_str(&format!(
-        "  \"degraded\": {},\n",
-        degraded.map_or_else(|| "null".to_string(), degraded_json)
-    ));
+) -> Json {
+    let mut report = vec![
+        ("report_version", REPORT_VERSION.into()),
+        ("database", dir.into()),
+        (
+            "argv",
+            Json::Arr(args.iter().map(|a| a.as_str().into()).collect()),
+        ),
+        ("metrics", metrics.to_json()),
+        ("degraded", degraded.map_or(Json::Null, degraded_json)),
+    ];
     if let Some(c) = cancelled {
-        out.push_str(&format!(
-            "  \"cancelled\": {{\"phase\": \"{}\", \"attributes_exported\": {}, \
-             \"candidates_surviving\": {}}},\n",
-            json_escape(&c.phase),
-            c.attributes_exported,
-            c.candidates_surviving
+        report.push((
+            "cancelled",
+            Json::obj([
+                ("phase", c.phase.as_str().into()),
+                ("attributes_exported", c.attributes_exported.into()),
+                ("candidates_surviving", c.candidates_surviving.into()),
+            ]),
         ));
     }
-    out.push_str(&format!(
-        "  \"dropped_events\": {},\n",
-        trace.dropped_events
-    ));
-    out.push_str("  \"histograms\": {");
-    for (i, hist) in spider_ind::trace::histograms().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": [", hist.name()));
-        for (j, count) in hist.bucket_counts().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&count.to_string());
-        }
-        out.push(']');
-    }
-    out.push_str("},\n");
-    out.push_str(&format!(
-        "  \"spans\": {}\n",
-        spider_ind::trace::spans_json(trace, 2)
-    ));
-    out.push_str("}\n");
-    out
+    let histograms = spider_ind::trace::histograms().map(|hist| {
+        let buckets = hist.bucket_counts().iter().map(|&n| n.into()).collect();
+        (hist.name(), Json::Arr(buckets))
+    });
+    report.extend([
+        ("dropped_events", trace.dropped_events.into()),
+        ("histograms", Json::obj(histograms)),
+        ("spans", spider_ind::trace::spans_json(trace)),
+    ]);
+    Json::obj(report)
 }
 
 fn load(dir: &str) -> Result<Database, String> {
@@ -690,10 +649,13 @@ fn parse_algorithm(args: &[String]) -> Result<Algorithm, String> {
     }
 }
 
-/// Every flag `discover` accepts, with whether it takes a value
-/// (`--resume`'s `verify` is optional; see [`parse_resume`]). Checked once
-/// against argv by [`check_discover_flags`] before the run is dispatched.
-const DISCOVER_FLAGS: &[(&str, bool)] = &[
+/// The flags a command accepts, each with whether it takes a value.
+type Flags = &'static [(&'static str, bool)];
+
+const GENERATE_FLAGS: Flags = &[("--scale", true), ("--seed", true), ("--value-bytes", true)];
+
+/// `--resume`'s `verify` is optional; see [`parse_resume`].
+const DISCOVER_FLAGS: Flags = &[
     ("--algorithm", true),
     ("--threads", true),
     ("--max-files", true),
@@ -713,17 +675,28 @@ const DISCOVER_FLAGS: &[(&str, bool)] = &[
     ("--progress", false),
 ];
 
-/// Rejects the first `--flag` in `args` that [`DISCOVER_FLAGS`] does not
-/// list. A value-taking flag skips its operand, unless that operand is
-/// itself flag-shaped (the flag's own parser reports the missing value).
-fn check_discover_flags(args: &[String]) -> Result<(), String> {
+type Command = fn(&[String]) -> Result<ExitCode, String>;
+
+/// Every command with the flags it accepts; argv is checked against the
+/// list by [`check_flags`] before the command runs.
+const COMMANDS: &[(&str, Flags, Command)] = &[
+    ("generate", GENERATE_FLAGS, cmd_generate),
+    ("profile", &[], cmd_profile),
+    ("discover", DISCOVER_FLAGS, cmd_discover),
+    ("fks", &[], cmd_fks),
+];
+
+/// Rejects the first `--flag` in `args` that `accepted` does not list. A
+/// value-taking flag skips its operand, unless that operand is itself
+/// flag-shaped (the flag's own parser reports the missing value).
+fn check_flags(command: &str, accepted: Flags, args: &[String]) -> Result<(), String> {
     let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
             continue;
         }
-        let Some(&(_, takes_value)) = DISCOVER_FLAGS.iter().find(|(name, _)| name == arg) else {
-            return Err(format!("discover: unknown flag `{arg}`"));
+        let Some(&(_, takes_value)) = accepted.iter().find(|(name, _)| name == arg) else {
+            return Err(format!("{command}: unknown flag `{arg}`"));
         };
         if takes_value {
             rest.next_if(|value| !value.starts_with("--"));
@@ -733,7 +706,6 @@ fn check_discover_flags(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
-    check_discover_flags(args)?;
     let dir = args.first().ok_or("discover: missing database directory")?;
     let on_disk = args.iter().any(|a| a == "--on-disk");
     if !on_disk
@@ -806,7 +778,7 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut code = ExitCode::SUCCESS;
     if let Some(report) = &discovery.degraded {
-        outln!(out, "\ndegraded: {}", degraded_json(report));
+        outln!(out, "\ndegraded: {}", degraded_json(report).compact());
         if !report.is_clean() {
             code = ExitCode::from(EXIT_DEGRADED);
         }
@@ -929,7 +901,7 @@ fn cmd_discover_nary(
     }
     let mut code = ExitCode::SUCCESS;
     if let Some(report) = &discovery.degraded {
-        outln!(out, "\ndegraded: {}", degraded_json(report));
+        outln!(out, "\ndegraded: {}", degraded_json(report).compact());
         if !report.is_clean() {
             code = ExitCode::from(EXIT_DEGRADED);
         }
@@ -1167,7 +1139,7 @@ mod tests {
         use spider_ind::valueset::FailedAttribute;
         let clean = DegradedReport::default();
         assert_eq!(
-            degraded_json(&clean),
+            degraded_json(&clean).compact(),
             "{\"quarantined\":[],\"io_retries\":0,\"checksum_failures\":0}"
         );
         let report = DegradedReport {
@@ -1180,7 +1152,7 @@ mod tests {
             checksum_failures: 1,
         };
         assert_eq!(
-            degraded_json(&report),
+            degraded_json(&report).compact(),
             "{\"quarantined\":[{\"id\":7,\"name\":\"t.c\",\"error\":\
              \"bad \\\"frame\\\"\\nat byte 12\"}],\"io_retries\":3,\"checksum_failures\":1}"
         );
@@ -1234,7 +1206,7 @@ mod tests {
         };
         let metrics = spider_ind::core::RunMetrics::new();
         let a = args(&["discover", "db"]);
-        let with = run_report_json(&trace, &metrics, None, Some(&info), "db", &a);
+        let with = run_report_json(&trace, &metrics, None, Some(&info), "db", &a).pretty();
         assert!(
             with.contains(
                 "\"cancelled\": {\"phase\": \"merge\", \"attributes_exported\": 7, \
@@ -1242,7 +1214,7 @@ mod tests {
             ),
             "{with}"
         );
-        let without = run_report_json(&trace, &metrics, None, None, "db", &a);
+        let without = run_report_json(&trace, &metrics, None, None, "db", &a).pretty();
         assert!(!without.contains("\"cancelled\""), "{without}");
     }
 
@@ -1282,7 +1254,7 @@ mod tests {
                 all.push("1");
             }
         }
-        assert_eq!(check_discover_flags(&args(&all)), Ok(()));
+        assert_eq!(check_flags("discover", DISCOVER_FLAGS, &args(&all)), Ok(()));
         // Bare `--resume` and `--resume verify` both pass, and a
         // flag-shaped operand is still checked as a flag.
         let ok = args(&[
@@ -1293,11 +1265,11 @@ mod tests {
             "--fault-plan",
             "read:*:eintr",
         ]);
-        assert_eq!(check_discover_flags(&ok), Ok(()));
+        assert_eq!(check_flags("discover", DISCOVER_FLAGS, &ok), Ok(()));
         let ok = args(&["db", "--resume", "verify", "--names"]);
-        assert_eq!(check_discover_flags(&ok), Ok(()));
+        assert_eq!(check_flags("discover", DISCOVER_FLAGS, &ok), Ok(()));
         let hidden = args(&["db", "--workdir", "--on-dsik"]);
-        assert!(check_discover_flags(&hidden)
+        assert!(check_flags("discover", DISCOVER_FLAGS, &hidden)
             .unwrap_err()
             .contains("--on-dsik"));
     }

@@ -586,33 +586,35 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
     // Second run resumes: completes, reuses the batch committed before
     // the crash, and leaves no staged `.tmp` behind.
     let report_path = dir.join("resume-report.json");
-    let resumed = spider_ind(&[
-        "discover",
-        db_path,
-        "--algorithm",
-        "spider",
-        "--on-disk",
-        "--workdir",
-        work_path,
-        "--resume",
-        "verify",
-        "--report",
-        report_path.to_str().expect("utf8"),
-    ]);
+    let resume = || {
+        let resumed = spider_ind(&[
+            "discover",
+            db_path,
+            "--algorithm",
+            "spider",
+            "--on-disk",
+            "--workdir",
+            work_path,
+            "--resume",
+            "verify",
+            "--report",
+            report_path.to_str().expect("utf8"),
+        ]);
+        assert!(
+            resumed.status.success(),
+            "{}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(inds(&clean), inds(&resumed), "resume changes no answers");
+        let report = std::fs::read_to_string(&report_path).expect("report");
+        let report = parse(&report).expect("json");
+        let metrics = report.get("metrics").expect("metrics");
+        let count = |key: &str| metrics.get(key).and_then(Json::as_u64).unwrap();
+        (count("exports_reused"), count("exports_redone"))
+    };
+    let (reused, redone) = resume();
     assert!(
-        resumed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(inds(&clean), inds(&resumed), "resume changes no answers");
-    let report = parse(&std::fs::read_to_string(&report_path).expect("report")).expect("json");
-    let metrics = report.get("metrics").expect("metrics");
-    assert!(
-        metrics
-            .get("exports_reused")
-            .and_then(Json::as_u64)
-            .unwrap()
-            > 0,
+        reused > 0,
         "resume must reuse the exports that landed before the crash"
     );
     for entry in std::fs::read_dir(&workdir).expect("workdir") {
@@ -623,6 +625,10 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
             path.display()
         );
     }
+
+    // A manifest nested far past the parser's cap only disables reuse.
+    std::fs::write(workdir.join("MANIFEST.json"), "[".repeat(100_000)).expect("overwrite");
+    assert_eq!(resume(), (0, reused + redone), "every attribute redone");
 }
 
 #[test]
@@ -818,6 +824,30 @@ fn discover_rejects_unknown_flags_by_name() {
         );
         assert!(stdout(&out).is_empty(), "{flag}: nothing ran");
     }
+}
+
+#[test]
+fn generate_and_fks_reject_unknown_flags_by_name() {
+    let dir = TempDir::new("cli-badflag-commands");
+    let db_dir = dir.join("db");
+    let db_path = db_dir.to_str().expect("utf8 path");
+    let rejects = |args: &[&str], flag: &str| {
+        let out = spider_ind(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?}: nothing ran");
+    };
+    rejects(&["generate", "pdb", db_path, "--scael", "200"], "--scael");
+    assert!(!db_dir.exists(), "nothing was generated");
+    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
+        .status
+        .success());
+    rejects(&["fks", db_path, "--on-disk"], "--on-disk");
+    rejects(&["profile", db_path, "--on-disk"], "--on-disk");
 }
 
 #[test]
