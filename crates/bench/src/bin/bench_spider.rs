@@ -13,9 +13,10 @@
 //! the committed evidence that the levelwise apriori pruning engages:
 //!
 //! * **memory** — the frozen pre-refactor engine shape
-//!   (`ind_bench::legacy_spider`), the current zero-allocation `spider`,
-//!   and `spiderpar` over in-memory value sets, with allocation counts from
-//!   the counting allocator installed *in this binary only*. Since schema
+//!   (`ind_bench::legacy_spider`) and the current zero-allocation `spider`
+//!   over in-memory value sets, with allocation counts from the counting
+//!   allocator installed *in this binary only* (schema v10 dropped the
+//!   value-domain-partitioned engine's row with the engine). Since schema
 //!   v6 a `spider_traced` row re-runs the same merge with `ind-trace`
 //!   phase spans and progress counters enabled — committed evidence that
 //!   observability stays within a few percent of the traced-off run and
@@ -74,8 +75,8 @@ use ind_bench::legacy_reader::LegacyDiskProvider;
 use ind_bench::legacy_sorter::legacy_extract_to_file;
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
-    generate_candidates, memory_export, run_spider, run_spider_parallel, Candidate, NaryDiscovery,
-    NaryFinder, PretestConfig, RunMetrics,
+    generate_candidates, memory_export, run_spider, Candidate, NaryDiscovery, NaryFinder,
+    PretestConfig, RunMetrics,
 };
 use ind_datagen::{
     generate_chains, generate_pdb, generate_uniprot, generate_wide, BiosqlConfig, ChainsConfig,
@@ -189,7 +190,6 @@ const ENGINE_RUNS: usize = 7;
 /// Disk runs are quick but noisier (syscalls, page cache, neighbour load);
 /// best-of-9 keeps the committed baseline stable on a busy container.
 const DISK_ENGINE_RUNS: usize = 9;
-const SPIDERPAR_THREADS: usize = 4;
 /// `--check` holds the pdb merge to this multiple of the frozen legacy
 /// engine's wall-clock once `--scale` reaches [`MERGE_GATE_MIN_SCALE`]
 /// (below it the merge is too short to time).
@@ -1155,12 +1155,6 @@ fn bench_dataset(
     if legacy != expected {
         return Err(format!("[{name}] legacy engine disagrees with spider"));
     }
-    let mut m = RunMetrics::new();
-    let par = run_spider_parallel(&provider, &profiles, &candidates, SPIDERPAR_THREADS, &mut m)
-        .map_err(|e| e.to_string())?;
-    if par != expected {
-        return Err(format!("[{name}] spiderpar disagrees with spider"));
-    }
 
     let mut engines = Vec::new();
     type Runner<'a> =
@@ -1178,14 +1172,6 @@ fn bench_dataset(
             Box::new(|| {
                 let mut m = RunMetrics::new();
                 run_spider(&provider, &candidates, &mut m).map(|s| (s, m))
-            }),
-        ),
-        (
-            "spiderpar",
-            Box::new(|| {
-                let mut m = RunMetrics::new();
-                run_spider_parallel(&provider, &profiles, &candidates, SPIDERPAR_THREADS, &mut m)
-                    .map(|s| (s, m))
             }),
         ),
         (
@@ -1424,13 +1410,12 @@ fn bench_json(
         ])
     });
     Json::obj([
-        ("schema_version", 9u64.into()),
+        ("schema_version", 10u64.into()),
         ("harness", "bench_spider".into()),
         ("scale", scale.into()),
         ("block_size", block_size.into()),
         ("memory_budget", memory_budget.into()),
         ("check_mode", check.into()),
-        ("spiderpar_threads", SPIDERPAR_THREADS.into()),
         (
             "datasets",
             Json::Arr(datasets.iter().map(dataset_json).collect()),

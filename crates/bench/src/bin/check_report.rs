@@ -12,7 +12,7 @@
 //!   its parent's interval;
 //! * the root's direct children (the run's phases) cover the root's wall
 //!   time to within `max(5%, 2 ms)` — measured as the union of their
-//!   intervals, so concurrent phases (partition workers) are not
+//!   intervals, so spans of concurrent export workers are not
 //!   double-counted;
 //! * the root span agrees with `metrics.elapsed_ns` to the same
 //!   tolerance;
@@ -118,8 +118,8 @@ fn run() -> Result<(), String> {
     let tolerance = |reference: u64| -> u64 { (reference / 20).max(2_000_000) };
 
     // Phase coverage: the root's direct children, as an interval union so
-    // concurrent partitions are not double-counted, must account for the
-    // root's wall time minus the tolerance.
+    // spans of concurrent export workers are not double-counted, must
+    // account for the root's wall time minus the tolerance.
     let children = root.get("children").and_then(Json::as_arr).unwrap();
     if children.is_empty() {
         return Err("the discover root has no phase children".into());

@@ -15,8 +15,8 @@
 //! * `scalability` — Sec. 4.2 open-file limit and the block-wise fix;
 //! * `run_all` — everything above in sequence;
 //! * `bench_spider` — the perf-trajectory harness: current zero-allocation
-//!   SPIDER vs the frozen [`legacy_spider`] engine shape vs `spiderpar`
-//!   (counting allocator), the disk-backed section — the same engine
+//!   SPIDER vs the frozen [`legacy_spider`] engine shape (counting
+//!   allocator), the disk-backed section — the same engine
 //!   over the frozen [`legacy_reader`] `BufReader` shape vs the block
 //!   reader, with read-call counts and a block-size sweep — and the
 //!   export section: the arena sorter vs the frozen [`legacy_sorter`]

@@ -8,7 +8,8 @@
 //! set.
 //!
 //! The parallel runner is an extension: candidate tests are mutually
-//! independent, so they shard across crossbeam-scoped worker threads.
+//! independent, so they shard across the workspace's scoped worker pool
+//! ([`ind_storage::run_workers`]).
 
 use crate::candidates::Candidate;
 use crate::metrics::RunMetrics;
@@ -91,31 +92,18 @@ where
     if threads == 1 || candidates.len() < 2 {
         return run_brute_force(provider, candidates, metrics);
     }
-    let chunk = candidates.len().div_ceil(threads);
+    let shards: Vec<&[Candidate]> = candidates
+        .chunks(candidates.len().div_ceil(threads))
+        .collect();
     // Thread-local ambient tokens stop at a spawn: capture the caller's and
     // re-install it inside every worker so shards observe cancellation.
     let cancel = ind_valueset::cancel::ambient();
-    let results: Vec<Result<(Vec<Candidate>, RunMetrics)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|shard| {
-                let cancel = cancel.clone();
-                scope.spawn(move |_| {
-                    let _ambient = ind_valueset::cancel::set_ambient(cancel);
-                    let mut local = RunMetrics::new();
-                    let found = run_brute_force(provider, shard, &mut local)?;
-                    Ok((found, local))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(no_unwrap) — re-raising a worker panic on the coordinating thread is the correct escalation
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    // lint: allow(no_unwrap) — crossbeam scope errs only when a child panicked; propagate the panic
-    .expect("scope panicked");
+    let results = ind_storage::run_workers(shards.len(), |w| -> Result<_> {
+        let _ambient = ind_valueset::cancel::set_ambient(cancel.clone());
+        let mut local = RunMetrics::new();
+        let found = run_brute_force(provider, shards[w], &mut local)?;
+        Ok((found, local))
+    });
 
     let mut satisfied = Vec::new();
     for r in results {

@@ -12,8 +12,6 @@
 //!
 //! * [`spider`] — the "future work" improvement of the single-pass idea: a
 //!   min-heap k-way merge over all attribute cursors (Sec. 7);
-//! * [`spider_parallel`] — SPIDER sharded over disjoint ranges of the
-//!   byte-value domain, one heap-merge worker per range (extension);
 //! * [`blockwise`] — the Sec. 4.2 block-wise single-pass that respects an
 //!   open-file budget;
 //! * [`pruning`] — Bell–Brockhausen transitivity inference and the sampling
@@ -40,7 +38,6 @@ pub mod pruning;
 pub mod runner;
 pub mod single_pass;
 pub mod spider;
-pub mod spider_parallel;
 
 pub use attr::{
     memory_export, memory_export_with_threads, profile_database, profiles_from_export,
@@ -59,4 +56,3 @@ pub use pruning::{
 pub use runner::{Algorithm, DegradedReport, Discovery, FinderConfig, IndFinder};
 pub use single_pass::run_single_pass;
 pub use spider::run_spider;
-pub use spider_parallel::{partition_boundaries, run_spider_parallel};

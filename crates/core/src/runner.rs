@@ -9,7 +9,6 @@ use crate::metrics::RunMetrics;
 use crate::pruning::{run_brute_force_with_transitivity, sampling_pretest, SamplingConfig};
 use crate::single_pass::run_single_pass;
 use crate::spider::run_spider;
-use crate::spider_parallel::run_spider_parallel;
 use ind_storage::{Database, QualifiedName};
 use ind_valueset::{
     ExportOptions, ExportedDatabase, FailedAttribute, Result, ValueCursor, ValueSetError,
@@ -32,12 +31,6 @@ pub enum Algorithm {
     SinglePass,
     /// SPIDER-style min-heap merge (Sec. 7 future work).
     Spider,
-    /// SPIDER sharded over disjoint value-domain partitions, one heap-merge
-    /// worker thread per partition (extension).
-    SpiderParallel {
-        /// Worker count = partition count (≥ 1).
-        threads: usize,
-    },
     /// Block-wise single-pass under an open-file budget (Sec. 4.2).
     Blockwise {
         /// Maximum simultaneously open value files (≥ 2).
@@ -237,9 +230,6 @@ impl IndFinder {
             }
             Algorithm::SinglePass => run_single_pass(provider, &candidates, &mut metrics)?,
             Algorithm::Spider => run_spider(provider, &candidates, &mut metrics)?,
-            Algorithm::SpiderParallel { threads } => {
-                run_spider_parallel(provider, profiles, &candidates, *threads, &mut metrics)?
-            }
             Algorithm::Blockwise { max_open_files } => run_blockwise(
                 provider,
                 &candidates,
@@ -262,8 +252,8 @@ impl IndFinder {
     /// Extracts `db` into memory and discovers INDs — the CLI's default
     /// path, for databases whose distinct values fit in RAM. Extraction runs
     /// on every core ([`ind_storage::default_workers`]) whatever the
-    /// algorithm; [`Algorithm::SpiderParallel`]'s and
-    /// [`Algorithm::BruteForceParallel`]'s `threads` govern the merge only.
+    /// algorithm; [`Algorithm::BruteForceParallel`]'s `threads` govern the
+    /// merge only.
     pub fn discover_in_memory(&self, db: &Database) -> Result<Discovery> {
         self.discover_in_memory_with(db, ind_storage::default_workers())
     }
@@ -450,7 +440,6 @@ mod tests {
             Algorithm::BruteForceParallel { threads: 3 },
             Algorithm::SinglePass,
             Algorithm::Spider,
-            Algorithm::SpiderParallel { threads: 3 },
             Algorithm::Blockwise { max_open_files: 3 },
         ] {
             let finder = IndFinder::with_algorithm(algorithm.clone());
@@ -468,8 +457,6 @@ mod tests {
         for algorithm in [
             Algorithm::SinglePass,
             Algorithm::Spider,
-            Algorithm::SpiderParallel { threads: 1 },
-            Algorithm::SpiderParallel { threads: 4 },
             Algorithm::Blockwise { max_open_files: 2 },
             Algorithm::BruteForceParallel { threads: 2 },
         ] {
@@ -514,21 +501,6 @@ mod tests {
             read_calls.windows(2).all(|w| w[0] >= w[1]),
             "read calls must not grow with block size: {read_calls:?}"
         );
-    }
-
-    #[test]
-    fn on_disk_spider_parallel_equals_in_memory() {
-        let db = sample_db();
-        for threads in [1, 2, 4] {
-            let finder = IndFinder::with_algorithm(Algorithm::SpiderParallel { threads });
-            let mem = finder.discover_in_memory(&db).unwrap();
-            let dir = TempDir::new("runner-spiderpar-disk");
-            let disk = finder
-                .discover_on_disk_with(&db, dir.path(), &ExportOptions::with_threads(threads))
-                .unwrap();
-            assert_eq!(disk.satisfied, mem.satisfied, "threads={threads}");
-            assert!(disk.metrics.read_calls > 0, "threads={threads}");
-        }
     }
 
     #[test]
@@ -599,7 +571,7 @@ mod tests {
         let db = sample_db();
         for algorithm in [
             Algorithm::SinglePass,
-            Algorithm::SpiderParallel { threads: 3 },
+            Algorithm::BruteForceParallel { threads: 3 },
         ] {
             let finder = IndFinder::with_algorithm(algorithm.clone());
             let strict_dir = TempDir::new("runner-kg-strict");
@@ -671,7 +643,10 @@ mod tests {
     fn cancellation_interrupts_in_memory_extraction_before_the_merge() {
         use ind_valueset::{cancel, CancelToken};
         let db = sample_db(); // four attributes
-        for algorithm in [Algorithm::Spider, Algorithm::SpiderParallel { threads: 3 }] {
+        for algorithm in [
+            Algorithm::Spider,
+            Algorithm::BruteForceParallel { threads: 3 },
+        ] {
             let finder = IndFinder::with_algorithm(algorithm.clone());
             // Fires on the first poll: that poll is the export's, so the
             // run stops before a provider exists — no cursor was opened.

@@ -70,20 +70,19 @@ pub fn run_spider<P: ValueSetProvider>(
 ) -> Result<Vec<Candidate>> {
     let unique = dedup_candidates(candidates);
     metrics.tested += unique.len() as u64;
-    let mut satisfied = spider_pass(|a| provider.open(a), &unique, metrics)?;
+    let mut satisfied = spider_pass(provider, &unique, metrics)?;
     metrics.satisfied += satisfied.len() as u64;
     satisfied.sort_unstable();
     Ok(satisfied)
 }
 
 /// Sorted, duplicate-free view of `candidates`. Duplicate pairs would
-/// inflate `metrics.tested` and (in the partitioned runner) the
-/// survival-count intersection, so every entry point normalises first.
+/// inflate `metrics.tested`, so the entry point normalises first.
 ///
 /// Candidate generation already emits sorted, duplicate-free pairs, so the
 /// common path borrows the input as-is; only unsorted or duplicated inputs
 /// pay for a copy.
-pub(crate) fn dedup_candidates(candidates: &[Candidate]) -> Cow<'_, [Candidate]> {
+fn dedup_candidates(candidates: &[Candidate]) -> Cow<'_, [Candidate]> {
     if candidates.windows(2).all(|w| w[0] < w[1]) {
         return Cow::Borrowed(candidates);
     }
@@ -94,25 +93,16 @@ pub(crate) fn dedup_candidates(candidates: &[Candidate]) -> Cow<'_, [Candidate]>
     Cow::Owned(unique)
 }
 
-/// One SPIDER heap-merge over whatever cursors `open` hands out.
-///
-/// This is the engine beneath [`run_spider`] (plain cursors over the full
-/// value domain) and [`crate::spider_parallel`] (range-clamped cursors over
-/// one partition of it). `candidates` must be duplicate-free with
-/// `dep != ref`. Returns the satisfied candidates in unspecified order;
-/// updates only the I/O counters (`cursor_opens`, `items_read`,
-/// `value_bytes_read`, `comparisons`) — `tested`/`satisfied` accounting
-/// belongs to the callers, which know whether this pass covers the whole
-/// domain or a slice of it.
-pub(crate) fn spider_pass<C, F>(
-    mut open: F,
+/// The SPIDER heap-merge beneath [`run_spider`]. `candidates` must be
+/// duplicate-free with `dep != ref`. Returns the satisfied candidates in
+/// unspecified order; updates only the I/O counters (`cursor_opens`,
+/// `items_read`, `value_bytes_read`, `comparisons`, `key_compares`,
+/// `memcmp_compares`).
+fn spider_pass<P: ValueSetProvider>(
+    provider: &P,
     candidates: &[Candidate],
     metrics: &mut RunMetrics,
-) -> Result<Vec<Candidate>>
-where
-    C: ValueCursor,
-    F: FnMut(u32) -> Result<C>,
-{
+) -> Result<Vec<Candidate>> {
     if candidates.is_empty() {
         // lint: allow(hot_alloc) — empty-candidate early return; Vec::new does not allocate
         return Ok(Vec::new());
@@ -151,11 +141,11 @@ where
     // Satisfied output cannot exceed the candidate count: reserving up front
     // keeps pushes allocation-free.
     let mut satisfied: Vec<Candidate> = Vec::with_capacity(candidates.len());
-    let mut cursors: Vec<Option<C>> = Vec::with_capacity(n);
+    let mut cursors: Vec<Option<P::Cursor>> = Vec::with_capacity(n);
     let mut heap = KeyedMinHeap::with_capacity(n);
 
     for d in 0..n {
-        let mut cursor = open(ids.id(d))?;
+        let mut cursor = provider.open(ids.id(d))?;
         metrics.cursor_opens += 1;
         if cursor.advance()? {
             metrics.items_read += 1;

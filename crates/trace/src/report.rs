@@ -13,7 +13,7 @@ use std::collections::HashMap;
 pub struct SpanNode {
     /// Registered span name (see [`crate::SPAN_NAMES`]).
     pub name: &'static str,
-    /// Span argument (attribute id, level, partition…).
+    /// Span argument (attribute id, level, block pair…).
     pub arg: u64,
     /// Start, nanoseconds since the trace epoch.
     pub start_ns: u64,

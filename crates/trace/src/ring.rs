@@ -33,7 +33,7 @@ pub(crate) struct Event {
     pub kind: EventKind,
     /// Index into the span-name registry.
     pub span: u16,
-    /// Span argument (attribute id, level, partition…).
+    /// Span argument (attribute id, level, block pair…).
     pub arg: u64,
     /// Span-instance token.
     pub token: u64,

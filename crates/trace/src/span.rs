@@ -26,12 +26,12 @@ pub(crate) enum ArgStyle {
     None,
     /// `name/attr=arg` — per-attribute spans.
     Attr,
-    /// `name=arg` — the arg is the span's own index (level, partition…).
+    /// `name=arg` — the arg is the span's own index (level, block pair…).
     Index,
 }
 
 /// The span-name registry: `(name, arg rendering)` per [`SpanId`].
-pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
+pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 13] = [
     ("discover", ArgStyle::None),
     ("export", ArgStyle::None),
     ("profile", ArgStyle::None),
@@ -41,7 +41,6 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
     ("sort", ArgStyle::Attr),
     ("spill_merge", ArgStyle::None),
     ("spider_merge", ArgStyle::None),
-    ("partition", ArgStyle::Index),
     ("block_pass", ArgStyle::Index),
     ("level", ArgStyle::Index),
     ("resume_scan", ArgStyle::None),
@@ -49,7 +48,7 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
 ];
 
 /// Span names in [`SpanId`] order (the report vocabulary).
-pub const SPAN_NAMES: [&str; 14] = [
+pub const SPAN_NAMES: [&str; 13] = [
     "discover",
     "export",
     "profile",
@@ -59,7 +58,6 @@ pub const SPAN_NAMES: [&str; 14] = [
     "sort",
     "spill_merge",
     "spider_merge",
-    "partition",
     "block_pass",
     "level",
     "resume_scan",
@@ -84,17 +82,15 @@ pub const SORT: SpanId = SpanId(6);
 pub const SPILL_MERGE: SpanId = SpanId(7);
 /// The SPIDER min-heap merge over all cursors.
 pub const SPIDER_MERGE: SpanId = SpanId(8);
-/// One range partition of the parallel engine; `arg` = partition index.
-pub const PARTITION: SpanId = SpanId(9);
 /// One block of the block-wise engine; `arg` = block-pair index.
-pub const BLOCK_PASS: SpanId = SpanId(10);
+pub const BLOCK_PASS: SpanId = SpanId(9);
 /// One level of the n-ary pipeline; `arg` = arity.
-pub const LEVEL: SpanId = SpanId(11);
+pub const LEVEL: SpanId = SpanId(10);
 /// The resume sweep: orphan cleanup plus manifest-vs-footer validation.
-pub const RESUME_SCAN: SpanId = SpanId(12);
+pub const RESUME_SCAN: SpanId = SpanId(11);
 /// One group commit of the export: fsync each staged value file, rename
 /// each, one directory fsync, one manifest publish; `arg` = files.
-pub const PUBLISH: SpanId = SpanId(13);
+pub const PUBLISH: SpanId = SpanId(12);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Span-instance tokens and event ordering share one sequence so report
@@ -173,7 +169,7 @@ pub fn start(id: SpanId) -> SpanGuard {
     start_arg(id, 0)
 }
 
-/// Starts a span with an argument (attribute id, level, partition…).
+/// Starts a span with an argument (attribute id, level, block pair…).
 #[inline]
 pub fn start_arg(id: SpanId, arg: u64) -> SpanGuard {
     if !enabled() {

@@ -31,8 +31,8 @@
 //! most cursors within their first values, so there is nothing for an
 //! overlapped reader to hide.
 //!
-//! [`crate::ValueFileReader`] builds its zero-copy `current()` and its
-//! syscall-free `seek` skips on top of this reader; the writer side uses
+//! [`crate::ValueFileReader`] builds its zero-copy `current()` on top of
+//! this reader; the writer side uses
 //! the same `block_size` knob to stage records into block-sized
 //! `write_all`s.
 

@@ -23,33 +23,6 @@ pub trait ValueCursor {
     /// [`advance`]: ValueCursor::advance
     fn current(&self) -> &[u8];
 
-    /// Advances until the current value is `>= lower`: a conditional
-    /// [`advance`] that skips the prefix of the set below `lower`.
-    ///
-    /// Returns `true` when positioned on the first value `>= lower`
-    /// (readable via [`current`]) and `false` when the set holds no such
-    /// value (the cursor is then exhausted). Values already produced are
-    /// never revisited, so `seek` is only a *forward* jump.
-    ///
-    /// The default implementation scans linearly, materialising every
-    /// skipped value through [`advance`]. Cursors with cheaper options
-    /// should override it: [`crate::MemoryCursor`] binary-searches its
-    /// sorted slice, and [`crate::ValueFileReader`] reads each length
-    /// prefix and seeks past the value body, so skipped values are never
-    /// copied into its buffer. Range-partitioned readers
-    /// ([`crate::RangeCursor`]) rely on this to start mid-stream.
-    ///
-    /// [`advance`]: ValueCursor::advance
-    /// [`current`]: ValueCursor::current
-    fn seek(&mut self, lower: &[u8]) -> Result<bool> {
-        while self.advance()? {
-            if self.current() >= lower {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
     /// Number of values `advance` has not yet produced.
     fn remaining(&self) -> u64;
 
@@ -71,9 +44,6 @@ pub trait ValueCursor {
 impl<C: ValueCursor + ?Sized> ValueCursor for Box<C> {
     fn advance(&mut self) -> Result<bool> {
         (**self).advance()
-    }
-    fn seek(&mut self, lower: &[u8]) -> Result<bool> {
-        (**self).seek(lower)
     }
     fn current(&self) -> &[u8] {
         (**self).current()

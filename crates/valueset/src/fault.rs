@@ -8,7 +8,7 @@
 //! spill writer, and the open path of every reader. Because every value
 //! file is read through the same wrapper, a plan injected at the bottom
 //! exercises the error arms of the whole stack — block reader, frame and
-//! format decoders, external-sort merge, partitioned merge — on the
+//! format decoders, external-sort merge, discovery merge — on the
 //! consuming thread.
 //!
 //! The wrapper is also where *transient* faults are healed: an

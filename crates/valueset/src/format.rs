@@ -527,8 +527,7 @@ pub(crate) fn verify_file_quick(
 /// block grows the block once to hold it
 /// ([`BlockReader::fill_exact_growing`]) instead of being copied into a
 /// side buffer — so the hot `current()` call is a single slice, no
-/// branching on where the value lives. `seek` skips provably-smaller
-/// records by bumping the block's consume cursor — no syscall, no copy.
+/// branching on where the value lives.
 pub struct ValueFileReader {
     input: BlockReader,
     path: PathBuf,
@@ -536,11 +535,11 @@ pub struct ValueFileReader {
     produced: u64,
     /// Current value: `cur_offset..cur_offset + cur_len` inside the block.
     /// Valid until the next fill (which only happens inside
-    /// `advance`/`seek`); `(0, 0)` before the first advance.
+    /// `advance`); `(0, 0)` before the first advance.
     cur_offset: usize,
     cur_len: usize,
     /// Whether the end-of-stream check (footer verification, trailing-data
-    /// detection) has run. Set on the first `advance`/`seek` that reports
+    /// detection) has run. Set on the first `advance` that reports
     /// exhaustion, so the check costs one extra fill exactly once.
     end_checked: bool,
     cancel: Option<crate::cancel::CancelToken>,
@@ -812,42 +811,6 @@ fn corrupt(context: String, detail: String) -> ValueSetError {
     ValueSetError::Corrupt { context, detail }
 }
 
-/// Outcome of comparing a value against `lower` from a buffered prefix
-/// alone, without materialising the value.
-enum PrefixOrder {
-    /// The value is provably `< lower` — safe to skip without reading it.
-    Below,
-    /// The value is provably `>= lower` — it is the seek target.
-    AtOrAbove,
-    /// The buffered window was too short to decide.
-    Undecided,
-}
-
-/// Decides how a `len`-byte value whose first `probe.len()` bytes are
-/// `probe` compares to `lower`. Conclusive whenever a byte differs inside
-/// the window or either string ends there; undecided only when the shared
-/// prefix runs past the window (i.e. past a whole block).
-fn prefix_order(probe: &[u8], len: usize, lower: &[u8]) -> PrefixOrder {
-    let p = probe.len().min(lower.len());
-    match probe[..p].cmp(&lower[..p]) {
-        std::cmp::Ordering::Less => PrefixOrder::Below,
-        std::cmp::Ordering::Greater => PrefixOrder::AtOrAbove,
-        std::cmp::Ordering::Equal => {
-            if p == lower.len() {
-                // The value starts with all of `lower`: >= unless it is a
-                // *shorter* string, which cannot happen once len >= p.
-                debug_assert!(len >= p);
-                PrefixOrder::AtOrAbove
-            } else if probe.len() == len {
-                // Entire value seen and it is a proper prefix of `lower`.
-                PrefixOrder::Below
-            } else {
-                PrefixOrder::Undecided
-            }
-        }
-    }
-}
-
 impl ValueCursor for ValueFileReader {
     #[inline]
     fn advance(&mut self) -> Result<bool> {
@@ -871,59 +834,6 @@ impl ValueCursor for ValueFileReader {
             }
         }
         self.advance_slow()
-    }
-
-    /// Forward seek that skips value bodies without copying them: each
-    /// record is compared against `lower` **inside the block**, and
-    /// provably-smaller records are jumped over by bumping the consume
-    /// cursor — no syscall, no copy, and truncation stays detectable
-    /// because skips never move past the fill end. Only the first value
-    /// `>= lower`, records larger than one block, and the rare value whose
-    /// shared prefix with `lower` outruns the block are materialised.
-    fn seek(&mut self, lower: &[u8]) -> Result<bool> {
-        while let Some(len) = self.next_len()? {
-            if LEN_PREFIX + len <= self.input.capacity() {
-                // Fully buffered: the comparison sees the whole value, so
-                // it is always decisive.
-                self.buffer_record(len)?;
-                let below = &self.input.buffered()[LEN_PREFIX..LEN_PREFIX + len] < lower;
-                if below {
-                    self.input.consume(LEN_PREFIX + len);
-                    self.produced += 1;
-                } else {
-                    self.take_buffered(len);
-                    return Ok(true);
-                }
-            } else {
-                // The record straddles even a full block: decide what we
-                // can from a full-block window, then materialise the body
-                // by growing the block (even when skippable — a truncated
-                // file must error here instead of being silently passed).
-                let ctx = || self.path.display().to_string();
-                let capacity = self.input.capacity();
-                let avail = self
-                    .input
-                    .fill_to(capacity)
-                    .map_err(|e| corrupt(ctx(), format!("truncated record body: {e}")))?;
-                let window = avail.min(LEN_PREFIX + len);
-                let order = {
-                    let probe = &self.input.buffered()[LEN_PREFIX..window];
-                    prefix_order(probe, len, lower)
-                };
-                self.buffer_record_growing(len)?;
-                self.take_buffered(len);
-                match order {
-                    PrefixOrder::Below => {} // skipped (read only to verify it exists)
-                    PrefixOrder::AtOrAbove => return Ok(true),
-                    PrefixOrder::Undecided => {
-                        if self.current() >= lower {
-                            return Ok(true);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(false)
     }
 
     #[inline]
@@ -1107,88 +1017,6 @@ mod tests {
         ));
         drop(r1);
         assert!(ValueFileReader::open_with_budget(&path, &budget).is_ok());
-    }
-
-    /// The value shapes used by the seek-agreement cases: chosen to hit
-    /// every branch of the prefix comparison — the empty value, shared
-    /// prefixes, a prefix-of-`lower` value, and values longer than probes.
-    fn seek_fixture() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let values: Vec<Vec<u8>> = vec![
-            b"".to_vec(),
-            b"alpha".to_vec(),
-            b"alphabet".to_vec(),
-            b"beta".to_vec(),
-            b"betamax".to_vec(),
-            vec![b'p'; 1024],
-            [vec![b'p'; 1024], b"q".to_vec()].concat(),
-            b"zz".to_vec(),
-        ];
-        let probes: Vec<Vec<u8>> = vec![
-            b"".to_vec(),
-            b"a".to_vec(),
-            b"alpha".to_vec(),
-            b"alphab".to_vec(),
-            b"az".to_vec(),
-            b"betam".to_vec(),
-            vec![b'p'; 1024],
-            vec![b'p'; 1023],
-            [vec![b'p'; 1024], b"a".to_vec()].concat(),
-            b"zz".to_vec(),
-            b"zzz".to_vec(),
-        ];
-        (values, probes)
-    }
-
-    /// Seek + full drain must agree with the in-memory cursor.
-    fn assert_seek_agreement(path: &Path, options: &IoOptions, values: &[Vec<u8>], lower: &[u8]) {
-        use crate::memory::MemoryValueSet;
-        let mem = MemoryValueSet::from_sorted_distinct(values.to_vec()).unwrap();
-        let mut file = ValueFileReader::open_with_options(path, options).unwrap();
-        let mut mem_cursor = mem.cursor();
-        let found_file = file.seek(lower).unwrap();
-        let found_mem = mem_cursor.seek(lower).unwrap();
-        assert_eq!(found_file, found_mem, "lower={lower:?} options={options:?}");
-        if found_file {
-            assert_eq!(file.current(), mem_cursor.current(), "lower={lower:?}");
-        }
-        // The suffix after the seek must agree too (seek is forward-only
-        // positioning, not a point query).
-        loop {
-            let (a, b) = (file.advance().unwrap(), mem_cursor.advance().unwrap());
-            assert_eq!(a, b, "lower={lower:?}");
-            if !a {
-                break;
-            }
-            assert_eq!(file.current(), mem_cursor.current(), "lower={lower:?}");
-        }
-    }
-
-    #[test]
-    fn seek_agrees_with_memory_cursor_on_the_same_data() {
-        let (values, probes) = seek_fixture();
-        let dir = TempDir::new("vf-seek");
-        let path = dir.join("s.indv");
-        write_value_file(&path, &values).unwrap();
-        for lower in &probes {
-            assert_seek_agreement(&path, &IoOptions::default(), &values, lower);
-        }
-    }
-
-    #[test]
-    fn seek_agrees_at_tiny_block_sizes() {
-        // Blocks far smaller than the records force every record through
-        // the straddling (spill) paths; blocks of a few bytes are clamped
-        // to the minimum and still straddle everything over 12 bytes.
-        let (values, probes) = seek_fixture();
-        let dir = TempDir::new("vf-seek-tiny");
-        let path = dir.join("s.indv");
-        write_value_file(&path, &values).unwrap();
-        for block_size in [1usize, 3, 16, 17, 64, 1025] {
-            let options = IoOptions::with_block_size(block_size);
-            for lower in &probes {
-                assert_seek_agreement(&path, &options, &values, lower);
-            }
-        }
     }
 
     #[test]
@@ -1386,102 +1214,6 @@ mod tests {
         assert_eq!(r.current(), b"aa");
         assert!(r.advance().unwrap());
         assert_eq!(r.current(), big.as_slice());
-    }
-
-    #[test]
-    fn seek_skips_without_read_calls_inside_a_block() {
-        // Once the block is filled, skipping provably-smaller records is a
-        // pure consume-cursor bump: seeking across hundreds of records must
-        // not add a single read call beyond the fills already needed.
-        let dir = TempDir::new("vf-seek-nocalls");
-        let path = dir.join("s.indv");
-        let values: Vec<Vec<u8>> = (0..500u32)
-            .map(|i| format!("{i:06}").into_bytes())
-            .collect();
-        write_value_file(&path, &values).unwrap();
-        let mut r = ValueFileReader::open(&path).unwrap();
-        assert!(r.seek(b"000499").unwrap());
-        assert_eq!(r.current(), b"000499");
-        assert!(
-            r.read_calls() <= 2,
-            "in-block seek must not issue per-record reads, got {}",
-            r.read_calls()
-        );
-    }
-
-    #[test]
-    fn seek_is_forward_only_after_partial_advance() {
-        let dir = TempDir::new("vf-seek-fwd");
-        let path = dir.join("f.indv");
-        write_value_file(&path, &bytes(&["a", "b", "c", "d"])).unwrap();
-        let mut r = ValueFileReader::open(&path).unwrap();
-        assert!(r.advance().unwrap());
-        assert!(r.advance().unwrap());
-        assert_eq!(r.current(), b"b");
-        // Seeking below the current position may not rewind: the next value
-        // produced is the first not-yet-produced one >= lower.
-        assert!(r.seek(b"a").unwrap());
-        assert_eq!(r.current(), b"c");
-        assert!(r.seek(b"d").unwrap());
-        assert_eq!(r.current(), b"d");
-        assert!(!r.seek(b"e").unwrap());
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn seek_reports_truncated_bodies_like_advance() {
-        // A record body chopped mid-value must surface as Corrupt from
-        // `seek` too — the skip fast path may never seek past missing
-        // bytes. Exercised both with the record straddling the block (the
-        // spill fallback errors) and fully-fitting (the fill comes up
-        // short).
-        let dir = TempDir::new("vf-seek-trunc");
-        let path = dir.join("t.indv");
-        let values = vec![b"aaa".to_vec(), vec![b'b'; 16 * 1024]];
-        write_value_file(&path, &values).unwrap();
-        let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 100]).unwrap();
-        for block_size in [64usize, 4096, 64 * 1024] {
-            let mut r =
-                ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(block_size))
-                    .unwrap();
-            assert!(
-                matches!(r.seek(b"zzz"), Err(ValueSetError::Corrupt { .. })),
-                "block_size={block_size}"
-            );
-        }
-    }
-
-    #[test]
-    fn seek_decides_shared_prefixes_longer_than_the_block() {
-        // A shared prefix longer than the whole block forces the undecided
-        // fallback path (spill + compare) and must still agree with the
-        // in-memory answer.
-        use crate::memory::MemoryValueSet;
-        let prefix = vec![b'x'; 12 * 1024];
-        let values: Vec<Vec<u8>> = vec![
-            [prefix.clone(), b"a".to_vec()].concat(),
-            [prefix.clone(), b"m".to_vec()].concat(),
-            [prefix.clone(), b"z".to_vec()].concat(),
-        ];
-        let dir = TempDir::new("vf-seek-bigprefix");
-        let path = dir.join("big.indv");
-        write_value_file(&path, &values).unwrap();
-        let mem = MemoryValueSet::from_sorted_distinct(values.clone()).unwrap();
-        let options = IoOptions::with_block_size(4096); // prefix outruns the block
-        for lower in [
-            [prefix.clone(), b"b".to_vec()].concat(),
-            [prefix.clone(), b"z".to_vec()].concat(),
-            [prefix.clone(), b"zz".to_vec()].concat(),
-        ] {
-            let mut file = ValueFileReader::open_with_options(&path, &options).unwrap();
-            let mut mem_cursor = mem.cursor();
-            let found = file.seek(&lower).unwrap();
-            assert_eq!(found, mem_cursor.seek(&lower).unwrap());
-            if found {
-                assert_eq!(file.current(), mem_cursor.current());
-            }
-        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ mod heap;
 mod manager;
 mod manifest;
 mod memory;
-mod range;
 mod tuple;
 
 pub use block::{BlockReader, IoOptions, ReadStats, DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE};
@@ -54,5 +53,4 @@ pub use manager::{
 };
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
 pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
-pub use range::{RangeCursor, RangeProvider};
 pub use tuple::{decode_tuple, encode_tuple, encode_tuple_into, tuple_arity};

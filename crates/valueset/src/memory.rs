@@ -14,7 +14,7 @@
 //! # The cursor caches its range
 //!
 //! [`MemoryCursor`] resolves the current value's `[start, end)` once, in
-//! `advance`/`seek`, so `current()` is a single slice of the byte buffer.
+//! `advance`, so `current()` is a single slice of the byte buffer.
 //! The SPIDER merge calls `current()` from its heap comparator — about
 //! eighteen times per value read on a UniProt-shaped schema — while it
 //! advances once per value; looking the offsets up inside `current()`
@@ -365,19 +365,10 @@ pub struct MemoryCursor {
     flat: Arc<FlatSet>,
     /// Number of values already produced; `0` means before the first.
     pos: usize,
-    /// Byte range of the current value, resolved by `advance`/`seek` so
-    /// `current()` does no offset lookup (see the module docs).
+    /// Byte range of the current value, resolved by `advance` so `current()`
+    /// does no offset lookup (see the module docs).
     start: usize,
     end: usize,
-}
-
-impl MemoryCursor {
-    /// Positions the cursor on value `idx` (which exists).
-    #[inline]
-    fn land_on(&mut self, idx: usize) {
-        (self.start, self.end) = self.flat.range(idx);
-        self.pos = idx + 1;
-    }
 }
 
 impl ValueCursor for MemoryCursor {
@@ -386,27 +377,8 @@ impl ValueCursor for MemoryCursor {
         if self.pos >= self.flat.len() {
             return Ok(false);
         }
-        self.land_on(self.pos);
-        Ok(true)
-    }
-
-    fn seek(&mut self, lower: &[u8]) -> Result<bool> {
-        // Binary search instead of the trait's linear scan, over the
-        // not-yet-produced suffix only, which keeps seek forward-only.
-        let (mut lo, mut hi) = (self.pos, self.flat.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.flat.value(mid) < lower {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo >= self.flat.len() {
-            self.pos = self.flat.len();
-            return Ok(false);
-        }
-        self.land_on(lo);
+        (self.start, self.end) = self.flat.range(self.pos);
+        self.pos += 1;
         Ok(true)
     }
 

@@ -60,10 +60,6 @@ fn main() {
         ("single-pass", Algorithm::SinglePass),
         ("spider", Algorithm::Spider),
         (
-            "spider (4 partitions)",
-            Algorithm::SpiderParallel { threads: 4 },
-        ),
-        (
             "blockwise (64 files)",
             Algorithm::Blockwise { max_open_files: 64 },
         ),

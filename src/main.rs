@@ -4,7 +4,7 @@
 //! spider-ind generate <uniprot|scop|pdb|chains|wide> <dir> [--scale N] [--seed N]
 //!                           [--value-bytes SIZE]
 //! spider-ind profile  <dir>
-//! spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|spiderpar|blockwise]
+//! spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|blockwise]
 //!                           [--threads N] [--max-files N] [--max-pretest] [--names]
 //!                           [--on-disk] [--block-size SIZE] [--memory-budget SIZE]
 //!                           [--workdir DIR] [--max-arity N]
@@ -111,15 +111,15 @@ fn print_usage() {
          \x20     value files far larger than the readers' blocks).\n\
          \x20 spider-ind profile <dir>\n\
          \x20     Per-attribute statistics (rows, distinct, nulls, uniqueness).\n\
-         \x20 spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|spiderpar|blockwise]\n\
+         \x20 spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|blockwise]\n\
          \x20                     [--threads N] [--max-files N] [--max-pretest] [--names]\n\
          \x20                     [--on-disk] [--block-size SIZE] [--memory-budget SIZE]\n\
          \x20                     [--workdir DIR] [--max-arity N]\n\
          \x20                     [--resume [verify]] [--deadline DUR]\n\
          \x20     Discover all satisfied INDs. `--threads` sets the workers\n\
          \x20     that load the tables and extract the value sets, on every\n\
-         \x20     algorithm (default: all cores); for bfpar and spiderpar it\n\
-         \x20     is also the number of merge partitions.\n\
+         \x20     algorithm (default: all cores); for bfpar it is also the\n\
+         \x20     number of merge shards.\n\
          \x20     `--on-disk` runs the paper's actual pipeline over sorted\n\
          \x20     value files (exported under `--workdir`, default a fresh\n\
          \x20     temp dir) read through `--block-size`-byte I/O blocks;\n\
@@ -299,8 +299,7 @@ fn flag_str_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>,
 }
 
 /// `--threads N`: the workers that load tables and extract value sets on
-/// every algorithm, and the merge partitions of `bfpar`/`spiderpar`. Every
-/// core when absent.
+/// every algorithm, and the merge shards of `bfpar`. Every core when absent.
 fn workers_from_args(args: &[String]) -> Result<usize, String> {
     Ok(flag_value(args, "--threads")?
         .map_or_else(spider_ind::storage::default_workers, |n| n.max(1) as usize))
@@ -629,21 +628,19 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn parse_algorithm(args: &[String]) -> Result<Algorithm, String> {
-    let name = args
-        .iter()
-        .position(|a| a == "--algorithm")
-        .and_then(|i| args.get(i + 1))
-        .map_or("spider", String::as_str);
-    let max_files = flag_value(args, "--max-files")?.unwrap_or(512) as usize;
-    let threads = workers_from_args(args)?;
-    match name {
+    let max_files = flag_value(args, "--max-files")?.unwrap_or(512);
+    if max_files < 2 {
+        return Err(format!("--max-files must be at least 2, got {max_files}"));
+    }
+    match flag_str_value(args, "--algorithm")?.unwrap_or("spider") {
         "bf" => Ok(Algorithm::BruteForce),
-        "bfpar" => Ok(Algorithm::BruteForceParallel { threads }),
+        "bfpar" => Ok(Algorithm::BruteForceParallel {
+            threads: workers_from_args(args)?,
+        }),
         "sp" => Ok(Algorithm::SinglePass),
         "spider" => Ok(Algorithm::Spider),
-        "spiderpar" => Ok(Algorithm::SpiderParallel { threads }),
         "blockwise" => Ok(Algorithm::Blockwise {
-            max_open_files: max_files,
+            max_open_files: max_files as usize,
         }),
         other => Err(format!("unknown algorithm `{other}`")),
     }
@@ -727,13 +724,14 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
     let cancel = cancel_token_from_args(args)?;
     let _ambient = spider_ind::valueset::cancel::set_ambient(Some(cancel.clone()));
     let workers = workers_from_args(args)?;
+    let algorithm = parse_algorithm(args)?;
     let db = load_with(dir, workers)?;
     if let Some(max_arity) = flag_value(args, "--max-arity")? {
         if max_arity >= 2 {
             return cmd_discover_nary(&db, args, max_arity as usize, &cancel, resume);
         }
     }
-    let mut config = FinderConfig::with_algorithm(parse_algorithm(args)?);
+    let mut config = FinderConfig::with_algorithm(algorithm);
     if args.iter().any(|a| a == "--max-pretest") {
         config.pretests = PretestConfig::with_max_value();
     }

@@ -25,18 +25,6 @@ fn external_algorithms() -> Vec<(&'static str, Algorithm)> {
         ),
         ("single-pass", Algorithm::SinglePass),
         ("spider", Algorithm::Spider),
-        (
-            "spider-parallel-1",
-            Algorithm::SpiderParallel { threads: 1 },
-        ),
-        (
-            "spider-parallel-2",
-            Algorithm::SpiderParallel { threads: 2 },
-        ),
-        (
-            "spider-parallel-8",
-            Algorithm::SpiderParallel { threads: 8 },
-        ),
         ("blockwise-3", Algorithm::Blockwise { max_open_files: 3 }),
         ("blockwise-17", Algorithm::Blockwise { max_open_files: 17 }),
     ]
@@ -93,52 +81,11 @@ fn all_algorithms_agree_on_pdb() {
 }
 
 #[test]
-fn spider_parallel_agrees_with_every_sequential_algorithm_per_dataset() {
-    // The partitioned runner must be byte-identical to brute force,
-    // single-pass, and sequential SPIDER on all three generated databases,
-    // at one, a few, and many partitions.
-    for db in [
-        generate_uniprot(&BiosqlConfig::tiny()),
-        generate_scop(&ScopConfig::tiny()),
-        generate_pdb(&OpenMmsConfig::tiny()),
-    ] {
-        let references = [
-            ("brute-force", Algorithm::BruteForce),
-            ("single-pass", Algorithm::SinglePass),
-            ("spider", Algorithm::Spider),
-        ];
-        for threads in [1usize, 2, 8] {
-            let par = IndFinder::with_algorithm(Algorithm::SpiderParallel { threads })
-                .discover_in_memory(&db)
-                .expect("spider-parallel discovery");
-            for (name, algorithm) in references.clone() {
-                let seq = IndFinder::with_algorithm(algorithm)
-                    .discover_in_memory(&db)
-                    .expect("sequential discovery");
-                assert_eq!(
-                    par.satisfied,
-                    seq.satisfied,
-                    "spider-parallel({threads}) vs {name} on {}",
-                    db.name()
-                );
-            }
-            assert_eq!(
-                par.metrics.satisfied as usize,
-                par.ind_count(),
-                "{}: satisfied counter must match the result",
-                db.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn spider_parallel_handles_empty_attributes_and_single_partition() {
-    use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
+fn all_algorithms_agree_on_empty_and_constant_columns() {
+    use spider_ind::storage::{ColumnSchema, DataType, Table, TableSchema, Value};
 
     // One table with an all-NULL column (empty value set), a constant
-    // column (degenerate min == max stats force a single partition among
-    // themselves), and a normal key column.
+    // column, and a normal key column.
     let mut db = Database::new("edges");
     let mut parent = Table::new(
         TableSchema::new(
@@ -170,16 +117,7 @@ fn spider_parallel_handles_empty_attributes_and_single_partition() {
     }
     db.add_table(parent).expect("parent");
     db.add_table(child).expect("child");
-
-    let baseline = IndFinder::with_algorithm(Algorithm::BruteForce)
-        .discover_in_memory(&db)
-        .expect("baseline");
-    for threads in [1usize, 2, 8] {
-        let par = IndFinder::with_algorithm(Algorithm::SpiderParallel { threads })
-            .discover_in_memory(&db)
-            .expect("spider-parallel");
-        assert_eq!(par.satisfied, baseline.satisfied, "threads={threads}");
-    }
+    assert_all_agree(&db);
 
     // All-empty database: no candidates at all, still no panic.
     let mut empty_db = Database::new("all-empty");
@@ -188,10 +126,12 @@ fn spider_parallel_handles_empty_attributes_and_single_partition() {
     );
     t.insert(vec![Value::Null]).expect("row");
     empty_db.add_table(t).expect("table");
-    let d = IndFinder::with_algorithm(Algorithm::SpiderParallel { threads: 4 })
-        .discover_in_memory(&empty_db)
-        .expect("empty discovery");
-    assert_eq!(d.ind_count(), 0);
+    for (name, algorithm) in external_algorithms() {
+        let d = IndFinder::with_algorithm(algorithm)
+            .discover_in_memory(&empty_db)
+            .expect("empty discovery");
+        assert_eq!(d.ind_count(), 0, "{name}");
+    }
 }
 
 #[test]
@@ -236,7 +176,7 @@ fn on_disk_discovery_matches_in_memory() {
         Algorithm::BruteForce,
         Algorithm::SinglePass,
         Algorithm::Spider,
-        Algorithm::SpiderParallel { threads: 4 },
+        Algorithm::BruteForceParallel { threads: 4 },
     ] {
         let finder = IndFinder::with_algorithm(algorithm.clone());
         let mem = finder.discover_in_memory(&db).expect("memory");

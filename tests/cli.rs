@@ -79,9 +79,9 @@ fn discover_algorithms_agree_via_cli() {
         .success());
 
     let mut outputs = Vec::new();
-    for algo in ["bf", "sp", "spider", "spiderpar", "blockwise"] {
+    for algo in ["bf", "bfpar", "sp", "spider", "blockwise"] {
         let mut args = vec!["discover", db_path, "--algorithm", algo];
-        if algo == "spiderpar" {
+        if algo == "bfpar" {
             args.extend(["--threads", "3"]);
         }
         let out = spider_ind(&args);
@@ -512,7 +512,7 @@ fn in_memory_trace_names_its_phases_like_the_on_disk_one() {
             "discover",
             db_path,
             "--algorithm",
-            "spiderpar",
+            "spider",
             "--threads",
             threads,
             "--trace-folded",
@@ -799,9 +799,29 @@ fn discover_rejects_unknown_algorithm() {
     assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
         .status
         .success());
-    let out = spider_ind(&["discover", db_path, "--algorithm", "quantum"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+    // A bad algorithm or `--max-files` value, and a value-taking flag with
+    // no value, fail before the database is loaded.
+    let fails_with = |args: &[&str], message: &str| {
+        let out = spider_ind(&[&["discover", db_path][..], args].concat());
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?}: nothing ran");
+    };
+    for name in ["quantum", "spiderpar"] {
+        fails_with(
+            &["--algorithm", name],
+            &format!("unknown algorithm `{name}`"),
+        );
+    }
+    fails_with(&["--algorithm"], "--algorithm requires a value");
+    fails_with(
+        &["--algorithm", "--on-disk"],
+        "--algorithm requires a value",
+    );
+    fails_with(&["--max-files", "1"], "--max-files must be at least 2");
+    let blockwise = ["--algorithm", "blockwise", "--max-files", "0"];
+    fails_with(&blockwise, "--max-files must be at least 2");
 }
 
 #[test]

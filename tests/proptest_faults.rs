@@ -77,7 +77,7 @@ proptest! {
     ) {
         let db = fixture_db();
         let algorithm = if parallel {
-            Algorithm::SpiderParallel { threads: 3 }
+            Algorithm::BruteForceParallel { threads: 3 }
         } else {
             Algorithm::Spider
         };

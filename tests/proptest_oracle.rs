@@ -7,9 +7,8 @@
 
 use proptest::prelude::*;
 use spider_ind::core::{
-    profile_database, run_brute_force, run_single_pass, run_spider, run_spider_parallel, Algorithm,
-    AttributeProfile, Candidate, FinderConfig, IndFinder, PretestConfig, RunMetrics,
-    SamplingConfig,
+    profile_database, run_brute_force, run_single_pass, run_spider, Algorithm, Candidate,
+    FinderConfig, IndFinder, PretestConfig, RunMetrics, SamplingConfig,
 };
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::{
@@ -156,27 +155,6 @@ fn arb_adversarial_sets() -> impl Strategy<Value = Vec<MemoryValueSet>> {
     )
 }
 
-/// Profiles over in-memory sets, as the partitioned runner needs for
-/// boundary selection.
-fn profiles_for_sets(sets: &[MemoryValueSet]) -> Vec<AttributeProfile> {
-    sets.iter()
-        .enumerate()
-        .map(|(id, s)| {
-            let values = s.as_slice();
-            AttributeProfile {
-                id: id as u32,
-                name: QualifiedName::new("t", format!("c{id}")),
-                data_type: DataType::Text,
-                rows: values.len() as u64,
-                non_null: values.len() as u64,
-                distinct: values.len() as u64,
-                min: values.first().map(<[u8]>::to_vec),
-                max: values.last().map(<[u8]>::to_vec),
-            }
-        })
-        .collect()
-}
-
 fn engine_all_pairs(n: u32) -> Vec<Candidate> {
     let mut out = Vec::new();
     for d in 0..n {
@@ -199,8 +177,7 @@ proptest! {
             Algorithm::BruteForce,
             Algorithm::SinglePass,
             Algorithm::Spider,
-            Algorithm::SpiderParallel { threads: 1 },
-            Algorithm::SpiderParallel { threads: 3 },
+            Algorithm::BruteForceParallel { threads: 3 },
             Algorithm::Blockwise { max_open_files: 2 },
         ] {
             let d = IndFinder::with_algorithm(algorithm.clone())
@@ -262,12 +239,9 @@ proptest! {
         // raw byte shapes reach the merge loop unmodified). Every engine
         // must return the brute-force answer byte-identically, on both the
         // all-pairs candidate set and a single-attribute candidate list,
-        // and the rewritten spider must read exactly as many items as the
-        // partitioned runner collapsed to one partition (they share
-        // `spider_pass`, so any divergence is an engine bug).
+        // and two identical runs must report identical I/O counters.
         let n = sets.len() as u32;
         let provider = MemoryProvider::new(sets.clone());
-        let profiles = profiles_for_sets(&sets);
         let total: u64 = sets.iter().map(MemoryValueSet::len).sum();
         let single = vec![Candidate::new(0, 1)];
         for candidates in [engine_all_pairs(n), single] {
@@ -290,19 +264,6 @@ proptest! {
             prop_assert_eq!(m1.items_read, m2.items_read);
             prop_assert_eq!(m1.value_bytes_read, m2.value_bytes_read);
             prop_assert_eq!(m1.comparisons, m2.comparisons);
-            // One-partition spiderpar routes through the same merge engine:
-            // identical result *and* identical I/O.
-            let mut m_par1 = RunMetrics::new();
-            let par1 = run_spider_parallel(&provider, &profiles, &candidates, 1, &mut m_par1)
-                .expect("spiderpar 1");
-            prop_assert_eq!(&par1, &oracle);
-            prop_assert_eq!(m_par1.items_read, m1.items_read);
-            prop_assert_eq!(m_par1.value_bytes_read, m1.value_bytes_read);
-            // Multi-partition runs agree on the result (I/O may differ).
-            let mut m_par3 = RunMetrics::new();
-            let par3 = run_spider_parallel(&provider, &profiles, &candidates, 3, &mut m_par3)
-                .expect("spiderpar 3");
-            prop_assert_eq!(&par3, &oracle);
         }
     }
 

@@ -546,7 +546,7 @@ proptest! {
     #[test]
     fn flat_memory_set_agrees_with_a_sorted_dedup_model(
         raw in proptest::collection::vec(arb_flat_value(), 0..40),
-        steps in proptest::collection::vec((any::<u8>(), arb_flat_value()), 0..24),
+        steps in 0usize..48,
     ) {
         // Model: a plain sorted, deduplicated `Vec<Vec<u8>>` and a count of
         // values produced — what the set was before it went flat.
@@ -571,25 +571,15 @@ proptest! {
         let validated = MemoryValueSet::from_sorted_distinct(model.clone()).expect("sorted");
         prop_assert_eq!(validated.as_slice(), set.as_slice());
 
-        // Any interleaving of advance / seek: below the first value, above
-        // the last, to present and absent values, after partial advances.
+        // Any number of advances, past the end included: position,
+        // remaining count and length track the model at every step.
         let mut cursor = set.cursor();
         let mut produced = 0usize;
-        for (kind, lower) in &steps {
-            let positioned = if kind % 3 == 0 {
-                let ok = cursor.advance().expect("advance");
-                prop_assert_eq!(ok, produced < model.len());
-                produced += usize::from(ok);
-                ok
-            } else {
-                // `seek` is forward-only: it searches what is not yet produced.
-                let hit = model[produced..].iter().position(|v| v >= lower);
-                let ok = cursor.seek(lower).expect("seek");
-                prop_assert_eq!(ok, hit.is_some(), "seek {:?} after {}", lower, produced);
-                produced = hit.map_or(model.len(), |i| produced + i + 1);
-                ok
-            };
-            if positioned {
+        for _ in 0..steps {
+            let ok = cursor.advance().expect("advance");
+            prop_assert_eq!(ok, produced < model.len());
+            produced += usize::from(ok);
+            if ok {
                 prop_assert_eq!(cursor.current(), model[produced - 1].as_slice());
             }
             prop_assert_eq!(cursor.remaining() as usize, model.len() - produced);
@@ -604,7 +594,6 @@ proptest! {
         }
         prop_assert_eq!(&rest[..], &model[produced..]);
         prop_assert!(!cursor.advance().expect("advance at the end"));
-        prop_assert!(!cursor.seek(b"").expect("seek at the end"));
         prop_assert_eq!(cursor.remaining(), 0);
     }
 
@@ -815,37 +804,6 @@ proptest! {
         )
         .expect("open");
         prop_assert_eq!(collect_cursor(reader).expect("read"), values);
-    }
-
-    #[test]
-    fn seek_agrees_with_scan_at_arbitrary_block_sizes(
-        raw in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 1..24),
-        lower in proptest::collection::vec(any::<u8>(), 0..48),
-        read_block in 1usize..64,
-    ) {
-        let mut values = raw;
-        values.sort_unstable();
-        values.dedup();
-        let dir = TempDir::new("prop-vf-seek");
-        let path = dir.join("x.indv");
-        let mut w = ValueFileWriter::create(&path).expect("create");
-        for v in &values {
-            w.append(v).expect("append");
-        }
-        w.finish().expect("finish");
-
-        let options = IoOptions::with_block_size(read_block);
-        let mut seeker = ValueFileReader::open_with_options(&path, &options).expect("open");
-        let found = seeker.seek(&lower).expect("seek");
-        let expected_idx = values.iter().position(|v| v.as_slice() >= lower.as_slice());
-        prop_assert_eq!(found, expected_idx.is_some(), "lower={:?}", lower);
-        if let Some(idx) = expected_idx {
-            prop_assert_eq!(seeker.current(), values[idx].as_slice());
-            // The rest of the stream must continue exactly from there.
-            let mut rest = vec![values[idx].clone()];
-            rest.extend(collect_cursor(seeker).expect("drain"));
-            prop_assert_eq!(&rest[..], &values[idx..]);
-        }
     }
 
     #[test]
