@@ -46,10 +46,10 @@
 //!   at tiny memory budgets (the configured `--memory-budget` becomes its
 //!   own `arena_budget` row when non-default). An `export_checksum` row
 //!   rides along: one arena export pass plus a full checksummed read-back
-//!   of every emitted value file — the self-verifying round trip. All of
+//!   of every emitted value stream — the self-verifying round trip. All of
 //!   these are one worker. Since schema v8 two more rows time the export
 //!   as the library runs it (`ExportedDatabase::export`: work-stealing
-//!   workers, group commit, manifest): `export_serial` on one worker and
+//!   workers, segments, manifest): `export_serial` on one worker and
 //!   `export_parallel` on every core, whose ratio is
 //!   `speedup_export_parallel_vs_serial` (the parallel row is skipped, and
 //!   the ratio says so, on a one-core host).
@@ -85,8 +85,8 @@ use ind_datagen::{
 use ind_testkit::TempDir;
 use ind_trace::json::{parse, Json};
 use ind_valueset::{
-    extract_with_sorter, ExportOptions, ExportedDatabase, ExternalSorter, IoOptions, SortOptions,
-    SortStats, StagedBatch, ValueCursor, ValueFileReader, DEFAULT_BLOCK_SIZE,
+    extract_with_sorter, ExportOptions, ExportedDatabase, Extent, ExternalSorter, IoOptions,
+    SegmentWriter, SortOptions, SortStats, ValueCursor, ValueFileReader, DEFAULT_BLOCK_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -382,7 +382,7 @@ impl ExportResult {
         }
     }
 
-    /// The library's whole export (workers, group commit, manifest) on
+    /// The library's whole export (workers, segments, manifest) on
     /// every core against the same export on one worker; `None` on a
     /// one-core host, where the parallel row is skipped.
     fn speedup_export_parallel_vs_serial(&self) -> Option<f64> {
@@ -493,9 +493,9 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
 }
 
 /// The crash-and-resume row (schema v7): a cold export, the same export
-/// interrupted at its midpoint attribute by a torn-write fault, and the
-/// resume run that finishes the job from the durable manifest — reusing
-/// the first half instead of re-sorting it.
+/// killed at its last batch's commit, and the resume run that finishes the
+/// job from the durable manifest — reusing the batches committed before
+/// the crash instead of re-sorting them.
 struct ResumeResult {
     dataset: &'static str,
     attributes: usize,
@@ -506,17 +506,25 @@ struct ResumeResult {
     resumed_wall_ms: f64,
 }
 
-fn bench_resume(scale: usize, memory_budget: usize) -> Result<ResumeResult, String> {
-    use ind_valueset::{FaultPlan, ResumeMode};
+/// The resume row's input is sized from `BATCH_MAX_BYTES`, not from
+/// `--scale`: batches commit by bytes, so only an export of several
+/// batches has committed work for a crash to spare. Two batches' worth of
+/// 4 KiB payloads put `blob_store` (key, payload) in the first batch and
+/// `blob_ref` (key, note) in the second.
+fn bench_resume(memory_budget: usize) -> Result<ResumeResult, String> {
+    use ind_valueset::{FaultPlan, ResumeMode, BATCH_MAX_BYTES};
     use std::sync::Arc;
 
-    let db = generate_uniprot(&BiosqlConfig {
-        bioentries: scale * 8,
-        ..Default::default()
+    let db = generate_wide(&WideConfig {
+        rows: (2 * BATCH_MAX_BYTES / 4096) as usize,
+        value_bytes: 4096,
+        seed: 42,
     });
-    // Serial export: attributes publish in id order, so a fault on the
-    // midpoint attribute's first write leaves exactly the first half
-    // durable (value file renamed into place, manifest entry fsynced).
+    // Serial export: streams are written in id order and segments are
+    // named in commit order, so a crash at the last segment's rename (it
+    // counts as a write of its `.tmp`) leaves every earlier batch durable
+    // (segment renamed into place, manifest entries fsynced) and the last
+    // one an orphan stage for the resume to sweep.
     let options = |resume: ResumeMode| {
         let mut o = ExportOptions::with_threads(1).resume(resume);
         o.sort.memory_budget_bytes = memory_budget;
@@ -535,28 +543,19 @@ fn bench_resume(scale: usize, memory_budget: usize) -> Result<ResumeResult, Stri
         cold_wall_ms = cold_wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
         attributes = cold.attributes().len();
 
+        let segment = |i: usize| cold.attributes()[i].path.file().file_name();
+        let (first, last) = (segment(0), segment(attributes - 1));
+        let Some(last) = last.filter(|_| first != last) else {
+            return Err("[resume] the export no longer spans two batches".into());
+        };
         let dir = TempDir::new("bench-resume");
-        // Crash where at least half the attributes AND half the pushed
-        // values are already durable — attribute sizes are skewed, so a
-        // count-only midpoint could leave nearly all the work to redo and
-        // the resumed-cheaper-than-cold gate would measure nothing. The
-        // sort cost scales with non-null occurrences (what gets pushed
-        // and spilled), not with the distinct-only final file size.
-        let sizes: Vec<u64> = cold.attributes().iter().map(|a| a.non_null).collect();
-        let total: u64 = sizes.iter().sum();
-        let mut crash_id = attributes / 2;
-        let mut prefix: u64 = sizes[..crash_id].iter().sum();
-        while crash_id + 1 < attributes && prefix * 2 < total {
-            prefix += sizes[crash_id];
-            crash_id += 1;
-        }
         let mut faulted = options(ResumeMode::Off);
         faulted.sort.io = IoOptions::default().with_fault(Arc::new(
-            FaultPlan::parse(&format!("write:attr-{crash_id:05}:crash=1"))
+            FaultPlan::parse(&format!("write:{}.tmp:crash=1", last.to_string_lossy()))
                 .map_err(|e| e.to_string())?,
         ));
         if ExportedDatabase::export(&db, dir.path(), &faulted).is_ok() {
-            return Err("[resume] the midpoint crash fault never fired".into());
+            return Err("[resume] the last-batch crash fault never fired".into());
         }
         let start = Instant::now();
         let resumed = ExportedDatabase::export(&db, dir.path(), &options(ResumeMode::Reuse))
@@ -568,12 +567,13 @@ fn bench_resume(scale: usize, memory_budget: usize) -> Result<ResumeResult, Stri
         orphans = resumed.orphans_swept();
     }
     println!(
-        "[resume] biosql scale={scale}: {attributes} attributes, reused={reused} \
+        "[resume] wide rows={}: {attributes} attributes, reused={reused} \
          redone={redone} orphans={orphans}, cold {cold_wall_ms:.2} ms vs resumed \
-         {resumed_wall_ms:.2} ms"
+         {resumed_wall_ms:.2} ms",
+        db.total_rows()
     );
     Ok(ResumeResult {
-        dataset: "biosql",
+        dataset: "wide",
         attributes,
         exports_reused: reused,
         exports_redone: redone,
@@ -823,7 +823,7 @@ const BUDGET_SWEEP: [usize; 3] = [256, 4096, 64 * 1024];
 
 /// Measures the export phase (extract → sort → spill → merge → write, every
 /// attribute of `db`) through the frozen legacy sorter shape and the arena
-/// sorter, verifying byte-identical value files before timing anything.
+/// sorter, verifying byte-identical value streams before timing anything.
 fn bench_export(
     name: &'static str,
     db: &ind_storage::Database,
@@ -841,98 +841,120 @@ fn bench_export(
         .flat_map(|t| t.iter_columns().map(|(_, _, column)| column))
         .collect();
 
-    // Output paths are preformatted outside the measured region, exactly
-    // like the export manager's job list.
+    // Output paths (legacy files) and stream names (arena segments) are
+    // preformatted outside the measured region.
     type Paths = Vec<std::path::PathBuf>;
     let paths_under = |out: &std::path::Path| -> Paths {
         (0..columns.len())
             .map(|i| out.join(format!("attr-{i:05}.indv")))
             .collect()
     };
+    let names: Vec<String> = (0..columns.len()).map(|i| format!("attr-{i:05}")).collect();
+    // What a pass leaves: each attribute's sort stats and where its stream
+    // lies.
+    type Written = Vec<(SortStats, Extent)>;
 
     // One full export pass through the arena sorter: one sorter reused for
-    // every attribute and one group commit per batch of staged files (the
-    // export manager's shape, minus the manifest).
-    let arena_pass =
-        |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Vec<SortStats>, String> {
-            let mut sorter =
-                ExternalSorter::new(&out.join("spill"), SortOptions::with_memory_budget(budget))
-                    .map_err(|e| e.to_string())?;
-            let mut stats = Vec::with_capacity(columns.len());
-            let mut batch = StagedBatch::new();
-            for (column, path) in cells.iter().zip(paths) {
-                let (stat, staged) =
-                    extract_with_sorter(column, path, &mut sorter).map_err(|e| e.to_string())?;
-                stats.push(stat);
-                batch.push(staged, ());
-                if batch.is_full() {
-                    batch.publish_all(out, None).map_err(|e| e.to_string())?;
+    // every attribute, its streams written back to back into segments of
+    // `BATCH_MAX_BYTES`, each published by one group commit (the export
+    // manager's shape, minus the manifest).
+    let arena_pass = |budget: usize, out: &std::path::Path, _: &Paths| -> Result<Written, String> {
+        let err = |e: ind_valueset::ValueSetError| e.to_string();
+        let mut sorter =
+            ExternalSorter::new(&out.join("spill"), SortOptions::with_memory_budget(budget))
+                .map_err(err)?;
+        let io = sorter.options().io.clone();
+        let mut written = Vec::with_capacity(columns.len());
+        let mut segment: Option<SegmentWriter> = None;
+        let mut segments = 0;
+        for (column, name) in cells.iter().zip(&names) {
+            let open = match segment.take() {
+                Some(open) => open,
+                None => {
+                    segments += 1;
+                    let path = out.join(format!("seg-00-{:04}.indv", segments - 1));
+                    SegmentWriter::create(&path, &io).map_err(err)?
+                }
+            };
+            let open = segment.insert(open);
+            let mut writer = open.stream(Some(name));
+            let stat = extract_with_sorter(column, &mut sorter, &mut writer).map_err(err)?;
+            written.push((stat, open.seal(writer).map_err(err)?));
+            if open.is_full() {
+                if let Some(full) = segment.take() {
+                    full.publish().map_err(err)?;
                 }
             }
-            batch.publish_all(out, None).map_err(|e| e.to_string())?;
-            Ok(stats)
-        };
+        }
+        if let Some(last) = segment {
+            last.publish().map_err(err)?;
+        }
+        Ok(written)
+    };
     // One full export pass through the frozen legacy shape: a fresh sorter
-    // and a scratch render buffer per attribute, one heap vector per value.
+    // and a scratch render buffer per attribute, one heap vector per value,
+    // one plain file per attribute.
     let legacy_pass =
-        |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Vec<SortStats>, String> {
-            let mut stats = Vec::with_capacity(columns.len());
+        |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Written, String> {
+            let mut written = Vec::with_capacity(columns.len());
             for (column, path) in columns.iter().zip(paths) {
-                stats.push(
-                    legacy_extract_to_file(
-                        column,
-                        path,
-                        &out.join("spill"),
-                        SortOptions::with_memory_budget(budget),
-                    )
-                    .map_err(|e| e.to_string())?,
-                );
+                let stat = legacy_extract_to_file(
+                    column,
+                    path,
+                    &out.join("spill"),
+                    SortOptions::with_memory_budget(budget),
+                )
+                .map_err(|e| e.to_string())?;
+                written.push((stat, Extent::from(path)));
             }
-            Ok(stats)
+            Ok(written)
         };
+    // The bytes of a stream `len` bytes long at `extent`.
+    let stream_bytes = |extent: &Extent, len: u64| -> Result<Vec<u8>, String> {
+        let file = std::fs::read(extent.file()).map_err(|e| e.to_string())?;
+        let start = extent.offset() as usize;
+        file.get(start..start + len as usize)
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| format!("{} ends before its stream", extent.display()))
+    };
 
     // Reference output: arena sorter, fully in-memory. Every other
-    // configuration must reproduce these files byte for byte.
+    // configuration must reproduce these streams byte for byte.
     let ref_dir = dir.join("reference");
     std::fs::create_dir_all(&ref_dir).map_err(|e| e.to_string())?;
-    let ref_paths = paths_under(&ref_dir);
-    let reference = arena_pass(SortOptions::DEFAULT_MEMORY_BUDGET, &ref_dir, &ref_paths)?;
-    let export_bytes: u64 = reference.iter().map(|s| s.file_bytes).sum();
-    let pushed: u64 = reference.iter().map(|s| s.pushed).sum();
+    let reference = arena_pass(SortOptions::DEFAULT_MEMORY_BUDGET, &ref_dir, &Vec::new())?;
+    let export_bytes: u64 = reference.iter().map(|(s, _)| s.file_bytes).sum();
+    let pushed: u64 = reference.iter().map(|(s, _)| s.pushed).sum();
 
-    let assert_agrees =
-        |config: &str, got: &[SortStats], out: &std::path::Path| -> Result<(), String> {
-            if got.len() != reference.len() {
+    let assert_agrees = |config: &str, got: &Written| -> Result<(), String> {
+        if got.len() != reference.len() {
+            return Err(format!(
+                "[{name}] export {config}: attribute count diverged"
+            ));
+        }
+        for (i, ((g, g_at), (r, r_at))) in got.iter().zip(&reference).enumerate() {
+            if (g.pushed, g.distinct, g.file_bytes, &g.min, &g.max)
+                != (r.pushed, r.distinct, r.file_bytes, &r.min, &r.max)
+            {
                 return Err(format!(
-                    "[{name}] export {config}: attribute count diverged"
+                    "[{name}] export {config}: attribute {i} stats diverged \
+                 (pushed={} distinct={} bytes={} vs pushed={} distinct={} bytes={})",
+                    g.pushed, g.distinct, g.file_bytes, r.pushed, r.distinct, r.file_bytes
                 ));
             }
-            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                if (g.pushed, g.distinct, g.file_bytes, &g.min, &g.max)
-                    != (r.pushed, r.distinct, r.file_bytes, &r.min, &r.max)
-                {
-                    return Err(format!(
-                        "[{name}] export {config}: attribute {i} stats diverged \
-                     (pushed={} distinct={} bytes={} vs pushed={} distinct={} bytes={})",
-                        g.pushed, g.distinct, g.file_bytes, r.pushed, r.distinct, r.file_bytes
-                    ));
-                }
-                let file = format!("attr-{i:05}.indv");
-                let got_bytes = std::fs::read(out.join(&file)).map_err(|e| e.to_string())?;
-                let ref_bytes = std::fs::read(ref_dir.join(&file)).map_err(|e| e.to_string())?;
-                if got_bytes != ref_bytes {
-                    return Err(format!(
-                        "[{name}] export {config}: attribute {i} value file diverged"
-                    ));
-                }
+            if stream_bytes(g_at, g.file_bytes)? != stream_bytes(r_at, r.file_bytes)? {
+                return Err(format!(
+                    "[{name}] export {config}: attribute {i} value stream diverged"
+                ));
             }
-            Ok(())
-        };
+        }
+        Ok(())
+    };
 
     // Measures one configuration: verify against the reference first, then
     // best-of-N wall clock with minimum allocation count (the counts are
     // deterministic; the minimum shrugs off allocator noise).
-    type Pass<'a> = &'a dyn Fn(usize, &std::path::Path, &Paths) -> Result<Vec<SortStats>, String>;
+    type Pass<'a> = &'a dyn Fn(usize, &std::path::Path, &Paths) -> Result<Written, String>;
     let measure = |config: &'static str,
                    budget: usize,
                    pass: Pass<'_>|
@@ -940,8 +962,9 @@ fn bench_export(
         let out = dir.join(config);
         std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
         let paths = paths_under(&out);
-        let stats = pass(budget, &out, &paths)?; // warm-up + verification pass
-        assert_agrees(config, &stats, &out)?;
+        let written = pass(budget, &out, &paths)?; // warm-up + verification pass
+        assert_agrees(config, &written)?;
+        let stats: Vec<SortStats> = written.into_iter().map(|(s, _)| s).collect();
         let mut best_ms = f64::INFINITY;
         let mut best_delta = AllocDelta {
             calls: u64::MAX,
@@ -952,7 +975,7 @@ fn bench_export(
             let start = Instant::now();
             let (out_stats, delta) = measure_allocs(|| pass(budget, &out, &paths));
             let wall = start.elapsed().as_secs_f64() * 1e3;
-            last = out_stats?;
+            last = out_stats?.into_iter().map(|(s, _)| s).collect();
             best_ms = best_ms.min(wall);
             if delta.calls < best_delta.calls {
                 best_delta = delta;
@@ -987,17 +1010,15 @@ fn bench_export(
     // delta over the plain arena row is the cost of proving an export
     // landed intact.
     {
-        let checksum_pass = |budget: usize,
-                             out: &std::path::Path,
-                             paths: &Paths|
-         -> Result<Vec<SortStats>, String> {
-            let stats = arena_pass(budget, out, paths)?;
-            for path in paths {
-                let mut reader = ValueFileReader::open(path).map_err(|e| e.to_string())?;
-                while reader.advance().map_err(|e| e.to_string())? {}
-            }
-            Ok(stats)
-        };
+        let checksum_pass =
+            |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Written, String> {
+                let written = arena_pass(budget, out, paths)?;
+                for (_, extent) in &written {
+                    let mut reader = ValueFileReader::open(extent).map_err(|e| e.to_string())?;
+                    while reader.advance().map_err(|e| e.to_string())? {}
+                }
+                Ok(written)
+            };
         let (wall_ms, delta, stats) = measure(
             "export_checksum",
             SortOptions::DEFAULT_MEMORY_BUDGET,
@@ -1020,8 +1041,8 @@ fn bench_export(
     }
 
     // The export as the library runs it — `ExportedDatabase::export`:
-    // work-stealing workers, group commit, manifest — on one worker and
-    // on every core. Same files as the reference, byte for byte, at both.
+    // work-stealing workers, segments, manifest — on one worker and on
+    // every core. Same streams as the reference, byte for byte, at both.
     let workers = ind_storage::default_workers();
     let mut host_speedup = 1.0;
     for (label, threads) in [("export_parallel", workers), ("export_serial", 1)] {
@@ -1034,7 +1055,7 @@ fn bench_export(
             println!("[{name}] host: two spinning threads run {host_speedup:.2}x one");
         }
         let manager_pass =
-            |budget: usize, out: &std::path::Path, _: &Paths| -> Result<Vec<SortStats>, String> {
+            |budget: usize, out: &std::path::Path, _: &Paths| -> Result<Written, String> {
                 let options = ExportOptions {
                     threads,
                     ..ExportOptions::with_memory_budget(budget)
@@ -1044,18 +1065,21 @@ fn bench_export(
                 Ok(export
                     .attributes()
                     .iter()
-                    .map(|a| SortStats {
-                        pushed: a.non_null,
-                        distinct: a.distinct,
-                        runs: 0,
-                        file_bytes: a.file_bytes,
-                        arena_bytes: 0,
-                        arena_grows: 0,
-                        key_compares: 0,
-                        memcmp_compares: 0,
-                        min: a.min.clone(),
-                        max: a.max.clone(),
-                        source_hash: 0,
+                    .map(|a| {
+                        let stats = SortStats {
+                            pushed: a.non_null,
+                            distinct: a.distinct,
+                            runs: 0,
+                            file_bytes: a.file_bytes,
+                            arena_bytes: 0,
+                            arena_grows: 0,
+                            key_compares: 0,
+                            memcmp_compares: 0,
+                            min: a.min.clone(),
+                            max: a.max.clone(),
+                            source_hash: 0,
+                        };
+                        (stats, a.path.clone())
                     })
                     .collect())
             };
@@ -1533,7 +1557,7 @@ fn run() -> Result<(), String> {
         bench_dataset("wide", &wide, block_size, memory_budget)?,
     ];
     let nary = bench_nary(scale)?;
-    let resume = bench_resume(scale, memory_budget)?;
+    let resume = bench_resume(memory_budget)?;
 
     for d in &datasets {
         if let Some(speedup) = d.speedup_spider_vs_legacy() {
@@ -1854,14 +1878,15 @@ fn run() -> Result<(), String> {
                 level2.generated, level2.enumerable
             ));
         }
-        // Resume gates (schema v7): the midpoint crash must leave at
+        // Resume gates (schema v7): the last-batch crash must leave at
         // least half the exports reusable, every attribute must be
-        // accounted for, and the torn `.tmp` must be swept. The two wall
-        // times are recorded but not compared: both are bound by fsync
-        // latency, which belongs to the disk.
+        // accounted for, and the unpublished segment's `.tmp` must be
+        // swept. The
+        // two wall times are recorded but not compared: both are bound by
+        // fsync latency, which belongs to the disk.
         if resume.exports_reused < resume.attributes as u64 / 2 {
             return Err(format!(
-                "[resume] only {} of {} exports were reused after the midpoint crash — \
+                "[resume] only {} of {} exports were reused after the last-batch crash — \
                  the manifest is no longer preserving published work",
                 resume.exports_reused, resume.attributes
             ));
@@ -1873,7 +1898,7 @@ fn run() -> Result<(), String> {
             ));
         }
         if resume.orphans_swept == 0 {
-            return Err("[resume] the torn staged file was never swept".into());
+            return Err("[resume] the unpublished segment stage was never swept".into());
         }
         println!(
             "[check ok: JSON valid, zero-allocation property holds, block reads amortised, \

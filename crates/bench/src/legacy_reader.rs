@@ -25,9 +25,11 @@
 //!   8 KiB buffer, counted by wrapping the `File`. The syscall-for-syscall
 //!   comparison.
 
-use ind_valueset::{ExportedDatabase, Result, ValueCursor, ValueSetError, ValueSetProvider};
-use std::io::{BufReader, Read};
-use std::path::{Path, PathBuf};
+use ind_valueset::{
+    ExportedDatabase, Extent, Result, ValueCursor, ValueSetError, ValueSetProvider,
+};
+use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -153,10 +155,12 @@ fn corrupt(context: String, detail: String) -> ValueSetError {
 }
 
 impl LegacyValueFileReader {
-    /// Opens `path`, recording I/O into `counters`.
-    pub fn open(path: &Path, counters: &LegacyReadCounters) -> Result<Self> {
-        let context = || path.display().to_string();
-        let file = std::fs::File::open(path)?;
+    /// Opens the stream at `extent` (its own descriptor, positioned at the
+    /// stream's first byte), recording I/O into `counters`.
+    pub fn open(extent: &Extent, counters: &LegacyReadCounters) -> Result<Self> {
+        let context = || extent.display().to_string();
+        let mut file = std::fs::File::open(extent.file())?;
+        file.seek(SeekFrom::Start(extent.offset()))?;
         let mut input = BufReader::new(CountingFile {
             file,
             os_reads: Arc::clone(&counters.os_reads),
@@ -197,7 +201,7 @@ impl LegacyValueFileReader {
                 crc_pending: false,
                 done: false,
             },
-            path: path.to_path_buf(),
+            path: extent.label().to_path_buf(),
             total: u64::from_le_bytes(c),
             produced: 0,
             current: Vec::new(),
@@ -240,15 +244,15 @@ impl ValueCursor for LegacyValueFileReader {
     }
 }
 
-/// A [`ValueSetProvider`] over an existing export's value files, opening
+/// A [`ValueSetProvider`] over an existing export's value streams, opening
 /// every cursor through the frozen legacy reader.
 pub struct LegacyDiskProvider {
-    paths: Vec<PathBuf>,
+    paths: Vec<Extent>,
     counters: LegacyReadCounters,
 }
 
 impl LegacyDiskProvider {
-    /// Reads the same files as `export`, through the legacy reader shape.
+    /// Reads the same streams as `export`, through the legacy reader shape.
     pub fn new(export: &ExportedDatabase) -> Self {
         LegacyDiskProvider {
             paths: export.attributes().iter().map(|a| a.path.clone()).collect(),

@@ -88,8 +88,8 @@ pub const BLOCK_PASS: SpanId = SpanId(9);
 pub const LEVEL: SpanId = SpanId(10);
 /// The resume sweep: orphan cleanup plus manifest-vs-footer validation.
 pub const RESUME_SCAN: SpanId = SpanId(11);
-/// One group commit of the export: fsync each staged value file, rename
-/// each, one directory fsync, one manifest publish; `arg` = files.
+/// One group commit of the export: fsync one segment, rename it, one
+/// directory fsync, one manifest publish; `arg` = streams in the segment.
 pub const PUBLISH: SpanId = SpanId(12);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

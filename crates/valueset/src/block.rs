@@ -19,6 +19,9 @@
 //! * opening is one `malloc` of `min(block_size, file_size)` — never
 //!   zero-initialised, never an mmap-churning full-block arena per cursor —
 //!   with the file size taken from a caller-provided hint when available;
+//! * a reader reads one *stream* of a descriptor with positional reads
+//!   from the stream's offset on, so every cursor into a segment
+//!   ([`crate::SegmentWriter`]) shares that segment's one descriptor;
 //! * every read issued against the OS is counted, locally
 //!   ([`BlockReader::read_calls`]) and into an optional shared
 //!   [`ReadStats`], so harnesses can report syscall trajectories
@@ -176,8 +179,9 @@ impl ReadStats {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// Physical file descriptors opened for value data: one per
-    /// [`BlockReader`] constructed.
+    /// Physical file descriptors opened for value data: one per value
+    /// file a reader opens on its own, one per *segment* of an export
+    /// (every cursor into a segment shares its descriptor).
     pub fn file_opens(&self) -> u64 {
         self.file_opens.load(Ordering::Relaxed)
     }
@@ -210,7 +214,7 @@ impl ReadStats {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn bump_file_open(&self) {
+    pub(crate) fn bump_file_open(&self) {
         self.file_opens.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -233,11 +237,11 @@ impl ReadStats {
 /// hand out `current()` slices pointing straight into the block.
 ///
 /// Opening a cursor costs one `malloc`, nothing more: the buffer capacity
-/// is the block size capped at the file's byte size (so hundreds of small
+/// is the block size capped at the stream's byte size (so hundreds of small
 /// attribute cursors do not each drag in a 256 KiB arena — a measured
 /// regression, not a theoretical one), the cap comes from a caller-supplied
-/// size hint when available (the export manager records file sizes at write
-/// time) with one `fstat` as the fallback, and fills append through
+/// size hint when available (the export manager records stream sizes at
+/// write time) with one `fstat` as the fallback, and fills append through
 /// [`Read::take`] + `read_to_end` into reserved capacity, so the buffer is
 /// never zero-initialised.
 #[derive(Debug)]
@@ -262,65 +266,33 @@ impl BlockReader {
     /// Syscalls are counted locally and, when given, into `stats`.
     pub fn new(file: File, options: &IoOptions, stats: Option<ReadStats>) -> Self {
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(u64::MAX);
-        Self::with_size_hint(file, options, stats, file_len)
-    }
-
-    /// [`BlockReader::new`] with the file's byte size supplied by the
-    /// caller, skipping the `fstat`. Correctness never depends on the
-    /// hint, but it should be accurate: a hint that undershoots the real
-    /// size caps this reader's block capacity for its whole lifetime, so a
-    /// wildly low hint degrades a large file to tiny fills and routes
-    /// big records through the growing path.
-    pub fn with_size_hint(
-        file: File,
-        options: &IoOptions,
-        stats: Option<ReadStats>,
-        file_len: u64,
-    ) -> Self {
         // Anonymous descriptors carry no path: fault rules only reach them
         // via a `*` matcher, and error annotation degrades gracefully.
-        Self::from_file(file, Path::new(""), options, stats, file_len)
+        Self::over(Arc::new(file), Path::new(""), 0, options, stats, file_len)
     }
 
-    /// Opens `path` through the fault layer (so an `open:` rule of
-    /// [`IoOptions::fault`] can refuse it) and wraps it like
-    /// [`BlockReader::with_size_hint`], taking the size from `file_len` or
-    /// one `stat` of the path.
-    pub fn open_path(
-        path: &Path,
+    /// The one constructor body: reads the stream labelled `label` that
+    /// starts at byte `offset` of the (possibly shared) `file` and is about
+    /// `len` bytes long, stacking the fault wrapper and the v2 frame decoder
+    /// on it. `len` only sizes the block — correctness never depends on it,
+    /// but a hint that undershoots caps this reader's block capacity for its
+    /// whole lifetime.
+    pub(crate) fn over(
+        file: Arc<File>,
+        label: &Path,
+        offset: u64,
         options: &IoOptions,
         stats: Option<ReadStats>,
-        file_len: Option<u64>,
-    ) -> std::io::Result<Self> {
-        crate::fault::check_open(path, options.fault.as_ref())?;
-        let file = crate::fault::open_file(path)?;
-        let file_len = match file_len {
-            Some(len) => len,
-            None => std::fs::metadata(path).map(|m| m.len()).unwrap_or(u64::MAX),
-        };
-        Ok(Self::from_file(file, path, options, stats, file_len))
-    }
-
-    /// The one constructor body: counts the open, sizes the block, and
-    /// stacks the fault wrapper and the v2 frame decoder on `file`.
-    fn from_file(
-        file: File,
-        path: &Path,
-        options: &IoOptions,
-        stats: Option<ReadStats>,
-        file_len: u64,
+        len: u64,
     ) -> Self {
         // lint: allow(hot_alloc) — once per open: attached stats fall back to the options' handle
         let stats = stats.or_else(|| options.stats.clone());
-        if let Some(stats) = &stats {
-            stats.bump_file_open();
-        }
-        let capacity = usize::try_from(file_len)
+        let capacity = usize::try_from(len)
             .unwrap_or(usize::MAX)
             .clamp(MIN_BLOCK_SIZE, options.effective_block_size());
         let stream = crate::frame::FrameStream::new(
             // lint: allow(hot_alloc) — once per open: the wrapper clones the shared plan and counter handles
-            crate::fault::FaultFile::new(file, path, options.fault.clone(), stats.clone()),
+            crate::fault::FaultFile::new(file, label, offset, options.fault.clone(), stats.clone()),
             options.verify_checksums,
             // lint: allow(hot_alloc) — once per open: the decoder owns its counter handle
             stats.clone(),

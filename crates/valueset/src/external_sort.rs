@@ -1090,9 +1090,8 @@ mod tests {
         );
         let mut sorter = ExternalSorter::new(&dir.join("spill"), SortOptions::default()).unwrap();
         let mut extract = |name: &str| {
-            crate::extract_with_sorter(&column, &dir.join(name), &mut sorter)
-                .unwrap()
-                .0
+            let mut writer = ValueFileWriter::create(&dir.join(name)).unwrap();
+            crate::extract_with_sorter(&column, &mut sorter, &mut writer).unwrap()
         };
         let first = extract("d.indv");
         let second = extract("e.indv");

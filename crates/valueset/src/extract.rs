@@ -9,14 +9,16 @@
 //! loop over a column's cells for it) records where each non-NULL cell lies,
 //! the index is sorted and deduplicated over the column's own bytes, and the
 //! sorted distinct slices are drained straight into their sink — a value
-//! file ([`extract_with_sorter`]) or a flat in-memory set
+//! stream ([`extract_with_sorter`]) or a flat in-memory set
 //! ([`extract_memory_columns`]). No cell is copied before its sink.
 
+use crate::block::IoOptions;
 use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
-use crate::format::{tmp_path, StagedBatch, StagedFile, ValueFileWriter};
+use crate::format::ValueFileWriter;
 use crate::manifest::ColumnHasher;
 use crate::memory::{MemorySetBuilder, MemoryValueSet};
+use crate::segment::SegmentWriter;
 use crate::tuple::encode_tuple_into;
 use ind_storage::Column;
 use std::path::Path;
@@ -177,17 +179,20 @@ pub fn extract_composite_memory_set(columns: &[&Column]) -> MemoryValueSet {
     builder.finish()
 }
 
-/// Publishes one staged file on its own — a batch of one, for the
-/// standalone extraction entry points.
-fn publish_alone(staged: StagedFile, options: &SortOptions) -> Result<()> {
-    let dir = match staged.path().parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => parent.to_path_buf(),
-        _ => ".".into(),
-    };
-    let mut batch = StagedBatch::new();
-    batch.push(staged, ());
-    batch.publish_all(&dir, options.io.fault.as_ref())?;
-    Ok(())
+/// Writes one stream through `fill` and publishes it atomically as the
+/// value file `path`: a segment holding that one stream, so the standalone
+/// entry points publish exactly the way the export does.
+fn publish_alone(
+    path: &Path,
+    io: &IoOptions,
+    fill: impl FnOnce(&mut ValueFileWriter) -> Result<SortStats>,
+) -> Result<SortStats> {
+    let mut segment = SegmentWriter::create(path, io)?;
+    let mut writer = segment.stream(None);
+    let stats = fill(&mut writer)?;
+    segment.seal(writer)?;
+    segment.publish()?;
+    Ok(stats)
 }
 
 /// Extracts a column group into a composite value file at `path` via the
@@ -201,40 +206,38 @@ pub fn extract_composite_to_file(
     options: SortOptions,
 ) -> Result<SortStats> {
     let mut sorter = ExternalSorter::new(spill_dir, options)?;
-    let (stats, staged) = extract_composite_with_sorter(columns, path, &mut sorter)?;
-    publish_alone(staged, sorter.options())?;
-    Ok(stats)
+    // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
+    let io = sorter.options().io.clone();
+    publish_alone(path, &io, |writer| {
+        extract_composite_with_sorter(columns, &mut sorter, writer)
+    })
 }
 
 /// [`extract_composite_to_file`] through a caller-owned sorter, so one warm
-/// arena serves a whole level of composite streams, **staged, not
-/// published**: the file is complete under `<path>.tmp` and the caller
-/// publishes the returned [`StagedFile`] with its batch. Tuples are encoded
-/// **directly into the arena** ([`ExternalSorter::push_with`]): components
-/// are read where the columns store them and escaped straight into their
-/// final resting place — no scratch buffer, no per-row tuple vector.
+/// arena serves a whole level of composite streams, into a caller-owned
+/// writer — typically one stream of a segment, published with its batch.
+/// Tuples are encoded **directly into the arena**
+/// ([`ExternalSorter::push_with`]): components are read where the columns
+/// store them and escaped straight into their final resting place — no
+/// scratch buffer, no per-row tuple vector. The writer is left unsealed.
 pub fn extract_composite_with_sorter(
     columns: &[&Column],
-    path: &Path,
     sorter: &mut ExternalSorter,
-) -> Result<(SortStats, StagedFile)> {
+    writer: &mut ValueFileWriter,
+) -> Result<SortStats> {
     assert!(!columns.is_empty() && columns.len() <= MAX_COMPOSITE_ARITY);
     let rows = columns[0].len();
     debug_assert!(
         columns.iter().all(|c| c.len() == rows),
         "ragged column group"
     );
-    // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
-    let io = sorter.options().io.clone();
     for row in 0..rows {
         let Some(components) = components(columns, row) else {
             continue;
         };
         sorter.push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))?;
     }
-    let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
-    let stats = sorter.finish_into(&mut writer)?;
-    Ok((stats, writer.finish_staged(path)?))
+    sorter.finish_into(writer)
 }
 
 /// Extracts a column into a value file at `path` via the external sorter,
@@ -247,32 +250,31 @@ pub fn extract_to_file(
     options: SortOptions,
 ) -> Result<SortStats> {
     let mut sorter = ExternalSorter::new(spill_dir, options)?;
-    let (stats, staged) = extract_with_sorter(column, path, &mut sorter)?;
-    publish_alone(staged, sorter.options())?;
-    Ok(stats)
+    // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
+    let io = sorter.options().io.clone();
+    publish_alone(path, &io, |writer| {
+        extract_with_sorter(column, &mut sorter, writer)
+    })
 }
 
 /// [`extract_to_file`] through a caller-owned sorter, so one warm index
-/// serves a whole export, **staged, not published**: the file is complete
-/// under `<path>.tmp` — an interrupted extraction leaves a `.tmp` orphan,
-/// never a half-written file under the final name — and the caller
-/// publishes the returned [`StagedFile`] with its batch. No cell is copied
-/// or rendered: the pass that feeds the column's content hash
-/// ([`SortStats::source_hash`]) records one index entry per non-NULL cell
-/// pointing into the column's own buffer, the sorter permutes that index
-/// and the sorted distinct slices go straight to the writer. The sorter's
-/// budget therefore charges 16 bytes per non-NULL row, and a column spills
-/// only when that index alone outgrows it
-/// ([`SortOptions::memory_budget_bytes`]). After the first attribute the
+/// serves a whole export, into a caller-owned writer — typically one stream
+/// of a segment, so an interrupted extraction leaves nothing a reader or
+/// the manifest can see until its batch is published. The writer is left
+/// unsealed. No cell is copied or rendered: the pass that feeds the
+/// column's content hash ([`SortStats::source_hash`]) records one index
+/// entry per non-NULL cell pointing into the column's own buffer, the
+/// sorter permutes that index and the sorted distinct slices go straight
+/// to the writer. The sorter's budget therefore charges 16 bytes per
+/// non-NULL row, and a column spills only when that index alone outgrows
+/// it ([`SortOptions::memory_budget_bytes`]). After the first attribute the
 /// steady-state cost of another column (of at most as many rows) is zero
 /// sorter allocations.
 pub fn extract_with_sorter(
     column: &Column,
-    path: &Path,
     sorter: &mut ExternalSorter,
-) -> Result<(SortStats, StagedFile)> {
-    // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
-    let io = sorter.options().io.clone();
+    writer: &mut ValueFileWriter,
+) -> Result<SortStats> {
     let mut hash = ColumnHasher::new();
     let mut sort = sorter.resident(column.bytes(), column.len());
     index_cells(
@@ -280,10 +282,9 @@ pub fn extract_with_sorter(
         |cell| hash.cell(cell),
         |offset, cell| sort.record(offset, cell),
     )?;
-    let mut writer = ValueFileWriter::create_with_options(&tmp_path(path), &io)?;
-    let mut stats = sort.finish_into(&mut writer)?;
+    let mut stats = sort.finish_into(writer)?;
     stats.source_hash = hash.finish();
-    Ok((stats, writer.finish_staged(path)?))
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -367,8 +368,8 @@ mod tests {
         ];
         let mut hashes = Vec::new();
         for (i, col) in columns.iter().enumerate() {
-            let path = dir.join(&format!("c{i}.indv"));
-            let (stats, _staged) = extract_with_sorter(col, &path, &mut sorter).unwrap();
+            let mut writer = ValueFileWriter::create(&dir.join(&format!("c{i}.indv"))).unwrap();
+            let stats = extract_with_sorter(col, &mut sorter, &mut writer).unwrap();
             assert_eq!(stats.source_hash, hash_column(col), "column {i}");
             // A run per four entries the index had to make room for.
             assert_eq!(stats.runs, (stats.pushed as usize).saturating_sub(1) / 4);

@@ -4,8 +4,15 @@
 //! file*, *which fault, how often* — attached to [`crate::IoOptions`] and
 //! consulted by the one place all physical I/O flows through: the
 //! [`FaultFile`] read wrapper beneath [`crate::BlockReader`], the
-//! `write_all`/open helpers used by [`crate::ValueFileWriter`] and the
-//! spill writer, and the open path of every reader. Because every value
+//! `write_all_at`/open helpers used by [`crate::ValueFileWriter`] and the
+//! spill writer, and the open path of every reader.
+//!
+//! Rules match a stream's *label*, not only its file: a stream inside a
+//! segment is labelled `seg-00-0003.indv[attr-00001]` ([`crate::Extent`]),
+//! and the byte offsets of its read rules count from the stream's first
+//! byte. So `read:attr-00001:flip=40` flips byte 40 of attribute 1's stream
+//! wherever it lies, and `fsync:attr-00001:fail` fails the fsync of the
+//! segment that holds it. Because every value
 //! file is read through the same wrapper, a plan injected at the bottom
 //! exercises the error arms of the whole stack — block reader, frame and
 //! format decoders, external-sort merge, discovery merge — on the
@@ -26,7 +33,7 @@
 //! ```
 //!
 //! * `op` — `read`, `write`, `open`, or `fsync`.
-//! * `match` — a substring of the file path; `*` matches every file, and a
+//! * `match` — a substring of the label; `*` matches every file, and a
 //!   trailing `$` anchors the substring at the end of the path (`workdir$`
 //!   matches the directory's own fsync but none of the files inside it).
 //! * `kind` — `eintr` (read/write), `short` (read), `truncate=N` (read:
@@ -35,13 +42,14 @@
 //!   `fail` (open/fsync), `crash=N` (write: the Nth matching write tears
 //!   mid-buffer and every later matching write, fsync or rename fails —
 //!   the process-visible shape of dying mid-export; a publishing rename
-//!   counts as one matching write, so sweeping N also dies *between* two
-//!   renames of one group commit).
+//!   counts as one matching write, so sweeping N also dies between a
+//!   segment's rename and the manifest publish that names it).
 //! * an optional `@count` fires the rule that many times (default once;
 //!   `truncate` is persistent).
 
 use std::io;
-use std::path::Path;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -320,19 +328,26 @@ impl FaultPlan {
         WriteCheck::Proceed
     }
 
-    /// Consulted before an `fsync`; `Some(e)` fails it. A latched
-    /// `crash=N` rule also kills matching fsyncs — after a crash nothing
-    /// on that path reaches the disk.
-    pub(crate) fn before_fsync(&self, path: &Path) -> Option<io::Error> {
+    /// Consulted before an `fsync` of `path`, which holds the streams
+    /// labelled `streams`; `Some(e)` fails it. A rule matches the file or
+    /// any stream in it. A latched `crash=N` rule also kills matching
+    /// fsyncs — after a crash nothing on that path reaches the disk.
+    pub(crate) fn before_fsync(&self, path: &Path, streams: &[PathBuf]) -> Option<io::Error> {
+        let names = || std::iter::once(path).chain(streams.iter().map(PathBuf::as_path));
         for rule in &self.rules {
             match rule.kind {
-                FaultKind::FailOp if rule.matches(FaultOp::Fsync, path) && rule.take() => {
+                FaultKind::FailOp
+                    if rule.op == FaultOp::Fsync
+                        && names().any(|name| rule.matches_path(name))
+                        && rule.take() =>
+                {
                     // lint: allow(hot_alloc) — cold fault path
                     self.note(format!("fsync:fail:{}", path.display()));
                     return Some(io::Error::other("injected fsync failure"));
                 }
                 FaultKind::Crash
-                    if rule.matches_path(path) && rule.crashed.load(Ordering::Relaxed) =>
+                    if rule.crashed.load(Ordering::Relaxed)
+                        && names().any(|name| rule.matches_path(name)) =>
                 {
                     return Some(crash_error());
                 }
@@ -536,17 +551,18 @@ pub(crate) fn create_file(path: &Path) -> io::Result<std::fs::File> {
     std::fs::File::create(path).map_err(|e| annotate(path, e))
 }
 
-/// A retrying, fault-checked `write_all`: injected or real `Interrupted`
-/// is retried in place (counted into [`ReadStats::io_retries`]); every
-/// other failure comes back annotated with the path.
-pub(crate) fn write_all(
-    file: &mut std::fs::File,
+/// A retrying, fault-checked positional `write_all` of `bytes` at byte
+/// `offset` of `file`: injected or real `Interrupted` is retried in place
+/// (counted into [`ReadStats::io_retries`]); every other failure comes back
+/// annotated with `path`, the label of the stream being written.
+pub(crate) fn write_all_at(
+    file: &std::fs::File,
     bytes: &[u8],
+    offset: u64,
     path: &Path,
     plan: Option<&Arc<FaultPlan>>,
     stats: Option<&ReadStats>,
 ) -> io::Result<()> {
-    use std::io::Write;
     loop {
         if let Some(plan) = plan {
             match plan.before_write(path, bytes.len()) {
@@ -562,27 +578,32 @@ pub(crate) fn write_all(
                     // The crash IS the outcome: whatever the torn prefix
                     // does on disk is what a real mid-write death leaves.
                     // lint: allow(swallowed_result) — best-effort torn prefix; the injected crash error below is the result under test
-                    let _ = file.write_all(&bytes[..torn]);
+                    let _ = file.write_all_at(&bytes[..torn], offset);
                     return Err(annotate(path, crash_error()));
                 }
             }
         }
-        // `write_all` itself already loops over real EINTRs; it cannot
+        // `write_all_at` itself already loops over real EINTRs; it cannot
         // surface `Interrupted`, so no outer retry arm is needed here.
-        return file.write_all(bytes).map_err(|e| annotate(path, e));
+        return file
+            .write_all_at(bytes, offset)
+            .map_err(|e| annotate(path, e));
     }
 }
 
-/// A fault-checked `File::sync_all`: the durability half of atomic
-/// publication. An `fsync:fail` rule (or a latched `crash=N`) fails it;
-/// otherwise the real fsync runs and its error comes back annotated.
+/// A fault-checked `File::sync_all` of `path`, which holds the streams
+/// labelled `streams` (none for a file that is not a segment): the
+/// durability half of atomic publication. An `fsync:fail` rule naming the
+/// file or any of its streams (or a latched `crash=N`) fails it; otherwise
+/// the real fsync runs and its error comes back annotated.
 pub(crate) fn sync_all(
     file: &std::fs::File,
     path: &Path,
+    streams: &[PathBuf],
     plan: Option<&Arc<FaultPlan>>,
 ) -> io::Result<()> {
     if let Some(plan) = plan {
-        if let Some(e) = plan.before_fsync(path) {
+        if let Some(e) = plan.before_fsync(path, streams) {
             return Err(annotate(path, e));
         }
     }
@@ -594,7 +615,7 @@ pub(crate) fn sync_all(
 /// the same `fsync` fault rules as file syncs.
 pub(crate) fn sync_dir(dir: &Path, plan: Option<&Arc<FaultPlan>>) -> io::Result<()> {
     if let Some(plan) = plan {
-        if let Some(e) = plan.before_fsync(dir) {
+        if let Some(e) = plan.before_fsync(dir, &[]) {
             return Err(annotate(dir, e));
         }
     }
@@ -615,13 +636,17 @@ pub(crate) fn rename(from: &Path, to: &Path, plan: Option<&Arc<FaultPlan>>) -> i
 }
 
 /// The retrying read wrapper every [`crate::BlockReader`] byte flows
-/// through: owns the physical descriptor, consults the plan on each read,
-/// retries `Interrupted` in place, applies bit flips, and annotates
-/// errors with the path.
+/// through: reads one stream of a (possibly shared) descriptor with
+/// positional reads from `base` on, consults the plan on each read with
+/// stream-relative offsets, retries `Interrupted` in place, applies bit
+/// flips, and annotates errors with the stream's label.
 #[derive(Debug)]
 pub(crate) struct FaultFile {
-    inner: std::fs::File,
-    path: std::path::PathBuf,
+    inner: Arc<std::fs::File>,
+    path: PathBuf,
+    /// Where the stream starts in `inner`.
+    base: u64,
+    /// Bytes of the stream read so far.
     pos: u64,
     plan: Option<Arc<FaultPlan>>,
     stats: Option<ReadStats>,
@@ -629,14 +654,16 @@ pub(crate) struct FaultFile {
 
 impl FaultFile {
     pub(crate) fn new(
-        inner: std::fs::File,
+        inner: Arc<std::fs::File>,
         path: &Path,
+        base: u64,
         plan: Option<Arc<FaultPlan>>,
         stats: Option<ReadStats>,
     ) -> FaultFile {
         FaultFile {
             inner,
             path: path.to_path_buf(),
+            base,
             pos: 0,
             plan,
             stats,
@@ -681,7 +708,7 @@ impl io::Read for FaultFile {
                     }
                 }
             }
-            match self.inner.read(&mut out[..want]) {
+            match self.inner.read_at(&mut out[..want], self.base + self.pos) {
                 Ok(n) => {
                     if let Some(plan) = &self.plan {
                         plan.after_read(&self.path, self.pos, &mut out[..n]);
@@ -716,7 +743,8 @@ mod tests {
         let dir = ind_testkit::TempDir::new("fault-file");
         let path = dir.join("data.bin");
         std::fs::write(&path, data).unwrap();
-        FaultFile::new(std::fs::File::open(&path).unwrap(), &path, plan, stats)
+        let file = Arc::new(std::fs::File::open(&path).unwrap());
+        FaultFile::new(file, &path, 0, plan, stats)
     }
 
     #[test]
@@ -792,6 +820,41 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_inside_a_file_reads_from_its_base_with_relative_fault_offsets() {
+        // Two streams back to back in one file, as a segment holds them:
+        // the second is read from its base, and `flip=2` lands on ITS
+        // third byte, matched by its label, not on the file's.
+        let dir = ind_testkit::TempDir::new("fault-extent");
+        let path = dir.join("seg.indv");
+        std::fs::write(&path, b"aaaaabbbbb").unwrap();
+        let file = Arc::new(std::fs::File::open(&path).unwrap());
+        let p = plan("read:[second]:flip=2");
+        let mut first = FaultFile::new(
+            Arc::clone(&file),
+            &dir.join("seg.indv[first]"),
+            0,
+            Some(p.clone()),
+            None,
+        );
+        let mut out = [0u8; 5];
+        first.read_exact(&mut out).unwrap();
+        assert_eq!(&out, b"aaaaa", "the rule names the other stream");
+        let mut second = FaultFile::new(
+            file,
+            &dir.join("seg.indv[second]"),
+            5,
+            Some(p.clone()),
+            None,
+        );
+        let mut out = Vec::new();
+        second.read_to_end(&mut out).unwrap();
+        assert_eq!(out.len(), 5, "read to the end of the file");
+        let diffs: Vec<usize> = (0..5).filter(|&i| out[i] != b'b').collect();
+        assert_eq!(diffs, vec![2], "byte 2 of the stream, not of the file");
+        assert!(p.fired()[0].contains("seg.indv[second]"), "{:?}", p.fired());
+    }
+
+    #[test]
     fn seeds_pick_different_bits_deterministically() {
         let read = |seed: u64| {
             let p = Arc::new(FaultPlan::parse("read:*:flip=0").unwrap().with_seed(seed));
@@ -824,9 +887,9 @@ mod tests {
     fn enospc_fails_the_write_with_the_real_errno() {
         let dir = ind_testkit::TempDir::new("fault-write");
         let path = dir.join("out.bin");
-        let mut file = std::fs::File::create(&path).unwrap();
+        let file = std::fs::File::create(&path).unwrap();
         let p = plan("write:out:enospc");
-        let e = write_all(&mut file, b"abc", &path, Some(&p), None).unwrap_err();
+        let e = write_all_at(&file, b"abc", 0, &path, Some(&p), None).unwrap_err();
         // Path annotation wraps the raw errno, but the kind survives.
         assert_eq!(e.kind(), io::Error::from_raw_os_error(28).kind(), "ENOSPC");
         assert!(e.to_string().contains("out.bin"));
@@ -835,17 +898,17 @@ mod tests {
             "the OS error text survives annotation: {e}"
         );
         // The budgeted rule is spent: the next write succeeds.
-        write_all(&mut file, b"abc", &path, Some(&p), None).unwrap();
+        write_all_at(&file, b"abc", 0, &path, Some(&p), None).unwrap();
     }
 
     #[test]
     fn write_eintr_is_retried_and_counted() {
         let dir = ind_testkit::TempDir::new("fault-write-eintr");
         let path = dir.join("out.bin");
-        let mut file = std::fs::File::create(&path).unwrap();
+        let file = std::fs::File::create(&path).unwrap();
         let stats = ReadStats::new();
         let p = plan("write:*:eintr@2");
-        write_all(&mut file, b"abc", &path, Some(&p), Some(&stats)).unwrap();
+        write_all_at(&file, b"abc", 0, &path, Some(&p), Some(&stats)).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"abc");
         assert_eq!(stats.io_retries(), 2);
     }
@@ -854,18 +917,18 @@ mod tests {
     fn crash_tears_the_nth_write_and_kills_the_path() {
         let dir = ind_testkit::TempDir::new("fault-crash");
         let path = dir.join("out.tmp");
-        let mut file = std::fs::File::create(&path).unwrap();
+        let file = std::fs::File::create(&path).unwrap();
         let p = plan("write:out:crash=3");
-        write_all(&mut file, b"aaaa", &path, Some(&p), None).unwrap();
-        write_all(&mut file, b"bbbb", &path, Some(&p), None).unwrap();
-        let e = write_all(&mut file, b"cccc", &path, Some(&p), None).unwrap_err();
+        write_all_at(&file, b"aaaa", 0, &path, Some(&p), None).unwrap();
+        write_all_at(&file, b"bbbb", 4, &path, Some(&p), None).unwrap();
+        let e = write_all_at(&file, b"cccc", 8, &path, Some(&p), None).unwrap_err();
         assert!(e.to_string().contains("injected crash"), "{e}");
         // The third write tore mid-buffer: half of it reached the file.
         assert_eq!(std::fs::read(&path).unwrap(), b"aaaabbbbcc");
         // The path is dead: writes and fsyncs both fail from here on.
-        let e = write_all(&mut file, b"dddd", &path, Some(&p), None).unwrap_err();
+        let e = write_all_at(&file, b"dddd", 10, &path, Some(&p), None).unwrap_err();
         assert!(e.to_string().contains("injected crash"));
-        let e = sync_all(&file, &path, Some(&p)).unwrap_err();
+        let e = sync_all(&file, &path, &[], Some(&p)).unwrap_err();
         assert!(e.to_string().contains("injected crash"));
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -877,18 +940,18 @@ mod tests {
         assert!(path.exists(), "a dead process renames nothing");
         // Unrelated paths are untouched.
         let other = dir.join("other.bin");
-        let mut other_file = std::fs::File::create(&other).unwrap();
-        write_all(&mut other_file, b"ok", &other, Some(&p), None).unwrap();
+        let other_file = std::fs::File::create(&other).unwrap();
+        write_all_at(&other_file, b"ok", 0, &other, Some(&p), None).unwrap();
     }
 
     #[test]
     fn a_rename_counts_as_one_write_of_a_crash_rule() {
         let dir = ind_testkit::TempDir::new("fault-rename");
         let (a, b) = (dir.join("a.tmp"), dir.join("b.tmp"));
-        let mut file = std::fs::File::create(&a).unwrap();
+        let file = std::fs::File::create(&a).unwrap();
         std::fs::write(&b, b"b").unwrap();
         let p = plan("write:*:crash=3");
-        write_all(&mut file, b"a", &a, Some(&p), None).unwrap();
+        write_all_at(&file, b"a", 0, &a, Some(&p), None).unwrap();
         rename(&a, &dir.join("a"), Some(&p)).unwrap();
         // The third matching op is b's rename: the crash lands between
         // the two renames.
@@ -904,10 +967,21 @@ mod tests {
         let path = dir.join("out.bin");
         let file = std::fs::File::create(&path).unwrap();
         let p = plan("fsync:out:fail");
-        let e = sync_all(&file, &path, Some(&p)).unwrap_err();
+        let e = sync_all(&file, &path, &[], Some(&p)).unwrap_err();
         assert!(e.to_string().contains("injected fsync failure"), "{e}");
         assert!(e.to_string().contains("out.bin"));
-        sync_all(&file, &path, Some(&p)).unwrap();
+        sync_all(&file, &path, &[], Some(&p)).unwrap();
+        // A rule naming a stream fails the fsync of the file holding it,
+        // once, and the error names the file.
+        let p = plan("fsync:attr-00001:fail");
+        let streams = [
+            dir.join("out.bin[attr-00000]"),
+            dir.join("out.bin[attr-00001]"),
+        ];
+        sync_all(&file, &path, &streams[..1], Some(&p)).unwrap();
+        let e = sync_all(&file, &path, &streams, Some(&p)).unwrap_err();
+        assert!(e.to_string().contains("out.bin:"), "{e}");
+        sync_all(&file, &path, &streams, Some(&p)).unwrap();
         // Directory syncs consult the same rules.
         let p = plan("fsync:fault-fsync:fail");
         assert!(sync_dir(dir.path(), Some(&p)).is_err());
@@ -919,7 +993,7 @@ mod tests {
         let inside = sub.join("in.bin");
         let file = std::fs::File::create(&inside).unwrap();
         let p = plan("fsync:wd$:fail");
-        sync_all(&file, &inside, Some(&p)).unwrap();
+        sync_all(&file, &inside, &[], Some(&p)).unwrap();
         assert!(sync_dir(&sub, Some(&p)).is_err());
     }
 

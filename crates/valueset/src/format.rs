@@ -1,6 +1,10 @@
 //! On-disk format for sorted distinct value sets.
 //!
-//! One file per attribute. The *logical* stream:
+//! One *stream* per attribute. A stream is a value file on its own (spill
+//! runs, probes, [`crate::extract_to_file`]) or one extent of a segment
+//! ([`crate::SegmentWriter`]): an export writes the streams of a batch back
+//! to back into one file, each byte for byte what it would be alone. The
+//! *logical* stream:
 //!
 //! ```text
 //! magic   4 bytes  b"INDV"
@@ -9,17 +13,18 @@
 //! entry*  u32 LE length + raw bytes, in strictly increasing byte order
 //! ```
 //!
-//! Version 2 — the only version written or read — makes the file
+//! Version 2 — the only version written or read — makes the stream
 //! **self-verifying**: the header gains a CRC32C
 //! over its first 16 bytes, the entry stream is carried inside
-//! checksummed 4 KiB frames, and a footer seals the file with the record
-//! count, payload byte count, and a whole-file checksum (see
+//! checksummed 4 KiB frames, and a footer seals the stream with the record
+//! count, payload byte count, and a whole-stream checksum (see
 //! [`crate::frame`] for the exact physical layout). The frame layer is
 //! transparent to this module's reader: a decoding [`std::io::Read`]
 //! adapter beneath the block layer verifies and strips the framing, so a
 //! flipped bit or torn write surfaces as [`ValueSetError::Corrupt`] with
 //! frame-precise context *before* the damaged byte can reach a cursor —
-//! never as a silently wrong answer.
+//! never as a silently wrong answer. The footer also ends the stream: a
+//! reader of one extent never reads into the next.
 //!
 //! The count header lets readers answer "does a next value exist" without
 //! lookahead — exactly what Algorithm 2's `wantNextValue` needs. Writers
@@ -27,8 +32,8 @@
 //! rely on it.
 //!
 //! All I/O goes through the block layer ([`crate::block`]): the writer
-//! stages records into frames and flushes block-sized `write_all`s; the
-//! reader fills a block at a time and parses records **in place**, so
+//! stages records into frames and flushes block-sized positional writes;
+//! the reader fills a block at a time and parses records **in place**, so
 //! [`ValueFileReader::current`] is always a zero-copy slice into the block
 //! (a value larger than the block grows it once rather than being copied
 //! out). Steady-state reads perform no heap allocation and one bulk read
@@ -43,7 +48,9 @@ use crate::frame::{
     v2_overhead, FOOTER_BODY_LEN, FOOTER_MAGIC, FOOTER_SENTINEL, FRAME_LEN_PREFIX, FRAME_PAYLOAD,
     V2_HEADER_LEN, V2_VERSION,
 };
-use std::io::{Seek, SeekFrom};
+use crate::segment::Extent;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -54,190 +61,43 @@ pub(crate) const HEADER_LEN: usize = 16;
 /// Length-prefix bytes per record.
 const LEN_PREFIX: usize = 4;
 
-/// Streaming writer for a value file (format v2). Values must arrive
+/// Streaming writer for a value stream (format v2). Values must arrive
 /// sorted and duplicate-free; [`ValueFileWriter::finish`] appends the
 /// checksummed footer and patches the count header.
 ///
 /// Records are staged into 4 KiB frames; each completed frame is sealed
 /// with its CRC32C and appended to an in-memory block that is flushed
-/// with one `write_all` per [`IoOptions::block_size`] bytes. Each record
+/// with one positional write per [`IoOptions::block_size`] bytes, at the
+/// stream's own offset — so a segment's streams are written with the very
+/// code, and into the very bytes, of standalone files. Each record
 /// still costs two `memcpy`s into the staging buffers (length prefix +
 /// body), the checksum is one table-driven pass per byte, and the syscall
-/// count stays proportional to file size / block size. All writes go
+/// count stays proportional to stream size / block size. All writes go
 /// through the fault-injectable retrying wrapper ([`crate::fault`]), so
 /// an `ENOSPC` or interrupted write is exercised — and, for transients,
 /// healed — at exactly one place.
 pub struct ValueFileWriter {
-    file: std::fs::File,
+    file: Arc<File>,
+    /// Where the stream starts in `file`, and its label.
+    extent: Extent,
+    /// Physical bytes of the stream flushed so far.
+    flushed: u64,
     /// Physical staging: header, then sealed frames, flushed per block.
     block: Vec<u8>,
     /// Logical staging: the current (unsealed) frame's payload.
     frame: Vec<u8>,
     block_size: usize,
-    path: PathBuf,
     count: u64,
     /// Logical payload bytes staged so far (length prefixes + bodies).
     payload: u64,
     last: Option<Vec<u8>>,
     write_calls: u64,
     /// Running CRC over the sealed frames' CRC words (the footer's
-    /// whole-file checksum).
+    /// whole-stream checksum).
     crc_chain: Crc32c,
     fault: Option<Arc<crate::fault::FaultPlan>>,
     stats: Option<ReadStats>,
     cancel: Option<crate::cancel::CancelToken>,
-}
-
-/// The staging name of an atomically-published value file: `<path>.tmp`.
-/// A file under its final name is always complete; anything ending in
-/// `.tmp` is a torn leftover the resume sweep may delete.
-pub(crate) fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".tmp");
-    PathBuf::from(name)
-}
-
-/// A [`StagedBatch`] commits once it holds this many staged file bytes, so
-/// a column larger than this always commits alone and a long export keeps
-/// per-file progress …
-pub const BATCH_MAX_BYTES: u64 = 8 << 20;
-/// … or this many files. Concurrent export workers split this cap between
-/// them ([`StagedBatch::for_worker`]), so an export holds at most
-/// `BATCH_MAX_FILES` descriptors on staged files at any worker count up to
-/// this one (one per worker beyond it).
-pub const BATCH_MAX_FILES: usize = 64;
-
-/// A finished value file still under its `.tmp` name
-/// ([`ValueFileWriter::finish_staged`]): every byte written and the header
-/// patched, but not yet fsynced or renamed. It holds the open descriptor,
-/// never the contents. Readers and the manifest cannot see it until its
-/// [`StagedBatch`] is published; dropped instead, it leaves a `.tmp`
-/// orphan — garbage by construction, deleted by the resume sweep.
-#[must_use = "a staged file is invisible until its batch is published"]
-#[derive(Debug)]
-pub struct StagedFile {
-    file: std::fs::File,
-    tmp: PathBuf,
-    path: PathBuf,
-    file_bytes: u64,
-}
-
-impl StagedFile {
-    /// The final name the file is published under.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Staged value files of one directory, each with a caller payload (its
-/// metadata), published together by **one durability barrier**:
-/// [`StagedBatch::publish`].
-#[derive(Debug)]
-pub struct StagedBatch<T> {
-    staged: Vec<(StagedFile, T)>,
-    bytes: u64,
-    max_files: usize,
-}
-
-impl<T> Default for StagedBatch<T> {
-    fn default() -> Self {
-        Self::for_worker(1)
-    }
-}
-
-impl<T> StagedBatch<T> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty batch for one of `workers` concurrent stagers of the same
-    /// export: its file cap is this worker's share of [`BATCH_MAX_FILES`],
-    /// so the staged files of all workers together — and with them the
-    /// commit cadence per exported file — stay what one worker's are.
-    pub fn for_worker(workers: usize) -> Self {
-        StagedBatch {
-            staged: Vec::new(),
-            bytes: 0,
-            max_files: (BATCH_MAX_FILES / workers.max(1)).max(1),
-        }
-    }
-
-    /// Adds one staged file and its payload.
-    pub fn push(&mut self, file: StagedFile, payload: T) {
-        self.bytes += file.file_bytes;
-        self.staged.push((file, payload));
-    }
-
-    /// Staged files not yet published.
-    pub fn len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
-    /// True once the batch has reached [`BATCH_MAX_BYTES`] or its share of
-    /// [`BATCH_MAX_FILES`] and must be published before staging more.
-    pub fn is_full(&self) -> bool {
-        self.bytes >= BATCH_MAX_BYTES || self.staged.len() >= self.max_files
-    }
-
-    /// The group commit, emptying the batch: fsync every staged file,
-    /// rename each one whose fsync succeeded to its final name, then fsync
-    /// `dir` **once**. The per-file invariants are those of one-at-a-time
-    /// publication — a file under its final name was fsynced before its
-    /// rename, and once this returns `Ok` every rename is durable — only
-    /// the barrier is shared. Everything goes through [`crate::fault`].
-    ///
-    /// Returns the payloads of the published files, in staging order, and
-    /// those of files whose own fsync or rename failed (each with its
-    /// error; the file stays a `.tmp` orphan and costs its siblings
-    /// nothing). `Err` means the directory fsync failed: no rename of this
-    /// batch is known durable, so none may be recorded in a manifest.
-    #[allow(clippy::type_complexity)]
-    pub fn publish(
-        &mut self,
-        dir: &Path,
-        fault: Option<&Arc<crate::fault::FaultPlan>>,
-    ) -> Result<(Vec<T>, Vec<(T, ValueSetError)>)> {
-        self.bytes = 0;
-        let mut synced = Vec::with_capacity(self.staged.len());
-        let mut failed = Vec::new();
-        for (file, payload) in self.staged.drain(..) {
-            match crate::fault::sync_all(&file.file, &file.tmp, fault) {
-                Ok(()) => synced.push((file, payload)),
-                Err(e) => failed.push((payload, e.into())),
-            }
-        }
-        let mut published = Vec::with_capacity(synced.len());
-        for (file, payload) in synced {
-            match crate::fault::rename(&file.tmp, &file.path, fault) {
-                Ok(()) => published.push(payload),
-                Err(e) => failed.push((payload, e.into())),
-            }
-        }
-        if !published.is_empty() {
-            crate::fault::sync_dir(dir, fault)?;
-        }
-        Ok((published, failed))
-    }
-
-    /// [`StagedBatch::publish`] for callers with no use for a partial
-    /// batch: the first per-file failure is the error.
-    pub fn publish_all(
-        &mut self,
-        dir: &Path,
-        fault: Option<&Arc<crate::fault::FaultPlan>>,
-    ) -> Result<Vec<T>> {
-        let (published, failed) = self.publish(dir, fault)?;
-        match failed.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(published),
-        }
-    }
 }
 
 impl ValueFileWriter {
@@ -251,6 +111,12 @@ impl ValueFileWriter {
     pub fn create_with_options(path: &Path, options: &IoOptions) -> Result<Self> {
         crate::fault::check_open(path, options.fault.as_ref())?;
         let file = crate::fault::create_file(path)?;
+        Ok(Self::at(Arc::new(file), Extent::from(path), options))
+    }
+
+    /// A writer of the stream starting at `extent` inside `file` — how
+    /// [`crate::SegmentWriter::stream`] opens the next stream of a segment.
+    pub(crate) fn at(file: Arc<File>, extent: Extent, options: &IoOptions) -> Self {
         let block_size = options.effective_block_size();
         let mut block = Vec::with_capacity(block_size.max(V2_HEADER_LEN));
         block.extend_from_slice(MAGIC);
@@ -258,12 +124,13 @@ impl ValueFileWriter {
         block.extend_from_slice(&0u64.to_le_bytes());
         let header_crc = crc32c(&block);
         block.extend_from_slice(&header_crc.to_le_bytes());
-        Ok(ValueFileWriter {
+        ValueFileWriter {
             file,
+            extent,
+            flushed: 0,
             block,
             frame: Vec::with_capacity(FRAME_PAYLOAD),
             block_size,
-            path: path.to_path_buf(),
             count: 0,
             payload: 0,
             last: None,
@@ -272,7 +139,11 @@ impl ValueFileWriter {
             fault: options.fault.clone(),
             stats: options.stats.clone(),
             cancel: options.cancel.clone(),
-        })
+        }
+    }
+
+    fn context(&self) -> String {
+        self.extent.display().to_string()
     }
 
     /// Appends one value; rejects values that are not strictly greater than
@@ -281,12 +152,12 @@ impl ValueFileWriter {
         if let Some(last) = &self.last {
             if value <= last.as_slice() {
                 return Err(ValueSetError::Unsorted {
-                    context: self.path.display().to_string(),
+                    context: self.context(),
                 });
             }
         }
         let len = u32::try_from(value.len()).map_err(|_| ValueSetError::Corrupt {
-            context: self.path.display().to_string(),
+            context: self.context(),
             detail: "value longer than u32::MAX bytes".into(),
         })?;
         ind_trace::RECORD_LEN_BYTES.record(value.len() as u64);
@@ -347,14 +218,16 @@ impl ValueFileWriter {
             cancel.check("export")?;
         }
         if !self.block.is_empty() {
-            crate::fault::write_all(
-                &mut self.file,
+            crate::fault::write_all_at(
+                &self.file,
                 &self.block,
-                &self.path,
+                self.extent.offset() + self.flushed,
+                self.extent.label(),
                 self.fault.as_ref(),
                 self.stats.as_ref(),
             )?;
             self.write_calls += 1;
+            self.flushed += self.block.len() as u64;
             self.block.clear();
         }
         Ok(())
@@ -365,7 +238,7 @@ impl ValueFileWriter {
         self.count
     }
 
-    /// Total file size in bytes once finished: header, framed records
+    /// Total stream size in bytes once finished: header, framed records
     /// staged so far (flushed or not), and footer. Recorded by the export
     /// manager so readers can size their block buffers without an `fstat`.
     pub fn bytes_written(&self) -> u64 {
@@ -388,7 +261,8 @@ impl ValueFileWriter {
             .extend_from_slice(&self.crc_chain.finish().to_le_bytes());
         self.block.extend_from_slice(FOOTER_MAGIC);
         self.flush_block()?;
-        // Patch count + header CRC in one 12-byte write at offset 8.
+        // Patch count + header CRC in one 12-byte write at the stream's
+        // byte 8.
         let mut head = [0u8; HEADER_LEN];
         head[..4].copy_from_slice(MAGIC);
         head[4..8].copy_from_slice(&V2_VERSION.to_le_bytes());
@@ -396,13 +270,11 @@ impl ValueFileWriter {
         let mut patch = [0u8; 12];
         patch[..8].copy_from_slice(&self.count.to_le_bytes());
         patch[8..].copy_from_slice(&crc32c(&head).to_le_bytes());
-        self.file
-            .seek(SeekFrom::Start(8))
-            .map_err(|e| ValueSetError::Io(crate::fault::annotate(&self.path, e)))?;
-        crate::fault::write_all(
-            &mut self.file,
+        crate::fault::write_all_at(
+            &self.file,
             &patch,
-            &self.path,
+            self.extent.offset() + 8,
+            self.extent.label(),
             self.fault.as_ref(),
             self.stats.as_ref(),
         )?;
@@ -411,68 +283,59 @@ impl ValueFileWriter {
 
     /// Finishes a plain (scratch) file in place and returns the final
     /// count. No durability is promised: spill runs and probe files are
-    /// re-creatable, and a file meant to survive a crash goes through
-    /// [`ValueFileWriter::finish_staged`] instead.
+    /// re-creatable, and a stream meant to survive a crash is written into
+    /// a segment ([`crate::SegmentWriter`]) and published with it.
     pub fn finish(mut self) -> Result<u64> {
         self.seal()?;
         Ok(self.count)
     }
 
-    /// Finishes a file written under its staging name ([`tmp_path`] of
-    /// `final_path`) for **atomic publication**: stops at "bytes written,
-    /// header patched" and hands the open descriptor back as a
-    /// [`StagedFile`]. The fsync, the rename to `final_path` and the
-    /// directory fsync belong to the [`StagedBatch`] it is pushed into, so
-    /// a whole batch shares one durability barrier. The byte stream is
-    /// identical to a plain [`ValueFileWriter::finish`]: publication
-    /// changes the name, never the bytes.
-    pub fn finish_staged(mut self, final_path: &Path) -> Result<StagedFile> {
+    /// Seals the stream and hands back its extent and byte size, for the
+    /// segment it was written into. The bytes are those a plain
+    /// [`ValueFileWriter::finish`] leaves: where a stream lies never
+    /// changes what it is.
+    pub(crate) fn finish_extent(mut self) -> Result<(Extent, u64)> {
         self.seal()?;
-        Ok(StagedFile {
-            file_bytes: self.bytes_written(),
-            file: self.file,
-            tmp: self.path,
-            path: final_path.to_path_buf(),
-        })
+        let bytes = self.bytes_written();
+        Ok((self.extent, bytes))
     }
 }
 
-/// Cheap structural validation of a finished v2 value file — the resume
-/// sweep's per-file check. Two small reads (header and footer), no frame
-/// walk: verifies magic, version, header CRC, the footer seal, that the
-/// header, footer, and caller all agree on the record count, and that the
-/// physical size is exactly what the footer's payload predicts
-/// ([`v2_overhead`]) *and* what the caller recorded. A torn or truncated
-/// file cannot pass (the footer is the last thing written before the
-/// atomic rename); a bit flip inside a frame can — catching those takes
-/// the full frame-CRC walk (`--resume verify`, which drains a verifying
-/// reader).
-pub(crate) fn verify_file_quick(
-    path: &Path,
-    expected_file_bytes: u64,
+/// Cheap structural validation of a finished v2 stream at `extent` of
+/// `file` — the resume sweep's per-attribute check. Two small reads
+/// (header and footer), no frame walk: verifies magic, version, header
+/// CRC, the footer seal, that the header, footer, and caller all agree on
+/// the record count, and that the stream's size is exactly what the
+/// footer's payload predicts ([`v2_overhead`]) *and* what the caller
+/// recorded. A torn or truncated stream cannot pass (its segment is
+/// fsynced before its rename); a bit flip inside a frame can — catching
+/// those takes the full frame-CRC walk (`--resume verify`, which drains a
+/// verifying reader).
+pub(crate) fn verify_extent_quick(
+    file: &File,
+    extent: &Extent,
+    expected_bytes: u64,
     expected_records: u64,
     fault: Option<&Arc<crate::fault::FaultPlan>>,
 ) -> Result<()> {
-    use std::io::Read;
     const FOOTER_LEN: usize = FRAME_LEN_PREFIX + FOOTER_BODY_LEN;
-    let fail = |detail: String| corrupt(path.display().to_string(), detail);
-    crate::fault::check_open(path, fault)?;
-    let mut file = crate::fault::open_file(path)?;
-    let len = file
-        .metadata()
-        .map_err(|e| ValueSetError::Io(crate::fault::annotate(path, e)))?
-        .len();
-    if len != expected_file_bytes {
+    let fail = |detail: String| corrupt(extent.display().to_string(), detail);
+    let io = |e| ValueSetError::Io(crate::fault::annotate(extent.label(), e));
+    crate::fault::check_open(extent.label(), fault)?;
+    let len = file.metadata().map_err(io)?.len();
+    if extent.offset().saturating_add(expected_bytes) > len {
         return Err(fail(format!(
-            "file is {len} bytes, manifest recorded {expected_file_bytes}"
+            "file is {len} bytes, manifest recorded {expected_bytes} bytes at offset {}",
+            extent.offset()
         )));
     }
-    if len < (V2_HEADER_LEN + FOOTER_LEN) as u64 {
-        return Err(fail(format!("{len} bytes is too short for a v2 file")));
+    if expected_bytes < (V2_HEADER_LEN + FOOTER_LEN) as u64 {
+        return Err(fail(format!(
+            "{expected_bytes} bytes is too short for a v2 stream"
+        )));
     }
     let mut head = [0u8; V2_HEADER_LEN];
-    file.read_exact(&mut head)
-        .map_err(|e| ValueSetError::Io(crate::fault::annotate(path, e)))?;
+    file.read_exact_at(&mut head, extent.offset()).map_err(io)?;
     if &head[..4] != MAGIC {
         return Err(fail("bad magic".into()));
     }
@@ -493,11 +356,9 @@ pub(crate) fn verify_file_quick(
             "header count {header_count}, manifest recorded {expected_records}"
         )));
     }
-    file.seek(SeekFrom::Start(len - FOOTER_LEN as u64))
-        .map_err(|e| ValueSetError::Io(crate::fault::annotate(path, e)))?;
     let mut foot = [0u8; FOOTER_LEN];
-    file.read_exact(&mut foot)
-        .map_err(|e| ValueSetError::Io(crate::fault::annotate(path, e)))?;
+    let footer_at = extent.offset() + expected_bytes - FOOTER_LEN as u64;
+    file.read_exact_at(&mut foot, footer_at).map_err(io)?;
     // lint: allow(no_unwrap) — fixed-width slice of a fixed-size array
     let sentinel = u16::from_le_bytes(foot[0..2].try_into().expect("2 bytes"));
     if sentinel != FOOTER_SENTINEL || &foot[22..26] != FOOTER_MAGIC {
@@ -512,15 +373,15 @@ pub(crate) fn verify_file_quick(
             "footer count {footer_count}, manifest recorded {expected_records}"
         )));
     }
-    if HEADER_LEN as u64 + payload + v2_overhead(payload) != len {
+    if HEADER_LEN as u64 + payload + v2_overhead(payload) != expected_bytes {
         return Err(fail(format!(
-            "footer payload {payload} bytes does not account for the {len}-byte file"
+            "footer payload {payload} bytes does not account for the {expected_bytes}-byte stream"
         )));
     }
     Ok(())
 }
 
-/// Block-buffered reader over a value file; implements [`ValueCursor`].
+/// Block-buffered reader over one value stream; implements [`ValueCursor`].
 ///
 /// `current()` is **always** a zero-copy slice into the block: records that
 /// fit the block are parsed in place, and the rare record larger than the
@@ -547,62 +408,71 @@ pub struct ValueFileReader {
 }
 
 impl ValueFileReader {
-    /// Opens `path` with default I/O options and no budget accounting.
-    pub fn open(path: &Path) -> Result<Self> {
-        Self::open_with(path, &IoOptions::default(), None, None)
+    /// Opens the stream at `source` — a value file's path, or an
+    /// [`Extent`] of a segment — with default I/O options and no budget
+    /// accounting.
+    pub fn open(source: impl Into<Extent>) -> Result<Self> {
+        Self::open_with(source, &IoOptions::default(), None, None)
     }
 
-    /// Opens `path` with the given block size.
-    pub fn open_with_options(path: &Path, options: &IoOptions) -> Result<Self> {
-        Self::open_with(path, options, None, None)
+    /// Opens `source` with the given block size.
+    pub fn open_with_options(source: impl Into<Extent>, options: &IoOptions) -> Result<Self> {
+        Self::open_with(source, options, None, None)
     }
 
-    /// Opens `path`, charging one slot against `budget` for the lifetime of
-    /// the reader.
-    pub fn open_with_budget(path: &Path, budget: &FileBudget) -> Result<Self> {
-        Self::open_with(path, &IoOptions::default(), Some(budget), None)
+    /// Opens `source`, charging one slot against `budget` for the lifetime
+    /// of the reader.
+    pub fn open_with_budget(source: impl Into<Extent>, budget: &FileBudget) -> Result<Self> {
+        Self::open_with(source, &IoOptions::default(), Some(budget), None)
     }
 
     /// Full constructor: block size from `options`, optional open-file
-    /// budget, optional shared read-call counter. The block buffer is
-    /// sized with one `fstat`; use [`ValueFileReader::open_sized`] when the
-    /// file size is already known.
+    /// budget, optional shared read-call counter. Opens a descriptor of its
+    /// own (counted as one file open) and sizes the block buffer with one
+    /// `fstat`; an export's cursors share one descriptor per segment
+    /// instead ([`crate::ExportedDatabase`]).
     pub fn open_with(
-        path: &Path,
+        source: impl Into<Extent>,
         options: &IoOptions,
         budget: Option<&FileBudget>,
         stats: Option<ReadStats>,
     ) -> Result<Self> {
+        let extent = source.into();
         let guard = budget.map(FileBudget::acquire).transpose()?;
         let stats = stats.or_else(|| options.stats.clone());
-        let input = BlockReader::open_path(path, options, stats.clone(), None)?;
-        Self::from_block_reader(
-            input,
-            path,
-            guard,
-            options.verify_checksums,
-            stats.as_ref(),
-            options.cancel.clone(),
-        )
+        crate::fault::check_open(extent.label(), options.fault.as_ref())?;
+        let file = crate::fault::open_file(extent.file())?;
+        if let Some(stats) = &stats {
+            stats.bump_file_open();
+        }
+        let len = file
+            .metadata()
+            .map_or(u64::MAX, |m| m.len().saturating_sub(extent.offset()));
+        Self::over(Arc::new(file), &extent, options, guard, stats, len)
     }
 
-    /// [`ValueFileReader::open_with`] with the file's byte size supplied by
-    /// the caller (e.g. recorded at export time), so opening costs no
-    /// `fstat`. An inaccurate size only affects I/O granularity, never
-    /// correctness.
-    pub fn open_sized(
-        path: &Path,
+    /// A reader of the stream at `extent` of the already open (and
+    /// possibly shared) `file`, about `len` bytes long (a size hint: it
+    /// only sizes the block buffer).
+    pub(crate) fn over(
+        file: Arc<File>,
+        extent: &Extent,
         options: &IoOptions,
-        budget: Option<&FileBudget>,
+        guard: Option<OpenFileGuard>,
         stats: Option<ReadStats>,
-        file_bytes: u64,
+        len: u64,
     ) -> Result<Self> {
-        let guard = budget.map(FileBudget::acquire).transpose()?;
-        let stats = stats.or_else(|| options.stats.clone());
-        let input = BlockReader::open_path(path, options, stats.clone(), Some(file_bytes))?;
+        let input = BlockReader::over(
+            file,
+            extent.label(),
+            extent.offset(),
+            options,
+            stats.clone(),
+            len,
+        );
         Self::from_block_reader(
             input,
-            path,
+            extent.label(),
             guard,
             options.verify_checksums,
             stats.as_ref(),
@@ -677,7 +547,8 @@ impl ValueFileReader {
         })
     }
 
-    /// File this reader is positioned over.
+    /// Label of the stream this reader is positioned over: its file, or
+    /// `segment[name]` for a stream inside a segment.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -1416,116 +1287,6 @@ mod tests {
             Err(other) => panic!("expected Io, got {other:?}"),
             Ok(_) => panic!("expected Io, got a reader"),
         }
-    }
-
-    /// Stages `values` for `path` the way the extraction layer does.
-    fn stage(path: &Path, values: &[Vec<u8>], options: &IoOptions) -> StagedFile {
-        let mut w = ValueFileWriter::create_with_options(&tmp_path(path), options).unwrap();
-        for v in values {
-            w.append(v).unwrap();
-        }
-        w.finish_staged(path).unwrap()
-    }
-
-    #[test]
-    fn a_batch_fills_by_file_count_or_by_bytes() {
-        let dir = TempDir::new("vf-batch-full");
-        let io = IoOptions::default();
-        let mut batch = StagedBatch::new();
-        for i in 0..BATCH_MAX_FILES {
-            assert!(!batch.is_full(), "{i} tiny files fit");
-            let path = dir.join(&format!("small-{i:03}.indv"));
-            batch.push(stage(&path, &bytes(&["x"]), &io), i);
-        }
-        assert!(batch.is_full(), "the file cap");
-        let published = batch.publish_all(dir.path(), None).unwrap();
-        assert_eq!(published, (0..BATCH_MAX_FILES).collect::<Vec<_>>());
-        assert!(
-            batch.is_empty() && !batch.is_full(),
-            "publishing empties it"
-        );
-
-        // Concurrent workers split the file cap, so together they stage
-        // what one worker would (one file each once there are more
-        // workers than files in a batch).
-        for workers in 1..=2 * BATCH_MAX_FILES {
-            let cap = StagedBatch::<()>::for_worker(workers).max_files;
-            assert!(cap >= 1 && workers * cap <= BATCH_MAX_FILES.max(workers));
-        }
-
-        // One column past the byte cap is a batch of one.
-        let big = vec![vec![b'v'; BATCH_MAX_BYTES as usize]];
-        batch.push(stage(&dir.join("big.indv"), &big, &io), 0);
-        assert!(batch.is_full(), "the byte cap");
-        batch.publish_all(dir.path(), None).unwrap();
-        assert_eq!(
-            collect_cursor(ValueFileReader::open(&dir.join("big.indv")).unwrap()).unwrap(),
-            big
-        );
-    }
-
-    #[test]
-    fn staged_files_are_invisible_until_published_and_bytes_never_change() {
-        let dir = TempDir::new("vf-staged");
-        let values = bytes(&["alpha", "beta", "gamma"]);
-        let plain = dir.join("plain.indv");
-        write_value_file(&plain, &values).unwrap();
-
-        let path = dir.join("a.indv");
-        let mut batch = StagedBatch::new();
-        batch.push(stage(&path, &values, &IoOptions::default()), ());
-        assert!(!path.exists() && tmp_path(&path).exists(), "staged only");
-        batch.publish_all(dir.path(), None).unwrap();
-        assert!(path.exists() && !tmp_path(&path).exists(), "renamed");
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(&plain).unwrap()
-        );
-    }
-
-    #[test]
-    fn a_failed_file_fsync_costs_only_that_file_of_the_batch() {
-        let dir = TempDir::new("vf-batch-fsync");
-        let plan = Arc::new(FaultPlan::parse("fsync:b.indv:fail").unwrap());
-        let io = IoOptions::default().with_fault(plan.clone());
-        let mut batch = StagedBatch::new();
-        for name in ["a", "b", "c"] {
-            let path = dir.join(&format!("{name}.indv"));
-            batch.push(stage(&path, &bytes(&[name]), &io), name);
-        }
-        let (published, failed) = batch.publish(dir.path(), Some(&plan)).unwrap();
-        assert_eq!(published, ["a", "c"]);
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].0, "b");
-        assert!(failed[0].1.to_string().contains("injected fsync"));
-        assert!(dir.join("a.indv").exists() && dir.join("c.indv").exists());
-        assert!(
-            !dir.join("b.indv").exists() && dir.join("b.indv.tmp").exists(),
-            "never renamed: a file under its final name was fsynced first"
-        );
-    }
-
-    #[test]
-    fn a_crash_between_two_renames_leaves_a_prefix_nobody_may_vouch_for() {
-        // Two writes per staged file, then the renames: ordinal 8 is the
-        // second rename of the commit.
-        let dir = TempDir::new("vf-batch-crash");
-        let plan = Arc::new(FaultPlan::parse("write:*:crash=8").unwrap());
-        let io = IoOptions::default().with_fault(plan.clone());
-        let mut batch = StagedBatch::new();
-        for name in ["a", "b", "c"] {
-            let path = dir.join(&format!("{name}.indv"));
-            batch.push(stage(&path, &bytes(&[name]), &io), name);
-        }
-        // The directory fsync dies with the process, so the commit as a
-        // whole fails: `a` sits under its final name but was never
-        // reported published, and a dead process renames nothing more.
-        let err = batch.publish(dir.path(), Some(&plan)).unwrap_err();
-        assert!(err.to_string().contains("injected crash"), "{err}");
-        assert!(batch.is_empty(), "no staged handle outlives the commit");
-        assert!(dir.join("a.indv").exists());
-        assert!(dir.join("b.indv.tmp").exists() && dir.join("c.indv.tmp").exists());
-        assert!(!dir.join("b.indv").exists() && !dir.join("c.indv").exists());
     }
 
     #[test]

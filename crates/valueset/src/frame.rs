@@ -335,8 +335,9 @@ mod tests {
         let path = dir.join("data.indv");
         std::fs::write(&path, bytes).unwrap();
         let file = FaultFile::new(
-            std::fs::File::open(&path).unwrap(),
+            std::sync::Arc::new(std::fs::File::open(&path).unwrap()),
             &path,
+            0,
             None,
             stats.clone(),
         );

@@ -2,7 +2,8 @@
 //!
 //! The sorted-value-set substrate beneath the paper's database-external
 //! algorithms (Sec. 3): canonical byte-string value sets extracted per
-//! attribute, persisted to counted, strictly-sorted value files; a
+//! attribute, persisted as counted, strictly-sorted value streams — one
+//! per attribute, published a batch at a time as segments; a
 //! block-oriented zero-copy I/O layer ([`BlockReader`], [`IoOptions`])
 //! serving forward cursors straight out of large read blocks; an external
 //! merge sort standing in for the RDBMS's sort machinery; and an open-file
@@ -27,6 +28,7 @@ mod heap;
 mod manager;
 mod manifest;
 mod memory;
+mod segment;
 mod tuple;
 
 pub use block::{BlockReader, IoOptions, ReadStats, DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE};
@@ -42,10 +44,7 @@ pub use extract::{
     extract_with_sorter, MemoryColumn, MAX_COMPOSITE_ARITY,
 };
 pub use fault::FaultPlan;
-pub use format::{
-    write_value_file, StagedBatch, StagedFile, ValueFileReader, ValueFileWriter, BATCH_MAX_BYTES,
-    BATCH_MAX_FILES,
-};
+pub use format::{write_value_file, ValueFileReader, ValueFileWriter};
 pub use heap::{compare_keys, key_prefix64, KeyedMinHeap};
 pub use manager::{
     CompositeExport, ExportOptions, ExportedAttribute, ExportedComposite, ExportedDatabase,
@@ -53,4 +52,5 @@ pub use manager::{
 };
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
 pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
+pub use segment::{Extent, SegmentWriter, BATCH_MAX_BYTES};
 pub use tuple::{decode_tuple, encode_tuple, encode_tuple_into, tuple_arity};

@@ -1,32 +1,39 @@
-//! Whole-database export: one sorted value file per attribute, plus the
+//! Whole-database export: one sorted value stream per attribute, written a
+//! batch at a time into segments ([`crate::SegmentWriter`]), plus the
 //! per-attribute metadata (cardinalities, min/max) that candidate
 //! generation and the pretests consume.
 
 use crate::block::{IoOptions, ReadStats};
-use crate::budget::FileBudget;
+use crate::budget::{FileBudget, OpenFileGuard};
 use crate::cursor::{ValueCursor, ValueSetProvider};
-use crate::error::Result;
+use crate::error::{Result, ValueSetError};
 use crate::external_sort::{ExternalSorter, SortOptions};
 use crate::extract::{extract_composite_with_sorter, extract_with_sorter};
-use crate::format::{StagedBatch, StagedFile, ValueFileReader};
-use crate::manifest::{hash_column, Manifest, ManifestEntry};
+use crate::format::{verify_extent_quick, ValueFileReader};
+use crate::manifest::{hash_column, Manifest, ManifestEntry, MANIFEST_NAME};
+use crate::segment::{tmp_path, Extent, SegmentFiles, SegmentWriter};
 use ind_storage::{DataType, Database, QualifiedName};
+use std::collections::HashSet;
+use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How [`ExportedDatabase::export`] treats a workdir that already holds
-/// value files from an earlier (possibly interrupted) run.
+/// value streams from an earlier (possibly interrupted) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResumeMode {
-    /// Rewrite every attribute from scratch (the default).
+    /// Rewrite every attribute from scratch (the default): the previous
+    /// manifest is deleted and the workdir swept before anything is
+    /// written.
     #[default]
     Off,
-    /// Sweep orphaned `.tmp` files, validate every manifest entry with a
-    /// cheap header + footer read ([`crate::format`]'s self-verifying v2
-    /// seal), and re-export only attributes that are missing, torn, or
-    /// stale against the source data's content hash.
+    /// Validate every manifest entry with a cheap header + footer read
+    /// ([`crate::format`]'s self-verifying v2 seal), re-export only
+    /// attributes that are missing, torn, or stale against the source
+    /// data's content hash, and sweep what an interrupted run left behind.
     Reuse,
-    /// Like [`ResumeMode::Reuse`], but each reused file is fully drained
+    /// Like [`ResumeMode::Reuse`], but each reused stream is fully drained
     /// through a checksum-verifying reader (every frame CRC walked) —
     /// `--resume verify`.
     Verify,
@@ -171,10 +178,12 @@ pub struct ExportedAttribute {
     pub min: Option<Vec<u8>>,
     /// Largest canonical value, if any.
     pub max: Option<Vec<u8>>,
-    /// Value file backing this attribute.
-    pub path: PathBuf,
-    /// Byte size of that file, recorded at write time so cursors can size
-    /// their block buffers without an `fstat` per open.
+    /// Where the attribute's value stream lies: its segment and offset,
+    /// labelled `seg-WW-NNNN.indv[attr-NNNNN]`. A quarantined attribute
+    /// has no stream; its extent only names it, inside the workdir.
+    pub path: Extent,
+    /// Byte size of that stream, recorded at write time so cursors can
+    /// size their block buffers without an `fstat` per open.
     pub file_bytes: u64,
 }
 
@@ -190,7 +199,7 @@ impl ExportedAttribute {
     }
 }
 
-/// A database exported to sorted value files under one directory.
+/// A database exported to sorted value streams under one directory.
 #[derive(Debug)]
 pub struct ExportedDatabase {
     dir: PathBuf,
@@ -200,24 +209,32 @@ pub struct ExportedDatabase {
     budget: FileBudget,
     io: IoOptions,
     read_stats: ReadStats,
+    /// One read descriptor per segment, shared by every cursor into it.
+    segments: SegmentFiles,
     /// Spill-merge comparator split summed over every attribute sort (see
     /// [`crate::SortStats::key_compares`]).
     key_compares: u64,
     memcmp_compares: u64,
     /// Resume accounting: attributes reused from the manifest, attributes
-    /// re-exported, and orphaned `.tmp` files swept.
+    /// re-exported, and leftover files swept.
     exports_reused: u64,
     exports_redone: u64,
     orphans_swept: u64,
 }
 
-/// Full validation for `--resume verify`: drain the whole file through a
+/// Full validation for `--resume verify`: drain the whole stream through a
 /// checksum-verifying reader (every frame CRC checked against the chain)
 /// and confirm the record count the manifest promised.
-fn deep_verify(path: &Path, entry: &ManifestEntry, io: &IoOptions) -> Result<()> {
+fn deep_verify(
+    file: Arc<File>,
+    extent: &Extent,
+    entry: &ManifestEntry,
+    io: &IoOptions,
+) -> Result<()> {
     let mut io = io.clone();
     io.verify_checksums = true;
-    let mut reader = ValueFileReader::open_with_options(path, &io)?;
+    let stats = io.stats.clone();
+    let mut reader = ValueFileReader::over(file, extent, &io, None, stats, entry.file_bytes)?;
     let mut records = 0u64;
     while reader.advance()? {
         records += 1;
@@ -225,14 +242,39 @@ fn deep_verify(path: &Path, entry: &ManifestEntry, io: &IoOptions) -> Result<()>
     if records == entry.records {
         Ok(())
     } else {
-        Err(crate::error::ValueSetError::Corrupt {
-            context: path.display().to_string(),
-            detail: format!("manifest records {}, file drained {records}", entry.records),
+        Err(ValueSetError::Corrupt {
+            context: extent.display().to_string(),
+            detail: format!(
+                "manifest records {}, stream drained {records}",
+                entry.records
+            ),
         })
     }
 }
 
-/// A value file's name inside its workdir — the manifest key.
+/// The name of attribute `id`'s stream — what its extent's label, its
+/// fault rules and its errors say: `attr-00001`.
+fn stream_name(id: u32) -> String {
+    format!("attr-{id:05}")
+}
+
+/// `seg-WW-NNNN.indv`: the `NNNN`th batch export worker `WW` wrote.
+fn segment_name(worker: usize, ordinal: u32) -> String {
+    format!("seg-{worker:02}-{ordinal:04}.indv")
+}
+
+/// The batch ordinal in a segment's file name (its `.tmp` stage included);
+/// `None` for any other name.
+fn segment_ordinal(name: &str) -> Option<u32> {
+    let name = name.strip_suffix(".tmp").unwrap_or(name);
+    let (_, ordinal) = name
+        .strip_prefix("seg-")?
+        .strip_suffix(".indv")?
+        .split_once('-')?;
+    ordinal.parse().ok()
+}
+
+/// A file's name inside its workdir — what the manifest records.
 fn file_name(path: &Path) -> String {
     path.file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -242,8 +284,9 @@ fn file_name(path: &Path) -> String {
 /// The durable record of a freshly exported attribute.
 fn manifest_entry(attr: &ExportedAttribute, source_hash: u64) -> ManifestEntry {
     ManifestEntry {
-        file: file_name(&attr.path),
         id: attr.id,
+        segment: file_name(attr.path.file()),
+        offset: attr.path.offset(),
         table: attr.name.table.clone(),
         column: attr.name.column.clone(),
         data_type: attr.data_type,
@@ -259,22 +302,67 @@ fn manifest_entry(attr: &ExportedAttribute, source_hash: u64) -> ManifestEntry {
     }
 }
 
+/// Deletes from `dir` what no run can read any more — staged `.tmp` files
+/// (garbage by construction), segments outside `keep`, and value files of
+/// the one-file-per-attribute layout that predates segments — and returns
+/// how many files went and one past the highest batch ordinal any segment
+/// name in `dir` carried.
+fn sweep(dir: &Path, keep: &HashSet<&str>) -> (u64, u32) {
+    let (mut swept, mut next_ordinal) = (0u64, 0u32);
+    let Ok(listing) = std::fs::read_dir(dir) else {
+        return (0, 0);
+    };
+    for entry in listing.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let ordinal = segment_ordinal(&name);
+        if let Some(ordinal) = ordinal {
+            next_ordinal = next_ordinal.max(ordinal.saturating_add(1));
+        }
+        let garbage = name.ends_with(".tmp")
+            || (ordinal.is_some() && !keep.contains(name.as_str()))
+            || (name.starts_with("attr-") && name.ends_with(".indv"));
+        if garbage {
+            // lint: allow(swallowed_result) — a sweep race (file already gone) is success
+            let _ = std::fs::remove_file(entry.path());
+            swept += 1;
+        }
+    }
+    (swept, next_ordinal)
+}
+
+/// A cursor over the stream at `extent`, through the shared descriptor of
+/// its segment. An `open:` fault rule naming the stream refuses it.
+fn open_stream(
+    segments: &SegmentFiles,
+    extent: &Extent,
+    file_bytes: u64,
+    io: &IoOptions,
+    stats: &ReadStats,
+    guard: Option<OpenFileGuard>,
+) -> Result<ValueFileReader> {
+    crate::fault::check_open(extent.label(), io.fault.as_ref())?;
+    let file = segments.get(extent.file(), stats)?;
+    ValueFileReader::over(file, extent, io, guard, Some(stats.clone()), file_bytes)
+}
+
 impl ExportedDatabase {
     /// Exports every column of `db` into `dir` (created if missing).
     /// Attribute ids follow [`Database::attributes`] order, so they are
     /// deterministic across runs — including under
     /// [`ExportOptions::threads`] parallelism, which only reorders the
-    /// *work*, not the ids or file names.
+    /// *work*, not the ids or the stream bytes.
     ///
-    /// Publication is a **group commit**: each worker stages finished
-    /// files under `.tmp` names and, once its batch holds
-    /// [`crate::BATCH_MAX_BYTES`] or [`crate::BATCH_MAX_FILES`] — and on
-    /// every way out, error and cancellation included — fsyncs each staged
-    /// file, renames each, fsyncs `dir` once, and publishes the manifest
-    /// once. A file under its final name was fsynced before its rename,
-    /// the manifest never names a file whose rename is not yet durable,
-    /// and anything ending in `.tmp` is garbage; an interruption loses at
-    /// most the in-flight batch.
+    /// Publication is a **group commit**: each worker writes its streams
+    /// back to back into one segment (`seg-WW-NNNN.indv.tmp`) and, once the
+    /// segment holds [`crate::BATCH_MAX_BYTES`] — and on every way out,
+    /// error and cancellation included — fsyncs it, renames it, fsyncs
+    /// `dir` once, and publishes the manifest once. A segment under its
+    /// final name was fsynced before its rename, the manifest never names a
+    /// segment whose rename is not yet durable, and anything ending in
+    /// `.tmp` is garbage; an interruption loses at most the in-flight
+    /// batch. Which worker's segment a stream lands in depends on
+    /// scheduling, its bytes never do; at one worker the whole workdir is
+    /// deterministic.
     pub fn export(db: &Database, dir: &Path, options: &ExportOptions) -> Result<Self> {
         let _span = ind_trace::start(ind_trace::EXPORT);
         let export_parent = ind_trace::current_parent();
@@ -285,6 +373,7 @@ impl ExportedDatabase {
         // itself, cursors count reads/retries/checksums afterwards.
         let mut sort = options.sort.clone();
         let read_stats = sort.io.stats.get_or_insert_with(ReadStats::new).clone();
+        let fault = sort.io.fault.as_ref();
 
         // Collect the per-attribute work list up front so workers can share
         // it by index.
@@ -294,12 +383,12 @@ impl ExportedDatabase {
             data_type: ind_storage::DataType,
             rows: u64,
             column: &'db ind_storage::Column,
-            path: PathBuf,
         }
         impl Job<'_> {
-            /// The attribute's slot with zeroed metadata: what extraction
-            /// fills in and what a quarantined attribute keeps.
-            fn attribute(&self) -> ExportedAttribute {
+            /// The attribute with its stream at `path` and zeroed
+            /// metadata: what extraction fills in and what a quarantined
+            /// attribute keeps.
+            fn attribute(&self, path: Extent) -> ExportedAttribute {
                 ExportedAttribute {
                     id: self.id,
                     name: self.name.clone(),
@@ -309,7 +398,7 @@ impl ExportedDatabase {
                     distinct: 0,
                     min: None,
                     max: None,
-                    path: self.path.clone(),
+                    path,
                     file_bytes: 0,
                 }
             }
@@ -324,193 +413,205 @@ impl ExportedDatabase {
                     data_type: col_schema.data_type,
                     rows: table.row_count() as u64,
                     column: col_data,
-                    path: dir.join(format!("attr-{id:05}.indv")),
                 });
                 id += 1;
             }
         }
 
-        // A manifest entry vouches for a file only when every identity
+        // A manifest entry vouches for a stream only when every identity
         // field matches the live schema, the SOURCE column still hashes to
-        // the recorded content hash, and the file itself passes its seal
-        // (cheap header+footer read, or a full frame-CRC drain under
-        // [`ResumeMode::Verify`]).
-        let reusable = |job: &Job<'_>, entry: &ManifestEntry| -> bool {
+        // the recorded content hash, and the stream itself passes its seal
+        // (cheap header+footer read, which also bounds the recorded extent
+        // by the segment's size, then a full frame-CRC drain under
+        // [`ResumeMode::Verify`]). The segments opened to check are kept
+        // open for the cursors that read them next.
+        let segments = SegmentFiles::default();
+        let reusable = |job: &Job<'_>, entry: &ManifestEntry| -> Option<Extent> {
             if entry.id != job.id
                 || entry.table != job.name.table
                 || entry.column != job.name.column
                 || entry.data_type != job.data_type
                 || entry.rows != job.rows
                 || entry.format_version != crate::frame::V2_VERSION
+                || segment_ordinal(&entry.segment).is_none()
                 || entry.source_hash != hash_column(job.column)
             {
-                return false;
+                return None;
             }
-            match options.resume {
-                ResumeMode::Verify => deep_verify(&job.path, entry, &sort.io).is_ok(),
-                _ => crate::format::verify_file_quick(
-                    &job.path,
-                    entry.file_bytes,
-                    entry.records,
-                    sort.io.fault.as_ref(),
-                )
-                .is_ok(),
-            }
+            let extent = Extent::new(
+                &dir.join(&entry.segment),
+                entry.offset,
+                &stream_name(job.id),
+            );
+            let file = segments.get(extent.file(), &read_stats).ok()?;
+            let valid = verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, fault)
+                .and_then(|()| match options.resume {
+                    ResumeMode::Verify => deep_verify(file, &extent, entry, &sort.io),
+                    _ => Ok(()),
+                });
+            valid.is_ok().then_some(extent)
         };
 
-        // Resume sweep: reclaim what an interrupted run left behind.
-        // Orphaned `.tmp` stages are deleted (the atomic-rename protocol
-        // guarantees a file under its FINAL name is always complete, so a
-        // `.tmp` is garbage by construction), stale spill runs are dropped,
-        // and every manifest entry whose source column still hashes the
-        // same and whose file passes its self-verifying seal is reused
-        // without re-sorting a single value.
+        // Resume: every manifest entry whose source column still hashes the
+        // same and whose stream passes its self-verifying seal is reused
+        // without re-sorting a single value. The new manifest starts from
+        // those entries only; stale ones (attribute gone from the schema,
+        // stream torn, source changed) are not carried over, so no manifest
+        // publish of this run can name them.
         let mut attributes: Vec<ExportedAttribute> = Vec::with_capacity(jobs.len());
         let mut exports_reused = 0u64;
         let mut exports_redone = 0u64;
-        let mut orphans_swept = 0u64;
         let mut manifest = Manifest::new();
-        if options.resume != ResumeMode::Off {
-            let _scan = ind_trace::start_under(ind_trace::RESUME_SCAN, 0, export_parent);
-            if let Ok(listing) = std::fs::read_dir(dir) {
-                for entry in listing.flatten() {
-                    let name = entry.file_name();
-                    if name.to_string_lossy().ends_with(".tmp") {
-                        // lint: allow(swallowed_result) — a sweep race (file already gone) is success
-                        let _ = std::fs::remove_file(entry.path());
-                        orphans_swept += 1;
-                    }
+        let mut previous_ordinals = 0u32;
+        let scan = (options.resume != ResumeMode::Off)
+            .then(|| ind_trace::start_under(ind_trace::RESUME_SCAN, 0, export_parent));
+        if options.resume == ResumeMode::Off {
+            // A fresh export reuses segment names, so first the manifest
+            // that might vouch for their old bytes goes.
+            match std::fs::remove_file(dir.join(MANIFEST_NAME)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(ValueSetError::Io(crate::fault::annotate(dir, e)))
                 }
+                _ => {}
             }
-            // lint: allow(swallowed_result) — spill runs from a dead run are garbage; absence is success
-            let _ = std::fs::remove_dir_all(&spill_dir);
-            // The new manifest starts from the entries that still vouch
-            // for a live attribute; stale ones (attribute gone from the
-            // schema, file torn, source changed) are simply not carried
-            // over, so no manifest publish of this run can name them.
+        } else {
             let previous = Manifest::load(dir).unwrap_or_default();
             let mut pending = Vec::with_capacity(jobs.len());
             for job in jobs {
-                match previous.get(&file_name(&job.path)) {
-                    Some(entry) if reusable(&job, entry) => {
+                let reused = previous
+                    .get(job.id)
+                    .and_then(|entry| Some((entry, reusable(&job, entry)?)));
+                match reused {
+                    Some((entry, extent)) => {
                         attributes.push(ExportedAttribute {
                             non_null: entry.non_null,
                             distinct: entry.distinct,
                             min: entry.min.clone(),
                             max: entry.max.clone(),
                             file_bytes: entry.file_bytes,
-                            ..job.attribute()
+                            ..job.attribute(extent)
                         });
                         manifest.upsert(entry.clone());
                         exports_reused += 1;
                     }
-                    _ => {
+                    None => {
                         exports_redone += 1;
                         pending.push(job);
                     }
                 }
             }
             jobs = pending;
+            previous_ordinals = previous
+                .entries()
+                .iter()
+                .filter_map(|e| segment_ordinal(&e.segment))
+                .map(|ordinal| ordinal.saturating_add(1))
+                .max()
+                .unwrap_or(0);
         }
+        // The sweep reclaims what earlier runs left behind; at most the
+        // segments the carried entries point into survive it.
+        let keep: HashSet<&str> = manifest
+            .entries()
+            .iter()
+            .map(|e| e.segment.as_str())
+            .collect();
+        let (orphans_swept, swept_ordinals) = sweep(dir, &keep);
+        segments.retain(|path| keep.contains(file_name(path).as_str()));
+        // A fresh export names its segments from 0 (the old manifest is
+        // gone); a resumed one past every ordinal the directory or the
+        // previous manifest ever used, so a stale entry never points into
+        // a new segment.
+        let first_ordinal = match options.resume {
+            ResumeMode::Off => 0,
+            _ => previous_ordinals.max(swept_ordinals),
+        };
+        // lint: allow(swallowed_result) — spill runs from a dead run are garbage; absence is success
+        let _ = std::fs::remove_dir_all(&spill_dir);
+        drop(scan);
         let manifest = Mutex::new(manifest);
 
         // Comparator-split totals, summed across workers as jobs finish.
-        let key_compares = std::sync::atomic::AtomicU64::new(0);
-        let memcmp_compares = std::sync::atomic::AtomicU64::new(0);
-        let fault = sort.io.fault.as_ref();
-        // Extract → sort → write one attribute, up to "bytes written,
-        // header patched": the file is complete under its `.tmp` name and
-        // waits in the worker's batch for the group commit.
+        let key_compares = AtomicU64::new(0);
+        let memcmp_compares = AtomicU64::new(0);
+
+        // Quarantine for keep-going exports: the attribute keeps its id slot
+        // with zeroed metadata so dense indexing survives. Nothing on disk
+        // is touched — its stream shares a segment with healthy siblings,
+        // and an unsealed or unpublished stream is invisible anyway.
         type Staged = (ExportedAttribute, u64);
-        let stage = |job: &Job<'_>, sorter: &mut ExternalSorter| -> Result<(StagedFile, Staged)> {
-            // Parent the per-attribute span under the export span even from
-            // worker threads (thread-local parenting stops at the spawn).
-            let _span = ind_trace::start_under(ind_trace::SORT, u64::from(job.id), export_parent);
-            if let Some(cancel) = &sort.io.cancel {
-                cancel.check("export")?;
-            }
-            let (stats, file) = extract_with_sorter(job.column, &job.path, sorter)?;
-            key_compares.fetch_add(stats.key_compares, std::sync::atomic::Ordering::Relaxed);
-            memcmp_compares.fetch_add(stats.memcmp_compares, std::sync::atomic::Ordering::Relaxed);
-            ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
-            let attr = ExportedAttribute {
-                non_null: stats.pushed,
-                distinct: stats.distinct,
-                min: stats.min,
-                max: stats.max,
-                file_bytes: stats.file_bytes,
-                ..job.attribute()
-            };
-            Ok((file, (attr, stats.source_hash)))
-        };
-
-        // Quarantine path for keep-going exports: drop whatever the
-        // attribute left on disk and in the manifest, and keep its id slot
-        // with zeroed metadata so dense indexing survives.
         type WorkerYield = (Vec<ExportedAttribute>, Vec<FailedAttribute>);
-        let quarantine = |attr: ExportedAttribute,
-                          e: crate::error::ValueSetError,
-                          (done, lost): &mut WorkerYield| {
-            // lint: allow(swallowed_result) — the attribute is already quarantined; its partial file is best-effort garbage
-            let _ = std::fs::remove_file(&attr.path);
-            // lint: allow(swallowed_result) — atomic creation stages at `<path>.tmp`; sweep it with the same shrug
-            let _ = std::fs::remove_file(crate::format::tmp_path(&attr.path));
-            lock(&manifest).remove(&file_name(&attr.path));
-            lost.push(FailedAttribute {
-                id: attr.id,
-                name: attr.name.clone(),
-                error: e.to_string(),
-            });
-            done.push(ExportedAttribute {
-                non_null: 0,
-                distinct: 0,
-                min: None,
-                max: None,
-                file_bytes: 0,
-                ..attr
-            });
-        };
+        let quarantine =
+            |attr: ExportedAttribute, error: String, (done, lost): &mut WorkerYield| {
+                lost.push(FailedAttribute {
+                    id: attr.id,
+                    name: attr.name.clone(),
+                    error,
+                });
+                done.push(ExportedAttribute {
+                    non_null: 0,
+                    distinct: 0,
+                    min: None,
+                    max: None,
+                    file_bytes: 0,
+                    ..attr
+                });
+            };
 
-        // The ONE publication path. fsync each staged file → rename each →
-        // one directory fsync ([`StagedBatch::publish`]), and only then one
-        // manifest publish naming the batch — so `MANIFEST.json` never
-        // names a file whose rename is not yet durable. A file whose own
-        // fsync or rename failed costs only itself (quarantined under
-        // keep-going, the error otherwise); a failed directory fsync or
-        // manifest publish fails the export, since no attribute of the
+        // The ONE publication path: fsync the segment → rename it → one
+        // directory fsync, and only then one manifest publish naming the
+        // batch — so `MANIFEST.json` never names a segment whose rename is
+        // not yet durable. A failed segment fsync or rename costs the whole
+        // batch, whose streams share that one file: all of it quarantined
+        // under keep-going, the error otherwise. A failed directory fsync
+        // or manifest publish fails the export, since no attribute of the
         // batch can be vouched for.
-        let commit = |batch: &mut StagedBatch<Staged>, out: &mut WorkerYield| -> Result<()> {
-            if batch.is_empty() {
+        let commit = |segment: &mut Option<SegmentWriter>,
+                      staged: &mut Vec<Staged>,
+                      out: &mut WorkerYield|
+         -> Result<()> {
+            let Some(segment) = segment.take() else {
+                return Ok(());
+            };
+            if staged.is_empty() {
+                // Every stream begun in it failed and was quarantined.
+                segment.discard();
                 return Ok(());
             }
+            let batch = std::mem::take(staged);
             let _span =
                 ind_trace::start_under(ind_trace::PUBLISH, batch.len() as u64, export_parent);
-            let (published, failed) = batch.publish(dir, fault)?;
-            if !published.is_empty() {
-                let mut manifest = lock(&manifest);
-                for (attr, source_hash) in &published {
-                    manifest.upsert(manifest_entry(attr, *source_hash));
-                }
-                manifest.store(dir, fault)?;
-            }
-            out.0.extend(published.into_iter().map(|(attr, _)| attr));
-            for ((attr, _), e) in failed {
+            let tmp = tmp_path(segment.path());
+            if let Err(e) = segment.commit() {
                 if !options.keep_going {
                     return Err(e);
                 }
-                quarantine(attr, e, out);
+                // lint: allow(swallowed_result) — the unpublished stage is garbage by construction; the resume sweep would delete it too
+                let _ = std::fs::remove_file(&tmp);
+                let error = e.to_string();
+                for (attr, _) in batch {
+                    quarantine(attr, error.clone(), out);
+                }
+                return Ok(());
             }
+            crate::fault::sync_dir(dir, fault)?;
+            let mut manifest = lock(&manifest);
+            for (attr, source_hash) in &batch {
+                manifest.upsert(manifest_entry(attr, *source_hash));
+            }
+            manifest.store(dir, fault)?;
+            out.0.extend(batch.into_iter().map(|(attr, _)| attr));
             Ok(())
         };
 
         // Workers claim jobs one at a time off a shared atomic index —
         // fixed chunks would let a few huge columns idle the other
         // workers. Each worker owns ONE sorter for its whole share of the
-        // export (after the first attribute its index is warm,
-        // so every further column sorts with zero sorter allocations) and
-        // ONE batch of staged files, which never outlives the call.
+        // export (after the first attribute its index is warm, so every
+        // further column sorts with zero sorter allocations) and ONE open
+        // segment at a time, which never outlives the call.
         let workers = options.threads.clamp(1, jobs.len().max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
         let worker = |w: usize| -> Result<WorkerYield> {
             // One spill subdirectory per concurrent worker: sorter spill
             // runs are named by ordinal and would collide.
@@ -519,18 +620,56 @@ impl ExportedDatabase {
                 _ => spill_dir.join(format!("worker-{w:02}")),
             };
             let mut sorter = ExternalSorter::new(&spill, sort.clone())?;
-            let mut batch = StagedBatch::for_worker(workers);
+            let mut ordinal = first_ordinal;
+            let mut segment: Option<SegmentWriter> = None;
+            let mut staged: Vec<Staged> = Vec::new();
             let mut out: WorkerYield = (Vec::new(), Vec::new());
             let outcome = loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else {
                     break Ok(());
                 };
-                match stage(job, &mut sorter) {
-                    Ok((file, staged)) => {
-                        batch.push(file, staged);
-                        if batch.is_full() {
-                            if let Err(e) = commit(&mut batch, &mut out) {
+                // Extract → sort → write one attribute into the worker's
+                // segment (opened on first use) and seal its stream. Parent
+                // the span under the export span even from worker threads
+                // (thread-local parenting stops at the spawn).
+                let name = stream_name(job.id);
+                let mut write = || -> Result<(Staged, bool)> {
+                    let _span =
+                        ind_trace::start_under(ind_trace::SORT, u64::from(job.id), export_parent);
+                    if let Some(cancel) = &sort.io.cancel {
+                        cancel.check("export")?;
+                    }
+                    let open = match segment.take() {
+                        Some(open) => open,
+                        None => {
+                            ordinal += 1;
+                            let path = dir.join(segment_name(w, ordinal - 1));
+                            SegmentWriter::create(&path, &sort.io)?
+                        }
+                    };
+                    let open = segment.insert(open);
+                    let mut writer = open.stream(Some(&name));
+                    let stats = extract_with_sorter(job.column, &mut sorter, &mut writer)?;
+                    let path = open.seal(writer)?;
+                    key_compares.fetch_add(stats.key_compares, Ordering::Relaxed);
+                    memcmp_compares.fetch_add(stats.memcmp_compares, Ordering::Relaxed);
+                    ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
+                    let attr = ExportedAttribute {
+                        non_null: stats.pushed,
+                        distinct: stats.distinct,
+                        min: stats.min,
+                        max: stats.max,
+                        file_bytes: stats.file_bytes,
+                        ..job.attribute(path)
+                    };
+                    Ok(((attr, stats.source_hash), open.is_full()))
+                };
+                match write() {
+                    Ok((attr, full)) => {
+                        staged.push(attr);
+                        if full {
+                            if let Err(e) = commit(&mut segment, &mut staged, &mut out) {
                                 break Err(e);
                             }
                         }
@@ -538,13 +677,14 @@ impl ExportedDatabase {
                     // Cancellation is a STOP, not a data fault: quarantining
                     // it would record healthy attributes as failed.
                     Err(e)
-                        if options.keep_going
-                            && !matches!(e, crate::error::ValueSetError::Cancelled { .. }) =>
+                        if options.keep_going && !matches!(e, ValueSetError::Cancelled { .. }) =>
                     {
                         // A mid-extraction failure leaves buffered values
-                        // and spill runs behind.
+                        // and spill runs behind; its partial stream is
+                        // overwritten by the next one or cut off at commit.
                         sorter.reset();
-                        quarantine(job.attribute(), e, &mut out);
+                        let placeholder = Extent::new(dir, 0, &name);
+                        quarantine(job.attribute(placeholder), e.to_string(), &mut out);
                     }
                     Err(e) => break Err(e),
                 }
@@ -553,11 +693,11 @@ impl ExportedDatabase {
             // waits on fsyncs, while another worker's index may still grow.
             drop(sorter);
             // Every way out of the loop — work list drained, strict-mode
-            // error, cancellation — commits the staged siblings first, so
+            // error, cancellation — commits the sealed siblings first, so
             // an interrupted run loses nothing it finished. The original
             // error wins over a commit failure it caused (after an
             // injected crash every fsync fails too).
-            let committed = commit(&mut batch, &mut out);
+            let committed = commit(&mut segment, &mut staged, &mut out);
             outcome.and(committed)?;
             Ok(out)
         };
@@ -582,6 +722,7 @@ impl ExportedDatabase {
             budget: FileBudget::unlimited(),
             io: sort.io.clone(),
             read_stats,
+            segments,
             key_compares: key_compares.into_inner(),
             memcmp_compares: memcmp_compares.into_inner(),
             exports_reused,
@@ -589,7 +730,6 @@ impl ExportedDatabase {
             orphans_swept,
         })
     }
-
     /// Attributes quarantined during a keep-going export (empty unless
     /// [`ExportOptions::keep_going`] was set and something failed).
     pub fn failed_attributes(&self) -> &[FailedAttribute] {
@@ -618,7 +758,10 @@ impl ExportedDatabase {
     }
 
     /// Installs an open-file budget governing all subsequently opened
-    /// cursors. Models the operating-system limit from Sec. 4.2.
+    /// cursors. Models the operating-system limit from Sec. 4.2 — one
+    /// descriptor per open value file — for the block-wise reproduction;
+    /// this export's cursors share one descriptor per segment, so the
+    /// default (unlimited) budget is never the binding limit.
     pub fn set_file_budget(&mut self, budget: FileBudget) {
         self.budget = budget;
     }
@@ -650,7 +793,8 @@ impl ExportedDatabase {
         self.read_stats.reset();
     }
 
-    /// Physical descriptors opened for value data since the last reset.
+    /// Physical descriptors opened for value data since the last reset:
+    /// one per segment, however many cursors read it.
     pub fn file_opens(&self) -> u64 {
         self.read_stats.file_opens()
     }
@@ -682,7 +826,7 @@ impl ExportedDatabase {
     }
 
     /// Attributes reused from the durable manifest by a `--resume` run
-    /// (their value files passed validation; not a byte was re-sorted).
+    /// (their streams passed validation; not a byte was re-sorted).
     pub fn exports_reused(&self) -> u64 {
         self.exports_reused
     }
@@ -693,7 +837,9 @@ impl ExportedDatabase {
         self.exports_redone
     }
 
-    /// Orphaned `.tmp` staging files swept by the resume scan.
+    /// Files an earlier run left behind that this export deleted: staged
+    /// `.tmp` files, segments no manifest entry points into, and value
+    /// files of the one-file-per-attribute layout.
     pub fn orphans_swept(&self) -> u64 {
         self.orphans_swept
     }
@@ -706,19 +852,21 @@ impl ValueSetProvider for ExportedDatabase {
         let attr = self
             .attributes
             .get(id as usize)
-            .ok_or(crate::error::ValueSetError::UnknownAttribute(id))?;
+            .ok_or(ValueSetError::UnknownAttribute(id))?;
         if let Some(f) = self.failed.iter().find(|f| f.id == id) {
-            return Err(crate::error::ValueSetError::Corrupt {
+            return Err(ValueSetError::Corrupt {
                 context: attr.path.display().to_string(),
                 detail: format!("attribute quarantined during export: {}", f.error),
             });
         }
-        ValueFileReader::open_sized(
+        let guard = self.budget.acquire()?;
+        open_stream(
+            &self.segments,
             &attr.path,
-            &self.io,
-            Some(&self.budget),
-            Some(self.read_stats.clone()),
             attr.file_bytes,
+            &self.io,
+            &self.read_stats,
+            Some(guard),
         )
     }
 
@@ -730,7 +878,7 @@ impl ValueSetProvider for ExportedDatabase {
 /// Metadata for one exported composite (multi-column) value stream — the
 /// arity-k analogue of [`ExportedAttribute`]. Entries are rows of the
 /// owning table with every component non-NULL, tuple-encoded
-/// ([`crate::encode_tuple`]) so the sorted file compares like the tuple
+/// ([`crate::encode_tuple`]) so the sorted stream compares like the tuple
 /// sequence.
 #[derive(Debug, Clone)]
 pub struct ExportedComposite {
@@ -743,9 +891,9 @@ pub struct ExportedComposite {
     pub non_null_rows: u64,
     /// Distinct tuples written out.
     pub distinct: u64,
-    /// Value file backing this composite stream.
-    pub path: PathBuf,
-    /// Byte size of that file, recorded at write time.
+    /// Where the composite stream lies (`seg-00-NNNN.indv[comp-NNNNN]`).
+    pub path: Extent,
+    /// Byte size of that stream, recorded at write time.
     pub file_bytes: u64,
 }
 
@@ -759,10 +907,31 @@ pub struct CompositeExport {
     composites: Vec<ExportedComposite>,
     io: IoOptions,
     read_stats: ReadStats,
+    segments: SegmentFiles,
+}
+
+/// Publishes a level's open segment and moves its staged composites to
+/// `done`; a segment whose every stream failed is dropped instead.
+fn publish_level_batch(
+    segment: &mut Option<SegmentWriter>,
+    staged: &mut Vec<ExportedComposite>,
+    done: &mut Vec<ExportedComposite>,
+) -> Result<()> {
+    let Some(segment) = segment.take() else {
+        return Ok(());
+    };
+    if staged.is_empty() {
+        segment.discard();
+        return Ok(());
+    }
+    let _span = ind_trace::start_arg(ind_trace::PUBLISH, staged.len() as u64);
+    segment.publish()?;
+    done.append(staged);
+    Ok(())
 }
 
 impl CompositeExport {
-    /// Exports one sorted composite value file per column group of
+    /// Exports one sorted composite value stream per column group of
     /// `groups` into `dir` (created if missing). Group `i` becomes
     /// composite id `i`. Every group must name columns of a single table;
     /// ragged groups (columns from different tables) are a storage error at
@@ -781,49 +950,51 @@ impl CompositeExport {
         let mut composites = Vec::with_capacity(groups.len());
         // One sorter for the whole level: warm arena across groups.
         let mut sorter = ExternalSorter::new(&spill_dir, sort.clone())?;
-        // The level commits through the same group commit as the unary
-        // export: one directory fsync per batch instead of one per group.
-        let mut batch: StagedBatch<ExportedComposite> = StagedBatch::new();
-        let mut commit = |batch: &mut StagedBatch<ExportedComposite>| -> Result<()> {
-            if !batch.is_empty() {
-                let _span = ind_trace::start_arg(ind_trace::PUBLISH, batch.len() as u64);
-                composites.extend(batch.publish_all(dir, sort.io.fault.as_ref())?);
-            }
-            Ok(())
-        };
+        // The level commits like the unary export: its streams go into
+        // segments of up to BATCH_MAX_BYTES, one fsync + rename + directory
+        // fsync each.
+        let mut segment: Option<SegmentWriter> = None;
+        let mut staged: Vec<ExportedComposite> = Vec::new();
+        let mut ordinal = 0u32;
         let mut stage_all = || -> Result<()> {
             for (id, group) in groups.iter().enumerate() {
                 let mut columns = Vec::with_capacity(group.len());
                 for qn in group {
                     columns.push(db.cells(qn)?);
                 }
-                let path = dir.join(format!("comp-{id:05}.indv"));
                 let _sort_span = ind_trace::start_arg(ind_trace::SORT, id as u64);
                 if let Some(cancel) = &sort.io.cancel {
                     cancel.check("export")?;
                 }
-                let (stats, file) = extract_composite_with_sorter(&columns, &path, &mut sorter)?;
+                let open = match segment.take() {
+                    Some(open) => open,
+                    None => {
+                        ordinal += 1;
+                        SegmentWriter::create(&dir.join(segment_name(0, ordinal - 1)), &sort.io)?
+                    }
+                };
+                let open = segment.insert(open);
+                let mut writer = open.stream(Some(&format!("comp-{id:05}")));
+                let stats = extract_composite_with_sorter(&columns, &mut sorter, &mut writer)?;
+                let path = open.seal(writer)?;
                 ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
-                batch.push(
-                    file,
-                    ExportedComposite {
-                        id: id as u32,
-                        columns: group.clone(),
-                        non_null_rows: stats.pushed,
-                        distinct: stats.distinct,
-                        path,
-                        file_bytes: stats.file_bytes,
-                    },
-                );
-                if batch.is_full() {
-                    commit(&mut batch)?;
+                staged.push(ExportedComposite {
+                    id: id as u32,
+                    columns: group.clone(),
+                    non_null_rows: stats.pushed,
+                    distinct: stats.distinct,
+                    path,
+                    file_bytes: stats.file_bytes,
+                });
+                if open.is_full() {
+                    publish_level_batch(&mut segment, &mut staged, &mut composites)?;
                 }
             }
             Ok(())
         };
-        // Error or not, what is staged gets committed before returning.
+        // Error or not, what is sealed gets published before returning.
         let outcome = stage_all();
-        let committed = commit(&mut batch);
+        let committed = publish_level_batch(&mut segment, &mut staged, &mut composites);
         outcome.and(committed)?;
         // lint: allow(swallowed_result) — best-effort cleanup of an empty spill dir; the export already succeeded
         let _ = std::fs::remove_dir_all(&spill_dir); // empty after successful export
@@ -832,6 +1003,7 @@ impl CompositeExport {
             composites,
             io: sort.io.clone(),
             read_stats,
+            segments: SegmentFiles::default(),
         })
     }
 
@@ -858,13 +1030,14 @@ impl ValueSetProvider for CompositeExport {
         let comp = self
             .composites
             .get(id as usize)
-            .ok_or(crate::error::ValueSetError::UnknownAttribute(id))?;
-        ValueFileReader::open_sized(
+            .ok_or(ValueSetError::UnknownAttribute(id))?;
+        open_stream(
+            &self.segments,
             &comp.path,
-            &self.io,
-            None,
-            Some(self.read_stats.clone()),
             comp.file_bytes,
+            &self.io,
+            &self.read_stats,
+            None,
         )
     }
 
@@ -879,6 +1052,23 @@ mod tests {
     use crate::cursor::{collect_cursor, ValueCursor};
     use ind_storage::{ColumnSchema, Table, TableSchema, Value};
     use ind_testkit::TempDir;
+
+    /// The bytes of `attr`'s stream, read out of its segment.
+    fn stream_bytes(attr: &ExportedAttribute) -> Vec<u8> {
+        let segment = std::fs::read(attr.path.file()).unwrap();
+        let start = attr.path.offset() as usize;
+        segment[start..start + attr.file_bytes as usize].to_vec()
+    }
+
+    /// Every `.tmp` stage left in `dir`.
+    fn stages(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect()
+    }
 
     fn sample_db() -> Database {
         let mut db = Database::new("exported");
@@ -973,8 +1163,7 @@ mod tests {
     #[test]
     fn block_size_is_an_io_knob_not_a_format_knob() {
         // Exports at wildly different block sizes must produce identical
-        // files and identical streams, and cursors opened at any block size
-        // read any export.
+        // streams, and cursors opened at any block size read any export.
         let db = sample_db();
         let ref_dir = TempDir::new("export-io-ref");
         let reference =
@@ -990,8 +1179,8 @@ mod tests {
             assert_eq!(exp.io_options().block_size, block_size);
             for (a, b) in exp.attributes().iter().zip(reference.attributes()) {
                 assert_eq!(
-                    std::fs::read(&a.path).unwrap(),
-                    std::fs::read(&b.path).unwrap(),
+                    stream_bytes(a),
+                    stream_bytes(b),
                     "block_size={block_size}, attribute {}",
                     a.name
                 );
@@ -1017,6 +1206,13 @@ mod tests {
             after_scan >= exp.attribute_count() as u64,
             "each cursor fills at least once, got {after_scan}"
         );
+        // One descriptor per segment, however many cursors read it.
+        let segments: HashSet<&Path> = exp.attributes().iter().map(|a| a.path.file()).collect();
+        assert_eq!(exp.file_opens(), segments.len() as u64);
+        for id in 0..exp.attribute_count() as u32 {
+            collect_cursor(exp.open(id).unwrap()).unwrap();
+        }
+        assert_eq!(exp.file_opens(), segments.len() as u64, "reopens share it");
         exp.reset_read_calls();
         assert_eq!(exp.read_calls(), 0);
     }
@@ -1074,30 +1270,27 @@ mod tests {
 
     #[test]
     fn keep_going_quarantines_only_the_failed_attribute() {
-        // Inject an ENOSPC on attribute 1's value file: without keep_going
-        // the export dies; with it, attribute 1 is quarantined and every
-        // other attribute exports byte-identically to a fault-free run.
+        // Inject an ENOSPC on attribute 1's stream: without keep_going the
+        // export dies; with it, attribute 1 is quarantined and every other
+        // attribute exports byte-identically to a fault-free run — in the
+        // very segment attribute 1 was being written into.
         let db = sample_db();
         let clean_dir = TempDir::new("export-keepgoing-ref");
         let clean =
             ExportedDatabase::export(&db, clean_dir.path(), &ExportOptions::default()).unwrap();
         for threads in [1usize, 3] {
-            let plan = std::sync::Arc::new(
-                crate::fault::FaultPlan::parse("write:attr-00001:enospc").unwrap(),
-            );
-            let mut strict = ExportOptions::with_threads(threads);
-            strict.sort.io = IoOptions::default().with_fault(plan.clone());
             let strict_dir = TempDir::new("export-keepgoing-strict");
             assert!(
-                ExportedDatabase::export(&db, strict_dir.path(), &strict).is_err(),
+                ExportedDatabase::export(
+                    &db,
+                    strict_dir.path(),
+                    &faulted("write:attr-00001:enospc", threads)
+                )
+                .is_err(),
                 "threads={threads}: without keep_going the export fails"
             );
 
-            let plan = std::sync::Arc::new(
-                crate::fault::FaultPlan::parse("write:attr-00001:enospc").unwrap(),
-            );
-            let mut lax = ExportOptions::with_threads(threads).keep_going(true);
-            lax.sort.io = IoOptions::default().with_fault(plan);
+            let lax = faulted("write:attr-00001:enospc", threads).keep_going(true);
             let dir = TempDir::new("export-keepgoing");
             let exp = ExportedDatabase::export(&db, dir.path(), &lax).unwrap();
             assert_eq!(exp.attribute_count(), clean.attribute_count());
@@ -1110,8 +1303,9 @@ mod tests {
             assert!(!exp.is_quarantined(0));
             let denied = exp.open(1);
             match denied {
-                Err(crate::error::ValueSetError::Corrupt { detail, .. }) => {
-                    assert!(detail.contains("quarantined"), "{detail}")
+                Err(ValueSetError::Corrupt { context, detail }) => {
+                    assert!(detail.contains("quarantined"), "{detail}");
+                    assert!(context.contains("[attr-00001]"), "{context}");
                 }
                 _ => panic!("opening a quarantined attribute must fail"),
             }
@@ -1121,35 +1315,80 @@ mod tests {
                     collect_cursor(clean.open(id).unwrap()).unwrap(),
                     "threads={threads}: healthy attribute {id} is untouched"
                 );
+                assert_eq!(
+                    stream_bytes(&exp.attributes()[id as usize]),
+                    stream_bytes(&clean.attributes()[id as usize])
+                );
+            }
+            if threads == 1 {
+                let segment = exp.attributes()[0].path.file();
+                assert!(exp
+                    .attributes()
+                    .iter()
+                    .all(|a| a.id == 1 || a.path.file() == segment));
             }
             assert!(
                 !dir.join("spill").exists(),
                 "spill dirs are cleaned up after a degraded export"
             );
-            assert_eq!(
-                vouched_files(dir.path()),
-                ["attr-00000.indv", "attr-00002.indv", "attr-00003.indv"],
-                "threads={threads}: only the failing attribute's stage is dropped"
-            );
-            assert!(!dir.join("attr-00001.indv.tmp").exists());
+            assert_eq!(vouched(dir.path()), [0, 2, 3], "threads={threads}");
+            assert!(stages(dir.path()).is_empty());
         }
     }
 
-    /// The files the ON-DISK manifest of `dir` vouches for, each checked
-    /// against its seal first: the manifest may never name a file that is
-    /// missing, torn, or not the one it recorded.
-    fn vouched_files(dir: &Path) -> Vec<String> {
+    #[test]
+    fn a_read_fault_in_a_shared_segment_costs_only_that_attribute() {
+        // One worker: all four streams in one segment. A bit flip in
+        // attribute 1's stream — offsets count from ITS first byte — fails
+        // that cursor alone; its siblings, read through the same descriptor,
+        // still answer.
+        let dir = TempDir::new("export-shared-segment");
+        let mut exp =
+            ExportedDatabase::export(&sample_db(), dir.path(), &ExportOptions::with_threads(1))
+                .unwrap();
+        let segment = exp.attributes()[0].path.file().to_path_buf();
+        assert!(exp.attributes().iter().all(|a| a.path.file() == segment));
+        assert!(exp.attributes()[1].path.offset() > 0);
+        let clean: Vec<_> = (0..4u32)
+            .map(|id| collect_cursor(exp.open(id).unwrap()).unwrap())
+            .collect();
+        let plan = std::sync::Arc::new(crate::FaultPlan::parse("read:attr-00001:flip=30").unwrap());
+        exp.set_io_options(exp.io_options().clone().with_fault(plan.clone()));
+        match exp.open(1).and_then(collect_cursor) {
+            Err(ValueSetError::Corrupt { context, .. }) => {
+                assert!(
+                    context.ends_with("seg-00-0000.indv[attr-00001]"),
+                    "{context}"
+                )
+            }
+            other => panic!("the flipped stream must be Corrupt, got {other:?}"),
+        }
+        assert_eq!(plan.fired_count(), 1);
+        for id in [0u32, 2, 3] {
+            assert_eq!(
+                collect_cursor(exp.open(id).unwrap()).unwrap(),
+                clean[id as usize]
+            );
+        }
+    }
+
+    /// The attribute ids the ON-DISK manifest of `dir` vouches for, each
+    /// stream checked against its seal first: the manifest may never name
+    /// a stream that is missing, torn, or not the one it recorded.
+    fn vouched(dir: &Path) -> Vec<u32> {
         let manifest = Manifest::load(dir).unwrap_or_default();
         for entry in manifest.entries() {
-            crate::format::verify_file_quick(
-                &dir.join(&entry.file),
-                entry.file_bytes,
-                entry.records,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("manifest vouches for a bad {}: {e}", entry.file));
+            let extent = Extent::new(
+                &dir.join(&entry.segment),
+                entry.offset,
+                &stream_name(entry.id),
+            );
+            let file = std::fs::File::open(extent.file())
+                .unwrap_or_else(|e| panic!("manifest names a missing {}: {e}", entry.segment));
+            verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, None)
+                .unwrap_or_else(|e| panic!("manifest vouches for a bad {}: {e}", extent.display()));
         }
-        manifest.entries().iter().map(|e| e.file.clone()).collect()
+        manifest.entries().iter().map(|e| e.id).collect()
     }
 
     fn faulted(spec: &str, threads: usize) -> ExportOptions {
@@ -1161,11 +1400,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_descriptors_are_bounded_by_the_batch_not_by_the_worker_count() {
-        // 600 attributes over 32 workers, every staged file's fsync failing:
-        // each worker's first commit fails the (strict) export for it and
-        // leaves exactly the files it was holding as `.tmp` orphans, so the
-        // orphans count the descriptors all workers hold at their fullest.
+    fn a_worker_holds_one_segment_at_a_time() {
+        // 600 attributes over 32 workers, every segment fsync failing: each
+        // worker's commit fails the (strict) export for it and leaves the
+        // one segment it was writing as a `.tmp` orphan, so the orphans
+        // count the descriptors all workers held at their fullest.
         let mut db = Database::new("many-attributes");
         for t in 0..20 {
             let columns = (0..30)
@@ -1176,64 +1415,69 @@ mod tests {
             db.add_table(table).unwrap();
         }
         let dir = TempDir::new("export-descriptors");
-        let err = ExportedDatabase::export(&db, dir.path(), &faulted("fsync:attr-:fail@600", 32))
+        let err = ExportedDatabase::export(&db, dir.path(), &faulted("fsync:seg-:fail@600", 32))
             .unwrap_err();
         assert!(err.to_string().contains("injected fsync"), "{err}");
-        let orphans = std::fs::read_dir(dir.path())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".indv.tmp"))
-            .count();
-        assert!(
-            (1..=crate::BATCH_MAX_FILES).contains(&orphans),
-            "{orphans} staged files held at once"
-        );
+        let orphans = stages(dir.path());
+        assert!((1..=32).contains(&orphans.len()), "{orphans:?}");
+        assert!(orphans.iter().all(|name| name.starts_with("seg-")));
     }
 
     #[test]
     fn batch_commit_writes_the_bytes_per_file_publication_wrote() {
-        // Publication changes names, never bytes: every value file equals
-        // what the plain writer produces from the column's sorted distinct
-        // values, and MANIFEST.json equals one built entry by entry with
+        // Publication changes where a stream lies, never its bytes: every
+        // extent equals the standalone `extract_to_file` output for its
+        // column, and MANIFEST.json equals one built entry by entry with
         // the standalone column hash.
         let db = sample_db();
         let dir = TempDir::new("export-identity");
-        let exp = ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
-        let plain = dir.join("plain.indv");
+        let exp =
+            ExportedDatabase::export(&db, dir.path(), &ExportOptions::with_threads(1)).unwrap();
+        let standalone = TempDir::new("export-identity-standalone");
         let mut expected = Manifest::new();
         let columns = db
             .tables()
             .iter()
             .flat_map(|t| t.iter_cells().map(|(_, _, column)| column));
         for (attr, column) in exp.attributes().iter().zip(columns) {
-            crate::format::write_value_file(&plain, &crate::extract_sorted_distinct(column))
-                .unwrap();
-            assert_eq!(
-                std::fs::read(&attr.path).unwrap(),
-                std::fs::read(&plain).unwrap(),
-                "{}",
-                attr.name
-            );
+            let plain = standalone.join(&format!("{}.indv", stream_name(attr.id)));
+            crate::extract_to_file(
+                column,
+                &plain,
+                &standalone.join("spill"),
+                SortOptions::default(),
+            )
+            .unwrap();
+            let plain = std::fs::read(&plain).unwrap();
+            assert_eq!(stream_bytes(attr), plain, "{}", attr.name);
             expected.upsert(manifest_entry(attr, hash_column(column)));
         }
         let manifest = std::fs::read(dir.join(crate::MANIFEST_NAME)).unwrap();
         assert_eq!(manifest, expected.to_json().as_bytes());
+        assert_eq!(
+            std::fs::read(dir.join("seg-00-0000.indv")).unwrap(),
+            exp.attributes()
+                .iter()
+                .flat_map(stream_bytes)
+                .collect::<Vec<u8>>(),
+            "the segment is its streams back to back"
+        );
 
-        // CRC-32C of each artifact of this very export. The value files
+        // CRC-32C of each stream of this very export. The value streams
         // are pinned from the per-attribute publisher the group commit
-        // replaced (commit f992d7f); the manifest was re-pinned when
-        // manifest version 2 changed the `source_hash` function.
-        let pins: [(&str, u32); 5] = [
-            ("attr-00000.indv", 0xa953_9fcb),
-            ("attr-00001.indv", 0x4fc6_9237),
-            ("attr-00002.indv", 0x340e_eacd),
-            ("attr-00003.indv", 0x52bb_f17e),
-            (crate::MANIFEST_NAME, 0xb08c_4bc2),
-        ];
-        for (file, crc) in pins {
-            let bytes = std::fs::read(dir.join(file)).unwrap();
-            assert_eq!(crate::crc32c(&bytes), crc, "{file}");
+        // replaced (commit f992d7f) and hold on extents of a segment; the
+        // manifest was re-pinned when manifest version 3 replaced each
+        // entry's file by its `{segment, offset}` extent.
+        let pins: [u32; 4] = [0xa953_9fcb, 0x4fc6_9237, 0x340e_eacd, 0x52bb_f17e];
+        for (attr, crc) in exp.attributes().iter().zip(pins) {
+            assert_eq!(crate::crc32c(&stream_bytes(attr)), crc, "{}", attr.name);
         }
+        assert_eq!(
+            crate::crc32c(&manifest),
+            0x2bb4_ff73,
+            "{}",
+            crate::MANIFEST_NAME
+        );
     }
 
     #[test]
@@ -1247,21 +1491,43 @@ mod tests {
             )
             .unwrap_err();
             assert!(err.to_string().contains("attr-00002"), "{err}");
-            // Everything finished before (or beside) the failure is
+            // Everything sealed before (or beside) the failure is
             // published and vouched for; the failing attribute is not.
-            let vouched = vouched_files(dir.path());
-            assert!(!vouched.contains(&"attr-00002.indv".to_string()));
+            let vouched = vouched(dir.path());
+            assert!(!vouched.contains(&2));
             if threads == 1 {
-                assert_eq!(vouched, ["attr-00000.indv", "attr-00001.indv"]);
+                assert_eq!(vouched, [0, 1]);
             }
-            for file in &vouched {
-                assert!(!dir.join(&format!("{file}.tmp")).exists(), "no stage leaks");
+            assert!(stages(dir.path()).is_empty(), "no stage leaks");
+        }
+    }
+
+    #[test]
+    fn a_failed_segment_fsync_fails_a_strict_export_and_records_nothing() {
+        for threads in [1usize, 3] {
+            let dir = TempDir::new("export-fsync-strict");
+            let err = ExportedDatabase::export(
+                &sample_db(),
+                dir.path(),
+                &faulted("fsync:attr-00001:fail", threads),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("injected fsync"), "{err}");
+            assert!(!vouched(dir.path()).contains(&1), "threads={threads}");
+            if threads == 1 {
+                assert!(
+                    Manifest::load(dir.path()).is_none(),
+                    "one batch, lost whole"
+                );
             }
         }
     }
 
     #[test]
-    fn a_failed_fsync_at_commit_quarantines_that_one_file() {
+    fn a_failed_segment_fsync_quarantines_its_whole_batch_under_keep_going() {
+        // Attribute 1's segment fails its fsync. Its streams share that one
+        // file, so every attribute of the batch is quarantined — the
+        // documented price of one fsync per batch — and no other.
         let clean_dir = TempDir::new("export-fsync-ref");
         let clean =
             ExportedDatabase::export(&sample_db(), clean_dir.path(), &ExportOptions::default())
@@ -1271,21 +1537,29 @@ mod tests {
             let options = faulted("fsync:attr-00001:fail", threads).keep_going(true);
             let exp = ExportedDatabase::export(&sample_db(), dir.path(), &options).unwrap();
             let lost: Vec<u32> = exp.failed_attributes().iter().map(|f| f.id).collect();
-            assert_eq!(lost, [1], "threads={threads}");
-            assert!(exp.failed_attributes()[0].error.contains("fsync"));
-            for id in [0u32, 2, 3] {
+            assert!(lost.contains(&1), "threads={threads}: {lost:?}");
+            let batch = exp.failed_attributes()[0].error.clone();
+            for failure in exp.failed_attributes() {
+                assert!(
+                    failure.error.contains("injected fsync"),
+                    "{}",
+                    failure.error
+                );
+                assert_eq!(failure.error, batch, "one failure, one batch");
+            }
+            if threads == 1 {
+                assert_eq!(lost, [0, 1, 2, 3], "one worker, one batch");
+            }
+            let healthy: Vec<u32> = (0..4u32).filter(|id| !lost.contains(id)).collect();
+            for &id in &healthy {
                 assert_eq!(
                     collect_cursor(exp.open(id).unwrap()).unwrap(),
                     collect_cursor(clean.open(id).unwrap()).unwrap(),
-                    "threads={threads}: the rest of the batch is untouched"
+                    "threads={threads}: the other batches are untouched"
                 );
             }
-            assert_eq!(
-                vouched_files(dir.path()),
-                ["attr-00000.indv", "attr-00002.indv", "attr-00003.indv"]
-            );
-            assert!(!dir.join("attr-00001.indv").exists());
-            assert!(!dir.join("attr-00001.indv.tmp").exists());
+            assert_eq!(vouched(dir.path()), healthy);
+            assert!(stages(dir.path()).is_empty(), "the failed stage is dropped");
         }
     }
 
@@ -1322,9 +1596,11 @@ mod tests {
             CompositeExport::export(&sample_db(), &groups, &workdir, &ExportOptions::default())
                 .unwrap();
         assert_eq!(exp.attribute_count(), 3);
-        for entry in std::fs::read_dir(&workdir).unwrap().flatten() {
-            assert!(!entry.file_name().to_string_lossy().ends_with(".tmp"));
-        }
+        assert!(stages(&workdir).is_empty());
+        assert!(exp
+            .composites()
+            .iter()
+            .all(|c| c.path.file() == workdir.join("seg-00-0000.indv")));
     }
 
     #[test]
@@ -1366,16 +1642,117 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_between_a_segment_rename_and_its_manifest_leaves_an_orphan_the_resume_sweeps() {
+        // One worker, one batch of four small streams: two writes each
+        // (the block flush, the header patch), the segment's rename (9),
+        // then the manifest's write (10). Dying there leaves a complete,
+        // durable segment no manifest names.
+        let dir = TempDir::new("export-orphan-segment");
+        let db = sample_db();
+        let err =
+            ExportedDatabase::export(&db, dir.path(), &faulted("write:*:crash=10", 1)).unwrap_err();
+        assert!(err.to_string().contains("injected crash"), "{err}");
+        assert!(
+            dir.join("seg-00-0000.indv").exists(),
+            "renamed before the crash"
+        );
+        assert!(
+            Manifest::load(dir.path()).is_none(),
+            "the manifest never landed"
+        );
+
+        let resumed = ExportedDatabase::export(
+            &db,
+            dir.path(),
+            &ExportOptions::with_threads(1).resume(ResumeMode::Reuse),
+        )
+        .unwrap();
+        assert_eq!((resumed.exports_reused(), resumed.exports_redone()), (0, 4));
+        assert_eq!(
+            resumed.orphans_swept(),
+            2,
+            "the orphan segment and the manifest stage"
+        );
+        // The re-export is named past the orphan's ordinal, never over it.
+        assert!(!dir.join("seg-00-0000.indv").exists());
+        assert!(resumed
+            .attributes()
+            .iter()
+            .all(|a| a.path.file() == dir.join("seg-00-0001.indv")));
+        assert_eq!(vouched(dir.path()), [0, 1, 2, 3]);
+        assert!(stages(dir.path()).is_empty());
+    }
+
+    #[test]
+    fn a_workdir_of_per_attribute_files_is_re_exported_and_swept() {
+        // The layout before segments: one `attr-NNNNN.indv` per attribute
+        // and a version 2 manifest naming them. The manifest is refused
+        // whole (reuse is off, not an error), every attribute is exported
+        // again into a segment, and the old files are swept.
+        let db = sample_db();
+        let dir = TempDir::new("export-legacy-layout");
+        let mut v2 = String::from("{\n  \"manifest_version\": 2,\n  \"entries\": [");
+        for (id, column) in db
+            .tables()
+            .iter()
+            .flat_map(|t| t.iter_cells().map(|(_, _, c)| c))
+            .enumerate()
+        {
+            let values = crate::extract_sorted_distinct(column);
+            let file = format!("attr-{id:05}.indv");
+            crate::format::write_value_file(&dir.join(&file), &values).unwrap();
+            v2.push_str(&format!(
+                "{}{{\"file\": \"{file}\", \"id\": {id}}}",
+                if id == 0 { "" } else { "," }
+            ));
+        }
+        v2.push_str("]\n}\n");
+        std::fs::write(dir.join(crate::MANIFEST_NAME), v2).unwrap();
+        assert!(
+            Manifest::load(dir.path()).is_none(),
+            "a v2 manifest disables reuse"
+        );
+
+        let resumed = ExportedDatabase::export(
+            &db,
+            dir.path(),
+            &ExportOptions::default().resume(ResumeMode::Verify),
+        )
+        .unwrap();
+        assert_eq!((resumed.exports_reused(), resumed.exports_redone()), (0, 4));
+        assert_eq!(resumed.orphans_swept(), 4, "every per-attribute file");
+        let mut names: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert!(
+            names
+                .iter()
+                .all(|n| n == crate::MANIFEST_NAME || n.starts_with("seg-")),
+            "{names:?}"
+        );
+        assert_eq!(vouched(dir.path()), [0, 1, 2, 3]);
+        let clean_dir = TempDir::new("export-legacy-clean");
+        let clean =
+            ExportedDatabase::export(&db, clean_dir.path(), &ExportOptions::default()).unwrap();
+        for (a, b) in clean.attributes().iter().zip(resumed.attributes()) {
+            assert_eq!(stream_bytes(a), stream_bytes(b));
+        }
+    }
+
+    #[test]
     fn resume_reuses_valid_exports_and_sweeps_orphans() {
         let dir = TempDir::new("resume-reuse");
         let db = sample_db();
         let first = ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
-        let before: Vec<Vec<u8>> = first
-            .attributes()
-            .iter()
-            .map(|a| std::fs::read(&a.path).unwrap())
-            .collect();
-        std::fs::write(dir.path().join("attr-99999.indv.tmp"), b"torn stage").unwrap();
+        let before: Vec<Vec<u8>> = first.attributes().iter().map(stream_bytes).collect();
+        // What earlier runs may leave: a torn stage, a segment no entry
+        // points into, a file of the per-attribute layout.
+        std::fs::write(dir.path().join("seg-07-0003.indv.tmp"), b"torn stage").unwrap();
+        std::fs::write(dir.path().join("seg-01-0009.indv"), b"unnamed segment").unwrap();
+        std::fs::write(dir.path().join("attr-00000.indv"), b"old layout").unwrap();
 
         let resumed = ExportedDatabase::export(
             &db,
@@ -1385,15 +1762,17 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.exports_reused(), 4);
         assert_eq!(resumed.exports_redone(), 0);
-        assert_eq!(resumed.orphans_swept(), 1);
-        assert!(!dir.path().join("attr-99999.indv.tmp").exists());
+        assert_eq!(resumed.orphans_swept(), 3);
+        for orphan in [
+            "seg-07-0003.indv.tmp",
+            "seg-01-0009.indv",
+            "attr-00000.indv",
+        ] {
+            assert!(!dir.path().join(orphan).exists(), "{orphan}");
+        }
 
-        // Reconstructed metadata and file bytes match the original export.
-        let after: Vec<Vec<u8>> = resumed
-            .attributes()
-            .iter()
-            .map(|a| std::fs::read(&a.path).unwrap())
-            .collect();
+        // Reconstructed metadata and stream bytes match the original export.
+        let after: Vec<Vec<u8>> = resumed.attributes().iter().map(stream_bytes).collect();
         assert_eq!(before, after);
         for (a, b) in first.attributes().iter().zip(resumed.attributes()) {
             assert_eq!(a.id, b.id);
@@ -1404,6 +1783,7 @@ mod tests {
             assert_eq!(a.distinct, b.distinct);
             assert_eq!(a.min, b.min);
             assert_eq!(a.max, b.max);
+            assert_eq!(a.path, b.path);
             assert_eq!(a.file_bytes, b.file_bytes);
         }
         // Reused attributes open and read like freshly exported ones.
@@ -1414,14 +1794,17 @@ mod tests {
     #[test]
     fn resume_redoes_stale_and_torn_attributes() {
         let dir = TempDir::new("resume-redo");
-        ExportedDatabase::export(&sample_db(), dir.path(), &ExportOptions::default()).unwrap();
-        // Tear a byte off one published file: its self-verifying seal
-        // (size formula + footer) fails quick validation.
-        let torn = dir.path().join("attr-00002.indv");
-        let bytes = std::fs::read(&torn).unwrap();
-        std::fs::write(&torn, &bytes[..bytes.len() - 1]).unwrap();
+        let first =
+            ExportedDatabase::export(&sample_db(), dir.path(), &ExportOptions::default()).unwrap();
+        // Break the seal of one published stream (its footer's last byte):
+        // quick validation fails it, and only it.
+        let torn = &first.attributes()[2];
+        let end = torn.path.offset() + torn.file_bytes - 1;
+        let mut segment = std::fs::read(torn.path.file()).unwrap();
+        segment[end as usize] ^= 0xff;
+        std::fs::write(torn.path.file(), segment).unwrap();
 
-        // Same schema, different data in u.ref: the old attr-00003 file is
+        // Same schema, different data in u.ref: attribute 3's stream is
         // intact but its source-content hash no longer matches.
         let mut db2 = sample_db();
         db2.table_mut("u").unwrap().insert(vec![9.into()]).unwrap();
@@ -1441,6 +1824,32 @@ mod tests {
     }
 
     #[test]
+    fn a_manifest_extent_past_its_segment_is_redone_not_read() {
+        // A manifest is input from disk: an entry whose extent runs past
+        // its segment (here, right to the end of the offset range) fails
+        // validation before any stream is read, in either resume mode.
+        let db = sample_db();
+        for mode in [ResumeMode::Reuse, ResumeMode::Verify] {
+            let dir = TempDir::new("resume-bad-extent");
+            ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
+            let mut manifest = Manifest::load(dir.path()).unwrap();
+            let mut entry = manifest.get(0).unwrap().clone();
+            entry.offset = u64::MAX - 8;
+            manifest.upsert(entry);
+            manifest.store(dir.path(), None).unwrap();
+            let resumed =
+                ExportedDatabase::export(&db, dir.path(), &ExportOptions::default().resume(mode))
+                    .unwrap();
+            assert_eq!(
+                (resumed.exports_reused(), resumed.exports_redone()),
+                (3, 1),
+                "{mode:?}"
+            );
+            assert_eq!(collect_cursor(resumed.open(0).unwrap()).unwrap().len(), 3);
+        }
+    }
+
+    #[test]
     fn cancelled_export_is_resumable_and_never_quarantined() {
         let dir = TempDir::new("cancel-resume");
         let db = sample_db();
@@ -1449,13 +1858,10 @@ mod tests {
         let options =
             ExportOptions::with_threads(1).with_cancel(crate::cancel::CancelToken::cancel_after(5));
         let err = ExportedDatabase::export(&db, dir.path(), &options).unwrap_err();
-        assert!(
-            matches!(err, crate::error::ValueSetError::Cancelled { .. }),
-            "{err}"
-        );
-        // The stop committed what was already staged: nothing finished is
-        // lost, and the manifest vouches only for complete files.
-        assert!(!vouched_files(dir.path()).is_empty());
+        assert!(matches!(err, ValueSetError::Cancelled { .. }), "{err}");
+        // The stop committed what was already sealed: nothing finished is
+        // lost, and the manifest vouches only for complete streams.
+        assert!(!vouched(dir.path()).is_empty());
 
         // keep-going treats cancellation as a stop, not a data fault: no
         // quarantine, the error still surfaces.
@@ -1463,10 +1869,7 @@ mod tests {
             .keep_going(true)
             .with_cancel(crate::cancel::CancelToken::cancel_after(5));
         let err = ExportedDatabase::export(&db, dir.path(), &options).unwrap_err();
-        assert!(
-            matches!(err, crate::error::ValueSetError::Cancelled { .. }),
-            "{err}"
-        );
+        assert!(matches!(err, ValueSetError::Cancelled { .. }), "{err}");
 
         // Resume (with the deep frame-CRC walk) completes the export; the
         // attributes published before the budget ran out are reused.
@@ -1478,22 +1881,17 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.exports_reused() + resumed.exports_redone(), 4);
         assert!(resumed.exports_reused() >= 1, "first publish survived");
-        for entry in std::fs::read_dir(dir.path()).unwrap().flatten() {
-            assert!(
-                !entry.file_name().to_string_lossy().ends_with(".tmp"),
-                "orphan stage survived resume"
-            );
-        }
+        assert!(
+            stages(dir.path()).is_empty(),
+            "orphan stage survived resume"
+        );
 
         // Byte-identical to an uninterrupted export.
         let clean_dir = TempDir::new("cancel-resume-clean");
         let clean =
             ExportedDatabase::export(&db, clean_dir.path(), &ExportOptions::default()).unwrap();
         for (a, b) in clean.attributes().iter().zip(resumed.attributes()) {
-            assert_eq!(
-                std::fs::read(&a.path).unwrap(),
-                std::fs::read(&b.path).unwrap()
-            );
+            assert_eq!(stream_bytes(a), stream_bytes(b));
         }
     }
 }

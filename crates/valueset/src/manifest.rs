@@ -1,16 +1,17 @@
 //! The durable export manifest: one `MANIFEST.json` per workdir recording,
-//! for every exported attribute, the content hash of its source column,
-//! the value file's byte size, its record count, and the on-disk format
-//! version.
+//! for every exported attribute, where its value stream lies (segment and
+//! byte offset), the content hash of its source column, the stream's byte
+//! size, its record count, and the on-disk format version.
 //!
-//! Together with atomic value-file publication (tmp + fsync + rename +
-//! directory fsync, one barrier per [`crate::StagedBatch`]) the manifest
-//! makes an interrupted export *resumable*: on `--resume` the
-//! export sweeps orphaned `.tmp` files, verifies each manifest entry
-//! against its file's self-verifying footer, and re-exports only what is
-//! missing or invalid. The manifest itself is published with the same
-//! tmp + rename + fsync protocol, so a reader never observes a torn
-//! manifest — at worst a missing one, which merely disables reuse.
+//! Together with segment publication (one fsync + rename per batch, then
+//! one directory fsync: [`crate::SegmentWriter`]) the manifest makes an
+//! interrupted export *resumable*: on `--resume` the export sweeps
+//! orphaned `.tmp` files and segments no entry points into, verifies each
+//! manifest entry against its stream's self-verifying footer, and
+//! re-exports only what is missing or invalid. The manifest itself is
+//! published with the same tmp + fsync + rename + directory fsync
+//! protocol, so a reader never observes a torn manifest — at worst a
+//! missing one, which merely disables reuse.
 //!
 //! This file is also the seam for a future content-addressed store: every
 //! entry already carries a source-content hash, so exports keyed by hash
@@ -28,17 +29,22 @@ pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
 /// Manifest schema version (bump on incompatible layout changes; readers
 /// reject other versions, which simply disables reuse). Version 2 changed
-/// what `source_hash` is computed with ([`ColumnHasher`]): a version 1
-/// manifest would mismatch entry by entry, so it is refused whole.
-const MANIFEST_VERSION: u64 = 2;
+/// what `source_hash` is computed with ([`ColumnHasher`]); version 3
+/// replaced each entry's value file by a `{segment, offset}` extent. An
+/// older manifest names files this export no longer writes, so it is
+/// refused whole.
+const MANIFEST_VERSION: u64 = 3;
 
 /// One exported attribute's durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
-    /// Value file name relative to the workdir (`attr-00042.indv`).
-    pub file: String,
-    /// Dense attribute id.
+    /// Dense attribute id: the key of the entry.
     pub id: u32,
+    /// Name of the segment holding the stream, relative to the workdir
+    /// (`seg-00-0003.indv`).
+    pub segment: String,
+    /// Byte offset of the stream's header inside the segment.
+    pub offset: u64,
     /// Owning table name.
     pub table: String,
     /// Column name.
@@ -55,11 +61,11 @@ pub struct ManifestEntry {
     pub min: Option<Vec<u8>>,
     /// Largest canonical value (hex-encoded on disk), if any.
     pub max: Option<Vec<u8>>,
-    /// Byte size of the value file, recorded at write time.
+    /// Byte size of the stream, recorded at write time.
     pub file_bytes: u64,
-    /// Records in the value file (its footer count).
+    /// Records in the stream (its footer count).
     pub records: u64,
-    /// On-disk format version of the value file.
+    /// On-disk format version of the stream.
     pub format_version: u32,
     /// Content hash of the source column's canonical bytes, nulls
     /// included as markers ([`hash_column`]), so stale files are detected
@@ -161,8 +167,9 @@ impl ManifestEntry {
                 .map_or(Json::Null, |b| Json::Str(hex_encode(b)))
         };
         Json::obj([
-            ("file", self.file.as_str().into()),
             ("id", self.id.into()),
+            ("segment", self.segment.as_str().into()),
+            ("offset", self.offset.into()),
             ("table", self.table.as_str().into()),
             ("column", self.column.as_str().into()),
             ("data_type", self.data_type.name().into()),
@@ -186,8 +193,9 @@ impl ManifestEntry {
             }
         };
         Some(ManifestEntry {
-            file: json.get("file")?.as_str()?.to_string(),
             id: u32::try_from(json.get("id")?.as_u64()?).ok()?,
+            segment: json.get("segment")?.as_str()?.to_string(),
+            offset: json.get("offset")?.as_u64()?,
             table: json.get("table")?.as_str()?.to_string(),
             column: json.get("column")?.as_str()?.to_string(),
             data_type: DataType::from_name(json.get("data_type")?.as_str()?)?,
@@ -210,36 +218,24 @@ impl Manifest {
         Manifest::default()
     }
 
-    /// Entries, sorted by file name.
+    /// Entries, sorted by attribute id.
     pub fn entries(&self) -> &[ManifestEntry] {
         &self.entries
     }
 
-    /// The entry for `file`, if recorded.
-    pub fn get(&self, file: &str) -> Option<&ManifestEntry> {
+    /// The entry of attribute `id`, if recorded.
+    pub fn get(&self, id: u32) -> Option<&ManifestEntry> {
         self.entries
-            .binary_search_by(|e| e.file.as_str().cmp(file))
+            .binary_search_by_key(&id, |e| e.id)
             .ok()
             .map(|i| &self.entries[i])
     }
 
-    /// Inserts or replaces the entry for `entry.file`.
+    /// Inserts or replaces the entry of attribute `entry.id`.
     pub fn upsert(&mut self, entry: ManifestEntry) {
-        match self
-            .entries
-            .binary_search_by(|e| e.file.as_str().cmp(entry.file.as_str()))
-        {
+        match self.entries.binary_search_by_key(&entry.id, |e| e.id) {
             Ok(i) => self.entries[i] = entry,
             Err(i) => self.entries.insert(i, entry),
-        }
-    }
-
-    /// Drops the entry for `file`, if present (the file was quarantined
-    /// or deleted; a stale claim would only cost a failed validation on
-    /// the next resume, but dropping it keeps the manifest honest).
-    pub fn remove(&mut self, file: &str) {
-        if let Ok(i) = self.entries.binary_search_by(|e| e.file.as_str().cmp(file)) {
-            self.entries.remove(i);
         }
     }
 
@@ -254,7 +250,7 @@ impl Manifest {
     }
 
     /// Renders the manifest as JSON (one entry per line, keys in a fixed
-    /// order, entries sorted by file name — byte-deterministic).
+    /// order, entries sorted by attribute id — byte-deterministic).
     pub fn to_json(&self) -> String {
         Json::obj([
             ("manifest_version", MANIFEST_VERSION.into()),
@@ -281,8 +277,8 @@ impl Manifest {
         for item in json.get("entries")?.as_arr()? {
             entries.push(ManifestEntry::from_json(item)?);
         }
-        entries.sort_by(|a, b| a.file.cmp(&b.file));
-        entries.dedup_by(|a, b| a.file == b.file);
+        entries.sort_by_key(|e| e.id);
+        entries.dedup_by_key(|e| e.id);
         Some(Manifest { entries })
     }
 
@@ -298,16 +294,16 @@ impl Manifest {
 
     /// Publishes the manifest durably: written to `MANIFEST.json.tmp`,
     /// fsynced, renamed into place, directory fsynced — the same protocol
-    /// as the value files, so a crash at any point leaves either the
+    /// as the segments, so a crash at any point leaves either the
     /// previous manifest or the new one, never a torn hybrid. All writes
     /// and fsyncs go through the fault layer.
     pub fn store(&self, dir: &Path, fault: Option<&Arc<crate::fault::FaultPlan>>) -> Result<()> {
         let final_path = dir.join(MANIFEST_NAME);
-        let tmp = crate::format::tmp_path(&final_path);
+        let tmp = crate::segment::tmp_path(&final_path);
         crate::fault::check_open(&tmp, fault)?;
-        let mut file = crate::fault::create_file(&tmp)?;
-        crate::fault::write_all(&mut file, self.to_json().as_bytes(), &tmp, fault, None)?;
-        crate::fault::sync_all(&file, &tmp, fault)?;
+        let file = crate::fault::create_file(&tmp)?;
+        crate::fault::write_all_at(&file, self.to_json().as_bytes(), 0, &tmp, fault, None)?;
+        crate::fault::sync_all(&file, &tmp, &[], fault)?;
         crate::fault::rename(&tmp, &final_path, fault)?;
         crate::fault::sync_dir(dir, fault)?;
         Ok(())
@@ -319,10 +315,11 @@ mod tests {
     use super::*;
     use ind_testkit::TempDir;
 
-    fn entry(file: &str, id: u32) -> ManifestEntry {
+    fn entry(segment: &str, id: u32) -> ManifestEntry {
         ManifestEntry {
-            file: file.to_string(),
             id,
+            segment: segment.to_string(),
+            offset: 4096 * u64::from(id),
             table: "t".to_string(),
             column: format!("c{id}"),
             data_type: DataType::Integer,
@@ -341,9 +338,9 @@ mod tests {
     #[test]
     fn round_trips_through_json() {
         let mut m = Manifest::new();
-        m.upsert(entry("attr-00001.indv", 1));
-        m.upsert(entry("attr-00000.indv", 0));
-        let mut odd = entry("attr-00002.indv", 2);
+        m.upsert(entry("seg-01-0000.indv", 1));
+        m.upsert(entry("seg-00-0000.indv", 0));
+        let mut odd = entry("seg-00-0000.indv", 2);
         odd.min = None;
         odd.max = None;
         odd.table = "we\"ird\\tab\nle".to_string();
@@ -352,30 +349,31 @@ mod tests {
         // The bytes a later run reads back: pinned, so a change to the
         // shared JSON writer cannot silently change the manifest.
         let golden = r#"{
-  "manifest_version": 2,
+  "manifest_version": 3,
   "entries": [
-    {"file": "attr-00000.indv", "id": 0, "table": "t", "column": "c0", "data_type": "integer", "rows": 10, "non_null": 9, "distinct": 7, "min": "31", "max": "3939", "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693},
-    {"file": "attr-00001.indv", "id": 1, "table": "t", "column": "c1", "data_type": "integer", "rows": 10, "non_null": 9, "distinct": 7, "min": "31", "max": "3939", "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693},
-    {"file": "attr-00002.indv", "id": 2, "table": "we\"ird\\tab\nle", "column": "c2", "data_type": "text", "rows": 10, "non_null": 9, "distinct": 7, "min": null, "max": null, "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693}
+    {"id": 0, "segment": "seg-00-0000.indv", "offset": 0, "table": "t", "column": "c0", "data_type": "integer", "rows": 10, "non_null": 9, "distinct": 7, "min": "31", "max": "3939", "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693},
+    {"id": 1, "segment": "seg-01-0000.indv", "offset": 4096, "table": "t", "column": "c1", "data_type": "integer", "rows": 10, "non_null": 9, "distinct": 7, "min": "31", "max": "3939", "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693},
+    {"id": 2, "segment": "seg-00-0000.indv", "offset": 8192, "table": "we\"ird\\tab\nle", "column": "c2", "data_type": "text", "rows": 10, "non_null": 9, "distinct": 7, "min": null, "max": null, "file_bytes": 1234, "records": 7, "format_version": 2, "source_hash": 16045690984503111693}
   ]
 }
 "#;
         assert_eq!(m.to_json(), golden);
         let parsed = Manifest::from_json(&m.to_json()).expect("round trip");
         assert_eq!(parsed.entries(), m.entries());
-        assert_eq!(parsed.get("attr-00001.indv").unwrap().id, 1);
-        assert!(parsed.get("attr-00009.indv").is_none());
+        assert_eq!(parsed.get(1).unwrap().segment, "seg-01-0000.indv");
+        assert!(parsed.get(9).is_none());
     }
 
     #[test]
-    fn upsert_replaces_by_file_name() {
+    fn upsert_replaces_by_attribute() {
         let mut m = Manifest::new();
-        m.upsert(entry("attr-00000.indv", 0));
-        let mut replacement = entry("attr-00000.indv", 0);
+        m.upsert(entry("seg-00-0000.indv", 0));
+        let mut replacement = entry("seg-00-0001.indv", 0);
         replacement.distinct = 99;
         m.upsert(replacement);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.get("attr-00000.indv").unwrap().distinct, 99);
+        assert_eq!(m.get(0).unwrap().distinct, 99);
+        assert_eq!(m.get(0).unwrap().segment, "seg-00-0001.indv");
     }
 
     #[test]
@@ -384,13 +382,15 @@ mod tests {
         assert!(Manifest::from_json("{}").is_none());
         assert!(Manifest::from_json("{\"manifest_version\": 999, \"entries\": []}").is_none());
         assert!(
-            Manifest::from_json("{\"manifest_version\": 2, \"entries\": [{\"file\": 3}]}")
+            Manifest::from_json("{\"manifest_version\": 3, \"entries\": [{\"id\": \"x\"}]}")
                 .is_none()
         );
-        // A version 1 manifest recorded FNV-1a source hashes: refused whole
-        // instead of mismatching entry by entry.
+        // Version 1 recorded FNV-1a source hashes, version 2 one value file
+        // per attribute: both are refused whole instead of mismatching
+        // entry by entry.
         assert!(Manifest::from_json("{\"manifest_version\": 1, \"entries\": []}").is_none());
-        assert!(Manifest::from_json("{\"manifest_version\": 2, \"entries\": []}").is_some());
+        assert!(Manifest::from_json("{\"manifest_version\": 2, \"entries\": []}").is_none());
+        assert!(Manifest::from_json("{\"manifest_version\": 3, \"entries\": []}").is_some());
         assert!(Manifest::load(Path::new("/nonexistent")).is_none());
         // Nesting past the parser's depth cap is refused, not a stack
         // overflow that takes the resuming process down.
@@ -401,7 +401,7 @@ mod tests {
     fn store_publishes_atomically_and_loads_back() {
         let dir = TempDir::new("manifest-store");
         let mut m = Manifest::new();
-        m.upsert(entry("attr-00000.indv", 0));
+        m.upsert(entry("seg-00-0000.indv", 0));
         m.store(dir.path(), None).unwrap();
         assert!(dir.join(MANIFEST_NAME).exists());
         assert!(!dir.join("MANIFEST.json.tmp").exists(), "tmp renamed away");
@@ -409,7 +409,7 @@ mod tests {
         assert_eq!(loaded.entries(), m.entries());
 
         // Re-store with more entries: replaces, still no tmp left behind.
-        m.upsert(entry("attr-00001.indv", 1));
+        m.upsert(entry("seg-00-0000.indv", 1));
         m.store(dir.path(), None).unwrap();
         assert_eq!(Manifest::load(dir.path()).unwrap().len(), 2);
         assert!(!dir.join("MANIFEST.json.tmp").exists());
@@ -420,7 +420,7 @@ mod tests {
         let dir = TempDir::new("manifest-fsync");
         let plan = Arc::new(crate::fault::FaultPlan::parse("fsync:MANIFEST:fail").unwrap());
         let mut m = Manifest::new();
-        m.upsert(entry("attr-00000.indv", 0));
+        m.upsert(entry("seg-00-0000.indv", 0));
         let err = m.store(dir.path(), Some(&plan)).expect_err("fsync fails");
         assert!(err.to_string().contains("injected fsync"), "{err}");
         assert!(

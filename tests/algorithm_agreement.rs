@@ -14,7 +14,9 @@ use spider_ind::datagen::{
 };
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::Database;
-use spider_ind::valueset::{collect_cursor, ExportOptions, ExportedDatabase, ValueSetProvider};
+use spider_ind::valueset::{
+    collect_cursor, ExportOptions, ExportedDatabase, Manifest, ManifestEntry, ValueSetProvider,
+};
 
 fn external_algorithms() -> Vec<(&'static str, Algorithm)> {
     vec![
@@ -226,7 +228,7 @@ fn memory_export_profiles_and_sets_equal_the_scan_and_the_disk_export() {
     }
 }
 
-/// Every file of a workdir by name: the value files, MANIFEST.json, and
+/// Every file of a workdir by name: the segments, MANIFEST.json, and
 /// nothing else (no spill directory, no staged leftover).
 fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
@@ -238,7 +240,37 @@ fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Ve
                 .expect("name")
                 .to_string_lossy()
                 .into_owned();
+            assert!(
+                name == "MANIFEST.json" || (name.starts_with("seg-") && name.ends_with(".indv")),
+                "{}: unexpected {name}",
+                dir.display()
+            );
             (name, std::fs::read(&path).expect("a regular file"))
+        })
+        .collect()
+}
+
+/// Every attribute of a workdir by id: its value stream's bytes and its
+/// manifest entry minus where the stream lies. Which worker's segment a
+/// stream lands in, and at which offset, follows scheduling; the stream's
+/// bytes and everything else its entry records never do.
+fn workdir_streams(
+    dir: &std::path::Path,
+) -> std::collections::BTreeMap<u32, (Vec<u8>, ManifestEntry)> {
+    let files = workdir_files(dir);
+    let manifest = Manifest::load(dir).expect("manifest");
+    manifest
+        .entries()
+        .iter()
+        .map(|entry| {
+            let start = entry.offset as usize;
+            let stream = files[&entry.segment][start..start + entry.file_bytes as usize].to_vec();
+            let unplaced = ManifestEntry {
+                segment: String::new(),
+                offset: 0,
+                ..entry.clone()
+            };
+            (entry.id, (stream, unplaced))
         })
         .collect()
 }
@@ -252,7 +284,9 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
     // default-budget run is the reference for the defaults (whatever this
     // host's core count), for a count well past any column-per-worker
     // balance, and for budgets from 16 index entries (every column of more
-    // rows spills) upwards.
+    // rows spills) upwards. Every stream and every manifest record is
+    // identical; at one worker so is the whole workdir, segments included,
+    // while more workers place the same streams into their own segments.
     use spider_ind::core::Discovery;
     let merge_facts = |d: &Discovery| {
         (
@@ -295,10 +329,11 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
         assert_eq!(disk_reference.satisfied, reference.satisfied, "{name}");
         assert_eq!(disk_reference.profiles, reference.profiles, "{name}");
         let reference_files = workdir_files(reference_dir.path());
+        let reference_streams = workdir_streams(reference_dir.path());
         assert_eq!(
-            reference_files.len(),
-            reference.profiles.len() + 1,
-            "{name}: one value file per attribute plus the manifest"
+            reference_streams.len(),
+            reference.profiles.len(),
+            "{name}: one value stream per attribute"
         );
         // `None` is `discover_on_disk`, which takes no options. A run whose
         // sorter may spill reports the spill merge's comparisons on top of
@@ -326,6 +361,7 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
             }
         }
         for (label, options, may_spill) in runs {
+            let one_worker = options.as_ref().is_some_and(|o| o.threads == 1);
             let dir = TempDir::new("agreement-workers");
             let disk = match options {
                 Some(options) => finder.discover_on_disk_with(&db, dir.path(), &options),
@@ -343,16 +379,22 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
             if !may_spill {
                 assert_eq!(facts, reference_facts, "{name}, {label}");
             }
-            let files = workdir_files(dir.path());
+            let streams = workdir_streams(dir.path());
             assert_eq!(
-                files.keys().collect::<Vec<_>>(),
-                reference_files.keys().collect::<Vec<_>>(),
+                streams.keys().collect::<Vec<_>>(),
+                reference_streams.keys().collect::<Vec<_>>(),
                 "{name}, {label}"
             );
-            for (file, bytes) in &files {
+            for (id, stream) in &streams {
                 assert!(
-                    bytes == &reference_files[file],
-                    "{name}, {label}: {file} differs from the one-worker export"
+                    stream == &reference_streams[id],
+                    "{name}, {label}: attribute {id} differs from the one-worker export"
+                );
+            }
+            if one_worker {
+                assert!(
+                    workdir_files(dir.path()) == reference_files,
+                    "{name}, {label}: a one-worker workdir differs from the reference"
                 );
             }
         }
@@ -364,8 +406,8 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
     // The database is the column store: load, both discoveries, a resumed
     // export and the n-ary search read stored cells only, so no table ever
     // builds its typed `Value` view — and the cells a load parsed are the
-    // bytes the generator's inserts rendered, so the two workdirs are
-    // file-for-file identical, manifest (column hashes) included.
+    // bytes the generator's inserts rendered, so the two workdirs hold
+    // identical streams and manifest records (column hashes included).
     use spider_ind::core::NaryFinder;
     use spider_ind::datagen::{generate_chains, ChainsConfig};
     use spider_ind::storage::tsv::{load_database, save_database};
@@ -418,20 +460,20 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
         assert_eq!(views(&built), 0, "{name}: generator-built");
         assert_eq!(from_built.satisfied, on_disk.satisfied, "{name}");
         assert_eq!(from_built.profiles, on_disk.profiles, "{name}");
-        let (loaded_files, built_files) = (
-            workdir_files(&dir.join("loaded")),
-            workdir_files(&dir.join("built")),
+        let (loaded_streams, built_streams) = (
+            workdir_streams(&dir.join("loaded")),
+            workdir_streams(&dir.join("built")),
         );
-        assert_eq!(loaded_files.len(), on_disk.profiles.len() + 1, "{name}");
+        assert_eq!(loaded_streams.len(), on_disk.profiles.len(), "{name}");
         assert_eq!(
-            loaded_files.keys().collect::<Vec<_>>(),
-            built_files.keys().collect::<Vec<_>>(),
+            loaded_streams.keys().collect::<Vec<_>>(),
+            built_streams.keys().collect::<Vec<_>>(),
             "{name}"
         );
-        for (file, bytes) in &loaded_files {
+        for (id, stream) in &loaded_streams {
             assert!(
-                bytes == &built_files[file],
-                "{name}: {file} of the reloaded database differs from the generator-built one's"
+                stream == &built_streams[id],
+                "{name}: attribute {id} of the reloaded database differs from the generator-built one's"
             );
         }
     }

@@ -546,9 +546,11 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
     let dir = TempDir::new("cli-crash-resume");
     let db_dir = dir.join("db");
     let db_path = db_dir.to_str().expect("utf8 path");
-    // 551 attributes: the export commits in batches of BATCH_MAX_FILES, so
-    // the crash below lands well after the first group commit.
-    assert!(spider_ind(&["generate", "pdb", db_path, "--scale", "5"])
+    // 2,400 blob payloads of 4 KiB: the payload column alone outgrows a
+    // batch (BATCH_MAX_BYTES, 8 MiB), so at one worker the export commits
+    // twice — blob_store's two streams, then blob_ref's — and the crash
+    // below can land after the first commit.
+    assert!(spider_ind(&["generate", "wide", db_path, "--scale", "600"])
         .status
         .success());
 
@@ -562,10 +564,12 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
     let clean = spider_ind(&["discover", db_path, "--algorithm", "spider"]);
     assert!(clean.status.success());
 
-    // First run dies mid-export on an injected torn write: dirty exit. A
-    // batch costs two writes and a rename per file plus the manifest's
-    // write and rename, so ordinal 400 falls after the second commit — at
-    // one worker; an ordinal names no fixed point of a concurrent export.
+    // First run dies mid-export on an injected torn write: dirty exit. The
+    // first batch's streams take 41 writes (the payload flushes in 256 KiB
+    // blocks), its commit the segment's rename and the manifest's write
+    // and rename (42–44); the second batch's streams take two writes each
+    // (45–48). Ordinal 47 so falls after the first commit — at one worker;
+    // an ordinal names no fixed point of a concurrent export.
     let workdir = dir.join("work");
     let work_path = workdir.to_str().expect("utf8");
     let crashed = spider_ind(&[
@@ -579,12 +583,12 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
         "--threads",
         "1",
         "--fault-plan",
-        "write:*:crash=400",
+        "write:*:crash=47",
     ]);
     assert!(!crashed.status.success(), "the crash must surface");
 
     // Second run resumes: completes, reuses the batch committed before
-    // the crash, and leaves no staged `.tmp` behind.
+    // the crash, and leaves no staged `.tmp` and no orphan segment behind.
     let report_path = dir.join("resume-report.json");
     let resume = || {
         let resumed = spider_ind(&[
@@ -613,16 +617,29 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
         (count("exports_reused"), count("exports_redone"))
     };
     let (reused, redone) = resume();
+    assert_eq!(
+        (reused, redone),
+        (2, 2),
+        "resume must reuse the batch that landed before the crash"
+    );
+    let manifest = std::fs::read_to_string(workdir.join("MANIFEST.json")).expect("manifest");
     assert!(
-        reused > 0,
-        "resume must reuse the exports that landed before the crash"
+        manifest.contains("\"segment\": \"seg-00-0000.indv\""),
+        "{manifest}"
     );
     for entry in std::fs::read_dir(&workdir).expect("workdir") {
-        let path = entry.expect("entry").path();
+        let name = entry
+            .expect("entry")
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
         assert!(
-            path.extension().and_then(|e| e.to_str()) != Some("tmp"),
-            "orphan staged file survived resume: {}",
-            path.display()
+            !name.ends_with(".tmp"),
+            "orphan stage survived resume: {name}"
+        );
+        assert!(
+            name == "MANIFEST.json" || manifest.contains(&format!("\"segment\": \"{name}\"")),
+            "orphan segment survived resume: {name}"
         );
     }
 

@@ -1,29 +1,44 @@
 //! Crash-safety end to end: a run killed at an export boundary — torn
-//! write, death between two renames of a group commit, failed fsync, or
-//! cooperative cancellation — must leave a workdir whose manifest names
-//! only complete, durable files, and that a `--resume` run completes to
-//! the byte-identical result of an uninterrupted run, reusing every batch
-//! that was committed and sweeping every staged `.tmp` file.
+//! write, death between a segment's rename and the manifest that names it,
+//! failed fsync, or cooperative cancellation — must leave a workdir whose
+//! manifest names only complete, durable streams, and that a `--resume`
+//! run completes to the byte-identical result of an uninterrupted run,
+//! reusing every batch that was committed and sweeping every staged `.tmp`
+//! and every segment no manifest entry points into.
 
 use ind_testkit::TempDir;
 use proptest::prelude::*;
 use spider_ind::core::{Algorithm, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 use spider_ind::valueset::{
-    collect_cursor, CancelToken, ExportOptions, FaultPlan, IoOptions, Manifest, ResumeMode,
-    ValueFileReader, BATCH_MAX_BYTES, BATCH_MAX_FILES,
+    collect_cursor, CancelToken, ExportOptions, Extent, FaultPlan, IoOptions, Manifest, ResumeMode,
+    ValueFileReader, BATCH_MAX_BYTES,
 };
 use std::path::Path;
 use std::sync::Arc;
 
-/// Attributes of [`fixture_db`]: two full batches and a partial third at
-/// one thread, at least one batch per worker at three.
-const ATTRIBUTES: usize = 2 * BATCH_MAX_FILES + 4;
+/// Bytes of each padding column's stream: eight of them fill a batch.
+const PAD_STREAM_BYTES: usize = BATCH_MAX_BYTES as usize / 8;
+
+/// Padding columns of [`fixture_db`]: at one thread, two full batches
+/// (the four core attributes ride in the first) and a partial third; at
+/// three, at least one batch per worker.
+const PAD_COLUMNS: usize = 18;
+
+/// Attributes of [`fixture_db`].
+const ATTRIBUTES: usize = PAD_COLUMNS + 4;
+
+/// Frames the padding streams span: what a run at a block size below one
+/// 4 KiB frame issues writes (and cancellation polls) for.
+const PAD_FRAMES: u64 = (PAD_COLUMNS * PAD_STREAM_BYTES / 4096) as u64;
 
 /// parent(id unique, label text) ← child(id unique, parent_id), plus a
-/// table of disjoint integer columns that pads the export to
-/// [`ATTRIBUTES`] value files. Attribute ids: 0=parent.id, 1=parent.label,
-/// 2=child.id, 3=child.parent_id, 4.. = pad.cNNN.
+/// table of padding columns, disjoint from each other and from the core,
+/// that fills the export to three batches: two half-stream values per
+/// column between a short minimum and a short maximum (the manifest
+/// records every attribute's min and max, so those stay small). Attribute
+/// ids: 0=parent.id, 1=parent.label, 2=child.id, 3=child.parent_id, 4.. =
+/// pad.cNNN.
 fn fixture_db() -> Database {
     let mut db = Database::new("crash-resume");
     let mut parent = Table::new(
@@ -60,20 +75,27 @@ fn fixture_db() -> Database {
             .insert(vec![(1000 + i).into(), (i % 12).into()])
             .expect("row");
     }
-    let pad_columns = ATTRIBUTES - 4;
     let mut pad = Table::new(
         TableSchema::new(
             "pad",
-            (0..pad_columns)
-                .map(|c| ColumnSchema::new(format!("c{c:03}"), DataType::Integer))
+            (0..PAD_COLUMNS)
+                .map(|c| ColumnSchema::new(format!("c{c:03}"), DataType::Text))
                 .collect(),
         )
         .expect("schema"),
     );
-    for row in 0..3i64 {
+    for row in 0..4 {
         pad.insert(
-            (0..pad_columns as i64)
-                .map(|c| (100_000 + c * 10 + row).into())
+            (0..PAD_COLUMNS)
+                .map(|c| match row {
+                    0 => format!("a-{c:03}").into(),
+                    1 => format!("z-{c:03}").into(),
+                    _ => {
+                        let mut value = format!("pad-{c:03}-{row}-");
+                        value.extend(std::iter::repeat_n('x', PAD_STREAM_BYTES / 2 - 64));
+                        value.into()
+                    }
+                })
                 .collect(),
         )
         .expect("row");
@@ -85,42 +107,62 @@ fn fixture_db() -> Database {
     db
 }
 
-/// Every published value file in `dir`, as `(name, bytes)` sorted by name
-/// — the byte-identity witness.
-fn value_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("read_dir") {
-        let path = entry.expect("entry").path();
-        if path.extension().and_then(|e| e.to_str()) == Some("indv") {
-            let name = path
-                .file_name()
-                .expect("name")
-                .to_string_lossy()
-                .into_owned();
-            out.push((name, std::fs::read(&path).expect("read")));
-        }
-    }
-    out.sort();
-    out
+/// The extent the manifest entry of attribute `id` records in `dir`.
+fn extent(dir: &Path, entry: &spider_ind::valueset::ManifestEntry) -> Extent {
+    Extent::new(
+        &dir.join(&entry.segment),
+        entry.offset,
+        &format!("attr-{:05}", entry.id),
+    )
 }
 
-/// Asserts the workdir holds no staged `.tmp` file (top level — where
-/// atomic publication stages and where resume sweeps).
-fn assert_no_tmp(dir: &Path) {
+/// Every published value stream of `dir`, as `(attribute id, bytes)` in id
+/// order — the byte-identity witness. Where a stream lies (which segment,
+/// which offset) follows the batches a run happened to commit; its bytes
+/// never do.
+fn value_streams(dir: &Path) -> Vec<(u32, Vec<u8>)> {
+    let manifest = Manifest::load(dir).expect("a manifest");
+    manifest
+        .entries()
+        .iter()
+        .map(|entry| {
+            let segment = std::fs::read(dir.join(&entry.segment)).expect("segment");
+            let start = entry.offset as usize;
+            (
+                entry.id,
+                segment[start..start + entry.file_bytes as usize].to_vec(),
+            )
+        })
+        .collect()
+}
+
+/// Asserts the resume swept the workdir: no staged `.tmp` file, and no
+/// segment the manifest does not point into.
+fn assert_swept(dir: &Path) {
+    let manifest = Manifest::load(dir).expect("a manifest");
     for entry in std::fs::read_dir(dir).expect("read_dir") {
-        let path = entry.expect("entry").path();
+        let name = entry
+            .expect("entry")
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
         assert!(
-            path.extension().and_then(|e| e.to_str()) != Some("tmp"),
-            "orphan staged file survived resume: {}",
-            path.display()
+            !name.ends_with(".tmp"),
+            "orphan stage survived resume: {name}"
         );
+        if name.ends_with(".indv") {
+            assert!(
+                manifest.entries().iter().any(|e| e.segment == name),
+                "orphan segment survived resume: {name}"
+            );
+        }
     }
 }
 
 /// The on-disk invariant an interrupted export must leave behind, checked
 /// BEFORE any resume touches the workdir: every manifest entry names a
-/// file that exists under its final name, has the recorded size, and
-/// drains checksum-clean to the recorded record count. Returns how many
+/// stream that lies in a segment under its final name and drains
+/// checksum-clean to the recorded record count. Returns how many
 /// attributes the manifest vouches for — the batches committed before the
 /// interruption.
 fn committed_entries(dir: &Path, context: &str) -> u64 {
@@ -128,19 +170,24 @@ fn committed_entries(dir: &Path, context: &str) -> u64 {
         return 0; // interrupted before the first commit
     };
     for entry in manifest.entries() {
-        let path = dir.join(&entry.file);
-        let bytes = std::fs::metadata(&path)
-            .unwrap_or_else(|e| panic!("{context}: manifest names missing {}: {e}", entry.file))
+        let at = extent(dir, entry);
+        let bytes = std::fs::metadata(at.file())
+            .unwrap_or_else(|e| panic!("{context}: manifest names missing {}: {e}", entry.segment))
             .len();
-        assert_eq!(bytes, entry.file_bytes, "{context}: size of {}", entry.file);
-        let records = ValueFileReader::open(&path)
+        assert!(
+            bytes >= entry.offset + entry.file_bytes,
+            "{context}: {}",
+            at.display()
+        );
+        let records = ValueFileReader::open(&at)
             .and_then(collect_cursor)
-            .unwrap_or_else(|e| panic!("{context}: manifest names torn {}: {e}", entry.file))
+            .unwrap_or_else(|e| panic!("{context}: manifest names torn {}: {e}", at.display()))
             .len() as u64;
         assert_eq!(
-            records, entry.records,
+            records,
+            entry.records,
             "{context}: records of {}",
-            entry.file
+            at.display()
         );
     }
     manifest.len() as u64
@@ -155,26 +202,33 @@ fn faulted(spec: &str, threads: usize) -> ExportOptions {
 }
 
 #[test]
-fn fixture_spans_at_least_three_batches_by_count_not_bytes() {
+fn fixture_spans_at_least_three_batches_by_bytes() {
     let dir = TempDir::new("crash-fixture");
     IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_on_disk_with(&fixture_db(), dir.path(), &ExportOptions::default())
+        .discover_on_disk_with(&fixture_db(), dir.path(), &ExportOptions::with_threads(1))
         .expect("clean run");
-    let files = value_files(dir.path());
-    assert_eq!(files.len(), ATTRIBUTES);
-    assert!(files.len().div_ceil(BATCH_MAX_FILES) >= 3);
-    let bytes: u64 = files.iter().map(|(_, b)| b.len() as u64).sum();
-    assert!(
-        bytes < BATCH_MAX_BYTES,
-        "the file cap, not the byte cap, cuts"
+    let streams = value_streams(dir.path());
+    assert_eq!(streams.len(), ATTRIBUTES);
+    let bytes: u64 = streams.iter().map(|(_, b)| b.len() as u64).sum();
+    assert!(bytes > 2 * BATCH_MAX_BYTES, "{bytes} bytes");
+    let manifest = Manifest::load(dir.path()).expect("manifest");
+    let mut segments: Vec<&str> = manifest
+        .entries()
+        .iter()
+        .map(|e| e.segment.as_str())
+        .collect();
+    segments.dedup();
+    assert_eq!(
+        segments,
+        ["seg-00-0000.indv", "seg-00-0001.indv", "seg-00-0002.indv"]
     );
 }
 
 /// One point of the crash sweep: a run at `threads` workers dies at its
-/// `n`th write-side step (value-file writes, publishing renames, the
-/// manifest's write and rename all count), the interrupted workdir is
-/// checked, and a resume must complete it byte-identically. Returns the
-/// attributes the resume reused, or `None` when the run outlived `n`.
+/// `n`th write-side step (stream writes, segment renames, the manifest's
+/// write and rename all count), the interrupted workdir is checked, and a
+/// resume must complete it byte-identically. Returns the attributes the
+/// resume reused, or `None` when the run outlived `n`.
 fn crash_then_resume(db: &Database, clean: &CleanRun, n: u32, threads: usize) -> Option<u64> {
     let context = format!("crash={n} threads={threads}");
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
@@ -204,21 +258,21 @@ fn crash_then_resume(db: &Database, clean: &CleanRun, n: u32, threads: usize) ->
                 resumed.metrics.exports_reused, committed,
                 "resume reuses exactly the batches committed before {context}"
             );
-            assert_no_tmp(dir.path());
+            assert_swept(dir.path());
             assert_eq!(
-                value_files(dir.path()),
-                clean.files,
-                "value files after {context} resume"
+                value_streams(dir.path()),
+                clean.streams,
+                "value streams after {context} resume"
             );
             Some(committed)
         }
     }
 }
 
-/// The uninterrupted reference: IND set and value files.
+/// The uninterrupted reference: IND set and value streams.
 struct CleanRun {
     satisfied: Vec<spider_ind::core::Ind>,
-    files: Vec<(String, Vec<u8>)>,
+    streams: Vec<(u32, Vec<u8>)>,
 }
 
 fn clean_run(db: &Database) -> CleanRun {
@@ -228,7 +282,7 @@ fn clean_run(db: &Database) -> CleanRun {
         .expect("clean run");
     CleanRun {
         satisfied: clean.satisfied,
-        files: value_files(dir.path()),
+        streams: value_streams(dir.path()),
     }
 }
 
@@ -237,18 +291,19 @@ fn resume_recovers_from_a_crash_at_every_write_boundary() {
     let db = fixture_db();
     let clean = clean_run(&db);
 
-    // Every file costs the export two writes and a rename and every run
-    // here creates all of them, so the sweep is exhaustive where the
-    // states differ and strided where they repeat. A coarse pass walks
-    // the whole run (staging windows look alike: k files under `.tmp`, the
-    // same batches committed) until a run survives because the Nth step
+    // Every stream costs the export at least two writes (a padding stream
+    // six: its block flushes and the header patch), every commit a segment
+    // rename and the manifest's write and rename, and every run here issues
+    // all of them, so the sweep is exhaustive where the states differ and
+    // strided where they repeat. A coarse pass walks the whole run (the
+    // writes of one batch look alike: streams sealed into the open segment,
+    // the same batches committed) until a run survives because the Nth step
     // never happens. A fine pass then takes EVERY step of the tail: the
-    // last two dozen renames of the second batch's commit (a run dies
-    // between two renames of one commit), its manifest's write (after the
-    // directory fsync, before the manifest) and rename, and the whole
-    // last, partial batch with its own commit.
+    // second batch's segment rename and manifest publish (a run that dies
+    // between them leaves a durable segment no manifest names) and the
+    // whole last, partial batch with its own commit.
     const STRIDE: u32 = 11;
-    const FINE_TAIL: u32 = 40;
+    const FINE_TAIL: u32 = 20;
     for threads in [1usize, 3] {
         let (mut crashes, mut total_reused, mut distinct_reuse) = (0u32, 0u64, Vec::new());
         let mut tally = |reused: u64| {
@@ -269,8 +324,8 @@ fn resume_recovers_from_a_crash_at_every_write_boundary() {
         // sweep there.
         if threads == 1 {
             assert!(
-                n > 3 * ATTRIBUTES as u32,
-                "two writes and a rename per file, yet crash={n} survived"
+                n > 2 * ATTRIBUTES as u32,
+                "at least two writes per stream, yet crash={n} survived"
             );
             for m in n.saturating_sub(STRIDE + FINE_TAIL)..n {
                 if (m - 1) % STRIDE != 0 {
@@ -296,11 +351,12 @@ fn resume_recovers_from_a_failed_fsync_at_each_publication() {
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
     let clean = clean_run(&db);
 
-    // Fail the durability point of each artifact in turn: a staged value
-    // file's fsync (first and last of a full batch, first of the next,
-    // last of the run), the directory's (the `$` anchor keeps the rule off
-    // the files inside it), and the manifest's own.
-    let targets = [0, BATCH_MAX_FILES - 1, BATCH_MAX_FILES, ATTRIBUTES - 1]
+    // Fail the durability point of each artifact in turn: the fsync of the
+    // segment holding a given stream (first and last of the first batch,
+    // first of the second, last of the run — one thread commits 0..=11,
+    // 12..=19 and 20..=21), the directory's (the `$` anchor keeps the rule
+    // off the files inside it), and the manifest's own.
+    let targets = [0, 11, 12, ATTRIBUTES - 1]
         .map(|id| format!("attr-{id:05}"))
         .into_iter()
         .chain(["workdir$".to_string(), "MANIFEST".to_string()]);
@@ -328,8 +384,12 @@ fn resume_recovers_from_a_failed_fsync_at_each_publication() {
                 .unwrap_or_else(|e| panic!("resume after {context} failed: {e}"));
             assert_eq!(resumed.satisfied, clean.satisfied, "INDs after {context}");
             assert_eq!(resumed.metrics.exports_reused, committed, "{context}");
-            assert_no_tmp(&workdir);
-            assert_eq!(value_files(&workdir), clean.files, "files after {context}");
+            assert_swept(&workdir);
+            assert_eq!(
+                value_streams(&workdir),
+                clean.streams,
+                "streams after {context}"
+            );
         }
     }
 }
@@ -341,12 +401,13 @@ proptest! {
     /// rename, or a cooperative cancel at the Nth poll — across arbitrary
     /// I/O block sizes, sort memory budgets and one or three workers, then
     /// resume: the interrupted workdir's manifest must vouch only for
-    /// complete files, and the final IND set and every published value
-    /// file must be byte-identical to an uninterrupted run at the same
-    /// settings.
+    /// complete streams, and the final IND set and every published value
+    /// stream must be byte-identical to an uninterrupted run at the same
+    /// settings. Below one frame per block a run writes once per frame, so
+    /// the interrupt ranges over the whole run and a little past it.
     #[test]
     fn interrupted_runs_resume_to_byte_identical_results(
-        interrupt in 1u64..(4 * ATTRIBUTES as u64),
+        interrupt in 1u64..(PAD_FRAMES + PAD_FRAMES / 4),
         crash in any::<bool>(),
         parallel in any::<bool>(),
         block in 1usize..96,
@@ -365,7 +426,7 @@ proptest! {
         let clean = finder
             .discover_on_disk_with(&db, clean_dir.path(), &tuned())
             .expect("uninterrupted run");
-        let clean_files = value_files(clean_dir.path());
+        let clean_streams = value_streams(clean_dir.path());
 
         let dir = TempDir::new("prop-resume");
         let mut first = tuned();
@@ -391,7 +452,7 @@ proptest! {
             ATTRIBUTES as u64
         );
         prop_assert_eq!(resumed.metrics.exports_reused, committed);
-        assert_no_tmp(dir.path());
-        prop_assert_eq!(value_files(dir.path()), clean_files);
+        assert_swept(dir.path());
+        prop_assert_eq!(value_streams(dir.path()), clean_streams);
     }
 }

@@ -149,11 +149,14 @@ fn corrupt_value_file_surfaces_as_an_error_not_a_wrong_answer() {
     let mut gen = RunMetrics::new();
     let candidates = generate_candidates(&profiles, &PretestConfig::default(), &mut gen);
 
-    // Truncate one value file mid-record.
-    let victim = &export.attributes()[0].path;
-    let bytes = std::fs::read(victim).expect("read");
-    assert!(bytes.len() > 20);
-    std::fs::write(victim, &bytes[..bytes.len() - 2]).expect("truncate");
+    // Tear the tail of one attribute's stream: its footer's last two
+    // bytes, inside the segment it shares with its siblings.
+    let victim = &export.attributes()[0];
+    let mut bytes = std::fs::read(victim.path.file()).expect("read");
+    let end = (victim.path.offset() + victim.file_bytes) as usize;
+    assert!(victim.file_bytes > 20);
+    bytes[end - 2..end].fill(0);
+    std::fs::write(victim.path.file(), &bytes).expect("damage");
 
     let mut m = RunMetrics::new();
     let err = run_brute_force(&export, &candidates, &mut m).expect_err("must fail");
@@ -207,7 +210,7 @@ fn missing_export_file_is_an_io_error() {
     let db = generate_scop(&ScopConfig::tiny());
     let export =
         ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).expect("export");
-    std::fs::remove_file(&export.attributes()[2].path).expect("delete");
+    std::fs::remove_file(export.attributes()[2].path.file()).expect("delete");
     let profiles = profiles_from_export(&export);
     let mut gen = RunMetrics::new();
     let candidates = generate_candidates(&profiles, &PretestConfig::default(), &mut gen);
