@@ -49,7 +49,7 @@
 //!   of every emitted value stream — the self-verifying round trip. All of
 //!   these are one worker. Since schema v8 two more rows time the export
 //!   as the library runs it (`ExportedDatabase::export`: work-stealing
-//!   workers, segments, manifest): `export_serial` on one worker and
+//!   workers, segments and their trailers): `export_serial` on one worker and
 //!   `export_parallel` on every core, whose ratio is
 //!   `speedup_export_parallel_vs_serial` (the parallel row is skipped, and
 //!   the ratio says so, on a one-core host).
@@ -86,7 +86,8 @@ use ind_testkit::TempDir;
 use ind_trace::json::{parse, Json};
 use ind_valueset::{
     extract_with_sorter, ExportOptions, ExportedDatabase, Extent, ExternalSorter, IoOptions,
-    SegmentWriter, SortOptions, SortStats, ValueCursor, ValueFileReader, DEFAULT_BLOCK_SIZE,
+    SegmentWriter, SortOptions, SortStats, TrailerEntry, ValueCursor, ValueFileReader,
+    DEFAULT_BLOCK_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -382,7 +383,7 @@ impl ExportResult {
         }
     }
 
-    /// The library's whole export (workers, segments, manifest) on
+    /// The library's whole export (workers, segments, trailers) on
     /// every core against the same export on one worker; `None` on a
     /// one-core host, where the parallel row is skipped.
     fn speedup_export_parallel_vs_serial(&self) -> Option<f64> {
@@ -494,7 +495,7 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
 
 /// The crash-and-resume row (schema v7): a cold export, the same export
 /// killed at its last batch's commit, and the resume run that finishes the
-/// job from the durable manifest — reusing the batches committed before
+/// job from the segment trailers — reusing the batches committed before
 /// the crash instead of re-sorting them.
 struct ResumeResult {
     dataset: &'static str,
@@ -523,7 +524,7 @@ fn bench_resume(memory_budget: usize) -> Result<ResumeResult, String> {
     // Serial export: streams are written in id order and segments are
     // named in commit order, so a crash at the last segment's rename (it
     // counts as a write of its `.tmp`) leaves every earlier batch durable
-    // (segment renamed into place, manifest entries fsynced) and the last
+    // (segment renamed into place, its trailer fsynced with it) and the last
     // one an orphan stage for the resume to sweep.
     let options = |resume: ResumeMode| {
         let mut o = ExportOptions::with_threads(1).resume(resume);
@@ -850,14 +851,26 @@ fn bench_export(
             .collect()
     };
     let names: Vec<String> = (0..columns.len()).map(|i| format!("attr-{i:05}")).collect();
+    // What each stream's trailer entry names: the column, its type, its
+    // table's rows.
+    let identities: Vec<(ind_storage::QualifiedName, ind_storage::DataType, u64)> = db
+        .tables()
+        .iter()
+        .flat_map(|t| {
+            t.iter_cells().map(|(_, schema, _)| {
+                let name = ind_storage::QualifiedName::new(t.name(), schema.name.clone());
+                (name, schema.data_type, t.row_count() as u64)
+            })
+        })
+        .collect();
     // What a pass leaves: each attribute's sort stats and where its stream
     // lies.
     type Written = Vec<(SortStats, Extent)>;
 
     // One full export pass through the arena sorter: one sorter reused for
     // every attribute, its streams written back to back into segments of
-    // `BATCH_MAX_BYTES`, each published by one group commit (the export
-    // manager's shape, minus the manifest).
+    // `BATCH_MAX_BYTES`, each closed by its trailer and published by one
+    // group commit (the export manager's shape).
     let arena_pass = |budget: usize, out: &std::path::Path, _: &Paths| -> Result<Written, String> {
         let err = |e: ind_valueset::ValueSetError| e.to_string();
         let mut sorter =
@@ -867,7 +880,9 @@ fn bench_export(
         let mut written = Vec::with_capacity(columns.len());
         let mut segment: Option<SegmentWriter> = None;
         let mut segments = 0;
-        for (column, name) in cells.iter().zip(&names) {
+        for (id, ((column, name), (qn, data_type, rows))) in
+            cells.iter().zip(&names).zip(&identities).enumerate()
+        {
             let open = match segment.take() {
                 Some(open) => open,
                 None => {
@@ -879,7 +894,9 @@ fn bench_export(
             let open = segment.insert(open);
             let mut writer = open.stream(Some(name));
             let stat = extract_with_sorter(column, &mut sorter, &mut writer).map_err(err)?;
-            written.push((stat, open.seal(writer).map_err(err)?));
+            let entry = TrailerEntry::new(id as u32, qn, *data_type, *rows, &stat);
+            let extent = open.seal(writer, Some(entry)).map_err(err)?;
+            written.push((stat, extent));
             if open.is_full() {
                 if let Some(full) = segment.take() {
                     full.publish().map_err(err)?;
@@ -1041,7 +1058,7 @@ fn bench_export(
     }
 
     // The export as the library runs it — `ExportedDatabase::export`:
-    // work-stealing workers, segments, manifest — on one worker and on
+    // work-stealing workers, segments, trailers — on one worker and on
     // every core. Same streams as the reference, byte for byte, at both.
     let workers = ind_storage::default_workers();
     let mut host_speedup = 1.0;
@@ -1915,7 +1932,7 @@ fn run() -> Result<(), String> {
         if resume.exports_reused < resume.attributes as u64 / 2 {
             return Err(format!(
                 "[resume] only {} of {} exports were reused after the last-batch crash — \
-                 the manifest is no longer preserving published work",
+                 the trailers are no longer preserving published work",
                 resume.exports_reused, resume.attributes
             ));
         }

@@ -78,16 +78,16 @@ pub struct RunMetrics {
     /// unreadable/corrupt value files); their candidates were excluded.
     pub quarantined_attributes: u64,
     /// Attribute exports reused from a previous interrupted run by
-    /// `--resume` (manifest entry matched and the value file's footer
-    /// validated). Zero on non-resume runs.
+    /// `--resume` (segment trailer entry matched and the value stream's
+    /// footer validated). Zero on non-resume runs.
     pub exports_reused: u64,
     /// Attributes re-exported during a `--resume` run because their value
-    /// file was missing, torn, or stale against the manifest.
+    /// stream was missing, torn, or stale against its trailer entry.
     pub exports_redone: u64,
     /// Files deleted by the resume sweep: `.tmp` stages of writes
-    /// interrupted before their atomic rename, segments no manifest entry
-    /// points into, and per-attribute `attr-*.indv` files of the
-    /// pre-segment layout.
+    /// interrupted before their atomic rename, segments without a valid
+    /// trailer or holding no reused stream, and the files of older layouts
+    /// (per-attribute `attr-*.indv` files, `MANIFEST.json`).
     pub orphans_swept: u64,
     /// Wall-clock time of the measured phase.
     pub elapsed: Duration,

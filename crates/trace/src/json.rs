@@ -1,8 +1,8 @@
 //! The workspace's one JSON reader and writer.
 //!
 //! The workspace vendors no JSON crate. Every document it writes — the
-//! export's `MANIFEST.json`, the `--report` run report, the `degraded:`
-//! line, `BENCH_spider.json`, `ind-lint --json` — is built as a [`Json`]
+//! `--report` run report, the `degraded:` line, `BENCH_spider.json`,
+//! `ind-lint --json` — is built as a [`Json`]
 //! value and rendered by [`Json::compact`] or [`Json::pretty`], and every
 //! document it reads back goes through [`parse`]: strict enough to reject
 //! malformed input, small enough to audit. Integers that fit `u64` are

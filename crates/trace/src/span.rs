@@ -86,10 +86,10 @@ pub const SPIDER_MERGE: SpanId = SpanId(8);
 pub const BLOCK_PASS: SpanId = SpanId(9);
 /// One level of the n-ary pipeline; `arg` = arity.
 pub const LEVEL: SpanId = SpanId(10);
-/// The resume sweep: orphan cleanup plus manifest-vs-footer validation.
+/// The resume sweep: orphan cleanup plus trailer-vs-footer validation.
 pub const RESUME_SCAN: SpanId = SpanId(11);
-/// One group commit of the export: fsync one segment, rename it, one
-/// directory fsync, one manifest publish; `arg` = streams in the segment.
+/// One group commit of the export: write one segment's trailer, fsync the
+/// segment, rename it, one directory fsync; `arg` = streams in the segment.
 pub const PUBLISH: SpanId = SpanId(12);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

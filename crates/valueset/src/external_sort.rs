@@ -97,7 +97,7 @@ impl SortOptions {
 }
 
 /// Summary of one sorted attribute extraction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SortStats {
     /// Values pushed in (non-null occurrences, with duplicates).
     pub pushed: u64,
@@ -130,7 +130,7 @@ pub struct SortStats {
     /// Largest output value, if any.
     pub max: Option<Vec<u8>>,
     /// Content hash of the whole source column, NULLs included (the
-    /// manifest's staleness check). The sorter never sees NULLs, so it
+    /// resume's staleness check). The sorter never sees NULLs, so it
     /// reports 0; [`crate::extract_with_sorter`] fills it in from the pass
     /// that indexes the cells.
     pub source_hash: u64,

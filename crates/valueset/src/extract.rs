@@ -16,7 +16,6 @@ use crate::block::IoOptions;
 use crate::error::Result;
 use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
 use crate::format::ValueFileWriter;
-use crate::manifest::ColumnHasher;
 use crate::memory::{MemorySetBuilder, MemoryValueSet};
 use crate::segment::SegmentWriter;
 use crate::tuple::encode_tuple_into;
@@ -180,8 +179,9 @@ pub fn extract_composite_memory_set(columns: &[&Column]) -> MemoryValueSet {
 }
 
 /// Writes one stream through `fill` and publishes it atomically as the
-/// value file `path`: a segment holding that one stream, so the standalone
-/// entry points publish exactly the way the export does.
+/// value file `path`: a segment holding that one unnamed stream, so the
+/// standalone entry points publish exactly the way the export does — minus
+/// the trailer, which only named streams get.
 fn publish_alone(
     path: &Path,
     io: &IoOptions,
@@ -190,7 +190,7 @@ fn publish_alone(
     let mut segment = SegmentWriter::create(path, io)?;
     let mut writer = segment.stream(None);
     let stats = fill(&mut writer)?;
-    segment.seal(writer)?;
+    segment.seal(writer, None)?;
     segment.publish()?;
     Ok(stats)
 }
@@ -257,10 +257,67 @@ pub fn extract_to_file(
     })
 }
 
+/// Content hash of one source column, 64 bits, eight input bytes per
+/// multiply: every cell in row order as a stream of little-endian words —
+/// a NULL is the one word no length can equal, a non-NULL its byte length
+/// followed by its canonical rendering (the exact bytes the export writes)
+/// in 8-byte chunks, the last zero-padded. The length word says how many
+/// body words follow, which keeps concatenation and padding ambiguity out.
+/// Each word is folded in by a 64×64→128-bit multiply whose halves are
+/// xored together, so every input bit reaches both ends of the state (a
+/// plain wrapping multiply only ever carries upward). Deterministic across
+/// runs and thread counts by construction. The export feeds it from the
+/// pass that indexes each cell for the sorter; [`hash_column`] is the same
+/// hash computed standalone, for the resume-side staleness check.
+#[derive(Debug, Clone)]
+struct ColumnHasher(u64);
+
+impl ColumnHasher {
+    const NULL_WORD: u64 = u64::MAX;
+
+    fn new() -> Self {
+        ColumnHasher(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    /// One cell as a column stores it: `None` for NULL, else its canonical
+    /// rendering.
+    fn cell(&mut self, cell: Option<&[u8]>) {
+        let Some(rendered) = cell else {
+            return self.word(Self::NULL_WORD);
+        };
+        self.word(rendered.len() as u64);
+        let (words, tail) = rendered.as_chunks::<8>();
+        for word in words {
+            self.word(u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`ColumnHasher`] over a whole stored column.
+pub(crate) fn hash_column(column: &Column) -> u64 {
+    let mut hash = ColumnHasher::new();
+    column.cells().for_each(|cell| hash.cell(cell));
+    hash.finish()
+}
+
 /// [`extract_to_file`] through a caller-owned sorter, so one warm index
 /// serves a whole export, into a caller-owned writer — typically one stream
 /// of a segment, so an interrupted extraction leaves nothing a reader or
-/// the manifest can see until its batch is published. The writer is left
+/// a resume can see until its batch is published. The writer is left
 /// unsealed. No cell is copied or rendered: the pass that feeds the
 /// column's content hash ([`SortStats::source_hash`]) records one index
 /// entry per non-NULL cell pointing into the column's own buffer, the
@@ -340,7 +397,6 @@ mod tests {
 
     #[test]
     fn the_extraction_pass_hashes_the_column_like_the_standalone_hash() {
-        use crate::manifest::hash_column;
         let dir = TempDir::new("extract-hash");
         let mut sorter =
             ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(64)).unwrap();
@@ -590,5 +646,59 @@ mod tests {
         .unwrap();
         assert_eq!(stats.distinct, 0);
         assert_eq!(ValueFileReader::open(&dir.join("n.indv")).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn column_hash_tracks_content_not_layout() {
+        use ind_storage::Value;
+        let hash = |values: &[Value]| hash_column(&Column::from_values(values));
+        let a = [Value::Integer(1), Value::Null, Value::from("xy")];
+        assert_eq!(hash(&a), hash(&a.clone()));
+        let c = [Value::Integer(1), Value::Null, Value::from("xz")];
+        assert_ne!(hash(&a), hash(&c));
+        // The hash is of the canonical bytes, whatever type declared them.
+        assert_eq!(hash(&[Value::Integer(1)]), hash(&[Value::from("1")]));
+        // Length prefixes keep concatenation ambiguity out of the hash.
+        let d = [Value::from("ab"), Value::from("c")];
+        let e = [Value::from("a"), Value::from("bc")];
+        assert_ne!(hash(&d), hash(&e));
+        assert_ne!(
+            hash(&[Value::Null]),
+            hash(&[]),
+            "nulls are part of the content"
+        );
+    }
+
+    #[test]
+    fn column_hasher_word_stream_is_unambiguous() {
+        let hash = |cells: &[Option<&[u8]>]| {
+            let mut h = ColumnHasher::new();
+            cells.iter().for_each(|cell| h.cell(*cell));
+            h.finish()
+        };
+        // Zero padding of the tail never aliases real zero bytes, on either
+        // side of a word boundary.
+        assert_ne!(hash(&[Some(b"ab")]), hash(&[Some(b"ab\0")]));
+        assert_ne!(hash(&[Some(b"12345678")]), hash(&[Some(b"12345678\0")]));
+        assert_ne!(hash(&[Some(b"")]), hash(&[Some(b"\0")]));
+        // A NULL is not a value of all-ones bytes, nor an empty value.
+        assert_ne!(hash(&[None]), hash(&[Some(&[0xFF; 8])]));
+        assert_ne!(hash(&[None]), hash(&[Some(b"")]));
+        // Cell borders inside and across 8-byte words.
+        assert_ne!(
+            hash(&[Some(b"12345678"), Some(b"9")]),
+            hash(&[Some(b"123456789")])
+        );
+        // The top bit of a word — all a wrapping multiply would keep of
+        // it — must not cancel against the same bit one word later.
+        let mut flipped = *b"aaaaaaaabbbbbbbb";
+        flipped[7] ^= 0x80;
+        flipped[15] ^= 0x80;
+        assert_ne!(hash(&[Some(b"aaaaaaaabbbbbbbb")]), hash(&[Some(&flipped)]));
+        // Order matters.
+        assert_ne!(
+            hash(&[Some(b"x"), Some(b"y")]),
+            hash(&[Some(b"y"), Some(b"x")])
+        );
     }
 }

@@ -42,8 +42,9 @@
 //!   `fail` (open/fsync), `crash=N` (write: the Nth matching write tears
 //!   mid-buffer and every later matching write, fsync or rename fails —
 //!   the process-visible shape of dying mid-export; a publishing rename
-//!   counts as one matching write, so sweeping N also dies between a
-//!   segment's rename and the manifest publish that names it).
+//!   counts as one matching write, as does the write of a segment's
+//!   trailer, so sweeping N dies at every step of a commit and at the
+//!   first write after it).
 //! * an optional `@count` fires the rule that many times (default once;
 //!   `truncate` is persistent).
 

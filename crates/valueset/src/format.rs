@@ -325,7 +325,7 @@ pub(crate) fn verify_extent_quick(
     let len = file.metadata().map_err(io)?.len();
     if extent.offset().saturating_add(expected_bytes) > len {
         return Err(fail(format!(
-            "file is {len} bytes, manifest recorded {expected_bytes} bytes at offset {}",
+            "file is {len} bytes, trailer recorded {expected_bytes} bytes at offset {}",
             extent.offset()
         )));
     }
@@ -353,7 +353,7 @@ pub(crate) fn verify_extent_quick(
     }
     if header_count != expected_records {
         return Err(fail(format!(
-            "header count {header_count}, manifest recorded {expected_records}"
+            "header count {header_count}, trailer recorded {expected_records}"
         )));
     }
     let mut foot = [0u8; FOOTER_LEN];
@@ -370,7 +370,7 @@ pub(crate) fn verify_extent_quick(
     let payload = u64::from_le_bytes(foot[10..18].try_into().expect("8 bytes"));
     if footer_count != expected_records {
         return Err(fail(format!(
-            "footer count {footer_count}, manifest recorded {expected_records}"
+            "footer count {footer_count}, trailer recorded {expected_records}"
         )));
     }
     if HEADER_LEN as u64 + payload + v2_overhead(payload) != expected_bytes {

@@ -25,7 +25,6 @@ pub mod fault;
 mod format;
 mod frame;
 mod manager;
-mod manifest;
 mod memory;
 mod segment;
 mod tournament;
@@ -49,8 +48,7 @@ pub use manager::{
     CompositeExport, ExportOptions, ExportedAttribute, ExportedComposite, ExportedDatabase,
     FailedAttribute, ResumeMode,
 };
-pub use manifest::{Manifest, ManifestEntry, MANIFEST_NAME};
 pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
-pub use segment::{Extent, SegmentWriter, BATCH_MAX_BYTES};
+pub use segment::{read_trailer, Extent, SegmentWriter, TrailerEntry, BATCH_MAX_BYTES};
 pub use tournament::{compare_keys, key_prefix64, TournamentTree};
 pub use tuple::{decode_tuple, encode_tuple, encode_tuple_into, tuple_arity};

@@ -8,28 +8,28 @@ use crate::budget::{FileBudget, OpenFileGuard};
 use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::{Result, ValueSetError};
 use crate::external_sort::{ExternalSorter, SortOptions};
-use crate::extract::{extract_composite_with_sorter, extract_with_sorter};
+use crate::extract::{extract_composite_with_sorter, extract_with_sorter, hash_column};
+use crate::fault::FaultPlan;
 use crate::format::{verify_extent_quick, ValueFileReader};
-use crate::manifest::{hash_column, Manifest, ManifestEntry, MANIFEST_NAME};
-use crate::segment::{tmp_path, Extent, SegmentFiles, SegmentWriter};
+use crate::segment::{read_trailer, tmp_path, Extent, SegmentFiles, SegmentWriter, TrailerEntry};
 use ind_storage::{DataType, Database, QualifiedName};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// How [`ExportedDatabase::export`] treats a workdir that already holds
 /// value streams from an earlier (possibly interrupted) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResumeMode {
-    /// Rewrite every attribute from scratch (the default): the previous
-    /// manifest is deleted and the workdir swept before anything is
-    /// written.
+    /// Rewrite every attribute from scratch (the default): every segment
+    /// and stage in the workdir is swept before anything is written.
     #[default]
     Off,
-    /// Validate every manifest entry with a cheap header + footer read
-    /// ([`crate::format`]'s self-verifying v2 seal), re-export only
+    /// Read the trailer of every segment in the workdir, validate each
+    /// attribute's latest entry with a cheap header + footer read of its
+    /// stream ([`crate::format`]'s self-verifying v2 seal), re-export only
     /// attributes that are missing, torn, or stale against the source
     /// data's content hash, and sweep what an interrupted run left behind.
     Reuse,
@@ -37,14 +37,6 @@ pub enum ResumeMode {
     /// through a checksum-verifying reader (every frame CRC walked) —
     /// `--resume verify`.
     Verify,
-}
-
-/// Recovers a poisoned manifest mutex: the manifest is plain data, valid
-/// regardless of a panicking holder.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Options controlling a database export.
@@ -63,8 +55,9 @@ pub struct ExportOptions {
     /// extractions are independent), whatever algorithm merges the files
     /// afterwards. Defaults to every core
     /// ([`ind_storage::default_workers`]); `0` and `1` both mean the calling
-    /// thread alone. Value files, manifest and metadata are byte-identical
-    /// at any count. A fault plan that counts operations
+    /// thread alone. Value streams and metadata are byte-identical at any
+    /// count; which segment (and so which trailer) holds a stream follows
+    /// scheduling. A fault plan that counts operations
     /// (`write:*:crash=400`) means a fixed point of the export only at one
     /// worker.
     pub threads: usize,
@@ -215,8 +208,8 @@ pub struct ExportedDatabase {
     /// [`crate::SortStats::key_compares`]).
     key_compares: u64,
     memcmp_compares: u64,
-    /// Resume accounting: attributes reused from the manifest, attributes
-    /// re-exported, and leftover files swept.
+    /// Resume accounting: attributes reused from segment trailers,
+    /// attributes re-exported, and leftover files swept.
     exports_reused: u64,
     exports_redone: u64,
     orphans_swept: u64,
@@ -224,11 +217,11 @@ pub struct ExportedDatabase {
 
 /// Full validation for `--resume verify`: drain the whole stream through a
 /// checksum-verifying reader (every frame CRC checked against the chain)
-/// and confirm the record count the manifest promised.
+/// and confirm the record count the trailer promised.
 fn deep_verify(
     file: Arc<File>,
     extent: &Extent,
-    entry: &ManifestEntry,
+    entry: &TrailerEntry,
     io: &IoOptions,
 ) -> Result<()> {
     let mut io = io.clone();
@@ -245,7 +238,7 @@ fn deep_verify(
         Err(ValueSetError::Corrupt {
             context: extent.display().to_string(),
             detail: format!(
-                "manifest records {}, stream drained {records}",
+                "trailer records {}, stream drained {records}",
                 entry.records
             ),
         })
@@ -274,40 +267,44 @@ fn segment_ordinal(name: &str) -> Option<u32> {
     ordinal.parse().ok()
 }
 
-/// A file's name inside its workdir — what the manifest records.
-fn file_name(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
-}
-
-/// The durable record of a freshly exported attribute.
-fn manifest_entry(attr: &ExportedAttribute, source_hash: u64) -> ManifestEntry {
-    ManifestEntry {
-        id: attr.id,
-        segment: file_name(attr.path.file()),
-        offset: attr.path.offset(),
-        table: attr.name.table.clone(),
-        column: attr.name.column.clone(),
-        data_type: attr.data_type,
-        rows: attr.rows,
-        non_null: attr.non_null,
-        distinct: attr.distinct,
-        min: attr.min.clone(),
-        max: attr.max.clone(),
-        file_bytes: attr.file_bytes,
-        records: attr.distinct,
-        format_version: crate::frame::V2_VERSION,
-        source_hash,
+/// The latest trailer entry of every attribute in `dir`, by id, with the
+/// segment holding it. Every segment under its final name is
+/// read for its trailer — one missing, torn or failing its CRC vouches for
+/// nothing — and of two entries for one id, the one in the higher batch
+/// ordinal wins (the segment's path breaks a tie).
+fn latest_entries(
+    dir: &Path,
+    fault: Option<&Arc<FaultPlan>>,
+) -> HashMap<u32, ((u32, PathBuf), TrailerEntry<'static>)> {
+    let mut latest: HashMap<u32, ((u32, PathBuf), TrailerEntry<'static>)> = HashMap::new();
+    let Ok(listing) = std::fs::read_dir(dir) else {
+        return latest;
+    };
+    for file in listing.flatten() {
+        let name = file.file_name().to_string_lossy().into_owned();
+        let Some(ordinal) = segment_ordinal(&name).filter(|_| !name.ends_with(".tmp")) else {
+            continue;
+        };
+        let Ok(entries) = read_trailer(&file.path(), fault) else {
+            continue;
+        };
+        for entry in entries {
+            let rank = (ordinal, file.path());
+            if latest.get(&entry.id).is_none_or(|(held, _)| *held < rank) {
+                latest.insert(entry.id, (rank, entry));
+            }
+        }
     }
+    latest
 }
 
 /// Deletes from `dir` what no run can read any more — staged `.tmp` files
-/// (garbage by construction), segments outside `keep`, and value files of
-/// the one-file-per-attribute layout that predates segments — and returns
-/// how many files went and one past the highest batch ordinal any segment
-/// name in `dir` carried.
-fn sweep(dir: &Path, keep: &HashSet<&str>) -> (u64, u32) {
+/// (garbage by construction), segments outside `keep`, and the files of
+/// older layouts: one value file per attribute (`attr-NNNNN.indv`) and the
+/// `MANIFEST.json` that indexed segments before their trailers did — and
+/// returns how many files it removed and one past the highest batch
+/// ordinal any segment name in `dir` carried.
+fn sweep(dir: &Path, keep: &HashSet<PathBuf>) -> (u64, u32) {
     let (mut swept, mut next_ordinal) = (0u64, 0u32);
     let Ok(listing) = std::fs::read_dir(dir) else {
         return (0, 0);
@@ -319,11 +316,12 @@ fn sweep(dir: &Path, keep: &HashSet<&str>) -> (u64, u32) {
             next_ordinal = next_ordinal.max(ordinal.saturating_add(1));
         }
         let garbage = name.ends_with(".tmp")
-            || (ordinal.is_some() && !keep.contains(name.as_str()))
-            || (name.starts_with("attr-") && name.ends_with(".indv"));
-        if garbage {
-            // lint: allow(swallowed_result) — a sweep race (file already gone) is success
-            let _ = std::fs::remove_file(entry.path());
+            || (ordinal.is_some() && !keep.contains(&entry.path()))
+            || (name.starts_with("attr-") && name.ends_with(".indv"))
+            || name == "MANIFEST.json";
+        // A file that would not go (a race, a directory under a garbage
+        // name) is not counted.
+        if garbage && std::fs::remove_file(entry.path()).is_ok() {
             swept += 1;
         }
     }
@@ -355,14 +353,13 @@ impl ExportedDatabase {
     /// Publication is a **group commit**: each worker writes its streams
     /// back to back into one segment (`seg-WW-NNNN.indv.tmp`) and, once the
     /// segment holds [`crate::BATCH_MAX_BYTES`] — and on every way out,
-    /// error and cancellation included — fsyncs it, renames it, fsyncs
-    /// `dir` once, and publishes the manifest once. A segment under its
-    /// final name was fsynced before its rename, the manifest never names a
-    /// segment whose rename is not yet durable, and anything ending in
-    /// `.tmp` is garbage; an interruption loses at most the in-flight
-    /// batch. Which worker's segment a stream lands in depends on
-    /// scheduling, its bytes never do; at one worker the whole workdir is
-    /// deterministic.
+    /// error and cancellation included — writes the segment's trailer,
+    /// fsyncs it, renames it and fsyncs `dir` once, taking no lock shared
+    /// with the other workers. A segment under its final name was fsynced,
+    /// trailer included, before its rename, and anything ending in `.tmp`
+    /// is garbage; an interruption loses at most the in-flight batch.
+    /// Which worker's segment a stream lands in depends on scheduling, its
+    /// bytes never do; at one worker the whole workdir is deterministic.
     pub fn export(db: &Database, dir: &Path, options: &ExportOptions) -> Result<Self> {
         let _span = ind_trace::start(ind_trace::EXPORT);
         let export_parent = ind_trace::current_parent();
@@ -418,7 +415,7 @@ impl ExportedDatabase {
             }
         }
 
-        // A manifest entry vouches for a stream only when every identity
+        // A trailer entry vouches for a stream only when every identity
         // field matches the live schema, the SOURCE column still hashes to
         // the recorded content hash, and the stream itself passes its seal
         // (cheap header+footer read, which also bounds the recorded extent
@@ -426,23 +423,16 @@ impl ExportedDatabase {
         // [`ResumeMode::Verify`]). The segments opened to check are kept
         // open for the cursors that read them next.
         let segments = SegmentFiles::default();
-        let reusable = |job: &Job<'_>, entry: &ManifestEntry| -> Option<Extent> {
-            if entry.id != job.id
-                || entry.table != job.name.table
+        let reusable = |job: &Job<'_>, segment: &Path, entry: &TrailerEntry| -> Option<Extent> {
+            if entry.table != job.name.table
                 || entry.column != job.name.column
                 || entry.data_type != job.data_type
                 || entry.rows != job.rows
-                || entry.format_version != crate::frame::V2_VERSION
-                || segment_ordinal(&entry.segment).is_none()
                 || entry.source_hash != hash_column(job.column)
             {
                 return None;
             }
-            let extent = Extent::new(
-                &dir.join(&entry.segment),
-                entry.offset,
-                &stream_name(job.id),
-            );
+            let extent = Extent::new(segment, entry.offset, &stream_name(job.id));
             let file = segments.get(extent.file(), &read_stats).ok()?;
             let valid = verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, fault)
                 .and_then(|()| match options.resume {
@@ -452,46 +442,33 @@ impl ExportedDatabase {
             valid.is_ok().then_some(extent)
         };
 
-        // Resume: every manifest entry whose source column still hashes the
-        // same and whose stream passes its self-verifying seal is reused
-        // without re-sorting a single value. The new manifest starts from
-        // those entries only; stale ones (attribute gone from the schema,
-        // stream torn, source changed) are not carried over, so no manifest
-        // publish of this run can name them.
+        // Resume: every attribute whose latest trailer entry passes the
+        // checks above is reused without re-sorting a single value; the
+        // segments holding those entries are kept.
         let mut attributes: Vec<ExportedAttribute> = Vec::with_capacity(jobs.len());
         let mut exports_reused = 0u64;
         let mut exports_redone = 0u64;
-        let mut manifest = Manifest::new();
-        let mut previous_ordinals = 0u32;
+        let mut keep: HashSet<PathBuf> = HashSet::new();
         let scan = (options.resume != ResumeMode::Off)
             .then(|| ind_trace::start_under(ind_trace::RESUME_SCAN, 0, export_parent));
-        if options.resume == ResumeMode::Off {
-            // A fresh export reuses segment names, so first the manifest
-            // that might vouch for their old bytes goes.
-            match std::fs::remove_file(dir.join(MANIFEST_NAME)) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    return Err(ValueSetError::Io(crate::fault::annotate(dir, e)))
-                }
-                _ => {}
-            }
-        } else {
-            let previous = Manifest::load(dir).unwrap_or_default();
+        if options.resume != ResumeMode::Off {
+            let latest = latest_entries(dir, fault);
             let mut pending = Vec::with_capacity(jobs.len());
             for job in jobs {
-                let reused = previous
-                    .get(job.id)
-                    .and_then(|entry| Some((entry, reusable(&job, entry)?)));
+                let reused = latest.get(&job.id).and_then(|((_, segment), entry)| {
+                    Some((segment, entry, reusable(&job, segment, entry)?))
+                });
                 match reused {
-                    Some((entry, extent)) => {
+                    Some((segment, entry, extent)) => {
                         attributes.push(ExportedAttribute {
                             non_null: entry.non_null,
                             distinct: entry.distinct,
-                            min: entry.min.clone(),
-                            max: entry.max.clone(),
+                            min: entry.min.as_deref().map(<[u8]>::to_vec),
+                            max: entry.max.as_deref().map(<[u8]>::to_vec),
                             file_bytes: entry.file_bytes,
                             ..job.attribute(extent)
                         });
-                        manifest.upsert(entry.clone());
+                        keep.insert(segment.clone());
                         exports_reused += 1;
                     }
                     None => {
@@ -501,35 +478,16 @@ impl ExportedDatabase {
                 }
             }
             jobs = pending;
-            previous_ordinals = previous
-                .entries()
-                .iter()
-                .filter_map(|e| segment_ordinal(&e.segment))
-                .map(|ordinal| ordinal.saturating_add(1))
-                .max()
-                .unwrap_or(0);
         }
         // The sweep reclaims what earlier runs left behind; at most the
-        // segments the carried entries point into survive it.
-        let keep: HashSet<&str> = manifest
-            .entries()
-            .iter()
-            .map(|e| e.segment.as_str())
-            .collect();
-        let (orphans_swept, swept_ordinals) = sweep(dir, &keep);
-        segments.retain(|path| keep.contains(file_name(path).as_str()));
-        // A fresh export names its segments from 0 (the old manifest is
-        // gone); a resumed one past every ordinal the directory or the
-        // previous manifest ever used, so a stale entry never points into
-        // a new segment.
-        let first_ordinal = match options.resume {
-            ResumeMode::Off => 0,
-            _ => previous_ordinals.max(swept_ordinals),
-        };
+        // segments holding a reused stream survive it. New segments are
+        // named past every ordinal the directory held, so whatever they
+        // record outranks any older entry for the same attribute.
+        let (orphans_swept, first_ordinal) = sweep(dir, &keep);
+        segments.retain(|path| keep.contains(path));
         // lint: allow(swallowed_result) — spill runs from a dead run are garbage; absence is success
         let _ = std::fs::remove_dir_all(&spill_dir);
         drop(scan);
-        let manifest = Mutex::new(manifest);
 
         // Comparator-split totals, summed across workers as jobs finish.
         let key_compares = AtomicU64::new(0);
@@ -539,7 +497,6 @@ impl ExportedDatabase {
         // with zeroed metadata so dense indexing survives. Nothing on disk
         // is touched — its stream shares a segment with healthy siblings,
         // and an unsealed or unpublished stream is invisible anyway.
-        type Staged = (ExportedAttribute, u64);
         type WorkerYield = (Vec<ExportedAttribute>, Vec<FailedAttribute>);
         let quarantine =
             |attr: ExportedAttribute, error: String, (done, lost): &mut WorkerYield| {
@@ -558,16 +515,13 @@ impl ExportedDatabase {
                 });
             };
 
-        // The ONE publication path: fsync the segment → rename it → one
-        // directory fsync, and only then one manifest publish naming the
-        // batch — so `MANIFEST.json` never names a segment whose rename is
-        // not yet durable. A failed segment fsync or rename costs the whole
-        // batch, whose streams share that one file: all of it quarantined
-        // under keep-going, the error otherwise. A failed directory fsync
-        // or manifest publish fails the export, since no attribute of the
-        // batch can be vouched for.
+        // The ONE publication path: the trailer, the segment's fsync, its
+        // rename, one directory fsync. A failed commit costs the whole batch,
+        // whose streams share that one file: all of it quarantined under
+        // keep-going, the error otherwise. A failed directory fsync fails
+        // the export, since no rename of the batch is known durable.
         let commit = |segment: &mut Option<SegmentWriter>,
-                      staged: &mut Vec<Staged>,
+                      staged: &mut Vec<ExportedAttribute>,
                       out: &mut WorkerYield|
          -> Result<()> {
             let Some(segment) = segment.take() else {
@@ -589,18 +543,13 @@ impl ExportedDatabase {
                 // lint: allow(swallowed_result) — the unpublished stage is garbage by construction; the resume sweep would delete it too
                 let _ = std::fs::remove_file(&tmp);
                 let error = e.to_string();
-                for (attr, _) in batch {
+                for attr in batch {
                     quarantine(attr, error.clone(), out);
                 }
                 return Ok(());
             }
             crate::fault::sync_dir(dir, fault)?;
-            let mut manifest = lock(&manifest);
-            for (attr, source_hash) in &batch {
-                manifest.upsert(manifest_entry(attr, *source_hash));
-            }
-            manifest.store(dir, fault)?;
-            out.0.extend(batch.into_iter().map(|(attr, _)| attr));
+            out.0.extend(batch);
             Ok(())
         };
 
@@ -622,7 +571,7 @@ impl ExportedDatabase {
             let mut sorter = ExternalSorter::new(&spill, sort.clone())?;
             let mut ordinal = first_ordinal;
             let mut segment: Option<SegmentWriter> = None;
-            let mut staged: Vec<Staged> = Vec::new();
+            let mut staged: Vec<ExportedAttribute> = Vec::new();
             let mut out: WorkerYield = (Vec::new(), Vec::new());
             let outcome = loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -634,7 +583,7 @@ impl ExportedDatabase {
                 // the span under the export span even from worker threads
                 // (thread-local parenting stops at the spawn).
                 let name = stream_name(job.id);
-                let mut write = || -> Result<(Staged, bool)> {
+                let mut write = || -> Result<(ExportedAttribute, bool)> {
                     let _span =
                         ind_trace::start_under(ind_trace::SORT, u64::from(job.id), export_parent);
                     if let Some(cancel) = &sort.io.cancel {
@@ -651,7 +600,9 @@ impl ExportedDatabase {
                     let open = segment.insert(open);
                     let mut writer = open.stream(Some(&name));
                     let stats = extract_with_sorter(job.column, &mut sorter, &mut writer)?;
-                    let path = open.seal(writer)?;
+                    let entry =
+                        TrailerEntry::new(job.id, &job.name, job.data_type, job.rows, &stats);
+                    let path = open.seal(writer, Some(entry))?;
                     key_compares.fetch_add(stats.key_compares, Ordering::Relaxed);
                     memcmp_compares.fetch_add(stats.memcmp_compares, Ordering::Relaxed);
                     ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
@@ -663,7 +614,7 @@ impl ExportedDatabase {
                         file_bytes: stats.file_bytes,
                         ..job.attribute(path)
                     };
-                    Ok(((attr, stats.source_hash), open.is_full()))
+                    Ok((attr, open.is_full()))
                 };
                 match write() {
                     Ok((attr, full)) => {
@@ -825,14 +776,14 @@ impl ExportedDatabase {
         self.memcmp_compares
     }
 
-    /// Attributes reused from the durable manifest by a `--resume` run
+    /// Attributes reused from the segment trailers by a `--resume` run
     /// (their streams passed validation; not a byte was re-sorted).
     pub fn exports_reused(&self) -> u64 {
         self.exports_reused
     }
 
-    /// Attributes a `--resume` run had to (re-)export: missing from the
-    /// manifest, torn, checksum-invalid, or stale against the source hash.
+    /// Attributes a `--resume` run had to (re-)export: in no valid trailer,
+    /// torn, checksum-invalid, or stale against the source hash.
     pub fn exports_redone(&self) -> u64 {
         self.exports_redone
     }
@@ -951,8 +902,8 @@ impl CompositeExport {
         // One sorter for the whole level: warm arena across groups.
         let mut sorter = ExternalSorter::new(&spill_dir, sort.clone())?;
         // The level commits like the unary export: its streams go into
-        // segments of up to BATCH_MAX_BYTES, one fsync + rename + directory
-        // fsync each.
+        // segments of up to BATCH_MAX_BYTES, each closed by its trailer and
+        // published by one fsync + rename + directory fsync.
         let mut segment: Option<SegmentWriter> = None;
         let mut staged: Vec<ExportedComposite> = Vec::new();
         let mut ordinal = 0u32;
@@ -976,7 +927,13 @@ impl CompositeExport {
                 let open = segment.insert(open);
                 let mut writer = open.stream(Some(&format!("comp-{id:05}")));
                 let stats = extract_composite_with_sorter(&columns, &mut sorter, &mut writer)?;
-                let path = open.seal(writer)?;
+                // The trailer names a composite by its table and its
+                // columns joined by `,`; its tuple encodings are text.
+                let joined: Vec<&str> = group.iter().map(|qn| qn.column.as_str()).collect();
+                let name = QualifiedName::new(group[0].table.clone(), joined.join(","));
+                let rows = columns[0].len() as u64;
+                let entry = TrailerEntry::new(id as u32, &name, DataType::Text, rows, &stats);
+                let path = open.seal(writer, Some(entry))?;
                 ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
                 staged.push(ExportedComposite {
                     id: id as u32,
@@ -1372,23 +1329,25 @@ mod tests {
         }
     }
 
-    /// The attribute ids the ON-DISK manifest of `dir` vouches for, each
-    /// stream checked against its seal first: the manifest may never name
-    /// a stream that is missing, torn, or not the one it recorded.
+    /// The attribute ids the ON-DISK trailers of `dir` vouch for, each
+    /// latest entry's stream checked against its seal first: a trailer may
+    /// never describe a stream that is missing, torn, or not the one it
+    /// recorded.
     fn vouched(dir: &Path) -> Vec<u32> {
-        let manifest = Manifest::load(dir).unwrap_or_default();
-        for entry in manifest.entries() {
-            let extent = Extent::new(
-                &dir.join(&entry.segment),
-                entry.offset,
-                &stream_name(entry.id),
-            );
-            let file = std::fs::File::open(extent.file())
-                .unwrap_or_else(|e| panic!("manifest names a missing {}: {e}", entry.segment));
-            verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, None)
-                .unwrap_or_else(|e| panic!("manifest vouches for a bad {}: {e}", extent.display()));
-        }
-        manifest.entries().iter().map(|e| e.id).collect()
+        let mut ids: Vec<u32> = latest_entries(dir, None)
+            .into_iter()
+            .map(|(id, ((_, segment), entry))| {
+                let extent = Extent::new(&segment, entry.offset, &stream_name(id));
+                let file = std::fs::File::open(extent.file()).unwrap();
+                verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, None)
+                    .unwrap_or_else(|e| {
+                        panic!("a trailer vouches for a bad {}: {e}", extent.display())
+                    });
+                id
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn faulted(spec: &str, threads: usize) -> ExportOptions {
@@ -1427,56 +1386,60 @@ mod tests {
     fn batch_commit_writes_the_bytes_per_file_publication_wrote() {
         // Publication changes where a stream lies, never its bytes: every
         // extent equals the standalone `extract_to_file` output for its
-        // column, and MANIFEST.json equals one built entry by entry with
-        // the standalone column hash.
+        // column, and the trailer after them records each attribute as the
+        // standalone extraction counted and hashed it.
         let db = sample_db();
         let dir = TempDir::new("export-identity");
         let exp =
             ExportedDatabase::export(&db, dir.path(), &ExportOptions::with_threads(1)).unwrap();
+        let path = dir.join("seg-00-0000.indv");
+        let trailer = read_trailer(&path, None).unwrap();
         let standalone = TempDir::new("export-identity-standalone");
-        let mut expected = Manifest::new();
         let columns = db
             .tables()
             .iter()
             .flat_map(|t| t.iter_cells().map(|(_, _, column)| column));
-        for (attr, column) in exp.attributes().iter().zip(columns) {
+        for ((attr, column), entry) in exp.attributes().iter().zip(columns).zip(&trailer) {
             let plain = standalone.join(&format!("{}.indv", stream_name(attr.id)));
-            crate::extract_to_file(
-                column,
-                &plain,
-                &standalone.join("spill"),
-                SortOptions::default(),
-            )
-            .unwrap();
-            let plain = std::fs::read(&plain).unwrap();
-            assert_eq!(stream_bytes(attr), plain, "{}", attr.name);
-            expected.upsert(manifest_entry(attr, hash_column(column)));
+            let spill = standalone.join("spill");
+            let stats =
+                crate::extract_to_file(column, &plain, &spill, SortOptions::default()).unwrap();
+            assert_eq!(stream_bytes(attr), std::fs::read(&plain).unwrap());
+            let placed = (attr.path.offset(), attr.file_bytes, attr.distinct);
+            let standalone =
+                TrailerEntry::new(attr.id, &attr.name, attr.data_type, attr.rows, &stats);
+            assert_eq!(
+                *entry,
+                TrailerEntry {
+                    offset: placed.0,
+                    file_bytes: placed.1,
+                    records: placed.2,
+                    ..standalone
+                }
+            );
         }
-        let manifest = std::fs::read(dir.join(crate::MANIFEST_NAME)).unwrap();
-        assert_eq!(manifest, expected.to_json().as_bytes());
+        assert_eq!(trailer.len(), 4);
+        let segment = std::fs::read(&path).unwrap();
+        let streams: Vec<u8> = exp.attributes().iter().flat_map(stream_bytes).collect();
         assert_eq!(
-            std::fs::read(dir.join("seg-00-0000.indv")).unwrap(),
-            exp.attributes()
-                .iter()
-                .flat_map(stream_bytes)
-                .collect::<Vec<u8>>(),
-            "the segment is its streams back to back"
+            segment[..streams.len()],
+            streams,
+            "the segment is its streams back to back, then the trailer"
         );
 
         // CRC-32C of each stream of this very export. The value streams
         // are pinned from the per-attribute publisher the group commit
         // replaced (commit f992d7f) and hold on extents of a segment; the
-        // manifest was re-pinned when manifest version 3 replaced each
-        // entry's file by its `{segment, offset}` extent.
+        // trailer was pinned when it replaced the manifest, and is re-pinned
+        // whenever its layout or the `source_hash` function changes.
         let pins: [u32; 4] = [0xa953_9fcb, 0x4fc6_9237, 0x340e_eacd, 0x52bb_f17e];
         for (attr, crc) in exp.attributes().iter().zip(pins) {
             assert_eq!(crate::crc32c(&stream_bytes(attr)), crc, "{}", attr.name);
         }
         assert_eq!(
-            crate::crc32c(&manifest),
-            0x2bb4_ff73,
-            "{}",
-            crate::MANIFEST_NAME
+            crate::crc32c(&segment[streams.len()..]),
+            0xacf7_9a57,
+            "trailer"
         );
     }
 
@@ -1515,10 +1478,7 @@ mod tests {
             assert!(err.to_string().contains("injected fsync"), "{err}");
             assert!(!vouched(dir.path()).contains(&1), "threads={threads}");
             if threads == 1 {
-                assert!(
-                    Manifest::load(dir.path()).is_none(),
-                    "one batch, lost whole"
-                );
+                assert!(vouched(dir.path()).is_empty(), "one batch, lost whole");
             }
         }
     }
@@ -1564,19 +1524,29 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_directory_fsync_fails_the_export_and_records_nothing() {
-        // No rename of the batch is known durable, so no attribute of it
-        // can be vouched for — keep-going or not.
+    fn a_segment_renamed_before_a_crash_is_reused() {
+        // One worker, one batch: the run dies after the segment's rename,
+        // at the directory fsync, so no rename is known durable and the
+        // export fails, keep-going or not. The segment under its final name
+        // was fsynced, trailer included, before the rename: if the rename
+        // survives, the resume reuses all of it and sweeps nothing.
+        let db = sample_db();
         for keep_going in [false, true] {
-            let dir = TempDir::new("export-dirsync");
+            let dir = TempDir::new("export-renamed");
             let workdir = dir.join("wd");
             let options = faulted("fsync:wd$:fail", 1).keep_going(keep_going);
-            let err = ExportedDatabase::export(&sample_db(), &workdir, &options).unwrap_err();
+            let err = ExportedDatabase::export(&db, &workdir, &options).unwrap_err();
             assert!(err.to_string().contains("injected fsync"), "{err}");
-            assert!(
-                Manifest::load(&workdir).is_none(),
-                "keep_going={keep_going}"
-            );
+            assert_eq!(vouched(&workdir), [0, 1, 2, 3], "keep_going={keep_going}");
+
+            let resume = ExportOptions::with_threads(1).resume(ResumeMode::Reuse);
+            let resumed = ExportedDatabase::export(&db, &workdir, &resume).unwrap();
+            assert_eq!((resumed.exports_reused(), resumed.exports_redone()), (4, 0));
+            assert_eq!(resumed.orphans_swept(), 0);
+            assert!(resumed
+                .attributes()
+                .iter()
+                .all(|a| a.path.file() == workdir.join("seg-00-0000.indv")));
         }
     }
 
@@ -1642,76 +1612,30 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_between_a_segment_rename_and_its_manifest_leaves_an_orphan_the_resume_sweeps() {
-        // One worker, one batch of four small streams: two writes each
-        // (the block flush, the header patch), the segment's rename (9),
-        // then the manifest's write (10). Dying there leaves a complete,
-        // durable segment no manifest names.
-        let dir = TempDir::new("export-orphan-segment");
-        let db = sample_db();
-        let err =
-            ExportedDatabase::export(&db, dir.path(), &faulted("write:*:crash=10", 1)).unwrap_err();
-        assert!(err.to_string().contains("injected crash"), "{err}");
-        assert!(
-            dir.join("seg-00-0000.indv").exists(),
-            "renamed before the crash"
-        );
-        assert!(
-            Manifest::load(dir.path()).is_none(),
-            "the manifest never landed"
-        );
-
-        let resumed = ExportedDatabase::export(
-            &db,
-            dir.path(),
-            &ExportOptions::with_threads(1).resume(ResumeMode::Reuse),
-        )
-        .unwrap();
-        assert_eq!((resumed.exports_reused(), resumed.exports_redone()), (0, 4));
-        assert_eq!(
-            resumed.orphans_swept(),
-            2,
-            "the orphan segment and the manifest stage"
-        );
-        // The re-export is named past the orphan's ordinal, never over it.
-        assert!(!dir.join("seg-00-0000.indv").exists());
-        assert!(resumed
-            .attributes()
-            .iter()
-            .all(|a| a.path.file() == dir.join("seg-00-0001.indv")));
-        assert_eq!(vouched(dir.path()), [0, 1, 2, 3]);
-        assert!(stages(dir.path()).is_empty());
-    }
-
-    #[test]
     fn a_workdir_of_per_attribute_files_is_re_exported_and_swept() {
-        // The layout before segments: one `attr-NNNNN.indv` per attribute
-        // and a version 2 manifest naming them. The manifest is refused
-        // whole (reuse is off, not an error), every attribute is exported
-        // again into a segment, and the old files are swept.
+        // The two layouts before trailers: one `attr-NNNNN.indv` per
+        // attribute, and segments without a trailer indexed by a
+        // `MANIFEST.json`. Neither vouches for anything: every attribute is
+        // exported again into a segment of its own layout, and the old
+        // files are swept.
         let db = sample_db();
         let dir = TempDir::new("export-legacy-layout");
-        let mut v2 = String::from("{\n  \"manifest_version\": 2,\n  \"entries\": [");
-        for (id, column) in db
+        let columns = db
             .tables()
             .iter()
-            .flat_map(|t| t.iter_cells().map(|(_, _, c)| c))
-            .enumerate()
-        {
+            .flat_map(|t| t.iter_cells().map(|(_, _, c)| c));
+        for (id, column) in columns.enumerate() {
             let values = crate::extract_sorted_distinct(column);
             let file = format!("attr-{id:05}.indv");
             crate::format::write_value_file(&dir.join(&file), &values).unwrap();
-            v2.push_str(&format!(
-                "{}{{\"file\": \"{file}\", \"id\": {id}}}",
-                if id == 0 { "" } else { "," }
-            ));
         }
-        v2.push_str("]\n}\n");
-        std::fs::write(dir.join(crate::MANIFEST_NAME), v2).unwrap();
-        assert!(
-            Manifest::load(dir.path()).is_none(),
-            "a v2 manifest disables reuse"
-        );
+        let segmented = TempDir::new("export-legacy-segments");
+        let old = ExportedDatabase::export(&db, segmented.path(), &ExportOptions::with_threads(1))
+            .unwrap();
+        let streams: Vec<u8> = old.attributes().iter().flat_map(stream_bytes).collect();
+        std::fs::write(dir.join("seg-00-0000.indv"), streams).unwrap();
+        std::fs::write(dir.join("MANIFEST.json"), "{\"manifest_version\": 3}").unwrap();
+        assert!(read_trailer(&dir.join("seg-00-0000.indv"), None).is_err());
 
         let resumed = ExportedDatabase::export(
             &db,
@@ -1720,24 +1644,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!((resumed.exports_reused(), resumed.exports_redone()), (0, 4));
-        assert_eq!(resumed.orphans_swept(), 4, "every per-attribute file");
-        let mut names: Vec<String> = std::fs::read_dir(dir.path())
+        assert_eq!(
+            resumed.orphans_swept(),
+            6,
+            "every per-attribute file, the segment and the manifest"
+        );
+        let names: Vec<String> = std::fs::read_dir(dir.path())
             .unwrap()
             .flatten()
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
-        names.sort();
         assert!(
             names
                 .iter()
-                .all(|n| n == crate::MANIFEST_NAME || n.starts_with("seg-")),
+                .all(|n| n.starts_with("seg-") && n != "seg-00-0000.indv"),
             "{names:?}"
         );
         assert_eq!(vouched(dir.path()), [0, 1, 2, 3]);
-        let clean_dir = TempDir::new("export-legacy-clean");
-        let clean =
-            ExportedDatabase::export(&db, clean_dir.path(), &ExportOptions::default()).unwrap();
-        for (a, b) in clean.attributes().iter().zip(resumed.attributes()) {
+        for (a, b) in old.attributes().iter().zip(resumed.attributes()) {
             assert_eq!(stream_bytes(a), stream_bytes(b));
         }
     }
@@ -1748,11 +1672,14 @@ mod tests {
         let db = sample_db();
         let first = ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
         let before: Vec<Vec<u8>> = first.attributes().iter().map(stream_bytes).collect();
-        // What earlier runs may leave: a torn stage, a segment no entry
-        // points into, a file of the per-attribute layout.
+        // What earlier runs may leave: a torn stage, a segment without a
+        // trailer, a file of the per-attribute layout — and a directory
+        // under a stage's name, which the sweep cannot remove and so does
+        // not count.
         std::fs::write(dir.path().join("seg-07-0003.indv.tmp"), b"torn stage").unwrap();
-        std::fs::write(dir.path().join("seg-01-0009.indv"), b"unnamed segment").unwrap();
+        std::fs::write(dir.path().join("seg-01-0009.indv"), b"no trailer").unwrap();
         std::fs::write(dir.path().join("attr-00000.indv"), b"old layout").unwrap();
+        std::fs::create_dir(dir.path().join("seg-00-0009.indv.tmp")).unwrap();
 
         let resumed = ExportedDatabase::export(
             &db,
@@ -1770,6 +1697,7 @@ mod tests {
         ] {
             assert!(!dir.path().join(orphan).exists(), "{orphan}");
         }
+        assert!(dir.path().join("seg-00-0009.indv.tmp").is_dir());
 
         // Reconstructed metadata and stream bytes match the original export.
         let after: Vec<Vec<u8>> = resumed.attributes().iter().map(stream_bytes).collect();
@@ -1821,22 +1749,34 @@ mod tests {
         assert_eq!(values, vec![b"1".to_vec(), b"3".to_vec(), b"9".to_vec()]);
         let blob = collect_cursor(resumed.open(2).unwrap()).unwrap();
         assert_eq!(blob, vec![b"xxxx".to_vec()]);
+
+        // The redone streams went into a segment numbered past the first,
+        // whose trailer still holds their stale entries: the later entries
+        // win, so the next resume reuses everything.
+        let again = ExportedDatabase::export(
+            &db2,
+            dir.path(),
+            &ExportOptions::default().resume(ResumeMode::Reuse),
+        )
+        .unwrap();
+        assert_eq!((again.exports_reused(), again.exports_redone()), (4, 0));
+        assert_eq!(vouched(dir.path()), [0, 1, 2, 3]);
     }
 
     #[test]
-    fn a_manifest_extent_past_its_segment_is_redone_not_read() {
-        // A manifest is input from disk: an entry whose extent runs past
-        // its segment (here, right to the end of the offset range) fails
-        // validation before any stream is read, in either resume mode.
+    fn a_trailer_extent_past_its_segment_is_redone_not_read() {
+        // A trailer is input from disk: a later segment whose entry for
+        // attribute 0 runs past the segment's end (here, right to the end
+        // of the offset range) outranks the good entry, fails validation
+        // before any stream is read, and is redone — in either mode.
         let db = sample_db();
         for mode in [ResumeMode::Reuse, ResumeMode::Verify] {
             let dir = TempDir::new("resume-bad-extent");
-            ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
-            let mut manifest = Manifest::load(dir.path()).unwrap();
-            let mut entry = manifest.get(0).unwrap().clone();
+            ExportedDatabase::export(&db, dir.path(), &ExportOptions::with_threads(1)).unwrap();
+            let mut entry = read_trailer(&dir.join("seg-00-0000.indv"), None).unwrap()[0].clone();
             entry.offset = u64::MAX - 8;
-            manifest.upsert(entry);
-            manifest.store(dir.path(), None).unwrap();
+            let forged = crate::segment::encode_trailer(&[entry]);
+            std::fs::write(dir.join("seg-00-0001.indv"), forged).unwrap();
             let resumed =
                 ExportedDatabase::export(&db, dir.path(), &ExportOptions::default().resume(mode))
                     .unwrap();
@@ -1846,6 +1786,7 @@ mod tests {
                 "{mode:?}"
             );
             assert_eq!(collect_cursor(resumed.open(0).unwrap()).unwrap().len(), 3);
+            assert!(!dir.join("seg-00-0001.indv").exists(), "swept");
         }
     }
 
@@ -1860,7 +1801,7 @@ mod tests {
         let err = ExportedDatabase::export(&db, dir.path(), &options).unwrap_err();
         assert!(matches!(err, ValueSetError::Cancelled { .. }), "{err}");
         // The stop committed what was already sealed: nothing finished is
-        // lost, and the manifest vouches only for complete streams.
+        // lost, and the trailers vouch only for complete streams.
         assert!(!vouched(dir.path()).is_empty());
 
         // keep-going treats cancellation as a stop, not a data fault: no

@@ -25,8 +25,8 @@
 //! (see `ind_valueset::FaultPlan`).
 //!
 //! `--resume` (on-disk, needs an explicit `--workdir`) reuses value files
-//! a previous run already published — verified against the workdir's
-//! `MANIFEST.json` — and re-exports only what is missing or stale;
+//! a previous run already published — verified against the trailer of
+//! the segment holding each — and re-exports only what is missing or stale;
 //! `--resume verify` additionally re-walks every reused file's checksums.
 //! `--deadline DUR` (`500ms`, `30s`, `2m`) cancels the run cooperatively
 //! when the budget expires; SIGINT does the same. A cancelled run flushes
@@ -142,9 +142,9 @@ fn print_usage() {
          \x20     injects I/O faults for testing, e.g.\n\
          \x20     `read:attr-00001:flip=40,write:*:eintr@3`.\n\
          \x20     `--resume` (on-disk, explicit `--workdir`) reuses the\n\
-         \x20     value files a previous run already published under the\n\
-         \x20     workdir's MANIFEST.json and re-exports only what is\n\
-         \x20     missing or stale; `--resume verify` re-walks every\n\
+         \x20     value files a previous run already published, as its\n\
+         \x20     segments' trailers describe them, and re-exports only\n\
+         \x20     what is missing or stale; `--resume verify` re-walks every\n\
          \x20     reused file's checksums first. `--deadline DUR` (500ms,\n\
          \x20     30s, 2m) cancels the run when the budget expires, as\n\
          \x20     does SIGINT; a cancelled run flushes `--report` with a\n\
@@ -237,7 +237,7 @@ fn parse_duration(text: &str) -> Result<std::time::Duration, String> {
 }
 
 /// Parses `--resume [verify]`: absent means off, bare `--resume` reuses
-/// manifest-verified exports after a cheap header/footer check, and
+/// the exports segment trailers describe after a cheap header/footer check, and
 /// `--resume verify` re-walks every reused file's frame checksums first.
 fn parse_resume(args: &[String]) -> Result<spider_ind::valueset::ResumeMode, String> {
     use spider_ind::valueset::ResumeMode;

@@ -15,7 +15,7 @@ use spider_ind::datagen::{
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::Database;
 use spider_ind::valueset::{
-    collect_cursor, ExportOptions, ExportedDatabase, Manifest, ManifestEntry, ValueSetProvider,
+    collect_cursor, ExportOptions, ExportedDatabase, TrailerEntry, ValueSetProvider,
 };
 
 fn external_algorithms() -> Vec<(&'static str, Algorithm)> {
@@ -228,8 +228,8 @@ fn memory_export_profiles_and_sets_equal_the_scan_and_the_disk_export() {
     }
 }
 
-/// Every file of a workdir by name: the segments, MANIFEST.json, and
-/// nothing else (no spill directory, no staged leftover).
+/// Every file of a workdir by name: the segments and nothing else (no
+/// spill directory, no staged leftover).
 fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
         .expect("workdir")
@@ -241,7 +241,7 @@ fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Ve
                 .to_string_lossy()
                 .into_owned();
             assert!(
-                name == "MANIFEST.json" || (name.starts_with("seg-") && name.ends_with(".indv")),
+                name.starts_with("seg-") && name.ends_with(".indv"),
                 "{}: unexpected {name}",
                 dir.display()
             );
@@ -251,28 +251,23 @@ fn workdir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Ve
 }
 
 /// Every attribute of a workdir by id: its value stream's bytes and its
-/// manifest entry minus where the stream lies. Which worker's segment a
+/// trailer entry minus where the stream lies. Which worker's segment a
 /// stream lands in, and at which offset, follows scheduling; the stream's
 /// bytes and everything else its entry records never do.
 fn workdir_streams(
     dir: &std::path::Path,
-) -> std::collections::BTreeMap<u32, (Vec<u8>, ManifestEntry)> {
-    let files = workdir_files(dir);
-    let manifest = Manifest::load(dir).expect("manifest");
-    manifest
-        .entries()
-        .iter()
-        .map(|entry| {
+) -> std::collections::BTreeMap<u32, (Vec<u8>, TrailerEntry<'static>)> {
+    let mut streams = std::collections::BTreeMap::new();
+    for (name, segment) in workdir_files(dir) {
+        let trailer = spider_ind::valueset::read_trailer(&dir.join(&name), None).expect("trailer");
+        for entry in trailer {
             let start = entry.offset as usize;
-            let stream = files[&entry.segment][start..start + entry.file_bytes as usize].to_vec();
-            let unplaced = ManifestEntry {
-                segment: String::new(),
-                offset: 0,
-                ..entry.clone()
-            };
-            (entry.id, (stream, unplaced))
-        })
-        .collect()
+            let stream = segment[start..start + entry.file_bytes as usize].to_vec();
+            let unplaced = TrailerEntry { offset: 0, ..entry };
+            assert!(streams.insert(unplaced.id, (stream, unplaced)).is_none());
+        }
+    }
+    streams
 }
 
 #[test]
@@ -284,7 +279,7 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
     // default-budget run is the reference for the defaults (whatever this
     // host's core count), for a count well past any column-per-worker
     // balance, and for budgets from 16 index entries (every column of more
-    // rows spills) upwards. Every stream and every manifest record is
+    // rows spills) upwards. Every stream and every trailer entry is
     // identical; at one worker so is the whole workdir, segments included,
     // while more workers place the same streams into their own segments.
     use spider_ind::core::Discovery;
@@ -407,7 +402,7 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
     // export and the n-ary search read stored cells only, so no table ever
     // builds its typed `Value` view — and the cells a load parsed are the
     // bytes the generator's inserts rendered, so the two workdirs hold
-    // identical streams and manifest records (column hashes included).
+    // identical streams and trailer entries (column hashes included).
     use spider_ind::core::NaryFinder;
     use spider_ind::datagen::{generate_chains, ChainsConfig};
     use spider_ind::storage::tsv::{load_database, save_database};

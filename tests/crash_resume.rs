@@ -1,18 +1,18 @@
 //! Crash-safety end to end: a run killed at an export boundary — torn
-//! write, death between a segment's rename and the manifest that names it,
-//! failed fsync, or cooperative cancellation — must leave a workdir whose
-//! manifest names only complete, durable streams, and that a `--resume`
-//! run completes to the byte-identical result of an uninterrupted run,
-//! reusing every batch that was committed and sweeping every staged `.tmp`
-//! and every segment no manifest entry points into.
+//! write, death right after a segment's rename, failed fsync, or
+//! cooperative cancellation — must leave a workdir whose segments under
+//! their final names carry trailers vouching only for complete, durable
+//! streams, and that a `--resume` run completes to the byte-identical
+//! result of an uninterrupted run, reusing every batch that was committed
+//! (renamed) and sweeping every staged `.tmp`.
 
 use ind_testkit::TempDir;
 use proptest::prelude::*;
 use spider_ind::core::{Algorithm, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 use spider_ind::valueset::{
-    collect_cursor, CancelToken, ExportOptions, Extent, FaultPlan, IoOptions, Manifest, ResumeMode,
-    ValueFileReader, BATCH_MAX_BYTES,
+    collect_cursor, read_trailer, CancelToken, ExportOptions, Extent, FaultPlan, IoOptions,
+    ResumeMode, TrailerEntry, ValueFileReader, BATCH_MAX_BYTES,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -35,8 +35,8 @@ const PAD_FRAMES: u64 = (PAD_COLUMNS * PAD_STREAM_BYTES / 4096) as u64;
 /// parent(id unique, label text) ← child(id unique, parent_id), plus a
 /// table of padding columns, disjoint from each other and from the core,
 /// that fills the export to three batches: two half-stream values per
-/// column between a short minimum and a short maximum (the manifest
-/// records every attribute's min and max, so those stay small). Attribute
+/// column between a short minimum and a short maximum (a trailer records
+/// its attributes' whole min and max; short ones keep it small). Attribute
 /// ids: 0=parent.id, 1=parent.label, 2=child.id, 3=child.parent_id, 4.. =
 /// pad.cNNN.
 fn fixture_db() -> Database {
@@ -107,13 +107,35 @@ fn fixture_db() -> Database {
     db
 }
 
-/// The extent the manifest entry of attribute `id` records in `dir`.
-fn extent(dir: &Path, entry: &spider_ind::valueset::ManifestEntry) -> Extent {
-    Extent::new(
-        &dir.join(&entry.segment),
-        entry.offset,
-        &format!("attr-{:05}", entry.id),
-    )
+/// Every trailer entry of the segments of `dir`, with its segment's name,
+/// in attribute id order. A segment under its final name was complete
+/// before its rename, so its trailer must read back; and no attribute is
+/// vouched for twice, since a resume only adds what is missing.
+fn trailer_entries(dir: &Path) -> Vec<(String, TrailerEntry<'static>)> {
+    let mut entries = Vec::new();
+    let Ok(listing) = std::fs::read_dir(dir) else {
+        return entries; // interrupted before the workdir existed
+    };
+    for file in listing {
+        let path = file.expect("entry").path();
+        let name = path
+            .file_name()
+            .expect("name")
+            .to_string_lossy()
+            .into_owned();
+        if name.starts_with("seg-") && name.ends_with(".indv") {
+            let trailer = read_trailer(&path, None)
+                .unwrap_or_else(|e| panic!("{name} is published without a trailer: {e}"));
+            entries.extend(trailer.into_iter().map(|entry| (name.clone(), entry)));
+        }
+    }
+    entries.sort_by_key(|(_, entry)| entry.id);
+    assert!(
+        entries.windows(2).all(|w| w[0].1.id != w[1].1.id),
+        "an attribute is vouched for twice in {}",
+        dir.display()
+    );
+    entries
 }
 
 /// Every published value stream of `dir`, as `(attribute id, bytes)` in id
@@ -121,12 +143,10 @@ fn extent(dir: &Path, entry: &spider_ind::valueset::ManifestEntry) -> Extent {
 /// which offset) follows the batches a run happened to commit; its bytes
 /// never do.
 fn value_streams(dir: &Path) -> Vec<(u32, Vec<u8>)> {
-    let manifest = Manifest::load(dir).expect("a manifest");
-    manifest
-        .entries()
-        .iter()
-        .map(|entry| {
-            let segment = std::fs::read(dir.join(&entry.segment)).expect("segment");
+    trailer_entries(dir)
+        .into_iter()
+        .map(|(segment, entry)| {
+            let segment = std::fs::read(dir.join(&segment)).expect("segment");
             let start = entry.offset as usize;
             (
                 entry.id,
@@ -136,10 +156,9 @@ fn value_streams(dir: &Path) -> Vec<(u32, Vec<u8>)> {
         .collect()
 }
 
-/// Asserts the resume swept the workdir: no staged `.tmp` file, and no
-/// segment the manifest does not point into.
+/// Asserts the resume swept the workdir: no staged `.tmp` file, no value
+/// file but segments, and every segment with a trailer.
 fn assert_swept(dir: &Path) {
-    let manifest = Manifest::load(dir).expect("a manifest");
     for entry in std::fs::read_dir(dir).expect("read_dir") {
         let name = entry
             .expect("entry")
@@ -150,29 +169,29 @@ fn assert_swept(dir: &Path) {
             !name.ends_with(".tmp"),
             "orphan stage survived resume: {name}"
         );
-        if name.ends_with(".indv") {
-            assert!(
-                manifest.entries().iter().any(|e| e.segment == name),
-                "orphan segment survived resume: {name}"
-            );
-        }
+        assert!(
+            !name.ends_with(".indv") || name.starts_with("seg-"),
+            "orphan file survived resume: {name}"
+        );
     }
+    trailer_entries(dir);
 }
 
 /// The on-disk invariant an interrupted export must leave behind, checked
-/// BEFORE any resume touches the workdir: every manifest entry names a
-/// stream that lies in a segment under its final name and drains
-/// checksum-clean to the recorded record count. Returns how many
-/// attributes the manifest vouches for — the batches committed before the
-/// interruption.
+/// BEFORE any resume touches the workdir: every trailer entry of a segment
+/// under its final name describes a stream that drains checksum-clean to
+/// the recorded record count. Returns how many attributes the trailers
+/// vouch for — the batches committed before the interruption.
 fn committed_entries(dir: &Path, context: &str) -> u64 {
-    let Some(manifest) = Manifest::load(dir) else {
-        return 0; // interrupted before the first commit
-    };
-    for entry in manifest.entries() {
-        let at = extent(dir, entry);
+    let entries = trailer_entries(dir);
+    for (segment, entry) in &entries {
+        let at = Extent::new(
+            &dir.join(segment),
+            entry.offset,
+            &format!("attr-{:05}", entry.id),
+        );
         let bytes = std::fs::metadata(at.file())
-            .unwrap_or_else(|e| panic!("{context}: manifest names missing {}: {e}", entry.segment))
+            .unwrap_or_else(|e| panic!("{context}: {segment}: {e}"))
             .len();
         assert!(
             bytes >= entry.offset + entry.file_bytes,
@@ -181,7 +200,12 @@ fn committed_entries(dir: &Path, context: &str) -> u64 {
         );
         let records = ValueFileReader::open(&at)
             .and_then(collect_cursor)
-            .unwrap_or_else(|e| panic!("{context}: manifest names torn {}: {e}", at.display()))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{context}: a trailer vouches for torn {}: {e}",
+                    at.display()
+                )
+            })
             .len() as u64;
         assert_eq!(
             records,
@@ -190,7 +214,7 @@ fn committed_entries(dir: &Path, context: &str) -> u64 {
             at.display()
         );
     }
-    manifest.len() as u64
+    entries.len() as u64
 }
 
 /// Options at `threads` workers with the given fault `spec` injected.
@@ -211,11 +235,9 @@ fn fixture_spans_at_least_three_batches_by_bytes() {
     assert_eq!(streams.len(), ATTRIBUTES);
     let bytes: u64 = streams.iter().map(|(_, b)| b.len() as u64).sum();
     assert!(bytes > 2 * BATCH_MAX_BYTES, "{bytes} bytes");
-    let manifest = Manifest::load(dir.path()).expect("manifest");
-    let mut segments: Vec<&str> = manifest
-        .entries()
-        .iter()
-        .map(|e| e.segment.as_str())
+    let mut segments: Vec<String> = trailer_entries(dir.path())
+        .into_iter()
+        .map(|(segment, _)| segment)
         .collect();
     segments.dedup();
     assert_eq!(
@@ -225,8 +247,8 @@ fn fixture_spans_at_least_three_batches_by_bytes() {
 }
 
 /// One point of the crash sweep: a run at `threads` workers dies at its
-/// `n`th write-side step (stream writes, segment renames, the manifest's
-/// write and rename all count), the interrupted workdir is checked, and a
+/// `n`th write-side step (stream writes, trailer writes and segment
+/// renames all count), the interrupted workdir is checked, and a
 /// resume must complete it byte-identically. Returns the attributes the
 /// resume reused, or `None` when the run outlived `n`.
 fn crash_then_resume(db: &Database, clean: &CleanRun, n: u32, threads: usize) -> Option<u64> {
@@ -292,16 +314,16 @@ fn resume_recovers_from_a_crash_at_every_write_boundary() {
     let clean = clean_run(&db);
 
     // Every stream costs the export at least two writes (a padding stream
-    // six: its block flushes and the header patch), every commit a segment
-    // rename and the manifest's write and rename, and every run here issues
+    // six: its block flushes and the header patch), every commit its
+    // trailer's write and the segment's rename, and every run here issues
     // all of them, so the sweep is exhaustive where the states differ and
     // strided where they repeat. A coarse pass walks the whole run (the
     // writes of one batch look alike: streams sealed into the open segment,
     // the same batches committed) until a run survives because the Nth step
     // never happens. A fine pass then takes EVERY step of the tail: the
-    // second batch's segment rename and manifest publish (a run that dies
-    // between them leaves a durable segment no manifest names) and the
-    // whole last, partial batch with its own commit.
+    // second batch's trailer and rename (a run that dies at the first
+    // write after that rename leaves the renamed segment for the resume to
+    // reuse) and the whole last, partial batch with its own commit.
     const STRIDE: u32 = 11;
     const FINE_TAIL: u32 = 20;
     for threads in [1usize, 3] {
@@ -354,12 +376,13 @@ fn resume_recovers_from_a_failed_fsync_at_each_publication() {
     // Fail the durability point of each artifact in turn: the fsync of the
     // segment holding a given stream (first and last of the first batch,
     // first of the second, last of the run — one thread commits 0..=11,
-    // 12..=19 and 20..=21), the directory's (the `$` anchor keeps the rule
-    // off the files inside it), and the manifest's own.
+    // 12..=19 and 20..=21) and the directory's (the `$` anchor keeps the
+    // rule off the files inside it). A failed directory fsync follows a
+    // rename: that segment is complete under its final name and reused.
     let targets = [0, 11, 12, ATTRIBUTES - 1]
         .map(|id| format!("attr-{id:05}"))
         .into_iter()
-        .chain(["workdir$".to_string(), "MANIFEST".to_string()]);
+        .chain(["workdir$".to_string()]);
     for target in targets {
         for threads in [1usize, 3] {
             let context = format!("fsync:{target}:fail threads={threads}");
@@ -400,7 +423,7 @@ proptest! {
     /// Interrupt a run at an arbitrary point — a crash at the Nth write or
     /// rename, or a cooperative cancel at the Nth poll — across arbitrary
     /// I/O block sizes, sort memory budgets and one or three workers, then
-    /// resume: the interrupted workdir's manifest must vouch only for
+    /// resume: the interrupted workdir's trailers must vouch only for
     /// complete streams, and the final IND set and every published value
     /// stream must be byte-identical to an uninterrupted run at the same
     /// settings. Below one frame per block a run writes once per frame, so

@@ -4,13 +4,17 @@
 //! `Corrupt` error naming the poisoned file or the exactly-correct IND
 //! set — never a silently wrong answer. Under `keep_going`, the same
 //! sweep must quarantine exactly the poisoned attribute while every IND
-//! over healthy attributes still validates.
+//! over healthy attributes still validates. The same flip in a segment's
+//! trailer, read by `--resume`, must cost exactly that segment: its
+//! attributes redone, every other one reused.
 
 use ind_testkit::TempDir;
 use proptest::prelude::*;
 use spider_ind::core::{Algorithm, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
-use spider_ind::valueset::{ExportOptions, FaultPlan, IoOptions};
+use spider_ind::valueset::{
+    read_trailer, ExportOptions, ExportedDatabase, FaultPlan, IoOptions, ResumeMode,
+};
 use std::sync::Arc;
 
 /// parent(id unique, label text) ← child(id unique, parent_id).
@@ -132,6 +136,44 @@ proptest! {
                 .filter(|c| c.dep != target && c.refd != target)
                 .collect();
             prop_assert_eq!(d.satisfied, expected, "healthy INDs must all survive");
+        }
+    }
+
+    #[test]
+    fn a_flipped_trailer_costs_exactly_its_segment(
+        offset in 0u64..400,
+        threads in 1usize..4,
+    ) {
+        let db = fixture_db();
+        let dir = TempDir::new("prop-flip-trailer");
+        ExportedDatabase::export(&db, dir.path(), &ExportOptions::with_threads(threads))
+            .expect("clean export");
+        let held: Vec<(String, u64)> = std::fs::read_dir(dir.path())
+            .expect("workdir")
+            .map(|entry| entry.expect("entry").path())
+            .map(|path| {
+                let trailer = read_trailer(&path, None).expect("a published trailer");
+                let name = path.file_name().expect("name").to_string_lossy().into_owned();
+                (name, trailer.len() as u64)
+            })
+            .collect();
+        let plan = Arc::new(FaultPlan::parse(&format!("read:[trailer]:flip={offset}")).expect("plan"));
+        let mut resume = ExportOptions::with_threads(threads).resume(ResumeMode::Reuse);
+        resume.sort.io = IoOptions::default().with_fault(plan.clone());
+        let resumed = ExportedDatabase::export(&db, dir.path(), &resume).expect("resume");
+        let counts = (resumed.exports_reused(), resumed.exports_redone());
+        match plan.fired().first() {
+            // The flip lies past the end of every trailer and never fired.
+            None => prop_assert_eq!(counts, (4, 0)),
+            Some(flip) => {
+                let (segment, n) = held
+                    .iter()
+                    .find(|(name, _)| flip.contains(&format!("{name}[trailer]")))
+                    .expect("the flip names a segment's trailer");
+                prop_assert_eq!(counts, (4 - n, *n), "{}", flip);
+                prop_assert_eq!(resumed.orphans_swept(), 1);
+                prop_assert!(!dir.join(segment).exists(), "{} is swept", segment);
+            }
         }
     }
 }
