@@ -3,7 +3,6 @@
 //!
 //! * parallel brute force thread sweep (extension);
 //! * block-wise open-file budget sweep (I/O re-read cost vs budget);
-//! * transitivity inference on/off for brute force;
 //! * sampling pretest on/off;
 //! * SPIDER's shared-cursor improvement vs the plain single-pass.
 
@@ -11,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ind_bench::datasets::bench_scale;
 use ind_core::{
     generate_candidates, memory_export, run_blockwise, run_brute_force, run_brute_force_parallel,
-    run_brute_force_with_transitivity, run_single_pass, run_spider, sampling_pretest,
-    BlockwiseConfig, PretestConfig, RunMetrics, SamplingConfig,
+    run_single_pass, run_spider, sampling_pretest, BlockwiseConfig, PretestConfig, RunMetrics,
+    SamplingConfig,
 };
 
 fn thread_sweep(c: &mut Criterion) {
@@ -66,7 +65,7 @@ fn blockwise_budget_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn inference_and_sampling(c: &mut Criterion) {
+fn sampling_on_off(c: &mut Criterion) {
     let db = bench_scale::uniprot();
     let (profiles, provider) = memory_export(&db);
     let mut gen = RunMetrics::new();
@@ -77,14 +76,6 @@ fn inference_and_sampling(c: &mut Criterion) {
         b.iter(|| {
             let mut m = RunMetrics::new();
             run_brute_force(&provider, &candidates, &mut m)
-                .expect("bf")
-                .len()
-        })
-    });
-    group.bench_function("bf_transitivity", |b| {
-        b.iter(|| {
-            let mut m = RunMetrics::new();
-            run_brute_force_with_transitivity(&provider, &candidates, &mut m)
                 .expect("bf")
                 .len()
         })
@@ -140,7 +131,7 @@ criterion_group!(
     benches,
     thread_sweep,
     blockwise_budget_sweep,
-    inference_and_sampling,
+    sampling_on_off,
     single_pass_vs_spider
 );
 criterion_main!(benches);

@@ -65,7 +65,10 @@
 //! zero-allocation property (the current engine's allocation count must be
 //! a small constant, not proportional to `items_read`), and asserts the
 //! block reader issues several times fewer read calls than the per-record
-//! legacy shape with sweep counts non-increasing in block size. At
+//! legacy shape with sweep counts non-increasing in block size, and that
+//! `IndFinder::discover`, which merges one representative per class of
+//! equal value sets (its IND set is cross-checked against `run_spider`
+//! over every candidate), opens one cursor per class. At
 //! `--scale >= 100` it also holds the pdb merge to >= 2.5x the frozen
 //! legacy engine timed in the same run — the wall-clock gate on the merge
 //! loop's constant factor. No gate compares two durable exports' wall
@@ -75,8 +78,8 @@ use ind_bench::legacy_reader::LegacyDiskProvider;
 use ind_bench::legacy_sorter::legacy_extract_to_file;
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
-    generate_candidates, memory_export, run_spider, Candidate, NaryDiscovery, NaryFinder,
-    PretestConfig, RunMetrics,
+    generate_candidates, memory_export, run_spider, Algorithm, Candidate, IndFinder, NaryDiscovery,
+    NaryFinder, PretestConfig, RunMetrics,
 };
 use ind_datagen::{
     generate_chains, generate_pdb, generate_uniprot, generate_wide, BiosqlConfig, ChainsConfig,
@@ -400,6 +403,8 @@ struct DatasetResult {
     attributes: usize,
     candidates: usize,
     engines: Vec<EngineResult>,
+    /// Counters of `IndFinder::discover` with spider over the same sets.
+    finder: RunMetrics,
     disk: DiskResult,
     export: ExportResult,
 }
@@ -1196,6 +1201,27 @@ fn bench_dataset(
     if legacy != expected {
         return Err(format!("[{name}] legacy engine disagrees with spider"));
     }
+    // The finder merges one representative per class of equal value sets
+    // and must still give the full-candidate answer.
+    let finder = IndFinder::with_algorithm(Algorithm::Spider)
+        .discover(&profiles, &provider)
+        .map_err(|e| e.to_string())?;
+    let mut sorted_expected = expected.clone();
+    sorted_expected.sort();
+    if finder.satisfied != sorted_expected {
+        return Err(format!(
+            "[{name}] IndFinder::discover disagrees with run_spider over every candidate"
+        ));
+    }
+    println!(
+        "[{name}] finder: {} value-set classes, cursor_opens={} items_read={} \
+         (full candidates: cursor_opens={} items_read={})",
+        finder.metrics.value_set_classes,
+        finder.metrics.cursor_opens,
+        finder.metrics.items_read,
+        expected_metrics.cursor_opens,
+        expected_metrics.items_read
+    );
 
     let mut engines = Vec::new();
     type Runner<'a> =
@@ -1289,6 +1315,7 @@ fn bench_dataset(
         attributes: db.attribute_count(),
         candidates: candidates.len(),
         engines,
+        finder: finder.metrics,
         disk,
         export,
     })
@@ -1711,6 +1738,15 @@ fn run() -> Result<(), String> {
                      cursors (bound {bound}) — the merge no longer pays one tree replay per \
                      value read",
                     d.name, spider.metrics.items_read, spider.metrics.cursor_opens
+                ));
+            }
+            // Equal-set classes gate, exact on every host: the finder's merge
+            // opens one cursor per class (its IND set was already held to
+            // the full-candidate `run_spider` set).
+            if d.finder.cursor_opens != d.finder.value_set_classes {
+                return Err(format!(
+                    "[{}] the finder's merge opened {} cursors for {} value-set classes",
+                    d.name, d.finder.cursor_opens, d.finder.value_set_classes
                 ));
             }
             // Merge wall-clock gate: the one timing assertion that is not

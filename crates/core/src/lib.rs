@@ -14,13 +14,14 @@
 //!   tournament-tree k-way merge over all attribute cursors (Sec. 7);
 //! * [`blockwise`] — the Sec. 4.2 block-wise single-pass that respects an
 //!   open-file budget;
-//! * [`pruning`] — Bell–Brockhausen transitivity inference and the sampling
-//!   pretest (Secs. 6/7); the cardinality/max-value pretests live in
-//!   candidate generation;
+//! * [`pruning`] — the sampling pretest (Sec. 4.1); the
+//!   cardinality/max-value pretests live in candidate generation;
 //! * [`closure`] — transitive-closure utilities over IND sets;
 //! * [`nary`] — levelwise composite (n-ary) IND discovery layered on the
 //!   SPIDER engine (beyond the paper's unary scope);
-//! * [`runner`] — the [`IndFinder`] facade tying everything together.
+//! * [`runner`] — the [`IndFinder`] facade tying everything together; it
+//!   hands the engine one representative per class of attributes with
+//!   equal value sets.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,6 +30,7 @@ mod attr;
 pub mod blockwise;
 pub mod brute_force;
 mod candidates;
+mod classes;
 pub mod closure;
 mod compact;
 mod metrics;
@@ -50,9 +52,7 @@ pub use closure::{in_closure, transitive_closure};
 pub use metrics::RunMetrics;
 pub use nary::{NaryCandidate, NaryConfig, NaryDiscovery, NaryFinder, NaryLevelStats};
 pub use partial::{inclusion_count, InclusionCount};
-pub use pruning::{
-    run_brute_force_with_transitivity, sampling_pretest, SamplingConfig, TransitivityOracle,
-};
+pub use pruning::{sampling_pretest, SamplingConfig};
 pub use runner::{Algorithm, DegradedReport, Discovery, FinderConfig, IndFinder};
 pub use single_pass::run_single_pass;
 pub use spider::run_spider;

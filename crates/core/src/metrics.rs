@@ -24,15 +24,11 @@ pub struct RunMetrics {
     /// sub-projections were not all satisfied (the MIND/apriori pruning of
     /// the n-ary pipeline). Zero for unary runs.
     pub pruned_projection: u64,
-    /// Candidates classified as satisfied by transitivity inference.
-    pub inferred_satisfied: u64,
-    /// Candidates classified as refuted by transitivity inference.
-    pub inferred_refuted: u64,
     /// Candidates refuted by the sampling pretest.
     pub pruned_sampling: u64,
     /// Candidates whose value sets were actually compared.
     pub tested: u64,
-    /// Satisfied INDs found (including inferred ones).
+    /// Satisfied INDs found.
     pub satisfied: u64,
     /// Values read from value-set cursors (the Figure 5 metric).
     pub items_read: u64,
@@ -56,15 +52,23 @@ pub struct RunMetrics {
     /// bytes and both run past them: a full `memcmp` of the values (then
     /// the slot id).
     pub memcmp_compares: u64,
-    /// `read(2)` calls issued against value files (block fills of the
-    /// disk-backed cursors). Zero for in-memory providers; populated by the
-    /// disk-backed entry points that own the export (the cursors themselves
-    /// are provider-agnostic). The syscall-side complement of
-    /// `value_bytes_read`: bytes measure payload, read calls measure how
-    /// often the OS was asked for it.
+    /// Block fills of the disk-backed cursors — not `read(2)` calls: the
+    /// frame layer beneath a fill reads a stream's header once and each
+    /// 4 KiB frame with two `pread`s. Zero for in-memory providers;
+    /// populated by the disk-backed entry points that own the export (the
+    /// cursors themselves are provider-agnostic). The I/O-side complement
+    /// of `value_bytes_read`: bytes measure payload, fills measure how
+    /// often a cursor went back to the file for more.
     pub read_calls: u64,
     /// Cursors opened (2 per brute-force test; one per role in single-pass).
     pub cursor_opens: u64,
+    /// Classes of equal value sets among the attributes of the candidates
+    /// the finder tested: the engine runs over one representative per
+    /// class. Zero when an engine is called directly.
+    pub value_set_classes: u64,
+    /// Value-set comparisons (`ValueSetProvider::same_values` calls) that
+    /// decided those classes.
+    pub class_compares: u64,
     /// Transient I/O faults (`EINTR`, short reads) healed invisibly by the
     /// retrying read/write wrapper. A non-zero count with a successful run
     /// means the storage stack degraded gracefully, not that anything was
@@ -127,8 +131,6 @@ impl RunMetrics {
             ("pruned_max_value", self.pruned_max_value),
             ("pruned_min_value", self.pruned_min_value),
             ("pruned_projection", self.pruned_projection),
-            ("inferred_satisfied", self.inferred_satisfied),
-            ("inferred_refuted", self.inferred_refuted),
             ("pruned_sampling", self.pruned_sampling),
             ("candidates", self.candidates()),
             ("tested", self.tested),
@@ -140,6 +142,8 @@ impl RunMetrics {
             ("memcmp_compares", self.memcmp_compares),
             ("read_calls", self.read_calls),
             ("cursor_opens", self.cursor_opens),
+            ("value_set_classes", self.value_set_classes),
+            ("class_compares", self.class_compares),
             ("io_retries", self.io_retries),
             ("checksum_failures", self.checksum_failures),
             ("quarantined_attributes", self.quarantined_attributes),
@@ -159,8 +163,6 @@ impl RunMetrics {
         self.pruned_max_value += other.pruned_max_value;
         self.pruned_min_value += other.pruned_min_value;
         self.pruned_projection += other.pruned_projection;
-        self.inferred_satisfied += other.inferred_satisfied;
-        self.inferred_refuted += other.inferred_refuted;
         self.pruned_sampling += other.pruned_sampling;
         self.tested += other.tested;
         self.satisfied += other.satisfied;
@@ -171,6 +173,8 @@ impl RunMetrics {
         self.memcmp_compares += other.memcmp_compares;
         self.read_calls += other.read_calls;
         self.cursor_opens += other.cursor_opens;
+        self.value_set_classes += other.value_set_classes;
+        self.class_compares += other.class_compares;
         self.io_retries += other.io_retries;
         self.checksum_failures += other.checksum_failures;
         self.quarantined_attributes += other.quarantined_attributes;
@@ -186,10 +190,10 @@ impl fmt::Display for RunMetrics {
         write!(
             f,
             "candidates={} (considered={}, pruned: card={}, max={}, min={}, proj={}, \
-             sampling={}, inferred: sat={}, ref={}), tested={}, satisfied={}, items_read={}, \
+             sampling={}), tested={}, satisfied={}, items_read={}, \
              value_bytes_read={}, comparisons={} (key={}, memcmp={}), read_calls={}, \
-             cursor_opens={}, io_retries={}, checksum_failures={}, quarantined={}, \
-             resume: reused={}, redone={}, orphans={}, elapsed={:?}",
+             cursor_opens={}, classes={} (compares={}), io_retries={}, checksum_failures={}, \
+             quarantined={}, resume: reused={}, redone={}, orphans={}, elapsed={:?}",
             self.candidates(),
             self.pairs_considered,
             self.pruned_cardinality,
@@ -197,8 +201,6 @@ impl fmt::Display for RunMetrics {
             self.pruned_min_value,
             self.pruned_projection,
             self.pruned_sampling,
-            self.inferred_satisfied,
-            self.inferred_refuted,
             self.tested,
             self.satisfied,
             self.items_read,
@@ -208,6 +210,8 @@ impl fmt::Display for RunMetrics {
             self.memcmp_compares,
             self.read_calls,
             self.cursor_opens,
+            self.value_set_classes,
+            self.class_compares,
             self.io_retries,
             self.checksum_failures,
             self.quarantined_attributes,
@@ -248,6 +252,8 @@ mod tests {
             exports_reused: 5,
             exports_redone: 2,
             orphans_swept: 3,
+            value_set_classes: 4,
+            class_compares: 6,
             elapsed: Duration::from_millis(7),
             ..Default::default()
         };
@@ -264,6 +270,8 @@ mod tests {
         assert_eq!(a.exports_reused, 5);
         assert_eq!(a.exports_redone, 2);
         assert_eq!(a.orphans_swept, 3);
+        assert_eq!(a.value_set_classes, 4);
+        assert_eq!(a.class_compares, 6);
         assert_eq!(a.elapsed, Duration::from_millis(12));
         assert_eq!(a.candidates(), 13);
     }
@@ -349,7 +357,7 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("satisfied=2"));
         assert!(s.contains("considered=3"));
-        assert!(s.contains("read_calls=0, cursor_opens=0"));
+        assert!(s.contains("read_calls=0, cursor_opens=0, classes=0 (compares=0)"));
         assert!(s.contains("io_retries=0"));
         assert!(s.contains("checksum_failures=0"));
         assert!(s.contains("quarantined=0"));

@@ -1,18 +1,10 @@
 //! Candidate pruning beyond the generation-time pretests.
 //!
 //! The cardinality and max-value pretests live in candidate generation
-//! ([`crate::generate_candidates`]); this module holds the two techniques
-//! the paper defers to related/future work:
-//!
-//! * [`transitivity`] — Bell–Brockhausen inference: already-classified
-//!   candidates imply the status of others via the transitivity of set
-//!   inclusion (Sec. 6: "The tested (satisfied and not satisfied) INDs are
-//!   used to exclude further tests"; Sec. 7 lists it as future work);
-//! * [`sampling`] — "Another idea is to pretest the IND candidates using
-//!   random samples of the dependent data" (Sec. 4.1).
+//! ([`crate::generate_candidates`]); this module holds [`sampling`], the
+//! pretest the paper defers to future work: "Another idea is to pretest the
+//! IND candidates using random samples of the dependent data" (Sec. 4.1).
 
 pub mod sampling;
-pub mod transitivity;
 
 pub use sampling::{sampling_pretest, SamplingConfig};
-pub use transitivity::{run_brute_force_with_transitivity, TransitivityOracle};

@@ -5,8 +5,9 @@ use crate::attr::{profiles_from_export, try_memory_export, AttributeProfile};
 use crate::blockwise::{run_blockwise, BlockwiseConfig};
 use crate::brute_force::{run_brute_force, run_brute_force_parallel};
 use crate::candidates::{generate_candidates, Candidate, PretestConfig};
+use crate::classes::ValueSetClasses;
 use crate::metrics::RunMetrics;
-use crate::pruning::{run_brute_force_with_transitivity, sampling_pretest, SamplingConfig};
+use crate::pruning::{sampling_pretest, SamplingConfig};
 use crate::single_pass::run_single_pass;
 use crate::spider::run_spider;
 use ind_storage::{Database, QualifiedName};
@@ -45,10 +46,6 @@ pub struct FinderConfig {
     pub algorithm: Algorithm,
     /// Generation-time pretests (cardinality / max-value / min-value).
     pub pretests: PretestConfig,
-    /// Bell–Brockhausen transitivity inference. Only meaningful for the
-    /// per-candidate algorithms; ignored by the set-at-once algorithms,
-    /// which resolve all candidates in one scan anyway.
-    pub transitivity: bool,
     /// Optional sampling pretest applied between generation and testing.
     pub sampling: Option<SamplingConfig>,
 }
@@ -58,7 +55,6 @@ impl Default for FinderConfig {
         FinderConfig {
             algorithm: Algorithm::BruteForce,
             pretests: PretestConfig::default(),
-            transitivity: false,
             sampling: None,
         }
     }
@@ -198,6 +194,10 @@ impl IndFinder {
     /// [`IndFinder::discover`] with a quarantine list: every candidate
     /// touching a quarantined attribute is dropped before sampling and
     /// testing, so a poisoned value file can never reach a cursor.
+    ///
+    /// The engine tests one representative per class of equal value sets
+    /// (see [`crate::classes`]), and its answer is expanded back over the
+    /// candidates.
     fn discover_filtered<P>(
         &self,
         profiles: &[AttributeProfile],
@@ -220,26 +220,29 @@ impl IndFinder {
             let _span = ind_trace::start(ind_trace::SAMPLING);
             candidates = sampling_pretest(provider, &candidates, sampling, &mut metrics)?;
         }
-        let mut satisfied = match &self.config.algorithm {
-            Algorithm::BruteForce if self.config.transitivity => {
-                run_brute_force_with_transitivity(provider, &candidates, &mut metrics)?
-            }
-            Algorithm::BruteForce => run_brute_force(provider, &candidates, &mut metrics)?,
+        let classes_span = ind_trace::start(ind_trace::CLASSES);
+        let classes = ValueSetClasses::of(profiles, &candidates, provider, &mut metrics)?;
+        classes_span.finish();
+        let pairs = classes.pairs_to_test(&candidates);
+        let found = match &self.config.algorithm {
+            Algorithm::BruteForce => run_brute_force(provider, &pairs, &mut metrics)?,
             Algorithm::BruteForceParallel { threads } => {
-                run_brute_force_parallel(provider, &candidates, *threads, &mut metrics)?
+                run_brute_force_parallel(provider, &pairs, *threads, &mut metrics)?
             }
-            Algorithm::SinglePass => run_single_pass(provider, &candidates, &mut metrics)?,
-            Algorithm::Spider => run_spider(provider, &candidates, &mut metrics)?,
+            Algorithm::SinglePass => run_single_pass(provider, &pairs, &mut metrics)?,
+            Algorithm::Spider => run_spider(provider, &pairs, &mut metrics)?,
             Algorithm::Blockwise { max_open_files } => run_blockwise(
                 provider,
-                &candidates,
+                &pairs,
                 &BlockwiseConfig {
                     max_open_files: *max_open_files,
                 },
                 &mut metrics,
             )?,
         };
+        let mut satisfied = classes.expand(&candidates, &found);
         satisfied.sort();
+        metrics.satisfied = satisfied.len() as u64;
         metrics.elapsed = start.elapsed();
         Ok(Discovery {
             profiles: profiles.to_vec(),
@@ -286,7 +289,7 @@ impl IndFinder {
 
     /// [`IndFinder::discover_on_disk`] with explicit export options — in
     /// particular the I/O block size ([`ExportOptions::with_block_size`])
-    /// every value-file cursor will use. The discovery-phase `read(2)`
+    /// every value-file cursor will use. The discovery-phase block-fill
     /// count of the export's cursors is recorded in
     /// [`RunMetrics::read_calls`] (export-phase reads are excluded). Every
     /// algorithm then runs through the same flow as
@@ -515,13 +518,6 @@ mod tests {
         let with_max = IndFinder::new(max_cfg).discover_in_memory(&db).unwrap();
         assert_eq!(with_max.satisfied, baseline.satisfied);
 
-        let tr_cfg = FinderConfig {
-            transitivity: true,
-            ..Default::default()
-        };
-        let with_tr = IndFinder::new(tr_cfg).discover_in_memory(&db).unwrap();
-        assert_eq!(with_tr.satisfied, baseline.satisfied);
-
         let s_cfg = FinderConfig {
             sampling: Some(SamplingConfig::default()),
             ..Default::default()
@@ -597,6 +593,57 @@ mod tests {
                 d.satisfied.iter().all(|c| c.dep != 0 && c.refd != 0),
                 "{algorithm:?}: no surviving IND may mention the quarantined attribute"
             );
+        }
+    }
+
+    #[test]
+    fn a_corrupt_twin_fails_the_strict_run_and_alone_is_quarantined() {
+        // child.parent_id (3) holds exactly parent.id's (0) values, so the
+        // engine only ever reads 0. The class compare still reads 3, through
+        // the checksum-verifying reader: its corruption cannot pass as
+        // equality.
+        let db = sample_db();
+        for algorithm in [Algorithm::Spider, Algorithm::BruteForce] {
+            let finder = IndFinder::with_algorithm(algorithm.clone());
+            let clean_dir = TempDir::new("runner-twin-clean");
+            let baseline = finder.discover_on_disk(&db, clean_dir.path()).unwrap();
+            assert_eq!(baseline.metrics.value_set_classes, 3, "{algorithm:?}");
+            assert!(baseline.satisfied.contains(&Candidate::new(3, 0)));
+
+            let strict_dir = TempDir::new("runner-twin-strict");
+            let err = finder
+                .discover_on_disk_with(
+                    &db,
+                    strict_dir.path(),
+                    &fault_options("read:attr-00003:flip=40"),
+                )
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("attr-00003"),
+                "{algorithm:?}: {err}"
+            );
+
+            let lax_dir = TempDir::new("runner-twin-lax");
+            let options = fault_options("read:attr-00003:flip=40").keep_going(true);
+            let d = finder
+                .discover_on_disk_with(&db, lax_dir.path(), &options)
+                .unwrap();
+            let ids: Vec<u32> = d
+                .degraded
+                .as_ref()
+                .unwrap()
+                .quarantined
+                .iter()
+                .map(|f| f.id)
+                .collect();
+            assert_eq!(ids, vec![3], "{algorithm:?}");
+            let expected: Vec<Candidate> = baseline
+                .satisfied
+                .iter()
+                .copied()
+                .filter(|c| c.dep != 3 && c.refd != 3)
+                .collect();
+            assert_eq!(d.satisfied, expected, "{algorithm:?}");
         }
     }
 

@@ -15,18 +15,18 @@ fn arbitrary_metrics(values: &[u64; 25]) -> RunMetrics {
         pruned_max_value: values[2],
         pruned_min_value: values[3],
         pruned_projection: values[4],
-        inferred_satisfied: values[5],
-        inferred_refuted: values[6],
-        pruned_sampling: values[7],
-        tested: values[8],
-        satisfied: values[9],
-        items_read: values[10],
-        value_bytes_read: values[11],
-        comparisons: values[12],
-        key_compares: values[13],
-        memcmp_compares: values[14],
-        read_calls: values[15],
-        cursor_opens: values[16],
+        pruned_sampling: values[5],
+        tested: values[6],
+        satisfied: values[7],
+        items_read: values[8],
+        value_bytes_read: values[9],
+        comparisons: values[10],
+        key_compares: values[11],
+        memcmp_compares: values[12],
+        read_calls: values[13],
+        cursor_opens: values[14],
+        value_set_classes: values[15],
+        class_compares: values[16],
         io_retries: values[17],
         checksum_failures: values[18],
         quarantined_attributes: values[19],
@@ -71,8 +71,6 @@ proptest! {
         prop_assert_eq!(field(&parsed, "pruned_max_value"), metrics.pruned_max_value);
         prop_assert_eq!(field(&parsed, "pruned_min_value"), metrics.pruned_min_value);
         prop_assert_eq!(field(&parsed, "pruned_projection"), metrics.pruned_projection);
-        prop_assert_eq!(field(&parsed, "inferred_satisfied"), metrics.inferred_satisfied);
-        prop_assert_eq!(field(&parsed, "inferred_refuted"), metrics.inferred_refuted);
         prop_assert_eq!(field(&parsed, "pruned_sampling"), metrics.pruned_sampling);
         prop_assert_eq!(field(&parsed, "candidates"), metrics.candidates());
         prop_assert_eq!(field(&parsed, "tested"), metrics.tested);
@@ -84,6 +82,8 @@ proptest! {
         prop_assert_eq!(field(&parsed, "memcmp_compares"), metrics.memcmp_compares);
         prop_assert_eq!(field(&parsed, "read_calls"), metrics.read_calls);
         prop_assert_eq!(field(&parsed, "cursor_opens"), metrics.cursor_opens);
+        prop_assert_eq!(field(&parsed, "value_set_classes"), metrics.value_set_classes);
+        prop_assert_eq!(field(&parsed, "class_compares"), metrics.class_compares);
         prop_assert_eq!(field(&parsed, "io_retries"), metrics.io_retries);
         prop_assert_eq!(field(&parsed, "checksum_failures"), metrics.checksum_failures);
         prop_assert_eq!(

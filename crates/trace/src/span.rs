@@ -31,7 +31,7 @@ pub(crate) enum ArgStyle {
 }
 
 /// The span-name registry: `(name, arg rendering)` per [`SpanId`].
-pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 13] = [
+pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
     ("discover", ArgStyle::None),
     ("export", ArgStyle::None),
     ("profile", ArgStyle::None),
@@ -45,10 +45,11 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 13] = [
     ("level", ArgStyle::Index),
     ("resume_scan", ArgStyle::None),
     ("publish", ArgStyle::None),
+    ("classes", ArgStyle::None),
 ];
 
 /// Span names in [`SpanId`] order (the report vocabulary).
-pub const SPAN_NAMES: [&str; 13] = [
+pub const SPAN_NAMES: [&str; 14] = [
     "discover",
     "export",
     "profile",
@@ -62,6 +63,7 @@ pub const SPAN_NAMES: [&str; 13] = [
     "level",
     "resume_scan",
     "publish",
+    "classes",
 ];
 
 /// Whole run: the root span every other phase nests under.
@@ -91,6 +93,9 @@ pub const RESUME_SCAN: SpanId = SpanId(11);
 /// One group commit of the export: write one segment's trailer, fsync the
 /// segment, rename it, one directory fsync; `arg` = streams in the segment.
 pub const PUBLISH: SpanId = SpanId(12);
+/// Sorting the candidates' attributes into classes of equal value sets,
+/// before the engine runs.
+pub const CLASSES: SpanId = SpanId(13);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Span-instance tokens and event ordering share one sequence so report

@@ -155,7 +155,7 @@ impl IoOptions {
     }
 }
 
-/// Shared I/O counters: every `read(2)` a [`BlockReader`] issues, every
+/// Shared I/O counters: every block fill a [`BlockReader`] issues, every
 /// value file it opens, every transient fault healed beneath it and every
 /// checksum mismatch it detects. Cloning shares the counters, so one
 /// `ReadStats` can aggregate across all cursors a provider hands out
@@ -174,7 +174,7 @@ impl ReadStats {
         ReadStats::default()
     }
 
-    /// Read calls recorded so far.
+    /// Block fills recorded so far.
     pub fn read_calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }

@@ -77,4 +77,21 @@ pub trait ValueSetProvider {
 
     /// Number of attributes available.
     fn attribute_count(&self) -> usize;
+
+    /// True when attributes `a` and `b` hold exactly the same values. The
+    /// default walks a cursor over each in lockstep; providers that can
+    /// compare their stored form override it.
+    fn same_values(&self, a: u32, b: u32) -> Result<bool> {
+        let (mut x, mut y) = (self.open(a)?, self.open(b)?);
+        if x.len() != y.len() {
+            return Ok(false);
+        }
+        loop {
+            match (x.advance()?, y.advance()?) {
+                (true, true) if x.current() == y.current() => {}
+                (false, false) => return Ok(true),
+                _ => return Ok(false),
+            }
+        }
+    }
 }

@@ -553,9 +553,40 @@ impl ValueFileReader {
         &self.path
     }
 
-    /// `read(2)` calls issued against the file so far (block fills).
+    /// Block fills issued against the file so far.
     pub fn read_calls(&self) -> u64 {
         self.input.read_calls()
+    }
+
+    /// True when two fresh readers hold byte-identical streams — hence the
+    /// same values. Compares the payload block by block as the frame layer
+    /// serves it, so every byte compared has passed its frame's checksum,
+    /// and reads an equal pair to the end, footer included. Stops at the
+    /// first difference.
+    pub(crate) fn same_stream(&mut self, other: &mut ValueFileReader) -> Result<bool> {
+        debug_assert!(self.produced == 0 && other.produced == 0, "fresh readers");
+        if self.total != other.total {
+            return Ok(false);
+        }
+        loop {
+            let n = self.fill_payload()?.min(other.fill_payload()?);
+            if n == 0 {
+                return Ok(self.input.buffered().is_empty() && other.input.buffered().is_empty());
+            }
+            if self.input.buffered()[..n] != other.input.buffered()[..n] {
+                return Ok(false);
+            }
+            self.input.consume(n);
+            other.input.consume(n);
+        }
+    }
+
+    /// Buffers at least one more payload byte unless the stream has ended
+    /// (its footer verified); returns the bytes buffered.
+    fn fill_payload(&mut self) -> Result<usize> {
+        self.input
+            .fill_to(1)
+            .map_err(|e| corrupt(self.path.display().to_string(), e.to_string()))
     }
 
     /// One-shot end-of-stream check, run when the cursor first reports

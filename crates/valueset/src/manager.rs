@@ -732,9 +732,11 @@ impl ExportedDatabase {
         self.io = io;
     }
 
-    /// Total `read(2)` calls issued by every cursor this export has opened
+    /// Total block fills issued by every cursor this export has opened
     /// (including ones on worker threads). The disk-side analogue of the
-    /// bench harness's allocation counters.
+    /// bench harness's allocation counters. A fill is not one `read(2)`:
+    /// beneath it the frame layer reads a stream's header once and each
+    /// 4 KiB frame with two `pread`s (length prefix, then payload and CRC).
     pub fn read_calls(&self) -> u64 {
         self.read_stats.read_calls()
     }
@@ -823,6 +825,22 @@ impl ValueSetProvider for ExportedDatabase {
 
     fn attribute_count(&self) -> usize {
         self.attributes.len()
+    }
+
+    /// Equal sets are byte-identical streams, so streams of different sizes
+    /// differ without a read; equal sizes are compared through the
+    /// checksum-verifying reader ([`ValueFileReader::same_stream`]), which
+    /// fails on a corrupt stream exactly as a cursor reading it would.
+    fn same_values(&self, a: u32, b: u32) -> Result<bool> {
+        let file_bytes = |id: u32| {
+            self.attribute(id)
+                .map(|attr| attr.file_bytes)
+                .ok_or(ValueSetError::UnknownAttribute(id))
+        };
+        if file_bytes(a)? != file_bytes(b)? {
+            return Ok(false);
+        }
+        self.open(a)?.same_stream(&mut self.open(b)?)
     }
 }
 
@@ -974,7 +992,8 @@ impl CompositeExport {
         &self.dir
     }
 
-    /// Total `read(2)` calls issued by every cursor this export has opened.
+    /// Total block fills issued by every cursor this export has opened
+    /// (see [`ExportedDatabase::read_calls`]: a fill is not one `read(2)`).
     pub fn read_calls(&self) -> u64 {
         self.read_stats.read_calls()
     }

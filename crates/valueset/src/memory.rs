@@ -429,6 +429,11 @@ impl ValueSetProvider for MemoryProvider {
     fn attribute_count(&self) -> usize {
         self.sets.len()
     }
+
+    fn same_values(&self, a: u32, b: u32) -> Result<bool> {
+        let set = |id: u32| self.set(id).ok_or(ValueSetError::UnknownAttribute(id));
+        Ok(set(a)?.as_slice() == set(b)?.as_slice())
+    }
 }
 
 #[cfg(test)]
@@ -466,6 +471,46 @@ mod tests {
         assert_eq!(c.remaining(), 0);
         assert!(!c.advance().unwrap());
         assert!(!c.advance().unwrap(), "advance is idempotent at the end");
+    }
+
+    #[test]
+    fn same_values_agrees_with_the_lockstep_default() {
+        /// Forwards cursors only, so `same_values` is the trait default.
+        struct CursorsOnly(MemoryProvider);
+        impl ValueSetProvider for CursorsOnly {
+            type Cursor = MemoryCursor;
+            fn open(&self, id: u32) -> Result<MemoryCursor> {
+                self.0.open(id)
+            }
+            fn attribute_count(&self) -> usize {
+                self.0.attribute_count()
+            }
+        }
+        let set = |values: &[&str]| {
+            MemoryValueSet::from_unsorted(values.iter().map(|v| v.as_bytes().to_vec()))
+        };
+        let p = MemoryProvider::new(vec![
+            set(&["a", "b"]),
+            set(&["b", "a", "a"]),
+            set(&["a", "c"]),
+            set(&["a"]),
+            set(&["ab"]),
+            set(&[]),
+            set(&[]),
+        ]);
+        let n = p.attribute_count() as u32;
+        let lockstep = CursorsOnly(p.clone());
+        for a in 0..n {
+            for b in 0..n {
+                let same = [(0, 1), (1, 0), (5, 6), (6, 5)].contains(&(a, b)) || a == b;
+                assert_eq!(p.same_values(a, b).unwrap(), same, "{a} vs {b}");
+                assert_eq!(lockstep.same_values(a, b).unwrap(), same, "{a} vs {b}");
+            }
+        }
+        assert!(matches!(
+            p.same_values(0, n),
+            Err(ValueSetError::UnknownAttribute(_))
+        ));
     }
 
     #[test]

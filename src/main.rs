@@ -351,9 +351,10 @@ fn degraded_json(report: &spider_ind::core::DegradedReport) -> Json {
 
 /// Version stamp of the `--report` JSON shape. Bump on any breaking
 /// change to the report's keys (2: the overlapped-I/O counters left
-/// `metrics`). The `cancelled` section is additive — present only on
-/// cancelled runs — so it does not bump the version.
-const REPORT_VERSION: u64 = 2;
+/// `metrics`; 3: so did the transitivity-inference counters). The
+/// `cancelled` section is additive — present only on cancelled runs — so
+/// it does not bump the version.
+const REPORT_VERSION: u64 = 3;
 
 /// How far a cancelled run got before it drained to a stop: recorded in
 /// the report's `cancelled` section so scripts can tell a run that died

@@ -413,7 +413,7 @@ fn report_and_folded_trace_come_out_well_formed() {
     let report = parse(&text).expect("report is valid JSON");
     assert_eq!(
         report.get("report_version").and_then(Json::as_u64),
-        Some(2),
+        Some(3),
         "{text}"
     );
     let metrics = report.get("metrics").expect("metrics object");
@@ -689,7 +689,7 @@ fn deadline_expiry_exits_cancelled_with_flushed_report() {
     );
     // The report was still flushed, with the cancellation snapshot.
     let report = parse(&std::fs::read_to_string(&report_path).expect("report")).expect("json");
-    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(2));
+    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(3));
     let cancelled = report.get("cancelled").expect("cancelled section");
     assert!(
         cancelled.get("phase").and_then(Json::as_str).is_some(),

@@ -5,16 +5,20 @@
 //! exactly the oracle's answer, and every pruning option must leave the
 //! result unchanged.
 
+use ind_testkit::TempDir;
 use proptest::prelude::*;
 use spider_ind::core::{
-    profile_database, run_brute_force, run_single_pass, run_spider, Algorithm, Candidate,
-    FinderConfig, IndFinder, PretestConfig, RunMetrics, SamplingConfig,
+    generate_candidates, memory_export, profile_database, profiles_from_export, run_brute_force,
+    run_single_pass, run_spider, Algorithm, AttributeProfile, Candidate, FinderConfig, IndFinder,
+    PretestConfig, RunMetrics, SamplingConfig,
 };
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::{
     ColumnSchema, DataType, Database, QualifiedName, Table, TableSchema, Value,
 };
-use spider_ind::valueset::{MemoryProvider, MemoryValueSet};
+use spider_ind::valueset::{
+    ExportOptions, ExportedDatabase, MemoryProvider, MemoryValueSet, ValueSetProvider,
+};
 use std::collections::{BTreeSet, HashSet};
 
 /// Cell model: None = NULL, Some(n) drawn from a tiny pool so inclusions
@@ -112,6 +116,108 @@ fn oracle(db: &Database) -> BTreeSet<(QualifiedName, QualifiedName)> {
     out
 }
 
+/// A database of planted twins: every column copies one of a few base
+/// value sets, into one of up to three tables, with its own row
+/// multiplicity, NULL count, row order and type. Integers and text both
+/// render a value as its decimal digits, so an integer column and a text
+/// column of one base hold equal bytes under different types. Every base
+/// holds the digits 0 and 9 around a few others, so two bases of one size
+/// share their profile key and byte size but not always their values.
+fn arb_twin_database() -> impl Strategy<Value = Database> {
+    let base = proptest::collection::vec(1u8..9, 0..4);
+    let column = (
+        (0usize..3, any::<usize>(), any::<bool>()),
+        (1usize..4, 0usize..3, any::<usize>()),
+    );
+    (
+        proptest::collection::vec(base, 1..4),
+        proptest::collection::vec(column, 2..9),
+    )
+        .prop_map(|(bases, columns)| {
+            let mut db = Database::new("twins");
+            for table in 0..3 {
+                // (type, cells) of this table's columns; NULLs pad them to
+                // the longest.
+                let mut cols: Vec<(DataType, Vec<Value>)> = Vec::new();
+                for &((t, base, is_text), (copies, nulls, shift)) in &columns {
+                    if t != table {
+                        continue;
+                    }
+                    let render = |n: u8| {
+                        if is_text {
+                            Value::Text(n.to_string())
+                        } else {
+                            Value::Integer(i64::from(n))
+                        }
+                    };
+                    let values: BTreeSet<u8> = bases[base % bases.len()]
+                        .iter()
+                        .copied()
+                        .chain([0, 9])
+                        .collect();
+                    let mut cells: Vec<Value> = values
+                        .iter()
+                        .flat_map(|&n| std::iter::repeat_n(render(n), copies))
+                        .chain(std::iter::repeat_n(Value::Null, nulls))
+                        .collect();
+                    if !cells.is_empty() {
+                        let by = shift % cells.len();
+                        cells.rotate_left(by);
+                    }
+                    let data_type = if is_text {
+                        DataType::Text
+                    } else {
+                        DataType::Integer
+                    };
+                    cols.push((data_type, cells));
+                }
+                if cols.is_empty() {
+                    continue;
+                }
+                let rows = cols.iter().map(|(_, cells)| cells.len()).max().unwrap_or(0);
+                let schema = TableSchema::new(
+                    format!("t{table}"),
+                    cols.iter()
+                        .enumerate()
+                        .map(|(ci, (data_type, _))| ColumnSchema::new(format!("c{ci}"), *data_type))
+                        .collect(),
+                )
+                .expect("schema");
+                let mut t = Table::new(schema);
+                for r in 0..rows {
+                    let row = cols
+                        .iter()
+                        .map(|(_, cells)| cells.get(r).cloned().unwrap_or(Value::Null))
+                        .collect();
+                    t.insert(row).expect("row");
+                }
+                db.add_table(t).expect("table");
+            }
+            db
+        })
+}
+
+/// Brute force over every candidate the generator emits, sorted: the
+/// answer without equal-set classes.
+fn brute_force_over_all_candidates<P: ValueSetProvider>(
+    profiles: &[AttributeProfile],
+    provider: &P,
+) -> Vec<Candidate> {
+    let mut metrics = RunMetrics::new();
+    let candidates = generate_candidates(profiles, &PretestConfig::default(), &mut metrics);
+    let mut satisfied = run_brute_force(provider, &candidates, &mut metrics).expect("brute force");
+    satisfied.sort();
+    satisfied
+}
+
+const ALL_ALGORITHMS: [Algorithm; 5] = [
+    Algorithm::BruteForce,
+    Algorithm::BruteForceParallel { threads: 3 },
+    Algorithm::SinglePass,
+    Algorithm::Spider,
+    Algorithm::Blockwise { max_open_files: 2 },
+];
+
 fn named(d: &spider_ind::core::Discovery) -> BTreeSet<(QualifiedName, QualifiedName)> {
     d.satisfied_named().into_iter().collect()
 }
@@ -203,12 +309,6 @@ proptest! {
         let d = IndFinder::new(with_max).discover_in_memory(&db).expect("max");
         prop_assert_eq!(named(&d), named(&base));
 
-        let with_transitivity = FinderConfig { transitivity: true, ..Default::default() };
-        let d = IndFinder::new(with_transitivity)
-            .discover_in_memory(&db)
-            .expect("transitivity");
-        prop_assert_eq!(named(&d), named(&base));
-
         let with_sampling = FinderConfig {
             sampling: Some(SamplingConfig { sample_size: 3, seed: 7 }),
             ..Default::default()
@@ -264,6 +364,31 @@ proptest! {
             prop_assert_eq!(m1.items_read, m2.items_read);
             prop_assert_eq!(m1.value_bytes_read, m2.value_bytes_read);
             prop_assert_eq!(m1.comparisons, m2.comparisons);
+        }
+    }
+
+    #[test]
+    fn equal_set_classes_never_change_the_answer(db in arb_twin_database()) {
+        // The finder tests one representative per class of equal value
+        // sets; brute force over the full candidate list never classes
+        // anything. In memory and on disk, every algorithm must agree with
+        // it exactly, and the satisfied counter must count the full list.
+        let (profiles, provider) = memory_export(&db);
+        let expected = brute_force_over_all_candidates(&profiles, &provider);
+        let dir = TempDir::new("prop-twins");
+        let export = ExportedDatabase::export(&db, dir.path(), &ExportOptions::default())
+            .expect("export");
+        let disk_profiles = profiles_from_export(&export);
+        prop_assert_eq!(&brute_force_over_all_candidates(&disk_profiles, &export), &expected);
+        for algorithm in ALL_ALGORITHMS {
+            let finder = IndFinder::with_algorithm(algorithm.clone());
+            let memory = finder.discover(&profiles, &provider).expect("in memory");
+            prop_assert_eq!(&memory.satisfied, &expected, "{:?} in memory", algorithm);
+            prop_assert_eq!(memory.metrics.satisfied, expected.len() as u64);
+            let disk = finder.discover(&disk_profiles, &export).expect("on disk");
+            prop_assert_eq!(&disk.satisfied, &expected, "{:?} on disk", algorithm);
+            prop_assert_eq!(disk.metrics.class_compares, memory.metrics.class_compares);
+            prop_assert_eq!(disk.metrics.value_set_classes, memory.metrics.value_set_classes);
         }
     }
 
