@@ -65,8 +65,10 @@
 //! zero-allocation property (the current engine's allocation count must be
 //! a small constant, not proportional to `items_read`), and asserts the
 //! block reader issues several times fewer read calls than the per-record
-//! legacy shape with sweep counts non-increasing in block size, and that
-//! `IndFinder::discover`, which merges one representative per class of
+//! legacy shape with sweep counts non-increasing in block size, that the
+//! current engine reads, compares and opens exactly what the frozen legacy
+//! engine does (`items_read`, `value_bytes_read`, `comparisons`,
+//! `cursor_opens`), and that `IndFinder::discover`, which merges one representative per class of
 //! equal value sets (its IND set is cross-checked against `run_spider`
 //! over every candidate), opens one cursor per class. At
 //! `--scale >= 100` it also holds the pdb merge to >= 2.5x the frozen
@@ -1215,10 +1217,11 @@ fn bench_dataset(
     }
     println!(
         "[{name}] finder: {} value-set classes, cursor_opens={} items_read={} \
-         (full candidates: cursor_opens={} items_read={})",
+         parked_reads={} (full candidates: cursor_opens={} items_read={})",
         finder.metrics.value_set_classes,
         finder.metrics.cursor_opens,
         finder.metrics.items_read,
+        finder.metrics.parked_reads,
         expected_metrics.cursor_opens,
         expected_metrics.items_read
     );
@@ -1774,6 +1777,27 @@ fn run() -> Result<(), String> {
                 .iter()
                 .find(|e| e.engine == "legacy")
                 .ok_or("missing legacy row")?;
+            // Exact-read gate, the same on every host: parked references
+            // read without a tree replay, but the engine must still read,
+            // compare and open exactly what the frozen gather-then-decide
+            // engine does.
+            let io = |m: &RunMetrics| {
+                (
+                    m.items_read,
+                    m.value_bytes_read,
+                    m.comparisons,
+                    m.cursor_opens,
+                )
+            };
+            if io(&spider.metrics) != io(&legacy.metrics) {
+                return Err(format!(
+                    "[{}] spider read (items, bytes, comparisons, cursor opens) = {:?}, \
+                     the frozen legacy engine {:?}",
+                    d.name,
+                    io(&spider.metrics),
+                    io(&legacy.metrics)
+                ));
+            }
             if legacy.allocs <= spider.allocs {
                 return Err(format!(
                     "[{}] legacy engine allocated no more than spider ({} vs {}) — \
@@ -1982,8 +2006,8 @@ fn run() -> Result<(), String> {
             return Err("[resume] the unpublished segment stage was never swept".into());
         }
         println!(
-            "[check ok: JSON valid, zero-allocation property holds, block reads amortised, \
-             nary level-2 generation {}x below enumeration, resume reused {} of {} exports]",
+            "[check ok: JSON valid, zero-allocation property holds, reads equal the legacy \
+             engine's, block reads amortised, nary level-2 generation {}x below enumeration, resume reused {} of {} exports]",
             (level2.enumerable / level2.generated.max(1)),
             resume.exports_reused,
             resume.attributes

@@ -183,13 +183,14 @@ mod tests {
         assert_eq!(m_new.value_bytes_read, m_old.value_bytes_read);
     }
 
-    /// The value behind pool index `i`: one-byte values their keys settle,
-    /// a NUL-extended twin of each (equal keys, different lengths), and
-    /// values that share the whole eight-byte key window.
-    fn pooled(i: u8) -> Vec<u8> {
+    /// The value behind pool index `i` (below 600): one-byte values their
+    /// keys settle, a NUL-extended twin of each (equal keys, different
+    /// lengths), and values that share the whole eight-byte key window.
+    fn pooled(i: u16) -> Vec<u8> {
+        let byte = b'a' + (i / 4) as u8;
         match i % 4 {
-            0 => vec![b'a' + i / 4],
-            1 => vec![b'a' + i / 4, 0],
+            0 => vec![byte],
+            1 => vec![byte, 0],
             _ => format!("shared-window-{i:02}").into_bytes(),
         }
     }
@@ -204,12 +205,27 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         #[test]
         fn the_engine_reads_what_the_legacy_engine_reads(
-            sets in (0u8..4).prop_flat_map(|wide| {
-                // One case in four crosses the 64-attribute bitset word.
-                let n = if wide == 0 { 65usize..90 } else { 1usize..14 };
-                proptest::collection::vec(proptest::collection::vec(0u8..16, 0..10), n)
+            sets in (0u8..8).prop_flat_map(|shape| {
+                // One case in four crosses the 64-attribute bitset word. One
+                // in four sets long reference sets (50-300 of 320 values)
+                // against short dependents, so one probe of a parked
+                // reference skips many values.
+                let long = shape >= 6;
+                let n = match shape {
+                    0 | 1 => 65usize..90,
+                    6 | 7 => 2..12,
+                    _ => 1..14,
+                };
+                let set = (0u8..4).prop_flat_map(move |kind| match (long, kind) {
+                    (true, 0) => proptest::collection::vec(0u16..320, 50..300),
+                    (true, _) => proptest::collection::vec(0u16..320, 0..6),
+                    (false, _) => proptest::collection::vec(0u16..16, 0..10),
+                });
+                proptest::collection::vec(set, n)
             }),
             seed in any::<u64>(),
             density in 1u64..5,

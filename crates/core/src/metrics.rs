@@ -38,6 +38,13 @@ pub struct RunMetrics {
     /// equally, but variable-length values make the byte count the quantity
     /// that actually hits the disk.
     pub value_bytes_read: u64,
+    /// Values the SPIDER merge read through parked cursors: cursors of
+    /// attributes with no live candidate of their own, read forward with
+    /// plain `advance` calls, without a tournament-tree replay, only when a
+    /// live dependent that lists them meets a value. Counted in
+    /// `items_read` too; `items_read - parked_reads` are the values that
+    /// cost a replay.
+    pub parked_reads: u64,
     /// Byte-string comparisons performed.
     pub comparisons: u64,
     /// Merge comparisons settled by the two values' normalized keys (first
@@ -125,7 +132,7 @@ impl RunMetrics {
     /// values exact `u64` integers, so the report round-trips through
     /// any JSON parser losslessly.
     pub fn to_json(&self) -> Json {
-        let fields: [(&str, u64); 25] = [
+        let fields: [(&str, u64); 26] = [
             ("pairs_considered", self.pairs_considered),
             ("pruned_cardinality", self.pruned_cardinality),
             ("pruned_max_value", self.pruned_max_value),
@@ -137,6 +144,7 @@ impl RunMetrics {
             ("satisfied", self.satisfied),
             ("items_read", self.items_read),
             ("value_bytes_read", self.value_bytes_read),
+            ("parked_reads", self.parked_reads),
             ("comparisons", self.comparisons),
             ("key_compares", self.key_compares),
             ("memcmp_compares", self.memcmp_compares),
@@ -168,6 +176,7 @@ impl RunMetrics {
         self.satisfied += other.satisfied;
         self.items_read += other.items_read;
         self.value_bytes_read += other.value_bytes_read;
+        self.parked_reads += other.parked_reads;
         self.comparisons += other.comparisons;
         self.key_compares += other.key_compares;
         self.memcmp_compares += other.memcmp_compares;
@@ -191,7 +200,8 @@ impl fmt::Display for RunMetrics {
             f,
             "candidates={} (considered={}, pruned: card={}, max={}, min={}, proj={}, \
              sampling={}), tested={}, satisfied={}, items_read={}, \
-             value_bytes_read={}, comparisons={} (key={}, memcmp={}), read_calls={}, \
+             value_bytes_read={}, parked_reads={}, comparisons={} (key={}, memcmp={}), \
+             read_calls={}, \
              cursor_opens={}, classes={} (compares={}), io_retries={}, checksum_failures={}, \
              quarantined={}, resume: reused={}, redone={}, orphans={}, elapsed={:?}",
             self.candidates(),
@@ -205,6 +215,7 @@ impl fmt::Display for RunMetrics {
             self.satisfied,
             self.items_read,
             self.value_bytes_read,
+            self.parked_reads,
             self.comparisons,
             self.key_compares,
             self.memcmp_compares,
@@ -245,6 +256,7 @@ mod tests {
             satisfied: 1,
             items_read: 50,
             value_bytes_read: 300,
+            parked_reads: 20,
             read_calls: 9,
             io_retries: 6,
             checksum_failures: 2,
@@ -263,6 +275,7 @@ mod tests {
         assert_eq!(a.satisfied, 4);
         assert_eq!(a.items_read, 150);
         assert_eq!(a.value_bytes_read, 1000);
+        assert_eq!(a.parked_reads, 20);
         assert_eq!(a.read_calls, 9);
         assert_eq!(a.io_retries, 6);
         assert_eq!(a.checksum_failures, 2);
@@ -341,7 +354,7 @@ mod tests {
             assert_eq!(json.get(key).and_then(Json::as_u64), Some(value), "{key}");
         }
         let fields = json.as_obj().expect("an object");
-        assert_eq!(fields.len(), 25, "23 fields, candidates and elapsed_ns");
+        assert_eq!(fields.len(), 26, "24 fields, candidates and elapsed_ns");
         for (i, (key, _)) in fields.iter().enumerate() {
             assert!(fields[..i].iter().all(|(k, _)| k != key), "{key} twice");
         }
@@ -357,6 +370,7 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("satisfied=2"));
         assert!(s.contains("considered=3"));
+        assert!(s.contains("value_bytes_read=0, parked_reads=0, comparisons=0"));
         assert!(s.contains("read_calls=0, cursor_opens=0, classes=0 (compares=0)"));
         assert!(s.contains("io_retries=0"));
         assert!(s.contains("checksum_failures=0"));

@@ -7,9 +7,9 @@
 //!
 //! * **one** cursor per attribute, shared between its dependent and
 //!   referenced roles (the plain single-pass opens one per role);
-//! * a tournament tree over all cursors merges the sorted streams; each
-//!   group gathers every attribute whose cursor stands on the current
-//!   smallest value `v`;
+//! * a tournament tree over the cursors of the live dependents merges the
+//!   sorted streams; each group gathers every attribute whose cursor stands
+//!   on the current smallest value `v`;
 //! * for every dependent attribute in the group, its surviving candidate
 //!   referenced set is intersected with the group (any referenced attribute
 //!   lacking `v` is refuted);
@@ -20,7 +20,7 @@
 //! * a dependent that exhausts its values with candidates still standing
 //!   has those candidates satisfied.
 //!
-//! # One replay per value read
+//! # One replay per value a live dependent reads
 //!
 //! The tree's winner is the cursor on the smallest value, the lowest slot
 //! among equals, so a group's members win one after another in slot
@@ -34,12 +34,29 @@
 //! already, or a higher slot whose cursor stands on `v`. The intersections,
 //! refutations and usage counts are computed when the group is complete,
 //! except for a member that runs dry: it is settled at once, because the
-//! members after it decide on the usage it releases. The engine therefore
-//! reads the same values and closes the same cursors as the gather-then-
-//! decide shape `ind_bench::legacy_spider` keeps frozen (a proptest holds
-//! the two together). On the scale-200 pdb schema (551 cursors) a value
-//! read costs 10.4 comparisons — its replay plus the test that puts it in
-//! its group — where the binary heap's pop and push cost 19.6.
+//! members after it decide on the usage it releases.
+//!
+//! # Parked references
+//!
+//! A cursor whose attribute has no live candidate of its own only matters
+//! as a reference, and a group without a live dependent changes nothing.
+//! So when such a cursor wins the tree while a live dependent still lists
+//! it, it is **parked**: it leaves the tree and stays open, standing on the
+//! value it won with, and the tree replays only for cursors that can
+//! refute or satisfy a candidate. A dependent that needs a parked
+//! reference probes it: plain `advance` calls, without a replay, until the
+//! cursor reaches the group's value or passes it, at most once per group.
+//! Group close, a member's open-or-close decision and a member that runs
+//! dry read the probe's answer where a cursor in the tree is found through
+//! the group's mask. A parked reference closes when its last dependent
+//! lets it go; if that dependent ran dry on the value the reference stands
+//! on and the reference's slot is lower, it first reads one more value, as
+//! the tree would have advanced it before the dependent. The engine
+//! therefore reads the same values and closes the same cursors as the
+//! gather-then-decide shape `ind_bench::legacy_spider` keeps frozen (a
+//! proptest holds the two together, and `bench_spider --check` compares
+//! the counts on every dataset). `RunMetrics::parked_reads` counts the
+//! values read by parked cursors.
 //!
 //! # Zero-allocation merge engine
 //!
@@ -68,8 +85,9 @@
 //!   intersection is word-wise `AND`s, refutations are `popcount`-style bit
 //!   scans, and reference usage counts are a flat `Vec<u32>`.
 //!
-//! All working buffers (tree nodes, group scratch, group bitmask, satisfied
-//! output) are allocated once before the merge starts. The
+//! All working buffers (tree nodes, group scratch, group bitmask, parked
+//! bitmask and probe ordinals, satisfied output) are allocated once before
+//! the merge starts. The
 //! `crates/bench/src/bin/bench_spider.rs` harness demonstrates the property
 //! with a counting allocator: allocation count stays a small constant while
 //! `items_read` scales with the data.
@@ -77,8 +95,11 @@
 use crate::candidates::Candidate;
 use crate::compact::CompactIds;
 use crate::metrics::RunMetrics;
-use ind_valueset::{key_prefix64, Result, TournamentTree, ValueCursor, ValueSetProvider};
+use ind_valueset::{
+    compare_keys, key_prefix64, Result, TournamentTree, ValueCursor, ValueSetProvider,
+};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Runs SPIDER over `candidates` (pairs with `dep != ref`; duplicates are
 /// removed before testing). Returns satisfied candidates sorted by
@@ -116,8 +137,8 @@ fn dedup_candidates(candidates: &[Candidate]) -> Cow<'_, [Candidate]> {
 /// The SPIDER merge beneath [`run_spider`]. `candidates` must be
 /// duplicate-free with `dep != ref`. Returns the satisfied candidates in
 /// unspecified order; updates only the I/O counters (`cursor_opens`,
-/// `items_read`, `value_bytes_read`, `comparisons`, `key_compares`,
-/// `memcmp_compares`).
+/// `items_read`, `value_bytes_read`, `parked_reads`, `comparisons`,
+/// `key_compares`, `memcmp_compares`).
 fn spider_pass<P: ValueSetProvider>(
     provider: &P,
     candidates: &[Candidate],
@@ -139,7 +160,7 @@ fn spider_pass<P: ValueSetProvider>(
     // Candidate bitmatrix: `rows[d * words ..][..words]` is dependent `d`'s
     // surviving referenced set. `live[d]` counts its set bits; `usage[r]`
     // counts the dependents still referencing `r` (for early close).
-    // lint: allow(hot_alloc) — setup phase: three of the 16 counted per-run allocations
+    // lint: allow(hot_alloc) — setup phase: three of the counted per-run allocations
     let mut rows: Vec<u64> = vec![0; n * words];
     // lint: allow(hot_alloc) — setup phase, counted per-run allocation
     let mut live: Vec<u32> = vec![0; n];
@@ -161,7 +182,7 @@ fn spider_pass<P: ValueSetProvider>(
     // Satisfied output cannot exceed the candidate count: reserving up front
     // keeps pushes allocation-free.
     let mut satisfied: Vec<Candidate> = Vec::with_capacity(candidates.len());
-    let mut cursors: Vec<Option<P::Cursor>> = Vec::with_capacity(n);
+    let mut slots = Slots::new(n, words);
 
     for d in 0..n {
         let mut cursor = provider.open(ids.id(d))?;
@@ -169,26 +190,29 @@ fn spider_pass<P: ValueSetProvider>(
         if cursor.advance()? {
             metrics.items_read += 1;
             metrics.value_bytes_read += cursor.current().len() as u64;
-            cursors.push(Some(cursor));
+            slots.open.push(Some(cursor));
         } else {
             // Empty attribute. As a dependent every candidate is trivially
             // satisfied; as a reference it simply never joins a group and
             // is refuted at each dependent's first value below.
-            cursors.push(None);
+            slots.open.push(None);
+            let row = &mut rows[d * words..(d + 1) * words];
             satisfy_survivors(
                 d,
                 &ids,
-                &mut rows[d * words..(d + 1) * words],
+                row,
                 &mut usage,
                 &mut satisfied,
-            );
+                &mut slots,
+                metrics,
+            )?;
             live[d] = 0;
         }
     }
     let mut tree = TournamentTree::new(n);
-    for (d, cursor) in cursors.iter().enumerate() {
+    for (d, cursor) in slots.open.iter().enumerate() {
         let value = cursor.as_ref().map(|cursor| cursor.current());
-        tree.enter(d as u32, value, by_value(&cursors));
+        tree.enter(d as u32, value, by_value(&slots.open));
     }
 
     // Progress bookkeeping for the live surface: refutations are counted
@@ -198,48 +222,49 @@ fn spider_pass<P: ValueSetProvider>(
     let mut refuted_total: u64 = 0;
     let (mut last_items, mut last_bytes) = (metrics.items_read, metrics.value_bytes_read);
 
-    // Reusable per-group scratch: the members gathered so far, their
-    // bitmask (cleared after every group) and the group's value.
-    let mut group: Vec<u32> = Vec::with_capacity(n);
-    // lint: allow(hot_alloc) — setup phase, counted per-run allocation
-    let mut group_mask: Vec<u64> = vec![0; words];
-    let mut value = GroupValue::default();
+    let mut group = Group::new(n, words);
 
     loop {
         let winner = tree.winner();
         let joins = match winner {
-            Some(a) if !group.is_empty() => value.holds(cursor_value(&cursors, a)),
+            Some(a) if !group.members.is_empty() => group.value.holds(cursor_value(&slots.open, a)),
             _ => false,
         };
-        if !group.is_empty() && !joins {
+        if !group.members.is_empty() && !joins {
             // The group is complete. Intersect every in-group dependent's
             // candidate set with it: word-wise AND against the membership
             // mask, with a bit scan over the removed references to keep the
-            // usage counts exact. Members that ran dry were settled where
-            // they were found and have no candidates left.
-            for &a in &group {
-                let a = a as usize;
+            // usage counts exact. A parked reference not yet in the mask is
+            // probed first; a hit joins the mask (and the member list, which
+            // this loop does not reach: parked slots have no candidates).
+            // Members that ran dry were settled where they were found and
+            // have no candidates left.
+            for i in 0..group.members.len() {
+                let a = group.members[i] as usize;
                 if live[a] == 0 {
                     continue;
                 }
                 metrics.comparisons += u64::from(live[a]);
                 let row = &mut rows[a * words..(a + 1) * words];
                 for (w, word) in row.iter_mut().enumerate() {
-                    let mut removed = *word & !group_mask[w];
+                    let mut unprobed = *word & slots.parked[w] & !group.mask[w];
+                    while unprobed != 0 {
+                        let r = w * 64 + unprobed.trailing_zeros() as usize;
+                        unprobed &= unprobed - 1;
+                        slots.probe(r, &mut group, metrics)?;
+                    }
+                    let mut removed = *word & !group.mask[w];
                     if removed != 0 {
-                        *word &= group_mask[w];
+                        *word &= group.mask[w];
                         while removed != 0 {
                             let r = w * 64 + removed.trailing_zeros() as usize;
                             removed &= removed - 1;
-                            usage[r] -= 1;
                             live[a] -= 1;
                             refuted_total += 1;
+                            slots.release(r, &mut usage);
                         }
                     }
                 }
-            }
-            for &a in &group {
-                group_mask[a as usize / 64] = 0;
             }
             group.clear();
 
@@ -261,69 +286,250 @@ fn spider_pass<P: ValueSetProvider>(
             }
         }
         let Some(a) = winner else { break };
-        if group.is_empty() {
+        if group.members.is_empty() {
             // Cooperative cancellation at merge-group granularity: one TLS
             // read and a relaxed load per group against a k-way merge step.
             ind_valueset::cancel::check_ambient("merge")?;
-            value.set(cursor_value(&cursors, a));
+            group.value.set(cursor_value(&slots.open, a));
         }
-        group.push(a);
         let a = a as usize;
-        group_mask[a / 64] |= 1u64 << (a % 64);
+        group.join(a);
 
-        // Settle the member where it is found. Its own group never lowers
-        // its usage, and can only shrink its row to `row ∩ group`, so it
-        // stays open exactly when it is still referenced or one of its
-        // references is in the group: gathered already, or a higher slot
-        // (members win in slot order) standing on the group's value.
+        // A reference-only member leaves the tree standing on the group's
+        // value: parked while a live dependent still lists it, closed
+        // otherwise. Its usage only falls from here on, and the dependents
+        // that list it probe it when they need it.
+        if live[a] == 0 {
+            if usage[a] > 0 {
+                slots.park(a);
+            } else {
+                slots.close(a); // early close: nobody needs this stream
+            }
+            tree.replay(None, by_value(&slots.open));
+            continue;
+        }
+
+        // Settle the live member where it is found. Its own group never
+        // lowers its usage, and can only shrink its row to `row ∩ group`,
+        // so it stays open exactly when it is still referenced or one of
+        // its references is in the group.
         let row = &rows[a * words..(a + 1) * words];
-        let needed =
-            usage[a] > 0 || live[a] > 0 && meets_group(a, row, &group_mask, &cursors, &mut value);
+        let needed = usage[a] > 0 || meets_group(a, row, &mut slots, &mut group, metrics)?;
         if !needed {
-            cursors[a] = None; // early close: nobody needs this stream
-            tree.replay(None, by_value(&cursors));
+            slots.close(a); // early close: nobody needs this stream
+            tree.replay(None, by_value(&slots.open));
             continue;
         }
         // lint: allow(no_unwrap) — structural invariant: live/usage counters keep needed cursors open; a miss is an engine bug
-        let cursor = cursors[a].as_mut().expect("cursor open while needed");
+        let cursor = slots.open[a].as_mut().expect("cursor open while needed");
         if cursor.advance()? {
             metrics.items_read += 1;
             metrics.value_bytes_read += cursor.current().len() as u64;
-            tree.replay(Some(cursor_value(&cursors, a as u32)), by_value(&cursors));
+            tree.replay(
+                Some(cursor_value(&slots.open, a as u32)),
+                by_value(&slots.open),
+            );
             continue;
         }
         // Exhausted: its surviving candidates held for every value —
         // satisfied. The intersection runs now rather than with the group's,
         // because the members after it decide on the usage it releases.
+        metrics.comparisons += u64::from(live[a]);
         let row = &mut rows[a * words..(a + 1) * words];
-        if live[a] > 0 {
-            metrics.comparisons += u64::from(live[a]);
-            for (w, word) in row.iter_mut().enumerate() {
-                let mut bits = *word & !group_mask[w];
-                while bits != 0 {
-                    let r = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if r < a || !stands_on(&cursors, r, &mut value) {
-                        *word &= !(1u64 << (r % 64));
-                        usage[r] -= 1;
-                        refuted_total += 1;
-                    }
+        for (w, word) in row.iter_mut().enumerate() {
+            let mut bits = *word & !group.mask[w];
+            while bits != 0 {
+                let r = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !slots.joins(a, r, &mut group, metrics)? {
+                    *word &= !(1u64 << (r % 64));
+                    refuted_total += 1;
+                    slots.release(r, &mut usage);
                 }
             }
         }
-        satisfy_survivors(a, &ids, row, &mut usage, &mut satisfied);
+        satisfy_survivors(
+            a,
+            &ids,
+            row,
+            &mut usage,
+            &mut satisfied,
+            &mut slots,
+            metrics,
+        )?;
         live[a] = 0;
-        cursors[a] = None;
-        tree.replay(None, by_value(&cursors));
+        slots.close(a);
+        tree.replay(None, by_value(&slots.open));
     }
 
-    metrics.key_compares += tree.key_compares() + value.key_compares;
-    metrics.memcmp_compares += tree.memcmp_compares() + value.memcmp_compares;
+    metrics.key_compares += tree.key_compares() + group.value.key_compares;
+    metrics.memcmp_compares += tree.memcmp_compares() + group.value.memcmp_compares;
     debug_assert!(
         live.iter().all(|&l| l == 0),
         "the merge ran dry with unresolved candidates"
     );
+    debug_assert!(
+        slots.parked.iter().all(|&w| w == 0),
+        "a parked reference outlived its last dependent"
+    );
     Ok(satisfied)
+}
+
+/// The merge's cursors, one slot per attribute, `None` once closed. An
+/// open cursor is either in the tree or **parked**: out of the tree,
+/// standing on the last value it read, because its attribute has no live
+/// candidate of its own and is read only for the dependents that list it.
+struct Slots<C> {
+    open: Vec<Option<C>>,
+    /// Bit `r` is set while slot `r` is parked.
+    parked: Vec<u64>,
+    /// The ordinal of the group whose probe last found parked slot `r`
+    /// past the group's value, so a slot is probed at most once per group.
+    missed: Vec<u64>,
+}
+
+impl<C: ValueCursor> Slots<C> {
+    fn new(n: usize, words: usize) -> Self {
+        Slots {
+            open: Vec::with_capacity(n),
+            // lint: allow(hot_alloc) — setup phase, counted per-run allocation
+            parked: vec![0; words],
+            // lint: allow(hot_alloc) — setup phase, counted per-run allocation
+            missed: vec![u64::MAX; n],
+        }
+    }
+
+    #[inline]
+    fn is_parked(&self, r: usize) -> bool {
+        self.parked[r / 64] & (1u64 << (r % 64)) != 0
+    }
+
+    fn park(&mut self, r: usize) {
+        self.parked[r / 64] |= 1u64 << (r % 64);
+    }
+
+    /// Closes slot `r`, parked or in the tree.
+    fn close(&mut self, r: usize) {
+        self.open[r] = None;
+        self.parked[r / 64] &= !(1u64 << (r % 64));
+    }
+
+    /// Drops one dependent's use of reference `r`. A parked reference that
+    /// nobody lists any more closes where it stands: the tree would have
+    /// read up to that value too.
+    #[inline]
+    fn release(&mut self, r: usize, usage: &mut [u32]) {
+        usage[r] -= 1;
+        if usage[r] == 0 && self.is_parked(r) {
+            self.close(r);
+        }
+    }
+
+    /// The cursor of parked slot `r`.
+    fn parked_cursor(&mut self, r: usize) -> &mut C {
+        self.open[r]
+            .as_mut()
+            // lint: allow(no_unwrap) — structural invariant: a parked slot is open; a miss is an engine bug
+            .expect("parked slot without a cursor")
+    }
+
+    /// Reads parked slot `r`'s next value: a plain `advance`, no tree
+    /// replay, counted in `parked_reads`. A slot that runs dry closes.
+    /// Returns whether a value was read.
+    fn read_parked(&mut self, r: usize, metrics: &mut RunMetrics) -> Result<bool> {
+        let cursor = self.parked_cursor(r);
+        if !cursor.advance()? {
+            self.close(r);
+            return Ok(false);
+        }
+        metrics.items_read += 1;
+        metrics.parked_reads += 1;
+        metrics.value_bytes_read += cursor.current().len() as u64;
+        Ok(true)
+    }
+
+    /// Reads parked slot `r` forward until it reaches the group's value or
+    /// passes it, and returns whether it holds the value. `r` must be
+    /// parked and outside the group's mask. A hit joins the group.
+    fn probe(&mut self, r: usize, group: &mut Group, metrics: &mut RunMetrics) -> Result<bool> {
+        if self.missed[r] == group.ordinal {
+            return Ok(false);
+        }
+        loop {
+            match group.value.order(self.parked_cursor(r).current()) {
+                Ordering::Less => {
+                    if !self.read_parked(r, metrics)? {
+                        return Ok(false);
+                    }
+                }
+                Ordering::Equal => {
+                    group.join(r);
+                    return Ok(true);
+                }
+                Ordering::Greater => {
+                    self.missed[r] = group.ordinal;
+                    return Ok(false);
+                }
+            }
+        }
+    }
+
+    /// Whether reference `r`, outside the group's mask, holds the group's
+    /// value once the group is complete, asked while member `a` is
+    /// settled. A parked `r` is probed. A slot in the tree joins the group
+    /// after `a` when it is above `a` and stands on the value; one below
+    /// `a` outside the mask is not in the group.
+    fn joins(
+        &mut self,
+        a: usize,
+        r: usize,
+        group: &mut Group,
+        metrics: &mut RunMetrics,
+    ) -> Result<bool> {
+        if self.is_parked(r) {
+            return self.probe(r, group, metrics);
+        }
+        Ok(r > a
+            && self.open[r]
+                .as_ref()
+                .is_some_and(|cursor| group.value.holds(cursor.current())))
+    }
+}
+
+/// The group being gathered: its members so far (then the parked
+/// references its probes found on its value), their bitmask (cleared after
+/// every group), its value and its ordinal.
+struct Group {
+    members: Vec<u32>,
+    mask: Vec<u64>,
+    value: GroupValue,
+    ordinal: u64,
+}
+
+impl Group {
+    fn new(n: usize, words: usize) -> Self {
+        Group {
+            members: Vec::with_capacity(n),
+            // lint: allow(hot_alloc) — setup phase, counted per-run allocation
+            mask: vec![0; words],
+            value: GroupValue::default(),
+            ordinal: 0,
+        }
+    }
+
+    #[inline]
+    fn join(&mut self, a: usize) {
+        self.members.push(a as u32);
+        self.mask[a / 64] |= 1u64 << (a % 64);
+    }
+
+    fn clear(&mut self) {
+        for &a in &self.members {
+            self.mask[a as usize / 64] = 0;
+        }
+        self.members.clear();
+        self.ordinal += 1;
+    }
 }
 
 /// The value of the group being gathered: an owned copy (the member that
@@ -356,42 +562,50 @@ impl GroupValue {
         self.memcmp_compares += 1;
         v[8..] == self.bytes[8..]
     }
-}
 
-/// Whether slot `r`'s cursor is open and stands on the group's value.
-fn stands_on<C: ValueCursor>(cursors: &[Option<C>], r: usize, value: &mut GroupValue) -> bool {
-    cursors[r]
-        .as_ref()
-        .is_some_and(|cursor| value.holds(cursor.current()))
+    /// How `v` orders against the group's value.
+    #[inline]
+    fn order(&mut self, v: &[u8]) -> Ordering {
+        let key = |v: &[u8]| (key_prefix64(v), v.len().min(9) as u32);
+        match compare_keys(key(v), (self.prefix, self.bytes.len().min(9) as u32)) {
+            Some(order) => {
+                self.key_compares += 1;
+                order
+            }
+            None => {
+                self.memcmp_compares += 1;
+                v[8..].cmp(&self.bytes[8..])
+            }
+        }
+    }
 }
 
 /// Whether dependent `a`, the member just found, keeps a reference once
-/// its group is complete: one of the members gathered so far (`mask`), or a
-/// reference above `a` whose cursor stands on the group's value — it joins
-/// the group after `a`. References below `a` and outside `mask` are not in
-/// the group. Every reference tested and missed is refuted when the group
-/// closes, so the scan costs at most one test per refutation beyond the hit.
+/// its group is complete: one of the members gathered so far (the mask),
+/// or a reference that joins the group ([`Slots::joins`]). Every reference
+/// tested and missed is refuted when the group closes, so the scan costs
+/// at most one test per refutation beyond the hit.
 fn meets_group<C: ValueCursor>(
     a: usize,
     row: &[u64],
-    mask: &[u64],
-    cursors: &[Option<C>],
-    value: &mut GroupValue,
-) -> bool {
-    if row.iter().zip(mask).any(|(r, m)| r & m != 0) {
-        return true;
+    slots: &mut Slots<C>,
+    group: &mut Group,
+    metrics: &mut RunMetrics,
+) -> Result<bool> {
+    if row.iter().zip(&group.mask).any(|(r, m)| r & m != 0) {
+        return Ok(true);
     }
     for (w, &word) in row.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
             let r = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if r > a && stands_on(cursors, r, value) {
-                return true;
+            if slots.joins(a, r, group, metrics)? {
+                return Ok(true);
             }
         }
     }
-    false
+    Ok(false)
 }
 
 /// The current value of the cursor in `slot`; only called for live slots.
@@ -406,13 +620,20 @@ fn cursor_value<C: ValueCursor>(cursors: &[Option<C>], slot: u32) -> &[u8] {
 /// Marks every surviving candidate of dependent `d` satisfied: scans its
 /// bitset row (the exact `words`-long sub-slice for `d`), emits the
 /// candidates, releases the reference-usage counts, and clears the row.
-fn satisfy_survivors(
+///
+/// A parked reference whose last dependent is `d` closes, and one below
+/// `d` reads one more value first: `d` runs dry on the value the reference
+/// stands on, and the tree advances a group's members in slot order, so it
+/// would have moved that reference past the value before `d` ran dry.
+fn satisfy_survivors<C: ValueCursor>(
     d: usize,
     ids: &CompactIds,
     row: &mut [u64],
     usage: &mut [u32],
     satisfied: &mut Vec<Candidate>,
-) {
+    slots: &mut Slots<C>,
+    metrics: &mut RunMetrics,
+) -> Result<()> {
     for (w, word) in row.iter_mut().enumerate() {
         let mut bits = *word;
         *word = 0;
@@ -420,9 +641,13 @@ fn satisfy_survivors(
             let r = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             satisfied.push(Candidate::new(ids.id(d), ids.id(r)));
-            usage[r] -= 1;
+            if usage[r] == 1 && r < d && slots.is_parked(r) {
+                slots.read_parked(r, metrics)?;
+            }
+            slots.release(r, usage);
         }
     }
+    Ok(())
 }
 
 /// The tree's tie callback: the current values of slots `a` and `b`
@@ -676,8 +901,47 @@ mod tests {
         // The fixture is the tree's worst case: nine cursors, so a replay
         // is short, and most values share the eight-byte window
         // (`accession-…`), so nearly every match and group test needs the
-        // bytes.
-        assert_eq!((m.key_compares, m.memcmp_compares), (746, 1350));
+        // bytes. Reference-only cursors leave the tree once they win, and
+        // their probes are counted like group tests.
+        assert_eq!((m.key_compares, m.memcmp_compares), (432, 1350));
+    }
+
+    #[test]
+    fn a_parked_reference_below_its_last_dependent_reads_one_more_value() {
+        // `dep` ⊆ `refd`, and `refd` has no candidate of its own, so it is
+        // parked from its first value on. `dep` runs dry on "b", where its
+        // probe left `refd` standing. A tree advances the members of the
+        // "b" group in slot order: a reference below `dep` has read "c"
+        // before `dep` runs dry, one above it has not. The parked
+        // reference reads exactly what the tree would have.
+        let dep = set(&["a", "b"]);
+        let refd = set(&["a", "b", "c", "d", "e"]);
+        for (refd_below, sets, candidate, reads, parked) in [
+            (
+                true,
+                vec![refd.clone(), dep.clone()],
+                Candidate::new(1, 0),
+                5,
+                2,
+            ),
+            (
+                false,
+                vec![dep.clone(), refd.clone()],
+                Candidate::new(0, 1),
+                4,
+                1,
+            ),
+        ] {
+            let provider = MemoryProvider::new(sets);
+            let mut m = RunMetrics::new();
+            let found = run_spider(&provider, &[candidate], &mut m).unwrap();
+            let mut m_bf = RunMetrics::new();
+            let bf = run_brute_force(&provider, &[candidate], &mut m_bf).unwrap();
+            assert_eq!(found, bf, "refd below dep: {refd_below}");
+            assert_eq!(found, vec![candidate]);
+            assert_eq!(m.items_read, reads, "refd below dep: {refd_below}");
+            assert_eq!(m.parked_reads, parked, "refd below dep: {refd_below}");
+        }
     }
 
     #[test]

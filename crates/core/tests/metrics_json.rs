@@ -8,7 +8,7 @@ use ind_trace::json::{self, Json};
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn arbitrary_metrics(values: &[u64; 25]) -> RunMetrics {
+fn arbitrary_metrics(values: &[u64; 26]) -> RunMetrics {
     RunMetrics {
         pairs_considered: values[0],
         pruned_cardinality: values[1],
@@ -20,20 +20,21 @@ fn arbitrary_metrics(values: &[u64; 25]) -> RunMetrics {
         satisfied: values[7],
         items_read: values[8],
         value_bytes_read: values[9],
-        comparisons: values[10],
-        key_compares: values[11],
-        memcmp_compares: values[12],
-        read_calls: values[13],
-        cursor_opens: values[14],
-        value_set_classes: values[15],
-        class_compares: values[16],
-        io_retries: values[17],
-        checksum_failures: values[18],
-        quarantined_attributes: values[19],
-        exports_reused: values[20],
-        exports_redone: values[21],
-        orphans_swept: values[22],
-        elapsed: Duration::from_secs(values[23]) + Duration::from_nanos(values[24]),
+        parked_reads: values[10],
+        comparisons: values[11],
+        key_compares: values[12],
+        memcmp_compares: values[13],
+        read_calls: values[14],
+        cursor_opens: values[15],
+        value_set_classes: values[16],
+        class_compares: values[17],
+        io_retries: values[18],
+        checksum_failures: values[19],
+        quarantined_attributes: values[20],
+        exports_reused: values[21],
+        exports_redone: values[22],
+        orphans_swept: values[23],
+        elapsed: Duration::from_secs(values[24]) + Duration::from_nanos(values[25]),
     }
 }
 
@@ -49,14 +50,14 @@ proptest! {
 
     #[test]
     fn to_json_round_trips_through_parsing(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 23),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 24),
         secs in 0u64..4_000_000_000,
         nanos in 0u64..1_000_000_000,
     ) {
-        let mut values = [0u64; 25];
-        values[..23].copy_from_slice(&counters);
-        values[23] = secs;
-        values[24] = nanos;
+        let mut values = [0u64; 26];
+        values[..24].copy_from_slice(&counters);
+        values[24] = secs;
+        values[25] = nanos;
         let metrics = arbitrary_metrics(&values);
 
         let text = metrics.to_json().pretty();
@@ -77,6 +78,7 @@ proptest! {
         prop_assert_eq!(field(&parsed, "satisfied"), metrics.satisfied);
         prop_assert_eq!(field(&parsed, "items_read"), metrics.items_read);
         prop_assert_eq!(field(&parsed, "value_bytes_read"), metrics.value_bytes_read);
+        prop_assert_eq!(field(&parsed, "parked_reads"), metrics.parked_reads);
         prop_assert_eq!(field(&parsed, "comparisons"), metrics.comparisons);
         prop_assert_eq!(field(&parsed, "key_compares"), metrics.key_compares);
         prop_assert_eq!(field(&parsed, "memcmp_compares"), metrics.memcmp_compares);

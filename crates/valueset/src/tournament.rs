@@ -1,6 +1,7 @@
 //! A tournament tree of `u32` slots: the k-way merge under the SPIDER
-//! engine (slots = attribute cursors) and the external sorter's spill
-//! merge (slots = run sources).
+//! engine (slots = the cursors of live dependents: a reference-only
+//! cursor leaves the tree as if exhausted and is read outside it) and the
+//! external sorter's spill merge (slots = run sources).
 //!
 //! It is a *loser* tree. Every internal node keeps the loser of the match
 //! played there and node 0 keeps the overall winner, so when the winning

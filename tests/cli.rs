@@ -419,6 +419,12 @@ fn report_and_folded_trace_come_out_well_formed() {
     let metrics = report.get("metrics").expect("metrics object");
     assert!(metrics.get("elapsed_ns").and_then(Json::as_u64).unwrap() > 0);
     assert!(metrics.get("satisfied").and_then(Json::as_u64).unwrap() > 0);
+    let parked = metrics.get("parked_reads").and_then(Json::as_u64);
+    let items = metrics.get("items_read").and_then(Json::as_u64);
+    assert!(
+        parked.is_some_and(|parked| Some(parked) <= items),
+        "parked reads are a share of the values read: {parked:?} of {items:?}"
+    );
     assert_eq!(report.get("degraded"), Some(&Json::Null), "strict run");
     assert_eq!(
         report.get("dropped_events").and_then(Json::as_u64),
