@@ -27,8 +27,9 @@
 //!   the current block reader (`spider_block`, block size from
 //!   `--block-size`, default 256 KiB), plus a block-size sweep. `read_calls`
 //!   counts the read requests each reader issues to its I/O layer — per
-//!   record (2× `read_exact`) for the legacy shape, per block fill for the
-//!   block reader — and `os_read_calls` the actual `read(2)` syscalls.
+//!   record (2× `read_exact`) for the legacy shape, per `pread` for the
+//!   block reader (counted where it is made) — and `os_read_calls` the
+//!   actual `read(2)` syscalls.
 //!   The synchronous block reader is the library's only read mode; schema
 //!   v9 dropped the overlapped-I/O rows together with those modes. Since
 //!   format v2 the `spider_block`
@@ -218,7 +219,7 @@ struct EngineResult {
 #[derive(Clone, Copy)]
 struct IoCounters {
     /// Read requests issued to the reader's I/O layer: per record for the
-    /// legacy shape, per block fill for the block reader.
+    /// legacy shape, per `pread` for the block reader.
     read_calls: u64,
     /// Physical descriptors opened on value files during the run.
     file_opens: u64,
@@ -256,8 +257,9 @@ struct DiskEngineResult {
     /// Shared-counter snapshot of the run (read calls, descriptor opens,
     /// healed retries, checksum failures).
     io: IoCounters,
-    /// Actual `read(2)` syscalls (equals `io.read_calls` for the block
-    /// reader, which has no intermediate buffering layer).
+    /// Actual `read(2)` syscalls. The block reader's `io.read_calls` is
+    /// already that count, measured at the fault wrapper where each
+    /// `pread` is made.
     os_read_calls: u64,
     satisfied: usize,
 }

@@ -59,9 +59,8 @@ pub struct RunMetrics {
     /// bytes and both run past them: a full `memcmp` of the values (then
     /// the slot id).
     pub memcmp_compares: u64,
-    /// Block fills of the disk-backed cursors — not `read(2)` calls: the
-    /// frame layer beneath a fill reads a stream's header once and each
-    /// 4 KiB frame with two `pread`s. Zero for in-memory providers;
+    /// `pread`s of the disk-backed cursors, counted where each reaches the
+    /// OS (a block fill is usually one). Zero for in-memory providers;
     /// populated by the disk-backed entry points that own the export (the
     /// cursors themselves are provider-agnostic). The I/O-side complement
     /// of `value_bytes_read`: bytes measure payload, fills measure how

@@ -222,7 +222,7 @@ impl NaryFinder {
 
     /// Runs the levelwise search over on-disk sorted value files: the unary
     /// export lands under `workdir/arity-1`, each composite level under
-    /// `workdir/arity-<k>`. Cursor block fills from every level are
+    /// `workdir/arity-<k>`. Cursor `pread`s from every level are
     /// accumulated into [`RunMetrics::read_calls`].
     pub fn discover_on_disk(
         &self,

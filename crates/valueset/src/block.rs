@@ -10,26 +10,33 @@
 //! * the file is read in large blocks ([`IoOptions::block_size`], default
 //!   256 KiB), so a fully-consumed stream costs
 //!   `O(file_bytes / block_size)` read calls instead of one buffer refill
-//!   per 8 KiB — with adaptive readahead (fills start at
-//!   [`INITIAL_READAHEAD`] and double per fill) so streams that are closed
+//!   per 8 KiB — with adaptive readahead (reads start at
+//!   [`INITIAL_READAHEAD`] and double per read) so streams that are closed
 //!   early, the common case in a SPIDER merge, never over-read;
 //! * the fill/consume API exposes the block itself: callers parse records
-//!   **in place** and advance a consume cursor, copying only the rare
-//!   record that does not fit in one block;
-//! * opening is one `malloc` of `min(block_size, file_size)` — never
-//!   zero-initialised, never an mmap-churning full-block arena per cursor —
-//!   with the file size taken from a caller-provided hint when available;
+//!   **in place** and advance a consume cursor; a record larger than the
+//!   block grows it once instead of being copied out;
+//! * raw v2 bytes land in the block and are decoded there
+//!   ([`crate::frame::FrameDecoder`]): each frame's CRC is checked where
+//!   its bytes landed and its payload moved down over the 6-byte frame
+//!   overhead, so a fill is one `pread` and no byte is staged elsewhere;
+//! * opening allocates nothing: the block grows with the reads, never past
+//!   one block plus one frame or the stream's size (taken from a
+//!   caller-provided hint when available), and is zero-filled only where a
+//!   read first lands (each byte at most once per cursor);
 //! * a reader reads one *stream* of a descriptor with positional reads
 //!   from the stream's offset on, so every cursor into a segment
-//!   ([`crate::SegmentWriter`]) shares that segment's one descriptor;
-//! * every read issued against the OS is counted, locally
+//!   ([`crate::SegmentWriter`]) shares that segment's one descriptor, and
+//!   the stream's size caps each read, so it never reads into the next;
+//! * every `pread` sent to the OS is counted where it is made,
+//!   in the fault wrapper ([`crate::fault`]), locally
 //!   ([`BlockReader::read_calls`]) and into an optional shared
-//!   [`ReadStats`], so harnesses can report syscall trajectories
+//!   [`ReadStats`], so harnesses report measured syscall counts
 //!   (`BENCH_spider.json`'s `read_calls`).
 //!
 //! Reads are synchronous, issued on the consuming thread: every byte flows
-//! file → fault-injection wrapper ([`crate::fault`]) → v2 frame decoder
-//! ([`crate::frame`], CRC-verified) → block, and this is the only way a
+//! file → fault-injection wrapper ([`crate::fault`]) → block, where the v2
+//! frame decoder ([`crate::frame`]) verifies it, and this is the only way a
 //! value file is read. SPIDER reads each file forward once and refutes
 //! most cursors within their first values, so there is nothing for an
 //! overlapped reader to hide.
@@ -45,6 +52,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::frame::MAX_FRAME_LEN;
+
 /// Smallest usable block: must hold a value-file header (20 bytes in
 /// format v2). Smaller requested sizes are clamped up, so even
 /// pathological configurations (block sizes of a few bytes, used by the
@@ -55,7 +64,7 @@ pub const MIN_BLOCK_SIZE: usize = 32;
 /// while staying cache- and memory-friendly with hundreds of open cursors.
 pub const DEFAULT_BLOCK_SIZE: usize = 256 * 1024;
 
-/// First-fill readahead: fills start at 8 KiB and double per fill up to the
+/// First-read readahead: reads start at 8 KiB and double per read up to the
 /// block size, so a cursor that is closed early (SPIDER refutes most
 /// streams within their first values) never pays for a block it would not
 /// have consumed, while long-lived streams converge on full-block reads.
@@ -155,7 +164,7 @@ impl IoOptions {
     }
 }
 
-/// Shared I/O counters: every block fill a [`BlockReader`] issues, every
+/// Shared I/O counters: every `pread` a [`BlockReader`] makes, every
 /// value file it opens, every transient fault healed beneath it and every
 /// checksum mismatch it detects. Cloning shares the counters, so one
 /// `ReadStats` can aggregate across all cursors a provider hands out
@@ -174,7 +183,8 @@ impl ReadStats {
         ReadStats::default()
     }
 
-    /// Block fills recorded so far.
+    /// `pread`s made on value data so far: counted at the fault
+    /// wrapper, the one place a value-file read reaches the OS.
     pub fn read_calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
@@ -210,7 +220,7 @@ impl ReadStats {
         self.checksum_failures.store(0, Ordering::Relaxed);
     }
 
-    fn bump(&self) {
+    pub(crate) fn bump_read_call(&self) {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -229,41 +239,57 @@ impl ReadStats {
 
 /// A block-at-a-time reader with an explicit fill/consume API.
 ///
-/// The buffer is filled in block-sized reads; callers inspect
-/// [`BlockReader::buffered`] (or slices captured via [`BlockReader::pos`])
-/// and advance the consume cursor with [`BlockReader::consume`] — a pure
-/// pointer bump. Bytes between the consume cursor and the fill end stay
-/// stable until the next fill, which is what lets [`crate::ValueFileReader`]
-/// hand out `current()` slices pointing straight into the block.
+/// The block is filled by positional reads of raw v2 bytes, one
+/// [`crate::fault`]-wrapped `pread` per read, and decoded in place
+/// ([`crate::frame::FrameDecoder`]): each complete frame's CRC is checked
+/// where it landed and its payload moved down over the frame overhead, so
+/// the block's front is verified, contiguous logical bytes (the header,
+/// then payload) and a partial frame at its tail waits for the next read.
+/// Callers inspect [`BlockReader::buffered`] (or slices captured via
+/// [`BlockReader::pos`]) and advance the consume cursor with
+/// [`BlockReader::consume`] — a pure pointer bump. Bytes between the
+/// consume cursor and the decoded end stay stable until the next fill,
+/// which is what lets [`crate::ValueFileReader`] hand out `current()`
+/// slices pointing straight into the block.
 ///
-/// Opening a cursor costs one `malloc`, nothing more: the buffer capacity
-/// is the block size capped at the stream's byte size (so hundreds of small
-/// attribute cursors do not each drag in a 256 KiB arena — a measured
-/// regression, not a theoretical one), the cap comes from a caller-supplied
-/// size hint when available (the export manager records stream sizes at
-/// write time) with one `fstat` as the fallback, and fills append through
-/// [`Read::take`] + `read_to_end` into reserved capacity, so the buffer is
-/// never zero-initialised.
+/// Opening a cursor allocates nothing: the block grows with the reads, up to
+/// one block plus one frame (or one oversized record), and never past the
+/// stream's size — so hundreds of small attribute cursors do not each drag
+/// in a 256 KiB arena (a measured regression, not a theoretical one). The
+/// size comes from a caller-supplied hint when available (the export
+/// manager records stream sizes at write time) with one `fstat` as the
+/// fallback; it also caps each read, so a reader of one stream of a
+/// segment does not read into the next. The block is zero-filled only
+/// where a read is about to land for the first time (a high-water
+/// `resize`), so each byte is zeroed at most once per cursor.
 #[derive(Debug)]
 pub struct BlockReader {
-    stream: crate::frame::FrameStream,
-    /// Filled bytes; `buf[start..]` is valid, unconsumed data.
+    file: crate::fault::FaultFile,
+    decoder: crate::frame::FrameDecoder,
+    /// The block; `buf.len()` is its zero-filled high-water mark.
     buf: Vec<u8>,
-    /// Consume cursor.
+    /// Consume cursor: `buf[start..end]` is unconsumed logical data.
     start: usize,
-    /// Logical block size (= the buffer's reserved capacity).
+    /// End of the decoded logical bytes.
+    end: usize,
+    /// Start of the raw bytes not decoded yet (an incomplete frame).
+    raw: usize,
+    /// End of the raw bytes read so far.
+    filled: usize,
+    /// Block size: the largest read, capped at the stream's size.
     block_size: usize,
-    /// Current fill granularity: starts at [`INITIAL_READAHEAD`], doubles
-    /// per fill, saturates at `block_size`.
+    /// Current read granularity: starts at [`INITIAL_READAHEAD`], doubles
+    /// per read, saturates at `block_size`.
     readahead: usize,
-    read_calls: u64,
-    stats: Option<ReadStats>,
+    /// Raw bytes of the stream the size hint says are still unread; a
+    /// read never asks past them while any remain.
+    hint_left: u64,
 }
 
 impl BlockReader {
     /// Wraps `file` with a block buffer of `options.block_size` (clamped to
     /// [`MIN_BLOCK_SIZE`], capped at the file's length via one `fstat`).
-    /// Syscalls are counted locally and, when given, into `stats`.
+    /// Reads are counted locally and, when given, into `stats`.
     pub fn new(file: File, options: &IoOptions, stats: Option<ReadStats>) -> Self {
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(u64::MAX);
         // Anonymous descriptors carry no path: fault rules only reach them
@@ -273,10 +299,9 @@ impl BlockReader {
 
     /// The one constructor body: reads the stream labelled `label` that
     /// starts at byte `offset` of the (possibly shared) `file` and is about
-    /// `len` bytes long, stacking the fault wrapper and the v2 frame decoder
-    /// on it. `len` only sizes the block — correctness never depends on it,
-    /// but a hint that undershoots caps this reader's block capacity for its
-    /// whole lifetime.
+    /// `len` bytes long, through the fault wrapper. `len` sizes the block
+    /// and caps the reads while it lasts; a hint that undershoots costs
+    /// reads (the reader carries on past it), never correctness.
     pub(crate) fn over(
         file: Arc<File>,
         label: &Path,
@@ -287,43 +312,41 @@ impl BlockReader {
     ) -> Self {
         // lint: allow(hot_alloc) — once per open: attached stats fall back to the options' handle
         let stats = stats.or_else(|| options.stats.clone());
-        let capacity = usize::try_from(len)
+        let block_size = usize::try_from(len)
             .unwrap_or(usize::MAX)
             .clamp(MIN_BLOCK_SIZE, options.effective_block_size());
-        let stream = crate::frame::FrameStream::new(
-            // lint: allow(hot_alloc) — once per open: the wrapper clones the shared plan and counter handles
-            crate::fault::FaultFile::new(file, label, offset, options.fault.clone(), stats.clone()),
-            options.verify_checksums,
-            // lint: allow(hot_alloc) — once per open: the decoder owns its counter handle
-            stats.clone(),
-        );
+        // lint: allow(hot_alloc) — once per open: the wrapper shares the plan handle
+        let fault = options.fault.clone();
         BlockReader {
-            stream,
-            buf: Vec::with_capacity(capacity),
+            file: crate::fault::FaultFile::new(file, label, offset, fault, stats),
+            decoder: crate::frame::FrameDecoder::new(options.verify_checksums),
+            // lint: allow(hot_alloc) — empty until the first read; grows with the reads
+            buf: Vec::new(),
             start: 0,
-            block_size: capacity,
-            readahead: INITIAL_READAHEAD.min(capacity),
-            read_calls: 0,
-            stats,
+            end: 0,
+            raw: 0,
+            filled: 0,
+            block_size,
+            readahead: INITIAL_READAHEAD.min(block_size),
+            hint_left: len,
         }
     }
 
-    /// The block capacity (effective block size).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.block_size
+    /// The label of the stream this reader reads: its file, or
+    /// `segment[name]` for a stream inside a segment.
+    pub(crate) fn label(&self) -> &Path {
+        self.file.path()
     }
 
-    /// Read-request calls issued by this reader so far (one per block
-    /// fill, plus the reads that grow the block for an oversized record).
+    /// `pread`s this reader has made so far.
     pub fn read_calls(&self) -> u64 {
-        self.read_calls
+        self.file.read_calls()
     }
 
     /// The unconsumed buffered bytes.
     #[inline]
     pub fn buffered(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
     }
 
     /// Current consume-cursor offset into the block. Together with
@@ -345,13 +368,14 @@ impl BlockReader {
     /// Marks `n` buffered bytes as consumed — no syscall, no copy.
     #[inline]
     pub fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buf.len() - self.start, "consume past fill end");
+        debug_assert!(n <= self.end - self.start, "consume past fill end");
         self.start += n;
     }
 
-    /// Ensures at least `need` bytes are buffered, topping the block up in
-    /// one bulk read; at end of file fewer may remain. Returns the number
-    /// of buffered bytes. `need` must not exceed the capacity.
+    /// Ensures at least `need` bytes are buffered; at the end of the stream
+    /// fewer may remain. Returns the number of buffered bytes. A `need`
+    /// beyond the block size grows the block to hold it, so even a record
+    /// larger than the block is served in place.
     ///
     /// Filling compacts the unconsumed tail to the front of the block, so
     /// any offsets captured via [`BlockReader::pos`] before this call are
@@ -359,123 +383,144 @@ impl BlockReader {
     /// per-record callers pay nothing in the steady state.
     #[inline]
     pub fn fill_to(&mut self, need: usize) -> std::io::Result<usize> {
-        if self.buf.len() - self.start >= need {
-            return Ok(self.buf.len() - self.start);
+        if self.end - self.start >= need {
+            return Ok(self.end - self.start);
         }
         self.fill_slow(need)
     }
 
     #[cold]
     fn fill_slow(&mut self, need: usize) -> std::io::Result<usize> {
-        debug_assert!(need <= self.block_size, "fill_to beyond block capacity");
         // Block-fill latency histogram; the clock read is gated so a
         // traced-off run pays one relaxed load, nothing more.
         let fill_start = ind_trace::enabled().then(std::time::Instant::now);
-        if self.start > 0 {
-            let len = self.buf.len();
-            self.buf.copy_within(self.start..len, 0);
-            self.buf.truncate(len - self.start);
+        if self.start > 0 || self.end < self.raw {
+            // The unconsumed logical bytes move to the front and the
+            // pending raw tail right behind them, closing the gap the
+            // stripped frame overhead left.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
+            self.buf.copy_within(self.raw..self.filled, self.end);
+            self.filled -= self.raw - self.end;
+            self.raw = self.end;
         }
-        while self.buf.len() < need {
-            // One bulk request per iteration, at the current readahead
-            // granularity (but always enough to satisfy `need`). `take` +
-            // `read_to_end` appends into the reserved capacity without ever
-            // zero-initialising it, and stops exactly at the request
-            // boundary, so a fill sized by an accurate hint never pays an
-            // extra EOF-probing syscall.
-            let want = self
-                .readahead
-                .max(need - self.buf.len())
-                .min(self.block_size - self.buf.len());
-            let n = self.read_into_buf(want)?;
-            self.readahead = (self.readahead * 2).min(self.block_size);
-            if n == 0 {
-                break; // EOF: caller decides whether short is fatal
+        while self.end < need && !self.decoder.finished() {
+            // One read per iteration at the current readahead (but enough
+            // for `need`, and never less than the pending frame lacks),
+            // capped by the room left in the block — plus one frame, so a
+            // partial frame at its tail never shortens a read — and by what
+            // the stream's size hint says is left. Past the hint (it
+            // undershot, or there was none), reads stay at the readahead.
+            let min_read = self.decoder.min_read(&self.buf[self.raw..self.filled]);
+            let room = (self.block_size.max(need) + MAX_FRAME_LEN).saturating_sub(self.filled);
+            let want = self.readahead.max(need - self.end).min(room).max(min_read);
+            let want = match usize::try_from(self.hint_left).unwrap_or(usize::MAX) {
+                0 => want.min(self.readahead.max(min_read)),
+                left => want.min(left),
+            };
+            let until = self.filled + want;
+            if self.buf.len() < until {
+                self.buf.resize(until, 0);
             }
+            let n = self.file.read(&mut self.buf[self.filled..until])?;
+            self.readahead = (self.readahead * 2).min(self.block_size);
+            self.hint_left = self.hint_left.saturating_sub(n as u64);
+            self.filled += n;
+            let (end, raw) = self
+                .decoder
+                .decode(&mut self.buf[..self.filled], self.end, self.raw, n == 0)
+                .map_err(|e| self.frame_error(e))?;
+            self.end = end;
+            self.raw = raw;
         }
         if let Some(start) = fill_start {
             ind_trace::BLOCK_FILL_NANOS.record(start.elapsed().as_nanos() as u64);
         }
-        Ok(self.buf.len() - self.start)
+        Ok(self.end)
     }
 
-    /// Buffers exactly `need` bytes even when `need` exceeds the block
-    /// size, growing the block to hold one oversized record; short only at
-    /// end of file. This is the spill path for records that do not fit a
-    /// block — the grown storage is reused (and shrunk back to one block's
-    /// worth of live data by the next compaction), so even oversized
-    /// records are served zero-copy out of the block.
-    pub fn fill_exact_growing(&mut self, need: usize) -> std::io::Result<usize> {
-        if self.buf.len() - self.start >= need {
-            return Ok(self.buf.len() - self.start);
-        }
-        if self.start > 0 {
-            let len = self.buf.len();
-            self.buf.copy_within(self.start..len, 0);
-            self.buf.truncate(len - self.start);
-            self.start = 0;
-        }
-        self.buf.reserve(need - self.buf.len());
-        while self.buf.len() < need {
-            let want = need - self.buf.len();
-            let n = self.read_into_buf(want)?;
-            if n == 0 {
-                break; // EOF: caller decides whether short is fatal
+    #[cold]
+    fn frame_error(&self, e: crate::frame::FrameError) -> std::io::Error {
+        if e.checksum {
+            if let Some(stats) = self.file.stats() {
+                stats.bump_checksum_failure();
             }
         }
-        Ok(self.buf.len() - self.start)
-    }
-
-    /// One counted read request appending up to `want` bytes to the block.
-    fn read_into_buf(&mut self, want: usize) -> std::io::Result<usize> {
-        let n = (&mut self.stream)
-            .take(want as u64)
-            .read_to_end(&mut self.buf)?;
-        self.read_calls += 1;
-        if let Some(stats) = &self.stats {
-            stats.bump();
-        }
-        Ok(n)
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            // lint: allow(hot_alloc) — cold error path
+            format!(
+                "value file {}: frame {} (file offset {}): {}",
+                self.file.path().display(),
+                e.frame,
+                e.offset,
+                e.detail,
+            ),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use crate::frame::{v2_file, V2_HEADER_LEN};
     use ind_testkit::TempDir;
 
-    fn reader(data: &[u8], block_size: usize, stats: Option<ReadStats>) -> BlockReader {
+    /// A reader over a v2 stream holding `payload`, with its header already
+    /// consumed: `buffered()` serves payload.
+    fn reader(payload: &[u8], block_size: usize, stats: Option<ReadStats>) -> BlockReader {
         let dir = TempDir::new("blockreader");
         let path = dir.join("data.bin");
-        std::fs::write(&path, data).unwrap();
+        std::fs::write(&path, v2_file(0, payload)).unwrap();
         // The TempDir is removed when it drops, but the opened File handle
         // stays valid on Unix.
-        BlockReader::new(
+        let mut r = BlockReader::new(
             std::fs::File::open(&path).unwrap(),
             &IoOptions::with_block_size(block_size),
             stats,
-        )
+        );
+        assert!(r.fill_to(V2_HEADER_LEN).unwrap() >= V2_HEADER_LEN);
+        r.consume(V2_HEADER_LEN);
+        r
+    }
+
+    /// Consumes the whole stream, `fill_to(1)` at a time; returns the bytes.
+    fn drain(r: &mut BlockReader) -> Vec<u8> {
+        let mut out = Vec::new();
+        while r.fill_to(1).unwrap() > 0 {
+            out.extend_from_slice(r.buffered());
+            r.consume(r.buffered().len());
+        }
+        out
     }
 
     #[test]
     fn block_size_is_clamped_to_minimum() {
-        let r = reader(b"0123456789", 1, None);
-        assert_eq!(r.capacity(), MIN_BLOCK_SIZE);
+        assert_eq!(
+            IoOptions::with_block_size(1).effective_block_size(),
+            MIN_BLOCK_SIZE
+        );
         assert_eq!(IoOptions::with_block_size(0).effective_block_size(), 32);
         assert_eq!(IoOptions::default().effective_block_size(), 256 * 1024);
     }
 
     #[test]
     fn fill_consume_round_trip() {
-        let mut r = reader(b"abcdefghij", 16, None);
-        assert_eq!(r.fill_to(4).unwrap(), 10, "one read grabs the whole file");
+        let mut r = reader(b"abcdefghij", 64, None);
+        assert_eq!(r.fill_to(4).unwrap(), 10, "the open's read brought it all");
         assert_eq!(&r.buffered()[..4], b"abcd");
         r.consume(4);
         assert_eq!(r.buffered(), b"efghij");
         r.consume(6);
-        assert_eq!(r.fill_to(1).unwrap(), 0, "EOF leaves the buffer empty");
-        assert_eq!(r.read_calls(), 2, "initial fill + EOF probe");
+        assert_eq!(r.fill_to(1).unwrap(), 0, "the end leaves the buffer empty");
+        assert_eq!(
+            r.read_calls(),
+            1,
+            "one pread: header, frame and footer fit the first read, so the \
+             end needs no probe"
+        );
     }
 
     #[test]
@@ -497,29 +542,60 @@ mod tests {
 
     #[test]
     fn bigger_blocks_issue_fewer_reads() {
-        let data = vec![7u8; 4096];
+        // 16 full frames: 65,536 payload bytes in a 65,678-byte stream.
+        let data: Vec<u8> = (0..16 * 4096).map(|i| (i % 253) as u8).collect();
         let mut calls = Vec::new();
-        for block in [16, 64, 1024, 8192] {
+        for block in [16, 1024, 8192, 65536, 256 * 1024] {
             let mut r = reader(&data, block, None);
-            let mut total = 0usize;
-            loop {
-                let avail = r.fill_to(1).unwrap();
-                if avail == 0 {
-                    break;
-                }
-                total += avail;
-                r.consume(avail);
-            }
-            assert_eq!(total, data.len());
+            assert_eq!(drain(&mut r), data);
             calls.push(r.read_calls());
         }
-        assert!(
-            calls.windows(2).all(|w| w[0] >= w[1]),
-            "read calls must not grow with block size: {calls:?}"
-        );
-        assert!(
-            calls[0] >= 10 * calls[3],
-            "4 KiB over 16 B blocks needs many reads vs one 8 KiB block: {calls:?}"
+        // Below a frame a read still takes one whole frame (16 reads, then
+        // one for the footer); at 8 KiB every read is 8 KiB, ⌈65,678 /
+        // 8,192⌉ = 9; at 64 KiB the ramp 8 + 16 + 32 KiB is followed by the
+        // rest the size hint allows, and 256 KiB ramps the same way.
+        assert_eq!(calls, [17, 17, 9, 4, 4], "read calls per block size");
+    }
+
+    #[test]
+    fn a_k_frame_stream_reads_along_the_readahead_ramp() {
+        // 40 full frames (164,126 bytes) at the default block: reads of
+        // 8, 16, 32, 64 KiB, then the rest — one pread per fill, the
+        // footer inside the last.
+        let data: Vec<u8> = (0..40 * 4096).map(|i| (i % 241) as u8).collect();
+        let stream = v2_file(0, &data).len();
+        let (mut reads, mut covered, mut step) = (0u64, 0usize, INITIAL_READAHEAD);
+        while covered < stream {
+            covered += step;
+            step = (step * 2).min(DEFAULT_BLOCK_SIZE);
+            reads += 1;
+        }
+        assert_eq!(reads, 5);
+        let mut r = reader(&data, DEFAULT_BLOCK_SIZE, None);
+        assert_eq!(drain(&mut r), data);
+        assert_eq!(r.read_calls(), reads);
+    }
+
+    #[test]
+    fn reads_stop_at_the_size_hint() {
+        // Two streams back to back, as a segment holds them: a reader of
+        // the first, told its size, never reads a byte of the second.
+        let dir = TempDir::new("blockreader-hint");
+        let path = dir.join("seg.bin");
+        let first = v2_file(0, b"first stream");
+        let mut bytes = first.clone();
+        bytes.extend_from_slice(&v2_file(0, &[7u8; 20_000]));
+        std::fs::write(&path, &bytes).unwrap();
+        let plan = Arc::new(FaultPlan::parse(&format!("read:*:flip={}", first.len())).unwrap());
+        let options = IoOptions::default().with_fault(Arc::clone(&plan));
+        let file = Arc::new(crate::fault::open_file(&path).unwrap());
+        let mut r = BlockReader::over(file, &path, 0, &options, None, first.len() as u64);
+        assert_eq!(&drain(&mut r)[V2_HEADER_LEN..], b"first stream");
+        assert_eq!(r.read_calls(), 1);
+        assert_eq!(
+            plan.fired_count(),
+            0,
+            "the next stream's first byte was never read"
         );
     }
 
@@ -529,16 +605,11 @@ mod tests {
         let data = vec![1u8; 100];
         for _ in 0..3 {
             let mut r = reader(&data, 64, Some(stats.clone()));
-            while r.fill_to(1).unwrap() > 0 {
-                let n = r.buffered().len();
-                r.consume(n);
-            }
+            drain(&mut r);
         }
-        assert!(stats.read_calls() >= 3, "each reader fills at least once");
-        let before = stats.read_calls();
+        assert_eq!(stats.read_calls(), 3, "each reader reads its stream once");
         stats.reset();
         assert_eq!(stats.read_calls(), 0);
-        assert!(before > 0);
     }
 
     #[test]
@@ -547,13 +618,13 @@ mod tests {
         let mut r = reader(&data, 16, None);
         r.fill_to(10).unwrap();
         r.consume(2);
-        // A 90-byte need exceeds the 16-byte block: the buffer grows and
+        // A 90-byte need exceeds the 32-byte block: the buffer grows and
         // serves the whole range in place.
-        assert_eq!(r.fill_exact_growing(90).unwrap(), 90);
-        assert_eq!(r.buffered(), &data[2..92]);
+        assert_eq!(r.fill_to(90).unwrap(), 98);
+        assert_eq!(&r.buffered()[..90], &data[2..92]);
         r.consume(90);
-        // Asking for more than the file holds comes back short, not OK.
-        assert_eq!(r.fill_exact_growing(20).unwrap(), 8);
+        // Asking for more than the stream holds comes back short, not OK.
+        assert_eq!(r.fill_to(20).unwrap(), 8);
         assert_eq!(r.buffered(), &data[92..]);
     }
 

@@ -640,7 +640,10 @@ pub(crate) fn rename(from: &Path, to: &Path, plan: Option<&Arc<FaultPlan>>) -> i
 /// through: reads one stream of a (possibly shared) descriptor with
 /// positional reads from `base` on, consults the plan on each read with
 /// stream-relative offsets, retries `Interrupted` in place, applies bit
-/// flips, and annotates errors with the stream's label.
+/// flips, and annotates errors with the stream's label. It is the one
+/// place a value-file read reaches the OS, so it is where reads are
+/// counted: every `pread` it makes bumps [`ReadStats::read_calls`] and
+/// its own [`FaultFile::read_calls`].
 #[derive(Debug)]
 pub(crate) struct FaultFile {
     inner: Arc<std::fs::File>,
@@ -649,6 +652,8 @@ pub(crate) struct FaultFile {
     base: u64,
     /// Bytes of the stream read so far.
     pos: u64,
+    /// `pread`s made so far.
+    read_calls: u64,
     plan: Option<Arc<FaultPlan>>,
     stats: Option<ReadStats>,
 }
@@ -666,6 +671,7 @@ impl FaultFile {
             path: path.to_path_buf(),
             base,
             pos: 0,
+            read_calls: 0,
             plan,
             stats,
         }
@@ -673,6 +679,17 @@ impl FaultFile {
 
     pub(crate) fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The shared counters this wrapper bumps, if any.
+    pub(crate) fn stats(&self) -> Option<&ReadStats> {
+        self.stats.as_ref()
+    }
+
+    /// `pread`s this wrapper has made (injected faults that never reach
+    /// the OS are not reads).
+    pub(crate) fn read_calls(&self) -> u64 {
+        self.read_calls
     }
 
     fn bump_retry(&self) {
@@ -708,6 +725,10 @@ impl io::Read for FaultFile {
                         want = w;
                     }
                 }
+            }
+            self.read_calls += 1;
+            if let Some(stats) = &self.stats {
+                stats.bump_read_call();
             }
             match self.inner.read_at(&mut out[..want], self.base + self.pos) {
                 Ok(n) => {

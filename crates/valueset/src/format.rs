@@ -19,8 +19,8 @@
 //! checksummed 4 KiB frames, and a footer seals the stream with the record
 //! count, payload byte count, and a whole-stream checksum (see
 //! [`crate::frame`] for the exact physical layout). The frame layer is
-//! transparent to this module's reader: a decoding [`std::io::Read`]
-//! adapter beneath the block layer verifies and strips the framing, so a
+//! transparent to this module's reader: the block layer decodes each read
+//! in place, verifying and stripping the framing, so a
 //! flipped bit or torn write surfaces as [`ValueSetError::Corrupt`] with
 //! frame-precise context *before* the damaged byte can reach a cursor —
 //! never as a silently wrong answer. The footer also ends the stream: a
@@ -51,7 +51,7 @@ use crate::frame::{
 use crate::segment::Extent;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 pub(crate) const MAGIC: &[u8; 4] = b"INDV";
@@ -385,13 +385,11 @@ pub(crate) fn verify_extent_quick(
 ///
 /// `current()` is **always** a zero-copy slice into the block: records that
 /// fit the block are parsed in place, and the rare record larger than the
-/// block grows the block once to hold it
-/// ([`BlockReader::fill_exact_growing`]) instead of being copied into a
-/// side buffer — so the hot `current()` call is a single slice, no
-/// branching on where the value lives.
+/// block grows the block once to hold it ([`BlockReader::fill_to`])
+/// instead of being copied into a side buffer — so the hot `current()`
+/// call is a single slice, no branching on where the value lives.
 pub struct ValueFileReader {
     input: BlockReader,
-    path: PathBuf,
     total: u64,
     produced: u64,
     /// Current value: `cur_offset..cur_offset + cur_len` inside the block.
@@ -401,7 +399,7 @@ pub struct ValueFileReader {
     cur_len: usize,
     /// Whether the end-of-stream check (footer verification, trailing-data
     /// detection) has run. Set on the first `advance` that reports
-    /// exhaustion, so the check costs one extra fill exactly once.
+    /// exhaustion, so the check runs exactly once.
     end_checked: bool,
     cancel: Option<crate::cancel::CancelToken>,
     _guard: Option<OpenFileGuard>,
@@ -472,7 +470,6 @@ impl ValueFileReader {
         );
         Self::from_block_reader(
             input,
-            extent.label(),
             guard,
             options.verify_checksums,
             stats.as_ref(),
@@ -482,37 +479,39 @@ impl ValueFileReader {
 
     fn from_block_reader(
         mut input: BlockReader,
-        path: &Path,
         guard: Option<OpenFileGuard>,
         verify: bool,
         stats: Option<&ReadStats>,
         cancel: Option<crate::cancel::CancelToken>,
     ) -> Result<Self> {
-        let context = || path.display().to_string();
+        let context = |input: &BlockReader| input.label().display().to_string();
         let avail = input
             .fill_to(HEADER_LEN)
-            .map_err(|e| corrupt(context(), e.to_string()))?;
+            .map_err(|e| corrupt(context(&input), e.to_string()))?;
         if avail < HEADER_LEN {
             return Err(corrupt(
-                context(),
+                context(&input),
                 format!("short header: {avail} of {HEADER_LEN} bytes"),
             ));
         }
         let header = input.buffered();
         if &header[..4] != MAGIC {
-            return Err(corrupt(context(), "bad magic".into()));
+            return Err(corrupt(context(&input), "bad magic".into()));
         }
         // lint: allow(no_unwrap) — fixed-width slice of a length-checked header; try_into cannot fail
         let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         if version != V2_VERSION {
-            return Err(corrupt(context(), format!("unsupported version {version}")));
+            return Err(corrupt(
+                context(&input),
+                format!("unsupported version {version}"),
+            ));
         }
         let avail = input
             .fill_to(V2_HEADER_LEN)
-            .map_err(|e| corrupt(context(), e.to_string()))?;
+            .map_err(|e| corrupt(context(&input), e.to_string()))?;
         if avail < V2_HEADER_LEN {
             return Err(corrupt(
-                context(),
+                context(&input),
                 format!("short header: {avail} of {V2_HEADER_LEN} bytes"),
             ));
         }
@@ -528,7 +527,7 @@ impl ValueFileReader {
                 if let Some(stats) = stats {
                     stats.bump_checksum_failure();
                 }
-                return Err(corrupt(context(), "header checksum mismatch".into()));
+                return Err(corrupt(context(&input), "header checksum mismatch".into()));
             }
         }
         // lint: allow(no_unwrap) — fixed-width slice of a length-checked header; try_into cannot fail
@@ -536,7 +535,6 @@ impl ValueFileReader {
         input.consume(V2_HEADER_LEN);
         Ok(ValueFileReader {
             input,
-            path: path.to_path_buf(),
             total,
             produced: 0,
             cur_offset: 0,
@@ -550,10 +548,14 @@ impl ValueFileReader {
     /// Label of the stream this reader is positioned over: its file, or
     /// `segment[name]` for a stream inside a segment.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.input.label()
     }
 
-    /// Block fills issued against the file so far.
+    fn context(&self) -> String {
+        self.path().display().to_string()
+    }
+
+    /// `pread`s made on the file so far.
     pub fn read_calls(&self) -> u64 {
         self.input.read_calls()
     }
@@ -586,27 +588,26 @@ impl ValueFileReader {
     fn fill_payload(&mut self) -> Result<usize> {
         self.input
             .fill_to(1)
-            .map_err(|e| corrupt(self.path.display().to_string(), e.to_string()))
+            .map_err(|e| corrupt(self.context(), e.to_string()))
     }
 
     /// One-shot end-of-stream check, run when the cursor first reports
-    /// exhaustion: one more fill drives the frame decoder through the
-    /// footer (verifying the whole-file checksum and the footer's counts)
-    /// and flags any logical bytes past the final record.
-    /// Clean files cost one extra read call, exactly once.
+    /// exhaustion: the fill drives the frame decoder through the footer
+    /// (verifying the whole-file checksum and the footer's counts) and
+    /// flags any logical bytes past the final record. It reads nothing
+    /// when the footer already arrived with the last record.
     fn verify_stream_end(&mut self) -> Result<()> {
         if self.end_checked {
             return Ok(());
         }
         self.end_checked = true;
-        let ctx = || self.path.display().to_string();
         let avail = self
             .input
             .fill_to(1)
-            .map_err(|e| corrupt(ctx(), format!("corrupt file tail: {e}")))?;
+            .map_err(|e| corrupt(self.context(), format!("corrupt file tail: {e}")))?;
         if avail > 0 {
             return Err(corrupt(
-                ctx(),
+                self.context(),
                 "trailing data after the final record".into(),
             ));
         }
@@ -623,14 +624,13 @@ impl ValueFileReader {
             self.verify_stream_end()?;
             return Ok(None);
         }
-        let ctx = || self.path.display().to_string();
         let avail = self
             .input
             .fill_to(LEN_PREFIX)
-            .map_err(|e| corrupt(ctx(), format!("truncated record length: {e}")))?;
+            .map_err(|e| corrupt(self.context(), format!("truncated record length: {e}")))?;
         if avail < LEN_PREFIX {
             return Err(corrupt(
-                ctx(),
+                self.context(),
                 format!("truncated record length: {avail} of {LEN_PREFIX} bytes"),
             ));
         }
@@ -641,38 +641,16 @@ impl ValueFileReader {
         Ok(Some(u32::from_le_bytes(bytes) as usize))
     }
 
-    /// Buffers the whole `len`-byte record (prefix included); only callable
-    /// when it fits in one block. Errors on truncation.
+    /// Buffers the whole `len`-byte record (prefix included), growing the
+    /// block once for a record larger than it. Errors on truncation.
     fn buffer_record(&mut self, len: usize) -> Result<()> {
-        debug_assert!(LEN_PREFIX + len <= self.input.capacity());
-        let ctx = || self.path.display().to_string();
         let avail = self
             .input
             .fill_to(LEN_PREFIX + len)
-            .map_err(|e| corrupt(ctx(), format!("truncated record body: {e}")))?;
+            .map_err(|e| corrupt(self.context(), format!("truncated record body: {e}")))?;
         if avail < LEN_PREFIX + len {
             return Err(corrupt(
-                ctx(),
-                format!(
-                    "truncated record body: {avail} of {} bytes",
-                    LEN_PREFIX + len
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Buffers the whole `len`-byte record even when it exceeds the block
-    /// (the block grows once to hold it). Errors on truncation.
-    fn buffer_record_growing(&mut self, len: usize) -> Result<()> {
-        let ctx = || self.path.display().to_string();
-        let avail = self
-            .input
-            .fill_exact_growing(LEN_PREFIX + len)
-            .map_err(|e| corrupt(ctx(), format!("truncated record body: {e}")))?;
-        if avail < LEN_PREFIX + len {
-            return Err(corrupt(
-                ctx(),
+                self.context(),
                 format!(
                     "truncated record body: {avail} of {} bytes",
                     LEN_PREFIX + len
@@ -699,11 +677,7 @@ impl ValueFileReader {
         let Some(len) = self.next_len()? else {
             return Ok(false); // unreachable: advance checked produced < total
         };
-        if LEN_PREFIX + len <= self.input.capacity() {
-            self.buffer_record(len)?;
-        } else {
-            self.buffer_record_growing(len)?;
-        }
+        self.buffer_record(len)?;
         self.take_buffered(len);
         Ok(true)
     }
@@ -850,10 +824,10 @@ mod tests {
         let dir = TempDir::new("vf-trunc");
         let path = dir.join("t.indv");
         write_value_file(&path, &bytes(&["hello", "world"])).unwrap();
-        // Chop off the final bytes of the file. With a block larger than
-        // the file the damage is discovered during the open's first fill;
-        // with a small block it surfaces mid-drain — either way it must
-        // be Corrupt, never a short-but-successful stream.
+        // Chop off the final bytes of the file, inside the footer. Both
+        // records sit in one whole, verified frame, so at any block size
+        // they are served and the damage surfaces at the end-of-stream
+        // check — Corrupt, never a short-but-successful stream.
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
         assert!(matches!(
@@ -862,6 +836,7 @@ mod tests {
         ));
         let mut r =
             ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(32)).unwrap();
+        assert!(r.advance().unwrap());
         assert!(r.advance().unwrap());
         assert!(matches!(r.advance(), Err(ValueSetError::Corrupt { .. })));
     }
@@ -1049,12 +1024,11 @@ mod tests {
             .map(|i| format!("value-{i:08}").into_bytes())
             .collect();
         write_value_file(&path, &values).unwrap();
+        // 18,000 payload bytes in 5 frames: an 18,076-byte stream.
         let file_len = std::fs::metadata(&path).unwrap().len();
-
-        // Big block: the whole file arrives in ~one fill.
-        let r = ValueFileReader::open_with_options(&path, &IoOptions::default()).unwrap();
-        let big_block = {
-            let mut r = r;
+        assert_eq!(file_len, 18_076);
+        let drain = |options: &IoOptions| {
+            let mut r = ValueFileReader::open_with_options(&path, options).unwrap();
             let mut n = 0u64;
             while r.advance().unwrap() {
                 n += 1;
@@ -1062,24 +1036,45 @@ mod tests {
             assert_eq!(n, 1000);
             r.read_calls()
         };
-        assert!(
-            big_block <= 3,
-            "a {file_len}-byte file must fill in a couple of reads, got {big_block}"
-        );
 
-        // Small block: fills scale with file size / block size, but stay
-        // far below one per record.
+        // Default block: the 8 KiB first read, then the 9,884 bytes left
+        // (the size caps the doubled 16 KiB), footer included.
+        assert_eq!(drain(&IoOptions::default()), 2);
+
+        // 256-byte blocks: a read still completes a frame, so one pread
+        // per frame (the last one short, with the footer) — never one per
+        // record.
+        assert_eq!(drain(&IoOptions::with_block_size(256)), 5);
+    }
+
+    #[test]
+    fn a_stream_that_fits_the_first_read_costs_one_pread() {
+        // Header, frames and footer (7,058 bytes) arrive in the open's one
+        // 8 KiB read: draining it and verifying its footer reads nothing
+        // more.
+        let dir = TempDir::new("vf-one-pread");
+        let path = dir.join("one.indv");
+        let values: Vec<Vec<u8>> = (0..500u32)
+            .map(|i| format!("{i:010}").into_bytes())
+            .collect();
+        write_value_file(&path, &values).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 7_058);
+        let stats = ReadStats::new();
         let mut r =
-            ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(256)).unwrap();
-        while r.advance().unwrap() {}
-        let small_block = r.read_calls();
-        assert!(
-            small_block >= 10 * big_block,
-            "256-byte blocks over {file_len} bytes: {small_block} vs {big_block}"
-        );
-        assert!(
-            small_block < 1000,
-            "even tiny blocks must not read once per record: {small_block}"
+            ValueFileReader::open_with(&path, &IoOptions::default(), None, Some(stats.clone()))
+                .unwrap();
+        assert_eq!(r.read_calls(), 1, "the open reads the whole stream");
+        let mut n = 0;
+        while r.advance().unwrap() {
+            n += 1;
+        }
+        assert_eq!(n, 500);
+        assert!(!r.advance().unwrap(), "footer verified, stream ended");
+        assert_eq!(r.read_calls(), 1);
+        assert_eq!(
+            stats.read_calls(),
+            1,
+            "the shared counter saw the same pread"
         );
     }
 

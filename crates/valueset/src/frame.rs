@@ -22,21 +22,19 @@
 //! checksum is a CRC *of the frame CRCs*, giving end-to-end coverage for
 //! one extra pass over 4 bytes per frame.
 //!
-//! [`FrameStream`] is the decoder: a [`Read`] adapter between the
-//! fault-injectable [`FaultFile`] and [`crate::BlockReader`] that sniffs
-//! the header, buffers one frame at a time, verifies its CRC, and only
-//! then serves the payload. Verification therefore happens *below* the
-//! block buffer, and a corrupt frame surfaces to the cursor as an error —
-//! never as wrong bytes. A file without a v2 header passes through
-//! untouched so the format layer can reject its header with the file's
-//! context (bad magic, short header, `unsupported version 1`): every byte
-//! a [`crate::ValueFileReader`] serves has passed a CRC.
+//! [`FrameDecoder`] is the decoder: a pure step over a byte slice that
+//! [`crate::BlockReader`] runs on its own block after every read. Raw bytes
+//! land in the block; each complete frame's CRC is checked where it landed
+//! and its payload moved down over the frame overhead, so the block's
+//! served prefix is verified payload only and a corrupt frame surfaces to
+//! the cursor as an error — never as wrong bytes. A partial frame at the
+//! block's tail waits for the next read. A stream without a v2 header has
+//! its first (up to) 20 bytes served verbatim and nothing after, so the
+//! format layer can reject its header with the file's context (bad magic,
+//! short header, `unsupported version 1`): every byte a
+//! [`crate::ValueFileReader`] serves has passed a CRC.
 
-use std::io::{self, Read};
-
-use crate::block::ReadStats;
 use crate::crc32c::{crc32c, Crc32c};
-use crate::fault::FaultFile;
 
 /// Format v2 header length: the 16-byte logical header plus a header CRC.
 pub(crate) const V2_HEADER_LEN: usize = 20;
@@ -53,6 +51,9 @@ pub(crate) const FRAME_LEN_PREFIX: usize = 2;
 
 /// Frame trailer: the payload's CRC32C.
 pub(crate) const FRAME_CRC_LEN: usize = 4;
+
+/// Raw bytes of a full frame: length prefix, payload, CRC.
+pub(crate) const MAX_FRAME_LEN: usize = FRAME_LEN_PREFIX + FRAME_PAYLOAD + FRAME_CRC_LEN;
 
 /// Length-prefix value marking the footer. A real frame's length is at
 /// most [`FRAME_PAYLOAD`], so the sentinel is unreachable by data.
@@ -76,279 +77,323 @@ pub(crate) fn v2_overhead(payload: u64) -> u64 {
         + (FRAME_LEN_PREFIX + FOOTER_BODY_LEN) as u64
 }
 
+/// Where a [`FrameDecoder`] stands in its stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Header not yet inspected.
-    Sniff,
-    /// Not a v2 file: bytes flow through untouched, for the format layer
-    /// to reject.
-    Passthrough,
-    /// Decoding v2 frames.
+enum Phase {
+    /// The 20-byte header has not arrived yet.
+    Header,
+    /// Decoding frames; the footer has not arrived yet.
     Frames,
-    /// Footer consumed and verified: the logical stream has ended.
+    /// The footer is verified (or a non-v2 header served): the logical
+    /// stream has ended, and raw bytes after this point are never looked at.
     Finished,
 }
 
-/// A [`Read`] adapter that strips and verifies v2 framing (and passes
-/// anything else through). The logical stream it serves for a v2 file is
-/// the 20-byte header followed by the pure payload — exactly what the
-/// format layer parses — and no payload byte is served before its frame's
-/// checksum has been verified.
+/// A framing defect, located: the frame it was found at and the stream
+/// offset of that frame's length prefix (of the sentinel, for the footer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameError {
+    pub(crate) frame: u64,
+    pub(crate) offset: u64,
+    pub(crate) detail: &'static str,
+    /// A checksum comparison failed (frame or whole-file CRC), as opposed
+    /// to structural damage.
+    pub(crate) checksum: bool,
+}
+
+/// The v2 frame decoder's state between reads: a stream is decoded in
+/// steps, each over the raw bytes one read appended to a block.
 #[derive(Debug)]
-pub(crate) struct FrameStream {
-    file: FaultFile,
-    mode: Mode,
-    /// Sniffed header bytes, served before anything else.
-    head: [u8; V2_HEADER_LEN],
-    head_len: usize,
-    head_pos: usize,
-    /// One decoded frame's payload (v2 mode only; allocated lazily once).
-    stage: Vec<u8>,
-    stage_len: usize,
-    stage_pos: usize,
+pub(crate) struct FrameDecoder {
+    phase: Phase,
     verify: bool,
     frames_seen: u64,
     payload_seen: u64,
-    /// Absolute file offset of the next frame's length prefix.
+    /// Stream offset of the next undecoded raw byte.
     raw_pos: u64,
     /// Record count from the header, cross-checked against the footer.
     header_count: u64,
     /// Running CRC over the frames' stored CRC words.
     crc_chain: Crc32c,
-    stats: Option<ReadStats>,
 }
 
-impl FrameStream {
-    pub(crate) fn new(file: FaultFile, verify: bool, stats: Option<ReadStats>) -> FrameStream {
-        FrameStream {
-            file,
-            mode: Mode::Sniff,
-            head: [0; V2_HEADER_LEN],
-            head_len: 0,
-            head_pos: 0,
-            // lint: allow(hot_alloc) — empty placeholder; sized lazily on the first v2 frame
-            stage: Vec::new(),
-            stage_len: 0,
-            stage_pos: 0,
+/// Reads the little-endian `u16` at `buf[at..]`.
+fn le_u16(buf: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([buf[at], buf[at + 1]])
+}
+
+/// Reads the little-endian `u32` at `buf[at..]`.
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
+}
+
+/// Reads the little-endian `u64` at `buf[at..]`.
+fn le_u64(buf: &[u8], at: usize) -> u64 {
+    u64::from(le_u32(buf, at)) | (u64::from(le_u32(buf, at + 4)) << 32)
+}
+
+impl FrameDecoder {
+    /// A decoder at the start of a stream; `verify` turns the checksum
+    /// comparisons on (structure is checked either way).
+    pub(crate) fn new(verify: bool) -> FrameDecoder {
+        FrameDecoder {
+            phase: Phase::Header,
             verify,
             frames_seen: 0,
             payload_seen: 0,
-            raw_pos: V2_HEADER_LEN as u64,
+            raw_pos: 0,
             header_count: 0,
             crc_chain: Crc32c::new(),
-            stats,
         }
     }
 
-    fn corrupt(&self, detail: &str) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            // lint: allow(hot_alloc) — cold error path
-            format!(
-                "value file {}: frame {} (file offset {}): {detail}",
-                self.file.path().display(),
-                self.frames_seen,
-                self.raw_pos,
-            ),
-        )
+    /// True once the logical stream has ended.
+    pub(crate) fn finished(&self) -> bool {
+        self.phase == Phase::Finished
     }
 
-    /// Reads the first (up to) 20 bytes and decides the mode.
-    fn sniff(&mut self) -> io::Result<()> {
-        debug_assert_eq!(self.mode, Mode::Sniff);
-        self.head_len = read_full(&mut self.file, &mut self.head)?;
-        let v2 = self.head_len == V2_HEADER_LEN
-            && &self.head[..4] == crate::format::MAGIC
-            && u32::from_le_bytes([self.head[4], self.head[5], self.head[6], self.head[7]])
-                == V2_VERSION;
-        if v2 {
-            self.header_count = u64::from_le_bytes(
-                self.head[8..16].try_into().expect("8-byte slice"), // lint: allow(no_unwrap) — fixed-size slice of a fixed-size array
-            );
-            self.mode = Mode::Frames;
-        } else {
-            // Header integrity for v2 is the reader's job (it has the
-            // error context); everything non-v2 is served verbatim.
-            self.mode = Mode::Passthrough;
+    fn fail(&self, detail: &'static str, checksum: bool) -> FrameError {
+        FrameError {
+            frame: self.frames_seen,
+            offset: self.raw_pos,
+            detail,
+            checksum,
         }
-        Ok(())
     }
 
-    /// Decodes the next frame into the stage (or consumes the footer).
-    /// Returns the staged payload length; 0 means the stream has ended.
-    fn load_frame(&mut self) -> io::Result<usize> {
-        self.stage_pos = 0;
-        self.stage_len = 0;
-        if self.stage.len() < FRAME_PAYLOAD + FRAME_CRC_LEN {
-            // One-time stage allocation per v2 reader, zero-filled once.
-            self.stage.resize(FRAME_PAYLOAD + FRAME_CRC_LEN, 0);
-        }
-        let mut len_buf = [0u8; FRAME_LEN_PREFIX];
-        match read_full(&mut self.file, &mut len_buf)? {
-            0 => return Err(self.corrupt("file ends before the footer (truncated)")),
-            FRAME_LEN_PREFIX => {}
-            _ => return Err(self.corrupt("file ends inside a frame length prefix")),
-        }
-        let len = u16::from_le_bytes(len_buf);
-        if len == FOOTER_SENTINEL {
-            self.read_footer()?;
-            self.mode = Mode::Finished;
-            return Ok(0);
-        }
-        let len = len as usize;
-        if len == 0 || len > FRAME_PAYLOAD {
-            return Err(self.corrupt("invalid frame payload length"));
-        }
-        let body = &mut self.stage[..len + FRAME_CRC_LEN];
-        let got = read_full(&mut self.file, body)?;
-        if got < body.len() {
-            return Err(self.corrupt("file ends inside a frame"));
-        }
-        let stored = &body[len..];
-        if self.verify {
-            let computed = crc32c(&body[..len]);
-            let stored_word = u32::from_le_bytes(stored.try_into().expect("4-byte slice")); // lint: allow(no_unwrap) — slice is exactly FRAME_CRC_LEN bytes
-            if computed != stored_word {
-                if let Some(stats) = &self.stats {
-                    stats.bump_checksum_failure();
-                }
-                return Err(self.corrupt("frame checksum mismatch"));
+    /// The smallest read worth issuing when `pending` — the undecoded tail
+    /// a step left behind — is all there is of the next unit: the rest of
+    /// that unit, a whole frame assumed wherever its length has not arrived
+    /// yet. At least 1 until the stream has ended, 0 after.
+    pub(crate) fn min_read(&self, pending: &[u8]) -> usize {
+        let unit = match self.phase {
+            Phase::Finished => return 0,
+            Phase::Header => V2_HEADER_LEN + MAX_FRAME_LEN,
+            Phase::Frames if pending.len() < FRAME_LEN_PREFIX => MAX_FRAME_LEN,
+            Phase::Frames => match le_u16(pending, 0) {
+                FOOTER_SENTINEL => FRAME_LEN_PREFIX + FOOTER_BODY_LEN,
+                len => FRAME_LEN_PREFIX + usize::from(len) + FRAME_CRC_LEN,
+            },
+        };
+        unit.saturating_sub(pending.len()).max(1)
+    }
+
+    /// One decode step. `buf[out..raw]` is free space (frame overhead
+    /// already stripped) and `buf[raw..]` the raw bytes not yet decoded.
+    /// Every complete unit in `buf[raw..]` is checked and its logical bytes
+    /// (the header, then payload) moved down to `buf[out..]`; returns the
+    /// new `(out, raw)`: logical bytes end at `out`, an incomplete unit
+    /// waits at `buf[raw..]`. `eof` says no raw byte will follow, so an
+    /// unfinished stream is truncated.
+    pub(crate) fn decode(
+        &mut self,
+        buf: &mut [u8],
+        mut out: usize,
+        mut raw: usize,
+        eof: bool,
+    ) -> Result<(usize, usize), FrameError> {
+        if self.phase == Phase::Header {
+            let got = buf.len() - raw;
+            if got < V2_HEADER_LEN && !eof {
+                return Ok((out, raw));
             }
+            let head_len = got.min(V2_HEADER_LEN);
+            let v2 = head_len == V2_HEADER_LEN
+                && &buf[raw..raw + 4] == crate::format::MAGIC
+                && le_u32(buf, raw + 4) == V2_VERSION;
+            // The header is served verbatim either way: its checks are the
+            // format layer's, which has the error context. A non-v2 stream
+            // ends right after it.
+            buf.copy_within(raw..raw + head_len, out);
+            out += head_len;
+            raw += head_len;
+            self.raw_pos += head_len as u64;
+            if !v2 {
+                self.phase = Phase::Finished;
+                return Ok((out, raw));
+            }
+            self.header_count = le_u64(buf, raw - V2_HEADER_LEN + 8);
+            self.phase = Phase::Frames;
         }
-        self.crc_chain.update(stored);
-        self.frames_seen += 1;
-        self.payload_seen += len as u64;
-        self.raw_pos += (FRAME_LEN_PREFIX + len + FRAME_CRC_LEN) as u64;
-        self.stage_len = len;
-        Ok(len)
+        while self.phase == Phase::Frames {
+            let avail = buf.len() - raw;
+            if avail < FRAME_LEN_PREFIX {
+                break;
+            }
+            let len = le_u16(buf, raw);
+            if len == FOOTER_SENTINEL {
+                if avail < FRAME_LEN_PREFIX + FOOTER_BODY_LEN {
+                    break;
+                }
+                self.check_footer(&buf[raw + FRAME_LEN_PREFIX..][..FOOTER_BODY_LEN])?;
+                raw += FRAME_LEN_PREFIX + FOOTER_BODY_LEN;
+                self.raw_pos += (FRAME_LEN_PREFIX + FOOTER_BODY_LEN) as u64;
+                self.phase = Phase::Finished;
+                break;
+            }
+            let len = usize::from(len);
+            if len == 0 || len > FRAME_PAYLOAD {
+                return Err(self.fail("invalid frame payload length", false));
+            }
+            let frame_len = FRAME_LEN_PREFIX + len + FRAME_CRC_LEN;
+            if avail < frame_len {
+                break;
+            }
+            let body = raw + FRAME_LEN_PREFIX;
+            let stored = &buf[body + len..body + len + FRAME_CRC_LEN];
+            if self.verify && crc32c(&buf[body..body + len]) != le_u32(stored, 0) {
+                return Err(self.fail("frame checksum mismatch", true));
+            }
+            self.crc_chain.update(stored);
+            buf.copy_within(body..body + len, out);
+            out += len;
+            raw += frame_len;
+            self.frames_seen += 1;
+            self.payload_seen += len as u64;
+            self.raw_pos += frame_len as u64;
+        }
+        if eof && !self.finished() {
+            let pending = &buf[raw..];
+            let detail = match pending.len() {
+                0 => "file ends before the footer (truncated)",
+                1 => "file ends inside a frame length prefix",
+                _ if le_u16(pending, 0) == FOOTER_SENTINEL => "file ends inside the footer",
+                _ => "file ends inside a frame",
+            };
+            return Err(self.fail(detail, false));
+        }
+        Ok((out, raw))
     }
 
-    /// Reads and (when verifying) checks the 24 footer bytes after the
-    /// sentinel.
-    fn read_footer(&mut self) -> io::Result<()> {
-        let mut footer = [0u8; FOOTER_BODY_LEN];
-        if read_full(&mut self.file, &mut footer)? < FOOTER_BODY_LEN {
-            return Err(self.corrupt("file ends inside the footer"));
-        }
+    /// Checks the 24 footer bytes after the sentinel (when verifying).
+    fn check_footer(&self, footer: &[u8]) -> Result<(), FrameError> {
         if !self.verify {
             return Ok(());
         }
-        let count = u64::from_le_bytes(footer[0..8].try_into().expect("8-byte slice")); // lint: allow(no_unwrap) — fixed-size slice
-        let payload = u64::from_le_bytes(footer[8..16].try_into().expect("8-byte slice")); // lint: allow(no_unwrap) — fixed-size slice
-        let whole = u32::from_le_bytes(footer[16..20].try_into().expect("4-byte slice")); // lint: allow(no_unwrap) — fixed-size slice
         if &footer[20..24] != FOOTER_MAGIC {
-            return Err(self.corrupt("bad footer magic"));
+            return Err(self.fail("bad footer magic", false));
         }
-        if count != self.header_count {
-            return Err(self.corrupt("footer record count disagrees with the header"));
+        if le_u64(footer, 0) != self.header_count {
+            return Err(self.fail("footer record count disagrees with the header", false));
         }
-        if payload != self.payload_seen {
-            return Err(self.corrupt("footer byte count disagrees with the frames"));
+        if le_u64(footer, 8) != self.payload_seen {
+            return Err(self.fail("footer byte count disagrees with the frames", false));
         }
-        if whole != self.crc_chain.finish() {
-            if let Some(stats) = &self.stats {
-                stats.bump_checksum_failure();
-            }
-            return Err(self.corrupt("whole-file checksum mismatch"));
+        if le_u32(footer, 16) != self.crc_chain.finish() {
+            return Err(self.fail("whole-file checksum mismatch", true));
         }
         Ok(())
     }
 }
 
-impl Read for FrameStream {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        loop {
-            if self.head_pos < self.head_len {
-                let n = out.len().min(self.head_len - self.head_pos);
-                out[..n].copy_from_slice(&self.head[self.head_pos..self.head_pos + n]);
-                self.head_pos += n;
-                return Ok(n);
-            }
-            match self.mode {
-                Mode::Sniff => self.sniff()?,
-                Mode::Passthrough => return self.file.read(out),
-                Mode::Frames => {
-                    if self.stage_pos < self.stage_len {
-                        let n = out.len().min(self.stage_len - self.stage_pos);
-                        out[..n].copy_from_slice(&self.stage[self.stage_pos..self.stage_pos + n]);
-                        self.stage_pos += n;
-                        return Ok(n);
-                    }
-                    if self.load_frame()? == 0 {
-                        return Ok(0);
-                    }
-                }
-                Mode::Finished => return Ok(0),
-            }
-        }
+/// Hand-assembles a v2 stream around `payload` (decoder-independent of
+/// the writer, so each side checks the other).
+#[cfg(test)]
+pub(crate) fn v2_file(count: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(crate::format::MAGIC);
+    out.extend_from_slice(&V2_VERSION.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    let head_crc = crc32c(&out);
+    out.extend_from_slice(&head_crc.to_le_bytes());
+    let mut chain = Crc32c::new();
+    for chunk in payload.chunks(FRAME_PAYLOAD) {
+        out.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
+        out.extend_from_slice(chunk);
+        let crc = crc32c(chunk);
+        out.extend_from_slice(&crc.to_le_bytes());
+        chain.update(&crc.to_le_bytes());
     }
-}
-
-/// Reads until `buf` is full or the stream ends; returns bytes read.
-fn read_full(file: &mut FaultFile, buf: &mut [u8]) -> io::Result<usize> {
-    let mut got = 0;
-    while got < buf.len() {
-        let n = file.read(&mut buf[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    Ok(got)
+    out.extend_from_slice(&FOOTER_SENTINEL.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&chain.finish().to_le_bytes());
+    out.extend_from_slice(FOOTER_MAGIC);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{BlockReader, IoOptions, ReadStats};
+    use crate::fault::FaultPlan;
     use ind_testkit::TempDir;
+    use std::io;
+    use std::sync::Arc;
 
-    /// Hand-assembles a v2 file around `payload` (decoder-independent of
-    /// the writer, so each side checks the other).
-    fn v2_file(count: u64, payload: &[u8]) -> Vec<u8> {
+    /// Block sizes on both sides of one frame (4,102 raw bytes) and of the
+    /// readahead ramp: a frame split across reads is carried to the next.
+    const BLOCKS: [usize; 6] = [32, 4101, 4102, 4103, 8 * 1024, 256 * 1024];
+
+    /// Fault plans every stream is also drained under: short reads and
+    /// `EINTR` leave a partial frame at a block's tail on more fills.
+    const PLANS: [Option<&str>; 3] = [None, Some("read:*:short@64"), Some("read:*:eintr@8")];
+
+    /// Drains the logical stream a block reader serves from `path`, taking
+    /// at most `step` bytes per fill.
+    fn drain_one(
+        path: &std::path::Path,
+        options: &IoOptions,
+        stats: Option<ReadStats>,
+        step: usize,
+    ) -> io::Result<Vec<u8>> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut r = BlockReader::over(Arc::new(file), path, 0, options, stats, len);
         let mut out = Vec::new();
-        out.extend_from_slice(crate::format::MAGIC);
-        out.extend_from_slice(&V2_VERSION.to_le_bytes());
-        out.extend_from_slice(&count.to_le_bytes());
-        let head_crc = crc32c(&out);
-        out.extend_from_slice(&head_crc.to_le_bytes());
-        let mut chain = Crc32c::new();
-        for chunk in payload.chunks(FRAME_PAYLOAD) {
-            out.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
-            out.extend_from_slice(chunk);
-            let crc = crc32c(chunk);
-            out.extend_from_slice(&crc.to_le_bytes());
-            chain.update(&crc.to_le_bytes());
+        loop {
+            let avail = r.fill_to(step)?;
+            if avail == 0 {
+                return Ok(out);
+            }
+            let take = avail.min(step);
+            out.extend_from_slice(&r.buffered()[..take]);
+            r.consume(take);
         }
-        out.extend_from_slice(&FOOTER_SENTINEL.to_le_bytes());
-        out.extend_from_slice(&count.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&chain.finish().to_le_bytes());
-        out.extend_from_slice(FOOTER_MAGIC);
-        out
     }
 
-    fn stream(bytes: &[u8], verify: bool, stats: Option<ReadStats>) -> FrameStream {
-        let dir = TempDir::new("frame-stream");
+    /// Drains `bytes` at every block size in [`BLOCKS`] under every plan in
+    /// [`PLANS`], `step` bytes per fill; every configuration must serve the
+    /// same bytes or fail with the same error, which is returned.
+    fn drain_at(
+        bytes: &[u8],
+        verify: bool,
+        stats: Option<ReadStats>,
+        step: usize,
+    ) -> io::Result<Vec<u8>> {
+        let dir = TempDir::new("frame-decode");
         let path = dir.join("data.indv");
         std::fs::write(&path, bytes).unwrap();
-        let file = FaultFile::new(
-            std::sync::Arc::new(std::fs::File::open(&path).unwrap()),
-            &path,
-            0,
-            None,
-            stats.clone(),
-        );
-        FrameStream::new(file, verify, stats)
+        let mut first: Option<io::Result<Vec<u8>>> = None;
+        for block in BLOCKS {
+            for plan in PLANS {
+                let mut options = IoOptions::with_block_size(block).verify(verify);
+                if let Some(plan) = plan {
+                    options = options.with_fault(Arc::new(FaultPlan::parse(plan).unwrap()));
+                }
+                let got = drain_one(&path, &options, stats.clone(), step);
+                match (&first, &got) {
+                    (None, _) => {}
+                    (Some(Ok(a)), Ok(b)) => assert_eq!(a, b, "block {block}, plan {plan:?}"),
+                    (Some(Err(a)), Err(b)) => assert_eq!(
+                        (a.kind(), a.to_string()),
+                        (b.kind(), b.to_string()),
+                        "block {block}, plan {plan:?}"
+                    ),
+                    (Some(a), b) => panic!("block {block}, plan {plan:?}: {a:?} vs {b:?}"),
+                }
+                first.get_or_insert(got);
+            }
+        }
+        first.unwrap()
     }
 
-    fn drain(mut s: FrameStream) -> io::Result<Vec<u8>> {
-        let mut out = Vec::new();
-        s.read_to_end(&mut out)?;
-        Ok(out)
+    fn drain(bytes: &[u8], verify: bool, stats: Option<ReadStats>) -> io::Result<Vec<u8>> {
+        drain_at(bytes, verify, stats, usize::MAX / 2)
     }
+
+    /// Configurations [`drain`] runs each stream through.
+    const CONFIGS: u64 = (BLOCKS.len() * PLANS.len()) as u64;
 
     fn payload(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
@@ -366,7 +411,7 @@ mod tests {
         ] {
             let data = payload(n);
             let raw = v2_file(42, &data);
-            let logical = drain(stream(&raw, true, None)).unwrap();
+            let logical = drain(&raw, true, None).unwrap();
             assert_eq!(&logical[..V2_HEADER_LEN], &raw[..V2_HEADER_LEN]);
             assert_eq!(&logical[V2_HEADER_LEN..], &data[..], "payload of {n} bytes");
             assert_eq!(
@@ -378,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn non_v2_bytes_pass_through_untouched() {
+    fn a_non_v2_stream_serves_its_header_bytes_and_nothing_after() {
         for raw in [
             &b""[..],
             b"short",
@@ -388,8 +433,35 @@ mod tests {
                 b'I', b'N', b'D', b'V', 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9, 9, 1, 2,
             ][..],
         ] {
-            assert_eq!(drain(stream(raw, true, None)).unwrap(), raw);
+            let head = &raw[..raw.len().min(V2_HEADER_LEN)];
+            assert_eq!(drain(raw, true, None).unwrap(), head);
         }
+    }
+
+    #[test]
+    fn one_decode_step_over_a_whole_stream_leaves_the_logical_bytes_in_front() {
+        let data = payload(2 * FRAME_PAYLOAD + 5);
+        let mut raw = v2_file(4, &data);
+        let total = raw.len();
+        let mut decoder = FrameDecoder::new(true);
+        let (out, used) = decoder.decode(&mut raw, 0, 0, true).unwrap();
+        assert!(decoder.finished());
+        assert_eq!(used, total, "the footer is consumed");
+        assert_eq!(&raw[V2_HEADER_LEN..out], &data[..]);
+
+        // Fed one byte at a time, the step waits on every incomplete unit.
+        let raw = v2_file(4, &data);
+        let mut buf = Vec::new();
+        let mut decoder = FrameDecoder::new(true);
+        let (mut out, mut at) = (0, 0);
+        for (i, &b) in raw.iter().enumerate() {
+            assert!(decoder.min_read(&buf[at..]) >= 1);
+            buf.push(b);
+            (out, at) = decoder.decode(&mut buf, out, at, false).unwrap();
+            assert_eq!(decoder.finished(), i + 1 == raw.len());
+        }
+        assert_eq!(decoder.min_read(&buf[at..]), 0);
+        assert_eq!(&buf[V2_HEADER_LEN..out], &data[..]);
     }
 
     #[test]
@@ -400,7 +472,7 @@ mod tests {
         for byte in V2_HEADER_LEN..raw.len() {
             let mut bad = raw.clone();
             bad[byte] ^= 1 << (byte % 8);
-            let err = drain(stream(&bad, true, Some(stats.clone())))
+            let err = drain(&bad, true, Some(stats.clone()))
                 .expect_err(&format!("flip at byte {byte} must be detected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             let msg = err.to_string();
@@ -417,28 +489,28 @@ mod tests {
         let data = payload(2 * FRAME_PAYLOAD + 13);
         let raw = v2_file(3, &data);
         for cut in V2_HEADER_LEN..raw.len() {
-            let err = drain(stream(&raw[..cut], true, None))
+            let err = drain(&raw[..cut], true, None)
                 .expect_err(&format!("cut at byte {cut} must be detected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
-        drain(stream(&raw, true, None)).unwrap();
+        drain(&raw, true, None).unwrap();
     }
 
     #[test]
     fn verify_off_still_strips_and_still_catches_structural_damage() {
         let data = payload(5000);
         let raw = v2_file(11, &data);
-        let logical = drain(stream(&raw, false, None)).unwrap();
+        let logical = drain(&raw, false, None).unwrap();
         assert_eq!(&logical[V2_HEADER_LEN..], &data[..]);
 
         // A flipped payload bit sails through unverified...
         let mut flipped = raw.clone();
         flipped[V2_HEADER_LEN + FRAME_LEN_PREFIX + 10] ^= 0x40;
-        let dirty = drain(stream(&flipped, false, None)).unwrap();
+        let dirty = drain(&flipped, false, None).unwrap();
         assert_ne!(&dirty[V2_HEADER_LEN..], &data[..]);
 
         // ...but a mid-frame truncation is still structural corruption.
-        assert!(drain(stream(&raw[..raw.len() / 2], false, None)).is_err());
+        assert!(drain(&raw[..raw.len() / 2], false, None).is_err());
     }
 
     #[test]
@@ -449,24 +521,28 @@ mod tests {
 
         let mut bad_count = raw.clone();
         bad_count[footer_at] ^= 1;
-        let e = drain(stream(&bad_count, true, None)).unwrap_err();
+        let e = drain(&bad_count, true, None).unwrap_err();
         assert!(e.to_string().contains("record count"), "{e}");
 
         let mut bad_bytes = raw.clone();
         bad_bytes[footer_at + 8] ^= 1;
-        let e = drain(stream(&bad_bytes, true, None)).unwrap_err();
+        let e = drain(&bad_bytes, true, None).unwrap_err();
         assert!(e.to_string().contains("byte count"), "{e}");
 
         let stats = ReadStats::new();
         let mut bad_crc = raw.clone();
         bad_crc[footer_at + 16] ^= 1;
-        let e = drain(stream(&bad_crc, true, Some(stats.clone()))).unwrap_err();
+        let e = drain(&bad_crc, true, Some(stats.clone())).unwrap_err();
         assert!(e.to_string().contains("whole-file checksum"), "{e}");
-        assert_eq!(stats.checksum_failures(), 1);
+        assert_eq!(
+            stats.checksum_failures(),
+            CONFIGS,
+            "one per configuration drained"
+        );
 
         let mut bad_magic = raw.clone();
         bad_magic[footer_at + 20] = b'X';
-        let e = drain(stream(&bad_magic, true, None)).unwrap_err();
+        let e = drain(&bad_magic, true, None).unwrap_err();
         assert!(e.to_string().contains("footer magic"), "{e}");
     }
 
@@ -474,19 +550,13 @@ mod tests {
     fn logical_stream_is_identical_at_any_read_granularity() {
         let data = payload(FRAME_PAYLOAD + 777);
         let raw = v2_file(5, &data);
-        let whole = drain(stream(&raw, true, None)).unwrap();
+        let whole = drain(&raw, true, None).unwrap();
         for step in [1usize, 3, 19, 4096, 10_000] {
-            let mut s = stream(&raw, true, None);
-            let mut out = Vec::new();
-            let mut chunk = vec![0u8; step];
-            loop {
-                let n = s.read(&mut chunk).unwrap();
-                if n == 0 {
-                    break;
-                }
-                out.extend_from_slice(&chunk[..n]);
-            }
-            assert_eq!(out, whole, "read granularity {step}");
+            assert_eq!(
+                drain_at(&raw, true, None, step).unwrap(),
+                whole,
+                "read granularity {step}"
+            );
         }
     }
 }

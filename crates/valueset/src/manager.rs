@@ -732,11 +732,11 @@ impl ExportedDatabase {
         self.io = io;
     }
 
-    /// Total block fills issued by every cursor this export has opened
-    /// (including ones on worker threads). The disk-side analogue of the
-    /// bench harness's allocation counters. A fill is not one `read(2)`:
-    /// beneath it the frame layer reads a stream's header once and each
-    /// 4 KiB frame with two `pread`s (length prefix, then payload and CRC).
+    /// Total `pread`s made by every cursor this export has opened
+    /// (including ones on worker threads), counted where each reaches the
+    /// OS. The disk-side analogue of the bench harness's allocation
+    /// counters. A block fill is usually one `pread`: raw frames land in
+    /// the block and are decoded there.
     pub fn read_calls(&self) -> u64 {
         self.read_stats.read_calls()
     }
@@ -992,8 +992,8 @@ impl CompositeExport {
         &self.dir
     }
 
-    /// Total block fills issued by every cursor this export has opened
-    /// (see [`ExportedDatabase::read_calls`]: a fill is not one `read(2)`).
+    /// Total `pread`s made by every cursor this export has opened
+    /// (see [`ExportedDatabase::read_calls`]).
     pub fn read_calls(&self) -> u64 {
         self.read_stats.read_calls()
     }

@@ -1,5 +1,5 @@
-//! README's Performance paragraph and export table quote the committed
-//! `BENCH_spider.json`; this test renders the quoted fragments from the JSON
+//! README's Performance paragraph, its block-I/O paragraph and its export
+//! table quote the committed `BENCH_spider.json`; this test renders the quoted fragments from the JSON
 //! and fails when the README says anything else. Regenerating the baseline
 //! (`cargo run --release -p ind-bench --bin bench_spider`) therefore means
 //! updating the paragraph in the same change.
@@ -71,6 +71,17 @@ fn readme_performance_figures_match_the_committed_baseline() {
     let (pdb, biosql) = (dataset(&bench, "pdb"), dataset(&bench, "biosql"));
     let engine = |name: &str| named(pdb, "engines", "engine", name);
     let (legacy, spider) = (engine("legacy"), engine("spider"));
+    let pdb_disk = pdb.get("disk").expect("pdb disk section");
+    let biosql_disk = biosql.get("disk").expect("biosql disk section");
+    // "N → M": the BufReader shape's read calls, then the block reader's.
+    let reads = |disk: &Json| {
+        let calls = |name: &str| number(named(disk, "engines", "engine", name), "read_calls");
+        format!(
+            "{} → {}",
+            thousands(calls("spider_bufreader")),
+            thousands(calls("spider_block"))
+        )
+    };
     let quoted = [
         export_row(&bench, "pdb"),
         export_row(&bench, "biosql"),
@@ -85,6 +96,21 @@ fn readme_performance_figures_match_the_committed_baseline() {
         format!(
             "**{:.2}×** on biosql",
             number(biosql, "speedup_spider_vs_legacy")
+        ),
+        format!(
+            "**~{:.0}× fewer read calls** on PDB ({})",
+            number(pdb_disk, "read_call_reduction"),
+            reads(pdb_disk)
+        ),
+        format!(
+            "**~{:.0}× fewer** on biosql ({})",
+            number(biosql_disk, "read_call_reduction"),
+            reads(biosql_disk)
+        ),
+        format!(
+            "{:.2}× (PDB) and {:.2}× (biosql) of the old reader shape's speed",
+            number(pdb_disk, "speedup_block_vs_bufreader"),
+            number(biosql_disk, "speedup_block_vs_bufreader")
         ),
     ];
     // Paragraphs are hard-wrapped and table cells padded: compare with
