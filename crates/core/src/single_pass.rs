@@ -261,7 +261,7 @@ pub fn run_single_pass<P: ValueSetProvider>(
 ) -> Result<Vec<Candidate>> {
     // Assign dense dep/ref indices in first-appearance order. The compact
     // remap (shared with the SPIDER engines) turns the per-candidate role
-    // lookup into an O(log n) search plus a flat-vector read, instead of a
+    // lookup into a table lookup plus a flat-vector read, instead of a
     // linear scan over all previously seen attributes.
     let ids = CompactIds::from_candidates(candidates);
     let mut dep_slot: Vec<Option<usize>> = vec![None; ids.len()];

@@ -67,27 +67,32 @@
 //! * attribute ids are remapped to a dense `0..n` range
 //!   ([`crate::compact::CompactIds`]), so all per-attribute state lives in
 //!   flat vectors indexed by dense id;
-//! * the tree ([`ind_valueset::TournamentTree`], shared with the external
-//!   sorter's spill merge) keeps each cursor's normalized key beside it:
-//!   the first eight bytes of `cursor.current()` as a big-endian integer
-//!   ([`ind_valueset::key_prefix64`]) and the value's length, derived
-//!   **once per `advance`**. A match compares those integers; only two
-//!   values that share their first eight bytes and both run past them are
-//!   read through the cursors' byte slices, **in place** — cursors own
-//!   their buffers ([`ind_valueset::MemoryCursor`] borrows from the Arc'd
-//!   set, [`ind_valueset::ValueFileReader`] serves slices straight out of
-//!   its read block) — instead of a `BinaryHeap<Reverse<(Vec<u8>, u32)>>`
-//!   that clones every value on push. Only one small owned copy of the
-//!   current *group* value is kept (the member that defined it has moved on
-//!   when later members are tested against it);
+//! * every value read gets its normalized key where it is read — the
+//!   first advance, a tree member's advance, a parked read: the first
+//!   eight bytes as a big-endian integer ([`ind_valueset::key_prefix64`],
+//!   which takes no call for a value under eight bytes) and the full
+//!   length, kept per slot beside the cursor. The tree
+//!   ([`ind_valueset::TournamentTree`], shared with the external sorter's
+//!   spill merge) stores the same key in its nodes, and every group test —
+//!   the winner's membership, a reference in the tree, a parked probe's
+//!   order — compares a slot's key with the group's. Only two values that
+//!   share their first eight bytes and both run past them (for a
+//!   membership test: with one length) are read through the cursors' byte
+//!   slices, **in place** — cursors own their buffers
+//!   ([`ind_valueset::MemoryCursor`] borrows from the Arc'd set,
+//!   [`ind_valueset::ValueFileReader`] serves slices straight out of its
+//!   read block) — instead of a `BinaryHeap<Reverse<(Vec<u8>, u32)>>` that
+//!   clones every value on push. The current *group* value is its key plus,
+//!   past eight bytes, one small owned copy of its tail (the member that
+//!   defined it has moved on when later members are tested against it);
 //! * candidate bookkeeping is a dense bitmatrix: one `u64` bitset row of
 //!   surviving referenced attributes per dependent, so the per-group
 //!   intersection is word-wise `AND`s, refutations are `popcount`-style bit
 //!   scans, and reference usage counts are a flat `Vec<u32>`.
 //!
-//! All working buffers (tree nodes, group scratch, group bitmask, parked
-//! bitmask and probe ordinals, satisfied output) are allocated once before
-//! the merge starts. The
+//! All working buffers (tree nodes, slot keys, group scratch, group
+//! bitmask, parked bitmask and probe ordinals, satisfied output) are
+//! allocated once before the merge starts. The
 //! `crates/bench/src/bin/bench_spider.rs` harness demonstrates the property
 //! with a counting allocator: allocation count stays a small constant while
 //! `items_read` scales with the data.
@@ -188,8 +193,9 @@ fn spider_pass<P: ValueSetProvider>(
         let mut cursor = provider.open(ids.id(d))?;
         metrics.cursor_opens += 1;
         if cursor.advance()? {
+            slots.keys[d] = key(cursor.current());
             metrics.items_read += 1;
-            metrics.value_bytes_read += cursor.current().len() as u64;
+            metrics.value_bytes_read += u64::from(slots.keys[d].1);
             slots.open.push(Some(cursor));
         } else {
             // Empty attribute. As a dependent every candidate is trivially
@@ -212,7 +218,7 @@ fn spider_pass<P: ValueSetProvider>(
     let mut tree = TournamentTree::new(n);
     for (d, cursor) in slots.open.iter().enumerate() {
         let value = cursor.as_ref().map(|cursor| cursor.current());
-        tree.enter(d as u32, value, by_value(&slots.open));
+        tree.enter(d as u32, value, by_value(&slots));
     }
 
     // Progress bookkeeping for the live surface: refutations are counted
@@ -225,9 +231,11 @@ fn spider_pass<P: ValueSetProvider>(
     let mut group = Group::new(n, words);
 
     loop {
-        let winner = tree.winner();
+        let winner = tree.winner().map(|a| a as usize);
         let joins = match winner {
-            Some(a) if !group.members.is_empty() => group.value.holds(cursor_value(&slots.open, a)),
+            Some(a) if !group.members.is_empty() => {
+                group.value.holds(slots.keys[a], slots.cursor(a))
+            }
             _ => false,
         };
         if !group.members.is_empty() && !joins {
@@ -290,9 +298,8 @@ fn spider_pass<P: ValueSetProvider>(
             // Cooperative cancellation at merge-group granularity: one TLS
             // read and a relaxed load per group against a k-way merge step.
             ind_valueset::cancel::check_ambient("merge")?;
-            group.value.set(cursor_value(&slots.open, a));
+            group.value.set(slots.keys[a], slots.cursor(a));
         }
-        let a = a as usize;
         group.join(a);
 
         // A reference-only member leaves the tree standing on the group's
@@ -305,7 +312,7 @@ fn spider_pass<P: ValueSetProvider>(
             } else {
                 slots.close(a); // early close: nobody needs this stream
             }
-            tree.replay(None, by_value(&slots.open));
+            tree.replay(None, by_value(&slots));
             continue;
         }
 
@@ -317,18 +324,16 @@ fn spider_pass<P: ValueSetProvider>(
         let needed = usage[a] > 0 || meets_group(a, row, &mut slots, &mut group, metrics)?;
         if !needed {
             slots.close(a); // early close: nobody needs this stream
-            tree.replay(None, by_value(&slots.open));
+            tree.replay(None, by_value(&slots));
             continue;
         }
         // lint: allow(no_unwrap) — structural invariant: live/usage counters keep needed cursors open; a miss is an engine bug
         let cursor = slots.open[a].as_mut().expect("cursor open while needed");
         if cursor.advance()? {
+            slots.keys[a] = key(cursor.current());
             metrics.items_read += 1;
-            metrics.value_bytes_read += cursor.current().len() as u64;
-            tree.replay(
-                Some(cursor_value(&slots.open, a as u32)),
-                by_value(&slots.open),
-            );
+            metrics.value_bytes_read += u64::from(slots.keys[a].1);
+            tree.replay(Some(slots.cursor(a).current()), by_value(&slots));
             continue;
         }
         // Exhausted: its surviving candidates held for every value —
@@ -359,7 +364,7 @@ fn spider_pass<P: ValueSetProvider>(
         )?;
         live[a] = 0;
         slots.close(a);
-        tree.replay(None, by_value(&slots.open));
+        tree.replay(None, by_value(&slots));
     }
 
     metrics.key_compares += tree.key_compares() + group.value.key_compares;
@@ -375,12 +380,30 @@ fn spider_pass<P: ValueSetProvider>(
     Ok(satisfied)
 }
 
-/// The merge's cursors, one slot per attribute, `None` once closed. An
-/// open cursor is either in the tree or **parked**: out of the tree,
-/// standing on the last value it read, because its attribute has no live
-/// candidate of its own and is read only for the dependents that list it.
+/// A value's normalized key: `(key_prefix64, length)`. The full length
+/// keeps `"7"` apart from `"7\0"` and two long values of different lengths
+/// apart without their bytes; only two values longer than 8 bytes with one
+/// prefix and one length are compared past the prefix.
+type Key = (u64, u32);
+
+/// The normalized key of `v`.
+#[inline]
+fn key(v: &[u8]) -> Key {
+    (key_prefix64(v), v.len() as u32)
+}
+
+/// The merge's cursors, one slot per attribute, `None` once closed, and
+/// the key of the value each open cursor stands on. An open cursor is
+/// either in the tree or **parked**: out of the tree, standing on the last
+/// value it read, because its attribute has no live candidate of its own
+/// and is read only for the dependents that list it.
 struct Slots<C> {
     open: Vec<Option<C>>,
+    /// The key of each open cursor's current value, written wherever a
+    /// cursor reads one (first advance, tree member, parked read). Keys
+    /// are owned integers, so a fill that moves the cursor's bytes cannot
+    /// invalidate them.
+    keys: Vec<Key>,
     /// Bit `r` is set while slot `r` is parked.
     parked: Vec<u64>,
     /// The ordinal of the group whose probe last found parked slot `r`
@@ -392,6 +415,8 @@ impl<C: ValueCursor> Slots<C> {
     fn new(n: usize, words: usize) -> Self {
         Slots {
             open: Vec::with_capacity(n),
+            // lint: allow(hot_alloc) — setup phase, counted per-run allocation
+            keys: vec![(0, 0); n],
             // lint: allow(hot_alloc) — setup phase, counted per-run allocation
             parked: vec![0; words],
             // lint: allow(hot_alloc) — setup phase, counted per-run allocation
@@ -425,6 +450,15 @@ impl<C: ValueCursor> Slots<C> {
         }
     }
 
+    /// The cursor of open slot `r`.
+    #[inline]
+    fn cursor(&self, r: usize) -> &C {
+        self.open[r]
+            .as_ref()
+            // lint: allow(no_unwrap) — structural invariant: the merge asks for open slots only; a miss is an engine bug
+            .expect("merge slot without a cursor")
+    }
+
     /// The cursor of parked slot `r`.
     fn parked_cursor(&mut self, r: usize) -> &mut C {
         self.open[r]
@@ -435,41 +469,67 @@ impl<C: ValueCursor> Slots<C> {
 
     /// Reads parked slot `r`'s next value: a plain `advance`, no tree
     /// replay, counted in `parked_reads`. A slot that runs dry closes.
-    /// Returns whether a value was read.
-    fn read_parked(&mut self, r: usize, metrics: &mut RunMetrics) -> Result<bool> {
+    fn read_parked(&mut self, r: usize, metrics: &mut RunMetrics) -> Result<()> {
         let cursor = self.parked_cursor(r);
         if !cursor.advance()? {
             self.close(r);
-            return Ok(false);
+            return Ok(());
         }
+        let k = key(cursor.current());
         metrics.items_read += 1;
         metrics.parked_reads += 1;
-        metrics.value_bytes_read += cursor.current().len() as u64;
-        Ok(true)
+        metrics.value_bytes_read += u64::from(k.1);
+        self.keys[r] = k;
+        Ok(())
     }
 
     /// Reads parked slot `r` forward until it reaches the group's value or
     /// passes it, and returns whether it holds the value. `r` must be
-    /// parked and outside the group's mask. A hit joins the group.
+    /// parked and outside the group's mask. A hit joins the group; a slot
+    /// that runs dry closes.
+    ///
+    /// One scan: the cursor is borrowed once, each read is ordered against
+    /// the group by its key, and the counters are written once at the end.
     fn probe(&mut self, r: usize, group: &mut Group, metrics: &mut RunMetrics) -> Result<bool> {
         if self.missed[r] == group.ordinal {
             return Ok(false);
         }
-        loop {
-            match group.value.order(self.parked_cursor(r).current()) {
-                Ordering::Less => {
-                    if !self.read_parked(r, metrics)? {
-                        return Ok(false);
+        let mut k = self.keys[r];
+        let cursor = self.parked_cursor(r);
+        let (mut reads, mut bytes) = (0u64, 0u64);
+        // `Some(holds)` where the cursor reached or passed the value,
+        // `None` where it ran dry.
+        let outcome = loop {
+            match group.value.order(k, cursor) {
+                Ordering::Less => match cursor.advance() {
+                    Ok(true) => {
+                        k = key(cursor.current());
+                        reads += 1;
+                        bytes += u64::from(k.1);
                     }
-                }
-                Ordering::Equal => {
-                    group.join(r);
-                    return Ok(true);
-                }
-                Ordering::Greater => {
-                    self.missed[r] = group.ordinal;
-                    return Ok(false);
-                }
+                    Ok(false) => break Ok(None),
+                    Err(e) => break Err(e),
+                },
+                Ordering::Equal => break Ok(Some(true)),
+                Ordering::Greater => break Ok(Some(false)),
+            }
+        };
+        self.keys[r] = k;
+        metrics.items_read += reads;
+        metrics.parked_reads += reads;
+        metrics.value_bytes_read += bytes;
+        match outcome? {
+            Some(true) => {
+                group.join(r);
+                Ok(true)
+            }
+            Some(false) => {
+                self.missed[r] = group.ordinal;
+                Ok(false)
+            }
+            None => {
+                self.close(r);
+                Ok(false)
             }
         }
     }
@@ -492,7 +552,7 @@ impl<C: ValueCursor> Slots<C> {
         Ok(r > a
             && self.open[r]
                 .as_ref()
-                .is_some_and(|cursor| group.value.holds(cursor.current())))
+                .is_some_and(|cursor| group.value.holds(self.keys[r], cursor)))
     }
 }
 
@@ -532,49 +592,55 @@ impl Group {
     }
 }
 
-/// The value of the group being gathered: an owned copy (the member that
-/// defined it has moved on by the time later members are tested against
-/// it) and its normalized key, which settles most tests without the bytes.
-/// The tallies count those tests like the tree counts its matches.
+/// The value of the group being gathered, as the key of the member that
+/// defined it — which settles most tests — plus, for a value longer than
+/// 8 bytes, an owned copy of its bytes past the prefix: that member has
+/// moved on by the time later members are tested against it. A test
+/// takes a slot's key and cursor and reads the cursor's bytes only when
+/// the keys cannot decide. The tallies count those tests like the tree
+/// counts its matches.
 #[derive(Default)]
 struct GroupValue {
-    bytes: Vec<u8>,
-    prefix: u64,
+    key: Key,
+    tail: Vec<u8>,
     key_compares: u64,
     memcmp_compares: u64,
 }
 
 impl GroupValue {
-    fn set(&mut self, v: &[u8]) {
-        self.bytes.clear();
-        self.bytes.extend_from_slice(v);
-        self.prefix = key_prefix64(v);
+    /// Makes the value `cursor` stands on, whose key is `k`, the group's.
+    fn set(&mut self, k: Key, cursor: &impl ValueCursor) {
+        self.key = k;
+        self.tail.clear();
+        if k.1 > 8 {
+            self.tail.extend_from_slice(&cursor.current()[8..]);
+        }
     }
 
-    /// Whether `v` is the group's value.
+    /// Whether the value `cursor` stands on, whose key is `k`, is the
+    /// group's.
     #[inline]
-    fn holds(&mut self, v: &[u8]) -> bool {
-        let same_key = key_prefix64(v) == self.prefix && v.len() == self.bytes.len();
-        if !same_key || v.len() <= 8 {
+    fn holds(&mut self, k: Key, cursor: &impl ValueCursor) -> bool {
+        if k != self.key || k.1 <= 8 {
             self.key_compares += 1;
-            return same_key;
+            return k == self.key;
         }
         self.memcmp_compares += 1;
-        v[8..] == self.bytes[8..]
+        cursor.current()[8..] == self.tail[..]
     }
 
-    /// How `v` orders against the group's value.
+    /// How the value `cursor` stands on, whose key is `k`, orders against
+    /// the group's.
     #[inline]
-    fn order(&mut self, v: &[u8]) -> Ordering {
-        let key = |v: &[u8]| (key_prefix64(v), v.len().min(9) as u32);
-        match compare_keys(key(v), (self.prefix, self.bytes.len().min(9) as u32)) {
+    fn order(&mut self, k: Key, cursor: &impl ValueCursor) -> Ordering {
+        match compare_keys(k, self.key) {
             Some(order) => {
                 self.key_compares += 1;
                 order
             }
             None => {
                 self.memcmp_compares += 1;
-                v[8..].cmp(&self.bytes[8..])
+                cursor.current()[8..].cmp(&self.tail[..])
             }
         }
     }
@@ -606,15 +672,6 @@ fn meets_group<C: ValueCursor>(
         }
     }
     Ok(false)
-}
-
-/// The current value of the cursor in `slot`; only called for live slots.
-fn cursor_value<C: ValueCursor>(cursors: &[Option<C>], slot: u32) -> &[u8] {
-    cursors[slot as usize]
-        .as_ref()
-        // lint: allow(no_unwrap) — structural invariant: the tree asks for the values of live slots only
-        .expect("merge slot without a cursor")
-        .current()
 }
 
 /// Marks every surviving candidate of dependent `d` satisfied: scans its
@@ -654,8 +711,11 @@ fn satisfy_survivors<C: ValueCursor>(
 /// compared in full. [`TournamentTree`] consults it only when the two
 /// normalized keys it stores cannot tell the values apart, and breaks a
 /// remaining tie by slot itself.
-fn by_value<C: ValueCursor>(cursors: &[Option<C>]) -> impl Fn(u32, u32) -> std::cmp::Ordering + '_ {
-    move |a, b| cursor_value(cursors, a).cmp(cursor_value(cursors, b))
+fn by_value<C: ValueCursor>(slots: &Slots<C>) -> impl Fn(u32, u32) -> Ordering + '_ {
+    move |a, b| {
+        let value = |slot: u32| slots.cursor(slot as usize).current();
+        value(a).cmp(value(b))
+    }
 }
 
 #[cfg(test)]
@@ -854,20 +914,19 @@ mod tests {
         );
     }
 
-    /// Fixture for the pinned comparison counts: short values their keys
+    /// Value sets of the pinned comparison counts: short values their keys
     /// settle, `accession-NNNN` values that share the whole key window, a
     /// zero-padding tie (`"7"` vs `"7\0"`), a duplicate set and an empty one.
-    fn pinned_fixture() -> MemoryProvider {
-        let ids = |r: std::ops::Range<u32>, step: usize| -> MemoryValueSet {
-            MemoryValueSet::from_unsorted(r.step_by(step).map(|i| format!("{i:03}").into_bytes()))
+    fn pinned_sets() -> Vec<Vec<String>> {
+        let ids = |r: std::ops::Range<u32>, step: usize| -> Vec<String> {
+            r.step_by(step).map(|i| format!("{i:03}")).collect()
         };
-        let accessions = |r: std::ops::Range<u32>, step: usize| -> MemoryValueSet {
-            MemoryValueSet::from_unsorted(
-                r.step_by(step)
-                    .map(|i| format!("accession-{i:04}").into_bytes()),
-            )
+        let accessions = |r: std::ops::Range<u32>, step: usize| -> Vec<String> {
+            r.step_by(step)
+                .map(|i| format!("accession-{i:04}"))
+                .collect()
         };
-        MemoryProvider::new(vec![
+        vec![
             ids(0..120, 1),
             ids(0..120, 3),
             ids(30..90, 6),
@@ -875,9 +934,44 @@ mod tests {
             accessions(0..200, 4),
             accessions(40..160, 8),
             accessions(0..200, 1),
-            MemoryValueSet::from_unsorted([b"7".to_vec(), b"7\0".to_vec(), b"accession-".to_vec()]),
-            set(&[]),
-        ])
+            vec!["7".into(), "7\0".into(), "accession-".into()],
+            vec![],
+        ]
+    }
+
+    fn pinned_fixture() -> MemoryProvider {
+        MemoryProvider::new(
+            pinned_sets()
+                .into_iter()
+                .map(|values| {
+                    MemoryValueSet::from_unsorted(values.into_iter().map(String::into_bytes))
+                })
+                .collect(),
+        )
+    }
+
+    /// [`pinned_sets`] as a database: one nullable text column per set, in
+    /// its own table, so attribute `i` holds set `i` (the empty one as a
+    /// NULL).
+    fn pinned_database() -> ind_storage::Database {
+        use ind_storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
+        let mut db = Database::new("pinned");
+        for (i, values) in pinned_sets().into_iter().enumerate() {
+            let schema = TableSchema::new(
+                format!("t{i}"),
+                vec![ColumnSchema::new("v", DataType::Text)],
+            )
+            .unwrap();
+            let mut table = Table::new(schema);
+            if values.is_empty() {
+                table.insert(vec![Value::Null]).unwrap();
+            }
+            for v in values {
+                table.insert(vec![v.into()]).unwrap();
+            }
+            db.add_table(table).unwrap();
+        }
+        db
     }
 
     #[test]
@@ -904,6 +998,37 @@ mod tests {
         // bytes. Reference-only cursors leave the tree once they win, and
         // their probes are counted like group tests.
         assert_eq!((m.key_compares, m.memcmp_compares), (432, 1350));
+    }
+
+    #[test]
+    fn comparison_work_is_pinned_on_disk_too() {
+        // The pinned fixture exported to value files and merged through the
+        // block reader. A fill moves the bytes under every `current()` slice
+        // (at 32 B nearly every read fills), so the same answer and the same
+        // counts show that no key outlives the bytes it was taken from.
+        use ind_valueset::{ExportOptions, ExportedDatabase};
+        let db = pinned_database();
+        let mut m_mem = RunMetrics::new();
+        let expected = run_spider(&pinned_fixture(), &all_pairs(9), &mut m_mem).unwrap();
+        for block_size in [32, 8 << 10] {
+            let dir = ind_testkit::TempDir::new("spider-pinned-disk");
+            let mut options = ExportOptions::with_block_size(block_size);
+            options.threads = 1;
+            let export = ExportedDatabase::export(&db, dir.path(), &options).unwrap();
+            let mut m = RunMetrics::new();
+            let found = run_spider(&export, &all_pairs(9), &mut m).unwrap();
+            assert_eq!(found, expected, "block {block_size}");
+            assert_eq!(
+                (m.items_read, m.value_bytes_read, m.comparisons),
+                (638, 7033, 662),
+                "block {block_size}"
+            );
+            assert_eq!(
+                (m.key_compares, m.memcmp_compares),
+                (432, 1350),
+                "block {block_size}"
+            );
+        }
     }
 
     #[test]

@@ -41,14 +41,34 @@ const KEY_WINDOW: u32 = 8;
 /// inside the window, and zero-padding a short slice compares like the
 /// proper prefix it is. A tie leaves the order to the lengths and the
 /// tails — see [`compare_keys`].
+///
+/// A value shorter than the window takes no call: it is read as two
+/// overlapping fixed-width loads — the first and the last four bytes for
+/// lengths 4–7, two for 2–3 — each shifted to its place and OR-ed, so the
+/// bytes they share land on themselves and the rest of the key stays zero.
+/// A variable-length copy into a zeroed buffer is a `memcpy` call, and the
+/// merge derives a key for every value it reads.
 #[inline]
 pub fn key_prefix64(v: &[u8]) -> u64 {
     if let Some(head) = v.first_chunk::<8>() {
         return u64::from_be_bytes(*head);
     }
-    let mut buf = [0u8; 8];
-    buf[..v.len()].copy_from_slice(v);
-    u64::from_be_bytes(buf)
+    // Shifts the big-endian integer ending at byte `len - 1` of the value
+    // so that byte lands at byte `len - 1` of the key.
+    let tail_shift = 8 * (8 - v.len() as u32);
+    match (v.first_chunk::<4>(), v.last_chunk::<4>()) {
+        (Some(head), Some(tail)) => {
+            let head = u64::from(u32::from_be_bytes(*head)) << 32;
+            head | (u64::from(u32::from_be_bytes(*tail)) << tail_shift)
+        }
+        _ => match (v.first_chunk::<2>(), v.last_chunk::<2>()) {
+            (Some(head), Some(tail)) => {
+                let head = u64::from(u16::from_be_bytes(*head)) << 48;
+                head | (u64::from(u16::from_be_bytes(*tail)) << tail_shift)
+            }
+            _ => v.first().map_or(0, |&b| u64::from(b) << 56),
+        },
+    }
 }
 
 /// Orders two values by their normalized keys alone — `(key_prefix64,
@@ -391,5 +411,70 @@ mod tests {
         assert_eq!(key_prefix64(b"a"), key_prefix64(b"a\0"));
         assert_eq!(key_prefix64(b"abcdefgh"), key_prefix64(b"abcdefghi"));
         assert_eq!(key_prefix64(b"\x01\x02"), 0x0102_0000_0000_0000);
+    }
+
+    /// A xorshift64 stream of bytes: deterministic test input without a
+    /// dependency.
+    fn random_bytes(state: &mut u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                (*state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn short_keys_equal_the_zero_padded_copy() {
+        // The reference: the first eight bytes copied into a zeroed buffer.
+        let padded = |v: &[u8]| {
+            let mut buf = [0u8; 8];
+            let n = v.len().min(8);
+            buf[..n].copy_from_slice(&v[..n]);
+            u64::from_be_bytes(buf)
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for len in 0..=16 {
+            let mut values = vec![vec![0x00; len], vec![0xff; len]];
+            values.extend((0..64).map(|_| random_bytes(&mut state, len)));
+            for v in &values {
+                assert_eq!(key_prefix64(v), padded(v), "{v:02x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn compare_keys_agrees_with_the_byte_order() {
+        // Bases of every length around the window, each extended by NUL
+        // runs (ties the zero padding cannot tell apart) and by random
+        // tails, so equal prefixes are common.
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        let mut bases: Vec<Vec<u8>> = vec![b"7".to_vec(), b"accession-".to_vec()];
+        bases.extend((0..=10).map(|len| random_bytes(&mut state, len)));
+        bases.extend((0..=10).map(|len| vec![0xff; len]));
+        let mut values = Vec::new();
+        for base in &bases {
+            for nuls in 0..=9 {
+                let mut v = base.clone();
+                v.resize(base.len() + nuls, 0);
+                values.push(v);
+            }
+            for tail in 1..=3 {
+                let mut v = base.clone();
+                v.extend(random_bytes(&mut state, tail));
+                values.push(v);
+            }
+        }
+        let key = |v: &[u8]| (key_prefix64(v), v.len() as u32);
+        for a in &values {
+            for b in &values {
+                match compare_keys(key(a), key(b)) {
+                    Some(order) => assert_eq!(order, a.cmp(b), "{a:02x?} vs {b:02x?}"),
+                    None => assert!(a.len() > 8 && b.len() > 8 && a[..8] == b[..8]),
+                }
+            }
+        }
     }
 }
