@@ -20,7 +20,7 @@ use ind_discovery::{
 use ind_sql::SqlApproach;
 use ind_storage::Database;
 use ind_testkit::TempDir;
-use ind_valueset::{ExportOptions, ExportedDatabase, FileBudget};
+use ind_valueset::{ExportOptions, ExportedDatabase};
 use std::time::{Duration, Instant};
 
 /// Deadline applied to SQL runs on the PDB fraction (the paper's "> 7
@@ -488,20 +488,24 @@ pub fn discovery() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Section 4.2 — open-file limit and the block-wise fix
+// Section 4.2 — the open-file limit, measured, and the block-wise cap
 // ---------------------------------------------------------------------------
 
-/// Reproduces the Sec. 4.2 failure mode and its block-wise resolution: the
-/// plain single-pass over a wide schema exceeds the open-file budget
-/// (paper: "we had to open 2560 files, which is not feasible for our
-/// system"); the block-wise variant completes under the same budget and
-/// brute force is unaffected.
+/// Sec. 4.2 as measured history: the paper's single-pass "had to open 2560
+/// files, which is not feasible for our system", one descriptor per
+/// cursor. Here the plain single-pass still holds one cursor per dependent
+/// and per referenced role at once, but they share one descriptor per
+/// segment; the report prints both numbers. Block-wise runs under a cursor
+/// cap of half that need — a bound on reader buffers, not descriptors —
+/// and must agree with brute force.
 pub fn scalability(use_large_fraction: bool) -> String {
     let mut out = String::from(
         "Section 4.2 — scalability at system level\n\
          (paper: single-pass could not run on the 2,560-attribute PDB fraction\n\
          because all value files are opened at once; brute force scales; the\n\
-         block-wise approach is proposed as the fix)\n\n",
+         block-wise approach is proposed as the fix. Here cursors share one\n\
+         descriptor per segment, so the cap block-wise honours bounds reader\n\
+         buffers, not open files)\n\n",
     );
     let db = if use_large_fraction {
         datasets::pdb_large()
@@ -516,13 +520,13 @@ pub fn scalability(use_large_fraction: bool) -> String {
     ));
 
     let dir = TempDir::new("scalability");
-    let mut export =
+    let export =
         ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).expect("export");
     let profiles = profiles_from_export(&export);
     let mut gen = RunMetrics::new();
     let candidates = generate_candidates(&profiles, &PretestConfig::default(), &mut gen);
 
-    // Distinct attributes per role = files the single-pass must hold open.
+    // Distinct attributes per role = cursors the single-pass holds at once.
     let mut deps: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut refs: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     for c in &candidates {
@@ -530,25 +534,27 @@ pub fn scalability(use_large_fraction: bool) -> String {
         refs.insert(c.refd);
     }
     let needed = deps.len() + refs.len();
-    let budget_size = needed / 2; // a budget the plain single-pass must blow
+    let cap = (needed / 2).max(2);
     out.push_str(&format!(
-        "candidates: {}; files needed by single-pass: {} (budget: {})\n",
+        "candidates: {}; cursors single-pass holds at once: {}\n",
         format_count(candidates.len() as u64),
-        needed,
-        budget_size
+        needed
     ));
 
-    export.set_file_budget(FileBudget::new(budget_size));
     let mut m = RunMetrics::new();
-    match run_single_pass(&export, &candidates, &mut m) {
-        Err(e) => out.push_str(&format!("single-pass:   FAILS as in the paper ({e})\n")),
-        Ok(_) => out.push_str("single-pass:   unexpectedly fit the budget\n"),
-    }
+    let (sp, t_sp) = timed(|| run_single_pass(&export, &candidates, &mut m).expect("single-pass"));
+    out.push_str(&format!(
+        "single-pass:   {} INDs in {}; {} cursors over {} open files (one per segment)\n",
+        format_count(sp.len() as u64),
+        format_duration(t_sp),
+        m.cursor_opens,
+        export.file_opens()
+    ));
 
     let mut m = RunMetrics::new();
     let (bf, t_bf) = timed(|| run_brute_force(&export, &candidates, &mut m).expect("bf"));
     out.push_str(&format!(
-        "brute force:   {} INDs in {} (2 open files at a time)\n",
+        "brute force:   {} INDs in {} (2 cursors at a time)\n",
         format_count(bf.len() as u64),
         format_duration(t_bf)
     ));
@@ -559,20 +565,21 @@ pub fn scalability(use_large_fraction: bool) -> String {
             &export,
             &candidates,
             &BlockwiseConfig {
-                max_open_files: budget_size,
+                max_open_files: cap,
             },
             &mut m,
         )
         .expect("blockwise")
     });
     out.push_str(&format!(
-        "block-wise:    {} INDs in {} under the same budget (the paper's proposed fix)\n",
+        "block-wise:    {} INDs in {} under a cap of {cap} cursors (the paper's proposed fix)\n",
         format_count(bw.len() as u64),
         format_duration(t_bw)
     ));
     let mut bf_sorted = bf;
     bf_sorted.sort();
     assert_eq!(bf_sorted, bw, "block-wise must agree with brute force");
+    assert_eq!(sp, bw, "single-pass must agree with block-wise");
     out
 }
 

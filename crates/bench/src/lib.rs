@@ -13,7 +13,8 @@
 //! * `fig5` — Figure 5, I/O comparison;
 //! * `pruning` — Sec. 4.1 max-value pretest;
 //! * `discovery` — Sec. 5 schema-discovery analysis;
-//! * `scalability` — Sec. 4.2 open-file limit and the block-wise fix;
+//! * `scalability` — Sec. 4.2: the cursors single-pass holds against the
+//!   descriptors it opens, and block-wise under a cursor cap;
 //! * `run_all` — everything above in sequence;
 //! * `bench_spider` — the perf-trajectory harness: current zero-allocation
 //!   SPIDER vs the frozen [`legacy_spider`] engine shape (counting

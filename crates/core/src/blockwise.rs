@@ -1,33 +1,37 @@
-//! Block-wise single-pass under an open-file budget (Sec. 4.2).
+//! Block-wise single-pass under a cap on cursors held at once (Sec. 4.2).
 //!
 //! "To scale the single-pass algorithm to such numbers of dependent and
 //! referenced attributes we must implement a block-wise approach — comparing
 //! blocks of dependent attributes against (all or blocks of) referenced
-//! attributes." The paper leaves this as future work; here it is: dependent
-//! and referenced attributes are partitioned into blocks whose combined
-//! size respects the budget, and the plain single-pass runs once per block
-//! pair on the candidates that fall inside it. Every candidate lands in
-//! exactly one block pair, so the union of the sub-results is the full
-//! result.
+//! attributes." The paper needed it because single-pass "had to open 2560
+//! files", one descriptor per cursor. Here an export's cursors share one
+//! descriptor per segment, so descriptors grow with segments, not cursors;
+//! what a cursor still costs is its reader buffer, up to
+//! `min(block size, stream size)` bytes. The cap bounds that sum: dependent and referenced attributes are
+//! partitioned into blocks whose combined size respects it, and the plain
+//! single-pass runs once per block pair on the candidates that fall inside
+//! it. Every candidate lands in exactly one block pair, so the union of the
+//! sub-results is the full result.
 
 use crate::candidates::Candidate;
 use crate::metrics::RunMetrics;
 use crate::single_pass::run_single_pass;
-use ind_valueset::{Result, ValueSetError, ValueSetProvider};
+use ind_valueset::{Result, ValueSetProvider};
 use std::collections::HashSet;
 
 /// Configuration for the block-wise runner.
 #[derive(Debug, Clone)]
 pub struct BlockwiseConfig {
-    /// Maximum number of value files (cursors) open at once; must be ≥ 2.
-    /// Each sub-run opens one cursor per dependent plus one per referenced
-    /// attribute in its block pair.
+    /// Maximum number of cursors held at once — a bound on reader buffers
+    /// (`Σ min(block_size, stream size)`), not on descriptors. Each sub-run
+    /// opens one cursor per dependent plus one per referenced attribute in
+    /// its block pair; a cap below 2 is raised to 2, the one-dependent,
+    /// one-referenced floor.
     pub max_open_files: usize,
 }
 
 impl Default for BlockwiseConfig {
     fn default() -> Self {
-        // A conservative default well under typical ulimits.
         BlockwiseConfig {
             max_open_files: 512,
         }
@@ -42,11 +46,7 @@ pub fn run_blockwise<P: ValueSetProvider>(
     config: &BlockwiseConfig,
     metrics: &mut RunMetrics,
 ) -> Result<Vec<Candidate>> {
-    if config.max_open_files < 2 {
-        return Err(ValueSetError::FileBudgetExceeded {
-            budget: config.max_open_files,
-        });
-    }
+    let cap = config.max_open_files.max(2);
     // Distinct attributes per role, in first-appearance order.
     let mut deps: Vec<u32> = Vec::new();
     let mut refs: Vec<u32> = Vec::new();
@@ -61,8 +61,8 @@ pub fn run_blockwise<P: ValueSetProvider>(
         }
     }
 
-    let dep_block = (config.max_open_files / 2).max(1);
-    let ref_block = (config.max_open_files - dep_block).max(1);
+    let dep_block = cap / 2;
+    let ref_block = cap - dep_block;
 
     let mut satisfied = Vec::new();
     let mut sub = Vec::new();
@@ -96,7 +96,9 @@ pub fn run_blockwise<P: ValueSetProvider>(
 mod tests {
     use super::*;
     use crate::brute_force::run_brute_force;
-    use ind_valueset::{FileBudget, MemoryProvider, MemoryValueSet};
+    use ind_valueset::{MemoryProvider, MemoryValueSet, ValueCursor};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn provider(n: u32) -> MemoryProvider {
         MemoryProvider::new(
@@ -146,74 +148,89 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rejects_budget_below_two() {
-        let p = provider(2);
-        let mut m = RunMetrics::new();
-        assert!(matches!(
-            run_blockwise(
-                &p,
-                &all_pairs(2),
-                &BlockwiseConfig { max_open_files: 1 },
-                &mut m
-            ),
-            Err(ValueSetError::FileBudgetExceeded { budget: 1 })
-        ));
+    /// A provider that records the peak number of its cursors alive at
+    /// once.
+    struct PeakCursors<P> {
+        inner: P,
+        live: Rc<Cell<usize>>,
+        peak: Cell<usize>,
+    }
+
+    struct Counted<C> {
+        inner: C,
+        live: Rc<Cell<usize>>,
+    }
+
+    impl<C> Drop for Counted<C> {
+        fn drop(&mut self) {
+            self.live.set(self.live.get() - 1);
+        }
+    }
+
+    impl<C: ValueCursor> ValueCursor for Counted<C> {
+        fn advance(&mut self) -> Result<bool> {
+            self.inner.advance()
+        }
+        fn current(&self) -> &[u8] {
+            self.inner.current()
+        }
+        fn remaining(&self) -> u64 {
+            self.inner.remaining()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    impl<P: ValueSetProvider> ValueSetProvider for PeakCursors<P> {
+        type Cursor = Counted<P::Cursor>;
+        fn open(&self, id: u32) -> Result<Self::Cursor> {
+            let inner = self.inner.open(id)?;
+            self.live.set(self.live.get() + 1);
+            self.peak.set(self.peak.get().max(self.live.get()));
+            Ok(Counted {
+                inner,
+                live: Rc::clone(&self.live),
+            })
+        }
+        fn attribute_count(&self) -> usize {
+            self.inner.attribute_count()
+        }
     }
 
     #[test]
-    fn respects_a_real_file_budget() {
-        // The integration point the paper needed: an exported database with
-        // a hard open-file limit. Plain single-pass would blow it;
-        // block-wise succeeds.
-        use ind_testkit::TempDir;
-        use ind_valueset::{ExportOptions, ExportedDatabase};
-        let mut db = ind_storage::Database::new("budgeted");
-        let mut t = ind_storage::Table::new(
-            ind_storage::TableSchema::new(
-                "t",
-                (0..8)
-                    .map(|i| {
-                        ind_storage::ColumnSchema::new(
-                            format!("c{i}"),
-                            ind_storage::DataType::Integer,
-                        )
-                    })
-                    .collect(),
-            )
-            .unwrap(),
-        );
-        for row in 0..30i64 {
-            t.insert((0..8).map(|c| ((row * (c + 1)) % 40).into()).collect())
-                .unwrap();
-        }
-        db.add_table(t).unwrap();
-
-        let dir = TempDir::new("blockwise-budget");
-        let mut exp = ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
-        exp.set_file_budget(FileBudget::new(4));
-
+    fn never_holds_more_cursors_than_its_cap() {
         let candidates = all_pairs(8);
-        // Plain single-pass needs 16 cursors; the budget of 4 kills it.
-        let mut m1 = RunMetrics::new();
-        assert!(matches!(
-            run_single_pass(&exp, &candidates, &mut m1),
-            Err(ValueSetError::FileBudgetExceeded { .. })
-        ));
-        // Block-wise fits and matches brute force run without a budget.
-        let mut m2 = RunMetrics::new();
-        let got = run_blockwise(
-            &exp,
-            &candidates,
-            &BlockwiseConfig { max_open_files: 4 },
-            &mut m2,
-        )
-        .unwrap();
-
-        let (_, mem) = crate::attr::memory_export(&db);
-        let mut m3 = RunMetrics::new();
-        let mut expected = run_brute_force(&mem, &candidates, &mut m3).unwrap();
+        let mut m = RunMetrics::new();
+        let mut expected = run_brute_force(&provider(8), &candidates, &mut m).unwrap();
         expected.sort();
+        for cap in [2, 3, 5, 8] {
+            let p = PeakCursors {
+                inner: provider(8),
+                live: Rc::default(),
+                peak: Cell::default(),
+            };
+            let mut m = RunMetrics::new();
+            let config = BlockwiseConfig {
+                max_open_files: cap,
+            };
+            let got = run_blockwise(&p, &candidates, &config, &mut m).unwrap();
+            assert_eq!(got, expected, "cap={cap}");
+            assert!(p.peak.get() <= cap, "cap={cap}: peak {}", p.peak.get());
+            assert_eq!(p.live.get(), 0, "every cursor is dropped");
+        }
+    }
+
+    #[test]
+    fn a_cap_below_two_runs_as_two() {
+        let p = provider(4);
+        let candidates = all_pairs(4);
+        let mut m = RunMetrics::new();
+        let mut expected = run_brute_force(&p, &candidates, &mut m).unwrap();
+        expected.sort();
+        let mut m = RunMetrics::new();
+        let config = BlockwiseConfig { max_open_files: 1 };
+        let got = run_blockwise(&p, &candidates, &config, &mut m).unwrap();
         assert_eq!(got, expected);
     }
 

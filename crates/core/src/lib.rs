@@ -12,8 +12,8 @@
 //!
 //! * [`spider`] — the "future work" improvement of the single-pass idea: a
 //!   tournament-tree k-way merge over all attribute cursors (Sec. 7);
-//! * [`blockwise`] — the Sec. 4.2 block-wise single-pass that respects an
-//!   open-file budget;
+//! * [`blockwise`] — the Sec. 4.2 block-wise single-pass, which holds at
+//!   most a given number of cursors (reader buffers) at once;
 //! * [`pruning`] — the sampling pretest (Sec. 4.1); the
 //!   cardinality/max-value pretests live in candidate generation;
 //! * [`closure`] — transitive-closure utilities over IND sets;

@@ -32,9 +32,11 @@ pub enum Algorithm {
     SinglePass,
     /// SPIDER-style tournament-tree merge (Sec. 7 future work).
     Spider,
-    /// Block-wise single-pass under an open-file budget (Sec. 4.2).
+    /// Block-wise single-pass under a cap on cursors held at once
+    /// (Sec. 4.2).
     Blockwise {
-        /// Maximum simultaneously open value files (≥ 2).
+        /// Maximum cursors held at once ([`BlockwiseConfig::max_open_files`];
+        /// below 2 runs as 2).
         max_open_files: usize,
     },
 }

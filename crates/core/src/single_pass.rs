@@ -250,8 +250,10 @@ impl<C: ValueCursor> Engine<'_, C> {
 
 /// Runs the single-pass algorithm over `candidates` (which must be
 /// distinct pairs). Opens one cursor per dependent role and one per
-/// referenced role up front — all simultaneously, which is exactly the
-/// behaviour that hits open-file limits on wide schemas (Sec. 4.2).
+/// referenced role up front — all simultaneously, which is the behaviour
+/// that hit the open-file limit on wide schemas in Sec. 4.2. Over an
+/// export the cursors share one descriptor per segment; what they still
+/// cost together is their reader buffers, which [`crate::blockwise`] caps.
 ///
 /// Returns the satisfied candidates sorted by `(dep, ref)`.
 pub fn run_single_pass<P: ValueSetProvider>(

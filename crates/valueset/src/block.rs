@@ -92,10 +92,9 @@ pub struct IoOptions {
     /// configuration touches (see [`crate::fault`]). `None` (the default)
     /// costs nothing on the I/O path.
     pub fault: Option<Arc<crate::fault::FaultPlan>>,
-    /// Fallback shared counters for call sites that do not thread an
-    /// explicit [`ReadStats`] (the spill merge opens its run readers
-    /// through options alone). An explicit `stats` argument at an open
-    /// site always wins over this field.
+    /// Shared counters: every reader, writer and open made with these
+    /// options counts into them, and it is the only way counters reach a
+    /// reader. `None` (the default) leaves each reader's own count only.
     pub stats: Option<ReadStats>,
     /// A cooperative cancellation token polled at block granularity by
     /// every reader fill and writer flush this configuration touches (see
@@ -146,7 +145,7 @@ impl IoOptions {
         self
     }
 
-    /// Attaches fallback shared counters ([`IoOptions::stats`]).
+    /// Attaches shared counters ([`IoOptions::stats`]).
     pub fn with_stats(mut self, stats: ReadStats) -> Self {
         self.stats = Some(stats);
         self
@@ -289,12 +288,12 @@ pub struct BlockReader {
 impl BlockReader {
     /// Wraps `file` with a block buffer of `options.block_size` (clamped to
     /// [`MIN_BLOCK_SIZE`], capped at the file's length via one `fstat`).
-    /// Reads are counted locally and, when given, into `stats`.
-    pub fn new(file: File, options: &IoOptions, stats: Option<ReadStats>) -> Self {
+    /// Reads are counted locally and into [`IoOptions::stats`].
+    pub fn new(file: File, options: &IoOptions) -> Self {
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(u64::MAX);
         // Anonymous descriptors carry no path: fault rules only reach them
         // via a `*` matcher, and error annotation degrades gracefully.
-        Self::over(Arc::new(file), Path::new(""), 0, options, stats, file_len)
+        Self::over(Arc::new(file), Path::new(""), 0, options, file_len)
     }
 
     /// The one constructor body: reads the stream labelled `label` that
@@ -307,11 +306,10 @@ impl BlockReader {
         label: &Path,
         offset: u64,
         options: &IoOptions,
-        stats: Option<ReadStats>,
         len: u64,
     ) -> Self {
-        // lint: allow(hot_alloc) — once per open: attached stats fall back to the options' handle
-        let stats = stats.or_else(|| options.stats.clone());
+        // lint: allow(hot_alloc) — once per open: the wrapper shares the counters' handle
+        let stats = options.stats.clone();
         let block_size = usize::try_from(len)
             .unwrap_or(usize::MAX)
             .clamp(MIN_BLOCK_SIZE, options.effective_block_size());
@@ -470,17 +468,13 @@ mod tests {
 
     /// A reader over a v2 stream holding `payload`, with its header already
     /// consumed: `buffered()` serves payload.
-    fn reader(payload: &[u8], block_size: usize, stats: Option<ReadStats>) -> BlockReader {
+    fn reader(payload: &[u8], options: &IoOptions) -> BlockReader {
         let dir = TempDir::new("blockreader");
         let path = dir.join("data.bin");
         std::fs::write(&path, v2_file(0, payload)).unwrap();
         // The TempDir is removed when it drops, but the opened File handle
         // stays valid on Unix.
-        let mut r = BlockReader::new(
-            std::fs::File::open(&path).unwrap(),
-            &IoOptions::with_block_size(block_size),
-            stats,
-        );
+        let mut r = BlockReader::new(std::fs::File::open(&path).unwrap(), options);
         assert!(r.fill_to(V2_HEADER_LEN).unwrap() >= V2_HEADER_LEN);
         r.consume(V2_HEADER_LEN);
         r
@@ -508,7 +502,7 @@ mod tests {
 
     #[test]
     fn fill_consume_round_trip() {
-        let mut r = reader(b"abcdefghij", 64, None);
+        let mut r = reader(b"abcdefghij", &IoOptions::with_block_size(64));
         assert_eq!(r.fill_to(4).unwrap(), 10, "the open's read brought it all");
         assert_eq!(&r.buffered()[..4], b"abcd");
         r.consume(4);
@@ -526,7 +520,7 @@ mod tests {
     #[test]
     fn fill_compacts_and_refills_across_blocks() {
         let data: Vec<u8> = (0..64u8).collect();
-        let mut r = reader(&data, 16, None);
+        let mut r = reader(&data, &IoOptions::with_block_size(16));
         let mut seen = Vec::new();
         loop {
             let avail = r.fill_to(3).unwrap();
@@ -546,7 +540,7 @@ mod tests {
         let data: Vec<u8> = (0..16 * 4096).map(|i| (i % 253) as u8).collect();
         let mut calls = Vec::new();
         for block in [16, 1024, 8192, 65536, 256 * 1024] {
-            let mut r = reader(&data, block, None);
+            let mut r = reader(&data, &IoOptions::with_block_size(block));
             assert_eq!(drain(&mut r), data);
             calls.push(r.read_calls());
         }
@@ -571,7 +565,7 @@ mod tests {
             reads += 1;
         }
         assert_eq!(reads, 5);
-        let mut r = reader(&data, DEFAULT_BLOCK_SIZE, None);
+        let mut r = reader(&data, &IoOptions::with_block_size(DEFAULT_BLOCK_SIZE));
         assert_eq!(drain(&mut r), data);
         assert_eq!(r.read_calls(), reads);
     }
@@ -589,7 +583,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::parse(&format!("read:*:flip={}", first.len())).unwrap());
         let options = IoOptions::default().with_fault(Arc::clone(&plan));
         let file = Arc::new(crate::fault::open_file(&path).unwrap());
-        let mut r = BlockReader::over(file, &path, 0, &options, None, first.len() as u64);
+        let mut r = BlockReader::over(file, &path, 0, &options, first.len() as u64);
         assert_eq!(&drain(&mut r)[V2_HEADER_LEN..], b"first stream");
         assert_eq!(r.read_calls(), 1);
         assert_eq!(
@@ -604,7 +598,10 @@ mod tests {
         let stats = ReadStats::new();
         let data = vec![1u8; 100];
         for _ in 0..3 {
-            let mut r = reader(&data, 64, Some(stats.clone()));
+            let mut r = reader(
+                &data,
+                &IoOptions::with_block_size(64).with_stats(stats.clone()),
+            );
             drain(&mut r);
         }
         assert_eq!(stats.read_calls(), 3, "each reader reads its stream once");
@@ -615,7 +612,7 @@ mod tests {
     #[test]
     fn growing_fill_crosses_the_block_and_reports_eof_short() {
         let data: Vec<u8> = (0..100u8).collect();
-        let mut r = reader(&data, 16, None);
+        let mut r = reader(&data, &IoOptions::with_block_size(16));
         r.fill_to(10).unwrap();
         r.consume(2);
         // A 90-byte need exceeds the 32-byte block: the buffer grows and
@@ -630,7 +627,7 @@ mod tests {
 
     #[test]
     fn pinned_slices_survive_until_the_next_fill() {
-        let mut r = reader(b"aaaabbbbccccdddd", 16, None);
+        let mut r = reader(b"aaaabbbbccccdddd", &IoOptions::with_block_size(16));
         r.fill_to(16).unwrap();
         let pos = r.pos();
         r.consume(8);

@@ -19,15 +19,6 @@ pub enum ValueSetError {
         /// File being written.
         context: String,
     },
-    /// The open-file budget would be exceeded.
-    ///
-    /// This is the failure mode the paper hit on the 2.7 GB PDB fraction:
-    /// "we had to open 2560 files, which is not feasible for our system"
-    /// (Sec. 4.2).
-    FileBudgetExceeded {
-        /// Configured maximum number of simultaneously open value files.
-        budget: usize,
-    },
     /// An attribute id was out of range for the provider.
     UnknownAttribute(u32),
     /// The run was cancelled cooperatively (deadline, SIGINT, or an
@@ -51,9 +42,6 @@ impl fmt::Display for ValueSetError {
                 f,
                 "values for {context} are not strictly increasing (sorted and distinct)"
             ),
-            ValueSetError::FileBudgetExceeded { budget } => {
-                write!(f, "open-file budget of {budget} value files exceeded")
-            }
             ValueSetError::UnknownAttribute(id) => write!(f, "unknown attribute id {id}"),
             ValueSetError::Cancelled { phase } => write!(f, "cancelled during {phase}"),
             ValueSetError::Storage(e) => write!(f, "storage error: {e}"),
@@ -92,8 +80,6 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        let e = ValueSetError::FileBudgetExceeded { budget: 7 };
-        assert!(e.to_string().contains('7'));
         let e = ValueSetError::Unsorted {
             context: "attr-3".into(),
         };

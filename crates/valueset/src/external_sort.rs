@@ -7,6 +7,14 @@
 //! disk when the buffer fills, and k-way merges the runs (plus the final
 //! buffer) into a strictly increasing output stream.
 //!
+//! A sort writes its runs back to back into **one spill file**, each run a
+//! v2 stream at its own extent, and the merge reads every run through one
+//! shared read descriptor — so a spill merge holds one descriptor at any
+//! fan-in, and the operating system's open-file limit never bounds how many
+//! runs a column may spill. Runs are scratch: no fsync, no rename, no
+//! trailer. The file is created at the sort's first spill and removed when
+//! the sort finishes or resets.
+//!
 //! # Index-backed, allocation-free in the steady state
 //!
 //! What is sorted is a flat `(prefix, offset, len)` index over one byte
@@ -55,8 +63,14 @@ use crate::block::IoOptions;
 use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
 use crate::format::{ValueFileReader, ValueFileWriter};
+use crate::segment::Extent;
 use crate::tournament::TournamentTree;
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// The spill file's name inside the sorter's spill directory.
+const SPILL_FILE: &str = "runs.indv";
 
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
@@ -148,7 +162,15 @@ pub struct ExternalSorter {
     options: SortOptions,
     spill_dir: PathBuf,
     spill_dir_created: bool,
-    runs: Vec<PathBuf>,
+    /// The spill file's path: `spill_dir`/[`SPILL_FILE`].
+    spill_path: PathBuf,
+    /// The spill file's write descriptor, held from the sort's first spill
+    /// until its merge, finish or reset. The file exists exactly while
+    /// this is `Some` or `runs` is not empty.
+    spill_file: Option<Arc<File>>,
+    /// The runs written into the spill file, back to back: each run's
+    /// extent and byte size.
+    runs: Vec<(Extent, u64)>,
     pushed: u64,
     peak_footprint: usize,
     grows: u64,
@@ -168,6 +190,8 @@ impl ExternalSorter {
             options,
             spill_dir: spill_dir.to_path_buf(),
             spill_dir_created: false,
+            spill_path: spill_dir.join(SPILL_FILE),
+            spill_file: None,
             // lint: allow(hot_alloc) — constructor: empty; one entry per spill, not per record
             runs: Vec::new(),
             pushed: 0,
@@ -320,19 +344,29 @@ impl ExternalSorter {
     }
 
     /// Discards everything buffered or spilled so far: clears the arena
-    /// and index (keeping warm capacity), removes any spill-run files
+    /// and index (keeping warm capacity), removes the spill file
     /// best-effort, and zeroes the pushed counter. The keep-going export
     /// path calls this after an attribute fails *mid-extraction* — before
     /// [`ExternalSorter::finish_into`] could run its own reset — so the
     /// next attribute starts from a clean sorter with no stale values and
-    /// no leaked run files.
+    /// no leaked spill file.
     pub fn reset(&mut self) {
-        for path in self.runs.drain(..) {
-            // lint: allow(swallowed_result) — quarantine cleanup: the attribute already failed, its runs are best-effort garbage
-            let _ = std::fs::remove_file(&path);
-        }
+        // lint: allow(swallowed_result) — quarantine cleanup: the attribute already failed, its runs are best-effort garbage
+        let _ = self.remove_spill_file();
         self.reset_buffers();
         self.pushed = 0;
+    }
+
+    /// Forgets the runs and, when the spill file exists, closes its write
+    /// descriptor and removes it.
+    fn remove_spill_file(&mut self) -> std::io::Result<()> {
+        let exists = self.spill_file.take().is_some() || !self.runs.is_empty();
+        self.runs.clear();
+        if !exists {
+            return Ok(());
+        }
+        std::fs::remove_file(&self.spill_path)
+            .map_err(|e| crate::fault::annotate(&self.spill_path, e))
     }
 
     fn too_large(&self) -> ValueSetError {
@@ -353,25 +387,41 @@ impl ExternalSorter {
     /// are read from `resident` — the buffer a resident sort indexes — or,
     /// when `None`, from the sorter's own arena.
     fn spill(&mut self, resident: Option<&[u8]>) -> Result<()> {
+        let mut w = self.next_run()?;
         let bytes = resident.unwrap_or(&self.buf.bytes);
         arena::sort_dedup(&mut self.buf.index, bytes);
-        if !self.spill_dir_created {
-            std::fs::create_dir_all(&self.spill_dir)?;
-            self.spill_dir_created = true;
-        }
-        let path = self
-            .spill_dir
-            // lint: allow(hot_alloc) — once per spilled run, not per record
-            .join(format!("run-{:04}.indv", self.runs.len()));
-        let mut w = ValueFileWriter::create_with_options(&path, &self.options.io)?;
         for value in arena::values(&self.buf.index, bytes) {
             w.append(value)?;
         }
-        w.finish()?;
-        self.runs.push(path);
+        self.runs.push(w.finish_extent()?);
         self.reset_buffers();
         ind_trace::add_counter(ind_trace::Counter::SpillRuns, 1);
         Ok(())
+    }
+
+    /// A writer of the next run, `run-NNNN` of the spill file, right after
+    /// the last one; the first run creates the spill directory and file.
+    fn next_run(&mut self) -> Result<ValueFileWriter> {
+        let file = match &self.spill_file {
+            Some(file) => Arc::clone(file),
+            None => {
+                if !self.spill_dir_created {
+                    std::fs::create_dir_all(&self.spill_dir)?;
+                    self.spill_dir_created = true;
+                }
+                crate::fault::check_open(&self.spill_path, self.options.io.fault.as_ref())?;
+                let file = Arc::new(crate::fault::create_file(&self.spill_path)?);
+                Arc::clone(self.spill_file.insert(file))
+            }
+        };
+        let offset = self
+            .runs
+            .last()
+            .map_or(0, |(extent, bytes)| extent.offset() + bytes);
+        // lint: allow(hot_alloc) — once per spilled run, not per record
+        let name = format!("run-{:04}", self.runs.len());
+        let extent = Extent::new(&self.spill_path, offset, &name);
+        Ok(ValueFileWriter::at(file, extent, &self.options.io))
     }
 
     /// The resident entry point: a sort of up to `rows` values that already
@@ -453,25 +503,29 @@ impl ExternalSorter {
             })()
         } else {
             let _span = ind_trace::start(ind_trace::SPILL_MERGE);
+            // Every run is written: the merge reads them through one
+            // descriptor of its own, the only one the sort then holds.
+            self.spill_file = None;
             let memory = MemorySource {
                 index: &self.buf.index,
                 bytes,
             };
-            merge_runs(&self.runs, memory, &self.options.io, |v| emit(v, writer))
-                .map(|compares| (key_compares, memcmp_compares) = compares)
+            merge_runs(
+                &self.spill_path,
+                &self.runs,
+                memory,
+                &self.options.io,
+                |v| emit(v, writer),
+            )
+            .map(|compares| (key_compares, memcmp_compares) = compares)
         };
-        // Remove the spill runs whatever the merge outcome; a merge error
+        // Remove the spill file whatever the merge outcome; a merge error
         // wins, but a cleanup failure on a clean merge is surfaced too —
         // leaking spill files silently would defeat the disk budget. The
         // sorter resets on every exit path, so a caller that catches the
         // error still gets a clean sorter for the next attribute.
         let runs = self.runs.len();
-        let mut cleanup: Option<std::io::Error> = None;
-        for path in self.runs.drain(..) {
-            if let Err(e) = std::fs::remove_file(&path) {
-                cleanup.get_or_insert(crate::fault::annotate(&path, e));
-            }
-        }
+        let cleanup = self.remove_spill_file();
         let stats = SortStats {
             pushed: self.pushed,
             distinct,
@@ -488,9 +542,7 @@ impl ExternalSorter {
         self.reset_buffers();
         self.pushed = 0;
         merged?;
-        if let Some(e) = cleanup {
-            return Err(e.into());
-        }
+        cleanup?;
         Ok(stats)
     }
 }
@@ -535,9 +587,10 @@ struct MemorySource<'a> {
     bytes: &'a [u8],
 }
 
-/// K-way merge of the spill runs plus the sorted in-memory index, feeding
-/// each distinct value to `emit` in strictly increasing order. Returns the
-/// tree's `(key_compares, memcmp_compares)`.
+/// K-way merge of the spill runs — `runs`' extents of the spill file at
+/// `path`, read through one descriptor opened here — plus the sorted
+/// in-memory index, feeding each distinct value to `emit` in strictly
+/// increasing order. Returns the tree's `(key_compares, memcmp_compares)`.
 ///
 /// The tree is the same [`TournamentTree`] the SPIDER merge engine runs on:
 /// slots are *source indices* (`0..runs.len()` the run readers,
@@ -549,20 +602,27 @@ struct MemorySource<'a> {
 /// Duplicate elimination compares against the last written record through
 /// one reusable buffer.
 fn merge_runs(
-    runs: &[PathBuf],
+    path: &Path,
+    runs: &[(Extent, u64)],
     memory: MemorySource<'_>,
     io: &IoOptions,
     mut emit: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<(u64, u64)> {
+    let file = Arc::new(crate::format::open_counted(path, path, io)?);
     let mut sources = MergeSources {
         readers: Vec::with_capacity(runs.len()),
         memory,
         index_pos: 0,
     };
-    for path in runs {
-        sources
-            .readers
-            .push(ValueFileReader::open_with_options(path, io)?);
+    // Each reader is told its run's own size, so it sizes its block from
+    // the run, not from the rest of the file.
+    for (extent, bytes) in runs {
+        sources.readers.push(ValueFileReader::over(
+            Arc::clone(&file),
+            extent,
+            io,
+            *bytes,
+        )?);
     }
     let mem_src = runs.len() as u32;
 
@@ -738,18 +798,41 @@ mod tests {
     }
 
     #[test]
-    fn spill_files_are_cleaned_up() {
-        let dir = TempDir::new("extsort-clean");
+    fn a_spill_merge_reads_every_run_through_one_descriptor() {
+        // A 16-byte budget holds one index entry: every value is a run of
+        // its own. However many runs there are, the merge opens the spill
+        // file once, and the sort leaves the spill directory empty.
+        let dir = TempDir::new("extsort-one-descriptor");
         let spill = dir.join("spill");
-        let mut sorter = ExternalSorter::new(&spill, SortOptions::with_memory_budget(8)).unwrap();
-        for i in 0..100 {
-            sorter.push(format!("{i:04}").as_bytes()).unwrap();
+        let stats = crate::block::ReadStats::new();
+        let options = SortOptions {
+            memory_budget_bytes: 16,
+            io: IoOptions::default().with_stats(stats.clone()),
+        };
+        let mut sorter = ExternalSorter::new(&spill, options).unwrap();
+        let raw: Vec<String> = (0..300).map(|i| format!("v{:03}", (i * 7) % 211)).collect();
+        let values: Vec<&[u8]> = raw.iter().map(|s| s.as_bytes()).collect();
+        for v in &values {
+            sorter.push(v).unwrap();
         }
-        let mut w = ValueFileWriter::create(&dir.join("out.indv")).unwrap();
-        sorter.finish_into(&mut w).unwrap();
+        let out_path = dir.join("out.indv");
+        let mut w = ValueFileWriter::create(&out_path).unwrap();
+        let before = stats.file_opens();
+        let sorted = sorter.finish_into(&mut w).unwrap();
         w.finish().unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&spill).unwrap().collect();
-        assert!(leftovers.is_empty(), "spill runs must be removed");
+        assert!(sorted.runs >= 100, "{} runs", sorted.runs);
+        assert_eq!(stats.file_opens() - before, 1, "one descriptor per merge");
+        let out = collect_cursor(ValueFileReader::open(&out_path).unwrap()).unwrap();
+        assert_eq!(out, expected(&values));
+        let leftovers = || std::fs::read_dir(&spill).unwrap().count();
+        assert_eq!(leftovers(), 0, "finish_into removes the spill file");
+
+        for v in &values {
+            sorter.push(v).unwrap();
+        }
+        assert_eq!(leftovers(), 1, "the runs share one spill file");
+        sorter.reset();
+        assert_eq!(leftovers(), 0, "reset removes the spill file");
     }
 
     #[test]
@@ -909,9 +992,9 @@ mod tests {
 
     #[test]
     fn merge_error_wins_over_cleanup_and_runs_are_still_removed() {
-        // Corrupt one spill run behind the sorter's back: the merge error
-        // must surface (not a cleanup error), and the surviving run files
-        // must still be removed best-effort.
+        // Corrupt one run inside the spill file behind the sorter's back:
+        // the merge error must surface (not a cleanup error), and the spill
+        // file must still be removed best-effort.
         let dir = TempDir::new("extsort-merge-err");
         let spill = dir.join("spill");
         let mut sorter = ExternalSorter::new(&spill, SortOptions::with_memory_budget(16)).unwrap();
@@ -919,10 +1002,12 @@ mod tests {
             sorter.push(format!("{i:04}").as_bytes()).unwrap();
         }
         assert!(sorter.runs.len() > 1, "need at least two runs");
-        // Truncate the first run mid-record.
-        let victim = sorter.runs[0].clone();
-        let data = std::fs::read(&victim).unwrap();
-        std::fs::write(&victim, &data[..data.len() - 2]).unwrap();
+        // Flip a payload byte of the second run's first frame.
+        let victim = sorter.spill_path.clone();
+        let mut data = std::fs::read(&victim).unwrap();
+        let at = sorter.runs[1].0.offset() as usize + crate::frame::V2_HEADER_LEN + 3;
+        data[at] ^= 0x40;
+        std::fs::write(&victim, &data).unwrap();
         let mut w = ValueFileWriter::create(&dir.join("out.indv")).unwrap();
         let err = sorter.finish_into(&mut w).unwrap_err();
         assert!(
@@ -1005,8 +1090,10 @@ mod tests {
             err.to_string().contains("run-"),
             "the error names the spill run: {err}"
         );
-        // The quarantine path: reset and reuse.
+        // The quarantine path: reset (which removes the spill file the
+        // failed run was written into) and reuse.
         sorter.reset();
+        assert_eq!(std::fs::read_dir(dir.join("spill")).unwrap().count(), 0);
         sorter.push(b"ok").unwrap();
         let mut w = ValueFileWriter::create(&dir.join("out.indv")).unwrap();
         assert_eq!(sorter.finish_into(&mut w).unwrap().distinct, 1);

@@ -40,7 +40,6 @@
 //! per block, not per record.
 
 use crate::block::{BlockReader, IoOptions, ReadStats};
-use crate::budget::{FileBudget, OpenFileGuard};
 use crate::crc32c::{crc32c, Crc32c};
 use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
@@ -381,6 +380,18 @@ pub(crate) fn verify_extent_quick(
     Ok(())
 }
 
+/// Opens `file` for reading — unless an `open:` rule of `options`' fault
+/// plan names `label` — and counts one file open into
+/// [`IoOptions::stats`].
+pub(crate) fn open_counted(label: &Path, file: &Path, options: &IoOptions) -> Result<File> {
+    crate::fault::check_open(label, options.fault.as_ref())?;
+    let file = crate::fault::open_file(file)?;
+    if let Some(stats) = &options.stats {
+        stats.bump_file_open();
+    }
+    Ok(file)
+}
+
 /// Block-buffered reader over one value stream; implements [`ValueCursor`].
 ///
 /// `current()` is **always** a zero-copy slice into the block: records that
@@ -402,51 +413,28 @@ pub struct ValueFileReader {
     /// exhaustion, so the check runs exactly once.
     end_checked: bool,
     cancel: Option<crate::cancel::CancelToken>,
-    _guard: Option<OpenFileGuard>,
 }
 
 impl ValueFileReader {
     /// Opens the stream at `source` — a value file's path, or an
-    /// [`Extent`] of a segment — with default I/O options and no budget
-    /// accounting.
+    /// [`Extent`] of a segment — with default I/O options.
     pub fn open(source: impl Into<Extent>) -> Result<Self> {
-        Self::open_with(source, &IoOptions::default(), None, None)
+        Self::open_with_options(source, &IoOptions::default())
     }
 
-    /// Opens `source` with the given block size.
+    /// Opens `source` with `options`: block size, checksum verification,
+    /// fault plan, shared counters ([`IoOptions::stats`]) and cancellation.
+    /// Opens a descriptor of its own (counted as one file open) and sizes
+    /// the block buffer with one `fstat`; an export's cursors share one
+    /// descriptor per segment instead ([`crate::ExportedDatabase`]), and a
+    /// spill merge one per sort.
     pub fn open_with_options(source: impl Into<Extent>, options: &IoOptions) -> Result<Self> {
-        Self::open_with(source, options, None, None)
-    }
-
-    /// Opens `source`, charging one slot against `budget` for the lifetime
-    /// of the reader.
-    pub fn open_with_budget(source: impl Into<Extent>, budget: &FileBudget) -> Result<Self> {
-        Self::open_with(source, &IoOptions::default(), Some(budget), None)
-    }
-
-    /// Full constructor: block size from `options`, optional open-file
-    /// budget, optional shared read-call counter. Opens a descriptor of its
-    /// own (counted as one file open) and sizes the block buffer with one
-    /// `fstat`; an export's cursors share one descriptor per segment
-    /// instead ([`crate::ExportedDatabase`]).
-    pub fn open_with(
-        source: impl Into<Extent>,
-        options: &IoOptions,
-        budget: Option<&FileBudget>,
-        stats: Option<ReadStats>,
-    ) -> Result<Self> {
         let extent = source.into();
-        let guard = budget.map(FileBudget::acquire).transpose()?;
-        let stats = stats.or_else(|| options.stats.clone());
-        crate::fault::check_open(extent.label(), options.fault.as_ref())?;
-        let file = crate::fault::open_file(extent.file())?;
-        if let Some(stats) = &stats {
-            stats.bump_file_open();
-        }
+        let file = open_counted(extent.label(), extent.file(), options)?;
         let len = file
             .metadata()
             .map_or(u64::MAX, |m| m.len().saturating_sub(extent.offset()));
-        Self::over(Arc::new(file), &extent, options, guard, stats, len)
+        Self::over(Arc::new(file), &extent, options, len)
     }
 
     /// A reader of the stream at `extent` of the already open (and
@@ -456,34 +444,9 @@ impl ValueFileReader {
         file: Arc<File>,
         extent: &Extent,
         options: &IoOptions,
-        guard: Option<OpenFileGuard>,
-        stats: Option<ReadStats>,
         len: u64,
     ) -> Result<Self> {
-        let input = BlockReader::over(
-            file,
-            extent.label(),
-            extent.offset(),
-            options,
-            stats.clone(),
-            len,
-        );
-        Self::from_block_reader(
-            input,
-            guard,
-            options.verify_checksums,
-            stats.as_ref(),
-            options.cancel.clone(),
-        )
-    }
-
-    fn from_block_reader(
-        mut input: BlockReader,
-        guard: Option<OpenFileGuard>,
-        verify: bool,
-        stats: Option<&ReadStats>,
-        cancel: Option<crate::cancel::CancelToken>,
-    ) -> Result<Self> {
+        let mut input = BlockReader::over(file, extent.label(), extent.offset(), options, len);
         let context = |input: &BlockReader| input.label().display().to_string();
         let avail = input
             .fill_to(HEADER_LEN)
@@ -516,7 +479,7 @@ impl ValueFileReader {
             ));
         }
         let header = input.buffered();
-        if verify {
+        if options.verify_checksums {
             let stored = u32::from_le_bytes([
                 header[HEADER_LEN],
                 header[HEADER_LEN + 1],
@@ -524,7 +487,7 @@ impl ValueFileReader {
                 header[HEADER_LEN + 3],
             ]);
             if crc32c(&header[..HEADER_LEN]) != stored {
-                if let Some(stats) = stats {
+                if let Some(stats) = &options.stats {
                     stats.bump_checksum_failure();
                 }
                 return Err(corrupt(context(&input), "header checksum mismatch".into()));
@@ -540,8 +503,7 @@ impl ValueFileReader {
             cur_offset: 0,
             cur_len: 0,
             end_checked: false,
-            cancel,
-            _guard: guard,
+            cancel: options.cancel.clone(),
         })
     }
 
@@ -882,21 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_open_charges_and_releases() {
-        let dir = TempDir::new("vf-budget");
-        let path = dir.join("b.indv");
-        write_value_file(&path, &bytes(&["x"])).unwrap();
-        let budget = FileBudget::new(1);
-        let r1 = ValueFileReader::open_with_budget(&path, &budget).unwrap();
-        assert!(matches!(
-            ValueFileReader::open_with_budget(&path, &budget),
-            Err(ValueSetError::FileBudgetExceeded { .. })
-        ));
-        drop(r1);
-        assert!(ValueFileReader::open_with_budget(&path, &budget).is_ok());
-    }
-
-    #[test]
     fn round_trip_at_block_sizes_straddling_every_record() {
         // Record bodies larger than, equal to, and one byte either side of
         // the block size; writer and reader block sizes vary independently.
@@ -1060,9 +1007,11 @@ mod tests {
         write_value_file(&path, &values).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 7_058);
         let stats = ReadStats::new();
-        let mut r =
-            ValueFileReader::open_with(&path, &IoOptions::default(), None, Some(stats.clone()))
-                .unwrap();
+        let mut r = ValueFileReader::open_with_options(
+            &path,
+            &IoOptions::default().with_stats(stats.clone()),
+        )
+        .unwrap();
         assert_eq!(r.read_calls(), 1, "the open reads the whole stream");
         let mut n = 0;
         while r.advance().unwrap() {
@@ -1155,14 +1104,14 @@ mod tests {
         let data = std::fs::read(&full).unwrap();
         assert!(data.len() > V2_HEADER_LEN + FRAME_PAYLOAD, "multi-frame");
         let stats = ReadStats::new();
-        let options = IoOptions::with_block_size(256);
+        let options = IoOptions::with_block_size(256).with_stats(stats.clone());
         let path = dir.join("flipped.indv");
         for byte in 0..data.len() {
             let mut bad = data.clone();
             bad[byte] ^= 1 << (byte % 8);
             std::fs::write(&path, &bad).unwrap();
-            let drained = ValueFileReader::open_with(&path, &options, None, Some(stats.clone()))
-                .and_then(collect_cursor);
+            let drained =
+                ValueFileReader::open_with_options(&path, &options).and_then(collect_cursor);
             match drained {
                 Err(ValueSetError::Corrupt { context, .. }) => {
                     assert!(context.contains("flipped.indv"), "context names the file");
@@ -1270,8 +1219,10 @@ mod tests {
         // EINTR + short reads: healed at the wrapper, counted, invisible.
         let stats = ReadStats::new();
         let plan = Arc::new(FaultPlan::parse("read:r.indv:eintr@7, read:r.indv:short@5").unwrap());
-        let options = IoOptions::with_block_size(128).with_fault(plan.clone());
-        let r = ValueFileReader::open_with(&path, &options, None, Some(stats.clone())).unwrap();
+        let options = IoOptions::with_block_size(128)
+            .with_fault(plan.clone())
+            .with_stats(stats.clone());
+        let r = ValueFileReader::open_with_options(&path, &options).unwrap();
         assert_eq!(collect_cursor(r).unwrap(), values);
         assert!(
             stats.io_retries() >= 7,
@@ -1295,11 +1246,11 @@ mod tests {
         // Bit flip mid-file: the frame checksum catches it.
         let stats = ReadStats::new();
         let plan = Arc::new(FaultPlan::parse("read:r.indv:flip=2000").unwrap());
-        let r = ValueFileReader::open_with(
+        let r = ValueFileReader::open_with_options(
             &path,
-            &IoOptions::with_block_size(128).with_fault(plan),
-            None,
-            Some(stats.clone()),
+            &IoOptions::with_block_size(128)
+                .with_fault(plan)
+                .with_stats(stats.clone()),
         )
         .and_then(collect_cursor);
         assert!(matches!(r, Err(ValueSetError::Corrupt { .. })), "{r:?}");

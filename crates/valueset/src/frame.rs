@@ -331,15 +331,10 @@ mod tests {
 
     /// Drains the logical stream a block reader serves from `path`, taking
     /// at most `step` bytes per fill.
-    fn drain_one(
-        path: &std::path::Path,
-        options: &IoOptions,
-        stats: Option<ReadStats>,
-        step: usize,
-    ) -> io::Result<Vec<u8>> {
+    fn drain_one(path: &std::path::Path, options: &IoOptions, step: usize) -> io::Result<Vec<u8>> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
-        let mut r = BlockReader::over(Arc::new(file), path, 0, options, stats, len);
+        let mut r = BlockReader::over(Arc::new(file), path, 0, options, len);
         let mut out = Vec::new();
         loop {
             let avail = r.fill_to(step)?;
@@ -368,10 +363,11 @@ mod tests {
         for block in BLOCKS {
             for plan in PLANS {
                 let mut options = IoOptions::with_block_size(block).verify(verify);
+                options.stats = stats.clone();
                 if let Some(plan) = plan {
                     options = options.with_fault(Arc::new(FaultPlan::parse(plan).unwrap()));
                 }
-                let got = drain_one(&path, &options, stats.clone(), step);
+                let got = drain_one(&path, &options, step);
                 match (&first, &got) {
                     (None, _) => {}
                     (Some(Ok(a)), Ok(b)) => assert_eq!(a, b, "block {block}, plan {plan:?}"),

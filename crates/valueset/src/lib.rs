@@ -5,16 +5,17 @@
 //! attribute, persisted as counted, strictly-sorted value streams — one
 //! per attribute, published a batch at a time as segments; a
 //! block-oriented zero-copy I/O layer ([`BlockReader`], [`IoOptions`])
-//! serving forward cursors straight out of large read blocks; an external
-//! merge sort standing in for the RDBMS's sort machinery; and an open-file
-//! budget that makes the operating-system limit of Sec. 4.2 an explicit,
-//! testable resource.
+//! serving forward cursors straight out of large read blocks; and an
+//! external merge sort standing in for the RDBMS's sort machinery. The
+//! descriptors held no longer grow with cursors or runs, which is what hit
+//! the operating-system limit on open files in Sec. 4.2: an export's
+//! cursors share one descriptor per segment, and a spill merge reads all
+//! of its runs through one descriptor.
 
 #![warn(missing_docs)]
 
 mod arena;
 mod block;
-mod budget;
 pub mod cancel;
 mod crc32c;
 mod cursor;
@@ -31,7 +32,6 @@ mod tournament;
 mod tuple;
 
 pub use block::{BlockReader, IoOptions, ReadStats, DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE};
-pub use budget::{FileBudget, OpenFileGuard};
 pub use cancel::CancelToken;
 pub use crc32c::{crc32c, Crc32c};
 pub use cursor::{collect_cursor, ValueCursor, ValueSetProvider};

@@ -4,7 +4,6 @@
 //! generation and the pretests consume.
 
 use crate::block::{IoOptions, ReadStats};
-use crate::budget::{FileBudget, OpenFileGuard};
 use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::{Result, ValueSetError};
 use crate::external_sort::{ExternalSorter, SortOptions};
@@ -199,7 +198,8 @@ pub struct ExportedDatabase {
     attributes: Vec<ExportedAttribute>,
     /// Attributes quarantined by a keep-going export, by id order.
     failed: Vec<FailedAttribute>,
-    budget: FileBudget,
+    /// Every cursor's I/O options; their [`IoOptions::stats`] is
+    /// `read_stats`.
     io: IoOptions,
     read_stats: ReadStats,
     /// One read descriptor per segment, shared by every cursor into it.
@@ -226,8 +226,7 @@ fn deep_verify(
 ) -> Result<()> {
     let mut io = io.clone();
     io.verify_checksums = true;
-    let stats = io.stats.clone();
-    let mut reader = ValueFileReader::over(file, extent, &io, None, stats, entry.file_bytes)?;
+    let mut reader = ValueFileReader::over(file, extent, &io, entry.file_bytes)?;
     let mut records = 0u64;
     while reader.advance()? {
         records += 1;
@@ -335,12 +334,10 @@ fn open_stream(
     extent: &Extent,
     file_bytes: u64,
     io: &IoOptions,
-    stats: &ReadStats,
-    guard: Option<OpenFileGuard>,
 ) -> Result<ValueFileReader> {
     crate::fault::check_open(extent.label(), io.fault.as_ref())?;
-    let file = segments.get(extent.file(), stats)?;
-    ValueFileReader::over(file, extent, io, guard, Some(stats.clone()), file_bytes)
+    let file = segments.get(extent.file(), io.stats.as_ref())?;
+    ValueFileReader::over(file, extent, io, file_bytes)
 }
 
 impl ExportedDatabase {
@@ -433,7 +430,7 @@ impl ExportedDatabase {
                 return None;
             }
             let extent = Extent::new(segment, entry.offset, &stream_name(job.id));
-            let file = segments.get(extent.file(), &read_stats).ok()?;
+            let file = segments.get(extent.file(), Some(&read_stats)).ok()?;
             let valid = verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, fault)
                 .and_then(|()| match options.resume {
                     ResumeMode::Verify => deep_verify(file, &extent, entry, &sort.io),
@@ -670,7 +667,6 @@ impl ExportedDatabase {
             dir: dir.to_path_buf(),
             attributes,
             failed,
-            budget: FileBudget::unlimited(),
             io: sort.io.clone(),
             read_stats,
             segments,
@@ -708,28 +704,15 @@ impl ExportedDatabase {
         &self.dir
     }
 
-    /// Installs an open-file budget governing all subsequently opened
-    /// cursors. Models the operating-system limit from Sec. 4.2 — one
-    /// descriptor per open value file — for the block-wise reproduction;
-    /// this export's cursors share one descriptor per segment, so the
-    /// default (unlimited) budget is never the binding limit.
-    pub fn set_file_budget(&mut self, budget: FileBudget) {
-        self.budget = budget;
-    }
-
-    /// The current budget (shared counter).
-    pub fn file_budget(&self) -> &FileBudget {
-        &self.budget
-    }
-
     /// The I/O options every cursor opened from this export uses.
     pub fn io_options(&self) -> &IoOptions {
         &self.io
     }
 
-    /// Overrides the I/O options for subsequently opened cursors.
+    /// Overrides the I/O options for subsequently opened cursors. The
+    /// export's counters stay attached, whatever `io.stats` holds.
     pub fn set_io_options(&mut self, io: IoOptions) {
-        self.io = io;
+        self.io = io.with_stats(self.read_stats.clone());
     }
 
     /// Total `pread`s made by every cursor this export has opened
@@ -812,15 +795,7 @@ impl ValueSetProvider for ExportedDatabase {
                 detail: format!("attribute quarantined during export: {}", f.error),
             });
         }
-        let guard = self.budget.acquire()?;
-        open_stream(
-            &self.segments,
-            &attr.path,
-            attr.file_bytes,
-            &self.io,
-            &self.read_stats,
-            Some(guard),
-        )
+        open_stream(&self.segments, &attr.path, attr.file_bytes, &self.io)
     }
 
     fn attribute_count(&self) -> usize {
@@ -1007,14 +982,7 @@ impl ValueSetProvider for CompositeExport {
             .composites
             .get(id as usize)
             .ok_or(ValueSetError::UnknownAttribute(id))?;
-        open_stream(
-            &self.segments,
-            &comp.path,
-            comp.file_bytes,
-            &self.io,
-            &self.read_stats,
-            None,
-        )
+        open_stream(&self.segments, &comp.path, comp.file_bytes, &self.io)
     }
 
     fn attribute_count(&self) -> usize {
@@ -1191,19 +1159,6 @@ mod tests {
         assert_eq!(exp.file_opens(), segments.len() as u64, "reopens share it");
         exp.reset_read_calls();
         assert_eq!(exp.read_calls(), 0);
-    }
-
-    #[test]
-    fn budget_limits_open_cursors() {
-        let dir = TempDir::new("export-budget");
-        let mut exp =
-            ExportedDatabase::export(&sample_db(), dir.path(), &ExportOptions::default()).unwrap();
-        exp.set_file_budget(FileBudget::new(2));
-        let c1 = exp.open(0).unwrap();
-        let _c2 = exp.open(1).unwrap();
-        assert!(exp.open(2).is_err(), "third open must exceed the budget");
-        drop(c1);
-        assert!(exp.open(2).is_ok());
     }
 
     #[test]

@@ -508,7 +508,7 @@ pub(crate) struct SegmentFiles(Mutex<HashMap<PathBuf, Arc<File>>>);
 impl SegmentFiles {
     /// The descriptor of `path`, opened (and counted into `stats`) on
     /// first use.
-    pub(crate) fn get(&self, path: &Path, stats: &ReadStats) -> Result<Arc<File>> {
+    pub(crate) fn get(&self, path: &Path, stats: Option<&ReadStats>) -> Result<Arc<File>> {
         let mut open = self
             .0
             .lock()
@@ -517,7 +517,9 @@ impl SegmentFiles {
             return Ok(Arc::clone(file));
         }
         let file = Arc::new(crate::fault::open_file(path)?);
-        stats.bump_file_open();
+        if let Some(stats) = stats {
+            stats.bump_file_open();
+        }
         open.insert(path.to_path_buf(), Arc::clone(&file));
         Ok(file)
     }
@@ -744,13 +746,13 @@ mod tests {
         let path = dir.join("seg.indv");
         std::fs::write(&path, b"x").unwrap();
         let (files, stats) = (SegmentFiles::default(), ReadStats::new());
-        let a = files.get(&path, &stats).unwrap();
-        let b = files.get(&path, &stats).unwrap();
+        let a = files.get(&path, Some(&stats)).unwrap();
+        let b = files.get(&path, Some(&stats)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(stats.file_opens(), 1);
         files.retain(|_| false);
-        files.get(&path, &stats).unwrap();
+        files.get(&path, Some(&stats)).unwrap();
         assert_eq!(stats.file_opens(), 2, "a closed segment is reopened");
-        assert!(files.get(&dir.join("missing.indv"), &stats).is_err());
+        assert!(files.get(&dir.join("missing.indv"), Some(&stats)).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! Persistence round-trips and failure injection: TSV save/load of whole
 //! generated databases, value-file corruption surfacing through the
-//! discovery stack, and open-file budget exhaustion (Sec. 4.2).
+//! discovery stack, and the cursors single-pass holds against the
+//! descriptors it opens (Sec. 4.2).
 
 use ind_testkit::TempDir;
 use spider_ind::core::{
@@ -12,7 +13,13 @@ use spider_ind::datagen::{
 };
 use spider_ind::storage::tsv::{load_database, load_database_with, save_database};
 use spider_ind::storage::StorageError;
-use spider_ind::valueset::{ExportOptions, ExportedDatabase, FileBudget, ValueSetError};
+use spider_ind::valueset::{
+    ExportOptions, ExportedDatabase, ValueCursor, ValueFileReader, ValueSetError, ValueSetProvider,
+};
+use std::cell::Cell;
+use std::collections::HashSet;
+use std::path::Path;
+use std::rc::Rc;
 
 #[test]
 fn generated_databases_survive_tsv_round_trips() {
@@ -167,29 +174,88 @@ fn corrupt_value_file_surfaces_as_an_error_not_a_wrong_answer() {
     assert!(matches!(err, ValueSetError::Corrupt { .. }), "{err}");
 }
 
+/// A provider over an export that records the peak number of its cursors
+/// alive at once.
+struct PeakCursors<'a> {
+    export: &'a ExportedDatabase,
+    live: Rc<Cell<usize>>,
+    peak: Cell<usize>,
+}
+
+struct Counted {
+    inner: ValueFileReader,
+    live: Rc<Cell<usize>>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.live.set(self.live.get() - 1);
+    }
+}
+
+impl ValueCursor for Counted {
+    fn advance(&mut self) -> Result<bool, ValueSetError> {
+        self.inner.advance()
+    }
+    fn current(&self) -> &[u8] {
+        self.inner.current()
+    }
+    fn remaining(&self) -> u64 {
+        self.inner.remaining()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+impl ValueSetProvider for PeakCursors<'_> {
+    type Cursor = Counted;
+    fn open(&self, id: u32) -> Result<Counted, ValueSetError> {
+        let inner = self.export.open(id)?;
+        self.live.set(self.live.get() + 1);
+        self.peak.set(self.peak.get().max(self.live.get()));
+        Ok(Counted {
+            inner,
+            live: Rc::clone(&self.live),
+        })
+    }
+    fn attribute_count(&self) -> usize {
+        self.export.attribute_count()
+    }
+}
+
 #[test]
-fn file_budget_failure_and_blockwise_recovery() {
-    // Sec. 4.2 end to end: plain single-pass cannot run under a tight
-    // open-file budget; brute force and block-wise can, and agree.
-    let dir = TempDir::new("budget-recovery");
+fn single_pass_holds_every_cursor_over_one_descriptor_per_segment() {
+    // Sec. 4.2 after segments: the plain single-pass holds a cursor per
+    // dependent and per referenced role at once, and they share one
+    // descriptor per segment; block-wise under a small cursor cap agrees.
+    let dir = TempDir::new("shared-descriptors");
     let db = generate_scop(&ScopConfig::tiny());
-    let mut export =
+    let export =
         ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).expect("export");
     let profiles = profiles_from_export(&export);
     let mut gen = RunMetrics::new();
     let candidates = generate_candidates(&profiles, &PretestConfig::default(), &mut gen);
+    let deps: HashSet<u32> = candidates.iter().map(|c| c.dep).collect();
+    let refs: HashSet<u32> = candidates.iter().map(|c| c.refd).collect();
+    let segments: HashSet<&Path> = export.attributes().iter().map(|a| a.path.file()).collect();
 
-    export.set_file_budget(FileBudget::new(4));
+    let peak = PeakCursors {
+        export: &export,
+        live: Rc::default(),
+        peak: Cell::default(),
+    };
+    let mut m = RunMetrics::new();
+    let sp = run_single_pass(&peak, &candidates, &mut m).expect("single-pass");
+    assert!(
+        deps.len() + refs.len() > 4,
+        "more cursors than the cap below"
+    );
+    assert_eq!(peak.peak.get(), deps.len() + refs.len(), "all at once");
+    assert_eq!(export.file_opens(), segments.len() as u64);
 
     let mut m = RunMetrics::new();
-    let err = run_single_pass(&export, &candidates, &mut m).expect_err("budget too small");
-    assert!(matches!(
-        err,
-        ValueSetError::FileBudgetExceeded { budget: 4 }
-    ));
-
-    let mut m = RunMetrics::new();
-    let mut bf = run_brute_force(&export, &candidates, &mut m).expect("brute force fits");
+    let mut bf = run_brute_force(&export, &candidates, &mut m).expect("brute force");
     bf.sort();
 
     let mut m = RunMetrics::new();
@@ -199,9 +265,9 @@ fn file_budget_failure_and_blockwise_recovery() {
         &BlockwiseConfig { max_open_files: 4 },
         &mut m,
     )
-    .expect("blockwise fits");
+    .expect("blockwise");
     assert_eq!(bf, bw);
-    assert_eq!(export.file_budget().in_use(), 0, "all guards released");
+    assert_eq!(sp, bw);
 }
 
 #[test]
