@@ -3,15 +3,13 @@
 //!
 //! * parallel brute force thread sweep (extension);
 //! * block-wise open-file budget sweep (I/O re-read cost vs budget);
-//! * sampling pretest on/off;
 //! * SPIDER's shared-cursor improvement vs the plain single-pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ind_bench::datasets::bench_scale;
 use ind_core::{
-    generate_candidates, memory_export, run_blockwise, run_brute_force, run_brute_force_parallel,
-    run_single_pass, run_spider, sampling_pretest, BlockwiseConfig, PretestConfig, RunMetrics,
-    SamplingConfig,
+    generate_candidates, memory_export, run_blockwise, run_brute_force_parallel, run_single_pass,
+    run_spider, BlockwiseConfig, PretestConfig, RunMetrics,
 };
 
 fn thread_sweep(c: &mut Criterion) {
@@ -65,42 +63,6 @@ fn blockwise_budget_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn sampling_on_off(c: &mut Criterion) {
-    let db = bench_scale::uniprot();
-    let (profiles, provider) = memory_export(&db);
-    let mut gen = RunMetrics::new();
-    let candidates = generate_candidates(&profiles, &PretestConfig::default(), &mut gen);
-    let mut group = c.benchmark_group("ablation_pruning_strategies");
-    group.sample_size(10);
-    group.bench_function("bf_plain", |b| {
-        b.iter(|| {
-            let mut m = RunMetrics::new();
-            run_brute_force(&provider, &candidates, &mut m)
-                .expect("bf")
-                .len()
-        })
-    });
-    group.bench_function("bf_sampling_pretest", |b| {
-        b.iter(|| {
-            let mut m = RunMetrics::new();
-            let survivors = sampling_pretest(
-                &provider,
-                &candidates,
-                &SamplingConfig {
-                    sample_size: 8,
-                    seed: 1,
-                },
-                &mut m,
-            )
-            .expect("sampling");
-            run_brute_force(&provider, &survivors, &mut m)
-                .expect("bf")
-                .len()
-        })
-    });
-    group.finish();
-}
-
 fn single_pass_vs_spider(c: &mut Criterion) {
     let db = bench_scale::pdb();
     let (profiles, provider) = memory_export(&db);
@@ -131,7 +93,6 @@ criterion_group!(
     benches,
     thread_sweep,
     blockwise_budget_sweep,
-    sampling_on_off,
     single_pass_vs_spider
 );
 criterion_main!(benches);

@@ -7,14 +7,16 @@
 //! Validates the observability contract end to end:
 //!
 //! * the report parses and carries the expected `report_version`;
-//! * there is exactly one root span, named `discover`;
+//! * there are exactly two root spans: `load` (reading the TSV files),
+//!   then `discover`;
 //! * the span tree is well-formed — every child's interval lies inside
 //!   its parent's interval;
-//! * the root's direct children (the run's phases) cover the root's wall
-//!   time to within `max(5%, 2 ms)` — measured as the union of their
+//! * the run's phases — `load` and the direct children of `discover` —
+//!   cover the run's wall time, from the start of `load` to the end of
+//!   `discover`, to within `max(5%, 2 ms)` — measured as the union of their
 //!   intervals, so spans of concurrent export workers are not
 //!   double-counted;
-//! * the root span agrees with `metrics.elapsed_ns` to the same
+//! * the `discover` span agrees with `metrics.elapsed_ns` to the same
 //!   tolerance;
 //! * no events were dropped to ring overflow.
 //!
@@ -24,7 +26,7 @@ use ind_trace::json::{parse, Json};
 use std::process::ExitCode;
 
 /// Expected `report_version` — bump together with the CLI writer.
-const REPORT_VERSION: u64 = 3;
+const REPORT_VERSION: u64 = 4;
 
 fn field_u64(node: &Json, key: &str) -> Result<u64, String> {
     node.get(key)
@@ -99,46 +101,51 @@ fn run() -> Result<(), String> {
         .get("spans")
         .and_then(Json::as_arr)
         .ok_or("missing `spans` array")?;
-    if spans.len() != 1 {
-        let names: Vec<&str> = spans
-            .iter()
-            .filter_map(|s| s.get("name").and_then(Json::as_str))
-            .collect();
-        return Err(format!("expected one root span, found {names:?}"));
-    }
-    let root = &spans[0];
-    let root_name = root.get("name").and_then(Json::as_str).unwrap_or("?");
-    if root_name != "discover" {
-        return Err(format!("root span is `{root_name}`, expected `discover`"));
-    }
-    let span_count = check_nesting(root, "discover")?;
+    let names: Vec<&str> = spans
+        .iter()
+        .map(|s| s.get("name").and_then(Json::as_str).unwrap_or("?"))
+        .collect();
+    let ([load, root], ["load", "discover"]) = (spans, &names[..]) else {
+        return Err(format!(
+            "expected root spans [load, discover], found {names:?}"
+        ));
+    };
+    let span_count = check_nesting(load, "load")? + check_nesting(root, "discover")?;
 
-    let root_start = field_u64(root, "start_ns")?;
-    let root_dur = field_u64(root, "duration_ns")?;
+    let interval = |span: &Json| -> Result<(u64, u64), String> {
+        let start = field_u64(span, "start_ns")?;
+        Ok((start, start + field_u64(span, "duration_ns")?))
+    };
+    let (load_start, load_end) = interval(load)?;
+    let (root_start, root_end) = interval(root)?;
+    if load_end > root_start {
+        return Err(format!(
+            "load [{load_start}, {load_end}] does not end before discover starts at {root_start}"
+        ));
+    }
+    let root_dur = root_end - root_start;
+    let run_dur = root_end - load_start;
     let tolerance = |reference: u64| -> u64 { (reference / 20).max(2_000_000) };
 
-    // Phase coverage: the root's direct children, as an interval union so
-    // spans of concurrent export workers are not double-counted, must
-    // account for the root's wall time minus the tolerance.
+    // Phase coverage: `load` and the root's direct children, as an interval
+    // union so spans of concurrent export workers are not double-counted,
+    // must account for the run's wall time minus the tolerance.
     let children = root.get("children").and_then(Json::as_arr).unwrap();
     if children.is_empty() {
         return Err("the discover root has no phase children".into());
     }
-    let intervals: Vec<(u64, u64)> = children
-        .iter()
-        .map(|c| {
-            let start = field_u64(c, "start_ns")?;
-            Ok((start, start + field_u64(c, "duration_ns")?))
-        })
+    let intervals: Vec<(u64, u64)> = std::iter::once(load)
+        .chain(children)
+        .map(interval)
         .collect::<Result<_, String>>()?;
     let covered = union_ns(intervals);
-    let uncovered = root_dur.saturating_sub(covered);
-    if uncovered > tolerance(root_dur) {
+    let uncovered = run_dur.saturating_sub(covered);
+    if uncovered > tolerance(run_dur) {
         return Err(format!(
-            "phases cover {covered} of {root_dur} ns — {uncovered} ns ({:.1}%) of the \
+            "phases cover {covered} of {run_dur} ns — {uncovered} ns ({:.1}%) of the \
              run is unaccounted for (tolerance {} ns)",
-            uncovered as f64 * 100.0 / root_dur.max(1) as f64,
-            tolerance(root_dur)
+            uncovered as f64 * 100.0 / run_dur.max(1) as f64,
+            tolerance(run_dur)
         ));
     }
 
@@ -154,11 +161,11 @@ fn run() -> Result<(), String> {
     }
 
     println!(
-        "[report ok: {span_count} spans, root {:.2} ms starting at {:.2} ms, phases cover \
-         {:.1}%, elapsed agrees]",
+        "[report ok: {span_count} spans, load {:.2} ms then discover {:.2} ms, phases cover \
+         {:.1}% of the run, elapsed agrees]",
+        (load_end - load_start) as f64 / 1e6,
         root_dur as f64 / 1e6,
-        root_start as f64 / 1e6,
-        covered as f64 * 100.0 / root_dur.max(1) as f64
+        covered as f64 * 100.0 / run_dur.max(1) as f64
     );
     Ok(())
 }

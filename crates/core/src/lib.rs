@@ -14,8 +14,6 @@
 //!   tournament-tree k-way merge over all attribute cursors (Sec. 7);
 //! * [`blockwise`] — the Sec. 4.2 block-wise single-pass, which holds at
 //!   most a given number of cursors (reader buffers) at once;
-//! * [`pruning`] — the sampling pretest (Sec. 4.1); the
-//!   cardinality/max-value pretests live in candidate generation;
 //! * [`closure`] — transitive-closure utilities over IND sets;
 //! * [`nary`] — levelwise composite (n-ary) IND discovery layered on the
 //!   SPIDER engine (beyond the paper's unary scope);
@@ -36,7 +34,6 @@ mod compact;
 mod metrics;
 pub mod nary;
 pub mod partial;
-pub mod pruning;
 pub mod runner;
 pub mod single_pass;
 pub mod spider;
@@ -52,7 +49,6 @@ pub use closure::{in_closure, transitive_closure};
 pub use metrics::RunMetrics;
 pub use nary::{NaryCandidate, NaryConfig, NaryDiscovery, NaryFinder, NaryLevelStats};
 pub use partial::{inclusion_count, InclusionCount};
-pub use pruning::{sampling_pretest, SamplingConfig};
 pub use runner::{Algorithm, DegradedReport, Discovery, FinderConfig, IndFinder};
 pub use single_pass::run_single_pass;
 pub use spider::run_spider;

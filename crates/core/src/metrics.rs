@@ -24,8 +24,6 @@ pub struct RunMetrics {
     /// sub-projections were not all satisfied (the MIND/apriori pruning of
     /// the n-ary pipeline). Zero for unary runs.
     pub pruned_projection: u64,
-    /// Candidates refuted by the sampling pretest.
-    pub pruned_sampling: u64,
     /// Candidates whose value sets were actually compared.
     pub tested: u64,
     /// Satisfied INDs found.
@@ -131,13 +129,12 @@ impl RunMetrics {
     /// values exact `u64` integers, so the report round-trips through
     /// any JSON parser losslessly.
     pub fn to_json(&self) -> Json {
-        let fields: [(&str, u64); 26] = [
+        let fields: [(&str, u64); 25] = [
             ("pairs_considered", self.pairs_considered),
             ("pruned_cardinality", self.pruned_cardinality),
             ("pruned_max_value", self.pruned_max_value),
             ("pruned_min_value", self.pruned_min_value),
             ("pruned_projection", self.pruned_projection),
-            ("pruned_sampling", self.pruned_sampling),
             ("candidates", self.candidates()),
             ("tested", self.tested),
             ("satisfied", self.satisfied),
@@ -170,7 +167,6 @@ impl RunMetrics {
         self.pruned_max_value += other.pruned_max_value;
         self.pruned_min_value += other.pruned_min_value;
         self.pruned_projection += other.pruned_projection;
-        self.pruned_sampling += other.pruned_sampling;
         self.tested += other.tested;
         self.satisfied += other.satisfied;
         self.items_read += other.items_read;
@@ -197,8 +193,8 @@ impl fmt::Display for RunMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "candidates={} (considered={}, pruned: card={}, max={}, min={}, proj={}, \
-             sampling={}), tested={}, satisfied={}, items_read={}, \
+            "candidates={} (considered={}, pruned: card={}, max={}, min={}, proj={}), \
+             tested={}, satisfied={}, items_read={}, \
              value_bytes_read={}, parked_reads={}, comparisons={} (key={}, memcmp={}), \
              read_calls={}, \
              cursor_opens={}, classes={} (compares={}), io_retries={}, checksum_failures={}, \
@@ -209,7 +205,6 @@ impl fmt::Display for RunMetrics {
             self.pruned_max_value,
             self.pruned_min_value,
             self.pruned_projection,
-            self.pruned_sampling,
             self.tested,
             self.satisfied,
             self.items_read,
@@ -353,7 +348,7 @@ mod tests {
             assert_eq!(json.get(key).and_then(Json::as_u64), Some(value), "{key}");
         }
         let fields = json.as_obj().expect("an object");
-        assert_eq!(fields.len(), 26, "24 fields, candidates and elapsed_ns");
+        assert_eq!(fields.len(), 25, "23 fields, candidates and elapsed_ns");
         for (i, (key, _)) in fields.iter().enumerate() {
             assert!(fields[..i].iter().all(|(k, _)| k != key), "{key} twice");
         }

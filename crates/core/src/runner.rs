@@ -7,7 +7,6 @@ use crate::brute_force::{run_brute_force, run_brute_force_parallel};
 use crate::candidates::{generate_candidates, Candidate, PretestConfig};
 use crate::classes::ValueSetClasses;
 use crate::metrics::RunMetrics;
-use crate::pruning::{sampling_pretest, SamplingConfig};
 use crate::single_pass::run_single_pass;
 use crate::spider::run_spider;
 use ind_storage::{Database, QualifiedName};
@@ -48,8 +47,6 @@ pub struct FinderConfig {
     pub algorithm: Algorithm,
     /// Generation-time pretests (cardinality / max-value / min-value).
     pub pretests: PretestConfig,
-    /// Optional sampling pretest applied between generation and testing.
-    pub sampling: Option<SamplingConfig>,
 }
 
 impl Default for FinderConfig {
@@ -57,7 +54,6 @@ impl Default for FinderConfig {
         FinderConfig {
             algorithm: Algorithm::BruteForce,
             pretests: PretestConfig::default(),
-            sampling: None,
         }
     }
 }
@@ -194,8 +190,8 @@ impl IndFinder {
     }
 
     /// [`IndFinder::discover`] with a quarantine list: every candidate
-    /// touching a quarantined attribute is dropped before sampling and
-    /// testing, so a poisoned value file can never reach a cursor.
+    /// touching a quarantined attribute is dropped before testing, so a
+    /// poisoned value file can never reach a cursor.
     ///
     /// The engine tests one representative per class of equal value sets
     /// (see [`crate::classes`]), and its answer is expanded back over the
@@ -218,10 +214,6 @@ impl IndFinder {
             metrics.quarantined_attributes = quarantined.len() as u64;
         }
         generate_span.finish();
-        if let Some(sampling) = &self.config.sampling {
-            let _span = ind_trace::start(ind_trace::SAMPLING);
-            candidates = sampling_pretest(provider, &candidates, sampling, &mut metrics)?;
-        }
         let classes_span = ind_trace::start(ind_trace::CLASSES);
         let classes = ValueSetClasses::of(profiles, &candidates, provider, &mut metrics)?;
         classes_span.finish();
@@ -519,13 +511,6 @@ mod tests {
         };
         let with_max = IndFinder::new(max_cfg).discover_in_memory(&db).unwrap();
         assert_eq!(with_max.satisfied, baseline.satisfied);
-
-        let s_cfg = FinderConfig {
-            sampling: Some(SamplingConfig::default()),
-            ..Default::default()
-        };
-        let with_sampling = IndFinder::new(s_cfg).discover_in_memory(&db).unwrap();
-        assert_eq!(with_sampling.satisfied, baseline.satisfied);
     }
 
     /// Export options with `spec` parsed into an injected fault plan.

@@ -8,33 +8,32 @@ use ind_trace::json::{self, Json};
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn arbitrary_metrics(values: &[u64; 26]) -> RunMetrics {
+fn arbitrary_metrics(values: &[u64; 25]) -> RunMetrics {
     RunMetrics {
         pairs_considered: values[0],
         pruned_cardinality: values[1],
         pruned_max_value: values[2],
         pruned_min_value: values[3],
         pruned_projection: values[4],
-        pruned_sampling: values[5],
-        tested: values[6],
-        satisfied: values[7],
-        items_read: values[8],
-        value_bytes_read: values[9],
-        parked_reads: values[10],
-        comparisons: values[11],
-        key_compares: values[12],
-        memcmp_compares: values[13],
-        read_calls: values[14],
-        cursor_opens: values[15],
-        value_set_classes: values[16],
-        class_compares: values[17],
-        io_retries: values[18],
-        checksum_failures: values[19],
-        quarantined_attributes: values[20],
-        exports_reused: values[21],
-        exports_redone: values[22],
-        orphans_swept: values[23],
-        elapsed: Duration::from_secs(values[24]) + Duration::from_nanos(values[25]),
+        tested: values[5],
+        satisfied: values[6],
+        items_read: values[7],
+        value_bytes_read: values[8],
+        parked_reads: values[9],
+        comparisons: values[10],
+        key_compares: values[11],
+        memcmp_compares: values[12],
+        read_calls: values[13],
+        cursor_opens: values[14],
+        value_set_classes: values[15],
+        class_compares: values[16],
+        io_retries: values[17],
+        checksum_failures: values[18],
+        quarantined_attributes: values[19],
+        exports_reused: values[20],
+        exports_redone: values[21],
+        orphans_swept: values[22],
+        elapsed: Duration::from_secs(values[23]) + Duration::from_nanos(values[24]),
     }
 }
 
@@ -50,14 +49,14 @@ proptest! {
 
     #[test]
     fn to_json_round_trips_through_parsing(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 24),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 23),
         secs in 0u64..4_000_000_000,
         nanos in 0u64..1_000_000_000,
     ) {
-        let mut values = [0u64; 26];
-        values[..24].copy_from_slice(&counters);
-        values[24] = secs;
-        values[25] = nanos;
+        let mut values = [0u64; 25];
+        values[..23].copy_from_slice(&counters);
+        values[23] = secs;
+        values[24] = nanos;
         let metrics = arbitrary_metrics(&values);
 
         let text = metrics.to_json().pretty();
@@ -72,7 +71,6 @@ proptest! {
         prop_assert_eq!(field(&parsed, "pruned_max_value"), metrics.pruned_max_value);
         prop_assert_eq!(field(&parsed, "pruned_min_value"), metrics.pruned_min_value);
         prop_assert_eq!(field(&parsed, "pruned_projection"), metrics.pruned_projection);
-        prop_assert_eq!(field(&parsed, "pruned_sampling"), metrics.pruned_sampling);
         prop_assert_eq!(field(&parsed, "candidates"), metrics.candidates());
         prop_assert_eq!(field(&parsed, "tested"), metrics.tested);
         prop_assert_eq!(field(&parsed, "satisfied"), metrics.satisfied);

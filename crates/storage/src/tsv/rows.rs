@@ -6,10 +6,15 @@
 //! text already is the canonical rendering is copied as is (the common
 //! case: the saver wrote it), any other spelling (`+5`, `007`, `1e3`) is
 //! parsed and re-rendered into the store; text is unescaped into the store.
-//! Saving walks the same cells back out. Line ends and field borders are
-//! found by the standard library's `memchr`-backed searches (`read_until`,
-//! `str::split`, `str::find`), which is what keeps kilobyte-wide text cells
-//! at copy speed.
+//! Saving walks the same cells back out.
+//!
+//! Line ends are found by `read_until`'s `memchr`. Field borders are found
+//! by one pass over the line, eight bytes a step ([`Fields`]), which also
+//! reports whether a field holds a backslash — most cells are a few bytes,
+//! and a library call per field cost more than the bytes. A field still
+//! open after [`LONG_FIELD`] bytes is finished by the standard library's
+//! `memchr`-backed searches, which keeps kilobyte-wide text cells at copy
+//! speed.
 
 use super::parse_error;
 use crate::column::{Column, ColumnFull};
@@ -24,6 +29,140 @@ const NULL_TOKEN: &str = "\\N";
 /// Capacity of the loader's read buffer; a longer line is assembled in the
 /// (reused) line buffer, which grows to the longest line of the file.
 pub(super) const READ_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Bytes one step of the field scan looks at.
+const WORD: usize = 8;
+
+/// A field that runs this many bytes without a tab is finished by
+/// `memchr`: past a few words a vectorised search beats eight bytes a step.
+const LONG_FIELD: usize = 32;
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of every byte of `word` that equals `byte`, and no other
+/// bit. Exact: adding `0x7f` to a byte's low seven bits cannot carry into
+/// the next byte, so a match never marks its neighbour (the shorter
+/// `(x - 0x01…) & !x` test can mark the byte after a match).
+#[inline]
+fn eq_mask(word: u64, byte: u8) -> u64 {
+    let x = word ^ (ONES * u64::from(byte));
+    !(((x & !HIGH) + !HIGH) | x) & HIGH
+}
+
+/// The rows of a run of whole lines, field by field, found in one pass
+/// eight bytes a step: each field's borders, whether it holds a backslash,
+/// and whether it ends its row.
+///
+/// A line ends at `\n` or `\r\n` (the saver escapes carriage returns inside
+/// values, so a bare one before the line feed can only belong to the line
+/// end); the last line of the text may lack it.
+struct Fields<'a> {
+    text: &'a str,
+    /// Where the next field starts; past the text's end after the last.
+    start: usize,
+    /// Whether the field before `start` ended its row.
+    row_done: bool,
+    /// Offset of the word the two masks describe.
+    at: usize,
+    /// Tabs and line feeds of that word not yet handed out.
+    ends: u64,
+    /// Backslashes of that word past the last border handed out.
+    slashes: u64,
+    /// The line feed (or the text's end) that ends the row of the last long
+    /// field: the long-field search reuses it for the row's later fields.
+    line_end: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn new(text: &'a str) -> Self {
+        let mut fields = Fields {
+            text,
+            start: 0,
+            row_done: true,
+            at: 0,
+            ends: 0,
+            slashes: 0,
+            line_end: 0,
+        };
+        fields.load(0);
+        fields
+    }
+
+    /// Loads the word at `at`; past the text's end it reads as zeros.
+    #[inline]
+    fn load(&mut self, at: usize) {
+        let mut word = [0; WORD];
+        let bytes = self.text.as_bytes();
+        match bytes.get(at..at + WORD) {
+            Some(whole) => word.copy_from_slice(whole),
+            None => {
+                let tail = bytes.get(at..).unwrap_or_default();
+                word[..tail.len()].copy_from_slice(tail);
+            }
+        }
+        let word = u64::from_le_bytes(word);
+        self.at = at;
+        self.ends = eq_mask(word, b'\t') | eq_mask(word, b'\n');
+        self.slashes = eq_mask(word, b'\\');
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    /// A field, whether it holds a backslash, and whether it ends its row.
+    type Item = (&'a str, bool, bool);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let (start, len) = (self.start, self.text.len());
+        if start > len || (start == len && self.row_done) {
+            return None;
+        }
+        let bytes = self.text.as_bytes();
+        let mut escaped = false;
+        let end = loop {
+            if self.ends != 0 {
+                let bit = self.ends.trailing_zeros();
+                let before = u64::MAX >> (63 - bit);
+                escaped |= self.slashes & before != 0;
+                self.slashes &= !before;
+                self.ends &= self.ends - 1;
+                break self.at + bit as usize / 8;
+            }
+            escaped |= self.slashes != 0;
+            let next = self.at + WORD;
+            if next >= len {
+                break len;
+            }
+            if next - start < LONG_FIELD {
+                self.load(next);
+                continue;
+            }
+            // A long field: search the rest of it from the first character
+            // border on (the bytes skipped are inside one character).
+            let mut from = next;
+            while !self.text.is_char_boundary(from) {
+                from += 1;
+            }
+            if self.line_end < from {
+                self.line_end = self.text[from..].find('\n').map_or(len, |lf| from + lf);
+            }
+            let line = &self.text[from..self.line_end];
+            let end = line.find('\t').map_or(self.line_end, |tab| from + tab);
+            escaped = escaped || bytes[from..end].contains(&b'\\');
+            self.load(end + 1);
+            break end;
+        };
+        let row_done = end == len || bytes[end] == b'\n';
+        self.start = end + 1;
+        self.row_done = row_done;
+        let field_end = match end.checked_sub(1) {
+            Some(cr) if row_done && end < len && cr >= start && bytes[cr] == b'\r' => cr,
+            _ => end,
+        };
+        Some((&self.text[start..field_end], escaped, row_done))
+    }
+}
 
 /// Appends `cell` to `out` with tabs, line ends and backslashes escaped.
 /// Every escaped byte is ASCII, so UTF-8 sequences pass through whole.
@@ -126,12 +265,14 @@ impl From<ColumnFull> for FieldError {
     }
 }
 
-/// Stores one non-NULL field in `column`, canonicalised for `data_type`.
+/// Stores one non-NULL field in `column`, canonicalised for `data_type`;
+/// `escaped` says whether the field holds a backslash.
 #[inline]
 fn push_field(
     column: &mut Column,
     data_type: DataType,
     field: &str,
+    escaped: bool,
 ) -> std::result::Result<(), FieldError> {
     match data_type {
         DataType::Integer if is_canonical_integer(field.as_bytes()) => {
@@ -147,9 +288,7 @@ fn push_field(
             let value = Value::parse(data_type, field).ok_or(FieldError::NotA(data_type))?;
             column.push_with(|bytes| value.render_canonical(bytes))?
         }
-        DataType::Text | DataType::Lob if !field.contains('\\') => {
-            column.push_cell(field.as_bytes())?
-        }
+        DataType::Text | DataType::Lob if !escaped => column.push_cell(field.as_bytes())?,
         DataType::Text | DataType::Lob => {
             let mut bad = None;
             column.push_with(|bytes| bad = unescape_into(field, bytes).err())?;
@@ -164,12 +303,11 @@ fn push_field(
 /// Reads every line of `reader` as one row of `schema` into a table.
 /// `context` names the file in errors, which also carry the line number.
 ///
-/// A line ends at `\n` or `\r\n` (the saver escapes carriage returns
-/// inside values, so a bare one before the line feed can only belong to the
-/// line end); the last line may lack it. Fields are checked left to right;
-/// a row with the wrong number of fields is a parse error, and a `\N` in a
-/// NOT NULL column of an otherwise well-formed row is a
-/// [`StorageError::NullViolation`].
+/// Whole lines are parsed where they lie in the reader's buffer; only a
+/// line that straddles two fills is assembled in a (reused) line buffer.
+/// Fields are checked left to right; a row with the wrong number of fields
+/// is a parse error, and a `\N` in a NOT NULL column of an otherwise
+/// well-formed row is a [`StorageError::NullViolation`].
 pub(super) fn read_table(
     mut reader: impl BufRead,
     schema: TableSchema,
@@ -177,80 +315,125 @@ pub(super) fn read_table(
 ) -> Result<Table> {
     let mut table = Table::new(schema);
     let (schema, columns) = table.load_parts();
-    // lint: allow(hot_alloc) — the one line buffer of the load, reused for every row
+    let mut rows = Rows {
+        schema,
+        columns,
+        context,
+        count: 0,
+    };
+    // lint: allow(hot_alloc) — the one line buffer of the load, reused for every straddling line
     let mut line: Vec<u8> = Vec::new();
-    let mut rows = 0usize;
     loop {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let buffer = reader.fill_buf()?;
+        if buffer.is_empty() {
             break;
         }
-        rows += 1;
-        let row = line
-            .strip_suffix(b"\n")
-            .map_or(&line[..], |row| row.strip_suffix(b"\r").unwrap_or(row));
-        let Ok(row) = std::str::from_utf8(row) else {
-            return Err(parse_error(context, rows, format_args!("invalid UTF-8")));
+        // The whole lines of the buffer, up to its last line feed before
+        // any invalid or cut-off UTF-8: the line that holds that goes
+        // through the line buffer, where it is checked and reported.
+        let valid = match std::str::from_utf8(buffer) {
+            Ok(text) => text,
+            Err(error) => std::str::from_utf8(&buffer[..error.valid_up_to()]).unwrap_or_default(),
         };
+        let whole = valid.rfind('\n').map_or(0, |lf| lf + 1);
+        rows.load(&valid[..whole])?;
+        reader.consume(whole);
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? > 0 {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return Err(parse_error(
+                    context,
+                    rows.count + 1,
+                    format_args!("invalid UTF-8"),
+                ));
+            };
+            rows.load(text)?;
+        }
+    }
+    let count = rows.count;
+    table.finish_load(count);
+    Ok(table)
+}
+
+/// The columns a load fills, and how many rows it has read.
+struct Rows<'a> {
+    schema: &'a TableSchema,
+    columns: &'a mut [Column],
+    context: &'a str,
+    count: usize,
+}
+
+impl Rows<'_> {
+    /// Stores the rows of `text`, whole lines.
+    fn load(&mut self, text: &str) -> Result<()> {
+        let (schema, context) = (self.schema, self.context);
         let mut fields = 0usize;
         let mut null_violation = None;
-        for field in row.split('\t') {
-            let (Some(spec), Some(column)) = (schema.columns.get(fields), columns.get_mut(fields))
+        for (field, escaped, row_done) in Fields::new(text) {
+            if fields == 0 {
+                self.count += 1;
+            }
+            let line = self.count;
+            let (Some(spec), Some(column)) =
+                (schema.columns.get(fields), self.columns.get_mut(fields))
             else {
-                return Err(parse_error(context, rows, format_args!("too many fields")));
+                return Err(parse_error(context, line, format_args!("too many fields")));
             };
             fields += 1;
-            if field == NULL_TOKEN {
+            if escaped && field == NULL_TOKEN {
                 if !spec.nullable {
                     null_violation = null_violation.or(Some(spec));
                 }
                 column.push_null();
+            } else {
+                match push_field(column, spec.data_type, field, escaped) {
+                    Ok(()) => {}
+                    Err(FieldError::NotA(data_type)) => {
+                        return Err(parse_error(
+                            context,
+                            line,
+                            format_args!("cannot parse `{field}` as {data_type}"),
+                        ))
+                    }
+                    Err(FieldError::BadEscape(escape)) => {
+                        return Err(parse_error(
+                            context,
+                            line,
+                            format_args!("bad escape sequence `\\{}`", escape.unwrap_or(' ')),
+                        ))
+                    }
+                    Err(FieldError::Full) => {
+                        return Err(StorageError::ColumnTooLarge {
+                            // lint: allow(hot_alloc) — cold error path, once per load
+                            table: schema.name.clone(),
+                            // lint: allow(hot_alloc) — cold error path, once per load
+                            column: spec.name.clone(),
+                        });
+                    }
+                }
+            }
+            if !row_done {
                 continue;
             }
-            match push_field(column, spec.data_type, field) {
-                Ok(()) => {}
-                Err(FieldError::NotA(data_type)) => {
-                    return Err(parse_error(
-                        context,
-                        rows,
-                        format_args!("cannot parse `{field}` as {data_type}"),
-                    ))
-                }
-                Err(FieldError::BadEscape(escape)) => {
-                    return Err(parse_error(
-                        context,
-                        rows,
-                        format_args!("bad escape sequence `\\{}`", escape.unwrap_or(' ')),
-                    ))
-                }
-                Err(FieldError::Full) => {
-                    return Err(StorageError::ColumnTooLarge {
-                        // lint: allow(hot_alloc) — cold error path, once per load
-                        table: schema.name.clone(),
-                        // lint: allow(hot_alloc) — cold error path, once per load
-                        column: spec.name.clone(),
-                    });
-                }
+            if fields < schema.arity() {
+                return Err(parse_error(
+                    context,
+                    line,
+                    format_args!("expected {} fields, got {fields}", schema.arity()),
+                ));
             }
+            if let Some(spec) = null_violation {
+                return Err(StorageError::NullViolation {
+                    // lint: allow(hot_alloc) — cold error path, once per load
+                    table: schema.name.clone(),
+                    // lint: allow(hot_alloc) — cold error path, once per load
+                    column: spec.name.clone(),
+                });
+            }
+            fields = 0;
         }
-        if fields < schema.arity() {
-            return Err(parse_error(
-                context,
-                rows,
-                format_args!("expected {} fields, got {fields}", schema.arity()),
-            ));
-        }
-        if let Some(spec) = null_violation {
-            return Err(StorageError::NullViolation {
-                // lint: allow(hot_alloc) — cold error path, once per load
-                table: schema.name.clone(),
-                // lint: allow(hot_alloc) — cold error path, once per load
-                column: spec.name.clone(),
-            });
-        }
+        Ok(())
     }
-    table.finish_load(rows);
-    Ok(table)
 }
 
 /// Writes `table`'s rows to `out`, one line each: the stored cells escaped,
@@ -278,6 +461,200 @@ pub(super) fn write_table(table: &Table, mut out: impl Write) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ColumnSchema;
+
+    /// `a integer notnull`, `b text`, `c float`, `d lob notnull`.
+    fn pin_schema() -> TableSchema {
+        TableSchema::new(
+            "t",
+            vec![
+                ColumnSchema::new("a", DataType::Integer).not_null(),
+                ColumnSchema::new("b", DataType::Text),
+                ColumnSchema::new("c", DataType::Float),
+                ColumnSchema::new("d", DataType::Lob).not_null(),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn malformed_rows_fail_with_their_variant_message_and_line() {
+        let long = "y".repeat(40);
+        let cases: Vec<(Vec<u8>, String)> = [
+            // The whole line is checked for UTF-8 before any field: the bad
+            // escape in field 2 never speaks.
+            (
+                b"1\tx\t1.5\ty\n2\ta\\q\t\xff\ty\n".to_vec(),
+                "line 2: invalid UTF-8",
+            ),
+            (
+                [b"1\tx\t1.5\t", long.as_bytes(), b"\xe9\n"].concat(),
+                "line 1: invalid UTF-8",
+            ),
+            (
+                b"1\tx\t1.5\ty\n2\tx\t1.5\t\xf0\x9d\x84\n".to_vec(),
+                "line 2: invalid UTF-8",
+            ),
+            (b"1\tx\t1.5\ty\tz\n".to_vec(), "line 1: too many fields"),
+            (b"1\tx\t1.5\ty\t\n".to_vec(), "line 1: too many fields"),
+            (
+                [b"1\t", long.as_bytes(), b"\t1.5\ty\t\\N\n"].concat(),
+                "line 1: too many fields",
+            ),
+            // Fields are checked left to right: a bad field before the extra
+            // one speaks first.
+            (
+                b"1\tx\tnope\ty\tz\n".to_vec(),
+                "line 1: cannot parse `nope` as float",
+            ),
+            (
+                b"1\tx\t1.5\ty\n2\tx\n".to_vec(),
+                "line 2: expected 4 fields, got 2",
+            ),
+            (b"1\tx\t1.5\n".to_vec(), "line 1: expected 4 fields, got 3"),
+            (
+                b"1\tx\t1.5\ty\n\n".to_vec(),
+                "line 2: cannot parse `` as integer",
+            ),
+            (
+                b"1\tabcdefghij\\q\t1\ty\n".to_vec(),
+                "line 1: bad escape sequence `\\q`",
+            ),
+            (
+                b"1\tx\\\xc3\xa9\t1\ty\n".to_vec(),
+                "line 1: bad escape sequence `\\\u{e9}`",
+            ),
+            (
+                [b"1\tx\t1\t", long.as_bytes(), b"\\n\\z\n"].concat(),
+                "line 1: bad escape sequence `\\z`",
+            ),
+            // A trailing backslash: before a tab, at the end of the file,
+            // before a CRLF line end.
+            (
+                b"1\tab\\\t1\ty\n".to_vec(),
+                "line 1: bad escape sequence `\\ `",
+            ),
+            (
+                b"1\tx\t1\ty\n1\tx\t1\ty\\".to_vec(),
+                "line 2: bad escape sequence `\\ `",
+            ),
+            (
+                b"1\tx\t1\ty\\\r\n".to_vec(),
+                "line 1: bad escape sequence `\\ `",
+            ),
+            // A bad number holding a backslash is a bad number.
+            (
+                b"1\tx\t1\\t5\ty\n".to_vec(),
+                "line 1: cannot parse `1\\t5` as float",
+            ),
+            // `\N` in a NOT NULL column: the row completes first, so a later
+            // bad field or a short row speaks instead.
+            (
+                b"\\N\tx\tnope\ty\n".to_vec(),
+                "line 1: cannot parse `nope` as float",
+            ),
+            (b"\\N\tx\n".to_vec(), "line 1: expected 4 fields, got 2"),
+            (b"\\N\tx\t1\ty\tz\n".to_vec(), "line 1: too many fields"),
+            // A bare carriage return is data, not a line end.
+            (
+                b"1\r\tx\t1\ty\n".to_vec(),
+                "line 1: cannot parse `1\r` as integer",
+            ),
+            (
+                b"1\tx\t1.5\ty\n2\tx\t1.5\r\ty\n".to_vec(),
+                "line 2: cannot parse `1.5\r` as float",
+            ),
+            (b"1\tx\r2\t1\n".to_vec(), "line 1: expected 4 fields, got 3"),
+        ]
+        .into_iter()
+        .map(|(data, detail)| {
+            let expected = format!("Parse {{ context: \"t.tsv\", detail: {detail:?} }}");
+            (data, expected)
+        })
+        .chain([
+            (
+                b"1\tx\t1\ty\n\\N\tx\t1\ty\n".to_vec(),
+                "NullViolation { table: \"t\", column: \"a\" }".to_string(),
+            ),
+            (
+                b"1\tx\t1\t\\N\n".to_vec(),
+                "NullViolation { table: \"t\", column: \"d\" }".to_string(),
+            ),
+            // Two violations in one row: the first column's is reported.
+            (
+                b"\\N\tx\t1\t\\N\r\n".to_vec(),
+                "NullViolation { table: \"t\", column: \"a\" }".to_string(),
+            ),
+        ])
+        .collect();
+        for (data, expected) in cases {
+            match read_table(&data[..], pin_schema(), "t.tsv") {
+                Err(error) => assert_eq!(format!("{error:?}"), expected, "{data:?}"),
+                Ok(table) => panic!("{data:?}: loaded {} rows", table.row_count()),
+            }
+        }
+    }
+
+    #[test]
+    fn fields_agree_with_split_and_contains() {
+        // Every row of up to six tokens over an alphabet of tabs,
+        // backslashes, one- to four-byte characters and the bytes next to
+        // them in the ASCII table, so borders and backslashes fall at every
+        // byte of a word.
+        let tokens = ["a", "\t", "\\", "é", "𝄞", "\u{8}", "]"];
+        let mut rows = vec![String::new()];
+        let mut level = 0..1;
+        for _ in 0..6 {
+            for i in level.clone() {
+                for token in tokens {
+                    rows.push(format!("{}{token}", rows[i]));
+                }
+            }
+            level = level.end..rows.len();
+        }
+        // Fields around the word stride and the long-field search, and
+        // long ones that cross a character border at the switch.
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 40, 41, 4096] {
+            for (pad, mark) in [("x", "\\"), ("é", "y"), ("𝄞", "\\")] {
+                let field = pad.repeat(len);
+                for at in [0, 1, 7, 8, 31, 32, 33, len] {
+                    let cut = field.char_indices().nth(at).map_or(field.len(), |(i, _)| i);
+                    let marked = format!("{}{mark}{}", &field[..cut], &field[cut..]);
+                    rows.push(format!("{marked}\t{field}"));
+                    rows.push(format!("a\t{marked}\tb\\\t"));
+                    rows.push(format!("{field}\t\t{marked}"));
+                }
+            }
+        }
+        for row in &rows {
+            let split: Vec<(&str, bool)> = row.split('\t').map(|f| (f, f.contains('\\'))).collect();
+            for line_end in ["", "\n", "\r\n"] {
+                // The row alone (an empty text holds no row), and between
+                // two others.
+                let alone = format!("{row}{line_end}");
+                let scanned: Vec<(&str, bool)> = Fields::new(&alone)
+                    .map(|(field, escaped, _)| (field, escaped))
+                    .collect();
+                if !alone.is_empty() {
+                    assert_eq!(scanned, split, "{alone:?}");
+                }
+                let text = format!("a\\\tb\n{row}\n\\c\td{line_end}");
+                let scanned: Vec<(&str, bool, bool)> = Fields::new(&text).collect();
+                let (first, rest) = scanned.split_at(2);
+                let (middle, last) = rest.split_at(rest.len() - 2);
+                assert_eq!(
+                    first,
+                    [("a\\", true, false), ("b", false, true)],
+                    "{text:?}"
+                );
+                assert_eq!(last, [("\\c", true, false), ("d", false, true)], "{text:?}");
+                let fields: Vec<(&str, bool)> = middle.iter().map(|&(f, e, _)| (f, e)).collect();
+                assert_eq!(fields, split, "{text:?}");
+                assert!(middle.iter().rev().skip(1).all(|&(_, _, done)| !done));
+                assert!(middle.last().is_some_and(|&(_, _, done)| done));
+            }
+        }
+    }
 
     #[test]
     fn escape_unescape_round_trip() {

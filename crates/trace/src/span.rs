@@ -37,7 +37,7 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
     ("profile", ArgStyle::None),
     ("prescan", ArgStyle::None),
     ("generate", ArgStyle::None),
-    ("sampling", ArgStyle::None),
+    ("load", ArgStyle::None),
     ("sort", ArgStyle::Attr),
     ("spill_merge", ArgStyle::None),
     ("spider_merge", ArgStyle::None),
@@ -55,7 +55,7 @@ pub const SPAN_NAMES: [&str; 14] = [
     "profile",
     "prescan",
     "generate",
-    "sampling",
+    "load",
     "sort",
     "spill_merge",
     "spider_merge",
@@ -76,8 +76,9 @@ pub const PROFILE: SpanId = SpanId(2);
 pub const PRESCAN: SpanId = SpanId(3);
 /// Candidate generation (incl. cardinality/min/max pretests).
 pub const GENERATE: SpanId = SpanId(4);
-/// The sampling pretest over the generated candidates.
-pub const SAMPLING: SpanId = SpanId(5);
+/// Loading the database from its TSV files, before the run's root span
+/// (the CLI records it when tracing).
+pub const LOAD: SpanId = SpanId(5);
 /// One attribute's extract+sort during export; `arg` = attribute id.
 pub const SORT: SpanId = SpanId(6);
 /// The k-way spill-run merge inside the external sorter; `arg` = runs.

@@ -351,10 +351,11 @@ fn degraded_json(report: &spider_ind::core::DegradedReport) -> Json {
 
 /// Version stamp of the `--report` JSON shape. Bump on any breaking
 /// change to the report's keys (2: the overlapped-I/O counters left
-/// `metrics`; 3: so did the transitivity-inference counters). The
-/// `cancelled` section is additive — present only on cancelled runs — so
-/// it does not bump the version.
-const REPORT_VERSION: u64 = 3;
+/// `metrics`; 3: so did the transitivity-inference counters; 4:
+/// `pruned_sampling` left `metrics`, and `spans` holds a `load` root before
+/// the `discover` one). The `cancelled` section is additive — present only
+/// on cancelled runs — so it does not bump the version.
+const REPORT_VERSION: u64 = 4;
 
 /// How far a cancelled run got before it drained to a stop: recorded in
 /// the report's `cancelled` section so scripts can tell a run that died
@@ -726,19 +727,31 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
     let _ambient = spider_ind::valueset::cancel::set_ambient(Some(cancel.clone()));
     let workers = workers_from_args(args)?;
     let algorithm = parse_algorithm(args)?;
-    let db = load_with(dir, workers)?;
-    if let Some(max_arity) = flag_value(args, "--max-arity")? {
-        if max_arity >= 2 {
-            return cmd_discover_nary(&db, args, max_arity as usize, &cancel, resume);
+    let max_arity = flag_value(args, "--max-arity")?.filter(|&arity| arity >= 2);
+    let tracing = TraceArgs::from_args(args)?;
+    // The trace covers the load too: its own `load` span, then the
+    // finder's `discover` root.
+    let session = tracing.begin();
+    let loaded = {
+        let _span = spider_ind::trace::start(spider_ind::trace::LOAD);
+        load_with(dir, workers)
+    };
+    let db = match loaded {
+        Ok(db) => db,
+        Err(message) => {
+            session.finish();
+            return Err(message);
         }
+    };
+    if let Some(max_arity) = max_arity {
+        let max_arity = max_arity as usize;
+        return cmd_discover_nary(&db, args, max_arity, &cancel, resume, &tracing, session);
     }
     let mut config = FinderConfig::with_algorithm(algorithm);
     if args.iter().any(|a| a == "--max-pretest") {
         config.pretests = PretestConfig::with_max_value();
     }
     let finder = IndFinder::new(config);
-    let tracing = TraceArgs::from_args(args)?;
-    let session = tracing.begin();
     let result = if on_disk {
         discover_on_disk(&finder, &db, args, &cancel, resume)
     } else {
@@ -792,13 +805,15 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
 /// Runs the levelwise n-ary pipeline (`discover --max-arity N`, N ≥ 2) and
 /// prints per-level candidate counts — the apriori saving made visible —
 /// followed by the composite INDs and, when the schema declares composite
-/// gold keys, their evaluation.
+/// gold keys, their evaluation. `session` has traced the load already.
 fn cmd_discover_nary(
     db: &spider_ind::storage::Database,
     args: &[String],
     max_arity: usize,
     cancel: &spider_ind::valueset::CancelToken,
     resume: spider_ind::valueset::ResumeMode,
+    tracing: &TraceArgs,
+    session: TraceSession,
 ) -> Result<ExitCode, String> {
     let dir = args.first().map(String::as_str).unwrap_or("");
     let mut config = NaryConfig {
@@ -809,8 +824,6 @@ fn cmd_discover_nary(
         config.pretests = PretestConfig::with_max_value();
     }
     let finder = NaryFinder::new(config);
-    let tracing = TraceArgs::from_args(args)?;
-    let session = tracing.begin();
     let result = if args.iter().any(|a| a == "--on-disk") {
         let options = export_options_from_args(args)?
             .with_cancel(cancel.clone())
@@ -833,7 +846,7 @@ fn cmd_discover_nary(
     let discovery = match result {
         Ok(discovery) => discovery,
         Err(message) => {
-            return finish_run_error(cancel, &tracing, trace.as_ref(), dir, args, message)
+            return finish_run_error(cancel, tracing, trace.as_ref(), dir, args, message)
         }
     };
     if let Some(trace) = &trace {

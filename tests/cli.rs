@@ -413,7 +413,7 @@ fn report_and_folded_trace_come_out_well_formed() {
     let report = parse(&text).expect("report is valid JSON");
     assert_eq!(
         report.get("report_version").and_then(Json::as_u64),
-        Some(3),
+        Some(4),
         "{text}"
     );
     let metrics = report.get("metrics").expect("metrics object");
@@ -441,12 +441,15 @@ fn report_and_folded_trace_come_out_well_formed() {
         "the export wrote records, so the length histogram is non-empty"
     );
 
-    // The span tree: a single `discover` root whose children nest — every
-    // child interval inside its parent's interval.
+    // The span tree: a `load` root, then a `discover` root whose children
+    // nest — every child interval inside its parent's interval.
     let spans = report.get("spans").and_then(Json::as_arr).expect("spans");
-    assert_eq!(spans.len(), 1, "one root: {text}");
-    let root = &spans[0];
-    assert_eq!(root.get("name").and_then(Json::as_str), Some("discover"));
+    let roots: Vec<&str> = spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(roots, ["load", "discover"], "{text}");
+    let root = &spans[1];
     fn check_nesting(node: &Json, path: &str) {
         let start = node.get("start_ns").and_then(Json::as_u64).unwrap();
         let end = start + node.get("duration_ns").and_then(Json::as_u64).unwrap();
@@ -476,13 +479,17 @@ fn report_and_folded_trace_come_out_well_formed() {
         );
     }
 
-    // The folded stacks cover the same run, rooted at `discover`.
+    // The folded stacks cover the same run: one `load` line, every other
+    // stack rooted at `discover`.
     let folded = std::fs::read_to_string(&folded_path).expect("folded written");
     assert!(!folded.trim().is_empty());
-    for line in folded.lines() {
+    let (load, rest): (Vec<&str>, Vec<&str>) =
+        folded.lines().partition(|line| line.starts_with("load "));
+    assert_eq!(load.len(), 1, "one load line:\n{folded}");
+    for line in rest {
         assert!(
             line.starts_with("discover"),
-            "every stack is rooted at discover: {line}"
+            "every other stack is rooted at discover: {line}"
         );
     }
     assert!(
@@ -695,7 +702,7 @@ fn deadline_expiry_exits_cancelled_with_flushed_report() {
     );
     // The report was still flushed, with the cancellation snapshot.
     let report = parse(&std::fs::read_to_string(&report_path).expect("report")).expect("json");
-    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(3));
+    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(4));
     let cancelled = report.get("cancelled").expect("cancelled section");
     assert!(
         cancelled.get("phase").and_then(Json::as_str).is_some(),

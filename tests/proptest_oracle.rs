@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use spider_ind::core::{
     generate_candidates, memory_export, profile_database, profiles_from_export, run_brute_force,
     run_single_pass, run_spider, Algorithm, AttributeProfile, Candidate, FinderConfig, IndFinder,
-    PretestConfig, RunMetrics, SamplingConfig,
+    PretestConfig, RunMetrics,
 };
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::{
@@ -307,15 +307,6 @@ proptest! {
         pretests.min_value = true;
         let with_max = FinderConfig { pretests, ..Default::default() };
         let d = IndFinder::new(with_max).discover_in_memory(&db).expect("max");
-        prop_assert_eq!(named(&d), named(&base));
-
-        let with_sampling = FinderConfig {
-            sampling: Some(SamplingConfig { sample_size: 3, seed: 7 }),
-            ..Default::default()
-        };
-        let d = IndFinder::new(with_sampling)
-            .discover_in_memory(&db)
-            .expect("sampling");
         prop_assert_eq!(named(&d), named(&base));
     }
 

@@ -822,6 +822,77 @@ proptest! {
                 .and_then(collect_cursor);
         prop_assert!(drained.is_err(), "cut at {} of {} read clean", cut, data.len());
     }
+
+    #[test]
+    fn fields_around_the_scan_stride_load_as_the_per_cell_model(
+        rows in proptest::collection::vec(
+            (0usize..8, proptest::collection::vec((any::<u8>(), 0u8..4, 0u8..5, 0usize..48), 3..4)),
+            1..10),
+        crlf in any::<bool>(),
+        straddle in proptest::option::of(0usize..160),
+    ) {
+        // The row scanner reads eight bytes a step and hands a field still
+        // open after 32 bytes to `memchr`; the read buffer holds 64 KiB.
+        // Fields of every length around those strides, filled with one- to
+        // four-byte characters, with an escape (or the inner `\N`) at any
+        // character of them, behind a first field of 0..8 bytes that shifts
+        // everything after it across the words; and, optionally, a first
+        // row that ends just before the read buffer does, so the rows after
+        // it straddle the buffer's edge at every offset.
+        const LENGTHS: [usize; 9] = [0, 1, 7, 8, 9, 31, 32, 33, 4096];
+        const FILLERS: [&str; 4] = ["x", "é", "∑", "𝄞"];
+        const TOKENS: [&str; 5] = ["", "\\t", "\\\\", "\\N", "\\n"];
+        let mut fields: Vec<Vec<String>> = rows
+            .iter()
+            .map(|(shift, row)| {
+                let mut fields = vec!["s".repeat(*shift)];
+                fields.extend(row.iter().map(|&(length, filler, token, at)| {
+                    if length % 16 == 15 {
+                        return "\\N".to_string();
+                    }
+                    let body = FILLERS[filler as usize].repeat(LENGTHS[length as usize % 9]);
+                    let cut = body.char_indices().nth(at).map_or(body.len(), |(i, _)| i);
+                    format!("{}{}{}", &body[..cut], TOKENS[token as usize], &body[cut..])
+                }));
+                fields
+            })
+            .collect();
+        let newline = if crlf { "\r\n" } else { "\n" };
+        if let Some(short) = straddle {
+            let pad = LOADER_BUFFER - short - 3 - newline.len();
+            fields.insert(0, vec!["p".repeat(pad), String::new(), String::new(), String::new()]);
+        }
+        let data: String = fields
+            .iter()
+            .map(|row| format!("{}{newline}", row.join("\t")))
+            .collect();
+
+        let dir = TempDir::new("prop-loader-stride");
+        let types = [DataType::Text, DataType::Text, DataType::Lob, DataType::Text];
+        let schema: String = types
+            .iter()
+            .enumerate()
+            .map(|(j, dt)| format!("column\tc{j}\t{dt}\tnull\tdup\n"))
+            .collect();
+        std::fs::write(dir.join("schema.txt"), format!("database\tprop\ntable\tt\n{schema}"))
+            .expect("schema");
+        std::fs::write(dir.join("t.tsv"), data.as_bytes()).expect("data");
+        let db = load_database(dir.path()).expect("every generated field is well-formed");
+        let table = db.table("t").expect("t");
+        prop_assert_eq!(table.row_count(), fields.len());
+        for (j, dt) in types.into_iter().enumerate() {
+            let model: Vec<Option<Vec<u8>>> = fields
+                .iter()
+                .map(|row| {
+                    let value = model_cell(dt, &row[j]);
+                    (!value.is_null()).then(|| value.canonical_bytes())
+                })
+                .collect();
+            let cells: Vec<Option<Vec<u8>>> =
+                table.cells(j).cells().map(|cell| cell.map(<[u8]>::to_vec)).collect();
+            prop_assert_eq!(&cells, &model, "column {}", j);
+        }
+    }
 }
 
 // Byte-level fuzz of the TSV loader: cheap cases, so many of them.
