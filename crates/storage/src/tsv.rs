@@ -347,21 +347,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn bad_value_reports_line() {
-        let dir = TempDir::new("tsv-badvalue");
-        std::fs::write(
-            dir.join("schema.txt"),
-            "database\tx\ntable\tt\ncolumn\tc\tinteger\tnull\tdup\n",
-        )
-        .unwrap();
-        std::fs::write(dir.join("t.tsv"), "notanumber\n").unwrap();
-        match load_database(dir.path()) {
-            Err(StorageError::Parse { detail, .. }) => assert!(detail.contains("line 1")),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-    }
-
     /// `schema.txt` for one table `t` plus its data file.
     fn write_table(dir: &TempDir, columns: &str, data: &[u8]) {
         std::fs::write(
@@ -472,28 +457,5 @@ mod tests {
         assert_eq!(t.column(0)[1], Value::Integer(7));
         assert_eq!(t.column(1)[1], Value::Float(1000.0));
         assert_eq!(t.value_views_built(), 2);
-    }
-
-    #[test]
-    fn invalid_utf8_and_bad_escapes_name_their_line() {
-        let dir = TempDir::new("tsv-bytes");
-        let columns = "column\ta\ttext\tnull\tdup\n";
-        for (data, what) in [
-            (b"ok\n\xff\n".as_slice(), "line 2: invalid UTF-8"),
-            (
-                b"ok\nfine\na\\qb\n".as_slice(),
-                "line 3: bad escape sequence `\\q`",
-            ),
-            (
-                b"trailing\\".as_slice(),
-                "line 1: bad escape sequence `\\ `",
-            ),
-        ] {
-            write_table(&dir, columns, data);
-            match load_database(dir.path()) {
-                Err(StorageError::Parse { detail, .. }) => assert_eq!(detail, what),
-                other => panic!("{data:?}: expected a parse error, got {other:?}"),
-            }
-        }
     }
 }

@@ -8,13 +8,14 @@
 //! parsed and re-rendered into the store; text is unescaped into the store.
 //! Saving walks the same cells back out.
 //!
-//! Line ends are found by `read_until`'s `memchr`. Field borders are found
-//! by one pass over the line, eight bytes a step ([`Fields`]), which also
-//! reports whether a field holds a backslash — most cells are a few bytes,
-//! and a library call per field cost more than the bytes. A field still
-//! open after [`LONG_FIELD`] bytes is finished by the standard library's
-//! `memchr`-backed searches, which keeps kilobyte-wide text cells at copy
-//! speed.
+//! Each fill of the read buffer is checked as UTF-8 once and its whole
+//! lines are parsed where they lie; only the line that straddles two fills
+//! is assembled in a reused line buffer. Tabs, line feeds and backslashes
+//! are found in one pass, eight bytes a step ([`Fields`]): most cells are a
+//! few bytes, and a library call per field (`str::split`, `str::contains`)
+//! cost more than the bytes. A field still open after [`LONG_FIELD`] bytes
+//! is finished by the standard library's `memchr`-backed searches, which
+//! keeps kilobyte-wide text cells at copy speed.
 
 use super::parse_error;
 use crate::column::{Column, ColumnFull};
@@ -33,8 +34,9 @@ pub(super) const READ_BUFFER_BYTES: usize = 64 * 1024;
 /// Bytes one step of the field scan looks at.
 const WORD: usize = 8;
 
-/// A field that runs this many bytes without a tab is finished by
-/// `memchr`: past a few words a vectorised search beats eight bytes a step.
+/// A field that runs this many bytes without a tab or line feed is finished
+/// by `memchr`: past a few words a vectorised search beats eight bytes a
+/// step.
 const LONG_FIELD: usize = 32;
 
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -463,132 +465,86 @@ mod tests {
     use super::*;
     use crate::schema::ColumnSchema;
 
-    /// `a integer notnull`, `b text`, `c float`, `d lob notnull`.
-    fn pin_schema() -> TableSchema {
-        TableSchema::new(
-            "t",
-            vec![
+    #[test]
+    fn malformed_rows_fail_with_their_variant_message_and_line() {
+        let schema = || {
+            let columns = vec![
                 ColumnSchema::new("a", DataType::Integer).not_null(),
                 ColumnSchema::new("b", DataType::Text),
                 ColumnSchema::new("c", DataType::Float),
                 ColumnSchema::new("d", DataType::Lob).not_null(),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn malformed_rows_fail_with_their_variant_message_and_line() {
-        let long = "y".repeat(40);
-        let cases: Vec<(Vec<u8>, String)> = [
+            ];
+            TableSchema::new("t", columns).unwrap()
+        };
+        // `#` stands for a 40-byte field, past the scanner's memchr switch;
+        // `NULL c` for a `NullViolation` in column `c`.
+        let cases: [(&[u8], &str); 26] = [
             // The whole line is checked for UTF-8 before any field: the bad
             // escape in field 2 never speaks.
+            (b"1\tx\t1.5\ty\n2\ta\\q\t\xff\ty\n", "line 2: invalid UTF-8"),
+            (b"1\tx\t1.5\t#\xe9\n", "line 1: invalid UTF-8"),
             (
-                b"1\tx\t1.5\ty\n2\ta\\q\t\xff\ty\n".to_vec(),
+                b"1\tx\t1.5\ty\n2\tx\t1.5\t\xf0\x9d\x84\n",
                 "line 2: invalid UTF-8",
             ),
+            (b"1\tx\t1.5\ty\tz\n", "line 1: too many fields"),
+            (b"1\tx\t1.5\ty\t\n", "line 1: too many fields"),
+            (b"1\t#\t1.5\ty\t\\N\n", "line 1: too many fields"),
+            // Fields are checked left to right: a bad field before the
+            // extra one speaks first.
             (
-                [b"1\tx\t1.5\t", long.as_bytes(), b"\xe9\n"].concat(),
-                "line 1: invalid UTF-8",
-            ),
-            (
-                b"1\tx\t1.5\ty\n2\tx\t1.5\t\xf0\x9d\x84\n".to_vec(),
-                "line 2: invalid UTF-8",
-            ),
-            (b"1\tx\t1.5\ty\tz\n".to_vec(), "line 1: too many fields"),
-            (b"1\tx\t1.5\ty\t\n".to_vec(), "line 1: too many fields"),
-            (
-                [b"1\t", long.as_bytes(), b"\t1.5\ty\t\\N\n"].concat(),
-                "line 1: too many fields",
-            ),
-            // Fields are checked left to right: a bad field before the extra
-            // one speaks first.
-            (
-                b"1\tx\tnope\ty\tz\n".to_vec(),
+                b"1\tx\tnope\ty\tz\n",
                 "line 1: cannot parse `nope` as float",
             ),
+            (b"1\tx\t1.5\ty\n2\tx\n", "line 2: expected 4 fields, got 2"),
+            (b"1\tx\t1.5\n", "line 1: expected 4 fields, got 3"),
+            (b"1\tx\t1.5\ty\n\n", "line 2: cannot parse `` as integer"),
             (
-                b"1\tx\t1.5\ty\n2\tx\n".to_vec(),
-                "line 2: expected 4 fields, got 2",
-            ),
-            (b"1\tx\t1.5\n".to_vec(), "line 1: expected 4 fields, got 3"),
-            (
-                b"1\tx\t1.5\ty\n\n".to_vec(),
-                "line 2: cannot parse `` as integer",
-            ),
-            (
-                b"1\tabcdefghij\\q\t1\ty\n".to_vec(),
+                b"1\tabcdefghij\\q\t1\ty\n",
                 "line 1: bad escape sequence `\\q`",
             ),
             (
-                b"1\tx\\\xc3\xa9\t1\ty\n".to_vec(),
+                b"1\tx\\\xc3\xa9\t1\ty\n",
                 "line 1: bad escape sequence `\\\u{e9}`",
             ),
-            (
-                [b"1\tx\t1\t", long.as_bytes(), b"\\n\\z\n"].concat(),
-                "line 1: bad escape sequence `\\z`",
-            ),
+            (b"1\tx\t1\t#\\n\\z\n", "line 1: bad escape sequence `\\z`"),
             // A trailing backslash: before a tab, at the end of the file,
             // before a CRLF line end.
+            (b"1\tab\\\t1\ty\n", "line 1: bad escape sequence `\\ `"),
             (
-                b"1\tab\\\t1\ty\n".to_vec(),
-                "line 1: bad escape sequence `\\ `",
-            ),
-            (
-                b"1\tx\t1\ty\n1\tx\t1\ty\\".to_vec(),
+                b"1\tx\t1\ty\n1\tx\t1\ty\\",
                 "line 2: bad escape sequence `\\ `",
             ),
-            (
-                b"1\tx\t1\ty\\\r\n".to_vec(),
-                "line 1: bad escape sequence `\\ `",
-            ),
+            (b"1\tx\t1\ty\\\r\n", "line 1: bad escape sequence `\\ `"),
             // A bad number holding a backslash is a bad number.
-            (
-                b"1\tx\t1\\t5\ty\n".to_vec(),
-                "line 1: cannot parse `1\\t5` as float",
-            ),
+            (b"1\tx\t1\\t5\ty\n", "line 1: cannot parse `1\\t5` as float"),
             // `\N` in a NOT NULL column: the row completes first, so a later
-            // bad field or a short row speaks instead.
-            (
-                b"\\N\tx\tnope\ty\n".to_vec(),
-                "line 1: cannot parse `nope` as float",
-            ),
-            (b"\\N\tx\n".to_vec(), "line 1: expected 4 fields, got 2"),
-            (b"\\N\tx\t1\ty\tz\n".to_vec(), "line 1: too many fields"),
+            // bad field or a short or long row speaks instead.
+            (b"\\N\tx\tnope\ty\n", "line 1: cannot parse `nope` as float"),
+            (b"\\N\tx\n", "line 1: expected 4 fields, got 2"),
+            (b"\\N\tx\t1\ty\tz\n", "line 1: too many fields"),
+            (b"1\tx\t1\ty\n\\N\tx\t1\ty\n", "NULL a"),
+            (b"1\tx\t1\t\\N\n", "NULL d"),
+            // Two violations in one row: the first column's is reported.
+            (b"\\N\tx\t1\t\\N\r\n", "NULL a"),
             // A bare carriage return is data, not a line end.
+            (b"1\r\tx\t1\ty\n", "line 1: cannot parse `1\r` as integer"),
             (
-                b"1\r\tx\t1\ty\n".to_vec(),
-                "line 1: cannot parse `1\r` as integer",
-            ),
-            (
-                b"1\tx\t1.5\ty\n2\tx\t1.5\r\ty\n".to_vec(),
+                b"1\tx\t1.5\ty\n2\tx\t1.5\r\ty\n",
                 "line 2: cannot parse `1.5\r` as float",
             ),
-            (b"1\tx\r2\t1\n".to_vec(), "line 1: expected 4 fields, got 3"),
-        ]
-        .into_iter()
-        .map(|(data, detail)| {
-            let expected = format!("Parse {{ context: \"t.tsv\", detail: {detail:?} }}");
-            (data, expected)
-        })
-        .chain([
-            (
-                b"1\tx\t1\ty\n\\N\tx\t1\ty\n".to_vec(),
-                "NullViolation { table: \"t\", column: \"a\" }".to_string(),
-            ),
-            (
-                b"1\tx\t1\t\\N\n".to_vec(),
-                "NullViolation { table: \"t\", column: \"d\" }".to_string(),
-            ),
-            // Two violations in one row: the first column's is reported.
-            (
-                b"\\N\tx\t1\t\\N\r\n".to_vec(),
-                "NullViolation { table: \"t\", column: \"a\" }".to_string(),
-            ),
-        ])
-        .collect();
+            (b"1\tx\r2\t1\n", "line 1: expected 4 fields, got 3"),
+        ];
         for (data, expected) in cases {
-            match read_table(&data[..], pin_schema(), "t.tsv") {
+            let data = data
+                .split(|&b| b == b'#')
+                .collect::<Vec<_>>()
+                .join(&[b'y'; 40][..]);
+            let expected = match expected.strip_prefix("NULL ") {
+                Some(column) => format!("NullViolation {{ table: \"t\", column: \"{column}\" }}"),
+                None => format!("Parse {{ context: \"t.tsv\", detail: {expected:?} }}"),
+            };
+            match read_table(&data[..], schema(), "t.tsv") {
                 Err(error) => assert_eq!(format!("{error:?}"), expected, "{data:?}"),
                 Ok(table) => panic!("{data:?}: loaded {} rows", table.row_count()),
             }
@@ -600,7 +556,7 @@ mod tests {
         // Every row of up to six tokens over an alphabet of tabs,
         // backslashes, one- to four-byte characters and the bytes next to
         // them in the ASCII table, so borders and backslashes fall at every
-        // byte of a word.
+        // byte of a word. (Long fields: `tests/proptest_substrate.rs`.)
         let tokens = ["a", "\t", "\\", "é", "𝄞", "\u{8}", "]"];
         let mut rows = vec![String::new()];
         let mut level = 0..1;
@@ -612,46 +568,16 @@ mod tests {
             }
             level = level.end..rows.len();
         }
-        // Fields around the word stride and the long-field search, and
-        // long ones that cross a character border at the switch.
-        for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 40, 41, 4096] {
-            for (pad, mark) in [("x", "\\"), ("é", "y"), ("𝄞", "\\")] {
-                let field = pad.repeat(len);
-                for at in [0, 1, 7, 8, 31, 32, 33, len] {
-                    let cut = field.char_indices().nth(at).map_or(field.len(), |(i, _)| i);
-                    let marked = format!("{}{mark}{}", &field[..cut], &field[cut..]);
-                    rows.push(format!("{marked}\t{field}"));
-                    rows.push(format!("a\t{marked}\tb\\\t"));
-                    rows.push(format!("{field}\t\t{marked}"));
-                }
-            }
-        }
         for row in &rows {
-            let split: Vec<(&str, bool)> = row.split('\t').map(|f| (f, f.contains('\\'))).collect();
-            for line_end in ["", "\n", "\r\n"] {
-                // The row alone (an empty text holds no row), and between
-                // two others.
-                let alone = format!("{row}{line_end}");
-                let scanned: Vec<(&str, bool)> = Fields::new(&alone)
-                    .map(|(field, escaped, _)| (field, escaped))
-                    .collect();
-                if !alone.is_empty() {
-                    assert_eq!(scanned, split, "{alone:?}");
-                }
-                let text = format!("a\\\tb\n{row}\n\\c\td{line_end}");
-                let scanned: Vec<(&str, bool, bool)> = Fields::new(&text).collect();
-                let (first, rest) = scanned.split_at(2);
-                let (middle, last) = rest.split_at(rest.len() - 2);
-                assert_eq!(
-                    first,
-                    [("a\\", true, false), ("b", false, true)],
-                    "{text:?}"
-                );
-                assert_eq!(last, [("\\c", true, false), ("d", false, true)], "{text:?}");
-                let fields: Vec<(&str, bool)> = middle.iter().map(|&(f, e, _)| (f, e)).collect();
-                assert_eq!(fields, split, "{text:?}");
-                assert!(middle.iter().rev().skip(1).all(|&(_, _, done)| !done));
-                assert!(middle.last().is_some_and(|&(_, _, done)| done));
+            let mut expected = vec![("a\\", true, false), ("b", false, true)];
+            expected.extend(row.split('\t').map(|f| (f, f.contains('\\'), false)));
+            expected.last_mut().expect("split yields a field").2 = true;
+            expected.extend([("\\c", true, false), ("d", false, true)]);
+            // The row between two others, each line ended either way, and
+            // the last one also not at all.
+            for (mid, end) in [("\n", ""), ("\n", "\n"), ("\r\n", "\r\n")] {
+                let text = format!("a\\\tb{mid}{row}{mid}\\c\td{end}");
+                assert_eq!(Fields::new(&text).collect::<Vec<_>>(), expected, "{text:?}");
             }
         }
     }

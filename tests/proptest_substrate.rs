@@ -242,6 +242,25 @@ fn loader_field(dt: DataType, kind: u8, n: u64) -> String {
                 "4.9e-324",
             ]),
         },
+        DataType::Text | DataType::Lob if kind.is_multiple_of(3) => {
+            // Around the row scanner's strides — its 8-byte words and the
+            // switch to `memchr` at 32 bytes — in one- to four-byte
+            // characters, with an escape (or the inner `\N`) at any of them.
+            const LENGTHS: [u64; 9] = [0, 1, 7, 8, 9, 31, 32, 33, 4096];
+            let body = ["x", "é", "∑", "𝄞"][(n % 4) as usize]
+                .repeat(LENGTHS[(n / 4 % 9) as usize] as usize);
+            let at = body
+                .char_indices()
+                .nth((n / 36 % 40) as usize)
+                .map_or(body.len(), |(i, _)| i);
+            let escape = ["", "\\t", "\\\\", "\\N", "\\n"][(n / 1440 % 5) as usize];
+            let field = format!("{}{escape}{}", &body[..at], &body[at..]);
+            if field == "\\N" {
+                "x\\N".to_string()
+            } else {
+                field
+            }
+        }
         DataType::Text | DataType::Lob => {
             // A bare carriage return is data anywhere but at the end of a
             // line, so only the LOB column (never last) gets one.
@@ -360,6 +379,7 @@ proptest! {
             proptest::collection::vec((any::<u8>(), any::<u64>()), 4..5), 0..12),
         ending in 0u8..6,
         long_row in proptest::option::of(0usize..12),
+        straddle in proptest::option::of(0usize..160),
     ) {
         // Whatever spelling a field arrives in, the stored cell is the
         // canonical rendering of the value the old loader would have
@@ -377,11 +397,17 @@ proptest! {
         if let Some(row) = long_row.filter(|&row| row < fields.len()) {
             fields[row][3] = format!("{}{}", "wide\\t".repeat(LOADER_BUFFER / 5), fields[row][3]);
         }
+        let newline = if ending % 2 == 1 { "\r\n" } else { "\n" };
+        // A first row that stops `short` bytes before the read buffer does,
+        // so the rows after it straddle the buffer's edge at every offset.
+        if let Some(short) = straddle {
+            let pad = "p".repeat(LOADER_BUFFER - short - 5 - newline.len());
+            fields.insert(0, ["0", "0", "", pad.as_str()].map(String::from).to_vec());
+        }
         // Endings: LF / CRLF; 2 and 3 without the final line end; 4 and 5
         // padded (in the last row's text field) so that the file stops
         // exactly on a read-buffer boundary — under CRLF one byte past it,
         // the buffer's edge falling between the `\r` and the `\n`.
-        let newline = if ending % 2 == 1 { "\r\n" } else { "\n" };
         let file_len = |fields: &[Vec<String>]| -> usize {
             fields
                 .iter()
@@ -821,77 +847,6 @@ proptest! {
             ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(read_block))
                 .and_then(collect_cursor);
         prop_assert!(drained.is_err(), "cut at {} of {} read clean", cut, data.len());
-    }
-
-    #[test]
-    fn fields_around_the_scan_stride_load_as_the_per_cell_model(
-        rows in proptest::collection::vec(
-            (0usize..8, proptest::collection::vec((any::<u8>(), 0u8..4, 0u8..5, 0usize..48), 3..4)),
-            1..10),
-        crlf in any::<bool>(),
-        straddle in proptest::option::of(0usize..160),
-    ) {
-        // The row scanner reads eight bytes a step and hands a field still
-        // open after 32 bytes to `memchr`; the read buffer holds 64 KiB.
-        // Fields of every length around those strides, filled with one- to
-        // four-byte characters, with an escape (or the inner `\N`) at any
-        // character of them, behind a first field of 0..8 bytes that shifts
-        // everything after it across the words; and, optionally, a first
-        // row that ends just before the read buffer does, so the rows after
-        // it straddle the buffer's edge at every offset.
-        const LENGTHS: [usize; 9] = [0, 1, 7, 8, 9, 31, 32, 33, 4096];
-        const FILLERS: [&str; 4] = ["x", "é", "∑", "𝄞"];
-        const TOKENS: [&str; 5] = ["", "\\t", "\\\\", "\\N", "\\n"];
-        let mut fields: Vec<Vec<String>> = rows
-            .iter()
-            .map(|(shift, row)| {
-                let mut fields = vec!["s".repeat(*shift)];
-                fields.extend(row.iter().map(|&(length, filler, token, at)| {
-                    if length % 16 == 15 {
-                        return "\\N".to_string();
-                    }
-                    let body = FILLERS[filler as usize].repeat(LENGTHS[length as usize % 9]);
-                    let cut = body.char_indices().nth(at).map_or(body.len(), |(i, _)| i);
-                    format!("{}{}{}", &body[..cut], TOKENS[token as usize], &body[cut..])
-                }));
-                fields
-            })
-            .collect();
-        let newline = if crlf { "\r\n" } else { "\n" };
-        if let Some(short) = straddle {
-            let pad = LOADER_BUFFER - short - 3 - newline.len();
-            fields.insert(0, vec!["p".repeat(pad), String::new(), String::new(), String::new()]);
-        }
-        let data: String = fields
-            .iter()
-            .map(|row| format!("{}{newline}", row.join("\t")))
-            .collect();
-
-        let dir = TempDir::new("prop-loader-stride");
-        let types = [DataType::Text, DataType::Text, DataType::Lob, DataType::Text];
-        let schema: String = types
-            .iter()
-            .enumerate()
-            .map(|(j, dt)| format!("column\tc{j}\t{dt}\tnull\tdup\n"))
-            .collect();
-        std::fs::write(dir.join("schema.txt"), format!("database\tprop\ntable\tt\n{schema}"))
-            .expect("schema");
-        std::fs::write(dir.join("t.tsv"), data.as_bytes()).expect("data");
-        let db = load_database(dir.path()).expect("every generated field is well-formed");
-        let table = db.table("t").expect("t");
-        prop_assert_eq!(table.row_count(), fields.len());
-        for (j, dt) in types.into_iter().enumerate() {
-            let model: Vec<Option<Vec<u8>>> = fields
-                .iter()
-                .map(|row| {
-                    let value = model_cell(dt, &row[j]);
-                    (!value.is_null()).then(|| value.canonical_bytes())
-                })
-                .collect();
-            let cells: Vec<Option<Vec<u8>>> =
-                table.cells(j).cells().map(|cell| cell.map(<[u8]>::to_vec)).collect();
-            prop_assert_eq!(&cells, &model, "column {}", j);
-        }
     }
 }
 
