@@ -158,10 +158,9 @@ impl<'a> Iterator for Fields<'a> {
         let row_done = end == len || bytes[end] == b'\n';
         self.start = end + 1;
         self.row_done = row_done;
-        let field_end = match end.checked_sub(1) {
-            Some(cr) if row_done && end < len && cr >= start && bytes[cr] == b'\r' => cr,
-            _ => end,
-        };
+        // A `\r` before the line feed belongs to the line end.
+        let crlf = row_done && end < len && end > start && bytes[end - 1] == b'\r';
+        let field_end = if crlf { end - 1 } else { end };
         Some((&self.text[start..field_end], escaped, row_done))
     }
 }
