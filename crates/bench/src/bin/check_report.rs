@@ -26,7 +26,7 @@ use ind_trace::json::{parse, Json};
 use std::process::ExitCode;
 
 /// Expected `report_version` — bump together with the CLI writer.
-const REPORT_VERSION: u64 = 4;
+const REPORT_VERSION: u64 = 5;
 
 fn field_u64(node: &Json, key: &str) -> Result<u64, String> {
     node.get(key)

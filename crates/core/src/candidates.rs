@@ -42,9 +42,6 @@ pub struct PretestConfig {
     /// Max-value pretest (Sec. 4.1 improvement; off by default to match
     /// the baseline configuration of Tables 1 and 2).
     pub max_value: bool,
-    /// Min-value pretest: refute when `min(dep) < min(ref)` — the mirror
-    /// image of the max test; an extension beyond the paper, off by default.
-    pub min_value: bool,
 }
 
 impl Default for PretestConfig {
@@ -52,7 +49,6 @@ impl Default for PretestConfig {
         PretestConfig {
             cardinality: true,
             max_value: false,
-            min_value: false,
         }
     }
 }
@@ -118,10 +114,6 @@ pub(crate) fn generate_candidates_with(
             }
             if pretests.max_value && dep.max > refd.max {
                 metrics.pruned_max_value += 1;
-                continue;
-            }
-            if pretests.min_value && dep.min < refd.min {
-                metrics.pruned_min_value += 1;
                 continue;
             }
             out.push(Candidate::new(dep.id, refd.id));
@@ -200,22 +192,6 @@ mod tests {
         let mut m2 = RunMetrics::new();
         let c2 = generate_candidates(&profiles, &PretestConfig::default(), &mut m2);
         assert_eq!(c2.len(), 2);
-    }
-
-    #[test]
-    fn min_value_pretest_prunes() {
-        let profiles = vec![
-            profile(0, 5, b"a", b"m", true), // min below ref's
-            profile(1, 5, b"c", b"m", true),
-        ];
-        let cfg = PretestConfig {
-            min_value: true,
-            ..Default::default()
-        };
-        let mut m = RunMetrics::new();
-        let c = generate_candidates(&profiles, &cfg, &mut m);
-        assert_eq!(c, vec![Candidate::new(1, 0)]);
-        assert_eq!(m.pruned_min_value, 1);
     }
 
     #[test]

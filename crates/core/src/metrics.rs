@@ -17,8 +17,6 @@ pub struct RunMetrics {
     pub pruned_cardinality: u64,
     /// Pairs rejected by the max-value pretest (Sec. 4.1).
     pub pruned_max_value: u64,
-    /// Pairs rejected by the min-value pretest (extension).
-    pub pruned_min_value: u64,
     /// Composite candidates rejected by the levelwise projection pretest:
     /// an arity-`k` candidate joined from two arity-`k−1` INDs whose other
     /// sub-projections were not all satisfied (the MIND/apriori pruning of
@@ -117,7 +115,6 @@ impl RunMetrics {
         self.pairs_considered
             .saturating_sub(self.pruned_cardinality)
             .saturating_sub(self.pruned_max_value)
-            .saturating_sub(self.pruned_min_value)
             .saturating_sub(self.pruned_projection)
     }
 
@@ -129,11 +126,10 @@ impl RunMetrics {
     /// values exact `u64` integers, so the report round-trips through
     /// any JSON parser losslessly.
     pub fn to_json(&self) -> Json {
-        let fields: [(&str, u64); 25] = [
+        let fields: [(&str, u64); 24] = [
             ("pairs_considered", self.pairs_considered),
             ("pruned_cardinality", self.pruned_cardinality),
             ("pruned_max_value", self.pruned_max_value),
-            ("pruned_min_value", self.pruned_min_value),
             ("pruned_projection", self.pruned_projection),
             ("candidates", self.candidates()),
             ("tested", self.tested),
@@ -165,7 +161,6 @@ impl RunMetrics {
         self.pairs_considered += other.pairs_considered;
         self.pruned_cardinality += other.pruned_cardinality;
         self.pruned_max_value += other.pruned_max_value;
-        self.pruned_min_value += other.pruned_min_value;
         self.pruned_projection += other.pruned_projection;
         self.tested += other.tested;
         self.satisfied += other.satisfied;
@@ -193,7 +188,7 @@ impl fmt::Display for RunMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "candidates={} (considered={}, pruned: card={}, max={}, min={}, proj={}), \
+            "candidates={} (considered={}, pruned: card={}, max={}, proj={}), \
              tested={}, satisfied={}, items_read={}, \
              value_bytes_read={}, parked_reads={}, comparisons={} (key={}, memcmp={}), \
              read_calls={}, \
@@ -203,7 +198,6 @@ impl fmt::Display for RunMetrics {
             self.pairs_considered,
             self.pruned_cardinality,
             self.pruned_max_value,
-            self.pruned_min_value,
             self.pruned_projection,
             self.tested,
             self.satisfied,
@@ -297,7 +291,7 @@ mod tests {
         let mixed = RunMetrics {
             pairs_considered: 3,
             pruned_cardinality: 2,
-            pruned_min_value: 2,
+            pruned_max_value: 2,
             ..Default::default()
         };
         assert_eq!(mixed.candidates(), 0);
@@ -348,7 +342,7 @@ mod tests {
             assert_eq!(json.get(key).and_then(Json::as_u64), Some(value), "{key}");
         }
         let fields = json.as_obj().expect("an object");
-        assert_eq!(fields.len(), 25, "23 fields, candidates and elapsed_ns");
+        assert_eq!(fields.len(), 24, "22 fields, candidates and elapsed_ns");
         for (i, (key, _)) in fields.iter().enumerate() {
             assert!(fields[..i].iter().all(|(k, _)| k != key), "{key} twice");
         }

@@ -201,14 +201,18 @@ impl NaryFinder {
 
     /// Runs the levelwise search entirely in memory.
     pub fn discover_in_memory(&self, db: &Database) -> Result<NaryDiscovery> {
+        let start = Instant::now();
+        let _root = ind_trace::start(ind_trace::DISCOVER);
+        let export_span = ind_trace::start(ind_trace::EXPORT);
         let (profiles, provider) = try_memory_export(db, ind_storage::default_workers())?;
+        export_span.finish();
         // Stored columns in profile-id order, for composite extraction.
         let columns: Vec<&Column> = db
             .tables()
             .iter()
             .flat_map(|table| table.iter_cells().map(|(_, _, col)| col))
             .collect();
-        self.drive(&profiles, &provider, &[], |groups, _metrics| {
+        let mut discovery = self.drive(&profiles, &provider, &[], |groups, _metrics| {
             let sets = groups
                 .iter()
                 .map(|group| {
@@ -217,7 +221,9 @@ impl NaryFinder {
                 })
                 .collect();
             Ok(MemoryProviderLevel(MemoryProvider::new(sets)))
-        })
+        })?;
+        discovery.metrics.elapsed = start.elapsed();
+        Ok(discovery)
     }
 
     /// Runs the levelwise search over on-disk sorted value files: the unary
@@ -230,6 +236,8 @@ impl NaryFinder {
         workdir: &Path,
         options: &ExportOptions,
     ) -> Result<NaryDiscovery> {
+        let start = Instant::now();
+        let _root = ind_trace::start(ind_trace::DISCOVER);
         let export = ExportedDatabase::export(db, &workdir.join("arity-1"), options)?;
         let profiles = profiles_from_export(&export);
 
@@ -291,6 +299,7 @@ impl NaryFinder {
         discovery.metrics.exports_reused = export.exports_reused();
         discovery.metrics.exports_redone = export.exports_redone();
         discovery.metrics.orphans_swept = export.orphans_swept();
+        discovery.metrics.elapsed = start.elapsed();
         if options.keep_going {
             discovery.degraded = Some(DegradedReport {
                 quarantined,
@@ -304,6 +313,8 @@ impl NaryFinder {
     /// The levelwise loop, generic over how composite value streams are
     /// materialised: `make_level` turns the distinct attribute groups of a
     /// level into a provider whose composite ids are the group indices.
+    /// The caller opens the `discover` root before its unary export and
+    /// sets `metrics.elapsed` over the whole run.
     fn drive<L, F>(
         &self,
         profiles: &[AttributeProfile],
@@ -317,8 +328,6 @@ impl NaryFinder {
     {
         let max_arity = self.config.max_arity.clamp(1, MAX_COMPOSITE_ARITY);
         let mut metrics = RunMetrics::new();
-        let total_start = Instant::now();
-        let _root = ind_trace::start(ind_trace::DISCOVER);
         let table_of = table_indices(profiles);
 
         // Level 1: the unary engine with relaxed referenced eligibility.
@@ -447,7 +456,6 @@ impl NaryFinder {
         // still interleave (e.g. [3,4] < [3,4,5] < [4,5]), so restore the
         // documented global order once.
         satisfied.sort_unstable();
-        metrics.elapsed = total_start.elapsed();
         Ok(NaryDiscovery {
             profiles: profiles.to_vec(),
             unary,

@@ -157,6 +157,9 @@ fn spider_pass<P: ValueSetProvider>(
     // Cached once per pass: the merge loop publishes progress only when
     // tracing was on at entry, so a traced-off run pays one relaxed load.
     let traced = ind_trace::enabled();
+    // The counters' baseline for the span: every read below is published,
+    // the cursors' first reads included.
+    let (mut last_items, mut last_bytes) = (metrics.items_read, metrics.value_bytes_read);
     // Dense remap: every vector below is indexed by compact attribute id.
     let ids = CompactIds::from_candidates(candidates);
     let n = ids.len();
@@ -226,7 +229,6 @@ fn spider_pass<P: ValueSetProvider>(
     // surviving-candidate gauge is `total - refuted - satisfied` without
     // an O(n) rescan per group.
     let mut refuted_total: u64 = 0;
-    let (mut last_items, mut last_bytes) = (metrics.items_read, metrics.value_bytes_read);
 
     let mut group = Group::new(n, words);
 

@@ -8,32 +8,31 @@ use ind_trace::json::{self, Json};
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn arbitrary_metrics(values: &[u64; 25]) -> RunMetrics {
+fn arbitrary_metrics(values: &[u64; 24]) -> RunMetrics {
     RunMetrics {
         pairs_considered: values[0],
         pruned_cardinality: values[1],
         pruned_max_value: values[2],
-        pruned_min_value: values[3],
-        pruned_projection: values[4],
-        tested: values[5],
-        satisfied: values[6],
-        items_read: values[7],
-        value_bytes_read: values[8],
-        parked_reads: values[9],
-        comparisons: values[10],
-        key_compares: values[11],
-        memcmp_compares: values[12],
-        read_calls: values[13],
-        cursor_opens: values[14],
-        value_set_classes: values[15],
-        class_compares: values[16],
-        io_retries: values[17],
-        checksum_failures: values[18],
-        quarantined_attributes: values[19],
-        exports_reused: values[20],
-        exports_redone: values[21],
-        orphans_swept: values[22],
-        elapsed: Duration::from_secs(values[23]) + Duration::from_nanos(values[24]),
+        pruned_projection: values[3],
+        tested: values[4],
+        satisfied: values[5],
+        items_read: values[6],
+        value_bytes_read: values[7],
+        parked_reads: values[8],
+        comparisons: values[9],
+        key_compares: values[10],
+        memcmp_compares: values[11],
+        read_calls: values[12],
+        cursor_opens: values[13],
+        value_set_classes: values[14],
+        class_compares: values[15],
+        io_retries: values[16],
+        checksum_failures: values[17],
+        quarantined_attributes: values[18],
+        exports_reused: values[19],
+        exports_redone: values[20],
+        orphans_swept: values[21],
+        elapsed: Duration::from_secs(values[22]) + Duration::from_nanos(values[23]),
     }
 }
 
@@ -49,14 +48,14 @@ proptest! {
 
     #[test]
     fn to_json_round_trips_through_parsing(
-        counters in proptest::collection::vec(0u64..=u64::MAX, 23),
+        counters in proptest::collection::vec(0u64..=u64::MAX, 22),
         secs in 0u64..4_000_000_000,
         nanos in 0u64..1_000_000_000,
     ) {
-        let mut values = [0u64; 25];
-        values[..23].copy_from_slice(&counters);
-        values[23] = secs;
-        values[24] = nanos;
+        let mut values = [0u64; 24];
+        values[..22].copy_from_slice(&counters);
+        values[22] = secs;
+        values[23] = nanos;
         let metrics = arbitrary_metrics(&values);
 
         let text = metrics.to_json().pretty();
@@ -69,7 +68,6 @@ proptest! {
         prop_assert_eq!(field(&parsed, "pairs_considered"), metrics.pairs_considered);
         prop_assert_eq!(field(&parsed, "pruned_cardinality"), metrics.pruned_cardinality);
         prop_assert_eq!(field(&parsed, "pruned_max_value"), metrics.pruned_max_value);
-        prop_assert_eq!(field(&parsed, "pruned_min_value"), metrics.pruned_min_value);
         prop_assert_eq!(field(&parsed, "pruned_projection"), metrics.pruned_projection);
         prop_assert_eq!(field(&parsed, "candidates"), metrics.candidates());
         prop_assert_eq!(field(&parsed, "tested"), metrics.tested);

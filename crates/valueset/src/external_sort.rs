@@ -18,12 +18,17 @@
 //! # Index-backed, allocation-free in the steady state
 //!
 //! What is sorted is a flat `(prefix, offset, len)` index over one byte
-//! buffer — not one heap `Vec<u8>` per value. Sorting is `sort_unstable_by`
-//! over the index comparing the cached keys and, where they cannot tell,
-//! slices of the buffer in place; duplicate elimination rewrites the index
-//! without touching the bytes (`crate::arena`, shared with the in-memory
-//! set builder). The sorter adds the budget and the spill, for two kinds of
-//! input:
+//! buffer — not one heap `Vec<u8>` per value. A sort first drops repeated
+//! values from the index by hash, keeping each first occurrence at the
+//! front of the same index, then runs `sort_unstable_by` over the distinct
+//! entries left, comparing the cached keys and, where they cannot tell,
+//! slices of the buffer in place; the bytes never move (`crate::arena`,
+//! shared with the in-memory set builder). The hash table is at most
+//! 128 KiB and charged to the budget: it is allocated only when it fits
+//! beside the arena and index already held, and freed when they need the
+//! room, so it never moves a spill — without it the index is sorted and
+//! deduplicated whole. The sorter adds the budget and the spill, for two
+//! kinds of input:
 //!
 //! * **Resident values** — the cells of a stored column, which already lie
 //!   back to back in the column's buffer. The resident entry point (what
@@ -54,11 +59,12 @@
 //! against the last *written* record through a single reusable buffer — no
 //! per-record `to_vec`, no per-distinct `clone`.
 //!
-//! [`ExternalSorter::finish_into`] resets the sorter (keeping its index and
-//! arena), so one sorter can serve a whole export: after the first attribute the
-//! steady-state cost of sorting another column is zero heap allocations.
+//! [`ExternalSorter::finish_into`] resets the sorter (keeping its index,
+//! arena and hash table), so one sorter can serve a whole export: after the
+//! first attribute the steady-state cost of sorting another column is zero
+//! heap allocations.
 
-use crate::arena::{self, Entry, ValueArena, ENTRY_BYTES};
+use crate::arena::{self, Entry, ValueArena, ENTRY_BYTES, SLOT_BYTES};
 use crate::block::IoOptions;
 use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
@@ -80,8 +86,12 @@ pub struct SortOptions {
     /// 16 index bytes per non-NULL row for a stored column (its cells are
     /// sorted where they lie, so a column spills only past budget / 16
     /// rows), arena bytes plus index bytes for pushed values (composite
-    /// tuples). The buffer always admits at least one value. One sorter's
-    /// budget: an export with several workers runs one sorter per worker.
+    /// tuples). The hash table that drops repeats before a sort (up to
+    /// 128 KiB) is charged too, but only ever takes room the values left:
+    /// it is allocated when it fits beside them and freed when they grow,
+    /// so the budget's spill points are the values' alone. The buffer always
+    /// admits at least one value. One sorter's budget: an export with
+    /// several workers runs one sorter per worker.
     pub memory_budget_bytes: usize,
     /// Block size for spill-run writers and the merge-phase readers.
     pub io: IoOptions,
@@ -123,18 +133,20 @@ pub struct SortStats {
     /// recorded so readers can size their block buffers without `fstat`.
     pub file_bytes: u64,
     /// High-water mark of the budget-charged footprint (arena capacity +
-    /// index capacity; index capacity alone for resident columns) over the
-    /// sorter's lifetime — the number the memory budget bounds. Persists
-    /// across [`ExternalSorter::finish_into`] reuse, so a shared sorter
-    /// reports its lifetime peak.
+    /// index capacity + hash-table capacity; no arena for resident columns)
+    /// over the sorter's lifetime — the number the memory budget bounds.
+    /// Persists across [`ExternalSorter::finish_into`] reuse, so a shared
+    /// sorter reports its lifetime peak.
     pub arena_bytes: u64,
-    /// Arena/index capacity-growth events over the sorter's lifetime — the
-    /// sorter's entire allocation traffic. A reused sorter stops growing
-    /// once warm, so this stays constant while `pushed` keeps climbing.
+    /// Arena/index/hash-table capacity-growth events over the sorter's
+    /// lifetime — the sorter's entire allocation traffic. A reused sorter
+    /// stops growing once warm, so this stays constant while `pushed` keeps
+    /// climbing.
     pub arena_grows: u64,
     /// Merge-tree comparisons resolved by the normalized key (8-byte
     /// big-endian prefix and length) alone (0 when the sort never spilled —
-    /// the in-memory path uses `sort_unstable_by`, not the tree).
+    /// the in-memory path uses the hash pass and `sort_unstable_by`, not
+    /// the tree).
     pub key_compares: u64,
     /// Merge-tree comparisons that tied on the key and fell through to a
     /// full `memcmp` of the value slices.
@@ -254,6 +266,7 @@ impl ExternalSorter {
         render(&mut self.buf.bytes);
         debug_assert!(self.buf.bytes.len() >= offset, "render must only append");
         if self.buf.bytes.capacity() != capacity_before {
+            self.fit_table(self.buf.bytes.capacity() + self.buf.index.capacity() * ENTRY_BYTES);
             self.grows += 1;
             self.note_footprint();
         }
@@ -300,6 +313,7 @@ impl ExternalSorter {
             .memory_budget_bytes
             .saturating_sub(self.buf.index.capacity() * ENTRY_BYTES);
         let target = Self::grow_target(self.buf.bytes.capacity(), needed, share, MIN_GROW);
+        self.fit_table(target + self.buf.index.capacity() * ENTRY_BYTES);
         self.buf.bytes.reserve_exact(target - self.buf.bytes.len());
         self.grows += 1;
         self.note_footprint();
@@ -320,6 +334,7 @@ impl ExternalSorter {
                 share,
                 MIN_GROW / ENTRY_BYTES,
             );
+            self.fit_table(self.buf.bytes.capacity() + target * ENTRY_BYTES);
             self.buf.index.reserve_exact(target - self.buf.index.len());
             self.grows += 1;
             self.note_footprint();
@@ -379,8 +394,45 @@ impl ExternalSorter {
 
     #[inline]
     fn note_footprint(&mut self) {
-        let footprint = self.buf.bytes.capacity() + self.buf.index.capacity() * ENTRY_BYTES;
+        let footprint = self.buf.bytes.capacity()
+            + self.buf.index.capacity() * ENTRY_BYTES
+            + self.buf.table.capacity() * SLOT_BYTES;
         self.peak_footprint = self.peak_footprint.max(footprint);
+    }
+
+    /// Frees the hash table when it no longer fits the budget beside
+    /// `footprint` bytes of arena and index capacity — called before either
+    /// grows, so the table never holds budget the values need.
+    fn fit_table(&mut self, footprint: usize) {
+        let table = self.buf.table.capacity() * SLOT_BYTES;
+        if footprint + table > self.options.memory_budget_bytes {
+            self.buf.table.clear();
+            self.buf.table.shrink_to_fit();
+        }
+    }
+
+    /// Sorts and deduplicates the index over `bytes` (the resident buffer
+    /// or the arena's): repeats are dropped by hash first when the table
+    /// fits the budget beside the arena and index capacity already held,
+    /// and the table's growth is charged like theirs. Otherwise the index
+    /// is sorted and deduplicated whole, so the table never moves a spill.
+    fn sort_dedup(&mut self, resident: Option<&[u8]>) {
+        let held = self.buf.bytes.capacity() + self.buf.index.capacity() * ENTRY_BYTES;
+        self.fit_table(held);
+        let room = self.options.memory_budget_bytes.saturating_sub(held);
+        let wanted = arena::table_slots(self.buf.index.len());
+        let slots = if wanted * SLOT_BYTES <= room {
+            wanted
+        } else {
+            0
+        };
+        let capacity = self.buf.table.capacity();
+        let bytes = resident.unwrap_or(&self.buf.bytes);
+        arena::sort_dedup(&mut self.buf.index, bytes, &mut self.buf.table, slots);
+        if self.buf.table.capacity() != capacity {
+            self.grows += 1;
+            self.note_footprint();
+        }
     }
 
     /// Sorts what the index holds and writes it out as one run. The values
@@ -388,8 +440,8 @@ impl ExternalSorter {
     /// when `None`, from the sorter's own arena.
     fn spill(&mut self, resident: Option<&[u8]>) -> Result<()> {
         let mut w = self.next_run()?;
+        self.sort_dedup(resident);
         let bytes = resident.unwrap_or(&self.buf.bytes);
-        arena::sort_dedup(&mut self.buf.index, bytes);
         for value in arena::values(&self.buf.index, bytes) {
             w.append(value)?;
         }
@@ -444,6 +496,7 @@ impl ExternalSorter {
             .saturating_sub(self.buf.bytes.capacity());
         let entries = rows.min((room / ENTRY_BYTES).max(1));
         if self.buf.index.capacity() < entries {
+            self.fit_table(self.buf.bytes.capacity() + entries * ENTRY_BYTES);
             self.buf.index.reserve_exact(entries);
             self.grows += 1;
             self.note_footprint();
@@ -470,8 +523,8 @@ impl ExternalSorter {
         resident: Option<&[u8]>,
         writer: &mut ValueFileWriter,
     ) -> Result<SortStats> {
+        self.sort_dedup(resident);
         let bytes = resident.unwrap_or(&self.buf.bytes);
-        arena::sort_dedup(&mut self.buf.index, bytes);
 
         let mut min = None;
         let mut max: Option<Vec<u8>> = None;
@@ -1183,10 +1236,100 @@ mod tests {
         };
         let first = extract("d.indv");
         let second = extract("e.indv");
-        assert_eq!(first.arena_grows, 1, "one exact reservation, no doubling");
-        assert_eq!(first.arena_bytes, (values.len() * ENTRY_BYTES) as u64);
-        assert_eq!(second.arena_grows, 1, "a warm index is not reallocated");
+        // Two exact reservations, no doubling: the index, then the hash
+        // table (twice the 200 entries, rounded up: 512 slots), both
+        // charged to the footprint.
+        assert_eq!(first.arena_grows, 2, "index and table, once each");
+        let table = arena::table_slots(values.len()) * SLOT_BYTES;
+        assert_eq!(table, 512 * 4);
+        assert_eq!(
+            first.arena_bytes,
+            (values.len() * ENTRY_BYTES + table) as u64
+        );
+        assert_eq!(
+            second.arena_grows, 2,
+            "a warm index and table are not reallocated"
+        );
         assert_eq!(second.arena_bytes, first.arena_bytes);
         assert_eq!((second.pushed, second.distinct), (200, 200));
+
+        // A column of half the rows, then one of a tenth, with repeats:
+        // the warm index and table serve them all.
+        for rows in [100, 20] {
+            let column = ind_storage::Column::from_values(
+                &raw.iter()
+                    .take(rows)
+                    .chain(raw.iter().take(rows))
+                    .map(|s| ind_storage::Value::from(s.as_str()))
+                    .collect::<Vec<_>>(),
+            );
+            let mut writer = ValueFileWriter::create(&dir.join("f.indv")).unwrap();
+            let stats = crate::extract_with_sorter(&column, &mut sorter, &mut writer).unwrap();
+            assert_eq!(
+                (stats.arena_grows, stats.arena_bytes),
+                (2, first.arena_bytes)
+            );
+            assert_eq!(
+                (stats.pushed, stats.distinct),
+                (2 * rows as u64, rows as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn the_table_fits_beside_the_index_or_is_not_allocated() {
+        // A 4096-byte budget is all index (256 entries): a column that
+        // fills it sorts and spills as it did before there was a table,
+        // pushed or resident.
+        let dir = TempDir::new("extsort-table-budget");
+        let raw: Vec<String> = (0..1000).map(|i| format!("v{:03}", i % 300)).collect();
+        let values: Vec<&[u8]> = raw.iter().map(|s| s.as_bytes()).collect();
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(4096)).unwrap();
+        for v in &values {
+            sorter.push(v).unwrap();
+            assert_eq!(sorter.buf.table.capacity(), 0, "no room, no table");
+        }
+        let mut w = ValueFileWriter::create(&dir.join("pushed.indv")).unwrap();
+        let stats = sorter.finish_into(&mut w).unwrap();
+        w.finish().unwrap();
+        assert_eq!(sorter.buf.table.capacity(), 0);
+        assert_eq!((stats.distinct, stats.runs > 0), (300, true));
+
+        let cells: Vec<ind_storage::Value> = raw.iter().map(|s| s.as_str().into()).collect();
+        let column = ind_storage::Column::from_values(&cells);
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(4096)).unwrap();
+        let mut w = ValueFileWriter::create(&dir.join("resident.indv")).unwrap();
+        let stats = crate::extract_with_sorter(&column, &mut sorter, &mut w).unwrap();
+        w.finish().unwrap();
+        assert_eq!(sorter.buf.table.capacity(), 0);
+        assert_eq!((stats.distinct, stats.runs), (300, 999 / 256));
+        assert_eq!(stats.arena_bytes, 4096, "the index alone");
+
+        // At 64 KiB a small column's table fits beside its index and is
+        // charged; a column whose index then needs the room frees it, so
+        // the footprint stays inside the budget.
+        let budget = 64 << 10;
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(budget))
+                .unwrap();
+        let small = ind_storage::Column::from_values(&cells[..100]);
+        let mut w = ValueFileWriter::create(&dir.join("small.indv")).unwrap();
+        let stats = crate::extract_with_sorter(&small, &mut sorter, &mut w).unwrap();
+        let table = arena::table_slots(100) * SLOT_BYTES;
+        assert_eq!(sorter.buf.table.capacity() * SLOT_BYTES, table);
+        assert_eq!(stats.arena_bytes as usize, 100 * ENTRY_BYTES + table);
+        let long: Vec<ind_storage::Value> = (0..5000i64).map(ind_storage::Value::Integer).collect();
+        let mut w = ValueFileWriter::create(&dir.join("long.indv")).unwrap();
+        let stats = crate::extract_with_sorter(
+            &ind_storage::Column::from_values(&long),
+            &mut sorter,
+            &mut w,
+        )
+        .unwrap();
+        assert_eq!(sorter.buf.table.capacity(), 0, "the index took the room");
+        assert_eq!((stats.distinct, stats.runs), (5000, 4999 / 4096));
+        assert!(stats.arena_bytes as usize <= budget, "{stats:?}");
     }
 }

@@ -6,8 +6,9 @@
 //! already are the canonical renderings (`ind-storage` parsed them once, at
 //! load or insert) and already lie back to back in the column's buffer. So
 //! unary extraction is index-only: one pass (`index_cells`, the crate's only
-//! loop over a column's cells for it) records where each non-NULL cell lies,
-//! the index is sorted and deduplicated over the column's own bytes, and the
+//! loop over a column's cells for it) records where each non-NULL cell lies;
+//! repeated values are dropped from the index by hash and only the distinct
+//! ones are sorted, over the column's own bytes (`crate::arena`); and the
 //! sorted distinct slices are drained straight into their sink — a value
 //! stream ([`extract_with_sorter`]) or a flat in-memory set
 //! ([`extract_memory_columns`]). No cell is copied before its sink.
@@ -64,7 +65,7 @@ fn index_cells(
 }
 
 /// One column into the memory sink: its non-null cells are indexed where
-/// they lie, the index is sorted and deduplicated over the column's bytes,
+/// they lie, the index is deduplicated and sorted over the column's bytes,
 /// and the survivors are compacted into the flat set. The builder comes
 /// back empty and warm.
 fn extract_column(builder: &mut MemorySetBuilder, column: &Column) -> Result<MemoryColumn> {
@@ -467,7 +468,8 @@ mod tests {
                 assert!(stats.key_compares > 0, "{name}: the spill merge ran");
             } else {
                 assert_eq!(stats.runs, 0, "{name}: 16 KB of index fits 64 KiB");
-                assert_eq!(stats.arena_bytes, 16 * 1000, "{name}");
+                // Beside it, the hash table: 2,048 four-byte slots.
+                assert_eq!(stats.arena_bytes, 16 * 1000 + 2048 * 4, "{name}");
             }
             let memory = extract_memory_set(&column);
             assert_eq!(stats.distinct, memory.len(), "{name}");

@@ -26,13 +26,14 @@
 //!
 //! Sets are built by the crate-private `MemorySetBuilder` over the shared
 //! value index (`crate::arena`, the same index the external sorter sorts):
-//! the index is sorted and deduplicated in place and the survivors are
-//! compacted into the flat set. A stored column's cells are indexed where
-//! they lie in the column's own buffer, so the copy into the finished set
-//! is the only one a value ever takes; values that are stored nowhere yet
+//! repeats are dropped from the index by hash, the distinct values left
+//! are sorted in place, and they are compacted into the flat set. A stored
+//! column's cells are indexed where they lie in the column's own buffer,
+//! so the copy into the finished set is the only one a value ever takes; values that are stored nowhere yet
 //! (composite tuples, [`MemoryValueSet::from_unsorted`]) are rendered into
-//! the builder's arena first. A builder is reused across columns, so
-//! extracting a column costs the set's two buffers and nothing per cell.
+//! the builder's arena first. A builder is reused across columns — its
+//! index and hash table stay warm — so extracting a column costs the set's
+//! two buffers and nothing per cell.
 
 use crate::arena::{self, Entry, ValueArena};
 use crate::cursor::{ValueCursor, ValueSetProvider};
@@ -270,9 +271,9 @@ impl PartialEq<FlatValues<'_>> for Vec<Vec<u8>> {
 
 /// Builds [`MemoryValueSet`]s from unsorted values: push, then
 /// [`finish`](Self::finish) — or, for values that already lie in a buffer,
-/// [`resident`](Self::resident). The builder keeps its index (and arena)
-/// across sets, so one builder per worker makes the steady-state cost of
-/// another column the finished set's own two buffers.
+/// [`resident`](Self::resident). The builder keeps its index, hash table
+/// and arena across sets, so one builder per worker makes the steady-state
+/// cost of another column the finished set's own two buffers.
 #[derive(Debug, Default)]
 pub(crate) struct MemorySetBuilder {
     arena: ValueArena,
@@ -298,7 +299,11 @@ impl MemorySetBuilder {
     /// Sorts and deduplicates what was pushed, compacts the survivors into
     /// a flat set, and resets the builder (keeping its capacity).
     pub(crate) fn finish(&mut self) -> MemoryValueSet {
-        let set = compact(&mut self.arena.index, &self.arena.bytes);
+        let set = compact(
+            &mut self.arena.index,
+            &self.arena.bytes,
+            &mut self.arena.table,
+        );
         self.arena.clear();
         set
     }
@@ -312,6 +317,7 @@ impl MemorySetBuilder {
         self.arena.index.reserve(rows);
         ResidentSet {
             index: &mut self.arena.index,
+            table: &mut self.arena.table,
             bytes,
         }
     }
@@ -321,6 +327,7 @@ impl MemorySetBuilder {
 /// ([`MemorySetBuilder::resident`]).
 pub(crate) struct ResidentSet<'a> {
     index: &'a mut Vec<Entry>,
+    table: &'a mut Vec<u32>,
     bytes: &'a [u8],
 }
 
@@ -342,16 +349,17 @@ impl ResidentSet<'_> {
     /// Sorts and deduplicates what was recorded, compacts the survivors
     /// into a flat set, and leaves the builder empty and warm.
     pub(crate) fn finish(self) -> MemoryValueSet {
-        let set = compact(self.index, self.bytes);
+        let set = compact(self.index, self.bytes, self.table);
         self.index.clear();
         set
     }
 }
 
-/// Sorts and deduplicates `index` over `bytes` and lays the surviving
-/// values out as a flat set — the one copy a value takes.
-fn compact(index: &mut Vec<Entry>, bytes: &[u8]) -> MemoryValueSet {
-    arena::sort_dedup(index, bytes);
+/// Sorts and deduplicates `index` over `bytes` (repeats dropped by hash
+/// through `table` first) and lays the surviving values out as a flat set
+/// — the one copy a value takes.
+fn compact(index: &mut Vec<Entry>, bytes: &[u8], table: &mut Vec<u32>) -> MemoryValueSet {
+    arena::sort_dedup(index, bytes, table, arena::table_slots(index.len()));
     // Survivors are disjoint pieces of a buffer within u32 addressing, so
     // their total fits a u32.
     let total = arena::values(index, bytes).map(<[u8]>::len).sum();

@@ -30,7 +30,7 @@
 use std::cmp::Ordering;
 
 /// Bytes of a value the normalized key holds.
-const KEY_WINDOW: u32 = 8;
+pub(crate) const KEY_WINDOW: u32 = 8;
 
 /// The first 8 bytes of `v`, zero-padded, as a big-endian integer — the
 /// normalized key stored in every [`TournamentTree`] node and every sorter

@@ -353,9 +353,9 @@ fn degraded_json(report: &spider_ind::core::DegradedReport) -> Json {
 /// change to the report's keys (2: the overlapped-I/O counters left
 /// `metrics`; 3: so did the transitivity-inference counters; 4:
 /// `pruned_sampling` left `metrics`, and `spans` holds a `load` root before
-/// the `discover` one). The `cancelled` section is additive — present only
+/// the `discover` one; 5: `pruned_min_value` left `metrics`). The `cancelled` section is additive — present only
 /// on cancelled runs — so it does not bump the version.
-const REPORT_VERSION: u64 = 4;
+const REPORT_VERSION: u64 = 5;
 
 /// How far a cancelled run got before it drained to a stop: recorded in
 /// the report's `cancelled` section so scripts can tell a run that died

@@ -413,7 +413,7 @@ fn report_and_folded_trace_come_out_well_formed() {
     let report = parse(&text).expect("report is valid JSON");
     assert_eq!(
         report.get("report_version").and_then(Json::as_u64),
-        Some(4),
+        Some(5),
         "{text}"
     );
     let metrics = report.get("metrics").expect("metrics object");
@@ -477,6 +477,21 @@ fn report_and_folded_trace_come_out_well_formed() {
             child_names.contains(&phase),
             "{phase} missing: {child_names:?}"
         );
+    }
+    // The merge span counts every value the run read, the cursors' first
+    // reads included.
+    let merge = root
+        .get("children")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|c| c.get("name").and_then(Json::as_str) == Some("spider_merge"))
+        .unwrap();
+    for counter in ["items_read", "value_bytes_read"] {
+        let spanned = merge.get("counters").and_then(|c| c.get(counter));
+        let run = metrics.get(counter).and_then(Json::as_u64);
+        assert!(run > Some(0), "{counter}: {run:?}");
+        assert_eq!(spanned.and_then(Json::as_u64), run, "{counter}");
     }
 
     // The folded stacks cover the same run: one `load` line, every other
@@ -702,7 +717,7 @@ fn deadline_expiry_exits_cancelled_with_flushed_report() {
     );
     // The report was still flushed, with the cancellation snapshot.
     let report = parse(&std::fs::read_to_string(&report_path).expect("report")).expect("json");
-    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(4));
+    assert_eq!(report.get("report_version").and_then(Json::as_u64), Some(5));
     let cancelled = report.get("cancelled").expect("cancelled section");
     assert!(
         cancelled.get("phase").and_then(Json::as_str).is_some(),

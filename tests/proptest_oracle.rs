@@ -303,9 +303,10 @@ proptest! {
             .discover_in_memory(&db)
             .expect("base");
 
-        let mut pretests = PretestConfig::with_max_value();
-        pretests.min_value = true;
-        let with_max = FinderConfig { pretests, ..Default::default() };
+        let with_max = FinderConfig {
+            pretests: PretestConfig::with_max_value(),
+            ..Default::default()
+        };
         let d = IndFinder::new(with_max).discover_in_memory(&db).expect("max");
         prop_assert_eq!(named(&d), named(&base));
     }

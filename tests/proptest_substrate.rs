@@ -61,14 +61,18 @@ fn arb_flat_value() -> impl Strategy<Value = Vec<u8>> {
 /// Byte strings around the normalized key's 8-byte window: the empty
 /// value, values shorter than the window, values that differ only by
 /// trailing or embedded NULs (`"a"` vs `"a\0"` share a zero-padded key),
-/// and values that agree on the whole window and differ after it.
+/// and values that agree on the whole window and differ after it. Past
+/// the window, the sort's hash pass reads the last 8 bytes and, past 16, a
+/// middle word: values of up to 40 bytes cross both edges, and 40-byte
+/// values that agree in all three hashed words collide in its table.
 fn arb_keyed_value() -> impl Strategy<Value = Vec<u8>> {
     (
         any::<u8>(),
         proptest::collection::vec(0u8..3, 0..12),
         0usize..4,
+        0usize..41,
     )
-        .prop_map(|(kind, tail, nuls)| match kind % 6 {
+        .prop_map(|(kind, tail, nuls, len)| match kind % 8 {
             0 => Vec::new(),
             // Short, over a three-letter alphabet that includes NUL.
             1 => tail.iter().take(7).copied().collect(),
@@ -77,6 +81,22 @@ fn arb_keyed_value() -> impl Strategy<Value = Vec<u8>> {
             // Exactly the window, and the window plus a tail.
             3 => b"sameprefix"[..8].to_vec(),
             4 => [b"sameprefix".as_slice(), &tail].concat(),
+            // Up to 40 bytes of `a` with NULs where the tail says.
+            5 => (0..len)
+                .map(|i| match tail.get(i % 12) {
+                    Some(0) => 0,
+                    _ => b'a',
+                })
+                .collect(),
+            // Key, middle word and last 8 bytes alike; bytes 8..16 differ.
+            6 => {
+                let mut v = b"prefix--aaaaaaaa-middle-aaaaaaaalastword".to_vec();
+                for (i, &t) in tail.iter().take(8).enumerate() {
+                    v[8 + i] = t;
+                }
+                v[24 + nuls] = 0;
+                v
+            }
             _ => tail,
         })
 }
@@ -502,9 +522,9 @@ proptest! {
     fn both_sorters_equal_a_btreeset_on_key_boundary_values(
         values in proptest::collection::vec(arb_keyed_value(), 0..80),
     ) {
-        // The arena's keyed sort + dedup (under the in-memory builder and
-        // under the external sorter) and the keyed spill merge, on inputs
-        // dense in key ties.
+        // The arena's hash pass, keyed sort + dedup (under the in-memory
+        // builder and under the external sorter) and the keyed spill merge,
+        // on inputs dense in key ties and hash collisions.
         let model: Vec<Vec<u8>> = values.iter().cloned().collect::<BTreeSet<_>>().into_iter().collect();
         let set = MemoryValueSet::from_unsorted(values.iter().cloned());
         prop_assert_eq!(set.as_slice().to_vec(), model.clone());
