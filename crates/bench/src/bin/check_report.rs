@@ -10,12 +10,16 @@
 //! * there are exactly two root spans: `load` (reading the TSV files),
 //!   then `discover`;
 //! * the span tree is well-formed — every child's interval lies inside
-//!   its parent's interval;
+//!   its parent's interval, `load`'s per-table `load_table` spans (from
+//!   the loader's worker threads) included;
 //! * the run's phases — `load` and the direct children of `discover` —
 //!   cover the run's wall time, from the start of `load` to the end of
 //!   `discover`, to within `max(5%, 2 ms)` — measured as the union of their
 //!   intervals, so spans of concurrent export workers are not
 //!   double-counted;
+//! * every `level` span of the n-ary path (`--max-arity`) is covered by its
+//!   children (`generate`, `export`, `spider_merge`) to the same tolerance,
+//!   measured against the level's own duration;
 //! * the `discover` span agrees with `metrics.elapsed_ns` to the same
 //!   tolerance;
 //! * no events were dropped to ring overflow.
@@ -60,6 +64,48 @@ fn check_nesting(node: &Json, path: &str) -> Result<usize, String> {
         visited += check_nesting(child, &format!("{path}/{name}"))?;
     }
     Ok(visited)
+}
+
+/// A span's `[start, end)` interval.
+fn interval(span: &Json) -> Result<(u64, u64), String> {
+    let start = field_u64(span, "start_ns")?;
+    Ok((start, start + field_u64(span, "duration_ns")?))
+}
+
+/// The time nobody accounts for: `max(5%, 2 ms)` of `reference`.
+fn tolerance(reference: u64) -> u64 {
+    (reference / 20).max(2_000_000)
+}
+
+/// Asserts that every `level` span at or below `node` is covered by the
+/// union of its children's intervals to within [`tolerance`] of its own
+/// duration, returning the number of levels checked.
+fn check_levels(node: &Json, path: &str) -> Result<usize, String> {
+    let name = node.get("name").and_then(Json::as_str).unwrap_or("?");
+    let children = node
+        .get("children")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{path}: missing `children` array"))?;
+    let mut checked = 0;
+    if name == "level" {
+        let (start, end) = interval(node)?;
+        let covered = union_ns(children.iter().map(interval).collect::<Result<_, _>>()?);
+        let uncovered = (end - start).saturating_sub(covered);
+        if uncovered > tolerance(end - start) {
+            return Err(format!(
+                "{path}: children cover {covered} of {} ns — {uncovered} ns of the level \
+                 is unaccounted for (tolerance {} ns)",
+                end - start,
+                tolerance(end - start)
+            ));
+        }
+        checked += 1;
+    }
+    for child in children {
+        let child_name = child.get("name").and_then(Json::as_str).unwrap_or("?");
+        checked += check_levels(child, &format!("{path}/{child_name}"))?;
+    }
+    Ok(checked)
 }
 
 /// Total length of the union of `[start, end)` intervals.
@@ -111,11 +157,8 @@ fn run() -> Result<(), String> {
         ));
     };
     let span_count = check_nesting(load, "load")? + check_nesting(root, "discover")?;
+    let levels = check_levels(root, "discover")?;
 
-    let interval = |span: &Json| -> Result<(u64, u64), String> {
-        let start = field_u64(span, "start_ns")?;
-        Ok((start, start + field_u64(span, "duration_ns")?))
-    };
     let (load_start, load_end) = interval(load)?;
     let (root_start, root_end) = interval(root)?;
     if load_end > root_start {
@@ -125,7 +168,6 @@ fn run() -> Result<(), String> {
     }
     let root_dur = root_end - root_start;
     let run_dur = root_end - load_start;
-    let tolerance = |reference: u64| -> u64 { (reference / 20).max(2_000_000) };
 
     // Phase coverage: `load` and the root's direct children, as an interval
     // union so spans of concurrent export workers are not double-counted,
@@ -162,7 +204,7 @@ fn run() -> Result<(), String> {
 
     println!(
         "[report ok: {span_count} spans, load {:.2} ms then discover {:.2} ms, phases cover \
-         {:.1}% of the run, elapsed agrees]",
+         {:.1}% of the run, {levels} levels covered, elapsed agrees]",
         (load_end - load_start) as f64 / 1e6,
         root_dur as f64 / 1e6,
         covered as f64 * 100.0 / run_dur.max(1) as f64

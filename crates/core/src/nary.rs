@@ -213,6 +213,8 @@ impl NaryFinder {
             .flat_map(|table| table.iter_cells().map(|(_, _, col)| col))
             .collect();
         let mut discovery = self.drive(&profiles, &provider, &[], |groups, _metrics| {
+            // Composite extraction; on disk `CompositeExport` opens its own.
+            let _span = ind_trace::start(ind_trace::EXPORT);
             let sets = groups
                 .iter()
                 .map(|group| {
@@ -312,7 +314,9 @@ impl NaryFinder {
 
     /// The levelwise loop, generic over how composite value streams are
     /// materialised: `make_level` turns the distinct attribute groups of a
-    /// level into a provider whose composite ids are the group indices.
+    /// level into a provider whose composite ids are the group indices, under
+    /// an `export` span of its own (so each `level` span is covered by its
+    /// `generate`, `export` and `spider_merge` children).
     /// The caller opens the `discover` root before its unary export and
     /// sets `metrics.elapsed` over the whole run.
     fn drive<L, F>(
@@ -333,8 +337,10 @@ impl NaryFinder {
         // Level 1: the unary engine with relaxed referenced eligibility.
         let level_start = Instant::now();
         let level_span = ind_trace::start_arg(ind_trace::LEVEL, 1);
+        let generate_span = ind_trace::start(ind_trace::GENERATE);
         let mut unary_candidates =
             generate_unary_relaxed(profiles, &self.config.pretests, &mut metrics);
+        generate_span.finish();
         let mut unary_quarantined = 0u64;
         if !quarantined.is_empty() {
             let before = unary_candidates.len();
@@ -372,7 +378,9 @@ impl NaryFinder {
             let level_start = Instant::now();
             let _level_span = ind_trace::start_arg(ind_trace::LEVEL, arity as u64);
             let pruned_before = metrics.pruned_projection;
+            let generate_span = ind_trace::start(ind_trace::GENERATE);
             let mut candidates = generate_level(&prev, &table_of, &mut metrics);
+            generate_span.finish();
             let pruned_projection = metrics.pruned_projection - pruned_before;
             // The apriori join cannot produce a candidate containing a
             // quarantined attribute (its unary projection was never

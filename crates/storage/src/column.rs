@@ -210,6 +210,18 @@ impl Column {
         }
     }
 
+    /// Makes room for `bytes` more rendered bytes and `rows` more rows, if
+    /// the allocator has it: a load that can estimate its column's size
+    /// takes the room once instead of growing by doubling, which copies or
+    /// remaps the buffer at every step. A refusal is not an error; the
+    /// pushes then grow the buffers as they would have.
+    pub(crate) fn reserve(&mut self, bytes: usize, rows: usize) {
+        // lint: allow(swallowed_result) — a refusal leaves the buffer as it was, and the pushes grow it
+        let _ = self.bytes.try_reserve(bytes);
+        // lint: allow(swallowed_result) — as above
+        let _ = self.ends.try_reserve(rows);
+    }
+
     /// Returns the growth slack of the three buffers (a finished load).
     pub(crate) fn shrink_to_fit(&mut self) {
         self.bytes.shrink_to_fit();

@@ -198,6 +198,7 @@ pub fn load_database_with(dir: &Path, workers: usize) -> Result<Database> {
     // which is what makes "the earliest bad table's error" independent of
     // the worker count.
     let next = AtomicUsize::new(0);
+    let parent = ind_trace::current_parent();
     let shares = crate::run_workers(workers.min(tables.len()), |_| {
         let mut loaded = Vec::new();
         loop {
@@ -205,7 +206,9 @@ pub fn load_database_with(dir: &Path, workers: usize) -> Result<Database> {
             let Some(spec) = tables.get(index) else {
                 return loaded;
             };
+            let span = ind_trace::start_under(ind_trace::LOAD_TABLE, index as u64, parent);
             let table = load_table(dir, spec);
+            span.finish();
             if table.is_err() {
                 next.store(tables.len(), Ordering::Relaxed);
             }
@@ -233,8 +236,10 @@ fn load_table(dir: &Path, spec: &TableSpec) -> Result<Table> {
     }
     let data_path = dir.join(format!("{}.tsv", spec.name));
     let file = std::fs::File::open(&data_path)?;
+    let file_bytes = file.metadata()?.len();
     rows::read_table(
         BufReader::with_capacity(rows::READ_BUFFER_BYTES, file),
+        file_bytes,
         schema,
         &data_path.display().to_string(),
     )

@@ -11,11 +11,22 @@
 //! Each fill of the read buffer is checked as UTF-8 once and its whole
 //! lines are parsed where they lie; only the line that straddles two fills
 //! is assembled in a reused line buffer. Tabs, line feeds and backslashes
-//! are found in one pass, eight bytes a step ([`Fields`]): most cells are a
-//! few bytes, and a library call per field (`str::split`, `str::contains`)
-//! cost more than the bytes. A field still open after [`LONG_FIELD`] bytes
-//! is finished by the standard library's `memchr`-backed searches, which
-//! keeps kilobyte-wide text cells at copy speed.
+//! are found in one pass, 64 bytes a step ([`Fields`]): each block becomes
+//! one bitmap of borders and one of backslashes, and the fields are read
+//! off the first with `trailing_zeros`. Most cells are a few bytes, so the
+//! cost is per field, not per byte: a library call per field
+//! (`str::split`, `str::contains`) cost more than the bytes. A field still
+//! open a block past its start is finished by the standard library's
+//! `memchr`-backed searches, which keeps kilobyte-wide text cells at copy
+//! speed.
+//!
+//! The per-field work is kept to the scan step, one indexed load of the
+//! column's [`Slot`] (its type and nullability, looked up once per table)
+//! and the push: a cell of at most [`WINDOW`] bytes is copied as a fixed
+//! [`WINDOW`]-byte block and cut back to its length ([`push_verbatim`]),
+//! not by a `memcpy` call per cell. After the first fill each column
+//! reserves what the rest of the file will add at that fill's rate, so
+//! the buffers do not grow by doubling through the load.
 
 use super::parse_error;
 use crate::column::{Column, ColumnFull};
@@ -31,13 +42,14 @@ const NULL_TOKEN: &str = "\\N";
 /// (reused) line buffer, which grows to the longest line of the file.
 pub(super) const READ_BUFFER_BYTES: usize = 64 * 1024;
 
-/// Bytes one step of the field scan looks at.
-const WORD: usize = 8;
+/// Bytes one step of the field scan looks at: one bit of a `u64` each. A
+/// field still open a block past its start is finished by `memchr`: past
+/// a block a vectorised search beats the block step.
+const BLOCK: usize = 64;
 
-/// A field that runs this many bytes without a tab or line feed is finished
-/// by `memchr`: past a few words a vectorised search beats eight bytes a
-/// step.
-const LONG_FIELD: usize = 32;
+/// A cell of at most this many bytes, with as many readable bytes of text
+/// from its start, is pushed by one fixed-size copy ([`push_verbatim`]).
+const WINDOW: usize = 16;
 
 const ONES: u64 = 0x0101_0101_0101_0101;
 const HIGH: u64 = 0x8080_8080_8080_8080;
@@ -52,8 +64,46 @@ fn eq_mask(word: u64, byte: u8) -> u64 {
     !(((x & !HIGH) + !HIGH) | x) & HIGH
 }
 
+/// The byte flags of an [`eq_mask`] as the low eight bits, byte `i` at bit
+/// `i`: the multiply moves byte `i`'s flag to bit `56 + i`, and no two
+/// partial products meet at one bit, so nothing carries.
+#[inline]
+fn pack(mask: u64) -> u64 {
+    (mask >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// The tabs and line feeds of `block`, and its backslashes, as one bit per
+/// byte, byte `i` at bit `i`. (Built last word first, each shifted in at
+/// the bottom: a serial chain, which the compiler leaves scalar; it
+/// vectorised the independent form with emulated 64-bit multiplies.)
+#[inline]
+fn block_masks(block: &[u8; BLOCK]) -> (u64, u64) {
+    let (mut ends, mut slashes) = (0, 0);
+    for word in block.chunks_exact(8).rev() {
+        let mut bytes = [0; 8];
+        bytes.copy_from_slice(word);
+        let word = u64::from_le_bytes(bytes);
+        ends = ends << 8 | pack(eq_mask(word, b'\t') | eq_mask(word, b'\n'));
+        slashes = slashes << 8 | pack(eq_mask(word, b'\\'));
+    }
+    (ends, slashes)
+}
+
+/// One field as [`Fields`] finds it.
+struct Field<'a> {
+    /// Where the field starts in the scanned text.
+    at: usize,
+    /// The field's bytes, without its line end: whole UTF-8, since both of
+    /// its borders are ASCII or an end of the text.
+    bytes: &'a [u8],
+    /// Whether it holds a backslash.
+    escaped: bool,
+    /// Whether it ends its row.
+    row_done: bool,
+}
+
 /// The rows of a run of whole lines, field by field, found in one pass
-/// eight bytes a step: each field's borders, whether it holds a backslash,
+/// 64 bytes a step: each field's borders, whether it holds a backslash,
 /// and whether it ends its row.
 ///
 /// A line ends at `\n` or `\r\n` (the saver escapes carriage returns inside
@@ -65,11 +115,11 @@ struct Fields<'a> {
     start: usize,
     /// Whether the field before `start` ended its row.
     row_done: bool,
-    /// Offset of the word the two masks describe.
+    /// Offset of the block the two bitmaps describe.
     at: usize,
-    /// Tabs and line feeds of that word not yet handed out.
+    /// Tabs and line feeds of that block not yet handed out.
     ends: u64,
-    /// Backslashes of that word past the last border handed out.
+    /// Backslashes of that block past the last border handed out.
     slashes: u64,
     /// The line feed (or the text's end) that ends the row of the last long
     /// field: the long-field search reuses it for the row's later fields.
@@ -91,77 +141,108 @@ impl<'a> Fields<'a> {
         fields
     }
 
-    /// Loads the word at `at`; past the text's end it reads as zeros.
+    /// Loads the block at `at`; past the text's end it reads as zeros.
     #[inline]
     fn load(&mut self, at: usize) {
-        let mut word = [0; WORD];
         let bytes = self.text.as_bytes();
-        match bytes.get(at..at + WORD) {
-            Some(whole) => word.copy_from_slice(whole),
-            None => {
+        let (ends, slashes) = match bytes.get(at..at + BLOCK).map(<&[u8; BLOCK]>::try_from) {
+            Some(Ok(whole)) => block_masks(whole),
+            _ => {
                 let tail = bytes.get(at..).unwrap_or_default();
-                word[..tail.len()].copy_from_slice(tail);
+                let mut block = [0; BLOCK];
+                block[..tail.len()].copy_from_slice(tail);
+                block_masks(&block)
             }
-        }
-        let word = u64::from_le_bytes(word);
+        };
         self.at = at;
-        self.ends = eq_mask(word, b'\t') | eq_mask(word, b'\n');
-        self.slashes = eq_mask(word, b'\\');
+        self.ends = ends;
+        self.slashes = slashes;
     }
 }
 
 impl<'a> Iterator for Fields<'a> {
-    /// A field, whether it holds a backslash, and whether it ends its row.
-    type Item = (&'a str, bool, bool);
+    type Item = Field<'a>;
 
-    #[inline]
+    // Inlined into the row loop; the step to the next block, about once a
+    // block, is not (`find_border`).
+    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         let (start, len) = (self.start, self.text.len());
         if start > len || (start == len && self.row_done) {
             return None;
         }
-        let bytes = self.text.as_bytes();
-        let mut escaped = false;
-        let end = loop {
-            if self.ends != 0 {
-                let bit = self.ends.trailing_zeros();
-                let before = u64::MAX >> (63 - bit);
-                escaped |= self.slashes & before != 0;
-                self.slashes &= !before;
-                self.ends &= self.ends - 1;
-                break self.at + bit as usize / 8;
-            }
-            escaped |= self.slashes != 0;
-            let next = self.at + WORD;
-            if next >= len {
-                break len;
-            }
-            if next - start < LONG_FIELD {
-                self.load(next);
-                continue;
-            }
-            // A long field: search the rest of it from the first character
-            // border on (the bytes skipped are inside one character).
-            let mut from = next;
-            while !self.text.is_char_boundary(from) {
-                from += 1;
-            }
-            if self.line_end < from {
-                self.line_end = self.text[from..].find('\n').map_or(len, |lf| from + lf);
-            }
-            let line = &self.text[from..self.line_end];
-            let end = line.find('\t').map_or(self.line_end, |tab| from + tab);
-            escaped = escaped || bytes[from..end].contains(&b'\\');
-            self.load(end + 1);
-            break end;
+        let (end, escaped) = if self.ends != 0 {
+            self.take_border()
+        } else {
+            self.find_border(start)
         };
+        let bytes = self.text.as_bytes();
         let row_done = end == len || bytes[end] == b'\n';
         self.start = end + 1;
         self.row_done = row_done;
         // A `\r` before the line feed belongs to the line end.
         let crlf = row_done && end < len && end > start && bytes[end - 1] == b'\r';
         let field_end = if crlf { end - 1 } else { end };
-        Some((&self.text[start..field_end], escaped, row_done))
+        Some(Field {
+            at: start,
+            bytes: &bytes[start..field_end],
+            escaped,
+            row_done,
+        })
+    }
+}
+
+impl Fields<'_> {
+    /// Hands out the loaded block's next border (there must be one): where
+    /// it lies, and whether a backslash comes before it since the last.
+    #[inline(always)]
+    fn take_border(&mut self) -> (usize, bool) {
+        let bit = self.ends.trailing_zeros() as usize;
+        let through = u64::MAX >> (63 - bit);
+        let escaped = self.slashes & through != 0;
+        self.slashes &= !through;
+        self.ends &= self.ends - 1;
+        (self.at + bit, escaped)
+    }
+
+    /// The end of the field that starts at `start` once the loaded block
+    /// has no border left (about once a block, so kept out of line): in
+    /// the next block, or for a long field by the `memchr`-backed search.
+    #[inline(never)]
+    fn find_border(&mut self, start: usize) -> (usize, bool) {
+        let len = self.text.len();
+        let mut escaped = self.slashes != 0;
+        let next = self.at + BLOCK;
+        if next >= len {
+            return (len, escaped);
+        }
+        if next - start < BLOCK {
+            self.load(next);
+            if self.ends != 0 {
+                let (end, slash) = self.take_border();
+                return (end, escaped | slash);
+            }
+            escaped |= self.slashes != 0;
+            let next = self.at + BLOCK;
+            if next >= len {
+                return (len, escaped);
+            }
+        }
+        // A long field, a block past its start: search the rest of it from
+        // the first character border after the last block on (the bytes
+        // skipped are inside one character).
+        let mut from = self.at + BLOCK;
+        while !self.text.is_char_boundary(from) {
+            from += 1;
+        }
+        if self.line_end < from {
+            self.line_end = self.text[from..].find('\n').map_or(len, |lf| from + lf);
+        }
+        let line = &self.text[from..self.line_end];
+        let end = line.find('\t').map_or(self.line_end, |tab| from + tab);
+        escaped = escaped || self.text.as_bytes()[from..end].contains(&b'\\');
+        self.load(end + 1);
+        (end, escaped)
     }
 }
 
@@ -266,33 +347,55 @@ impl From<ColumnFull> for FieldError {
     }
 }
 
+/// Stores `cell` as it stands. `window` is the text's [`WINDOW`] bytes
+/// from the cell's start when the cell fits in them: it is copied whole and
+/// cut back to the cell's length, a fixed-size copy in place of a `memcpy`
+/// call per cell (the bytes past the cell only ever lie in spare capacity).
+#[inline]
+fn push_verbatim(
+    column: &mut Column,
+    cell: &[u8],
+    window: Option<&[u8; WINDOW]>,
+) -> std::result::Result<(), ColumnFull> {
+    match window {
+        Some(window) => column.push_with(|bytes| {
+            let end = bytes.len() + cell.len();
+            bytes.extend_from_slice(window);
+            bytes.truncate(end);
+        }),
+        None => column.push_cell(cell),
+    }
+}
+
 /// Stores one non-NULL field in `column`, canonicalised for `data_type`;
-/// `escaped` says whether the field holds a backslash.
+/// `escaped` says whether the field holds a backslash, `window` is as for
+/// [`push_verbatim`]. Only the paths that parse or unescape the field look
+/// at it as text; it is whole UTF-8 ([`Field::bytes`]), so that view
+/// cannot fail.
 #[inline]
 fn push_field(
     column: &mut Column,
     data_type: DataType,
-    field: &str,
+    field: &[u8],
     escaped: bool,
+    window: Option<&[u8; WINDOW]>,
 ) -> std::result::Result<(), FieldError> {
     match data_type {
-        DataType::Integer if is_canonical_integer(field.as_bytes()) => {
-            column.push_cell(field.as_bytes())?
-        }
-        DataType::Float if is_canonical_float(field.as_bytes()) => {
-            column.push_cell(field.as_bytes())?
-        }
+        DataType::Integer if is_canonical_integer(field) => push_verbatim(column, field, window)?,
+        DataType::Float if is_canonical_float(field) => push_verbatim(column, field, window)?,
         // No escape sequence spells a digit, a sign or a letter, so a
         // numeric field is parsed as it stands: one holding a backslash
         // fails to parse escaped or not.
         DataType::Integer | DataType::Float => {
-            let value = Value::parse(data_type, field).ok_or(FieldError::NotA(data_type))?;
+            let text = std::str::from_utf8(field).unwrap_or_default();
+            let value = Value::parse(data_type, text).ok_or(FieldError::NotA(data_type))?;
             column.push_with(|bytes| value.render_canonical(bytes))?
         }
-        DataType::Text | DataType::Lob if !escaped => column.push_cell(field.as_bytes())?,
+        DataType::Text | DataType::Lob if !escaped => push_verbatim(column, field, window)?,
         DataType::Text | DataType::Lob => {
+            let text = std::str::from_utf8(field).unwrap_or_default();
             let mut bad = None;
-            column.push_with(|bytes| bad = unescape_into(field, bytes).err())?;
+            column.push_with(|bytes| bad = unescape_into(text, bytes).err())?;
             if let Some(escape) = bad {
                 return Err(FieldError::BadEscape(escape));
             }
@@ -303,6 +406,9 @@ fn push_field(
 
 /// Reads every line of `reader` as one row of `schema` into a table.
 /// `context` names the file in errors, which also carry the line number.
+/// `input_bytes` is the reader's length: once the first fill is stored,
+/// each column reserves what the rest of the input will add at the fill's
+/// rate ([`Rows::reserve_rest`]).
 ///
 /// Whole lines are parsed where they lie in the reader's buffer; only a
 /// line that straddles two fills is assembled in a (reused) line buffer.
@@ -311,6 +417,7 @@ fn push_field(
 /// well-formed row is a [`StorageError::NullViolation`].
 pub(super) fn read_table(
     mut reader: impl BufRead,
+    input_bytes: u64,
     schema: TableSchema,
     context: &str,
 ) -> Result<Table> {
@@ -318,12 +425,22 @@ pub(super) fn read_table(
     let (schema, columns) = table.load_parts();
     let mut rows = Rows {
         schema,
-        columns,
+        slots: columns
+            .iter_mut()
+            .zip(&schema.columns)
+            .map(|(column, spec)| Slot {
+                data_type: spec.data_type,
+                nullable: spec.nullable,
+                column,
+            })
+            // lint: allow(hot_alloc) — one slot per column, once per table
+            .collect(),
         context,
         count: 0,
     };
     // lint: allow(hot_alloc) — the one line buffer of the load, reused for every straddling line
     let mut line: Vec<u8> = Vec::new();
+    let mut reserved = false;
     loop {
         let buffer = reader.fill_buf()?;
         if buffer.is_empty() {
@@ -339,6 +456,10 @@ pub(super) fn read_table(
         let whole = valid.rfind('\n').map_or(0, |lf| lf + 1);
         rows.load(&valid[..whole])?;
         reader.consume(whole);
+        if !reserved && whole > 0 {
+            rows.reserve_rest(whole as u64, input_bytes);
+            reserved = true;
+        }
         line.clear();
         if reader.read_until(b'\n', &mut line)? > 0 {
             let Ok(text) = std::str::from_utf8(&line) else {
@@ -352,89 +473,158 @@ pub(super) fn read_table(
         }
     }
     let count = rows.count;
+    drop(rows);
     table.finish_load(count);
     Ok(table)
+}
+
+/// One column of a load with what its fields need from the schema, looked
+/// up once per table rather than once per field.
+struct Slot<'a> {
+    column: &'a mut Column,
+    data_type: DataType,
+    nullable: bool,
 }
 
 /// The columns a load fills, and how many rows it has read.
 struct Rows<'a> {
     schema: &'a TableSchema,
-    columns: &'a mut [Column],
+    /// One per column, in schema order.
+    slots: Vec<Slot<'a>>,
     context: &'a str,
     count: usize,
 }
 
 impl Rows<'_> {
+    /// Reserves, in every column, what the input's remaining bytes will add
+    /// if they hold rows like the first `seen` bytes did, plus an eighth:
+    /// an estimate that is short only costs the growth it would have cost
+    /// anyway, and the slack goes back at [`Table::finish_load`].
+    fn reserve_rest(&mut self, seen: u64, input_bytes: u64) {
+        let scale = input_bytes.saturating_sub(seen) as f64 / seen as f64 * 1.125;
+        for slot in &mut self.slots {
+            let (bytes, rows) = (slot.column.bytes().len(), slot.column.len());
+            slot.column.reserve(
+                (bytes as f64 * scale) as usize,
+                (rows as f64 * scale) as usize,
+            );
+        }
+    }
+
     /// Stores the rows of `text`, whole lines.
     fn load(&mut self, text: &str) -> Result<()> {
-        let (schema, context) = (self.schema, self.context);
-        let mut fields = 0usize;
+        let bytes = text.as_bytes();
+        // Rows finished, and fields of the current row stored.
+        let (mut rows, mut fields) = (self.count, 0usize);
+        // The first column of the row that put NULL in a NOT NULL column.
         let mut null_violation = None;
-        for (field, escaped, row_done) in Fields::new(text) {
-            if fields == 0 {
-                self.count += 1;
-            }
-            let line = self.count;
-            let (Some(spec), Some(column)) =
-                (schema.columns.get(fields), self.columns.get_mut(fields))
-            else {
-                return Err(parse_error(context, line, format_args!("too many fields")));
+        for Field {
+            at,
+            bytes: field,
+            escaped,
+            row_done,
+        } in Fields::new(text)
+        {
+            let Some(slot) = self.slots.get_mut(fields) else {
+                return Err(self.row_error(rows + 1, RowError::TooMany));
             };
-            fields += 1;
-            if escaped && field == NULL_TOKEN {
-                if !spec.nullable {
-                    null_violation = null_violation.or(Some(spec));
+            if escaped && field == NULL_TOKEN.as_bytes() {
+                if !slot.nullable {
+                    null_violation = null_violation.or(Some(fields));
                 }
-                column.push_null();
+                slot.column.push_null();
             } else {
-                match push_field(column, spec.data_type, field, escaped) {
-                    Ok(()) => {}
-                    Err(FieldError::NotA(data_type)) => {
-                        return Err(parse_error(
-                            context,
-                            line,
-                            format_args!("cannot parse `{field}` as {data_type}"),
-                        ))
-                    }
-                    Err(FieldError::BadEscape(escape)) => {
-                        return Err(parse_error(
-                            context,
-                            line,
-                            format_args!("bad escape sequence `\\{}`", escape.unwrap_or(' ')),
-                        ))
-                    }
-                    Err(FieldError::Full) => {
-                        return Err(StorageError::ColumnTooLarge {
-                            // lint: allow(hot_alloc) — cold error path, once per load
-                            table: schema.name.clone(),
-                            // lint: allow(hot_alloc) — cold error path, once per load
-                            column: spec.name.clone(),
-                        });
-                    }
+                let window = if field.len() <= WINDOW {
+                    bytes
+                        .get(at..at + WINDOW)
+                        .and_then(|window| window.try_into().ok())
+                } else {
+                    None
+                };
+                if let Err(error) = push_field(slot.column, slot.data_type, field, escaped, window)
+                {
+                    return Err(self.field_error(rows + 1, fields, field, error));
                 }
             }
+            fields += 1;
             if !row_done {
                 continue;
             }
-            if fields < schema.arity() {
-                return Err(parse_error(
-                    context,
-                    line,
-                    format_args!("expected {} fields, got {fields}", schema.arity()),
-                ));
+            rows += 1;
+            if fields < self.schema.arity() {
+                return Err(self.row_error(rows, RowError::TooFew(fields)));
             }
-            if let Some(spec) = null_violation {
-                return Err(StorageError::NullViolation {
-                    // lint: allow(hot_alloc) — cold error path, once per load
-                    table: schema.name.clone(),
-                    // lint: allow(hot_alloc) — cold error path, once per load
-                    column: spec.name.clone(),
-                });
+            if let Some(column) = null_violation {
+                return Err(self.row_error(rows, RowError::Null(column)));
             }
             fields = 0;
         }
+        self.count = rows;
         Ok(())
     }
+
+    /// The error of field `column` of line `line`, `field`.
+    #[cold]
+    fn field_error(
+        &self,
+        line: usize,
+        column: usize,
+        field: &[u8],
+        error: FieldError,
+    ) -> StorageError {
+        let context = self.context;
+        match error {
+            FieldError::NotA(data_type) => parse_error(
+                context,
+                line,
+                format_args!(
+                    "cannot parse `{}` as {data_type}",
+                    String::from_utf8_lossy(field)
+                ),
+            ),
+            FieldError::BadEscape(escape) => parse_error(
+                context,
+                line,
+                format_args!("bad escape sequence `\\{}`", escape.unwrap_or(' ')),
+            ),
+            FieldError::Full => StorageError::ColumnTooLarge {
+                // lint: allow(hot_alloc) — cold error path, once per load
+                table: self.schema.name.clone(),
+                // lint: allow(hot_alloc) — cold error path, once per load
+                column: self.schema.columns[column].name.clone(),
+            },
+        }
+    }
+
+    /// The error of line `line` as a whole.
+    #[cold]
+    fn row_error(&self, line: usize, error: RowError) -> StorageError {
+        let (schema, context) = (self.schema, self.context);
+        match error {
+            RowError::TooMany => parse_error(context, line, format_args!("too many fields")),
+            RowError::TooFew(fields) => parse_error(
+                context,
+                line,
+                format_args!("expected {} fields, got {fields}", schema.arity()),
+            ),
+            RowError::Null(column) => StorageError::NullViolation {
+                // lint: allow(hot_alloc) — cold error path, once per load
+                table: schema.name.clone(),
+                // lint: allow(hot_alloc) — cold error path, once per load
+                column: schema.columns[column].name.clone(),
+            },
+        }
+    }
+}
+
+/// Why a row could not be stored.
+enum RowError {
+    /// A field past the schema's last column.
+    TooMany,
+    /// The line ended after this many fields, short of the schema's.
+    TooFew(usize),
+    /// `\N` in this NOT NULL column.
+    Null(usize),
 }
 
 /// Writes `table`'s rows to `out`, one line each: the stored cells escaped,
@@ -543,7 +733,7 @@ mod tests {
                 Some(column) => format!("NullViolation {{ table: \"t\", column: \"{column}\" }}"),
                 None => format!("Parse {{ context: \"t.tsv\", detail: {expected:?} }}"),
             };
-            match read_table(&data[..], schema(), "t.tsv") {
+            match read_table(&data[..], data.len() as u64, schema(), "t.tsv") {
                 Err(error) => assert_eq!(format!("{error:?}"), expected, "{data:?}"),
                 Ok(table) => panic!("{data:?}: loaded {} rows", table.row_count()),
             }
@@ -576,7 +766,150 @@ mod tests {
             // the last one also not at all.
             for (mid, end) in [("\n", ""), ("\n", "\n"), ("\r\n", "\r\n")] {
                 let text = format!("a\\\tb{mid}{row}{mid}\\c\td{end}");
-                assert_eq!(Fields::new(&text).collect::<Vec<_>>(), expected, "{text:?}");
+                let fields: Vec<_> = Fields::new(&text)
+                    .map(|f| (std::str::from_utf8(f.bytes).unwrap(), f.escaped, f.row_done))
+                    .collect();
+                assert_eq!(fields, expected, "{text:?}");
+            }
+        }
+    }
+
+    /// What [`Fields`] must find in `text`: its lines (a line feed ends
+    /// one, and takes a carriage return before it along) split on tabs,
+    /// each field with `contains('\\')` and whether it ends its row.
+    fn split_model(text: &str) -> Vec<(&str, bool, bool)> {
+        let mut lines: Vec<&str> = text.split('\n').collect();
+        let last = lines.pop().filter(|last| !last.is_empty());
+        let ended = lines
+            .iter()
+            .map(|line| line.strip_suffix('\r').unwrap_or(line));
+        let mut fields = Vec::new();
+        for line in ended.chain(last) {
+            let mut row: Vec<_> = line
+                .split('\t')
+                .map(|f| (f, f.contains('\\'), false))
+                .collect();
+            row.last_mut().expect("split yields a field").2 = true;
+            fields.extend(row);
+        }
+        fields
+    }
+
+    /// What a load of `text` must store: [`split_model`]'s fields, `\N` as
+    /// NULL, text unescaped by hand and integers re-rendered, per column.
+    fn stored_model(text: &str, types: &[DataType]) -> Vec<Vec<Option<Vec<u8>>>> {
+        let mut columns = vec![Vec::new(); types.len()];
+        for (i, (field, _, _)) in split_model(text).into_iter().enumerate() {
+            let j = i % types.len();
+            let cell = match (field, types[j]) {
+                ("\\N", _) => None,
+                (field, DataType::Integer) => Some(
+                    field
+                        .parse::<i64>()
+                        .expect("an integer")
+                        .to_string()
+                        .into_bytes(),
+                ),
+                (field, _) => {
+                    let mut cell = String::new();
+                    let mut chars = field.chars();
+                    while let Some(c) = chars.next() {
+                        if c != '\\' {
+                            cell.push(c);
+                            continue;
+                        }
+                        match chars.next() {
+                            Some('t') => cell.push('\t'),
+                            Some('n') => cell.push('\n'),
+                            Some('r') => cell.push('\r'),
+                            Some('\\') => cell.push('\\'),
+                            Some('N') => cell.push_str("\\N"),
+                            other => panic!("{field:?}: bad escape {other:?}"),
+                        }
+                    }
+                    Some(cell.into_bytes())
+                }
+            };
+            columns[j].push(cell);
+        }
+        columns
+    }
+
+    /// Checks the scan of `text` against [`split_model`] and its load into
+    /// columns of `types` against [`stored_model`].
+    fn check_scan_and_load(text: &str, types: &[DataType]) {
+        let found: Vec<_> = Fields::new(text)
+            .map(|f| (std::str::from_utf8(f.bytes).unwrap(), f.escaped, f.row_done))
+            .collect();
+        assert_eq!(found, split_model(text), "{text:?}");
+        let columns = types
+            .iter()
+            .enumerate()
+            .map(|(j, &data_type)| ColumnSchema::new(format!("c{j}"), data_type))
+            .collect();
+        let schema = TableSchema::new("t", columns).unwrap();
+        let table = read_table(text.as_bytes(), text.len() as u64, schema, "t.tsv").unwrap();
+        for (j, want) in stored_model(text, types).into_iter().enumerate() {
+            let got: Vec<_> = table
+                .cells(j)
+                .cells()
+                .map(|c| c.map(<[u8]>::to_vec))
+                .collect();
+            assert_eq!(got, want, "column {j} of {text:?}");
+        }
+    }
+
+    #[test]
+    fn the_block_scan_and_the_cell_pushes_agree_with_split_at_block_edges() {
+        let text3 = [DataType::Text; 3];
+        for at in 56..=72 {
+            let pad = "p".repeat(at);
+            let short = &pad[..at - 4];
+            // A tab, then a line feed, at byte `at`.
+            check_scan_and_load(&format!("{pad}\tx\ty\nu\tv\tw\n"), &text3);
+            check_scan_and_load(&format!("a\tb\t{short}\nu\tv\tw\n"), &text3);
+            // A backslash at byte `at`: an escape, and a `\N` alone in its
+            // field (NULL) or inside a longer one (text).
+            check_scan_and_load(&format!("{pad}\\t\tx\ty\n"), &text3);
+            check_scan_and_load(&format!("{}\t\\N\ty\n", &pad[..at - 1]), &text3);
+            check_scan_and_load(&format!("{}\tq\\N\ty\n", &pad[..at - 2]), &text3);
+            // A CRLF line end with its `\r` at byte `at`, then a row with
+            // a NULL and an escaped carriage return.
+            check_scan_and_load(&format!("{short}\tx\ty\r\n\\N\t\\r\tz\r\n"), &text3);
+        }
+        // A field still open a block past its start goes to `memchr`: an
+        // escape in any block it spans still marks it.
+        for at in [8, 60, 62, 63, 64, 100, 124, 126, 127, 128, 190] {
+            let mut long = "l".repeat(200);
+            long.replace_range(at..at + 2, "\\t");
+            check_scan_and_load(&format!("a\t{long}\tz\n1\t2\t3\n"), &text3);
+        }
+        // A 64-byte run of tabs: 65 empty fields in one block and the next.
+        for lead in 0..3 {
+            let text = format!("{}{}\n", "a".repeat(lead), "\t".repeat(64));
+            check_scan_and_load(&text, &[DataType::Text; 65]);
+        }
+        // Cells of 15 to 17 bytes ending 0 to 16 bytes before the end of
+        // the text: the fixed-size copy is taken only where the text holds
+        // 16 bytes from the cell's start, and either way stores the cell.
+        let digits = "12345678901234567";
+        for len in 15..=17 {
+            for gap in 0..=16 {
+                // The rest of the text: nothing, the line feed, or that
+                // and a row whose last field is text or a number.
+                let (tail, int_tail) = match gap {
+                    0 | 1 => ("\n"[..gap].to_string(), Some("\n"[..gap].to_string())),
+                    _ => (
+                        format!("\n{}\t", "9".repeat(gap - 2)),
+                        (gap > 2).then(|| format!("\n\t{}", "9".repeat(gap - 2))),
+                    ),
+                };
+                let cell = &digits[..len];
+                check_scan_and_load(&format!("1\t{cell}{tail}"), &[DataType::Text; 2]);
+                if let Some(tail) = int_tail {
+                    let types = [DataType::Text, DataType::Integer];
+                    check_scan_and_load(&format!("1\t{cell}{tail}"), &types);
+                }
             }
         }
     }

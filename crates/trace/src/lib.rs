@@ -33,6 +33,6 @@ pub use report::{collect, folded, span_label, spans_json, SpanNode, Trace};
 pub use ring::dropped_events;
 pub use span::{
     current_parent, disable, enable, enabled, reset, start, start_arg, start_under, ParentToken,
-    SpanGuard, SpanId, BLOCK_PASS, CLASSES, DISCOVER, EXPORT, GENERATE, LEVEL, LOAD, PRESCAN,
-    PROFILE, PUBLISH, RESUME_SCAN, SORT, SPAN_NAMES, SPIDER_MERGE, SPILL_MERGE,
+    SpanGuard, SpanId, BLOCK_PASS, CLASSES, DISCOVER, EXPORT, GENERATE, LEVEL, LOAD, LOAD_TABLE,
+    PRESCAN, PROFILE, PUBLISH, RESUME_SCAN, SORT, SPAN_NAMES, SPIDER_MERGE, SPILL_MERGE,
 };

@@ -31,7 +31,7 @@ pub(crate) enum ArgStyle {
 }
 
 /// The span-name registry: `(name, arg rendering)` per [`SpanId`].
-pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
+pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 15] = [
     ("discover", ArgStyle::None),
     ("export", ArgStyle::None),
     ("profile", ArgStyle::None),
@@ -46,10 +46,11 @@ pub(crate) const SPAN_TABLE: [(&str, ArgStyle); 14] = [
     ("resume_scan", ArgStyle::None),
     ("publish", ArgStyle::None),
     ("classes", ArgStyle::None),
+    ("load_table", ArgStyle::Index),
 ];
 
 /// Span names in [`SpanId`] order (the report vocabulary).
-pub const SPAN_NAMES: [&str; 14] = [
+pub const SPAN_NAMES: [&str; 15] = [
     "discover",
     "export",
     "profile",
@@ -64,6 +65,7 @@ pub const SPAN_NAMES: [&str; 14] = [
     "resume_scan",
     "publish",
     "classes",
+    "load_table",
 ];
 
 /// Whole run: the root span every other phase nests under.
@@ -97,6 +99,9 @@ pub const PUBLISH: SpanId = SpanId(12);
 /// Sorting the candidates' attributes into classes of equal value sets,
 /// before the engine runs.
 pub const CLASSES: SpanId = SpanId(13);
+/// One table's TSV load, on a loader worker under [`LOAD`]; `arg` = the
+/// table's index in the schema.
+pub const LOAD_TABLE: SpanId = SpanId(14);
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Span-instance tokens and event ordering share one sequence so report

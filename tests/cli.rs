@@ -464,6 +464,7 @@ fn report_and_folded_trace_come_out_well_formed() {
             check_nesting(child, &format!("{path}/{name}"));
         }
     }
+    check_nesting(&spans[0], "load");
     check_nesting(root, "discover");
     let child_names: Vec<&str> = root
         .get("children")
@@ -494,13 +495,30 @@ fn report_and_folded_trace_come_out_well_formed() {
         assert_eq!(spanned.and_then(Json::as_u64), run, "{counter}");
     }
 
-    // The folded stacks cover the same run: one `load` line, every other
+    // The folded stacks cover the same run: one `load` line with one
+    // `load_table=N` line per table of the schema beneath it, every other
     // stack rooted at `discover`.
     let folded = std::fs::read_to_string(&folded_path).expect("folded written");
     assert!(!folded.trim().is_empty());
     let (load, rest): (Vec<&str>, Vec<&str>) =
-        folded.lines().partition(|line| line.starts_with("load "));
-    assert_eq!(load.len(), 1, "one load line:\n{folded}");
+        folded.lines().partition(|line| line.starts_with("load"));
+    let schema = std::fs::read_to_string(db_dir.join("schema.txt")).expect("schema");
+    let tables = schema.lines().filter(|l| l.starts_with("table\t")).count();
+    let mut per_table: Vec<usize> = load[1..]
+        .iter()
+        .filter_map(|line| line.strip_prefix("load;load_table="))
+        .map(|rest| rest.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    per_table.sort_unstable();
+    assert!(
+        load[0].starts_with("load "),
+        "the load line first:\n{folded}"
+    );
+    assert_eq!(load.len(), tables + 1, "one line per table:\n{folded}");
+    assert!(
+        per_table.into_iter().eq(0..tables),
+        "each table once:\n{folded}"
+    );
     for line in rest {
         assert!(
             line.starts_with("discover"),

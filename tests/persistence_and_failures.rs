@@ -9,7 +9,8 @@ use spider_ind::core::{
     Algorithm, BlockwiseConfig, IndFinder, PretestConfig, RunMetrics,
 };
 use spider_ind::datagen::{
-    generate_pdb, generate_scop, generate_uniprot, BiosqlConfig, OpenMmsConfig, ScopConfig,
+    generate_chains, generate_pdb, generate_scop, generate_uniprot, generate_wide, BiosqlConfig,
+    ChainsConfig, OpenMmsConfig, ScopConfig, WideConfig,
 };
 use spider_ind::storage::tsv::{load_database, load_database_with, save_database};
 use spider_ind::storage::StorageError;
@@ -21,26 +22,82 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::rc::Rc;
 
+/// Every `.tsv` file of `dir` with its bytes, by name.
+fn tsv_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("list")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "tsv"))
+        .map(|path| {
+            let name = path
+                .file_name()
+                .expect("a name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("read"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn generated_databases_survive_tsv_round_trips() {
     let dir = TempDir::new("tsv-generated");
+    // Wide values of 64 bytes fill the loader's scan block; of 1,000 bytes
+    // they take its long-field search.
+    let long_values = WideConfig {
+        value_bytes: 1000,
+        ..WideConfig::tiny()
+    };
     for db in [
         generate_uniprot(&BiosqlConfig::tiny()),
         generate_scop(&ScopConfig::tiny()),
+        generate_pdb(&OpenMmsConfig::tiny()),
+        generate_wide(&WideConfig::tiny()),
+        generate_wide(&long_values),
+        generate_chains(&ChainsConfig::tiny()),
     ] {
-        let path = dir.join(db.name());
+        let path = dir.join(&format!("{}-{}", db.name(), db.total_rows()));
         save_database(&db, &path).expect("save");
-        let loaded = load_database(&path).expect("load");
-        assert_eq!(loaded.name(), db.name());
-        assert_eq!(loaded.table_count(), db.table_count());
-        assert_eq!(loaded.total_rows(), db.total_rows());
-        assert_eq!(loaded.gold_foreign_keys(), db.gold_foreign_keys());
-        for t in db.tables() {
-            let lt = loaded.table(t.name()).expect("table");
-            assert_eq!(lt.schema(), t.schema(), "{}", t.name());
-            for i in 0..t.row_count().min(5) {
-                assert_eq!(lt.row(i), t.row(i), "{} row {i}", t.name());
+        let saved = tsv_files(&path);
+        // A copy with CRLF line ends loads to the same database.
+        let crlf = dir.join(&format!("{}-{}-crlf", db.name(), db.total_rows()));
+        std::fs::create_dir_all(&crlf).expect("mkdir");
+        std::fs::copy(path.join("schema.txt"), crlf.join("schema.txt")).expect("copy");
+        for (name, bytes) in &saved {
+            let mut crlf_bytes = Vec::with_capacity(bytes.len() * 2);
+            for &byte in bytes {
+                if byte == b'\n' {
+                    crlf_bytes.push(b'\r');
+                }
+                crlf_bytes.push(byte);
             }
+            std::fs::write(crlf.join(name), crlf_bytes).expect("write");
+        }
+        for (source, workers) in [(&path, 1), (&path, 2), (&crlf, 1), (&crlf, 2)] {
+            let loaded = load_database_with(source, workers).expect("load");
+            let what = format!("{} at {workers} workers", source.display());
+            assert_eq!(loaded.name(), db.name(), "{what}");
+            assert_eq!(loaded.table_count(), db.table_count(), "{what}");
+            assert_eq!(loaded.total_rows(), db.total_rows(), "{what}");
+            assert_eq!(loaded.gold_foreign_keys(), db.gold_foreign_keys(), "{what}");
+            for (lt, t) in loaded.tables().iter().zip(db.tables()) {
+                assert_eq!(lt.schema(), t.schema(), "{what}");
+                for ((_, cs, loaded_col), (_, _, col)) in lt.iter_cells().zip(t.iter_cells()) {
+                    assert_eq!(loaded_col.data_type(), col.data_type());
+                    assert!(
+                        loaded_col.cells().eq(col.cells()),
+                        "{what}: {}.{}",
+                        t.name(),
+                        cs.name
+                    );
+                }
+            }
+            let again = dir.join("again");
+            save_database(&loaded, &again).expect("save again");
+            assert!(tsv_files(&again) == saved, "{what}: save → load → save");
+            std::fs::remove_dir_all(&again).expect("clean");
         }
     }
 }
