@@ -24,7 +24,12 @@
 //!    of [`ind_valueset::encode_tuple`], so byte-wise comparison equals
 //!    lexicographic tuple comparison and the external sort, block reader,
 //!    and zero-copy cursors all work unchanged), and the composite ids play
-//!    the role unary attribute ids play elsewhere.
+//!    the role unary attribute ids play elsewhere. On disk a level is an
+//!    [`ExportedDatabase`] too: [`ExportedDatabase::export_groups`] writes
+//!    its streams on the unary export's workers through the same group
+//!    commit, and the run shares the unary finder's preamble (export,
+//!    profiles, keep-going pre-scan) and epilogue (counters, degraded
+//!    report).
 //!
 //! The driver iterates until a level yields no candidates or
 //! [`NaryConfig::max_arity`] is reached.
@@ -42,15 +47,15 @@
 //! a unary projection fails — such exotic INDs are outside the levelwise
 //! search space, the standard trade-off of the MIND family.
 
-use crate::attr::{profiles_from_export, try_memory_export, AttributeProfile};
+use crate::attr::{try_memory_export, AttributeProfile};
 use crate::candidates::{Candidate, PretestConfig};
 use crate::metrics::RunMetrics;
-use crate::runner::{drain_attribute, DegradedReport};
+use crate::runner::{DegradedReport, DiskRun};
 use crate::spider::run_spider;
 use ind_storage::{Column, Database, QualifiedName};
 use ind_valueset::{
-    extract_composite_memory_set, CompositeExport, ExportOptions, ExportedDatabase,
-    FailedAttribute, MemoryProvider, Result, ValueSetError, ValueSetProvider, MAX_COMPOSITE_ARITY,
+    extract_composite_memory_set, ExportOptions, ExportedDatabase, MemoryProvider, Result,
+    ValueSetProvider, MAX_COMPOSITE_ARITY,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
@@ -212,8 +217,7 @@ impl NaryFinder {
             .iter()
             .flat_map(|table| table.iter_cells().map(|(_, _, col)| col))
             .collect();
-        let mut discovery = self.drive(&profiles, &provider, &[], |groups, _metrics| {
-            // Composite extraction; on disk `CompositeExport` opens its own.
+        let mut discovery = self.drive(&profiles, &provider, &[], |groups| {
             let _span = ind_trace::start(ind_trace::EXPORT);
             let sets = groups
                 .iter()
@@ -222,7 +226,7 @@ impl NaryFinder {
                     extract_composite_memory_set(&cols)
                 })
                 .collect();
-            Ok(MemoryProviderLevel(MemoryProvider::new(sets)))
+            Ok(MemoryProvider::new(sets))
         })?;
         discovery.metrics.elapsed = start.elapsed();
         Ok(discovery)
@@ -230,105 +234,65 @@ impl NaryFinder {
 
     /// Runs the levelwise search over on-disk sorted value files: the unary
     /// export lands under `workdir/arity-1`, each composite level under
-    /// `workdir/arity-<k>`. Cursor `pread`s from every level are
-    /// accumulated into [`RunMetrics::read_calls`].
+    /// `workdir/arity-<k>`. The on-disk preamble and epilogue are the unary
+    /// finder's ([`crate::IndFinder::discover_on_disk_with`]): keep-going
+    /// quarantines what the export or the pre-scan condemns, and the apriori
+    /// join then keeps it out of every level. Each level is an
+    /// [`ExportedDatabase::export_groups`] on the unary export's workers and
+    /// I/O options, so [`RunMetrics::read_calls`] and the fault counters
+    /// cover every level. A level is always rewritten and runs strict: a
+    /// failed composite stream fails the run, keep-going or not.
     pub fn discover_on_disk(
         &self,
         db: &Database,
         workdir: &Path,
         options: &ExportOptions,
     ) -> Result<NaryDiscovery> {
-        let start = Instant::now();
         let _root = ind_trace::start(ind_trace::DISCOVER);
-        let export = ExportedDatabase::export(db, &workdir.join("arity-1"), options)?;
-        let profiles = profiles_from_export(&export);
-
-        // Keep-going: the same quarantine-then-prescan protocol as the
-        // unary runner. A condemned attribute is barred from level 1, and
-        // the apriori join filter then poisons every composite candidate
-        // that would contain it — no level ever opens its value file.
-        let quarantined: Vec<FailedAttribute> = if options.keep_going {
-            let _span = ind_trace::start(ind_trace::PRESCAN);
-            let mut failed = export.failed_attributes().to_vec();
-            for attr in export.attributes() {
-                if failed.iter().any(|f| f.id == attr.id) {
-                    continue;
-                }
-                match drain_attribute(&export, attr.id) {
-                    Ok(()) => {}
-                    Err(e @ ValueSetError::Cancelled { .. }) => return Err(e),
-                    Err(e) => failed.push(FailedAttribute {
-                        id: attr.id,
-                        name: attr.name.clone(),
-                        error: e.to_string(),
-                    }),
-                }
-            }
-            failed
-        } else {
-            Vec::new()
-        };
-        let quarantined_ids: Vec<u32> = quarantined.iter().map(|f| f.id).collect();
-        let io_retries = export.io_retries();
-        let checksum_failures = export.checksum_failures();
-
-        export.reset_read_calls();
+        let run = DiskRun::prepare(db, &workdir.join("arity-1"), options)?;
+        let mut level_options = options.clone();
+        level_options.sort.io = run.export.io_options().clone();
         let mut level = 1usize;
-        let mut discovery =
-            self.drive(&profiles, &export, &quarantined_ids, |groups, metrics| {
+        let mut discovery = self.drive(
+            &run.profiles,
+            &run.export,
+            &run.quarantined_ids(),
+            |groups| {
                 level += 1;
                 let named: Vec<Vec<QualifiedName>> = groups
                     .iter()
                     .map(|group| {
                         group
                             .iter()
-                            .map(|&a| profiles[a as usize].name.clone())
+                            .map(|&a| run.profiles[a as usize].name.clone())
                             .collect()
                     })
                     .collect();
-                let exp = CompositeExport::export(
-                    db,
-                    &named,
-                    &workdir.join(format!("arity-{level}")),
-                    options,
-                )?;
-                metrics.read_calls += exp.read_calls(); // export-phase reads are zero
-                Ok(DiskLevel(exp))
-            })?;
-        discovery.metrics.read_calls += export.read_calls();
-        discovery.metrics.io_retries = io_retries + export.io_retries();
-        discovery.metrics.checksum_failures = checksum_failures + export.checksum_failures();
-        discovery.metrics.exports_reused = export.exports_reused();
-        discovery.metrics.exports_redone = export.exports_redone();
-        discovery.metrics.orphans_swept = export.orphans_swept();
-        discovery.metrics.elapsed = start.elapsed();
-        if options.keep_going {
-            discovery.degraded = Some(DegradedReport {
-                quarantined,
-                io_retries: discovery.metrics.io_retries,
-                checksum_failures: discovery.metrics.checksum_failures,
-            });
-        }
+                let dir = workdir.join(format!("arity-{level}"));
+                ExportedDatabase::export_groups(db, &named, &dir, &level_options)
+            },
+        )?;
+        discovery.degraded = run.finish(&mut discovery.metrics);
         Ok(discovery)
     }
 
-    /// The levelwise loop, generic over how composite value streams are
-    /// materialised: `make_level` turns the distinct attribute groups of a
-    /// level into a provider whose composite ids are the group indices, under
-    /// an `export` span of its own (so each `level` span is covered by its
-    /// `generate`, `export` and `spider_merge` children).
-    /// The caller opens the `discover` root before its unary export and
-    /// sets `metrics.elapsed` over the whole run.
-    fn drive<L, F>(
+    /// The levelwise loop over one kind of provider, in memory or on disk:
+    /// `make_level` turns the distinct attribute groups of a level into a
+    /// provider whose ids are the group indices, under an `export` span of
+    /// its own (so each `level` span is covered by its `generate`, `export`
+    /// and `spider_merge` children), and every level runs through
+    /// [`run_spider`]. The caller opens the `discover` root before its unary
+    /// export and sets `metrics.elapsed` over the whole run.
+    fn drive<P, F>(
         &self,
         profiles: &[AttributeProfile],
-        unary_provider: &impl ValueSetProvider,
+        unary_provider: &P,
         quarantined: &[u32],
         mut make_level: F,
     ) -> Result<NaryDiscovery>
     where
-        L: LevelProvider,
-        F: FnMut(&[Vec<u32>], &mut RunMetrics) -> Result<L>,
+        P: ValueSetProvider,
+        F: FnMut(&[Vec<u32>]) -> Result<P>,
     {
         let max_arity = self.config.max_arity.clamp(1, MAX_COMPOSITE_ARITY);
         let mut metrics = RunMetrics::new();
@@ -434,8 +398,8 @@ impl NaryFinder {
             }
             drop(group_ids);
 
-            let provider = make_level(&groups, &mut metrics)?;
-            let level_satisfied = provider.run(&composite_pairs, &mut metrics)?;
+            let provider = make_level(&groups)?;
+            let level_satisfied = run_spider(&provider, &composite_pairs, &mut metrics)?;
 
             let mut found: Vec<NaryCandidate> = level_satisfied
                 .iter()
@@ -472,28 +436,6 @@ impl NaryFinder {
             metrics,
             degraded: None,
         })
-    }
-}
-
-/// How one level's composite streams are validated — memory sets or an
-/// on-disk composite export, both through the same SPIDER engine.
-trait LevelProvider {
-    fn run(&self, candidates: &[Candidate], metrics: &mut RunMetrics) -> Result<Vec<Candidate>>;
-}
-
-struct MemoryProviderLevel(MemoryProvider);
-impl LevelProvider for MemoryProviderLevel {
-    fn run(&self, candidates: &[Candidate], metrics: &mut RunMetrics) -> Result<Vec<Candidate>> {
-        run_spider(&self.0, candidates, metrics)
-    }
-}
-
-struct DiskLevel(CompositeExport);
-impl LevelProvider for DiskLevel {
-    fn run(&self, candidates: &[Candidate], metrics: &mut RunMetrics) -> Result<Vec<Candidate>> {
-        let out = run_spider(&self.0, candidates, metrics)?;
-        metrics.read_calls += self.0.read_calls();
-        Ok(out)
     }
 }
 
@@ -778,23 +720,49 @@ mod tests {
         let db = composite_db();
         let finder = NaryFinder::with_max_arity(3);
         let mem = finder.discover_in_memory(&db).unwrap();
-        let dir = TempDir::new("nary-disk");
-        let disk = finder
-            .discover_on_disk(&db, dir.path(), &ExportOptions::default())
-            .unwrap();
-        assert_eq!(mem.unary, disk.unary);
-        assert_eq!(mem.satisfied, disk.satisfied);
-        assert_eq!(mem.levels.len(), disk.levels.len());
-        for (m, d) in mem.levels.iter().zip(&disk.levels) {
-            assert_eq!(
-                (m.arity, m.generated, m.satisfied),
-                (d.arity, d.generated, d.satisfied)
-            );
-            assert_eq!(m.pruned_projection, d.pruned_projection);
-        }
-        assert_eq!(mem.metrics.items_read, disk.metrics.items_read);
         assert_eq!(mem.metrics.read_calls, 0);
-        assert!(disk.metrics.read_calls > 0, "disk cursors must be counted");
+        for threads in [1usize, 2] {
+            let dir = TempDir::new("nary-disk");
+            let disk = finder
+                .discover_on_disk(&db, dir.path(), &ExportOptions::with_threads(threads))
+                .unwrap();
+            assert_eq!(mem.unary, disk.unary, "threads={threads}");
+            assert_eq!(mem.satisfied, disk.satisfied, "threads={threads}");
+            assert_eq!(mem.levels.len(), disk.levels.len());
+            for (m, d) in mem.levels.iter().zip(&disk.levels) {
+                assert_eq!(
+                    (m.arity, m.generated, m.satisfied),
+                    (d.arity, d.generated, d.satisfied)
+                );
+                assert_eq!(m.pruned_projection, d.pruned_projection);
+            }
+            assert_eq!(mem.metrics.items_read, disk.metrics.items_read);
+            assert!(disk.metrics.read_calls > 0, "disk cursors must be counted");
+            assert!(dir.join("arity-2").is_dir(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_failed_composite_stream_fails_the_run_even_under_keep_going() {
+        // Levels run strict: keep-going quarantines unary attributes, but a
+        // composite stream that cannot be written fails the whole run.
+        let db = chains_db();
+        let finder = NaryFinder::with_max_arity(2);
+        for keep_going in [false, true] {
+            let plan =
+                std::sync::Arc::new(ind_valueset::FaultPlan::parse("write:comp-:enospc").unwrap());
+            let mut options = ExportOptions::default().keep_going(keep_going);
+            options.sort.io = ind_valueset::IoOptions::default().with_fault(plan.clone());
+            let dir = TempDir::new("nary-level-fault");
+            let err = finder
+                .discover_on_disk(&db, dir.path(), &options)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("comp-"),
+                "keep_going={keep_going}: {err}"
+            );
+            assert!(plan.fired_count() >= 1);
+        }
     }
 
     #[test]

@@ -303,8 +303,42 @@ impl IndFinder {
         workdir: &Path,
         options: &ExportOptions,
     ) -> Result<Discovery> {
-        let start = Instant::now();
         let _root = ind_trace::start(ind_trace::DISCOVER);
+        let run = DiskRun::prepare(db, workdir, options)?;
+        let mut discovery =
+            self.discover_filtered(&run.profiles, &run.export, &run.quarantined_ids())?;
+        discovery.metrics.key_compares += run.export.sort_key_compares();
+        discovery.metrics.memcmp_compares += run.export.sort_memcmp_compares();
+        discovery.degraded = run.finish(&mut discovery.metrics);
+        Ok(discovery)
+    }
+}
+
+/// The on-disk run both finders share, around whatever discovery they make
+/// over the export: [`DiskRun::prepare`] before, [`DiskRun::finish`] after.
+pub(crate) struct DiskRun {
+    start: Instant,
+    keep_going: bool,
+    /// The unary export; its read counters are reset once the pre-scan is
+    /// done, so afterwards they count the discovery's reads.
+    pub(crate) export: ExportedDatabase,
+    /// Profiles of every exported attribute, by id.
+    pub(crate) profiles: Vec<AttributeProfile>,
+    /// Keep-going quarantine: export failures plus value files that failed
+    /// the pre-scan (empty for strict runs).
+    pub(crate) quarantined: Vec<FailedAttribute>,
+    /// Export- and pre-scan-phase fault counters, captured before the
+    /// reset wipes them.
+    io_retries: u64,
+    checksum_failures: u64,
+}
+
+impl DiskRun {
+    /// Export → profiles → keep-going pre-scan → fault counters captured,
+    /// then the read counters reset for the discovery phase. The caller
+    /// opens the `discover` root span first.
+    pub(crate) fn prepare(db: &Database, workdir: &Path, options: &ExportOptions) -> Result<Self> {
+        let start = Instant::now();
         let export = ExportedDatabase::export(db, workdir, options)?;
         let profile_span = ind_trace::start(ind_trace::PROFILE);
         let profiles = profiles_from_export(&export);
@@ -336,40 +370,50 @@ impl IndFinder {
         } else {
             Vec::new()
         };
-        let quarantined_ids: Vec<u32> = quarantined.iter().map(|f| f.id).collect();
-        // Export- and pre-scan-phase fault counters, captured before the
-        // pre-discovery reset wipes them.
         let io_retries = export.io_retries();
         let checksum_failures = export.checksum_failures();
-
         export.reset_read_calls();
-        let mut discovery = self.discover_filtered(&profiles, &export, &quarantined_ids)?;
-        discovery.metrics.read_calls = export.read_calls();
-        discovery.metrics.io_retries = io_retries + export.io_retries();
-        discovery.metrics.checksum_failures = checksum_failures + export.checksum_failures();
-        discovery.metrics.key_compares += export.sort_key_compares();
-        discovery.metrics.memcmp_compares += export.sort_memcmp_compares();
-        discovery.metrics.exports_reused = export.exports_reused();
-        discovery.metrics.exports_redone = export.exports_redone();
-        discovery.metrics.orphans_swept = export.orphans_swept();
-        // Cover export and pre-scan too, so the span tree's phases account
-        // for (nearly) all of `elapsed`.
-        discovery.metrics.elapsed = start.elapsed();
-        if options.keep_going {
-            discovery.degraded = Some(DegradedReport {
-                quarantined,
-                io_retries: discovery.metrics.io_retries,
-                checksum_failures: discovery.metrics.checksum_failures,
-            });
-        }
-        Ok(discovery)
+        Ok(DiskRun {
+            start,
+            keep_going: options.keep_going,
+            export,
+            profiles,
+            quarantined,
+            io_retries,
+            checksum_failures,
+        })
+    }
+
+    /// The ids of [`DiskRun::quarantined`].
+    pub(crate) fn quarantined_ids(&self) -> Vec<u32> {
+        self.quarantined.iter().map(|f| f.id).collect()
+    }
+
+    /// Fills the run's I/O, resume and fault counters and its `elapsed`
+    /// (export and pre-scan included, so the span tree's phases account for
+    /// nearly all of it) into `metrics`, and returns the keep-going
+    /// [`DegradedReport`] (`None` for a strict run).
+    pub(crate) fn finish(self, metrics: &mut RunMetrics) -> Option<DegradedReport> {
+        let export = &self.export;
+        metrics.read_calls = export.read_calls();
+        metrics.io_retries = self.io_retries + export.io_retries();
+        metrics.checksum_failures = self.checksum_failures + export.checksum_failures();
+        metrics.exports_reused = export.exports_reused();
+        metrics.exports_redone = export.exports_redone();
+        metrics.orphans_swept = export.orphans_swept();
+        metrics.elapsed = self.start.elapsed();
+        self.keep_going.then_some(DegradedReport {
+            quarantined: self.quarantined,
+            io_retries: metrics.io_retries,
+            checksum_failures: metrics.checksum_failures,
+        })
     }
 }
 
 /// Fully drains attribute `id` through the verifying reader, discarding
 /// the values — the keep-going pre-scan that proves a value file healthy
 /// (or condemns it) before any candidate depends on it.
-pub(crate) fn drain_attribute(export: &ExportedDatabase, id: u32) -> Result<()> {
+fn drain_attribute(export: &ExportedDatabase, id: u32) -> Result<()> {
     let mut cursor = export.open(id)?;
     while cursor.advance()? {}
     Ok(())

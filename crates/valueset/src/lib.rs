@@ -45,8 +45,7 @@ pub use extract::{
 pub use fault::FaultPlan;
 pub use format::{write_value_file, ValueFileReader, ValueFileWriter};
 pub use manager::{
-    CompositeExport, ExportOptions, ExportedAttribute, ExportedComposite, ExportedDatabase,
-    FailedAttribute, ResumeMode,
+    ExportOptions, ExportedAttribute, ExportedDatabase, FailedAttribute, ResumeMode,
 };
 pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
 pub use segment::{read_trailer, Extent, SegmentWriter, TrailerEntry, BATCH_MAX_BYTES};

@@ -2,14 +2,20 @@
 //! batch at a time into segments ([`crate::SegmentWriter`]), plus the
 //! per-attribute metadata (cardinalities, min/max) that candidate
 //! generation and the pretests consume.
+//!
+//! There is one export loop for every arity. [`ExportedDatabase::export`]
+//! gives it one job per column; [`ExportedDatabase::export_groups`] gives
+//! it one job per column group, the composite streams of one level of the
+//! n-ary search. Both run on the same workers and publish through the
+//! same group commit.
 
 use crate::block::{IoOptions, ReadStats};
 use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::{Result, ValueSetError};
-use crate::external_sort::{ExternalSorter, SortOptions};
+use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
 use crate::extract::{extract_composite_with_sorter, extract_with_sorter, hash_column};
 use crate::fault::FaultPlan;
-use crate::format::{verify_extent_quick, ValueFileReader};
+use crate::format::{verify_extent_quick, ValueFileReader, ValueFileWriter};
 use crate::segment::{read_trailer, tmp_path, Extent, SegmentFiles, SegmentWriter, TrailerEntry};
 use ind_storage::{DataType, Database, QualifiedName};
 use std::collections::{HashMap, HashSet};
@@ -327,17 +333,61 @@ fn sweep(dir: &Path, keep: &HashSet<PathBuf>) -> (u64, u32) {
     (swept, next_ordinal)
 }
 
-/// A cursor over the stream at `extent`, through the shared descriptor of
-/// its segment. An `open:` fault rule naming the stream refuses it.
-fn open_stream(
-    segments: &SegmentFiles,
-    extent: &Extent,
-    file_bytes: u64,
-    io: &IoOptions,
-) -> Result<ValueFileReader> {
-    crate::fault::check_open(extent.label(), io.fault.as_ref())?;
-    let file = segments.get(extent.file(), io.stats.as_ref())?;
-    ValueFileReader::over(file, extent, io, file_bytes)
+/// Where a job's values come from: one stored column, or a group of
+/// columns of one table whose rows are read as tuples.
+enum Source<'db> {
+    Column(&'db ind_storage::Column),
+    Group(Vec<&'db ind_storage::Column>),
+}
+
+/// One value stream an export writes: the attribute it becomes, and its
+/// source.
+struct Job<'db> {
+    id: u32,
+    name: QualifiedName,
+    data_type: DataType,
+    rows: u64,
+    source: Source<'db>,
+}
+
+impl Job<'_> {
+    /// The attribute with its stream at `path` and zeroed metadata: what
+    /// extraction fills in and what a quarantined attribute keeps.
+    fn attribute(&self, path: Extent) -> ExportedAttribute {
+        ExportedAttribute {
+            id: self.id,
+            name: self.name.clone(),
+            data_type: self.data_type,
+            rows: self.rows,
+            non_null: 0,
+            distinct: 0,
+            min: None,
+            max: None,
+            path,
+            file_bytes: 0,
+        }
+    }
+
+    /// What the stream's extent label, its fault rules and its errors say:
+    /// `attr-00001` for a column, `comp-00001` for a group.
+    fn stream_name(&self) -> String {
+        match self.source {
+            Source::Column(_) => stream_name(self.id),
+            Source::Group(_) => format!("comp-{:05}", self.id),
+        }
+    }
+
+    /// Extract → sort → write the job's values into `writer`.
+    fn extract(
+        &self,
+        sorter: &mut ExternalSorter,
+        writer: &mut ValueFileWriter,
+    ) -> Result<SortStats> {
+        match &self.source {
+            Source::Column(column) => extract_with_sorter(column, sorter, writer),
+            Source::Group(columns) => extract_composite_with_sorter(columns, sorter, writer),
+        }
+    }
 }
 
 impl ExportedDatabase {
@@ -358,6 +408,68 @@ impl ExportedDatabase {
     /// Which worker's segment a stream lands in depends on scheduling, its
     /// bytes never do; at one worker the whole workdir is deterministic.
     pub fn export(db: &Database, dir: &Path, options: &ExportOptions) -> Result<Self> {
+        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(db.attribute_count());
+        for table in db.tables() {
+            for (_, col_schema, column) in table.iter_cells() {
+                jobs.push(Job {
+                    id: jobs.len() as u32,
+                    name: QualifiedName::new(table.name(), col_schema.name.clone()),
+                    data_type: col_schema.data_type,
+                    rows: table.row_count() as u64,
+                    source: Source::Column(column),
+                });
+            }
+        }
+        Self::export_jobs(jobs, dir, options)
+    }
+
+    /// Exports one sorted composite value stream per column group into
+    /// `dir` (created if missing), through the same workers and group
+    /// commit as [`ExportedDatabase::export`]: the per-level provider of the
+    /// n-ary pipeline. Group `i` becomes attribute `i`, its stream labelled
+    /// `comp-NNNNN`; its entries are the rows of the owning table with every
+    /// component non-NULL, tuple-encoded ([`crate::encode_tuple`]) so the
+    /// sorted stream compares like the tuple sequence. The attribute is
+    /// named by the table and its columns joined by `,`, typed
+    /// [`DataType::Text`]. Every group must name columns of one table; an
+    /// unknown column fails the export before anything is written.
+    ///
+    /// A composite stream is never reused and never quarantined: the
+    /// directory is swept and rewritten whatever `options.resume` says, and
+    /// a failed stream fails the export whatever `options.keep_going` says.
+    pub fn export_groups(
+        db: &Database,
+        groups: &[Vec<QualifiedName>],
+        dir: &Path,
+        options: &ExportOptions,
+    ) -> Result<Self> {
+        let mut jobs = Vec::with_capacity(groups.len());
+        for (id, group) in groups.iter().enumerate() {
+            let mut columns = Vec::with_capacity(group.len());
+            for qn in group {
+                columns.push(db.cells(qn)?);
+            }
+            let joined: Vec<&str> = group.iter().map(|qn| qn.column.as_str()).collect();
+            jobs.push(Job {
+                id: id as u32,
+                name: QualifiedName::new(group[0].table.clone(), joined.join(",")),
+                data_type: DataType::Text,
+                rows: columns[0].len() as u64,
+                source: Source::Group(columns),
+            });
+        }
+        let strict = ExportOptions {
+            keep_going: false,
+            resume: ResumeMode::Off,
+            ..options.clone()
+        };
+        Self::export_jobs(jobs, dir, &strict)
+    }
+
+    /// The export loop behind [`ExportedDatabase::export`] and
+    /// [`ExportedDatabase::export_groups`]: resume scan, sweep, then the
+    /// workers writing `jobs` into segments.
+    fn export_jobs(mut jobs: Vec<Job<'_>>, dir: &Path, options: &ExportOptions) -> Result<Self> {
         let _span = ind_trace::start(ind_trace::EXPORT);
         let export_parent = ind_trace::current_parent();
         std::fs::create_dir_all(dir)?;
@@ -369,67 +481,28 @@ impl ExportedDatabase {
         let read_stats = sort.io.stats.get_or_insert_with(ReadStats::new).clone();
         let fault = sort.io.fault.as_ref();
 
-        // Collect the per-attribute work list up front so workers can share
-        // it by index.
-        struct Job<'db> {
-            id: u32,
-            name: QualifiedName,
-            data_type: ind_storage::DataType,
-            rows: u64,
-            column: &'db ind_storage::Column,
-        }
-        impl Job<'_> {
-            /// The attribute with its stream at `path` and zeroed
-            /// metadata: what extraction fills in and what a quarantined
-            /// attribute keeps.
-            fn attribute(&self, path: Extent) -> ExportedAttribute {
-                ExportedAttribute {
-                    id: self.id,
-                    name: self.name.clone(),
-                    data_type: self.data_type,
-                    rows: self.rows,
-                    non_null: 0,
-                    distinct: 0,
-                    min: None,
-                    max: None,
-                    path,
-                    file_bytes: 0,
-                }
-            }
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(db.attribute_count());
-        let mut id = 0u32;
-        for table in db.tables() {
-            for (_, col_schema, col_data) in table.iter_cells() {
-                jobs.push(Job {
-                    id,
-                    name: QualifiedName::new(table.name(), col_schema.name.clone()),
-                    data_type: col_schema.data_type,
-                    rows: table.row_count() as u64,
-                    column: col_data,
-                });
-                id += 1;
-            }
-        }
-
         // A trailer entry vouches for a stream only when every identity
         // field matches the live schema, the SOURCE column still hashes to
         // the recorded content hash, and the stream itself passes its seal
         // (cheap header+footer read, which also bounds the recorded extent
         // by the segment's size, then a full frame-CRC drain under
         // [`ResumeMode::Verify`]). The segments opened to check are kept
-        // open for the cursors that read them next.
+        // open for the cursors that read them next. A group stream has no
+        // source hash and is never reused.
         let segments = SegmentFiles::default();
         let reusable = |job: &Job<'_>, segment: &Path, entry: &TrailerEntry| -> Option<Extent> {
+            let Source::Column(column) = job.source else {
+                return None;
+            };
             if entry.table != job.name.table
                 || entry.column != job.name.column
                 || entry.data_type != job.data_type
                 || entry.rows != job.rows
-                || entry.source_hash != hash_column(job.column)
+                || entry.source_hash != hash_column(column)
             {
                 return None;
             }
-            let extent = Extent::new(segment, entry.offset, &stream_name(job.id));
+            let extent = Extent::new(segment, entry.offset, &job.stream_name());
             let file = segments.get(extent.file(), Some(&read_stats)).ok()?;
             let valid = verify_extent_quick(&file, &extent, entry.file_bytes, entry.records, fault)
                 .and_then(|()| match options.resume {
@@ -579,7 +652,7 @@ impl ExportedDatabase {
                 // segment (opened on first use) and seal its stream. Parent
                 // the span under the export span even from worker threads
                 // (thread-local parenting stops at the spawn).
-                let name = stream_name(job.id);
+                let name = job.stream_name();
                 let mut write = || -> Result<(ExportedAttribute, bool)> {
                     let _span =
                         ind_trace::start_under(ind_trace::SORT, u64::from(job.id), export_parent);
@@ -596,7 +669,7 @@ impl ExportedDatabase {
                     };
                     let open = segment.insert(open);
                     let mut writer = open.stream(Some(&name));
-                    let stats = extract_with_sorter(job.column, &mut sorter, &mut writer)?;
+                    let stats = job.extract(&mut sorter, &mut writer)?;
                     let entry =
                         TrailerEntry::new(job.id, &job.name, job.data_type, job.rows, &stats);
                     let path = open.seal(writer, Some(entry))?;
@@ -795,7 +868,13 @@ impl ValueSetProvider for ExportedDatabase {
                 detail: format!("attribute quarantined during export: {}", f.error),
             });
         }
-        open_stream(&self.segments, &attr.path, attr.file_bytes, &self.io)
+        // Through the shared descriptor of its segment; an `open:` fault
+        // rule naming the stream refuses it.
+        crate::fault::check_open(attr.path.label(), self.io.fault.as_ref())?;
+        let file = self
+            .segments
+            .get(attr.path.file(), self.io.stats.as_ref())?;
+        ValueFileReader::over(file, &attr.path, &self.io, attr.file_bytes)
     }
 
     fn attribute_count(&self) -> usize {
@@ -816,177 +895,6 @@ impl ValueSetProvider for ExportedDatabase {
             return Ok(false);
         }
         self.open(a)?.same_stream(&mut self.open(b)?)
-    }
-}
-
-/// Metadata for one exported composite (multi-column) value stream — the
-/// arity-k analogue of [`ExportedAttribute`]. Entries are rows of the
-/// owning table with every component non-NULL, tuple-encoded
-/// ([`crate::encode_tuple`]) so the sorted stream compares like the tuple
-/// sequence.
-#[derive(Debug, Clone)]
-pub struct ExportedComposite {
-    /// Dense composite id; index into [`CompositeExport::composites`].
-    pub id: u32,
-    /// The component columns, in candidate position order. All must belong
-    /// to one table.
-    pub columns: Vec<QualifiedName>,
-    /// Rows whose components are all non-NULL (with duplicates).
-    pub non_null_rows: u64,
-    /// Distinct tuples written out.
-    pub distinct: u64,
-    /// Where the composite stream lies (`seg-00-NNNN.indv[comp-NNNNN]`).
-    pub path: Extent,
-    /// Byte size of that stream, recorded at write time.
-    pub file_bytes: u64,
-}
-
-/// A set of composite value streams exported under one directory — the
-/// per-level provider of the n-ary discovery pipeline. The existing merge
-/// engines run over it unchanged: composite ids play the role attribute
-/// ids play for [`ExportedDatabase`].
-#[derive(Debug)]
-pub struct CompositeExport {
-    dir: PathBuf,
-    composites: Vec<ExportedComposite>,
-    io: IoOptions,
-    read_stats: ReadStats,
-    segments: SegmentFiles,
-}
-
-/// Publishes a level's open segment and moves its staged composites to
-/// `done`; a segment whose every stream failed is dropped instead.
-fn publish_level_batch(
-    segment: &mut Option<SegmentWriter>,
-    staged: &mut Vec<ExportedComposite>,
-    done: &mut Vec<ExportedComposite>,
-) -> Result<()> {
-    let Some(segment) = segment.take() else {
-        return Ok(());
-    };
-    if staged.is_empty() {
-        segment.discard();
-        return Ok(());
-    }
-    let _span = ind_trace::start_arg(ind_trace::PUBLISH, staged.len() as u64);
-    segment.publish()?;
-    done.append(staged);
-    Ok(())
-}
-
-impl CompositeExport {
-    /// Exports one sorted composite value stream per column group of
-    /// `groups` into `dir` (created if missing). Group `i` becomes
-    /// composite id `i`. Every group must name columns of a single table;
-    /// ragged groups (columns from different tables) are a storage error at
-    /// lookup time.
-    pub fn export(
-        db: &Database,
-        groups: &[Vec<QualifiedName>],
-        dir: &Path,
-        options: &ExportOptions,
-    ) -> Result<Self> {
-        let _span = ind_trace::start(ind_trace::EXPORT);
-        std::fs::create_dir_all(dir)?;
-        let spill_dir = dir.join("spill");
-        let mut sort = options.sort.clone();
-        let read_stats = sort.io.stats.get_or_insert_with(ReadStats::new).clone();
-        let mut composites = Vec::with_capacity(groups.len());
-        // One sorter for the whole level: warm arena across groups.
-        let mut sorter = ExternalSorter::new(&spill_dir, sort.clone())?;
-        // The level commits like the unary export: its streams go into
-        // segments of up to BATCH_MAX_BYTES, each closed by its trailer and
-        // published by one fsync + rename + directory fsync.
-        let mut segment: Option<SegmentWriter> = None;
-        let mut staged: Vec<ExportedComposite> = Vec::new();
-        let mut ordinal = 0u32;
-        let mut stage_all = || -> Result<()> {
-            for (id, group) in groups.iter().enumerate() {
-                let mut columns = Vec::with_capacity(group.len());
-                for qn in group {
-                    columns.push(db.cells(qn)?);
-                }
-                let _sort_span = ind_trace::start_arg(ind_trace::SORT, id as u64);
-                if let Some(cancel) = &sort.io.cancel {
-                    cancel.check("export")?;
-                }
-                let open = match segment.take() {
-                    Some(open) => open,
-                    None => {
-                        ordinal += 1;
-                        SegmentWriter::create(&dir.join(segment_name(0, ordinal - 1)), &sort.io)?
-                    }
-                };
-                let open = segment.insert(open);
-                let mut writer = open.stream(Some(&format!("comp-{id:05}")));
-                let stats = extract_composite_with_sorter(&columns, &mut sorter, &mut writer)?;
-                // The trailer names a composite by its table and its
-                // columns joined by `,`; its tuple encodings are text.
-                let joined: Vec<&str> = group.iter().map(|qn| qn.column.as_str()).collect();
-                let name = QualifiedName::new(group[0].table.clone(), joined.join(","));
-                let rows = columns[0].len() as u64;
-                let entry = TrailerEntry::new(id as u32, &name, DataType::Text, rows, &stats);
-                let path = open.seal(writer, Some(entry))?;
-                ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
-                staged.push(ExportedComposite {
-                    id: id as u32,
-                    columns: group.clone(),
-                    non_null_rows: stats.pushed,
-                    distinct: stats.distinct,
-                    path,
-                    file_bytes: stats.file_bytes,
-                });
-                if open.is_full() {
-                    publish_level_batch(&mut segment, &mut staged, &mut composites)?;
-                }
-            }
-            Ok(())
-        };
-        // Error or not, what is sealed gets published before returning.
-        let outcome = stage_all();
-        let committed = publish_level_batch(&mut segment, &mut staged, &mut composites);
-        outcome.and(committed)?;
-        // lint: allow(swallowed_result) — best-effort cleanup of an empty spill dir; the export already succeeded
-        let _ = std::fs::remove_dir_all(&spill_dir); // empty after successful export
-        Ok(CompositeExport {
-            dir: dir.to_path_buf(),
-            composites,
-            io: sort.io.clone(),
-            read_stats,
-            segments: SegmentFiles::default(),
-        })
-    }
-
-    /// All exported composite streams, indexed by id.
-    pub fn composites(&self) -> &[ExportedComposite] {
-        &self.composites
-    }
-
-    /// Export directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Total `pread`s made by every cursor this export has opened
-    /// (see [`ExportedDatabase::read_calls`]).
-    pub fn read_calls(&self) -> u64 {
-        self.read_stats.read_calls()
-    }
-}
-
-impl ValueSetProvider for CompositeExport {
-    type Cursor = ValueFileReader;
-
-    fn open(&self, id: u32) -> Result<ValueFileReader> {
-        let comp = self
-            .composites
-            .get(id as usize)
-            .ok_or(ValueSetError::UnknownAttribute(id))?;
-        open_stream(&self.segments, &comp.path, comp.file_bytes, &self.io)
-    }
-
-    fn attribute_count(&self) -> usize {
-        self.composites.len()
     }
 }
 
@@ -1102,6 +1010,29 @@ mod tests {
                 "worker spill dirs must be cleaned up"
             );
         }
+        // Group streams too: the same bytes at 1 and 3 workers, and the
+        // values the in-memory composite extraction yields.
+        let groups = sample_groups();
+        let exports: Vec<(TempDir, ExportedDatabase)> = [1usize, 3]
+            .into_iter()
+            .map(|threads| {
+                let dir = TempDir::new("export-groups-par");
+                let options = ExportOptions::with_threads(threads);
+                let exp = ExportedDatabase::export_groups(&db, &groups, dir.path(), &options);
+                (dir, exp.unwrap())
+            })
+            .collect();
+        let (seq, par) = (&exports[0].1, &exports[1].1);
+        for (id, group) in groups.iter().enumerate() {
+            let (a, b) = (&seq.attributes()[id], &par.attributes()[id]);
+            assert_eq!(stream_bytes(a), stream_bytes(b), "group {group:?}");
+            let columns: Vec<_> = group.iter().map(|qn| db.cells(qn).unwrap()).collect();
+            let mem = crate::extract::extract_composite_memory_set(&columns);
+            assert_eq!(
+                collect_cursor(par.open(b.id).unwrap()).unwrap(),
+                mem.as_slice()
+            );
+        }
     }
 
     #[test]
@@ -1161,30 +1092,43 @@ mod tests {
         assert_eq!(exp.read_calls(), 0);
     }
 
-    #[test]
-    fn composite_export_matches_memory_extraction() {
-        use crate::extract::extract_composite_memory_set;
-        let db = sample_db();
-        let dir = TempDir::new("export-composite");
-        let groups = vec![
+    /// The two-column group of `t` and the one-column group of `u`.
+    fn sample_groups() -> Vec<Vec<QualifiedName>> {
+        vec![
             vec![
                 QualifiedName::new("t", "id"),
                 QualifiedName::new("t", "label"),
             ],
             vec![QualifiedName::new("u", "ref")],
-        ];
+        ]
+    }
+
+    #[test]
+    fn composite_export_matches_memory_extraction() {
+        use crate::extract::extract_composite_memory_set;
+        let db = sample_db();
+        let dir = TempDir::new("export-composite");
+        let groups = sample_groups();
         let exp =
-            CompositeExport::export(&db, &groups, dir.path(), &ExportOptions::default()).unwrap();
+            ExportedDatabase::export_groups(&db, &groups, dir.path(), &ExportOptions::default())
+                .unwrap();
         assert_eq!(exp.attribute_count(), 2);
         for (id, group) in groups.iter().enumerate() {
             let columns: Vec<_> = group.iter().map(|qn| db.cells(qn).unwrap()).collect();
             let mem = extract_composite_memory_set(&columns);
             let disk = collect_cursor(exp.open(id as u32).unwrap()).unwrap();
             assert_eq!(disk, mem.as_slice(), "group {group:?}");
-            let meta = &exp.composites()[id];
+            let meta = &exp.attributes()[id];
             assert_eq!(meta.distinct, mem.len());
-            assert_eq!(meta.columns, *group);
+            assert_eq!(meta.data_type, DataType::Text);
+            assert_eq!(meta.rows, columns[0].len() as u64);
+            assert!(meta
+                .path
+                .label()
+                .to_string_lossy()
+                .ends_with(&format!("[comp-{id:05}]")));
         }
+        assert_eq!(exp.attributes()[0].name.to_string(), "t.id,label");
         assert!(exp.read_calls() > 0, "cursors are counted");
         assert!(exp.open(2).is_err());
     }
@@ -1194,9 +1138,8 @@ mod tests {
         let db = sample_db();
         let dir = TempDir::new("export-composite-bad");
         let groups = vec![vec![QualifiedName::new("t", "missing")]];
-        assert!(
-            CompositeExport::export(&db, &groups, dir.path(), &ExportOptions::default()).is_err()
-        );
+        let options = ExportOptions::default();
+        assert!(ExportedDatabase::export_groups(&db, &groups, dir.path(), &options).is_err());
     }
 
     #[test]
@@ -1526,25 +1469,30 @@ mod tests {
 
     #[test]
     fn a_composite_level_commits_through_the_group_commit() {
-        // The n-ary path stages and publishes like the unary one: its
-        // barrier is fault-reachable, and a clean level leaves no stage.
+        // A level stages and publishes like the unary export: its barrier
+        // is fault-reachable, keep-going or not, and a clean level leaves
+        // no stage. A rerun sweeps the level's old segments and writes new
+        // ones past their ordinals.
         let groups: Vec<Vec<QualifiedName>> = ["id", "label", "blob"]
             .iter()
             .map(|c| vec![QualifiedName::new("t", *c)])
             .collect();
         let dir = TempDir::new("export-composite-batch");
         let workdir = dir.join("wd");
-        let options = faulted("fsync:wd$:fail", 1);
-        assert!(CompositeExport::export(&sample_db(), &groups, &workdir, &options).is_err());
+        let options = faulted("fsync:wd$:fail", 1).keep_going(true);
+        assert!(
+            ExportedDatabase::export_groups(&sample_db(), &groups, &workdir, &options).is_err()
+        );
+        let resume = ExportOptions::with_threads(1).resume(ResumeMode::Reuse);
         let exp =
-            CompositeExport::export(&sample_db(), &groups, &workdir, &ExportOptions::default())
-                .unwrap();
+            ExportedDatabase::export_groups(&sample_db(), &groups, &workdir, &resume).unwrap();
         assert_eq!(exp.attribute_count(), 3);
+        assert_eq!((exp.exports_reused(), exp.orphans_swept()), (0, 1));
         assert!(stages(&workdir).is_empty());
         assert!(exp
-            .composites()
+            .attributes()
             .iter()
-            .all(|c| c.path.file() == workdir.join("seg-00-0000.indv")));
+            .all(|c| c.path.file() == workdir.join("seg-00-0001.indv")));
     }
 
     #[test]

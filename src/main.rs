@@ -36,7 +36,10 @@
 //! Databases are directories in the TSV format of `ind_storage::tsv`
 //! (`schema.txt` + one `.tsv` per table); `generate` creates them.
 
-use spider_ind::core::{Algorithm, FinderConfig, IndFinder, NaryConfig, NaryFinder, PretestConfig};
+use spider_ind::core::{
+    Algorithm, DegradedReport, FinderConfig, IndFinder, NaryConfig, NaryFinder, PretestConfig,
+    RunMetrics,
+};
 use spider_ind::datagen::{BiosqlConfig, ChainsConfig, OpenMmsConfig, ScopConfig, WideConfig};
 use spider_ind::discovery::{
     evaluate_composite_foreign_keys, evaluate_foreign_keys, find_accession_candidates,
@@ -334,7 +337,7 @@ fn export_options_from_args(
 /// The keep-going degradation summary — the machine-readable contract
 /// scripted consumers parse from the `degraded:` line (compact) and the
 /// report; its shape is pinned by a unit test.
-fn degraded_json(report: &spider_ind::core::DegradedReport) -> Json {
+fn degraded_json(report: &DegradedReport) -> Json {
     let quarantined = report.quarantined.iter().map(|f| {
         Json::obj([
             ("id", f.id.into()),
@@ -446,8 +449,8 @@ impl TraceArgs {
     fn write_outputs(
         &self,
         trace: &spider_ind::trace::Trace,
-        metrics: &spider_ind::core::RunMetrics,
-        degraded: Option<&spider_ind::core::DegradedReport>,
+        metrics: &RunMetrics,
+        degraded: Option<&DegradedReport>,
         cancelled: Option<&CancelledInfo>,
         dir: &str,
         args: &[String],
@@ -495,13 +498,12 @@ impl TraceSession {
 }
 
 /// Assembles the versioned `--report` JSON document: config echo, the
-/// full [`spider_ind::core::RunMetrics`] vocabulary, the degradation
-/// summary (or `null`), histogram buckets, ring-overflow count, and the
-/// phase span tree.
+/// full [`RunMetrics`] vocabulary, the degradation summary (or `null`),
+/// histogram buckets, ring-overflow count, and the phase span tree.
 fn run_report_json(
     trace: &spider_ind::trace::Trace,
-    metrics: &spider_ind::core::RunMetrics,
-    degraded: Option<&spider_ind::core::DegradedReport>,
+    metrics: &RunMetrics,
+    degraded: Option<&DegradedReport>,
     cancelled: Option<&CancelledInfo>,
     dir: &str,
     args: &[String],
@@ -753,53 +755,35 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
     }
     let finder = IndFinder::new(config);
     let result = if on_disk {
-        discover_on_disk(&finder, &db, args, &cancel, resume)
+        on_disk_run(args, &cancel, resume, |workdir, options| {
+            finder.discover_on_disk_with(&db, workdir, options)
+        })
     } else {
         finder
             .discover_in_memory_with(&db, workers)
             .map_err(|e| format!("discovery failed: {e}"))
     };
-    let trace = session.finish();
-    let discovery = match result {
-        Ok(discovery) => discovery,
-        Err(message) => {
-            return finish_run_error(&cancel, &tracing, trace.as_ref(), dir, args, message)
-        }
-    };
-    if let Some(trace) = &trace {
-        tracing.write_outputs(
-            trace,
-            &discovery.metrics,
-            discovery.degraded.as_ref(),
-            None,
-            dir,
-            args,
-        )?;
-    }
-    let mut out = String::new();
-    outln!(
-        out,
-        "{} candidates ({} pairs considered), {} satisfied INDs, {:?}\n",
-        discovery.metrics.candidates(),
-        discovery.metrics.pairs_considered,
-        discovery.ind_count(),
-        discovery.metrics.elapsed
-    );
-    for (dep, refd) in discovery.satisfied_named() {
-        outln!(out, "{dep} <= {refd}");
-    }
-    let mut code = ExitCode::SUCCESS;
-    if let Some(report) = &discovery.degraded {
-        outln!(out, "\ndegraded: {}", degraded_json(report).compact());
-        if !report.is_clean() {
-            code = ExitCode::from(EXIT_DEGRADED);
-        }
-    }
-    if args.iter().any(|a| a == "--names") {
-        outln!(out, "\nmetrics: {}", discovery.metrics);
-    }
-    emit(&out);
-    Ok(code)
+    finish_discover(
+        result,
+        session,
+        &cancel,
+        &tracing,
+        args,
+        |d| (&d.metrics, d.degraded.as_ref()),
+        |discovery, out| {
+            outln!(
+                out,
+                "{} candidates ({} pairs considered), {} satisfied INDs, {:?}\n",
+                discovery.metrics.candidates(),
+                discovery.metrics.pairs_considered,
+                discovery.ind_count(),
+                discovery.metrics.elapsed
+            );
+            for (dep, refd) in discovery.satisfied_named() {
+                outln!(out, "{dep} <= {refd}");
+            }
+        },
+    )
 }
 
 /// Runs the levelwise n-ary pipeline (`discover --max-arity N`, N ≥ 2) and
@@ -815,7 +799,6 @@ fn cmd_discover_nary(
     tracing: &TraceArgs,
     session: TraceSession,
 ) -> Result<ExitCode, String> {
-    let dir = args.first().map(String::as_str).unwrap_or("");
     let mut config = NaryConfig {
         max_arity,
         ..Default::default()
@@ -825,23 +808,92 @@ fn cmd_discover_nary(
     }
     let finder = NaryFinder::new(config);
     let result = if args.iter().any(|a| a == "--on-disk") {
-        let options = export_options_from_args(args)?
-            .with_cancel(cancel.clone())
-            .resume(resume);
-        let (workdir, temp) = resolve_workdir(args)?;
-        let result = finder
-            .discover_on_disk(db, &workdir, &options)
-            .map_err(|e| format!("discovery failed: {e}"));
-        if temp {
-            // lint: allow(swallowed_result) — best-effort temp-dir cleanup after the run
-            let _ = std::fs::remove_dir_all(&workdir);
-        }
-        result
+        on_disk_run(args, cancel, resume, |workdir, options| {
+            finder.discover_on_disk(db, workdir, options)
+        })
     } else {
         finder
             .discover_in_memory(db)
             .map_err(|e| format!("discovery failed: {e}"))
     };
+    finish_discover(
+        result,
+        session,
+        cancel,
+        tracing,
+        args,
+        |d| (&d.metrics, d.degraded.as_ref()),
+        |discovery, out| {
+            outln!(
+                out,
+                "{} unary INDs, {} composite INDs (max arity found {}), {:?}\n",
+                discovery.unary.len(),
+                discovery.satisfied.len(),
+                discovery.max_arity_found(),
+                discovery.metrics.elapsed
+            );
+            outln!(
+                out,
+                "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10}",
+                "arity",
+                "enumerable",
+                "generated",
+                "proj-pruned",
+                "satisfied",
+                "ms"
+            );
+            for level in &discovery.levels {
+                outln!(
+                    out,
+                    "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10.2}",
+                    level.arity,
+                    level.enumerable,
+                    level.generated,
+                    level.pruned_projection,
+                    level.satisfied,
+                    level.elapsed.as_secs_f64() * 1e3
+                );
+            }
+            outln!(out);
+            for (dep, refd) in discovery.satisfied_named() {
+                let join = |side: &[spider_ind::storage::QualifiedName]| {
+                    side.iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                };
+                outln!(out, "({}) <= ({})", join(&dep), join(&refd));
+            }
+            if !db.gold_composite_foreign_keys().is_empty() {
+                let eval = evaluate_composite_foreign_keys(db, discovery);
+                outln!(
+                    out,
+                    "\nagainst declared composite FKs: {} found, {} missed, {} extras",
+                    eval.found.len(),
+                    eval.missed.len(),
+                    eval.extras.len()
+                );
+            }
+        },
+    )
+}
+
+/// The tail of every discover run, unary or n-ary: stop tracing, route a
+/// failure through [`finish_run_error`], write `--report` /
+/// `--trace-folded`, then print `body`'s text, the `degraded:` line and,
+/// under `--names`, the metrics line. `summary` picks a result's metrics
+/// and degradation report. Exits [`EXIT_DEGRADED`] when anything was
+/// quarantined.
+fn finish_discover<D>(
+    result: Result<D, String>,
+    session: TraceSession,
+    cancel: &spider_ind::valueset::CancelToken,
+    tracing: &TraceArgs,
+    args: &[String],
+    summary: impl Fn(&D) -> (&RunMetrics, Option<&DegradedReport>),
+    body: impl FnOnce(&D, &mut String),
+) -> Result<ExitCode, String> {
+    let dir = args.first().map(String::as_str).unwrap_or("");
     let trace = session.finish();
     let discovery = match result {
         Ok(discovery) => discovery,
@@ -849,77 +901,21 @@ fn cmd_discover_nary(
             return finish_run_error(cancel, tracing, trace.as_ref(), dir, args, message)
         }
     };
+    let (metrics, degraded) = summary(&discovery);
     if let Some(trace) = &trace {
-        tracing.write_outputs(
-            trace,
-            &discovery.metrics,
-            discovery.degraded.as_ref(),
-            None,
-            dir,
-            args,
-        )?;
+        tracing.write_outputs(trace, metrics, degraded, None, dir, args)?;
     }
-
     let mut out = String::new();
-    outln!(
-        out,
-        "{} unary INDs, {} composite INDs (max arity found {}), {:?}\n",
-        discovery.unary.len(),
-        discovery.satisfied.len(),
-        discovery.max_arity_found(),
-        discovery.metrics.elapsed
-    );
-    outln!(
-        out,
-        "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10}",
-        "arity",
-        "enumerable",
-        "generated",
-        "proj-pruned",
-        "satisfied",
-        "ms"
-    );
-    for level in &discovery.levels {
-        outln!(
-            out,
-            "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10.2}",
-            level.arity,
-            level.enumerable,
-            level.generated,
-            level.pruned_projection,
-            level.satisfied,
-            level.elapsed.as_secs_f64() * 1e3
-        );
-    }
-    outln!(out);
-    for (dep, refd) in discovery.satisfied_named() {
-        let join = |side: &[spider_ind::storage::QualifiedName]| {
-            side.iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        outln!(out, "({}) <= ({})", join(&dep), join(&refd));
-    }
-    if !db.gold_composite_foreign_keys().is_empty() {
-        let eval = evaluate_composite_foreign_keys(db, &discovery);
-        outln!(
-            out,
-            "\nagainst declared composite FKs: {} found, {} missed, {} extras",
-            eval.found.len(),
-            eval.missed.len(),
-            eval.extras.len()
-        );
-    }
+    body(&discovery, &mut out);
     let mut code = ExitCode::SUCCESS;
-    if let Some(report) = &discovery.degraded {
+    if let Some(report) = degraded {
         outln!(out, "\ndegraded: {}", degraded_json(report).compact());
         if !report.is_clean() {
             code = ExitCode::from(EXIT_DEGRADED);
         }
     }
     if args.iter().any(|a| a == "--names") {
-        outln!(out, "\nmetrics: {}", discovery.metrics);
+        outln!(out, "\nmetrics: {metrics}");
     }
     emit(&out);
     Ok(code)
@@ -946,14 +942,7 @@ fn finish_run_error(
     if let Some(trace) = trace {
         // Discovery produced no final metrics; the report still carries
         // the span tree, histograms, and the cancellation snapshot.
-        tracing.write_outputs(
-            trace,
-            &spider_ind::core::RunMetrics::new(),
-            None,
-            Some(&info),
-            dir,
-            args,
-        )?;
+        tracing.write_outputs(trace, &RunMetrics::new(), None, Some(&info), dir, args)?;
     }
     eprintln!(
         "cancelled during {}: {} attributes exported, {} candidates still alive \
@@ -981,24 +970,22 @@ fn resolve_workdir(args: &[String]) -> Result<(std::path::PathBuf, bool), String
     }
 }
 
-/// Runs the disk-backed pipeline: export to sorted value files under
-/// `--workdir` (default: a fresh process-scoped temp directory, removed
-/// afterwards; an explicit `--workdir` is kept for inspection), reading
-/// them back through `--block-size`-byte blocks.
-fn discover_on_disk(
-    finder: &IndFinder,
-    db: &spider_ind::storage::Database,
+/// Runs a disk-backed pipeline, unary or n-ary: `run` exports to sorted
+/// value files under `--workdir` (default: a fresh process-scoped temp
+/// directory, removed afterwards; an explicit `--workdir` is kept for
+/// inspection) with the export options the flags give, and reads them back
+/// through `--block-size`-byte blocks.
+fn on_disk_run<D>(
     args: &[String],
     cancel: &spider_ind::valueset::CancelToken,
     resume: spider_ind::valueset::ResumeMode,
-) -> Result<spider_ind::core::Discovery, String> {
+    run: impl FnOnce(&Path, &spider_ind::valueset::ExportOptions) -> spider_ind::valueset::Result<D>,
+) -> Result<D, String> {
     let options = export_options_from_args(args)?
         .with_cancel(cancel.clone())
         .resume(resume);
     let (workdir, temp) = resolve_workdir(args)?;
-    let result = finder
-        .discover_on_disk_with(db, &workdir, &options)
-        .map_err(|e| format!("discovery failed: {e}"));
+    let result = run(&workdir, &options).map_err(|e| format!("discovery failed: {e}"));
     if temp {
         // lint: allow(swallowed_result) — best-effort temp-dir cleanup after the run
         let _ = std::fs::remove_dir_all(&workdir);
@@ -1147,7 +1134,6 @@ mod tests {
 
     #[test]
     fn degraded_json_shape_is_stable_and_escaped() {
-        use spider_ind::core::DegradedReport;
         use spider_ind::valueset::FailedAttribute;
         let clean = DegradedReport::default();
         assert_eq!(
@@ -1216,7 +1202,7 @@ mod tests {
             roots: Vec::new(),
             dropped_events: 0,
         };
-        let metrics = spider_ind::core::RunMetrics::new();
+        let metrics = RunMetrics::new();
         let a = args(&["discover", "db"]);
         let with = run_report_json(&trace, &metrics, None, Some(&info), "db", &a).pretty();
         assert!(
