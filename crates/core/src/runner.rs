@@ -326,7 +326,7 @@ pub(crate) struct DiskRun {
     pub(crate) profiles: Vec<AttributeProfile>,
     /// Keep-going quarantine: export failures plus value files that failed
     /// the pre-scan (empty for strict runs).
-    pub(crate) quarantined: Vec<FailedAttribute>,
+    quarantined: Vec<FailedAttribute>,
     /// Export- and pre-scan-phase fault counters, captured before the
     /// reset wipes them.
     io_retries: u64,
