@@ -204,12 +204,19 @@ impl NaryFinder {
         })
     }
 
-    /// Runs the levelwise search entirely in memory.
+    /// Runs the levelwise search entirely in memory, extracting the unary
+    /// value sets on every core ([`ind_storage::default_workers`]).
     pub fn discover_in_memory(&self, db: &Database) -> Result<NaryDiscovery> {
+        self.discover_in_memory_with(db, ind_storage::default_workers())
+    }
+
+    /// [`NaryFinder::discover_in_memory`] with exactly `threads` unary
+    /// extraction workers. The result is the same at any count.
+    pub fn discover_in_memory_with(&self, db: &Database, threads: usize) -> Result<NaryDiscovery> {
         let start = Instant::now();
         let _root = ind_trace::start(ind_trace::DISCOVER);
         let export_span = ind_trace::start(ind_trace::EXPORT);
-        let (profiles, provider) = try_memory_export(db, ind_storage::default_workers())?;
+        let (profiles, provider) = try_memory_export(db, threads)?;
         export_span.finish();
         // Stored columns in profile-id order, for composite extraction.
         let columns: Vec<&Column> = db
@@ -753,12 +760,14 @@ mod tests {
                 std::sync::Arc::new(ind_valueset::FaultPlan::parse("write:comp-:enospc").unwrap());
             let mut options = ExportOptions::default().keep_going(keep_going);
             options.sort.io = ind_valueset::IoOptions::default().with_fault(plan.clone());
-            let dir = TempDir::new("nary-level-fault");
+            // The rule names the composite streams, not the directory
+            // whose name also holds `comp-`.
+            let dir = TempDir::new("nary-comp-fault");
             let err = finder
                 .discover_on_disk(&db, dir.path(), &options)
                 .unwrap_err();
             assert!(
-                err.to_string().contains("comp-"),
+                err.to_string().contains("[comp-"),
                 "keep_going={keep_going}: {err}"
             );
             assert!(plan.fired_count() >= 1);

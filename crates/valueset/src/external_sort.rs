@@ -527,20 +527,11 @@ impl ExternalSorter {
         let bytes = resident.unwrap_or(&self.buf.bytes);
 
         let mut min = None;
-        let mut max: Option<Vec<u8>> = None;
         let mut distinct = 0u64;
         let mut emit = |value: &[u8], writer: &mut ValueFileWriter| -> Result<()> {
             if min.is_none() {
                 // lint: allow(hot_alloc) — bounds capture: once per merged attribute (first value)
                 min = Some(value.to_vec());
-            }
-            match &mut max {
-                Some(m) => {
-                    m.clear();
-                    m.extend_from_slice(value);
-                }
-                // lint: allow(hot_alloc) — bounds capture: first value only; later maxima reuse the buffer above
-                none => *none = Some(value.to_vec()),
             }
             distinct += 1;
             writer.append(value)
@@ -579,6 +570,11 @@ impl ExternalSorter {
         // error still gets a clean sorter for the next attribute.
         let runs = self.runs.len();
         let cleanup = self.remove_spill_file();
+        // The writer keeps the last value for its order check: the largest
+        // this sort emitted, if it emitted any.
+        let last = writer.last().filter(|_| distinct > 0);
+        // lint: allow(hot_alloc) — bounds capture: once per merged attribute
+        let max = last.map(|last| last.to_vec());
         let stats = SortStats {
             pushed: self.pushed,
             distinct,
@@ -790,6 +786,40 @@ mod tests {
         assert_eq!(stats.distinct, 3);
         assert_eq!(stats.min.as_deref(), Some(b"apple".as_slice()));
         assert_eq!(stats.max.as_deref(), Some(b"pear".as_slice()));
+    }
+
+    #[test]
+    fn the_max_is_the_last_value_written_on_every_path() {
+        let raw: Vec<String> = (0..500).map(|i| format!("v{:03}", i % 137)).collect();
+        let values: Vec<&[u8]> = raw.iter().map(|s| s.as_bytes()).collect();
+        for budget in [64, 1 << 20] {
+            let (out, stats) = sort_values(&values, budget);
+            assert_eq!(stats.runs > 0, budget == 64, "budget {budget}");
+            assert_eq!(stats.max.as_deref(), out.last().map(Vec::as_slice));
+            assert_eq!(stats.max.as_deref(), Some(b"v136".as_slice()));
+        }
+        let (out, stats) = sort_values(&[], 64);
+        assert!(out.is_empty() && stats.max.is_none(), "an empty stream");
+        // A writer that already holds values keeps them out of the bounds
+        // of a sort that emits none.
+        let dir = TempDir::new("extsort-max");
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(64)).unwrap();
+        let mut writer = ValueFileWriter::create(&dir.join("out.indv")).unwrap();
+        writer.append(b"held").unwrap();
+        let stats = sorter.finish_into(&mut writer).unwrap();
+        assert_eq!((stats.distinct, stats.min, stats.max), (0, None, None));
+    }
+
+    #[test]
+    fn spill_runs_and_scratch_files_never_start_writeback() {
+        let dir = TempDir::new("extsort-writeback");
+        let mut sorter =
+            ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(64)).unwrap();
+        let run = sorter.next_run().unwrap();
+        assert_eq!(run.writeback_range(0, 64 << 20), None);
+        let scratch = ValueFileWriter::create(&dir.join("out.indv")).unwrap();
+        assert_eq!(scratch.writeback_range(0, 64 << 20), None);
     }
 
     #[test]

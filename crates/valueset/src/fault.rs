@@ -33,9 +33,13 @@
 //! ```
 //!
 //! * `op` — `read`, `write`, `open`, or `fsync`.
-//! * `match` — a substring of the label; `*` matches every file, and a
-//!   trailing `$` anchors the substring at the end of the path (`workdir$`
-//!   matches the directory's own fsync but none of the files inside it).
+//! * `match` — a substring of the label's last component: the file or
+//!   directory name, with any `[stream]` label (`seg-00-0003.indv[attr-00001]`),
+//!   never the directories above it, so a rule naming `comp-` cannot fire
+//!   under a directory whose name holds `comp-`. `*` matches everything,
+//!   and a trailing `$` anchors the substring at the end of that component
+//!   (`workdir$` matches the directory's own fsync but none of the files
+//!   inside it).
 //! * `kind` — `eintr` (read/write), `short` (read), `truncate=N` (read:
 //!   the file appears to end at byte `N`), `flip=N` (read: one bit of
 //!   byte `N` is flipped, chosen by the plan's seed), `enospc` (write),
@@ -91,7 +95,7 @@ enum FaultKind {
 #[derive(Debug)]
 struct FaultRule {
     op: FaultOp,
-    /// Path substring; `*` matches everything.
+    /// Substring of the last path component; `*` matches everything.
     matcher: String,
     kind: FaultKind,
     /// Remaining firings; `u64::MAX` means unlimited.
@@ -106,11 +110,20 @@ impl FaultRule {
         self.op == op && self.matches_path(path)
     }
 
+    /// Whether the rule names `path`: its last component — a file or
+    /// directory name, with any `[stream]` label — never the directories
+    /// above it.
     fn matches_path(&self, path: &Path) -> bool {
-        let path = path.to_string_lossy();
+        if self.matcher == "*" {
+            return true;
+        }
+        let name = path
+            .file_name()
+            .unwrap_or(path.as_os_str())
+            .to_string_lossy();
         match self.matcher.strip_suffix('$') {
-            Some(tail) => path.ends_with(tail),
-            None => self.matcher == "*" || path.contains(&self.matcher),
+            Some(tail) => name.ends_with(tail),
+            None => name.contains(&self.matcher),
         }
     }
 
@@ -611,6 +624,43 @@ pub(crate) fn sync_all(
     file.sync_all().map_err(|e| annotate(path, e))
 }
 
+/// Asks the kernel to start writing back bytes `range` of `file` — the
+/// whole MiB a durable writer's block flush completed
+/// ([`crate::format::completed_mib`]) — so the commit's fsync finds them on
+/// their way to the device and waits only for the tail. Advisory: it
+/// neither waits nor reports, is not a fault op (no rule matches it and it
+/// takes no `crash=N` ordinal), and is a no-op off 64-bit Linux. The
+/// commit's fsync still reports every write error.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+pub(crate) fn start_writeback(file: &std::fs::File, range: std::ops::Range<u64>) {
+    use std::os::unix::io::AsRawFd;
+    extern "C" {
+        // `sync_file_range(2)`; declared directly to avoid a libc
+        // dependency. `off64_t` is `i64` on every 64-bit Linux target.
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+    /// Start writeback of the range's dirty pages not already under
+    /// writeback; do not wait for it.
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+    let (Ok(offset), Ok(len)) = (
+        i64::try_from(range.start),
+        i64::try_from(range.end - range.start),
+    ) else {
+        return;
+    };
+    let fd = file.as_raw_fd();
+    // SAFETY: `sync_file_range` is the Linux C API, declared with its
+    // 64-bit signature; it touches no memory of ours, and `file` keeps
+    // `fd` open for the whole call.
+    // lint: allow(swallowed_result) — advisory hint: the commit's fsync reports every real write error
+    let _ = unsafe { sync_file_range(fd, offset, len, SYNC_FILE_RANGE_WRITE) };
+}
+
+/// [`start_writeback`] off 64-bit Linux: nothing to start, the commit's
+/// fsync writes the whole segment.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+pub(crate) fn start_writeback(_file: &std::fs::File, _range: std::ops::Range<u64>) {}
+
 /// Fsyncs a directory so a rename inside it is durable (the directory
 /// entry itself must reach the disk, not just the file bytes). Subject to
 /// the same `fsync` fault rules as file syncs.
@@ -1025,6 +1075,31 @@ mod tests {
         assert!(FaultPlan::parse("write:*:crash=0").is_err(), "N >= 1");
         assert!(FaultPlan::parse("read:*:crash=2").is_err(), "write-only");
         assert!(FaultPlan::parse("fsync:*:eintr").is_err(), "fail-only");
+    }
+
+    #[test]
+    fn rules_match_the_last_component_never_a_directory_above_it() {
+        let p = plan("write:comp-:enospc@100");
+        let rule = &p.rules[0];
+        assert!(rule.matches_path(Path::new("out/a/seg-00-0000.indv[comp-00003]")));
+        assert!(!rule.matches_path(Path::new(
+            "out/nary-comp-fault/seg-00-0000.indv[attr-00003]"
+        )));
+        assert!(
+            rule.matches_path(Path::new("out/nary-comp-fault")),
+            "the directory itself"
+        );
+        let anchored = &plan("fsync:wd$:fail").rules[0];
+        assert!(anchored.matches_path(Path::new("out/x/wd")));
+        assert!(
+            anchored.matches_path(Path::new("out/x/wd/")),
+            "a trailing slash"
+        );
+        assert!(!anchored.matches_path(Path::new("out/wd/in.bin")));
+        let label = &plan("read:[trailer]:flip=1").rules[0];
+        assert!(label.matches_path(Path::new("out/[trailer]/seg.indv[trailer]")));
+        assert!(!label.matches_path(Path::new("out/[trailer]/seg.indv[attr-00000]")));
+        assert!(plan("read:*:eintr").rules[0].matches_path(Path::new("/")));
     }
 
     #[test]

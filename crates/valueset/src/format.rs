@@ -45,10 +45,11 @@ use crate::cursor::ValueCursor;
 use crate::error::{Result, ValueSetError};
 use crate::frame::{
     v2_overhead, FOOTER_BODY_LEN, FOOTER_MAGIC, FOOTER_SENTINEL, FRAME_LEN_PREFIX, FRAME_PAYLOAD,
-    V2_HEADER_LEN, V2_VERSION,
+    MAX_FRAME_LEN, V2_HEADER_LEN, V2_VERSION,
 };
 use crate::segment::Extent;
 use std::fs::File;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
@@ -64,28 +65,39 @@ const LEN_PREFIX: usize = 4;
 /// sorted and duplicate-free; [`ValueFileWriter::finish`] appends the
 /// checksummed footer and patches the count header.
 ///
-/// Records are staged into 4 KiB frames; each completed frame is sealed
-/// with its CRC32C and appended to an in-memory block that is flushed
-/// with one positional write per [`IoOptions::block_size`] bytes, at the
-/// stream's own offset — so a segment's streams are written with the very
-/// code, and into the very bytes, of standalone files. Each record
-/// still costs two `memcpy`s into the staging buffers (length prefix +
-/// body), the checksum is one table-driven pass per byte, and the syscall
+/// Records are staged into 4 KiB frames opened in place in an in-memory
+/// block: a frame's length is patched and its CRC32C appended when it
+/// fills, and the block is flushed with one positional write per
+/// [`IoOptions::block_size`] bytes, at the stream's own offset — so a
+/// segment's streams are written with the very code, and into the very
+/// bytes, of standalone files. Each value byte is copied once, into the
+/// block; the checksum is one table-driven pass per byte, and the syscall
 /// count stays proportional to stream size / block size. All writes go
 /// through the fault-injectable retrying wrapper ([`crate::fault`]), so
 /// an `ENOSPC` or interrupted write is exercised — and, for transients,
 /// healed — at exactly one place.
+///
+/// A writer opened by [`crate::SegmentWriter::stream`] is *durable*: when
+/// a block flush completes whole MiB of the segment file, it asks the
+/// kernel to start writing those MiB back ([`crate::fault::start_writeback`]),
+/// so the commit's fsync waits only for the tail. Spill runs and scratch
+/// files never ask.
 pub struct ValueFileWriter {
     file: Arc<File>,
     /// Where the stream starts in `file`, and its label.
     extent: Extent,
     /// Physical bytes of the stream flushed so far.
     flushed: u64,
-    /// Physical staging: header, then sealed frames, flushed per block.
+    /// Physical staging, flushed per block: header, sealed frames, then
+    /// the open frame — its length placeholder and the payload so far.
     block: Vec<u8>,
-    /// Logical staging: the current (unsealed) frame's payload.
-    frame: Vec<u8>,
+    /// Payload bytes of the open frame (0: no frame is open).
+    frame_len: usize,
     block_size: usize,
+    /// Whether block flushes start the writeback of the whole MiB they
+    /// complete: set for the streams of a segment, which are fsynced at
+    /// their commit.
+    durable: bool,
     count: u64,
     /// Logical payload bytes staged so far (length prefixes + bodies).
     payload: u64,
@@ -113,11 +125,13 @@ impl ValueFileWriter {
         Ok(Self::at(Arc::new(file), Extent::from(path), options))
     }
 
-    /// A writer of the stream starting at `extent` inside `file` — how
-    /// [`crate::SegmentWriter::stream`] opens the next stream of a segment.
+    /// A scratch writer of the stream starting at `extent` inside `file` —
+    /// how a sort opens the next run of its spill file.
     pub(crate) fn at(file: Arc<File>, extent: Extent, options: &IoOptions) -> Self {
         let block_size = options.effective_block_size();
-        let mut block = Vec::with_capacity(block_size.max(V2_HEADER_LEN));
+        // Room for a block's worth of sealed frames plus one more frame:
+        // a flush waits for the seal that takes the block past its size.
+        let mut block = Vec::with_capacity(block_size.max(V2_HEADER_LEN) + MAX_FRAME_LEN);
         block.extend_from_slice(MAGIC);
         block.extend_from_slice(&V2_VERSION.to_le_bytes());
         block.extend_from_slice(&0u64.to_le_bytes());
@@ -128,8 +142,9 @@ impl ValueFileWriter {
             extent,
             flushed: 0,
             block,
-            frame: Vec::with_capacity(FRAME_PAYLOAD),
+            frame_len: 0,
             block_size,
+            durable: false,
             count: 0,
             payload: 0,
             last: None,
@@ -138,6 +153,16 @@ impl ValueFileWriter {
             fault: options.fault.clone(),
             stats: options.stats.clone(),
             cancel: options.cancel.clone(),
+        }
+    }
+
+    /// A durable writer of the stream starting at `extent` inside `file` —
+    /// how [`crate::SegmentWriter::stream`] opens the next stream of a
+    /// segment.
+    pub(crate) fn durable_at(file: Arc<File>, extent: Extent, options: &IoOptions) -> Self {
+        ValueFileWriter {
+            durable: true,
+            ..Self::at(file, extent, options)
         }
     }
 
@@ -174,38 +199,43 @@ impl ValueFileWriter {
         Ok(())
     }
 
-    /// Stages logical bytes into the current frame, sealing (and possibly
-    /// flushing) each frame as it fills. Records span frames freely — the
-    /// frame grid is fixed at [`FRAME_PAYLOAD`] so the logical stream is
-    /// independent of both the block size and the record boundaries.
+    /// Stages logical bytes into the open frame, straight into the block,
+    /// sealing (and possibly flushing) each frame as it fills. Records
+    /// span frames freely — the frame grid is fixed at [`FRAME_PAYLOAD`] so
+    /// the logical stream is independent of both the block size and the
+    /// record boundaries.
     fn stage_logical(&mut self, mut bytes: &[u8]) -> Result<()> {
         while !bytes.is_empty() {
-            let room = FRAME_PAYLOAD - self.frame.len();
-            let take = room.min(bytes.len());
-            self.frame.extend_from_slice(&bytes[..take]);
+            if self.frame_len == 0 {
+                // Open a frame: its length is patched in when it is sealed.
+                self.block.extend_from_slice(&[0; FRAME_LEN_PREFIX]);
+            }
+            let take = (FRAME_PAYLOAD - self.frame_len).min(bytes.len());
+            self.block.extend_from_slice(&bytes[..take]);
+            self.frame_len += take;
             bytes = &bytes[take..];
-            if self.frame.len() == FRAME_PAYLOAD {
+            if self.frame_len == FRAME_PAYLOAD {
                 self.seal_frame()?;
             }
         }
         Ok(())
     }
 
-    /// Seals the staged frame: length prefix, payload, CRC32C — appended
-    /// to the physical block, which flushes once it reaches the block
-    /// size.
+    /// Seals the open frame in place — patches its length prefix and
+    /// appends the payload's CRC32C — and flushes the block once it
+    /// reaches the block size.
     fn seal_frame(&mut self) -> Result<()> {
-        if self.frame.is_empty() {
+        if self.frame_len == 0 {
             return Ok(());
         }
-        debug_assert!(self.frame.len() <= FRAME_PAYLOAD);
-        let crc = crc32c(&self.frame).to_le_bytes();
-        self.block
-            .extend_from_slice(&(self.frame.len() as u16).to_le_bytes());
-        self.block.extend_from_slice(&self.frame);
+        debug_assert!(self.frame_len <= FRAME_PAYLOAD);
+        let payload = self.block.len() - self.frame_len;
+        let crc = crc32c(&self.block[payload..]).to_le_bytes();
+        self.block[payload - FRAME_LEN_PREFIX..payload]
+            .copy_from_slice(&(self.frame_len as u16).to_le_bytes());
         self.block.extend_from_slice(&crc);
         self.crc_chain.update(&crc);
-        self.frame.clear();
+        self.frame_len = 0;
         if self.block.len() >= self.block_size {
             self.flush_block()?;
         }
@@ -217,19 +247,40 @@ impl ValueFileWriter {
             cancel.check("export")?;
         }
         if !self.block.is_empty() {
+            let start = self.extent.offset() + self.flushed;
             crate::fault::write_all_at(
                 &self.file,
                 &self.block,
-                self.extent.offset() + self.flushed,
+                start,
                 self.extent.label(),
                 self.fault.as_ref(),
                 self.stats.as_ref(),
             )?;
+            let end = start + self.block.len() as u64;
             self.write_calls += 1;
             self.flushed += self.block.len() as u64;
             self.block.clear();
+            if let Some(range) = self.writeback_range(start, end) {
+                crate::fault::start_writeback(&self.file, range);
+            }
         }
         Ok(())
+    }
+
+    /// The whole MiB of the file a flush of its bytes `[start, end)`
+    /// completes, for this writer to hand to the device — `None` for a
+    /// scratch writer, whose bytes are never fsynced.
+    pub(crate) fn writeback_range(&self, start: u64, end: u64) -> Option<Range<u64>> {
+        if self.durable {
+            completed_mib(start, end)
+        } else {
+            None
+        }
+    }
+
+    /// The last value appended, if any: the stream's largest.
+    pub(crate) fn last(&self) -> Option<&[u8]> {
+        self.last.as_deref()
     }
 
     /// Number of values appended so far.
@@ -298,6 +349,20 @@ impl ValueFileWriter {
         let bytes = self.bytes_written();
         Ok((self.extent, bytes))
     }
+}
+
+/// Writeback granule of a durable writer: a block flush hands the device
+/// every whole MiB of the file it completes, never a partial one.
+const WRITEBACK_GRANULE: u64 = 1 << 20;
+
+/// The whole MiB of a file that a write of its bytes `[start, end)`
+/// completes: those whose last byte lies in the write. `None` when the
+/// write ends inside the MiB it starts in. Stateless — only the absolute
+/// offsets count — so it holds across the streams of a segment and at any
+/// block size.
+pub(crate) fn completed_mib(start: u64, end: u64) -> Option<Range<u64>> {
+    let (first, past) = (start / WRITEBACK_GRANULE, end / WRITEBACK_GRANULE);
+    (first < past).then(|| first * WRITEBACK_GRANULE..past * WRITEBACK_GRANULE)
 }
 
 /// Cheap structural validation of a finished v2 stream at `extent` of
@@ -1276,5 +1341,31 @@ mod tests {
             collect_cursor(ValueFileReader::open(&path).unwrap()).unwrap(),
             values
         );
+    }
+
+    #[test]
+    fn a_flush_completes_the_whole_mib_whose_last_byte_it_writes() {
+        const MIB: u64 = 1 << 20;
+        // Ending just below, exactly on and just past a MiB boundary.
+        assert_eq!(completed_mib(MIB - 4096, MIB - 1), None);
+        assert_eq!(completed_mib(MIB - 4096, MIB), Some(0..MIB));
+        assert_eq!(completed_mib(MIB - 4096, MIB + 1), Some(0..MIB));
+        // The flush that starts on the boundary does not complete it twice.
+        assert_eq!(completed_mib(MIB, MIB + 4096), None);
+        // A stream starting mid-segment hands over the MiB it finishes,
+        // bytes of the streams before it included.
+        let at = 5 * MIB + 300;
+        assert_eq!(completed_mib(at, at + 64), None);
+        assert_eq!(
+            completed_mib(6 * MIB - 10, 6 * MIB + 10),
+            Some(5 * MIB..6 * MIB)
+        );
+        // A block larger than 2 MiB completes several MiB at once.
+        assert_eq!(completed_mib(MIB / 2, MIB / 2 + 3 * MIB), Some(0..3 * MIB));
+        assert_eq!(
+            completed_mib(2 * MIB, 2 * MIB + 3 * MIB),
+            Some(2 * MIB..5 * MIB)
+        );
+        assert_eq!(completed_mib(0, 0), None, "an empty flush");
     }
 }

@@ -24,6 +24,15 @@
 //! A segment under its final name is complete and durable, and its trailer
 //! vouches for every stream in it; anything ending in `.tmp` is garbage the
 //! resume sweep may delete.
+//!
+//! The commit protocol is all there is to durability, but the fsync need
+//! not find a whole segment in the page cache: the writers of its streams
+//! are durable ([`SegmentWriter::stream`]), and a block flush that
+//! completes whole MiB of the segment hands those MiB to the device at once
+//! (`sync_file_range(SYNC_FILE_RANGE_WRITE)`, Linux only, a no-op
+//! elsewhere). The commit's fsync then waits only for the tail. The hint
+//! is advisory and not a fault op: no rule matches it, it takes no
+//! `crash=N` ordinal, and the fsync still reports every write error.
 
 use crate::block::{IoOptions, ReadStats};
 use crate::crc32c::crc32c;
@@ -414,17 +423,18 @@ impl SegmentWriter {
         self.len >= BATCH_MAX_BYTES
     }
 
-    /// A writer for the next stream, starting where the last sealed one
-    /// ends. `name` labels it (`None`: the segment is a plain value file
-    /// holding this one stream, labelled by its path). A writer dropped
-    /// unsealed — its extraction failed — leaves bytes the next stream
-    /// overwrites or the commit truncates.
+    /// A durable writer for the next stream, starting where the last
+    /// sealed one ends: its block flushes start the writeback of every
+    /// whole MiB of the segment they complete. `name` labels it (`None`:
+    /// the segment is a plain value file holding this one stream, labelled
+    /// by its path). A writer dropped unsealed — its extraction failed —
+    /// leaves bytes the next stream overwrites or the commit truncates.
     pub fn stream(&self, name: Option<&str>) -> ValueFileWriter {
         let extent = match name {
             Some(name) => Extent::new(&self.path, self.len, name),
             None => Extent::from(self.path.as_path()),
         };
-        ValueFileWriter::at(Arc::clone(&self.file), extent, &self.io)
+        ValueFileWriter::durable_at(Arc::clone(&self.file), extent, &self.io)
     }
 
     /// Seals `writer`'s stream (footer written, header patched) and returns
@@ -621,6 +631,24 @@ mod tests {
                 "the streams, then their trailer"
             );
         }
+    }
+
+    #[test]
+    fn the_streams_of_a_segment_start_writeback_a_whole_mib_at_a_time() {
+        const MIB: u64 = 1 << 20;
+        let dir = TempDir::new("segment-writeback");
+        let io = IoOptions::default();
+        let path = dir.join("seg.indv");
+        // One stream ends mid-MiB; the next starts there, and its flushes
+        // hand over the MiB they complete, the first stream's bytes too.
+        let first = vec![vec![vec![b'a'; (MIB + MIB / 2) as usize]]];
+        let (segment, _) = write_segment(&path, &first, &io);
+        let at = segment.len();
+        let second = segment.stream(Some("s1"));
+        assert_eq!(second.writeback_range(at, at + 4096), None);
+        assert_eq!(second.writeback_range(at, 2 * MIB), Some(MIB..2 * MIB));
+        let plain = segment.stream(None);
+        assert_eq!(plain.writeback_range(0, 5 * MIB / 2), Some(0..2 * MIB));
     }
 
     #[test]

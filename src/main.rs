@@ -813,7 +813,7 @@ fn cmd_discover_nary(
         })
     } else {
         finder
-            .discover_in_memory(db)
+            .discover_in_memory_with(db, workers_from_args(args)?)
             .map_err(|e| format!("discovery failed: {e}"))
     };
     finish_discover(

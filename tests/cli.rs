@@ -376,6 +376,85 @@ fn keep_going_quarantines_and_exits_degraded_via_cli() {
 }
 
 #[test]
+fn in_memory_max_arity_extracts_on_the_threads_it_is_given() {
+    use spider_ind::trace::json::{parse, Json};
+
+    // pdb's 551 short columns: at two workers their `sort` spans overlap
+    // within a few milliseconds of export.
+    let dir = TempDir::new("cli-nary-threads");
+    let db_dir = dir.join("db");
+    let db_path = db_dir.to_str().expect("utf8 path");
+    assert!(spider_ind(&["generate", "pdb", db_path, "--scale", "40"])
+        .status
+        .success());
+    let run = |threads: &str| {
+        let report = dir.join(&format!("report-{threads}.json"));
+        let out = spider_ind(&[
+            "discover",
+            db_path,
+            "--max-arity",
+            "2",
+            "--threads",
+            threads,
+            "--report",
+            report.to_str().expect("utf8"),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let inds: Vec<String> = stdout(&out)
+            .lines()
+            .filter(|l| l.contains(" <= "))
+            .map(str::to_string)
+            .collect();
+        (
+            inds,
+            std::fs::read_to_string(&report).expect("report written"),
+        )
+    };
+    let (one, text) = run("1");
+    let (two, _) = run("2");
+    assert!(!one.is_empty());
+    assert_eq!(one, two, "the IND lines do not depend on the worker count");
+
+    // One worker extracts one attribute at a time: the `sort` children of
+    // the unary export never overlap.
+    let report = parse(&text).expect("report is valid JSON");
+    let spans = report.get("spans").and_then(Json::as_arr).expect("spans");
+    let discover = spans
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("discover"))
+        .expect("discover root");
+    fn children(node: &Json) -> &[Json] {
+        node.get("children")
+            .and_then(Json::as_arr)
+            .expect("children")
+    }
+    let export = children(discover)
+        .iter()
+        .find(|c| c.get("name").and_then(Json::as_str) == Some("export"))
+        .expect("the unary export");
+    let mut sorts: Vec<(u64, u64)> = children(export)
+        .iter()
+        .filter(|c| c.get("name").and_then(Json::as_str) == Some("sort"))
+        .map(|c| {
+            let start = c.get("start_ns").and_then(Json::as_u64).unwrap();
+            (
+                start,
+                start + c.get("duration_ns").and_then(Json::as_u64).unwrap(),
+            )
+        })
+        .collect();
+    sorts.sort_unstable();
+    assert!(sorts.len() > 1, "{text}");
+    for pair in sorts.windows(2) {
+        assert!(pair[0].1 <= pair[1].0, "overlapping sorts {pair:?}");
+    }
+}
+
+#[test]
 fn report_and_folded_trace_come_out_well_formed() {
     use spider_ind::trace::json::{parse, Json};
 

@@ -9,10 +9,11 @@ use proptest::prelude::*;
 use spider_ind::storage::tsv::{load_database, save_database};
 use spider_ind::storage::{Column, ColumnSchema, DataType, Database, Table, TableSchema, Value};
 use spider_ind::valueset::{
-    collect_cursor, compare_keys, extract_composite_memory_set, extract_composite_to_file,
+    collect_cursor, compare_keys, crc32c, extract_composite_memory_set, extract_composite_to_file,
     extract_memory_columns, extract_memory_set, extract_sorted_distinct, extract_to_file,
-    key_prefix64, ExternalSorter, IoOptions, MemoryValueSet, SortOptions, SortStats,
-    TournamentTree, ValueCursor, ValueFileReader, ValueFileWriter,
+    key_prefix64, Crc32c, ExternalSorter, IoOptions, MemoryValueSet, SortOptions, SortStats,
+    TournamentTree, ValueCursor, ValueFileReader, ValueFileWriter, DEFAULT_BLOCK_SIZE,
+    MIN_BLOCK_SIZE,
 };
 use std::collections::BTreeSet;
 
@@ -354,6 +355,53 @@ fn grammar_token(kind: u8, raw: u8) -> Vec<u8> {
         0 => vec![raw],
         _ => TOKENS[raw as usize % TOKENS.len()].as_bytes().to_vec(),
     }
+}
+
+/// The v2 stream of `values` as a writer stages it — each frame's payload
+/// gathered in a buffer of its own, then copied into the block behind its
+/// length and followed by its CRC-32C, the block flushed after the first
+/// seal that takes it to `block_size` (clamped to [`MIN_BLOCK_SIZE`]) — and
+/// the number of those flushes before the footer.
+fn staged_stream(values: &[Vec<u8>], block_size: usize) -> (Vec<u8>, u64) {
+    const FRAME: usize = 4096;
+    let block_size = block_size.max(MIN_BLOCK_SIZE);
+    let (mut out, mut block, mut frame) = (Vec::new(), vec![0u8; 20], Vec::new());
+    let (mut chain, mut flushes, mut payload) = (Crc32c::new(), 0u64, 0u64);
+    let seal = |frame: &mut Vec<u8>, block: &mut Vec<u8>, chain: &mut Crc32c| {
+        let crc = crc32c(frame).to_le_bytes();
+        block.extend_from_slice(&(frame.len() as u16).to_le_bytes());
+        block.append(frame);
+        block.extend_from_slice(&crc);
+        chain.update(&crc);
+    };
+    for v in values {
+        let record = [&(v.len() as u32).to_le_bytes()[..], v].concat();
+        payload += record.len() as u64;
+        for &byte in &record {
+            frame.push(byte);
+            if frame.len() == FRAME {
+                seal(&mut frame, &mut block, &mut chain);
+                if block.len() >= block_size {
+                    out.append(&mut block);
+                    flushes += 1;
+                }
+            }
+        }
+    }
+    if !frame.is_empty() {
+        seal(&mut frame, &mut block, &mut chain);
+    }
+    out.append(&mut block);
+    let count = (values.len() as u64).to_le_bytes();
+    out.extend_from_slice(&0xFFFFu16.to_le_bytes());
+    out.extend_from_slice(&count);
+    out.extend_from_slice(&payload.to_le_bytes());
+    out.extend_from_slice(&chain.finish().to_le_bytes());
+    out.extend_from_slice(b"INDF");
+    let head = [&b"INDV"[..], &2u32.to_le_bytes(), &count].concat();
+    out[..16].copy_from_slice(&head);
+    out[16..20].copy_from_slice(&crc32c(&head).to_le_bytes());
+    (out, flushes)
 }
 
 proptest! {
@@ -810,26 +858,35 @@ proptest! {
     #[test]
     fn value_files_round_trip_at_arbitrary_block_sizes(
         raw in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..30),
+        long in proptest::option::of(0usize..10_000),
         write_block in 1usize..96,
         read_block in 1usize..96,
     ) {
         // Blocks of a few bytes against values of up to 64 bytes: most
-        // records straddle a boundary, many exceed the whole block. The
-        // stream must be byte-identical to the default-block one.
+        // records straddle a boundary, many exceed the whole block. A long
+        // value seals frames mid-record. The stream and the writer's block
+        // flushes must be those of the staged model at this block size, at
+        // a frame-scale one and at the default.
         let mut values = raw;
+        values.extend(long.map(|len| vec![0xFF; len]));
         values.sort_unstable();
         values.dedup();
         let dir = TempDir::new("prop-vf-blocks");
         let path = dir.join("x.indv");
-        let mut w = ValueFileWriter::create_with_options(
-            &path,
-            &IoOptions::with_block_size(write_block),
-        )
-        .expect("create");
-        for v in &values {
-            w.append(v).expect("append");
+        for block in [write_block, write_block * 97, DEFAULT_BLOCK_SIZE] {
+            let mut w = ValueFileWriter::create_with_options(
+                &path,
+                &IoOptions::with_block_size(block),
+            )
+            .expect("create");
+            for v in &values {
+                w.append(v).expect("append");
+            }
+            let (stream, flushes) = staged_stream(&values, block);
+            prop_assert_eq!(w.write_calls(), flushes, "block {}", block);
+            w.finish().expect("finish");
+            prop_assert!(std::fs::read(&path).expect("read") == stream, "block {}", block);
         }
-        w.finish().expect("finish");
         let reader = ValueFileReader::open_with_options(
             &path,
             &IoOptions::with_block_size(read_block),
