@@ -45,7 +45,7 @@ pub enum Algorithm {
 pub struct FinderConfig {
     /// Algorithm to run.
     pub algorithm: Algorithm,
-    /// Generation-time pretests (cardinality / max-value / min-value).
+    /// Generation-time pretests (cardinality / max-value).
     pub pretests: PretestConfig,
 }
 
@@ -69,20 +69,15 @@ impl FinderConfig {
 }
 
 /// Machine-readable summary of a keep-going (degraded) discovery run:
-/// which attributes were quarantined and what the fault counters saw.
-/// Present on [`Discovery::degraded`] whenever keep-going mode was on —
-/// with an empty `quarantined` list when nothing actually failed.
+/// which attributes were quarantined. Present on [`Discovery::degraded`]
+/// whenever keep-going mode was on — with an empty `quarantined` list when
+/// nothing actually failed. What the fault counters saw (across export,
+/// pre-scan and discovery) is in the run's [`RunMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct DegradedReport {
     /// Attributes excluded from the run (export failures plus value files
     /// that failed the pre-scan), with the error that condemned each.
     pub quarantined: Vec<FailedAttribute>,
-    /// Transient I/O faults healed by the retrying wrapper across export,
-    /// pre-scan, and discovery.
-    pub io_retries: u64,
-    /// Checksum mismatches detected across export, pre-scan, and
-    /// discovery.
-    pub checksum_failures: u64,
 }
 
 impl DegradedReport {
@@ -404,8 +399,6 @@ impl DiskRun {
         metrics.elapsed = self.start.elapsed();
         self.keep_going.then_some(DegradedReport {
             quarantined: self.quarantined,
-            io_retries: metrics.io_retries,
-            checksum_failures: metrics.checksum_failures,
         })
     }
 }
@@ -587,7 +580,7 @@ mod tests {
         assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
         assert_eq!(report.quarantined[0].id, 1);
         assert_eq!(report.quarantined[0].name.to_string(), "parent.label");
-        assert!(report.checksum_failures >= 1);
+        assert!(d.metrics.checksum_failures >= 1);
         assert_eq!(d.metrics.quarantined_attributes, 1);
         assert_eq!(d.satisfied, baseline.satisfied);
         assert!(expected_ind(&d));
@@ -695,9 +688,12 @@ mod tests {
             "transient faults are healed, not quarantined: {:?}",
             report.quarantined
         );
-        assert!(report.io_retries >= 8, "retries: {}", report.io_retries);
-        assert_eq!(report.checksum_failures, 0);
-        assert_eq!(d.metrics.io_retries, report.io_retries);
+        assert!(
+            d.metrics.io_retries >= 8,
+            "retries: {}",
+            d.metrics.io_retries
+        );
+        assert_eq!(d.metrics.checksum_failures, 0);
         assert_eq!(d.satisfied, baseline.satisfied);
     }
 

@@ -1,37 +1,9 @@
 //! `spider-ind` — command-line schema discovery.
 //!
-//! ```text
-//! spider-ind generate <uniprot|scop|pdb|chains|wide> <dir> [--scale N] [--seed N]
-//!                           [--value-bytes SIZE]
-//! spider-ind profile  <dir>
-//! spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|blockwise]
-//!                           [--threads N] [--max-files N] [--max-pretest] [--names]
-//!                           [--on-disk] [--block-size SIZE] [--memory-budget SIZE]
-//!                           [--workdir DIR] [--max-arity N]
-//!                           [--keep-going] [--fault-plan SPEC]
-//!                           [--resume [verify]] [--deadline DUR]
-//!                           [--report FILE] [--trace-folded FILE] [--progress]
-//! spider-ind fks      <dir>
-//! ```
-//!
-//! `SIZE` arguments accept bare byte counts or human-readable binary units
-//! (`8KiB`, `64M`, `1gb`). Every command rejects any `--flag` it does not
-//! know, so a typo fails instead of being ignored.
-//!
-//! `--keep-going` (on-disk only) quarantines unreadable or corrupt
-//! attributes instead of aborting, prints a machine-readable
-//! `degraded: {...}` JSON line, and exits with status 2 when anything was
-//! actually quarantined. `--fault-plan` injects I/O faults for testing
-//! (see `ind_valueset::FaultPlan`).
-//!
-//! `--resume` (on-disk, needs an explicit `--workdir`) reuses value files
-//! a previous run already published — verified against the trailer of
-//! the segment holding each — and re-exports only what is missing or stale;
-//! `--resume verify` additionally re-walks every reused file's checksums.
-//! `--deadline DUR` (`500ms`, `30s`, `2m`) cancels the run cooperatively
-//! when the budget expires; SIGINT does the same. A cancelled run flushes
-//! its `--report` with a `cancelled` section, leaves the workdir
-//! resumable, and exits with status 3.
+//! `spider-ind help` prints every command's synopsis and one line per flag.
+//! Both are generated from the argument tables in [`COMMANDS`], the same
+//! rows the parser reads argv against, so help, parsing and the
+//! unknown-flag errors cannot drift apart.
 //!
 //! Databases are directories in the TSV format of `ind_storage::tsv`
 //! (`schema.txt` + one `.tsv` per table); `generate` creates them.
@@ -47,8 +19,10 @@ use spider_ind::discovery::{
 };
 use spider_ind::storage::{table_stats, tsv, Database};
 use spider_ind::trace::json::Json;
-use std::path::Path;
+use spider_ind::valueset::{CancelToken, ExportOptions, FaultPlan, ResumeMode};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// Writes to stdout ignoring broken pipes (`spider-ind … | head`).
 fn emit(text: &str) {
@@ -83,13 +57,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("help") | None => {
-            print_usage();
+            emit(&usage());
             Ok(ExitCode::SUCCESS)
         }
-        Some(name) => match COMMANDS.iter().find(|(command, ..)| *command == name) {
-            Some((command, flags, run)) => {
-                check_flags(command, flags, &args[1..]).and_then(|()| run(&args[1..]))
-            }
+        Some(name) => match COMMANDS.iter().find(|command| command.name == name) {
+            Some(command) => command
+                .parse(&args[1..])
+                .and_then(|cli| (command.run)(&cli)),
             None => Err(format!("unknown command `{name}` (try `spider-ind help`)")),
         },
     };
@@ -102,77 +76,325 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!(
-        "spider-ind — unary inclusion dependency discovery (ICDE 2006 reproduction)\n\n\
-         USAGE:\n\
-         \x20 spider-ind generate <uniprot|scop|pdb|chains|wide> <dir> [--scale N] [--seed N]\n\
-         \x20                     [--value-bytes SIZE]\n\
-         \x20     Generate a synthetic database and save it as TSV\n\
-         \x20     (`chains` carries a composite two-column foreign key;\n\
-         \x20     `wide` has few columns with `--value-bytes`-byte values:\n\
-         \x20     value files far larger than the readers' blocks).\n\
-         \x20 spider-ind profile <dir>\n\
-         \x20     Per-attribute statistics (rows, distinct, nulls, uniqueness).\n\
-         \x20 spider-ind discover <dir> [--algorithm bf|bfpar|sp|spider|blockwise]\n\
-         \x20                     [--threads N] [--max-files N] [--max-pretest] [--names]\n\
-         \x20                     [--on-disk] [--block-size SIZE] [--memory-budget SIZE]\n\
-         \x20                     [--workdir DIR] [--max-arity N]\n\
-         \x20                     [--resume [verify]] [--deadline DUR]\n\
-         \x20     Discover all satisfied INDs. `--threads` sets the workers\n\
-         \x20     that load the tables and extract the value sets, on every\n\
-         \x20     algorithm (default: all cores); for bfpar it is also the\n\
-         \x20     number of merge shards.\n\
-         \x20     `--on-disk` runs the paper's actual pipeline over sorted\n\
-         \x20     value files (exported under `--workdir`, default a fresh\n\
-         \x20     temp dir) read through `--block-size`-byte I/O blocks;\n\
-         \x20     `--memory-budget` caps what each export worker's sorter\n\
-         \x20     allocates before it spills sorted runs to disk: 16 bytes\n\
-         \x20     per non-NULL row of a column (cells are sorted where the\n\
-         \x20     loaded table stores them, not copied), plus the encoded\n\
-         \x20     tuples for `--max-arity`. SIZE flags accept bare bytes or\n\
-         \x20     binary units (8KiB, 64M, 1gb).\n\
-         \x20     Value files are read synchronously, one block reader per\n\
-         \x20     cursor; every byte is checked against its frame CRC.\n\
-         \x20     An unknown flag is an error.\n\
-         \x20     `--max-arity N` (N >= 2) switches to the levelwise n-ary\n\
-         \x20     pipeline: composite INDs up to arity N, validated by the\n\
-         \x20     SPIDER engine over tuple-encoded value streams.\n\
-         \x20     `--keep-going` (on-disk only) quarantines unreadable or\n\
-         \x20     corrupt attributes instead of aborting, prints a\n\
-         \x20     `degraded: {{...}}` JSON line, and exits with status 2\n\
-         \x20     when anything was quarantined. `--fault-plan SPEC`\n\
-         \x20     injects I/O faults for testing, e.g.\n\
-         \x20     `read:attr-00001:flip=40,write:*:eintr@3`.\n\
-         \x20     `--resume` (on-disk, explicit `--workdir`) reuses the\n\
-         \x20     value files a previous run already published, as its\n\
-         \x20     segments' trailers describe them, and re-exports only\n\
-         \x20     what is missing or stale; `--resume verify` re-walks every\n\
-         \x20     reused file's checksums first. `--deadline DUR` (500ms,\n\
-         \x20     30s, 2m) cancels the run when the budget expires, as\n\
-         \x20     does SIGINT; a cancelled run flushes `--report` with a\n\
-         \x20     `cancelled` section, leaves the workdir resumable, and\n\
-         \x20     exits with status 3.\n\
-         \x20     Observability: `--report FILE` writes a versioned JSON\n\
-         \x20     run report (phase span tree + all counters),\n\
-         \x20     `--trace-folded FILE` writes flamegraph-compatible\n\
-         \x20     folded stacks, `--progress` prints a throttled\n\
-         \x20     heartbeat to stderr while the run is in flight.\n\
-         \x20 spider-ind fks <dir>\n\
-         \x20     Foreign-key guesses, accession candidates, primary relation."
-    );
+/// A command line parsed against its command's table: the operands, and
+/// every flag's typed value (its default when the flag is absent).
+#[derive(Debug)]
+struct Cli {
+    /// The arguments after the command, as given (`--report` echoes them).
+    argv: Vec<String>,
+    operands: Vec<String>,
+    scale: usize,
+    seed: u64,
+    value_bytes: usize,
+    /// The engine, given the rest of the command line (`bfpar` shards over
+    /// the threads, `blockwise` holds `--max-files` cursors).
+    algorithm: fn(&Cli) -> Algorithm,
+    max_files: usize,
+    pretests: PretestConfig,
+    names: bool,
+    on_disk: bool,
+    workdir: Option<PathBuf>,
+    max_arity: Option<usize>,
+    /// The run's cancel token, armed with the `--deadline` budget.
+    cancel: CancelToken,
+    /// The worker count of every algorithm (`threads`) and the on-disk
+    /// export's options.
+    export: ExportOptions,
+    trace: TraceArgs,
 }
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{name} requires a value"))?
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|e| format!("{name}: {e}")),
+impl Cli {
+    fn new(argv: &[String]) -> Cli {
+        Cli {
+            argv: argv.to_vec(),
+            operands: Vec::new(),
+            scale: 100,
+            seed: 42,
+            value_bytes: 4096,
+            algorithm: |_| Algorithm::Spider,
+            max_files: 512,
+            pretests: PretestConfig::default(),
+            names: false,
+            on_disk: false,
+            workdir: None,
+            max_arity: None,
+            cancel: CancelToken::new(),
+            export: ExportOptions::default(),
+            trace: TraceArgs::default(),
+        }
     }
+
+    fn workers(&self) -> usize {
+        self.export.threads
+    }
+}
+
+/// How a flag takes its operand, and where the parsed value goes.
+#[derive(Clone, Copy)]
+enum Set {
+    /// No operand.
+    Switch(fn(&mut Cli)),
+    /// A required operand, shown as the metavar.
+    Value(&'static str, fn(&mut Cli, &str) -> Result<(), String>),
+    /// An operand that may be left out.
+    Optional(
+        &'static str,
+        fn(&mut Cli, Option<&str>) -> Result<(), String>,
+    ),
+}
+
+use Set::{Optional, Switch, Value};
+
+/// One row of a command's argument table: the flag, its operand and
+/// setter, and its one-line help.
+type Flag = (&'static str, Set, &'static str);
+
+struct Command {
+    name: &'static str,
+    /// Each operand as the synopsis shows it, and what a missing one is.
+    operands: &'static [(&'static str, &'static str)],
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Cli) -> Result<ExitCode, String>,
+}
+
+fn number(text: &str) -> Result<u64, String> {
+    text.parse()
+        .map_err(|e: std::num::ParseIntError| e.to_string())
+}
+
+fn size(text: &str) -> Result<usize, String> {
+    parse_size(text).map(|bytes| bytes as usize)
+}
+
+fn path(text: &str) -> Result<Option<PathBuf>, String> {
+    Ok(Some(PathBuf::from(text)))
+}
+
+/// The engine `--algorithm` names, given the rest of the command line.
+fn algorithm(name: &str) -> Result<fn(&Cli) -> Algorithm, String> {
+    Ok(match name {
+        "bf" => |_| Algorithm::BruteForce,
+        "bfpar" => |c| Algorithm::BruteForceParallel {
+            threads: c.workers(),
+        },
+        "sp" => |_| Algorithm::SinglePass,
+        "spider" => |_| Algorithm::Spider,
+        "blockwise" => |c| Algorithm::Blockwise {
+            max_open_files: c.max_files,
+        },
+        other => return Err(format!("unknown algorithm `{other}`")),
+    })
+}
+
+fn resume(mode: Option<&str>) -> Result<ResumeMode, String> {
+    match mode {
+        None => Ok(ResumeMode::Reuse),
+        Some("verify") => Ok(ResumeMode::Verify),
+        Some(other) => Err(format!(
+            "unknown mode `{other}` (use bare `--resume` or `--resume verify`)"
+        )),
+    }
+}
+
+/// Every command with its argument table.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        operands: &[("<uniprot|scop|pdb|chains|wide>", "database kind"), ("<dir>", "output directory")],
+        about: "Generate a synthetic database and save it as TSV (`chains` carries a\n\
+                composite two-column foreign key; `wide` has few columns of\n\
+                `--value-bytes`-byte values: value files far larger than the\n\
+                readers' blocks).",
+        flags: &[
+            ("--scale", Value("N", |c, v| number(v).map(|n| c.scale = n as usize)),
+                "size of the database (default 100)"),
+            ("--seed", Value("N", |c, v| number(v).map(|n| c.seed = n)),
+                "random seed (default 42)"),
+            ("--value-bytes", Value("SIZE", |c, v| size(v).map(|n| c.value_bytes = n)),
+                "bytes per `wide` payload value (default 4KiB)"),
+        ],
+        run: cmd_generate,
+    },
+    Command {
+        name: "profile",
+        operands: &[("<dir>", "database directory")],
+        about: "Per-attribute statistics (rows, distinct, nulls, uniqueness).",
+        flags: &[],
+        run: cmd_profile,
+    },
+    Command {
+        name: "discover",
+        operands: &[("<dir>", "database directory")],
+        about: "Discover all satisfied INDs. SIZE is bytes or binary units (8KiB, 64M,\n\
+                1gb); DUR is 500ms, 30s or 2m. A cancelled run (deadline or SIGINT)\n\
+                flushes --report with a `cancelled` section, leaves the workdir\n\
+                resumable and exits 3.",
+        flags: &[
+            ("--algorithm", Value("bf|bfpar|sp|spider|blockwise", |c, v| algorithm(v).map(|a| c.algorithm = a)),
+                "the engine (default spider)"),
+            ("--threads", Value("N", |c, v| number(v).map(|n| c.export.threads = n.max(1) as usize)),
+                "load and extract workers, and bfpar's shards (default all cores)"),
+            ("--max-files", Value("N", |c, v| number(v).map(|n| c.max_files = n as usize)),
+                "cursors blockwise holds at once, at least 2 (default 512)"),
+            ("--max-pretest", Switch(|c| c.pretests = PretestConfig::with_max_value()),
+                "also prune candidates by their max values (Sec. 4.1)"),
+            ("--names", Switch(|c| c.names = true),
+                "end with a `metrics:` line of the run's key=value counters"),
+            ("--on-disk", Switch(|c| c.on_disk = true),
+                "run the paper's pipeline over sorted value files"),
+            ("--block-size", Value("SIZE", |c, v| size(v).map(|n| c.export.sort.io.block_size = n)),
+                "I/O block of every value file written and read"),
+            ("--memory-budget", Value("SIZE", |c, v| size(v).map(|n| c.export.sort.memory_budget_bytes = n)),
+                "sort memory of each export worker before it spills to disk"),
+            ("--workdir", Value("DIR", |c, v| path(v).map(|p| c.workdir = p)),
+                "keep the value files here (default: a temp dir, removed)"),
+            ("--max-arity", Value("N", |c, v| number(v).map(|n| c.max_arity = Some(n as usize).filter(|&n| n >= 2))),
+                "levelwise n-ary discovery up to arity N (N >= 2)"),
+            ("--keep-going", Switch(|c| c.export.keep_going = true),
+                "quarantine failing attributes, print `degraded:`; exit 2 if any"),
+            ("--fault-plan", Value("SPEC", |c, v| FaultPlan::parse(v).map(|p| c.export.sort.io.fault = Some(p.into()))),
+                "inject I/O faults for testing, e.g. `read:attr-00001:flip=40`"),
+            ("--resume", Optional("verify", |c, v| resume(v).map(|mode| c.export.resume = mode)),
+                "reuse the value files in --workdir; `verify` re-walks their CRCs"),
+            ("--deadline", Value("DUR", |c, v| parse_duration(v).map(|d| c.cancel = CancelToken::with_deadline(d))),
+                "cancel the run when the budget expires"),
+            ("--report", Value("FILE", |c, v| path(v).map(|p| c.trace.report = p)),
+                "write a versioned JSON run report (counters and span tree)"),
+            ("--trace-folded", Value("FILE", |c, v| path(v).map(|p| c.trace.folded = p)),
+                "write the span tree as flamegraph folded stacks"),
+            ("--progress", Switch(|c| c.trace.progress = true),
+                "print a throttled counter heartbeat to stderr"),
+        ],
+        run: cmd_discover,
+    },
+    Command {
+        name: "fks",
+        operands: &[("<dir>", "database directory")],
+        about: "Foreign-key guesses, accession candidates, primary relation.",
+        flags: &[],
+        run: cmd_fks,
+    },
+];
+
+impl Command {
+    /// Parses `args` against this command's table before anything runs.
+    /// An unknown flag is reported first; then a value flag with nothing
+    /// after it, or with another `--flag` after it, fails with `<flag>
+    /// requires a value`, and a malformed value fails naming its flag.
+    fn parse(&self, args: &[String]) -> Result<Cli, String> {
+        let find = |arg: &str| self.flags.iter().find(|(name, ..)| *name == arg);
+        if let Some(unknown) = args
+            .iter()
+            .find(|a| a.starts_with("--") && find(a).is_none())
+        {
+            return Err(format!("{}: unknown flag `{unknown}`", self.name));
+        }
+        let mut cli = Cli::new(args);
+        let mut rest = args.iter().peekable();
+        while let Some(arg) = rest.next() {
+            let Some(&(name, set, _)) = find(arg) else {
+                cli.operands.push(arg.clone());
+                continue;
+            };
+            let mut operand = || rest.next_if(|v| !v.starts_with("--")).map(String::as_str);
+            match set {
+                Switch(set) => set(&mut cli),
+                Value(_, set) => {
+                    let value = operand().ok_or_else(|| format!("{name} requires a value"))?;
+                    set(&mut cli, value).map_err(|e| format!("{name}: {e}"))?;
+                }
+                Optional(_, set) => set(&mut cli, operand()).map_err(|e| format!("{name}: {e}"))?,
+            }
+        }
+        if let Some((_, what)) = self.operands.get(cli.operands.len()) {
+            return Err(format!("{}: missing {what}", self.name));
+        }
+        if let Some(extra) = cli.operands.get(self.operands.len()) {
+            return Err(format!("{}: unexpected operand `{extra}`", self.name));
+        }
+        Ok(cli)
+    }
+
+    /// The synopsis lines: `spider-ind <command>`, the operands, then each
+    /// flag in brackets, wrapped under the first operand.
+    fn synopsis(&self) -> Vec<String> {
+        let words = self.operands.iter().map(|(form, _)| form.to_string());
+        let flags = self
+            .flags
+            .iter()
+            .map(|flag| format!("[{}]", flag_form(flag)));
+        let mut lines = Vec::new();
+        let mut line = format!("spider-ind {}", self.name);
+        let indent = line.len();
+        for word in words.chain(flags) {
+            if line.len() + 1 + word.len() > SYNOPSIS_WIDTH {
+                lines.push(std::mem::replace(&mut line, " ".repeat(indent)));
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        lines.push(line);
+        lines
+    }
+}
+
+/// The width README's `## CLI` block wraps every synopsis at.
+const SYNOPSIS_WIDTH: usize = 80;
+
+/// `--flag`, `--flag META` or `--flag [META]`.
+fn flag_form((name, set, _): &Flag) -> String {
+    match set {
+        Switch(_) => name.to_string(),
+        Value(meta, _) => format!("{name} {meta}"),
+        Optional(meta, _) => format!("{name} [{meta}]"),
+    }
+}
+
+/// The width of the flag column in `help`; a longer flag puts its help
+/// text on the next line.
+const FLAG_COLUMN: usize = 20;
+
+/// The `help` text, generated from [`COMMANDS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "spider-ind — unary inclusion dependency discovery (ICDE 2006 reproduction)\n\nUSAGE:\n",
+    );
+    for command in COMMANDS {
+        for line in command.synopsis() {
+            outln!(out, "  {line}");
+        }
+        for line in command.about.lines() {
+            outln!(out, "      {line}");
+        }
+        for flag in command.flags {
+            let form = flag_form(flag);
+            if form.len() > FLAG_COLUMN {
+                outln!(out, "      {form}\n      {:FLAG_COLUMN$}  {}", "", flag.2);
+            } else {
+                outln!(out, "      {form:FLAG_COLUMN$}  {}", flag.2);
+            }
+        }
+    }
+    out
+}
+
+/// Splits `text` into its leading integer and its lower-cased unit;
+/// `expected` says what `text` should look like.
+fn number_and_unit(text: &str, expected: &str) -> Result<(u64, String), String> {
+    let trimmed = text.trim();
+    let digits_end = trimmed
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(trimmed.len());
+    let (digits, unit) = trimmed.split_at(digits_end);
+    if digits.is_empty() {
+        return Err(format!("`{text}`: expected {expected}"));
+    }
+    let value = digits
+        .parse()
+        .map_err(|_| format!("`{text}`: number out of range"))?;
+    Ok((value, unit.trim().to_ascii_lowercase()))
 }
 
 /// Parses a human-readable byte size: a bare integer (`4096`) or an
@@ -180,20 +402,8 @@ fn flag_value(args: &[String], name: &str) -> Result<Option<u64>, String> {
 /// case-insensitive and binary — `K`/`KB`/`KiB` all mean ×1024, likewise
 /// the M and G families.
 fn parse_size(text: &str) -> Result<u64, String> {
-    let trimmed = text.trim();
-    let digits_end = trimmed
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(trimmed.len());
-    let (digits, suffix) = trimmed.split_at(digits_end);
-    if digits.is_empty() {
-        return Err(format!(
-            "`{text}`: expected a byte size like 4096, 8KiB, or 1GiB"
-        ));
-    }
-    let value: u64 = digits
-        .parse()
-        .map_err(|_| format!("`{text}`: number out of range"))?;
-    let shift = match suffix.trim().to_ascii_lowercase().as_str() {
+    let (value, unit) = number_and_unit(text, "a byte size like 4096, 8KiB, or 1GiB")?;
+    let shift = match unit.as_str() {
         "" | "b" => 0u32,
         "k" | "kb" | "kib" => 10,
         "m" | "mb" | "mib" => 20,
@@ -212,26 +422,14 @@ fn parse_size(text: &str) -> Result<u64, String> {
 /// Parses a human-readable duration: a bare integer means seconds
 /// (`30`), or an integer with a unit suffix — `ms`, `s`, or `m`
 /// (`500ms`, `30s`, `2m`). Case-insensitive.
-fn parse_duration(text: &str) -> Result<std::time::Duration, String> {
-    let trimmed = text.trim();
-    let digits_end = trimmed
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(trimmed.len());
-    let (digits, suffix) = trimmed.split_at(digits_end);
-    if digits.is_empty() {
-        return Err(format!(
-            "`{text}`: expected a duration like 500ms, 30s, or 2m"
-        ));
-    }
-    let value: u64 = digits
-        .parse()
-        .map_err(|_| format!("`{text}`: number out of range"))?;
-    match suffix.trim().to_ascii_lowercase().as_str() {
-        "ms" => Ok(std::time::Duration::from_millis(value)),
-        "" | "s" => Ok(std::time::Duration::from_secs(value)),
+fn parse_duration(text: &str) -> Result<Duration, String> {
+    let (value, unit) = number_and_unit(text, "a duration like 500ms, 30s, or 2m")?;
+    match unit.as_str() {
+        "ms" => Ok(Duration::from_millis(value)),
+        "" | "s" => Ok(Duration::from_secs(value)),
         "m" | "min" => value
             .checked_mul(60)
-            .map(std::time::Duration::from_secs)
+            .map(Duration::from_secs)
             .ok_or_else(|| format!("`{text}`: duration overflows 64 bits")),
         other => Err(format!(
             "`{text}`: unknown duration unit `{other}` (use ms, s, or m)"
@@ -239,105 +437,11 @@ fn parse_duration(text: &str) -> Result<std::time::Duration, String> {
     }
 }
 
-/// Parses `--resume [verify]`: absent means off, bare `--resume` reuses
-/// the exports segment trailers describe after a cheap header/footer check, and
-/// `--resume verify` re-walks every reused file's frame checksums first.
-fn parse_resume(args: &[String]) -> Result<spider_ind::valueset::ResumeMode, String> {
-    use spider_ind::valueset::ResumeMode;
-    match args.iter().position(|a| a == "--resume") {
-        None => Ok(ResumeMode::Off),
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("verify") => Ok(ResumeMode::Verify),
-            // The database directory is always the first operand, so a
-            // non-flag token right after `--resume` can only be a typo'd
-            // mode — reject it instead of silently ignoring it.
-            Some(other) if !other.starts_with("--") => Err(format!(
-                "--resume: unknown mode `{other}` (use bare `--resume` or `--resume verify`)"
-            )),
-            _ => Ok(ResumeMode::Reuse),
-        },
-    }
-}
-
-/// Builds the run's [`spider_ind::valueset::CancelToken`]: armed with the
-/// `--deadline` budget when given, and always watching SIGINT so Ctrl-C
-/// drains the pipeline to a consistent, resumable stop instead of killing
-/// it mid-write.
-fn cancel_token_from_args(args: &[String]) -> Result<spider_ind::valueset::CancelToken, String> {
-    let token = match flag_str_value(args, "--deadline")? {
-        Some(text) => spider_ind::valueset::CancelToken::with_deadline(
-            parse_duration(text).map_err(|e| format!("--deadline: {e}"))?,
-        ),
-        None => spider_ind::valueset::CancelToken::new(),
-    };
-    token.watch_sigint();
-    Ok(token)
-}
-
-/// [`flag_value`] accepting [`parse_size`]-style human-readable sizes.
-fn flag_size_value(args: &[String], name: &str) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{name} requires a value"))?;
-            parse_size(raw)
-                .map(Some)
-                .map_err(|e| format!("{name}: {e}"))
-        }
-    }
-}
-
-/// [`flag_value`] for free-form string values (rejects a missing or
-/// flag-shaped operand instead of swallowing the next flag).
-fn flag_str_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(value) if !value.starts_with("--") => Ok(Some(value)),
-            _ => Err(format!("{name} requires a value")),
-        },
-    }
-}
-
-/// `--threads N`: the workers that load tables and extract value sets on
-/// every algorithm, and the merge shards of `bfpar`. Every core when absent.
-fn workers_from_args(args: &[String]) -> Result<usize, String> {
-    Ok(flag_value(args, "--threads")?
-        .map_or_else(spider_ind::storage::default_workers, |n| n.max(1) as usize))
-}
-
-/// Builds the disk-pipeline [`ExportOptions`] from the shared flags:
-/// `--threads`, `--block-size` / `--memory-budget` (human-readable sizes),
-/// the robustness mode `--keep-going`, and the test-only `--fault-plan`
-/// injector.
-fn export_options_from_args(
-    args: &[String],
-) -> Result<spider_ind::valueset::ExportOptions, String> {
-    let mut options = spider_ind::valueset::ExportOptions::with_threads(workers_from_args(args)?);
-    if let Some(block_size) = flag_size_value(args, "--block-size")? {
-        options.sort.io = spider_ind::valueset::IoOptions::with_block_size(block_size as usize);
-    }
-    if let Some(budget) = flag_size_value(args, "--memory-budget")? {
-        options.sort.memory_budget_bytes = budget as usize;
-    }
-    if let Some(spec) = flag_str_value(args, "--fault-plan")? {
-        let plan = spider_ind::valueset::FaultPlan::parse(spec)
-            .map_err(|e| format!("--fault-plan: {e}"))?;
-        options.sort.io = options
-            .sort
-            .io
-            .clone()
-            .with_fault(std::sync::Arc::new(plan));
-    }
-    Ok(options.keep_going(args.iter().any(|a| a == "--keep-going")))
-}
-
 /// The keep-going degradation summary — the machine-readable contract
 /// scripted consumers parse from the `degraded:` line (compact) and the
-/// report; its shape is pinned by a unit test.
-fn degraded_json(report: &DegradedReport) -> Json {
+/// report: the quarantined attributes, then the run's fault counters. Its
+/// shape is pinned by a unit test.
+fn degraded_json(report: &DegradedReport, metrics: &RunMetrics) -> Json {
     let quarantined = report.quarantined.iter().map(|f| {
         Json::obj([
             ("id", f.id.into()),
@@ -347,8 +451,8 @@ fn degraded_json(report: &DegradedReport) -> Json {
     });
     Json::obj([
         ("quarantined", Json::Arr(quarantined.collect())),
-        ("io_retries", report.io_retries.into()),
-        ("checksum_failures", report.checksum_failures.into()),
+        ("io_retries", metrics.io_retries.into()),
+        ("checksum_failures", metrics.checksum_failures.into()),
     ])
 }
 
@@ -370,7 +474,7 @@ struct CancelledInfo {
 }
 
 impl CancelledInfo {
-    fn capture(cancel: &spider_ind::valueset::CancelToken) -> CancelledInfo {
+    fn capture(cancel: &CancelToken) -> CancelledInfo {
         let progress = spider_ind::trace::progress();
         CancelledInfo {
             phase: cancel.phase().unwrap_or("unknown").to_string(),
@@ -385,37 +489,23 @@ impl CancelledInfo {
 /// stacks), and `--progress` (throttled stderr heartbeat). Any of them
 /// turns tracing on for the run; none of them leaves the hot paths at
 /// their disabled-cost (one relaxed load per gate).
+#[derive(Debug, Default)]
 struct TraceArgs {
-    report: Option<std::path::PathBuf>,
-    folded: Option<std::path::PathBuf>,
+    report: Option<PathBuf>,
+    folded: Option<PathBuf>,
     progress: bool,
 }
 
 impl TraceArgs {
-    fn from_args(args: &[String]) -> Result<TraceArgs, String> {
-        Ok(TraceArgs {
-            report: flag_str_value(args, "--report")?.map(std::path::PathBuf::from),
-            folded: flag_str_value(args, "--trace-folded")?.map(std::path::PathBuf::from),
-            progress: args.iter().any(|a| a == "--progress"),
-        })
-    }
-
-    fn active(&self) -> bool {
-        self.report.is_some() || self.folded.is_some() || self.progress
-    }
-
     /// Enables tracing (when any flag is set) and starts the heartbeat
     /// thread (when `--progress` is set). The returned session must be
     /// [`TraceSession::finish`]ed after the run.
     fn begin(&self) -> TraceSession {
-        if !self.active() {
-            return TraceSession {
-                enabled: false,
-                heartbeat: None,
-            };
+        let enabled = self.report.is_some() || self.folded.is_some() || self.progress;
+        if enabled {
+            spider_ind::trace::reset();
+            spider_ind::trace::enable();
         }
-        spider_ind::trace::reset();
-        spider_ind::trace::enable();
         let heartbeat = self.progress.then(|| {
             let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
             let flag = std::sync::Arc::clone(&stop);
@@ -439,33 +529,28 @@ impl TraceArgs {
             });
             (stop, handle)
         });
-        TraceSession {
-            enabled: true,
-            heartbeat,
-        }
+        TraceSession { enabled, heartbeat }
     }
+}
 
-    /// Writes the requested output files from a finished run.
-    fn write_outputs(
-        &self,
-        trace: &spider_ind::trace::Trace,
-        metrics: &RunMetrics,
-        degraded: Option<&DegradedReport>,
-        cancelled: Option<&CancelledInfo>,
-        dir: &str,
-        args: &[String],
-    ) -> Result<(), String> {
-        if let Some(path) = &self.report {
-            let report = run_report_json(trace, metrics, degraded, cancelled, dir, args);
-            std::fs::write(path, report.pretty())
-                .map_err(|e| format!("writing report {}: {e}", path.display()))?;
-        }
-        if let Some(path) = &self.folded {
-            std::fs::write(path, spider_ind::trace::folded(trace))
-                .map_err(|e| format!("writing folded stacks {}: {e}", path.display()))?;
-        }
-        Ok(())
+/// Writes the output files `cli` asks for from a finished run.
+fn write_outputs(
+    cli: &Cli,
+    trace: &spider_ind::trace::Trace,
+    metrics: &RunMetrics,
+    degraded: Option<&DegradedReport>,
+    cancelled: Option<&CancelledInfo>,
+) -> Result<(), String> {
+    if let Some(path) = &cli.trace.report {
+        let report = run_report_json(trace, metrics, degraded, cancelled, cli);
+        std::fs::write(path, report.pretty())
+            .map_err(|e| format!("writing report {}: {e}", path.display()))?;
     }
+    if let Some(path) = &cli.trace.folded {
+        std::fs::write(path, spider_ind::trace::folded(trace))
+            .map_err(|e| format!("writing folded stacks {}: {e}", path.display()))?;
+    }
+    Ok(())
 }
 
 /// A live tracing session: stops the heartbeat and collects the span tree
@@ -505,18 +590,18 @@ fn run_report_json(
     metrics: &RunMetrics,
     degraded: Option<&DegradedReport>,
     cancelled: Option<&CancelledInfo>,
-    dir: &str,
-    args: &[String],
+    cli: &Cli,
 ) -> Json {
+    let argv = cli.argv.iter().map(|a| a.as_str().into());
     let mut report = vec![
         ("report_version", REPORT_VERSION.into()),
-        ("database", dir.into()),
-        (
-            "argv",
-            Json::Arr(args.iter().map(|a| a.as_str().into()).collect()),
-        ),
+        ("database", cli.operands[0].as_str().into()),
+        ("argv", Json::Arr(argv.collect())),
         ("metrics", metrics.to_json()),
-        ("degraded", degraded.map_or(Json::Null, degraded_json)),
+        (
+            "degraded",
+            degraded.map_or(Json::Null, |report| degraded_json(report, metrics)),
+        ),
     ];
     if let Some(c) = cancelled {
         report.push((
@@ -540,19 +625,13 @@ fn run_report_json(
     Json::obj(report)
 }
 
-fn load(dir: &str) -> Result<Database, String> {
-    load_with(dir, spider_ind::storage::default_workers())
-}
-
-fn load_with(dir: &str, workers: usize) -> Result<Database, String> {
+fn load(dir: &str, workers: usize) -> Result<Database, String> {
     tsv::load_database_with(Path::new(dir), workers).map_err(|e| format!("loading {dir}: {e}"))
 }
 
-fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
-    let kind = args.first().ok_or("generate: missing database kind")?;
-    let dir = args.get(1).ok_or("generate: missing output directory")?;
-    let scale = flag_value(args, "--scale")?.unwrap_or(100) as usize;
-    let seed = flag_value(args, "--seed")?.unwrap_or(42);
+fn cmd_generate(cli: &Cli) -> Result<ExitCode, String> {
+    let (kind, dir) = (&cli.operands[0], &cli.operands[1]);
+    let (scale, seed) = (cli.scale, cli.seed);
     let db = match kind.as_str() {
         "uniprot" => spider_ind::datagen::generate_uniprot(&BiosqlConfig {
             bioentries: scale * 8,
@@ -576,7 +655,7 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
         }),
         "wide" => spider_ind::datagen::generate_wide(&WideConfig {
             rows: scale * 4,
-            value_bytes: flag_size_value(args, "--value-bytes")?.unwrap_or(4096) as usize,
+            value_bytes: cli.value_bytes,
             seed,
         }),
         other => return Err(format!("generate: unknown kind `{other}`")),
@@ -592,9 +671,8 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
-    let dir = args.first().ok_or("profile: missing database directory")?;
-    let db = load(dir)?;
+fn cmd_profile(cli: &Cli) -> Result<ExitCode, String> {
+    let db = load(&cli.operands[0], cli.workers())?;
     let mut out = String::new();
     outln!(
         out,
@@ -631,112 +709,38 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn parse_algorithm(args: &[String]) -> Result<Algorithm, String> {
-    let max_files = flag_value(args, "--max-files")?.unwrap_or(512);
-    if max_files < 2 {
-        return Err(format!("--max-files must be at least 2, got {max_files}"));
-    }
-    match flag_str_value(args, "--algorithm")?.unwrap_or("spider") {
-        "bf" => Ok(Algorithm::BruteForce),
-        "bfpar" => Ok(Algorithm::BruteForceParallel {
-            threads: workers_from_args(args)?,
-        }),
-        "sp" => Ok(Algorithm::SinglePass),
-        "spider" => Ok(Algorithm::Spider),
-        "blockwise" => Ok(Algorithm::Blockwise {
-            max_open_files: max_files as usize,
-        }),
-        other => Err(format!("unknown algorithm `{other}`")),
-    }
-}
-
-/// The flags a command accepts, each with whether it takes a value.
-type Flags = &'static [(&'static str, bool)];
-
-const GENERATE_FLAGS: Flags = &[("--scale", true), ("--seed", true), ("--value-bytes", true)];
-
-/// `--resume`'s `verify` is optional; see [`parse_resume`].
-const DISCOVER_FLAGS: Flags = &[
-    ("--algorithm", true),
-    ("--threads", true),
-    ("--max-files", true),
-    ("--max-pretest", false),
-    ("--names", false),
-    ("--on-disk", false),
-    ("--block-size", true),
-    ("--memory-budget", true),
-    ("--workdir", true),
-    ("--max-arity", true),
-    ("--keep-going", false),
-    ("--fault-plan", true),
-    ("--resume", true),
-    ("--deadline", true),
-    ("--report", true),
-    ("--trace-folded", true),
-    ("--progress", false),
-];
-
-type Command = fn(&[String]) -> Result<ExitCode, String>;
-
-/// Every command with the flags it accepts; argv is checked against the
-/// list by [`check_flags`] before the command runs.
-const COMMANDS: &[(&str, Flags, Command)] = &[
-    ("generate", GENERATE_FLAGS, cmd_generate),
-    ("profile", &[], cmd_profile),
-    ("discover", DISCOVER_FLAGS, cmd_discover),
-    ("fks", &[], cmd_fks),
-];
-
-/// Rejects the first `--flag` in `args` that `accepted` does not list. A
-/// value-taking flag skips its operand, unless that operand is itself
-/// flag-shaped (the flag's own parser reports the missing value).
-fn check_flags(command: &str, accepted: Flags, args: &[String]) -> Result<(), String> {
-    let mut rest = args.iter().peekable();
-    while let Some(arg) = rest.next() {
-        if !arg.starts_with("--") {
-            continue;
-        }
-        let Some(&(_, takes_value)) = accepted.iter().find(|(name, _)| name == arg) else {
-            return Err(format!("{command}: unknown flag `{arg}`"));
-        };
-        if takes_value {
-            rest.next_if(|value| !value.starts_with("--"));
-        }
-    }
-    Ok(())
-}
-
-fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
-    let dir = args.first().ok_or("discover: missing database directory")?;
-    let on_disk = args.iter().any(|a| a == "--on-disk");
-    if !on_disk
-        && (args.iter().any(|a| a == "--keep-going") || args.iter().any(|a| a == "--fault-plan"))
-    {
+fn cmd_discover(cli: &Cli) -> Result<ExitCode, String> {
+    let export = &cli.export;
+    if !cli.on_disk && (export.keep_going || export.sort.io.fault.is_some()) {
         return Err("discover: --keep-going and --fault-plan require --on-disk".into());
     }
-    let resume = parse_resume(args)?;
-    if resume != spider_ind::valueset::ResumeMode::Off {
-        if !on_disk {
+    if export.resume != ResumeMode::Off {
+        if !cli.on_disk {
             return Err("discover: --resume requires --on-disk".into());
         }
-        if !args.iter().any(|a| a == "--workdir") {
+        if cli.workdir.is_none() {
             return Err("discover: --resume needs an explicit --workdir \
                  (a fresh temp export leaves nothing to resume)"
                 .into());
         }
     }
-    let cancel = cancel_token_from_args(args)?;
-    let _ambient = spider_ind::valueset::cancel::set_ambient(Some(cancel.clone()));
-    let workers = workers_from_args(args)?;
-    let algorithm = parse_algorithm(args)?;
-    let max_arity = flag_value(args, "--max-arity")?.filter(|&arity| arity >= 2);
-    let tracing = TraceArgs::from_args(args)?;
+    if cli.max_files < 2 {
+        return Err(format!(
+            "--max-files must be at least 2, got {}",
+            cli.max_files
+        ));
+    }
+    // SIGINT cancels the run like the deadline does, so Ctrl-C drains the
+    // pipeline to a consistent, resumable stop instead of killing it
+    // mid-write.
+    cli.cancel.watch_sigint();
+    let _ambient = spider_ind::valueset::cancel::set_ambient(Some(cli.cancel.clone()));
     // The trace covers the load too: its own `load` span, then the
     // finder's `discover` root.
-    let session = tracing.begin();
+    let session = cli.trace.begin();
     let loaded = {
         let _span = spider_ind::trace::start(spider_ind::trace::LOAD);
-        load_with(dir, workers)
+        load(&cli.operands[0], cli.workers())
     };
     let db = match loaded {
         Ok(db) => db,
@@ -745,30 +749,22 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
             return Err(message);
         }
     };
-    if let Some(max_arity) = max_arity {
-        let max_arity = max_arity as usize;
-        return cmd_discover_nary(&db, args, max_arity, &cancel, resume, &tracing, session);
+    if let Some(max_arity) = cli.max_arity {
+        return cmd_discover_nary(&db, cli, max_arity, session);
     }
-    let mut config = FinderConfig::with_algorithm(algorithm);
-    if args.iter().any(|a| a == "--max-pretest") {
-        config.pretests = PretestConfig::with_max_value();
-    }
-    let finder = IndFinder::new(config);
-    let result = if on_disk {
-        on_disk_run(args, &cancel, resume, |workdir, options| {
-            finder.discover_on_disk_with(&db, workdir, options)
-        })
-    } else {
-        finder
-            .discover_in_memory_with(&db, workers)
-            .map_err(|e| format!("discovery failed: {e}"))
-    };
+    let finder = IndFinder::new(FinderConfig {
+        algorithm: (cli.algorithm)(cli),
+        pretests: cli.pretests.clone(),
+    });
+    let result = run_finder(
+        cli,
+        |workdir, options| finder.discover_on_disk_with(&db, workdir, options),
+        |workers| finder.discover_in_memory_with(&db, workers),
+    );
     finish_discover(
         result,
         session,
-        &cancel,
-        &tracing,
-        args,
+        cli,
         |d| (&d.metrics, d.degraded.as_ref()),
         |discovery, out| {
             outln!(
@@ -791,37 +787,24 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, String> {
 /// followed by the composite INDs and, when the schema declares composite
 /// gold keys, their evaluation. `session` has traced the load already.
 fn cmd_discover_nary(
-    db: &spider_ind::storage::Database,
-    args: &[String],
+    db: &Database,
+    cli: &Cli,
     max_arity: usize,
-    cancel: &spider_ind::valueset::CancelToken,
-    resume: spider_ind::valueset::ResumeMode,
-    tracing: &TraceArgs,
     session: TraceSession,
 ) -> Result<ExitCode, String> {
-    let mut config = NaryConfig {
+    let finder = NaryFinder::new(NaryConfig {
         max_arity,
-        ..Default::default()
-    };
-    if args.iter().any(|a| a == "--max-pretest") {
-        config.pretests = PretestConfig::with_max_value();
-    }
-    let finder = NaryFinder::new(config);
-    let result = if args.iter().any(|a| a == "--on-disk") {
-        on_disk_run(args, cancel, resume, |workdir, options| {
-            finder.discover_on_disk(db, workdir, options)
-        })
-    } else {
-        finder
-            .discover_in_memory_with(db, workers_from_args(args)?)
-            .map_err(|e| format!("discovery failed: {e}"))
-    };
+        pretests: cli.pretests.clone(),
+    });
+    let result = run_finder(
+        cli,
+        |workdir, options| finder.discover_on_disk(db, workdir, options),
+        |workers| finder.discover_in_memory_with(db, workers),
+    );
     finish_discover(
         result,
         session,
-        cancel,
-        tracing,
-        args,
+        cli,
         |d| (&d.metrics, d.degraded.as_ref()),
         |discovery, out| {
             outln!(
@@ -887,34 +870,33 @@ fn cmd_discover_nary(
 fn finish_discover<D>(
     result: Result<D, String>,
     session: TraceSession,
-    cancel: &spider_ind::valueset::CancelToken,
-    tracing: &TraceArgs,
-    args: &[String],
+    cli: &Cli,
     summary: impl Fn(&D) -> (&RunMetrics, Option<&DegradedReport>),
     body: impl FnOnce(&D, &mut String),
 ) -> Result<ExitCode, String> {
-    let dir = args.first().map(String::as_str).unwrap_or("");
     let trace = session.finish();
     let discovery = match result {
         Ok(discovery) => discovery,
-        Err(message) => {
-            return finish_run_error(cancel, tracing, trace.as_ref(), dir, args, message)
-        }
+        Err(message) => return finish_run_error(cli, trace.as_ref(), message),
     };
     let (metrics, degraded) = summary(&discovery);
     if let Some(trace) = &trace {
-        tracing.write_outputs(trace, metrics, degraded, None, dir, args)?;
+        write_outputs(cli, trace, metrics, degraded, None)?;
     }
     let mut out = String::new();
     body(&discovery, &mut out);
     let mut code = ExitCode::SUCCESS;
     if let Some(report) = degraded {
-        outln!(out, "\ndegraded: {}", degraded_json(report).compact());
+        outln!(
+            out,
+            "\ndegraded: {}",
+            degraded_json(report, metrics).compact()
+        );
         if !report.is_clean() {
             code = ExitCode::from(EXIT_DEGRADED);
         }
     }
-    if args.iter().any(|a| a == "--names") {
+    if cli.names {
         outln!(out, "\nmetrics: {metrics}");
     }
     emit(&out);
@@ -928,21 +910,18 @@ fn finish_discover<D>(
 /// resumable, and exits with the distinct [`EXIT_CANCELLED`] status. Any
 /// other failure propagates unchanged.
 fn finish_run_error(
-    cancel: &spider_ind::valueset::CancelToken,
-    tracing: &TraceArgs,
+    cli: &Cli,
     trace: Option<&spider_ind::trace::Trace>,
-    dir: &str,
-    args: &[String],
     message: String,
 ) -> Result<ExitCode, String> {
-    if !cancel.is_cancelled() {
+    if !cli.cancel.is_cancelled() {
         return Err(message);
     }
-    let info = CancelledInfo::capture(cancel);
+    let info = CancelledInfo::capture(&cli.cancel);
     if let Some(trace) = trace {
         // Discovery produced no final metrics; the report still carries
         // the span tree, histograms, and the cancellation snapshot.
-        tracing.write_outputs(trace, &RunMetrics::new(), None, Some(&info), dir, args)?;
+        write_outputs(cli, trace, &RunMetrics::new(), None, Some(&info))?;
     }
     eprintln!(
         "cancelled during {}: {} attributes exported, {} candidates still alive \
@@ -952,50 +931,33 @@ fn finish_run_error(
     Ok(ExitCode::from(EXIT_CANCELLED))
 }
 
-/// Resolves `--workdir`: an explicit directory (kept for inspection) or a
-/// fresh process-scoped temp directory (removed by the caller). The bool
-/// says whether the directory is temporary.
-fn resolve_workdir(args: &[String]) -> Result<(std::path::PathBuf, bool), String> {
-    match args.iter().position(|a| a == "--workdir") {
-        None => Ok((
-            std::env::temp_dir().join(format!("spider-ind-export-{}", std::process::id())),
-            true,
-        )),
-        Some(i) => match args.get(i + 1) {
-            // Reject a missing/flag-shaped value instead of silently
-            // falling back to (and then deleting) a temp export.
-            Some(dir) if !dir.starts_with("--") => Ok((std::path::PathBuf::from(dir), false)),
-            _ => Err("--workdir requires a directory value".into()),
-        },
-    }
-}
-
-/// Runs a disk-backed pipeline, unary or n-ary: `run` exports to sorted
-/// value files under `--workdir` (default: a fresh process-scoped temp
-/// directory, removed afterwards; an explicit `--workdir` is kept for
-/// inspection) with the export options the flags give, and reads them back
-/// through `--block-size`-byte blocks.
-fn on_disk_run<D>(
-    args: &[String],
-    cancel: &spider_ind::valueset::CancelToken,
-    resume: spider_ind::valueset::ResumeMode,
-    run: impl FnOnce(&Path, &spider_ind::valueset::ExportOptions) -> spider_ind::valueset::Result<D>,
+/// Runs a finder, unary or n-ary, where the flags ask. `in_memory` gets
+/// the `--threads` count. `on_disk` exports to sorted value files under
+/// `--workdir` with the export options the flags give, and reads them back
+/// through `--block-size`-byte blocks. Without `--workdir` the files go to
+/// a fresh process-scoped temp directory, removed afterwards; an explicit
+/// one is kept for inspection.
+fn run_finder<D>(
+    cli: &Cli,
+    on_disk: impl FnOnce(&Path, &ExportOptions) -> spider_ind::valueset::Result<D>,
+    in_memory: impl FnOnce(usize) -> spider_ind::valueset::Result<D>,
 ) -> Result<D, String> {
-    let options = export_options_from_args(args)?
-        .with_cancel(cancel.clone())
-        .resume(resume);
-    let (workdir, temp) = resolve_workdir(args)?;
-    let result = run(&workdir, &options).map_err(|e| format!("discovery failed: {e}"));
-    if temp {
+    if !cli.on_disk {
+        return in_memory(cli.workers()).map_err(|e| format!("discovery failed: {e}"));
+    }
+    let options = cli.export.clone().with_cancel(cli.cancel.clone());
+    let temp = std::env::temp_dir().join(format!("spider-ind-export-{}", std::process::id()));
+    let workdir = cli.workdir.as_ref().unwrap_or(&temp);
+    let result = on_disk(workdir, &options).map_err(|e| format!("discovery failed: {e}"));
+    if cli.workdir.is_none() {
         // lint: allow(swallowed_result) — best-effort temp-dir cleanup after the run
-        let _ = std::fs::remove_dir_all(&workdir);
+        let _ = std::fs::remove_dir_all(&temp);
     }
     result
 }
 
-fn cmd_fks(args: &[String]) -> Result<ExitCode, String> {
-    let dir = args.first().ok_or("fks: missing database directory")?;
-    let db = load(dir)?;
+fn cmd_fks(cli: &Cli) -> Result<ExitCode, String> {
+    let db = load(&cli.operands[0], cli.workers())?;
     let discovery = IndFinder::with_algorithm(Algorithm::Spider)
         .discover_in_memory(&db)
         .map_err(|e| format!("discovery failed: {e}"))?;
@@ -1052,6 +1014,15 @@ mod tests {
         list.iter().map(ToString::to_string).collect()
     }
 
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).expect("a command")
+    }
+
+    /// `spider-ind discover <list…>`, parsed.
+    fn discover(list: &[&str]) -> Result<Cli, String> {
+        command("discover").parse(&args(list))
+    }
+
     #[test]
     fn parse_size_accepts_bare_integers() {
         for n in [0u64, 1, 16, 4096, 256 * 1024, u64::MAX] {
@@ -1096,39 +1067,58 @@ mod tests {
     }
 
     #[test]
-    fn flag_size_value_reads_flags_and_reports_context() {
-        let a = args(&["discover", "x", "--block-size", "8KiB"]);
-        assert_eq!(flag_size_value(&a, "--block-size"), Ok(Some(8192)));
-        assert_eq!(flag_size_value(&a, "--memory-budget"), Ok(None));
-        let missing = args(&["discover", "x", "--block-size"]);
-        let err = flag_size_value(&missing, "--block-size").unwrap_err();
-        assert!(err.contains("--block-size"), "{err}");
-        let bad = args(&["discover", "x", "--block-size", "8XB"]);
-        let err = flag_size_value(&bad, "--block-size").unwrap_err();
-        assert!(err.contains("--block-size") && err.contains("8XB"), "{err}");
+    fn size_flags_read_values_and_report_context() {
+        let cli = discover(&["x", "--block-size", "8KiB"]).unwrap();
+        assert_eq!(cli.export.sort.io.block_size, 8192);
+        assert_eq!(
+            cli.export.sort.memory_budget_bytes,
+            ExportOptions::default().sort.memory_budget_bytes
+        );
+        let err = discover(&["x", "--block-size"]).unwrap_err();
+        assert_eq!(err, "--block-size requires a value");
+        let err = discover(&["x", "--block-size", "8XB"]).unwrap_err();
+        assert!(err.starts_with("--block-size: `8XB`"), "{err}");
+        // Without --on-disk too: every value is checked before anything runs.
+        let err = discover(&["x", "--memory-budget", "1XB"]).unwrap_err();
+        assert!(err.starts_with("--memory-budget: `1XB`"), "{err}");
+    }
+
+    #[test]
+    fn every_value_flag_names_itself_when_its_value_is_missing() {
+        for command in COMMANDS {
+            for &(name, set, _) in command.flags {
+                let next = command.flags.iter().find(|f| f.0 != name);
+                let (Value(..), Some(&(next, ..))) = (set, next) else {
+                    continue;
+                };
+                for tail in [&[name][..], &[name, next]] {
+                    let operands: Vec<&str> = command.operands.iter().map(|_| "x").collect();
+                    let argv = [&operands[..], tail].concat();
+                    let err = command.parse(&args(&argv)).unwrap_err();
+                    assert_eq!(err, format!("{name} requires a value"));
+                }
+            }
+        }
     }
 
     #[test]
     fn export_options_pick_up_robustness_flags() {
-        let a = args(&[
-            "discover",
+        let cli = discover(&[
             "x",
             "--on-disk",
             "--keep-going",
             "--fault-plan",
             "read:attr-00001:flip=40,write:*:eintr@3",
-        ]);
-        let options = export_options_from_args(&a).unwrap();
-        assert!(options.keep_going);
-        assert!(options.sort.io.fault.is_some());
-        let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"])).unwrap();
-        assert!(!plain.keep_going);
-        assert!(plain.sort.io.fault.is_none());
-        let bad = args(&["discover", "x", "--on-disk", "--fault-plan", "nonsense"]);
-        let err = export_options_from_args(&bad).unwrap_err();
+        ])
+        .unwrap();
+        assert!(cli.export.keep_going);
+        assert!(cli.export.sort.io.fault.is_some());
+        let plain = discover(&["x", "--on-disk"]).unwrap();
+        assert!(!plain.export.keep_going);
+        assert!(plain.export.sort.io.fault.is_none());
+        let err = discover(&["x", "--on-disk", "--fault-plan", "nonsense"]).unwrap_err();
         assert!(err.contains("--fault-plan"), "{err}");
-        let dangling = args(&["discover", "x", "--on-disk", "--fault-plan", "--names"]);
-        let err = export_options_from_args(&dangling).unwrap_err();
+        let err = discover(&["x", "--on-disk", "--fault-plan", "--names"]).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
 
@@ -1137,7 +1127,7 @@ mod tests {
         use spider_ind::valueset::FailedAttribute;
         let clean = DegradedReport::default();
         assert_eq!(
-            degraded_json(&clean).compact(),
+            degraded_json(&clean, &RunMetrics::new()).compact(),
             "{\"quarantined\":[],\"io_retries\":0,\"checksum_failures\":0}"
         );
         let report = DegradedReport {
@@ -1146,11 +1136,14 @@ mod tests {
                 name: spider_ind::storage::QualifiedName::new("t", "c"),
                 error: "bad \"frame\"\nat byte 12".to_string(),
             }],
+        };
+        let metrics = RunMetrics {
             io_retries: 3,
             checksum_failures: 1,
+            ..RunMetrics::new()
         };
         assert_eq!(
-            degraded_json(&report).compact(),
+            degraded_json(&report, &metrics).compact(),
             "{\"quarantined\":[{\"id\":7,\"name\":\"t.c\",\"error\":\
              \"bad \\\"frame\\\"\\nat byte 12\"}],\"io_retries\":3,\"checksum_failures\":1}"
         );
@@ -1158,7 +1151,6 @@ mod tests {
 
     #[test]
     fn parse_duration_understands_units() {
-        use std::time::Duration;
         for (text, expected) in [
             ("500ms", Duration::from_millis(500)),
             ("1ms", Duration::from_millis(1)),
@@ -1177,17 +1169,16 @@ mod tests {
 
     #[test]
     fn parse_resume_reads_optional_mode() {
-        use spider_ind::valueset::ResumeMode;
-        let none = args(&["discover", "db", "--on-disk"]);
-        assert_eq!(parse_resume(&none), Ok(ResumeMode::Off));
-        let bare = args(&["discover", "db", "--resume"]);
-        assert_eq!(parse_resume(&bare), Ok(ResumeMode::Reuse));
-        let next_flag = args(&["discover", "db", "--resume", "--workdir", "w"]);
-        assert_eq!(parse_resume(&next_flag), Ok(ResumeMode::Reuse));
-        let verify = args(&["discover", "db", "--resume", "verify"]);
-        assert_eq!(parse_resume(&verify), Ok(ResumeMode::Verify));
-        let typo = args(&["discover", "db", "--resume", "verfy"]);
-        let err = parse_resume(&typo).unwrap_err();
+        let resume = |list: &[&str]| discover(list).map(|cli| cli.export.resume);
+        assert_eq!(resume(&["db", "--on-disk"]), Ok(ResumeMode::Off));
+        assert_eq!(resume(&["db", "--resume"]), Ok(ResumeMode::Reuse));
+        let next_flag = resume(&["db", "--resume", "--workdir", "w"]);
+        assert_eq!(next_flag, Ok(ResumeMode::Reuse));
+        assert_eq!(
+            resume(&["db", "--resume", "verify"]),
+            Ok(ResumeMode::Verify)
+        );
+        let err = resume(&["db", "--resume", "verfy"]).unwrap_err();
         assert!(err.contains("verfy"), "{err}");
     }
 
@@ -1202,9 +1193,8 @@ mod tests {
             roots: Vec::new(),
             dropped_events: 0,
         };
-        let metrics = RunMetrics::new();
-        let a = args(&["discover", "db"]);
-        let with = run_report_json(&trace, &metrics, None, Some(&info), "db", &a).pretty();
+        let (metrics, cli) = (RunMetrics::new(), discover(&["db"]).unwrap());
+        let with = run_report_json(&trace, &metrics, None, Some(&info), &cli).pretty();
         assert!(
             with.contains(
                 "\"cancelled\": {\"phase\": \"merge\", \"attributes_exported\": 7, \
@@ -1212,14 +1202,13 @@ mod tests {
             ),
             "{with}"
         );
-        let without = run_report_json(&trace, &metrics, None, None, "db", &a).pretty();
+        let without = run_report_json(&trace, &metrics, None, None, &cli).pretty();
         assert!(!without.contains("\"cancelled\""), "{without}");
     }
 
     #[test]
     fn export_options_pick_up_size_and_thread_flags() {
-        let a = args(&[
-            "discover",
+        let cli = discover(&[
             "x",
             "--on-disk",
             "--block-size",
@@ -1228,34 +1217,46 @@ mod tests {
             "1MiB",
             "--threads",
             "3",
-        ]);
-        let options = export_options_from_args(&a).unwrap();
-        assert_eq!(options.threads, 3);
-        assert_eq!(options.sort.io.effective_block_size(), 64 * 1024);
-        assert_eq!(options.sort.memory_budget_bytes, 1024 * 1024);
-        let plain = export_options_from_args(&args(&["discover", "x", "--on-disk"])).unwrap();
+        ])
+        .unwrap();
+        assert_eq!(cli.export.threads, 3);
+        assert_eq!(cli.export.sort.io.effective_block_size(), 64 * 1024);
+        assert_eq!(cli.export.sort.memory_budget_bytes, 1024 * 1024);
+        let plain = discover(&["x", "--on-disk"]).unwrap();
         assert_eq!(
-            plain.threads,
+            plain.export.threads,
             spider_ind::storage::default_workers(),
             "no --threads: every core, on every algorithm"
         );
-        assert_eq!(plain.sort.io, spider_ind::valueset::IoOptions::default());
+        assert_eq!(
+            plain.export.sort.io,
+            spider_ind::valueset::IoOptions::default()
+        );
+        let bfpar = discover(&["x", "--algorithm", "bfpar", "--threads", "0"]).unwrap();
+        let expected = Algorithm::BruteForceParallel { threads: 1 };
+        assert_eq!((bfpar.algorithm)(&bfpar), expected);
     }
 
     #[test]
     fn discover_flag_check_accepts_every_listed_flag_and_skips_values() {
         // (tests/cli.rs checks the rejections end to end.)
         let mut all = vec!["db"];
-        for &(name, value) in DISCOVER_FLAGS {
+        for (name, set, _) in command("discover").flags {
             all.push(name);
-            if value {
-                all.push("1");
-            }
+            all.extend(match (name, set) {
+                (_, Switch(_) | Optional(..)) => None,
+                (&"--algorithm", _) => Some("bf"),
+                (&"--fault-plan", _) => Some("read:*:eintr"),
+                (&"--deadline", _) => Some("1s"),
+                _ => Some("2"),
+            });
         }
-        assert_eq!(check_flags("discover", DISCOVER_FLAGS, &args(&all)), Ok(()));
+        let cli = discover(&all).unwrap();
+        assert_eq!(cli.operands, ["db"]);
+        assert_eq!(cli.argv.len(), all.len(), "argv is kept for the report");
         // Bare `--resume` and `--resume verify` both pass, and a
         // flag-shaped operand is still checked as a flag.
-        let ok = args(&[
+        let ok = discover(&[
             "db",
             "--resume",
             "--workdir",
@@ -1263,12 +1264,31 @@ mod tests {
             "--fault-plan",
             "read:*:eintr",
         ]);
-        assert_eq!(check_flags("discover", DISCOVER_FLAGS, &ok), Ok(()));
-        let ok = args(&["db", "--resume", "verify", "--names"]);
-        assert_eq!(check_flags("discover", DISCOVER_FLAGS, &ok), Ok(()));
-        let hidden = args(&["db", "--workdir", "--on-dsik"]);
-        assert!(check_flags("discover", DISCOVER_FLAGS, &hidden)
-            .unwrap_err()
-            .contains("--on-dsik"));
+        assert_eq!(ok.unwrap().workdir, Some(PathBuf::from("w")));
+        assert!(discover(&["db", "--resume", "verify", "--names"]).is_ok());
+        let hidden = discover(&["db", "--workdir", "--on-dsik"]).unwrap_err();
+        assert_eq!(hidden, "discover: unknown flag `--on-dsik`");
+        let extra = discover(&["db", "--names", "5"]).unwrap_err();
+        assert_eq!(extra, "discover: unexpected operand `5`");
+        let err = command("generate").parse(&args(&["pdb"])).unwrap_err();
+        assert_eq!(err, "generate: missing output directory");
+    }
+
+    #[test]
+    fn help_names_every_flag_of_every_command() {
+        let help = usage();
+        for command in COMMANDS {
+            let synopsis = command.synopsis().join("\n");
+            assert!(
+                synopsis.lines().all(|l| l.len() <= SYNOPSIS_WIDTH),
+                "{synopsis}"
+            );
+            for flag in command.flags {
+                let form = flag_form(flag);
+                assert!(synopsis.contains(&format!("[{form}]")), "{form}");
+                assert!(help.contains(&format!("      {form}")), "{form}");
+                assert!(help.contains(flag.2), "{form}");
+            }
+        }
     }
 }

@@ -15,6 +15,29 @@ fn stdout(out: &std::process::Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// The IND lines of a `discover` run (its header holds timings).
+fn inds(out: &std::process::Output) -> Vec<String> {
+    let text = stdout(out);
+    text.lines()
+        .filter(|l| l.contains(" <= "))
+        .map(Into::into)
+        .collect()
+}
+
+/// `generate <kind> --scale <scale>` into a fresh temp directory: the
+/// directory (dropping it removes the database) and the database's path.
+fn generated(name: &str, kind: &str, scale: &str) -> (TempDir, String) {
+    let dir = TempDir::new(name);
+    let db = dir.join("db").to_str().expect("utf8 path").to_string();
+    let out = spider_ind(&["generate", kind, &db, "--scale", scale]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (dir, db)
+}
+
 #[test]
 fn help_lists_all_commands() {
     let out = spider_ind(&["help"]);
@@ -71,12 +94,8 @@ fn generate_profile_discover_fks_round_trip() {
 
 #[test]
 fn discover_algorithms_agree_via_cli() {
-    let dir = TempDir::new("cli-agree");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (_dir, db) = generated("cli-agree", "scop", "5");
+    let db_path = db.as_str();
 
     let mut outputs = Vec::new();
     for algo in ["bf", "bfpar", "sp", "spider", "blockwise"] {
@@ -86,13 +105,7 @@ fn discover_algorithms_agree_via_cli() {
         }
         let out = spider_ind(&args);
         assert!(out.status.success(), "{algo}");
-        // Compare only the IND lines (the header contains timings).
-        let inds: Vec<String> = stdout(&out)
-            .lines()
-            .filter(|l| l.contains(" <= "))
-            .map(str::to_string)
-            .collect();
-        outputs.push((algo, inds));
+        outputs.push((algo, inds(&out)));
     }
     for pair in outputs.windows(2) {
         assert_eq!(pair[0].1, pair[1].1, "{} vs {}", pair[0].0, pair[1].0);
@@ -101,20 +114,9 @@ fn discover_algorithms_agree_via_cli() {
 
 #[test]
 fn on_disk_discovery_matches_in_memory_via_cli() {
-    let dir = TempDir::new("cli-ondisk");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-ondisk", "scop", "5");
+    let db_path = db.as_str();
 
-    let inds = |out: &std::process::Output| -> Vec<String> {
-        stdout(out)
-            .lines()
-            .filter(|l| l.contains(" <= "))
-            .map(str::to_string)
-            .collect()
-    };
     let mem = spider_ind(&["discover", db_path, "--algorithm", "spider"]);
     assert!(mem.status.success());
 
@@ -167,20 +169,9 @@ fn tiny_memory_budget_spills_and_matches_in_memory_via_cli() {
     // entries, far fewer than a column's rows at scale 10, so every
     // attribute export goes through multi-run spills and the merge tree —
     // and discovery must be byte-identical to the in-memory run.
-    let dir = TempDir::new("cli-budget");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "10"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-budget", "scop", "10");
+    let db_path = db.as_str();
 
-    let inds = |out: &std::process::Output| -> Vec<String> {
-        stdout(out)
-            .lines()
-            .filter(|l| l.contains(" <= "))
-            .map(str::to_string)
-            .collect()
-    };
     let mem = spider_ind(&["discover", db_path, "--algorithm", "spider"]);
     assert!(mem.status.success());
     assert!(!inds(&mem).is_empty(), "scop at scale 10 has INDs");
@@ -289,12 +280,8 @@ fn discover_max_arity_finds_the_composite_fk_via_cli() {
 
 #[test]
 fn keep_going_quarantines_and_exits_degraded_via_cli() {
-    let dir = TempDir::new("cli-keepgoing");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (_dir, db) = generated("cli-keepgoing", "scop", "5");
+    let db_path = db.as_str();
 
     // A bit flip in one attribute's value file: the run completes, prints
     // the machine-readable degraded report, and exits with the distinct
@@ -381,12 +368,8 @@ fn in_memory_max_arity_extracts_on_the_threads_it_is_given() {
 
     // pdb's 551 short columns: at two workers their `sort` spans overlap
     // within a few milliseconds of export.
-    let dir = TempDir::new("cli-nary-threads");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "pdb", db_path, "--scale", "40"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-nary-threads", "pdb", "40");
+    let db_path = db.as_str();
     let run = |threads: &str| {
         let report = dir.join(&format!("report-{threads}.json"));
         let out = spider_ind(&[
@@ -404,15 +387,8 @@ fn in_memory_max_arity_extracts_on_the_threads_it_is_given() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let inds: Vec<String> = stdout(&out)
-            .lines()
-            .filter(|l| l.contains(" <= "))
-            .map(str::to_string)
-            .collect();
-        (
-            inds,
-            std::fs::read_to_string(&report).expect("report written"),
-        )
+        let report = std::fs::read_to_string(&report).expect("report written");
+        (inds(&out), report)
     };
     let (one, text) = run("1");
     let (two, _) = run("2");
@@ -458,12 +434,8 @@ fn in_memory_max_arity_extracts_on_the_threads_it_is_given() {
 fn report_and_folded_trace_come_out_well_formed() {
     use spider_ind::trace::json::{parse, Json};
 
-    let dir = TempDir::new("cli-report");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "10"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-report", "scop", "10");
+    let db_path = db.as_str();
 
     let report_path = dir.join("report.json");
     let folded_path = dir.join("trace.folded");
@@ -581,7 +553,8 @@ fn report_and_folded_trace_come_out_well_formed() {
     assert!(!folded.trim().is_empty());
     let (load, rest): (Vec<&str>, Vec<&str>) =
         folded.lines().partition(|line| line.starts_with("load"));
-    let schema = std::fs::read_to_string(db_dir.join("schema.txt")).expect("schema");
+    let schema =
+        std::fs::read_to_string(std::path::Path::new(db_path).join("schema.txt")).expect("schema");
     let tables = schema.lines().filter(|l| l.starts_with("table\t")).count();
     let mut per_table: Vec<usize> = load[1..]
         .iter()
@@ -620,12 +593,8 @@ fn report_and_folded_trace_come_out_well_formed() {
 
 #[test]
 fn in_memory_trace_names_its_phases_like_the_on_disk_one() {
-    let dir = TempDir::new("cli-memory-trace");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "10"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-memory-trace", "scop", "10");
+    let db_path = db.as_str();
     let attributes = stdout(&spider_ind(&["profile", db_path]))
         .lines()
         .filter(|l| l.contains('.'))
@@ -668,24 +637,13 @@ fn in_memory_trace_names_its_phases_like_the_on_disk_one() {
 fn crash_then_resume_recovers_byte_identically_via_cli() {
     use spider_ind::trace::json::{parse, Json};
 
-    let dir = TempDir::new("cli-crash-resume");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
     // 2,400 blob payloads of 4 KiB: the payload column alone outgrows a
     // batch (BATCH_MAX_BYTES, 8 MiB), so at one worker the export commits
     // twice — blob_store's two streams, then blob_ref's — and the crash
     // below can land after the first commit.
-    assert!(spider_ind(&["generate", "wide", db_path, "--scale", "600"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-crash-resume", "wide", "600");
+    let db_path = db.as_str();
 
-    let inds = |out: &std::process::Output| -> Vec<String> {
-        stdout(out)
-            .lines()
-            .filter(|l| l.contains(" <= "))
-            .map(str::to_string)
-            .collect()
-    };
     let clean = spider_ind(&["discover", db_path, "--algorithm", "spider"]);
     assert!(clean.status.success());
 
@@ -779,12 +737,8 @@ fn crash_then_resume_recovers_byte_identically_via_cli() {
 fn deadline_expiry_exits_cancelled_with_flushed_report() {
     use spider_ind::trace::json::{parse, Json};
 
-    let dir = TempDir::new("cli-deadline");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (dir, db) = generated("cli-deadline", "scop", "5");
+    let db_path = db.as_str();
 
     let workdir = dir.join("work");
     let report_path = dir.join("report.json");
@@ -842,12 +796,8 @@ fn deadline_expiry_exits_cancelled_with_flushed_report() {
 
 #[test]
 fn resume_flag_demands_disk_pipeline_and_explicit_workdir() {
-    let dir = TempDir::new("cli-resume-validate");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (_dir, db) = generated("cli-resume-validate", "scop", "5");
+    let db_path = db.as_str();
 
     let no_disk = spider_ind(&["discover", db_path, "--resume"]);
     assert!(!no_disk.status.success());
@@ -876,14 +826,8 @@ fn resume_flag_demands_disk_pipeline_and_explicit_workdir() {
 
 #[test]
 fn nary_keep_going_quarantines_and_exits_degraded_via_cli() {
-    let dir = TempDir::new("cli-nary-keepgoing");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(
-        spider_ind(&["generate", "chains", db_path, "--scale", "30"])
-            .status
-            .success()
-    );
+    let (_dir, db) = generated("cli-nary-keepgoing", "chains", "30");
+    let db_path = db.as_str();
 
     // A poisoned unary attribute quarantines it and every composite
     // candidate touching it; the healthy composite FK still validates.
@@ -937,12 +881,8 @@ fn nary_keep_going_quarantines_and_exits_degraded_via_cli() {
 
 #[test]
 fn discover_rejects_unknown_algorithm() {
-    let dir = TempDir::new("cli-badalgo");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (_dir, db) = generated("cli-badalgo", "scop", "5");
+    let db_path = db.as_str();
     // A bad algorithm or `--max-files` value, and a value-taking flag with
     // no value, fail before the database is loaded.
     let fails_with = |args: &[&str], message: &str| {
@@ -969,15 +909,33 @@ fn discover_rejects_unknown_algorithm() {
 }
 
 #[test]
+fn malformed_or_missing_flag_values_fail_before_loading() {
+    let (_dir, db) = generated("cli-badvalue", "scop", "5");
+    let db_path = db.as_str();
+    // No `--on-disk`: the disk pipeline's values are checked all the same.
+    for (args, message) in [
+        (&["--block-size", "banana"][..], "--block-size: `banana`"),
+        (&["--memory-budget", "1XB"], "--memory-budget: `1XB`"),
+        (&["--threads", "--names"], "--threads requires a value"),
+        (&["--deadline"], "--deadline requires a value"),
+        (&["--names", "--deadline"], "--deadline requires a value"),
+        (&["--workdir", "--on-disk"], "--workdir requires a value"),
+        (&["--deadline", "soon"], "--deadline: `soon`"),
+    ] {
+        let out = spider_ind(&[&["discover", db_path][..], args].concat());
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?}: nothing ran");
+    }
+}
+
+#[test]
 fn discover_rejects_unknown_flags_by_name() {
     // Removed read modes and typos alike fail before anything runs,
     // instead of silently running the default pipeline.
-    let dir = TempDir::new("cli-badflag");
-    let db_dir = dir.join("db");
-    let db_path = db_dir.to_str().expect("utf8 path");
-    assert!(spider_ind(&["generate", "scop", db_path, "--scale", "5"])
-        .status
-        .success());
+    let (_dir, db) = generated("cli-badflag", "scop", "5");
+    let db_path = db.as_str();
     for flag in ["--prefetch", "--direct-io", "--on-dsik"] {
         let out = spider_ind(&["discover", db_path, "--on-disk", flag]);
         assert_eq!(out.status.code(), Some(1), "{flag}");

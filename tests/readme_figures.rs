@@ -2,7 +2,8 @@
 //! table quote the committed `BENCH_spider.json`; this test renders the quoted fragments from the JSON
 //! and fails when the README says anything else. Regenerating the baseline
 //! (`cargo run --release -p ind-bench --bin bench_spider`) therefore means
-//! updating the paragraph in the same change.
+//! updating the paragraph in the same change. README's `## CLI` block
+//! quotes the synopsis `spider-ind help` prints, and is checked the same way.
 
 use spider_ind::trace::json::{parse, Json};
 use std::path::Path;
@@ -123,4 +124,36 @@ fn readme_performance_figures_match_the_committed_baseline() {
              expected fragments: {quoted:#?}"
         );
     }
+}
+
+/// The synopsis lines of `text`: each `spider-ind <command> …` line and the
+/// `[--flag]` lines that continue it, trimmed.
+fn synopsis_lines(text: &str) -> Vec<&str> {
+    let lines = text.lines().map(str::trim);
+    lines
+        .filter(|l| l.starts_with("spider-ind ") || l.starts_with('['))
+        .collect()
+}
+
+#[test]
+fn readme_cli_synopsis_matches_help() {
+    let readme = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md"))
+        .expect("README.md");
+    let cli = readme
+        .split("## CLI")
+        .nth(1)
+        .and_then(|rest| rest.split("```text").nth(1))
+        .and_then(|rest| rest.split("```").next())
+        .expect("README's ## CLI block");
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_spider-ind"))
+        .arg("help")
+        .output()
+        .expect("binary runs");
+    let help = String::from_utf8(help.stdout).expect("utf8 help");
+    let usage = help.split("USAGE:").nth(1).expect("a USAGE section");
+    assert_eq!(
+        synopsis_lines(cli),
+        synopsis_lines(usage),
+        "README's CLI synopsis has drifted from `spider-ind help`"
+    );
 }
