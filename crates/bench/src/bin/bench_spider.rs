@@ -1,84 +1,49 @@
-//! Perf-trajectory harness for the SPIDER merge engines and the value-file
-//! I/O layer.
+//! Perf-trajectory harness for the SPIDER merge engine, the value-file
+//! reader and the export.
 //!
 //! ```text
 //! cargo run --release -p ind-bench --bin bench_spider -- \
 //!     [--scale N] [--block-size BYTES] [--memory-budget BYTES] [--out PATH] [--check]
 //! ```
 //!
-//! Three measured sections per dataset (scale-N PDB, biosql/UniProt-shaped,
-//! and wide-values datagen databases), plus a whole-run `nary` section over
-//! the chains dataset (the datagen schema with a genuine composite foreign
-//! key) recording per-level candidates-enumerable / generated / satisfied —
-//! the committed evidence that the levelwise apriori pruning engages:
+//! Three sections per dataset (scale-N PDB, biosql/UniProt-shaped, and
+//! wide-values datagen databases), plus a whole-run `nary` section over the
+//! chains dataset (a genuine composite foreign key; per-level candidates
+//! enumerable / generated / satisfied) and a crash-and-`resume` row:
 //!
-//! * **memory** — the frozen pre-refactor engine shape
-//!   (`ind_bench::legacy_spider`) and the current zero-allocation `spider`
-//!   over in-memory value sets, with allocation counts from the counting
-//!   allocator installed *in this binary only* (schema v10 dropped the
-//!   value-domain-partitioned engine's row with the engine). Since schema
-//!   v6 a `spider_traced` row re-runs the same merge with `ind-trace`
-//!   phase spans and progress counters enabled — committed evidence that
-//!   observability stays within a few percent of the traced-off run and
-//!   keeps the merge allocation-free;
-//! * **disk** — the same `spider` engine over an on-disk export, read
-//!   through the frozen pre-block-layer `BufReader` reader shape
-//!   (`ind_bench::legacy_reader`, engine `spider_bufreader`) and through
-//!   the current block reader (`spider_block`, block size from
-//!   `--block-size`, default 256 KiB), plus a block-size sweep. `read_calls`
-//!   counts the read requests each reader issues to its I/O layer — per
-//!   record (2× `read_exact`) for the legacy shape, per `pread` for the
-//!   block reader (counted where it is made) — and `os_read_calls` the
-//!   actual `read(2)` syscalls.
-//!   The synchronous block reader is the library's only read mode; schema
-//!   v9 dropped the overlapped-I/O rows together with those modes. Since
-//!   format v2 the `spider_block`
-//!   row (and the sweep) reads with checksum verification *off* — the raw
-//!   framed-read baseline, trajectory-comparable with earlier schemas — and
-//!   a `spider_checksum` row re-runs the same merge with per-frame CRC
-//!   verification on (the production default), so the committed JSON shows
-//!   exactly what self-verifying value files cost;
-//! * **export** — the producer phase (extract → sort → spill → merge →
-//!   write, every attribute of the database) through the frozen pre-arena
-//!   sorter shape (`ind_bench::legacy_sorter`, one heap vector per pushed
-//!   value) and the current arena sorter, byte-identical output files
-//!   asserted before timing, with allocation counts, the peak
-//!   budget-charged arena footprint, spill-run counts, and a spill sweep
-//!   at tiny memory budgets (the configured `--memory-budget` becomes its
-//!   own `arena_budget` row when non-default). An `export_checksum` row
-//!   rides along: one arena export pass plus a full checksummed read-back
-//!   of every emitted value stream — the self-verifying round trip. All of
-//!   these are one worker. Since schema v8 two more rows time the export
-//!   as the library runs it (`ExportedDatabase::export`: work-stealing
-//!   workers, segments and their trailers): `export_serial` on one worker and
-//!   `export_parallel` on every core, whose ratio is
-//!   `speedup_export_parallel_vs_serial` (the parallel row is skipped, and
-//!   the ratio says so, on a one-core host).
+//! * **memory** — `spider` over in-memory value sets against the frozen
+//!   gather-then-decide engine (`ind_bench::legacy_spider`), with
+//!   allocation counts from the counting allocator installed *in this
+//!   binary only*, and a `spider_traced` row that re-runs the merge with
+//!   `ind-trace` spans and counters on;
+//! * **disk** — `spider` over an on-disk export through the block reader:
+//!   `spider_block` (block size from `--block-size`, checksums off), a
+//!   block-size sweep, and `spider_checksum` (per-frame CRC verification
+//!   on, the production default). `read_calls` is every `pread` made,
+//!   counted where it is made;
+//! * **export** — the library's own `ExportedDatabase::export` (extract →
+//!   sort → spill → merge → write, segments and trailers) over every
+//!   attribute: `export_serial` (one worker), `export_parallel` (every
+//!   core, beside `host_parallel_speedup`), `export_checksum` (one worker
+//!   plus a verified read-back of every stream), the configured
+//!   `--memory-budget` as `export_budget` when it is not the default, and a
+//!   256 B / 4 KiB / 64 KiB spill sweep, each holding the one-worker
+//!   reference's streams byte for byte.
 //!
-//! Everything lands in a machine-readable `BENCH_spider.json` (default:
-//! the current directory, i.e. the repo root when run from it) so
-//! subsequent PRs can track the trajectory: wall-clock, `items_read`,
-//! `value_bytes_read`, `comparisons`, allocation counts, and read calls.
-//!
-//! Results are cross-checked before timing — a wrong answer is never
-//! benchmarked. `--check` switches to smoke mode for CI: it additionally
-//! re-parses the emitted file and checks its keys, asserts the
-//! zero-allocation property (the current engine's allocation count must be
-//! a small constant, not proportional to `items_read`), and asserts the
-//! block reader issues several times fewer read calls than the per-record
-//! legacy shape with sweep counts non-increasing in block size, that the
-//! current engine reads, compares and opens exactly what the frozen legacy
-//! engine does (`items_read`, `value_bytes_read`, `comparisons`,
-//! `cursor_opens`), and that `IndFinder::discover`, which merges one representative per class of
-//! equal value sets (its IND set is cross-checked against `run_spider`
-//! over every candidate), opens one cursor per class. At
-//! `--scale >= 100` it also holds the pdb merge to >= 2.5x the frozen
-//! legacy engine timed in the same run — the wall-clock gate on the merge
-//! loop's constant factor. No gate compares two durable exports' wall
+//! Everything lands in `BENCH_spider.json` (default: the current
+//! directory). Results are cross-checked before anything is timed.
+//! `--check` (CI) defaults `--scale` to 12 and `--out` under `target/`,
+//! re-parses the file and fails on any gate: exact counts (spider reads
+//! what the legacy engine reads; at most one tournament replay per value
+//! read; one cursor per value-set class; block reads amortised against the
+//! per-record count `4·cursor_opens + 2·items_read`; no spill and at most
+//! `32·attributes + 512` allocations for `export_serial`), allocation-free
+//! merges, traced and checksummed runs close to their plain twins, spills
+//! at the smallest sweep budget, apriori pruning and resume reuse. At
+//! `--scale >= 100` the pdb merge must also run >= 2.5x the legacy engine
+//! timed in the same run. No gate compares two durable exports' wall
 //! times: both are bound by fsync latency, which belongs to the disk.
 
-use ind_bench::legacy_reader::LegacyDiskProvider;
-use ind_bench::legacy_sorter::legacy_extract_to_file;
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
     generate_candidates, memory_export, run_spider, Algorithm, Candidate, IndFinder, NaryDiscovery,
@@ -91,11 +56,13 @@ use ind_datagen::{
 use ind_testkit::TempDir;
 use ind_trace::json::{parse, Json};
 use ind_valueset::{
-    extract_with_sorter, ExportOptions, ExportedDatabase, Extent, ExternalSorter, IoOptions,
-    SegmentWriter, SortOptions, SortStats, TrailerEntry, ValueCursor, ValueFileReader,
-    DEFAULT_BLOCK_SIZE,
+    ExportOptions, ExportedAttribute, ExportedDatabase, IoOptions, SortOptions, ValueCursor,
+    ValueFileReader, DEFAULT_BLOCK_SIZE,
 };
+
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::hash_map::{Entry, HashMap};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -202,9 +169,48 @@ const DISK_ENGINE_RUNS: usize = 9;
 /// (below it the merge is too short to time).
 const MERGE_GATE_MIN_SPEEDUP: f64 = 2.5;
 const MERGE_GATE_MIN_SCALE: usize = 100;
-/// The disk-section sweep: small (the old `BufReader` buffer size), medium,
-/// and the default block.
+/// The disk-section sweep: small, medium, and the default block.
 const SWEEP_BLOCK_SIZES: [usize; 3] = [8 * 1024, 64 * 1024, 256 * 1024];
+/// The export-phase sweep: tiny budgets that force multi-run spills (the
+/// smallest spills on virtually every column, even at check scale).
+const BUDGET_SWEEP: [usize; 3] = [256, 4096, 64 * 1024];
+
+/// What [`timed`] measured.
+struct Timed<T> {
+    /// Best wall-clock of the measured runs.
+    wall_ms: f64,
+    /// Fewest alloc/realloc calls of one measured run: the counts are
+    /// deterministic, the minimum shrugs off allocator noise (stdout).
+    allocs: u64,
+    /// Live-byte high-water mark of that run.
+    peak_alloc_bytes: u64,
+    /// The last run's output.
+    out: T,
+}
+
+/// Runs `run` once to warm up, then `runs` times under the clock and the
+/// counting allocator.
+fn timed<T>(runs: usize, mut run: impl FnMut() -> Result<T, String>) -> Result<Timed<T>, String> {
+    run()?;
+    let (mut wall_ms, mut allocs, mut peak_alloc_bytes, mut last) =
+        (f64::INFINITY, u64::MAX, 0, None);
+    for _ in 0..runs {
+        let start = Instant::now();
+        let (out, delta) = measure_allocs(&mut run);
+        wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        if delta.calls < allocs {
+            allocs = delta.calls;
+            peak_alloc_bytes = delta.peak_bytes;
+        }
+        last = Some(out?);
+    }
+    Ok(Timed {
+        wall_ms,
+        allocs,
+        peak_alloc_bytes,
+        out: last.expect("at least one measured run"),
+    })
+}
 
 struct EngineResult {
     engine: &'static str,
@@ -216,10 +222,8 @@ struct EngineResult {
 }
 
 /// Snapshot of the export's shared I/O counters after a measured run.
-#[derive(Clone, Copy)]
 struct IoCounters {
-    /// Read requests issued to the reader's I/O layer: per record for the
-    /// legacy shape, per `pread` for the block reader.
+    /// `pread`s issued, counted where each is made.
     read_calls: u64,
     /// Physical descriptors opened on value files during the run.
     file_opens: u64,
@@ -231,15 +235,6 @@ struct IoCounters {
 }
 
 impl IoCounters {
-    fn zero() -> Self {
-        IoCounters {
-            read_calls: 0,
-            file_opens: 0,
-            io_retries: 0,
-            checksum_failures: 0,
-        }
-    }
-
     fn snapshot(export: &ExportedDatabase) -> Self {
         IoCounters {
             read_calls: export.read_calls(),
@@ -254,13 +249,7 @@ struct DiskEngineResult {
     engine: &'static str,
     wall_ms: f64,
     metrics: RunMetrics,
-    /// Shared-counter snapshot of the run (read calls, descriptor opens,
-    /// healed retries, checksum failures).
     io: IoCounters,
-    /// Actual `read(2)` syscalls. The block reader's `io.read_calls` is
-    /// already that count, measured at the fault wrapper where each
-    /// `pread` is made.
-    os_read_calls: u64,
     satisfied: usize,
 }
 
@@ -282,80 +271,33 @@ impl DiskResult {
         self.engines.iter().find(|e| e.engine == engine)
     }
 
-    fn read_calls(&self, engine: &str) -> Option<u64> {
-        self.engine(engine).map(|e| e.io.read_calls)
-    }
-
-    fn wall_ms(&self, engine: &str) -> Option<f64> {
-        self.engines
-            .iter()
-            .find(|e| e.engine == engine)
-            .map(|e| e.wall_ms)
-    }
-
-    fn read_call_reduction(&self) -> Option<f64> {
-        match (
-            self.read_calls("spider_bufreader"),
-            self.read_calls("spider_block"),
-        ) {
-            (Some(old), Some(new)) if new > 0 => Some(old as f64 / new as f64),
-            _ => None,
-        }
-    }
-
-    fn speedup_block_vs_bufreader(&self) -> Option<f64> {
-        match (
-            self.wall_ms("spider_bufreader"),
-            self.wall_ms("spider_block"),
-        ) {
-            (Some(old), Some(new)) if new > 0.0 => Some(old / new),
-            _ => None,
-        }
-    }
-
     /// Verified-over-raw wall-clock ratio: the price of per-frame CRC
     /// verification (1.0 = free).
     fn checksum_overhead(&self) -> Option<f64> {
-        match (
-            self.wall_ms("spider_block"),
-            self.wall_ms("spider_checksum"),
-        ) {
-            (Some(raw), Some(verified)) if raw > 0.0 => Some(verified / raw),
+        match (self.engine("spider_block"), self.engine("spider_checksum")) {
+            (Some(raw), Some(verified)) if raw.wall_ms > 0.0 => {
+                Some(verified.wall_ms / raw.wall_ms)
+            }
             _ => None,
         }
     }
 }
 
-/// One sorter measured over a full-database export (every attribute,
-/// extract → sort → dedup → write).
-struct SorterResult {
-    sorter: &'static str,
+/// One timed configuration of the library's export over every attribute.
+struct ExportPass {
+    pass: &'static str,
     wall_ms: f64,
-    /// alloc/realloc calls for one whole export pass.
+    /// alloc/realloc calls for one whole export.
     allocs: u64,
     peak_alloc_bytes: u64,
-    /// Spill runs summed over all attributes (0 = fully in-memory).
-    runs: usize,
-    /// Peak budget-charged sorter footprint (arena + index capacity);
-    /// 0 for the legacy shape, which has no arena.
-    arena_bytes: u64,
+    /// Spill runs the traced verification pass wrote (0 = in memory).
+    spill_runs: u64,
 }
 
-/// One point of the export-phase memory-budget sweep: the arena sorter
-/// forced through multi-run spills at a tiny budget.
-struct BudgetSweepPoint {
-    memory_budget: usize,
-    wall_ms: f64,
-    runs: usize,
-    allocs: u64,
-}
-
-/// The export-phase trajectory for one dataset: the frozen legacy sorter
-/// shape vs the arena sorter on identical inputs (byte-identical output
-/// files asserted before timing), plus the spill sweep.
+/// The export-phase trajectory for one dataset.
 struct ExportResult {
     attributes: usize,
-    /// Non-null occurrences pushed through each sorter (whole database).
+    /// Non-null occurrences sorted (whole database).
     pushed: u64,
     export_bytes: u64,
     memory_budget: usize,
@@ -365,36 +307,20 @@ struct ExportResult {
     /// [`host_parallel_speedup`] taken right before the `export_parallel`
     /// row (1.0 when that row was skipped).
     host_parallel_speedup: f64,
-    sorters: Vec<SorterResult>,
-    sweep: Vec<BudgetSweepPoint>,
+    passes: Vec<ExportPass>,
+    /// The [`BUDGET_SWEEP`] passes, each beside its memory budget.
+    sweep: Vec<(usize, ExportPass)>,
 }
 
 impl ExportResult {
-    fn sorter(&self, name: &str) -> Option<&SorterResult> {
-        self.sorters.iter().find(|s| s.sorter == name)
+    fn pass(&self, name: &str) -> Option<&ExportPass> {
+        self.passes.iter().find(|p| p.pass == name)
     }
 
-    fn alloc_reduction(&self) -> Option<f64> {
-        match (self.sorter("legacy"), self.sorter("arena")) {
-            (Some(old), Some(new)) if new.allocs > 0 => Some(old.allocs as f64 / new.allocs as f64),
-            _ => None,
-        }
-    }
-
-    /// Both rows are one worker: the frozen legacy sorter is serial, and
-    /// the `arena` row is one sorter in one loop.
-    fn speedup_arena_vs_legacy(&self) -> Option<f64> {
-        match (self.sorter("legacy"), self.sorter("arena")) {
-            (Some(old), Some(new)) if new.wall_ms > 0.0 => Some(old.wall_ms / new.wall_ms),
-            _ => None,
-        }
-    }
-
-    /// The library's whole export (workers, segments, trailers) on
-    /// every core against the same export on one worker; `None` on a
-    /// one-core host, where the parallel row is skipped.
+    /// The export on every core against the same export on one worker;
+    /// `None` on a one-core host, where the parallel row is skipped.
     fn speedup_export_parallel_vs_serial(&self) -> Option<f64> {
-        match (self.sorter("export_serial"), self.sorter("export_parallel")) {
+        match (self.pass("export_serial"), self.pass("export_parallel")) {
             (Some(one), Some(all)) if all.wall_ms > 0.0 => Some(one.wall_ms / all.wall_ms),
             _ => None,
         }
@@ -411,6 +337,22 @@ struct DatasetResult {
     finder: RunMetrics,
     disk: DiskResult,
     export: ExportResult,
+}
+
+impl DatasetResult {
+    fn engine(&self, engine: &str) -> Result<&EngineResult, String> {
+        self.engines
+            .iter()
+            .find(|e| e.engine == engine)
+            .ok_or_else(|| format!("[{}] missing {engine} row", self.name))
+    }
+
+    fn speedup_spider_vs_legacy(&self) -> Option<f64> {
+        match (self.engine("legacy"), self.engine("spider")) {
+            (Ok(old), Ok(new)) if new.wall_ms > 0.0 => Some(old.wall_ms / new.wall_ms),
+            _ => None,
+        }
+    }
 }
 
 /// One level of the n-ary section: candidates-generated vs
@@ -593,37 +535,6 @@ fn bench_resume(memory_budget: usize) -> Result<ResumeResult, String> {
     })
 }
 
-impl DatasetResult {
-    fn wall_ms(&self, engine: &str) -> Option<f64> {
-        self.engines
-            .iter()
-            .find(|e| e.engine == engine)
-            .map(|e| e.wall_ms)
-    }
-
-    fn speedup_spider_vs_legacy(&self) -> Option<f64> {
-        match (self.wall_ms("legacy"), self.wall_ms("spider")) {
-            (Some(old), Some(new)) if new > 0.0 => Some(old / new),
-            _ => None,
-        }
-    }
-}
-
-/// Times `run` over [`DISK_ENGINE_RUNS`] repetitions (after one warm-up),
-/// returning the best wall time and the last run's output.
-fn best_of_runs<T>(mut run: impl FnMut() -> Result<T, String>) -> Result<(f64, T), String> {
-    run()?; // warm-up
-    let mut best_ms = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..DISK_ENGINE_RUNS {
-        let start = Instant::now();
-        let out = run()?;
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
-    }
-    Ok((best_ms, last.expect("at least one measured run")))
-}
-
 fn bench_disk(
     name: &'static str,
     db: &ind_storage::Database,
@@ -643,148 +554,88 @@ fn bench_disk(
     // Sizes recorded at write time — exact, no per-file stat.
     let export_bytes: u64 = export.attributes().iter().map(|a| a.file_bytes).sum();
 
-    // Byte-identical streams: the disk run must reproduce the in-memory
-    // results *and* I/O metrics exactly before anything is timed.
-    let assert_agrees = |engine: &str, got: &[Candidate], m: &RunMetrics| -> Result<(), String> {
-        if got != expected {
+    // One engine row over the export read through `io`. The disk run must
+    // reproduce the in-memory results *and* I/O metrics exactly: streams
+    // are byte-identical, so verification never changes what is read.
+    let mut run = |engine: &'static str, io: IoOptions| -> Result<DiskEngineResult, String> {
+        export.set_io_options(io);
+        let t = timed(DISK_ENGINE_RUNS, || {
+            export.reset_read_calls();
+            let mut m = RunMetrics::new();
+            let out = run_spider(&export, candidates, &mut m).map_err(|e| e.to_string())?;
+            let io = IoCounters::snapshot(&export);
+            m.read_calls = io.read_calls;
+            m.io_retries = io.io_retries;
+            m.checksum_failures = io.checksum_failures;
+            Ok((out, m, io))
+        })?;
+        let (satisfied, metrics, io) = t.out;
+        if satisfied != expected {
             return Err(format!("[{name}] {engine} disagrees with in-memory spider"));
         }
-        if (m.items_read, m.value_bytes_read, m.comparisons)
-            != (
-                expected_metrics.items_read,
-                expected_metrics.value_bytes_read,
-                expected_metrics.comparisons,
-            )
-        {
+        let reads = |m: &RunMetrics| (m.items_read, m.value_bytes_read, m.comparisons);
+        if reads(&metrics) != reads(expected_metrics) {
             return Err(format!(
-                "[{name}] {engine} read different I/O: items={} bytes={} cmp={} vs \
-                 items={} bytes={} cmp={}",
-                m.items_read,
-                m.value_bytes_read,
-                m.comparisons,
-                expected_metrics.items_read,
-                expected_metrics.value_bytes_read,
-                expected_metrics.comparisons,
+                "[{name}] {engine} read (items, bytes, comparisons) = {:?}, in memory {:?}",
+                reads(&metrics),
+                reads(expected_metrics)
             ));
         }
-        Ok(())
-    };
-
-    let mut engines = Vec::new();
-
-    // (a) The frozen pre-block-layer reader shape: BufReader + 2 read_exact
-    // calls per record.
-    {
-        let provider = LegacyDiskProvider::new(&export);
-        let (wall_ms, (satisfied, metrics, read_calls, os_read_calls)) = best_of_runs(|| {
-            provider.counters().reset();
-            let mut m = RunMetrics::new();
-            let out = run_spider(&provider, candidates, &mut m).map_err(|e| e.to_string())?;
-            let counters = provider.counters();
-            m.read_calls = counters.read_requests();
-            Ok((out, m, counters.read_requests(), counters.os_read_calls()))
-        })?;
-        assert_agrees("spider_bufreader", &satisfied, &metrics)?;
-        println!(
-            "[{name}]  disk spider_bufreader: {wall_ms:8.2} ms  read_calls={read_calls} \
-             os_read_calls={os_read_calls}"
-        );
-        let mut io = IoCounters::zero();
-        io.read_calls = read_calls;
-        engines.push(DiskEngineResult {
-            engine: "spider_bufreader",
-            wall_ms,
-            satisfied: satisfied.len(),
+        Ok(DiskEngineResult {
+            engine,
+            wall_ms: t.wall_ms,
             metrics,
             io,
-            os_read_calls,
-        });
-    }
+            satisfied: satisfied.len(),
+        })
+    };
 
-    // (b) The block reader, swept over the fixed block sizes plus the
+    // The block reader, swept over the fixed block sizes plus the
     // configured one. Each configuration is measured exactly once — the
-    // headline `spider_block` row is the sweep point at `block_size`, so
-    // the two can never drift apart through duplicated measurement.
+    // headline `spider_block` row is the sweep point at `block_size`.
     // Checksum verification is off here: this row is the raw framed-read
-    // baseline, trajectory-comparable with pre-v2 schemas; the verified
-    // configuration gets its own `spider_checksum` row below.
+    // baseline; the verified configuration is the `spider_checksum` row.
     let mut sweep_sizes: Vec<usize> = SWEEP_BLOCK_SIZES.to_vec();
     if !sweep_sizes.contains(&block_size) {
         sweep_sizes.push(block_size);
         sweep_sizes.sort_unstable();
     }
     let mut sweep = Vec::new();
-    let mut headline: Option<DiskEngineResult> = None;
+    let mut engines = Vec::new();
     for sweep_block in sweep_sizes {
-        export.set_io_options(IoOptions::with_block_size(sweep_block).verify(false));
-        let (wall_ms, (satisfied, metrics, io)) = best_of_runs(|| {
-            export.reset_read_calls();
-            let mut m = RunMetrics::new();
-            let out = run_spider(&export, candidates, &mut m).map_err(|e| e.to_string())?;
-            m.read_calls = export.read_calls();
-            Ok((out, m, IoCounters::snapshot(&export)))
-        })?;
-        assert_agrees("spider_block", &satisfied, &metrics)?;
+        let row = run(
+            "spider_block",
+            IoOptions::with_block_size(sweep_block).verify(false),
+        )?;
         println!(
-            "[{name}]  disk spider_block block={sweep_block:>7}: {wall_ms:8.2} ms  \
-             read_calls={}",
-            io.read_calls
+            "[{name}]  disk spider_block block={sweep_block:>7}: {:8.2} ms  read_calls={}",
+            row.wall_ms, row.io.read_calls
         );
-        if sweep_block == block_size {
-            headline = Some(DiskEngineResult {
-                engine: "spider_block",
-                wall_ms,
-                satisfied: satisfied.len(),
-                metrics,
-                io,
-                os_read_calls: io.read_calls,
-            });
-        }
         if SWEEP_BLOCK_SIZES.contains(&sweep_block) {
             sweep.push(SweepPoint {
                 block_size: sweep_block,
-                wall_ms,
-                read_calls: io.read_calls,
+                wall_ms: row.wall_ms,
+                read_calls: row.io.read_calls,
             });
         }
-    }
-    engines.push(headline.expect("configured block size was swept"));
-
-    // (b2) The same block reader with per-frame CRC verification on — the
-    // production default since format v2. Every payload byte is hashed on
-    // fill and the footer cross-checked at end of stream; results and read
-    // calls must be identical to the raw row (verification never changes
-    // what or how much is read), `checksum_failures` must stay zero on
-    // healthy files, and the wall-clock delta is the committed price of
-    // self-verifying value files.
-    {
-        export.set_io_options(IoOptions::with_block_size(block_size).verify(true));
-        let (wall_ms, (satisfied, metrics, io)) = best_of_runs(|| {
-            export.reset_read_calls();
-            let mut m = RunMetrics::new();
-            let out = run_spider(&export, candidates, &mut m).map_err(|e| e.to_string())?;
-            m.read_calls = export.read_calls();
-            m.io_retries = export.io_retries();
-            m.checksum_failures = export.checksum_failures();
-            Ok((out, m, IoCounters::snapshot(&export)))
-        })?;
-        assert_agrees("spider_checksum", &satisfied, &metrics)?;
-        println!(
-            "[{name}]  disk spider_checksum: {wall_ms:8.2} ms  read_calls={} \
-             checksum_failures={}",
-            io.read_calls, io.checksum_failures
-        );
-        engines.push(DiskEngineResult {
-            engine: "spider_checksum",
-            wall_ms,
-            satisfied: satisfied.len(),
-            metrics,
-            io,
-            os_read_calls: io.read_calls,
-        });
+        if sweep_block == block_size {
+            engines.push(row);
+        }
     }
 
-    export.set_io_options(IoOptions::with_block_size(block_size));
+    // Per-frame CRC verification on — the production default: every
+    // payload byte is hashed on fill and the footer cross-checked at end
+    // of stream, and the wall-clock delta over the raw row is the price
+    // of self-verifying value files.
+    let verified = run(
+        "spider_checksum",
+        IoOptions::with_block_size(block_size).verify(true),
+    )?;
+    println!(
+        "[{name}]  disk spider_checksum: {:8.2} ms  read_calls={} checksum_failures={}",
+        verified.wall_ms, verified.io.read_calls, verified.io.checksum_failures
+    );
+    engines.push(verified);
 
     Ok(DiskResult {
         block_size,
@@ -827,355 +678,139 @@ fn host_parallel_speedup() -> f64 {
     best_ms(1) / best_ms(2)
 }
 
-/// The export-phase sweep: tiny budgets that force multi-run spills (the
-/// smallest spills on virtually every column, even at check scale).
-const BUDGET_SWEEP: [usize; 3] = [256, 4096, 64 * 1024];
+/// Every value stream of `export`, in attribute order (each segment is
+/// read once).
+fn stream_bytes(export: &ExportedDatabase) -> Result<Vec<Vec<u8>>, String> {
+    let mut files: HashMap<&Path, Vec<u8>> = HashMap::new();
+    let mut streams = Vec::new();
+    for a in export.attributes() {
+        let file = match files.entry(a.path.file()) {
+            Entry::Occupied(file) => file.into_mut(),
+            Entry::Vacant(slot) => {
+                slot.insert(std::fs::read(a.path.file()).map_err(|e| e.to_string())?)
+            }
+        };
+        let start = a.path.offset() as usize;
+        let stream = file
+            .get(start..start + a.file_bytes as usize)
+            .ok_or_else(|| format!("{} ends before its stream", a.path.display()))?;
+        streams.push(stream.to_vec());
+    }
+    Ok(streams)
+}
 
-/// Measures the export phase (extract → sort → spill → merge → write, every
-/// attribute of `db`) through the frozen legacy sorter shape and the arena
-/// sorter, verifying byte-identical value streams before timing anything.
+/// Measures the library's export (`ExportedDatabase::export`: extract →
+/// sort → spill → merge → write, segments and trailers) of every attribute
+/// of `db`. Each configuration first runs once off the clock and traced,
+/// so the spill runs it writes are counted, and is held to the one-worker
+/// reference's trailer figures and streams byte for byte; only then is it
+/// timed, untraced, so the allocation counts are the export's own.
 fn bench_export(
     name: &'static str,
     db: &ind_storage::Database,
     memory_budget: usize,
 ) -> Result<ExportResult, String> {
     let dir = TempDir::new(&format!("bench-spider-export-{name}"));
-    // The arena pass reads the stored cells like the export manager; the
-    // frozen legacy shape renders typed values, so it gets the `Value` view.
-    let tables = db.tables().iter();
-    let cells: Vec<&ind_storage::Column> = tables
-        .clone()
-        .flat_map(|t| t.iter_cells().map(|(_, _, column)| column))
-        .collect();
-    let columns: Vec<&[ind_storage::Value]> = tables
-        .flat_map(|t| t.iter_columns().map(|(_, _, column)| column))
-        .collect();
-
-    // Output paths (legacy files) and stream names (arena segments) are
-    // preformatted outside the measured region.
-    type Paths = Vec<std::path::PathBuf>;
-    let paths_under = |out: &std::path::Path| -> Paths {
-        (0..columns.len())
-            .map(|i| out.join(format!("attr-{i:05}.indv")))
-            .collect()
-    };
-    let names: Vec<String> = (0..columns.len()).map(|i| format!("attr-{i:05}")).collect();
-    // What each stream's trailer entry names: the column, its type, its
-    // table's rows.
-    let identities: Vec<(ind_storage::QualifiedName, ind_storage::DataType, u64)> = db
-        .tables()
-        .iter()
-        .flat_map(|t| {
-            t.iter_cells().map(|(_, schema, _)| {
-                let name = ind_storage::QualifiedName::new(t.name(), schema.name.clone());
-                (name, schema.data_type, t.row_count() as u64)
-            })
-        })
-        .collect();
-    // What a pass leaves: each attribute's sort stats and where its stream
-    // lies.
-    type Written = Vec<(SortStats, Extent)>;
-
-    // One full export pass through the arena sorter: one sorter reused for
-    // every attribute, its streams written back to back into segments of
-    // `BATCH_MAX_BYTES`, each closed by its trailer and published by one
-    // group commit (the export manager's shape).
-    let arena_pass = |budget: usize, out: &std::path::Path, _: &Paths| -> Result<Written, String> {
-        let err = |e: ind_valueset::ValueSetError| e.to_string();
-        let mut sorter =
-            ExternalSorter::new(&out.join("spill"), SortOptions::with_memory_budget(budget))
-                .map_err(err)?;
-        let io = sorter.options().io.clone();
-        let mut written = Vec::with_capacity(columns.len());
-        let mut segment: Option<SegmentWriter> = None;
-        let mut segments = 0;
-        for (id, ((column, name), (qn, data_type, rows))) in
-            cells.iter().zip(&names).zip(&identities).enumerate()
-        {
-            let open = match segment.take() {
-                Some(open) => open,
-                None => {
-                    segments += 1;
-                    let path = out.join(format!("seg-00-{:04}.indv", segments - 1));
-                    SegmentWriter::create(&path, &io).map_err(err)?
-                }
-            };
-            let open = segment.insert(open);
-            let mut writer = open.stream(Some(name));
-            let stat = extract_with_sorter(column, &mut sorter, &mut writer).map_err(err)?;
-            let entry = TrailerEntry::new(id as u32, qn, *data_type, *rows, &stat);
-            let extent = open.seal(writer, Some(entry)).map_err(err)?;
-            written.push((stat, extent));
-            if open.is_full() {
-                if let Some(full) = segment.take() {
-                    full.publish().map_err(err)?;
-                }
-            }
-        }
-        if let Some(last) = segment {
-            last.publish().map_err(err)?;
-        }
-        Ok(written)
-    };
-    // One full export pass through the frozen legacy shape: a fresh sorter
-    // and a scratch render buffer per attribute, one heap vector per value,
-    // one plain file per attribute.
-    let legacy_pass =
-        |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Written, String> {
-            let mut written = Vec::with_capacity(columns.len());
-            for (column, path) in columns.iter().zip(paths) {
-                let stat = legacy_extract_to_file(
-                    column,
-                    path,
-                    &out.join("spill"),
-                    SortOptions::with_memory_budget(budget),
-                )
-                .map_err(|e| e.to_string())?;
-                written.push((stat, Extent::from(path)));
-            }
-            Ok(written)
+    let export = |threads: usize, budget: usize, out: &Path, read_back: bool| {
+        let options = ExportOptions {
+            threads,
+            ..ExportOptions::with_memory_budget(budget)
         };
-    // The bytes of a stream `len` bytes long at `extent`.
-    let stream_bytes = |extent: &Extent, len: u64| -> Result<Vec<u8>, String> {
-        let file = std::fs::read(extent.file()).map_err(|e| e.to_string())?;
-        let start = extent.offset() as usize;
-        file.get(start..start + len as usize)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| format!("{} ends before its stream", extent.display()))
+        let export = ExportedDatabase::export(db, out, &options).map_err(|e| e.to_string())?;
+        if read_back {
+            // Every frame CRC and footer re-verified against what was just
+            // written: the self-verifying round trip.
+            for a in export.attributes() {
+                let mut reader = ValueFileReader::open(&a.path).map_err(|e| e.to_string())?;
+                while reader.advance().map_err(|e| e.to_string())? {}
+            }
+        }
+        Ok::<_, String>(export)
     };
+    let default_budget = SortOptions::DEFAULT_MEMORY_BUDGET;
+    let reference = export(1, default_budget, &dir.join("reference"), false)?;
+    let reference_streams = stream_bytes(&reference)?;
+    let figures = |a: &ExportedAttribute| {
+        (
+            a.non_null,
+            a.distinct,
+            a.file_bytes,
+            a.min.clone(),
+            a.max.clone(),
+        )
+    };
+    let reference_figures: Vec<_> = reference.attributes().iter().map(figures).collect();
 
-    // Reference output: arena sorter, fully in-memory. Every other
-    // configuration must reproduce these streams byte for byte.
-    let ref_dir = dir.join("reference");
-    std::fs::create_dir_all(&ref_dir).map_err(|e| e.to_string())?;
-    let reference = arena_pass(SortOptions::DEFAULT_MEMORY_BUDGET, &ref_dir, &Vec::new())?;
-    let export_bytes: u64 = reference.iter().map(|(s, _)| s.file_bytes).sum();
-    let pushed: u64 = reference.iter().map(|(s, _)| s.pushed).sum();
-
-    let assert_agrees = |config: &str, got: &Written| -> Result<(), String> {
-        if got.len() != reference.len() {
+    let measure = |pass: &'static str, threads: usize, budget: usize, read_back: bool| {
+        let out = dir.join(pass);
+        ind_trace::reset();
+        ind_trace::enable();
+        let verified = export(threads, budget, &out, read_back);
+        ind_trace::disable();
+        let spill_runs = ind_trace::progress().spill_runs;
+        let verified = verified?;
+        let got: Vec<_> = verified.attributes().iter().map(figures).collect();
+        if got != reference_figures || stream_bytes(&verified)? != reference_streams {
             return Err(format!(
-                "[{name}] export {config}: attribute count diverged"
+                "[{name}] export {pass}: trailer figures or streams diverged from the \
+                 one-worker reference"
             ));
         }
-        for (i, ((g, g_at), (r, r_at))) in got.iter().zip(&reference).enumerate() {
-            if (g.pushed, g.distinct, g.file_bytes, &g.min, &g.max)
-                != (r.pushed, r.distinct, r.file_bytes, &r.min, &r.max)
-            {
-                return Err(format!(
-                    "[{name}] export {config}: attribute {i} stats diverged \
-                 (pushed={} distinct={} bytes={} vs pushed={} distinct={} bytes={})",
-                    g.pushed, g.distinct, g.file_bytes, r.pushed, r.distinct, r.file_bytes
-                ));
-            }
-            if stream_bytes(g_at, g.file_bytes)? != stream_bytes(r_at, r.file_bytes)? {
-                return Err(format!(
-                    "[{name}] export {config}: attribute {i} value stream diverged"
-                ));
-            }
-        }
-        Ok(())
+        // Its readers' descriptors close before the timed passes rewrite
+        // the directory.
+        drop(verified);
+        let t = timed(ENGINE_RUNS, || {
+            export(threads, budget, &out, read_back).map(drop)
+        })?;
+        println!(
+            "[{name}] export {pass:>15}: {:8.2} ms  workers={threads} allocs={} spill_runs={spill_runs}",
+            t.wall_ms, t.allocs
+        );
+        Ok::<_, String>(ExportPass {
+            pass,
+            wall_ms: t.wall_ms,
+            allocs: t.allocs,
+            peak_alloc_bytes: t.peak_alloc_bytes,
+            spill_runs,
+        })
     };
 
-    // Measures one configuration: verify against the reference first, then
-    // best-of-N wall clock with minimum allocation count (the counts are
-    // deterministic; the minimum shrugs off allocator noise).
-    type Pass<'a> = &'a dyn Fn(usize, &std::path::Path, &Paths) -> Result<Written, String>;
-    let measure = |config: &'static str,
-                   budget: usize,
-                   pass: Pass<'_>|
-     -> Result<(f64, AllocDelta, Vec<SortStats>), String> {
-        let out = dir.join(config);
-        std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
-        let paths = paths_under(&out);
-        let written = pass(budget, &out, &paths)?; // warm-up + verification pass
-        assert_agrees(config, &written)?;
-        let stats: Vec<SortStats> = written.into_iter().map(|(s, _)| s).collect();
-        let mut best_ms = f64::INFINITY;
-        let mut best_delta = AllocDelta {
-            calls: u64::MAX,
-            peak_bytes: 0,
-        };
-        let mut last = stats;
-        for _ in 0..ENGINE_RUNS {
-            let start = Instant::now();
-            let (out_stats, delta) = measure_allocs(|| pass(budget, &out, &paths));
-            let wall = start.elapsed().as_secs_f64() * 1e3;
-            last = out_stats?.into_iter().map(|(s, _)| s).collect();
-            best_ms = best_ms.min(wall);
-            if delta.calls < best_delta.calls {
-                best_delta = delta;
-            }
-        }
-        Ok((best_ms, best_delta, last))
-    };
-
-    let mut sorters = Vec::new();
-    for (label, pass) in [("legacy", &legacy_pass as Pass<'_>), ("arena", &arena_pass)] {
-        let (wall_ms, delta, stats) = measure(label, SortOptions::DEFAULT_MEMORY_BUDGET, pass)?;
-        let runs: usize = stats.iter().map(|s| s.runs).sum();
-        let arena_bytes = stats.iter().map(|s| s.arena_bytes).max().unwrap_or(0);
-        println!(
-            "[{name}] export {label:>6}: {wall_ms:8.2} ms  pushed={pushed} allocs={} \
-             peak_alloc_bytes={} runs={runs}",
-            delta.calls, delta.peak_bytes
-        );
-        sorters.push(SorterResult {
-            sorter: label,
-            wall_ms,
-            allocs: delta.calls,
-            peak_alloc_bytes: delta.peak_bytes,
-            runs,
-            arena_bytes,
-        });
-    }
-
-    // The self-verifying round trip: one arena export pass plus a full
-    // checksummed read-back of every emitted value file — every frame CRC
-    // and the footer re-verified against what was just written. The wall
-    // delta over the plain arena row is the cost of proving an export
-    // landed intact.
-    {
-        let checksum_pass =
-            |budget: usize, out: &std::path::Path, paths: &Paths| -> Result<Written, String> {
-                let written = arena_pass(budget, out, paths)?;
-                for (_, extent) in &written {
-                    let mut reader = ValueFileReader::open(extent).map_err(|e| e.to_string())?;
-                    while reader.advance().map_err(|e| e.to_string())? {}
-                }
-                Ok(written)
-            };
-        let (wall_ms, delta, stats) = measure(
-            "export_checksum",
-            SortOptions::DEFAULT_MEMORY_BUDGET,
-            &checksum_pass,
-        )?;
-        let runs: usize = stats.iter().map(|s| s.runs).sum();
-        let arena_bytes = stats.iter().map(|s| s.arena_bytes).max().unwrap_or(0);
-        println!(
-            "[{name}] export export_checksum: {wall_ms:8.2} ms  allocs={} runs={runs}",
-            delta.calls
-        );
-        sorters.push(SorterResult {
-            sorter: "export_checksum",
-            wall_ms,
-            allocs: delta.calls,
-            peak_alloc_bytes: delta.peak_bytes,
-            runs,
-            arena_bytes,
-        });
-    }
-
-    // The export as the library runs it — `ExportedDatabase::export`:
-    // work-stealing workers, segments, trailers — on one worker and on
-    // every core. Same streams as the reference, byte for byte, at both.
     let workers = ind_storage::default_workers();
     let mut host_speedup = 1.0;
-    for (label, threads) in [("export_parallel", workers), ("export_serial", 1)] {
-        if label == "export_parallel" {
-            if workers < 2 {
-                println!("[{name}] export export_parallel: skipped, one core");
-                continue;
-            }
-            host_speedup = host_parallel_speedup();
-            println!("[{name}] host: two spinning threads run {host_speedup:.2}x one");
-        }
-        let manager_pass =
-            |budget: usize, out: &std::path::Path, _: &Paths| -> Result<Written, String> {
-                let options = ExportOptions {
-                    threads,
-                    ..ExportOptions::with_memory_budget(budget)
-                };
-                let export =
-                    ExportedDatabase::export(db, out, &options).map_err(|e| e.to_string())?;
-                Ok(export
-                    .attributes()
-                    .iter()
-                    .map(|a| {
-                        let stats = SortStats {
-                            pushed: a.non_null,
-                            distinct: a.distinct,
-                            runs: 0,
-                            file_bytes: a.file_bytes,
-                            arena_bytes: 0,
-                            arena_grows: 0,
-                            key_compares: 0,
-                            memcmp_compares: 0,
-                            min: a.min.clone(),
-                            max: a.max.clone(),
-                            source_hash: 0,
-                        };
-                        (stats, a.path.clone())
-                    })
-                    .collect())
-            };
-        let (wall_ms, delta, _) =
-            measure(label, SortOptions::DEFAULT_MEMORY_BUDGET, &manager_pass)?;
-        println!(
-            "[{name}] export {label}: {wall_ms:8.2} ms  workers={threads} allocs={}",
-            delta.calls
-        );
-        sorters.push(SorterResult {
-            sorter: label,
-            wall_ms,
-            allocs: delta.calls,
-            peak_alloc_bytes: delta.peak_bytes,
-            runs: 0,
-            arena_bytes: 0,
-        });
+    let mut passes = Vec::new();
+    if workers < 2 {
+        println!("[{name}] export export_parallel: skipped, one core");
+    } else {
+        host_speedup = host_parallel_speedup();
+        println!("[{name}] host: two spinning threads run {host_speedup:.2}x one");
+        passes.push(measure("export_parallel", workers, default_budget, false)?);
     }
-
+    passes.push(measure("export_serial", 1, default_budget, false)?);
+    passes.push(measure("export_checksum", 1, default_budget, true)?);
     // The configured budget as its own row when it differs from the
     // default — the spill-merge path under the exact CLI knob.
-    if memory_budget != SortOptions::DEFAULT_MEMORY_BUDGET {
-        let (wall_ms, delta, stats) = measure("arena_budget", memory_budget, &arena_pass)?;
-        let runs: usize = stats.iter().map(|s| s.runs).sum();
-        let arena_bytes = stats.iter().map(|s| s.arena_bytes).max().unwrap_or(0);
-        println!(
-            "[{name}] export  arena budget={memory_budget}: {wall_ms:8.2} ms  allocs={} runs={runs}",
-            delta.calls
-        );
-        sorters.push(SorterResult {
-            sorter: "arena_budget",
-            wall_ms,
-            allocs: delta.calls,
-            peak_alloc_bytes: delta.peak_bytes,
-            runs,
-            arena_bytes,
-        });
+    if memory_budget != default_budget {
+        passes.push(measure("export_budget", 1, memory_budget, false)?);
     }
-
-    // Spill sweep: tiny budgets force multi-run spills through the
-    // keyed merge tree; every point must stay byte-identical.
     let mut sweep = Vec::new();
     for budget in BUDGET_SWEEP {
-        let label: &'static str = match budget {
+        let label = match budget {
             256 => "sweep-256",
             4096 => "sweep-4096",
             _ => "sweep-64k",
         };
-        let (wall_ms, delta, stats) = measure(label, budget, &arena_pass)?;
-        let runs: usize = stats.iter().map(|s| s.runs).sum();
-        println!(
-            "[{name}] export  arena budget={budget:>6}: {wall_ms:8.2} ms  runs={runs} allocs={}",
-            delta.calls
-        );
-        sweep.push(BudgetSweepPoint {
-            memory_budget: budget,
-            wall_ms,
-            runs,
-            allocs: delta.calls,
-        });
+        sweep.push((budget, measure(label, 1, budget, false)?));
     }
 
+    let attributes = reference.attributes();
     Ok(ExportResult {
-        attributes: columns.len(),
-        pushed,
-        export_bytes,
+        attributes: attributes.len(),
+        pushed: attributes.iter().map(|a| a.non_null).sum(),
+        export_bytes: attributes.iter().map(|a| a.file_bytes).sum(),
         memory_budget,
         workers,
         host_parallel_speedup: host_speedup,
-        sorters,
+        passes,
         sweep,
     })
 }
@@ -1265,41 +900,27 @@ fn bench_dataset(
     ];
 
     for (engine, run) in &runners {
-        // Warm-up (also populates caches fairly for every engine).
-        let _ = run().map_err(|e| e.to_string())?;
-        let mut best_ms = f64::INFINITY;
-        let mut last: Option<(Vec<ind_core::Candidate>, RunMetrics)> = None;
-        let mut allocs = u64::MAX;
-        let mut peak = 0u64;
-        for _ in 0..ENGINE_RUNS {
-            let start = Instant::now();
-            let (out, delta) = measure_allocs(run);
-            let wall = start.elapsed().as_secs_f64() * 1e3;
-            let out = out.map_err(|e| e.to_string())?;
-            best_ms = best_ms.min(wall);
-            // Allocation counts are deterministic per engine; keep the
-            // minimum to shrug off incidental allocator noise (e.g. stdout).
-            if delta.calls < allocs {
-                allocs = delta.calls;
-                peak = delta.peak_bytes;
-            }
-            last = Some(out);
-        }
-        let (satisfied, metrics) = last.expect("at least one measured run");
+        let t = timed(ENGINE_RUNS, || run().map_err(|e| e.to_string()))?;
+        let (satisfied, metrics) = t.out;
         if satisfied != expected {
             return Err(format!("[{name}] {engine} diverged during measurement"));
         }
         println!(
-            "[{name}] {engine:>9}: {best_ms:8.2} ms  items_read={} value_bytes={} \
-             comparisons={} allocs={allocs} peak_alloc_bytes={peak}",
-            metrics.items_read, metrics.value_bytes_read, metrics.comparisons
+            "[{name}] {engine:>9}: {:8.2} ms  items_read={} value_bytes={} \
+             comparisons={} allocs={} peak_alloc_bytes={}",
+            t.wall_ms,
+            metrics.items_read,
+            metrics.value_bytes_read,
+            metrics.comparisons,
+            t.allocs,
+            t.peak_alloc_bytes
         );
         engines.push(EngineResult {
             engine,
-            wall_ms: best_ms,
+            wall_ms: t.wall_ms,
             metrics,
-            allocs,
-            peak_alloc_bytes: peak,
+            allocs: t.allocs,
+            peak_alloc_bytes: t.peak_alloc_bytes,
             satisfied: satisfied.len(),
         });
     }
@@ -1331,8 +952,7 @@ fn bench_dataset(
 // ---------------------------------------------------------------------------
 
 /// `x` rounded to `places` decimals, as the committed file records times
-/// (3 places) and reduction ratios (1 place); a ratio whose rows are
-/// missing is `null`.
+/// and ratios (3 places); a ratio whose rows are missing is `null`.
 fn rounded(x: impl Into<Option<f64>>, places: i32) -> Json {
     let scale = 10f64.powi(places);
     x.into()
@@ -1364,12 +984,22 @@ fn disk_engine_json(e: &DiskEngineResult) -> Json {
         ("comparisons", e.metrics.comparisons.into()),
         ("key_compares", e.metrics.key_compares.into()),
         ("memcmp_compares", e.metrics.memcmp_compares.into()),
+        ("cursor_opens", e.metrics.cursor_opens.into()),
         ("read_calls", e.io.read_calls.into()),
-        ("os_read_calls", e.os_read_calls.into()),
         ("file_opens", e.io.file_opens.into()),
         ("io_retries", e.io.io_retries.into()),
         ("checksum_failures", e.io.checksum_failures.into()),
         ("satisfied", e.satisfied.into()),
+    ])
+}
+
+fn export_pass_json(p: &ExportPass) -> Json {
+    Json::obj([
+        ("pass", p.pass.into()),
+        ("wall_ms", rounded(p.wall_ms, 3)),
+        ("allocs", p.allocs.into()),
+        ("peak_alloc_bytes", p.peak_alloc_bytes.into()),
+        ("spill_runs", p.spill_runs.into()),
     ])
 }
 
@@ -1382,22 +1012,12 @@ fn dataset_json(d: &DatasetResult) -> Json {
             ("read_calls", s.read_calls.into()),
         ])
     });
-    let sorters = export.sorters.iter().map(|s| {
+    let budget_sweep = export.sweep.iter().map(|(budget, p)| {
         Json::obj([
-            ("sorter", s.sorter.into()),
-            ("wall_ms", rounded(s.wall_ms, 3)),
-            ("allocs", s.allocs.into()),
-            ("peak_alloc_bytes", s.peak_alloc_bytes.into()),
-            ("runs", s.runs.into()),
-            ("arena_bytes", s.arena_bytes.into()),
-        ])
-    });
-    let budget_sweep = export.sweep.iter().map(|s| {
-        Json::obj([
-            ("memory_budget", s.memory_budget.into()),
-            ("wall_ms", rounded(s.wall_ms, 3)),
-            ("runs", s.runs.into()),
-            ("allocs", s.allocs.into()),
+            ("memory_budget", (*budget).into()),
+            ("wall_ms", rounded(p.wall_ms, 3)),
+            ("spill_runs", p.spill_runs.into()),
+            ("allocs", p.allocs.into()),
         ])
     });
     let parallel = match export.speedup_export_parallel_vs_serial() {
@@ -1422,14 +1042,6 @@ fn dataset_json(d: &DatasetResult) -> Json {
             Json::obj([
                 ("block_size", disk.block_size.into()),
                 ("export_bytes", disk.export_bytes.into()),
-                (
-                    "read_call_reduction",
-                    rounded(disk.read_call_reduction(), 1),
-                ),
-                (
-                    "speedup_block_vs_bufreader",
-                    rounded(disk.speedup_block_vs_bufreader(), 3),
-                ),
                 ("checksum_overhead", rounded(disk.checksum_overhead(), 3)),
                 (
                     "engines",
@@ -1445,18 +1057,16 @@ fn dataset_json(d: &DatasetResult) -> Json {
                 ("pushed", export.pushed.into()),
                 ("export_bytes", export.export_bytes.into()),
                 ("memory_budget", export.memory_budget.into()),
-                ("alloc_reduction", rounded(export.alloc_reduction(), 1)),
-                (
-                    "speedup_arena_vs_legacy",
-                    rounded(export.speedup_arena_vs_legacy(), 3),
-                ),
                 ("export_workers", export.workers.into()),
                 (
                     "host_parallel_speedup",
                     rounded(export.host_parallel_speedup, 3),
                 ),
                 ("speedup_export_parallel_vs_serial", parallel),
-                ("sorters", Json::Arr(sorters.collect())),
+                (
+                    "passes",
+                    Json::Arr(export.passes.iter().map(export_pass_json).collect()),
+                ),
                 ("budget_sweep", Json::Arr(budget_sweep.collect())),
             ]),
         ),
@@ -1464,10 +1074,7 @@ fn dataset_json(d: &DatasetResult) -> Json {
 }
 
 fn bench_json(
-    scale: usize,
-    block_size: usize,
-    memory_budget: usize,
-    check: bool,
+    args: &Args,
     datasets: &[DatasetResult],
     nary: &NaryResult,
     resume: &ResumeResult,
@@ -1483,12 +1090,12 @@ fn bench_json(
         ])
     });
     Json::obj([
-        ("schema_version", 10u64.into()),
+        ("schema_version", 11u64.into()),
         ("harness", "bench_spider".into()),
-        ("scale", scale.into()),
-        ("block_size", block_size.into()),
-        ("memory_budget", memory_budget.into()),
-        ("check_mode", check.into()),
+        ("scale", args.scale.into()),
+        ("block_size", args.block_size.into()),
+        ("memory_budget", args.memory_budget.into()),
+        ("check_mode", args.check.into()),
         (
             "datasets",
             Json::Arr(datasets.iter().map(dataset_json).collect()),
@@ -1524,9 +1131,9 @@ fn bench_json(
 /// The keys downstream tooling reads; each must appear somewhere in the
 /// parsed document.
 const REQUIRED_KEYS: &str = "schema_version datasets engine wall_ms items_read value_bytes_read \
-    key_compares memcmp_compares allocs disk read_calls os_read_calls file_opens io_retries \
+    key_compares memcmp_compares cursor_opens allocs disk read_calls file_opens io_retries \
     checksum_failures checksum_overhead block_size_sweep export export_workers \
-    host_parallel_speedup speedup_export_parallel_vs_serial sorter arena_bytes budget_sweep \
+    host_parallel_speedup speedup_export_parallel_vs_serial passes pass spill_runs budget_sweep \
     memory_budget nary levels enumerable pruned_projection resume exports_reused \
     exports_redone orphans_swept cold_wall_ms resumed_wall_ms";
 
@@ -1542,42 +1149,74 @@ fn has_key(json: &Json, key: &str) -> bool {
 // Entry point
 // ---------------------------------------------------------------------------
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{name} requires a value")),
+const USAGE: &str =
+    "bench_spider [--scale N] [--block-size BYTES] [--memory-budget BYTES] [--out PATH] [--check]";
+
+/// The command line, parsed.
+struct Args {
+    scale: usize,
+    block_size: usize,
+    memory_budget: usize,
+    out: String,
+    check: bool,
+}
+
+/// Parses the command line before anything is generated: every argument
+/// must be one of the five flags, each at most once, so a typo cannot turn
+/// into a full run that overwrites the committed baseline.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut values: [(&str, Option<&str>); 4] = [
+        ("--scale", None),
+        ("--block-size", None),
+        ("--memory-budget", None),
+        ("--out", None),
+    ];
+    let mut check = false;
+    let mut seen: Vec<&str> = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("{arg} given twice (usage: {USAGE})"));
+        }
+        seen.push(arg);
+        if arg == "--check" {
+            check = true;
+            continue;
+        }
+        let Some((_, value)) = values.iter_mut().find(|(flag, _)| flag == arg) else {
+            return Err(format!("unknown argument {arg:?} (usage: {USAGE})"));
+        };
+        let next = args.next().filter(|v| !v.starts_with("--"));
+        *value = Some(next.ok_or_else(|| format!("{arg} requires a value"))?);
     }
+    let number = |(flag, value): (&str, Option<&str>), default: usize| {
+        value.map_or(Ok(default), |v| {
+            v.parse().map_err(|e| format!("{flag}: {e}"))
+        })
+    };
+    Ok(Args {
+        scale: number(values[0], if check { 12 } else { 200 })?,
+        block_size: number(values[1], DEFAULT_BLOCK_SIZE)?,
+        memory_budget: number(values[2], SortOptions::DEFAULT_MEMORY_BUDGET)?,
+        // Check mode defaults under target/ so the CI smoke (and anyone
+        // running the README's `--check` line) never clobbers the
+        // committed repo-root baseline with tiny-scale data.
+        out: values[3]
+            .1
+            .unwrap_or(if check {
+                "target/BENCH_spider_check.json"
+            } else {
+                "BENCH_spider.json"
+            })
+            .to_string(),
+        check,
+    })
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let scale: usize = flag_value(&args, "--scale")?
-        .map(|s| s.parse().map_err(|e| format!("--scale: {e}")))
-        .transpose()?
-        .unwrap_or(if check { 12 } else { 200 });
-    let block_size: usize = flag_value(&args, "--block-size")?
-        .map(|s| s.parse().map_err(|e| format!("--block-size: {e}")))
-        .transpose()?
-        .unwrap_or(DEFAULT_BLOCK_SIZE);
-    let memory_budget: usize = flag_value(&args, "--memory-budget")?
-        .map(|s| s.parse().map_err(|e| format!("--memory-budget: {e}")))
-        .transpose()?
-        .unwrap_or(SortOptions::DEFAULT_MEMORY_BUDGET);
-    // Check mode defaults under target/ so the CI smoke (and anyone running
-    // the README's `--check` line) can never clobber the committed
-    // repo-root baseline with tiny-scale data.
-    let out_path = flag_value(&args, "--out")?.unwrap_or_else(|| {
-        if check {
-            "target/BENCH_spider_check.json".to_string()
-        } else {
-            "BENCH_spider.json".to_string()
-        }
-    });
+    let args = parse_args(&std::env::args().skip(1).collect::<Vec<_>>())?;
+    let (scale, block_size, memory_budget) = (args.scale, args.block_size, args.memory_budget);
+    let out_path = &args.out;
 
     // The CLI's `generate pdb <dir> --scale N` configuration, plus the
     // biosql (UniProt-shaped) instance at the same scale knob.
@@ -1591,9 +1230,8 @@ fn run() -> Result<(), String> {
         bioentries: scale * 8,
         ..Default::default()
     });
-    // The wide-values dataset: few rows, fat payloads — the export dwarfs
-    // any reasonable memory budget, driving the spill/merge and overlapped
-    // read paths with real bigger-than-budget value files.
+    // The wide-values dataset: few rows, fat payloads — value files far
+    // larger than a read block.
     let wide = generate_wide(&WideConfig {
         rows: scale * 4,
         value_bytes: 512,
@@ -1612,30 +1250,6 @@ fn run() -> Result<(), String> {
         if let Some(speedup) = d.speedup_spider_vs_legacy() {
             println!("[{}] spider vs legacy wall-clock: {speedup:.2}x", d.name);
         }
-        if let Some(reduction) = d.disk.read_call_reduction() {
-            println!(
-                "[{}] disk read_calls: bufreader/block = {reduction:.1}x fewer",
-                d.name
-            );
-        }
-        if let Some(speedup) = d.disk.speedup_block_vs_bufreader() {
-            println!(
-                "[{}] disk spider: block vs bufreader wall-clock: {speedup:.2}x",
-                d.name
-            );
-        }
-        if let Some(reduction) = d.export.alloc_reduction() {
-            println!(
-                "[{}] export allocs: legacy/arena = {reduction:.1}x fewer",
-                d.name
-            );
-        }
-        if let Some(speedup) = d.export.speedup_arena_vs_legacy() {
-            println!(
-                "[{}] export wall-clock: arena vs legacy = {speedup:.2}x",
-                d.name
-            );
-        }
         if let Some(speedup) = d.export.speedup_export_parallel_vs_serial() {
             println!(
                 "[{}] export wall-clock: {} workers vs one = {speedup:.2}x",
@@ -1644,376 +1258,312 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let json = bench_json(
-        scale,
-        block_size,
-        memory_budget,
-        check,
-        &datasets,
-        &nary,
-        &resume,
-    );
-    std::fs::write(&out_path, json.pretty()).map_err(|e| format!("writing {out_path}: {e}"))?;
+    let json = bench_json(&args, &datasets, &nary, &resume);
+    std::fs::write(out_path, json.pretty()).map_err(|e| format!("writing {out_path}: {e}"))?;
     println!("[written to {out_path}]");
+    if !args.check {
+        return Ok(());
+    }
 
-    if check {
-        let read_back = std::fs::read_to_string(&out_path)
-            .map_err(|e| format!("re-reading {out_path}: {e}"))?;
-        let parsed = parse(&read_back).map_err(|e| format!("{out_path}: {e}"))?;
-        if let Some(key) = REQUIRED_KEYS
-            .split_whitespace()
-            .find(|key| !has_key(&parsed, key))
-        {
-            return Err(format!("{out_path}: missing key \"{key}\""));
+    let read_back =
+        std::fs::read_to_string(out_path).map_err(|e| format!("re-reading {out_path}: {e}"))?;
+    let parsed = parse(&read_back).map_err(|e| format!("{out_path}: {e}"))?;
+    if let Some(key) = REQUIRED_KEYS
+        .split_whitespace()
+        .find(|key| !has_key(&parsed, key))
+    {
+        return Err(format!("{out_path}: missing key \"{key}\""));
+    }
+    for d in &datasets {
+        check_dataset(d, scale, memory_budget)?;
+    }
+    // n-ary gates: the levelwise pipeline must find the chains schema's
+    // composite FK, and apriori generation must engage — arity-2
+    // candidates generated strictly below the count enumerable without
+    // projection pruning (all attribute-pair pairs).
+    let level2 = nary
+        .levels
+        .iter()
+        .find(|l| l.arity == 2)
+        .ok_or("nary section is missing level 2")?;
+    if level2.satisfied == 0 {
+        return Err("[nary] the chains composite FK was not found".into());
+    }
+    if level2.generated >= level2.enumerable {
+        return Err(format!(
+            "[nary] apriori pruning is not engaging: {} arity-2 candidates generated \
+             of {} enumerable",
+            level2.generated, level2.enumerable
+        ));
+    }
+    // Resume gates: the last-batch crash must leave at least half the
+    // exports reusable, every attribute must be accounted for, and the
+    // unpublished segment's `.tmp` must be swept. The two wall times are
+    // recorded but not compared: both are bound by fsync latency, which
+    // belongs to the disk.
+    if resume.exports_reused < resume.attributes as u64 / 2 {
+        return Err(format!(
+            "[resume] only {} of {} exports were reused after the last-batch crash — \
+             the trailers are no longer preserving published work",
+            resume.exports_reused, resume.attributes
+        ));
+    }
+    if resume.exports_reused + resume.exports_redone != resume.attributes as u64 {
+        return Err(format!(
+            "[resume] reused {} + redone {} != {} attributes",
+            resume.exports_reused, resume.exports_redone, resume.attributes
+        ));
+    }
+    if resume.orphans_swept == 0 {
+        return Err("[resume] the unpublished segment stage was never swept".into());
+    }
+    println!(
+        "[check ok: JSON valid, zero-allocation property holds, reads equal the legacy \
+         engine's, block reads amortised, nary level-2 generation {}x below enumeration, \
+         resume reused {} of {} exports]",
+        (level2.enumerable / level2.generated.max(1)),
+        resume.exports_reused,
+        resume.attributes
+    );
+    Ok(())
+}
+
+/// The `--check` gates of one dataset.
+fn check_dataset(d: &DatasetResult, scale: usize, memory_budget: usize) -> Result<(), String> {
+    let name = d.name;
+    // Zero-allocation gate: the current engine's allocation count must be
+    // a small constant (setup vectors only), not O(items_read) like the
+    // legacy shape. The bound is generous — the engine itself does ~a
+    // dozen setup allocations.
+    let (spider, legacy) = (d.engine("spider")?, d.engine("legacy")?);
+    if spider.allocs > 2_000 {
+        return Err(format!(
+            "[{name}] spider performed {} allocations — steady-state loop is no longer \
+             allocation-free (items_read={})",
+            spider.allocs, spider.metrics.items_read
+        ));
+    }
+    // Observability gates: the traced merge must stay allocation-free (the
+    // event ring is warmed before measuring) and cost at most 10% + 2 ms
+    // over the traced-off run — the "zero-overhead when off, near-zero
+    // when on" contract.
+    let traced = d.engine("spider_traced")?;
+    if traced.allocs > 2_000 {
+        return Err(format!(
+            "[{name}] traced spider performed {} allocations — tracing broke the \
+             allocation-free merge (items_read={})",
+            traced.allocs, traced.metrics.items_read
+        ));
+    }
+    if traced.wall_ms > spider.wall_ms * 1.10 + 2.0 {
+        return Err(format!(
+            "[{name}] traced spider costs {:.2} ms vs {:.2} ms untraced — span \
+             recording is no longer near-free",
+            traced.wall_ms, spider.wall_ms
+        ));
+    }
+    // Comparator-split sanity: the tournament tree must be doing (and
+    // counting) real work in the merge.
+    let compares = spider.metrics.key_compares + spider.metrics.memcmp_compares;
+    if compares == 0 {
+        return Err(format!(
+            "[{name}] spider reported no key/memcmp compares — the comparator split is \
+             not being counted"
+        ));
+    }
+    // Comparison-count gate, exact on every host: each value read costs
+    // one leaf-to-root replay (a match per level) plus the test that puts
+    // it in its group, with one level of slack; the tree's build plays at
+    // most a path per cursor; and deciding whether a member stays open
+    // reads at most one other cursor per candidate it refutes. A binary
+    // heap's pop + push per value read fails it on pdb (19.6 per value
+    // against a bound of 12).
+    let m = &spider.metrics;
+    let height = u64::from(m.cursor_opens.max(1).next_power_of_two().ilog2());
+    let refuted = (d.candidates - spider.satisfied) as u64;
+    let bound = m.items_read * (height + 2) + m.cursor_opens * height + refuted;
+    if compares > bound {
+        return Err(format!(
+            "[{name}] spider made {compares} value comparisons for {} values read over {} \
+             cursors (bound {bound}) — the merge no longer pays one tree replay per value \
+             read",
+            m.items_read, m.cursor_opens
+        ));
+    }
+    // Equal-set classes gate, exact on every host: the finder's merge opens
+    // one cursor per class (its IND set was already held to the
+    // full-candidate `run_spider` set).
+    if d.finder.cursor_opens != d.finder.value_set_classes {
+        return Err(format!(
+            "[{name}] the finder's merge opened {} cursors for {} value-set classes",
+            d.finder.cursor_opens, d.finder.value_set_classes
+        ));
+    }
+    // Merge wall-clock gate: the frozen legacy engine runs in the same
+    // process on the same data, so the ratio calibrates the machine away;
+    // it was 3.30 at PR 2, fell to 1.82 when the comparator started
+    // re-deriving both keys on every call, and no ratio between two rows
+    // of the current engine could see that. Enforced once the merge is
+    // long enough to time (several milliseconds on pdb from scale 100 up).
+    if name == "pdb" && scale >= MERGE_GATE_MIN_SCALE {
+        let speedup = d
+            .speedup_spider_vs_legacy()
+            .ok_or("missing legacy/spider rows")?;
+        if speedup < MERGE_GATE_MIN_SPEEDUP {
+            return Err(format!(
+                "[pdb] spider is only {speedup:.2}x the frozen legacy engine (required \
+                 {MERGE_GATE_MIN_SPEEDUP}x at scale {scale}) — the merge loop's \
+                 per-comparison cost regressed"
+            ));
         }
-        // Zero-allocation gate: the current engine's allocation count must
-        // be a small constant (setup vectors only), not O(items_read) like
-        // the legacy shape. The bound is generous — the engine itself does
-        // ~a dozen setup allocations.
-        for d in &datasets {
-            let spider = d
-                .engines
-                .iter()
-                .find(|e| e.engine == "spider")
-                .ok_or("missing spider row")?;
-            if spider.allocs > 2_000 {
-                return Err(format!(
-                    "[{}] spider performed {} allocations — steady-state loop is no longer \
-                     allocation-free (items_read={})",
-                    d.name, spider.allocs, spider.metrics.items_read
-                ));
-            }
-            // Observability gates (schema v6): the traced merge must stay
-            // allocation-free (the event ring is warmed before measuring)
-            // and cost at most 10% + 2 ms over the traced-off run — the
-            // "zero-overhead when off, near-zero when on" contract.
-            // Byte-identity with `expected` was already enforced when the
-            // row was measured.
-            let traced = d
-                .engines
-                .iter()
-                .find(|e| e.engine == "spider_traced")
-                .ok_or("missing spider_traced row")?;
-            if traced.allocs > 2_000 {
-                return Err(format!(
-                    "[{}] traced spider performed {} allocations — tracing broke the \
-                     allocation-free merge (items_read={})",
-                    d.name, traced.allocs, traced.metrics.items_read
-                ));
-            }
-            if traced.wall_ms > spider.wall_ms * 1.10 + 2.0 {
-                return Err(format!(
-                    "[{}] traced spider costs {:.2} ms vs {:.2} ms untraced — span \
-                     recording is no longer near-free",
-                    d.name, traced.wall_ms, spider.wall_ms
-                ));
-            }
-            // Comparator-split sanity: the tournament tree must be doing
-            // (and counting) real work in the merge.
-            let compares = spider.metrics.key_compares + spider.metrics.memcmp_compares;
-            if compares == 0 {
-                return Err(format!(
-                    "[{}] spider reported no key/memcmp compares — the comparator \
-                     split is not being counted",
-                    d.name
-                ));
-            }
-            // Comparison-count gate, exact on every host: each value read
-            // costs one leaf-to-root replay (a match per level) plus the test
-            // that puts it in its group, with one level of slack; the tree's
-            // build plays at most a path per cursor; and deciding whether a
-            // member stays open reads at most one other cursor per candidate
-            // it refutes. A binary heap's pop + push per value read fails it
-            // on pdb (19.6 per value against a bound of 12).
-            let height = u64::from(
-                spider
-                    .metrics
-                    .cursor_opens
-                    .max(1)
-                    .next_power_of_two()
-                    .ilog2(),
-            );
-            let refuted = (d.candidates - spider.satisfied) as u64;
-            let bound = spider.metrics.items_read * (height + 2)
-                + spider.metrics.cursor_opens * height
-                + refuted;
-            if compares > bound {
-                return Err(format!(
-                    "[{}] spider made {compares} value comparisons for {} values read over {} \
-                     cursors (bound {bound}) — the merge no longer pays one tree replay per \
-                     value read",
-                    d.name, spider.metrics.items_read, spider.metrics.cursor_opens
-                ));
-            }
-            // Equal-set classes gate, exact on every host: the finder's merge
-            // opens one cursor per class (its IND set was already held to
-            // the full-candidate `run_spider` set).
-            if d.finder.cursor_opens != d.finder.value_set_classes {
-                return Err(format!(
-                    "[{}] the finder's merge opened {} cursors for {} value-set classes",
-                    d.name, d.finder.cursor_opens, d.finder.value_set_classes
-                ));
-            }
-            // Merge wall-clock gate: the one timing assertion that is not
-            // traced-vs-untraced of the same engine. The frozen legacy
-            // engine runs in the same process on the same data, so the
-            // ratio calibrates the machine away; it was 3.30 at PR 2, fell
-            // to 1.82 when the comparator started re-deriving both keys on
-            // every call, and no ratio between two rows of the current
-            // engine could see that. Enforced once the merge is long
-            // enough to time (several milliseconds on pdb from scale 100 up).
-            if d.name == "pdb" && scale >= MERGE_GATE_MIN_SCALE {
-                let speedup = d
-                    .speedup_spider_vs_legacy()
-                    .ok_or("missing legacy/spider rows")?;
-                if speedup < MERGE_GATE_MIN_SPEEDUP {
-                    return Err(format!(
-                        "[pdb] spider is only {speedup:.2}x the frozen legacy engine \
-                         (required {MERGE_GATE_MIN_SPEEDUP}x at scale {scale}) — the merge \
-                         loop's per-comparison cost regressed"
-                    ));
-                }
-            }
-            let legacy = d
-                .engines
-                .iter()
-                .find(|e| e.engine == "legacy")
-                .ok_or("missing legacy row")?;
-            // Exact-read gate, the same on every host: parked references
-            // read without a tree replay, but the engine must still read,
-            // compare and open exactly what the frozen gather-then-decide
-            // engine does.
-            let io = |m: &RunMetrics| {
-                (
-                    m.items_read,
-                    m.value_bytes_read,
-                    m.comparisons,
-                    m.cursor_opens,
-                )
-            };
-            if io(&spider.metrics) != io(&legacy.metrics) {
-                return Err(format!(
-                    "[{}] spider read (items, bytes, comparisons, cursor opens) = {:?}, \
-                     the frozen legacy engine {:?}",
-                    d.name,
-                    io(&spider.metrics),
-                    io(&legacy.metrics)
-                ));
-            }
-            if legacy.allocs <= spider.allocs {
-                return Err(format!(
-                    "[{}] legacy engine allocated no more than spider ({} vs {}) — \
-                     counting allocator is not measuring",
-                    d.name, legacy.allocs, spider.allocs
-                ));
-            }
-            // Block-layer gate: the block reader must issue several times
-            // fewer read calls than the per-record legacy shape (the
-            // committed scale-200 baseline shows > 10x), and bigger blocks
-            // must never need more fills.
-            let reduction = d
-                .disk
-                .read_call_reduction()
-                .ok_or("missing disk read-call rows")?;
-            if reduction < 4.0 {
-                return Err(format!(
-                    "[{}] block reader read_calls only {reduction:.1}x below the per-record \
-                     BufReader shape — the block layer is no longer amortising reads",
-                    d.name
-                ));
-            }
-            if !d
-                .disk
-                .sweep
-                .windows(2)
-                .all(|w| w[0].read_calls >= w[1].read_calls)
-            {
-                return Err(format!(
-                    "[{}] sweep read_calls grew with block size: {:?}",
-                    d.name,
-                    d.disk
-                        .sweep
-                        .iter()
-                        .map(|s| (s.block_size, s.read_calls))
-                        .collect::<Vec<_>>()
-                ));
-            }
-            let block = d
-                .disk
-                .engines
-                .iter()
-                .find(|e| e.engine == "spider_block")
-                .ok_or("missing spider_block row")?;
-            // Checksum gate (schema v5): the verified row must read exactly
-            // what the raw row reads, detect nothing on healthy files, and
-            // cost at most 50% over the raw framed read even at noisy check
-            // scales — the committed scale-200 baseline shows low single
-            // digits.
-            let verified = d
-                .disk
-                .engine("spider_checksum")
-                .ok_or("missing spider_checksum row")?;
-            if verified.io.checksum_failures != 0 || verified.io.io_retries != 0 {
-                return Err(format!(
-                    "[{}] healthy files tripped the robustness counters: \
-                     {} checksum failures, {} retries",
-                    d.name, verified.io.checksum_failures, verified.io.io_retries
-                ));
-            }
-            if verified.io.read_calls != block.io.read_calls {
-                return Err(format!(
-                    "[{}] checksum verification changed read_calls: {} vs {}",
-                    d.name, verified.io.read_calls, block.io.read_calls
-                ));
-            }
-            if verified.wall_ms > block.wall_ms * 1.5 + 5.0 {
-                return Err(format!(
-                    "[{}] per-frame verification costs {:.2} ms vs {:.2} ms raw — \
-                     checksums are no longer close to free",
-                    d.name, verified.wall_ms, block.wall_ms
-                ));
-            }
-            // Export-phase gates: the arena sorter's in-memory path must
-            // stay steady-state allocation-free (a small constant per
-            // attribute — arena/index warm-up, one writer block, min/max —
-            // never O(values pushed)), and the frozen legacy shape must
-            // allocate at least 10x more on identical inputs.
-            let arena = d.export.sorter("arena").ok_or("missing export arena row")?;
-            if arena.runs != 0 {
-                return Err(format!(
-                    "[{}] arena row must be the in-memory path, spilled {} runs",
-                    d.name, arena.runs
-                ));
-            }
-            let alloc_bound = (d.export.attributes as u64) * 32 + 512;
-            if arena.allocs > alloc_bound {
-                return Err(format!(
-                    "[{}] arena export performed {} allocations for {} attributes \
-                     (bound {alloc_bound}) — the export pipeline is no longer \
-                     steady-state allocation-free (pushed={})",
-                    d.name, arena.allocs, d.export.attributes, d.export.pushed
-                ));
-            }
-            // The reduction is an asymptotic claim — legacy allocates
-            // O(values pushed), the arena sorter O(attributes) — so the
-            // full 10x is enforced once the per-attribute constants (one
-            // writer block, min/max, file create) have data to amortise
-            // over (>= 100 values per attribute; the committed scale-200
-            // baseline is far past this). Toy scales keep a 3x floor.
-            let reduction = d
-                .export
-                .alloc_reduction()
-                .ok_or("missing export sorter rows")?;
-            let dense = d.export.pushed >= 100 * d.export.attributes as u64;
-            let min_reduction = if dense { 10.0 } else { 3.0 };
-            if reduction < min_reduction {
-                return Err(format!(
-                    "[{}] legacy sorter allocated only {reduction:.1}x more than the arena \
-                     sorter (required {min_reduction}x at pushed={}, attributes={}) — the \
-                     arena rewrite is no longer paying off",
-                    d.name, d.export.pushed, d.export.attributes
-                ));
-            }
-            // Round-trip gate: the export_checksum row (arena export + full
-            // verified read-back) must exist and stay on the in-memory
-            // path, like the arena row it extends.
-            let round_trip = d
-                .export
-                .sorter("export_checksum")
-                .ok_or("missing export_checksum row")?;
-            if round_trip.runs != 0 {
-                return Err(format!(
-                    "[{}] export_checksum row must be the in-memory path, spilled {} runs",
-                    d.name, round_trip.runs
-                ));
-            }
-            // Spill gates: the smallest sweep budget must actually force
-            // multi-run spills (so the spill-merge path is exercised every
-            // check run), and runs must not increase with the budget.
-            let smallest = d
-                .export
-                .sweep
-                .first()
-                .ok_or("missing export budget sweep")?;
-            if smallest.runs == 0 {
-                return Err(format!(
-                    "[{}] a {}-byte budget produced no spill runs — the sweep no longer \
-                     exercises the merge path",
-                    d.name, smallest.memory_budget
-                ));
-            }
-            if !d.export.sweep.windows(2).all(|w| w[0].runs >= w[1].runs) {
-                return Err(format!(
-                    "[{}] sweep runs grew with the memory budget: {:?}",
-                    d.name,
-                    d.export
-                        .sweep
-                        .iter()
-                        .map(|s| (s.memory_budget, s.runs))
-                        .collect::<Vec<_>>()
-                ));
-            }
-            // The configured budget must appear as its own measured row
-            // whenever it differs from the default (the CI smoke passes
-            // --memory-budget 4096 to drive the spill merge end to end).
-            if memory_budget != SortOptions::DEFAULT_MEMORY_BUDGET
-                && d.export.sorter("arena_budget").is_none()
-            {
-                return Err(format!(
-                    "[{}] --memory-budget {memory_budget} was set but the arena_budget \
-                     row is missing",
-                    d.name
-                ));
-            }
-        }
-        // n-ary gates: the levelwise pipeline must find the chains schema's
-        // composite FK, and apriori generation must engage — arity-2
-        // candidates generated strictly below the count enumerable without
-        // projection pruning (all attribute-pair pairs).
-        let level2 = nary
-            .levels
+    }
+    // Exact-read gate, the same on every host: parked references read
+    // without a tree replay, but the engine must still read, compare and
+    // open exactly what the frozen gather-then-decide engine does.
+    let io = |m: &RunMetrics| {
+        (
+            m.items_read,
+            m.value_bytes_read,
+            m.comparisons,
+            m.cursor_opens,
+        )
+    };
+    if io(&spider.metrics) != io(&legacy.metrics) {
+        return Err(format!(
+            "[{name}] spider read (items, bytes, comparisons, cursor opens) = {:?}, the \
+             frozen legacy engine {:?}",
+            io(&spider.metrics),
+            io(&legacy.metrics)
+        ));
+    }
+    if legacy.allocs <= spider.allocs {
+        return Err(format!(
+            "[{name}] legacy engine allocated no more than spider ({} vs {}) — counting \
+             allocator is not measuring",
+            legacy.allocs, spider.allocs
+        ));
+    }
+    // Read-call gate, exact on every host: a reader that reads each record
+    // with two `read_exact`s over a buffered file makes 4 calls per cursor
+    // (header and footer) plus 2 per value read; the block reader must
+    // issue at least 4x fewer. Bigger blocks must never need more fills.
+    let block = d
+        .disk
+        .engine("spider_block")
+        .ok_or("missing spider_block row")?;
+    let per_record = 4 * block.metrics.cursor_opens + 2 * block.metrics.items_read;
+    if 4 * block.io.read_calls > per_record {
+        return Err(format!(
+            "[{name}] read-call gate: spider_block made {} read calls, more than a quarter \
+             of the per-record shape's {per_record} (4 per cursor + 2 per value read) — \
+             the block layer is no longer amortising reads",
+            block.io.read_calls
+        ));
+    }
+    if !d
+        .disk
+        .sweep
+        .windows(2)
+        .all(|w| w[0].read_calls >= w[1].read_calls)
+    {
+        let sweep: Vec<_> = d
+            .disk
+            .sweep
             .iter()
-            .find(|l| l.arity == 2)
-            .ok_or("nary section is missing level 2")?;
-        if level2.satisfied == 0 {
-            return Err("[nary] the chains composite FK was not found".into());
-        }
-        if level2.generated >= level2.enumerable {
+            .map(|s| (s.block_size, s.read_calls))
+            .collect();
+        return Err(format!(
+            "[{name}] sweep read_calls grew with block size: {sweep:?}"
+        ));
+    }
+    // Checksum gate: the verified row must read exactly what the raw row
+    // reads, detect nothing on healthy files, and cost at most 50% over
+    // the raw framed read even at noisy check scales.
+    let verified = d
+        .disk
+        .engine("spider_checksum")
+        .ok_or("missing spider_checksum row")?;
+    if verified.io.checksum_failures != 0 || verified.io.io_retries != 0 {
+        return Err(format!(
+            "[{name}] healthy files tripped the robustness counters: {} checksum \
+             failures, {} retries",
+            verified.io.checksum_failures, verified.io.io_retries
+        ));
+    }
+    if verified.io.read_calls != block.io.read_calls {
+        return Err(format!(
+            "[{name}] checksum verification changed read_calls: {} vs {}",
+            verified.io.read_calls, block.io.read_calls
+        ));
+    }
+    if verified.wall_ms > block.wall_ms * 1.5 + 5.0 {
+        return Err(format!(
+            "[{name}] per-frame verification costs {:.2} ms vs {:.2} ms raw — checksums \
+             are no longer close to free",
+            verified.wall_ms, block.wall_ms
+        ));
+    }
+    // Export gates: at the default budget the one-worker export (and its
+    // verified round trip) stays in memory, and it allocates a small
+    // constant per attribute (index and arena warm-up, one writer block,
+    // min/max, the trailer entry), never O(values pushed).
+    let export = &d.export;
+    for pass in ["export_serial", "export_checksum"] {
+        let row = export
+            .pass(pass)
+            .ok_or_else(|| format!("missing {pass} row"))?;
+        if row.spill_runs != 0 {
             return Err(format!(
-                "[nary] apriori pruning is not engaging: {} arity-2 candidates generated \
-                 of {} enumerable",
-                level2.generated, level2.enumerable
+                "[{name}] {pass} must be the in-memory path, spilled {} runs",
+                row.spill_runs
             ));
         }
-        // Resume gates (schema v7): the last-batch crash must leave at
-        // least half the exports reusable, every attribute must be
-        // accounted for, and the unpublished segment's `.tmp` must be
-        // swept. The
-        // two wall times are recorded but not compared: both are bound by
-        // fsync latency, which belongs to the disk.
-        if resume.exports_reused < resume.attributes as u64 / 2 {
-            return Err(format!(
-                "[resume] only {} of {} exports were reused after the last-batch crash — \
-                 the trailers are no longer preserving published work",
-                resume.exports_reused, resume.attributes
-            ));
-        }
-        if resume.exports_reused + resume.exports_redone != resume.attributes as u64 {
-            return Err(format!(
-                "[resume] reused {} + redone {} != {} attributes",
-                resume.exports_reused, resume.exports_redone, resume.attributes
-            ));
-        }
-        if resume.orphans_swept == 0 {
-            return Err("[resume] the unpublished segment stage was never swept".into());
-        }
-        println!(
-            "[check ok: JSON valid, zero-allocation property holds, reads equal the legacy \
-             engine's, block reads amortised, nary level-2 generation {}x below enumeration, resume reused {} of {} exports]",
-            (level2.enumerable / level2.generated.max(1)),
-            resume.exports_reused,
-            resume.attributes
-        );
+    }
+    let serial = export
+        .pass("export_serial")
+        .ok_or("missing export_serial row")?;
+    let alloc_bound = (export.attributes as u64) * 32 + 512;
+    if serial.allocs > alloc_bound {
+        return Err(format!(
+            "[{name}] export_serial performed {} allocations for {} attributes (bound \
+             {alloc_bound}) — the export is no longer steady-state allocation-free \
+             (pushed={})",
+            serial.allocs, export.attributes, export.pushed
+        ));
+    }
+    // Spill gates: the smallest sweep budget must actually force multi-run
+    // spills (so the spill-merge path is exercised every check run), and
+    // runs must not increase with the budget.
+    let (smallest, first) = export.sweep.first().ok_or("missing export budget sweep")?;
+    if first.spill_runs == 0 {
+        return Err(format!(
+            "[{name}] a {smallest}-byte budget produced no spill runs — the sweep no \
+             longer exercises the merge path"
+        ));
+    }
+    if !export
+        .sweep
+        .windows(2)
+        .all(|w| w[0].1.spill_runs >= w[1].1.spill_runs)
+    {
+        let sweep: Vec<_> = export
+            .sweep
+            .iter()
+            .map(|(b, p)| (*b, p.spill_runs))
+            .collect();
+        return Err(format!(
+            "[{name}] sweep runs grew with the memory budget: {sweep:?}"
+        ));
+    }
+    // The configured budget must appear as its own measured row whenever it
+    // differs from the default (the CI smoke passes --memory-budget 4096 to
+    // drive the spill merge end to end).
+    if memory_budget != SortOptions::DEFAULT_MEMORY_BUDGET && export.pass("export_budget").is_none()
+    {
+        return Err(format!(
+            "[{name}] --memory-budget {memory_budget} was set but the export_budget row is \
+             missing"
+        ));
     }
     Ok(())
 }

@@ -16,22 +16,18 @@
 //! * `scalability` — Sec. 4.2: the cursors single-pass holds against the
 //!   descriptors it opens, and block-wise under a cursor cap;
 //! * `run_all` — everything above in sequence;
-//! * `bench_spider` — the perf-trajectory harness: current zero-allocation
-//!   SPIDER vs the frozen [`legacy_spider`] engine shape (counting
-//!   allocator), the disk-backed section — the same engine
-//!   over the frozen [`legacy_reader`] `BufReader` shape vs the block
-//!   reader, with read-call counts and a block-size sweep — and the
-//!   export section: the arena sorter vs the frozen [`legacy_sorter`]
-//!   shape over a whole-database export, with allocation counts and a
-//!   memory-budget spill sweep; writes the machine-readable
-//!   `BENCH_spider.json` baseline (see the README's Performance section).
+//! * `bench_spider` — the perf-trajectory harness: the zero-allocation
+//!   SPIDER merge against the frozen [`legacy_spider`] engine (counting
+//!   allocator), the same engine over the block reader with read-call
+//!   counts and a block-size sweep, and the library's own export with
+//!   allocation counts and a memory-budget spill sweep; writes the
+//!   machine-readable `BENCH_spider.json` baseline (see the README's
+//!   Performance section).
 
 #![warn(missing_docs)]
 
 pub mod datasets;
 pub mod experiments;
-pub mod legacy_reader;
-pub mod legacy_sorter;
 pub mod legacy_spider;
 pub mod sql_deadline;
 pub mod table;

@@ -54,8 +54,9 @@
 //! the tree would have advanced it before the dependent. The engine
 //! therefore reads the same values and closes the same cursors as the
 //! gather-then-decide shape `ind_bench::legacy_spider` keeps frozen (a
-//! proptest holds the two together, and `bench_spider --check` compares
-//! the counts on every dataset). `RunMetrics::parked_reads` counts the
+//! proptest holds the two together, and `bench_spider --check` holds the
+//! `spider` row's reads, comparisons and cursor opens to the `legacy`
+//! row's on every dataset). `RunMetrics::parked_reads` counts the
 //! values read by parked cursors.
 //!
 //! # Zero-allocation merge engine
@@ -92,10 +93,10 @@
 //!
 //! All working buffers (tree nodes, slot keys, group scratch, group
 //! bitmask, parked bitmask and probe ordinals, satisfied output) are
-//! allocated once before the merge starts. The
-//! `crates/bench/src/bin/bench_spider.rs` harness demonstrates the property
-//! with a counting allocator: allocation count stays a small constant while
-//! `items_read` scales with the data.
+//! allocated once before the merge starts. `bench_spider` counts them with
+//! a counting allocator: a `run_spider` call makes a small constant number
+//! of allocations while `items_read` scales with
+//! the data, and `--check` fails past 2,000.
 
 use crate::candidates::Candidate;
 use crate::compact::CompactIds;

@@ -1,11 +1,12 @@
 //! `ind-lint` — an in-tree static invariant checker.
 //!
-//! PRs 2–5 turned the SPIDER reproduction's performance story into hard
-//! invariants: a 14-allocation merge loop, an arena-backed export pipeline,
-//! zero-copy block cursors, and exactly two audited `unsafe` sites. Those
-//! invariants were enforced only at runtime by `bench_spider --check`; one
-//! innocent `to_vec()` in the merge loop or a swallowed `remove_file`
-//! error in the spill path would ship silently until a benchmark noticed.
+//! The SPIDER reproduction's performance story rests on invariants: an
+//! allocation-free merge loop, an export that allocates per attribute and
+//! never per value, zero-copy block cursors, and a few audited `unsafe`
+//! sites. `bench_spider --check` holds the allocation counts at runtime,
+//! on the data it generates; one innocent `to_vec()` in the merge loop or
+//! a swallowed `remove_file` error in the spill path would ship silently
+//! until a benchmark noticed.
 //! This crate enforces them at review time, on every file, in every
 //! `cargo test`.
 //!

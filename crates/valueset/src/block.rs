@@ -26,13 +26,14 @@
 //!   read first lands (each byte at most once per cursor);
 //! * a reader reads one *stream* of a descriptor with positional reads
 //!   from the stream's offset on, so every cursor into a segment
-//!   ([`crate::SegmentWriter`]) shares that segment's one descriptor, and
+//!   ([`crate::segment::SegmentWriter`]) shares that segment's one descriptor, and
 //!   the stream's size caps each read, so it never reads into the next;
 //! * every `pread` sent to the OS is counted where it is made,
 //!   in the fault wrapper ([`crate::fault`]), locally
 //!   ([`BlockReader::read_calls`]) and into an optional shared
 //!   [`ReadStats`], so harnesses report measured syscall counts
-//!   (`BENCH_spider.json`'s `read_calls`).
+//!   (`BENCH_spider.json`'s `read_calls`, which `bench_spider --check`
+//!   holds to a quarter of a per-record reader's `4·cursors + 2·values`).
 //!
 //! Reads are synchronous, issued on the consuming thread: every byte flows
 //! file → fault-injection wrapper ([`crate::fault`]) → block, where the v2

@@ -32,7 +32,7 @@
 //!
 //! * **Resident values** — the cells of a stored column, which already lie
 //!   back to back in the column's buffer. The resident entry point (what
-//!   [`crate::extract_with_sorter`] drives) indexes them where they lie: no
+//!   `extract_with_sorter` drives) indexes them where they lie: no
 //!   cell is copied, and the budget charges what the sorter allocates —
 //!   16 index bytes per value, sized once from the column's row count and
 //!   clamped to the budget. Only a column whose *index* outgrows the budget
@@ -157,7 +157,7 @@ pub struct SortStats {
     pub max: Option<Vec<u8>>,
     /// Content hash of the whole source column, NULLs included (the
     /// resume's staleness check). The sorter never sees NULLs, so it
-    /// reports 0; [`crate::extract_with_sorter`] fills it in from the pass
+    /// reports 0; `extract_with_sorter` fills it in from the pass
     /// that indexes the cells.
     pub source_hash: u64,
 }
@@ -235,7 +235,7 @@ impl ExternalSorter {
     /// values that are stored nowhere yet — tuple encodings and canonical
     /// renderings land in their final resting place with no intermediate
     /// scratch vector. (A stored column's cells are not pushed at all:
-    /// [`crate::extract_with_sorter`] sorts them where they lie.)
+    /// `extract_with_sorter` sorts them where they lie.)
     pub fn push_with(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
         // The rendered length is unknown up front, so the largest rendering
         // seen so far stands in for it: when values are already buffered and
@@ -1262,7 +1262,7 @@ mod tests {
         let mut sorter = ExternalSorter::new(&dir.join("spill"), SortOptions::default()).unwrap();
         let mut extract = |name: &str| {
             let mut writer = ValueFileWriter::create(&dir.join(name)).unwrap();
-            crate::extract_with_sorter(&column, &mut sorter, &mut writer).unwrap()
+            crate::extract::extract_with_sorter(&column, &mut sorter, &mut writer).unwrap()
         };
         let first = extract("d.indv");
         let second = extract("e.indv");
@@ -1294,7 +1294,8 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
             let mut writer = ValueFileWriter::create(&dir.join("f.indv")).unwrap();
-            let stats = crate::extract_with_sorter(&column, &mut sorter, &mut writer).unwrap();
+            let stats =
+                crate::extract::extract_with_sorter(&column, &mut sorter, &mut writer).unwrap();
             assert_eq!(
                 (stats.arena_grows, stats.arena_bytes),
                 (2, first.arena_bytes)
@@ -1331,7 +1332,7 @@ mod tests {
         let mut sorter =
             ExternalSorter::new(&dir.join("spill"), SortOptions::with_memory_budget(4096)).unwrap();
         let mut w = ValueFileWriter::create(&dir.join("resident.indv")).unwrap();
-        let stats = crate::extract_with_sorter(&column, &mut sorter, &mut w).unwrap();
+        let stats = crate::extract::extract_with_sorter(&column, &mut sorter, &mut w).unwrap();
         w.finish().unwrap();
         assert_eq!(sorter.buf.table.capacity(), 0);
         assert_eq!((stats.distinct, stats.runs), (300, 999 / 256));
@@ -1346,13 +1347,13 @@ mod tests {
                 .unwrap();
         let small = ind_storage::Column::from_values(&cells[..100]);
         let mut w = ValueFileWriter::create(&dir.join("small.indv")).unwrap();
-        let stats = crate::extract_with_sorter(&small, &mut sorter, &mut w).unwrap();
+        let stats = crate::extract::extract_with_sorter(&small, &mut sorter, &mut w).unwrap();
         let table = arena::table_slots(100) * SLOT_BYTES;
         assert_eq!(sorter.buf.table.capacity() * SLOT_BYTES, table);
         assert_eq!(stats.arena_bytes as usize, 100 * ENTRY_BYTES + table);
         let long: Vec<ind_storage::Value> = (0..5000i64).map(ind_storage::Value::Integer).collect();
         let mut w = ValueFileWriter::create(&dir.join("long.indv")).unwrap();
-        let stats = crate::extract_with_sorter(
+        let stats = crate::extract::extract_with_sorter(
             &ind_storage::Column::from_values(&long),
             &mut sorter,
             &mut w,

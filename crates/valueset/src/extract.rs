@@ -328,7 +328,7 @@ pub(crate) fn hash_column(column: &Column) -> u64 {
 /// it ([`SortOptions::memory_budget_bytes`]). After the first attribute the
 /// steady-state cost of another column (of at most as many rows) is zero
 /// sorter allocations.
-pub fn extract_with_sorter(
+pub(crate) fn extract_with_sorter(
     column: &Column,
     sorter: &mut ExternalSorter,
     writer: &mut ValueFileWriter,

@@ -2,7 +2,7 @@
 //!
 //! One *stream* per attribute. A stream is a value file on its own (spill
 //! runs, probes, [`crate::extract_to_file`]) or one extent of a segment
-//! ([`crate::SegmentWriter`]): an export writes the streams of a batch back
+//! ([`crate::segment::SegmentWriter`]): an export writes the streams of a batch back
 //! to back into one file, each byte for byte what it would be alone. The
 //! *logical* stream:
 //!
@@ -77,7 +77,7 @@ const LEN_PREFIX: usize = 4;
 /// an `ENOSPC` or interrupted write is exercised — and, for transients,
 /// healed — at exactly one place.
 ///
-/// A writer opened by [`crate::SegmentWriter::stream`] is *durable*: when
+/// A writer opened by `SegmentWriter::stream` is *durable*: when
 /// a block flush completes whole MiB of the segment file, it asks the
 /// kernel to start writing those MiB back ([`crate::fault::start_writeback`]),
 /// so the commit's fsync waits only for the tail. Spill runs and scratch
@@ -157,7 +157,7 @@ impl ValueFileWriter {
     }
 
     /// A durable writer of the stream starting at `extent` inside `file` —
-    /// how [`crate::SegmentWriter::stream`] opens the next stream of a
+    /// how `SegmentWriter::stream` opens the next stream of a
     /// segment.
     pub(crate) fn durable_at(file: Arc<File>, extent: Extent, options: &IoOptions) -> Self {
         ValueFileWriter {
@@ -334,7 +334,7 @@ impl ValueFileWriter {
     /// Finishes a plain (scratch) file in place and returns the final
     /// count. No durability is promised: spill runs and probe files are
     /// re-creatable, and a stream meant to survive a crash is written into
-    /// a segment ([`crate::SegmentWriter`]) and published with it.
+    /// a segment (`SegmentWriter`) and published with it.
     pub fn finish(mut self) -> Result<u64> {
         self.seal()?;
         Ok(self.count)

@@ -40,7 +40,7 @@ pub use external_sort::{ExternalSorter, SortOptions, SortStats};
 pub use extract::{
     extract_composite_memory_set, extract_composite_to_file, extract_composite_with_sorter,
     extract_memory_columns, extract_memory_set, extract_sorted_distinct, extract_to_file,
-    extract_with_sorter, MemoryColumn, MAX_COMPOSITE_ARITY,
+    MemoryColumn, MAX_COMPOSITE_ARITY,
 };
 pub use fault::FaultPlan;
 pub use format::{write_value_file, ValueFileReader, ValueFileWriter};
@@ -48,6 +48,6 @@ pub use manager::{
     ExportOptions, ExportedAttribute, ExportedDatabase, FailedAttribute, ResumeMode,
 };
 pub use memory::{FlatValues, FlatValuesIter, MemoryCursor, MemoryProvider, MemoryValueSet};
-pub use segment::{read_trailer, Extent, SegmentWriter, TrailerEntry, BATCH_MAX_BYTES};
+pub use segment::{read_trailer, Extent, TrailerEntry, BATCH_MAX_BYTES};
 pub use tournament::{compare_keys, key_prefix64, TournamentTree};
 pub use tuple::{decode_tuple, encode_tuple, encode_tuple_into, tuple_arity};

@@ -374,7 +374,7 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
 /// those of a standalone value file; publication changes where they lie,
 /// never what they are.
 #[derive(Debug)]
-pub struct SegmentWriter {
+pub(crate) struct SegmentWriter {
     file: Arc<File>,
     path: PathBuf,
     /// End of the last sealed stream: where the next one starts.
@@ -408,11 +408,13 @@ impl SegmentWriter {
     }
 
     /// Bytes of sealed streams.
+    #[cfg(test)]
     pub fn len(&self) -> u64 {
         self.len
     }
 
     /// True while no stream is sealed.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.streams.is_empty()
     }

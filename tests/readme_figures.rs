@@ -1,6 +1,7 @@
-//! README's Performance paragraph, its block-I/O paragraph and its export
-//! table quote the committed `BENCH_spider.json`; this test renders the quoted fragments from the JSON
-//! and fails when the README says anything else. Regenerating the baseline
+//! README's Performance paragraph, its block-I/O and export paragraphs and
+//! its n-ary level table quote the committed `BENCH_spider.json`; this test
+//! renders the quoted fragments from the JSON and fails when the README
+//! says anything else. Regenerating the baseline
 //! (`cargo run --release -p ind-bench --bin bench_spider`) therefore means
 //! updating the paragraph in the same change. README's `## CLI` block
 //! quotes the synopsis `spider-ind help` prints, and is checked the same way.
@@ -24,6 +25,17 @@ fn dataset<'a>(bench: &'a Json, name: &str) -> &'a Json {
     named(bench, "datasets", "name", name)
 }
 
+fn section<'a>(parent: &'a Json, key: &str) -> &'a Json {
+    parent
+        .get(key)
+        .unwrap_or_else(|| panic!("BENCH_spider.json: no {key:?} section"))
+}
+
+/// The disk section's `spider_block` row of dataset `d`.
+fn block_row(d: &Json) -> &Json {
+    named(section(d, "disk"), "engines", "engine", "spider_block")
+}
+
 fn number(row: &Json, key: &str) -> f64 {
     row.get(key)
         .and_then(Json::as_f64)
@@ -43,20 +55,6 @@ fn thousands(n: f64) -> String {
     out
 }
 
-/// The export table's row for `name`, cells separated by single spaces.
-fn export_row(bench: &Json, name: &str) -> String {
-    let export = dataset(bench, name).get("export").expect("export section");
-    let allocs = |sorter: &str| number(named(export, "sorters", "sorter", sorter), "allocs");
-    format!(
-        "| {name} | {} | {} | {} | {:.1}× | {:.2}× |",
-        thousands(number(export, "pushed")),
-        thousands(allocs("legacy")),
-        thousands(allocs("arena")),
-        number(export, "alloc_reduction"),
-        number(export, "speedup_arena_vs_legacy"),
-    )
-}
-
 #[test]
 fn readme_performance_figures_match_the_committed_baseline() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -72,48 +70,69 @@ fn readme_performance_figures_match_the_committed_baseline() {
     let (pdb, biosql) = (dataset(&bench, "pdb"), dataset(&bench, "biosql"));
     let engine = |name: &str| named(pdb, "engines", "engine", name);
     let (legacy, spider) = (engine("legacy"), engine("spider"));
-    let pdb_disk = pdb.get("disk").expect("pdb disk section");
-    let biosql_disk = biosql.get("disk").expect("biosql disk section");
-    // "N → M": the BufReader shape's read calls, then the block reader's.
-    let reads = |disk: &Json| {
-        let calls = |name: &str| number(named(disk, "engines", "engine", name), "read_calls");
-        format!(
-            "{} → {}",
-            thousands(calls("spider_bufreader")),
-            thousands(calls("spider_block"))
-        )
-    };
-    let quoted = [
-        export_row(&bench, "pdb"),
-        export_row(&bench, "biosql"),
+    let count = |row: &Json, key: &str| thousands(number(row, key));
+    let (pdb_block, biosql_block) = (block_row(pdb), block_row(biosql));
+    let (pdb_export, biosql_export) = (section(pdb, "export"), section(biosql, "export"));
+    let serial = |export: &Json| count(named(export, "passes", "pass", "export_serial"), "allocs");
+    let both = |key: &str| (number(pdb_export, key), number(biosql_export, key));
+    let (pdb_par, biosql_par) = both("speedup_export_parallel_vs_serial");
+    let (pdb_probe, biosql_probe) = both("host_parallel_speedup");
+    let mut quoted = vec![
         format!("**{:.2}×** on PDB", number(pdb, "speedup_spider_vs_legacy")),
         format!(
             "({:.1} ms vs {:.1} ms; {} vs {} allocations)",
             number(spider, "wall_ms"),
             number(legacy, "wall_ms"),
-            thousands(number(spider, "allocs")),
-            thousands(number(legacy, "allocs")),
+            count(spider, "allocs"),
+            count(legacy, "allocs"),
         ),
         format!(
             "**{:.2}×** on biosql",
             number(biosql, "speedup_spider_vs_legacy")
         ),
         format!(
-            "**~{:.0}× fewer read calls** on PDB ({})",
-            number(pdb_disk, "read_call_reduction"),
-            reads(pdb_disk)
+            "{} `pread`s for {} cursors and {} values read on PDB, and {} for {} cursors and \
+             {} values on biosql",
+            count(pdb_block, "read_calls"),
+            count(pdb_block, "cursor_opens"),
+            count(pdb_block, "items_read"),
+            count(biosql_block, "read_calls"),
+            count(biosql_block, "cursor_opens"),
+            count(biosql_block, "items_read"),
         ),
         format!(
-            "**~{:.0}× fewer** on biosql ({})",
-            number(biosql_disk, "read_call_reduction"),
-            reads(biosql_disk)
+            "`export_serial` rows make {} allocations for {} pdb attributes and {} for {} \
+             biosql attributes",
+            serial(pdb_export),
+            count(pdb_export, "attributes"),
+            serial(biosql_export),
+            count(biosql_export, "attributes"),
         ),
         format!(
-            "{:.2}× (PDB) and {:.2}× (biosql) of the old reader shape's speed",
-            number(pdb_disk, "speedup_block_vs_bufreader"),
-            number(biosql_disk, "speedup_block_vs_bufreader")
+            "`pushed` ({} and {} values)",
+            count(pdb_export, "pushed"),
+            count(biosql_export, "pushed")
+        ),
+        format!(
+            "reads {pdb_par:.2}× on pdb and {biosql_par:.2}× on biosql with the probe at \
+             {pdb_probe:.2} and {biosql_probe:.2}"
         ),
     ];
+    // The n-ary level table; level 2, where apriori generation shows, is
+    // set in bold.
+    let levels = section(&bench, "nary").get("levels").and_then(Json::as_arr);
+    for level in levels.expect("nary levels") {
+        let generated = match number(level, "arity") as u64 {
+            2 => format!("**{}**", count(level, "generated")),
+            _ => count(level, "generated"),
+        };
+        quoted.push(format!(
+            "| {} | {} | {generated} | {} |",
+            count(level, "arity"),
+            count(level, "enumerable"),
+            count(level, "satisfied")
+        ));
+    }
     // Paragraphs are hard-wrapped and table cells padded: compare with
     // whitespace runs folded.
     let flat = readme.split_whitespace().collect::<Vec<_>>().join(" ");
