@@ -22,6 +22,9 @@
 //!   measured against the level's own duration;
 //! * the `discover` span agrees with `metrics.elapsed_ns` to the same
 //!   tolerance;
+//! * span counters count a span's own work, not that of concurrent
+//!   workers: no `sort` span reads more than one `attributes_exported`,
+//!   and the `sort` children of each `export` span sum to its count;
 //! * no events were dropped to ring overflow.
 //!
 //! Exits 0 when every assertion holds, 1 with a diagnostic otherwise.
@@ -108,6 +111,50 @@ fn check_levels(node: &Json, path: &str) -> Result<usize, String> {
     Ok(checked)
 }
 
+/// Asserts that no `sort` span at or below `node` counts more than one
+/// exported attribute and that each `export` span's `sort` children sum to
+/// its own count, returning the number of `export` spans checked.
+fn check_exports(node: &Json, path: &str) -> Result<usize, String> {
+    let exported = |span: &Json| {
+        span.get("counters")
+            .and_then(|c| c.get("attributes_exported"))
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{path}: missing `counters.attributes_exported`"))
+    };
+    let name = node.get("name").and_then(Json::as_str).unwrap_or("?");
+    let children = node
+        .get("children")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{path}: missing `children` array"))?;
+    let count = exported(node)?;
+    let mut checked = 0;
+    if name == "sort" && count > 1 {
+        return Err(format!(
+            "{path}: one sort span counts {count} exported attributes — it counts \
+             other workers' exports"
+        ));
+    }
+    if name == "export" {
+        let mut sorts = 0;
+        for child in children {
+            if child.get("name").and_then(Json::as_str) == Some("sort") {
+                sorts += exported(child)?;
+            }
+        }
+        if sorts != count {
+            return Err(format!(
+                "{path}: its sort spans count {sorts} exported attributes, the span {count}"
+            ));
+        }
+        checked += 1;
+    }
+    for child in children {
+        let child_name = child.get("name").and_then(Json::as_str).unwrap_or("?");
+        checked += check_exports(child, &format!("{path}/{child_name}"))?;
+    }
+    Ok(checked)
+}
+
 /// Total length of the union of `[start, end)` intervals.
 fn union_ns(mut intervals: Vec<(u64, u64)>) -> u64 {
     intervals.sort_unstable();
@@ -158,6 +205,7 @@ fn run() -> Result<(), String> {
     };
     let span_count = check_nesting(load, "load")? + check_nesting(root, "discover")?;
     let levels = check_levels(root, "discover")?;
+    let exports = check_exports(root, "discover")?;
 
     let (load_start, load_end) = interval(load)?;
     let (root_start, root_end) = interval(root)?;
@@ -204,7 +252,8 @@ fn run() -> Result<(), String> {
 
     println!(
         "[report ok: {span_count} spans, load {:.2} ms then discover {:.2} ms, phases cover \
-         {:.1}% of the run, {levels} levels covered, elapsed agrees]",
+         {:.1}% of the run, {levels} levels covered, {exports} exports count their sorts, \
+         elapsed agrees]",
         (load_end - load_start) as f64 / 1e6,
         root_dur as f64 / 1e6,
         covered as f64 * 100.0 / run_dur.max(1) as f64

@@ -12,12 +12,15 @@
 //!    (`chain.pdb_code`, `chain.chain_id`, …) are rarely unique on their
 //!    own.
 //! 2. **Level k** generates arity-`k` candidates MIND/apriori-style from
-//!    the satisfied arity-`k−1` INDs: two INDs sharing their first `k−2`
-//!    positions join into a `k`-ary candidate, which survives only if
-//!    *every* arity-`k−1` projection is itself satisfied. This projection
-//!    pruning is what keeps the exponential candidate space tractable; the
-//!    rejected joins are counted in [`RunMetrics::pruned_projection`] and
-//!    per level in [`NaryLevelStats`].
+//!    the satisfied arity-`k−1` INDs: two INDs join into a `k`-ary
+//!    candidate when they share their first `k−2` positions on both sides,
+//!    the table of their last dependent and the table of their last
+//!    reference (one sort of the level groups them into runs). It survives
+//!    only if *every* arity-`k−1` projection is itself satisfied (a binary
+//!    search in the sorted level). This projection pruning is what keeps
+//!    the exponential candidate space tractable; the rejected joins are
+//!    counted in [`RunMetrics::pruned_projection`] and per level in
+//!    [`NaryLevelStats`].
 //! 3. Each level's candidates are validated by the **unchanged** SPIDER
 //!    merge engine: every distinct attribute sequence becomes one composite
 //!    value stream (rows tuple-encoded with the order-preserving encoding
@@ -57,7 +60,7 @@ use ind_valueset::{
     extract_composite_memory_set, ExportOptions, ExportedDatabase, MemoryProvider, Result,
     ValueSetProvider, MAX_COMPOSITE_ARITY,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -125,8 +128,7 @@ pub struct NaryLevelStats {
     pub satisfied: u64,
     /// Candidates dropped at this level because a component attribute was
     /// quarantined by a keep-going run (level 1 filters directly; higher
-    /// levels inherit the exclusion through the apriori join, so a nonzero
-    /// count there means the join filter was bypassed — it never is).
+    /// levels inherit the exclusion through the apriori join and read 0).
     pub quarantined_candidates: u64,
     /// Wall-clock time of the level (generation + extraction + merge).
     pub elapsed: Duration,
@@ -333,14 +335,16 @@ impl NaryFinder {
             elapsed: level_start.elapsed(),
         }];
 
-        let mut satisfied: Vec<NaryCandidate> = Vec::new();
-        let mut prev: Vec<NaryCandidate> = unary
-            .iter()
-            .map(|c| NaryCandidate::new(vec![c.dep], vec![c.refd]))
-            .collect();
-
+        // Each level is its attribute sequences and its satisfied INDs as
+        // pairs over them, sorted as the sequences sort. Level 1's
+        // sequences are the attributes themselves.
+        let mut prev: (Vec<Vec<u32>>, _) = (
+            (0..profiles.len() as u32).map(|a| vec![a]).collect(),
+            unary.clone(),
+        );
+        let mut found_levels = Vec::new();
         for arity in 2..=max_arity {
-            if prev.is_empty() {
+            if prev.1.is_empty() {
                 break;
             }
             // Cooperative cancellation between levels (each level's merge
@@ -350,91 +354,53 @@ impl NaryFinder {
             let _level_span = ind_trace::start_arg(ind_trace::LEVEL, arity as u64);
             let pruned_before = metrics.pruned_projection;
             let generate_span = ind_trace::start(ind_trace::GENERATE);
-            let mut candidates = generate_level(&prev, &table_of, &mut metrics);
-            generate_span.finish();
-            let pruned_projection = metrics.pruned_projection - pruned_before;
+            let (groups, pairs) = generate_level(&prev.0, &prev.1, &table_of, &mut metrics);
             // The apriori join cannot produce a candidate containing a
-            // quarantined attribute (its unary projection was never
-            // satisfied); the filter stays as defense in depth and feeds
-            // the per-level counter.
-            let mut level_quarantined = 0u64;
-            if !quarantined.is_empty() {
-                let before = candidates.len();
-                candidates.retain(|c| {
-                    c.dep
-                        .iter()
-                        .chain(&c.refd)
-                        .all(|a| !quarantined.contains(a))
-                });
-                level_quarantined = (before - candidates.len()) as u64;
-            }
-            let enumerable = enumerable_at(profiles, &table_of, arity);
-            if candidates.is_empty() {
-                levels.push(NaryLevelStats {
-                    arity,
-                    enumerable,
-                    generated: 0,
-                    pruned_projection,
-                    satisfied: 0,
-                    quarantined_candidates: level_quarantined,
-                    elapsed: level_start.elapsed(),
-                });
+            // quarantined attribute: its unary projection was never
+            // satisfied.
+            debug_assert!(groups.iter().flatten().all(|a| !quarantined.contains(a)));
+            generate_span.finish();
+            let mut stats = NaryLevelStats {
+                arity,
+                enumerable: enumerable_at(profiles, &table_of, arity),
+                generated: pairs.len() as u64,
+                pruned_projection: metrics.pruned_projection - pruned_before,
+                satisfied: 0,
+                quarantined_candidates: 0,
+                elapsed: Duration::ZERO,
+            };
+            if pairs.is_empty() {
+                stats.elapsed = level_start.elapsed();
+                levels.push(stats);
                 break;
             }
 
-            // Distinct attribute sequences of the level, each one composite
-            // value stream; candidates become unary-shaped pairs over the
-            // stream ids and go through the unchanged SPIDER merge.
-            fn id_of<'a>(
-                group_ids: &mut HashMap<&'a [u32], u32>,
-                groups: &mut Vec<Vec<u32>>,
-                seq: &'a [u32],
-            ) -> u32 {
-                *group_ids.entry(seq).or_insert_with(|| {
-                    groups.push(seq.to_vec());
-                    (groups.len() - 1) as u32
-                })
-            }
-            let mut group_ids: HashMap<&[u32], u32> = HashMap::new();
-            let mut groups: Vec<Vec<u32>> = Vec::new();
-            let mut composite_pairs: Vec<Candidate> = Vec::with_capacity(candidates.len());
-            for c in &candidates {
-                let dep_id = id_of(&mut group_ids, &mut groups, &c.dep);
-                let ref_id = id_of(&mut group_ids, &mut groups, &c.refd);
-                composite_pairs.push(Candidate::new(dep_id, ref_id));
-            }
-            drop(group_ids);
-
             let provider = make_level(&groups)?;
-            let level_satisfied = run_spider(&provider, &composite_pairs, &mut metrics)?;
+            let mut found = run_spider(&provider, &pairs, &mut metrics)?;
+            let rank = content_ranks(&groups);
+            found.sort_unstable_by_key(|p| (rank[p.dep as usize], rank[p.refd as usize]));
+            stats.satisfied = found.len() as u64;
+            stats.elapsed = level_start.elapsed();
+            levels.push(stats);
+            found_levels.push(std::mem::replace(&mut prev, (groups, found)));
+        }
+        found_levels.push(prev);
 
-            let mut found: Vec<NaryCandidate> = level_satisfied
-                .iter()
-                .map(|p| {
+        // Level 1 is reported apart. Each level is sorted; the stable sort
+        // merges them into the documented global order, which can
+        // interleave arities (e.g. [3,4] < [3,4,5] < [4,5]).
+        let mut satisfied: Vec<NaryCandidate> = found_levels[1..]
+            .iter()
+            .flat_map(|(groups, pairs)| {
+                pairs.iter().map(|p| {
                     NaryCandidate::new(
                         groups[p.dep as usize].clone(),
                         groups[p.refd as usize].clone(),
                     )
                 })
-                .collect();
-            found.sort_unstable();
-            levels.push(NaryLevelStats {
-                arity,
-                enumerable,
-                generated: candidates.len() as u64,
-                pruned_projection,
-                satisfied: found.len() as u64,
-                quarantined_candidates: level_quarantined,
-                elapsed: level_start.elapsed(),
-            });
-            satisfied.extend(found.iter().cloned());
-            prev = found;
-        }
-
-        // Each level arrives sorted internally; the cross-level append can
-        // still interleave (e.g. [3,4] < [3,4,5] < [4,5]), so restore the
-        // documented global order once.
-        satisfied.sort_unstable();
+            })
+            .collect();
+        satisfied.sort();
         Ok(NaryDiscovery {
             profiles: profiles.to_vec(),
             unary,
@@ -472,107 +438,115 @@ fn generate_unary_relaxed(
 }
 
 /// Generates the arity-`k` candidates from the satisfied arity-`k−1` INDs:
-/// joins pairs sharing their first `k−2` positions, applies the structural
-/// constraints (same-table sides, duplicate-free referenced sequence,
-/// dep ≠ ref), and keeps a join only when every remaining projection is
-/// satisfied. Output is sorted and duplicate-free by construction (each
-/// candidate has exactly one generating join).
+/// `pairs` over the sequences `groups`, sorted as the sequences sort. Two INDs
+/// join when they lie in one *run* — the same dependent prefix, referenced
+/// prefix, table of the last dependent and table of the last reference — and
+/// their last dependents increase; the join must not repeat a reference nor be
+/// reflexive, and is kept only when every remaining projection is satisfied.
+/// Returns the level's distinct sequences, each one composite value stream
+/// numbered in the order the sorted candidates first name it, and the
+/// candidates as sorted pairs over those stream ids.
 fn generate_level(
-    prev: &[NaryCandidate],
+    groups: &[Vec<u32>],
+    pairs: &[Candidate],
     table_of: &[usize],
     metrics: &mut RunMetrics,
-) -> Vec<NaryCandidate> {
-    let Some(first) = prev.first() else {
-        return Vec::new();
+) -> (Vec<Vec<u32>>, Vec<Candidate>) {
+    let seq = |id: u32| groups[id as usize].as_slice();
+    // The inputs have arity k − 1 ≥ 1; `last` is their last position.
+    let Some(last) = pairs.first().and_then(|c| seq(c.dep).len().checked_sub(1)) else {
+        return (Vec::new(), Vec::new());
     };
-    let k1 = first.arity(); // arity of the inputs (k − 1)
-    if k1 == 0 {
-        return Vec::new(); // malformed input: arity-0 candidates join to nothing
-    }
-    debug_assert!(prev.iter().all(|c| c.arity() == k1));
-    let satisfied: HashSet<(&[u32], &[u32])> = prev
+    let sides = |c: &Candidate| (seq(c.dep), seq(c.refd));
+    debug_assert!(groups.iter().all(|g| g.len() == last + 1));
+    debug_assert!(pairs.windows(2).all(|w| sides(&w[0]) < sides(&w[1])));
+
+    // One stable sort parts the level into runs, each keeping its sorted
+    // order. At k = 2 the prefixes are empty and the tables alone part the
+    // level; past it the prefixes fix both tables.
+    let table = |a: u32| table_of[a as usize];
+    let mut order: Vec<_> = pairs
         .iter()
-        .map(|c| (c.dep.as_slice(), c.refd.as_slice()))
+        .map(|&c| {
+            let (dep, refd) = sides(&c);
+            let prefixes = (&dep[..last], &refd[..last]);
+            ((prefixes, table(dep[last]), table(refd[last])), c)
+        })
         .collect();
+    order.sort_by(|a, b| a.0.cmp(&b.0));
 
-    // Bucket by shared prefix (both sides); BTreeMap keeps the walk
-    // deterministic.
-    let mut buckets: BTreeMap<(&[u32], &[u32]), Vec<&NaryCandidate>> = BTreeMap::new();
-    for c in prev {
-        buckets
-            .entry((&c.dep[..k1 - 1], &c.refd[..k1 - 1]))
-            .or_default()
-            .push(c);
-    }
-
-    let mut out = Vec::new();
-    let mut proj_dep: Vec<u32> = Vec::with_capacity(k1);
-    let mut proj_ref: Vec<u32> = Vec::with_capacity(k1);
-    for members in buckets.values() {
-        for (i, a) in members.iter().enumerate() {
-            for b in &members[i + 1..] {
-                // Members are sorted by (dep, refd); within a bucket the
-                // prefixes agree, so `a.dep.last < b.dep.last` unless the
-                // last dependent coincides (two refs for one dep) — those
-                // pairs never form a sorted dependent sequence. The slice
-                // patterns are irrefutable for canonical candidates
-                // (arity ≥ 1, dep/refd aligned); anything else is skipped
-                // rather than unwrapped into a panic.
-                let ([.., da], [.., db]) = (a.dep.as_slice(), b.dep.as_slice()) else {
+    // A join `(a, b)` is `a` extended by the last position of `b`.
+    let (mut proj_dep, mut proj_ref) = (Vec::with_capacity(last), Vec::with_capacity(last));
+    let rank = content_ranks(groups);
+    let mut joins = Vec::new();
+    for run in order.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(_, a)) in run.iter().enumerate() {
+            let (a_dep, a_ref) = sides(&a);
+            for &(_, b) in &run[i + 1..] {
+                // A run is sorted by the last dependent, then the last
+                // reference: `da == db` (two references for one dependent)
+                // never forms a sorted dependent sequence. The last test
+                // rejects the trivially reflexive `dep == refd`.
+                let (db, rb) = (seq(b.dep)[last], seq(b.refd)[last]);
+                if a_dep[last] == db || a_ref.contains(&rb) || (a_dep == a_ref && db == rb) {
                     continue;
-                };
-                let (da, db) = (*da, *db);
-                if da >= db {
-                    continue;
-                }
-                let ([.., ra], [.., rb]) = (a.refd.as_slice(), b.refd.as_slice()) else {
-                    continue;
-                };
-                let (ra, rb) = (*ra, *rb);
-                // Single-table sides (only decidable here at k = 2, where
-                // prefixes are empty; implied by the join at higher arity).
-                if table_of[da as usize] != table_of[db as usize]
-                    || table_of[ra as usize] != table_of[rb as usize]
-                {
-                    continue;
-                }
-                // Duplicate-free referenced sequence.
-                if rb == ra || a.refd[..k1 - 1].contains(&rb) {
-                    continue;
-                }
-                let dep: Vec<u32> = a.dep.iter().copied().chain([db]).collect();
-                let refd: Vec<u32> = a.refd.iter().copied().chain([rb]).collect();
-                if dep == refd {
-                    continue; // trivially reflexive
                 }
                 metrics.pairs_considered += 1;
                 // The join covers the projections dropping positions k−1
-                // and k−2; check the rest.
-                let mut all_projections_hold = true;
-                for drop in 0..k1.saturating_sub(1) {
+                // and k−2; look the rest up in the sorted level.
+                let all_projections_hold = (0..last).all(|drop| {
                     proj_dep.clear();
                     proj_ref.clear();
-                    for (p, (&d, &r)) in dep.iter().zip(&refd).enumerate() {
+                    let joined = a_dep.iter().chain([&db]).zip(a_ref.iter().chain([&rb]));
+                    for (p, (&d, &r)) in joined.enumerate() {
                         if p != drop {
                             proj_dep.push(d);
                             proj_ref.push(r);
                         }
                     }
-                    if !satisfied.contains(&(proj_dep.as_slice(), proj_ref.as_slice())) {
-                        all_projections_hold = false;
-                        break;
-                    }
-                }
+                    pairs
+                        .binary_search_by(|c| sides(c).cmp(&(&proj_dep, &proj_ref)))
+                        .is_ok()
+                });
                 if all_projections_hold {
-                    out.push(NaryCandidate::new(dep, refd));
+                    let key = (rank[a.dep as usize], db, rank[a.refd as usize], rb);
+                    joins.push((key, (a.dep, db), (a.refd, rb)));
                 } else {
                     metrics.pruned_projection += 1;
                 }
             }
         }
     }
+
+    // Number the level's sequences in candidate order, dependent then
+    // reference: each is a sequence of `groups` extended by one attribute,
+    // and the key orders the joins as their candidates sort.
+    joins.sort_unstable_by_key(|j| j.0);
+    let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut next: Vec<Vec<u32>> = Vec::new();
+    let mut id_of = |(head, tail): (u32, u32)| {
+        *ids.entry((head, tail)).or_insert_with(|| {
+            next.push(seq(head).iter().copied().chain([tail]).collect());
+            (next.len() - 1) as u32
+        })
+    };
+    let mut out: Vec<Candidate> = joins
+        .into_iter()
+        .map(|(_, dep, refd)| Candidate::new(id_of(dep), id_of(refd)))
+        .collect();
     out.sort_unstable();
-    out
+    (next, out)
+}
+
+/// Each sequence's position in the sorted order of `groups`.
+fn content_ranks(groups: &[Vec<u32>]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..groups.len() as u32).collect();
+    order.sort_unstable_by_key(|&g| &groups[g as usize]);
+    let mut rank = vec![0; groups.len()];
+    for (r, &g) in order.iter().enumerate() {
+        rank[g as usize] = r as u32;
+    }
+    rank
 }
 
 /// Counts the arity-`k` candidates enumerable with no projection pruning at

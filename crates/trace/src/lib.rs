@@ -5,8 +5,9 @@
 //! **zero steady-state allocation** once tracing is warm. Span identities
 //! are pre-registered statics ([`SpanId`]), events land in thread-local
 //! fixed-size ring buffers (a full ring counts drops, never grows), and
-//! every span close carries a delta snapshot of the global progress
-//! counters, so a finished run can be folded into a span tree
+//! every span close carries a delta snapshot of its thread's progress
+//! counters (a span's tree node adds what its descendants on other threads
+//! counted), so a finished run can be folded into a span tree
 //! ([`collect`]), a versioned JSON report ([`spans_json`]), or
 //! flamegraph-compatible folded stacks ([`folded`]) without the engines
 //! ever having formatted a byte.

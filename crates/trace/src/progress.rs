@@ -1,11 +1,13 @@
-//! Global progress counters: the live surface behind `--progress` and
-//! the per-span delta snapshots.
+//! Progress counters: the global ones are the live surface behind
+//! `--progress`; each thread's own copy feeds the per-span delta snapshots,
+//! so a span counts only the work of the thread it runs on.
 //!
-//! All relaxed atomics — the numbers are telemetry, not synchronisation —
-//! and every mutator is gated on [`crate::enabled`], so a disabled run
-//! never touches the cache lines.
+//! The globals are relaxed atomics — the numbers are telemetry, not
+//! synchronisation — and every mutator is gated on [`crate::enabled`], so a
+//! disabled run never touches the cache lines.
 
 use crate::span::enabled;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of delta-snapshotted counters (the fixed span payload size).
@@ -36,11 +38,23 @@ static COUNTERS: [AtomicU64; COUNTER_COUNT] = [const { AtomicU64::new(0) }; COUN
 /// Gauge, not a counter: the engines overwrite it with the survivor count.
 static CANDIDATES_LIVE: AtomicU64 = AtomicU64::new(0);
 
-/// Adds `delta` to a counter. No-op (one relaxed load) when disabled.
+thread_local! {
+    /// This thread's share of [`COUNTERS`], never reset: spans take
+    /// wrapping deltas of it.
+    static THREAD_COUNTERS: [Cell<u64>; COUNTER_COUNT] =
+        const { [const { Cell::new(0) }; COUNTER_COUNT] };
+}
+
+/// Adds `delta` to a counter, globally and on this thread. No-op (one
+/// relaxed load) when disabled.
 #[inline]
 pub fn add_counter(counter: Counter, delta: u64) {
     if enabled() {
         COUNTERS[counter as usize].fetch_add(delta, Ordering::Relaxed);
+        THREAD_COUNTERS.with(|local| {
+            let cell = &local[counter as usize];
+            cell.set(cell.get().wrapping_add(delta));
+        });
     }
 }
 
@@ -57,16 +71,16 @@ pub fn candidates_live() -> u64 {
     CANDIDATES_LIVE.load(Ordering::Relaxed)
 }
 
-/// Snapshot of the delta-tracked counters, in [`Counter`] order.
+/// Snapshot of the global counters, in [`Counter`] order.
+fn snapshot() -> [u64; COUNTER_COUNT] {
+    COUNTERS.each_ref().map(|c| c.load(Ordering::Relaxed))
+}
+
+/// Snapshot of this thread's counters, in [`Counter`] order: what a span's
+/// deltas are taken from.
 #[inline]
-pub(crate) fn snapshot() -> [u64; COUNTER_COUNT] {
-    let mut out = [0u64; COUNTER_COUNT];
-    let mut i = 0;
-    while i < COUNTER_COUNT {
-        out[i] = COUNTERS[i].load(Ordering::Relaxed);
-        i += 1;
-    }
-    out
+pub(crate) fn thread_snapshot() -> [u64; COUNTER_COUNT] {
+    THREAD_COUNTERS.with(|local| local.each_ref().map(Cell::get))
 }
 
 /// Everything the heartbeat prints, read in one call.

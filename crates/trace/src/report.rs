@@ -19,7 +19,9 @@ pub struct SpanNode {
     pub start_ns: u64,
     /// Wall time from start to finish.
     pub duration_ns: u64,
-    /// Progress-counter deltas over the span, in [`COUNTER_NAMES`] order.
+    /// Progress-counter deltas over the span, in [`COUNTER_NAMES`] order:
+    /// the work of the span's own thread plus that of its descendants on
+    /// other threads.
     pub counters: [u64; COUNTER_COUNT],
     /// Child spans, in start order.
     pub children: Vec<SpanNode>,
@@ -57,6 +59,7 @@ pub fn span_label(name: &str, arg: u64) -> String {
 }
 
 struct Pending {
+    thread: usize,
     span: u16,
     arg: u64,
     parent: u64,
@@ -75,12 +78,13 @@ pub fn collect() -> Trace {
     let events = ring::drain_sorted();
     let mut pending: HashMap<u64, Pending> = HashMap::new();
     let mut order: Vec<u64> = Vec::new();
-    for event in &events {
+    for &(thread, event) in &events {
         match event.kind {
             EventKind::Start => {
                 pending.insert(
                     event.token,
                     Pending {
+                        thread,
                         span: event.span,
                         arg: event.arg,
                         parent: event.parent,
@@ -116,30 +120,51 @@ pub fn collect() -> Trace {
             roots.push(token);
         }
     }
-    fn build(token: u64, pending: &HashMap<u64, Pending>) -> Option<SpanNode> {
+    /// Builds the subtree of `token`; also returns what its descendants on
+    /// other threads than its own counted.
+    fn build(
+        token: u64,
+        pending: &HashMap<u64, Pending>,
+    ) -> Option<(SpanNode, [u64; COUNTER_COUNT])> {
         let p = pending.get(&token)?;
         let end_ns = p.end_ns?;
         let mut children = Vec::with_capacity(p.children.len());
+        let mut elsewhere = [0u64; COUNTER_COUNT];
         for &child in &p.children {
-            if let Some(node) = build(child, pending) {
+            if let Some((node, child_elsewhere)) = build(child, pending) {
+                // A child on this thread is in `p.counters` already, but
+                // for its own descendants elsewhere.
+                let extra = if pending[&child].thread == p.thread {
+                    child_elsewhere
+                } else {
+                    node.counters
+                };
+                for (sum, n) in elsewhere.iter_mut().zip(extra) {
+                    *sum += n;
+                }
                 children.push(node);
             }
         }
-        Some(SpanNode {
+        let mut counters = p.counters;
+        for (total, n) in counters.iter_mut().zip(elsewhere) {
+            *total += n;
+        }
+        let node = SpanNode {
             name: SPAN_TABLE
                 .get(p.span as usize)
                 .map_or("unknown", |(name, _)| name),
             arg: p.arg,
             start_ns: p.start_ns,
             duration_ns: end_ns.saturating_sub(p.start_ns),
-            counters: p.counters,
+            counters,
             children,
-        })
+        };
+        Some((node, elsewhere))
     }
     Trace {
         roots: roots
             .into_iter()
-            .filter_map(|t| build(t, &pending))
+            .filter_map(|t| build(t, &pending).map(|(node, _)| node))
             .collect(),
         dropped_events: ring::dropped_events(),
     }

@@ -41,7 +41,8 @@ pub(crate) struct Event {
     pub parent: u64,
     /// Nanoseconds since the trace epoch.
     pub t_ns: u64,
-    /// Progress-counter deltas (end events only).
+    /// Deltas of the recording thread's progress counters (end events
+    /// only).
     pub counters: [u64; COUNTER_COUNT],
 }
 
@@ -94,20 +95,21 @@ pub(crate) fn record(event: Event) {
     });
 }
 
-/// Copies every ring's events out, sorted by global sequence.
-pub(crate) fn drain_sorted() -> Vec<Event> {
+/// Copies every ring's events out, sorted by global sequence, each with
+/// the index of its ring: the identity of the thread that recorded it.
+pub(crate) fn drain_sorted() -> Vec<(usize, Event)> {
     let mut all = Vec::with_capacity(1024);
     if let Ok(registry) = REGISTRY.lock() {
         let mut total_dropped = 0;
-        for ring in registry.iter() {
+        for (thread, ring) in registry.iter().enumerate() {
             if let Ok(ring) = ring.lock() {
-                all.extend_from_slice(&ring.events);
+                all.extend(ring.events.iter().map(|&event| (thread, event)));
                 total_dropped += ring.dropped;
             }
         }
         DROPPED.store(total_dropped, Ordering::Relaxed);
     }
-    all.sort_unstable_by_key(|e| e.seq);
+    all.sort_unstable_by_key(|(_, e)| e.seq);
     all
 }
 

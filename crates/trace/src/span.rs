@@ -2,12 +2,13 @@
 //!
 //! Hot-path module: a guard on the disabled path is one relaxed load; on
 //! the enabled path it is two fixed-size ring-buffer writes and a handful
-//! of relaxed counter reads. Nothing here allocates after the per-thread
+//! of thread-local counter reads. Nothing here allocates after the per-thread
 //! ring has been set up (see [`crate::ring`]).
 
 use crate::progress;
 use crate::ring::{self, Event, EventKind};
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -163,7 +164,8 @@ pub fn current_parent() -> ParentToken {
 /// An open span; finishes (records wall time + counter deltas) on drop.
 ///
 /// Plain `Copy` data only — creating and dropping a guard never
-/// allocates.
+/// allocates. Not `Send`: the guard restores its thread's current span and
+/// takes its deltas from its thread's counters, so it ends where it began.
 #[must_use = "a span measures nothing unless it lives across the phase"]
 pub struct SpanGuard {
     token: u64,
@@ -172,6 +174,7 @@ pub struct SpanGuard {
     arg: u64,
     base: [u64; progress::COUNTER_COUNT],
     active: bool,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 /// Starts a span under the thread's current span.
@@ -218,8 +221,9 @@ fn start_recorded(id: SpanId, arg: u64, parent: u64) -> SpanGuard {
         prev,
         span: id.0,
         arg,
-        base: progress::snapshot(),
+        base: progress::thread_snapshot(),
         active: true,
+        _thread_bound: PhantomData,
     }
 }
 
@@ -232,6 +236,7 @@ impl SpanGuard {
             arg: 0,
             base: [0; progress::COUNTER_COUNT],
             active: false,
+            _thread_bound: PhantomData,
         }
     }
 
@@ -244,7 +249,7 @@ impl Drop for SpanGuard {
         if !self.active {
             return;
         }
-        let now = progress::snapshot();
+        let now = progress::thread_snapshot();
         let mut deltas = [0u64; progress::COUNTER_COUNT];
         let mut i = 0;
         while i < progress::COUNTER_COUNT {

@@ -76,6 +76,52 @@ fn spans_nest_within_parents_across_threads() {
 }
 
 #[test]
+fn a_span_counts_its_threads_work_and_its_descendants_on_other_threads() {
+    let _lock = locked();
+    ind_trace::enable();
+    ind_trace::reset();
+
+    {
+        let _root = ind_trace::start(ind_trace::DISCOVER);
+        let export = ind_trace::start(ind_trace::EXPORT);
+        let parent = ind_trace::current_parent();
+        // Both sorts stay open while both workers count, so a sort that
+        // read the process-wide counters would see the other one's export.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for attr in 0..2u64 {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let _sort = ind_trace::start_under(ind_trace::SORT, attr, parent);
+                    barrier.wait();
+                    ind_trace::add_counter(ind_trace::Counter::AttributesExported, 1);
+                    barrier.wait();
+                });
+            }
+        });
+        ind_trace::add_counter(ind_trace::Counter::SpillRuns, 3);
+        export.finish();
+        ind_trace::add_counter(ind_trace::Counter::ItemsRead, 5);
+    }
+
+    let trace = ind_trace::collect();
+    ind_trace::disable();
+    let root = &trace.roots[0];
+    let export = &root.children[0];
+    assert_eq!(export.children.len(), 2, "{export:?}");
+    for sort in &export.children {
+        assert_eq!(sort.counters, [0, 0, 1, 0], "sort/attr={}", sort.arg);
+    }
+    assert_eq!(
+        export.counters,
+        [0, 0, 2, 3],
+        "its thread's plus its workers'"
+    );
+    assert_eq!(root.counters, [5, 0, 2, 3], "the run's totals");
+    assert_eq!(ind_trace::progress().attributes_exported, 2);
+}
+
+#[test]
 fn disabled_tracing_records_nothing_and_counts_nothing() {
     let _lock = locked();
     ind_trace::enable();

@@ -42,7 +42,7 @@
 //!   inside it).
 //! * `kind` — `eintr` (read/write), `short` (read), `truncate=N` (read:
 //!   the file appears to end at byte `N`), `flip=N` (read: one bit of
-//!   byte `N` is flipped, chosen by the plan's seed), `enospc` (write),
+//!   byte `N` is flipped, the same bit on every run), `enospc` (write),
 //!   `fail` (open/fsync), `crash=N` (write: the Nth matching write tears
 //!   mid-buffer and every later matching write, fsync or rename fails —
 //!   the process-visible shape of dying mid-export; a publishing rename
@@ -81,8 +81,8 @@ enum FaultKind {
     NoSpace,
     /// Reads behave as if the file ended at byte `N`.
     TruncateAt(u64),
-    /// One bit of byte `N` (seed-chosen) is flipped on the read that
-    /// delivers it.
+    /// One bit of byte `N` (a fixed hash of `N` picks it) is flipped on
+    /// the read that delivers it.
     BitFlipAt(u64),
     /// The open (or fsync) itself fails.
     FailOp,
@@ -191,14 +191,13 @@ pub(crate) enum ReadCheck {
     Fail(io::Error),
 }
 
-/// A seeded, deterministic fault plan. See the module docs for the rule
+/// A deterministic fault plan. See the module docs for the rule
 /// syntax. The plan is `Sync`: one `Arc<FaultPlan>` in
 /// [`crate::IoOptions`] serves every reader, writer, and worker thread of
 /// a run, and [`FaultPlan::fired`] reports which rules actually fired.
 #[derive(Debug)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
-    seed: u64,
     fired: Mutex<Vec<String>>,
 }
 
@@ -221,16 +220,9 @@ impl FaultPlan {
         }
         Ok(FaultPlan {
             rules,
-            seed: DEFAULT_SEED,
             // lint: allow(hot_alloc) — parse time, once per plan
             fired: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Replaces the seed that picks which bit a `flip=N` rule flips.
-    pub fn with_seed(mut self, seed: u64) -> FaultPlan {
-        self.seed = seed;
-        self
     }
 
     /// Human-readable descriptions of every fault that actually fired, in
@@ -300,7 +292,7 @@ impl FaultPlan {
             if let FaultKind::BitFlipAt(n) = rule.kind {
                 let end = pos + buf.len() as u64;
                 if n >= pos && n < end && rule.take() {
-                    let bit = (mix(self.seed ^ n) % 8) as u8;
+                    let bit = (mix(FLIP_SEED ^ n) % 8) as u8;
                     buf[(n - pos) as usize] ^= 1 << bit;
                     // lint: allow(hot_alloc) — cold fault path
                     self.note(format!("read:flip={n}.{bit}:{}", path.display()));
@@ -425,9 +417,9 @@ fn crash_error() -> io::Error {
     io::Error::other("injected crash: write path aborted")
 }
 
-/// Default seed: arbitrary odd constant so bit choices are stable across
-/// runs unless overridden.
-const DEFAULT_SEED: u64 = 0x5EED_0F1D_ECDE_2006;
+/// Arbitrary odd constant hashed with a `flip=N` offset: every run flips
+/// the same bit of byte `N`.
+const FLIP_SEED: u64 = 0x5EED_0F1D_ECDE_2006;
 
 fn parse_rule(part: &str) -> Result<FaultRule, String> {
     // lint: allow(hot_alloc) — parse-time only
@@ -518,8 +510,8 @@ fn parse_kind(text: &str, part: &str) -> Result<(FaultKind, u64), String> {
     }
 }
 
-/// SplitMix64 finaliser: turns the seed and a byte offset into a stable
-/// bit choice for `flip=N`.
+/// SplitMix64 finaliser: turns [`FLIP_SEED`] and a byte offset into a
+/// stable bit choice for `flip=N`.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -927,17 +919,18 @@ mod tests {
     }
 
     #[test]
-    fn seeds_pick_different_bits_deterministically() {
-        let read = |seed: u64| {
-            let p = Arc::new(FaultPlan::parse("read:*:flip=0").unwrap().with_seed(seed));
-            let mut f = fault_file(&[0u8; 4], Some(p), None);
+    fn flips_pick_a_fixed_bit_per_byte_that_varies_across_bytes() {
+        let read = |n: usize| {
+            let p = Arc::new(FaultPlan::parse(&format!("read:*:flip={n}")).unwrap());
+            let mut f = fault_file(&[0u8; 16], Some(p), None);
             let mut out = Vec::new();
             f.read_to_end(&mut out).unwrap();
-            out[0]
+            assert_eq!(out[n].count_ones(), 1, "one bit of byte {n}");
+            out[n]
         };
-        assert_eq!(read(1), read(1), "same seed, same bit");
+        assert_eq!(read(1), read(1), "same byte, same bit");
         let distinct: std::collections::BTreeSet<u8> = (0..16).map(read).collect();
-        assert!(distinct.len() > 1, "seeds vary the flipped bit");
+        assert!(distinct.len() > 1, "the byte offset varies the flipped bit");
     }
 
     #[test]

@@ -408,6 +408,7 @@ impl ExportedDatabase {
     /// Which worker's segment a stream lands in depends on scheduling, its
     /// bytes never do; at one worker the whole workdir is deterministic.
     pub fn export(db: &Database, dir: &Path, options: &ExportOptions) -> Result<Self> {
+        let _span = ind_trace::start(ind_trace::EXPORT);
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(db.attribute_count());
         for table in db.tables() {
             for (_, col_schema, column) in table.iter_cells() {
@@ -443,6 +444,7 @@ impl ExportedDatabase {
         dir: &Path,
         options: &ExportOptions,
     ) -> Result<Self> {
+        let _span = ind_trace::start(ind_trace::EXPORT);
         let mut jobs = Vec::with_capacity(groups.len());
         for (id, group) in groups.iter().enumerate() {
             let mut columns = Vec::with_capacity(group.len());
@@ -467,10 +469,9 @@ impl ExportedDatabase {
     }
 
     /// The export loop behind [`ExportedDatabase::export`] and
-    /// [`ExportedDatabase::export_groups`]: resume scan, sweep, then the
-    /// workers writing `jobs` into segments.
+    /// [`ExportedDatabase::export_groups`], under their `export` span:
+    /// resume scan, sweep, then the workers writing `jobs` into segments.
     fn export_jobs(mut jobs: Vec<Job<'_>>, dir: &Path, options: &ExportOptions) -> Result<Self> {
-        let _span = ind_trace::start(ind_trace::EXPORT);
         let export_parent = ind_trace::current_parent();
         std::fs::create_dir_all(dir)?;
         let spill_dir = dir.join("spill");
