@@ -16,11 +16,10 @@
 //!   allocation counts from the counting allocator installed *in this
 //!   binary only*, and a `spider_traced` row that re-runs the merge with
 //!   `ind-trace` spans and counters on;
-//! * **disk** — `spider` over an on-disk export through the block reader:
-//!   `spider_block` (block size from `--block-size`, checksums off), a
-//!   block-size sweep, and `spider_checksum` (per-frame CRC verification
-//!   on, the production default). `read_calls` is every `pread` made,
-//!   counted where it is made;
+//! * **disk** — `spider` over an on-disk export through the block reader,
+//!   which verifies every frame CRC: `spider_block` (block size from
+//!   `--block-size`) and a block-size sweep. `read_calls` is every `pread`
+//!   made, counted where it is made;
 //! * **export** — the library's own `ExportedDatabase::export` (extract →
 //!   sort → spill → merge → write, segments and trailers) over every
 //!   attribute: `export_serial` (one worker), `export_parallel` (every
@@ -38,11 +37,12 @@
 //! read; one cursor per value-set class; block reads amortised against the
 //! per-record count `4·cursor_opens + 2·items_read`; no spill and at most
 //! `32·attributes + 512` allocations for `export_serial`), allocation-free
-//! merges, traced and checksummed runs close to their plain twins, spills
-//! at the smallest sweep budget, apriori pruning and resume reuse. At
-//! `--scale >= 100` the pdb merge must also run >= 2.5x the legacy engine
-//! timed in the same run. No gate compares two durable exports' wall
-//! times: both are bound by fsync latency, which belongs to the disk.
+//! merges, traced runs close to their plain twins, healthy files tripping
+//! no checksum failure or retry, spills at the smallest sweep budget,
+//! apriori pruning and resume reuse. At `--scale >= 100` the pdb merge must
+//! also run >= 2.5x the legacy engine timed in the same run. No gate
+//! compares two durable exports' wall times: both are bound by fsync
+//! latency, which belongs to the disk.
 
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
@@ -246,7 +246,6 @@ impl IoCounters {
 }
 
 struct DiskEngineResult {
-    engine: &'static str,
     wall_ms: f64,
     metrics: RunMetrics,
     io: IoCounters,
@@ -262,25 +261,9 @@ struct SweepPoint {
 struct DiskResult {
     block_size: usize,
     export_bytes: u64,
-    engines: Vec<DiskEngineResult>,
+    /// The `spider_block` row: the sweep point at `block_size`.
+    block: DiskEngineResult,
     sweep: Vec<SweepPoint>,
-}
-
-impl DiskResult {
-    fn engine(&self, engine: &str) -> Option<&DiskEngineResult> {
-        self.engines.iter().find(|e| e.engine == engine)
-    }
-
-    /// Verified-over-raw wall-clock ratio: the price of per-frame CRC
-    /// verification (1.0 = free).
-    fn checksum_overhead(&self) -> Option<f64> {
-        match (self.engine("spider_block"), self.engine("spider_checksum")) {
-            (Some(raw), Some(verified)) if raw.wall_ms > 0.0 => {
-                Some(verified.wall_ms / raw.wall_ms)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// One timed configuration of the library's export over every attribute.
@@ -554,10 +537,10 @@ fn bench_disk(
     // Sizes recorded at write time — exact, no per-file stat.
     let export_bytes: u64 = export.attributes().iter().map(|a| a.file_bytes).sum();
 
-    // One engine row over the export read through `io`. The disk run must
-    // reproduce the in-memory results *and* I/O metrics exactly: streams
-    // are byte-identical, so verification never changes what is read.
-    let mut run = |engine: &'static str, io: IoOptions| -> Result<DiskEngineResult, String> {
+    // One `spider_block` run over the export read through `io`. The disk
+    // run must reproduce the in-memory results *and* I/O metrics exactly:
+    // streams are byte-identical to the in-memory sets.
+    let mut run = |io: IoOptions| -> Result<DiskEngineResult, String> {
         export.set_io_options(io);
         let t = timed(DISK_ENGINE_RUNS, || {
             export.reset_read_calls();
@@ -571,18 +554,19 @@ fn bench_disk(
         })?;
         let (satisfied, metrics, io) = t.out;
         if satisfied != expected {
-            return Err(format!("[{name}] {engine} disagrees with in-memory spider"));
+            return Err(format!(
+                "[{name}] spider_block disagrees with in-memory spider"
+            ));
         }
         let reads = |m: &RunMetrics| (m.items_read, m.value_bytes_read, m.comparisons);
         if reads(&metrics) != reads(expected_metrics) {
             return Err(format!(
-                "[{name}] {engine} read (items, bytes, comparisons) = {:?}, in memory {:?}",
+                "[{name}] spider_block read (items, bytes, comparisons) = {:?}, in memory {:?}",
                 reads(&metrics),
                 reads(expected_metrics)
             ));
         }
         Ok(DiskEngineResult {
-            engine,
             wall_ms: t.wall_ms,
             metrics,
             io,
@@ -593,20 +577,15 @@ fn bench_disk(
     // The block reader, swept over the fixed block sizes plus the
     // configured one. Each configuration is measured exactly once — the
     // headline `spider_block` row is the sweep point at `block_size`.
-    // Checksum verification is off here: this row is the raw framed-read
-    // baseline; the verified configuration is the `spider_checksum` row.
     let mut sweep_sizes: Vec<usize> = SWEEP_BLOCK_SIZES.to_vec();
     if !sweep_sizes.contains(&block_size) {
         sweep_sizes.push(block_size);
         sweep_sizes.sort_unstable();
     }
     let mut sweep = Vec::new();
-    let mut engines = Vec::new();
+    let mut block = None;
     for sweep_block in sweep_sizes {
-        let row = run(
-            "spider_block",
-            IoOptions::with_block_size(sweep_block).verify(false),
-        )?;
+        let row = run(IoOptions::with_block_size(sweep_block))?;
         println!(
             "[{name}]  disk spider_block block={sweep_block:>7}: {:8.2} ms  read_calls={}",
             row.wall_ms, row.io.read_calls
@@ -619,28 +598,14 @@ fn bench_disk(
             });
         }
         if sweep_block == block_size {
-            engines.push(row);
+            block = Some(row);
         }
     }
-
-    // Per-frame CRC verification on — the production default: every
-    // payload byte is hashed on fill and the footer cross-checked at end
-    // of stream, and the wall-clock delta over the raw row is the price
-    // of self-verifying value files.
-    let verified = run(
-        "spider_checksum",
-        IoOptions::with_block_size(block_size).verify(true),
-    )?;
-    println!(
-        "[{name}]  disk spider_checksum: {:8.2} ms  read_calls={} checksum_failures={}",
-        verified.wall_ms, verified.io.read_calls, verified.io.checksum_failures
-    );
-    engines.push(verified);
 
     Ok(DiskResult {
         block_size,
         export_bytes,
-        engines,
+        block: block.expect("the sweep holds the configured block size"),
         sweep,
     })
 }
@@ -977,7 +942,7 @@ fn engine_json(e: &EngineResult) -> Json {
 
 fn disk_engine_json(e: &DiskEngineResult) -> Json {
     Json::obj([
-        ("engine", e.engine.into()),
+        ("engine", "spider_block".into()),
         ("wall_ms", rounded(e.wall_ms, 3)),
         ("items_read", e.metrics.items_read.into()),
         ("value_bytes_read", e.metrics.value_bytes_read.into()),
@@ -1042,11 +1007,7 @@ fn dataset_json(d: &DatasetResult) -> Json {
             Json::obj([
                 ("block_size", disk.block_size.into()),
                 ("export_bytes", disk.export_bytes.into()),
-                ("checksum_overhead", rounded(disk.checksum_overhead(), 3)),
-                (
-                    "engines",
-                    Json::Arr(disk.engines.iter().map(disk_engine_json).collect()),
-                ),
+                ("engines", Json::Arr(vec![disk_engine_json(&disk.block)])),
                 ("block_size_sweep", Json::Arr(block_sweep.collect())),
             ]),
         ),
@@ -1090,7 +1051,7 @@ fn bench_json(
         ])
     });
     Json::obj([
-        ("schema_version", 11u64.into()),
+        ("schema_version", 12u64.into()),
         ("harness", "bench_spider".into()),
         ("scale", args.scale.into()),
         ("block_size", args.block_size.into()),
@@ -1132,7 +1093,7 @@ fn bench_json(
 /// parsed document.
 const REQUIRED_KEYS: &str = "schema_version datasets engine wall_ms items_read value_bytes_read \
     key_compares memcmp_compares cursor_opens allocs disk read_calls file_opens io_retries \
-    checksum_failures checksum_overhead block_size_sweep export export_workers \
+    checksum_failures block_size_sweep export export_workers \
     host_parallel_speedup speedup_export_parallel_vs_serial passes pass spill_runs budget_sweep \
     memory_budget nary levels enumerable pruned_projection resume exports_reused \
     exports_redone orphans_swept cold_wall_ms resumed_wall_ms";
@@ -1447,10 +1408,7 @@ fn check_dataset(d: &DatasetResult, scale: usize, memory_budget: usize) -> Resul
     // with two `read_exact`s over a buffered file makes 4 calls per cursor
     // (header and footer) plus 2 per value read; the block reader must
     // issue at least 4x fewer. Bigger blocks must never need more fills.
-    let block = d
-        .disk
-        .engine("spider_block")
-        .ok_or("missing spider_block row")?;
+    let block = &d.disk.block;
     let per_record = 4 * block.metrics.cursor_opens + 2 * block.metrics.items_read;
     if 4 * block.io.read_calls > per_record {
         return Err(format!(
@@ -1476,31 +1434,13 @@ fn check_dataset(d: &DatasetResult, scale: usize, memory_budget: usize) -> Resul
             "[{name}] sweep read_calls grew with block size: {sweep:?}"
         ));
     }
-    // Checksum gate: the verified row must read exactly what the raw row
-    // reads, detect nothing on healthy files, and cost at most 50% over
-    // the raw framed read even at noisy check scales.
-    let verified = d
-        .disk
-        .engine("spider_checksum")
-        .ok_or("missing spider_checksum row")?;
-    if verified.io.checksum_failures != 0 || verified.io.io_retries != 0 {
+    // Robustness gate: the verified reads of healthy files detect nothing
+    // and retry nothing.
+    if block.io.checksum_failures != 0 || block.io.io_retries != 0 {
         return Err(format!(
             "[{name}] healthy files tripped the robustness counters: {} checksum \
              failures, {} retries",
-            verified.io.checksum_failures, verified.io.io_retries
-        ));
-    }
-    if verified.io.read_calls != block.io.read_calls {
-        return Err(format!(
-            "[{name}] checksum verification changed read_calls: {} vs {}",
-            verified.io.read_calls, block.io.read_calls
-        ));
-    }
-    if verified.wall_ms > block.wall_ms * 1.5 + 5.0 {
-        return Err(format!(
-            "[{name}] per-frame verification costs {:.2} ms vs {:.2} ms raw — checksums \
-             are no longer close to free",
-            verified.wall_ms, block.wall_ms
+            block.io.checksum_failures, block.io.io_retries
         ));
     }
     // Export gates: at the default budget the one-worker export (and its

@@ -32,41 +32,6 @@ pub fn pdb_large() -> Database {
     generate_pdb(&OpenMmsConfig::large_fraction())
 }
 
-/// Reduced-size instances for Criterion micro-benchmarks (keeps
-/// `cargo bench` minutes, not hours).
-pub mod bench_scale {
-    use super::*;
-
-    /// UniProt at 1/4 scale.
-    pub fn uniprot() -> Database {
-        generate_uniprot(&BiosqlConfig {
-            bioentries: 200,
-            ..Default::default()
-        })
-    }
-
-    /// SCOP at ~1/4 scale.
-    pub fn scop() -> Database {
-        generate_scop(&ScopConfig {
-            nodes: 400,
-            ..Default::default()
-        })
-    }
-
-    /// A PDB-flavoured instance small enough for repeated timing.
-    pub fn pdb() -> Database {
-        generate_pdb(&OpenMmsConfig {
-            tables: 12,
-            entries: 100,
-            base_rows: 80,
-            payload_columns: 8,
-            strict_code_tables: 2,
-            soft_code_tables: 2,
-            seed: 42,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -75,7 +40,7 @@ mod tests {
         assert_eq!((u.table_count(), u.attribute_count()), (16, 82));
         let s = super::scop();
         assert_eq!((s.table_count(), s.attribute_count()), (4, 22));
-        let p = super::bench_scale::pdb();
-        assert_eq!(p.table_count(), 12);
+        let p = super::pdb_small();
+        assert_eq!((p.table_count(), p.attribute_count()), (39, 551));
     }
 }

@@ -7,7 +7,7 @@
 //! is the reproduction target.
 
 use crate::datasets;
-use crate::sql_deadline::{run_sql_with_deadline, SqlOutcome};
+use crate::sql_deadline::run_sql_with_deadline;
 use crate::table::{format_count, format_duration, TextTable};
 use ind_core::{
     generate_candidates, profiles_from_export, run_blockwise, run_brute_force, run_single_pass,
@@ -18,7 +18,6 @@ use ind_discovery::{
     identify_primary_relation, run_aladin, AccessionRules, AladinConfig,
 };
 use ind_sql::SqlApproach;
-use ind_storage::Database;
 use ind_testkit::TempDir;
 use ind_valueset::{ExportOptions, ExportedDatabase};
 use std::time::{Duration, Instant};
@@ -88,10 +87,6 @@ pub fn table1_with(include_large: bool) -> String {
             let outcome = run_sql_with_deadline(db, approach, &PretestConfig::default(), deadline)
                 .expect("sql run");
             cells.push(outcome.cell());
-            if let SqlOutcome::Aborted { tested, total, .. } = outcome {
-                // Match the paper's "-" for approaches that were hopeless.
-                let _ = (tested, total);
-            }
         }
         table.row(cells);
     }
@@ -602,9 +597,6 @@ pub fn emit(name: &str, body: &str) {
         Err(e) => eprintln!("[could not write output file: {e}]"),
     }
 }
-
-#[allow(unused)]
-fn shape_checks_live_in_integration_tests(_: &Database) {}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! # ind-bench
 //!
 //! The experiment harness: one module (and one binary) per table/figure of
-//! the paper, plus Criterion micro-benchmarks. The list below is the
-//! per-experiment index; `run_all` regenerates every report, and those
-//! reports hold the measured numbers beside the paper's.
+//! the paper. The list below is the per-experiment index; `run_all`
+//! regenerates every report, and those reports hold the measured numbers
+//! beside the paper's.
 //!
 //! Binaries (each prints a paper-shaped report and writes
 //! `experiments/<name>.txt`):

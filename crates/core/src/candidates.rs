@@ -34,32 +34,19 @@ impl Candidate {
 /// A satisfied candidate is an inclusion dependency.
 pub type Ind = Candidate;
 
-/// Which pretests run during candidate generation.
-#[derive(Debug, Clone)]
+/// Which optional pretests run during candidate generation. The
+/// cardinality pretest (paper phase 1) always runs.
+#[derive(Debug, Clone, Default)]
 pub struct PretestConfig {
-    /// Cardinality pretest (paper phase 1; on by default).
-    pub cardinality: bool,
     /// Max-value pretest (Sec. 4.1 improvement; off by default to match
     /// the baseline configuration of Tables 1 and 2).
     pub max_value: bool,
 }
 
-impl Default for PretestConfig {
-    fn default() -> Self {
-        PretestConfig {
-            cardinality: true,
-            max_value: false,
-        }
-    }
-}
-
 impl PretestConfig {
     /// The paper's Sec. 4.1 configuration: cardinality + max-value.
     pub fn with_max_value() -> Self {
-        PretestConfig {
-            max_value: true,
-            ..Default::default()
-        }
+        PretestConfig { max_value: true }
     }
 }
 
@@ -108,7 +95,7 @@ pub(crate) fn generate_candidates_with(
                 continue;
             }
             metrics.pairs_considered += 1;
-            if pretests.cardinality && dep.distinct > refd.distinct {
+            if dep.distinct > refd.distinct {
                 metrics.pruned_cardinality += 1;
                 continue;
             }
@@ -212,17 +199,15 @@ mod tests {
 
     #[test]
     fn pair_count_matches_formula_for_all_unique_attributes() {
-        // With n unique attributes and no pruning the generator examines
-        // n² − n ordered pairs (the paper's (n²−n)/2 tests count unordered
-        // pairs after the cardinality comparison collapses directions).
+        // With n unique attributes of equal cardinality nothing is pruned,
+        // and the generator examines n² − n ordered pairs (the paper's
+        // (n²−n)/2 tests count unordered pairs after the cardinality
+        // comparison collapses directions).
         let profiles: Vec<_> = (0..6).map(|i| profile(i, 10, b"a", b"m", true)).collect();
         let mut m = RunMetrics::new();
-        let cfg = PretestConfig {
-            cardinality: false,
-            ..Default::default()
-        };
-        let c = generate_candidates(&profiles, &cfg, &mut m);
+        let c = generate_candidates(&profiles, &PretestConfig::default(), &mut m);
         assert_eq!(c.len(), 6 * 6 - 6);
         assert_eq!(m.pairs_considered, 30);
+        assert_eq!(m.pruned_cardinality, 0);
     }
 }

@@ -13,7 +13,7 @@ use crate::foreign_keys::{fk_guesses_filtered, FkGuess};
 use crate::primary_relation::{identify_primary_relation, PrimaryRelationReport};
 use ind_core::{inclusion_count, memory_export, FinderConfig, IndFinder, RunMetrics};
 use ind_storage::{DataType, Database, QualifiedName, Value};
-use ind_valueset::{extract_memory_set, Result};
+use ind_valueset::{Result, ValueSetProvider};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -220,40 +220,36 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
     // Step 4: for each source attribute, test inclusion against the
     // accession attributes of every *other* source's primary relations.
     // "This step only considers primary relations as targets, thus
-    // drastically reducing the search space."
+    // drastically reducing the search space." Every database's value sets
+    // are extracted once, and each pair is tested on their cursors.
+    let exports: Vec<_> = sources.iter().map(|db| memory_export(db)).collect();
     let mut links = Vec::new();
     for (si, source) in sources.iter().enumerate() {
+        let (source_profiles, source_sets) = &exports[si];
         for (ti, target) in sources.iter().enumerate() {
             if si == ti {
                 continue;
             }
-            let target_report = &reports[ti];
-            let targets: Vec<&QualifiedName> = target_report
-                .primary_relation
+            let primary = &reports[ti].primary_relation;
+            let (target_profiles, target_sets) = &exports[ti];
+            let targets: Vec<_> = primary
                 .accession_candidates
                 .iter()
-                .filter(|qn| {
-                    target_report
-                        .primary_relation
-                        .primary_candidates
-                        .contains(&qn.table)
-                })
+                .filter(|qn| primary.primary_candidates.contains(&qn.table))
+                .filter_map(|qn| target_profiles.iter().find(|p| p.name == *qn))
                 .collect();
             if targets.is_empty() {
                 continue;
             }
-            let (profiles, _) = memory_export(source);
-            for profile in &profiles {
+            for profile in source_profiles {
                 if profile.data_type != DataType::Text || profile.non_null == 0 {
                     continue;
                 }
-                let source_set = extract_memory_set(source.cells(&profile.name)?);
                 for target_attr in &targets {
-                    let target_set = extract_memory_set(target.cells(target_attr)?);
                     let mut m = RunMetrics::new();
                     let count = inclusion_count(
-                        &mut source_set.cursor(),
-                        &mut target_set.cursor(),
+                        &mut source_sets.open(profile.id)?,
+                        &mut target_sets.open(target_attr.id)?,
                         &mut m,
                     )?;
                     let coefficient = count.coefficient();
@@ -262,14 +258,14 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
                             source_db: source.name().to_string(),
                             source_attr: profile.name.clone(),
                             target_db: target.name().to_string(),
-                            target_attr: (*target_attr).clone(),
+                            target_attr: target_attr.name.clone(),
                             coefficient,
                             exact: count.is_exact(),
                             transform: None,
                         });
                     } else if let Some(hit) = crate::concat::find_concat_match(
                         source.column(&profile.name)?,
-                        target.column(target_attr)?,
+                        target.column(&target_attr.name)?,
                         config.link_threshold,
                         &mut m,
                     ) {
@@ -280,7 +276,7 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
                             source_db: source.name().to_string(),
                             source_attr: profile.name.clone(),
                             target_db: target.name().to_string(),
-                            target_attr: (*target_attr).clone(),
+                            target_attr: target_attr.name.clone(),
                             coefficient: hit.coefficient(),
                             exact: hit.inclusion.is_exact(),
                             transform: Some(format!(

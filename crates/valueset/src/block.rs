@@ -73,22 +73,16 @@ pub const INITIAL_READAHEAD: usize = 8 * 1024;
 
 /// Tuning for the value-file I/O layer, shared by readers and writers.
 ///
-/// Equality compares only the two tuning knobs ([`IoOptions::block_size`],
-/// [`IoOptions::verify_checksums`]) — the runtime attachments
-/// ([`IoOptions::fault`], [`IoOptions::stats`], [`IoOptions::cancel`]) are
-/// deliberately excluded, so two configurations that read files the same
-/// way compare equal even when only one of them is instrumented.
+/// Equality compares only the tuning knob ([`IoOptions::block_size`]) — the
+/// runtime attachments ([`IoOptions::fault`], [`IoOptions::stats`],
+/// [`IoOptions::cancel`]) are deliberately excluded, so two configurations
+/// that read files the same way compare equal even when only one of them is
+/// instrumented.
 #[derive(Debug, Clone)]
 pub struct IoOptions {
     /// Bytes per I/O block: the unit of reader fills and writer flushes.
     /// Values below [`MIN_BLOCK_SIZE`] are clamped up at use time.
     pub block_size: usize,
-    /// Verify format-v2 frame checksums on every fill (and header/footer
-    /// checksums at open/end of stream). On by default: the cost is one
-    /// CRC32C pass per byte. Turning it off still strips the v2 framing
-    /// and still detects structural damage (truncation, bad geometry); it
-    /// only skips the checksum comparisons.
-    pub verify_checksums: bool,
     /// A fault plan injected beneath every reader, writer, and open this
     /// configuration touches (see [`crate::fault`]). `None` (the default)
     /// costs nothing on the I/O path.
@@ -107,7 +101,6 @@ impl Default for IoOptions {
     fn default() -> Self {
         IoOptions {
             block_size: DEFAULT_BLOCK_SIZE,
-            verify_checksums: true,
             fault: None,
             stats: None,
             cancel: None,
@@ -117,7 +110,7 @@ impl Default for IoOptions {
 
 impl PartialEq for IoOptions {
     fn eq(&self, other: &Self) -> bool {
-        self.block_size == other.block_size && self.verify_checksums == other.verify_checksums
+        self.block_size == other.block_size
     }
 }
 
@@ -131,13 +124,6 @@ impl IoOptions {
             block_size,
             ..Default::default()
         }
-    }
-
-    /// Builder toggle for checksum verification
-    /// ([`IoOptions::verify_checksums`]).
-    pub fn verify(mut self, verify_checksums: bool) -> Self {
-        self.verify_checksums = verify_checksums;
-        self
     }
 
     /// Attaches a fault plan ([`IoOptions::fault`]).
@@ -318,7 +304,7 @@ impl BlockReader {
         let fault = options.fault.clone();
         BlockReader {
             file: crate::fault::FaultFile::new(file, label, offset, fault, stats),
-            decoder: crate::frame::FrameDecoder::new(options.verify_checksums),
+            decoder: crate::frame::FrameDecoder::new(),
             // lint: allow(hot_alloc) — empty until the first read; grows with the reads
             buf: Vec::new(),
             start: 0,

@@ -544,19 +544,17 @@ impl ValueFileReader {
             ));
         }
         let header = input.buffered();
-        if options.verify_checksums {
-            let stored = u32::from_le_bytes([
-                header[HEADER_LEN],
-                header[HEADER_LEN + 1],
-                header[HEADER_LEN + 2],
-                header[HEADER_LEN + 3],
-            ]);
-            if crc32c(&header[..HEADER_LEN]) != stored {
-                if let Some(stats) = &options.stats {
-                    stats.bump_checksum_failure();
-                }
-                return Err(corrupt(context(&input), "header checksum mismatch".into()));
+        let stored = u32::from_le_bytes([
+            header[HEADER_LEN],
+            header[HEADER_LEN + 1],
+            header[HEADER_LEN + 2],
+            header[HEADER_LEN + 3],
+        ]);
+        if crc32c(&header[..HEADER_LEN]) != stored {
+            if let Some(stats) = &options.stats {
+                stats.bump_checksum_failure();
             }
+            return Err(corrupt(context(&input), "header checksum mismatch".into()));
         }
         // lint: allow(no_unwrap) — fixed-width slice of a length-checked header; try_into cannot fail
         let total = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
@@ -1189,39 +1187,6 @@ mod tests {
             "most flips are caught by a checksum comparison: {}",
             stats.checksum_failures()
         );
-    }
-
-    #[test]
-    fn verify_off_skips_checksums_but_not_structure() {
-        let dir = TempDir::new("vf-verify-off");
-        let path = dir.join("v.indv");
-        let values = bytes(&["aaaa", "bbbb", "cccc"]);
-        write_value_file(&path, &values).unwrap();
-        let data = std::fs::read(&path).unwrap();
-
-        // Flip a bit inside the first record's body (header 20 + frame
-        // prefix 2 + record length prefix 4 = offset 26): verify-off
-        // serves the flipped byte, verify-on refuses it.
-        let mut flipped = data.clone();
-        flipped[26] ^= 0x04;
-        std::fs::write(&path, &flipped).unwrap();
-        let relaxed =
-            ValueFileReader::open_with_options(&path, &IoOptions::default().verify(false))
-                .and_then(collect_cursor)
-                .unwrap();
-        assert_ne!(relaxed, values, "verify-off trades detection for speed");
-        assert!(matches!(
-            ValueFileReader::open(&path).and_then(collect_cursor),
-            Err(ValueSetError::Corrupt { .. })
-        ));
-
-        // Structural damage (mid-frame truncation) errs either way.
-        std::fs::write(&path, &data[..data.len() - 10]).unwrap();
-        assert!(matches!(
-            ValueFileReader::open_with_options(&path, &IoOptions::default().verify(false))
-                .and_then(collect_cursor),
-            Err(ValueSetError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -106,7 +106,6 @@ pub(crate) struct FrameError {
 #[derive(Debug)]
 pub(crate) struct FrameDecoder {
     phase: Phase,
-    verify: bool,
     frames_seen: u64,
     payload_seen: u64,
     /// Stream offset of the next undecoded raw byte.
@@ -133,12 +132,10 @@ fn le_u64(buf: &[u8], at: usize) -> u64 {
 }
 
 impl FrameDecoder {
-    /// A decoder at the start of a stream; `verify` turns the checksum
-    /// comparisons on (structure is checked either way).
-    pub(crate) fn new(verify: bool) -> FrameDecoder {
+    /// A decoder at the start of a stream.
+    pub(crate) fn new() -> FrameDecoder {
         FrameDecoder {
             phase: Phase::Header,
-            verify,
             frames_seen: 0,
             payload_seen: 0,
             raw_pos: 0,
@@ -241,7 +238,7 @@ impl FrameDecoder {
             }
             let body = raw + FRAME_LEN_PREFIX;
             let stored = &buf[body + len..body + len + FRAME_CRC_LEN];
-            if self.verify && crc32c(&buf[body..body + len]) != le_u32(stored, 0) {
+            if crc32c(&buf[body..body + len]) != le_u32(stored, 0) {
                 return Err(self.fail("frame checksum mismatch", true));
             }
             self.crc_chain.update(stored);
@@ -265,11 +262,8 @@ impl FrameDecoder {
         Ok((out, raw))
     }
 
-    /// Checks the 24 footer bytes after the sentinel (when verifying).
+    /// Checks the 24 footer bytes after the sentinel.
     fn check_footer(&self, footer: &[u8]) -> Result<(), FrameError> {
-        if !self.verify {
-            return Ok(());
-        }
         if &footer[20..24] != FOOTER_MAGIC {
             return Err(self.fail("bad footer magic", false));
         }
@@ -350,19 +344,14 @@ mod tests {
     /// Drains `bytes` at every block size in [`BLOCKS`] under every plan in
     /// [`PLANS`], `step` bytes per fill; every configuration must serve the
     /// same bytes or fail with the same error, which is returned.
-    fn drain_at(
-        bytes: &[u8],
-        verify: bool,
-        stats: Option<ReadStats>,
-        step: usize,
-    ) -> io::Result<Vec<u8>> {
+    fn drain_at(bytes: &[u8], stats: Option<ReadStats>, step: usize) -> io::Result<Vec<u8>> {
         let dir = TempDir::new("frame-decode");
         let path = dir.join("data.indv");
         std::fs::write(&path, bytes).unwrap();
         let mut first: Option<io::Result<Vec<u8>>> = None;
         for block in BLOCKS {
             for plan in PLANS {
-                let mut options = IoOptions::with_block_size(block).verify(verify);
+                let mut options = IoOptions::with_block_size(block);
                 options.stats = stats.clone();
                 if let Some(plan) = plan {
                     options = options.with_fault(Arc::new(FaultPlan::parse(plan).unwrap()));
@@ -384,8 +373,8 @@ mod tests {
         first.unwrap()
     }
 
-    fn drain(bytes: &[u8], verify: bool, stats: Option<ReadStats>) -> io::Result<Vec<u8>> {
-        drain_at(bytes, verify, stats, usize::MAX / 2)
+    fn drain(bytes: &[u8], stats: Option<ReadStats>) -> io::Result<Vec<u8>> {
+        drain_at(bytes, stats, usize::MAX / 2)
     }
 
     /// Configurations [`drain`] runs each stream through.
@@ -407,7 +396,7 @@ mod tests {
         ] {
             let data = payload(n);
             let raw = v2_file(42, &data);
-            let logical = drain(&raw, true, None).unwrap();
+            let logical = drain(&raw, None).unwrap();
             assert_eq!(&logical[..V2_HEADER_LEN], &raw[..V2_HEADER_LEN]);
             assert_eq!(&logical[V2_HEADER_LEN..], &data[..], "payload of {n} bytes");
             assert_eq!(
@@ -430,7 +419,7 @@ mod tests {
             ][..],
         ] {
             let head = &raw[..raw.len().min(V2_HEADER_LEN)];
-            assert_eq!(drain(raw, true, None).unwrap(), head);
+            assert_eq!(drain(raw, None).unwrap(), head);
         }
     }
 
@@ -439,7 +428,7 @@ mod tests {
         let data = payload(2 * FRAME_PAYLOAD + 5);
         let mut raw = v2_file(4, &data);
         let total = raw.len();
-        let mut decoder = FrameDecoder::new(true);
+        let mut decoder = FrameDecoder::new();
         let (out, used) = decoder.decode(&mut raw, 0, 0, true).unwrap();
         assert!(decoder.finished());
         assert_eq!(used, total, "the footer is consumed");
@@ -448,7 +437,7 @@ mod tests {
         // Fed one byte at a time, the step waits on every incomplete unit.
         let raw = v2_file(4, &data);
         let mut buf = Vec::new();
-        let mut decoder = FrameDecoder::new(true);
+        let mut decoder = FrameDecoder::new();
         let (mut out, mut at) = (0, 0);
         for (i, &b) in raw.iter().enumerate() {
             assert!(decoder.min_read(&buf[at..]) >= 1);
@@ -468,7 +457,7 @@ mod tests {
         for byte in V2_HEADER_LEN..raw.len() {
             let mut bad = raw.clone();
             bad[byte] ^= 1 << (byte % 8);
-            let err = drain(&bad, true, Some(stats.clone()))
+            let err = drain(&bad, Some(stats.clone()))
                 .expect_err(&format!("flip at byte {byte} must be detected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             let msg = err.to_string();
@@ -485,28 +474,11 @@ mod tests {
         let data = payload(2 * FRAME_PAYLOAD + 13);
         let raw = v2_file(3, &data);
         for cut in V2_HEADER_LEN..raw.len() {
-            let err = drain(&raw[..cut], true, None)
-                .expect_err(&format!("cut at byte {cut} must be detected"));
+            let err =
+                drain(&raw[..cut], None).expect_err(&format!("cut at byte {cut} must be detected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
-        drain(&raw, true, None).unwrap();
-    }
-
-    #[test]
-    fn verify_off_still_strips_and_still_catches_structural_damage() {
-        let data = payload(5000);
-        let raw = v2_file(11, &data);
-        let logical = drain(&raw, false, None).unwrap();
-        assert_eq!(&logical[V2_HEADER_LEN..], &data[..]);
-
-        // A flipped payload bit sails through unverified...
-        let mut flipped = raw.clone();
-        flipped[V2_HEADER_LEN + FRAME_LEN_PREFIX + 10] ^= 0x40;
-        let dirty = drain(&flipped, false, None).unwrap();
-        assert_ne!(&dirty[V2_HEADER_LEN..], &data[..]);
-
-        // ...but a mid-frame truncation is still structural corruption.
-        assert!(drain(&raw[..raw.len() / 2], false, None).is_err());
+        drain(&raw, None).unwrap();
     }
 
     #[test]
@@ -517,18 +489,18 @@ mod tests {
 
         let mut bad_count = raw.clone();
         bad_count[footer_at] ^= 1;
-        let e = drain(&bad_count, true, None).unwrap_err();
+        let e = drain(&bad_count, None).unwrap_err();
         assert!(e.to_string().contains("record count"), "{e}");
 
         let mut bad_bytes = raw.clone();
         bad_bytes[footer_at + 8] ^= 1;
-        let e = drain(&bad_bytes, true, None).unwrap_err();
+        let e = drain(&bad_bytes, None).unwrap_err();
         assert!(e.to_string().contains("byte count"), "{e}");
 
         let stats = ReadStats::new();
         let mut bad_crc = raw.clone();
         bad_crc[footer_at + 16] ^= 1;
-        let e = drain(&bad_crc, true, Some(stats.clone())).unwrap_err();
+        let e = drain(&bad_crc, Some(stats.clone())).unwrap_err();
         assert!(e.to_string().contains("whole-file checksum"), "{e}");
         assert_eq!(
             stats.checksum_failures(),
@@ -538,7 +510,7 @@ mod tests {
 
         let mut bad_magic = raw.clone();
         bad_magic[footer_at + 20] = b'X';
-        let e = drain(&bad_magic, true, None).unwrap_err();
+        let e = drain(&bad_magic, None).unwrap_err();
         assert!(e.to_string().contains("footer magic"), "{e}");
     }
 
@@ -546,10 +518,10 @@ mod tests {
     fn logical_stream_is_identical_at_any_read_granularity() {
         let data = payload(FRAME_PAYLOAD + 777);
         let raw = v2_file(5, &data);
-        let whole = drain(&raw, true, None).unwrap();
+        let whole = drain(&raw, None).unwrap();
         for step in [1usize, 3, 19, 4096, 10_000] {
             assert_eq!(
-                drain_at(&raw, true, None, step).unwrap(),
+                drain_at(&raw, None, step).unwrap(),
                 whole,
                 "read granularity {step}"
             );

