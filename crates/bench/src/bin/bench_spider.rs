@@ -47,7 +47,7 @@
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
     generate_candidates, memory_export, run_spider, Algorithm, Candidate, IndFinder, NaryDiscovery,
-    NaryFinder, PretestConfig, RunMetrics,
+    PretestConfig, RunMetrics,
 };
 use ind_datagen::{
     generate_chains, generate_pdb, generate_uniprot, generate_wide, BiosqlConfig, ChainsConfig,
@@ -368,9 +368,11 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
         structures: scale,
         ..Default::default()
     });
-    let finder = NaryFinder::with_max_arity(MAX_ARITY);
+    let finder = IndFinder::with_algorithm(Algorithm::Spider);
     let run = || -> Result<NaryDiscovery, String> {
-        finder.discover_in_memory(&db).map_err(|e| e.to_string())
+        finder
+            .discover_nary_in_memory(&db, ind_storage::default_workers(), MAX_ARITY)
+            .map_err(|e| e.to_string())
     };
     // Counts are deterministic; only the per-level wall times vary, so the
     // best-of loop keeps the fastest total and the matching level times.

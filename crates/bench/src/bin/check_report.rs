@@ -18,8 +18,8 @@
 //!   intervals, so spans of concurrent export workers are not
 //!   double-counted;
 //! * every `level` span of the n-ary path (`--max-arity`) is covered by its
-//!   children (`generate`, `export`, `spider_merge`) to the same tolerance,
-//!   measured against the level's own duration;
+//!   children (`generate`, `export`, `classes`, `spider_merge`) to the same
+//!   tolerance, measured against the level's own duration;
 //! * the `discover` span agrees with `metrics.elapsed_ns` to the same
 //!   tolerance;
 //! * span counters count a span's own work, not that of concurrent

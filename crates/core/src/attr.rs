@@ -1,8 +1,8 @@
 //! Attribute profiles: the per-attribute metadata that candidate
 //! generation and the pretests consume.
 
-use ind_storage::{table_stats, Column, DataType, Database, QualifiedName};
-use ind_valueset::{ExportedDatabase, MemoryProvider, Result};
+use ind_storage::{table_stats, DataType, Database, QualifiedName};
+use ind_valueset::{ExportedDatabase, MemoryProvider, Result, Source};
 
 /// Profile of one attribute (column), identified by a dense id that doubles
 /// as the index into the value-set provider.
@@ -123,26 +123,38 @@ pub(crate) fn try_memory_export(
     db: &Database,
     threads: usize,
 ) -> Result<(Vec<AttributeProfile>, MemoryProvider)> {
-    let attributes: Vec<_> = db
-        .tables()
-        .iter()
-        .flat_map(|table| {
-            table
-                .iter_cells()
-                .map(move |(_, cs, col)| (table.name(), cs, col))
+    let attributes = db.tables().iter().flat_map(|table| {
+        table.iter_cells().map(move |(_, cs, col)| {
+            let name = QualifiedName::new(table.name(), cs.name.clone());
+            (name, cs.data_type, Source::Column(col))
         })
-        .collect();
-    let columns: Vec<&Column> = attributes.iter().map(|&(_, _, col)| col).collect();
-    let extracted = ind_valueset::extract_memory_columns(&columns, threads)?;
-    let mut profiles = Vec::with_capacity(attributes.len());
-    let mut sets = Vec::with_capacity(attributes.len());
-    for (id, ((table, cs, col), column)) in attributes.into_iter().zip(extracted).enumerate() {
+    });
+    extract_profiled(attributes.collect(), threads)
+}
+
+/// Extracts `attributes` on `threads` workers
+/// ([`ind_valueset::extract_memory_columns`]): attribute `i` is profiled
+/// off its set the way [`try_memory_export`] profiles a column, and becomes
+/// the provider's set `i`. Over [`Source::groups`] it is the in-memory
+/// counterpart of
+/// [`ExportedDatabase::export_groups`](ind_valueset::ExportedDatabase::export_groups).
+pub(crate) fn extract_profiled(
+    attributes: Vec<(QualifiedName, DataType, Source<'_>)>,
+    threads: usize,
+) -> Result<(Vec<AttributeProfile>, MemoryProvider)> {
+    let sources: Vec<Source<'_>> = attributes.iter().map(|a| a.2.clone()).collect();
+    let extracted = ind_valueset::extract_memory_columns(&sources, threads)?;
+    let mut profiles = Vec::with_capacity(sources.len());
+    let mut sets = Vec::with_capacity(sources.len());
+    for (id, ((name, data_type, source), column)) in
+        attributes.into_iter().zip(extracted).enumerate()
+    {
         let values = column.set.as_slice();
         profiles.push(AttributeProfile {
             id: id as u32,
-            name: QualifiedName::new(table, cs.name.clone()),
-            data_type: cs.data_type,
-            rows: col.len() as u64,
+            name,
+            data_type,
+            rows: source.rows(),
             non_null: column.non_null,
             distinct: values.len() as u64,
             min: values.first().map(<[u8]>::to_vec),

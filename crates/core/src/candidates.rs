@@ -62,23 +62,21 @@ pub fn generate_candidates(
     pretests: &PretestConfig,
     metrics: &mut RunMetrics,
 ) -> Vec<Candidate> {
-    generate_candidates_with(
-        profiles,
-        pretests,
-        metrics,
-        AttributeProfile::is_referenced_candidate,
-    )
+    let mut candidates =
+        candidate_pairs(profiles, metrics, AttributeProfile::is_referenced_candidate);
+    pretest(&mut candidates, profiles, pretests, metrics);
+    candidates
 }
 
-/// [`generate_candidates`] with an explicit referenced-side eligibility
-/// predicate. The default (unique columns) is the paper's FK-guessing
-/// heuristic; the n-ary level-1 pass relaxes it to every non-empty
-/// attribute, because the levelwise search needs the complete unary IND
-/// base for its projection pruning. Pretests and counters are identical
-/// either way.
-pub(crate) fn generate_candidates_with(
+/// Every ordered (dependent, referenced) pair of distinct attributes, in
+/// id order, with an explicit referenced-side eligibility predicate,
+/// counted into [`RunMetrics::pairs_considered`]; no pretest runs. The
+/// default (unique columns) is the paper's FK-guessing heuristic; the n-ary
+/// level-1 pass relaxes it to every non-empty attribute, because the
+/// levelwise search needs the complete unary IND base for its projection
+/// pruning.
+pub(crate) fn candidate_pairs(
     profiles: &[AttributeProfile],
-    pretests: &PretestConfig,
     metrics: &mut RunMetrics,
     ref_eligible: impl Fn(&AttributeProfile) -> bool,
 ) -> Vec<Candidate> {
@@ -91,22 +89,38 @@ pub(crate) fn generate_candidates_with(
     let mut out = Vec::new();
     for dep in &deps {
         for refd in &refs {
-            if dep.id == refd.id {
-                continue;
+            if dep.id != refd.id {
+                out.push(Candidate::new(dep.id, refd.id));
             }
-            metrics.pairs_considered += 1;
-            if dep.distinct > refd.distinct {
-                metrics.pruned_cardinality += 1;
-                continue;
-            }
-            if pretests.max_value && dep.max > refd.max {
-                metrics.pruned_max_value += 1;
-                continue;
-            }
-            out.push(Candidate::new(dep.id, refd.id));
         }
     }
+    metrics.pairs_considered += out.len() as u64;
     out
+}
+
+/// Drops the candidates the pretests refute, keeping the rest in order, and
+/// counts each drop: the cardinality pretest always, the max-value pretest
+/// when `pretests` asks for it. `profiles` is indexed by the candidates'
+/// ids — unary attributes, or the attribute sequences of one n-ary level,
+/// whose distinct tuples and largest encoded tuple obey both tests alike.
+pub(crate) fn pretest(
+    candidates: &mut Vec<Candidate>,
+    profiles: &[AttributeProfile],
+    pretests: &PretestConfig,
+    metrics: &mut RunMetrics,
+) {
+    candidates.retain(|c| {
+        let (dep, refd) = (&profiles[c.dep as usize], &profiles[c.refd as usize]);
+        if dep.distinct > refd.distinct {
+            metrics.pruned_cardinality += 1;
+            return false;
+        }
+        if pretests.max_value && dep.max > refd.max {
+            metrics.pruned_max_value += 1;
+            return false;
+        }
+        true
+    });
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use brute_force::{run_brute_force, run_brute_force_parallel, test_candidate}
 pub use candidates::{generate_candidates, Candidate, Ind, PretestConfig};
 pub use closure::{in_closure, transitive_closure};
 pub use metrics::RunMetrics;
-pub use nary::{NaryCandidate, NaryConfig, NaryDiscovery, NaryFinder, NaryLevelStats};
+pub use nary::{NaryCandidate, NaryDiscovery, NaryLevelStats};
 pub use partial::{inclusion_count, InclusionCount};
 pub use runner::{Algorithm, DegradedReport, Discovery, FinderConfig, IndFinder};
 pub use single_pass::run_single_pass;

@@ -2,13 +2,17 @@
 //!
 //! The paper scopes SPIDER to unary INDs and leaves composite keys as
 //! future work (Sec. 7). This module adds that layer **on top of** the
-//! existing engines rather than beside them:
+//! unary finder rather than beside it: every level runs through
+//! [`IndFinder`]'s own validation step — quarantine filter → pretests →
+//! classes of equal value sets → the configured engine → expand — so the
+//! finder's [`crate::FinderConfig`] (algorithm and pretests) applies at
+//! every arity.
 //!
-//! 1. **Level 1** runs the tuned unary pipeline, with one deliberate
-//!    relaxation: referenced attributes do not need to be unique. The
-//!    uniqueness restriction is an FK-*guessing* heuristic (Aladin step 2),
-//!    not part of the IND definition — and the levelwise search needs the
-//!    complete unary IND set, because a composite key's component columns
+//! 1. **Level 1** is the unary step, with one deliberate relaxation:
+//!    referenced attributes do not need to be unique. The uniqueness
+//!    restriction is an FK-*guessing* heuristic (Aladin step 2), not part
+//!    of the IND definition — and the levelwise search needs the complete
+//!    unary IND set, because a composite key's component columns
 //!    (`chain.pdb_code`, `chain.chain_id`, …) are rarely unique on their
 //!    own.
 //! 2. **Level k** generates arity-`k` candidates MIND/apriori-style from
@@ -21,21 +25,24 @@
 //!    the exponential candidate space tractable; the rejected joins are
 //!    counted in [`RunMetrics::pruned_projection`] and per level in
 //!    [`NaryLevelStats`].
-//! 3. Each level's candidates are validated by the **unchanged** SPIDER
-//!    merge engine: every distinct attribute sequence becomes one composite
-//!    value stream (rows tuple-encoded with the order-preserving encoding
-//!    of [`ind_valueset::encode_tuple`], so byte-wise comparison equals
-//!    lexicographic tuple comparison and the external sort, block reader,
-//!    and zero-copy cursors all work unchanged), and the composite ids play
-//!    the role unary attribute ids play elsewhere. On disk a level is an
-//!    [`ExportedDatabase`] too: [`ExportedDatabase::export_groups`] writes
-//!    its streams on the unary export's workers through the same group
-//!    commit, and the run shares the unary finder's preamble (export,
-//!    profiles, keep-going pre-scan) and epilogue (counters, degraded
-//!    report).
+//! 3. Every distinct attribute sequence of a level becomes one composite
+//!    value set (rows tuple-encoded with the order-preserving encoding of
+//!    [`ind_valueset::encode_tuple`], so byte-wise comparison equals
+//!    lexicographic tuple comparison and the sorter, block reader, cursors
+//!    and engines all work unchanged), profiled like a column; the
+//!    sequence ids play the role unary attribute ids play elsewhere. The
+//!    level's candidates then take the validation step over those
+//!    profiles: the cardinality and max-value pretests compare distinct
+//!    tuples and largest tuples, and sequences holding equal tuple sets
+//!    share one representative. In memory a level is extracted on the
+//!    `threads` workers of the unary export; on disk it is an
+//!    [`ExportedDatabase`] too ([`ExportedDatabase::export_groups`] on the
+//!    unary export's workers, through the same group commit), and the run
+//!    shares the unary finder's preamble (export, profiles, keep-going
+//!    pre-scan) and epilogue (counters, degraded report).
 //!
-//! The driver iterates until a level yields no candidates or
-//! [`NaryConfig::max_arity`] is reached.
+//! The search iterates until a level yields no candidates or `max_arity`
+//! is reached.
 //!
 //! **Canonical form.** Permuting a composite IND's positions on both sides
 //! yields an equivalent IND, so candidates are normalised to strictly
@@ -50,15 +57,13 @@
 //! a unary projection fails — such exotic INDs are outside the levelwise
 //! search space, the standard trade-off of the MIND family.
 
-use crate::attr::{try_memory_export, AttributeProfile};
-use crate::candidates::{Candidate, PretestConfig};
+use crate::attr::{extract_profiled, profiles_from_export, try_memory_export, AttributeProfile};
+use crate::candidates::{candidate_pairs, Candidate};
 use crate::metrics::RunMetrics;
-use crate::runner::{DegradedReport, DiskRun};
-use crate::spider::run_spider;
-use ind_storage::{Column, Database, QualifiedName};
+use crate::runner::{DegradedReport, DiskRun, IndFinder};
+use ind_storage::{Database, QualifiedName};
 use ind_valueset::{
-    extract_composite_memory_set, ExportOptions, ExportedDatabase, MemoryProvider, Result,
-    ValueSetProvider, MAX_COMPOSITE_ARITY,
+    ExportOptions, ExportedDatabase, Result, Source, ValueSetProvider, MAX_COMPOSITE_ARITY,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -90,25 +95,6 @@ impl NaryCandidate {
     }
 }
 
-/// Configuration for the levelwise driver.
-#[derive(Debug, Clone)]
-pub struct NaryConfig {
-    /// Largest arity to search (≥ 1; level 1 is the unary pass). Clamped to
-    /// [`MAX_COMPOSITE_ARITY`].
-    pub max_arity: usize,
-    /// Pretests applied during level-1 candidate generation.
-    pub pretests: PretestConfig,
-}
-
-impl Default for NaryConfig {
-    fn default() -> Self {
-        NaryConfig {
-            max_arity: 2,
-            pretests: PretestConfig::default(),
-        }
-    }
-}
-
 /// Per-level counters: the evidence that projection pruning engages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaryLevelStats {
@@ -119,18 +105,17 @@ pub struct NaryLevelStats {
     /// same-table referenced permutation (minus identical sequences). The
     /// denominator of the apriori saving.
     pub enumerable: u64,
-    /// Candidates actually generated (and therefore validated).
+    /// Candidates the level generated: at level 1 the attribute pairs the
+    /// pretests left (quarantined ones included), at level `k` the joins
+    /// that survived projection pruning, before the pretests that read the
+    /// level's profiles.
     pub generated: u64,
     /// Joined candidate pairs rejected because a sub-projection was not a
     /// satisfied IND.
     pub pruned_projection: u64,
     /// Satisfied INDs found at this level.
     pub satisfied: u64,
-    /// Candidates dropped at this level because a component attribute was
-    /// quarantined by a keep-going run (level 1 filters directly; higher
-    /// levels inherit the exclusion through the apriori join and read 0).
-    pub quarantined_candidates: u64,
-    /// Wall-clock time of the level (generation + extraction + merge).
+    /// Wall-clock time of the level (generation + extraction + validation).
     pub elapsed: Duration,
 }
 
@@ -144,6 +129,11 @@ pub struct NaryDiscovery {
     pub unary: Vec<Candidate>,
     /// Satisfied composite INDs of every arity ≥ 2, sorted.
     pub satisfied: Vec<NaryCandidate>,
+    /// The profile of every attribute sequence of arity ≥ 2 the search
+    /// extracted, sorted by sequence: `non_null` counts the rows with every
+    /// component non-NULL, `distinct` the distinct tuples among them. See
+    /// [`NaryDiscovery::sequence_profile`].
+    pub sequence_profiles: Vec<(Vec<u32>, AttributeProfile)>,
     /// Per-level counters, starting at arity 1. A trailing entry with
     /// `generated == 0` records the level at which the search died out.
     pub levels: Vec<NaryLevelStats>,
@@ -156,21 +146,24 @@ pub struct NaryDiscovery {
 impl NaryDiscovery {
     /// Satisfied composite INDs as qualified-name sequences.
     pub fn satisfied_named(&self) -> Vec<(Vec<QualifiedName>, Vec<QualifiedName>)> {
+        let named = |seq: &[u32]| -> Vec<QualifiedName> {
+            seq.iter()
+                .map(|&a| self.profiles[a as usize].name.clone())
+                .collect()
+        };
         self.satisfied
             .iter()
-            .map(|c| {
-                (
-                    c.dep
-                        .iter()
-                        .map(|&a| self.profiles[a as usize].name.clone())
-                        .collect(),
-                    c.refd
-                        .iter()
-                        .map(|&a| self.profiles[a as usize].name.clone())
-                        .collect(),
-                )
-            })
+            .map(|c| (named(&c.dep), named(&c.refd)))
             .collect()
+    }
+
+    /// The profile of attribute sequence `sequence` — both sides of every
+    /// composite IND in [`NaryDiscovery::satisfied`] have one.
+    pub fn sequence_profile(&self, sequence: &[u32]) -> Option<&AttributeProfile> {
+        let found = self
+            .sequence_profiles
+            .binary_search_by(|(s, _)| s.as_slice().cmp(sequence));
+        found.ok().map(|i| &self.sequence_profiles[i].1)
     }
 
     /// Largest arity at which an IND was found (1 when only unary INDs
@@ -184,169 +177,130 @@ impl NaryDiscovery {
     }
 }
 
-/// High-level n-ary IND finder; the composite counterpart of
-/// [`crate::IndFinder`].
-#[derive(Debug, Clone, Default)]
-pub struct NaryFinder {
-    /// Configuration used by every `discover*` call.
-    pub config: NaryConfig,
+/// One searched level: its attribute sequences (at level 1 the attributes
+/// themselves), their profiles (composite levels only) and its satisfied
+/// INDs as pairs over the sequences, sorted as the sequences sort.
+struct Level {
+    sequences: Vec<Vec<u32>>,
+    profiles: Vec<AttributeProfile>,
+    found: Vec<Candidate>,
 }
 
-impl NaryFinder {
-    /// Finder with the given configuration.
-    pub fn new(config: NaryConfig) -> Self {
-        NaryFinder { config }
-    }
-
-    /// Finder searching up to `max_arity` with default pretests.
-    pub fn with_max_arity(max_arity: usize) -> Self {
-        NaryFinder::new(NaryConfig {
-            max_arity,
-            ..Default::default()
-        })
-    }
-
-    /// Runs the levelwise search entirely in memory, extracting the unary
-    /// value sets on every core ([`ind_storage::default_workers`]).
-    pub fn discover_in_memory(&self, db: &Database) -> Result<NaryDiscovery> {
-        self.discover_in_memory_with(db, ind_storage::default_workers())
-    }
-
-    /// [`NaryFinder::discover_in_memory`] with exactly `threads` unary
-    /// extraction workers. The result is the same at any count.
-    pub fn discover_in_memory_with(&self, db: &Database, threads: usize) -> Result<NaryDiscovery> {
+impl IndFinder {
+    /// Runs the levelwise search up to `max_arity` (level 1 is the unary
+    /// pass; clamped to 1..=[`MAX_COMPOSITE_ARITY`]) entirely in memory,
+    /// extracting the unary value sets and every level's composite sets on
+    /// exactly `threads` workers. The result is the same at any count.
+    pub fn discover_nary_in_memory(
+        &self,
+        db: &Database,
+        threads: usize,
+        max_arity: usize,
+    ) -> Result<NaryDiscovery> {
         let start = Instant::now();
         let _root = ind_trace::start(ind_trace::DISCOVER);
         let export_span = ind_trace::start(ind_trace::EXPORT);
         let (profiles, provider) = try_memory_export(db, threads)?;
         export_span.finish();
-        // Stored columns in profile-id order, for composite extraction.
-        let columns: Vec<&Column> = db
-            .tables()
-            .iter()
-            .flat_map(|table| table.iter_cells().map(|(_, _, col)| col))
-            .collect();
-        let mut discovery = self.drive(&profiles, &provider, &[], |groups| {
-            let _span = ind_trace::start(ind_trace::EXPORT);
-            let sets = groups
-                .iter()
-                .map(|group| {
-                    let cols: Vec<&Column> = group.iter().map(|&a| columns[a as usize]).collect();
-                    extract_composite_memory_set(&cols)
-                })
-                .collect();
-            Ok(MemoryProvider::new(sets))
-        })?;
+        let mut discovery =
+            self.discover_levels(&profiles, &provider, &[], max_arity, |_, groups| {
+                let _span = ind_trace::start(ind_trace::EXPORT);
+                extract_profiled(Source::groups(db, groups)?, threads)
+            })?;
         discovery.metrics.elapsed = start.elapsed();
         Ok(discovery)
     }
 
-    /// Runs the levelwise search over on-disk sorted value files: the unary
-    /// export lands under `workdir/arity-1`, each composite level under
-    /// `workdir/arity-<k>`. The on-disk preamble and epilogue are the unary
-    /// finder's ([`crate::IndFinder::discover_on_disk_with`]): keep-going
-    /// quarantines what the export or the pre-scan condemns, and the apriori
-    /// join then keeps it out of every level. Each level is an
+    /// [`IndFinder::discover_nary_in_memory`] over on-disk sorted value
+    /// files: the unary export lands under `workdir/arity-1`, each composite
+    /// level under `workdir/arity-<k>`. The on-disk preamble and epilogue
+    /// are the unary finder's ([`IndFinder::discover_on_disk_with`]):
+    /// keep-going quarantines what the export or the pre-scan condemns, and
+    /// the apriori join then keeps it out of every level. Each level is an
     /// [`ExportedDatabase::export_groups`] on the unary export's workers and
     /// I/O options, so [`RunMetrics::read_calls`] and the fault counters
     /// cover every level. A level is always rewritten and runs strict: a
     /// failed composite stream fails the run, keep-going or not.
-    pub fn discover_on_disk(
+    pub fn discover_nary_on_disk(
         &self,
         db: &Database,
         workdir: &Path,
         options: &ExportOptions,
+        max_arity: usize,
     ) -> Result<NaryDiscovery> {
         let _root = ind_trace::start(ind_trace::DISCOVER);
         let run = DiskRun::prepare(db, &workdir.join("arity-1"), options)?;
         let mut level_options = options.clone();
         level_options.sort.io = run.export.io_options().clone();
-        let mut level = 1usize;
-        let mut discovery = self.drive(
+        let mut discovery = self.discover_levels(
             &run.profiles,
             &run.export,
             &run.quarantined_ids(),
-            |groups| {
-                level += 1;
-                let named: Vec<Vec<QualifiedName>> = groups
-                    .iter()
-                    .map(|group| {
-                        group
-                            .iter()
-                            .map(|&a| run.profiles[a as usize].name.clone())
-                            .collect()
-                    })
-                    .collect();
-                let dir = workdir.join(format!("arity-{level}"));
-                ExportedDatabase::export_groups(db, &named, &dir, &level_options)
+            max_arity,
+            |arity, groups| {
+                let dir = workdir.join(format!("arity-{arity}"));
+                let export = ExportedDatabase::export_groups(db, groups, &dir, &level_options)?;
+                Ok((profiles_from_export(&export), export))
             },
         )?;
         discovery.degraded = run.finish(&mut discovery.metrics);
         Ok(discovery)
     }
 
-    /// The levelwise loop over one kind of provider, in memory or on disk:
-    /// `make_level` turns the distinct attribute groups of a level into a
-    /// provider whose ids are the group indices, under an `export` span of
-    /// its own (so each `level` span is covered by its `generate`, `export`
-    /// and `spider_merge` children), and every level runs through
-    /// [`run_spider`]. The caller opens the `discover` root before its unary
-    /// export and sets `metrics.elapsed` over the whole run.
-    fn drive<P, F>(
+    /// The levelwise loop over one kind of provider, in memory or on disk.
+    /// `make_level(k, groups)` extracts level `k`'s attribute sequences,
+    /// named, into their profiles and a provider whose ids are the sequence
+    /// indices, under an `export` span of its own (so each `level` span is
+    /// covered by its `generate`, `export`, `classes` and engine children).
+    /// Every level runs [`IndFinder::validate`]. The caller opens the
+    /// `discover` root before its unary export and sets `metrics.elapsed`
+    /// over the whole run.
+    fn discover_levels<P, F>(
         &self,
         profiles: &[AttributeProfile],
         unary_provider: &P,
         quarantined: &[u32],
+        max_arity: usize,
         mut make_level: F,
     ) -> Result<NaryDiscovery>
     where
-        P: ValueSetProvider,
-        F: FnMut(&[Vec<u32>]) -> Result<P>,
+        P: ValueSetProvider + Sync,
+        F: FnMut(usize, &[Vec<QualifiedName>]) -> Result<(Vec<AttributeProfile>, P)>,
     {
-        let max_arity = self.config.max_arity.clamp(1, MAX_COMPOSITE_ARITY);
+        let max_arity = max_arity.clamp(1, MAX_COMPOSITE_ARITY);
         let mut metrics = RunMetrics::new();
         let table_of = table_indices(profiles);
 
-        // Level 1: the unary engine with relaxed referenced eligibility.
+        // Level 1: the unary step with relaxed referenced eligibility.
         let level_start = Instant::now();
         let level_span = ind_trace::start_arg(ind_trace::LEVEL, 1);
-        let generate_span = ind_trace::start(ind_trace::GENERATE);
-        let mut unary_candidates =
-            generate_unary_relaxed(profiles, &self.config.pretests, &mut metrics);
-        generate_span.finish();
-        let mut unary_quarantined = 0u64;
-        if !quarantined.is_empty() {
-            let before = unary_candidates.len();
-            unary_candidates
-                .retain(|c| !quarantined.contains(&c.dep) && !quarantined.contains(&c.refd));
-            unary_quarantined = (before - unary_candidates.len()) as u64;
-            metrics.quarantined_attributes = quarantined.len() as u64;
-        }
-        let generated = unary_candidates.len() as u64;
-        let unary = run_spider(unary_provider, &unary_candidates, &mut metrics)?;
+        let candidates = |m: &mut _| candidate_pairs(profiles, m, |p| p.non_null > 0);
+        let unary = self.validate(
+            profiles,
+            unary_provider,
+            candidates,
+            quarantined,
+            &mut metrics,
+        )?;
         level_span.finish();
         let mut levels = vec![NaryLevelStats {
             arity: 1,
             enumerable: enumerable_at(profiles, &table_of, 1),
-            generated,
+            generated: metrics.candidates(),
             pruned_projection: 0,
             satisfied: unary.len() as u64,
-            quarantined_candidates: unary_quarantined,
             elapsed: level_start.elapsed(),
         }];
+        let mut searched = vec![Level {
+            sequences: (0..profiles.len() as u32).map(|a| vec![a]).collect(),
+            profiles: Vec::new(),
+            found: unary,
+        }];
 
-        // Each level is its attribute sequences and its satisfied INDs as
-        // pairs over them, sorted as the sequences sort. Level 1's
-        // sequences are the attributes themselves.
-        let mut prev: (Vec<Vec<u32>>, _) = (
-            (0..profiles.len() as u32).map(|a| vec![a]).collect(),
-            unary.clone(),
-        );
-        let mut found_levels = Vec::new();
         for arity in 2..=max_arity {
-            if prev.1.is_empty() {
+            let Some(prev) = searched.last().filter(|level| !level.found.is_empty()) else {
                 break;
-            }
+            };
             // Cooperative cancellation between levels (each level's merge
             // and extraction also poll on their own).
             ind_valueset::cancel::check_ambient("generate")?;
@@ -354,11 +308,12 @@ impl NaryFinder {
             let _level_span = ind_trace::start_arg(ind_trace::LEVEL, arity as u64);
             let pruned_before = metrics.pruned_projection;
             let generate_span = ind_trace::start(ind_trace::GENERATE);
-            let (groups, pairs) = generate_level(&prev.0, &prev.1, &table_of, &mut metrics);
+            let (sequences, pairs) =
+                generate_level(&prev.sequences, &prev.found, &table_of, &mut metrics);
             // The apriori join cannot produce a candidate containing a
             // quarantined attribute: its unary projection was never
             // satisfied.
-            debug_assert!(groups.iter().flatten().all(|a| !quarantined.contains(a)));
+            debug_assert!(sequences.iter().flatten().all(|a| !quarantined.contains(a)));
             generate_span.finish();
             let mut stats = NaryLevelStats {
                 arity,
@@ -366,7 +321,6 @@ impl NaryFinder {
                 generated: pairs.len() as u64,
                 pruned_projection: metrics.pruned_projection - pruned_before,
                 satisfied: 0,
-                quarantined_candidates: 0,
                 elapsed: Duration::ZERO,
             };
             if pairs.is_empty() {
@@ -375,36 +329,48 @@ impl NaryFinder {
                 break;
             }
 
-            let provider = make_level(&groups)?;
-            let mut found = run_spider(&provider, &pairs, &mut metrics)?;
-            let rank = content_ranks(&groups);
-            found.sort_unstable_by_key(|p| (rank[p.dep as usize], rank[p.refd as usize]));
+            let named: Vec<Vec<QualifiedName>> = sequences
+                .iter()
+                .map(|seq| {
+                    seq.iter()
+                        .map(|&a| profiles[a as usize].name.clone())
+                        .collect()
+                })
+                .collect();
+            let (level_profiles, provider) = make_level(arity, &named)?;
+            let found = self.validate(&level_profiles, &provider, |_| pairs, &[], &mut metrics)?;
             stats.satisfied = found.len() as u64;
             stats.elapsed = level_start.elapsed();
             levels.push(stats);
-            found_levels.push(std::mem::replace(&mut prev, (groups, found)));
+            searched.push(Level {
+                sequences,
+                profiles: level_profiles,
+                found,
+            });
         }
-        found_levels.push(prev);
 
         // Level 1 is reported apart. Each level is sorted; the stable sort
         // merges them into the documented global order, which can
         // interleave arities (e.g. [3,4] < [3,4,5] < [4,5]).
-        let mut satisfied: Vec<NaryCandidate> = found_levels[1..]
-            .iter()
-            .flat_map(|(groups, pairs)| {
-                pairs.iter().map(|p| {
-                    NaryCandidate::new(
-                        groups[p.dep as usize].clone(),
-                        groups[p.refd as usize].clone(),
-                    )
-                })
-            })
-            .collect();
+        let mut satisfied = Vec::new();
+        let mut sequence_profiles = Vec::new();
+        for level in searched.drain(1..) {
+            let seq = |id: u32| level.sequences[id as usize].clone();
+            satisfied.extend(
+                level
+                    .found
+                    .iter()
+                    .map(|p| NaryCandidate::new(seq(p.dep), seq(p.refd))),
+            );
+            sequence_profiles.extend(level.sequences.into_iter().zip(level.profiles));
+        }
         satisfied.sort();
+        sequence_profiles.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         Ok(NaryDiscovery {
             profiles: profiles.to_vec(),
-            unary,
+            unary: searched.swap_remove(0).found,
             satisfied,
+            sequence_profiles,
             levels,
             metrics,
             degraded: None,
@@ -424,28 +390,15 @@ fn table_indices(profiles: &[AttributeProfile]) -> Vec<usize> {
         .collect()
 }
 
-/// Level-1 candidate generation with the relaxed referenced-side
-/// eligibility (any non-empty attribute): the complete unary IND base the
-/// apriori levels need. Pretests and counters behave exactly like
-/// [`crate::generate_candidates`] — it is the same generator with a wider
-/// referenced-side filter.
-fn generate_unary_relaxed(
-    profiles: &[AttributeProfile],
-    pretests: &PretestConfig,
-    metrics: &mut RunMetrics,
-) -> Vec<Candidate> {
-    crate::candidates::generate_candidates_with(profiles, pretests, metrics, |p| p.non_null > 0)
-}
-
 /// Generates the arity-`k` candidates from the satisfied arity-`k−1` INDs:
 /// `pairs` over the sequences `groups`, sorted as the sequences sort. Two INDs
 /// join when they lie in one *run* — the same dependent prefix, referenced
 /// prefix, table of the last dependent and table of the last reference — and
 /// their last dependents increase; the join must not repeat a reference nor be
 /// reflexive, and is kept only when every remaining projection is satisfied.
-/// Returns the level's distinct sequences, each one composite value stream
-/// numbered in the order the sorted candidates first name it, and the
-/// candidates as sorted pairs over those stream ids.
+/// `groups` are numbered in content order, and so are the level's distinct
+/// sequences it returns, each one composite value set, with the candidates
+/// as sorted pairs over their ids.
 fn generate_level(
     groups: &[Vec<u32>],
     pairs: &[Candidate],
@@ -477,7 +430,6 @@ fn generate_level(
 
     // A join `(a, b)` is `a` extended by the last position of `b`.
     let (mut proj_dep, mut proj_ref) = (Vec::with_capacity(last), Vec::with_capacity(last));
-    let rank = content_ranks(groups);
     let mut joins = Vec::new();
     for run in order.chunk_by(|a, b| a.0 == b.0) {
         for (i, &(_, a)) in run.iter().enumerate() {
@@ -509,8 +461,7 @@ fn generate_level(
                         .is_ok()
                 });
                 if all_projections_hold {
-                    let key = (rank[a.dep as usize], db, rank[a.refd as usize], rb);
-                    joins.push((key, (a.dep, db), (a.refd, rb)));
+                    joins.push(((a.dep, db), (a.refd, rb)));
                 } else {
                     metrics.pruned_projection += 1;
                 }
@@ -518,35 +469,23 @@ fn generate_level(
         }
     }
 
-    // Number the level's sequences in candidate order, dependent then
-    // reference: each is a sequence of `groups` extended by one attribute,
-    // and the key orders the joins as their candidates sort.
-    joins.sort_unstable_by_key(|j| j.0);
-    let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut next: Vec<Vec<u32>> = Vec::new();
-    let mut id_of = |(head, tail): (u32, u32)| {
-        *ids.entry((head, tail)).or_insert_with(|| {
-            next.push(seq(head).iter().copied().chain([tail]).collect());
-            (next.len() - 1) as u32
-        })
-    };
-    let mut out: Vec<Candidate> = joins
-        .into_iter()
-        .map(|(_, dep, refd)| Candidate::new(id_of(dep), id_of(refd)))
+    // Each sequence of the level extends one of `groups` by an attribute,
+    // so (that sequence's id, attribute) orders them by content: number
+    // them in that order, and the joins sorted so are the candidates sorted.
+    joins.sort_unstable();
+    let mut keys: Vec<(u32, u32)> = joins.iter().flat_map(|&(dep, refd)| [dep, refd]).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let id_of = |key| keys.partition_point(|&k| k < key) as u32;
+    let out = joins
+        .iter()
+        .map(|&(dep, refd)| Candidate::new(id_of(dep), id_of(refd)))
         .collect();
-    out.sort_unstable();
-    (next, out)
-}
-
-/// Each sequence's position in the sorted order of `groups`.
-fn content_ranks(groups: &[Vec<u32>]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..groups.len() as u32).collect();
-    order.sort_unstable_by_key(|&g| &groups[g as usize]);
-    let mut rank = vec![0; groups.len()];
-    for (r, &g) in order.iter().enumerate() {
-        rank[g as usize] = r as u32;
-    }
-    rank
+    let sequences = keys
+        .iter()
+        .map(|&(head, tail)| seq(head).iter().copied().chain([tail]).collect())
+        .collect();
+    (sequences, out)
 }
 
 /// Counts the arity-`k` candidates enumerable with no projection pruning at
@@ -654,6 +593,16 @@ mod tests {
         db
     }
 
+    /// The SPIDER finder every test runs.
+    fn spider() -> IndFinder {
+        IndFinder::with_algorithm(crate::Algorithm::Spider)
+    }
+
+    /// The levelwise search up to `max_arity` in memory, on two workers.
+    fn in_memory(db: &Database, max_arity: usize) -> NaryDiscovery {
+        spider().discover_nary_in_memory(db, 2, max_arity).unwrap()
+    }
+
     fn names(d: &NaryDiscovery) -> Vec<String> {
         d.satisfied_named()
             .iter()
@@ -676,9 +625,7 @@ mod tests {
     #[test]
     fn finds_the_composite_ind_and_rejects_the_pairwise_decoy() {
         let db = composite_db();
-        let d = NaryFinder::with_max_arity(2)
-            .discover_in_memory(&db)
-            .unwrap();
+        let d = in_memory(&db, 2);
         let found = names(&d);
         assert!(
             found.contains(&"(child.x,child.y) <= (parent.a,parent.b)".to_string()),
@@ -697,38 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_and_memory_backends_agree() {
-        let db = composite_db();
-        let finder = NaryFinder::with_max_arity(3);
-        let mem = finder.discover_in_memory(&db).unwrap();
-        assert_eq!(mem.metrics.read_calls, 0);
-        for threads in [1usize, 2] {
-            let dir = TempDir::new("nary-disk");
-            let disk = finder
-                .discover_on_disk(&db, dir.path(), &ExportOptions::with_threads(threads))
-                .unwrap();
-            assert_eq!(mem.unary, disk.unary, "threads={threads}");
-            assert_eq!(mem.satisfied, disk.satisfied, "threads={threads}");
-            assert_eq!(mem.levels.len(), disk.levels.len());
-            for (m, d) in mem.levels.iter().zip(&disk.levels) {
-                assert_eq!(
-                    (m.arity, m.generated, m.satisfied),
-                    (d.arity, d.generated, d.satisfied)
-                );
-                assert_eq!(m.pruned_projection, d.pruned_projection);
-            }
-            assert_eq!(mem.metrics.items_read, disk.metrics.items_read);
-            assert!(disk.metrics.read_calls > 0, "disk cursors must be counted");
-            assert!(dir.join("arity-2").is_dir(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn a_failed_composite_stream_fails_the_run_even_under_keep_going() {
         // Levels run strict: keep-going quarantines unary attributes, but a
         // composite stream that cannot be written fails the whole run.
         let db = chains_db();
-        let finder = NaryFinder::with_max_arity(2);
         for keep_going in [false, true] {
             let plan =
                 std::sync::Arc::new(ind_valueset::FaultPlan::parse("write:comp-:enospc").unwrap());
@@ -737,8 +656,8 @@ mod tests {
             // The rule names the composite streams, not the directory
             // whose name also holds `comp-`.
             let dir = TempDir::new("nary-comp-fault");
-            let err = finder
-                .discover_on_disk(&db, dir.path(), &options)
+            let err = spider()
+                .discover_nary_on_disk(&db, dir.path(), &options, 2)
                 .unwrap_err();
             assert!(
                 err.to_string().contains("[comp-"),
@@ -751,9 +670,7 @@ mod tests {
     #[test]
     fn projection_pruning_engages() {
         let db = composite_db();
-        let d = NaryFinder::with_max_arity(2)
-            .discover_in_memory(&db)
-            .unwrap();
+        let d = in_memory(&db, 2);
         let level2 = &d.levels[1];
         assert_eq!(level2.arity, 2);
         assert!(
@@ -771,9 +688,7 @@ mod tests {
     #[test]
     fn max_arity_one_is_the_unary_pass() {
         let db = composite_db();
-        let d = NaryFinder::with_max_arity(1)
-            .discover_in_memory(&db)
-            .unwrap();
+        let d = in_memory(&db, 1);
         assert!(d.satisfied.is_empty());
         assert!(!d.unary.is_empty());
         assert_eq!(d.levels.len(), 1);
@@ -785,94 +700,11 @@ mod tests {
         let db = composite_db();
         // Far beyond what two-column tables can sustain: the level loop
         // must stop on its own, recording the terminal empty level.
-        let d = NaryFinder::with_max_arity(9)
-            .discover_in_memory(&db)
-            .unwrap();
+        let d = in_memory(&db, 9);
         assert!(d.levels.len() <= 4);
         let last = d.levels.last().unwrap();
         assert_eq!(last.generated, 0, "trailing level records the dead end");
         assert_eq!(d.max_arity_found(), 2);
-    }
-
-    #[test]
-    fn canonical_form_holds_everywhere() {
-        let db = composite_db();
-        let d = NaryFinder::with_max_arity(3)
-            .discover_in_memory(&db)
-            .unwrap();
-        for c in &d.satisfied {
-            assert!(c.dep.windows(2).all(|w| w[0] < w[1]), "{c:?}");
-            assert_eq!(c.dep.len(), c.refd.len());
-            let mut refs = c.refd.clone();
-            refs.sort_unstable();
-            refs.dedup();
-            assert_eq!(refs.len(), c.refd.len(), "duplicate ref in {c:?}");
-            assert_ne!(c.dep, c.refd);
-            let t = |a: u32| d.profiles[a as usize].name.table.clone();
-            assert!(c.dep.iter().all(|&a| t(a) == t(c.dep[0])));
-            assert!(c.refd.iter().all(|&a| t(a) == t(c.refd[0])));
-        }
-        // Sorted and duplicate-free overall.
-        let mut sorted = d.satisfied.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(d.satisfied, sorted);
-    }
-
-    #[test]
-    fn arity_three_discovery_keeps_global_sort_order() {
-        // u3 rows are a strict subset of t3's, so every pairwise and the
-        // full triple IND holds: satisfied deps are [3,4], [3,5], [4,5]
-        // and [3,4,5] — sorted order interleaves the arity-3 entry between
-        // [3,4] and [3,5], which the per-level appends alone would not
-        // produce.
-        let mut db = Database::new("triples");
-        let mut t3 = Table::new(
-            TableSchema::new(
-                "t3",
-                vec![
-                    ColumnSchema::new("a", DataType::Integer),
-                    ColumnSchema::new("b", DataType::Integer),
-                    ColumnSchema::new("c", DataType::Integer),
-                ],
-            )
-            .unwrap(),
-        );
-        for i in 0..6i64 {
-            t3.insert(vec![i.into(), (10 + i).into(), (20 + i).into()])
-                .unwrap();
-        }
-        let mut u3 = Table::new(
-            TableSchema::new(
-                "u3",
-                vec![
-                    ColumnSchema::new("x", DataType::Integer),
-                    ColumnSchema::new("y", DataType::Integer),
-                    ColumnSchema::new("z", DataType::Integer),
-                ],
-            )
-            .unwrap(),
-        );
-        for i in 0..3i64 {
-            u3.insert(vec![i.into(), (10 + i).into(), (20 + i).into()])
-                .unwrap();
-        }
-        db.add_table(t3).unwrap();
-        db.add_table(u3).unwrap();
-
-        let d = NaryFinder::with_max_arity(3)
-            .discover_in_memory(&db)
-            .unwrap();
-        assert_eq!(d.max_arity_found(), 3);
-        let deps: Vec<Vec<u32>> = d.satisfied.iter().map(|c| c.dep.clone()).collect();
-        assert_eq!(
-            deps,
-            vec![vec![3, 4], vec![3, 4, 5], vec![3, 5], vec![4, 5]],
-            "satisfied must be globally sorted across arities"
-        );
-        let mut sorted = d.satisfied.clone();
-        sorted.sort();
-        assert_eq!(d.satisfied, sorted);
     }
 
     #[test]
@@ -908,9 +740,7 @@ mod tests {
         child.insert(vec![Value::Null, 40.into()]).unwrap();
         db.add_table(parent).unwrap();
         db.add_table(child).unwrap();
-        let d = NaryFinder::with_max_arity(2)
-            .discover_in_memory(&db)
-            .unwrap();
+        let d = in_memory(&db, 2);
         assert!(
             names(&d).contains(&"(child.x,child.y) <= (parent.a,parent.b)".to_string()),
             "{:?}",
@@ -962,15 +792,16 @@ mod tests {
     #[test]
     fn keep_going_quarantine_poisons_composite_candidates() {
         let db = chains_db();
-        let finder = NaryFinder::with_max_arity(2);
+        let finder = spider();
 
         // Clean baseline: the composite FK is found.
         let clean_dir = TempDir::new("nary-kg-clean");
         let clean = finder
-            .discover_on_disk(
+            .discover_nary_on_disk(
                 &db,
                 clean_dir.path(),
                 &ExportOptions::default().keep_going(true),
+                2,
             )
             .unwrap();
         let report = clean.degraded.as_ref().expect("keep-going always reports");
@@ -993,20 +824,15 @@ mod tests {
         let mut options = ExportOptions::default().keep_going(true);
         options.sort.io = ind_valueset::IoOptions::default().with_fault(plan);
         let dir = TempDir::new("nary-kg-poisoned");
-        let d = finder.discover_on_disk(&db, dir.path(), &options).unwrap();
+        let d = finder
+            .discover_nary_on_disk(&db, dir.path(), &options, 2)
+            .unwrap();
 
         let report = d.degraded.as_ref().expect("keep-going always reports");
         assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
         assert_eq!(report.quarantined[0].id, 3);
         assert_eq!(report.quarantined[0].name.to_string(), "residue.chain_id");
         assert_eq!(d.metrics.quarantined_attributes, 1);
-
-        // Level 1 counted the dropped candidates; higher levels inherit the
-        // exclusion through the join (their own counter stays zero).
-        assert!(d.levels[0].quarantined_candidates > 0);
-        for level in &d.levels[1..] {
-            assert_eq!(level.quarantined_candidates, 0, "{level:?}");
-        }
 
         // No surviving IND — unary or composite — mentions the attribute.
         assert!(d.unary.iter().all(|c| c.dep != 3 && c.refd != 3));

@@ -4,7 +4,7 @@
 use crate::attr::{profiles_from_export, try_memory_export, AttributeProfile};
 use crate::blockwise::{run_blockwise, BlockwiseConfig};
 use crate::brute_force::{run_brute_force, run_brute_force_parallel};
-use crate::candidates::{generate_candidates, Candidate, PretestConfig};
+use crate::candidates::{candidate_pairs, pretest, Candidate, PretestConfig};
 use crate::classes::ValueSetClasses;
 use crate::metrics::RunMetrics;
 use crate::single_pass::run_single_pass;
@@ -187,10 +187,6 @@ impl IndFinder {
     /// [`IndFinder::discover`] with a quarantine list: every candidate
     /// touching a quarantined attribute is dropped before testing, so a
     /// poisoned value file can never reach a cursor.
-    ///
-    /// The engine tests one representative per class of equal value sets
-    /// (see [`crate::classes`]), and its answer is expanded back over the
-    /// candidates.
     fn discover_filtered<P>(
         &self,
         profiles: &[AttributeProfile],
@@ -202,36 +198,9 @@ impl IndFinder {
     {
         let start = Instant::now();
         let mut metrics = RunMetrics::new();
-        let generate_span = ind_trace::start(ind_trace::GENERATE);
-        let mut candidates = generate_candidates(profiles, &self.config.pretests, &mut metrics);
-        if !quarantined.is_empty() {
-            candidates.retain(|c| !quarantined.contains(&c.dep) && !quarantined.contains(&c.refd));
-            metrics.quarantined_attributes = quarantined.len() as u64;
-        }
-        generate_span.finish();
-        let classes_span = ind_trace::start(ind_trace::CLASSES);
-        let classes = ValueSetClasses::of(profiles, &candidates, provider, &mut metrics)?;
-        classes_span.finish();
-        let pairs = classes.pairs_to_test(&candidates);
-        let found = match &self.config.algorithm {
-            Algorithm::BruteForce => run_brute_force(provider, &pairs, &mut metrics)?,
-            Algorithm::BruteForceParallel { threads } => {
-                run_brute_force_parallel(provider, &pairs, *threads, &mut metrics)?
-            }
-            Algorithm::SinglePass => run_single_pass(provider, &pairs, &mut metrics)?,
-            Algorithm::Spider => run_spider(provider, &pairs, &mut metrics)?,
-            Algorithm::Blockwise { max_open_files } => run_blockwise(
-                provider,
-                &pairs,
-                &BlockwiseConfig {
-                    max_open_files: *max_open_files,
-                },
-                &mut metrics,
-            )?,
-        };
-        let mut satisfied = classes.expand(&candidates, &found);
-        satisfied.sort();
-        metrics.satisfied = satisfied.len() as u64;
+        let candidates =
+            |m: &mut _| candidate_pairs(profiles, m, AttributeProfile::is_referenced_candidate);
+        let satisfied = self.validate(profiles, provider, candidates, quarantined, &mut metrics)?;
         metrics.elapsed = start.elapsed();
         Ok(Discovery {
             profiles: profiles.to_vec(),
@@ -239,6 +208,64 @@ impl IndFinder {
             metrics,
             degraded: None,
         })
+    }
+
+    /// The validation step of every arity, over `profiles` (indexed by id)
+    /// and a provider with the same ids. Under a `generate` span, take the
+    /// candidates `generate` makes, drop those touching a quarantined
+    /// attribute, then those the pretests refute; sort the survivors'
+    /// attributes into classes of equal value sets (see [`crate::classes`]),
+    /// run the configured engine over one representative pair per pair of
+    /// classes, and expand its answer back over the candidates. Returns the
+    /// satisfied candidates, sorted, and adds them to
+    /// [`RunMetrics::satisfied`] in place of the representative pairs the
+    /// engine counted.
+    pub(crate) fn validate<P>(
+        &self,
+        profiles: &[AttributeProfile],
+        provider: &P,
+        generate: impl FnOnce(&mut RunMetrics) -> Vec<Candidate>,
+        quarantined: &[u32],
+        metrics: &mut RunMetrics,
+    ) -> Result<Vec<Candidate>>
+    where
+        P: ValueSetProvider + Sync,
+    {
+        let generate_span = ind_trace::start(ind_trace::GENERATE);
+        let mut candidates = generate(metrics);
+        if !quarantined.is_empty() {
+            candidates.retain(|c| !quarantined.contains(&c.dep) && !quarantined.contains(&c.refd));
+            metrics.quarantined_attributes = quarantined.len() as u64;
+        }
+        pretest(&mut candidates, profiles, &self.config.pretests, metrics);
+        generate_span.finish();
+        let classes_span = ind_trace::start(ind_trace::CLASSES);
+        let classes = ValueSetClasses::of(profiles, &candidates, provider, metrics)?;
+        let pairs = classes.pairs_to_test(&candidates);
+        classes_span.finish();
+        let satisfied_before = metrics.satisfied;
+        let found = match &self.config.algorithm {
+            Algorithm::BruteForce => run_brute_force(provider, &pairs, metrics)?,
+            Algorithm::BruteForceParallel { threads } => {
+                run_brute_force_parallel(provider, &pairs, *threads, metrics)?
+            }
+            Algorithm::SinglePass => run_single_pass(provider, &pairs, metrics)?,
+            Algorithm::Spider => run_spider(provider, &pairs, metrics)?,
+            Algorithm::Blockwise { max_open_files } => run_blockwise(
+                provider,
+                &pairs,
+                &BlockwiseConfig {
+                    max_open_files: *max_open_files,
+                },
+                metrics,
+            )?,
+        };
+        // The classes step again: their answer back over the candidates.
+        let _classes_span = ind_trace::start(ind_trace::CLASSES);
+        let mut satisfied = classes.expand(&candidates, &found);
+        satisfied.sort();
+        metrics.satisfied = satisfied_before + satisfied.len() as u64;
+        Ok(satisfied)
     }
 
     /// Extracts `db` into memory and discovers INDs — the CLI's default
@@ -309,8 +336,8 @@ impl IndFinder {
     }
 }
 
-/// The on-disk run both finders share, around whatever discovery they make
-/// over the export: [`DiskRun::prepare`] before, [`DiskRun::finish`] after.
+/// The on-disk run of every arity, around whatever discovery it makes over
+/// the export: [`DiskRun::prepare`] before, [`DiskRun::finish`] after.
 pub(crate) struct DiskRun {
     start: Instant,
     keep_going: bool,

@@ -200,8 +200,11 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
     let finder = IndFinder::new(config.finder.clone());
     let mut reports = Vec::with_capacity(sources.len());
 
-    for db in sources {
-        let discovery = finder.discover_in_memory(db)?;
+    // Every database's value sets are extracted once: step 3 discovers
+    // over them, step 4 tests its pairs on their cursors.
+    let exports: Vec<_> = sources.iter().map(|db| memory_export(db)).collect();
+    for (db, (profiles, provider)) in sources.iter().zip(&exports) {
+        let discovery = finder.discover(profiles, provider)?;
         let primary = identify_primary_relation(db, &discovery, &config.accession);
         reports.push(SourceReport {
             name: db.name().to_string(),
@@ -220,9 +223,7 @@ pub fn run_aladin(sources: &[&Database], config: &AladinConfig) -> Result<Aladin
     // Step 4: for each source attribute, test inclusion against the
     // accession attributes of every *other* source's primary relations.
     // "This step only considers primary relations as targets, thus
-    // drastically reducing the search space." Every database's value sets
-    // are extracted once, and each pair is tested on their cursors.
-    let exports: Vec<_> = sources.iter().map(|db| memory_export(db)).collect();
+    // drastically reducing the search space."
     let mut links = Vec::new();
     for (si, source) in sources.iter().enumerate() {
         let (source_profiles, source_sets) = &exports[si];

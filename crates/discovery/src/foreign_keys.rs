@@ -72,23 +72,24 @@ pub struct CompositeFkGuess {
 }
 
 /// Turns every satisfied composite IND with a jointly-unique referenced
-/// tuple into an FK guess, sorted by `(dep, ref)`.
+/// tuple into an FK guess, sorted by `(dep, ref)`. A tuple is jointly
+/// unique when its distinct count equals the count of rows with every
+/// component non-NULL — two numbers the search already profiled
+/// ([`NaryDiscovery::sequence_profile`]).
 pub fn composite_fk_guesses(db: &Database, discovery: &NaryDiscovery) -> Vec<CompositeFkGuess> {
     let gold: HashSet<(Vec<QualifiedName>, Vec<QualifiedName>)> =
         db.gold_composite_foreign_keys().into_iter().collect();
-    // Many INDs can share one referenced tuple (the mirror-heavy shapes);
-    // the O(rows) uniqueness scan runs once per distinct tuple.
-    let mut unique_cache: std::collections::HashMap<Vec<QualifiedName>, bool> =
-        std::collections::HashMap::new();
+    let jointly_unique = |refd: &[u32]| {
+        discovery
+            .sequence_profile(refd)
+            .is_some_and(|p| p.distinct == p.non_null)
+    };
     let mut out: Vec<CompositeFkGuess> = discovery
-        .satisfied_named()
-        .into_iter()
-        .filter(|(_, refd)| {
-            *unique_cache
-                .entry(refd.clone())
-                .or_insert_with(|| tuple_is_unique(db, refd))
-        })
-        .map(|(dep, refd)| {
+        .satisfied
+        .iter()
+        .zip(discovery.satisfied_named())
+        .filter(|(c, _)| jointly_unique(&c.refd))
+        .map(|(_, (dep, refd))| {
             let matches_gold = gold.contains(&(dep.clone(), refd.clone()));
             CompositeFkGuess {
                 dep,
@@ -99,23 +100,6 @@ pub fn composite_fk_guesses(db: &Database, discovery: &NaryDiscovery) -> Vec<Com
         .collect();
     out.sort_by(|a, b| (&a.dep, &a.refd).cmp(&(&b.dep, &b.refd)));
     out
-}
-
-/// Whether the tuple of `columns` is jointly unique over the rows where
-/// every component is non-NULL: the distinct-tuple count (via the same
-/// composite extraction the n-ary pipeline validates with) equals the
-/// all-components-non-NULL row count.
-fn tuple_is_unique(db: &Database, columns: &[QualifiedName]) -> bool {
-    let cols: Vec<_> = columns
-        .iter()
-        // lint: allow(no_unwrap) — every name came from this database's own schema walk a few frames up
-        .map(|qn| db.cells(qn).expect("discovery names resolve"))
-        .collect();
-    let rows = cols.first().map_or(0, |c| c.len());
-    let non_null_rows = (0..rows)
-        .filter(|&row| cols.iter().all(|c| c.cell(row).is_some()))
-        .count() as u64;
-    ind_valueset::extract_composite_memory_set(&cols).len() == non_null_rows
 }
 
 /// Evaluation of composite FK guesses against the declared gold standard.
@@ -266,10 +250,9 @@ mod tests {
 
     #[test]
     fn composite_guesses_recover_the_declared_key() {
-        use ind_core::NaryFinder;
         let db = composite_db();
-        let d = NaryFinder::with_max_arity(2)
-            .discover_in_memory(&db)
+        let d = IndFinder::with_algorithm(Algorithm::Spider)
+            .discover_nary_in_memory(&db, 1, 2)
             .unwrap();
         let guesses = composite_fk_guesses(&db, &d);
         assert!(
@@ -287,7 +270,6 @@ mod tests {
 
     #[test]
     fn non_unique_referenced_tuples_are_not_guessed() {
-        use ind_core::NaryFinder;
         let mut db = composite_db();
         // A copy of the child whose own pairs duplicate: INDs into it may
         // be satisfied, but it can never be a key.
@@ -306,8 +288,8 @@ mod tests {
                 .unwrap();
         }
         db.add_table(dup).unwrap();
-        let d = NaryFinder::with_max_arity(2)
-            .discover_in_memory(&db)
+        let d = IndFinder::with_algorithm(Algorithm::Spider)
+            .discover_nary_in_memory(&db, 1, 2)
             .unwrap();
         assert!(
             d.satisfied_named()

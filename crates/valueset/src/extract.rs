@@ -88,95 +88,142 @@ pub fn extract_memory_set(column: &Column) -> MemoryValueSet {
         .set
 }
 
-/// Extracts many columns into memory on `threads` workers (column
-/// extractions are mutually independent: index, sort, dedup, compact). Output order
-/// matches input order; `threads <= 1` runs on the calling thread. Column
-/// `i` is attribute `i`: its extraction runs under an [`ind_trace::SORT`]
-/// span with that argument, parented to the caller's current span.
+/// Where an extracted set's values come from: one stored column, or a group
+/// of columns of one table whose rows are read as tuples.
+#[derive(Debug, Clone)]
+pub enum Source<'db> {
+    /// One stored column: its non-NULL cells.
+    Column(&'db Column),
+    /// Columns of one table (equal lengths, at most [`MAX_COMPOSITE_ARITY`]):
+    /// one entry per row whose components are all non-NULL, encoded with the
+    /// order-preserving tuple encoding ([`crate::encode_tuple`]) so the sorted
+    /// distinct set compares exactly like the tuple sequence.
+    Group(Vec<&'db Column>),
+}
+
+impl Source<'_> {
+    /// Rows of the owning table.
+    pub fn rows(&self) -> u64 {
+        match self {
+            Source::Column(column) => column.len() as u64,
+            Source::Group(columns) => columns[0].len() as u64,
+        }
+    }
+
+    /// Extract → sort → write the source's values into `writer` through a
+    /// caller-owned sorter (one warm arena serves a whole export); the
+    /// writer is left unsealed. A group's tuples are encoded **directly
+    /// into the arena** ([`ExternalSorter::push_with`]): no scratch buffer,
+    /// no per-row tuple vector.
+    pub(crate) fn sort_into(
+        &self,
+        sorter: &mut ExternalSorter,
+        writer: &mut ValueFileWriter,
+    ) -> Result<SortStats> {
+        match self {
+            Source::Column(column) => extract_with_sorter(column, sorter, writer),
+            Source::Group(columns) => {
+                for_each_tuple(columns, |tuple| {
+                    sorter.push_with(|arena| encode_tuple_into(tuple, arena))
+                })?;
+                sorter.finish_into(writer)
+            }
+        }
+    }
+
+    /// The source into the memory sink; the builder comes back empty and
+    /// warm.
+    fn extract(&self, builder: &mut MemorySetBuilder) -> Result<MemoryColumn> {
+        match self {
+            Source::Column(column) => extract_column(builder, column),
+            Source::Group(columns) => {
+                let mut non_null = 0;
+                for_each_tuple(columns, |tuple| {
+                    non_null += 1;
+                    builder.push_with(|arena| encode_tuple_into(tuple, arena))
+                })?;
+                Ok(MemoryColumn {
+                    set: builder.finish(),
+                    non_null,
+                })
+            }
+        }
+    }
+}
+
+/// Extracts many sources into memory on `threads` workers (extractions are
+/// mutually independent: index, sort, dedup, compact). Output order matches
+/// input order; `threads <= 1` runs on the calling thread. Source `i` is
+/// attribute `i`: its extraction runs under an [`ind_trace::SORT`] span with
+/// that argument, parented to the caller's current span. A group's
+/// `non_null` counts its rows with every component non-NULL.
 ///
-/// Workers claim columns one at a time off a shared atomic index instead of
+/// Workers claim sources one at a time off a shared atomic index instead of
 /// fixed chunks, so a few huge columns at one end of a skewed schema cannot
 /// idle the other workers. Each worker owns one builder for all its
-/// columns, dropped the moment the index runs dry.
+/// sources, dropped the moment the index runs dry.
 ///
 /// The ambient cancel token ([`crate::cancel::check_ambient`]) is polled
-/// once per column, under phase `export`; workers re-install the token the
+/// once per source, under phase `export`; workers re-install the token the
 /// caller had (thread-local ambient tokens stop at a spawn).
-pub fn extract_memory_columns(columns: &[&Column], threads: usize) -> Result<Vec<MemoryColumn>> {
+pub fn extract_memory_columns(sources: &[Source<'_>], threads: usize) -> Result<Vec<MemoryColumn>> {
     let span_parent = ind_trace::current_parent();
     let cancel = crate::cancel::ambient();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = threads.min(columns.len());
+    let workers = threads.min(sources.len());
     let shares = ind_storage::run_workers(workers, |_| -> Result<Vec<(usize, MemoryColumn)>> {
         // lint: allow(hot_alloc) — once per worker: the token is an `Arc`
         let _ambient = crate::cancel::set_ambient(cancel.clone());
         let mut builder = MemorySetBuilder::default();
-        // lint: allow(hot_alloc) — once per worker; one entry per column, not per cell
+        // lint: allow(hot_alloc) — once per worker; one entry per source, not per cell
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(column) = columns.get(i) else {
+            let Some(source) = sources.get(i) else {
                 return Ok(done);
             };
             crate::cancel::check_ambient("export")?;
             let _span = ind_trace::start_under(ind_trace::SORT, i as u64, span_parent);
-            done.push((i, extract_column(&mut builder, column)?));
+            done.push((i, source.extract(&mut builder)?));
         }
     });
-    let mut extracted = Vec::with_capacity(columns.len());
+    let mut extracted = Vec::with_capacity(sources.len());
     for share in shares {
         extracted.extend(share?);
     }
-    // The shared index hands every column to exactly one worker.
+    // The shared index hands every source to exactly one worker.
     extracted.sort_unstable_by_key(|(i, _)| *i);
-    // lint: allow(hot_alloc) — the result vector: one entry per column
+    // lint: allow(hot_alloc) — the result vector: one entry per source
     Ok(extracted.into_iter().map(|(_, column)| column).collect())
-}
-
-/// Row `row`'s components — the cells of `columns` at that row, in
-/// position order — or `None` when any of them is NULL (tuples with NULL
-/// components carry no inclusion evidence, mirroring how unary extraction
-/// drops NULL occurrences). The slices point into the columns' stores.
-fn components<'a>(columns: &[&'a Column], row: usize) -> Option<[&'a [u8]; MAX_COMPOSITE_ARITY]> {
-    let mut components: [&[u8]; MAX_COMPOSITE_ARITY] = [&[]; MAX_COMPOSITE_ARITY];
-    for (slot, column) in components.iter_mut().zip(columns) {
-        *slot = column.cell(row)?;
-    }
-    Some(components)
 }
 
 /// Hard cap on composite arity, comfortably above anything the levelwise
 /// search reaches in practice (the candidate space dies out long before).
 pub const MAX_COMPOSITE_ARITY: usize = 16;
 
-/// Extracts the composite value set of a column group into memory: one
-/// entry per row whose components are all non-NULL, encoded with the
-/// order-preserving tuple encoding ([`crate::encode_tuple`]) so the sorted
-/// distinct stream compares exactly like the tuple sequence. All columns
-/// must come from the same table (equal lengths). Like
-/// [`extract_composite_with_sorter`], tuples are encoded directly into the
-/// arena — no per-row tuple vector.
-///
-/// # Panics
-/// When the encoded tuples total more than `u32::MAX` bytes.
-pub fn extract_composite_memory_set(columns: &[&Column]) -> MemoryValueSet {
+/// Shows `push` the components of every row of `columns` — the cells at
+/// that row, in position order, pointing into the columns' stores — whose
+/// components are all non-NULL (tuples with NULL components carry no
+/// inclusion evidence, mirroring how unary extraction drops NULL
+/// occurrences).
+fn for_each_tuple(columns: &[&Column], mut push: impl FnMut(&[&[u8]]) -> Result<()>) -> Result<()> {
     assert!(!columns.is_empty() && columns.len() <= MAX_COMPOSITE_ARITY);
     let rows = columns[0].len();
     debug_assert!(
         columns.iter().all(|c| c.len() == rows),
         "ragged column group"
     );
-    let mut builder = MemorySetBuilder::default();
-    for row in 0..rows {
-        let Some(components) = components(columns, row) else {
-            continue;
-        };
-        builder
-            .push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))
-            // lint: allow(no_unwrap) — documented panic, as in `extract_memory_set`
-            .expect("column group exceeds u32::MAX encoded bytes");
+    let mut components: [&[u8]; MAX_COMPOSITE_ARITY] = [&[]; MAX_COMPOSITE_ARITY];
+    'rows: for row in 0..rows {
+        for (slot, column) in components.iter_mut().zip(columns) {
+            let Some(cell) = column.cell(row) else {
+                continue 'rows;
+            };
+            *slot = cell;
+        }
+        push(&components[..columns.len()])?;
     }
-    builder.finish()
+    Ok(())
 }
 
 /// Writes one stream through `fill` and publishes it atomically as the
@@ -197,9 +244,9 @@ fn publish_alone(
 }
 
 /// Extracts a column group into a composite value file at `path` via the
-/// external sorter — the on-disk counterpart of
-/// [`extract_composite_memory_set`], producing a stream byte-identical to
-/// it — and publishes it atomically.
+/// external sorter — the on-disk counterpart of a [`Source::Group`]'s
+/// in-memory extraction, producing a stream byte-identical to it — and
+/// publishes it atomically.
 pub fn extract_composite_to_file(
     columns: &[&Column],
     path: &Path,
@@ -210,35 +257,9 @@ pub fn extract_composite_to_file(
     // lint: allow(hot_alloc) — once per file: the options are a few `Arc`s
     let io = sorter.options().io.clone();
     publish_alone(path, &io, |writer| {
-        extract_composite_with_sorter(columns, &mut sorter, writer)
+        // lint: allow(hot_alloc) — once per file: the group's column list
+        Source::Group(columns.to_vec()).sort_into(&mut sorter, writer)
     })
-}
-
-/// [`extract_composite_to_file`] through a caller-owned sorter, so one warm
-/// arena serves a whole level of composite streams, into a caller-owned
-/// writer — typically one stream of a segment, published with its batch.
-/// Tuples are encoded **directly into the arena**
-/// ([`ExternalSorter::push_with`]): components are read where the columns
-/// store them and escaped straight into their final resting place — no
-/// scratch buffer, no per-row tuple vector. The writer is left unsealed.
-pub fn extract_composite_with_sorter(
-    columns: &[&Column],
-    sorter: &mut ExternalSorter,
-    writer: &mut ValueFileWriter,
-) -> Result<SortStats> {
-    assert!(!columns.is_empty() && columns.len() <= MAX_COMPOSITE_ARITY);
-    let rows = columns[0].len();
-    debug_assert!(
-        columns.iter().all(|c| c.len() == rows),
-        "ragged column group"
-    );
-    for row in 0..rows {
-        let Some(components) = components(columns, row) else {
-            continue;
-        };
-        sorter.push_with(|arena| encode_tuple_into(&components[..columns.len()], arena))?;
-    }
-    sorter.finish_into(writer)
 }
 
 /// Extracts a column into a value file at `path` via the external sorter,
@@ -355,6 +376,12 @@ mod tests {
 
     fn stored(values: &[Value]) -> Column {
         Column::from_values(values)
+    }
+
+    /// The in-memory set of the group `(a, b)`.
+    fn group_set(a: &Column, b: &Column) -> MemoryValueSet {
+        let group = Source::Group(vec![a, b]);
+        extract_memory_columns(&[group], 1).unwrap().remove(0).set
     }
 
     fn column() -> Column {
@@ -491,10 +518,10 @@ mod tests {
                 stored(&values)
             })
             .collect();
-        let refs: Vec<&Column> = columns.iter().collect();
-        let sequential: Vec<_> = refs.iter().map(|c| extract_memory_set(c)).collect();
+        let sources: Vec<Source> = columns.iter().map(Source::Column).collect();
+        let sequential: Vec<_> = columns.iter().map(extract_memory_set).collect();
         for threads in [0usize, 1, 2, 4, 16] {
-            let parallel = extract_memory_columns(&refs, threads).unwrap();
+            let parallel = extract_memory_columns(&sources, threads).unwrap();
             assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
             for (p, s) in parallel.iter().zip(&sequential) {
                 assert_eq!(p.set.as_slice(), s.as_slice(), "threads={threads}");
@@ -520,10 +547,10 @@ mod tests {
                 stored(&values)
             })
             .collect();
-        let refs: Vec<&Column> = columns.iter().collect();
-        let sequential: Vec<_> = refs.iter().map(|c| extract_memory_set(c)).collect();
+        let sources: Vec<Source> = columns.iter().map(Source::Column).collect();
+        let sequential: Vec<_> = columns.iter().map(extract_memory_set).collect();
         for threads in 1usize..=8 {
-            let parallel = extract_memory_columns(&refs, threads).unwrap();
+            let parallel = extract_memory_columns(&sources, threads).unwrap();
             assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
             for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
                 assert_eq!(
@@ -554,7 +581,7 @@ mod tests {
             Value::Text("y".into()), // dropped: NULL in `a`
             Value::Null,             // dropped: NULL in `b`
         ]);
-        let set = extract_composite_memory_set(&[&a, &b]);
+        let set = group_set(&a, &b);
         let decoded: Vec<Vec<Vec<u8>>> = set
             .as_slice()
             .iter()
@@ -583,7 +610,7 @@ mod tests {
             })
             .collect();
         let (a, b) = (stored(&a), stored(&b));
-        let mem = extract_composite_memory_set(&[&a, &b]);
+        let mem = group_set(&a, &b);
         let stats = extract_composite_to_file(
             &[&a, &b],
             &dir.join("pair.indv"),
@@ -606,7 +633,7 @@ mod tests {
         // raw concatenation.
         let a = stored(&["ab".into(), "b".into(), "a".into()]);
         let b = stored(&["z".into(), "a".into(), "bz".into()]);
-        let set = extract_composite_memory_set(&[&a, &b]);
+        let set = group_set(&a, &b);
         let decoded: Vec<Vec<Vec<u8>>> = set
             .as_slice()
             .iter()
@@ -632,7 +659,9 @@ mod tests {
             (stored(&[]), 0),
             (stored(&[Value::from("")]), 1),
         ] {
-            let extracted = extract_memory_columns(&[&column], 1).unwrap().remove(0);
+            let extracted = extract_memory_columns(&[Source::Column(&column)], 1)
+                .unwrap()
+                .remove(0);
             assert_eq!(extracted.non_null, non_null);
             assert_eq!(extracted.set.len(), non_null, "the empty string is a value");
             let mut cursor = extracted.set.cursor();

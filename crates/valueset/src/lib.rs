@@ -38,9 +38,8 @@ pub use cursor::{collect_cursor, ValueCursor, ValueSetProvider};
 pub use error::{Result, ValueSetError};
 pub use external_sort::{ExternalSorter, SortOptions, SortStats};
 pub use extract::{
-    extract_composite_memory_set, extract_composite_to_file, extract_composite_with_sorter,
-    extract_memory_columns, extract_memory_set, extract_sorted_distinct, extract_to_file,
-    MemoryColumn, MAX_COMPOSITE_ARITY,
+    extract_composite_to_file, extract_memory_columns, extract_memory_set, extract_sorted_distinct,
+    extract_to_file, MemoryColumn, Source, MAX_COMPOSITE_ARITY,
 };
 pub use fault::FaultPlan;
 pub use format::{write_value_file, ValueFileReader, ValueFileWriter};

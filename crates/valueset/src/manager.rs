@@ -12,10 +12,10 @@
 use crate::block::{IoOptions, ReadStats};
 use crate::cursor::{ValueCursor, ValueSetProvider};
 use crate::error::{Result, ValueSetError};
-use crate::external_sort::{ExternalSorter, SortOptions, SortStats};
-use crate::extract::{extract_composite_with_sorter, extract_with_sorter, hash_column};
+use crate::external_sort::{ExternalSorter, SortOptions};
+use crate::extract::{hash_column, Source};
 use crate::fault::FaultPlan;
-use crate::format::{verify_extent_quick, ValueFileReader, ValueFileWriter};
+use crate::format::{verify_extent_quick, ValueFileReader};
 use crate::segment::{read_trailer, tmp_path, Extent, SegmentFiles, SegmentWriter, TrailerEntry};
 use ind_storage::{DataType, Database, QualifiedName};
 use std::collections::{HashMap, HashSet};
@@ -331,11 +331,28 @@ fn sweep(dir: &Path, keep: &HashSet<PathBuf>) -> (u64, u32) {
     (swept, next_ordinal)
 }
 
-/// Where a job's values come from: one stored column, or a group of
-/// columns of one table whose rows are read as tuples.
-enum Source<'db> {
-    Column(&'db ind_storage::Column),
-    Group(Vec<&'db ind_storage::Column>),
+impl<'db> Source<'db> {
+    /// One [`Source::Group`] per group of `db`'s columns, with the name and
+    /// type its attribute takes: the table and its columns joined by `,`
+    /// (so a group reads `chain.pdb_code,chain_id`), typed
+    /// [`DataType::Text`]. Every group must name columns of one table; an
+    /// unknown column fails.
+    pub fn groups(
+        db: &'db Database,
+        groups: &[Vec<QualifiedName>],
+    ) -> Result<Vec<(QualifiedName, DataType, Source<'db>)>> {
+        let mut out = Vec::with_capacity(groups.len());
+        for group in groups {
+            let columns = group
+                .iter()
+                .map(|qn| db.cells(qn))
+                .collect::<std::result::Result<_, _>>()?;
+            let joined: Vec<&str> = group.iter().map(|qn| qn.column.as_str()).collect();
+            let name = QualifiedName::new(group[0].table.clone(), joined.join(","));
+            out.push((name, DataType::Text, Source::Group(columns)));
+        }
+        Ok(out)
+    }
 }
 
 /// One value stream an export writes: the attribute it becomes, and its
@@ -372,18 +389,6 @@ impl Job<'_> {
         match self.source {
             Source::Column(_) => stream_name(self.id),
             Source::Group(_) => format!("comp-{:05}", self.id),
-        }
-    }
-
-    /// Extract → sort → write the job's values into `writer`.
-    fn extract(
-        &self,
-        sorter: &mut ExternalSorter,
-        writer: &mut ValueFileWriter,
-    ) -> Result<SortStats> {
-        match &self.source {
-            Source::Column(column) => extract_with_sorter(column, sorter, writer),
-            Source::Group(columns) => extract_composite_with_sorter(columns, sorter, writer),
         }
     }
 }
@@ -443,21 +448,17 @@ impl ExportedDatabase {
         options: &ExportOptions,
     ) -> Result<Self> {
         let _span = ind_trace::start(ind_trace::EXPORT);
-        let mut jobs = Vec::with_capacity(groups.len());
-        for (id, group) in groups.iter().enumerate() {
-            let mut columns = Vec::with_capacity(group.len());
-            for qn in group {
-                columns.push(db.cells(qn)?);
-            }
-            let joined: Vec<&str> = group.iter().map(|qn| qn.column.as_str()).collect();
-            jobs.push(Job {
+        let jobs = Source::groups(db, groups)?
+            .into_iter()
+            .enumerate()
+            .map(|(id, (name, data_type, source))| Job {
                 id: id as u32,
-                name: QualifiedName::new(group[0].table.clone(), joined.join(",")),
-                data_type: DataType::Text,
-                rows: columns[0].len() as u64,
-                source: Source::Group(columns),
-            });
-        }
+                name,
+                data_type,
+                rows: source.rows(),
+                source,
+            })
+            .collect();
         let strict = ExportOptions {
             keep_going: false,
             resume: ResumeMode::Off,
@@ -668,7 +669,7 @@ impl ExportedDatabase {
                     };
                     let open = segment.insert(open);
                     let mut writer = open.stream(Some(&name));
-                    let stats = job.extract(&mut sorter, &mut writer)?;
+                    let stats = job.source.sort_into(&mut sorter, &mut writer)?;
                     let entry =
                         TrailerEntry::new(job.id, &job.name, job.data_type, job.rows, &stats);
                     let path = open.seal(writer, Some(entry))?;
@@ -1022,11 +1023,9 @@ mod tests {
             })
             .collect();
         let (seq, par) = (&exports[0].1, &exports[1].1);
-        for (id, group) in groups.iter().enumerate() {
+        for ((id, group), mem) in groups.iter().enumerate().zip(group_sets(&db, &groups)) {
             let (a, b) = (&seq.attributes()[id], &par.attributes()[id]);
             assert_eq!(stream_bytes(a), stream_bytes(b), "group {group:?}");
-            let columns: Vec<_> = group.iter().map(|qn| db.cells(qn).unwrap()).collect();
-            let mem = crate::extract::extract_composite_memory_set(&columns);
             assert_eq!(
                 collect_cursor(par.open(b.id).unwrap()).unwrap(),
                 mem.as_slice()
@@ -1102,9 +1101,19 @@ mod tests {
         ]
     }
 
+    /// The in-memory sets of `groups`.
+    fn group_sets(db: &Database, groups: &[Vec<QualifiedName>]) -> Vec<crate::MemoryValueSet> {
+        let sources: Vec<_> = Source::groups(db, groups)
+            .unwrap()
+            .into_iter()
+            .map(|g| g.2)
+            .collect();
+        let extracted = crate::extract_memory_columns(&sources, 1).unwrap();
+        extracted.into_iter().map(|column| column.set).collect()
+    }
+
     #[test]
     fn composite_export_matches_memory_extraction() {
-        use crate::extract::extract_composite_memory_set;
         let db = sample_db();
         let dir = TempDir::new("export-composite");
         let groups = sample_groups();
@@ -1112,15 +1121,13 @@ mod tests {
             ExportedDatabase::export_groups(&db, &groups, dir.path(), &ExportOptions::default())
                 .unwrap();
         assert_eq!(exp.attribute_count(), 2);
-        for (id, group) in groups.iter().enumerate() {
-            let columns: Vec<_> = group.iter().map(|qn| db.cells(qn).unwrap()).collect();
-            let mem = extract_composite_memory_set(&columns);
+        for ((id, group), mem) in groups.iter().enumerate().zip(group_sets(&db, &groups)) {
             let disk = collect_cursor(exp.open(id as u32).unwrap()).unwrap();
             assert_eq!(disk, mem.as_slice(), "group {group:?}");
             let meta = &exp.attributes()[id];
             assert_eq!(meta.distinct, mem.len());
             assert_eq!(meta.data_type, DataType::Text);
-            assert_eq!(meta.rows, columns[0].len() as u64);
+            assert_eq!(meta.rows, db.cells(&group[0]).unwrap().len() as u64);
             assert!(meta
                 .path
                 .label()

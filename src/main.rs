@@ -9,8 +9,7 @@
 //! (`schema.txt` + one `.tsv` per table); `generate` creates them.
 
 use spider_ind::core::{
-    Algorithm, DegradedReport, FinderConfig, IndFinder, NaryConfig, NaryFinder, PretestConfig,
-    RunMetrics,
+    Algorithm, DegradedReport, FinderConfig, IndFinder, NaryDiscovery, PretestConfig, RunMetrics,
 };
 use spider_ind::datagen::{BiosqlConfig, ChainsConfig, OpenMmsConfig, ScopConfig, WideConfig};
 use spider_ind::discovery::{
@@ -749,13 +748,24 @@ fn cmd_discover(cli: &Cli) -> Result<ExitCode, String> {
             return Err(message);
         }
     };
-    if let Some(max_arity) = cli.max_arity {
-        return cmd_discover_nary(&db, cli, max_arity, session);
-    }
     let finder = IndFinder::new(FinderConfig {
         algorithm: (cli.algorithm)(cli),
         pretests: cli.pretests.clone(),
     });
+    if let Some(max_arity) = cli.max_arity {
+        let result = run_finder(
+            cli,
+            |workdir, options| finder.discover_nary_on_disk(&db, workdir, options, max_arity),
+            |workers| finder.discover_nary_in_memory(&db, workers, max_arity),
+        );
+        return finish_discover(
+            result,
+            session,
+            cli,
+            |d| (&d.metrics, d.degraded.as_ref()),
+            |d, out| print_levels(&db, d, out),
+        );
+    }
     let result = run_finder(
         cli,
         |workdir, options| finder.discover_on_disk_with(&db, workdir, options),
@@ -782,83 +792,61 @@ fn cmd_discover(cli: &Cli) -> Result<ExitCode, String> {
     )
 }
 
-/// Runs the levelwise n-ary pipeline (`discover --max-arity N`, N ≥ 2) and
-/// prints per-level candidate counts — the apriori saving made visible —
-/// followed by the composite INDs and, when the schema declares composite
-/// gold keys, their evaluation. `session` has traced the load already.
-fn cmd_discover_nary(
-    db: &Database,
-    cli: &Cli,
-    max_arity: usize,
-    session: TraceSession,
-) -> Result<ExitCode, String> {
-    let finder = NaryFinder::new(NaryConfig {
-        max_arity,
-        pretests: cli.pretests.clone(),
-    });
-    let result = run_finder(
-        cli,
-        |workdir, options| finder.discover_on_disk(db, workdir, options),
-        |workers| finder.discover_in_memory_with(db, workers),
+/// The n-ary run's text (`discover --max-arity N`, N ≥ 2): per-level
+/// candidate counts — the apriori saving made visible — then the composite
+/// INDs and, when the schema declares composite gold keys, their
+/// evaluation.
+fn print_levels(db: &Database, discovery: &NaryDiscovery, out: &mut String) {
+    outln!(
+        out,
+        "{} unary INDs, {} composite INDs (max arity found {}), {:?}\n",
+        discovery.unary.len(),
+        discovery.satisfied.len(),
+        discovery.max_arity_found(),
+        discovery.metrics.elapsed
     );
-    finish_discover(
-        result,
-        session,
-        cli,
-        |d| (&d.metrics, d.degraded.as_ref()),
-        |discovery, out| {
-            outln!(
-                out,
-                "{} unary INDs, {} composite INDs (max arity found {}), {:?}\n",
-                discovery.unary.len(),
-                discovery.satisfied.len(),
-                discovery.max_arity_found(),
-                discovery.metrics.elapsed
-            );
-            outln!(
-                out,
-                "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10}",
-                "arity",
-                "enumerable",
-                "generated",
-                "proj-pruned",
-                "satisfied",
-                "ms"
-            );
-            for level in &discovery.levels {
-                outln!(
-                    out,
-                    "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10.2}",
-                    level.arity,
-                    level.enumerable,
-                    level.generated,
-                    level.pruned_projection,
-                    level.satisfied,
-                    level.elapsed.as_secs_f64() * 1e3
-                );
-            }
-            outln!(out);
-            for (dep, refd) in discovery.satisfied_named() {
-                let join = |side: &[spider_ind::storage::QualifiedName]| {
-                    side.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                };
-                outln!(out, "({}) <= ({})", join(&dep), join(&refd));
-            }
-            if !db.gold_composite_foreign_keys().is_empty() {
-                let eval = evaluate_composite_foreign_keys(db, discovery);
-                outln!(
-                    out,
-                    "\nagainst declared composite FKs: {} found, {} missed, {} extras",
-                    eval.found.len(),
-                    eval.missed.len(),
-                    eval.extras.len()
-                );
-            }
-        },
-    )
+    outln!(
+        out,
+        "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10}",
+        "arity",
+        "enumerable",
+        "generated",
+        "proj-pruned",
+        "satisfied",
+        "ms"
+    );
+    for level in &discovery.levels {
+        outln!(
+            out,
+            "{:>5} {:>14} {:>10} {:>12} {:>10} {:>10.2}",
+            level.arity,
+            level.enumerable,
+            level.generated,
+            level.pruned_projection,
+            level.satisfied,
+            level.elapsed.as_secs_f64() * 1e3
+        );
+    }
+    outln!(out);
+    for (dep, refd) in discovery.satisfied_named() {
+        let join = |side: &[spider_ind::storage::QualifiedName]| {
+            side.iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        outln!(out, "({}) <= ({})", join(&dep), join(&refd));
+    }
+    if !db.gold_composite_foreign_keys().is_empty() {
+        let eval = evaluate_composite_foreign_keys(db, discovery);
+        outln!(
+            out,
+            "\nagainst declared composite FKs: {} found, {} missed, {} extras",
+            eval.found.len(),
+            eval.missed.len(),
+            eval.extras.len()
+        );
+    }
 }
 
 /// The tail of every discover run, unary or n-ary: stop tracing, route a

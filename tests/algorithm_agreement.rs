@@ -403,14 +403,12 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
     // builds its typed `Value` view — and the cells a load parsed are the
     // bytes the generator's inserts rendered, so the two workdirs hold
     // identical streams and trailer entries (column hashes included).
-    use spider_ind::core::NaryFinder;
     use spider_ind::datagen::{generate_chains, ChainsConfig};
     use spider_ind::storage::tsv::{load_database, save_database};
     use spider_ind::valueset::ResumeMode;
     let views =
         |db: &Database| -> usize { db.tables().iter().map(|t| t.value_views_built()).sum() };
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
-    let nary = NaryFinder::with_max_arity(2);
     for built in [
         generate_pdb(&OpenMmsConfig::tiny()),
         generate_uniprot(&BiosqlConfig::tiny()),
@@ -442,9 +440,11 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
             "{name}: every column hash held"
         );
         assert_eq!(views(&loaded), 0, "{name}: resumed export");
-        let pairs = nary.discover_in_memory(&loaded).expect("n-ary in memory");
-        let pairs_on_disk = nary
-            .discover_on_disk(&loaded, &dir.join("nary"), &options)
+        let pairs = finder
+            .discover_nary_in_memory(&loaded, 2, 2)
+            .expect("n-ary in memory");
+        let pairs_on_disk = finder
+            .discover_nary_on_disk(&loaded, &dir.join("nary"), &options, 2)
             .expect("n-ary on disk");
         assert_eq!(pairs.satisfied, pairs_on_disk.satisfied, "{name}");
         assert_eq!(views(&loaded), 0, "{name}: n-ary");

@@ -242,15 +242,38 @@ fn discover_max_arity_finds_the_composite_fk_via_cli() {
     assert!(stdout(&out).contains("4 tables"));
 
     let expected_ind = "(contact.pdb_code, contact.chain_id) <= (chain.pdb_code, chain.chain_id)";
-    let mem = spider_ind(&["discover", db_path, "--max-arity", "2"]);
-    assert!(mem.status.success());
-    let text = stdout(&mem);
+    // `--algorithm` picks the engine of every level: brute force and
+    // single-pass print the spider run's INDs and test the same candidates,
+    // and brute force opens its two cursors per test.
+    let run = |algorithm: &str| {
+        let args = ["--max-arity", "2", "--algorithm", algorithm, "--names"];
+        let out = spider_ind(&[&["discover", db_path][..], &args].concat());
+        assert!(out.status.success());
+        let text = stdout(&out);
+        let counter = |key: &str| -> u64 {
+            let at = text.find(&format!(" {key}=")).expect(key) + key.len() + 2;
+            let digits = text[at..].split(|c: char| !c.is_ascii_digit()).next();
+            digits.and_then(|d| d.parse().ok()).expect(key)
+        };
+        (
+            inds(&out),
+            text.clone(),
+            counter("tested"),
+            counter("cursor_opens"),
+        )
+    };
+    let (spider, text, _, _) = run("spider");
     assert!(text.contains(expected_ind), "{text}");
     assert!(
         text.contains("1 found, 0 missed, 0 extras"),
         "composite gold evaluation must be exact:\n{text}"
     );
     assert!(text.contains("enumerable"), "per-level table is printed");
+    let (bf, _, bf_tested, bf_opens) = run("bf");
+    let (sp, _, sp_tested, _) = run("sp");
+    assert_eq!((&bf, &sp), (&spider, &spider));
+    assert_eq!(bf_tested, sp_tested);
+    assert_eq!(bf_opens, 2 * bf_tested, "brute force ran every level");
 
     // The on-disk pipeline prints the identical IND set.
     let work_dir = dir.join("work");

@@ -1,14 +1,18 @@
 //! The levelwise n-ary pipeline against a brute-force composite oracle.
 //!
-//! The oracle enumerates *every* syntactic candidate of arity 2 up to 3 —
+//! The oracle enumerates *every* syntactic candidate of arity 1 up to 3 —
 //! same-table sorted dependent sequences against same-table referenced
 //! permutations, no apriori pruning — and tests tuple inclusion directly
 //! on materialised row sets. On NULL-free data (the chains generator and
 //! the fixtures here) the levelwise search must return the byte-identical
-//! IND set while generating far fewer candidates than the oracle
-//! enumerates.
+//! IND set with every engine, in memory and on disk, while generating
+//! exactly the candidates whose projections hold — far fewer than the
+//! oracle enumerates.
 
-use spider_ind::core::{profile_database, AttributeProfile, NaryCandidate, NaryFinder};
+use spider_ind::core::{
+    profile_database, Algorithm, AttributeProfile, IndFinder, NaryCandidate, NaryDiscovery,
+    NaryLevelStats,
+};
 use spider_ind::datagen::{generate_chains, ChainsConfig};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 use spider_ind::valueset::ExportOptions;
@@ -62,11 +66,22 @@ fn sequences<'a>(
     out
 }
 
-/// Brute-force discovery of arity 2 up to `max_arity`: every candidate, no
-/// pruning, direct set containment. Returns the satisfied candidates
-/// sorted — the ground truth the levelwise pipeline must reproduce exactly
-/// — and how many candidates it tested at each arity, from 2.
-fn oracle(db: &Database, max_arity: usize) -> (Vec<NaryCandidate>, Vec<u64>) {
+/// What the brute-force oracle finds at one arity.
+#[derive(Default)]
+struct OracleLevel {
+    /// Every candidate of the arity: the `enumerable` yardstick.
+    enumerable: u64,
+    /// The candidates whose every projection one arity down is satisfied:
+    /// what the apriori generation must produce.
+    apriori: u64,
+    /// The satisfied candidates, sorted.
+    satisfied: Vec<NaryCandidate>,
+}
+
+/// Brute-force discovery of arity 1 up to `max_arity` (entry `k − 1` is
+/// arity `k`): every candidate, no pruning, direct set containment — the
+/// ground truth the levelwise pipeline must reproduce exactly.
+fn oracle(db: &Database, max_arity: usize) -> Vec<OracleLevel> {
     let profiles = profile_database(db);
     let deps: Vec<&AttributeProfile> = profiles
         .iter()
@@ -74,69 +89,135 @@ fn oracle(db: &Database, max_arity: usize) -> (Vec<NaryCandidate>, Vec<u64>) {
         .collect();
     let refs: Vec<&AttributeProfile> = profiles.iter().filter(|p| p.non_null > 0).collect();
     let ids = |seq: &[&AttributeProfile]| seq.iter().map(|p| p.id).collect::<Vec<u32>>();
-    let mut satisfied = Vec::new();
-    let mut tested = Vec::new();
-    for k in 2..=max_arity {
+    let mut levels: Vec<OracleLevel> = Vec::new();
+    for k in 1..=max_arity {
+        let below: HashSet<&NaryCandidate> = levels
+            .last()
+            .map_or_else(HashSet::new, |l| l.satisfied.iter().collect());
+        let projections_hold = |c: &NaryCandidate| {
+            k == 1
+                || (0..k).all(|drop| {
+                    let without = |seq: &[u32]| {
+                        let mut seq = seq.to_vec();
+                        seq.remove(drop);
+                        seq
+                    };
+                    below.contains(&NaryCandidate::new(without(&c.dep), without(&c.refd)))
+                })
+        };
         let ref_sets: Vec<_> = sequences(&refs, k, false)
             .into_iter()
             .map(|seq| (ids(&seq), tuple_set(db, &seq)))
             .collect();
-        let mut count = 0u64;
+        let mut level = OracleLevel::default();
         for dep in sequences(&deps, k, true) {
             let dep_tuples = tuple_set(db, &dep);
             for (refd, ref_tuples) in &ref_sets {
                 if ids(&dep) == *refd {
                     continue; // trivially reflexive
                 }
-                count += 1;
+                let candidate = NaryCandidate::new(ids(&dep), refd.clone());
+                level.enumerable += 1;
+                level.apriori += u64::from(projections_hold(&candidate));
                 if dep_tuples.is_subset(ref_tuples) {
-                    satisfied.push(NaryCandidate::new(ids(&dep), refd.clone()));
+                    level.satisfied.push(candidate);
                 }
             }
         }
-        tested.push(count);
+        level.satisfied.sort();
+        levels.push(level);
     }
-    satisfied.sort();
-    (satisfied, tested)
+    levels
 }
 
-fn assert_levelwise_matches_oracle(db: &Database) {
-    let (expected, tested) = oracle(db, 2);
-    let oracle_tested = tested[0];
-    let discovery = NaryFinder::with_max_arity(2)
-        .discover_in_memory(db)
-        .expect("levelwise discovery");
-    assert_eq!(
-        discovery.satisfied,
-        expected,
-        "{}: levelwise result must be byte-identical to the oracle",
-        db.name()
-    );
-    let level2 = discovery
-        .levels
+/// Every engine the finder runs.
+fn algorithms() -> [Algorithm; 5] {
+    [
+        Algorithm::BruteForce,
+        Algorithm::BruteForceParallel { threads: 2 },
+        Algorithm::SinglePass,
+        Algorithm::Spider,
+        Algorithm::Blockwise { max_open_files: 3 },
+    ]
+}
+
+/// Runs the levelwise search up to `max_arity` with every engine, in memory
+/// and on disk, and holds each run to the oracle: the same composite and
+/// unary INDs, and per level the oracle's candidate space (`enumerable`),
+/// apriori candidates (`generated`) and satisfied count. The engines test
+/// no more candidates than the levels generated, and both backends profile
+/// the same sequences and read the same values. Returns the oracle.
+fn assert_levelwise_matches_oracle(db: &Database, max_arity: usize) -> Vec<OracleLevel> {
+    let oracle = oracle(db, max_arity);
+    let mut expected: Vec<NaryCandidate> = oracle[1..]
         .iter()
-        .find(|l| l.arity == 2)
-        .expect("level 2 ran");
-    assert!(
-        level2.generated < oracle_tested,
-        "{}: apriori generation ({}) must undercut the oracle's candidate \
-         space ({})",
-        db.name(),
-        level2.generated,
-        oracle_tested
-    );
-    assert_eq!(
-        level2.enumerable, oracle_tested,
-        "the enumerable yardstick counts exactly the oracle's space"
-    );
+        .flat_map(|l| l.satisfied.iter().cloned())
+        .collect();
+    expected.sort();
+    let unary: Vec<_> = oracle[0]
+        .satisfied
+        .iter()
+        .map(|c| (c.dep[0], c.refd[0]))
+        .collect();
+    for algorithm in algorithms() {
+        let finder = IndFinder::with_algorithm(algorithm.clone());
+        let dir = ind_testkit::TempDir::new("nary-oracle-disk");
+        let options = ExportOptions::with_threads(2);
+        let at = format!("{}, {algorithm:?}", db.name());
+        let memory = finder.discover_nary_in_memory(db, 2, max_arity);
+        let memory = memory.expect(&at);
+        let disk = finder.discover_nary_on_disk(db, dir.path(), &options, max_arity);
+        let disk = disk.expect(&at);
+        let counts = |d: &NaryDiscovery| -> Vec<_> {
+            let level = |l: &NaryLevelStats| (l.arity, l.generated, l.pruned_projection);
+            d.levels.iter().map(level).collect()
+        };
+        assert_eq!(counts(&memory), counts(&disk), "{at}");
+        assert_eq!(memory.sequence_profiles, disk.sequence_profiles, "{at}");
+        assert_eq!(memory.metrics.items_read, disk.metrics.items_read, "{at}");
+        assert_eq!(memory.metrics.read_calls, 0, "{at}");
+        assert!(
+            disk.metrics.read_calls > 0,
+            "{at}: disk cursors are counted"
+        );
+        for (backend, d) in [("memory", memory), ("disk", disk)] {
+            let at = format!("{at}, {backend}");
+            assert_eq!(d.satisfied, expected, "{at}");
+            let found: Vec<_> = d.unary.iter().map(|c| (c.dep, c.refd)).collect();
+            assert_eq!(found, unary, "{at}: level 1");
+            for level in &d.levels {
+                let o = &oracle[level.arity - 1];
+                let at = format!("{at}, arity {}", level.arity);
+                assert_eq!(level.satisfied, o.satisfied.len() as u64, "{at}");
+                if level.arity >= 2 {
+                    assert_eq!(level.enumerable, o.enumerable, "{at}");
+                    assert_eq!(level.generated, o.apriori, "{at}");
+                }
+            }
+            let inds = d.unary.len() + d.satisfied.len();
+            assert_eq!(
+                d.metrics.satisfied, inds as u64,
+                "{at}: INDs, not class pairs"
+            );
+            let generated: u64 = d.levels.iter().map(|l| l.generated).sum();
+            assert!(d.metrics.tested <= generated, "{at}: tested > {generated}");
+        }
+    }
+    oracle
 }
 
 #[test]
 fn levelwise_matches_oracle_on_chains() {
     let db = generate_chains(&ChainsConfig::tiny());
-    let (expected, _) = oracle(&db, 2);
-    assert!(!expected.is_empty(), "chains must contain a composite IND");
-    assert_levelwise_matches_oracle(&db);
+    let oracle = assert_levelwise_matches_oracle(&db, 3);
+    assert!(
+        !oracle[1].satisfied.is_empty(),
+        "chains must contain a composite IND"
+    );
+    assert!(
+        oracle[1].apriori < oracle[1].enumerable,
+        "apriori generation must undercut the candidate space"
+    );
 }
 
 #[test]
@@ -162,14 +243,15 @@ fn levelwise_matches_oracle_on_a_mirror_heavy_fixture() {
         }
         db.add_table(t).expect("table");
     }
-    assert_levelwise_matches_oracle(&db);
+    let oracle = assert_levelwise_matches_oracle(&db, 2);
+    assert!(oracle[1].apriori < oracle[1].enumerable);
 }
 
 #[test]
 fn chains_gold_key_is_found_and_disk_agrees() {
     let db = generate_chains(&ChainsConfig::tiny());
-    let finder = NaryFinder::with_max_arity(2);
-    let mem = finder.discover_in_memory(&db).expect("memory");
+    let finder = IndFinder::with_algorithm(Algorithm::Spider);
+    let mem = finder.discover_nary_in_memory(&db, 2, 2).expect("memory");
     let named = mem.satisfied_named();
     assert!(
         named.iter().any(|(dep, refd)| {
@@ -188,10 +270,11 @@ fn chains_gold_key_is_found_and_disk_agrees() {
 
     let dir = ind_testkit::TempDir::new("nary-agreement-disk");
     let disk = finder
-        .discover_on_disk(&db, dir.path(), &ExportOptions::default())
+        .discover_nary_on_disk(&db, dir.path(), &ExportOptions::default(), 2)
         .expect("disk");
     assert_eq!(mem.satisfied, disk.satisfied);
     assert_eq!(mem.unary, disk.unary);
+    assert_eq!(mem.sequence_profiles, disk.sequence_profiles);
 }
 
 /// A small NULL-free schema of two or three tables drawn from `seed`.
@@ -240,22 +323,10 @@ fn random_schema(seed: u64) -> Database {
 
 #[test]
 fn levelwise_matches_an_arity_3_oracle_on_random_schemas() {
-    let finder = NaryFinder::with_max_arity(3);
     let mut arity_3_found = 0;
     for seed in 0..12 {
-        let db = random_schema(seed);
-        let (expected, tested) = oracle(&db, 3);
-        arity_3_found += expected.iter().filter(|c| c.arity() == 3).count();
-        let mem = finder.discover_in_memory(&db).expect("memory");
-        assert_eq!(mem.satisfied, expected, "seed {seed}: in memory");
-        for level in mem.levels.iter().filter(|l| l.arity >= 2) {
-            assert_eq!(level.enumerable, tested[level.arity - 2], "seed {seed}");
-        }
-        let dir = ind_testkit::TempDir::new("nary-oracle-disk");
-        let disk = finder
-            .discover_on_disk(&db, dir.path(), &ExportOptions::with_threads(1))
-            .expect("disk");
-        assert_eq!(disk.satisfied, expected, "seed {seed}: on disk");
+        let oracle = assert_levelwise_matches_oracle(&random_schema(seed), 3);
+        arity_3_found += oracle[2].satisfied.len();
     }
     assert!(arity_3_found > 0, "the seeds must exercise level 3");
 }

@@ -9,11 +9,10 @@ use proptest::prelude::*;
 use spider_ind::storage::tsv::{load_database, save_database};
 use spider_ind::storage::{Column, ColumnSchema, DataType, Database, Table, TableSchema, Value};
 use spider_ind::valueset::{
-    collect_cursor, compare_keys, crc32c, extract_composite_memory_set, extract_composite_to_file,
-    extract_memory_columns, extract_memory_set, extract_sorted_distinct, extract_to_file,
-    key_prefix64, Crc32c, ExternalSorter, IoOptions, MemoryValueSet, SortOptions, SortStats,
-    TournamentTree, ValueCursor, ValueFileReader, ValueFileWriter, DEFAULT_BLOCK_SIZE,
-    MIN_BLOCK_SIZE,
+    collect_cursor, compare_keys, crc32c, extract_composite_to_file, extract_memory_columns,
+    extract_memory_set, extract_sorted_distinct, extract_to_file, key_prefix64, Crc32c,
+    ExternalSorter, IoOptions, MemoryValueSet, SortOptions, SortStats, Source, TournamentTree,
+    ValueCursor, ValueFileReader, ValueFileWriter, DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE,
 };
 use std::collections::BTreeSet;
 
@@ -795,7 +794,7 @@ proptest! {
         prop_assert_eq!(hashes.len(), 1, "the content hash depends on the budget");
 
         // The memory sink over the same index.
-        let memory = extract_memory_columns(&[&column], 1).expect("memory").remove(0);
+        let memory = extract_memory_columns(&[Source::Column(&column)], 1).expect("memory").remove(0);
         prop_assert_eq!(memory.non_null, non_null.len() as u64);
         let copied = MemoryValueSet::from_unsorted(non_null.iter().map(|c| c.to_vec()));
         prop_assert_eq!(memory.set.as_slice(), copied.as_slice());
@@ -827,7 +826,8 @@ proptest! {
             },
         )
         .expect("extract");
-        let mem = extract_composite_memory_set(&[&a, &b]);
+        let group = [Source::Group(vec![&a, &b])];
+        let mem = extract_memory_columns(&group, 1).expect("memory").remove(0).set;
         let got = collect_cursor(
             ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(block))
                 .expect("open"),
