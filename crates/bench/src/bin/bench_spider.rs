@@ -230,7 +230,8 @@ struct IoCounters {
     /// Transient read errors absorbed by the retrying wrapper (zero on a
     /// healthy filesystem — non-zero only under an injected fault plan).
     io_retries: u64,
-    /// Format-v2 checksum mismatches detected (zero on healthy files).
+    /// Frame, footer and header checksum mismatches detected (zero on
+    /// healthy files).
     checksum_failures: u64,
 }
 

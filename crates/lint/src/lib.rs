@@ -2,11 +2,11 @@
 //!
 //! The SPIDER reproduction's performance story rests on invariants: an
 //! allocation-free merge loop, an export that allocates per attribute and
-//! never per value, zero-copy block cursors, and a few audited `unsafe`
-//! sites. `bench_spider --check` holds the allocation counts at runtime,
-//! on the data it generates; one innocent `to_vec()` in the merge loop or
-//! a swallowed `remove_file` error in the spill path would ship silently
-//! until a benchmark noticed.
+//! never per value, block cursors that allocate nothing per value, and a
+//! few audited `unsafe` sites. `bench_spider --check` holds the allocation
+//! counts at runtime, on the data it generates; one innocent `to_vec()` in
+//! the merge loop or a swallowed `remove_file` error in the spill path
+//! would ship silently until a benchmark noticed.
 //! This crate enforces them at review time, on every file, in every
 //! `cargo test`.
 //!

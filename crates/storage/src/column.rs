@@ -44,7 +44,9 @@ pub struct Column {
     /// the previous one stopped. A NULL is an empty range.
     ends: Vec<u32>,
     /// Bit `row % 64` of word `row / 64` is set for a NULL cell. Grown only
-    /// when a NULL is pushed: a column without NULLs carries no bitmap.
+    /// when a NULL is pushed and cut back to the last NULL by a truncation,
+    /// so it never ends in a zero word: a column without NULLs carries no
+    /// bitmap, and columns of equal cells have equal bitmaps.
     nulls: Vec<u64>,
 }
 
@@ -144,6 +146,17 @@ impl Column {
         &self.bytes
     }
 
+    /// The three buffers the column is stored as, read-only: the non-NULL
+    /// cells' canonical bytes back to back ([`Column::bytes`]), each row's
+    /// end offset in them (a NULL is an empty range), and the NULL bitmap
+    /// (bit `row % 64` of word `row / 64`, ending at the word of the last
+    /// NULL; empty for a column without one). Columns of equal cells have
+    /// equal buffers, however they were built. For readers that digest a
+    /// column whole, such as a content hash, at memory speed.
+    pub fn buffers(&self) -> (&[u8], &[u32], &[u64]) {
+        (&self.bytes, &self.ends, &self.nulls)
+    }
+
     /// Adds a NULL cell.
     #[inline]
     pub(crate) fn push_null(&mut self) {
@@ -208,6 +221,8 @@ impl Column {
         if let Some(last) = self.nulls.get_mut(rows / 64) {
             *last &= (1u64 << (rows % 64)) - 1;
         }
+        let used = self.nulls.iter().rposition(|&word| word != 0);
+        self.nulls.truncate(used.map_or(0, |i| i + 1));
     }
 
     /// Makes room for `bytes` more rendered bytes and `rows` more rows, if
@@ -405,6 +420,24 @@ mod tests {
         assert_eq!(column.bytes.len(), 0);
         column.push_cell(b"y").unwrap();
         assert_eq!(column.cell(0), Some(b"y".as_slice()));
+
+        // Dropping the last NULL drops the bitmap's words after the one
+        // before it, so the buffers are those of a column built without it.
+        let cells: Vec<Value> = (0..140)
+            .map(|i| match i {
+                3 | 130 => Value::Null,
+                i => Value::Integer(i),
+            })
+            .collect();
+        for rows in [100, 128, 129, 3] {
+            let mut column = Column::from_values(&cells);
+            column.truncate(rows);
+            assert_eq!(
+                column.buffers(),
+                Column::from_values(&cells[..rows]).buffers(),
+                "{rows} rows"
+            );
+        }
     }
 
     #[test]

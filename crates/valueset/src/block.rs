@@ -1,11 +1,12 @@
-//! Block-oriented zero-copy file I/O.
+//! Block-oriented file I/O.
 //!
 //! [`std::io::BufReader`] serves record-at-a-time readers well, but its API
 //! forces a copy per record: `read_exact` always moves bytes out of the
 //! internal buffer into the caller's, and the buffer size is fixed at
 //! construction. The SPIDER hot path streams millions of tiny
-//! length-prefixed records from sorted value files, so both costs are paid
-//! per *value*. This module replaces it with a hand-rolled [`BlockReader`]:
+//! front-coded records from sorted value files, so both costs would be
+//! paid per *value*. This module replaces it with a hand-rolled
+//! [`BlockReader`]:
 //!
 //! * the file is read in large blocks ([`IoOptions::block_size`], default
 //!   256 KiB), so a fully-consumed stream costs
@@ -14,9 +15,9 @@
 //!   [`INITIAL_READAHEAD`] and double per read) so streams that are closed
 //!   early, the common case in a SPIDER merge, never over-read;
 //! * the fill/consume API exposes the block itself: callers parse records
-//!   **in place** and advance a consume cursor; a record larger than the
-//!   block grows it once instead of being copied out;
-//! * raw v2 bytes land in the block and are decoded there
+//!   **in place** and advance a consume cursor, and a reader that needs
+//!   only a few bytes more never makes the block grow;
+//! * raw framed bytes land in the block and are decoded there
 //!   ([`crate::frame::FrameDecoder`]): each frame's CRC is checked where
 //!   its bytes landed and its payload moved down over the 6-byte frame
 //!   overhead, so a fill is one `pread` and no byte is staged elsewhere;
@@ -36,14 +37,14 @@
 //!   holds to a quarter of a per-record reader's `4·cursors + 2·values`).
 //!
 //! Reads are synchronous, issued on the consuming thread: every byte flows
-//! file → fault-injection wrapper ([`crate::fault`]) → block, where the v2
+//! file → fault-injection wrapper ([`crate::fault`]) → block, where the
 //! frame decoder ([`crate::frame`]) verifies it, and this is the only way a
 //! value file is read. SPIDER reads each file forward once and refutes
 //! most cursors within their first values, so there is nothing for an
 //! overlapped reader to hide.
 //!
-//! [`crate::ValueFileReader`] builds its zero-copy `current()` on top of
-//! this reader; the writer side uses
+//! [`crate::ValueFileReader`] rebuilds each value from the records this
+//! reader serves; the writer side uses
 //! the same `block_size` knob to stage records into block-sized
 //! `write_all`s.
 
@@ -55,10 +56,10 @@ use std::sync::Arc;
 
 use crate::frame::MAX_FRAME_LEN;
 
-/// Smallest usable block: must hold a value-file header (20 bytes in
-/// format v2). Smaller requested sizes are clamped up, so even
-/// pathological configurations (block sizes of a few bytes, used by the
-/// boundary tests) stay correct — just slow.
+/// Smallest usable block: must hold a value-file header (20 bytes).
+/// Smaller requested sizes are clamped up, so even pathological
+/// configurations (block sizes of a few bytes, used by the boundary tests)
+/// stay correct — just slow.
 pub const MIN_BLOCK_SIZE: usize = 32;
 
 /// Default block size: 256 KiB amortises syscall overhead at multi-GB scale
@@ -190,7 +191,7 @@ impl ReadStats {
         self.io_retries.load(Ordering::Relaxed)
     }
 
-    /// Format-v2 checksum mismatches detected (frame, footer, or header
+    /// Checksum mismatches detected (frame, footer, or header
     /// CRC). Each one also surfaced as a `Corrupt` error to the consumer
     /// — this counter exists so a degraded run can report *how much*
     /// corruption it saw.
@@ -225,21 +226,17 @@ impl ReadStats {
 
 /// A block-at-a-time reader with an explicit fill/consume API.
 ///
-/// The block is filled by positional reads of raw v2 bytes, one
+/// The block is filled by positional reads of raw framed bytes, one
 /// [`crate::fault`]-wrapped `pread` per read, and decoded in place
 /// ([`crate::frame::FrameDecoder`]): each complete frame's CRC is checked
 /// where it landed and its payload moved down over the frame overhead, so
 /// the block's front is verified, contiguous logical bytes (the header,
 /// then payload) and a partial frame at its tail waits for the next read.
-/// Callers inspect [`BlockReader::buffered`] (or slices captured via
-/// [`BlockReader::pos`]) and advance the consume cursor with
-/// [`BlockReader::consume`] — a pure pointer bump. Bytes between the
-/// consume cursor and the decoded end stay stable until the next fill,
-/// which is what lets [`crate::ValueFileReader`] hand out `current()`
-/// slices pointing straight into the block.
+/// Callers inspect [`BlockReader::buffered`] and advance the consume
+/// cursor with [`BlockReader::consume`] — a pure pointer bump.
 ///
 /// Opening a cursor allocates nothing: the block grows with the reads, up to
-/// one block plus one frame (or one oversized record), and never past the
+/// one block plus one frame (or one oversized `fill_to`), and never past the
 /// stream's size — so hundreds of small attribute cursors do not each drag
 /// in a 256 KiB arena (a measured regression, not a theoretical one). The
 /// size comes from a caller-supplied hint when available (the export
@@ -334,22 +331,6 @@ impl BlockReader {
         &self.buf[self.start..self.end]
     }
 
-    /// Current consume-cursor offset into the block. Together with
-    /// [`BlockReader::slice`] this lets a caller pin a record's position
-    /// *before* consuming past it and re-borrow it later — valid until the
-    /// next fill.
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.start
-    }
-
-    /// Bytes `offset..offset + len` of the block. Only meaningful for
-    /// ranges captured via [`BlockReader::pos`] since the last fill.
-    #[inline]
-    pub fn slice(&self, offset: usize, len: usize) -> &[u8] {
-        &self.buf[offset..offset + len]
-    }
-
     /// Marks `n` buffered bytes as consumed — no syscall, no copy.
     #[inline]
     pub fn consume(&mut self, n: usize) {
@@ -359,12 +340,11 @@ impl BlockReader {
 
     /// Ensures at least `need` bytes are buffered; at the end of the stream
     /// fewer may remain. Returns the number of buffered bytes. A `need`
-    /// beyond the block size grows the block to hold it, so even a record
-    /// larger than the block is served in place.
+    /// beyond the block size grows the block to hold it.
     ///
     /// Filling compacts the unconsumed tail to the front of the block, so
-    /// any offsets captured via [`BlockReader::pos`] before this call are
-    /// invalidated. The already-buffered case is a branch, kept inline so
+    /// any slice of [`BlockReader::buffered`] taken before this call is
+    /// stale. The already-buffered case is a branch, kept inline so
     /// per-record callers pay nothing in the steady state.
     #[inline]
     pub fn fill_to(&mut self, need: usize) -> std::io::Result<usize> {
@@ -450,20 +430,20 @@ impl BlockReader {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::frame::{v2_file, V2_HEADER_LEN};
+    use crate::frame::{framed_file, FRAMED_HEADER_LEN};
     use ind_testkit::TempDir;
 
-    /// A reader over a v2 stream holding `payload`, with its header already
+    /// A reader over a framed stream holding `payload`, with its header already
     /// consumed: `buffered()` serves payload.
     fn reader(payload: &[u8], options: &IoOptions) -> BlockReader {
         let dir = TempDir::new("blockreader");
         let path = dir.join("data.bin");
-        std::fs::write(&path, v2_file(0, payload)).unwrap();
+        std::fs::write(&path, framed_file(0, payload)).unwrap();
         // The TempDir is removed when it drops, but the opened File handle
         // stays valid on Unix.
         let mut r = BlockReader::new(std::fs::File::open(&path).unwrap(), options);
-        assert!(r.fill_to(V2_HEADER_LEN).unwrap() >= V2_HEADER_LEN);
-        r.consume(V2_HEADER_LEN);
+        assert!(r.fill_to(FRAMED_HEADER_LEN).unwrap() >= FRAMED_HEADER_LEN);
+        r.consume(FRAMED_HEADER_LEN);
         r
     }
 
@@ -544,7 +524,7 @@ mod tests {
         // 8, 16, 32, 64 KiB, then the rest — one pread per fill, the
         // footer inside the last.
         let data: Vec<u8> = (0..40 * 4096).map(|i| (i % 241) as u8).collect();
-        let stream = v2_file(0, &data).len();
+        let stream = framed_file(0, &data).len();
         let (mut reads, mut covered, mut step) = (0u64, 0usize, INITIAL_READAHEAD);
         while covered < stream {
             covered += step;
@@ -563,15 +543,15 @@ mod tests {
         // the first, told its size, never reads a byte of the second.
         let dir = TempDir::new("blockreader-hint");
         let path = dir.join("seg.bin");
-        let first = v2_file(0, b"first stream");
+        let first = framed_file(0, b"first stream");
         let mut bytes = first.clone();
-        bytes.extend_from_slice(&v2_file(0, &[7u8; 20_000]));
+        bytes.extend_from_slice(&framed_file(0, &[7u8; 20_000]));
         std::fs::write(&path, &bytes).unwrap();
         let plan = Arc::new(FaultPlan::parse(&format!("read:*:flip={}", first.len())).unwrap());
         let options = IoOptions::default().with_fault(Arc::clone(&plan));
         let file = Arc::new(crate::fault::open_file(&path).unwrap());
         let mut r = BlockReader::over(file, &path, 0, &options, first.len() as u64);
-        assert_eq!(&drain(&mut r)[V2_HEADER_LEN..], b"first stream");
+        assert_eq!(&drain(&mut r)[FRAMED_HEADER_LEN..], b"first stream");
         assert_eq!(r.read_calls(), 1);
         assert_eq!(
             plan.fired_count(),
@@ -610,15 +590,5 @@ mod tests {
         // Asking for more than the stream holds comes back short, not OK.
         assert_eq!(r.fill_to(20).unwrap(), 8);
         assert_eq!(r.buffered(), &data[92..]);
-    }
-
-    #[test]
-    fn pinned_slices_survive_until_the_next_fill() {
-        let mut r = reader(b"aaaabbbbccccdddd", &IoOptions::with_block_size(16));
-        r.fill_to(16).unwrap();
-        let pos = r.pos();
-        r.consume(8);
-        assert_eq!(r.slice(pos, 4), b"aaaa", "consumed bytes stay readable");
-        assert_eq!(r.slice(pos + 4, 4), b"bbbb");
     }
 }

@@ -1,4 +1,4 @@
-//! CRC-32C (Castagnoli), the checksum of value-file format v2.
+//! CRC-32C (Castagnoli), the checksum of the value-file frames.
 //!
 //! Hand-rolled so the workspace stays dependency-free: the reflected
 //! polynomial `0x82F63B78`, computed by the `crc32` instruction on x86-64
@@ -71,23 +71,98 @@ fn update_soft(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
+/// Bytes per stripe of the hardware kernel's three chains: three stripes
+/// (4,080 bytes) fit a full 4 KiB frame, whose last 16 bytes then take one
+/// chain.
+const STRIPE: usize = 1360;
+
+/// `SHIFT[k][b]`: the register `b << 8k` advanced through [`STRIPE`] zero
+/// bytes. Advancing is linear, so a register advances as the xor of its
+/// four bytes' entries ([`shift_stripe`]).
+#[cfg(target_arch = "x86_64")]
+static SHIFT: [[u32; 256]; 4] = build_shift();
+
+#[cfg(target_arch = "x86_64")]
+const fn build_shift() -> [[u32; 256]; 4] {
+    let byte = build_tables();
+    // Each of the 32 register bits through STRIPE zero bytes...
+    let mut bits = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut crc = 1u32 << bit;
+        let mut n = 0;
+        while n < STRIPE {
+            crc = (crc >> 8) ^ byte[0][(crc & 0xFF) as usize];
+            n += 1;
+        }
+        bits[bit] = crc;
+        bit += 1;
+    }
+    // ...and every byte value of every register byte as the xor of its
+    // bits' images.
+    let mut shift = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut image = 0;
+            let mut i = 0;
+            while i < 8 {
+                if b >> i & 1 == 1 {
+                    image ^= bits[8 * k + i];
+                }
+                i += 1;
+            }
+            shift[k][b] = image;
+            b += 1;
+        }
+        k += 1;
+    }
+    shift
+}
+
+/// The register `crc` advanced through [`STRIPE`] zero bytes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn shift_stripe(crc: u32) -> u32 {
+    SHIFT[0][(crc & 0xFF) as usize]
+        ^ SHIFT[1][((crc >> 8) & 0xFF) as usize]
+        ^ SHIFT[2][((crc >> 16) & 0xFF) as usize]
+        ^ SHIFT[3][(crc >> 24) as usize]
+}
+
 /// Hardware kernel: the SSE 4.2 `crc32` instruction, 8 bytes per issue.
-/// Only compiled on x86-64 and only dispatched to after a runtime feature
+/// Each `crc32` waits on the one before it in its chain, so every run of
+/// three [`STRIPE`]s is taken by three chains at once — the first from the
+/// running register, the other two from zero — and the three registers
+/// are joined by shifting through the fixed stripe ([`shift_stripe`]):
+/// the checksum is that of one chain. The rest takes one chain. Only
+/// compiled on x86-64 and only dispatched to after a runtime feature
 /// check, so the binary stays runnable on any x86-64 part.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn update_hw(mut crc: u32, bytes: &[u8]) -> u32 {
+unsafe fn update_hw(mut crc: u32, mut bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut chunks = bytes.chunks_exact(8);
-    let mut wide = crc as u64;
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
-        ]);
-        wide = _mm_crc32_u64(wide, word);
+    while let Some((stripes, rest)) = bytes.split_first_chunk::<{ 3 * STRIPE }>() {
+        let (words, _) = stripes.as_chunks::<8>();
+        let (a, bc) = words.split_at(STRIPE / 8);
+        let (b, c) = bc.split_at(STRIPE / 8);
+        let (mut x, mut y, mut z) = (u64::from(crc), 0u64, 0u64);
+        for ((a, b), c) in a.iter().zip(b).zip(c) {
+            x = _mm_crc32_u64(x, u64::from_le_bytes(*a));
+            y = _mm_crc32_u64(y, u64::from_le_bytes(*b));
+            z = _mm_crc32_u64(z, u64::from_le_bytes(*c));
+        }
+        crc = shift_stripe(shift_stripe(x as u32) ^ y as u32) ^ z as u32;
+        bytes = rest;
+    }
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut wide = u64::from(crc);
+    for word in words {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(*word));
     }
     crc = wide as u32;
-    for &b in chunks.remainder() {
+    for &b in tail {
         crc = _mm_crc32_u8(crc, b);
     }
     crc
@@ -180,13 +255,33 @@ mod tests {
     fn soft_kernel_matches_dispatch_at_every_length() {
         // Pins the slice-by-8 tables and tail handling against whichever
         // kernel the host dispatches to (the hardware instruction on
-        // x86-64), across every alignment class and the 8-byte boundary.
-        let data: Vec<u8> = (0..257u32)
+        // x86-64), across every alignment class and the 8-byte boundary,
+        // and on past one and two runs of three stripes, where the
+        // hardware kernel's three chains take over and join.
+        let data: Vec<u8> = (0..2 * 3 * STRIPE as u32 + 300)
             .map(|i| (i.wrapping_mul(31) % 256) as u8)
             .collect();
-        for len in 0..data.len() {
+        let lengths = (0..3 * STRIPE + 300).chain(2 * 3 * STRIPE - 9..data.len());
+        for len in lengths {
             let soft = update_soft(0xFFFF_FFFF, &data[..len]) ^ 0xFFFF_FFFF;
             assert_eq!(soft, crc32c(&data[..len]), "length {len}");
+        }
+        // A running checksum joins the stripes from any register.
+        let mut state = Crc32c::new();
+        state.update(&data[..5]);
+        state.update(&data[5..]);
+        assert_eq!(state.finish(), crc32c(&data));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_shift_table_advances_a_register_through_a_stripe_of_zeros() {
+        for crc in [0, 1, 0x8000_0000, 0xFFFF_FFFF, 0x1234_5678, 0xE306_9283] {
+            assert_eq!(
+                shift_stripe(crc),
+                update_soft(crc, &[0; STRIPE]),
+                "{crc:#x}"
+            );
         }
     }
 

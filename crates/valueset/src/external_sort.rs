@@ -8,7 +8,7 @@
 //! buffer) into a strictly increasing output stream.
 //!
 //! A sort writes its runs back to back into **one spill file**, each run a
-//! v2 stream at its own extent, and the merge reads every run through one
+//! value stream at its own extent, and the merge reads every run through one
 //! shared read descriptor — so a spill merge holds one descriptor at any
 //! fan-in, and the operating system's open-file limit never bounds how many
 //! runs a column may spill. Runs are scratch: no fsync, no rename, no
@@ -54,7 +54,7 @@
 //! The spill-phase k-way merge mirrors the zero-allocation SPIDER engine:
 //! the same keyed tournament tree (`crate::tournament`), whose slots are run
 //! indices beside the normalized key of each run's current value — compared
-//! as integers, by the cursors' zero-copy `current()` slices only where the
+//! as integers, by the cursors' `current()` slices only where the
 //! keys cannot tell — with duplicate elimination
 //! against the last *written* record through a single reusable buffer — no
 //! per-record `to_vec`, no per-distinct `clone`.
@@ -442,9 +442,7 @@ impl ExternalSorter {
         let mut w = self.next_run()?;
         self.sort_dedup(resident);
         let bytes = resident.unwrap_or(&self.buf.bytes);
-        for value in arena::values(&self.buf.index, bytes) {
-            w.append(value)?;
-        }
+        w.append_run(arena::values(&self.buf.index, bytes))?;
         self.runs.push(w.finish_extent()?);
         self.reset_buffers();
         ind_trace::add_counter(ind_trace::Counter::SpillRuns, 1);
@@ -526,25 +524,15 @@ impl ExternalSorter {
         self.sort_dedup(resident);
         let bytes = resident.unwrap_or(&self.buf.bytes);
 
-        let mut min = None;
-        let mut distinct = 0u64;
-        let mut emit = |value: &[u8], writer: &mut ValueFileWriter| -> Result<()> {
-            if min.is_none() {
-                // lint: allow(hot_alloc) — bounds capture: once per merged attribute (first value)
-                min = Some(value.to_vec());
-            }
-            distinct += 1;
-            writer.append(value)
-        };
-
         let (mut key_compares, mut memcmp_compares) = (0, 0);
-        let merged = if self.runs.is_empty() {
-            (|| {
-                for value in arena::values(&self.buf.index, bytes) {
-                    emit(value, writer)?;
-                }
-                Ok(())
-            })()
+        let (merged, min, distinct) = if self.runs.is_empty() {
+            // The sorted index is the whole set: one run-append, which
+            // compares each value with the borrowed one before it.
+            let index = &self.buf.index;
+            // lint: allow(hot_alloc) — bounds capture: once per sorted attribute (first value)
+            let min = index.first().map(|entry| entry.slice(bytes).to_vec());
+            let merged = writer.append_run(arena::values(index, bytes));
+            (merged, min, index.len() as u64)
         } else {
             let _span = ind_trace::start(ind_trace::SPILL_MERGE);
             // Every run is written: the merge reads them through one
@@ -554,14 +542,23 @@ impl ExternalSorter {
                 index: &self.buf.index,
                 bytes,
             };
-            merge_runs(
+            let (mut min, mut distinct) = (None, 0u64);
+            let merged = merge_runs(
                 &self.spill_path,
                 &self.runs,
                 memory,
                 &self.options.io,
-                |v| emit(v, writer),
+                |value| {
+                    if min.is_none() {
+                        // lint: allow(hot_alloc) — bounds capture: once per merged attribute (first value)
+                        min = Some(value.to_vec());
+                    }
+                    distinct += 1;
+                    writer.append(value)
+                },
             )
-            .map(|compares| (key_compares, memcmp_compares) = compares)
+            .map(|compares| (key_compares, memcmp_compares) = compares);
+            (merged, min, distinct)
         };
         // Remove the spill file whatever the merge outcome; a merge error
         // wins, but a cleanup failure on a clean merge is surfaced too —
@@ -645,7 +642,7 @@ struct MemorySource<'a> {
 /// slots are *source indices* (`0..runs.len()` the run readers,
 /// `runs.len()` the in-memory index) held beside the normalized key of
 /// the source's current value, so a replay compares integers in the tree
-/// and reads the sources' zero-copy slices only where the keys cannot tell
+/// and reads the sources' `current()` slices only where the keys cannot tell
 /// (ties between equal values are broken by source index — total and
 /// deterministic). Each record read costs one replay of its source's leaf.
 /// Duplicate elimination compares against the last written record through
@@ -718,8 +715,8 @@ struct MergeSources<'a> {
 }
 
 impl MergeSources<'_> {
-    /// Current value of source `src` — a zero-copy slice into the reader's
-    /// block or into the indexed bytes.
+    /// Current value of source `src` — a slice of the reader's rebuild
+    /// buffer or of the indexed bytes.
     #[inline]
     fn current(&self, src: u32) -> &[u8] {
         match self.readers.get(src as usize) {
@@ -1088,7 +1085,7 @@ mod tests {
         // Flip a payload byte of the second run's first frame.
         let victim = sorter.spill_path.clone();
         let mut data = std::fs::read(&victim).unwrap();
-        let at = sorter.runs[1].0.offset() as usize + crate::frame::V2_HEADER_LEN + 3;
+        let at = sorter.runs[1].0.offset() as usize + crate::frame::FRAMED_HEADER_LEN + 3;
         data[at] ^= 0x40;
         std::fs::write(&victim, &data).unwrap();
         let mut w = ValueFileWriter::create(&dir.join("out.indv")).unwrap();

@@ -41,23 +41,17 @@ pub struct MemoryColumn {
     pub non_null: u64,
 }
 
-/// The one pass of unary extraction: shows every cell of `column` to `seen`
-/// in row order, NULLs included (the export's content hash), and every
-/// non-NULL cell to `record` together with the offset in
-/// [`Column::bytes`] at which it lies (the sink's index entry).
+/// The one pass of unary extraction: shows every non-NULL cell of
+/// `column` to `record` together with the offset in [`Column::bytes`] at
+/// which it lies (the sink's index entry).
 #[inline]
-fn index_cells(
-    column: &Column,
-    mut seen: impl FnMut(Option<&[u8]>),
-    mut record: impl FnMut(usize, &[u8]) -> Result<()>,
-) -> Result<()> {
+fn index_cells(column: &Column, mut record: impl FnMut(usize, &[u8]) -> Result<()>) -> Result<()> {
     let mut cells = column.cells();
     loop {
         let offset = cells.offset();
         let Some(cell) = cells.next() else {
             return Ok(());
         };
-        seen(cell);
         if let Some(cell) = cell {
             record(offset, cell)?;
         }
@@ -70,7 +64,7 @@ fn index_cells(
 /// back empty and warm.
 fn extract_column(builder: &mut MemorySetBuilder, column: &Column) -> Result<MemoryColumn> {
     let mut set = builder.resident(column.bytes(), column.len());
-    index_cells(column, |_| (), |offset, cell| set.record(offset, cell))?;
+    index_cells(column, |offset, cell| set.record(offset, cell))?;
     let non_null = set.recorded();
     Ok(MemoryColumn {
         set: set.finish(),
@@ -279,72 +273,104 @@ pub fn extract_to_file(
     })
 }
 
-/// Content hash of one source column, 64 bits, eight input bytes per
-/// multiply: every cell in row order as a stream of little-endian words —
-/// a NULL is the one word no length can equal, a non-NULL its byte length
-/// followed by its canonical rendering (the exact bytes the export writes)
-/// in 8-byte chunks, the last zero-padded. The length word says how many
-/// body words follow, which keeps concatenation and padding ambiguity out.
-/// Each word is folded in by a 64×64→128-bit multiply whose halves are
-/// xored together, so every input bit reaches both ends of the state (a
-/// plain wrapping multiply only ever carries upward). Deterministic across
-/// runs and thread counts by construction. The export feeds it from the
-/// pass that indexes each cell for the sorter; [`hash_column`] is the same
-/// hash computed standalone, for the resume-side staleness check.
+/// Content hash of one source column, 64 bits, read from the column's
+/// three buffers ([`Column::buffers`]) as little-endian words: its cells'
+/// canonical bytes back to back (the exact bytes the export writes), each
+/// row's end offset, two to a word, and its NULL bitmap, which ends at its
+/// last NULL. Together they fix the cells in row order, and columns of
+/// equal cells have equal buffers. Each buffer's last word group is
+/// zero-padded, and the three lengths close the hash, so padding never
+/// aliases real zero bytes and a word never moves from one buffer to the
+/// next unseen.
+///
+/// The words run through four independent lanes, word `i` of a buffer
+/// into lane `i % 4`: each lane folds its word in by a 64×64→128-bit
+/// multiply whose halves are xored together, so every input bit reaches
+/// both ends of the lane (a plain wrapping multiply only ever carries
+/// upward), and four multiplies are in flight where one chain would wait
+/// on each. The lanes are folded in order at the end. Deterministic
+/// across runs and thread counts by construction; the export and the
+/// resume-side staleness check both call [`hash_column`].
 #[derive(Debug, Clone)]
-struct ColumnHasher(u64);
+struct ColumnHasher([u64; LANES]);
+
+/// Independent multiply chains of [`ColumnHasher`].
+const LANES: usize = 4;
 
 impl ColumnHasher {
-    const NULL_WORD: u64 = u64::MAX;
-
     fn new() -> Self {
-        ColumnHasher(0xcbf2_9ce4_8422_2325)
+        ColumnHasher([
+            0xcbf2_9ce4_8422_2325,
+            0x6c62_272e_07bb_0142,
+            0x9ae1_6a3b_2f90_404f,
+            0xd6e8_feb8_6659_fd93,
+        ])
     }
 
-    fn word(&mut self, word: u64) {
-        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    #[inline]
+    fn mix(state: u64, word: u64) -> u64 {
+        let product = u128::from(state ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        (product as u64) ^ ((product >> 64) as u64)
     }
 
-    /// One cell as a column stores it: `None` for NULL, else its canonical
-    /// rendering.
-    fn cell(&mut self, cell: Option<&[u8]>) {
-        let Some(rendered) = cell else {
-            return self.word(Self::NULL_WORD);
-        };
-        self.word(rendered.len() as u64);
-        let (words, tail) = rendered.as_chunks::<8>();
-        for word in words {
-            self.word(u64::from_le_bytes(*word));
-        }
-        if !tail.is_empty() {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            self.word(u64::from_le_bytes(last));
+    /// One word into each lane.
+    #[inline]
+    fn group(&mut self, words: [u64; LANES]) {
+        for (lane, word) in self.0.iter_mut().zip(words) {
+            *lane = Self::mix(*lane, word);
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// The three buffers of a column, a lane group at a time, then their
+    /// lengths; the lanes folded in order.
+    fn column(mut self, bytes: &[u8], ends: &[u32], nulls: &[u64]) -> u64 {
+        each_group::<u8, { 8 * LANES }>(bytes, |group| {
+            let (words, _) = group.as_chunks::<8>();
+            self.group(std::array::from_fn(|lane| u64::from_le_bytes(words[lane])));
+        });
+        each_group::<u32, { 2 * LANES }>(ends, |group| {
+            self.group(std::array::from_fn(|lane| {
+                u64::from(group[2 * lane]) | u64::from(group[2 * lane + 1]) << 32
+            }));
+        });
+        each_group::<u64, LANES>(nulls, |group| self.group(*group));
+        self.group([
+            bytes.len() as u64,
+            ends.len() as u64,
+            nulls.len() as u64,
+            LANES as u64,
+        ]);
+        self.0.into_iter().fold(0, Self::mix)
+    }
+}
+
+/// `items` in groups of `N`, the last group zero-padded.
+#[inline]
+fn each_group<T: Copy + Default, const N: usize>(items: &[T], mut f: impl FnMut(&[T; N])) {
+    let (groups, tail) = items.as_chunks::<N>();
+    groups.iter().for_each(&mut f);
+    if !tail.is_empty() {
+        let mut padded = [T::default(); N];
+        padded[..tail.len()].copy_from_slice(tail);
+        f(&padded);
     }
 }
 
 /// [`ColumnHasher`] over a whole stored column.
 pub(crate) fn hash_column(column: &Column) -> u64 {
-    let mut hash = ColumnHasher::new();
-    column.cells().for_each(|cell| hash.cell(cell));
-    hash.finish()
+    let (bytes, ends, nulls) = column.buffers();
+    ColumnHasher::new().column(bytes, ends, nulls)
 }
 
 /// [`extract_to_file`] through a caller-owned sorter, so one warm index
 /// serves a whole export, into a caller-owned writer — typically one stream
 /// of a segment, so an interrupted extraction leaves nothing a reader or
 /// a resume can see until its batch is published. The writer is left
-/// unsealed. No cell is copied or rendered: the pass that feeds the
-/// column's content hash ([`SortStats::source_hash`]) records one index
-/// entry per non-NULL cell pointing into the column's own buffer, the
-/// sorter permutes that index and the sorted distinct slices go straight
-/// to the writer. The sorter's budget therefore charges 16 bytes per
+/// unsealed. No cell is copied or rendered: the column's content hash
+/// ([`SortStats::source_hash`]) reads its buffers whole, one pass records
+/// one index entry per non-NULL cell pointing into the column's own
+/// buffer, the sorter permutes that index and the sorted distinct slices
+/// go straight to the writer. The sorter's budget therefore charges 16 bytes per
 /// non-NULL row, and a column spills only when that index alone outgrows
 /// it ([`SortOptions::memory_budget_bytes`]). After the first attribute the
 /// steady-state cost of another column (of at most as many rows) is zero
@@ -354,15 +380,11 @@ pub(crate) fn extract_with_sorter(
     sorter: &mut ExternalSorter,
     writer: &mut ValueFileWriter,
 ) -> Result<SortStats> {
-    let mut hash = ColumnHasher::new();
+    let source_hash = hash_column(column);
     let mut sort = sorter.resident(column.bytes(), column.len());
-    index_cells(
-        column,
-        |cell| hash.cell(cell),
-        |offset, cell| sort.record(offset, cell),
-    )?;
+    index_cells(column, |offset, cell| sort.record(offset, cell))?;
     let mut stats = sort.finish_into(writer)?;
-    stats.source_hash = hash.finish();
+    stats.source_hash = source_hash;
     Ok(stats)
 }
 
@@ -689,7 +711,7 @@ mod tests {
         assert_ne!(hash(&a), hash(&c));
         // The hash is of the canonical bytes, whatever type declared them.
         assert_eq!(hash(&[Value::Integer(1)]), hash(&[Value::from("1")]));
-        // Length prefixes keep concatenation ambiguity out of the hash.
+        // The row ends keep concatenation ambiguity out of the hash.
         let d = [Value::from("ab"), Value::from("c")];
         let e = [Value::from("a"), Value::from("bc")];
         assert_ne!(hash(&d), hash(&e));
@@ -702,34 +724,60 @@ mod tests {
 
     #[test]
     fn column_hasher_word_stream_is_unambiguous() {
-        let hash = |cells: &[Option<&[u8]>]| {
-            let mut h = ColumnHasher::new();
-            cells.iter().for_each(|cell| h.cell(*cell));
-            h.finish()
+        // The hasher over raw buffers: the word stream itself.
+        let hash = |bytes: &[u8], ends: &[u32], nulls: &[u64]| {
+            ColumnHasher::new().column(bytes, ends, nulls)
         };
-        // Zero padding of the tail never aliases real zero bytes, on either
-        // side of a word boundary.
-        assert_ne!(hash(&[Some(b"ab")]), hash(&[Some(b"ab\0")]));
-        assert_ne!(hash(&[Some(b"12345678")]), hash(&[Some(b"12345678\0")]));
-        assert_ne!(hash(&[Some(b"")]), hash(&[Some(b"\0")]));
-        // A NULL is not a value of all-ones bytes, nor an empty value.
-        assert_ne!(hash(&[None]), hash(&[Some(&[0xFF; 8])]));
-        assert_ne!(hash(&[None]), hash(&[Some(b"")]));
-        // Cell borders inside and across 8-byte words.
+        // Zero padding of a buffer's last group never aliases real zero
+        // bytes, inside a word or past a whole group.
+        assert_ne!(hash(b"ab", &[2], &[]), hash(b"ab\0", &[2], &[]));
         assert_ne!(
-            hash(&[Some(b"12345678"), Some(b"9")]),
-            hash(&[Some(b"123456789")])
+            hash(&[7; 32], &[], &[]),
+            hash(&[[7; 32], [0; 32]].concat(), &[], &[])
         );
+        assert_ne!(hash(b"", &[], &[]), hash(b"\0", &[], &[]));
+        assert_ne!(hash(b"x", &[1], &[]), hash(b"x", &[1, 0], &[]));
+        // A word never moves from one buffer to the next unseen: each
+        // stream below is the single word 1.
+        let one = 1u64.to_le_bytes();
+        assert_ne!(hash(&one, &[], &[]), hash(b"", &[1, 0], &[]));
+        assert_ne!(hash(b"", &[1, 0], &[]), hash(b"", &[], &[1]));
+        // A NULL is not an empty value: same bytes and ends, one bitmap bit.
+        assert_ne!(hash(b"", &[0], &[1]), hash(b"", &[0], &[]));
+        // Cell borders are the ends, not the bytes.
+        assert_ne!(
+            hash(b"123456789", &[8, 9], &[]),
+            hash(b"123456789", &[9], &[])
+        );
+        assert_ne!(hash(b"abc", &[1, 3], &[]), hash(b"abc", &[2, 3], &[]));
         // The top bit of a word — all a wrapping multiply would keep of
-        // it — must not cancel against the same bit one word later.
-        let mut flipped = *b"aaaaaaaabbbbbbbb";
-        flipped[7] ^= 0x80;
-        flipped[15] ^= 0x80;
-        assert_ne!(hash(&[Some(b"aaaaaaaabbbbbbbb")]), hash(&[Some(&flipped)]));
-        // Order matters.
+        // it — must not cancel against the same bit one group later in
+        // the same lane, nor the next word's in the neighbouring lane.
+        let plain = [b'a'; 64];
+        for (x, y) in [(7, 39), (7, 15)] {
+            let mut flipped = plain;
+            flipped[x] ^= 0x80;
+            flipped[y] ^= 0x80;
+            assert_ne!(
+                hash(&plain, &[64], &[]),
+                hash(&flipped, &[64], &[]),
+                "{x} {y}"
+            );
+        }
+        // Lanes fold in order: words swapped between lanes are seen.
+        let swapped = [[b'b'; 8], [b'a'; 8]].concat();
         assert_ne!(
-            hash(&[Some(b"x"), Some(b"y")]),
-            hash(&[Some(b"y"), Some(b"x")])
+            hash(b"aaaaaaaabbbbbbbb", &[16], &[]),
+            hash(&swapped, &[16], &[])
         );
+        // Order of cells matters.
+        assert_ne!(hash(b"xy", &[1, 2], &[]), hash(b"yx", &[1, 2], &[]));
+        // A zero word is a word: the column hash leaves the bitmap's
+        // length to the column, whose bitmap ends at its last NULL.
+        assert_eq!(hash(b"", &[0, 0], &[1]), {
+            let column = Column::from_values(&[Value::Null, Value::from("")]);
+            hash_column(&column)
+        });
+        assert_ne!(hash(b"", &[0, 0], &[1, 0]), hash(b"", &[0, 0], &[1]));
     }
 }

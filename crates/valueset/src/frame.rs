@@ -1,13 +1,13 @@
-//! The value-file format v2 frame layer: CRC-verified 4 KiB frames.
+//! The value-file frame layer: CRC-verified 4 KiB frames.
 //!
-//! A raw stream of length-prefixed records (format v1, no longer read)
-//! serves any flipped bit or torn write that keeps the length prefixes
-//! self-consistent as *data*. Version 2 wraps the identical logical stream
-//! in checksummed frames so corruption is detected before a single byte
-//! reaches a consumer:
+//! A raw stream of records serves any flipped bit or torn write that keeps
+//! the records self-consistent as *data*. The frame layer (introduced by
+//! format v2 and kept unchanged by v3, the only version read today) wraps
+//! the logical stream in checksummed frames so corruption is detected
+//! before a single byte reaches a consumer:
 //!
 //! ```text
-//! header  "INDV" | version=2 u32 LE | count u64 LE | header CRC32C u32 LE   20 B
+//! header  "INDV" | version=3 u32 LE | count u64 LE | header CRC32C u32 LE   20 B
 //! frame*  payload_len u16 LE (1..=4096) | payload | CRC32C(payload) u32 LE
 //! footer  0xFFFF u16 | count u64 LE | payload bytes u64 LE
 //!         | CRC32C(frame-CRC words) u32 LE | "INDF"                        26 B
@@ -28,19 +28,22 @@
 //! and its payload moved down over the frame overhead, so the block's
 //! served prefix is verified payload only and a corrupt frame surfaces to
 //! the cursor as an error — never as wrong bytes. A partial frame at the
-//! block's tail waits for the next read. A stream without a v2 header has
-//! its first (up to) 20 bytes served verbatim and nothing after, so the
-//! format layer can reject its header with the file's context (bad magic,
-//! short header, `unsupported version 1`): every byte a
+//! block's tail waits for the next read. A stream without a current header
+//! (another magic, or another version: v1 and v2 streams alike) has its
+//! first (up to) 20 bytes served verbatim and nothing after, so the format
+//! layer can reject its header with the file's context (bad magic, short
+//! header, `unsupported version 2`): every byte a
 //! [`crate::ValueFileReader`] serves has passed a CRC.
 
 use crate::crc32c::{crc32c, Crc32c};
 
-/// Format v2 header length: the 16-byte logical header plus a header CRC.
-pub(crate) const V2_HEADER_LEN: usize = 20;
+/// Physical header length: the 16-byte logical header plus a header CRC.
+pub(crate) const FRAMED_HEADER_LEN: usize = 20;
 
-/// The version number that selects the frame layer.
-pub(crate) const V2_VERSION: u32 = 2;
+/// The format version written and read: 3, front-coded records
+/// ([`crate::format`]) in the frame layer. Any other version is served as
+/// a bare header and rejected by the format layer.
+pub(crate) const VERSION: u32 = 3;
 
 /// Payload bytes per full frame. Fixed (not tied to the I/O block size)
 /// so the logical stream is block-size-independent.
@@ -63,16 +66,16 @@ pub(crate) const FOOTER_SENTINEL: u16 = 0xFFFF;
 /// CRC, closing magic.
 pub(crate) const FOOTER_BODY_LEN: usize = 8 + 8 + 4 + 4;
 
-/// Closing magic sealing a complete v2 file.
+/// Closing magic sealing a complete stream.
 pub(crate) const FOOTER_MAGIC: &[u8; 4] = b"INDF";
 
-/// Physical bytes a v2 file spends on framing beyond the logical stream
-/// (16-byte header + payload): the physical size of a v2 file holding
-/// `payload` logical bytes is `HEADER_LEN + payload + v2_overhead(payload)`.
-pub(crate) fn v2_overhead(payload: u64) -> u64 {
+/// Physical bytes a stream spends on framing beyond the logical stream
+/// (16-byte header + payload): the physical size of a stream holding
+/// `payload` logical bytes is `HEADER_LEN + payload + frame_overhead(payload)`.
+pub(crate) fn frame_overhead(payload: u64) -> u64 {
     let frames = payload.div_ceil(FRAME_PAYLOAD as u64);
     let per_frame = (FRAME_LEN_PREFIX + FRAME_CRC_LEN) as u64;
-    (V2_HEADER_LEN - crate::format::HEADER_LEN) as u64
+    (FRAMED_HEADER_LEN - crate::format::HEADER_LEN) as u64
         + frames * per_frame
         + (FRAME_LEN_PREFIX + FOOTER_BODY_LEN) as u64
 }
@@ -84,7 +87,7 @@ enum Phase {
     Header,
     /// Decoding frames; the footer has not arrived yet.
     Frames,
-    /// The footer is verified (or a non-v2 header served): the logical
+    /// The footer is verified (or a foreign header served): the logical
     /// stream has ended, and raw bytes after this point are never looked at.
     Finished,
 }
@@ -101,7 +104,7 @@ pub(crate) struct FrameError {
     pub(crate) checksum: bool,
 }
 
-/// The v2 frame decoder's state between reads: a stream is decoded in
+/// The frame decoder's state between reads: a stream is decoded in
 /// steps, each over the raw bytes one read appended to a block.
 #[derive(Debug)]
 pub(crate) struct FrameDecoder {
@@ -165,7 +168,7 @@ impl FrameDecoder {
     pub(crate) fn min_read(&self, pending: &[u8]) -> usize {
         let unit = match self.phase {
             Phase::Finished => return 0,
-            Phase::Header => V2_HEADER_LEN + MAX_FRAME_LEN,
+            Phase::Header => FRAMED_HEADER_LEN + MAX_FRAME_LEN,
             Phase::Frames if pending.len() < FRAME_LEN_PREFIX => MAX_FRAME_LEN,
             Phase::Frames => match le_u16(pending, 0) {
                 FOOTER_SENTINEL => FRAME_LEN_PREFIX + FOOTER_BODY_LEN,
@@ -191,25 +194,25 @@ impl FrameDecoder {
     ) -> Result<(usize, usize), FrameError> {
         if self.phase == Phase::Header {
             let got = buf.len() - raw;
-            if got < V2_HEADER_LEN && !eof {
+            if got < FRAMED_HEADER_LEN && !eof {
                 return Ok((out, raw));
             }
-            let head_len = got.min(V2_HEADER_LEN);
-            let v2 = head_len == V2_HEADER_LEN
+            let head_len = got.min(FRAMED_HEADER_LEN);
+            let current = head_len == FRAMED_HEADER_LEN
                 && &buf[raw..raw + 4] == crate::format::MAGIC
-                && le_u32(buf, raw + 4) == V2_VERSION;
+                && le_u32(buf, raw + 4) == VERSION;
             // The header is served verbatim either way: its checks are the
-            // format layer's, which has the error context. A non-v2 stream
+            // format layer's, which has the error context. A foreign stream
             // ends right after it.
             buf.copy_within(raw..raw + head_len, out);
             out += head_len;
             raw += head_len;
             self.raw_pos += head_len as u64;
-            if !v2 {
+            if !current {
                 self.phase = Phase::Finished;
                 return Ok((out, raw));
             }
-            self.header_count = le_u64(buf, raw - V2_HEADER_LEN + 8);
+            self.header_count = le_u64(buf, raw - FRAMED_HEADER_LEN + 8);
             self.phase = Phase::Frames;
         }
         while self.phase == Phase::Frames {
@@ -280,13 +283,13 @@ impl FrameDecoder {
     }
 }
 
-/// Hand-assembles a v2 stream around `payload` (decoder-independent of
+/// Hand-assembles a framed stream around `payload` (decoder-independent of
 /// the writer, so each side checks the other).
 #[cfg(test)]
-pub(crate) fn v2_file(count: u64, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn framed_file(count: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(crate::format::MAGIC);
-    out.extend_from_slice(&V2_VERSION.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&count.to_le_bytes());
     let head_crc = crc32c(&out);
     out.extend_from_slice(&head_crc.to_le_bytes());
@@ -385,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_framing_is_stripped_and_the_header_served_verbatim() {
+    fn framing_is_stripped_and_the_header_served_verbatim() {
         for n in [
             0,
             1,
@@ -395,20 +398,24 @@ mod tests {
             3 * FRAME_PAYLOAD + 7,
         ] {
             let data = payload(n);
-            let raw = v2_file(42, &data);
+            let raw = framed_file(42, &data);
             let logical = drain(&raw, None).unwrap();
-            assert_eq!(&logical[..V2_HEADER_LEN], &raw[..V2_HEADER_LEN]);
-            assert_eq!(&logical[V2_HEADER_LEN..], &data[..], "payload of {n} bytes");
+            assert_eq!(&logical[..FRAMED_HEADER_LEN], &raw[..FRAMED_HEADER_LEN]);
+            assert_eq!(
+                &logical[FRAMED_HEADER_LEN..],
+                &data[..],
+                "payload of {n} bytes"
+            );
             assert_eq!(
                 raw.len() as u64,
-                (crate::format::HEADER_LEN + n) as u64 + v2_overhead(n as u64),
-                "v2_overhead predicts the physical size over the logical stream"
+                (crate::format::HEADER_LEN + n) as u64 + frame_overhead(n as u64),
+                "frame_overhead predicts the physical size over the logical stream"
             );
         }
     }
 
     #[test]
-    fn a_non_v2_stream_serves_its_header_bytes_and_nothing_after() {
+    fn a_foreign_stream_serves_its_header_bytes_and_nothing_after() {
         for raw in [
             &b""[..],
             b"short",
@@ -417,8 +424,14 @@ mod tests {
             &[
                 b'I', b'N', b'D', b'V', 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9, 9, 1, 2,
             ][..],
+            // A v2 header (length-prefixed records in the same frames).
+            &framed_file(1, b"\x01\x00\x00\x00a")
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| if i == 4 { 2 } else { b })
+                .collect::<Vec<u8>>()[..],
         ] {
-            let head = &raw[..raw.len().min(V2_HEADER_LEN)];
+            let head = &raw[..raw.len().min(FRAMED_HEADER_LEN)];
             assert_eq!(drain(raw, None).unwrap(), head);
         }
     }
@@ -426,16 +439,16 @@ mod tests {
     #[test]
     fn one_decode_step_over_a_whole_stream_leaves_the_logical_bytes_in_front() {
         let data = payload(2 * FRAME_PAYLOAD + 5);
-        let mut raw = v2_file(4, &data);
+        let mut raw = framed_file(4, &data);
         let total = raw.len();
         let mut decoder = FrameDecoder::new();
         let (out, used) = decoder.decode(&mut raw, 0, 0, true).unwrap();
         assert!(decoder.finished());
         assert_eq!(used, total, "the footer is consumed");
-        assert_eq!(&raw[V2_HEADER_LEN..out], &data[..]);
+        assert_eq!(&raw[FRAMED_HEADER_LEN..out], &data[..]);
 
         // Fed one byte at a time, the step waits on every incomplete unit.
-        let raw = v2_file(4, &data);
+        let raw = framed_file(4, &data);
         let mut buf = Vec::new();
         let mut decoder = FrameDecoder::new();
         let (mut out, mut at) = (0, 0);
@@ -446,15 +459,15 @@ mod tests {
             assert_eq!(decoder.finished(), i + 1 == raw.len());
         }
         assert_eq!(decoder.min_read(&buf[at..]), 0);
-        assert_eq!(&buf[V2_HEADER_LEN..out], &data[..]);
+        assert_eq!(&buf[FRAMED_HEADER_LEN..out], &data[..]);
     }
 
     #[test]
     fn every_bit_flip_after_the_header_is_detected() {
         let data = payload(300);
-        let raw = v2_file(7, &data);
+        let raw = framed_file(7, &data);
         let stats = ReadStats::new();
-        for byte in V2_HEADER_LEN..raw.len() {
+        for byte in FRAMED_HEADER_LEN..raw.len() {
             let mut bad = raw.clone();
             bad[byte] ^= 1 << (byte % 8);
             let err = drain(&bad, Some(stats.clone()))
@@ -472,8 +485,8 @@ mod tests {
     #[test]
     fn truncation_at_every_cut_is_detected() {
         let data = payload(2 * FRAME_PAYLOAD + 13);
-        let raw = v2_file(3, &data);
-        for cut in V2_HEADER_LEN..raw.len() {
+        let raw = framed_file(3, &data);
+        for cut in FRAMED_HEADER_LEN..raw.len() {
             let err =
                 drain(&raw[..cut], None).expect_err(&format!("cut at byte {cut} must be detected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -484,7 +497,7 @@ mod tests {
     #[test]
     fn footer_field_mismatches_are_reported_precisely() {
         let data = payload(64);
-        let raw = v2_file(9, &data);
+        let raw = framed_file(9, &data);
         let footer_at = raw.len() - FOOTER_BODY_LEN;
 
         let mut bad_count = raw.clone();
@@ -517,7 +530,7 @@ mod tests {
     #[test]
     fn logical_stream_is_identical_at_any_read_granularity() {
         let data = payload(FRAME_PAYLOAD + 777);
-        let raw = v2_file(5, &data);
+        let raw = framed_file(5, &data);
         let whole = drain(&raw, None).unwrap();
         for step in [1usize, 3, 19, 4096, 10_000] {
             assert_eq!(

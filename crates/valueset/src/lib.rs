@@ -4,8 +4,8 @@
 //! algorithms (Sec. 3): canonical byte-string value sets extracted per
 //! attribute, persisted as counted, strictly-sorted value streams — one
 //! per attribute, published a batch at a time as segments; a
-//! block-oriented zero-copy I/O layer ([`BlockReader`], [`IoOptions`])
-//! serving forward cursors straight out of large read blocks; and an
+//! block-oriented I/O layer ([`BlockReader`], [`IoOptions`])
+//! serving forward cursors out of large read blocks; and an
 //! external merge sort standing in for the RDBMS's sort machinery. The
 //! descriptors held no longer grow with cursors or runs, which is what hit
 //! the operating-system limit on open files in Sec. 4.2: an export's

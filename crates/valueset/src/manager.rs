@@ -34,9 +34,10 @@ pub enum ResumeMode {
     Off,
     /// Read the trailer of every segment in the workdir, validate each
     /// attribute's latest entry with a cheap header + footer read of its
-    /// stream ([`crate::format`]'s self-verifying v2 seal), re-export only
-    /// attributes that are missing, torn, or stale against the source
-    /// data's content hash, and sweep what an interrupted run left behind.
+    /// stream ([`crate::format`]'s self-verifying seal), re-export only
+    /// attributes that are missing, torn, of an older format version, or
+    /// stale against the source data's content hash, and sweep what an
+    /// interrupted run left behind.
     Reuse,
     /// Like [`ResumeMode::Reuse`], but each reused stream is fully drained
     /// through a checksum-verifying reader (every frame CRC walked) —
@@ -1351,17 +1352,18 @@ mod tests {
         );
 
         // CRC-32C of each stream of this very export. The value streams
-        // are pinned from the per-attribute publisher the group commit
-        // replaced (commit f992d7f) and hold on extents of a segment; the
-        // trailer was pinned when it replaced the manifest, and is re-pinned
-        // whenever its layout or the `source_hash` function changes.
-        let pins: [u32; 4] = [0xa953_9fcb, 0x4fc6_9237, 0x340e_eacd, 0x52bb_f17e];
+        // are re-pinned whenever the record format changes (last: the
+        // front-coded v3 records) and hold on extents of a segment; the
+        // trailer is re-pinned whenever its layout, the streams' sizes or
+        // the `source_hash` function change (last: v3 sizes and the
+        // four-lane buffer hash).
+        let pins: [u32; 4] = [0xe1d7_8e85, 0x0dd2_a71f, 0x2398_a23e, 0x7cf5_7d76];
         for (attr, crc) in exp.attributes().iter().zip(pins) {
             assert_eq!(crate::crc32c(&stream_bytes(attr)), crc, "{}", attr.name);
         }
         assert_eq!(
             crate::crc32c(&segment[streams.len()..]),
-            0xacf7_9a57,
+            0xe6a3_bc05,
             "trailer"
         );
     }

@@ -1,7 +1,7 @@
 //! Segments: the unit of durable publication.
 //!
 //! A segment is one file holding the value streams of one batch back to
-//! back, each stream byte for byte the v2 value file ([`crate::format`]) it
+//! back, each stream byte for byte the value file ([`crate::format`]) it
 //! would be on its own, closed by a **trailer** that describes them. An
 //! export worker writes its streams into `<segment>.tmp` and publishes the
 //! whole batch at once ([`SegmentWriter::commit`]): the trailer is written,

@@ -4,7 +4,7 @@
 //! entry per row, one component per attribute of a composite candidate —
 //! through the same sorted-value-file machinery the unary pipeline uses.
 //! That machinery (the external sorter, [`crate::ValueFileWriter`]'s
-//! strictly-increasing invariant, the zero-copy block cursors, and the
+//! strictly-increasing invariant, the block cursors, and the
 //! SPIDER merge) compares entries **byte-wise**, so the encoding must
 //! guarantee
 //!

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use spider_ind::core::{Algorithm, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 use spider_ind::valueset::{
-    collect_cursor, read_trailer, CancelToken, ExportOptions, Extent, FaultPlan, IoOptions,
+    collect_cursor, crc32c, read_trailer, CancelToken, ExportOptions, Extent, FaultPlan, IoOptions,
     ResumeMode, TrailerEntry, ValueFileReader, BATCH_MAX_BYTES,
 };
 use std::path::Path;
@@ -305,6 +305,49 @@ fn clean_run(db: &Database) -> CleanRun {
     CleanRun {
         satisfied: clean.satisfied,
         streams: value_streams(dir.path()),
+    }
+}
+
+#[test]
+fn a_workdir_of_v2_streams_is_exported_again_on_resume() {
+    // A workdir an older build left: every stream's header says version 2
+    // (its header checksum intact), and the trailers vouch for them. Such
+    // streams hold length-prefixed records a v3 reader cannot read, so a
+    // resume, in either mode, must export every attribute again — not
+    // fail — and end with the INDs and streams of a clean run.
+    let db = fixture_db();
+    let clean = clean_run(&db);
+    for mode in [ResumeMode::Reuse, ResumeMode::Verify] {
+        let dir = TempDir::new("v2-workdir");
+        let finder = IndFinder::with_algorithm(Algorithm::Spider);
+        finder
+            .discover_on_disk_with(&db, dir.path(), &ExportOptions::with_threads(1))
+            .expect("first run");
+        for (segment, entry) in trailer_entries(dir.path()) {
+            let path = dir.path().join(&segment);
+            let mut bytes = std::fs::read(&path).expect("segment");
+            let head = entry.offset as usize;
+            assert_eq!(&bytes[head..head + 8], b"INDV\x03\0\0\0", "{segment}");
+            bytes[head + 4] = 2;
+            let crc = crc32c(&bytes[head..head + 16]).to_le_bytes();
+            bytes[head + 16..head + 20].copy_from_slice(&crc);
+            std::fs::write(&path, bytes).expect("patch");
+        }
+        let resumed = finder
+            .discover_on_disk_with(
+                &db,
+                dir.path(),
+                &ExportOptions::with_threads(1).resume(mode),
+            )
+            .unwrap_or_else(|e| panic!("{mode:?} resume of a v2 workdir failed: {e}"));
+        assert_eq!(resumed.satisfied, clean.satisfied, "{mode:?}");
+        assert_eq!(resumed.metrics.exports_reused, 0, "{mode:?}");
+        assert_eq!(
+            resumed.metrics.exports_redone, ATTRIBUTES as u64,
+            "{mode:?}"
+        );
+        assert_swept(dir.path());
+        assert_eq!(value_streams(dir.path()), clean.streams, "{mode:?}");
     }
 }
 

@@ -367,3 +367,23 @@ fn export_then_rediscover_from_files_only() {
     found.sort();
     assert_eq!(found, expected.satisfied);
 }
+
+#[test]
+fn a_seeded_pdb_export_writes_the_pinned_number_of_bytes() {
+    // `generate pdb --scale 40 --seed 42`, exported by one worker: the
+    // streams' bytes are a function of the format alone, so a change
+    // that inflates it fails here by name. Front-coded v3 records put
+    // 576,716 bytes where v2's length-prefixed ones put 924,459.
+    let db = generate_pdb(&OpenMmsConfig {
+        entries: 40 * 4,
+        base_rows: 40 * 3,
+        seed: 42,
+        ..OpenMmsConfig::small_fraction()
+    });
+    let dir = TempDir::new("pinned-bytes");
+    let export =
+        ExportedDatabase::export(&db, dir.path(), &ExportOptions::with_threads(1)).expect("export");
+    let file_bytes: u64 = export.attributes().iter().map(|a| a.file_bytes).sum();
+    assert_eq!(export.attributes().len(), 551);
+    assert_eq!(file_bytes, 576_716);
+}

@@ -11,8 +11,9 @@ use spider_ind::storage::{Column, ColumnSchema, DataType, Database, Table, Table
 use spider_ind::valueset::{
     collect_cursor, compare_keys, crc32c, extract_composite_to_file, extract_memory_columns,
     extract_memory_set, extract_sorted_distinct, extract_to_file, key_prefix64, Crc32c,
-    ExternalSorter, IoOptions, MemoryValueSet, SortOptions, SortStats, Source, TournamentTree,
-    ValueCursor, ValueFileReader, ValueFileWriter, DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE,
+    ExportOptions, ExportedDatabase, ExternalSorter, IoOptions, MemoryValueSet, SortOptions,
+    SortStats, Source, TournamentTree, ValueCursor, ValueFileReader, ValueFileWriter,
+    ValueSetProvider, DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE,
 };
 use std::collections::BTreeSet;
 
@@ -356,7 +357,20 @@ fn grammar_token(kind: u8, raw: u8) -> Vec<u8> {
     }
 }
 
-/// The v2 stream of `values` as a writer stages it — each frame's payload
+/// Leading bytes a front-coding value draws from: none, short, and either
+/// side of the 128 bytes past which `shared` takes a two-byte varint.
+const STEMS: [usize; 7] = [0, 3, 127, 128, 129, 200, 300];
+
+/// A value for the front-coding round trip: a stem of `STEMS[kind]` bytes
+/// of one pattern (so values of one stem share all of it), then `tail`.
+fn stemmed(kind: u8, tail: &[u8]) -> Vec<u8> {
+    let stem = (0..STEMS[kind as usize % STEMS.len()]).map(|i| b"stem"[i % 4]);
+    stem.chain(tail.iter().copied()).collect()
+}
+
+/// The v3 stream of `values` as a writer stages it — each value's record
+/// front-coded against the value before it (LEB128 shared-prefix length,
+/// LEB128 suffix length, suffix), each frame's payload
 /// gathered in a buffer of its own, then copied into the block behind its
 /// length and followed by its CRC-32C, the block flushed after the first
 /// seal that takes it to `block_size` (clamped to [`MIN_BLOCK_SIZE`]) — and
@@ -373,8 +387,21 @@ fn staged_stream(values: &[Vec<u8>], block_size: usize) -> (Vec<u8>, u64) {
         block.extend_from_slice(&crc);
         chain.update(&crc);
     };
+    let leb = |out: &mut Vec<u8>, mut n: usize| {
+        while n >= 0x80 {
+            out.push((n & 0x7F) as u8 | 0x80);
+            n >>= 7;
+        }
+        out.push(n as u8);
+    };
+    let mut prev: &[u8] = &[];
     for v in values {
-        let record = [&(v.len() as u32).to_le_bytes()[..], v].concat();
+        let shared = prev.iter().zip(v).take_while(|(a, b)| a == b).count();
+        let mut record = Vec::new();
+        leb(&mut record, shared);
+        leb(&mut record, v.len() - shared);
+        record.extend_from_slice(&v[shared..]);
+        prev = v;
         payload += record.len() as u64;
         for &byte in &record {
             frame.push(byte);
@@ -397,7 +424,7 @@ fn staged_stream(values: &[Vec<u8>], block_size: usize) -> (Vec<u8>, u64) {
     out.extend_from_slice(&payload.to_le_bytes());
     out.extend_from_slice(&chain.finish().to_le_bytes());
     out.extend_from_slice(b"INDF");
-    let head = [&b"INDV"[..], &2u32.to_le_bytes(), &count].concat();
+    let head = [&b"INDV"[..], &3u32.to_le_bytes(), &count].concat();
     out[..16].copy_from_slice(&head);
     out[16..20].copy_from_slice(&crc32c(&head).to_le_bytes());
     (out, flushes)
@@ -893,6 +920,108 @@ proptest! {
         )
         .expect("open");
         prop_assert_eq!(collect_cursor(reader).expect("read"), values);
+    }
+
+    #[test]
+    fn front_coded_value_files_round_trip_long_prefixes_and_long_values(
+        raw in proptest::collection::vec((any::<u8>(), proptest::collection::vec(any::<u8>(), 0..6)), 0..40),
+        long in proptest::option::of((any::<u8>(), 4_000usize..9_000)),
+        empty_first in any::<bool>(),
+        write_block in 1usize..96,
+        read_block in 1usize..96,
+    ) {
+        // Sorted distinct sets whose values share stems of up to 300
+        // bytes (two-byte varints past 127), with an empty value first
+        // now and then, and a value longer than a frame and than every
+        // small block: records straddle frames and blocks. The stream is
+        // the staged model's byte for byte, and reads back at any block.
+        let mut values: Vec<Vec<u8>> = raw.iter().map(|(kind, tail)| stemmed(*kind, tail)).collect();
+        values.extend(long.map(|(kind, len)| stemmed(kind, &vec![0xEE; len])));
+        if empty_first {
+            values.push(Vec::new());
+        } else {
+            values.retain(|v| !v.is_empty());
+        }
+        values.sort_unstable();
+        values.dedup();
+        let dir = TempDir::new("prop-vf-front");
+        let path = dir.join("x.indv");
+        for block in [write_block, DEFAULT_BLOCK_SIZE] {
+            let mut w = ValueFileWriter::create_with_options(
+                &path,
+                &IoOptions::with_block_size(block),
+            )
+            .expect("create");
+            for v in &values {
+                w.append(v).expect("append");
+            }
+            w.finish().expect("finish");
+            let (stream, _) = staged_stream(&values, block);
+            prop_assert!(std::fs::read(&path).expect("read") == stream, "block {}", block);
+        }
+        for block in [read_block, 4096, DEFAULT_BLOCK_SIZE] {
+            let reader = ValueFileReader::open_with_options(&path, &IoOptions::with_block_size(block))
+                .expect("open");
+            prop_assert_eq!(collect_cursor(reader).expect("read"), values.clone(), "block {}", block);
+        }
+    }
+
+    #[test]
+    fn exported_streams_hold_the_same_values_exactly_when_the_sets_are_equal(
+        a in proptest::collection::vec((any::<u8>(), proptest::string::string_regex("[a-c]{0,3}").unwrap()), 0..16),
+        edit in 0u8..4,
+        pick in any::<usize>(),
+        block in 1usize..96,
+    ) {
+        // Two columns of one table, the second an edit of the first that
+        // keeps its set or changes it by one value (often to one of the
+        // same length, so the streams' sizes agree and their bytes must
+        // decide). The export's `same_values` compares the two streams.
+        let a: Vec<String> = a
+            .iter()
+            .map(|(kind, tail)| String::from_utf8(stemmed(*kind, tail.as_bytes())).expect("ascii"))
+            .collect();
+        let mut b = a.clone();
+        let at = pick % a.len().max(1);
+        match (edit, b.get_mut(at)) {
+            (0, _) => b.reverse(),
+            (1, _) => b.push(String::from_utf8(stemmed(pick as u8, b"b")).expect("ascii")),
+            (2, Some(_)) => {
+                b.remove(at);
+            }
+            (3, Some(value)) => {
+                let last = value.pop().map_or('a', |c| if c == 'c' { 'a' } else { 'c' });
+                value.push(last);
+            }
+            _ => {}
+        }
+        let set = |values: &[String]| values.iter().cloned().collect::<BTreeSet<String>>();
+        let rows = a.len().max(b.len());
+        let cell = |values: &[String], row: usize| {
+            values.get(row).map_or(Value::Null, |v| Value::Text(v.clone()))
+        };
+        let mut table = Table::new(
+            TableSchema::new(
+                "t",
+                vec![
+                    ColumnSchema::new("a", DataType::Text),
+                    ColumnSchema::new("b", DataType::Text),
+                ],
+            )
+            .expect("schema"),
+        );
+        for row in 0..rows {
+            table.insert(vec![cell(&a, row), cell(&b, row)]).expect("row");
+        }
+        let mut db = Database::new("prop-same");
+        db.add_table(table).expect("table");
+        let dir = TempDir::new("prop-same-values");
+        let mut options = ExportOptions::with_threads(1);
+        options.sort.io.block_size = block;
+        let export = ExportedDatabase::export(&db, dir.path(), &options).expect("export");
+        prop_assert_eq!(export.same_values(0, 1).expect("compare"), set(&a) == set(&b));
+        prop_assert!(export.same_values(1, 0).expect("compare") == (set(&a) == set(&b)));
+        prop_assert!(export.same_values(0, 0).expect("compare"));
     }
 
     #[test]
