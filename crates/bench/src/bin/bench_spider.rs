@@ -46,8 +46,8 @@
 
 use ind_bench::legacy_spider::run_legacy_spider;
 use ind_core::{
-    generate_candidates, memory_export, run_spider, Algorithm, Candidate, IndFinder, NaryDiscovery,
-    PretestConfig, RunMetrics,
+    generate_candidates, memory_export, run_spider, Algorithm, Backend, Candidate, Discovery,
+    IndFinder, PretestConfig, RunMetrics,
 };
 use ind_datagen::{
     generate_chains, generate_pdb, generate_uniprot, generate_wide, BiosqlConfig, ChainsConfig,
@@ -370,9 +370,9 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
         ..Default::default()
     });
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
-    let run = || -> Result<NaryDiscovery, String> {
+    let run = || -> Result<Discovery, String> {
         finder
-            .discover_nary_in_memory(&db, ind_storage::default_workers(), MAX_ARITY)
+            .run(&db, &Backend::memory(), MAX_ARITY)
             .map_err(|e| e.to_string())
     };
     // Counts are deterministic; only the per-level wall times vary, so the
@@ -384,7 +384,7 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
         let start = Instant::now();
         let d = run()?;
         let wall = start.elapsed().as_secs_f64() * 1e3;
-        if d.satisfied != best.satisfied || d.unary != best.unary {
+        if d.composite != best.composite || d.satisfied != best.satisfied {
             return Err("[nary] levelwise discovery diverged between runs".into());
         }
         if wall < best_ms {
@@ -394,8 +394,8 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
     }
     println!(
         "[nary] chains scale={scale}: {} unary INDs, {} composite INDs, {best_ms:.2} ms",
-        best.unary.len(),
-        best.satisfied.len()
+        best.satisfied.len(),
+        best.composite.len()
     );
     for level in &best.levels {
         println!(
@@ -412,8 +412,8 @@ fn bench_nary(scale: usize) -> Result<NaryResult, String> {
         max_arity: MAX_ARITY,
         tables: db.table_count(),
         attributes: db.attribute_count(),
-        unary_satisfied: best.unary.len(),
-        composite_satisfied: best.satisfied.len(),
+        unary_satisfied: best.satisfied.len(),
+        composite_satisfied: best.composite.len(),
         wall_ms: best_ms,
         levels: best
             .levels

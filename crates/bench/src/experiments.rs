@@ -11,7 +11,8 @@ use crate::sql_deadline::run_sql_with_deadline;
 use crate::table::{format_count, format_duration, TextTable};
 use ind_core::{
     generate_candidates, profiles_from_export, run_blockwise, run_brute_force, run_single_pass,
-    run_spider, Algorithm, BlockwiseConfig, FinderConfig, IndFinder, PretestConfig, RunMetrics,
+    run_spider, Algorithm, Backend, BlockwiseConfig, FinderConfig, IndFinder, PretestConfig,
+    RunMetrics,
 };
 use ind_discovery::{
     evaluate_foreign_keys, filter_surrogate_inds, find_accession_candidates,
@@ -64,7 +65,7 @@ pub fn table1_with(include_large: bool) -> String {
     let mut sat_row = vec!["# satisfied INDs".to_string()];
     for db in &dbs {
         let d = IndFinder::with_algorithm(Algorithm::Spider)
-            .discover_in_memory(db)
+            .run(db, &Backend::memory(), 1)
             .expect("discovery");
         cand_row.push(format_count(d.metrics.candidates()));
         sat_row.push(format_count(d.metrics.satisfied));
@@ -379,7 +380,7 @@ pub fn discovery() -> String {
     // --- UniProt ---------------------------------------------------------
     let uniprot = datasets::uniprot();
     let d = IndFinder::new(FinderConfig::default())
-        .discover_in_memory(&uniprot)
+        .run(&uniprot, &Backend::memory(), 1)
         .expect("uniprot discovery");
     let eval = evaluate_foreign_keys(&uniprot, &d);
     out.push_str(&format!(
@@ -412,7 +413,7 @@ pub fn discovery() -> String {
     // --- SCOP -------------------------------------------------------------
     let scop = datasets::scop();
     let ds = IndFinder::new(FinderConfig::default())
-        .discover_in_memory(&scop)
+        .run(&scop, &Backend::memory(), 1)
         .expect("scop discovery");
     let evs = evaluate_foreign_keys(&scop, &ds);
     out.push_str(&format!(
@@ -427,7 +428,7 @@ pub fn discovery() -> String {
     // --- PDB ----------------------------------------------------------------
     let pdb = datasets::pdb_small();
     let dp = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&pdb)
+        .run(&pdb, &Backend::memory(), 1)
         .expect("pdb discovery");
     let (kept, filtered) = filter_surrogate_inds(&pdb, &dp);
     out.push_str(&format!(

@@ -84,10 +84,10 @@ pub fn profiles_from_export(exp: &ExportedDatabase) -> Vec<AttributeProfile> {
 }
 
 /// Extracts `db` entirely into memory: profiles plus a [`MemoryProvider`]
-/// whose attribute ids match the profile ids. What
-/// [`IndFinder::discover_in_memory`](crate::IndFinder::discover_in_memory)
-/// — the CLI's default path — runs on, extracted on every core
-/// ([`ind_storage::default_workers`]).
+/// whose attribute ids match the profile ids: what
+/// [`IndFinder::run`](crate::IndFinder::run) over
+/// [`Backend::memory`](crate::Backend::memory) — the CLI's default path —
+/// runs on, extracted on every core ([`ind_storage::default_workers`]).
 pub fn memory_export(db: &Database) -> (Vec<AttributeProfile>, MemoryProvider) {
     memory_export_with_threads(db, ind_storage::default_workers())
 }

@@ -15,11 +15,11 @@
 //! * [`blockwise`] — the Sec. 4.2 block-wise single-pass, which holds at
 //!   most a given number of cursors (reader buffers) at once;
 //! * [`closure`] — transitive-closure utilities over IND sets;
-//! * [`nary`] — levelwise composite (n-ary) IND discovery layered on the
-//!   SPIDER engine (beyond the paper's unary scope);
-//! * [`runner`] — the [`IndFinder`] facade tying everything together; it
-//!   hands the engine one representative per class of attributes with
-//!   equal value sets.
+//! * [`nary`] — the levelwise search: unary INDs are its level 1, composite
+//!   (n-ary) INDs its higher levels (beyond the paper's unary scope);
+//! * [`runner`] — the [`IndFinder`] facade tying everything together: one
+//!   [`IndFinder::run`] for every arity and [`Backend`]. It hands the engine
+//!   one representative per class of attributes with equal value sets.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,8 +47,8 @@ pub use brute_force::{run_brute_force, run_brute_force_parallel, test_candidate}
 pub use candidates::{generate_candidates, Candidate, Ind, PretestConfig};
 pub use closure::{in_closure, transitive_closure};
 pub use metrics::RunMetrics;
-pub use nary::{NaryCandidate, NaryDiscovery, NaryLevelStats};
+pub use nary::{NaryCandidate, NaryLevelStats};
 pub use partial::{inclusion_count, InclusionCount};
-pub use runner::{Algorithm, DegradedReport, Discovery, FinderConfig, IndFinder};
+pub use runner::{Algorithm, Backend, DegradedReport, Discovery, FinderConfig, IndFinder};
 pub use single_pass::run_single_pass;
 pub use spider::run_spider;

@@ -1,20 +1,21 @@
-//! Levelwise n-ary (composite) inclusion dependency discovery.
+//! Levelwise inclusion dependency discovery, unary and n-ary (composite).
 //!
 //! The paper scopes SPIDER to unary INDs and leaves composite keys as
-//! future work (Sec. 7). This module adds that layer **on top of** the
-//! unary finder rather than beside it: every level runs through
+//! future work (Sec. 7). Here unary discovery is level 1 of one levelwise
+//! search, and [`IndFinder::run`] is its one entry point: `max_arity == 1`
+//! is a search that stops after level 1. Every level runs through
 //! [`IndFinder`]'s own validation step — quarantine filter → pretests →
 //! classes of equal value sets → the configured engine → expand — so the
 //! finder's [`crate::FinderConfig`] (algorithm and pretests) applies at
 //! every arity.
 //!
-//! 1. **Level 1** is the unary step, with one deliberate relaxation:
-//!    referenced attributes do not need to be unique. The uniqueness
-//!    restriction is an FK-*guessing* heuristic (Aladin step 2), not part
-//!    of the IND definition — and the levelwise search needs the complete
-//!    unary IND set, because a composite key's component columns
-//!    (`chain.pdb_code`, `chain.chain_id`, …) are rarely unique on their
-//!    own.
+//! 1. **Level 1** is the unary step. One rule tells a unary run from level 1
+//!    of a levelwise one: which attributes may be referenced. A unary run
+//!    guesses foreign keys, so only unique attributes are
+//!    ([`AttributeProfile::is_referenced_candidate`], Aladin step 2). A
+//!    levelwise run needs the complete unary IND set, because a composite
+//!    key's component columns (`chain.pdb_code`, `chain.chain_id`, …) are
+//!    rarely unique on their own, so any non-empty attribute is.
 //! 2. **Level k** generates arity-`k` candidates MIND/apriori-style from
 //!    the satisfied arity-`k−1` INDs: two INDs join into a `k`-ary
 //!    candidate when they share their first `k−2` positions on both sides,
@@ -36,13 +37,13 @@
 //!    tuples and largest tuples, and sequences holding equal tuple sets
 //!    share one representative. In memory a level is extracted on the
 //!    `threads` workers of the unary export; on disk it is an
-//!    [`ExportedDatabase`] too ([`ExportedDatabase::export_groups`] on the
-//!    unary export's workers, through the same group commit), and the run
-//!    shares the unary finder's preamble (export, profiles, keep-going
-//!    pre-scan) and epilogue (counters, degraded report).
+//!    [`ind_valueset::ExportedDatabase`] too
+//!    ([`ind_valueset::ExportedDatabase::export_groups`] on the unary
+//!    export's workers, through the same group commit).
 //!
 //! The search iterates until a level yields no candidates or `max_arity`
-//! is reached.
+//! is reached. Only a levelwise run (`max_arity ≥ 2`) opens a `level` span
+//! per level.
 //!
 //! **Canonical form.** Permuting a composite IND's positions on both sides
 //! yields an equivalent IND, so candidates are normalised to strictly
@@ -57,16 +58,13 @@
 //! a unary projection fails — such exotic INDs are outside the levelwise
 //! search space, the standard trade-off of the MIND family.
 
-use crate::attr::{extract_profiled, profiles_from_export, try_memory_export, AttributeProfile};
+use crate::attr::AttributeProfile;
 use crate::candidates::{candidate_pairs, Candidate};
 use crate::metrics::RunMetrics;
-use crate::runner::{DegradedReport, DiskRun, IndFinder};
-use ind_storage::{Database, QualifiedName};
-use ind_valueset::{
-    ExportOptions, ExportedDatabase, Result, Source, ValueSetProvider, MAX_COMPOSITE_ARITY,
-};
+use crate::runner::{Discovery, IndFinder};
+use ind_storage::QualifiedName;
+use ind_valueset::{Result, ValueSetProvider};
 use std::collections::HashMap;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// An n-ary IND candidate `(dep[0], …, dep[k−1]) ⊆ (ref[0], …, ref[k−1])`
@@ -119,64 +117,6 @@ pub struct NaryLevelStats {
     pub elapsed: Duration,
 }
 
-/// Result of a levelwise n-ary discovery run.
-#[derive(Debug, Clone)]
-pub struct NaryDiscovery {
-    /// Profiles of every unary attribute, indexed by attribute id.
-    pub profiles: Vec<AttributeProfile>,
-    /// Satisfied unary INDs (level 1, with the relaxed referenced-side
-    /// eligibility documented in the module docs), sorted.
-    pub unary: Vec<Candidate>,
-    /// Satisfied composite INDs of every arity ≥ 2, sorted.
-    pub satisfied: Vec<NaryCandidate>,
-    /// The profile of every attribute sequence of arity ≥ 2 the search
-    /// extracted, sorted by sequence: `non_null` counts the rows with every
-    /// component non-NULL, `distinct` the distinct tuples among them. See
-    /// [`NaryDiscovery::sequence_profile`].
-    pub sequence_profiles: Vec<(Vec<u32>, AttributeProfile)>,
-    /// Per-level counters, starting at arity 1. A trailing entry with
-    /// `generated == 0` records the level at which the search died out.
-    pub levels: Vec<NaryLevelStats>,
-    /// Aggregate counters across all levels.
-    pub metrics: RunMetrics,
-    /// Keep-going degradation summary; `None` for strict (default) runs.
-    pub degraded: Option<DegradedReport>,
-}
-
-impl NaryDiscovery {
-    /// Satisfied composite INDs as qualified-name sequences.
-    pub fn satisfied_named(&self) -> Vec<(Vec<QualifiedName>, Vec<QualifiedName>)> {
-        let named = |seq: &[u32]| -> Vec<QualifiedName> {
-            seq.iter()
-                .map(|&a| self.profiles[a as usize].name.clone())
-                .collect()
-        };
-        self.satisfied
-            .iter()
-            .map(|c| (named(&c.dep), named(&c.refd)))
-            .collect()
-    }
-
-    /// The profile of attribute sequence `sequence` — both sides of every
-    /// composite IND in [`NaryDiscovery::satisfied`] have one.
-    pub fn sequence_profile(&self, sequence: &[u32]) -> Option<&AttributeProfile> {
-        let found = self
-            .sequence_profiles
-            .binary_search_by(|(s, _)| s.as_slice().cmp(sequence));
-        found.ok().map(|i| &self.sequence_profiles[i].1)
-    }
-
-    /// Largest arity at which an IND was found (1 when only unary INDs
-    /// exist, 0 when none at all).
-    pub fn max_arity_found(&self) -> usize {
-        self.satisfied
-            .iter()
-            .map(NaryCandidate::arity)
-            .max()
-            .unwrap_or(usize::from(!self.unary.is_empty()))
-    }
-}
-
 /// One searched level: its attribute sequences (at level 1 the attributes
 /// themselves), their profiles (composite levels only) and its satisfied
 /// INDs as pairs over the sequences, sorted as the sequences sort.
@@ -187,94 +127,41 @@ struct Level {
 }
 
 impl IndFinder {
-    /// Runs the levelwise search up to `max_arity` (level 1 is the unary
-    /// pass; clamped to 1..=[`MAX_COMPOSITE_ARITY`]) entirely in memory,
-    /// extracting the unary value sets and every level's composite sets on
-    /// exactly `threads` workers. The result is the same at any count.
-    pub fn discover_nary_in_memory(
-        &self,
-        db: &Database,
-        threads: usize,
-        max_arity: usize,
-    ) -> Result<NaryDiscovery> {
-        let start = Instant::now();
-        let _root = ind_trace::start(ind_trace::DISCOVER);
-        let export_span = ind_trace::start(ind_trace::EXPORT);
-        let (profiles, provider) = try_memory_export(db, threads)?;
-        export_span.finish();
-        let mut discovery =
-            self.discover_levels(&profiles, &provider, &[], max_arity, |_, groups| {
-                let _span = ind_trace::start(ind_trace::EXPORT);
-                extract_profiled(Source::groups(db, groups)?, threads)
-            })?;
-        discovery.metrics.elapsed = start.elapsed();
-        Ok(discovery)
-    }
-
-    /// [`IndFinder::discover_nary_in_memory`] over on-disk sorted value
-    /// files: the unary export lands under `workdir/arity-1`, each composite
-    /// level under `workdir/arity-<k>`. The on-disk preamble and epilogue
-    /// are the unary finder's ([`IndFinder::discover_on_disk_with`]):
-    /// keep-going quarantines what the export or the pre-scan condemns, and
-    /// the apriori join then keeps it out of every level. Each level is an
-    /// [`ExportedDatabase::export_groups`] on the unary export's workers and
-    /// I/O options, so [`RunMetrics::read_calls`] and the fault counters
-    /// cover every level. A level is always rewritten and runs strict: a
-    /// failed composite stream fails the run, keep-going or not.
-    pub fn discover_nary_on_disk(
-        &self,
-        db: &Database,
-        workdir: &Path,
-        options: &ExportOptions,
-        max_arity: usize,
-    ) -> Result<NaryDiscovery> {
-        let _root = ind_trace::start(ind_trace::DISCOVER);
-        let run = DiskRun::prepare(db, &workdir.join("arity-1"), options)?;
-        let mut level_options = options.clone();
-        level_options.sort.io = run.export.io_options().clone();
-        let mut discovery = self.discover_levels(
-            &run.profiles,
-            &run.export,
-            &run.quarantined_ids(),
-            max_arity,
-            |arity, groups| {
-                let dir = workdir.join(format!("arity-{arity}"));
-                let export = ExportedDatabase::export_groups(db, groups, &dir, &level_options)?;
-                Ok((profiles_from_export(&export), export))
-            },
-        )?;
-        discovery.degraded = run.finish(&mut discovery.metrics);
-        Ok(discovery)
-    }
-
-    /// The levelwise loop over one kind of provider, in memory or on disk.
-    /// `make_level(k, groups)` extracts level `k`'s attribute sequences,
-    /// named, into their profiles and a provider whose ids are the sequence
-    /// indices, under an `export` span of its own (so each `level` span is
-    /// covered by its `generate`, `export`, `classes` and engine children).
-    /// Every level runs [`IndFinder::validate`]. The caller opens the
+    /// The levelwise loop up to `max_arity` (clamped to
+    /// 1..=[`ind_valueset::MAX_COMPOSITE_ARITY`] by the caller) over one
+    /// kind of provider, in memory or on disk. `make_level(k, groups)`
+    /// extracts level `k`'s attribute sequences, named, into their profiles
+    /// and a provider whose ids are the sequence indices, under an `export`
+    /// span of its own (so each `level` span is covered by its `generate`,
+    /// `export`, `classes` and engine children); a unary run never calls
+    /// it. Every level runs [`IndFinder::validate`]. The caller opens the
     /// `discover` root before its unary export and sets `metrics.elapsed`
     /// over the whole run.
-    fn discover_levels<P, F>(
+    pub(crate) fn discover_levels<P, F>(
         &self,
         profiles: &[AttributeProfile],
         unary_provider: &P,
         quarantined: &[u32],
         max_arity: usize,
         mut make_level: F,
-    ) -> Result<NaryDiscovery>
+    ) -> Result<Discovery>
     where
         P: ValueSetProvider + Sync,
         F: FnMut(usize, &[Vec<QualifiedName>]) -> Result<(Vec<AttributeProfile>, P)>,
     {
-        let max_arity = max_arity.clamp(1, MAX_COMPOSITE_ARITY);
         let mut metrics = RunMetrics::new();
         let table_of = table_indices(profiles);
 
-        // Level 1: the unary step with relaxed referenced eligibility.
+        // Level 1: the unary step.
         let level_start = Instant::now();
-        let level_span = ind_trace::start_arg(ind_trace::LEVEL, 1);
-        let candidates = |m: &mut _| candidate_pairs(profiles, m, |p| p.non_null > 0);
+        let level_span = (max_arity > 1).then(|| ind_trace::start_arg(ind_trace::LEVEL, 1));
+        // The one rule that tells a unary run from level 1 of a levelwise
+        // one (see the module docs): which attributes may be referenced.
+        let referenced: fn(&AttributeProfile) -> bool = match max_arity {
+            1 => AttributeProfile::is_referenced_candidate,
+            _ => |p| p.non_null > 0,
+        };
+        let candidates = |m: &mut _| candidate_pairs(profiles, m, referenced);
         let unary = self.validate(
             profiles,
             unary_provider,
@@ -282,10 +169,10 @@ impl IndFinder {
             quarantined,
             &mut metrics,
         )?;
-        level_span.finish();
+        drop(level_span);
         let mut levels = vec![NaryLevelStats {
             arity: 1,
-            enumerable: enumerable_at(profiles, &table_of, 1),
+            enumerable: enumerable_at(profiles, &table_of, 1, referenced),
             generated: metrics.candidates(),
             pruned_projection: 0,
             satisfied: unary.len() as u64,
@@ -317,7 +204,7 @@ impl IndFinder {
             generate_span.finish();
             let mut stats = NaryLevelStats {
                 arity,
-                enumerable: enumerable_at(profiles, &table_of, arity),
+                enumerable: enumerable_at(profiles, &table_of, arity, referenced),
                 generated: pairs.len() as u64,
                 pruned_projection: metrics.pruned_projection - pruned_before,
                 satisfied: 0,
@@ -352,11 +239,11 @@ impl IndFinder {
         // Level 1 is reported apart. Each level is sorted; the stable sort
         // merges them into the documented global order, which can
         // interleave arities (e.g. [3,4] < [3,4,5] < [4,5]).
-        let mut satisfied = Vec::new();
+        let mut composite = Vec::new();
         let mut sequence_profiles = Vec::new();
         for level in searched.drain(1..) {
             let seq = |id: u32| level.sequences[id as usize].clone();
-            satisfied.extend(
+            composite.extend(
                 level
                     .found
                     .iter()
@@ -364,12 +251,12 @@ impl IndFinder {
             );
             sequence_profiles.extend(level.sequences.into_iter().zip(level.profiles));
         }
-        satisfied.sort();
+        composite.sort();
         sequence_profiles.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(NaryDiscovery {
+        Ok(Discovery {
             profiles: profiles.to_vec(),
-            unary: searched.swap_remove(0).found,
-            satisfied,
+            satisfied: searched.swap_remove(0).found,
+            composite,
             sequence_profiles,
             levels,
             metrics,
@@ -490,9 +377,15 @@ fn generate_level(
 
 /// Counts the arity-`k` candidates enumerable with no projection pruning at
 /// all: sorted dependent `k`-combinations within a table × referenced
-/// `k`-permutations within a table, minus the identical sequences. The
-/// yardstick [`NaryLevelStats::enumerable`] reports.
-fn enumerable_at(profiles: &[AttributeProfile], table_of: &[usize], k: usize) -> u64 {
+/// `k`-permutations within a table of the attributes `referenced` admits,
+/// minus the identical sequences. The yardstick
+/// [`NaryLevelStats::enumerable`] reports.
+fn enumerable_at(
+    profiles: &[AttributeProfile],
+    table_of: &[usize],
+    k: usize,
+    referenced: fn(&AttributeProfile) -> bool,
+) -> u64 {
     let tables = table_of.iter().copied().max().map_or(0, |m| m + 1);
     let mut dep_eligible = vec![0u64; tables];
     let mut ref_eligible = vec![0u64; tables];
@@ -500,7 +393,7 @@ fn enumerable_at(profiles: &[AttributeProfile], table_of: &[usize], k: usize) ->
     for p in profiles {
         let t = table_of[p.id as usize];
         let dep = p.is_dependent_candidate();
-        let refd = p.non_null > 0;
+        let refd = referenced(p);
         dep_eligible[t] += u64::from(dep);
         ref_eligible[t] += u64::from(refd);
         both_eligible[t] += u64::from(dep && refd);
@@ -532,8 +425,10 @@ fn enumerable_at(profiles: &[AttributeProfile], table_of: &[usize], k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_storage::{ColumnSchema, DataType, Table, TableSchema, Value};
+    use crate::runner::Backend;
+    use ind_storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
     use ind_testkit::TempDir;
+    use ind_valueset::ExportOptions;
 
     /// parent(a, b) with distinct pairs; child(x, y) whose pairs are drawn
     /// from parent's; decoy(p, q) whose columns are unary subsets of
@@ -599,12 +494,13 @@ mod tests {
     }
 
     /// The levelwise search up to `max_arity` in memory, on two workers.
-    fn in_memory(db: &Database, max_arity: usize) -> NaryDiscovery {
-        spider().discover_nary_in_memory(db, 2, max_arity).unwrap()
+    fn in_memory(db: &Database, max_arity: usize) -> Discovery {
+        let d = spider().run(db, &Backend::Memory { threads: 2 }, max_arity);
+        d.unwrap()
     }
 
-    fn names(d: &NaryDiscovery) -> Vec<String> {
-        d.satisfied_named()
+    fn names(d: &Discovery) -> Vec<String> {
+        d.composite_named()
             .iter()
             .map(|(dep, refd)| {
                 format!(
@@ -632,7 +528,7 @@ mod tests {
             "{found:?}"
         );
         // Both decoy projections hold as unary INDs…
-        assert!(d.unary.iter().any(|c| {
+        assert!(d.satisfied.iter().any(|c| {
             d.profiles[c.dep as usize].name.to_string() == "decoy.p"
                 && d.profiles[c.refd as usize].name.to_string() == "parent.a"
         }));
@@ -656,9 +552,8 @@ mod tests {
             // The rule names the composite streams, not the directory
             // whose name also holds `comp-`.
             let dir = TempDir::new("nary-comp-fault");
-            let err = spider()
-                .discover_nary_on_disk(&db, dir.path(), &options, 2)
-                .unwrap_err();
+            let err = spider().run(&db, &Backend::disk(dir.path(), &options), 2);
+            let err = err.unwrap_err();
             assert!(
                 err.to_string().contains("[comp-"),
                 "keep_going={keep_going}: {err}"
@@ -683,16 +578,6 @@ mod tests {
             d.metrics.pruned_projection,
             d.levels.iter().map(|l| l.pruned_projection).sum::<u64>()
         );
-    }
-
-    #[test]
-    fn max_arity_one_is_the_unary_pass() {
-        let db = composite_db();
-        let d = in_memory(&db, 1);
-        assert!(d.satisfied.is_empty());
-        assert!(!d.unary.is_empty());
-        assert_eq!(d.levels.len(), 1);
-        assert_eq!(d.max_arity_found(), 1);
     }
 
     #[test]
@@ -796,14 +681,9 @@ mod tests {
 
         // Clean baseline: the composite FK is found.
         let clean_dir = TempDir::new("nary-kg-clean");
-        let clean = finder
-            .discover_nary_on_disk(
-                &db,
-                clean_dir.path(),
-                &ExportOptions::default().keep_going(true),
-                2,
-            )
-            .unwrap();
+        let options = ExportOptions::default().keep_going(true);
+        let clean = finder.run(&db, &Backend::disk(clean_dir.path(), &options), 2);
+        let clean = clean.unwrap();
         let report = clean.degraded.as_ref().expect("keep-going always reports");
         assert!(report.is_clean());
         assert!(
@@ -824,9 +704,8 @@ mod tests {
         let mut options = ExportOptions::default().keep_going(true);
         options.sort.io = ind_valueset::IoOptions::default().with_fault(plan);
         let dir = TempDir::new("nary-kg-poisoned");
-        let d = finder
-            .discover_nary_on_disk(&db, dir.path(), &options, 2)
-            .unwrap();
+        let d = finder.run(&db, &Backend::disk(dir.path(), &options), 2);
+        let d = d.unwrap();
 
         let report = d.degraded.as_ref().expect("keep-going always reports");
         assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
@@ -835,13 +714,13 @@ mod tests {
         assert_eq!(d.metrics.quarantined_attributes, 1);
 
         // No surviving IND — unary or composite — mentions the attribute.
-        assert!(d.unary.iter().all(|c| c.dep != 3 && c.refd != 3));
+        assert!(d.satisfied.iter().all(|c| c.dep != 3 && c.refd != 3));
         assert!(d
-            .satisfied
+            .composite
             .iter()
             .all(|c| !c.dep.contains(&3) && !c.refd.contains(&3)));
         // The healthy unary FK on pdb_code is untouched.
-        assert!(d.unary.iter().any(|c| {
+        assert!(d.satisfied.iter().any(|c| {
             d.profiles[c.dep as usize].name.to_string() == "residue.pdb_code"
                 && d.profiles[c.refd as usize].name.to_string() == "chain.pdb_code"
         }));

@@ -1,18 +1,19 @@
 //! High-level discovery facade: profile → generate candidates → prune →
-//! run the chosen algorithm → collect a [`Discovery`].
+//! run the chosen algorithm → collect a [`Discovery`], at every arity.
 
-use crate::attr::{profiles_from_export, try_memory_export, AttributeProfile};
+use crate::attr::{extract_profiled, profiles_from_export, try_memory_export, AttributeProfile};
 use crate::blockwise::{run_blockwise, BlockwiseConfig};
 use crate::brute_force::{run_brute_force, run_brute_force_parallel};
-use crate::candidates::{candidate_pairs, pretest, Candidate, PretestConfig};
+use crate::candidates::{pretest, Candidate, PretestConfig};
 use crate::classes::ValueSetClasses;
 use crate::metrics::RunMetrics;
+use crate::nary::{NaryCandidate, NaryLevelStats};
 use crate::single_pass::run_single_pass;
 use crate::spider::run_spider;
 use ind_storage::{Database, QualifiedName};
 use ind_valueset::{
-    ExportOptions, ExportedDatabase, FailedAttribute, Result, ValueCursor, ValueSetError,
-    ValueSetProvider,
+    ExportOptions, ExportedDatabase, FailedAttribute, Result, Source, ValueCursor, ValueSetError,
+    ValueSetProvider, MAX_COMPOSITE_ARITY,
 };
 use std::path::Path;
 use std::time::Instant;
@@ -88,14 +89,28 @@ impl DegradedReport {
     }
 }
 
-/// The result of a discovery run.
-#[derive(Debug, Clone)]
+/// The result of a discovery run, unary or levelwise.
+#[derive(Debug, Clone, Default)]
 pub struct Discovery {
     /// Profiles of every attribute, indexed by attribute id.
     pub profiles: Vec<AttributeProfile>,
-    /// Satisfied INDs, sorted by `(dep, ref)`.
+    /// Satisfied unary INDs (level 1), sorted by `(dep, ref)`. A levelwise
+    /// run references every non-empty attribute here, a unary run only the
+    /// unique ones (see [`crate::nary`]).
     pub satisfied: Vec<Candidate>,
-    /// Counters for the whole run.
+    /// Satisfied composite INDs of every arity ≥ 2, sorted; empty for a
+    /// unary run.
+    pub composite: Vec<NaryCandidate>,
+    /// The profile of every attribute sequence of arity ≥ 2 the search
+    /// extracted, sorted by sequence: `non_null` counts the rows with every
+    /// component non-NULL, `distinct` the distinct tuples among them. See
+    /// [`Discovery::sequence_profile`].
+    pub sequence_profiles: Vec<(Vec<u32>, AttributeProfile)>,
+    /// Per-level counters, starting at arity 1; one entry for a unary run.
+    /// A trailing entry with `generated == 0` records the level at which the
+    /// search died out.
+    pub levels: Vec<NaryLevelStats>,
+    /// Counters for the whole run, across all levels.
     pub metrics: RunMetrics,
     /// Keep-going degradation summary; `None` for strict (default) runs.
     pub degraded: Option<DegradedReport>,
@@ -120,16 +135,86 @@ impl Discovery {
             .collect()
     }
 
-    /// Number of satisfied INDs.
+    /// Satisfied composite INDs as qualified-name sequences.
+    pub fn composite_named(&self) -> Vec<(Vec<QualifiedName>, Vec<QualifiedName>)> {
+        let named = |seq: &[u32]| -> Vec<QualifiedName> {
+            seq.iter().map(|&a| self.profile(a).name.clone()).collect()
+        };
+        self.composite
+            .iter()
+            .map(|c| (named(&c.dep), named(&c.refd)))
+            .collect()
+    }
+
+    /// Number of satisfied unary INDs.
     pub fn ind_count(&self) -> usize {
         self.satisfied.len()
     }
+
+    /// The profile of attribute sequence `sequence` — both sides of every
+    /// composite IND in [`Discovery::composite`] have one.
+    pub fn sequence_profile(&self, sequence: &[u32]) -> Option<&AttributeProfile> {
+        let found = self
+            .sequence_profiles
+            .binary_search_by(|(s, _)| s.as_slice().cmp(sequence));
+        found.ok().map(|i| &self.sequence_profiles[i].1)
+    }
+
+    /// Largest arity at which an IND was found (1 when only unary INDs
+    /// exist, 0 when none at all).
+    pub fn max_arity_found(&self) -> usize {
+        self.composite
+            .iter()
+            .map(NaryCandidate::arity)
+            .max()
+            .unwrap_or(usize::from(!self.satisfied.is_empty()))
+    }
 }
 
-/// High-level IND finder.
+/// Where [`IndFinder::run`] keeps the value sets it validates.
+#[derive(Debug, Clone, Copy)]
+pub enum Backend<'a> {
+    /// Extracted into memory on exactly `threads` workers, the unary sets
+    /// and every level's composite sets — the CLI's default, for databases
+    /// whose distinct values fit in RAM. The result is the same at any
+    /// count.
+    Memory {
+        /// Extraction workers (≥ 1).
+        threads: usize,
+    },
+    /// Exported to sorted value files under `workdir` — the paper's actual
+    /// pipeline — with `options` (workers, sort budget, I/O block size,
+    /// keep-going, resume, faults).
+    Disk {
+        /// Where the value files go: a unary run's export is `workdir`
+        /// itself, a levelwise run's level `k` is `workdir/arity-k`.
+        workdir: &'a Path,
+        /// The export's options; every level reads through its I/O options.
+        options: &'a ExportOptions,
+    },
+}
+
+impl<'a> Backend<'a> {
+    /// In memory on every core ([`ind_storage::default_workers`]).
+    pub fn memory() -> Self {
+        Backend::Memory {
+            threads: ind_storage::default_workers(),
+        }
+    }
+
+    /// On disk under `workdir`, with `options`.
+    pub fn disk(workdir: &'a Path, options: &'a ExportOptions) -> Self {
+        Backend::Disk { workdir, options }
+    }
+}
+
+/// High-level IND finder. [`IndFinder::run`] is its one entry point for a
+/// database: every arity, in memory or on disk, returning one
+/// [`Discovery`]. [`IndFinder::discover`] validates over value sets that
+/// already exist, so one export can serve several runs.
 ///
 /// ```
-/// use ind_core::{Algorithm, IndFinder};
+/// use ind_core::{Algorithm, Backend, IndFinder};
 /// use ind_storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 ///
 /// let mut db = Database::new("demo");
@@ -148,8 +233,8 @@ impl Discovery {
 /// db.add_table(parent)?;
 /// db.add_table(child)?;
 ///
-/// let discovery = IndFinder::with_algorithm(Algorithm::SinglePass)
-///     .discover_in_memory(&db)?;
+/// let discovery =
+///     IndFinder::with_algorithm(Algorithm::SinglePass).run(&db, &Backend::memory(), 1)?;
 /// let named: Vec<String> = discovery
 ///     .satisfied_named()
 ///     .iter()
@@ -160,7 +245,7 @@ impl Discovery {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IndFinder {
-    /// Configuration used by every `discover*` call.
+    /// Configuration used by every run.
     pub config: FinderConfig,
 }
 
@@ -175,39 +260,121 @@ impl IndFinder {
         IndFinder::new(FinderConfig::with_algorithm(algorithm))
     }
 
-    /// Discovers all satisfied INDs over pre-computed profiles and a value
-    /// set provider.
+    /// Discovers every satisfied IND of `db` up to `max_arity` (clamped to
+    /// 1..=[`MAX_COMPOSITE_ARITY`]) over `backend`. Level 1 is the unary
+    /// pass, and `max_arity == 1` stops after it; see [`crate::nary`] for
+    /// the levels and the one rule that tells the two apart.
+    ///
+    /// On disk, [`RunMetrics::read_calls`] counts the discovery's block
+    /// fills, every level's included, and not the export's. When
+    /// [`ExportOptions::keep_going`] is set, the run degrades instead of
+    /// dying: the export quarantines what fails to export, then every
+    /// surviving value file is pre-scanned through the checksum verifier
+    /// and unreadable or corrupt ones are quarantined too. Every candidate
+    /// touching a quarantined attribute is dropped, the apriori join keeps
+    /// it out of every level, and [`Discovery::degraded`] carries the
+    /// [`DegradedReport`]. A composite level is always rewritten and runs
+    /// strict: a failed composite stream fails the run, keep-going or not.
+    pub fn run(&self, db: &Database, backend: &Backend, max_arity: usize) -> Result<Discovery> {
+        let start = Instant::now();
+        let max_arity = max_arity.clamp(1, MAX_COMPOSITE_ARITY);
+        let _root = ind_trace::start(ind_trace::DISCOVER);
+        let mut discovery = match *backend {
+            Backend::Memory { threads } => {
+                // The same phase names as on disk: `export` with one `sort`
+                // child per attribute.
+                let export_span = ind_trace::start(ind_trace::EXPORT);
+                let (profiles, provider) = try_memory_export(db, threads)?;
+                export_span.finish();
+                self.discover_levels(&profiles, &provider, &[], max_arity, |_, groups| {
+                    let _span = ind_trace::start(ind_trace::EXPORT);
+                    extract_profiled(Source::groups(db, groups)?, threads)
+                })?
+            }
+            Backend::Disk { workdir, options } => {
+                // A unary export lands in `workdir` itself, where `--resume`
+                // reopens it; a levelwise run gives each level a directory.
+                let level_dir = |arity: usize| match max_arity {
+                    1 => workdir.to_path_buf(),
+                    _ => workdir.join(format!("arity-{arity}")),
+                };
+                let export = ExportedDatabase::export(db, &level_dir(1), options)?;
+                let profile_span = ind_trace::start(ind_trace::PROFILE);
+                let profiles = profiles_from_export(&export);
+                profile_span.finish();
+                let quarantined = if options.keep_going {
+                    prescan(&export)?
+                } else {
+                    Vec::new()
+                };
+                // The export's and the pre-scan's fault counters, before the
+                // reset that makes the read counters count the discovery's.
+                let (io_retries, checksum_failures) =
+                    (export.io_retries(), export.checksum_failures());
+                export.reset_read_calls();
+                let ids: Vec<u32> = quarantined.iter().map(|f| f.id).collect();
+                let mut level_options = options.clone();
+                level_options.sort.io = export.io_options().clone();
+                let mut discovery =
+                    self.discover_levels(&profiles, &export, &ids, max_arity, |arity, groups| {
+                        let dir = level_dir(arity);
+                        let level =
+                            ExportedDatabase::export_groups(db, groups, &dir, &level_options)?;
+                        Ok((profiles_from_export(&level), level))
+                    })?;
+                let metrics = &mut discovery.metrics;
+                metrics.key_compares += export.sort_key_compares();
+                metrics.memcmp_compares += export.sort_memcmp_compares();
+                metrics.read_calls = export.read_calls();
+                metrics.io_retries = io_retries + export.io_retries();
+                metrics.checksum_failures = checksum_failures + export.checksum_failures();
+                metrics.exports_reused = export.exports_reused();
+                metrics.exports_redone = export.exports_redone();
+                metrics.orphans_swept = export.orphans_swept();
+                discovery.degraded = options.keep_going.then_some(DegradedReport { quarantined });
+                discovery
+            }
+        };
+        // Cover the export too, so the span tree's phases account for
+        // (nearly) all of `elapsed`.
+        discovery.metrics.elapsed = start.elapsed();
+        Ok(discovery)
+    }
+
+    /// [`IndFinder::run`] at arity 1 in memory on every core. Kept for the
+    /// out-of-workspace `benchmark/` package, which calls it until it moves
+    /// to `run`; nothing in the workspace calls it.
+    #[doc(hidden)]
+    pub fn discover_in_memory(&self, db: &Database) -> Result<Discovery> {
+        self.run(db, &Backend::memory(), 1)
+    }
+
+    /// [`IndFinder::run`] at arity 1 on disk. Kept for the out-of-workspace
+    /// `benchmark/` package, which calls it until it moves to `run`;
+    /// nothing in the workspace calls it.
+    #[doc(hidden)]
+    pub fn discover_on_disk_with(
+        &self,
+        db: &Database,
+        workdir: &Path,
+        options: &ExportOptions,
+    ) -> Result<Discovery> {
+        self.run(db, &Backend::disk(workdir, options), 1)
+    }
+
+    /// Discovers the satisfied unary INDs over pre-computed profiles and a
+    /// value set provider with the same ids — a unary run over value sets
+    /// that already exist, so one export can serve several discoveries.
     pub fn discover<P>(&self, profiles: &[AttributeProfile], provider: &P) -> Result<Discovery>
     where
         P: ValueSetProvider + Sync,
     {
-        self.discover_filtered(profiles, provider, &[])
-    }
-
-    /// [`IndFinder::discover`] with a quarantine list: every candidate
-    /// touching a quarantined attribute is dropped before testing, so a
-    /// poisoned value file can never reach a cursor.
-    fn discover_filtered<P>(
-        &self,
-        profiles: &[AttributeProfile],
-        provider: &P,
-        quarantined: &[u32],
-    ) -> Result<Discovery>
-    where
-        P: ValueSetProvider + Sync,
-    {
         let start = Instant::now();
-        let mut metrics = RunMetrics::new();
-        let candidates =
-            |m: &mut _| candidate_pairs(profiles, m, AttributeProfile::is_referenced_candidate);
-        let satisfied = self.validate(profiles, provider, candidates, quarantined, &mut metrics)?;
-        metrics.elapsed = start.elapsed();
-        Ok(Discovery {
-            profiles: profiles.to_vec(),
-            satisfied,
-            metrics,
-            degraded: None,
-        })
+        let mut discovery = self.discover_levels(profiles, provider, &[], 1, |_, _| {
+            unreachable!("a unary run extracts no composite level")
+        })?;
+        discovery.metrics.elapsed = start.elapsed();
+        Ok(discovery)
     }
 
     /// The validation step of every arity, over `profiles` (indexed by id)
@@ -267,176 +434,36 @@ impl IndFinder {
         metrics.satisfied = satisfied_before + satisfied.len() as u64;
         Ok(satisfied)
     }
-
-    /// Extracts `db` into memory and discovers INDs — the CLI's default
-    /// path, for databases whose distinct values fit in RAM. Extraction runs
-    /// on every core ([`ind_storage::default_workers`]) whatever the
-    /// algorithm; [`Algorithm::BruteForceParallel`]'s `threads` govern the
-    /// merge only.
-    pub fn discover_in_memory(&self, db: &Database) -> Result<Discovery> {
-        self.discover_in_memory_with(db, ind_storage::default_workers())
-    }
-
-    /// [`IndFinder::discover_in_memory`] with exactly `threads` extraction
-    /// workers. The result — IND set, profiles, merge counters — is the same
-    /// at any count.
-    pub fn discover_in_memory_with(&self, db: &Database, threads: usize) -> Result<Discovery> {
-        let start = Instant::now();
-        let _root = ind_trace::start(ind_trace::DISCOVER);
-        // The same phase names as the on-disk path: `export` with one
-        // `sort` child per attribute.
-        let export_span = ind_trace::start(ind_trace::EXPORT);
-        let (profiles, provider) = try_memory_export(db, threads)?;
-        export_span.finish();
-        let mut discovery = self.discover(&profiles, &provider)?;
-        // Cover extraction too, so the span tree's phases account for
-        // (nearly) all of `elapsed`.
-        discovery.metrics.elapsed = start.elapsed();
-        Ok(discovery)
-    }
-
-    /// Exports `db` to sorted value files under `workdir` and discovers
-    /// INDs from disk — the paper's actual pipeline, under
-    /// [`ExportOptions::default`]: the export runs on every core whatever
-    /// the algorithm.
-    pub fn discover_on_disk(&self, db: &Database, workdir: &Path) -> Result<Discovery> {
-        self.discover_on_disk_with(db, workdir, &ExportOptions::default())
-    }
-
-    /// [`IndFinder::discover_on_disk`] with explicit export options — in
-    /// particular the I/O block size ([`ExportOptions::with_block_size`])
-    /// every value-file cursor will use. The discovery-phase block-fill
-    /// count of the export's cursors is recorded in
-    /// [`RunMetrics::read_calls`] (export-phase reads are excluded). Every
-    /// algorithm then runs through the same flow as
-    /// [`IndFinder::discover`], over the export's value-file cursors.
-    ///
-    /// When [`ExportOptions::keep_going`] is set, the run degrades instead
-    /// of dying: export failures are quarantined by the export itself,
-    /// then every surviving value file is pre-scanned through the checksum
-    /// verifier and unreadable/corrupt ones are quarantined too. All
-    /// candidates touching a quarantined attribute are dropped, the run
-    /// completes over the healthy remainder, and
-    /// [`Discovery::degraded`] carries the machine-readable
-    /// [`DegradedReport`].
-    pub fn discover_on_disk_with(
-        &self,
-        db: &Database,
-        workdir: &Path,
-        options: &ExportOptions,
-    ) -> Result<Discovery> {
-        let _root = ind_trace::start(ind_trace::DISCOVER);
-        let run = DiskRun::prepare(db, workdir, options)?;
-        let mut discovery =
-            self.discover_filtered(&run.profiles, &run.export, &run.quarantined_ids())?;
-        discovery.metrics.key_compares += run.export.sort_key_compares();
-        discovery.metrics.memcmp_compares += run.export.sort_memcmp_compares();
-        discovery.degraded = run.finish(&mut discovery.metrics);
-        Ok(discovery)
-    }
 }
 
-/// The on-disk run of every arity, around whatever discovery it makes over
-/// the export: [`DiskRun::prepare`] before, [`DiskRun::finish`] after.
-pub(crate) struct DiskRun {
-    start: Instant,
-    keep_going: bool,
-    /// The unary export; its read counters are reset once the pre-scan is
-    /// done, so afterwards they count the discovery's reads.
-    pub(crate) export: ExportedDatabase,
-    /// Profiles of every exported attribute, by id.
-    pub(crate) profiles: Vec<AttributeProfile>,
-    /// Keep-going quarantine: export failures plus value files that failed
-    /// the pre-scan (empty for strict runs).
-    quarantined: Vec<FailedAttribute>,
-    /// Export- and pre-scan-phase fault counters, captured before the
-    /// reset wipes them.
-    io_retries: u64,
-    checksum_failures: u64,
-}
-
-impl DiskRun {
-    /// Export → profiles → keep-going pre-scan → fault counters captured,
-    /// then the read counters reset for the discovery phase. The caller
-    /// opens the `discover` root span first.
-    pub(crate) fn prepare(db: &Database, workdir: &Path, options: &ExportOptions) -> Result<Self> {
-        let start = Instant::now();
-        let export = ExportedDatabase::export(db, workdir, options)?;
-        let profile_span = ind_trace::start(ind_trace::PROFILE);
-        let profiles = profiles_from_export(&export);
-        profile_span.finish();
-
-        let quarantined: Vec<FailedAttribute> = if options.keep_going {
-            let _span = ind_trace::start(ind_trace::PRESCAN);
-            let mut failed = export.failed_attributes().to_vec();
-            for attr in export.attributes() {
-                if failed.iter().any(|f| f.id == attr.id) {
-                    continue;
-                }
-                // Full drain through the verifying reader: any torn write,
-                // bit flip, or unreadable file surfaces here, before its
-                // bytes can influence a single candidate.
-                match drain_attribute(&export, attr.id) {
-                    Ok(()) => {}
-                    // A cancellation surfacing mid-drain is a stop order,
-                    // not evidence against the file.
-                    Err(e @ ValueSetError::Cancelled { .. }) => return Err(e),
-                    Err(e) => failed.push(FailedAttribute {
-                        id: attr.id,
-                        name: attr.name.clone(),
-                        error: e.to_string(),
-                    }),
-                }
-            }
-            failed
-        } else {
-            Vec::new()
-        };
-        let io_retries = export.io_retries();
-        let checksum_failures = export.checksum_failures();
-        export.reset_read_calls();
-        Ok(DiskRun {
-            start,
-            keep_going: options.keep_going,
-            export,
-            profiles,
-            quarantined,
-            io_retries,
-            checksum_failures,
-        })
+/// The keep-going pre-scan: every attribute the export failed, plus every
+/// value file that does not drain clean through the verifying reader — a
+/// torn write, a bit flip or an unreadable file surfaces here, before its
+/// bytes can influence a single candidate.
+fn prescan(export: &ExportedDatabase) -> Result<Vec<FailedAttribute>> {
+    let _span = ind_trace::start(ind_trace::PRESCAN);
+    let mut failed = export.failed_attributes().to_vec();
+    for attr in export.attributes() {
+        if failed.iter().any(|f| f.id == attr.id) {
+            continue;
+        }
+        let drained = export.open(attr.id).and_then(|mut cursor| {
+            while cursor.advance()? {}
+            Ok(())
+        });
+        match drained {
+            Ok(()) => {}
+            // A cancellation surfacing mid-drain is a stop order, not
+            // evidence against the file.
+            Err(e @ ValueSetError::Cancelled { .. }) => return Err(e),
+            Err(e) => failed.push(FailedAttribute {
+                id: attr.id,
+                name: attr.name.clone(),
+                error: e.to_string(),
+            }),
+        }
     }
-
-    /// The ids of [`DiskRun::quarantined`].
-    pub(crate) fn quarantined_ids(&self) -> Vec<u32> {
-        self.quarantined.iter().map(|f| f.id).collect()
-    }
-
-    /// Fills the run's I/O, resume and fault counters and its `elapsed`
-    /// (export and pre-scan included, so the span tree's phases account for
-    /// nearly all of it) into `metrics`, and returns the keep-going
-    /// [`DegradedReport`] (`None` for a strict run).
-    pub(crate) fn finish(self, metrics: &mut RunMetrics) -> Option<DegradedReport> {
-        let export = &self.export;
-        metrics.read_calls = export.read_calls();
-        metrics.io_retries = self.io_retries + export.io_retries();
-        metrics.checksum_failures = self.checksum_failures + export.checksum_failures();
-        metrics.exports_reused = export.exports_reused();
-        metrics.exports_redone = export.exports_redone();
-        metrics.orphans_swept = export.orphans_swept();
-        metrics.elapsed = self.start.elapsed();
-        self.keep_going.then_some(DegradedReport {
-            quarantined: self.quarantined,
-        })
-    }
-}
-
-/// Fully drains attribute `id` through the verifying reader, discarding
-/// the values — the keep-going pre-scan that proves a value file healthy
-/// (or condemns it) before any candidate depends on it.
-fn drain_attribute(export: &ExportedDatabase, id: u32) -> Result<()> {
-    let mut cursor = export.open(id)?;
-    while cursor.advance()? {}
-    Ok(())
+    Ok(failed)
 }
 
 #[cfg(test)]
@@ -487,6 +514,21 @@ mod tests {
         db
     }
 
+    /// `finder`'s unary run in memory, on every core.
+    fn in_memory(finder: &IndFinder, db: &Database) -> Discovery {
+        finder.run(db, &Backend::memory(), 1).unwrap()
+    }
+
+    /// `finder`'s unary run on disk under `dir`, with `options`.
+    fn on_disk(
+        finder: &IndFinder,
+        db: &Database,
+        dir: &TempDir,
+        options: &ExportOptions,
+    ) -> Result<Discovery> {
+        finder.run(db, &Backend::disk(dir.path(), options), 1)
+    }
+
     fn expected_ind(d: &Discovery) -> bool {
         d.satisfied_named().iter().any(|(dep, refd)| {
             dep.to_string() == "child.parent_id" && refd.to_string() == "parent.id"
@@ -504,7 +546,7 @@ mod tests {
             Algorithm::Blockwise { max_open_files: 3 },
         ] {
             let finder = IndFinder::with_algorithm(algorithm.clone());
-            let d = finder.discover_in_memory(&db).unwrap();
+            let d = in_memory(&finder, &db);
             assert!(expected_ind(&d), "{algorithm:?} missed the FK IND");
         }
     }
@@ -512,18 +554,14 @@ mod tests {
     #[test]
     fn algorithms_agree_exactly() {
         let db = sample_db();
-        let baseline = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
-            .unwrap();
+        let baseline = in_memory(&IndFinder::with_algorithm(Algorithm::BruteForce), &db);
         for algorithm in [
             Algorithm::SinglePass,
             Algorithm::Spider,
             Algorithm::Blockwise { max_open_files: 2 },
             Algorithm::BruteForceParallel { threads: 2 },
         ] {
-            let d = IndFinder::with_algorithm(algorithm.clone())
-                .discover_in_memory(&db)
-                .unwrap();
+            let d = in_memory(&IndFinder::with_algorithm(algorithm.clone()), &db);
             assert_eq!(d.satisfied, baseline.satisfied, "{algorithm:?}");
         }
     }
@@ -533,8 +571,8 @@ mod tests {
         let db = sample_db();
         let dir = TempDir::new("runner-disk");
         let finder = IndFinder::with_algorithm(Algorithm::SinglePass);
-        let mem = finder.discover_in_memory(&db).unwrap();
-        let disk = finder.discover_on_disk(&db, dir.path()).unwrap();
+        let mem = in_memory(&finder, &db);
+        let disk = on_disk(&finder, &db, &dir, &ExportOptions::default()).unwrap();
         assert_eq!(mem.satisfied, disk.satisfied);
         assert_eq!(mem.profiles.len(), disk.profiles.len());
         assert_eq!(mem.metrics.read_calls, 0, "memory provider never reads");
@@ -545,13 +583,17 @@ mod tests {
     fn on_disk_block_size_changes_read_calls_not_results() {
         let db = sample_db();
         let finder = IndFinder::with_algorithm(Algorithm::Spider);
-        let mem = finder.discover_in_memory(&db).unwrap();
+        let mem = in_memory(&finder, &db);
         let mut read_calls = Vec::new();
         for block_size in [ind_valueset::MIN_BLOCK_SIZE, 4096, 256 * 1024] {
             let dir = TempDir::new("runner-disk-bs");
-            let disk = finder
-                .discover_on_disk_with(&db, dir.path(), &ExportOptions::with_block_size(block_size))
-                .unwrap();
+            let disk = on_disk(
+                &finder,
+                &db,
+                &dir,
+                &ExportOptions::with_block_size(block_size),
+            )
+            .unwrap();
             assert_eq!(disk.satisfied, mem.satisfied, "block_size={block_size}");
             assert_eq!(disk.metrics.items_read, mem.metrics.items_read);
             assert_eq!(disk.metrics.comparisons, mem.metrics.comparisons);
@@ -567,13 +609,13 @@ mod tests {
     #[test]
     fn pretests_and_pruning_do_not_change_results() {
         let db = sample_db();
-        let baseline = IndFinder::default().discover_in_memory(&db).unwrap();
+        let baseline = in_memory(&IndFinder::default(), &db);
 
         let max_cfg = FinderConfig {
             pretests: PretestConfig::with_max_value(),
             ..Default::default()
         };
-        let with_max = IndFinder::new(max_cfg).discover_in_memory(&db).unwrap();
+        let with_max = in_memory(&IndFinder::new(max_cfg), &db);
         assert_eq!(with_max.satisfied, baseline.satisfied);
     }
 
@@ -590,7 +632,7 @@ mod tests {
         let db = sample_db();
         let finder = IndFinder::with_algorithm(Algorithm::SinglePass);
         let clean_dir = TempDir::new("runner-kg-clean");
-        let baseline = finder.discover_on_disk(&db, clean_dir.path()).unwrap();
+        let baseline = on_disk(&finder, &db, &clean_dir, &ExportOptions::default()).unwrap();
         assert!(expected_ind(&baseline));
         assert!(baseline.degraded.is_none(), "strict runs carry no report");
 
@@ -599,9 +641,7 @@ mod tests {
         // untouched — including the gold FK, which never involves it.
         let dir = TempDir::new("runner-kg-flip");
         let options = fault_options("read:attr-00001:flip=40").keep_going(true);
-        let d = finder
-            .discover_on_disk_with(&db, dir.path(), &options)
-            .unwrap();
+        let d = on_disk(&finder, &db, &dir, &options).unwrap();
         let report = d.degraded.as_ref().expect("keep-going always reports");
         assert!(!report.is_clean());
         assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
@@ -622,9 +662,10 @@ mod tests {
         ] {
             let finder = IndFinder::with_algorithm(algorithm.clone());
             let strict_dir = TempDir::new("runner-kg-strict");
-            let strict = finder.discover_on_disk_with(
+            let strict = on_disk(
+                &finder,
                 &db,
-                strict_dir.path(),
+                &strict_dir,
                 &fault_options("read:attr-00000:flip=60"),
             );
             assert!(
@@ -634,9 +675,7 @@ mod tests {
 
             let lax_dir = TempDir::new("runner-kg-lax");
             let options = fault_options("read:attr-00000:flip=60").keep_going(true);
-            let d = finder
-                .discover_on_disk_with(&db, lax_dir.path(), &options)
-                .unwrap();
+            let d = on_disk(&finder, &db, &lax_dir, &options).unwrap();
             let report = d.degraded.as_ref().unwrap();
             let ids: Vec<u32> = report.quarantined.iter().map(|f| f.id).collect();
             assert_eq!(ids, vec![0], "{algorithm:?}");
@@ -657,18 +696,18 @@ mod tests {
         for algorithm in [Algorithm::Spider, Algorithm::BruteForce] {
             let finder = IndFinder::with_algorithm(algorithm.clone());
             let clean_dir = TempDir::new("runner-twin-clean");
-            let baseline = finder.discover_on_disk(&db, clean_dir.path()).unwrap();
+            let baseline = on_disk(&finder, &db, &clean_dir, &ExportOptions::default()).unwrap();
             assert_eq!(baseline.metrics.value_set_classes, 3, "{algorithm:?}");
             assert!(baseline.satisfied.contains(&Candidate::new(3, 0)));
 
             let strict_dir = TempDir::new("runner-twin-strict");
-            let err = finder
-                .discover_on_disk_with(
-                    &db,
-                    strict_dir.path(),
-                    &fault_options("read:attr-00003:flip=40"),
-                )
-                .unwrap_err();
+            let err = on_disk(
+                &finder,
+                &db,
+                &strict_dir,
+                &fault_options("read:attr-00003:flip=40"),
+            )
+            .unwrap_err();
             assert!(
                 err.to_string().contains("attr-00003"),
                 "{algorithm:?}: {err}"
@@ -676,9 +715,7 @@ mod tests {
 
             let lax_dir = TempDir::new("runner-twin-lax");
             let options = fault_options("read:attr-00003:flip=40").keep_going(true);
-            let d = finder
-                .discover_on_disk_with(&db, lax_dir.path(), &options)
-                .unwrap();
+            let d = on_disk(&finder, &db, &lax_dir, &options).unwrap();
             let ids: Vec<u32> = d
                 .degraded
                 .as_ref()
@@ -703,12 +740,10 @@ mod tests {
         let db = sample_db();
         let finder = IndFinder::with_algorithm(Algorithm::Spider);
         let clean_dir = TempDir::new("runner-kg-eintr-base");
-        let baseline = finder.discover_on_disk(&db, clean_dir.path()).unwrap();
+        let baseline = on_disk(&finder, &db, &clean_dir, &ExportOptions::default()).unwrap();
         let dir = TempDir::new("runner-kg-eintr");
         let options = fault_options("read:*:eintr@4,write:*:eintr@4").keep_going(true);
-        let d = finder
-            .discover_on_disk_with(&db, dir.path(), &options)
-            .unwrap();
+        let d = on_disk(&finder, &db, &dir, &options).unwrap();
         let report = d.degraded.as_ref().unwrap();
         assert!(
             report.is_clean(),
@@ -730,9 +765,7 @@ mod tests {
         let finder = IndFinder::with_algorithm(Algorithm::SinglePass);
         let dir = TempDir::new("runner-kg-enospc");
         let options = fault_options("write:attr-00001:enospc").keep_going(true);
-        let d = finder
-            .discover_on_disk_with(&db, dir.path(), &options)
-            .unwrap();
+        let d = on_disk(&finder, &db, &dir, &options).unwrap();
         let report = d.degraded.as_ref().unwrap();
         assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
         assert_eq!(report.quarantined[0].id, 1);
@@ -754,7 +787,7 @@ mod tests {
             let token = CancelToken::cancel_after(1);
             let err = {
                 let _ambient = cancel::set_ambient(Some(token.clone()));
-                finder.discover_in_memory(&db).unwrap_err()
+                finder.run(&db, &Backend::memory(), 1).unwrap_err()
             };
             assert!(
                 matches!(err, ValueSetError::Cancelled { phase: "export" }),
@@ -767,7 +800,7 @@ mod tests {
             for (polls, in_export) in [(4, true), (5, false)] {
                 let token = CancelToken::cancel_after(polls);
                 let _ambient = cancel::set_ambient(Some(token.clone()));
-                let err = finder.discover_in_memory(&db).unwrap_err();
+                let err = finder.run(&db, &Backend::memory(), 1).unwrap_err();
                 assert!(matches!(err, ValueSetError::Cancelled { .. }), "{err:?}");
                 assert_eq!(
                     token.phase() == Some("export"),
@@ -788,7 +821,7 @@ mod tests {
     #[test]
     fn metrics_are_populated() {
         let db = sample_db();
-        let d = IndFinder::default().discover_in_memory(&db).unwrap();
+        let d = in_memory(&IndFinder::default(), &db);
         assert!(d.metrics.pairs_considered > 0);
         assert!(d.metrics.tested > 0);
         assert_eq!(d.metrics.satisfied as usize, d.ind_count());

@@ -8,7 +8,7 @@
 //! quality module verifies.
 
 use crate::range_filter::filter_surrogate_inds;
-use ind_core::{Discovery, NaryDiscovery};
+use ind_core::Discovery;
 use ind_storage::{Database, QualifiedName};
 use std::collections::HashSet;
 
@@ -75,8 +75,8 @@ pub struct CompositeFkGuess {
 /// tuple into an FK guess, sorted by `(dep, ref)`. A tuple is jointly
 /// unique when its distinct count equals the count of rows with every
 /// component non-NULL — two numbers the search already profiled
-/// ([`NaryDiscovery::sequence_profile`]).
-pub fn composite_fk_guesses(db: &Database, discovery: &NaryDiscovery) -> Vec<CompositeFkGuess> {
+/// ([`Discovery::sequence_profile`]).
+pub fn composite_fk_guesses(db: &Database, discovery: &Discovery) -> Vec<CompositeFkGuess> {
     let gold: HashSet<(Vec<QualifiedName>, Vec<QualifiedName>)> =
         db.gold_composite_foreign_keys().into_iter().collect();
     let jointly_unique = |refd: &[u32]| {
@@ -85,9 +85,9 @@ pub fn composite_fk_guesses(db: &Database, discovery: &NaryDiscovery) -> Vec<Com
             .is_some_and(|p| p.distinct == p.non_null)
     };
     let mut out: Vec<CompositeFkGuess> = discovery
-        .satisfied
+        .composite
         .iter()
-        .zip(discovery.satisfied_named())
+        .zip(discovery.composite_named())
         .filter(|(c, _)| jointly_unique(&c.refd))
         .map(|(_, (dep, refd))| {
             let matches_gold = gold.contains(&(dep.clone(), refd.clone()));
@@ -117,7 +117,7 @@ pub struct CompositeFkEvaluation {
 /// foreign keys.
 pub fn evaluate_composite_foreign_keys(
     db: &Database,
-    discovery: &NaryDiscovery,
+    discovery: &Discovery,
 ) -> CompositeFkEvaluation {
     let guesses = composite_fk_guesses(db, discovery);
     let guessed: HashSet<(&[QualifiedName], &[QualifiedName])> = guesses
@@ -144,7 +144,7 @@ pub fn evaluate_composite_foreign_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_core::{Algorithm, IndFinder};
+    use ind_core::{Algorithm, Backend, IndFinder};
     use ind_storage::{ColumnSchema, DataType, Table, TableSchema};
 
     fn db() -> Database {
@@ -196,7 +196,7 @@ mod tests {
     fn every_ind_becomes_a_guess() {
         let db = db();
         let d = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         let guesses = fk_guesses(&d);
         assert_eq!(guesses.len(), d.ind_count());
@@ -252,7 +252,7 @@ mod tests {
     fn composite_guesses_recover_the_declared_key() {
         let db = composite_db();
         let d = IndFinder::with_algorithm(Algorithm::Spider)
-            .discover_nary_in_memory(&db, 1, 2)
+            .run(&db, &Backend::Memory { threads: 1 }, 2)
             .unwrap();
         let guesses = composite_fk_guesses(&db, &d);
         assert!(
@@ -289,10 +289,10 @@ mod tests {
         }
         db.add_table(dup).unwrap();
         let d = IndFinder::with_algorithm(Algorithm::Spider)
-            .discover_nary_in_memory(&db, 1, 2)
+            .run(&db, &Backend::Memory { threads: 1 }, 2)
             .unwrap();
         assert!(
-            d.satisfied_named()
+            d.composite_named()
                 .iter()
                 .any(|(_, refd)| refd[0].table == "dup_child"),
             "the IND into the duplicated tuple is satisfied"
@@ -308,7 +308,7 @@ mod tests {
     fn surrogate_guesses_are_flagged_not_dropped() {
         let db = db();
         let d = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         let guesses = fk_guesses_filtered(&db, &d);
         assert_eq!(guesses.len(), d.ind_count(), "flagging keeps everything");

@@ -79,7 +79,7 @@ pub fn identify_primary_relation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_core::{Algorithm, IndFinder};
+    use ind_core::{Algorithm, Backend, IndFinder};
     use ind_storage::{ColumnSchema, DataType, Table, TableSchema, Value};
 
     /// main(acc unique, referenced by two tables) and side(code, referenced
@@ -145,7 +145,7 @@ mod tests {
     fn report() -> PrimaryRelationReport {
         let db = db();
         let discovery = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         identify_primary_relation(&db, &discovery, &AccessionRules::strict())
     }
@@ -196,7 +196,7 @@ mod tests {
         }
         // Equal value sets → INDs both directions → both referenced once.
         let discovery = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         let r = identify_primary_relation(&db, &discovery, &AccessionRules::strict());
         assert_eq!(r.primary_candidates, vec!["left", "right"]);

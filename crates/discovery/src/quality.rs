@@ -184,7 +184,7 @@ pub fn evaluate_foreign_keys(db: &Database, discovery: &Discovery) -> FkEvaluati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_core::{Algorithm, IndFinder};
+    use ind_core::{Algorithm, Backend, IndFinder};
     use ind_storage::{ColumnSchema, DataType, Table, TableSchema};
 
     /// parent ← child (FK), mirror 1:1 of parent, and two surrogate tables.
@@ -257,7 +257,7 @@ mod tests {
     fn evaluation() -> FkEvaluation {
         let db = db();
         let discovery = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         evaluate_foreign_keys(&db, &discovery)
     }
@@ -322,7 +322,7 @@ mod tests {
         db.add_table(Table::new(empty_schema)).unwrap();
 
         let discovery = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         let eval = evaluate_foreign_keys(&db, &discovery);
         assert_eq!(eval.missed_empty.len(), 1);

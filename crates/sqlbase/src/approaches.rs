@@ -103,14 +103,14 @@ pub fn run_sql_discovery(
         profiles,
         satisfied,
         metrics,
-        degraded: None,
+        ..Discovery::default()
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ind_core::{Algorithm, IndFinder};
+    use ind_core::{Algorithm, Backend, IndFinder};
     use ind_storage::{ColumnSchema, DataType, TableSchema, Value};
 
     fn sample_db() -> Database {
@@ -185,7 +185,7 @@ mod tests {
         let db = sample_db();
         let sql = run_sql_discovery(&db, SqlApproach::Join, &PretestConfig::default()).unwrap();
         let external = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         assert_eq!(sql.satisfied, external.satisfied);
         assert_eq!(
@@ -221,7 +221,7 @@ mod tests {
         let db = sample_db();
         let sql = run_sql_discovery(&db, SqlApproach::Join, &PretestConfig::default()).unwrap();
         let external = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .unwrap();
         assert!(
             sql.metrics.items_read > 3 * external.metrics.items_read,

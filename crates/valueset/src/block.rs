@@ -314,6 +314,12 @@ impl BlockReader {
         }
     }
 
+    /// The largest read, and the largest [`BlockReader::fill_to`] need.
+    #[cfg(test)]
+    pub(crate) fn block_size(&self) -> usize {
+        self.block_size
+    }
+
     /// The label of the stream this reader reads: its file, or
     /// `segment[name]` for a stream inside a segment.
     pub(crate) fn label(&self) -> &Path {
@@ -339,8 +345,9 @@ impl BlockReader {
     }
 
     /// Ensures at least `need` bytes are buffered; at the end of the stream
-    /// fewer may remain. Returns the number of buffered bytes. A `need`
-    /// beyond the block size grows the block to hold it.
+    /// fewer may remain. Returns the number of buffered bytes. `need` must
+    /// not exceed the block size, which is at least [`MIN_BLOCK_SIZE`]: the
+    /// readers ask for a header or a record head, never more.
     ///
     /// Filling compacts the unconsumed tail to the front of the block, so
     /// any slice of [`BlockReader::buffered`] taken before this call is
@@ -348,6 +355,7 @@ impl BlockReader {
     /// per-record callers pay nothing in the steady state.
     #[inline]
     pub fn fill_to(&mut self, need: usize) -> std::io::Result<usize> {
+        debug_assert!(need <= self.block_size, "fill of {need} past the block");
         if self.end - self.start >= need {
             return Ok(self.end - self.start);
         }
@@ -378,7 +386,7 @@ impl BlockReader {
             // the stream's size hint says is left. Past the hint (it
             // undershot, or there was none), reads stay at the readahead.
             let min_read = self.decoder.min_read(&self.buf[self.raw..self.filled]);
-            let room = (self.block_size.max(need) + MAX_FRAME_LEN).saturating_sub(self.filled);
+            let room = (self.block_size + MAX_FRAME_LEN).saturating_sub(self.filled);
             let want = self.readahead.max(need - self.end).min(room).max(min_read);
             let want = match usize::try_from(self.hint_left).unwrap_or(usize::MAX) {
                 0 => want.min(self.readahead.max(min_read)),
@@ -577,18 +585,20 @@ mod tests {
     }
 
     #[test]
-    fn growing_fill_crosses_the_block_and_reports_eof_short() {
+    fn whole_block_fills_cross_the_stream_and_report_eof_short() {
         let data: Vec<u8> = (0..100u8).collect();
         let mut r = reader(&data, &IoOptions::with_block_size(16));
         r.fill_to(10).unwrap();
         r.consume(2);
-        // A 90-byte need exceeds the 32-byte block: the buffer grows and
-        // serves the whole range in place.
-        assert_eq!(r.fill_to(90).unwrap(), 98);
-        assert_eq!(&r.buffered()[..90], &data[2..92]);
-        r.consume(90);
+        // A need of the whole 32-byte block moves the unconsumed tail to the
+        // front and reads the rest in behind it.
+        for at in (2..=66).step_by(32) {
+            assert!(r.fill_to(32).unwrap() >= 32, "at {at}");
+            assert_eq!(&r.buffered()[..32], &data[at..at + 32]);
+            r.consume(32);
+        }
         // Asking for more than the stream holds comes back short, not OK.
-        assert_eq!(r.fill_to(20).unwrap(), 8);
-        assert_eq!(r.buffered(), &data[92..]);
+        assert_eq!(r.fill_to(20).unwrap(), 2);
+        assert_eq!(r.buffered(), &data[98..]);
     }
 }

@@ -327,11 +327,12 @@ mod tests {
     const PLANS: [Option<&str>; 3] = [None, Some("read:*:short@64"), Some("read:*:eintr@8")];
 
     /// Drains the logical stream a block reader serves from `path`, taking
-    /// at most `step` bytes per fill.
+    /// at most `step` bytes, and never more than a block, per fill.
     fn drain_one(path: &std::path::Path, options: &IoOptions, step: usize) -> io::Result<Vec<u8>> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         let mut r = BlockReader::over(Arc::new(file), path, 0, options, len);
+        let step = step.min(r.block_size());
         let mut out = Vec::new();
         loop {
             let avail = r.fill_to(step)?;

@@ -1,4 +1,4 @@
-//! In-memory value sets — what `IndFinder::discover_in_memory`, the CLI's
+//! In-memory value sets — what `IndFinder::run` in memory, the CLI's
 //! default path, runs the merge over, and what tests and the discovery
 //! heuristics build small sets with.
 //!

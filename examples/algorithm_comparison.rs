@@ -6,7 +6,7 @@
 //! cargo run --release --example algorithm_comparison
 //! ```
 
-use spider_ind::core::{Algorithm, IndFinder, PretestConfig};
+use spider_ind::core::{Algorithm, Backend, IndFinder, PretestConfig};
 use spider_ind::datagen::{generate_uniprot, BiosqlConfig};
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 
@@ -65,7 +65,7 @@ fn main() {
         ),
     ] {
         let d = IndFinder::with_algorithm(algorithm)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("discovery");
         println!(
             "{:<28} {:>6} {:>12} {:>12} {:>10?}",

@@ -8,7 +8,7 @@
 //! ```
 
 use spider_ind::core::{
-    generate_candidates, profiles_from_export, run_blockwise, run_single_pass, Algorithm,
+    generate_candidates, profiles_from_export, run_blockwise, run_single_pass, Algorithm, Backend,
     BlockwiseConfig, IndFinder, PretestConfig, RunMetrics,
 };
 use spider_ind::datagen::{generate_pdb, OpenMmsConfig};
@@ -27,7 +27,7 @@ fn main() {
     );
 
     let discovery = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     println!(
         "discovered {} satisfied INDs from {} candidates — almost all are\n\

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use spider_ind::core::{Algorithm, IndFinder};
+use spider_ind::core::{Algorithm, Backend, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema, Value};
 
 fn main() {
@@ -66,7 +66,7 @@ fn main() {
 
     // Discover all unary INDs with the single-pass algorithm.
     let finder = IndFinder::with_algorithm(Algorithm::SinglePass);
-    let discovery = finder.discover_in_memory(&db).expect("discovery");
+    let discovery = finder.run(&db, &Backend::memory(), 1).expect("discovery");
 
     println!(
         "examined {} candidate pairs, tested {}, found {} satisfied IND(s):\n",

@@ -7,7 +7,7 @@
 //! cargo run --release --example uniprot_discovery
 //! ```
 
-use spider_ind::core::{Algorithm, IndFinder};
+use spider_ind::core::{Algorithm, Backend, IndFinder};
 use spider_ind::datagen::{generate_uniprot, BiosqlConfig};
 use spider_ind::discovery::{
     evaluate_foreign_keys, find_accession_candidates, identify_primary_relation, AccessionRules,
@@ -24,7 +24,7 @@ fn main() {
     );
 
     let discovery = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     println!(
         "discovered {} satisfied INDs from {} candidates in {:?}\n",

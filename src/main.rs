@@ -9,7 +9,8 @@
 //! (`schema.txt` + one `.tsv` per table); `generate` creates them.
 
 use spider_ind::core::{
-    Algorithm, DegradedReport, FinderConfig, IndFinder, NaryDiscovery, PretestConfig, RunMetrics,
+    Algorithm, Backend, DegradedReport, Discovery, FinderConfig, IndFinder, PretestConfig,
+    RunMetrics,
 };
 use spider_ind::datagen::{BiosqlConfig, ChainsConfig, OpenMmsConfig, ScopConfig, WideConfig};
 use spider_ind::discovery::{
@@ -18,7 +19,9 @@ use spider_ind::discovery::{
 };
 use spider_ind::storage::{table_stats, tsv, Database};
 use spider_ind::trace::json::Json;
-use spider_ind::valueset::{CancelToken, ExportOptions, FaultPlan, ResumeMode};
+use spider_ind::valueset::{
+    CancelToken, ExportOptions, FaultPlan, ResumeMode, MAX_COMPOSITE_ARITY,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -93,7 +96,7 @@ struct Cli {
     names: bool,
     on_disk: bool,
     workdir: Option<PathBuf>,
-    max_arity: Option<usize>,
+    max_arity: usize,
     /// The run's cancel token, armed with the `--deadline` budget.
     cancel: CancelToken,
     /// The worker count of every algorithm (`threads`) and the on-disk
@@ -116,7 +119,7 @@ impl Cli {
             names: false,
             on_disk: false,
             workdir: None,
-            max_arity: None,
+            max_arity: 1,
             cancel: CancelToken::new(),
             export: ExportOptions::default(),
             trace: TraceArgs::default(),
@@ -186,6 +189,14 @@ fn algorithm(name: &str) -> Result<fn(&Cli) -> Algorithm, String> {
     })
 }
 
+/// `--max-arity`: an arity in 1..=[`MAX_COMPOSITE_ARITY`].
+fn arity(text: &str) -> Result<usize, String> {
+    match number(text)? {
+        n @ 1.. if n <= MAX_COMPOSITE_ARITY as u64 => Ok(n as usize),
+        n => Err(format!("{n} is outside 1..={MAX_COMPOSITE_ARITY}")),
+    }
+}
+
 fn resume(mode: Option<&str>) -> Result<ResumeMode, String> {
     match mode {
         None => Ok(ResumeMode::Reuse),
@@ -249,8 +260,8 @@ const COMMANDS: &[Command] = &[
                 "sort memory of each export worker before it spills to disk"),
             ("--workdir", Value("DIR", |c, v| path(v).map(|p| c.workdir = p)),
                 "keep the value files here (default: a temp dir, removed)"),
-            ("--max-arity", Value("N", |c, v| number(v).map(|n| c.max_arity = Some(n as usize).filter(|&n| n >= 2))),
-                "levelwise n-ary discovery up to arity N (N >= 2)"),
+            ("--max-arity", Value("N", |c, v| arity(v).map(|n| c.max_arity = n)),
+                "levelwise discovery up to arity N, 1 to 16 (default 1: unary)"),
             ("--keep-going", Switch(|c| c.export.keep_going = true),
                 "quarantine failing attributes, print `degraded:`; exit 2 if any"),
             ("--fault-plan", Value("SPEC", |c, v| FaultPlan::parse(v).map(|p| c.export.sort.io.fault = Some(p.into()))),
@@ -752,56 +763,36 @@ fn cmd_discover(cli: &Cli) -> Result<ExitCode, String> {
         algorithm: (cli.algorithm)(cli),
         pretests: cli.pretests.clone(),
     });
-    if let Some(max_arity) = cli.max_arity {
-        let result = run_finder(
-            cli,
-            |workdir, options| finder.discover_nary_on_disk(&db, workdir, options, max_arity),
-            |workers| finder.discover_nary_in_memory(&db, workers, max_arity),
+    let result = run_finder(cli, &finder, &db);
+    finish_discover(result, session, cli, |discovery, out| {
+        if cli.max_arity >= 2 {
+            print_levels(&db, discovery, out);
+            return;
+        }
+        outln!(
+            out,
+            "{} candidates ({} pairs considered), {} satisfied INDs, {:?}\n",
+            discovery.metrics.candidates(),
+            discovery.metrics.pairs_considered,
+            discovery.ind_count(),
+            discovery.metrics.elapsed
         );
-        return finish_discover(
-            result,
-            session,
-            cli,
-            |d| (&d.metrics, d.degraded.as_ref()),
-            |d, out| print_levels(&db, d, out),
-        );
-    }
-    let result = run_finder(
-        cli,
-        |workdir, options| finder.discover_on_disk_with(&db, workdir, options),
-        |workers| finder.discover_in_memory_with(&db, workers),
-    );
-    finish_discover(
-        result,
-        session,
-        cli,
-        |d| (&d.metrics, d.degraded.as_ref()),
-        |discovery, out| {
-            outln!(
-                out,
-                "{} candidates ({} pairs considered), {} satisfied INDs, {:?}\n",
-                discovery.metrics.candidates(),
-                discovery.metrics.pairs_considered,
-                discovery.ind_count(),
-                discovery.metrics.elapsed
-            );
-            for (dep, refd) in discovery.satisfied_named() {
-                outln!(out, "{dep} <= {refd}");
-            }
-        },
-    )
+        for (dep, refd) in discovery.satisfied_named() {
+            outln!(out, "{dep} <= {refd}");
+        }
+    })
 }
 
-/// The n-ary run's text (`discover --max-arity N`, N ≥ 2): per-level
+/// The levelwise run's text (`discover --max-arity N`, N ≥ 2): per-level
 /// candidate counts — the apriori saving made visible — then the composite
 /// INDs and, when the schema declares composite gold keys, their
 /// evaluation.
-fn print_levels(db: &Database, discovery: &NaryDiscovery, out: &mut String) {
+fn print_levels(db: &Database, discovery: &Discovery, out: &mut String) {
     outln!(
         out,
         "{} unary INDs, {} composite INDs (max arity found {}), {:?}\n",
-        discovery.unary.len(),
         discovery.satisfied.len(),
+        discovery.composite.len(),
         discovery.max_arity_found(),
         discovery.metrics.elapsed
     );
@@ -828,7 +819,7 @@ fn print_levels(db: &Database, discovery: &NaryDiscovery, out: &mut String) {
         );
     }
     outln!(out);
-    for (dep, refd) in discovery.satisfied_named() {
+    for (dep, refd) in discovery.composite_named() {
         let join = |side: &[spider_ind::storage::QualifiedName]| {
             side.iter()
                 .map(ToString::to_string)
@@ -849,25 +840,22 @@ fn print_levels(db: &Database, discovery: &NaryDiscovery, out: &mut String) {
     }
 }
 
-/// The tail of every discover run, unary or n-ary: stop tracing, route a
-/// failure through [`finish_run_error`], write `--report` /
-/// `--trace-folded`, then print `body`'s text, the `degraded:` line and,
-/// under `--names`, the metrics line. `summary` picks a result's metrics
-/// and degradation report. Exits [`EXIT_DEGRADED`] when anything was
-/// quarantined.
-fn finish_discover<D>(
-    result: Result<D, String>,
+/// The tail of every discover run: stop tracing, route a failure through
+/// [`finish_run_error`], write `--report` / `--trace-folded`, then print
+/// `body`'s text, the `degraded:` line and, under `--names`, the metrics
+/// line. Exits [`EXIT_DEGRADED`] when anything was quarantined.
+fn finish_discover(
+    result: Result<Discovery, String>,
     session: TraceSession,
     cli: &Cli,
-    summary: impl Fn(&D) -> (&RunMetrics, Option<&DegradedReport>),
-    body: impl FnOnce(&D, &mut String),
+    body: impl FnOnce(&Discovery, &mut String),
 ) -> Result<ExitCode, String> {
     let trace = session.finish();
     let discovery = match result {
         Ok(discovery) => discovery,
         Err(message) => return finish_run_error(cli, trace.as_ref(), message),
     };
-    let (metrics, degraded) = summary(&discovery);
+    let (metrics, degraded) = (&discovery.metrics, discovery.degraded.as_ref());
     if let Some(trace) = &trace {
         write_outputs(cli, trace, metrics, degraded, None)?;
     }
@@ -919,35 +907,35 @@ fn finish_run_error(
     Ok(ExitCode::from(EXIT_CANCELLED))
 }
 
-/// Runs a finder, unary or n-ary, where the flags ask. `in_memory` gets
-/// the `--threads` count. `on_disk` exports to sorted value files under
-/// `--workdir` with the export options the flags give, and reads them back
-/// through `--block-size`-byte blocks. Without `--workdir` the files go to
-/// a fresh process-scoped temp directory, removed afterwards; an explicit
-/// one is kept for inspection.
-fn run_finder<D>(
-    cli: &Cli,
-    on_disk: impl FnOnce(&Path, &ExportOptions) -> spider_ind::valueset::Result<D>,
-    in_memory: impl FnOnce(usize) -> spider_ind::valueset::Result<D>,
-) -> Result<D, String> {
-    if !cli.on_disk {
-        return in_memory(cli.workers()).map_err(|e| format!("discovery failed: {e}"));
-    }
+/// Runs `finder` over `db` up to `--max-arity`, where the flags ask: in
+/// memory on the `--threads` workers, or `--on-disk`, exporting to sorted
+/// value files under `--workdir` with the export options the flags give and
+/// reading them back through `--block-size`-byte blocks. Without
+/// `--workdir` the files go to a fresh process-scoped temp directory,
+/// removed afterwards; an explicit one is kept for inspection.
+fn run_finder(cli: &Cli, finder: &IndFinder, db: &Database) -> Result<Discovery, String> {
     let options = cli.export.clone().with_cancel(cli.cancel.clone());
     let temp = std::env::temp_dir().join(format!("spider-ind-export-{}", std::process::id()));
     let workdir = cli.workdir.as_ref().unwrap_or(&temp);
-    let result = on_disk(workdir, &options).map_err(|e| format!("discovery failed: {e}"));
-    if cli.workdir.is_none() {
+    let backend = if cli.on_disk {
+        Backend::disk(workdir, &options)
+    } else {
+        Backend::Memory {
+            threads: cli.workers(),
+        }
+    };
+    let result = finder.run(db, &backend, cli.max_arity);
+    if cli.on_disk && cli.workdir.is_none() {
         // lint: allow(swallowed_result) — best-effort temp-dir cleanup after the run
         let _ = std::fs::remove_dir_all(&temp);
     }
-    result
+    result.map_err(|e| format!("discovery failed: {e}"))
 }
 
 fn cmd_fks(cli: &Cli) -> Result<ExitCode, String> {
     let db = load(&cli.operands[0], cli.workers())?;
     let discovery = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .map_err(|e| format!("discovery failed: {e}"))?;
 
     let mut out = String::new();

@@ -5,8 +5,8 @@
 
 use ind_testkit::TempDir;
 use spider_ind::core::{
-    memory_export_with_threads, profile_database, profiles_from_export, Algorithm, Candidate,
-    IndFinder,
+    memory_export_with_threads, profile_database, profiles_from_export, Algorithm, Backend,
+    Candidate, IndFinder,
 };
 use spider_ind::datagen::{
     generate_pdb, generate_scop, generate_uniprot, generate_wide, BiosqlConfig, OpenMmsConfig,
@@ -34,7 +34,7 @@ fn external_algorithms() -> Vec<(&'static str, Algorithm)> {
 
 fn assert_all_agree(db: &Database) {
     let baseline = IndFinder::with_algorithm(Algorithm::BruteForce)
-        .discover_in_memory(db)
+        .run(db, &Backend::memory(), 1)
         .expect("baseline discovery");
     assert!(
         baseline.ind_count() > 0,
@@ -44,7 +44,7 @@ fn assert_all_agree(db: &Database) {
 
     for (name, algorithm) in external_algorithms() {
         let d = IndFinder::with_algorithm(algorithm)
-            .discover_in_memory(db)
+            .run(db, &Backend::memory(), 1)
             .expect("discovery");
         assert_eq!(
             d.satisfied,
@@ -130,7 +130,7 @@ fn all_algorithms_agree_on_empty_and_constant_columns() {
     empty_db.add_table(t).expect("table");
     for (name, algorithm) in external_algorithms() {
         let d = IndFinder::with_algorithm(algorithm)
-            .discover_in_memory(&empty_db)
+            .run(&empty_db, &Backend::memory(), 1)
             .expect("empty discovery");
         assert_eq!(d.ind_count(), 0, "{name}");
     }
@@ -148,12 +148,12 @@ fn blockwise_at_the_budget_boundary_agrees_with_single_pass() {
         generate_pdb(&OpenMmsConfig::tiny()),
     ] {
         let baseline = IndFinder::with_algorithm(Algorithm::SinglePass)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("single-pass discovery");
         assert!(baseline.ind_count() > 0, "{}: fixture has INDs", db.name());
         for max_open_files in [2usize, 3, 5, 7, 11, 13] {
             let blockwise = IndFinder::with_algorithm(Algorithm::Blockwise { max_open_files })
-                .discover_in_memory(&db)
+                .run(&db, &Backend::memory(), 1)
                 .expect("blockwise discovery");
             assert_eq!(
                 blockwise.satisfied,
@@ -181,9 +181,15 @@ fn on_disk_discovery_matches_in_memory() {
         Algorithm::BruteForceParallel { threads: 4 },
     ] {
         let finder = IndFinder::with_algorithm(algorithm.clone());
-        let mem = finder.discover_in_memory(&db).expect("memory");
+        let mem = finder.run(&db, &Backend::memory(), 1).expect("memory");
         let dir = TempDir::new("agreement-disk");
-        let disk = finder.discover_on_disk(&db, dir.path()).expect("disk");
+        let disk = finder
+            .run(
+                &db,
+                &Backend::disk(dir.path(), &ExportOptions::default()),
+                1,
+            )
+            .expect("disk");
         assert_eq!(mem.satisfied, disk.satisfied, "{algorithm:?}");
         assert_eq!(
             mem.metrics.candidates(),
@@ -298,11 +304,16 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
         generate_wide(&WideConfig::tiny()),
     ] {
         let name = db.name();
-        let reference = finder.discover_in_memory_with(&db, 1).expect("one worker");
+        let reference = finder
+            .run(&db, &Backend::Memory { threads: 1 }, 1)
+            .expect("one worker");
         assert!(reference.ind_count() > 0, "{name}");
         for (label, run) in [
-            ("default", finder.discover_in_memory(&db)),
-            ("7 workers", finder.discover_in_memory_with(&db, 7)),
+            ("default", finder.run(&db, &Backend::memory(), 1)),
+            (
+                "7 workers",
+                finder.run(&db, &Backend::Memory { threads: 7 }, 1),
+            ),
         ] {
             let run = run.expect("memory run");
             assert_eq!(
@@ -319,7 +330,11 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
 
         let reference_dir = TempDir::new("agreement-workers-ref");
         let disk_reference = finder
-            .discover_on_disk_with(&db, reference_dir.path(), &ExportOptions::with_threads(1))
+            .run(
+                &db,
+                &Backend::disk(reference_dir.path(), &ExportOptions::with_threads(1)),
+                1,
+            )
             .expect("one worker on disk");
         assert_eq!(disk_reference.satisfied, reference.satisfied, "{name}");
         assert_eq!(disk_reference.profiles, reference.profiles, "{name}");
@@ -330,39 +345,26 @@ fn the_default_path_is_invariant_under_worker_count_and_budget() {
             reference.profiles.len(),
             "{name}: one value stream per attribute"
         );
-        // `None` is `discover_on_disk`, which takes no options. A run whose
-        // sorter may spill reports the spill merge's comparisons on top of
-        // SPIDER's, so a budgeted run is held to what SPIDER read, not to
-        // the folded comparator counts.
-        let mut runs: Vec<(String, Option<ExportOptions>, bool)> = vec![
-            ("discover_on_disk".into(), None, false),
-            (
-                "default options".into(),
-                Some(ExportOptions::default()),
-                false,
-            ),
-            (
-                "7 workers".into(),
-                Some(ExportOptions::with_threads(7)),
-                false,
-            ),
+        // A run whose sorter may spill reports the spill merge's comparisons
+        // on top of SPIDER's, so a budgeted run is held to what SPIDER read,
+        // not to the folded comparator counts.
+        let mut runs: Vec<(String, ExportOptions, bool)> = vec![
+            ("default options".into(), ExportOptions::default(), false),
+            ("7 workers".into(), ExportOptions::with_threads(7), false),
         ];
         for budget in [256, 64 << 10] {
             for threads in [1, 2] {
                 let mut options = ExportOptions::with_memory_budget(budget);
                 options.threads = threads;
                 let label = format!("budget {budget}, {threads} workers");
-                runs.push((label, Some(options), true));
+                runs.push((label, options, true));
             }
         }
         for (label, options, may_spill) in runs {
-            let one_worker = options.as_ref().is_some_and(|o| o.threads == 1);
+            let one_worker = options.threads == 1;
             let dir = TempDir::new("agreement-workers");
-            let disk = match options {
-                Some(options) => finder.discover_on_disk_with(&db, dir.path(), &options),
-                None => finder.discover_on_disk(&db, dir.path()),
-            }
-            .expect("disk run");
+            let disk = finder.run(&db, &Backend::disk(dir.path(), &options), 1);
+            let disk = disk.expect("disk run");
             assert_eq!(disk.satisfied, disk_reference.satisfied, "{name}, {label}");
             assert_eq!(disk.profiles, disk_reference.profiles, "{name}, {label}");
             let (facts, reference_facts) = (merge_facts(&disk), merge_facts(&disk_reference));
@@ -422,11 +424,13 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
 
         let options = ExportOptions::default();
         let on_disk = finder
-            .discover_on_disk_with(&loaded, &dir.join("loaded"), &options)
+            .run(&loaded, &Backend::disk(&dir.join("loaded"), &options), 1)
             .expect("on disk");
-        assert_eq!(views(&loaded), 0, "{name}: discover_on_disk_with");
-        let in_memory = finder.discover_in_memory(&loaded).expect("in memory");
-        assert_eq!(views(&loaded), 0, "{name}: discover_in_memory");
+        assert_eq!(views(&loaded), 0, "{name}: on disk");
+        let in_memory = finder
+            .run(&loaded, &Backend::memory(), 1)
+            .expect("in memory");
+        assert_eq!(views(&loaded), 0, "{name}: in memory");
         assert_eq!(on_disk.satisfied, in_memory.satisfied, "{name}");
         let resumed = ExportedDatabase::export(
             &loaded,
@@ -441,16 +445,16 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
         );
         assert_eq!(views(&loaded), 0, "{name}: resumed export");
         let pairs = finder
-            .discover_nary_in_memory(&loaded, 2, 2)
+            .run(&loaded, &Backend::Memory { threads: 2 }, 2)
             .expect("n-ary in memory");
         let pairs_on_disk = finder
-            .discover_nary_on_disk(&loaded, &dir.join("nary"), &options, 2)
+            .run(&loaded, &Backend::disk(&dir.join("nary"), &options), 2)
             .expect("n-ary on disk");
-        assert_eq!(pairs.satisfied, pairs_on_disk.satisfied, "{name}");
+        assert_eq!(pairs.composite, pairs_on_disk.composite, "{name}");
         assert_eq!(views(&loaded), 0, "{name}: n-ary");
 
         let from_built = finder
-            .discover_on_disk_with(&built, &dir.join("built"), &options)
+            .run(&built, &Backend::disk(&dir.join("built"), &options), 1)
             .expect("generator-built on disk");
         assert_eq!(views(&built), 0, "{name}: generator-built");
         assert_eq!(from_built.satisfied, on_disk.satisfied, "{name}");
@@ -478,7 +482,7 @@ fn the_spine_never_builds_a_value_view_and_a_reloaded_database_exports_the_same_
 fn satisfied_inds_are_sorted_and_unique() {
     let db = generate_scop(&ScopConfig::tiny());
     let d = IndFinder::with_algorithm(Algorithm::SinglePass)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     let mut sorted: Vec<Candidate> = d.satisfied.clone();
     sorted.sort();
@@ -490,8 +494,8 @@ fn satisfied_inds_are_sorted_and_unique() {
 fn discovery_is_deterministic_across_runs() {
     let db = generate_pdb(&OpenMmsConfig::tiny());
     let finder = IndFinder::with_algorithm(Algorithm::SinglePass);
-    let a = finder.discover_in_memory(&db).expect("first");
-    let b = finder.discover_in_memory(&db).expect("second");
+    let a = finder.run(&db, &Backend::memory(), 1).expect("first");
+    let b = finder.run(&db, &Backend::memory(), 1).expect("second");
     assert_eq!(a.satisfied, b.satisfied);
     assert_eq!(a.metrics.items_read, b.metrics.items_read);
     assert_eq!(a.metrics.comparisons, b.metrics.comparisons);

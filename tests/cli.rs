@@ -944,6 +944,8 @@ fn malformed_or_missing_flag_values_fail_before_loading() {
         (&["--names", "--deadline"], "--deadline requires a value"),
         (&["--workdir", "--on-disk"], "--workdir requires a value"),
         (&["--deadline", "soon"], "--deadline: `soon`"),
+        (&["--max-arity", "0"], "--max-arity: 0 is outside 1..=16"),
+        (&["--max-arity", "17"], "--max-arity: 17 is outside 1..=16"),
     ] {
         let out = spider_ind(&[&["discover", db_path][..], args].concat());
         assert_eq!(out.status.code(), Some(1), "{args:?}");

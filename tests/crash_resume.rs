@@ -8,7 +8,7 @@
 
 use ind_testkit::TempDir;
 use proptest::prelude::*;
-use spider_ind::core::{Algorithm, IndFinder};
+use spider_ind::core::{Algorithm, Backend, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 use spider_ind::valueset::{
     collect_cursor, crc32c, read_trailer, CancelToken, ExportOptions, Extent, FaultPlan, IoOptions,
@@ -229,7 +229,11 @@ fn faulted(spec: &str, threads: usize) -> ExportOptions {
 fn fixture_spans_at_least_three_batches_by_bytes() {
     let dir = TempDir::new("crash-fixture");
     IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_on_disk_with(&fixture_db(), dir.path(), &ExportOptions::with_threads(1))
+        .run(
+            &fixture_db(),
+            &Backend::disk(dir.path(), &ExportOptions::with_threads(1)),
+            1,
+        )
         .expect("clean run");
     let streams = value_streams(dir.path());
     assert_eq!(streams.len(), ATTRIBUTES);
@@ -256,7 +260,7 @@ fn crash_then_resume(db: &Database, clean: &CleanRun, n: u32, threads: usize) ->
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
     let dir = TempDir::new("crash-boundary");
     let spec = format!("write:*:crash={n}");
-    match finder.discover_on_disk_with(db, dir.path(), &faulted(&spec, threads)) {
+    match finder.run(db, &Backend::disk(dir.path(), &faulted(&spec, threads)), 1) {
         Ok(d) => {
             assert_eq!(d.satisfied, clean.satisfied, "uncrashed run at {context}");
             None
@@ -264,10 +268,13 @@ fn crash_then_resume(db: &Database, clean: &CleanRun, n: u32, threads: usize) ->
         Err(_) => {
             let committed = committed_entries(dir.path(), &context);
             let resumed = finder
-                .discover_on_disk_with(
+                .run(
                     db,
-                    dir.path(),
-                    &ExportOptions::with_threads(threads).resume(ResumeMode::Verify),
+                    &Backend::disk(
+                        dir.path(),
+                        &ExportOptions::with_threads(threads).resume(ResumeMode::Verify),
+                    ),
+                    1,
                 )
                 .unwrap_or_else(|e| panic!("resume after {context} failed: {e}"));
             assert_eq!(resumed.satisfied, clean.satisfied, "INDs after {context}");
@@ -300,7 +307,7 @@ struct CleanRun {
 fn clean_run(db: &Database) -> CleanRun {
     let dir = TempDir::new("crash-clean");
     let clean = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_on_disk_with(db, dir.path(), &ExportOptions::default())
+        .run(db, &Backend::disk(dir.path(), &ExportOptions::default()), 1)
         .expect("clean run");
     CleanRun {
         satisfied: clean.satisfied,
@@ -321,7 +328,11 @@ fn a_workdir_of_v2_streams_is_exported_again_on_resume() {
         let dir = TempDir::new("v2-workdir");
         let finder = IndFinder::with_algorithm(Algorithm::Spider);
         finder
-            .discover_on_disk_with(&db, dir.path(), &ExportOptions::with_threads(1))
+            .run(
+                &db,
+                &Backend::disk(dir.path(), &ExportOptions::with_threads(1)),
+                1,
+            )
             .expect("first run");
         for (segment, entry) in trailer_entries(dir.path()) {
             let path = dir.path().join(&segment);
@@ -334,10 +345,10 @@ fn a_workdir_of_v2_streams_is_exported_again_on_resume() {
             std::fs::write(&path, bytes).expect("patch");
         }
         let resumed = finder
-            .discover_on_disk_with(
+            .run(
                 &db,
-                dir.path(),
-                &ExportOptions::with_threads(1).resume(mode),
+                &Backend::disk(dir.path(), &ExportOptions::with_threads(1).resume(mode)),
+                1,
             )
             .unwrap_or_else(|e| panic!("{mode:?} resume of a v2 workdir failed: {e}"));
         assert_eq!(resumed.satisfied, clean.satisfied, "{mode:?}");
@@ -432,20 +443,26 @@ fn resume_recovers_from_a_failed_fsync_at_each_publication() {
             let dir = TempDir::new("fsync-boundary");
             let workdir = dir.join("workdir");
             let err = finder
-                .discover_on_disk_with(
+                .run(
                     &db,
-                    &workdir,
-                    &faulted(&format!("fsync:{target}:fail"), threads),
+                    &Backend::Disk {
+                        workdir: &workdir,
+                        options: &faulted(&format!("fsync:{target}:fail"), threads),
+                    },
+                    1,
                 )
                 .expect_err("a failed fsync must abort the strict run");
             assert!(err.to_string().contains("fsync"), "{context}: {err}");
             let committed = committed_entries(&workdir, &context);
 
             let resumed = finder
-                .discover_on_disk_with(
+                .run(
                     &db,
-                    &workdir,
-                    &ExportOptions::with_threads(threads).resume(ResumeMode::Reuse),
+                    &Backend::disk(
+                        &workdir,
+                        &ExportOptions::with_threads(threads).resume(ResumeMode::Reuse),
+                    ),
+                    1,
                 )
                 .unwrap_or_else(|e| panic!("resume after {context} failed: {e}"));
             assert_eq!(resumed.satisfied, clean.satisfied, "INDs after {context}");
@@ -490,7 +507,7 @@ proptest! {
 
         let clean_dir = TempDir::new("prop-resume-clean");
         let clean = finder
-            .discover_on_disk_with(&db, clean_dir.path(), &tuned())
+            .run(&db, &Backend::disk(clean_dir.path(), &tuned()), 1)
             .expect("uninterrupted run");
         let clean_streams = value_streams(clean_dir.path());
 
@@ -506,11 +523,11 @@ proptest! {
         }
         // The interrupted run may fail at any point — or finish, when the
         // interrupt lands past the end. Both are part of the sweep.
-        let _ = finder.discover_on_disk_with(&db, dir.path(), &first);
+        let _ = finder.run(&db, &Backend::disk(dir.path(), &first), 1);
         let committed = committed_entries(dir.path(), "proptest");
 
         let resumed = finder
-            .discover_on_disk_with(&db, dir.path(), &tuned().resume(ResumeMode::Verify))
+            .run(&db, &Backend::disk(dir.path(), &tuned().resume(ResumeMode::Verify)), 1)
             .expect("resume completes");
         prop_assert_eq!(&resumed.satisfied, &clean.satisfied);
         prop_assert_eq!(

@@ -10,7 +10,7 @@
 //! oracle enumerates.
 
 use spider_ind::core::{
-    profile_database, Algorithm, AttributeProfile, IndFinder, NaryCandidate, NaryDiscovery,
+    profile_database, Algorithm, AttributeProfile, Backend, Discovery, IndFinder, NaryCandidate,
     NaryLevelStats,
 };
 use spider_ind::datagen::{generate_chains, ChainsConfig};
@@ -164,11 +164,11 @@ fn assert_levelwise_matches_oracle(db: &Database, max_arity: usize) -> Vec<Oracl
         let dir = ind_testkit::TempDir::new("nary-oracle-disk");
         let options = ExportOptions::with_threads(2);
         let at = format!("{}, {algorithm:?}", db.name());
-        let memory = finder.discover_nary_in_memory(db, 2, max_arity);
+        let memory = finder.run(db, &Backend::Memory { threads: 2 }, max_arity);
         let memory = memory.expect(&at);
-        let disk = finder.discover_nary_on_disk(db, dir.path(), &options, max_arity);
+        let disk = finder.run(db, &Backend::disk(dir.path(), &options), max_arity);
         let disk = disk.expect(&at);
-        let counts = |d: &NaryDiscovery| -> Vec<_> {
+        let counts = |d: &Discovery| -> Vec<_> {
             let level = |l: &NaryLevelStats| (l.arity, l.generated, l.pruned_projection);
             d.levels.iter().map(level).collect()
         };
@@ -182,8 +182,8 @@ fn assert_levelwise_matches_oracle(db: &Database, max_arity: usize) -> Vec<Oracl
         );
         for (backend, d) in [("memory", memory), ("disk", disk)] {
             let at = format!("{at}, {backend}");
-            assert_eq!(d.satisfied, expected, "{at}");
-            let found: Vec<_> = d.unary.iter().map(|c| (c.dep, c.refd)).collect();
+            assert_eq!(d.composite, expected, "{at}");
+            let found: Vec<_> = d.satisfied.iter().map(|c| (c.dep, c.refd)).collect();
             assert_eq!(found, unary, "{at}: level 1");
             for level in &d.levels {
                 let o = &oracle[level.arity - 1];
@@ -194,7 +194,7 @@ fn assert_levelwise_matches_oracle(db: &Database, max_arity: usize) -> Vec<Oracl
                     assert_eq!(level.generated, o.apriori, "{at}");
                 }
             }
-            let inds = d.unary.len() + d.satisfied.len();
+            let inds = d.satisfied.len() + d.composite.len();
             assert_eq!(
                 d.metrics.satisfied, inds as u64,
                 "{at}: INDs, not class pairs"
@@ -251,8 +251,10 @@ fn levelwise_matches_oracle_on_a_mirror_heavy_fixture() {
 fn chains_gold_key_is_found_and_disk_agrees() {
     let db = generate_chains(&ChainsConfig::tiny());
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
-    let mem = finder.discover_nary_in_memory(&db, 2, 2).expect("memory");
-    let named = mem.satisfied_named();
+    let mem = finder
+        .run(&db, &Backend::Memory { threads: 2 }, 2)
+        .expect("memory");
+    let named = mem.composite_named();
     assert!(
         named.iter().any(|(dep, refd)| {
             dep.iter().map(ToString::to_string).collect::<Vec<_>>()
@@ -270,10 +272,14 @@ fn chains_gold_key_is_found_and_disk_agrees() {
 
     let dir = ind_testkit::TempDir::new("nary-agreement-disk");
     let disk = finder
-        .discover_nary_on_disk(&db, dir.path(), &ExportOptions::default(), 2)
+        .run(
+            &db,
+            &Backend::disk(dir.path(), &ExportOptions::default()),
+            2,
+        )
         .expect("disk");
+    assert_eq!(mem.composite, disk.composite);
     assert_eq!(mem.satisfied, disk.satisfied);
-    assert_eq!(mem.unary, disk.unary);
     assert_eq!(mem.sequence_profiles, disk.sequence_profiles);
 }
 
@@ -329,4 +335,42 @@ fn levelwise_matches_an_arity_3_oracle_on_random_schemas() {
         arity_3_found += oracle[2].satisfied.len();
     }
     assert!(arity_3_found > 0, "the seeds must exercise level 3");
+}
+
+#[test]
+fn unary_is_level_1_with_only_unique_attributes_referenced() {
+    let finder = IndFinder::with_algorithm(Algorithm::Spider);
+    let options = ExportOptions::with_threads(1);
+    for db in [generate_chains(&ChainsConfig::tiny()), random_schema(3)] {
+        for on_disk in [false, true] {
+            let at = format!("{}, on disk: {on_disk}", db.name());
+            let run = |max_arity: usize| {
+                let dir = ind_testkit::TempDir::new("nary-unary-level-1");
+                let backend = match on_disk {
+                    false => Backend::Memory { threads: 1 },
+                    true => Backend::disk(dir.path(), &options),
+                };
+                finder.run(&db, &backend, max_arity).expect(&at)
+            };
+            let (unary, levelwise) = (run(1), run(3));
+            let unique = |id: u32| {
+                let p = &levelwise.profiles[id as usize];
+                p.non_null > 0 && p.distinct == p.non_null
+            };
+            let expected: Vec<_> = levelwise
+                .satisfied
+                .iter()
+                .filter(|c| unique(c.refd))
+                .copied()
+                .collect();
+            // Both sides of the rule occur: INDs into unique attributes,
+            // and INDs only a levelwise run finds.
+            assert!(!expected.is_empty(), "{at}");
+            assert!(expected.len() < levelwise.satisfied.len(), "{at}");
+            assert_eq!(unary.satisfied, expected, "{at}");
+            assert_eq!(unary.levels.len(), 1, "{at}");
+            assert!(unary.composite.is_empty(), "{at}");
+            assert_eq!(unary.max_arity_found(), 1, "{at}");
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //! Section 5 / Table claim it checks; `ind-bench`'s `run_all` reports
 //! (`experiments/*.txt`) record the numbers.
 
-use spider_ind::core::{Algorithm, IndFinder, PretestConfig};
+use spider_ind::core::{Algorithm, Backend, IndFinder, PretestConfig};
 use spider_ind::datagen::{
     generate_pdb, generate_scop, generate_uniprot, BiosqlConfig, OpenMmsConfig, ScopConfig,
 };
@@ -24,7 +24,7 @@ fn uniprot_all_discoverable_fks_are_found() {
     // exception of two foreign keys that are defined on empty tables."
     let db = uniprot();
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     let eval = evaluate_foreign_keys(&db, &d);
     assert_eq!(eval.found.len(), 19);
@@ -43,7 +43,7 @@ fn uniprot_extras_are_in_the_closure_and_there_are_no_false_positives() {
     // key definitions … no false positives were produced."
     let db = uniprot();
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     let eval = evaluate_foreign_keys(&db, &d);
     assert!(eval.closure_extras() >= 5, "several closure INDs expected");
@@ -82,7 +82,7 @@ fn uniprot_primary_relation_is_bioentry_unambiguously() {
     // namely sg_bioentry."
     let db = uniprot();
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     let pr = identify_primary_relation(&db, &d, &AccessionRules::strict());
     assert_eq!(pr.unambiguous_primary(), Some("sg_bioentry"));
@@ -92,7 +92,7 @@ fn uniprot_primary_relation_is_bioentry_unambiguously() {
 fn scop_structure_is_recovered_without_false_positives() {
     let db = generate_scop(&ScopConfig::tiny());
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     let eval = evaluate_foreign_keys(&db, &d);
     assert!(eval.missed_other.is_empty());
@@ -119,7 +119,7 @@ fn pdb_inds_are_dominated_by_surrogate_ranges() {
     // flags them.
     let db = pdb();
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     assert!(d.ind_count() > 100, "surrogate blow-up expected");
     let (kept, filtered) = filter_surrogate_inds(&db, &d);
@@ -154,7 +154,7 @@ fn pdb_primary_relation_is_the_three_way_entry_tie() {
     // struct, struct_keywords). Of these, struct is the correct solution."
     let db = pdb();
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("discovery");
     let pr = identify_primary_relation(&db, &d, &AccessionRules::strict());
     assert_eq!(
@@ -173,14 +173,14 @@ fn max_value_pretest_prunes_without_changing_results() {
         pdb(),
     ] {
         let base = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("base");
         let config = spider_ind::core::FinderConfig {
             pretests: PretestConfig::with_max_value(),
             ..Default::default()
         };
         let pruned = IndFinder::new(config)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("pruned");
         assert_eq!(base.satisfied, pruned.satisfied, "{}", db.name());
         assert!(
@@ -198,7 +198,7 @@ fn candidate_counts_sit_in_the_papers_regime() {
     // report; here we assert the orders of magnitude at test scale.
     let db = generate_uniprot(&BiosqlConfig::default());
     let d = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("uniprot");
     assert!(
         (500..3000).contains(&(d.metrics.candidates() as usize)),
@@ -213,7 +213,7 @@ fn candidate_counts_sit_in_the_papers_regime() {
 
     let scop = generate_scop(&ScopConfig::default());
     let ds = IndFinder::with_algorithm(Algorithm::Spider)
-        .discover_in_memory(&scop)
+        .run(&scop, &Backend::memory(), 1)
         .expect("scop");
     assert!(
         (40..300).contains(&(ds.metrics.candidates() as usize)),

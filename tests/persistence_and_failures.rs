@@ -6,7 +6,7 @@
 use ind_testkit::TempDir;
 use spider_ind::core::{
     generate_candidates, profiles_from_export, run_blockwise, run_brute_force, run_single_pass,
-    Algorithm, BlockwiseConfig, IndFinder, PretestConfig, RunMetrics,
+    Algorithm, Backend, BlockwiseConfig, IndFinder, PretestConfig, RunMetrics,
 };
 use spider_ind::datagen::{
     generate_chains, generate_pdb, generate_scop, generate_uniprot, generate_wide, BiosqlConfig,
@@ -198,8 +198,10 @@ fn discovery_on_reloaded_database_matches_original() {
     save_database(&db, dir.path()).expect("save");
     let loaded = load_database(dir.path()).expect("load");
     let finder = IndFinder::with_algorithm(Algorithm::Spider);
-    let a = finder.discover_in_memory(&db).expect("original");
-    let b = finder.discover_in_memory(&loaded).expect("reloaded");
+    let a = finder.run(&db, &Backend::memory(), 1).expect("original");
+    let b = finder
+        .run(&loaded, &Backend::memory(), 1)
+        .expect("reloaded");
     assert_eq!(a.satisfied_named(), b.satisfied_named());
 }
 
@@ -349,7 +351,7 @@ fn export_then_rediscover_from_files_only() {
     let dir = TempDir::new("files-only");
     let db = generate_uniprot(&BiosqlConfig::tiny());
     let expected = IndFinder::with_algorithm(Algorithm::BruteForce)
-        .discover_in_memory(&db)
+        .run(&db, &Backend::memory(), 1)
         .expect("expected");
     ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).expect("export");
     drop(db);

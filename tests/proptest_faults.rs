@@ -10,7 +10,7 @@
 
 use ind_testkit::TempDir;
 use proptest::prelude::*;
-use spider_ind::core::{Algorithm, IndFinder};
+use spider_ind::core::{Algorithm, Backend, IndFinder};
 use spider_ind::storage::{ColumnSchema, DataType, Database, Table, TableSchema};
 use spider_ind::valueset::{
     read_trailer, ExportOptions, ExportedDatabase, FaultPlan, IoOptions, ResumeMode,
@@ -86,10 +86,10 @@ proptest! {
             Algorithm::Spider
         };
         let finder = IndFinder::with_algorithm(algorithm);
-        let baseline = finder.discover_in_memory(&db).expect("baseline");
+        let baseline = finder.run(&db, &Backend::memory(), 1).expect("baseline");
         let dir = TempDir::new("prop-flip-strict");
         let spec = format!("read:attr-{target:05}:flip={offset}");
-        match finder.discover_on_disk_with(&db, dir.path(), &fault_options(&spec, block, false)) {
+        match finder.run(&db, &Backend::disk(dir.path(), &fault_options(&spec, block, false)), 1) {
             // Flip beyond the file, or in a file no candidate reads: the
             // answer must be exactly the clean one.
             Ok(d) => prop_assert_eq!(d.satisfied, baseline.satisfied),
@@ -112,11 +112,11 @@ proptest! {
     ) {
         let db = fixture_db();
         let finder = IndFinder::with_algorithm(Algorithm::Spider);
-        let baseline = finder.discover_in_memory(&db).expect("baseline");
+        let baseline = finder.run(&db, &Backend::memory(), 1).expect("baseline");
         let dir = TempDir::new("prop-flip-kg");
         let spec = format!("read:attr-{target:05}:flip={offset}");
         let d = finder
-            .discover_on_disk_with(&db, dir.path(), &fault_options(&spec, block, true))
+            .run(&db, &Backend::disk(dir.path(), &fault_options(&spec, block, true)), 1)
             .expect("keep-going runs complete");
         let report = d.degraded.clone().expect("keep-going always reports");
         if report.is_clean() {

@@ -9,8 +9,8 @@ use ind_testkit::TempDir;
 use proptest::prelude::*;
 use spider_ind::core::{
     generate_candidates, memory_export, profile_database, profiles_from_export, run_brute_force,
-    run_single_pass, run_spider, Algorithm, AttributeProfile, Candidate, FinderConfig, IndFinder,
-    PretestConfig, RunMetrics,
+    run_single_pass, run_spider, Algorithm, AttributeProfile, Backend, Candidate, FinderConfig,
+    IndFinder, PretestConfig, RunMetrics,
 };
 use spider_ind::sql::{run_sql_discovery, SqlApproach};
 use spider_ind::storage::{
@@ -287,7 +287,7 @@ proptest! {
             Algorithm::Blockwise { max_open_files: 2 },
         ] {
             let d = IndFinder::with_algorithm(algorithm.clone())
-                .discover_in_memory(&db)
+                .run(&db, &Backend::memory(), 1)
                 .expect("discovery");
             prop_assert_eq!(named(&d), expected.clone(), "{:?}", algorithm);
         }
@@ -300,14 +300,14 @@ proptest! {
     #[test]
     fn pruning_options_never_change_the_result(db in arb_database()) {
         let base = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("base");
 
         let with_max = FinderConfig {
             pretests: PretestConfig::with_max_value(),
             ..Default::default()
         };
-        let d = IndFinder::new(with_max).discover_in_memory(&db).expect("max");
+        let d = IndFinder::new(with_max).run(&db, &Backend::memory(), 1).expect("max");
         prop_assert_eq!(named(&d), named(&base));
     }
 
@@ -316,7 +316,7 @@ proptest! {
         // Figure 5's bound: the single-pass reads each value at most once
         // per role; brute force can only read more, never less, per test.
         let d = IndFinder::with_algorithm(Algorithm::SinglePass)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("single-pass");
         let profiles = profile_database(&db);
         let total: u64 = profiles.iter().map(|p| p.distinct).sum();
@@ -390,7 +390,7 @@ proptest! {
         // and B ⊆ C were discovered, A ⊆ C must have been discovered too
         // (whenever it was an eligible candidate).
         let d = IndFinder::with_algorithm(Algorithm::BruteForce)
-            .discover_in_memory(&db)
+            .run(&db, &Backend::memory(), 1)
             .expect("discovery");
         let found: HashSet<(u32, u32)> =
             d.satisfied.iter().map(|c| (c.dep, c.refd)).collect();
